@@ -37,7 +37,9 @@
 //! and writes `BENCH_serve.json` (schema-validated before writing).
 //! `--assert-chaos` exits nonzero unless every valid query answered
 //! correctly, every corrupt reload was rejected, and the shed counter
-//! moved under overload.
+//! moved under overload. A lookup row times `find_opinion` on the served
+//! store and on one with ten times the pairs; `--assert-lookup-flat`
+//! exits nonzero when the larger reads more than 3x the smaller.
 //!
 //! `lint` measures the flow-aware linter over the workspace at `--root`
 //! (default `.`): a 1/2/4/8-worker sweep with byte-identity checks, then
@@ -73,7 +75,7 @@ const USAGE: &str = "usage: bench pipeline [--seed N] [--threads N] \
                      \u{20}      bench snapshot [--seed N] [--out PATH] [--quick] \
                      [--assert-speedup X]\n\
                      \u{20}      bench serve [--seed N] [--out PATH] [--quick] \
-                     [--assert-chaos]\n\
+                     [--assert-chaos] [--assert-lookup-flat]\n\
                      \u{20}      bench lint [--root PATH] [--out PATH] [--quick] \
                      [--assert-cache]\n\
                      \u{20}      bench incremental [--seed N] [--out PATH] [--quick] \
@@ -393,11 +395,13 @@ fn serve(rest: &[String]) -> ExitCode {
     let mut out = "BENCH_serve.json".to_owned();
     let mut quick = false;
     let mut assert_chaos = false;
+    let mut assert_lookup_flat = false;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--assert-chaos" => assert_chaos = true,
+            "--assert-lookup-flat" => assert_lookup_flat = true,
             "--seed" => {
                 let Some(value) = it.next() else {
                     eprintln!("missing value for {arg}\n{USAGE}");
@@ -451,6 +455,23 @@ fn serve(rest: &[String]) -> ExitCode {
                         "assert-chaos: failed (valid answered: {all_valid}, corrupt reloads \
                          rejected: {reloads_held}, shed under overload: {shed}, graceful \
                          shutdown: {graceful})"
+                    );
+                    return ExitCode::FAILURE;
+                }
+            }
+            if assert_lookup_flat {
+                // A lookup costs what the entity's own opinions cost: on
+                // ten times the pairs it may read up to 3x (caches), where
+                // a scan over the store reads 10x.
+                let lookup = &value["lookup"];
+                let small = lookup["small"]["pairs"].as_u64().unwrap_or(0);
+                let large = lookup["large"]["pairs"].as_u64().unwrap_or(0);
+                let ratio = lookup["ratio"].as_f64().unwrap_or(f64::INFINITY);
+                if large < 10 * small || ratio > 3.0 {
+                    eprintln!(
+                        "assert-lookup-flat: failed (find_opinion at {large} pairs takes \
+                         {ratio:.2}x what it takes at {small} pairs; want <= 3x at >= 10x \
+                         the pairs)"
                     );
                     return ExitCode::FAILURE;
                 }
@@ -795,6 +816,16 @@ fn validate_serve_schema(value: &serde_json::Value) -> Result<(), String> {
                 return Err(format!("throughput row missing numeric {key:?}"));
             }
         }
+    }
+    for size in ["small", "large"] {
+        for key in ["pairs", "find_opinion_ns"] {
+            if value["lookup"][size][key].as_f64().is_none() {
+                return Err(format!("lookup.{size}.{key} is not a number"));
+            }
+        }
+    }
+    if value["lookup"]["ratio"].as_f64().is_none() {
+        return Err("lookup.ratio is not a number".to_owned());
     }
     let chaos = &value["chaos"];
     for key in [

@@ -1511,6 +1511,43 @@ fn percentile(samples: &mut [f64], p: f64) -> f64 {
     samples[rank.min(samples.len() - 1)]
 }
 
+/// Mean `SubjectiveKb::find_opinion` time, in nanoseconds, over a few
+/// stored pairs spread evenly across `store` and looked up many times
+/// over — few and fixed, so that stores of different sizes are probed
+/// with the same working set, one that fits the caches and the TLB, and
+/// what is compared is the lookup, not the memory behind it. Median of
+/// `TIMED_RUNS` timed runs after one warm-up run.
+fn mean_find_opinion_ns(store: &surveyor::SubjectiveKb) -> f64 {
+    const PROBES: usize = 256;
+    const ROUNDS: usize = 64;
+    let probes: Vec<(&str, &Property)> = store
+        .blocks()
+        .iter()
+        .flat_map(|b| {
+            b.opinions
+                .iter()
+                .map(move |o| (o.entity_name.as_str(), &b.property))
+        })
+        .step_by((store.len() / PROBES).max(1))
+        .take(PROBES)
+        .collect();
+    assert!(!probes.is_empty(), "store holds no pair to look up");
+    let mut samples = Vec::with_capacity(TIMED_RUNS);
+    for timed in 0..=TIMED_RUNS {
+        let start = Instant::now();
+        for _ in 0..ROUNDS {
+            for &(entity, property) in &probes {
+                let hit = store.find_opinion(std::hint::black_box(entity), property);
+                assert!(std::hint::black_box(hit).is_some(), "stored pair not found");
+            }
+        }
+        if timed > 0 {
+            samples.push(start.elapsed().as_secs_f64() * 1e9 / (ROUNDS * probes.len()) as f64);
+        }
+    }
+    median(&mut samples)
+}
+
 /// `bench serve`: query-server throughput and chaos resilience — the
 /// numbers behind `BENCH_serve.json`.
 ///
@@ -1526,6 +1563,12 @@ fn percentile(samples: &mut [f64], p: f64) -> f64 {
 /// overload burst against stalled workers pins the shed counter, one
 /// valid reload pins the accept path, and the server is shut down via
 /// `POST /ctl/shutdown` (the graceful drain path, not the test hook).
+///
+/// Before the servers boot, a **lookup row** times `find_opinion` on the
+/// served store and on a store mined from the same world with ten times
+/// the entities per type: a lookup answered from the entity index costs
+/// what the entity's own opinions cost, so the two must read alike
+/// (`--assert-lookup-flat`: ratio ≤ 3), where a scan would read 10×.
 ///
 /// `quick` shrinks the corpus, request counts, and chaos op count so
 /// `scripts/verify.sh` can smoke-test the artifact schema in seconds.
@@ -1562,6 +1605,28 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         ServedState::from_snapshot_bytes(&bytes, 1, "bench").expect("own snapshot serves"),
     );
     let associations = state.store.len();
+
+    // ---- Lookup row: the same world at 1x and 10x entities per type. ----
+    let lookup_small_ns = mean_find_opinion_ns(&state.store);
+    // `table2_world` has 20 curated + 480 background entities per type.
+    let large_world = presets::table2_world_sized(cfg.seed, 10 * 500 - 20);
+    let large_kb = large_world.kb().clone();
+    let large_generator = CorpusGenerator::new(
+        large_world,
+        CorpusConfig {
+            num_shards,
+            ..CorpusConfig::default()
+        },
+    );
+    let large_store = surveyor::SubjectiveKb::from_output(
+        &Surveyor::new(large_kb.clone(), surveyor.config().clone())
+            .run(&CorpusSource::new(&large_generator)),
+        &large_kb,
+    );
+    let lookup_large_pairs = large_store.len();
+    let lookup_large_ns = mean_find_opinion_ns(&large_store);
+    drop(large_store);
+    let lookup_ratio = lookup_large_ns / lookup_small_ns.max(f64::EPSILON);
 
     // Query targets: every stored opinion, as a percent-encoded `/decide`
     // path plus the verdict the store will answer with. The expected bit
@@ -1879,6 +1944,8 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 
     let text = format!(
         "Serve throughput — {associations} associations, {} query targets\n{}\n\
+         lookup: find_opinion {lookup_small_ns:.0} ns at {associations} pairs, \
+         {lookup_large_ns:.0} ns at {lookup_large_pairs} pairs (ratio {lookup_ratio:.2})\n\
          chaos: {ops} ops — {valid_ok}/{valid_sent} valid queries answered correctly, \
          {}/{} corrupt reloads rejected, {} panics injected, \
          {shed_503}/{burst} shed in overload burst, accepted reload: {accepted_reload}, \
@@ -1901,6 +1968,11 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         "requests_per_client": per_client,
         "throughput": throughput,
         "throughput_requests_served": throughput_requests,
+        "lookup": json!({
+            "small": json!({ "pairs": associations, "find_opinion_ns": lookup_small_ns }),
+            "large": json!({ "pairs": lookup_large_pairs, "find_opinion_ns": lookup_large_ns }),
+            "ratio": lookup_ratio,
+        }),
         "chaos": json!({
             "ops": ops,
             "valid_queries": valid_sent,

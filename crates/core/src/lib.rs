@@ -76,6 +76,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod entity_index;
 pub mod incremental;
 pub mod objective;
 pub mod pipeline;

@@ -8,10 +8,13 @@
 
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::sync::Arc;
+use surveyor_extract::EvidenceCounts;
 use surveyor_kb::{EntityId, KnowledgeBase, Property, TypeId};
 use surveyor_model::Decision;
 
+use crate::entity_index::EntityIndex;
 use crate::pipeline::SurveyorOutput;
 
 /// One stored association.
@@ -76,65 +79,143 @@ pub struct CombinationBlock {
 ///     println!("{} ({:.2})", hit.entity_name, hit.probability);
 /// }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The blocks are the data — what [`to_json`](Self::to_json) persists and
+/// what equality compares; the two indexes over them (combination →
+/// block, entity name → opinions) are derived whenever a store is built.
+#[derive(Debug, Clone)]
 pub struct SubjectiveKb {
     blocks: Vec<CombinationBlock>,
-    #[serde(skip)]
     index: FxHashMap<(String, Property), usize>,
+    entities: EntityIndex,
+}
+
+impl PartialEq for SubjectiveKb {
+    fn eq(&self, other: &Self) -> bool {
+        self.blocks == other.blocks
+    }
+}
+
+/// Most confident first (largest `|p − 0.5|`), then by type name; hits
+/// that tie on both keep the order they arrive in.
+fn by_confidence(
+    (block_a, a): &(&CombinationBlock, &StoredOpinion),
+    (block_b, b): &(&CombinationBlock, &StoredOpinion),
+) -> Ordering {
+    let conf_a = (a.probability - 0.5).abs();
+    let conf_b = (b.probability - 0.5).abs();
+    conf_b
+        .total_cmp(&conf_a)
+        .then_with(|| block_a.type_name.cmp(&block_b.type_name))
 }
 
 impl SubjectiveKb {
     /// Materializes pipeline output into a store.
     pub fn from_output(output: &SurveyorOutput, kb: &Arc<KnowledgeBase>) -> Self {
+        /// The plain-data half of an opinion: what decides its rank.
+        #[derive(Clone, Copy)]
+        struct Row {
+            entity: EntityId,
+            probability: f64,
+            positive: bool,
+            counts: EvidenceCounts,
+        }
         let mut blocks = Vec::with_capacity(output.results.len());
+        // The entity index groups opinions by name. Here a name is a
+        // function of the entity id, so the ids are the groups.
+        let mut group_of_pair: Vec<u32> = Vec::with_capacity(output.decided_pairs());
+        // A block's order is settled on 32-byte rows; names and documents
+        // (two allocations and 56 more bytes to move per opinion) are
+        // attached afterwards, in final order.
+        let mut rows: Vec<Row> = Vec::new();
         for result in &output.results {
             let type_name = kb.entity_type(result.key.type_id).name().to_owned();
-            let mut opinions: Vec<StoredOpinion> = result
-                .decisions
-                .iter()
-                .filter(|(_, d)| d.decision.is_solved())
-                .map(|(entity, d)| {
-                    let counts = output.evidence.counts_id(*entity, result.key.property);
-                    StoredOpinion {
-                        entity: *entity,
-                        entity_name: kb.entity(*entity).name().to_owned(),
-                        positive: d.decision == Decision::Positive,
+            let property = result.key.property;
+            rows.clear();
+            rows.extend(
+                result
+                    .decisions
+                    .iter()
+                    .filter(|(_, d)| d.decision.is_solved())
+                    .map(|&(entity, d)| Row {
+                        entity,
                         probability: d.probability.unwrap_or(0.5),
-                        positive_statements: counts.positive,
-                        negative_statements: counts.negative,
-                        supporting_documents: output
-                            .provenance
-                            .documents_id(*entity, result.key.property)
-                            .to_vec(),
-                    }
-                })
-                .collect();
-            opinions.sort_by(|a, b| {
+                        positive: d.decision == Decision::Positive,
+                        counts: output.evidence.counts_id(entity, property),
+                    }),
+            );
+            rows.sort_by(|a, b| {
                 b.probability
                     .total_cmp(&a.probability)
-                    .then_with(|| b.positive_statements.cmp(&a.positive_statements))
+                    .then_with(|| b.counts.positive.cmp(&a.counts.positive))
                     .then_with(|| a.entity.cmp(&b.entity))
             });
+            group_of_pair.extend(rows.iter().map(|row| row.entity.0));
+            let opinions = rows
+                .iter()
+                .map(|row| StoredOpinion {
+                    entity: row.entity,
+                    entity_name: kb.entity(row.entity).name().to_owned(),
+                    positive: row.positive,
+                    probability: row.probability,
+                    positive_statements: row.counts.positive,
+                    negative_statements: row.counts.negative,
+                    supporting_documents: output
+                        .provenance
+                        .documents_id(row.entity, property)
+                        .to_vec(),
+                })
+                .collect();
             blocks.push(CombinationBlock {
                 type_id: result.key.type_id,
                 type_name,
-                property: result.key.property.resolve(),
+                property: property.resolve(),
                 p_agree: result.fit.params.p_agree,
                 rate_pos: result.fit.params.rate_pos,
                 rate_neg: result.fit.params.rate_neg,
                 opinions,
             });
         }
-        Self::from_blocks(blocks)
+        Self::from_grouped_blocks(blocks, &group_of_pair, kb.len())
     }
 
+    /// Indexes blocks from outside the program ([`Self::from_json`]),
+    /// where nothing ties an `EntityId` to one name: opinions are grouped
+    /// by the name they carry, and their ids play no part.
     fn from_blocks(blocks: Vec<CombinationBlock>) -> Self {
+        let mut groups: FxHashMap<String, u32> = FxHashMap::default();
+        let group_of_pair: Vec<u32> = blocks
+            .iter()
+            .flat_map(|b| &b.opinions)
+            .map(|o| {
+                let next = groups.len() as u32;
+                *groups
+                    .entry(o.entity_name.to_ascii_lowercase())
+                    .or_insert(next)
+            })
+            .collect();
+        Self::from_grouped_blocks(blocks, &group_of_pair, groups.len())
+    }
+
+    /// The one constructor: both indexes are derived here, so no store
+    /// exists without them. `group_of_pair` and `groups` are as
+    /// [`EntityIndex::build`] takes them.
+    fn from_grouped_blocks(
+        blocks: Vec<CombinationBlock>,
+        group_of_pair: &[u32],
+        groups: usize,
+    ) -> Self {
         let index = blocks
             .iter()
             .enumerate()
             .map(|(i, b)| ((b.type_name.clone(), b.property.clone()), i))
             .collect();
-        Self { blocks, index }
+        let entities = EntityIndex::build(&blocks, group_of_pair, groups);
+        Self {
+            blocks,
+            index,
+            entities,
+        }
     }
 
     /// All stored combinations.
@@ -144,7 +225,7 @@ impl SubjectiveKb {
 
     /// Number of stored entity-property associations.
     pub fn len(&self) -> usize {
-        self.blocks.iter().map(|b| b.opinions.len()).sum()
+        self.entities.len()
     }
 
     /// Whether the store is empty.
@@ -192,10 +273,84 @@ impl SubjectiveKb {
             .collect()
     }
 
+    /// Every stored opinion about `entity_name` (matched ignoring ASCII
+    /// case), in block order — what a scan over the blocks would find,
+    /// read off the entity index in time proportional to the answer.
+    fn hits<'a>(
+        &'a self,
+        entity_name: &str,
+    ) -> impl Iterator<Item = (&'a CombinationBlock, &'a StoredOpinion)> {
+        let postings = self.entities.postings_of(&self.blocks, entity_name);
+        (0..postings.len()).map(move |i| {
+            let at = postings[i];
+            let block = &self.blocks[at.block as usize];
+            (block, &block.opinions[at.slot as usize])
+        })
+    }
+
     /// Every stored opinion about `entity_name` across all combinations,
-    /// most confident first (largest `|p − 0.5|`). This is the query
-    /// server's top-k-properties-per-entity scan.
+    /// most confident first (largest `|p − 0.5|`), then by type name and
+    /// property. This is the query server's top-k-properties-per-entity
+    /// lookup; it costs what the entity's own opinions cost, not the
+    /// store's.
     pub fn opinions_of_entity(
+        &self,
+        entity_name: &str,
+    ) -> Vec<(&CombinationBlock, &StoredOpinion)> {
+        let mut hits: Vec<(&CombinationBlock, &StoredOpinion)> = self.hits(entity_name).collect();
+        hits.sort_by(|a, b| {
+            by_confidence(a, b)
+                .then_with(|| a.0.property.to_string().cmp(&b.0.property.to_string()))
+        });
+        hits
+    }
+
+    /// The stored opinion for one entity-property pair, searched across
+    /// every type — the query server's `/decide/{entity}/{property}`
+    /// lookup, where the URL carries no type name. When the entity is
+    /// stored under several types (rare), the most confident block wins:
+    /// the first of [`Self::opinions_of_entity`] with this property.
+    pub fn find_opinion(
+        &self,
+        entity_name: &str,
+        property: &Property,
+    ) -> Option<(&CombinationBlock, &StoredOpinion)> {
+        self.hits(entity_name)
+            .filter(|(block, _)| &block.property == property)
+            .min_by(by_confidence) // of equals, the first
+    }
+
+    /// The opinion on one entity-property pair, if stored.
+    pub fn opinion(
+        &self,
+        type_name: &str,
+        property: &Property,
+        entity_name: &str,
+    ) -> Option<&StoredOpinion> {
+        let wanted = self.combination(type_name, property)?;
+        self.hits(entity_name)
+            .find(|&(block, _)| std::ptr::eq(block, wanted))
+            .map(|(_, opinion)| opinion)
+    }
+
+    /// Serializes the store to pretty JSON.
+    pub fn to_json(&self) -> String {
+        serde_json::to_string_pretty(&self.blocks).expect("store serializes") // lint:allow(no-panic-in-lib): the store value tree holds only serializable primitives
+    }
+
+    /// Restores a store from JSON produced by [`Self::to_json`].
+    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
+        let blocks: Vec<CombinationBlock> = serde_json::from_str(json)?;
+        Ok(Self::from_blocks(blocks))
+    }
+}
+
+/// The lookups as they were before the entity index: a scan over every
+/// stored opinion. Kept, for tests only, as the oracle the index answers
+/// are compared against.
+#[cfg(test)]
+impl SubjectiveKb {
+    fn scan_opinions_of_entity(
         &self,
         entity_name: &str,
     ) -> Vec<(&CombinationBlock, &StoredOpinion)> {
@@ -220,22 +375,17 @@ impl SubjectiveKb {
         hits
     }
 
-    /// The stored opinion for one entity-property pair, searched across
-    /// every type — the query server's `/decide/{entity}/{property}`
-    /// lookup, where the URL carries no type name. When the entity is
-    /// stored under several types (rare), the most confident block wins.
-    pub fn find_opinion(
+    fn scan_find_opinion(
         &self,
         entity_name: &str,
         property: &Property,
     ) -> Option<(&CombinationBlock, &StoredOpinion)> {
-        self.opinions_of_entity(entity_name)
+        self.scan_opinions_of_entity(entity_name)
             .into_iter()
             .find(|(b, _)| &b.property == property)
     }
 
-    /// The opinion on one entity-property pair, if stored.
-    pub fn opinion(
+    fn scan_opinion(
         &self,
         type_name: &str,
         property: &Property,
@@ -245,17 +395,6 @@ impl SubjectiveKb {
             .opinions
             .iter()
             .find(|o| o.entity_name.eq_ignore_ascii_case(entity_name))
-    }
-
-    /// Serializes the store to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.blocks).expect("store serializes") // lint:allow(no-panic-in-lib): the store value tree holds only serializable primitives
-    }
-
-    /// Restores a store from JSON produced by [`Self::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let blocks: Vec<CombinationBlock> = serde_json::from_str(json)?;
-        Ok(Self::from_blocks(blocks))
     }
 }
 
@@ -349,6 +488,79 @@ mod tests {
             assert_eq!(x.positive, y.positive);
             assert!((x.probability - y.probability).abs() < 1e-9);
         }
+        // The entity index is derived again on the way in: the restored
+        // store answers by-entity lookups exactly as the original does.
+        for name in ["Kitten", "kitten", "PUPPY", "Spider", "Rock", "ghost"] {
+            let flat = |s: &SubjectiveKb| -> Vec<(String, String, bool)> {
+                s.opinions_of_entity(name)
+                    .iter()
+                    .map(|(b, o)| (b.type_name.clone(), o.entity_name.clone(), o.positive))
+                    .collect()
+            };
+            assert_eq!(flat(&store), flat(&restored), "opinions_of_entity({name})");
+            let verdict = |s: &SubjectiveKb| s.find_opinion(name, &cute).map(|(_, o)| o.positive);
+            assert_eq!(verdict(&store), verdict(&restored), "find_opinion({name})");
+            assert_eq!(verdict(&store).is_some(), name != "ghost");
+        }
+    }
+
+    /// One name under two `EntityId`s and two types, with the same
+    /// evidence and so the same confidence: both answer to either
+    /// spelling, the type name breaks the tie, and the index agrees with
+    /// the scan on a store built by `from_output`.
+    #[test]
+    fn case_variants_under_two_ids_both_answer() {
+        let mut b = KnowledgeBaseBuilder::new();
+        let pet = b.add_type("pet", &["pet"], &[]);
+        let animal = b.add_type("animal", &["animal"], &[]);
+        let upper = b.add_entity("KITTEN", pet).finish();
+        b.add_entity("Goldfish", pet).finish();
+        let lower = b.add_entity("Kitten", animal).finish();
+        b.add_entity("Spider", animal).finish();
+        let kb = Arc::new(b.build());
+        let cute = Property::adjective("cute");
+        let mut table = EvidenceTable::new();
+        for entity in [upper, lower] {
+            for _ in 0..30 {
+                table.add(&Statement::new(entity, &cute, Polarity::Positive));
+            }
+        }
+        let surveyor = Surveyor::new(
+            kb.clone(),
+            SurveyorConfig {
+                rho: 10,
+                ..SurveyorConfig::default()
+            },
+        );
+        let store = SubjectiveKb::from_output(&surveyor.run_on_evidence(table), &kb);
+
+        for name in ["kitten", "KITTEN", "Kitten"] {
+            let hits = store.opinions_of_entity(name);
+            let found: Vec<(&str, &str)> = hits
+                .iter()
+                .map(|(b, o)| (b.type_name.as_str(), o.entity_name.as_str()))
+                .collect();
+            assert_eq!(found, [("animal", "Kitten"), ("pet", "KITTEN")]);
+            assert_eq!(hits[0].1.probability, hits[1].1.probability);
+            let (block, opinion) = store.find_opinion(name, &cute).unwrap();
+            assert_eq!(
+                (block.type_name.as_str(), opinion.entity),
+                ("animal", lower)
+            );
+            assert_eq!(store.opinion("pet", &cute, name).unwrap().entity, upper);
+
+            let scanned = store.scan_opinions_of_entity(name);
+            assert_eq!(hits.len(), scanned.len());
+            for (hit, want) in hits.iter().zip(&scanned) {
+                assert!(std::ptr::eq(hit.1, want.1));
+            }
+            let scanned = store.scan_find_opinion(name, &cute).unwrap();
+            assert!(std::ptr::eq(opinion, scanned.1));
+            assert!(std::ptr::eq(
+                store.opinion("pet", &cute, name).unwrap(),
+                store.scan_opinion("pet", &cute, name).unwrap()
+            ));
+        }
     }
 
     #[test]
@@ -359,5 +571,179 @@ mod tests {
             .query("animal", &Property::adjective("safe"))
             .is_empty());
         assert!(store.query("city", &Property::adjective("cute")).is_empty());
+    }
+}
+
+/// Differential tests: every lookup answered from the entity index must
+/// return exactly what the linear scan it replaced returns — the same
+/// opinions (by address, not by value) in the same order.
+///
+/// Block sets are drawn from small pools chosen to collide: case variants
+/// of one name (ASCII ones match each other, non-ASCII ones must not), one
+/// name under several `EntityId`s, one `EntityId` under several names,
+/// an entity in several blocks and under two types with equal confidence,
+/// blocks repeating a (type, property), empty blocks, the empty store, and
+/// ids up to `u32::MAX`.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use proptest::prelude::*;
+
+    const NAMES: [&str; 10] = [
+        "kitten",
+        "KITTEN",
+        "Kitten",
+        "puppy",
+        "Puppy",
+        "São Paulo",
+        "são paulo",
+        "SÃO PAULO",
+        "rock",
+        "",
+    ];
+    const IDS: [u32; 8] = [0, 1, 2, 3, 1 << 20, 1 << 31, 4_000_000_000, u32::MAX];
+    const TYPES: [&str; 3] = ["animal", "pet", "city"];
+    const PROPERTIES: [&str; 3] = ["cute", "big", "very big"];
+    /// 0.1/0.9 and 0.25/0.75 tie on confidence; 0.5 has none.
+    const PROBABILITIES: [f64; 6] = [0.1, 0.9, 0.25, 0.75, 0.5, 0.9];
+
+    /// One drawn opinion: indexes into `NAMES`, `IDS`, `PROBABILITIES`.
+    type OpinionDraw = (usize, usize, usize);
+    /// One drawn block: indexes into `TYPES` and `PROPERTIES`, and opinions.
+    type BlockDraw = (usize, usize, Vec<OpinionDraw>);
+
+    fn blocks_strategy() -> impl Strategy<Value = Vec<BlockDraw>> {
+        let opinion = (0..NAMES.len(), 0..IDS.len(), 0..PROBABILITIES.len());
+        let block = (
+            0..TYPES.len(),
+            0..PROPERTIES.len(),
+            prop::collection::vec(opinion, 0..8),
+        );
+        prop::collection::vec(block, 0..7)
+    }
+
+    fn materialize(
+        draws: &[BlockDraw],
+        opinion: impl Fn(&OpinionDraw) -> (EntityId, &'static str),
+    ) -> Vec<CombinationBlock> {
+        draws
+            .iter()
+            .map(|(type_index, property, opinions)| CombinationBlock {
+                type_id: TypeId(*type_index as u32),
+                type_name: TYPES[*type_index].to_owned(),
+                property: Property::parse(PROPERTIES[*property]).unwrap(),
+                p_agree: 0.9,
+                rate_pos: 2.0,
+                rate_neg: 0.5,
+                opinions: opinions
+                    .iter()
+                    .map(|draw| {
+                        let (entity, name) = opinion(draw);
+                        let probability = PROBABILITIES[draw.2];
+                        StoredOpinion {
+                            entity,
+                            entity_name: name.to_owned(),
+                            positive: probability > 0.5,
+                            probability,
+                            positive_statements: 3,
+                            negative_statements: 1,
+                            supporting_documents: vec![7],
+                        }
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    type Addresses = Vec<(*const CombinationBlock, *const StoredOpinion)>;
+
+    fn addresses<'a>(
+        hits: impl IntoIterator<Item = (&'a CombinationBlock, &'a StoredOpinion)>,
+    ) -> Addresses {
+        hits.into_iter()
+            .map(|(b, o)| (std::ptr::from_ref(b), std::ptr::from_ref(o)))
+            .collect()
+    }
+
+    /// Every lookup, on every probe the pools can hit or miss, against the scan.
+    fn assert_index_matches_scan(store: &SubjectiveKb) -> Result<(), TestCaseError> {
+        let probes = NAMES.iter().copied().chain([
+            "kItTeN",
+            "PUPPY",
+            "ROCK",
+            "sÃo pAULO",
+            "ghost",
+            "kitte",
+            "kittens",
+        ]);
+        for name in probes {
+            prop_assert_eq!(
+                addresses(store.opinions_of_entity(name)),
+                addresses(store.scan_opinions_of_entity(name)),
+                "opinions_of_entity({name:?})"
+            );
+            for surface in PROPERTIES.iter().copied().chain(["absent"]) {
+                let property = Property::parse(surface).unwrap();
+                prop_assert_eq!(
+                    addresses(store.find_opinion(name, &property)),
+                    addresses(store.scan_find_opinion(name, &property)),
+                    "find_opinion({name:?}, {surface:?})"
+                );
+                for type_name in TYPES.iter().copied().chain(["ANIMAL", "absent"]) {
+                    prop_assert_eq!(
+                        store
+                            .opinion(type_name, &property, name)
+                            .map(std::ptr::from_ref),
+                        store
+                            .scan_opinion(type_name, &property, name)
+                            .map(std::ptr::from_ref),
+                        "opinion({type_name:?}, {surface:?}, {name:?})"
+                    );
+                }
+            }
+        }
+        prop_assert_eq!(
+            store.len(),
+            store
+                .blocks()
+                .iter()
+                .map(|b| b.opinions.len())
+                .sum::<usize>()
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The `from_json` path: names and ids drawn independently, so one id
+        /// may carry several names and ids may be sparse and huge.
+        #[test]
+        fn index_matches_scan_on_blocks_from_json(draws in blocks_strategy()) {
+            let blocks = materialize(&draws, |&(name, id, _)| (EntityId(IDS[id]), NAMES[name]));
+            let json = serde_json::to_string(&blocks).unwrap();
+            let store = SubjectiveKb::from_json(&json).unwrap();
+            prop_assert_eq!(store.blocks(), blocks.as_slice());
+            assert_index_matches_scan(&store)?;
+        }
+
+        /// The `from_output` path: the name is a function of a dense id, so
+        /// case variants of one name are distinct groups the lookup must
+        /// merge back into block order, and some ids have no opinion at all.
+        #[test]
+        fn index_matches_scan_on_blocks_grouped_by_id(
+            draws in blocks_strategy(),
+            unused_ids in 0usize..4,
+        ) {
+            let blocks = materialize(&draws, |&(name, _, _)| (EntityId(name as u32), NAMES[name]));
+            let group_of_pair: Vec<u32> = blocks
+                .iter()
+                .flat_map(|b| &b.opinions)
+                .map(|o| o.entity.0)
+                .collect();
+            let store =
+                SubjectiveKb::from_grouped_blocks(blocks, &group_of_pair, NAMES.len() + unused_ids);
+            assert_index_matches_scan(&store)?;
+        }
     }
 }

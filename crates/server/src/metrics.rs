@@ -36,6 +36,7 @@ pub struct ServerMetrics {
     /// 5xx responses.
     pub responses_5xx: Counter,
     latency: Arc<Histogram>,
+    route: Arc<Histogram>,
 }
 
 impl ServerMetrics {
@@ -54,6 +55,7 @@ impl ServerMetrics {
             responses_4xx: registry.counter("serve.responses.4xx"),
             responses_5xx: registry.counter("serve.responses.5xx"),
             latency: registry.histogram("serve.latency_seconds"),
+            route: registry.histogram("serve.route_seconds"),
             registry,
         }
     }
@@ -72,9 +74,16 @@ impl ServerMetrics {
         }
     }
 
-    /// Records one request's service latency.
+    /// Records one request's latency from accept to response written,
+    /// queue wait included.
     pub fn observe_latency(&self, seconds: f64) {
         self.latency.observe(seconds);
+    }
+
+    /// Records the time one request spent in `route()` alone: the lookup
+    /// and the reply's construction, without queue, read or write.
+    pub fn observe_route(&self, seconds: f64) {
+        self.route.observe(seconds);
     }
 }
 
@@ -92,6 +101,7 @@ mod tests {
         m.count_response(404);
         m.count_response(503);
         m.observe_latency(0.001);
+        m.observe_route(0.000_002);
         assert_eq!(registry.counter_value("serve.requests"), 1);
         assert_eq!(registry.counter_value("serve.shed"), 2);
         assert_eq!(registry.counter_value("serve.responses.2xx"), 1);
@@ -99,5 +109,6 @@ mod tests {
         assert_eq!(registry.counter_value("serve.responses.5xx"), 1);
         let report = registry.report();
         assert!(report.histograms.contains_key("serve.latency_seconds"));
+        assert!(report.histograms.contains_key("serve.route_seconds"));
     }
 }

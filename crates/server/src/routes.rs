@@ -59,7 +59,7 @@ impl RouteOutcome {
 pub struct RouteContext<'a> {
     /// The shared reload slot.
     pub shared: &'a SharedState,
-    /// This worker's epoch-cached state handle.
+    /// This request's epoch-cached state handle.
     pub cache: &'a mut StateCache,
     /// Pre-resolved counters + the registry behind `/metrics`.
     pub metrics: &'a ServerMetrics,
@@ -239,18 +239,23 @@ fn reload(req: &Request, ctx: &mut RouteContext<'_>) -> Response {
     let current_generation = ctx.cache.get(ctx.shared).generation;
     match ServedState::from_snapshot_bytes(&bytes, current_generation + 1, path) {
         Ok(next) => {
-            ctx.shared.swap(Arc::new(next));
-            ctx.metrics.reload_ok.inc();
-            let state = ctx.cache.get(ctx.shared);
-            Response::json(
+            // Answer from `next` itself, not through the cache: refreshing
+            // the cache here would drop what may be the last reference to
+            // the replaced snapshot, and freeing its opinions one by one
+            // would sit between the swap and the reply. The request's
+            // cache lets go of it once the response is written.
+            let response = Response::json(
                 200,
                 &json!({
                     "reloaded": true,
-                    "generation": state.generation,
-                    "source": state.source,
-                    "associations": state.store.len(),
+                    "generation": next.generation,
+                    "source": next.source,
+                    "associations": next.store.len(),
                 }),
-            )
+            );
+            ctx.shared.swap(Arc::new(next));
+            ctx.metrics.reload_ok.inc();
+            response
         }
         Err(e) => {
             ctx.metrics.reload_rejected.inc();

@@ -29,7 +29,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use surveyor_obs::MetricsRegistry;
 
 /// Tunable knobs. The defaults suit tests and the smoke gate; the CLI
@@ -256,12 +256,16 @@ fn worker_loop(
     signal: &ShutdownSignal,
     debug_routes: bool,
 ) {
-    let mut cache = StateCache::new(shared);
     while let Some(job) = queue.pop() {
         let Job {
             mut stream,
             deadline,
         } = job;
+        // Scoped to the job, not the worker: an idle worker holds no
+        // state, so a replaced snapshot is freed by the last request on
+        // it rather than by each worker's next one. One uncontended lock
+        // and an `Arc` clone per request.
+        let mut cache = StateCache::new(shared);
         metrics.requests.inc();
         let served = catch_unwind(AssertUnwindSafe(|| {
             serve_one(
@@ -288,6 +292,10 @@ fn worker_loop(
                 }
             }
         }
+        // Close before `cache` goes: when this request held the last
+        // reference to a replaced snapshot, freeing it must not keep the
+        // client's connection open.
+        drop(stream);
     }
 }
 
@@ -348,7 +356,9 @@ fn serve_one(
         metrics,
         debug_routes,
     };
+    let routing = Instant::now(); // lint:allow(no-wall-clock): feeds the route-time histogram only, never the response
     let outcome = route(&request, &mut ctx);
+    metrics.observe_route(routing.elapsed().as_secs_f64());
     if outcome.response.write_to(stream, deadline).is_ok() {
         metrics.count_response(outcome.response.status);
     } else {

@@ -2,11 +2,12 @@
 //!
 //! A [`ServedState`] is one fully validated snapshot, materialized into
 //! the queryable [`SubjectiveKb`] store. [`SharedState`] holds the
-//! current one behind an epoch counter: readers keep a per-worker
-//! [`StateCache`] whose steady-state cost is a single relaxed atomic
-//! load — the slot mutex is touched only on the epoch change a reload
-//! causes. This mirrors the per-worker interner cache from the scaling
-//! work: cheap reads, coordination only when the world actually moves.
+//! current one behind an epoch counter. A worker takes a [`StateCache`]
+//! per request — one brief slot lock and an `Arc` clone — and drops it
+//! with the request, so an idle worker pins no snapshot and a replaced
+//! one is freed as soon as the last request on it finishes. Within a
+//! request, `get` costs an atomic load and re-reads the slot only when
+//! the epoch moved (the reload route sees its own swap that way).
 //!
 //! Reload is **validate-then-swap**: the replacement bytes must decode
 //! (wire structure, CRC, version — the PR-7 never-panic decoder) *and*
@@ -92,8 +93,8 @@ impl SharedState {
     }
 }
 
-/// A per-worker cached handle onto [`SharedState`]. `get` is the hot
-/// path: one atomic epoch read, no lock, unless a reload happened.
+/// A cached handle onto [`SharedState`], held for one request. `get` is
+/// one atomic epoch read, no lock, unless a reload happened since.
 #[derive(Debug)]
 pub struct StateCache {
     epoch: u64,

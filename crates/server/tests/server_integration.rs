@@ -7,7 +7,7 @@
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use surveyor::prelude::*;
 use surveyor::{save_snapshot, CorpusSource, Surveyor, SurveyorConfig};
 use surveyor_obs::MetricsRegistry;
@@ -117,6 +117,118 @@ fn assert_answers(addr: SocketAddr, query: &(String, bool)) {
     assert_eq!(status, 200, "known query failed: {reply}");
     let want = format!("\"positive\": {}", query.1);
     assert!(reply.contains(&want), "wrong verdict in {reply}");
+}
+
+/// `name` with the case of every other ASCII letter flipped.
+fn mixed_case(name: &str) -> String {
+    name.chars()
+        .enumerate()
+        .map(|(i, c)| match (i % 2, c.is_ascii_lowercase()) {
+            (0, _) => c,
+            (_, true) => c.to_ascii_uppercase(),
+            (_, false) => c.to_ascii_lowercase(),
+        })
+        .collect()
+}
+
+#[test]
+fn entity_paths_match_ignoring_ascii_case() {
+    let handle = boot(ServerConfig::default());
+    let addr = handle.addr();
+    let (path, positive) = known_query(&handle);
+    let (_, rest) = path.split_at("/decide/".len());
+    let (entity, property) = rest.split_once('/').unwrap();
+    let mixed = mixed_case(entity);
+    assert_ne!(mixed, entity);
+
+    // `/decide`: the same verdict, reported under the canonical name.
+    assert_answers(addr, &(format!("/decide/{mixed}/{property}"), positive));
+    let (_, reply) = get(addr, &format!("/decide/{mixed}/{property}"));
+    assert!(
+        reply.contains(&format!("\"entity\": \"{entity}\"")),
+        "{reply}"
+    );
+
+    // `/entity?k=`: the entity's one property, whichever way it is spelt.
+    for spelling in [entity, mixed.as_str()] {
+        let (status, reply) = get(addr, &format!("/entity/{spelling}?k=1"));
+        assert_eq!(status, 200, "{reply}");
+        assert!(reply.contains("\"k\": 1"), "{reply}");
+        assert!(
+            reply.contains(&format!("\"entity\": \"{entity}\"")),
+            "{reply}"
+        );
+        assert!(
+            reply.contains(&format!("\"property\": \"{property}\"")),
+            "{reply}"
+        );
+        assert!(
+            reply.contains(&format!("\"positive\": {positive}")),
+            "{reply}"
+        );
+    }
+    let (status, _) = get(addr, "/entity/Nobody?k=1");
+    assert_eq!(status, 404);
+    let (status, _) = get(addr, &format!("/decide/{mixed}x/{property}"));
+    assert_eq!(status, 404);
+    handle.shutdown();
+}
+
+#[test]
+fn idle_workers_release_a_replaced_snapshot() {
+    let bytes = snapshot_bytes(7);
+    let initial = Arc::new(ServedState::from_snapshot_bytes(&bytes, 1, "old").unwrap());
+    let old = Arc::downgrade(&initial);
+    let handle = start(
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+        initial,
+        Arc::new(MetricsRegistry::new()),
+    )
+    .unwrap();
+    // One answered request proves the only worker is up and has served
+    // from the boot snapshot.
+    assert_eq!(get(handle.addr(), "/readyz").0, 200);
+    assert!(old.upgrade().is_some(), "the slot serves the boot snapshot");
+
+    // No further request is sent: once the slot moves on, the worker, idle
+    // as soon as it is done with that one request, may not keep holding
+    // the snapshot it served it from.
+    let next = ServedState::from_snapshot_bytes(&bytes, 2, "new").unwrap();
+    handle.shared().swap(Arc::new(next));
+    let patience = Instant::now();
+    while old.upgrade().is_some() {
+        assert!(
+            patience.elapsed() < Duration::from_secs(5),
+            "an idle worker pins the replaced snapshot"
+        );
+        std::thread::yield_now();
+    }
+    assert_eq!(handle.shared().load().generation, 2);
+    handle.shutdown();
+}
+
+#[test]
+fn metrics_report_route_time_beside_latency() {
+    let handle = boot(ServerConfig::default());
+    let addr = handle.addr();
+    assert_answers(addr, &known_query(&handle));
+    let (status, reply) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    for name in ["serve.latency_seconds", "serve.route_seconds"] {
+        assert!(reply.contains(name), "/metrics lacks {name}: {reply}");
+    }
+    let route = handle
+        .metrics()
+        .registry()
+        .histogram("serve.route_seconds")
+        .summary();
+    // The `/decide` and the `/metrics` request itself.
+    assert_eq!(route.count, 2);
+    assert!(route.max < 1.0, "route time is in seconds: {route:?}");
+    handle.shutdown();
 }
 
 #[test]

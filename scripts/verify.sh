@@ -138,11 +138,16 @@ rm -f artifacts/serve_gate.log  # transient (carries an ephemeral port)
 # Serve bench smoke: quick throughput sweep plus the seeded chaos phase
 # with its invariants armed — every valid query answered correctly
 # throughout the fault mix, every corrupt reload rejected, overload
-# sheds with Retry-After, graceful shutdown completes. The greps pin
-# the keys EXPERIMENTS.md documents.
+# sheds with Retry-After, graceful shutdown completes — and the lookup
+# gate: `find_opinion` on a store with ten times the pairs may read at
+# most 3x what it reads on the served one (an entity-index lookup reads
+# alike on both; a scan over the store reads 10x). The greps pin the
+# keys EXPERIMENTS.md documents.
 cargo run --release -q -p surveyor-bench --bin bench -- \
-    serve --quick --assert-chaos --out artifacts/serve_smoke.json > /dev/null
+    serve --quick --assert-chaos --assert-lookup-flat \
+    --out artifacts/serve_smoke.json > /dev/null
 for key in '"schema_version"' '"throughput"' '"qps"' '"p50_ms"' '"p99_ms"' \
+           '"lookup"' '"small"' '"large"' '"pairs"' '"find_opinion_ns"' '"ratio"' \
            '"chaos"' '"all_valid_answered"' '"corrupt_reloads_rejected"' \
            '"shed_503"' '"accepted_reload"' '"graceful_shutdown"'; do
     grep -q "$key" artifacts/serve_smoke.json \
