@@ -27,7 +27,9 @@
 //! `BENCH_snapshot.json` (schema-validated before writing). The artifact
 //! records `speedup_load_vs_remine` and a `byte_identical` round-trip
 //! verdict. `--assert-speedup X` exits nonzero when the speedup falls
-//! below `X` or the round trip is not byte-identical.
+//! below `X` or the round trip is not byte-identical;
+//! `--assert-validate-mb-s X` when container validation (framing + CRC)
+//! reads fewer than `X` MB/s.
 //!
 //! `serve` boots a `surveyor-server` on a loopback port, replays
 //! `/decide` queries from 1/2/4/8 client threads (p50/p99 latency and
@@ -73,7 +75,7 @@ const USAGE: &str = "usage: bench pipeline [--seed N] [--threads N] \
                      \u{20}      bench scale [--seed N] [--out PATH] [--quick] \
                      [--assert-scaling] [--scaling-tolerance T]\n\
                      \u{20}      bench snapshot [--seed N] [--out PATH] [--quick] \
-                     [--assert-speedup X]\n\
+                     [--assert-speedup X] [--assert-validate-mb-s X]\n\
                      \u{20}      bench serve [--seed N] [--out PATH] [--quick] \
                      [--assert-chaos] [--assert-lookup-flat]\n\
                      \u{20}      bench lint [--root PATH] [--out PATH] [--quick] \
@@ -311,6 +313,7 @@ fn snapshot(rest: &[String]) -> ExitCode {
     let mut out = "BENCH_snapshot.json".to_owned();
     let mut quick = false;
     let mut assert_speedup: Option<f64> = None;
+    let mut assert_validate_mb_s: Option<f64> = None;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -326,17 +329,22 @@ fn snapshot(rest: &[String]) -> ExitCode {
                 };
                 config.seed = v;
             }
-            "--assert-speedup" => {
+            "--assert-speedup" | "--assert-validate-mb-s" => {
                 let Some(value) = it.next() else {
                     eprintln!("missing value for {arg}\n{USAGE}");
                     return ExitCode::FAILURE;
                 };
-                match value.parse::<f64>() {
-                    Ok(x) if x > 0.0 => assert_speedup = Some(x),
+                let floor = match value.parse::<f64>() {
+                    Ok(x) if x > 0.0 => Some(x),
                     _ => {
-                        eprintln!("invalid speedup floor for {arg}: {value}");
+                        eprintln!("invalid floor for {arg}: {value}");
                         return ExitCode::FAILURE;
                     }
+                };
+                if arg == "--assert-speedup" {
+                    assert_speedup = floor;
+                } else {
+                    assert_validate_mb_s = floor;
                 }
             }
             "--out" => {
@@ -376,6 +384,16 @@ fn snapshot(rest: &[String]) -> ExitCode {
                     eprintln!(
                         "assert-speedup: failed (speedup {speedup:.1}x vs floor {floor:.1}x, \
                          byte identical: {identical})"
+                    );
+                    return ExitCode::FAILURE;
+                }
+            }
+            if let Some(floor) = assert_validate_mb_s {
+                let mb_s = value["validate_mb_s"].as_f64().unwrap_or(0.0);
+                if mb_s < floor {
+                    eprintln!(
+                        "assert-validate-mb-s: failed (container validation {mb_s:.0} MB/s \
+                         vs floor {floor:.0} MB/s)"
                     );
                     return ExitCode::FAILURE;
                 }
@@ -882,6 +900,8 @@ fn validate_snapshot_schema(value: &serde_json::Value) -> Result<(), String> {
         "remine_seconds",
         "encode_seconds",
         "encode_mb_s",
+        "validate_seconds",
+        "validate_mb_s",
         "load_seconds",
         "decode_mb_s",
         "speedup_load_vs_remine",

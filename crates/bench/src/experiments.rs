@@ -1189,12 +1189,14 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 /// `bench snapshot`: binary snapshot throughput — the numbers behind
 /// `BENCH_snapshot.json`.
 ///
-/// Mines the `bench pipeline` preset once, then times three things over
+/// Mines the `bench pipeline` preset once, then times four things over
 /// the same mined world: re-mining it from the corpus (the cost a
-/// snapshot avoids), encoding it to `surveyor-wire` bytes, and decoding
-/// those bytes back into a full [`SurveyorOutput`]. The headline number
-/// is `speedup_load_vs_remine`; the artifact also asserts the round trip
-/// is byte-identical (decode → re-encode reproduces the input exactly).
+/// snapshot avoids), encoding it to `surveyor-wire` bytes, validating the
+/// container of those bytes (`SnapshotReader::new`: framing and one CRC
+/// per section, before any record is parsed), and loading them back
+/// into a full [`SurveyorOutput`]. The headline number is
+/// `speedup_load_vs_remine`; the artifact also asserts the round trip
+/// is byte-identical (load → re-encode reproduces the input exactly).
 ///
 /// `quick` shrinks the corpus and run count so `scripts/verify.sh` can
 /// smoke-test the artifact schema in seconds.
@@ -1240,7 +1242,25 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     let megabytes = bytes.len() as f64 / (1024.0 * 1024.0);
     let encode_mb_s = megabytes / encode_seconds.max(f64::EPSILON);
 
-    // Decode (load) timings: bytes back to a full mined world.
+    // Container validation: what a reader pays before the first record.
+    // One pass over 0.5 MB is a fraction of a millisecond, so a sample
+    // is the mean of a few back-to-back passes.
+    const VALIDATE_PASSES: u32 = 8;
+    let mut validate_samples = Vec::with_capacity(timed_runs);
+    for run in 0..=timed_runs {
+        let start = Instant::now();
+        for _ in 0..VALIDATE_PASSES {
+            let reader = surveyor::wire::SnapshotReader::new(std::hint::black_box(&bytes));
+            std::hint::black_box(reader.expect("own snapshot validates"));
+        }
+        if run > 0 {
+            validate_samples.push(start.elapsed().as_secs_f64() / f64::from(VALIDATE_PASSES));
+        }
+    }
+    let validate_seconds = median(&mut validate_samples);
+    let validate_mb_s = megabytes / validate_seconds.max(f64::EPSILON);
+
+    // Load timings: bytes back to a full mined world.
     let mut loaded = surveyor::load_snapshot(&bytes).expect("own snapshot decodes");
     let mut load_samples = Vec::with_capacity(timed_runs);
     for run in 0..=timed_runs {
@@ -1272,9 +1292,14 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
             format!("{:.1} MB/s, {} bytes", encode_mb_s, bytes.len()),
         ],
         vec![
+            "validate".to_owned(),
+            format!("{validate_seconds:.5}s"),
+            format!("{validate_mb_s:.1} MB/s (framing + CRC)"),
+        ],
+        vec![
             "load".to_owned(),
             format!("{load_seconds:.4}s"),
-            format!("{decode_mb_s:.1} MB/s"),
+            format!("{decode_mb_s:.1} MB/s (bytes -> output)"),
         ],
         vec![
             "speedup".to_owned(),
@@ -1296,6 +1321,8 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         "remine_seconds": remine_seconds,
         "encode_seconds": encode_seconds,
         "encode_mb_s": encode_mb_s,
+        "validate_seconds": validate_seconds,
+        "validate_mb_s": validate_mb_s,
         "load_seconds": load_seconds,
         "decode_mb_s": decode_mb_s,
         "speedup_load_vs_remine": speedup,

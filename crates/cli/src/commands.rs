@@ -922,6 +922,16 @@ mod tests {
                 b[last] ^= 0xff;
                 b
             }),
+            // Sound frames, inconsistent content: two types whose names
+            // are one name once lowercased, which the knowledge-base
+            // builder refuses with a panic if it is ever asked.
+            ("duplicate type name", {
+                let mut snapshot = surveyor_wire::decode(&good).unwrap();
+                let mut twin = snapshot.types[0].clone();
+                twin.name = twin.name.to_uppercase();
+                snapshot.types.push(twin);
+                surveyor_wire::encode(&snapshot)
+            }),
         ];
         let bad_path = dir.join("bad.swire");
         for (label, bytes) in cases {

@@ -104,7 +104,11 @@ pub struct SurveyorOutput {
     pub grouped: GroupedEvidence,
     /// One result per combination above the threshold.
     pub results: Vec<DomainResult>,
-    index: FxHashMap<(EntityId, PropertyId), ModelDecision>,
+    /// `(type, property)` → rank in `results`. A pair's decision is that
+    /// result's entry for the entity, found by binary search: every
+    /// producer emits a result's decisions in ascending entity order
+    /// (`kb.entities_of_type`; the snapshot loader rejects anything else).
+    groups: FxHashMap<GroupKey, usize>,
     /// The knowledge base the run decided over — kept so
     /// [`triples`](Self::triples) can resolve canonical entity names.
     kb: Arc<KnowledgeBase>,
@@ -114,9 +118,9 @@ pub struct SurveyorOutput {
 }
 
 impl SurveyorOutput {
-    /// Reassembles an output from its portable parts (the snapshot load
-    /// path): the decision index and decided-pair count are rebuilt from
-    /// `results`, exactly as [`Surveyor::run_on_evidence`] builds them.
+    /// Assembles an output from its parts — the one constructor behind
+    /// mining, incremental update and snapshot load: the group map and
+    /// the decided-pair count are derived from `results` here.
     pub(crate) fn from_parts(
         evidence: EvidenceTable,
         provenance: ProvenanceTable,
@@ -124,24 +128,22 @@ impl SurveyorOutput {
         results: Vec<DomainResult>,
         kb: Arc<KnowledgeBase>,
     ) -> Self {
-        let decisions_total: usize = results.iter().map(|r| r.decisions.len()).sum();
-        let mut index: FxHashMap<(EntityId, PropertyId), ModelDecision> =
-            FxHashMap::with_capacity_and_hasher(decisions_total, Default::default());
-        let mut decided = 0usize;
-        for result in &results {
-            for (e, d) in &result.decisions {
-                if d.decision.is_solved() {
-                    decided += 1;
-                }
-                index.insert((*e, result.key.property), *d);
-            }
-        }
+        let groups = results
+            .iter()
+            .enumerate()
+            .map(|(rank, result)| (result.key, rank))
+            .collect();
+        let decided = results
+            .iter()
+            .flat_map(|result| &result.decisions)
+            .filter(|(_, d)| d.decision.is_solved())
+            .count();
         Self {
             evidence,
             provenance,
             grouped,
             results,
-            index,
+            groups,
             kb,
             decided,
         }
@@ -161,8 +163,13 @@ impl SurveyorOutput {
     }
 
     /// Like [`opinion`](Self::opinion) for an already-interned property.
+    /// `None` as well for an entity the knowledge base does not hold.
     pub fn opinion_id(&self, entity: EntityId, property: PropertyId) -> Option<ModelDecision> {
-        self.index.get(&(entity, property)).copied()
+        let type_id = self.kb.entities().get(entity.index())?.notable_type();
+        let rank = *self.groups.get(&GroupKey { type_id, property })?;
+        let decisions = &self.results.get(rank)?.decisions;
+        let at = decisions.binary_search_by_key(&entity, |&(e, _)| e).ok()?;
+        Some(decisions[at].1)
     }
 
     /// All decided triples (skips unsolved entities), in deterministic
@@ -456,34 +463,17 @@ impl Surveyor {
         }
 
         let mut index_span = self.obs.as_deref().map(|obs| obs.span("index"));
-        // Every decision lands in the index exactly once, so the capacity
-        // is known up front — no rehash during the build.
-        let decisions_total: usize = results.iter().map(|r| r.decisions.len()).sum();
-        let mut index: FxHashMap<(EntityId, PropertyId), ModelDecision> =
-            FxHashMap::with_capacity_and_hasher(decisions_total, Default::default());
-        let mut decided = 0usize;
-        for result in &results {
-            for (e, d) in &result.decisions {
-                if d.decision.is_solved() {
-                    decided += 1;
-                }
-                index.insert((*e, result.key.property), *d);
-            }
-        }
         if let Some(span) = index_span.as_mut() {
-            span.set_items(index.len() as u64);
+            // The decisions the group map makes reachable.
+            span.set_items(results.iter().map(|r| r.decisions.len() as u64).sum());
         }
-        drop(index_span);
-
-        SurveyorOutput {
+        SurveyorOutput::from_parts(
             evidence,
-            provenance: ProvenanceTable::default(),
+            ProvenanceTable::default(),
             grouped,
             results,
-            index,
-            kb: self.kb.clone(),
-            decided,
-        }
+            self.kb.clone(),
+        )
     }
 
     /// Feeds one combination's EM fit into the registry: the iteration
@@ -576,6 +566,80 @@ mod tests {
             Decision::Negative
         );
         assert_eq!(output.decided_pairs(), 5);
+    }
+
+    #[test]
+    fn opinion_id_answers_what_a_per_pair_map_would() {
+        // Two types, so an entity can meet a property modeled only for
+        // the other one.
+        let mut b = KnowledgeBaseBuilder::new();
+        let animal = b.add_type("animal", &["animal"], &[]);
+        let city = b.add_type("city", &["city"], &[]);
+        for (i, name) in ["Kitten", "Paris", "Tiger", "Oslo", "Spider", "Rock"]
+            .into_iter()
+            .enumerate()
+        {
+            b.add_entity(name, if i % 2 == 0 { animal } else { city })
+                .finish();
+        }
+        let kb = Arc::new(b.build());
+        let cute = Property::adjective("cute");
+        let big = Property::adjective("big");
+        let mut table = EvidenceTable::new();
+        let mut add = |name: &str, property: &Property, pos: u64, neg: u64| {
+            let e = kb.entity_by_name(name).unwrap();
+            for _ in 0..pos {
+                table.add(&Statement::new(e, property, Polarity::Positive));
+            }
+            for _ in 0..neg {
+                table.add(&Statement::new(e, property, Polarity::Negative));
+            }
+        };
+        add("Kitten", &cute, 40, 1);
+        add("Spider", &cute, 1, 12);
+        add("Paris", &big, 30, 2);
+        add("Oslo", &big, 3, 9);
+        add("Paris", &cute, 2, 0); // below the threshold: never modeled
+        let surveyor = Surveyor::new(
+            kb.clone(),
+            SurveyorConfig {
+                rho: 20,
+                ..Default::default()
+            },
+        );
+        let output = surveyor.run_on_evidence(table);
+        assert_eq!(output.modeled_combinations(), 2);
+
+        // The oracle: a plain (entity, property) → decision map over
+        // everything in `results`.
+        let oracle: FxHashMap<(EntityId, PropertyId), ModelDecision> = output
+            .results
+            .iter()
+            .flat_map(|r| r.decisions.iter().map(|&(e, d)| ((e, r.key.property), d)))
+            .collect();
+        assert_eq!(oracle.len(), 6);
+        let properties = [
+            PropertyId::intern(&cute),
+            PropertyId::intern(&big),
+            PropertyId::intern(&Property::adjective("pipeline-never-modeled")),
+        ];
+        // Every id the knowledge base holds, and a few it does not.
+        for entity in (0..8).chain([u32::MAX]).map(EntityId) {
+            for property in properties {
+                assert_eq!(
+                    output.opinion_id(entity, property),
+                    oracle.get(&(entity, property)).copied(),
+                    "{entity:?} {property:?}"
+                );
+            }
+        }
+        // An entity of the other type, an unmodeled property, an entity
+        // out of range: each is `None`, none panics.
+        let paris = kb.entity_by_name("Paris").unwrap();
+        assert!(output.opinion(paris, &big).is_some());
+        assert_eq!(output.opinion(paris, &cute), None);
+        assert_eq!(output.opinion_id(paris, properties[2]), None);
+        assert_eq!(output.opinion_id(EntityId(6), properties[0]), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`save_snapshot`] flattens a [`SurveyorOutput`] — knowledge base,
 //! evidence, provenance, fitted models, decisions — into the portable
 //! binary format specified in `FORMAT.md`; [`load_snapshot`] rebuilds a
-//! fully functional output (decision index included) without re-mining.
+//! fully functional output (decision lookup included) without re-mining.
 //! The round trip is exact: a loaded output produces byte-identical
 //! stores, triples, and re-encoded snapshots.
 //!
@@ -11,19 +11,24 @@
 //! snapshot-local sorted table and are re-interned on load; `TypeId` and
 //! `EntityId` are dense table indexes the rebuilt knowledge base assigns
 //! identically.
+//!
+//! Rows cross it as integers in both directions (DESIGN.md §6f). Saving
+//! resolves each distinct property once and writes its table rank into
+//! every row; loading interns the property table once and inserts rows by
+//! id, straight off a [`SnapshotReader`] — no owned [`Snapshot`] on that
+//! path. [`output_from_snapshot`] feeds an owned snapshot through the
+//! same consumer, so every `Corrupt` rule below exists once.
 
 use crate::pipeline::{DomainResult, SurveyorOutput};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use surveyor_extract::{
-    EvidenceEntry, EvidenceTable, GroupKey, GroupedEvidence, ProvenanceEntry, ProvenanceTable,
-};
-use surveyor_kb::{EntityId, KnowledgeBaseBuilder, Property, PropertyId, TypeId};
+use surveyor_extract::{EvidenceCounts, EvidenceTable, GroupKey, GroupedEvidence, ProvenanceTable};
+use surveyor_kb::{EntityId, KnowledgeBase, KnowledgeBaseBuilder, Property, PropertyId, TypeId};
 use surveyor_model::{ConvergenceReason, Decision, EmFit, ModelDecision, ModelParams};
 use surveyor_wire::{
-    DecisionCode, DecisionGroupRow, DecisionRow, EvidenceRow, IncrementalState, ModelRow,
-    ProvenanceRow, Snapshot, SnapshotEntity, SnapshotProperty, SnapshotType, WireError,
+    DecisionCode, DecisionGroupRow, DecisionRow, EvidenceRow, GroupFingerprintRow,
+    GroupFingerprinter, IncrementalState, ModelRow, ProvenanceRow, Snapshot, SnapshotEntity,
+    SnapshotProperty, SnapshotReader, SnapshotType, WireError,
 };
 
 /// Why snapshot bytes could not be turned back into a pipeline output.
@@ -54,33 +59,45 @@ impl From<WireError> for SnapshotError {
 }
 
 /// Flattens a pipeline output into the portable snapshot model.
+///
+/// Rows stay in id space: each distinct property is resolved once to
+/// build the snapshot-local table, and every evidence, provenance, model
+/// and decision row then carries its property's rank in that table — an
+/// integer looked up by id, sorted as an integer.
 pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
     let kb = output.kb();
-    let evidence_entries = output.evidence.to_entries();
-    let provenance_entries = output.provenance.to_entries();
 
     // The snapshot-local property table: every property referenced
     // anywhere, deduplicated and sorted by the resolved form. Indexes
     // into this table are the only property references on the wire —
     // process-local interner ids depend on thread interleaving.
-    let mut table: BTreeMap<Property, u32> = BTreeMap::new();
-    for entry in &evidence_entries {
-        table.entry(entry.property.clone()).or_default();
+    // `rank_of[id]` is the table index of an interned property.
+    const UNSEEN: u32 = u32::MAX;
+    let mut rank_of: Vec<u32> = Vec::new();
+    let mut table: Vec<(Property, PropertyId)> = Vec::new();
+    let referenced = (output.evidence.iter().map(|(&(_, property), _)| property))
+        .chain(output.provenance.iter().map(|(&(_, property), _)| property))
+        .chain(output.results.iter().map(|result| result.key.property));
+    for property in referenced {
+        if rank_of.len() <= property.index() {
+            rank_of.resize(property.index() + 1, UNSEEN);
+        }
+        if rank_of[property.index()] == UNSEEN {
+            rank_of[property.index()] = 0; // seen; ranked once the table is sorted
+            table.push((property.resolve(), property));
+        }
     }
-    for entry in &provenance_entries {
-        table.entry(entry.property.clone()).or_default();
+    table.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+    for (rank, (_, property)) in table.iter().enumerate() {
+        rank_of[property.index()] = rank as u32;
     }
-    for result in &output.results {
-        table.entry(result.key.property.resolve()).or_default();
-    }
-    let mut properties = Vec::with_capacity(table.len());
-    for (rank, (property, index)) in table.iter_mut().enumerate() {
-        *index = rank as u32;
-        properties.push(SnapshotProperty {
+    let properties = table
+        .iter()
+        .map(|(property, _)| SnapshotProperty {
             adverbs: property.adverbs().to_vec(),
             adjective: property.head().to_string(),
-        });
-    }
+        })
+        .collect();
 
     let types = kb
         .types()
@@ -107,30 +124,36 @@ pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
         })
         .collect();
 
-    let evidence = evidence_entries
+    // A table holds each pair once and ranks are distinct per property,
+    // so the sort keys are unique and an unstable sort is deterministic.
+    let mut evidence: Vec<EvidenceRow> = output
+        .evidence
         .iter()
-        .map(|entry| EvidenceRow {
-            entity: entry.entity.0,
-            property: table[&entry.property],
-            positive: entry.positive,
-            negative: entry.negative,
+        .map(|(&(entity, property), counts)| EvidenceRow {
+            entity: entity.0,
+            property: rank_of[property.index()],
+            positive: counts.positive,
+            negative: counts.negative,
         })
         .collect();
+    evidence.sort_unstable_by_key(|row| (row.entity, row.property));
 
-    let provenance = provenance_entries
+    let mut provenance: Vec<ProvenanceRow> = output
+        .provenance
         .iter()
-        .map(|entry| ProvenanceRow {
-            entity: entry.entity.0,
-            property: table[&entry.property],
-            documents: entry.documents.clone(),
+        .map(|(&(entity, property), documents)| ProvenanceRow {
+            entity: entity.0,
+            property: rank_of[property.index()],
+            documents: documents.to_vec(),
         })
         .collect();
+    provenance.sort_unstable_by_key(|row| (row.entity, row.property));
 
     let mut models = Vec::with_capacity(output.results.len());
     let mut decisions = Vec::with_capacity(output.results.len());
     for result in &output.results {
         let type_index = result.key.type_id.0;
-        let property = table[&result.key.property.resolve()];
+        let property = rank_of[result.key.property.index()];
         models.push(ModelRow {
             type_index,
             property,
@@ -200,164 +223,390 @@ pub fn save_snapshot_with_state(output: &SurveyorOutput, state: &IncrementalStat
     surveyor_wire::encode(&snapshot_output_with_state(output, state))
 }
 
+/// The row sections of a snapshot as streams, each behind its declared
+/// row count (what the tables reserve for before the rows arrive).
+struct Rows<E, P, M, G> {
+    evidence_len: usize,
+    evidence: E,
+    provenance_sample_size: u64,
+    provenance_len: usize,
+    provenance: P,
+    models_len: usize,
+    models: M,
+    groups_len: usize,
+    groups: G,
+    /// Stored group fingerprints the evidence must reproduce; empty = no
+    /// check.
+    fingerprints: Vec<GroupFingerprintRow>,
+}
+
+/// One `DECN` group: its key and its decision rows as a stream.
+struct GroupRows<D> {
+    type_index: u32,
+    property: u32,
+    len: usize,
+    decisions: D,
+}
+
+/// The string tables of a snapshot — properties, types, entities — taken
+/// record by record from either an owned [`Snapshot`] or a
+/// [`SnapshotReader`], and turned into what the row sections refer to: the
+/// interned id of each property-table index and the knowledge base whose
+/// dense `TypeId`/`EntityId` values are the type- and entity-table indexes.
+#[derive(Default)]
+struct Tables {
+    properties: Vec<PropertyId>,
+    builder: KnowledgeBaseBuilder,
+    types: u64,
+}
+
+impl Tables {
+    fn property(&mut self, adverbs: &[&str], adjective: &str) {
+        let property = Property::with_adverbs(adverbs, adjective);
+        self.properties.push(PropertyId::intern(&property));
+    }
+
+    fn entity_type(
+        &mut self,
+        name: &str,
+        head_nouns: &[&str],
+        context_cues: &[&str],
+    ) -> Result<(), SnapshotError> {
+        // The builder panics on a second type of one (lowercased) name.
+        if self.builder.has_type(name) {
+            return Err(SnapshotError::Corrupt("duplicate type name"));
+        }
+        self.builder.add_type(name, head_nouns, context_cues);
+        self.types += 1;
+        Ok(())
+    }
+
+    fn entity<'s>(
+        &mut self,
+        name: &str,
+        type_index: u32,
+        aliases: impl Iterator<Item = Result<&'s str, WireError>>,
+        attributes: impl Iterator<Item = Result<(&'s str, f64), WireError>>,
+    ) -> Result<(), SnapshotError> {
+        if u64::from(type_index) >= self.types {
+            return Err(SnapshotError::Corrupt("entity type index out of range"));
+        }
+        let mut entity = self.builder.add_entity(name, TypeId(type_index));
+        for alias in aliases {
+            entity = entity.alias(alias?);
+        }
+        for attribute in attributes {
+            let (key, value) = attribute?;
+            entity = entity.attribute(key, value);
+        }
+        entity.finish();
+        Ok(())
+    }
+
+    /// Builds the output from the string tables taken so far and the row
+    /// sections. Every cross-reference rule of the format lives here or
+    /// in the table methods above, once, whichever form the snapshot
+    /// arrived in.
+    fn into_output<E, P, M, G, D>(
+        self,
+        rows: Rows<E, P, M, G>,
+    ) -> Result<SurveyorOutput, SnapshotError>
+    where
+        E: Iterator<Item = Result<EvidenceRow, WireError>>,
+        P: Iterator<Item = Result<ProvenanceRow, WireError>>,
+        M: Iterator<Item = Result<ModelRow, WireError>>,
+        G: Iterator<Item = Result<GroupRows<D>, WireError>>,
+        D: Iterator<Item = Result<DecisionRow, WireError>>,
+    {
+        let properties = self.properties;
+        let kb: Arc<KnowledgeBase> = Arc::new(self.builder.build());
+        let type_count = kb.types().len() as u64;
+        let entity_count = kb.entities().len() as u64;
+
+        // One pass over the evidence rows fills the table by id and, when
+        // the snapshot carries fingerprints, re-derives them.
+        let mut evidence = EvidenceTable::with_capacity(rows.evidence_len);
+        let mut fingerprinter = (!rows.fingerprints.is_empty()).then(GroupFingerprinter::new);
+        let mut statements = 0u64;
+        for row in rows.evidence {
+            let row = row?;
+            if u64::from(row.entity) >= entity_count {
+                return Err(SnapshotError::Corrupt("evidence entity out of range"));
+            }
+            let Some(&property) = properties.get(row.property as usize) else {
+                return Err(SnapshotError::Corrupt("evidence property out of range"));
+            };
+            // Every counter the tables derive is a partial sum of this
+            // one, so none of them can overflow once it does not.
+            statements = (statements.checked_add(row.positive))
+                .and_then(|sum| sum.checked_add(row.negative))
+                .ok_or(SnapshotError::Corrupt("evidence counts overflow"))?;
+            let entity = EntityId(row.entity);
+            if let Some(fingerprinter) = &mut fingerprinter {
+                fingerprinter.add(kb.entity(entity).notable_type().0, &row);
+            }
+            evidence.add_counts(
+                entity,
+                property,
+                EvidenceCounts::new(row.positive, row.negative),
+            );
+        }
+        if fingerprinter.is_some_and(|f| f.finish() != rows.fingerprints) {
+            return Err(SnapshotError::Corrupt(
+                "group fingerprints do not match evidence",
+            ));
+        }
+
+        let sample_size = usize::try_from(rows.provenance_sample_size)
+            .map_err(|_| SnapshotError::Corrupt("provenance sample size out of range"))?;
+        let mut provenance = ProvenanceTable::with_capacity(sample_size, rows.provenance_len);
+        for row in rows.provenance {
+            let row = row?;
+            if u64::from(row.entity) >= entity_count {
+                return Err(SnapshotError::Corrupt("provenance entity out of range"));
+            }
+            let Some(&property) = properties.get(row.property as usize) else {
+                return Err(SnapshotError::Corrupt("provenance property out of range"));
+            };
+            provenance.insert(EntityId(row.entity), property, row.documents);
+        }
+
+        let grouped = GroupedEvidence::from_table(&evidence, &kb);
+
+        if rows.models_len != rows.groups_len {
+            return Err(SnapshotError::Corrupt(
+                "model and decision sections disagree on group count",
+            ));
+        }
+        let mut results = Vec::with_capacity(rows.models_len);
+        let mut groups = rows.groups;
+        for model in rows.models {
+            let model = model?;
+            // Equal declared counts; a section that ends early reports
+            // its own wire error, so a missing group here is unreachable
+            // from a reader and impossible from an owned snapshot.
+            let Some(group) = groups.next().transpose()? else {
+                return Err(SnapshotError::Corrupt(
+                    "model and decision sections disagree on group count",
+                ));
+            };
+            if (model.type_index, model.property) != (group.type_index, group.property) {
+                return Err(SnapshotError::Corrupt(
+                    "model and decision groups out of step",
+                ));
+            }
+            if u64::from(model.type_index) >= type_count {
+                return Err(SnapshotError::Corrupt("model type index out of range"));
+            }
+            let Some(&property) = properties.get(model.property as usize) else {
+                return Err(SnapshotError::Corrupt("model property out of range"));
+            };
+            let Some(converged) = ConvergenceReason::from_code(model.converged) else {
+                return Err(SnapshotError::Corrupt("unknown convergence code"));
+            };
+            // `ModelParams::new` asserts these invariants; check them here so
+            // a corrupt snapshot surfaces as an error, never a panic.
+            if !((0.0..=1.0).contains(&model.p_agree)
+                && model.rate_pos.is_finite()
+                && model.rate_pos >= 0.0
+                && model.rate_neg.is_finite()
+                && model.rate_neg >= 0.0)
+            {
+                return Err(SnapshotError::Corrupt("model parameters out of range"));
+            }
+            let mut decisions: Vec<(EntityId, ModelDecision)> = Vec::with_capacity(group.len);
+            for row in group.decisions {
+                let row = row?;
+                if u64::from(row.entity) >= entity_count {
+                    return Err(SnapshotError::Corrupt("decision entity out of range"));
+                }
+                // `SurveyorOutput::opinion_id` binary-searches a group's
+                // decisions on the entity (FORMAT.md §3.7).
+                if decisions
+                    .last()
+                    .is_some_and(|(last, _)| last.0 >= row.entity)
+                {
+                    return Err(SnapshotError::Corrupt(
+                        "decision entities not in ascending order",
+                    ));
+                }
+                decisions.push((
+                    EntityId(row.entity),
+                    ModelDecision {
+                        decision: match row.decision {
+                            DecisionCode::Unsolved => Decision::Unsolved,
+                            DecisionCode::Positive => Decision::Positive,
+                            DecisionCode::Negative => Decision::Negative,
+                        },
+                        probability: row.probability,
+                    },
+                ));
+            }
+            results.push(DomainResult {
+                key: GroupKey {
+                    type_id: TypeId(model.type_index),
+                    property,
+                },
+                fit: EmFit {
+                    params: ModelParams::new(model.p_agree, model.rate_pos, model.rate_neg),
+                    iterations: usize::try_from(model.iterations)
+                        .map_err(|_| SnapshotError::Corrupt("iteration count out of range"))?,
+                    q_trace: model.q_trace,
+                    delta_trace: model.delta_trace,
+                    converged,
+                    log_likelihood: model.log_likelihood,
+                },
+                decisions,
+            });
+        }
+        // Drain both sections to their end: trailing bytes behind the
+        // declared rows are a wire error wherever they sit.
+        if let Some(extra) = groups.next() {
+            extra?;
+        }
+
+        Ok(SurveyorOutput::from_parts(
+            evidence, provenance, grouped, results, kb,
+        ))
+    }
+}
+
 /// Rebuilds a pipeline output from the portable snapshot model,
 /// validating every cross-reference. The rebuilt output's knowledge base
 /// assigns the same dense `TypeId`/`EntityId` values the snapshot's
 /// table order implies; properties are re-interned in this process.
 pub fn output_from_snapshot(snapshot: &Snapshot) -> Result<SurveyorOutput, SnapshotError> {
-    let type_count = snapshot.types.len() as u64;
-    let entity_count = snapshot.entities.len() as u64;
-    let property_count = snapshot.properties.len() as u64;
-
-    // Rebuild the knowledge base; dense ids come back in table order.
-    let mut builder = KnowledgeBaseBuilder::new();
+    fn strs(strings: &[String]) -> Vec<&str> {
+        strings.iter().map(String::as_str).collect()
+    }
+    let mut tables = Tables::default();
+    for p in &snapshot.properties {
+        tables.property(&strs(&p.adverbs), &p.adjective);
+    }
     for t in &snapshot.types {
-        let nouns: Vec<&str> = t.head_nouns.iter().map(String::as_str).collect();
-        let cues: Vec<&str> = t.context_cues.iter().map(String::as_str).collect();
-        builder.add_type(&t.name, &nouns, &cues);
+        tables.entity_type(&t.name, &strs(&t.head_nouns), &strs(&t.context_cues))?;
     }
     for e in &snapshot.entities {
-        if u64::from(e.type_index) >= type_count {
-            return Err(SnapshotError::Corrupt("entity type index out of range"));
-        }
-        let mut entity = builder.add_entity(&e.name, TypeId(e.type_index));
-        for alias in &e.aliases {
-            entity = entity.alias(alias);
-        }
-        for (key, value) in &e.attributes {
-            entity = entity.attribute(key, *value);
-        }
-        entity.finish();
+        tables.entity(
+            &e.name,
+            e.type_index,
+            e.aliases.iter().map(|alias| Ok(alias.as_str())),
+            e.attributes.iter().map(|(k, v)| Ok((k.as_str(), *v))),
+        )?;
     }
-    let kb = Arc::new(builder.build());
-    if kb.types().len() != snapshot.types.len() || kb.entities().len() != snapshot.entities.len() {
-        return Err(SnapshotError::Corrupt(
-            "duplicate type or entity collapsed during rebuild",
-        ));
+    tables.into_output(Rows {
+        evidence_len: snapshot.evidence.len(),
+        evidence: snapshot.evidence.iter().copied().map(Ok),
+        provenance_sample_size: snapshot.provenance_sample_size,
+        provenance_len: snapshot.provenance.len(),
+        provenance: snapshot.provenance.iter().cloned().map(Ok),
+        models_len: snapshot.models.len(),
+        models: snapshot.models.iter().cloned().map(Ok),
+        groups_len: snapshot.decisions.len(),
+        groups: snapshot.decisions.iter().map(|group| {
+            Ok(GroupRows {
+                type_index: group.type_index,
+                property: group.property,
+                len: group.decisions.len(),
+                decisions: group.decisions.iter().copied().map(Ok),
+            })
+        }),
+        fingerprints: Vec::new(),
+    })
+}
+
+/// Bytes → output without an owned [`Snapshot`] in between: the tables
+/// and rows are taken straight off the reader's borrowing iterators.
+/// Every section is read to its end — `INCR` and `GRPF` included, whether
+/// or not their content is used — so a malformed record anywhere is an
+/// error, as it is for [`surveyor_wire::decode`].
+fn load(
+    bytes: &[u8],
+    verify_fingerprints: bool,
+) -> Result<(SurveyorOutput, Option<IncrementalState>), SnapshotError> {
+    let reader = SnapshotReader::new(bytes)?;
+    let incremental = reader.incremental()?;
+    let fingerprints = reader.fingerprints().collect::<Result<Vec<_>, _>>()?;
+
+    let mut tables = Tables::default();
+    let mut strs: Vec<&str> = Vec::new();
+    for record in reader.properties() {
+        let record = record?;
+        strs.clear();
+        for adverb in record.adverbs {
+            strs.push(adverb?);
+        }
+        tables.property(&strs, record.adjective);
     }
-
-    // Re-intern the property table; indexes on the wire become ids here.
-    let resolved: Vec<Property> = snapshot
-        .properties
-        .iter()
-        .map(|p| {
-            let adverbs: Vec<&str> = p.adverbs.iter().map(String::as_str).collect();
-            Property::with_adverbs(&adverbs, &p.adjective)
-        })
-        .collect();
-    let property_ids: Vec<PropertyId> = resolved.iter().map(PropertyId::intern).collect();
-
-    let mut evidence_entries = Vec::with_capacity(snapshot.evidence.len());
-    for row in &snapshot.evidence {
-        if u64::from(row.entity) >= entity_count {
-            return Err(SnapshotError::Corrupt("evidence entity out of range"));
+    for record in reader.types() {
+        let record = record?;
+        strs.clear();
+        for noun in record.head_nouns {
+            strs.push(noun?);
         }
-        let Some(property) = resolved.get(row.property as usize) else {
-            return Err(SnapshotError::Corrupt("evidence property out of range"));
-        };
-        evidence_entries.push(EvidenceEntry {
-            entity: EntityId(row.entity),
-            property: property.clone(),
-            positive: row.positive,
-            negative: row.negative,
-        });
+        let nouns = strs.len();
+        for cue in record.context_cues {
+            strs.push(cue?);
+        }
+        tables.entity_type(record.name, &strs[..nouns], &strs[nouns..])?;
     }
-    let evidence = EvidenceTable::from_entries(evidence_entries);
-
-    let sample_size = usize::try_from(snapshot.provenance_sample_size)
-        .map_err(|_| SnapshotError::Corrupt("provenance sample size out of range"))?;
-    let mut provenance_entries = Vec::with_capacity(snapshot.provenance.len());
-    for row in &snapshot.provenance {
-        if u64::from(row.entity) >= entity_count {
-            return Err(SnapshotError::Corrupt("provenance entity out of range"));
-        }
-        let Some(property) = resolved.get(row.property as usize) else {
-            return Err(SnapshotError::Corrupt("provenance property out of range"));
-        };
-        provenance_entries.push(ProvenanceEntry {
-            entity: EntityId(row.entity),
-            property: property.clone(),
-            documents: row.documents.clone(),
-        });
+    for record in reader.entities() {
+        let record = record?;
+        tables.entity(
+            record.name,
+            record.type_index,
+            record.aliases,
+            record.attributes,
+        )?;
     }
-    let provenance = ProvenanceTable::from_entries(sample_size, provenance_entries);
-
-    let grouped = GroupedEvidence::from_table(&evidence, &kb);
-
-    if snapshot.models.len() != snapshot.decisions.len() {
-        return Err(SnapshotError::Corrupt(
-            "model and decision sections disagree on group count",
-        ));
-    }
-    let mut results = Vec::with_capacity(snapshot.models.len());
-    for (model, group) in snapshot.models.iter().zip(&snapshot.decisions) {
-        if (model.type_index, model.property) != (group.type_index, group.property) {
-            return Err(SnapshotError::Corrupt(
-                "model and decision groups out of step",
-            ));
-        }
-        if u64::from(model.type_index) >= type_count {
-            return Err(SnapshotError::Corrupt("model type index out of range"));
-        }
-        if u64::from(model.property) >= property_count {
-            return Err(SnapshotError::Corrupt("model property out of range"));
-        }
-        let Some(converged) = ConvergenceReason::from_code(model.converged) else {
-            return Err(SnapshotError::Corrupt("unknown convergence code"));
-        };
-        // `ModelParams::new` asserts these invariants; check them here so
-        // a corrupt snapshot surfaces as an error, never a panic.
-        if !((0.0..=1.0).contains(&model.p_agree)
-            && model.rate_pos.is_finite()
-            && model.rate_pos >= 0.0
-            && model.rate_neg.is_finite()
-            && model.rate_neg >= 0.0)
-        {
-            return Err(SnapshotError::Corrupt("model parameters out of range"));
-        }
-        let mut decisions = Vec::with_capacity(group.decisions.len());
-        for row in &group.decisions {
-            if u64::from(row.entity) >= entity_count {
-                return Err(SnapshotError::Corrupt("decision entity out of range"));
-            }
-            decisions.push((
-                EntityId(row.entity),
-                ModelDecision {
-                    decision: match row.decision {
-                        DecisionCode::Unsolved => Decision::Unsolved,
-                        DecisionCode::Positive => Decision::Positive,
-                        DecisionCode::Negative => Decision::Negative,
-                    },
-                    probability: row.probability,
-                },
-            ));
-        }
-        results.push(DomainResult {
-            key: GroupKey {
-                type_id: TypeId(model.type_index),
-                property: property_ids[model.property as usize],
-            },
-            fit: EmFit {
-                params: ModelParams::new(model.p_agree, model.rate_pos, model.rate_neg),
-                iterations: usize::try_from(model.iterations)
-                    .map_err(|_| SnapshotError::Corrupt("iteration count out of range"))?,
-                q_trace: model.q_trace.clone(),
-                delta_trace: model.delta_trace.clone(),
-                converged,
-                log_likelihood: model.log_likelihood,
-            },
-            decisions,
-        });
-    }
-
-    Ok(SurveyorOutput::from_parts(
-        evidence, provenance, grouped, results, kb,
-    ))
+    let output = tables.into_output(Rows {
+        evidence_len: reader.evidence().len(),
+        evidence: reader.evidence(),
+        provenance_sample_size: reader.provenance_sample_size(),
+        provenance_len: reader.provenance().len(),
+        provenance: reader.provenance().map(|record| {
+            record.map(|record| ProvenanceRow {
+                entity: record.entity,
+                property: record.property,
+                documents: record.documents.collect(),
+            })
+        }),
+        models_len: reader.models().len(),
+        models: reader.models().map(|record| {
+            record.map(|record| ModelRow {
+                type_index: record.type_index,
+                property: record.property,
+                p_agree: record.p_agree,
+                rate_pos: record.rate_pos,
+                rate_neg: record.rate_neg,
+                iterations: record.iterations,
+                converged: record.converged,
+                log_likelihood: record.log_likelihood,
+                q_trace: record.q_trace.collect(),
+                delta_trace: record.delta_trace.collect(),
+            })
+        }),
+        groups_len: reader.decisions().len(),
+        groups: reader.decisions().map(|record| {
+            record.map(|record| GroupRows {
+                type_index: record.type_index,
+                property: record.property,
+                len: record.decisions.len(),
+                decisions: record.decisions,
+            })
+        }),
+        fingerprints: if verify_fingerprints {
+            fingerprints
+        } else {
+            Vec::new()
+        },
+    })?;
+    Ok((output, incremental))
 }
 
 /// Decodes snapshot bytes back into a fully functional pipeline output.
 pub fn load_snapshot(bytes: &[u8]) -> Result<SurveyorOutput, SnapshotError> {
-    output_from_snapshot(&surveyor_wire::decode(bytes)?)
+    load(bytes, false).map(|(output, _)| output)
 }
 
 /// Decodes snapshot bytes into a pipeline output plus its incremental
@@ -370,16 +619,7 @@ pub fn load_snapshot(bytes: &[u8]) -> Result<SurveyorOutput, SnapshotError> {
 pub fn load_snapshot_with_state(
     bytes: &[u8],
 ) -> Result<(SurveyorOutput, Option<IncrementalState>), SnapshotError> {
-    let snapshot = surveyor_wire::decode(bytes)?;
-    if !snapshot.fingerprints.is_empty()
-        && snapshot.fingerprints != surveyor_wire::group_fingerprints(&snapshot)
-    {
-        return Err(SnapshotError::Corrupt(
-            "group fingerprints do not match evidence",
-        ));
-    }
-    let output = output_from_snapshot(&snapshot)?;
-    Ok((output, snapshot.incremental))
+    load(bytes, true)
 }
 
 #[cfg(test)]
@@ -489,54 +729,154 @@ mod tests {
         assert_eq!(save_snapshot(&loaded), bytes);
     }
 
+    /// The error a bad snapshot draws — the same one, checked here, from
+    /// the owned form and from its bytes, by each entry point.
+    fn rejection(bad: &Snapshot) -> SnapshotError {
+        let owned = output_from_snapshot(bad).err();
+        let bytes = surveyor_wire::encode(bad);
+        assert_eq!(load_snapshot(&bytes).err(), owned);
+        assert_eq!(load_snapshot_with_state(&bytes).err(), owned);
+        owned.expect("a bad snapshot loaded")
+    }
+
     #[test]
     fn dangling_indexes_are_corrupt_not_panics() {
         let output = mined_output();
         let good = snapshot_output(&output);
+        let corrupt = |edit: &dyn Fn(&mut Snapshot)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            match rejection(&bad) {
+                SnapshotError::Corrupt(detail) => detail,
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        };
 
-        let mut bad = good.clone();
-        bad.entities[0].type_index = 99;
         assert_eq!(
-            output_from_snapshot(&bad).err(),
-            Some(SnapshotError::Corrupt("entity type index out of range"))
+            corrupt(&|bad| bad.entities[0].type_index = 99),
+            "entity type index out of range"
         );
-
-        let mut bad = good.clone();
-        bad.evidence[0].property = 99;
         assert_eq!(
-            output_from_snapshot(&bad).err(),
-            Some(SnapshotError::Corrupt("evidence property out of range"))
+            corrupt(&|bad| bad.evidence[0].entity = 1_000),
+            "evidence entity out of range"
         );
-
-        let mut bad = good.clone();
-        bad.models[0].converged = 77;
         assert_eq!(
-            output_from_snapshot(&bad).err(),
-            Some(SnapshotError::Corrupt("unknown convergence code"))
+            corrupt(&|bad| bad.evidence[0].property = 99),
+            "evidence property out of range"
         );
-
-        let mut bad = good.clone();
-        bad.models[0].p_agree = f64::NAN;
         assert_eq!(
-            output_from_snapshot(&bad).err(),
-            Some(SnapshotError::Corrupt("model parameters out of range"))
+            corrupt(&|bad| {
+                bad.evidence[0].positive = u64::MAX;
+                bad.evidence[1].negative = 1;
+            }),
+            "evidence counts overflow"
         );
-
-        let mut bad = good.clone();
-        bad.decisions.pop();
         assert_eq!(
-            output_from_snapshot(&bad).err(),
+            corrupt(&|bad| bad.provenance[0].entity = 1_000),
+            "provenance entity out of range"
+        );
+        assert_eq!(
+            corrupt(&|bad| bad.provenance[0].property = 99),
+            "provenance property out of range"
+        );
+        assert_eq!(
+            corrupt(&|bad| bad.models[0].converged = 77),
+            "unknown convergence code"
+        );
+        assert_eq!(
+            corrupt(&|bad| bad.models[0].p_agree = f64::NAN),
+            "model parameters out of range"
+        );
+        assert_eq!(
+            corrupt(&|bad| bad.models[0].type_index = 9),
+            "model and decision groups out of step"
+        );
+        assert_eq!(
+            corrupt(&|bad| {
+                bad.models[0].type_index = 9;
+                bad.decisions[0].type_index = 9;
+            }),
+            "model type index out of range"
+        );
+        assert_eq!(
+            corrupt(&|bad| {
+                bad.models[0].property = 99;
+                bad.decisions[0].property = 99;
+            }),
+            "model property out of range"
+        );
+        // One section a group short of the other, either way round.
+        assert_eq!(
+            corrupt(&|bad| drop(bad.decisions.pop())),
+            "model and decision sections disagree on group count"
+        );
+        assert_eq!(
+            corrupt(&|bad| drop(bad.models.pop())),
+            "model and decision sections disagree on group count"
+        );
+        assert_eq!(
+            corrupt(&|bad| bad.decisions[0].decisions[0].entity = 1_000),
+            "decision entity out of range"
+        );
+    }
+
+    #[test]
+    fn duplicate_type_names_are_corrupt_not_a_builder_panic() {
+        // `KnowledgeBaseBuilder::add_type` asserts on a second type of one
+        // lowercased name; a snapshot holding one must never reach it.
+        let mut bad = snapshot_output(&mined_output());
+        let mut twin = bad.types[0].clone();
+        twin.name = twin.name.to_uppercase();
+        assert_ne!(twin.name, bad.types[0].name);
+        bad.types.push(twin);
+        assert_eq!(
+            rejection(&bad),
+            SnapshotError::Corrupt("duplicate type name")
+        );
+    }
+
+    #[test]
+    fn decisions_out_of_entity_order_are_corrupt() {
+        // `opinion_id` binary-searches a group's decisions on the entity.
+        let good = snapshot_output(&mined_output());
+        let mut swapped = good.clone();
+        swapped.decisions[0].decisions.swap(0, 1);
+        let mut repeated = good;
+        repeated.decisions[0].decisions[1].entity = repeated.decisions[0].decisions[0].entity;
+        for bad in [swapped, repeated] {
+            assert_eq!(
+                rejection(&bad),
+                SnapshotError::Corrupt("decision entities not in ascending order")
+            );
+        }
+    }
+
+    #[test]
+    fn stale_fingerprints_are_rejected_where_state_is_loaded() {
+        let output = mined_output();
+        let state = IncrementalState {
+            rho: 30,
+            ..Default::default()
+        };
+        let good = snapshot_output_with_state(&output, &state);
+        let (loaded, loaded_state) =
+            load_snapshot_with_state(&surveyor_wire::encode(&good)).unwrap();
+        assert_eq!(loaded_state, Some(state));
+        assert_eq!(loaded.triples(), output.triples());
+
+        // One more statement than the fingerprints were taken over.
+        let mut bad = good;
+        bad.evidence[0].positive += 1;
+        let bytes = surveyor_wire::encode(&bad);
+        assert_eq!(
+            load_snapshot_with_state(&bytes).err(),
             Some(SnapshotError::Corrupt(
-                "model and decision sections disagree on group count"
+                "group fingerprints do not match evidence"
             ))
         );
-
-        let mut bad = good;
-        bad.decisions[0].decisions[0].entity = 1_000;
-        assert_eq!(
-            output_from_snapshot(&bad).err(),
-            Some(SnapshotError::Corrupt("decision entity out of range"))
-        );
+        // Fingerprints are the updater's check; a plain load, which drops
+        // the incremental state, does not make it.
+        assert!(load_snapshot(&bytes).is_ok());
     }
 
     #[test]

@@ -98,6 +98,15 @@ impl EvidenceTable {
         Self::default()
     }
 
+    /// An empty table with room for `pairs` entity-property pairs — the
+    /// snapshot loader knows the row count before it streams the rows.
+    pub fn with_capacity(pairs: usize) -> Self {
+        Self {
+            map: FxHashMap::with_capacity_and_hasher(pairs, Default::default()),
+            statements: 0,
+        }
+    }
+
     /// Records one statement. Allocation-free: the key is two `u32` ids.
     pub fn add(&mut self, statement: &Statement) {
         self.map
@@ -105,6 +114,17 @@ impl EvidenceTable {
             .or_default()
             .add(statement.polarity);
         self.statements += 1;
+    }
+
+    /// Adds a pair's counters by id (merging with what the pair already
+    /// holds) — how persisted rows come back without a resolved
+    /// [`Property`] per row.
+    pub fn add_counts(&mut self, entity: EntityId, property: PropertyId, counts: EvidenceCounts) {
+        self.map
+            .entry((entity, property))
+            .or_default()
+            .merge(counts);
+        self.statements += counts.total();
     }
 
     /// Merges another table into this one.
@@ -166,10 +186,12 @@ impl EvidenceTable {
         totals
     }
 
-    /// Dumps the table to a stable, sorted entry list for persistence
+    /// Dumps the table to a stable, sorted entry list for the JSON codec
     /// (extraction is the expensive pipeline phase; the paper's
     /// architecture stores counter tables between the extraction and
-    /// interpretation passes).
+    /// interpretation passes). The binary snapshot bridge does not come
+    /// through here: it works on [`iter`](Self::iter) and
+    /// [`add_counts`](Self::add_counts), by id.
     pub fn to_entries(&self) -> Vec<EvidenceEntry> {
         // Ids are process-local, so entries resolve to the full property and
         // sort on the resolved form — output order is reproducible across
@@ -190,15 +212,13 @@ impl EvidenceTable {
 
     /// Rebuilds a table from persisted entries.
     pub fn from_entries(entries: Vec<EvidenceEntry>) -> Self {
-        let mut table = Self::new();
+        let mut table = Self::with_capacity(entries.len());
         for entry in entries {
-            let counts = table
-                .map
-                .entry((entry.entity, PropertyId::intern(&entry.property)))
-                .or_default();
-            counts.positive += entry.positive;
-            counts.negative += entry.negative;
-            table.statements += entry.positive + entry.negative;
+            table.add_counts(
+                entry.entity,
+                PropertyId::intern(&entry.property),
+                EvidenceCounts::new(entry.positive, entry.negative),
+            );
         }
         table
     }

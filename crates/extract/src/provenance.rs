@@ -38,6 +38,21 @@ impl ProvenanceTable {
         }
     }
 
+    /// An empty table with room for `pairs` entity-property pairs.
+    pub fn with_capacity(sample_size: usize, pairs: usize) -> Self {
+        Self {
+            sample_size: sample_size.max(1),
+            map: FxHashMap::with_capacity_and_hasher(pairs, Default::default()),
+        }
+    }
+
+    /// Sets a pair's document sample by id, replacing what it held — how
+    /// persisted rows (ascending ids, already bounded) come back without a
+    /// resolved [`Property`] per row.
+    pub fn insert(&mut self, entity: EntityId, property: PropertyId, documents: Vec<u64>) {
+        self.map.insert((entity, property), documents);
+    }
+
     /// Records that `document` contains a statement for the pair.
     /// Allocation-free on the key: two `u32` ids.
     pub fn record(&mut self, statement: &Statement, document: u64) {
@@ -74,6 +89,11 @@ impl ProvenanceTable {
             .unwrap_or(&[])
     }
 
+    /// Iterates over all pairs and their samples (arbitrary order).
+    pub fn iter(&self) -> impl Iterator<Item = (&(EntityId, PropertyId), &[u64])> {
+        self.map.iter().map(|(key, ids)| (key, ids.as_slice()))
+    }
+
     /// Number of pairs tracked.
     pub fn pair_count(&self) -> usize {
         self.map.len()
@@ -86,7 +106,8 @@ impl ProvenanceTable {
 
     /// The table as a portable entry list, sorted by `(entity, property)`
     /// with properties resolved to their surface form — the same shape the
-    /// serde codec and the binary snapshot format use.
+    /// serde codec uses (the binary snapshot bridge works on
+    /// [`iter`](Self::iter) and [`insert`](Self::insert), by id).
     pub fn to_entries(&self) -> Vec<ProvenanceEntry> {
         // Resolve ids before sorting: id values are process-local, the
         // exported order must not be.
@@ -106,13 +127,11 @@ impl ProvenanceTable {
     /// Rebuilds a table from an entry list, re-interning the properties in
     /// this process. Inverse of [`to_entries`](Self::to_entries).
     pub fn from_entries(sample_size: usize, entries: Vec<ProvenanceEntry>) -> Self {
-        Self {
-            sample_size: sample_size.max(1),
-            map: entries
-                .into_iter()
-                .map(|e| ((e.entity, PropertyId::intern(&e.property)), e.documents))
-                .collect(),
+        let mut table = Self::with_capacity(sample_size, entries.len());
+        for e in entries {
+            table.insert(e.entity, PropertyId::intern(&e.property), e.documents);
         }
+        table
     }
 }
 

@@ -27,6 +27,15 @@ impl KnowledgeBaseBuilder {
         Self::default()
     }
 
+    /// Whether a type of this name (compared lowercased, as
+    /// [`add_type`](Self::add_type) stores it) is already registered —
+    /// the check a caller holding names from outside the program makes
+    /// before `add_type`, which panics on a duplicate.
+    pub fn has_type(&self, name: &str) -> bool {
+        let name = name.to_lowercase();
+        self.types.iter().any(|t| t.name() == name)
+    }
+
     /// Registers an entity type.
     ///
     /// `head_nouns` are generic nouns denoting the type (used by the
@@ -36,11 +45,8 @@ impl KnowledgeBaseBuilder {
     /// # Panics
     /// Panics if a type with the same name already exists.
     pub fn add_type(&mut self, name: &str, head_nouns: &[&str], context_cues: &[&str]) -> TypeId {
+        assert!(!self.has_type(name), "duplicate type name: {name}");
         let name = name.to_lowercase();
-        assert!(
-            !self.types.iter().any(|t| t.name() == name),
-            "duplicate type name: {name}"
-        );
         let id = TypeId(u32::try_from(self.types.len()).expect("type count fits in u32")); // lint:allow(no-panic-in-lib): a KB cannot reach 2^32 types
         self.types.push(EntityType::new(
             id,

@@ -73,10 +73,24 @@ impl EntityType {
 /// Normalizes a surface form for alias lookups: lowercase, collapsed
 /// whitespace.
 pub fn normalize_surface(s: &str) -> String {
-    s.split_whitespace()
-        .map(|w| w.to_lowercase())
-        .collect::<Vec<_>>()
-        .join(" ")
+    // One buffer per surface form. ASCII words (nearly all of them) are
+    // lowered in place; only a non-ASCII word goes through the allocating
+    // Unicode lowering, word by word so that context rules (final sigma)
+    // see each word on its own.
+    let mut out = String::with_capacity(s.len());
+    for word in s.split_whitespace() {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        if word.is_ascii() {
+            let start = out.len();
+            out.push_str(word);
+            out[start..].make_ascii_lowercase();
+        } else {
+            out.push_str(&word.to_lowercase());
+        }
+    }
+    out
 }
 
 /// The knowledge base: typed entities with alias and type indexes.
@@ -286,6 +300,35 @@ mod tests {
     #[test]
     fn normalize_surface_collapses_case_and_space() {
         assert_eq!(normalize_surface("  San   FRANCISCO "), "san francisco");
+    }
+
+    #[test]
+    fn normalize_surface_matches_the_per_word_definition() {
+        // The definition: lower each word on its own, join with single
+        // spaces.
+        fn per_word(s: &str) -> String {
+            s.split_whitespace()
+                .map(|w| w.to_lowercase())
+                .collect::<Vec<_>>()
+                .join(" ")
+        }
+        for s in [
+            "",
+            " ",
+            "\t\n",
+            "Kitten",
+            "  San   FRANCISCO ",
+            "São PAULO",
+            "ŁÓDŹ",
+            "ΟΔΟΣ ΑΘΗΝΑΣ", // final sigma, twice
+            "Σ ΣΣ aΣ",
+            "İstanbul ǅ ẞ",            // lowerings that change byte length
+            "Zürich\u{a0}HB\u{2003}x", // non-ASCII white space splits too
+            "mixed ÅSCII and ascii WORDS",
+            "DŽ\u{301}x",
+        ] {
+            assert_eq!(normalize_surface(s), per_word(s), "{s:?}");
+        }
     }
 
     #[test]

@@ -256,6 +256,21 @@ fn corrupt_reload_is_rejected_and_serving_continues() {
     assert_eq!(status, 422, "corrupt reload not rejected: {reply}");
     assert!(reply.contains("\"reloaded\": false"), "{reply}");
     assert_answers(addr, &query);
+
+    // So is one whose checksums hold and whose content does not: two
+    // types of one lowercased name. The same 422, not a worker panic.
+    let mut twins = surveyor::wire::decode(&snapshot_bytes(7)).unwrap();
+    let mut twin = twins.types[0].clone();
+    twin.name = twin.name.to_uppercase();
+    twins.types.push(twin);
+    std::fs::write(&corrupt_path, surveyor::wire::encode(&twins)).unwrap();
+    let (status, reply) = post(
+        addr,
+        &format!("/ctl/reload?path={}", corrupt_path.display()),
+    );
+    assert_eq!(status, 422, "duplicate-type reload not rejected: {reply}");
+    assert!(reply.contains("duplicate type name"), "{reply}");
+    assert_answers(addr, &query);
     let (status, reply) = get(addr, "/readyz");
     assert_eq!(status, 200);
     assert!(reply.contains("\"generation\": 1"), "{reply}");
@@ -269,8 +284,9 @@ fn corrupt_reload_is_rejected_and_serving_continues() {
     assert!(reply.contains("\"generation\": 2"), "{reply}");
 
     let registry = handle.metrics().registry().clone();
-    assert_eq!(registry.counter_value("serve.reload.rejected"), 1);
+    assert_eq!(registry.counter_value("serve.reload.rejected"), 2);
     assert_eq!(registry.counter_value("serve.reload.ok"), 1);
+    assert_eq!(registry.counter_value("serve.panics"), 0);
     handle.shutdown();
     let _ = std::fs::remove_file(&corrupt_path);
     let _ = std::fs::remove_file(&valid_path);

@@ -536,6 +536,11 @@ impl<'a> Iterator for U64List<'a> {
             }
         }
     }
+
+    /// Exact (the span was skimmed), so `collect` allocates once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
 }
 
 /// A lazy list of `f64`s borrowed from the snapshot. The span is exactly
@@ -581,6 +586,11 @@ impl<'a> Iterator for F64List<'a> {
                 None
             }
         }
+    }
+
+    /// Exact (the span was sized), so `collect` allocates once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
     }
 }
 
@@ -1062,6 +1072,36 @@ impl<'a> Iterator for FingerprintIter<'a> {
         )
     }
 }
+
+/// The declared record count of a section iterator, already bounded by
+/// the payload size when the container was validated: what a consumer
+/// reserves for before it streams the records.
+macro_rules! declared_len {
+    ($($iter:ident),+) => {$(
+        impl $iter<'_> {
+            /// Records left to yield.
+            pub fn len(&self) -> usize {
+                self.remaining
+            }
+
+            /// Whether no records are left (or the section was empty).
+            pub fn is_empty(&self) -> bool {
+                self.remaining == 0
+            }
+        }
+    )+};
+}
+
+declared_len!(
+    PropertyIter,
+    TypeIter,
+    EntityIter,
+    EvidenceIter,
+    ProvenanceIter,
+    ModelIter,
+    DecisionGroupIter,
+    FingerprintIter
+);
 
 /// Shared record-iterator step: yields the next record, a trailing-bytes
 /// error once the declared count is exhausted but bytes remain, or `None`.

@@ -19,189 +19,210 @@ use crate::{FORMAT_VERSION, MAGIC};
 /// and `GRPF` sections follow only when [`Snapshot::incremental`] is set
 /// or [`Snapshot::fingerprints`] is non-empty, so a snapshot without
 /// incremental state encodes to the exact original seven-section stream.
+///
+/// Every section is written straight into the output buffer behind a
+/// placeholder frame; its length and CRC are patched in once the payload
+/// is there, so no payload is built in a buffer of its own and copied.
 pub fn encode(snapshot: &Snapshot) -> Vec<u8> {
-    let mut sections: Vec<(SectionTag, Vec<u8>)> = vec![
-        (TAG_PROPERTIES, encode_properties(snapshot)),
-        (TAG_TYPES, encode_types(snapshot)),
-        (TAG_ENTITIES, encode_entities(snapshot)),
-        (TAG_EVIDENCE, encode_evidence(snapshot)),
-        (TAG_PROVENANCE, encode_provenance(snapshot)),
-        (TAG_MODELS, encode_models(snapshot)),
-        (TAG_DECISIONS, encode_decisions(snapshot)),
-    ];
-    if snapshot.incremental.is_some() {
-        sections.push((TAG_INCREMENTAL, encode_incremental(snapshot)));
-    }
-    if !snapshot.fingerprints.is_empty() {
-        sections.push((TAG_FINGERPRINTS, encode_fingerprints(snapshot)));
-    }
-    let payload_total: usize = sections.iter().map(|(_, p)| p.len()).sum();
-    // Header (16) + one 16-byte frame per section + payloads.
-    let mut out = Vec::with_capacity(16 + sections.len() * 16 + payload_total);
+    let section_count = 7
+        + u32::from(snapshot.incremental.is_some())
+        + u32::from(!snapshot.fingerprints.is_empty());
+    let mut out = Vec::with_capacity(size_hint(snapshot));
     out.extend_from_slice(&MAGIC);
     put_u16(&mut out, FORMAT_VERSION);
     put_u16(&mut out, 0); // reserved
-    put_u32(&mut out, sections.len() as u32);
-    for (tag, payload) in &sections {
-        out.extend_from_slice(&tag.0);
-        put_u64(&mut out, payload.len() as u64);
-        put_u32(&mut out, crc32(payload));
-        out.extend_from_slice(payload);
+    put_u32(&mut out, section_count);
+    section(&mut out, TAG_PROPERTIES, snapshot, encode_properties);
+    section(&mut out, TAG_TYPES, snapshot, encode_types);
+    section(&mut out, TAG_ENTITIES, snapshot, encode_entities);
+    section(&mut out, TAG_EVIDENCE, snapshot, encode_evidence);
+    section(&mut out, TAG_PROVENANCE, snapshot, encode_provenance);
+    section(&mut out, TAG_MODELS, snapshot, encode_models);
+    section(&mut out, TAG_DECISIONS, snapshot, encode_decisions);
+    if snapshot.incremental.is_some() {
+        section(&mut out, TAG_INCREMENTAL, snapshot, encode_incremental);
+    }
+    if !snapshot.fingerprints.is_empty() {
+        section(&mut out, TAG_FINGERPRINTS, snapshot, encode_fingerprints);
     }
     out
 }
 
-fn encode_properties(snapshot: &Snapshot) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_varint(&mut buf, snapshot.properties.len() as u64);
+/// Appends one framed section: tag, payload length, CRC-32, payload.
+fn section(
+    out: &mut Vec<u8>,
+    tag: SectionTag,
+    snapshot: &Snapshot,
+    payload: fn(&mut Vec<u8>, &Snapshot),
+) {
+    out.extend_from_slice(&tag.0);
+    let frame = out.len();
+    out.extend_from_slice(&[0; 12]); // length + checksum, patched below
+    let start = out.len();
+    payload(out, snapshot);
+    let len = (out.len() - start) as u64;
+    let crc = crc32(&out[start..]);
+    out[frame..frame + 8].copy_from_slice(&len.to_le_bytes());
+    out[frame + 8..start].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// A cheap estimate of the encoded size, from row counts and typical row
+/// widths, so the output buffer starts near its final size instead of
+/// doubling its way up from empty. Only a capacity: a low estimate costs a
+/// reallocation, a high one some slack.
+fn size_hint(snapshot: &Snapshot) -> usize {
+    let decisions: usize = snapshot.decisions.iter().map(|g| g.decisions.len()).sum();
+    let traces: usize = snapshot
+        .models
+        .iter()
+        .map(|m| m.q_trace.len() + m.delta_trace.len())
+        .sum();
+    16 + 9 * 16
+        + snapshot.properties.len() * 16
+        + snapshot.types.len() * 64
+        + snapshot.entities.len() * 48
+        + snapshot.evidence.len() * 10
+        + snapshot.provenance.len() * 20
+        + snapshot.models.len() * 48
+        + traces * 8
+        + snapshot.decisions.len() * 12
+        + decisions * 13
+        + snapshot.fingerprints.len() * 20
+}
+
+fn encode_properties(buf: &mut Vec<u8>, snapshot: &Snapshot) {
+    put_varint(buf, snapshot.properties.len() as u64);
     for property in &snapshot.properties {
-        put_varint(&mut buf, property.adverbs.len() as u64);
+        put_varint(buf, property.adverbs.len() as u64);
         for adverb in &property.adverbs {
-            put_str(&mut buf, adverb);
+            put_str(buf, adverb);
         }
-        put_str(&mut buf, &property.adjective);
+        put_str(buf, &property.adjective);
     }
-    buf
 }
 
-fn encode_types(snapshot: &Snapshot) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_varint(&mut buf, snapshot.types.len() as u64);
+fn encode_types(buf: &mut Vec<u8>, snapshot: &Snapshot) {
+    put_varint(buf, snapshot.types.len() as u64);
     for t in &snapshot.types {
-        put_str(&mut buf, &t.name);
-        put_varint(&mut buf, t.head_nouns.len() as u64);
+        put_str(buf, &t.name);
+        put_varint(buf, t.head_nouns.len() as u64);
         for noun in &t.head_nouns {
-            put_str(&mut buf, noun);
+            put_str(buf, noun);
         }
-        put_varint(&mut buf, t.context_cues.len() as u64);
+        put_varint(buf, t.context_cues.len() as u64);
         for cue in &t.context_cues {
-            put_str(&mut buf, cue);
+            put_str(buf, cue);
         }
     }
-    buf
 }
 
-fn encode_entities(snapshot: &Snapshot) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_varint(&mut buf, snapshot.entities.len() as u64);
+fn encode_entities(buf: &mut Vec<u8>, snapshot: &Snapshot) {
+    put_varint(buf, snapshot.entities.len() as u64);
     for entity in &snapshot.entities {
-        put_str(&mut buf, &entity.name);
-        put_varint(&mut buf, entity.aliases.len() as u64);
+        put_str(buf, &entity.name);
+        put_varint(buf, entity.aliases.len() as u64);
         for alias in &entity.aliases {
-            put_str(&mut buf, alias);
+            put_str(buf, alias);
         }
-        put_u32(&mut buf, entity.type_index);
-        put_varint(&mut buf, entity.attributes.len() as u64);
+        put_u32(buf, entity.type_index);
+        put_varint(buf, entity.attributes.len() as u64);
         for (key, value) in &entity.attributes {
-            put_str(&mut buf, key);
-            put_f64(&mut buf, *value);
+            put_str(buf, key);
+            put_f64(buf, *value);
         }
     }
-    buf
 }
 
-fn encode_evidence(snapshot: &Snapshot) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_varint(&mut buf, snapshot.evidence.len() as u64);
+fn encode_evidence(buf: &mut Vec<u8>, snapshot: &Snapshot) {
+    put_varint(buf, snapshot.evidence.len() as u64);
     for row in &snapshot.evidence {
-        put_u32(&mut buf, row.entity);
-        put_u32(&mut buf, row.property);
-        put_varint(&mut buf, row.positive);
-        put_varint(&mut buf, row.negative);
+        put_u32(buf, row.entity);
+        put_u32(buf, row.property);
+        put_varint(buf, row.positive);
+        put_varint(buf, row.negative);
     }
-    buf
 }
 
-fn encode_provenance(snapshot: &Snapshot) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_varint(&mut buf, snapshot.provenance_sample_size);
-    put_varint(&mut buf, snapshot.provenance.len() as u64);
+fn encode_provenance(buf: &mut Vec<u8>, snapshot: &Snapshot) {
+    put_varint(buf, snapshot.provenance_sample_size);
+    put_varint(buf, snapshot.provenance.len() as u64);
     for row in &snapshot.provenance {
-        put_u32(&mut buf, row.entity);
-        put_u32(&mut buf, row.property);
-        put_varint(&mut buf, row.documents.len() as u64);
+        put_u32(buf, row.entity);
+        put_u32(buf, row.property);
+        put_varint(buf, row.documents.len() as u64);
         for &doc in &row.documents {
-            put_varint(&mut buf, doc);
+            put_varint(buf, doc);
         }
     }
-    buf
 }
 
-fn encode_models(snapshot: &Snapshot) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_varint(&mut buf, snapshot.models.len() as u64);
+fn encode_models(buf: &mut Vec<u8>, snapshot: &Snapshot) {
+    put_varint(buf, snapshot.models.len() as u64);
     for row in &snapshot.models {
-        put_u32(&mut buf, row.type_index);
-        put_u32(&mut buf, row.property);
-        put_f64(&mut buf, row.p_agree);
-        put_f64(&mut buf, row.rate_pos);
-        put_f64(&mut buf, row.rate_neg);
-        put_varint(&mut buf, row.iterations);
+        put_u32(buf, row.type_index);
+        put_u32(buf, row.property);
+        put_f64(buf, row.p_agree);
+        put_f64(buf, row.rate_pos);
+        put_f64(buf, row.rate_neg);
+        put_varint(buf, row.iterations);
         buf.push(row.converged);
-        put_f64(&mut buf, row.log_likelihood);
-        put_varint(&mut buf, row.q_trace.len() as u64);
+        put_f64(buf, row.log_likelihood);
+        put_varint(buf, row.q_trace.len() as u64);
         for &q in &row.q_trace {
-            put_f64(&mut buf, q);
+            put_f64(buf, q);
         }
-        put_varint(&mut buf, row.delta_trace.len() as u64);
+        put_varint(buf, row.delta_trace.len() as u64);
         for &d in &row.delta_trace {
-            put_f64(&mut buf, d);
+            put_f64(buf, d);
         }
     }
-    buf
 }
 
-fn encode_incremental(snapshot: &Snapshot) -> Vec<u8> {
-    let mut buf = Vec::new();
+fn encode_incremental(buf: &mut Vec<u8>, snapshot: &Snapshot) {
     let Some(state) = &snapshot.incremental else {
         // Unreachable in practice: the caller gates on `is_some`.
-        return buf;
+        return;
     };
-    put_varint(&mut buf, state.rho);
-    put_u64(&mut buf, state.config_digest);
-    put_u64(&mut buf, state.corpus_digest);
-    put_varint(&mut buf, state.ingested.len() as u64);
+    put_varint(buf, state.rho);
+    put_u64(buf, state.config_digest);
+    put_u64(buf, state.corpus_digest);
+    put_varint(buf, state.ingested.len() as u64);
     for &(start, end) in &state.ingested {
-        put_varint(&mut buf, start);
-        put_varint(&mut buf, end);
+        put_varint(buf, start);
+        put_varint(buf, end);
     }
-    put_varint(&mut buf, state.pending.len() as u64);
+    put_varint(buf, state.pending.len() as u64);
     for &shard in &state.pending {
-        put_varint(&mut buf, shard);
+        put_varint(buf, shard);
     }
-    buf
 }
 
-fn encode_fingerprints(snapshot: &Snapshot) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_varint(&mut buf, snapshot.fingerprints.len() as u64);
+fn encode_fingerprints(buf: &mut Vec<u8>, snapshot: &Snapshot) {
+    put_varint(buf, snapshot.fingerprints.len() as u64);
     for row in &snapshot.fingerprints {
-        put_u32(&mut buf, row.type_index);
-        put_u32(&mut buf, row.property);
-        put_varint(&mut buf, row.entities);
-        put_varint(&mut buf, row.total);
-        put_u64(&mut buf, row.fingerprint);
+        put_u32(buf, row.type_index);
+        put_u32(buf, row.property);
+        put_varint(buf, row.entities);
+        put_varint(buf, row.total);
+        put_u64(buf, row.fingerprint);
     }
-    buf
 }
 
-fn encode_decisions(snapshot: &Snapshot) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_varint(&mut buf, snapshot.decisions.len() as u64);
+fn encode_decisions(buf: &mut Vec<u8>, snapshot: &Snapshot) {
+    put_varint(buf, snapshot.decisions.len() as u64);
     for group in &snapshot.decisions {
-        put_u32(&mut buf, group.type_index);
-        put_u32(&mut buf, group.property);
-        put_varint(&mut buf, group.decisions.len() as u64);
+        put_u32(buf, group.type_index);
+        put_u32(buf, group.property);
+        put_varint(buf, group.decisions.len() as u64);
         for row in &group.decisions {
             match row.probability {
                 Some(p) => {
                     buf.push(0x80 | row.decision.code());
-                    put_f64(&mut buf, p);
+                    put_f64(buf, p);
                 }
                 None => buf.push(row.decision.code()),
             }
-            put_u32(&mut buf, row.entity);
+            put_u32(buf, row.entity);
         }
     }
-    buf
 }

@@ -93,8 +93,8 @@ pub use section::{
 };
 pub use snapshot::{
     group_fingerprints, DecisionCode, DecisionGroupRow, DecisionRow, EvidenceRow, Fnv64,
-    GroupFingerprintRow, IncrementalState, ModelRow, ProvenanceRow, Snapshot, SnapshotEntity,
-    SnapshotProperty, SnapshotType,
+    GroupFingerprintRow, GroupFingerprinter, IncrementalState, ModelRow, ProvenanceRow, Snapshot,
+    SnapshotEntity, SnapshotProperty, SnapshotType,
 };
 
 /// The eight magic bytes every snapshot starts with.

@@ -301,6 +301,66 @@ impl Default for Fnv64 {
     }
 }
 
+/// Accumulates the group fingerprint table from evidence rows, one row
+/// at a time: the one computation behind [`group_fingerprints`] (the save
+/// side) and the load-time check, which feeds it straight from a
+/// [`crate::SnapshotReader`] without an owned [`Snapshot`].
+///
+/// Rows must arrive in evidence order — sorted by `(entity, property)` —
+/// so that within any (type, property) group entities are visited in
+/// ascending order, exactly the digest order the format specifies.
+#[derive(Debug, Default)]
+pub struct GroupFingerprinter {
+    groups: std::collections::BTreeMap<(u32, u32), GroupDigest>,
+}
+
+#[derive(Debug)]
+struct GroupDigest {
+    hash: Fnv64,
+    entities: u64,
+    total: u64,
+}
+
+impl GroupFingerprinter {
+    /// An empty accumulator.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Folds one evidence row into the group of its entity's type
+    /// (`type_index`, from the entity table) and its property.
+    pub fn add(&mut self, type_index: u32, row: &EvidenceRow) {
+        let acc = self
+            .groups
+            .entry((type_index, row.property))
+            .or_insert_with(|| GroupDigest {
+                hash: Fnv64::new(),
+                entities: 0,
+                total: 0,
+            });
+        acc.hash.write(&row.entity.to_le_bytes());
+        acc.hash.write_u64(row.positive);
+        acc.hash.write_u64(row.negative);
+        acc.entities += 1;
+        acc.total += row.positive + row.negative;
+    }
+
+    /// The table: one row per group seen, sorted by
+    /// `(type_index, property)`.
+    pub fn finish(self) -> Vec<GroupFingerprintRow> {
+        self.groups
+            .into_iter()
+            .map(|((type_index, property), acc)| GroupFingerprintRow {
+                type_index,
+                property,
+                entities: acc.entities,
+                total: acc.total,
+                fingerprint: acc.hash.finish(),
+            })
+            .collect()
+    }
+}
+
 /// Computes the group fingerprint table of a snapshot: one row per
 /// (type, property) combination with evidence, sorted by
 /// `(type_index, property)`, digesting the entity-sorted evidence rows
@@ -312,43 +372,13 @@ impl Default for Fnv64 {
 /// Evidence rows naming an out-of-range entity are skipped (snapshot
 /// validation elsewhere rejects such rows).
 pub fn group_fingerprints(snapshot: &Snapshot) -> Vec<GroupFingerprintRow> {
-    use std::collections::BTreeMap;
-    struct Acc {
-        hash: Fnv64,
-        entities: u64,
-        total: u64,
-    }
-    let mut groups: BTreeMap<(u32, u32), Acc> = BTreeMap::new();
-    // Evidence is sorted by (entity, property), so within any
-    // (type, property) group this pass visits entities in ascending
-    // order — exactly the digest order the format specifies.
+    let mut fingerprinter = GroupFingerprinter::new();
     for row in &snapshot.evidence {
-        let Some(entity) = snapshot.entities.get(row.entity as usize) else {
-            continue;
-        };
-        let acc = groups
-            .entry((entity.type_index, row.property))
-            .or_insert_with(|| Acc {
-                hash: Fnv64::new(),
-                entities: 0,
-                total: 0,
-            });
-        acc.hash.write(&row.entity.to_le_bytes());
-        acc.hash.write_u64(row.positive);
-        acc.hash.write_u64(row.negative);
-        acc.entities += 1;
-        acc.total += row.positive + row.negative;
+        if let Some(entity) = snapshot.entities.get(row.entity as usize) {
+            fingerprinter.add(entity.type_index, row);
+        }
     }
-    groups
-        .into_iter()
-        .map(|((type_index, property), acc)| GroupFingerprintRow {
-            type_index,
-            property,
-            entities: acc.entities,
-            total: acc.total,
-            fingerprint: acc.hash.finish(),
-        })
-        .collect()
+    fingerprinter.finish()
 }
 
 #[cfg(test)]

@@ -82,13 +82,16 @@ cargo run --release -q -p surveyor-cli --bin surveyor -- \
 [ "$rc" -eq 3 ] \
     || { echo "truncated snapshot: expected exit 3, got $rc" >&2; exit 1; }
 
-# Snapshot bench smoke: quick encode/decode throughput with the
-# load-vs-remine speedup floor and byte-identity verdict armed.
+# Snapshot bench smoke: quick encode/validate/load throughput with the
+# load-vs-remine speedup floor, the byte-identity verdict, and a floor
+# on container validation armed (framing + one CRC-32 per section reads
+# ~1.5 GB/s sliced by 8; byte-at-a-time it read 400-500 MB/s).
 cargo run --release -q -p surveyor-bench --bin bench -- \
-    snapshot --quick --assert-speedup 5 \
+    snapshot --quick --assert-speedup 5 --assert-validate-mb-s 400 \
     --out artifacts/snapshot_smoke.json > /dev/null
 for key in '"schema_version"' '"format_version"' '"snapshot_bytes"' \
            '"encode_mb_s"' '"decode_mb_s"' \
+           '"validate_seconds"' '"validate_mb_s"' \
            '"speedup_load_vs_remine"' '"byte_identical"'; do
     grep -q "$key" artifacts/snapshot_smoke.json \
         || { echo "snapshot_smoke.json missing $key" >&2; exit 1; }

@@ -7,8 +7,12 @@
 
 use std::sync::Arc;
 use surveyor::prelude::*;
-use surveyor::{load_snapshot, save_snapshot, Fault, SubjectiveKb};
-use surveyor_corpus::CorpusGenerator;
+use surveyor::wire::IncrementalState;
+use surveyor::{
+    load_snapshot, load_snapshot_with_state, output_from_snapshot, save_snapshot,
+    save_snapshot_with_state, Fault, SubjectiveKb,
+};
+use surveyor_corpus::{presets, CorpusGenerator};
 
 const SHARDS: usize = 8;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -202,4 +206,166 @@ fn corrupting_any_single_byte_is_an_error_or_the_same_world() {
     }
     // And the unmodified bytes still decode after all that cloning.
     assert!(load_snapshot(&bytes).is_ok());
+}
+
+/// Small worlds of the two shapes the benchmark mines: a few dense
+/// combinations, and a long tail of sparse ones.
+fn preset_outputs(seed: u64) -> Vec<(&'static str, SurveyorOutput)> {
+    let mine = |world: surveyor_corpus::World, rho: u64| {
+        let kb = world.kb().clone();
+        let generator = CorpusGenerator::new(
+            world,
+            CorpusConfig {
+                num_shards: 4,
+                ..CorpusConfig::default()
+            },
+        );
+        let config = SurveyorConfig {
+            rho,
+            threads: 2,
+            ..SurveyorConfig::default()
+        };
+        Surveyor::new(kb, config).run(&CorpusSource::new(&generator))
+    };
+    vec![
+        ("table2", mine(presets::table2_world_sized(seed, 12), 100)),
+        (
+            "long tail",
+            mine(presets::long_tail_world(6, 150, 4, seed), 25),
+        ),
+    ]
+}
+
+fn some_state() -> IncrementalState {
+    IncrementalState {
+        rho: 25,
+        config_digest: 0x5eed,
+        corpus_digest: 0,
+        ingested: vec![(0, 4)],
+        pending: Vec::new(),
+    }
+}
+
+#[test]
+fn loading_bytes_equals_loading_the_decoded_snapshot() {
+    // `load_snapshot*` read the sections off the bytes; `decode` +
+    // `output_from_snapshot` go through the owned model. One world, two
+    // routes, the same output — with and without `INCR`/`GRPF`.
+    for seed in [3, 11] {
+        for (preset, output) in preset_outputs(seed) {
+            assert!(output.decided_pairs() > 0, "{preset}/{seed}: empty world");
+            for bytes in [
+                save_snapshot(&output),
+                save_snapshot_with_state(&output, &some_state()),
+            ] {
+                let context = format!("{preset}/{seed}/{} bytes", bytes.len());
+                let decoded = surveyor::wire::decode(&bytes).expect("own snapshot decodes");
+                let reference = output_from_snapshot(&decoded).expect("own snapshot loads");
+                let (with_state, state) =
+                    load_snapshot_with_state(&bytes).expect("own snapshot loads");
+                assert_eq!(state, decoded.incremental, "{context}: state");
+                let plain = load_snapshot(&bytes).expect("own snapshot loads");
+                for loaded in [&plain, &with_state] {
+                    assert_eq!(
+                        fingerprint(loaded, loaded.kb()),
+                        fingerprint(&reference, reference.kb()),
+                        "{context}: store, evidence or triples"
+                    );
+                    assert_eq!(loaded.triples(), output.triples(), "{context}: triples");
+                    let again = match &state {
+                        Some(state) => save_snapshot_with_state(loaded, state),
+                        None => save_snapshot(loaded),
+                    };
+                    assert_eq!(again, bytes, "{context}: re-encoded bytes");
+                }
+            }
+        }
+    }
+}
+
+/// CRC-32/ISO-HDLC one bit at a time: the definition, written out here so
+/// the test can re-frame a payload it has damaged (and so the wire
+/// crate's table-driven sum is checked against something that shares no
+/// code with it).
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = 0xffff_ffffu32;
+    for &byte in bytes {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xedb8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    crc ^ 0xffff_ffff
+}
+
+/// `(checksum offset, payload range)` of every frame of a valid snapshot.
+fn frames(bytes: &[u8]) -> Vec<(usize, std::ops::Range<usize>)> {
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+    let mut at = 16;
+    (0..count)
+        .map(|_| {
+            let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+            let payload = at + 16..at + 16 + len;
+            let frame = (at + 12, payload.clone());
+            assert_eq!(
+                u32::from_le_bytes(bytes[at + 12..at + 16].try_into().unwrap()),
+                crc32_bitwise(&bytes[payload.clone()]),
+                "stored checksum of the frame at {at}"
+            );
+            at = payload.end;
+            frame
+        })
+        .collect()
+}
+
+#[test]
+fn damage_inside_valid_frames_is_an_error_or_a_world_never_a_panic() {
+    // What a checksum cannot catch: one byte of a payload changed and the
+    // frame's CRC made right again, so the damage reaches the record
+    // parsers and the cross-reference checks. Whatever it hits — a count,
+    // an index, a code, a float, a string — loading answers `Ok` or `Err`;
+    // and what it accepts, the store builder and the encoder accept too.
+    let (kb, generator) = generator(17);
+    let output = surveyor(kb, 2).run(&CorpusSource::new(&generator));
+    let bytes = save_snapshot_with_state(&output, &some_state());
+    let frames = frames(&bytes);
+    assert_eq!(frames.len(), 9, "all nine sections");
+
+    let mut rng = 0x2015_u64;
+    let mut next = move || {
+        // splitmix64
+        rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let (mut accepted, mut rejected) = (0, 0);
+    for round in 0..2_700 {
+        let (checksum_at, payload) = &frames[round % frames.len()];
+        let mut bad = bytes.clone();
+        let at = payload.start + (next() % payload.len() as u64) as usize;
+        bad[at] ^= 1 + (next() % 255) as u8;
+        let crc = crc32_bitwise(&bad[payload.clone()]);
+        bad[*checksum_at..checksum_at + 4].copy_from_slice(&crc.to_le_bytes());
+
+        let plain = load_snapshot(&bad);
+        match load_snapshot_with_state(&bad) {
+            Ok((loaded, _)) => {
+                accepted += 1;
+                assert!(plain.is_ok(), "round {round}: the stricter load accepted");
+                let store = SubjectiveKb::from_output(&loaded, loaded.kb());
+                assert!(store.len() <= loaded.decided_pairs());
+                let _ = save_snapshot(&loaded);
+            }
+            Err(_) => rejected += 1,
+        }
+    }
+    // Both outcomes occur, so the mutations did get past the checksum
+    // and did reach the checks.
+    assert!(accepted > 100 && rejected > 100, "{accepted} / {rejected}");
 }
