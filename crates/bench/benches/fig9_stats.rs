@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use surveyor::extract::{run_sharded, EvidenceTable, ExtractionConfig, GroupedEvidence};
+use surveyor::extract::{run_sharded_full, EvidenceTable, ExtractionConfig, GroupedEvidence};
 use surveyor::prelude::*;
 use surveyor::CorpusSource;
 use surveyor_corpus::presets;
@@ -20,7 +20,8 @@ fn evidence_fixture() -> (EvidenceTable, surveyor_corpus::World) {
         },
     );
     let source = CorpusSource::new(&generator);
-    let evidence = run_sharded(&source, world.kb(), &ExtractionConfig::paper_final(), 2);
+    let evidence =
+        run_sharded_full(&source, world.kb(), &ExtractionConfig::paper_final(), 2).evidence;
     (evidence, world)
 }
 

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;
-use surveyor::extract::{extract_documents, run_sharded, ExtractionConfig};
+use surveyor::extract::{extract_documents, run_sharded_full, ExtractionConfig};
 use surveyor::nlp::{annotate, AnnotatedDocument, Lexicon};
 use surveyor::prelude::*;
 use surveyor::CorpusSource;
@@ -92,12 +92,13 @@ fn bench_sharded_runner(c: &mut Criterion) {
             |b, &threads| {
                 b.iter(|| {
                     let source = CorpusSource::new(&generator);
-                    run_sharded(
+                    run_sharded_full(
                         &source,
                         world.kb(),
                         &ExtractionConfig::paper_final(),
                         threads,
                     )
+                    .evidence
                 });
             },
         );

@@ -14,7 +14,7 @@
 //! versioned run report (phase times, counters, EM telemetry).
 //!
 //! `scale` sweeps 1/2/4/8 worker threads over a ~10× larger corpus, timing
-//! the generation, extraction, model, and grouping phases separately, and
+//! the generation, extraction, and model phases separately, and
 //! writes `BENCH_scale.json` (schema-validated before writing). `--quick`
 //! shrinks the corpus for CI smoke tests. `--assert-scaling` additionally
 //! checks every phase's speedup curve against its per-phase target curve
@@ -936,7 +936,7 @@ fn validate_scale_schema(value: &serde_json::Value) -> Result<(), String> {
     if value["schema_version"].as_u64() != Some(2) {
         return Err("schema_version is not 2".to_owned());
     }
-    for phase in ["generation", "extraction", "model", "group"] {
+    for phase in ["generation", "extraction", "model"] {
         let rows = value["phases"][phase]
             .as_array()
             .ok_or_else(|| format!("phases.{phase} is not an array"))?;
@@ -955,7 +955,6 @@ fn validate_scale_schema(value: &serde_json::Value) -> Result<(), String> {
         "documents_identical",
         "statements_identical",
         "decided_pairs_identical",
-        "groups_identical",
     ] {
         if value["determinism"][key].as_bool().is_none() {
             return Err(format!("determinism.{key} is not a boolean"));

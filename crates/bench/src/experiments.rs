@@ -15,7 +15,7 @@ use surveyor_eval::random_sample::run_random_sample;
 use surveyor_eval::snapshot_stats::snapshot_stats;
 use surveyor_eval::versions::run_versions;
 use surveyor_eval::{ablation, EvalSuite};
-use surveyor_extract::{run_sharded, EvidenceTable};
+use surveyor_extract::{run_sharded_full, EvidenceTable};
 use surveyor_kb::seed as kbseed;
 use surveyor_model::{fit, posterior_positive, EmConfig, ModelParams, ObservedCounts};
 
@@ -322,12 +322,13 @@ pub fn fig9(cfg: &ReproConfig) -> (String, Value) {
     let world = presets::long_tail_world(40, 120, 8, cfg.seed);
     let generator = CorpusGenerator::new(world.clone(), cfg.corpus());
     let source = CorpusSource::new(&generator);
-    let evidence = run_sharded(
+    let evidence = run_sharded_full(
         &source,
         world.kb(),
         &surveyor_extract::ExtractionConfig::paper_final(),
         cfg.threads,
-    );
+    )
+    .evidence;
     let stats = snapshot_stats(&evidence, world.kb(), cfg.rho.min(25));
     let series = |name: &str, data: &[(u8, f64)]| -> String {
         let items: Vec<(String, f64)> = data.iter().map(|(q, v)| (format!("p{q}"), *v)).collect();
@@ -682,12 +683,13 @@ pub fn scale(cfg: &ReproConfig) -> (String, Value) {
     let mut values = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         let start = Instant::now();
-        let table = run_sharded(
+        let table = run_sharded_full(
             &source,
             world.kb(),
             &surveyor_extract::ExtractionConfig::paper_final(),
             threads,
-        );
+        )
+        .evidence;
         let elapsed = start.elapsed().as_secs_f64();
         rows.push(vec![
             format!("extraction, {threads} threads"),
@@ -801,12 +803,13 @@ pub fn pipeline(cfg: &ReproConfig) -> (String, Value) {
         let mut samples = Vec::with_capacity(TIMED_RUNS);
         for run in 0..=TIMED_RUNS {
             let start = Instant::now();
-            table = run_sharded(
+            table = run_sharded_full(
                 &source,
                 world.kb(),
                 &surveyor_extract::ExtractionConfig::paper_final(),
                 threads,
-            );
+            )
+            .evidence;
             if run > 0 {
                 samples.push(start.elapsed().as_secs_f64());
             }
@@ -884,34 +887,25 @@ fn timing_block(timed_runs: usize) -> Value {
 /// region, and text bytes, so two sweeps collide only if they produced
 /// byte-identical shards (up to hash collision).
 fn fingerprint_shards(shards: &[Vec<surveyor_corpus::RawDocument>]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut eat = |byte: u8| hash = (hash ^ u64::from(byte)).wrapping_mul(PRIME);
+    let mut hash = surveyor::wire::Fnv64::new();
     for doc in shards.iter().flatten() {
-        for byte in doc.id.to_le_bytes() {
-            eat(byte);
-        }
-        for byte in doc.region.to_le_bytes() {
-            eat(byte);
-        }
-        for &byte in doc.text.as_bytes() {
-            eat(byte);
-        }
+        hash.write_u64(doc.id);
+        hash.write(&doc.region.to_le_bytes());
+        hash.write(doc.text.as_bytes());
     }
-    hash
+    hash.finish()
 }
 
 /// `bench scale`: thread-scaling sweep over a corpus roughly 10× the
-/// `bench pipeline` preset, timing the generation, extraction, model, and
-/// grouping phases separately at 1/2/4/8 workers — the numbers behind
+/// `bench pipeline` preset, timing the generation, extraction, and model
+/// phases separately at 1/2/4/8 workers — the numbers behind
 /// `BENCH_scale.json` (`schema_version` 2).
 ///
 /// Besides the speedup curves the artifact records `host_cpus` (speedup is
 /// bounded by physical parallelism — on a 1-CPU host every curve is flat
 /// and that is the honest result), a determinism block asserting that
-/// document fingerprints, statement counts, decided pairs, and grouped
-/// evidence are identical across thread counts, and the interner cache
+/// document fingerprints, statement counts, and decided pairs are
+/// identical across thread counts, and the interner cache
 /// counters that prove the steady-state extraction path stays off the
 /// global table.
 ///
@@ -1017,7 +1011,7 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         let mut samples = Vec::with_capacity(timed_runs);
         for run in 0..=timed_runs {
             let start = Instant::now();
-            evidence = run_sharded(&source, world.kb(), &extraction_config, threads);
+            evidence = run_sharded_full(&source, world.kb(), &extraction_config, threads).evidence;
             if run > 0 {
                 samples.push(start.elapsed().as_secs_f64());
             }
@@ -1081,64 +1075,23 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         }));
     }
 
-    // Grouping sweep: sharded aggregation of the evidence table into
-    // per-(type, property) groups. Quick mode keeps the table small enough
-    // that `from_table_parallel` falls back to the serial path below its
-    // range threshold — the timing is still honest, it measures the call
-    // the pipeline actually makes.
-    let mut group = Vec::new();
-    let mut group_snapshots: Vec<surveyor_extract::GroupedEvidence> = Vec::new();
-    let mut group_t1 = 0.0f64;
-    for threads in thread_counts {
-        let mut samples = Vec::with_capacity(timed_runs);
-        let mut grouped = None;
-        for run in 0..=timed_runs {
-            let start = Instant::now();
-            let g = surveyor_extract::GroupedEvidence::from_table_parallel(
-                &evidence,
-                world.kb(),
-                threads,
-            );
-            if run > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-            grouped = Some(g);
-        }
-        let seconds = median(&mut samples);
-        if threads == 1 {
-            group_t1 = seconds;
-        }
-        let speedup = group_t1 / seconds;
-        let grouped = grouped.unwrap_or_default();
-        rows.push(vec![
-            format!("group, {threads} threads"),
-            format!("{seconds:.3}s"),
-            format!("{speedup:.2}x"),
-            format!("{} combinations", grouped.len()),
-        ]);
-        group.push(json!({
-            "threads": threads, "seconds": seconds, "speedup": speedup,
-            "combinations": grouped.len(),
-        }));
-        group_snapshots.push(grouped);
-    }
-
     let documents_identical = document_fingerprints.windows(2).all(|w| w[0] == w[1]);
     let statements_identical = statement_counts.windows(2).all(|w| w[0] == w[1]);
     let decided_identical = decided_counts.windows(2).all(|w| w[0] == w[1]);
-    let groups_identical = group_snapshots.windows(2).all(|w| w[0] == w[1]);
 
     // One observed run surfaces the interner cache counters: steady-state
     // extraction is lock-free exactly when global lookups stay a small
     // constant (the vocabulary) while hits scale with the corpus.
     let registry = Arc::new(MetricsRegistry::new());
     let threads_max = *thread_counts.last().unwrap_or(&1);
-    let _ = surveyor_extract::run_sharded_observed(
+    let _ = surveyor_extract::run_sharded_fault_tolerant(
         &source,
         world.kb(),
         &extraction_config,
         threads_max,
-        &registry,
+        &surveyor_extract::RetryPolicy::no_retries(),
+        &surveyor_extract::FailurePolicy::FailFast,
+        Some(&registry),
     );
     let cache_hits = registry.counter_value("extract.intern.cache_hits");
     let global_lookups = registry.counter_value("extract.intern.global_lookups");
@@ -1166,13 +1119,11 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
             "generation": generation,
             "extraction": extraction,
             "model": model,
-            "group": group,
         }),
         "determinism": json!({
             "documents_identical": documents_identical,
             "statements_identical": statements_identical,
             "decided_pairs_identical": decided_identical,
-            "groups_identical": groups_identical,
             "document_fingerprints": document_fingerprints,
             "statements": statement_counts,
             "decided_pairs": decided_counts,

@@ -1,7 +1,7 @@
 //! The scaling-regression gate behind `bench scale --assert-scaling`.
 //!
 //! A `BENCH_scale.json` artifact carries one speedup curve per pipeline
-//! phase (`generation`, `extraction`, `model`, `group`). This module
+//! phase (`generation`, `extraction`, `model`). This module
 //! compares each curve against a per-phase *target curve* derived from a
 //! parallel-efficiency constant, and renders a verdict object that the
 //! bench binary embeds in the artifact and turns into a nonzero exit on
@@ -26,14 +26,10 @@ use serde_json::{json, Value};
 
 /// Per-phase parallel-efficiency targets. `generation` and `extraction`
 /// are embarrassingly parallel over shards (near-linear is expected);
-/// `model` fans over combinations whose sizes skew, and `group` pays a
-/// serial merge + sort tail — their targets are correspondingly lower.
-pub const PHASE_EFFICIENCY: &[(&str, f64)] = &[
-    ("generation", 0.70),
-    ("extraction", 0.70),
-    ("model", 0.50),
-    ("group", 0.30),
-];
+/// `model` fans over combinations whose sizes skew, so its target is
+/// lower.
+pub const PHASE_EFFICIENCY: &[(&str, f64)] =
+    &[("generation", 0.70), ("extraction", 0.70), ("model", 0.50)];
 
 /// Default slack applied to every target curve.
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
@@ -200,12 +196,7 @@ mod tests {
     fn flat_curves_pass_on_one_cpu() {
         let artifact = artifact(
             1,
-            &[
-                ("generation", FLAT),
-                ("extraction", FLAT),
-                ("model", FLAT),
-                ("group", FLAT),
-            ],
+            &[("generation", FLAT), ("extraction", FLAT), ("model", FLAT)],
         );
         let verdict = evaluate(&artifact, DEFAULT_TOLERANCE);
         assert!(passed(&verdict), "{verdict:?}");
@@ -219,7 +210,6 @@ mod tests {
                 ("generation", &[1.0, 0.5, 0.5, 0.5]),
                 ("extraction", FLAT),
                 ("model", FLAT),
-                ("group", FLAT),
             ],
         );
         let verdict = evaluate(&artifact, DEFAULT_TOLERANCE);
@@ -238,7 +228,6 @@ mod tests {
                 ("generation", &[1.0, 1.9, 3.6, 6.5]),
                 ("extraction", &[1.0, 1.1, 1.2, 1.2]),
                 ("model", &[1.0, 1.8, 3.2, 5.0]),
-                ("group", &[1.0, 1.2, 1.5, 1.8]),
             ],
         );
         let verdict = evaluate(&artifact, DEFAULT_TOLERANCE);
@@ -262,14 +251,13 @@ mod tests {
             "phases": json!({
                 "generation": phase_rows(FLAT),
                 "extraction": phase_rows(FLAT),
-                "model": phase_rows(FLAT),
-                "group": sub_floor,
+                "model": sub_floor,
             }),
         });
         let verdict = evaluate(&artifact, DEFAULT_TOLERANCE);
         assert!(passed(&verdict), "{verdict:?}");
-        assert_eq!(verdict["phases"]["group"]["rows_below_floor"], json!(4));
-        assert!(verdict["phases"]["group"]["worst"].is_null());
+        assert_eq!(verdict["phases"]["model"]["rows_below_floor"], json!(4));
+        assert!(verdict["phases"]["model"]["worst"].is_null());
     }
 
     #[test]
@@ -277,6 +265,6 @@ mod tests {
         let artifact = artifact(1, &[("generation", FLAT)]);
         let verdict = evaluate(&artifact, DEFAULT_TOLERANCE);
         assert!(!passed(&verdict));
-        assert!(verdict["phases"]["group"]["error"].as_str().is_some());
+        assert!(verdict["phases"]["model"]["error"].as_str().is_some());
     }
 }

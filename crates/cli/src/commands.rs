@@ -380,7 +380,8 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
     let mut summary = format!(
         "updated {} -> {}: ingested {} of {} requested shards \
          ({} new statements over {} pairs)\n\
-         groups: {} total, {} dirtied, {} carried forward, {} refit",
+         modeled groups: {} total = {} carried forward + {} refit \
+         ({} combinations touched by the delta, modeled or not)",
         args.snapshot,
         args.out,
         outcome.coverage.succeeded,
@@ -388,9 +389,9 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
         stats.delta_statements,
         stats.delta_pairs,
         stats.groups_total,
-        stats.groups_dirty,
         stats.groups_carried,
         stats.groups_refit,
+        stats.groups_dirty,
     );
     if !state.pending.is_empty() || outcome.coverage.retries > 0 {
         summary.push_str(&format!(

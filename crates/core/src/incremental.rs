@@ -28,20 +28,12 @@
 //! (iteration counts, traces), so it is opt-in and never used by the
 //! byte-identity gates.
 
-use crate::pipeline::{DomainResult, Surveyor, SurveyorConfig, SurveyorOutput};
+use crate::pipeline::{DomainResult, FitTask, Surveyor, SurveyorConfig, SurveyorOutput};
 use rustc_hash::{FxHashMap, FxHashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
-use surveyor_extract::evidence::Group;
 use surveyor_extract::{
-    run_sharded_fault_tolerant, ExtractionOutput, FailurePolicy, FallibleShardSource, GroupKey,
-    GroupedEvidence, RetryPolicy, RunError, ShardCoverage,
+    ExtractionOutput, FailurePolicy, FallibleShardSource, GroupKey, RetryPolicy, RunError,
+    ShardCoverage,
 };
-use surveyor_kb::EntityId;
-use surveyor_model::{
-    decide, posterior_positive, ModelDecision, ModelParams, ObservedCounts, SurveyorModel,
-};
-use surveyor_obs::FaultSummary;
 use surveyor_wire::Fnv64;
 
 /// How dirty groups are re-fitted during an update.
@@ -61,16 +53,26 @@ pub enum WarmStart {
 }
 
 /// What an update did, beyond the output itself.
+///
+/// Three of the four group counts are over *modeled* combinations (those
+/// at or above ρ after the update) and partition them:
+/// `groups_carried + groups_refit == groups_total`, every modeled
+/// combination the delta touched is in `groups_refit`, and no untouched
+/// one is. `groups_dirty` is over a different population — see the field —
+/// so it can exceed `groups_total`, and `groups_refit` can be smaller
+/// than it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Modeled combinations after the update.
     pub groups_total: usize,
-    /// Combinations the delta added evidence to (whether or not they
-    /// cleared the threshold ρ).
+    /// Every combination the delta added evidence to, modeled or not: a
+    /// long-tail delta mostly touches combinations that stay below ρ,
+    /// which is how an update reports 247 dirty of 222 total.
     pub groups_dirty: usize,
     /// Modeled combinations carried forward without re-fitting.
     pub groups_carried: usize,
-    /// Modeled combinations re-fitted and re-decided.
+    /// Modeled combinations re-fitted and re-decided: the dirty ones that
+    /// are at or above ρ, including those the delta lifted over it.
     pub groups_refit: usize,
     /// Entity-property pairs in the delta's evidence table.
     pub delta_pairs: usize,
@@ -106,15 +108,6 @@ impl SurveyorConfig {
     }
 }
 
-/// One dirty combination queued for re-fitting.
-struct RefitTask<'a> {
-    rank: usize,
-    key: GroupKey,
-    group: &'a Group,
-    /// The previous fit's parameters, for [`WarmStart::Seeded`].
-    seed: Option<ModelParams>,
-}
-
 impl Surveyor {
     /// Incrementally updates a previously mined output with a delta
     /// corpus, under the same fault-tolerance contract as
@@ -138,37 +131,7 @@ impl Surveyor {
         policy: &FailurePolicy,
         warm: WarmStart,
     ) -> Result<UpdateOutcome, RunError> {
-        let outcome = match self.observer() {
-            Some(obs) => {
-                let docs_before = obs.counter_value("extract.documents");
-                let mut span = obs.span("extract");
-                let outcome = run_sharded_fault_tolerant(
-                    source,
-                    self.kb(),
-                    &self.config().extraction,
-                    self.config().threads,
-                    retry,
-                    policy,
-                    Some(obs),
-                )?;
-                span.set_items(obs.counter_value("extract.documents") - docs_before);
-                obs.record_fault_summary(FaultSummary {
-                    coverage: outcome.coverage.fraction(),
-                    retries: outcome.coverage.retries,
-                    quarantined_shards: outcome.coverage.quarantined_shards(),
-                });
-                outcome
-            }
-            None => run_sharded_fault_tolerant(
-                source,
-                self.kb(),
-                &self.config().extraction,
-                self.config().threads,
-                retry,
-                policy,
-                None,
-            )?,
-        };
+        let outcome = self.extract(source, retry, policy)?;
         let (output, stats) = self.apply_delta(base, outcome.output, warm);
         Ok(UpdateOutcome {
             output,
@@ -188,21 +151,11 @@ impl Surveyor {
         delta: ExtractionOutput,
         warm: WarmStart,
     ) -> (SurveyorOutput, UpdateStats) {
-        let config = self.config();
-        let obs = self.observer().map(std::sync::Arc::as_ref);
         let delta_pairs = delta.evidence.pair_count();
         let delta_statements = delta.evidence.total_statements();
 
         // Group the delta alone first: its keys are exactly the dirty set.
-        let delta_grouped = {
-            let mut span = obs.map(|o| o.span("group"));
-            let grouped =
-                GroupedEvidence::from_table_parallel(&delta.evidence, self.kb(), config.threads);
-            if let Some(span) = span.as_mut() {
-                span.set_items(delta_statements);
-            }
-            grouped
-        };
+        let delta_grouped = self.group(&delta.evidence);
         let dirty: FxHashSet<GroupKey> = delta_grouped.iter().map(|(key, _)| *key).collect();
 
         // Merge the three tables; every merge is commutative, so the
@@ -221,139 +174,44 @@ impl Surveyor {
         let mut previous: FxHashMap<GroupKey, DomainResult> =
             results.into_iter().map(|r| (r.key, r)).collect();
 
-        let (ranked, stats) = {
-            let combinations: Vec<(&GroupKey, &Group)> =
-                grouped.above_threshold(config.rho).collect();
-            let groups_total = combinations.len();
-
-            // Partition: clean groups with a previous result carry it
-            // forward untouched (their counts did not change, and a clean
-            // group cannot newly cross ρ); everything else is re-fitted.
-            let mut carried: Vec<(usize, DomainResult)> = Vec::new();
-            let mut refits: Vec<RefitTask<'_>> = Vec::new();
-            for (rank, &(key, group)) in combinations.iter().enumerate() {
-                let is_dirty = dirty.contains(key);
-                match previous.remove(key) {
-                    Some(result) if !is_dirty => carried.push((rank, result)),
-                    prior => refits.push(RefitTask {
-                        rank,
-                        key: *key,
-                        group,
-                        seed: prior.map(|r| r.fit.params),
-                    }),
+        // Partition, in rank order: a clean group with a previous result
+        // carries it forward untouched (its counts did not change, and a
+        // clean group cannot newly cross ρ); everything else is a task.
+        let mut carried: Vec<Option<DomainResult>> = Vec::new();
+        let mut tasks: Vec<FitTask<'_>> = Vec::new();
+        for (key, group) in grouped.above_threshold(self.config().rho) {
+            match previous.remove(key) {
+                Some(result) if !dirty.contains(key) => carried.push(Some(result)),
+                prior => {
+                    carried.push(None);
+                    tasks.push((*key, group, prior.map(|r| r.fit.params)));
                 }
             }
-            let stats = UpdateStats {
-                groups_total,
-                groups_dirty: dirty.len(),
-                groups_carried: carried.len(),
-                groups_refit: refits.len(),
-                delta_pairs,
-                delta_statements,
-            };
-
-            let mut ranked = self.refit_groups(&refits, warm);
-            if let Some(obs) = obs {
-                obs.add("update.groups_carried", stats.groups_carried as u64);
-                obs.add("update.groups_refit", stats.groups_refit as u64);
-                for (_, result) in &ranked {
-                    self.record_em_telemetry(obs, &result.key, result.decisions.len(), &result.fit);
-                }
-            }
-            ranked.extend(carried);
-            ranked.sort_by_key(|&(rank, _)| rank);
-            debug_assert_eq!(ranked.len(), groups_total);
-            (ranked, stats)
+        }
+        let stats = UpdateStats {
+            groups_total: carried.len(),
+            groups_dirty: dirty.len(),
+            groups_carried: carried.len() - tasks.len(),
+            groups_refit: tasks.len(),
+            delta_pairs,
+            delta_statements,
         };
-        let results: Vec<DomainResult> = ranked.into_iter().map(|(_, result)| result).collect();
+        if let Some(obs) = self.observer() {
+            obs.add("update.groups_carried", stats.groups_carried as u64);
+            obs.add("update.groups_refit", stats.groups_refit as u64);
+        }
 
-        let output =
-            SurveyorOutput::from_parts(evidence, provenance, grouped, results, self.kb().clone());
+        // Refits come back in task order, which is rank order with the
+        // carried ranks left out: fill the gaps.
+        let mut refit = self.fit_groups(&tasks, warm).into_iter();
+        let results: Vec<DomainResult> = carried
+            .into_iter()
+            .filter_map(|slot| slot.or_else(|| refit.next()))
+            .collect();
+        debug_assert_eq!(results.len(), stats.groups_total);
+
+        let output = self.assemble(evidence, provenance, grouped, results);
         (output, stats)
-    }
-
-    /// Re-fits the dirty combinations over the claim-cursor worker pool —
-    /// the same shared-nothing pattern as
-    /// [`run_on_evidence`](Self::run_on_evidence): results come back
-    /// rank-tagged by value, so output order is worker-count independent.
-    fn refit_groups(
-        &self,
-        refits: &[RefitTask<'_>],
-        warm: WarmStart,
-    ) -> Vec<(usize, DomainResult)> {
-        if refits.is_empty() {
-            return Vec::new();
-        }
-        let config = self.config();
-        let obs = self.observer().map(std::sync::Arc::as_ref);
-        let model = SurveyorModel::with_config(config.em.clone());
-        let cursor = AtomicUsize::new(0);
-        let workers = config.threads.max(1).min(refits.len());
-        let timed = obs.is_some();
-
-        let outcomes = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut counts: Vec<ObservedCounts> = Vec::new();
-                        let mut results: Vec<(usize, DomainResult)> = Vec::new();
-                        let mut em_time = Duration::ZERO;
-                        let mut fitted = 0u64;
-                        loop {
-                            let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(task) = refits.get(slot) else {
-                                break;
-                            };
-                            let entities = self.kb().entities_of_type(task.key.type_id);
-                            counts.clear();
-                            counts.extend(entities.iter().map(|&e| {
-                                let c = task.group.counts(e);
-                                ObservedCounts::new(c.positive, c.negative)
-                            }));
-                            let fit_start = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
-                            let fit = match (warm, task.seed) {
-                                (WarmStart::Seeded, Some(seed)) => {
-                                    model.fit_group_warm(&counts, &seed)
-                                }
-                                _ => model.fit_group(&counts),
-                            };
-                            if let Some(start) = fit_start {
-                                em_time += start.elapsed();
-                                fitted += 1;
-                            }
-                            let decisions: Vec<(EntityId, ModelDecision)> = entities
-                                .iter()
-                                .zip(&counts)
-                                .map(|(&e, &c)| (e, decide(posterior_positive(c, &fit.params))))
-                                .collect();
-                            results.push((
-                                task.rank,
-                                DomainResult {
-                                    key: task.key,
-                                    fit,
-                                    decisions,
-                                },
-                            ));
-                        }
-                        (results, em_time, fitted)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("update worker panicked")) // lint:allow(no-panic-in-lib): a worker panic is a pipeline bug; the infallible API propagates it
-                .collect::<Vec<_>>()
-        })
-        .expect("update worker panicked"); // lint:allow(no-panic-in-lib): a worker panic is a pipeline bug; the infallible API propagates it
-
-        let mut ranked = Vec::with_capacity(refits.len());
-        for (results, em_time, fitted) in outcomes {
-            if let Some(obs) = obs {
-                obs.record_phase("model", em_time, fitted);
-            }
-            ranked.extend(results);
-        }
-        ranked
     }
 }
 
@@ -454,6 +312,60 @@ mod tests {
         assert_eq!(stats.groups_dirty, 2);
         assert_eq!(stats.groups_total, 3);
         assert!(stats.delta_statements > 0);
+    }
+
+    #[test]
+    fn group_accounting_partitions_the_modeled_groups() {
+        // ρ = 30. The delta touches one combination that stays below ρ
+        // ("odd"), one modeled combination ("tiny") and one it lifts over
+        // ρ ("shy"); "cute" is modeled and untouched.
+        let kb = kb();
+        let (shy, odd) = (Property::adjective("shy"), Property::adjective("odd"));
+        let mut base_table = base_evidence(&kb);
+        add(&mut base_table, &kb, "Rock", &shy, 20, 5);
+        let mut delta_table = EvidenceTable::new();
+        add(
+            &mut delta_table,
+            &kb,
+            "Spider",
+            &Property::adjective("tiny"),
+            10,
+            1,
+        );
+        add(&mut delta_table, &kb, "Puppy", &shy, 8, 2);
+        add(&mut delta_table, &kb, "Tiger", &odd, 2, 1);
+
+        let base = surveyor(&kb).run_on_evidence(base_table);
+        assert_eq!(base.modeled_combinations(), 2);
+        // Only the update is observed, so the registry holds its fits alone.
+        let registry = Arc::new(surveyor_obs::MetricsRegistry::new());
+        let surveyor = surveyor(&kb).with_observer(registry.clone());
+        let delta = ExtractionOutput {
+            evidence: delta_table,
+            provenance: ProvenanceTable::default(),
+        };
+        let (updated, stats) = surveyor.apply_delta(base, delta, WarmStart::Exact);
+
+        assert_eq!(
+            stats.groups_dirty, 3,
+            "every touched combination, modeled or not"
+        );
+        assert_eq!(stats.groups_total, 3);
+        assert_eq!(
+            stats.groups_carried + stats.groups_refit,
+            stats.groups_total
+        );
+        assert_eq!((stats.groups_carried, stats.groups_refit), (1, 2));
+        assert_eq!(updated.modeled_combinations(), stats.groups_total);
+        // Exactly the dirty modeled groups went through EM: the observer
+        // holds one row per fit.
+        let refit: Vec<String> = registry
+            .report()
+            .em_groups
+            .into_iter()
+            .map(|row| row.property)
+            .collect();
+        assert_eq!(refit, ["shy", "tiny"]);
     }
 
     #[test]

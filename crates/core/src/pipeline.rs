@@ -11,22 +11,23 @@
 //!             emit ⟨entity, property, −⟩ if prb < ½
 //! ```
 
+use crate::incremental::WarmStart;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use surveyor_extract::evidence::Group;
 use surveyor_extract::{
-    run_sharded_fault_tolerant, run_sharded_full, run_sharded_observed, EvidenceTable,
-    ExtractionConfig, FailurePolicy, FallibleShardSource, GroupKey, GroupedEvidence,
-    ProvenanceTable, RetryPolicy, RunError, ShardCoverage, ShardSource,
+    run_sharded_fault_tolerant, EvidenceTable, ExtractionConfig, FailurePolicy,
+    FallibleShardSource, GroupKey, GroupedEvidence, ProvenanceTable, RetryPolicy, RunError,
+    RunOutcome, ShardCoverage, ShardSource,
 };
 use surveyor_kb::{EntityId, KnowledgeBase, Property, PropertyId};
 use surveyor_model::{
-    decide, posterior_positive, Decision, EmConfig, EmFit, ModelDecision, ObservedCounts,
-    SurveyorModel,
+    decide, posterior_positive, Decision, EmConfig, EmFit, ModelDecision, ModelParams,
+    ObservedCounts, SurveyorModel,
 };
-use surveyor_obs::{EmGroupReport, FaultSummary, MetricsRegistry};
+use surveyor_obs::{claim_map, EmGroupReport, FaultSummary, MetricsRegistry};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -80,17 +81,10 @@ pub struct DomainResult {
     pub decisions: Vec<(EntityId, ModelDecision)>,
 }
 
-/// Everything one interpretation worker accumulated, handed back by value
-/// over the join handle: rank-tagged results plus locally-buffered timing,
-/// so the combination loop shares nothing but the claim cursor.
-#[derive(Debug, Default)]
-struct ModelWorkerOutcome {
-    results: Vec<(usize, DomainResult)>,
-    em_time: Duration,
-    decide_time: Duration,
-    groups_fitted: u64,
-    decisions_made: u64,
-}
+/// One combination queued for [`Surveyor::fit_groups`]: its key, its
+/// evidence, and the previous fit's parameters when there is one (what
+/// [`WarmStart::Seeded`] starts EM from).
+pub(crate) type FitTask<'a> = (GroupKey, &'a Group, Option<ModelParams>);
 
 /// Full pipeline output.
 #[derive(Debug, Clone)]
@@ -265,31 +259,16 @@ impl Surveyor {
 
     /// Runs the full pipeline: sharded extraction over `source`, grouping,
     /// threshold filtering, per-combination EM, and decisions.
+    ///
+    /// # Panics
+    /// Re-raises the panic of a shard that panicked; isolation is what
+    /// [`try_run`](Self::try_run) is for.
     pub fn run<S: ShardSource>(&self, source: &S) -> SurveyorOutput {
-        let extraction = match &self.obs {
-            Some(obs) => {
-                let docs_before = obs.counter_value("extract.documents");
-                let mut span = obs.span("extract");
-                let extraction = run_sharded_observed(
-                    source,
-                    &self.kb,
-                    &self.config.extraction,
-                    self.config.threads,
-                    obs,
-                );
-                span.set_items(obs.counter_value("extract.documents") - docs_before);
-                extraction
-            }
-            None => run_sharded_full(
-                source,
-                &self.kb,
-                &self.config.extraction,
-                self.config.threads,
-            ),
-        };
-        let mut output = self.run_on_evidence(extraction.evidence);
-        output.provenance = extraction.provenance;
-        output
+        let (retry, policy) = (RetryPolicy::no_retries(), FailurePolicy::FailFast);
+        match self.try_run(source, &retry, &policy) {
+            Ok(run) => run.output,
+            Err(error) => error.into_panic(),
+        }
     }
 
     /// Runs the full pipeline under a failure policy: extraction shards
@@ -302,47 +281,13 @@ impl Surveyor {
     /// [`FaultSummary`] into the registry so the resulting report carries
     /// the coverage, retry, and quarantine accounting — a degraded answer
     /// is never silent.
-    ///
-    /// For an infallible source and `FailurePolicy::FailFast` with
-    /// [`RetryPolicy::no_retries`], the output is bit-identical to
-    /// [`run`](Self::run).
     pub fn try_run<F: FallibleShardSource>(
         &self,
         source: &F,
         retry: &RetryPolicy,
         policy: &FailurePolicy,
     ) -> Result<SurveyorRun, RunError> {
-        let outcome = match &self.obs {
-            Some(obs) => {
-                let docs_before = obs.counter_value("extract.documents");
-                let mut span = obs.span("extract");
-                let outcome = run_sharded_fault_tolerant(
-                    source,
-                    &self.kb,
-                    &self.config.extraction,
-                    self.config.threads,
-                    retry,
-                    policy,
-                    Some(obs),
-                )?;
-                span.set_items(obs.counter_value("extract.documents") - docs_before);
-                obs.record_fault_summary(FaultSummary {
-                    coverage: outcome.coverage.fraction(),
-                    retries: outcome.coverage.retries,
-                    quarantined_shards: outcome.coverage.quarantined_shards(),
-                });
-                outcome
-            }
-            None => run_sharded_fault_tolerant(
-                source,
-                &self.kb,
-                &self.config.extraction,
-                self.config.threads,
-                retry,
-                policy,
-                None,
-            )?,
-        };
+        let outcome = self.extract(source, retry, policy)?;
         let mut output = self.run_on_evidence(outcome.output.evidence);
         output.provenance = outcome.output.provenance;
         Ok(SurveyorRun {
@@ -351,135 +296,149 @@ impl Surveyor {
         })
     }
 
+    /// Sharded extraction as every entry point runs it: under the
+    /// `extract` span when an observer is attached, with the shard
+    /// accounting stamped into the registry as a [`FaultSummary`].
+    pub(crate) fn extract<F: FallibleShardSource>(
+        &self,
+        source: &F,
+        retry: &RetryPolicy,
+        policy: &FailurePolicy,
+    ) -> Result<RunOutcome, RunError> {
+        let obs = self.obs.as_deref();
+        let docs_before = obs.map_or(0, |obs| obs.counter_value("extract.documents"));
+        let mut span = obs.map(|obs| obs.span("extract"));
+        let outcome = run_sharded_fault_tolerant(
+            source,
+            &self.kb,
+            &self.config.extraction,
+            self.config.threads,
+            retry,
+            policy,
+            obs,
+        )?;
+        if let (Some(obs), Some(span)) = (obs, span.as_mut()) {
+            span.set_items(obs.counter_value("extract.documents") - docs_before);
+            obs.record_fault_summary(FaultSummary {
+                coverage: outcome.coverage.fraction(),
+                retries: outcome.coverage.retries,
+                quarantined_shards: outcome.coverage.quarantined_shards(),
+            });
+        }
+        Ok(outcome)
+    }
+
     /// Runs the interpretation phase on pre-extracted evidence (Algorithm 1
     /// lines 5–12). Useful when the same evidence is interpreted under
     /// several model configurations.
-    ///
-    /// Combinations above ρ are independent of each other, so they fan out
-    /// over `config.threads` workers the same way extraction shards do: a
-    /// dynamic atomic cursor balances skewed group sizes, each worker reuses
-    /// one counts scratch buffer across combinations, and each result comes
-    /// back rank-tagged by value over the join — a final sort by rank makes
-    /// output order (and therefore the whole output) identical for any
-    /// worker count, and no lock is taken anywhere in the loop.
     pub fn run_on_evidence(&self, evidence: EvidenceTable) -> SurveyorOutput {
-        let grouped = {
-            let mut span = self.obs.as_deref().map(|obs| obs.span("group"));
-            let grouped =
-                GroupedEvidence::from_table_parallel(&evidence, &self.kb, self.config.threads);
-            if let Some(span) = span.as_mut() {
-                span.set_items(evidence.total_statements());
-            }
-            if let Some(obs) = self.obs.as_deref() {
-                obs.add("group.pairs", evidence.pair_count() as u64);
-                obs.add("group.combinations", grouped.len() as u64);
-            }
-            grouped
-        };
-        let model = SurveyorModel::with_config(self.config.em.clone());
-        let combinations: Vec<(&GroupKey, _)> = grouped.above_threshold(self.config.rho).collect();
+        let grouped = self.group(&evidence);
+        let tasks: Vec<FitTask<'_>> = grouped
+            .above_threshold(self.config.rho)
+            .map(|(key, group)| (*key, group, None))
+            .collect();
+        let results = self.fit_groups(&tasks, WarmStart::Exact);
+        self.assemble(evidence, ProvenanceTable::default(), grouped, results)
+    }
 
-        let cursor = AtomicUsize::new(0);
-        let workers = self.config.threads.max(1).min(combinations.len().max(1));
-        let timed = self.obs.is_some();
-
-        // Per-worker results ride back by value over the join handle as
-        // (rank, result) pairs; nothing in the combination loop touches
-        // shared state beyond the claim cursor. EM telemetry is likewise
-        // buffered in the result (the fit survives inside `DomainResult`)
-        // and flushed post-join in rank order, so the registry's group
-        // report rows come out in the same order for any worker count.
-        let outcomes = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        // Per-worker scratch, reused across combinations.
-                        let mut counts: Vec<ObservedCounts> = Vec::new();
-                        let mut outcome = ModelWorkerOutcome::default();
-                        loop {
-                            let rank = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(key, group)) = combinations.get(rank) else {
-                                break;
-                            };
-                            let entities = self.kb.entities_of_type(key.type_id);
-                            counts.clear();
-                            counts.extend(entities.iter().map(|&e| {
-                                let c = group.counts(e);
-                                ObservedCounts::new(c.positive, c.negative)
-                            }));
-                            let fit_start = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
-                            let fit = model.fit_group(&counts);
-                            if let Some(start) = fit_start {
-                                outcome.em_time += start.elapsed();
-                                outcome.groups_fitted += 1;
-                            }
-                            let decide_start = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
-                            let decisions: Vec<(EntityId, ModelDecision)> = entities
-                                .iter()
-                                .zip(&counts)
-                                .map(|(&e, &c)| (e, decide(posterior_positive(c, &fit.params))))
-                                .collect();
-                            if let Some(start) = decide_start {
-                                outcome.decide_time += start.elapsed();
-                                outcome.decisions_made += decisions.len() as u64;
-                            }
-                            outcome.results.push((
-                                rank,
-                                DomainResult {
-                                    key: *key,
-                                    fit,
-                                    decisions,
-                                },
-                            ));
-                        }
-                        outcome
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("interpretation worker panicked")) // lint:allow(no-panic-in-lib): a worker panic is a pipeline bug; the infallible API propagates it
-                .collect::<Vec<ModelWorkerOutcome>>()
-        })
-        .expect("interpretation worker panicked"); // lint:allow(no-panic-in-lib): a worker panic is a pipeline bug; the infallible API propagates it
-
-        let mut ranked: Vec<(usize, DomainResult)> = Vec::with_capacity(combinations.len());
-        for outcome in outcomes {
-            if let Some(obs) = self.obs.as_deref() {
-                // Summed worker CPU time, not wall time: with N workers the
-                // "model" phase can exceed elapsed time.
-                obs.record_phase("model", outcome.em_time, outcome.groups_fitted);
-                obs.record_phase("decide", outcome.decide_time, outcome.decisions_made);
-            }
-            ranked.extend(outcome.results);
+    /// Groups an evidence table by (type, property) under the `group`
+    /// span.
+    pub(crate) fn group(&self, evidence: &EvidenceTable) -> GroupedEvidence {
+        let obs = self.obs.as_deref();
+        let mut span = obs.map(|obs| obs.span("group"));
+        let grouped = GroupedEvidence::from_table(evidence, &self.kb);
+        if let (Some(obs), Some(span)) = (obs, span.as_mut()) {
+            span.set_items(evidence.total_statements());
+            obs.add("group.pairs", evidence.pair_count() as u64);
+            obs.add("group.combinations", grouped.len() as u64);
         }
-        ranked.sort_by_key(|&(rank, _)| rank);
-        let results: Vec<DomainResult> = ranked.into_iter().map(|(_, result)| result).collect();
-        debug_assert_eq!(results.len(), combinations.len());
+        grouped
+    }
+
+    /// Algorithm 1's second loop, the one place it is written: for each
+    /// task, collect the counts of every entity of the type, learn the
+    /// parameters, decide every entity. A mine passes every combination
+    /// above ρ with no seed, an update the ones its delta dirtied.
+    ///
+    /// Tasks are independent, so they fan out over `config.threads`
+    /// workers of the [`claim_map`] pool, each reusing one counts buffer;
+    /// results come back in task order for any worker count. The `model`
+    /// and `decide` phases (worker CPU time summed over tasks, so with N
+    /// workers they can exceed elapsed time) and the per-group EM
+    /// telemetry are recorded after the join, in task order, so the
+    /// registry's rows do not depend on the worker count either.
+    pub(crate) fn fit_groups(&self, tasks: &[FitTask<'_>], warm: WarmStart) -> Vec<DomainResult> {
+        let model = SurveyorModel::with_config(self.config.em.clone());
+        let fitted = claim_map(
+            tasks.len(),
+            self.config.threads,
+            Vec::new,
+            |counts: &mut Vec<ObservedCounts>, rank| {
+                let (key, group, seed) = tasks[rank];
+                let entities = self.kb.entities_of_type(key.type_id);
+                counts.clear();
+                counts.extend(entities.iter().map(|&e| {
+                    let c = group.counts(e);
+                    ObservedCounts::new(c.positive, c.negative)
+                }));
+                let fit_start = Instant::now(); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
+                let fit = match (warm, seed) {
+                    (WarmStart::Seeded, Some(seed)) => model.fit_group_warm(counts, &seed),
+                    _ => model.fit_group(counts),
+                };
+                let decide_start = Instant::now(); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
+                let decisions: Vec<(EntityId, ModelDecision)> = entities
+                    .iter()
+                    .zip(counts.iter())
+                    .map(|(&e, &c)| (e, decide(posterior_positive(c, &fit.params))))
+                    .collect();
+                let times = (decide_start - fit_start, decide_start.elapsed());
+                let result = DomainResult {
+                    key,
+                    fit,
+                    decisions,
+                };
+                (result, times)
+            },
+        );
+        let (mut em_time, mut decide_time) = (Duration::ZERO, Duration::ZERO);
+        let mut results = Vec::with_capacity(fitted.len());
+        for (result, (em, decide)) in fitted {
+            em_time += em;
+            decide_time += decide;
+            results.push(result);
+        }
         if let Some(obs) = self.obs.as_deref() {
+            let decisions: usize = results.iter().map(|r| r.decisions.len()).sum();
+            obs.record_phase("model", em_time, results.len() as u64);
+            obs.record_phase("decide", decide_time, decisions as u64);
             for result in &results {
                 self.record_em_telemetry(obs, &result.key, result.decisions.len(), &result.fit);
             }
         }
+        results
+    }
 
-        let mut index_span = self.obs.as_deref().map(|obs| obs.span("index"));
-        if let Some(span) = index_span.as_mut() {
-            // The decisions the group map makes reachable.
+    /// Builds the output from its parts under the `index` span, whose
+    /// items are the decisions the group map makes reachable.
+    pub(crate) fn assemble(
+        &self,
+        evidence: EvidenceTable,
+        provenance: ProvenanceTable,
+        grouped: GroupedEvidence,
+        results: Vec<DomainResult>,
+    ) -> SurveyorOutput {
+        let mut span = self.obs.as_deref().map(|obs| obs.span("index"));
+        if let Some(span) = span.as_mut() {
             span.set_items(results.iter().map(|r| r.decisions.len() as u64).sum());
         }
-        SurveyorOutput::from_parts(
-            evidence,
-            ProvenanceTable::default(),
-            grouped,
-            results,
-            self.kb.clone(),
-        )
+        SurveyorOutput::from_parts(evidence, provenance, grouped, results, self.kb.clone())
     }
 
     /// Feeds one combination's EM fit into the registry: the iteration
     /// histogram, a convergence-reason counter, and the full per-group
     /// report row (traces included).
-    pub(crate) fn record_em_telemetry(
+    fn record_em_telemetry(
         &self,
         obs: &MetricsRegistry,
         key: &GroupKey,

@@ -14,11 +14,10 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use surveyor_nlp::{annotate_with, AnnotateScratch, AnnotatedDocument, Lexicon};
-use surveyor_obs::MetricsRegistry;
+use surveyor_obs::{claim_map, MetricsRegistry};
 use surveyor_prob::{Poisson, SeedStream};
 
 /// A Web region with its own author population.
@@ -400,131 +399,29 @@ impl CorpusGenerator {
         lexicon: &Lexicon,
         region_filter: Option<u32>,
     ) -> Vec<AnnotatedDocument> {
-        self.shard_annotated_with(
-            shard,
-            lexicon,
-            region_filter,
-            &mut GenScratch::default(),
-            &mut AnnotateScratch::default(),
-        )
-    }
-
-    /// [`shard_annotated`](Self::shard_annotated) with caller-owned
-    /// generation and annotation scratch, for workers that process many
-    /// shards.
-    pub fn shard_annotated_with(
-        &self,
-        shard: usize,
-        lexicon: &Lexicon,
-        region_filter: Option<u32>,
-        gen_scratch: &mut GenScratch,
-        annotate_scratch: &mut AnnotateScratch,
-    ) -> Vec<AnnotatedDocument> {
-        self.shard_text_with(shard, gen_scratch)
+        let mut scratch = AnnotateScratch::default();
+        self.shard_text(shard)
             .into_iter()
             .filter(|d| region_filter.is_none_or(|r| d.region == r))
-            .map(|d| annotate_with(d.id, &d.text, self.world.kb(), lexicon, annotate_scratch))
+            .map(|d| annotate_with(d.id, &d.text, self.world.kb(), lexicon, &mut scratch))
             .collect()
     }
 
-    /// Materializes every shard's raw documents, fanning shards over
-    /// `workers` threads.
+    /// Materializes every shard's raw documents over `workers` threads of
+    /// the [`claim_map`] pool, one [`GenScratch`] per worker.
     ///
     /// Shards are independently generable by construction (all randomness
-    /// derives from `(world seed, shard index)`), so the fan-out follows
-    /// the extraction runner's pattern: workers pull shard indexes off an
-    /// atomic claim cursor, accumulate `(shard, documents)` pairs locally
-    /// (reusing one [`GenScratch`] per worker), and hand them back by
-    /// value over the join; the caller reassembles in shard-index order.
-    /// No lock is taken anywhere, and the result is byte-identical to
-    /// calling [`shard_text`](Self::shard_text) serially for every shard,
-    /// for any worker count.
+    /// derives from `(world seed, shard index)`) and come back in shard
+    /// order, so the result is byte-identical to calling
+    /// [`shard_text`](Self::shard_text) serially for every shard, for any
+    /// worker count.
     pub fn all_shards_text(&self, workers: usize) -> Vec<Vec<RawDocument>> {
-        let shard_count = self.config.num_shards;
-        let workers = workers.clamp(1, shard_count);
-        if workers == 1 {
-            let mut scratch = GenScratch::default();
-            return (0..shard_count)
-                .map(|s| self.shard_text_with(s, &mut scratch))
-                .collect();
-        }
-        self.fan_out_shards(workers, |shard, scratch, _| {
-            self.shard_text_with(shard, scratch)
-        })
-    }
-
-    /// Materializes and annotates every shard over `workers` threads; the
-    /// parallel counterpart of calling
-    /// [`shard_annotated`](Self::shard_annotated) per shard, with
-    /// per-worker [`GenScratch`] and [`AnnotateScratch`] reuse. Output is
-    /// byte-identical to the serial path for any worker count.
-    pub fn all_shards_annotated(
-        &self,
-        workers: usize,
-        lexicon: &Lexicon,
-        region_filter: Option<u32>,
-    ) -> Vec<Vec<AnnotatedDocument>> {
-        let shard_count = self.config.num_shards;
-        let workers = workers.clamp(1, shard_count);
-        if workers == 1 {
-            let mut gen_scratch = GenScratch::default();
-            let mut annotate_scratch = AnnotateScratch::default();
-            return (0..shard_count)
-                .map(|s| {
-                    self.shard_annotated_with(
-                        s,
-                        lexicon,
-                        region_filter,
-                        &mut gen_scratch,
-                        &mut annotate_scratch,
-                    )
-                })
-                .collect();
-        }
-        self.fan_out_shards(workers, |shard, gen_scratch, annotate_scratch| {
-            self.shard_annotated_with(shard, lexicon, region_filter, gen_scratch, annotate_scratch)
-        })
-    }
-
-    /// The shared fan-out skeleton: an atomic claim cursor, per-worker
-    /// scratch, results returned by value and reassembled in shard order.
-    fn fan_out_shards<T, F>(&self, workers: usize, materialize: F) -> Vec<Vec<T>>
-    where
-        T: Send,
-        F: Fn(usize, &mut GenScratch, &mut AnnotateScratch) -> Vec<T> + Sync,
-    {
-        let shard_count = self.config.num_shards;
-        let cursor = AtomicUsize::new(0);
-        let mut produced = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut gen_scratch = GenScratch::default();
-                        let mut annotate_scratch = AnnotateScratch::default();
-                        let mut produced: Vec<(usize, Vec<T>)> = Vec::new();
-                        loop {
-                            let shard = cursor.fetch_add(1, Ordering::Relaxed);
-                            if shard >= shard_count {
-                                break;
-                            }
-                            produced.push((
-                                shard,
-                                materialize(shard, &mut gen_scratch, &mut annotate_scratch),
-                            ));
-                        }
-                        produced
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("generation worker panicked")) // lint:allow(no-panic-in-lib): a worker panic is a generator bug; the infallible API propagates it
-                .collect::<Vec<(usize, Vec<T>)>>()
-        })
-        .expect("generation worker panicked"); // lint:allow(no-panic-in-lib): a worker panic is a generator bug; the infallible API propagates it
-        produced.sort_by_key(|&(shard, _)| shard);
-        debug_assert_eq!(produced.len(), shard_count);
-        produced.into_iter().map(|(_, docs)| docs).collect()
+        claim_map(
+            self.config.num_shards,
+            workers,
+            GenScratch::default,
+            |scratch, shard| self.shard_text_with(shard, scratch),
+        )
     }
 }
 
@@ -588,17 +485,6 @@ mod tests {
         let serial: Vec<Vec<RawDocument>> = (0..g.shard_count()).map(|s| g.shard_text(s)).collect();
         for workers in [1, 2, 4, 8] {
             assert_eq!(serial, g.all_shards_text(workers), "{workers} workers");
-        }
-        let lex = g.lexicon();
-        let serial_annotated: Vec<_> = (0..g.shard_count())
-            .map(|s| g.shard_annotated(s, &lex, None))
-            .collect();
-        for workers in [1, 2, 4, 8] {
-            assert_eq!(
-                serial_annotated,
-                g.all_shards_annotated(workers, &lex, None),
-                "{workers} workers"
-            );
         }
     }
 

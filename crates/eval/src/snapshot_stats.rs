@@ -91,7 +91,7 @@ mod tests {
     use surveyor::CorpusSource;
     use surveyor_corpus::presets::{long_tail_world, table2_world};
     use surveyor_corpus::CorpusGenerator;
-    use surveyor_extract::run_sharded;
+    use surveyor_extract::run_sharded_full;
 
     fn evidence_for(world: &surveyor_corpus::World) -> EvidenceTable {
         let generator = CorpusGenerator::new(
@@ -102,7 +102,7 @@ mod tests {
             },
         );
         let source = CorpusSource::new(&generator);
-        run_sharded(&source, world.kb(), &ExtractionConfig::paper_final(), 2)
+        run_sharded_full(&source, world.kb(), &ExtractionConfig::paper_final(), 2).evidence
     }
 
     #[test]

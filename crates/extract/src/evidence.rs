@@ -7,7 +7,6 @@
 
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use surveyor_kb::{EntityId, KnowledgeBase, Property, PropertyId, TypeId};
 
 /// Polarity of an evidence statement.
@@ -318,80 +317,6 @@ impl GroupedEvidence {
             group.counts.entry(*entity).or_default().merge(*counts);
             group.total += counts.total();
         }
-        Self::finish(by_key)
-    }
-
-    /// [`from_table`](Self::from_table) fanned over `workers` threads.
-    ///
-    /// Follows the extraction runner's worker pattern: the pair list is
-    /// split into fixed-size ranges claimed off an atomic cursor; each
-    /// worker aggregates its ranges into a private partial map handed back
-    /// by value over the join (no lock anywhere in the loop). Partials are
-    /// merged on the calling thread in first-claimed-range order — group
-    /// merging is commutative, so the ordering is belt and braces — and the
-    /// merged map feeds the same property-resolved sort as the serial
-    /// path. The result equals [`from_table`](Self::from_table) exactly,
-    /// for any worker count.
-    pub fn from_table_parallel(table: &EvidenceTable, kb: &KnowledgeBase, workers: usize) -> Self {
-        /// Pairs per claimed range: small enough to balance skew, large
-        /// enough that cursor traffic is negligible.
-        const RANGE: usize = 512;
-        let ranges = table.pair_count().div_ceil(RANGE);
-        let workers = workers.clamp(1, ranges.max(1));
-        if workers == 1 {
-            return Self::from_table(table, kb);
-        }
-        let pairs: Vec<(&(EntityId, PropertyId), &EvidenceCounts)> = table.iter().collect();
-        let cursor = AtomicUsize::new(0);
-        let mut partials = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut first_range = usize::MAX;
-                        let mut by_key: FxHashMap<GroupKey, Group> = FxHashMap::default();
-                        loop {
-                            let range = cursor.fetch_add(1, Ordering::Relaxed);
-                            if range >= ranges {
-                                break;
-                            }
-                            first_range = first_range.min(range);
-                            let lo = range * RANGE;
-                            let hi = (lo + RANGE).min(pairs.len());
-                            for &(&(entity, property), counts) in &pairs[lo..hi] {
-                                let type_id = kb.entity(entity).notable_type();
-                                let group =
-                                    by_key.entry(GroupKey { type_id, property }).or_default();
-                                group.counts.entry(entity).or_default().merge(*counts);
-                                group.total += counts.total();
-                            }
-                        }
-                        (first_range, by_key)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("grouping worker panicked")) // lint:allow(no-panic-in-lib): a worker panic is a grouping bug; the infallible API propagates it
-                .collect::<Vec<(usize, FxHashMap<GroupKey, Group>)>>()
-        })
-        .expect("grouping worker panicked"); // lint:allow(no-panic-in-lib): a worker panic is a grouping bug; the infallible API propagates it
-        partials.sort_by_key(|&(first_range, _)| first_range);
-        let mut merged: FxHashMap<GroupKey, Group> = FxHashMap::default();
-        for (_, partial) in partials {
-            for (key, group) in partial {
-                let target = merged.entry(key).or_default();
-                for (entity, counts) in group.counts {
-                    target.counts.entry(entity).or_default().merge(counts);
-                }
-                target.total += group.total;
-            }
-        }
-        Self::finish(merged)
-    }
-
-    /// The shared tail of both grouping paths: deterministic sort plus the
-    /// lookup index.
-    fn finish(by_key: FxHashMap<GroupKey, Group>) -> Self {
         let mut groups: Vec<(GroupKey, Group)> = by_key.into_iter().collect();
         // Ids reflect discovery order; resolve once per combination and sort
         // on the property itself for cross-run determinism.
@@ -434,7 +359,7 @@ impl GroupedEvidence {
     /// incremental ingestion.
     ///
     /// Both sides hold their groups sorted by `(type_id, resolved
-    /// property)` (the internal `finish` invariant), so this is a
+    /// property)` (the [`from_table`](Self::from_table) order), so this is a
     /// linear two-pointer merge: each side's sort key is resolved once per
     /// group, groups present on both sides merge their per-entity
     /// counters, and the result needs no re-sort. Equivalent to grouping
@@ -577,33 +502,6 @@ mod tests {
         assert_eq!(g.mentioned_entities(), 2);
         assert_eq!(g.counts(EntityId(0)), EvidenceCounts::new(1, 0));
         assert_eq!(g.counts(EntityId(2)), EvidenceCounts::default());
-    }
-
-    #[test]
-    fn parallel_grouping_matches_serial() {
-        let kb = kb();
-        let mut t = EvidenceTable::new();
-        // Enough distinct pairs to span several claim ranges, so the
-        // worker loop genuinely engages.
-        for i in 0..1500u32 {
-            let prop = Property::adjective(&format!("prop{i}"));
-            t.add(&Statement::new(EntityId(i % 3), &prop, Polarity::Positive));
-            if i % 2 == 0 {
-                t.add(&Statement::new(
-                    EntityId((i + 1) % 3),
-                    &prop,
-                    Polarity::Negative,
-                ));
-            }
-        }
-        let serial = GroupedEvidence::from_table(&t, &kb);
-        for workers in [1, 2, 4, 8] {
-            assert_eq!(
-                serial,
-                GroupedEvidence::from_table_parallel(&t, &kb, workers),
-                "{workers} workers"
-            );
-        }
     }
 
     #[test]

@@ -551,6 +551,28 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+impl RunError {
+    /// Re-raises a failed run as the panic the infallible entry points
+    /// document ([`run_sharded_full`](crate::run_sharded_full) and the
+    /// pipeline's `run`): they take an infallible source, one attempt per
+    /// shard and [`FailurePolicy::FailFast`], so the only way to get here
+    /// is a shard that panicked — isolation is what
+    /// [`run_sharded_fault_tolerant`](crate::run_sharded_fault_tolerant)
+    /// callers opt into.
+    pub fn into_panic(self) -> ! {
+        let message = match self {
+            Self::ShardFailed { shard, error, .. } => format!(
+                "extraction worker panicked on shard {shard}: {}",
+                error.message()
+            ),
+            // Infallible sources cannot fail any other way and FailFast
+            // checks no coverage floor.
+            other => format!("extraction failed: {other}"),
+        };
+        panic!("{message}") // lint:allow(no-panic-in-lib): documented: the infallible entry points propagate shard panics
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,7 +48,5 @@ pub use patterns::{
 };
 pub use provenance::{ProvenanceEntry, ProvenanceTable};
 pub use runner::{
-    extract_documents, extract_documents_ctx, extract_documents_full, extract_documents_stats,
-    run_sharded, run_sharded_fault_tolerant, run_sharded_full, run_sharded_observed, ExtractStats,
-    ExtractionOutput, ShardSource,
+    extract_documents, run_sharded_fault_tolerant, run_sharded_full, ExtractionOutput, ShardSource,
 };

@@ -2,18 +2,17 @@
 //!
 //! The paper ran extraction "on up to 5000 nodes" over a 40 TB snapshot
 //! (§7.1). The reproduction's corpus is sharded the same way; this module
-//! fans shards out over worker threads (crossbeam scoped threads), each
-//! producing a local [`EvidenceTable`] that is merged reduce-style — merge
-//! is associative and commutative, so completion order is irrelevant and
-//! the result is deterministic.
+//! fans shards out over the [`claim_fold`] worker pool, each worker
+//! merging its shards into a local [`EvidenceTable`]; the per-worker
+//! tables are merged reduce-style — merge is associative and commutative,
+//! so completion order is irrelevant and the result is deterministic.
 //!
-//! All entry points funnel into [`run_sharded_fault_tolerant`], the
-//! hardened driver: per-shard work runs under `catch_unwind` so a
-//! poisoned shard cannot take down the run, transient failures retry with
-//! capped exponential backoff, and shards that exhaust their attempt
-//! budget are quarantined (see [`crate::fault`]). The legacy infallible
-//! wrappers use a one-attempt budget and re-raise the first panic, so
-//! their behavior — and their output, bit for bit — is unchanged.
+//! There is one driver, [`run_sharded_fault_tolerant`]: per-shard work
+//! runs under `catch_unwind` so a poisoned shard cannot take down the
+//! run, transient failures retry with capped exponential backoff, and
+//! shards that exhaust their attempt budget are quarantined (see
+//! [`crate::fault`]). The infallible [`run_sharded_full`] is that driver
+//! with a one-attempt budget, re-raising the first shard panic.
 
 use crate::config::ExtractionConfig;
 use crate::evidence::{EvidenceTable, Statement};
@@ -24,11 +23,10 @@ use crate::fault::{
 use crate::patterns::{extract_sentence_into, ExtractContext, PatternCounts};
 use crate::provenance::ProvenanceTable;
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::ops::ControlFlow;
 use surveyor_kb::{CacheStats, KnowledgeBase};
 use surveyor_nlp::AnnotatedDocument;
-use surveyor_obs::MetricsRegistry;
+use surveyor_obs::{claim_fold, MetricsRegistry};
 
 /// A source of document shards that worker threads can pull from.
 ///
@@ -87,16 +85,16 @@ impl ExtractionOutput {
 /// Worker-local extraction tallies. Plain integers incremented on the
 /// hot path; flushed into a [`MetricsRegistry`] once per worker when the
 /// worker finishes, so observation adds no per-document synchronization.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExtractStats {
+#[derive(Debug, Clone, Copy, Default)]
+struct ExtractStats {
     /// Documents processed.
-    pub documents: u64,
+    documents: u64,
     /// Sentences scanned.
-    pub sentences: u64,
+    sentences: u64,
     /// Statements extracted (post-dedup).
-    pub statements: u64,
+    statements: u64,
     /// Raw per-pattern hits (pre-dedup).
-    pub patterns: PatternCounts,
+    patterns: PatternCounts,
 }
 
 impl ExtractStats {
@@ -123,36 +121,17 @@ pub fn extract_documents(
     kb: &KnowledgeBase,
     config: &ExtractionConfig,
 ) -> EvidenceTable {
-    extract_documents_full(docs, kb, config).evidence
+    let (mut stats, mut cx) = (ExtractStats::default(), ExtractContext::new());
+    extract_documents_ctx(docs, kb, config, &mut stats, &mut cx).evidence
 }
 
-/// Like [`extract_documents`], also tracking provenance: which documents
-/// support each pair ("offer links to supporting content on the Web as
-/// query result", §2).
-pub fn extract_documents_full(
-    docs: &[AnnotatedDocument],
-    kb: &KnowledgeBase,
-    config: &ExtractionConfig,
-) -> ExtractionOutput {
-    extract_documents_stats(docs, kb, config, &mut ExtractStats::default())
-}
-
-/// Like [`extract_documents_full`], also tallying throughput counters
-/// into `stats`.
-pub fn extract_documents_stats(
-    docs: &[AnnotatedDocument],
-    kb: &KnowledgeBase,
-    config: &ExtractionConfig,
-    stats: &mut ExtractStats,
-) -> ExtractionOutput {
-    extract_documents_ctx(docs, kb, config, stats, &mut ExtractContext::new())
-}
-
-/// The worker loop: like [`extract_documents_stats`] but threading a
+/// The worker loop: extraction over one document batch, threading a
 /// long-lived [`ExtractContext`] through every sentence, so statement
 /// buffers and the interner cache persist across documents (and across
-/// shards, when the caller reuses the context).
-pub fn extract_documents_ctx(
+/// shards, when the caller reuses the context). Also tracks provenance:
+/// which documents support each pair ("offer links to supporting content
+/// on the Web as query result", §2).
+fn extract_documents_ctx(
     docs: &[AnnotatedDocument],
     kb: &KnowledgeBase,
     config: &ExtractionConfig,
@@ -184,81 +163,26 @@ pub fn extract_documents_ctx(
 }
 
 /// Runs extraction over all shards of `source` on `num_threads` workers and
-/// returns the merged evidence table.
+/// returns the merged evidence and provenance tables:
+/// [`run_sharded_fault_tolerant`] with one attempt per shard and
+/// [`FailurePolicy::FailFast`], a shard panic re-raised as a panic of the
+/// run.
 ///
 /// Work distribution is dynamic (an atomic shard cursor), so skewed shard
 /// sizes — which the Zipf-popularity corpus produces — still balance.
 ///
 /// # Panics
-/// Panics if `num_threads == 0`.
-pub fn run_sharded<S: ShardSource>(
-    source: &S,
-    kb: &KnowledgeBase,
-    config: &ExtractionConfig,
-    num_threads: usize,
-) -> EvidenceTable {
-    run_sharded_full(source, kb, config, num_threads).evidence
-}
-
-/// Like [`run_sharded`], also collecting provenance.
-///
-/// # Panics
-/// Panics if `num_threads == 0`.
+/// Panics if `num_threads == 0`, or when a shard panics.
 pub fn run_sharded_full<S: ShardSource>(
     source: &S,
     kb: &KnowledgeBase,
     config: &ExtractionConfig,
     num_threads: usize,
 ) -> ExtractionOutput {
-    run_sharded_impl(source, kb, config, num_threads, None)
-}
-
-/// Like [`run_sharded_full`], flushing per-worker [`ExtractStats`] into
-/// `obs` as `extract.*` counters when the workers join. The extracted
-/// evidence is identical to the unobserved run.
-///
-/// # Panics
-/// Panics if `num_threads == 0`.
-pub fn run_sharded_observed<S: ShardSource>(
-    source: &S,
-    kb: &KnowledgeBase,
-    config: &ExtractionConfig,
-    num_threads: usize,
-    obs: &MetricsRegistry,
-) -> ExtractionOutput {
-    run_sharded_impl(source, kb, config, num_threads, Some(obs))
-}
-
-fn run_sharded_impl<S: ShardSource>(
-    source: &S,
-    kb: &KnowledgeBase,
-    config: &ExtractionConfig,
-    num_threads: usize,
-    obs: Option<&MetricsRegistry>,
-) -> ExtractionOutput {
-    match run_sharded_fault_tolerant(
-        source,
-        kb,
-        config,
-        num_threads,
-        &RetryPolicy::no_retries(),
-        &FailurePolicy::FailFast,
-        obs,
-    ) {
+    let (retry, policy) = (RetryPolicy::no_retries(), FailurePolicy::FailFast);
+    match run_sharded_fault_tolerant(source, kb, config, num_threads, &retry, &policy, None) {
         Ok(outcome) => outcome.output,
-        // Preserve the historical contract of the infallible API: a
-        // panicking shard panics the run (isolation is opt-in via
-        // `run_sharded_fault_tolerant`).
-        Err(RunError::ShardFailed { shard, error, .. }) => {
-            let msg = format!(
-                "extraction worker panicked on shard {shard}: {}",
-                error.message()
-            );
-            panic!("{msg}") // lint:allow(no-panic-in-lib): documented: the legacy entry point propagates shard panics
-        }
-        // Infallible sources cannot produce shard errors and FailFast
-        // never checks a coverage floor.
-        Err(e) => panic!("extraction failed: {e}"), // lint:allow(no-panic-in-lib): infallible sources cannot fail and FailFast checks no floor
+        Err(error) => error.into_panic(),
     }
 }
 
@@ -301,8 +225,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs extraction over all shards of a fallible `source` with panic
-/// isolation, retry, and quarantine — the hardened driver behind every
-/// `run_sharded*` entry point.
+/// isolation, retry, and quarantine — the one sharded driver.
 ///
 /// Per shard: up to `retry.max_attempts` attempts, each under
 /// `catch_unwind`. Transient errors retry after a capped-exponential
@@ -325,7 +248,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// merge is associative and commutative: the output over the surviving
 /// shard set is bit-identical to a clean run over only those shards, for
 /// any worker count and completion order. Observation (`obs`) flushes
-/// stats from surviving shards only, and only on success.
+/// `extract.*` counters from surviving shards only, and only on success;
+/// the extracted evidence is identical with or without it.
 ///
 /// # Panics
 /// Panics if `num_threads == 0`.
@@ -341,108 +265,63 @@ pub fn run_sharded_fault_tolerant<F: FallibleShardSource>(
     assert!(num_threads > 0, "need at least one worker thread");
     let max_attempts = retry.max_attempts.max(1);
     let fail_fast = matches!(policy, FailurePolicy::FailFast);
-    let cursor = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let timed = obs.is_some();
     let shard_count = source.shard_count();
 
-    // Workers share nothing but the two atomics above. Everything they
-    // accumulate comes back by value over the join handle and is merged
-    // here, on the calling thread, ordered by each worker's lowest shard
-    // index — so the merge sequence is a function of shard assignment,
-    // never of completion order. (Evidence merge is commutative, so this
+    // Each worker merges the shards it claims into a table of its own;
+    // the pool hands the workers back ordered by lowest claimed shard, so
+    // the merge sequence below is a function of shard assignment, never
+    // of completion order. (Evidence merge is commutative, so this
     // ordering is belt and braces for bit-identity across thread counts.)
-    let mut outcomes = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..num_threads.min(shard_count.max(1)))
-            .map(|_| {
-                scope.spawn(|_| {
-                    let mut outcome = WorkerOutcome::default();
-                    let mut cx = ExtractContext::new();
-                    let started = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs straggler histograms only, never the output
-                    'shards: loop {
-                        if fail_fast && abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= shard_count {
-                            break;
-                        }
-                        outcome.first_shard = outcome.first_shard.min(idx);
-                        let shard_started = timed.then(Instant::now); // lint:allow(no-wall-clock): feeds the obs straggler histograms only, never the output
-                        let mut attempt = 0u32;
-                        let failure = loop {
-                            match attempt_shard(source, kb, config, idx, attempt, &mut cx) {
-                                Ok((output, attempt_stats)) => {
-                                    outcome.output.merge(output);
-                                    outcome.stats.merge(attempt_stats);
-                                    outcome.succeeded += 1;
-                                    if let Some(s) = shard_started {
-                                        outcome.work += s.elapsed();
-                                    }
-                                    continue 'shards;
-                                }
-                                Err(error)
-                                    if error.is_transient() && attempt + 1 < max_attempts =>
-                                {
-                                    let delay = retry.backoff(attempt);
-                                    if !delay.is_zero() {
-                                        std::thread::sleep(delay);
-                                    }
-                                    outcome.retries += 1;
-                                    attempt += 1;
-                                }
-                                Err(error) => break (attempt + 1, error),
-                            }
-                        };
-                        let (attempts, error) = failure;
-                        if let Some(s) = shard_started {
-                            outcome.work += s.elapsed();
-                        }
-                        if fail_fast {
-                            outcome.first_failure = Some((idx, attempts, error));
-                            abort.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        outcome.quarantined.push(QuarantinedShard {
-                            shard: idx,
-                            attempts,
-                            error,
-                        });
+    let mut workers = claim_fold(
+        shard_count,
+        num_threads,
+        WorkerState::default,
+        |worker, shard| {
+            let mut attempt = 0u32;
+            let error = loop {
+                match attempt_shard(source, kb, config, shard, attempt, &mut worker.cx) {
+                    Ok((output, stats)) => {
+                        worker.output.merge(output);
+                        worker.stats.merge(stats);
+                        worker.succeeded += 1;
+                        return ControlFlow::Continue(());
                     }
-                    if let Some(started) = started {
-                        outcome.wait = started.elapsed().saturating_sub(outcome.work);
+                    Err(error) if error.is_transient() && attempt + 1 < max_attempts => {
+                        let delay = retry.backoff(attempt);
+                        if !delay.is_zero() {
+                            std::thread::sleep(delay);
+                        }
+                        worker.retries += 1;
+                        attempt += 1;
                     }
-                    outcome.cache = cx.cache_stats();
-                    outcome
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("fault-tolerant workers never unwind")) // lint:allow(no-panic-in-lib): every shard attempt runs under catch_unwind, so workers never unwind
-            .collect::<Vec<WorkerOutcome>>()
-    })
-    .expect("fault-tolerant workers never unwind"); // lint:allow(no-panic-in-lib): every shard attempt runs under catch_unwind, so workers never unwind
+                    Err(error) => break error,
+                }
+            };
+            worker.quarantined.push(QuarantinedShard {
+                shard,
+                attempts: attempt + 1,
+                error,
+            });
+            if fail_fast {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        },
+    );
 
-    outcomes.sort_by_key(|o| o.first_shard);
-    let first_failure = outcomes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, o)| o.first_failure.as_ref().map(|f| (f.0, i)))
-        .min()
-        .map(|(_, i)| i);
-    if let Some(i) = first_failure {
-        // Take the lowest-indexed failure by value; the cursor is
-        // monotonic, so for a deterministic source this shard is the same
-        // for every worker count.
-        let (shard, attempts, error) = outcomes
-            .swap_remove(i)
-            .first_failure
-            .expect("selected outcome carries a failure"); // lint:allow(no-panic-in-lib): the index was selected from outcomes with first_failure set
+    // Under FailFast a worker breaks on the shard it has just pushed, so
+    // the lowest breaking index names the failure to report.
+    if let Some(failed) = workers
+        .iter_mut()
+        .filter(|worker| worker.broke_at.is_some())
+        .min_by_key(|worker| worker.broke_at)
+        .and_then(|worker| worker.state.quarantined.pop())
+    {
         return Err(RunError::ShardFailed {
-            shard,
-            attempts,
-            error,
+            shard: failed.shard,
+            attempts: failed.attempts,
+            error: failed.error,
         });
     }
 
@@ -452,18 +331,19 @@ pub fn run_sharded_fault_tolerant<F: FallibleShardSource>(
     let mut succeeded = 0usize;
     let mut retries = 0u64;
     let mut quarantined: Vec<QuarantinedShard> = Vec::new();
-    for outcome in outcomes {
-        result.merge(outcome.output);
-        stats.merge(outcome.stats);
-        cache.merge(outcome.cache);
-        succeeded += outcome.succeeded;
-        retries += outcome.retries;
-        quarantined.extend(outcome.quarantined);
+    for worker in workers {
+        let state = worker.state;
+        result.merge(state.output);
+        stats.merge(state.stats);
+        cache.merge(state.cx.cache_stats());
+        succeeded += state.succeeded;
+        retries += state.retries;
+        quarantined.extend(state.quarantined);
         if let Some(obs) = obs {
-            obs.observe("extract.worker.work_seconds", outcome.work.as_secs_f64());
+            obs.observe("extract.worker.work_seconds", worker.work.as_secs_f64());
             obs.observe(
                 "extract.worker.queue_wait_seconds",
-                outcome.wait.as_secs_f64(),
+                worker.wait.as_secs_f64(),
             );
         }
     }
@@ -495,43 +375,18 @@ pub fn run_sharded_fault_tolerant<F: FallibleShardSource>(
     })
 }
 
-/// Everything one worker accumulated, handed back by value over the join
-/// handle — the shared-`Mutex` merge path this replaced serialized every
-/// worker's exit on one lock.
-struct WorkerOutcome {
-    /// Lowest shard index this worker pulled (`usize::MAX` if none): the
-    /// deterministic merge-order key.
-    first_shard: usize,
+/// Everything one worker accumulates, handed back by value over the
+/// pool's join.
+#[derive(Default)]
+struct WorkerState {
+    cx: ExtractContext,
     output: ExtractionOutput,
     stats: ExtractStats,
-    cache: CacheStats,
     succeeded: usize,
     retries: u64,
+    /// Shards that exhausted their attempt budget on this worker; under
+    /// `FailFast` at most one, the shard the worker broke on.
     quarantined: Vec<QuarantinedShard>,
-    /// Under `FailFast`, the lowest-indexed shard this worker saw fail.
-    first_failure: Option<(usize, u32, ShardError)>,
-    /// Time inside shard attempts, when an observer requested timing.
-    work: Duration,
-    /// Worker lifetime minus `work`: scheduling plus cursor waits — the
-    /// straggler signal surfaced as `extract.worker.queue_wait_seconds`.
-    wait: Duration,
-}
-
-impl Default for WorkerOutcome {
-    fn default() -> Self {
-        Self {
-            first_shard: usize::MAX,
-            output: ExtractionOutput::default(),
-            stats: ExtractStats::default(),
-            cache: CacheStats::default(),
-            succeeded: 0,
-            retries: 0,
-            quarantined: Vec::new(),
-            first_failure: None,
-            work: Duration::ZERO,
-            wait: Duration::ZERO,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -614,9 +469,9 @@ mod tests {
         let kb = kb();
         let src = source(kb.clone());
         let config = ExtractionConfig::paper_final();
-        let seq = run_sharded(&src, &kb, &config, 1);
+        let seq = run_sharded_full(&src, &kb, &config, 1);
         for threads in [2, 4, 8] {
-            let par = run_sharded(&src, &kb, &config, threads);
+            let par = run_sharded_full(&src, &kb, &config, threads);
             assert_eq!(seq, par, "threads={threads}");
         }
     }
@@ -628,7 +483,17 @@ mod tests {
         let config = ExtractionConfig::paper_final();
         let plain = run_sharded_full(&src, &kb, &config, 4);
         let obs = MetricsRegistry::new();
-        let observed = run_sharded_observed(&src, &kb, &config, 4, &obs);
+        let observed = run_sharded_fault_tolerant(
+            &src,
+            &kb,
+            &config,
+            4,
+            &RetryPolicy::no_retries(),
+            &FailurePolicy::FailFast,
+            Some(&obs),
+        )
+        .unwrap()
+        .output;
         assert_eq!(plain, observed);
         assert_eq!(obs.counter_value("extract.documents"), 40);
         assert!(obs.counter_value("extract.sentences") >= 40);
@@ -645,8 +510,8 @@ mod tests {
     fn more_threads_than_shards_is_fine() {
         let kb = kb();
         let src = source(kb.clone());
-        let table = run_sharded(&src, &kb, &ExtractionConfig::paper_final(), 64);
-        assert!(table.total_statements() > 0);
+        let table = run_sharded_full(&src, &kb, &ExtractionConfig::paper_final(), 64);
+        assert!(table.evidence.total_statements() > 0);
     }
 
     #[test]
@@ -655,8 +520,8 @@ mod tests {
         let lex = Lexicon::new();
         let docs = vec![annotate(0, "Kittens are cute.", &kb, &lex)];
         let slice: &[AnnotatedDocument] = &docs;
-        let table = run_sharded(&slice, &kb, &ExtractionConfig::paper_final(), 2);
-        assert_eq!(table.total_statements(), 1);
+        let table = run_sharded_full(&slice, &kb, &ExtractionConfig::paper_final(), 2);
+        assert_eq!(table.evidence.total_statements(), 1);
     }
 
     #[test]
@@ -665,7 +530,7 @@ mod tests {
         let kb = kb();
         let docs: Vec<AnnotatedDocument> = Vec::new();
         let slice: &[AnnotatedDocument] = &docs;
-        let _ = run_sharded(&slice, &kb, &ExtractionConfig::paper_final(), 0);
+        let _ = run_sharded_full(&slice, &kb, &ExtractionConfig::paper_final(), 0);
     }
 
     mod fault_tolerance {
@@ -858,7 +723,7 @@ mod tests {
                 }
             }
             let kb = kb();
-            let _ = run_sharded(&Poisoned, &kb, &ExtractionConfig::paper_final(), 2);
+            let _ = run_sharded_full(&Poisoned, &kb, &ExtractionConfig::paper_final(), 2);
         }
 
         #[test]

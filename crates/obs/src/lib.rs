@@ -17,6 +17,9 @@
 //!   the registry collected, plus the per-group EM telemetry pushed by
 //!   the interpretation phase. Reports render as a human-readable table,
 //!   round-trip through JSON, and diff against a baseline report.
+//! - [`claim_fold`] / [`claim_map`] — the one claim-cursor worker pool
+//!   every parallel phase (generation, extraction, interpretation) runs
+//!   on; it times its workers, which is why it lives here.
 //!
 //! ## Typical wiring
 //!
@@ -39,10 +42,12 @@
 #![warn(missing_docs)]
 
 pub mod histogram;
+pub mod pool;
 pub mod registry;
 pub mod report;
 
 pub use histogram::{Histogram, HistogramSummary};
+pub use pool::{claim_fold, claim_map, Claimed};
 pub use registry::{Counter, FaultSummary, MetricsRegistry, SpanGuard};
 pub use report::{EmGroupReport, PhaseReport, RunReport, REPORT_VERSION};
 

@@ -46,16 +46,16 @@ SURVEYOR_CHAOS_SEED="${SURVEYOR_CHAOS_SEED:-2015}" cargo test -q --test fault_in
 # Bench smoke: the thread-scaling harness on its quick preset, with the
 # scaling-regression gate armed (nonzero exit on a phase that regresses
 # past its target curve; the permissive tolerance absorbs the noise of a
-# shared 1-CPU CI host). The bench binary validates the artifact schema
+# small shared CI host). The bench binary validates the artifact schema
 # before writing; the greps below are a second line of defense pinning
 # the keys EXPERIMENTS.md documents.
 cargo run --release -q -p surveyor-bench --bin bench -- \
     scale --quick --assert-scaling --scaling-tolerance 0.5 \
     --out artifacts/scale_smoke.json > /dev/null
 for key in '"schema_version"' '"host_cpus"' '"timing"' \
-           '"generation"' '"extraction"' '"model"' '"group"' \
+           '"generation"' '"extraction"' '"model"' \
            '"documents_identical"' '"statements_identical"' \
-           '"decided_pairs_identical"' '"groups_identical"' \
+           '"decided_pairs_identical"' \
            '"assert_scaling"' '"verdict"' \
            '"hits"' '"global_lookups"'; do
     grep -q "$key" artifacts/scale_smoke.json \

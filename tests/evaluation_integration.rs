@@ -128,8 +128,13 @@ fn snapshot_statistics_are_internally_consistent() {
     let world = surveyor_corpus::presets::long_tail_world(15, 60, 5, 3);
     let generator = CorpusGenerator::new(world.clone(), fast_corpus());
     let source = CorpusSource::new(&generator);
-    let evidence =
-        surveyor::extract::run_sharded(&source, world.kb(), &ExtractionConfig::paper_final(), 2);
+    let evidence = surveyor::extract::run_sharded_full(
+        &source,
+        world.kb(),
+        &ExtractionConfig::paper_final(),
+        2,
+    )
+    .evidence;
     let stats = snapshot_stats(&evidence, world.kb(), 20);
     assert_eq!(stats.statements_total, evidence.total_statements());
     assert!(stats.combinations_above_rho <= stats.combinations_total);

@@ -260,3 +260,64 @@ fn seeded_warm_start_reaches_the_same_decisions() {
     };
     assert_eq!(triples(&seeded.output), triples(&scratch));
 }
+
+#[test]
+fn update_and_mine_report_the_same_phases_and_em_telemetry() {
+    // One loop interprets both, so an observed update records what an
+    // observed mine records: the same phases, the same `em.*` counters,
+    // and — under `WarmStart::Exact` — EM rows for the refit groups that
+    // equal the from-scratch rows field for field.
+    use std::collections::BTreeSet;
+    use surveyor::obs::{MetricsRegistry, RunReport};
+
+    let (kb, generator) = generator(17);
+    let observed = |threads: usize| {
+        let registry = Arc::new(MetricsRegistry::new());
+        let surv = surveyor(kb.clone(), threads).with_observer(registry.clone());
+        (surv, registry)
+    };
+    let (miner, mine_registry) = observed(2);
+    miner.run(&CorpusSource::new(&generator));
+
+    let base_shards = SHARDS - 2;
+    let base = mine_prefix(&surveyor(kb.clone(), 2), &generator, base_shards);
+    let (updater, update_registry) = observed(4);
+    let delta = ShardSubset::range(CorpusSource::new(&generator), base_shards, SHARDS);
+    let outcome = updater
+        .try_update(
+            base,
+            &delta,
+            &RetryPolicy::no_retries(),
+            &FailurePolicy::FailFast,
+            WarmStart::Exact,
+        )
+        .expect("clean update");
+    assert!(outcome.stats.groups_refit > 0, "the delta dirtied nothing");
+
+    let (mine, update) = (mine_registry.report(), update_registry.report());
+    let phases = |report: &RunReport| -> BTreeSet<String> {
+        report.phases.iter().map(|p| p.name.clone()).collect()
+    };
+    assert_eq!(phases(&update), phases(&mine));
+    for name in ["extract", "group", "model", "decide", "index"] {
+        assert!(phases(&update).contains(name), "missing phase {name}");
+    }
+    let em_counters = |report: &RunReport| -> BTreeSet<String> {
+        let names = report.counters.keys();
+        names.filter(|k| k.starts_with("em.")).cloned().collect()
+    };
+    assert_eq!(em_counters(&update), em_counters(&mine));
+    assert!(!em_counters(&update).is_empty());
+
+    assert_eq!(update.em_groups.len(), outcome.stats.groups_refit);
+    for row in &update.em_groups {
+        assert!(
+            mine.em_groups.contains(row),
+            "refit row for {} × {} differs from the from-scratch row",
+            row.type_name,
+            row.property
+        );
+    }
+    let decide = update.phase("decide").expect("decide phase recorded");
+    assert!(decide.items > 0);
+}

@@ -146,20 +146,12 @@ fn parallel_generation_is_byte_identical_to_serial() {
     // Corpus materialization fans shards over a claim cursor; each shard
     // is an independent function of the seed, so the merged result must
     // match the one-shard-at-a-time serial path byte for byte at any
-    // worker count — for both raw text and annotated documents.
+    // worker count.
     let (_kb, generator) = generator(17);
     let serial_text: Vec<_> = (0..generator.shard_count())
         .map(|s| generator.shard_text(s))
         .collect();
-    let serial_ann: Vec<_> = {
-        let lexicon = generator.lexicon();
-        (0..generator.shard_count())
-            .map(|s| generator.shard_annotated(s, &lexicon, None))
-            .collect()
-    };
     let serial_text_json = serde_json::to_string(&serial_text).expect("documents serialize");
-    let serial_ann_json = serde_json::to_string(&serial_ann).expect("annotations serialize");
-    let lexicon = generator.lexicon();
     for threads in THREAD_COUNTS {
         let text = generator.all_shards_text(threads);
         assert_eq!(
@@ -167,29 +159,24 @@ fn parallel_generation_is_byte_identical_to_serial() {
             serde_json::to_string(&text).expect("documents serialize"),
             "raw documents differ at {threads} workers"
         );
-        let ann = generator.all_shards_annotated(threads, &lexicon, None);
-        assert_eq!(
-            serial_ann_json,
-            serde_json::to_string(&ann).expect("annotations serialize"),
-            "annotated documents differ at {threads} workers"
-        );
     }
 }
 
 #[test]
-fn parallel_grouping_is_identical_to_serial() {
-    // Grouping shards the evidence table over range claims and merges the
-    // partial maps in range order; the grouped evidence (including the
-    // property-resolved group ordering) must match the serial build.
+fn grouping_is_identical_across_thread_counts() {
+    // Grouping is serial; what feeds it is not. The grouped evidence a
+    // run carries (including the property-resolved group ordering) must
+    // equal a fresh grouping of its evidence table, and must not move
+    // with the worker count.
     let (kb, generator) = generator(17);
-    let run = surveyor(kb.clone(), 4).run(&CorpusSource::new(&generator));
-    let serial = surveyor_extract::GroupedEvidence::from_table(&run.evidence, &kb);
-    assert!(!serial.is_empty());
+    let reference = surveyor(kb.clone(), 1).run(&CorpusSource::new(&generator));
+    assert!(!reference.grouped.is_empty());
     for threads in THREAD_COUNTS {
-        let parallel =
-            surveyor_extract::GroupedEvidence::from_table_parallel(&run.evidence, &kb, threads);
+        let run = surveyor(kb.clone(), threads).run(&CorpusSource::new(&generator));
+        let fresh = surveyor_extract::GroupedEvidence::from_table(&run.evidence, &kb);
+        assert_eq!(fresh, run.grouped, "stale grouping at {threads} workers");
         assert_eq!(
-            serial, parallel,
+            reference.grouped, run.grouped,
             "grouped evidence differs at {threads} workers"
         );
     }
