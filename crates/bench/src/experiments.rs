@@ -1499,13 +1499,8 @@ fn mean_find_opinion_ns(store: &surveyor::SubjectiveKb) -> f64 {
     const PROBES: usize = 256;
     const ROUNDS: usize = 64;
     let probes: Vec<(&str, &Property)> = store
-        .blocks()
-        .iter()
-        .flat_map(|b| {
-            b.opinions
-                .iter()
-                .map(move |o| (o.entity_name.as_str(), &b.property))
-        })
+        .combinations()
+        .flat_map(|b| b.opinions().map(move |o| (o.entity_name, b.property)))
         .step_by((store.len() / PROBES).max(1))
         .take(PROBES)
         .collect();
@@ -1613,13 +1608,11 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     // under two types, the route answers from the most confident block.
     let targets: Vec<(String, bool)> = state
         .store
-        .blocks()
-        .iter()
+        .combinations()
         .flat_map(|block| {
             block
-                .opinions
-                .iter()
-                .map(move |o| (o.entity_name.as_str(), &block.property))
+                .opinions()
+                .map(move |o| (o.entity_name, block.property))
         })
         .take(256)
         .map(|(entity, property)| {

@@ -50,6 +50,46 @@ fn corpus_digest(preset: &str, seed: u64, shards: usize, region: Option<&str>) -
     h.finish()
 }
 
+/// Replaces the file at `path` with what `write` puts into a fresh
+/// sibling `<path>.tmp.<pid>`: written, `sync_all`ed, then renamed over
+/// `path`, with a best-effort fsync of the directory behind it. A reader
+/// — a server reloading `path`, an `update` whose `--out` is its own
+/// input — sees the old bytes or the new, never a prefix; a failure at
+/// any step leaves `path` as it was and removes the temporary file.
+fn replace_file(
+    path: &str,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> Result<(), CliError> {
+    let tmp = format!("{path}.tmp.{}", std::process::id());
+    let replaced = std::fs::File::create(&tmp)
+        .and_then(|mut file| {
+            write(&mut file)?;
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if let Err(e) = replaced {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(CliError::Io(format!("cannot write {path}: {e}")));
+    }
+    // The rename is durable once the directory is; not every filesystem
+    // lets a directory be opened and synced, and the data is safe either
+    // way.
+    let parent = match std::path::Path::new(path).parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => std::path::Path::new("."),
+    };
+    if let Ok(dir) = std::fs::File::open(parent) {
+        let _ = dir.sync_all();
+    }
+    Ok(())
+}
+
+/// Writes snapshot bytes to `path` atomically ([`replace_file`]).
+fn write_snapshot(path: &str, bytes: &[u8]) -> Result<(), CliError> {
+    use std::io::Write as _;
+    replace_file(path, |file| file.write_all(bytes))
+}
+
 fn mine_store(
     args: &MineArgs,
     observer: Option<Arc<MetricsRegistry>>,
@@ -126,7 +166,7 @@ pub fn mine(args: &MineArgs) -> Result<String, CliError> {
         "mined {} statements into {} associations over {} combinations (rho = {})",
         run.output.evidence.total_statements(),
         store.len(),
-        store.blocks().len(),
+        store.combinations().len(),
         args.rho,
     );
     let coverage = &run.coverage;
@@ -196,7 +236,7 @@ pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<Strin
         }
         None => surveyor::save_snapshot(&run.output),
     };
-    std::fs::write(out, &bytes).map_err(|e| CliError::Io(format!("cannot write {out}: {e}")))?;
+    write_snapshot(out, &bytes)?;
     let mut summary = format!(
         "snapshotted {} statements over {} combinations into {} bytes at {out}",
         run.output.evidence.total_statements(),
@@ -305,8 +345,7 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
         // Nothing new and nothing pending: re-save unchanged (the write
         // is byte-identical to the input, so `update` is idempotent).
         let bytes = surveyor::save_snapshot_with_state(&base, &state);
-        std::fs::write(&args.out, &bytes)
-            .map_err(|e| CliError::Io(format!("cannot write {}: {e}", args.out)))?;
+        write_snapshot(&args.out, &bytes)?;
         return Ok(format!(
             "nothing to ingest: delta preset {} is fully covered by {} (wrote {} unchanged)",
             preset.name, args.snapshot, args.out,
@@ -373,8 +412,7 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
     state.pending.sort_unstable();
 
     let bytes = surveyor::save_snapshot_with_state(&outcome.output, &state);
-    std::fs::write(&args.out, &bytes)
-        .map_err(|e| CliError::Io(format!("cannot write {}: {e}", args.out)))?;
+    write_snapshot(&args.out, &bytes)?;
 
     let stats = outcome.stats;
     let mut summary = format!(
@@ -406,20 +444,21 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
     Ok(summary)
 }
 
-/// `surveyor load` — decode a binary snapshot back into the mined world
-/// and emit the store JSON without re-mining. Corrupt snapshots are
-/// [`CliError::InvalidInput`] (exit 3), never a panic.
+/// `surveyor load` — decode a binary snapshot into the store the query
+/// server would serve from it and emit the store JSON, without re-mining.
+/// Corrupt snapshots are [`CliError::InvalidInput`] (exit 3), never a
+/// panic.
 pub fn load(snapshot_path: &str, out: Option<&str>) -> Result<String, CliError> {
     let bytes = std::fs::read(snapshot_path)
         .map_err(|e| CliError::Io(format!("cannot read {snapshot_path}: {e}")))?;
-    let output = surveyor::load_snapshot(&bytes)
+    let store = surveyor::load_store(&bytes)
         .map_err(|e| CliError::InvalidInput(format!("invalid snapshot {snapshot_path}: {e}")))?;
-    let store = SubjectiveKb::from_output(&output, output.kb());
     let json = store.to_json();
     let summary = format!(
-        "loaded {} associations over {} combinations from {snapshot_path}",
+        "loaded {} associations over {} combinations from {snapshot_path} (store_bytes {})",
         store.len(),
-        store.blocks().len(),
+        store.combinations().len(),
+        store.resident_bytes(),
     );
     match out {
         Some(path) => {
@@ -647,9 +686,9 @@ pub fn query(
 /// `surveyor combos`
 pub fn combos(store_path: &str) -> Result<String, CliError> {
     let store = load_store(store_path)?;
-    let mut out = format!("{} combinations:\n", store.blocks().len());
-    for block in store.blocks() {
-        let positives = block.opinions.iter().filter(|o| o.positive).count();
+    let mut out = format!("{} combinations:\n", store.combinations().len());
+    for block in store.combinations() {
+        let positives = block.opinions().filter(|o| o.positive).count();
         out.push_str(&format!(
             "  {:<12} {:<16} pA = {:.2}  np+S = {:>6.1}  np-S = {:>5.1}  ({} entities, {} positive)\n",
             block.type_name,
@@ -657,7 +696,7 @@ pub fn combos(store_path: &str) -> Result<String, CliError> {
             block.p_agree,
             block.rate_pos,
             block.rate_neg,
-            block.opinions.len(),
+            block.len(),
             positives,
         ));
     }
@@ -1149,6 +1188,104 @@ mod tests {
         for path in [base, updated, scratch] {
             std::fs::remove_file(path).ok();
         }
+    }
+
+    #[test]
+    fn update_onto_its_own_input_round_trips() {
+        let dir = std::env::temp_dir().join("surveyor-cli-update-in-place-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let in_place = dir.join("world.swire");
+        let scratch = dir.join("scratch.swire");
+        let preset = presets::delta_preset("cities-tail").unwrap();
+        let mine = MineArgs {
+            seed: 5,
+            rho: 40,
+            shards: preset.num_shards,
+            ingest_shards: Some(preset.base_shards),
+            ..MineArgs::new(preset.world)
+        };
+        snapshot(&mine, in_place.to_str().unwrap(), None).unwrap();
+        let base_bytes = std::fs::read(&in_place).unwrap();
+        let args = UpdateArgs {
+            snapshot: in_place.to_str().unwrap().to_owned(),
+            delta_preset: "cities-tail".to_owned(),
+            out: in_place.to_str().unwrap().to_owned(),
+            seed: 5,
+            region: None,
+            warm: WarmModeArg::Exact,
+            failure_policy: FailurePolicyArg::FailFast,
+            min_shard_coverage: 0.9,
+            chaos_seed: None,
+        };
+        // The base is read whole before anything is written, and replaced
+        // in one rename: the file is the update of what it was.
+        update(&args).unwrap();
+        let full = MineArgs {
+            ingest_shards: Some(preset.num_shards),
+            ..mine
+        };
+        snapshot(&full, scratch.to_str().unwrap(), None).unwrap();
+        let updated_bytes = std::fs::read(&in_place).unwrap();
+        assert_ne!(updated_bytes, base_bytes);
+        assert_eq!(updated_bytes, std::fs::read(&scratch).unwrap());
+        // Again, down the nothing-to-ingest path: the same bytes.
+        let again = update(&args).unwrap();
+        assert!(again.contains("nothing to ingest"), "{again}");
+        assert_eq!(std::fs::read(&in_place).unwrap(), updated_bytes);
+        assert!(surveyor::load_snapshot_with_state(&updated_bytes).is_ok());
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(left.len(), 2, "temporary files left behind: {left:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_write_leaves_the_previous_file_and_no_temporary() {
+        use std::io::Write as _;
+        let dir = std::env::temp_dir().join("surveyor-cli-atomic-write-test");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("world.swire");
+        let path_str = path.to_str().unwrap();
+        let names = || -> Vec<String> {
+            let mut names: Vec<String> = (std::fs::read_dir(&dir).unwrap().flatten())
+                .map(|entry| entry.file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+
+        write_snapshot(path_str, b"generation one").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"generation one");
+        assert_eq!(names(), ["world.swire"]);
+
+        // The writer dies half way: disk full, a signal, a panic upstream.
+        let failed = replace_file(path_str, |file| {
+            file.write_all(b"generation t")?;
+            Err(std::io::Error::other("disk full"))
+        });
+        assert!(
+            matches!(&failed, Err(CliError::Io(detail)) if detail.contains("disk full")),
+            "{failed:?}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), b"generation one");
+        assert_eq!(names(), ["world.swire"]);
+
+        // The rename fails: the target is a directory that is not empty.
+        let occupied = dir.join("occupied");
+        std::fs::create_dir_all(occupied.join("inner")).unwrap();
+        assert!(write_snapshot(occupied.to_str().unwrap(), b"bytes").is_err());
+        assert!(occupied.join("inner").is_dir());
+        assert_eq!(names(), ["occupied", "world.swire"]);
+
+        // Nowhere to put the temporary file: nothing is created.
+        let orphan = dir.join("missing").join("world.swire");
+        assert!(write_snapshot(orphan.to_str().unwrap(), b"bytes").is_err());
+        assert_eq!(names(), ["occupied", "world.swire"]);
+
+        write_snapshot(path_str, b"generation two").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"generation two");
+        assert_eq!(names(), ["occupied", "world.swire"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

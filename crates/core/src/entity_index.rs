@@ -1,35 +1,85 @@
-//! Entity-keyed postings over a store's blocks — what lets the query
+//! Entity-keyed postings over a store's rows — what lets the query
 //! server answer `/decide`, `/evidence` and `/entity` by lookup.
 //!
-//! Three flat arrays, derived at load and never written to disk:
+//! Three flat arrays, derived whenever a store is built and never written
+//! to disk:
 //!
 //! ```text
 //!   table     (tag, group) × 2^k   open addressing on the ASCII-folded
 //!                                  name's hash, linear probing
 //!   offsets   u32 × (groups + 1)   group g owns postings[offsets[g]..offsets[g+1]]
-//!   postings  (block, slot) × pairs, each group in (block, slot) order
+//!   postings  row × pairs          each group's rows, ascending
 //! ```
 //!
-//! A *group* is a set of opinions carrying one name up to ASCII case.
-//! The table stores no strings: a group's name is read off its first
-//! posting (`blocks[block].opinions[slot].entity_name`), so names cost
-//! one 8-byte slot per group instead of one allocation per group, and a
-//! lookup folds case while hashing instead of allocating a lowered copy.
-//! Two groups may share a folded name (`Kitten` and `KITTEN` under two
-//! entity ids); a lookup keeps probing to the first empty slot, collects
-//! every group whose name matches, and merges their postings back into
-//! (block, slot) order — the order a scan over the blocks would visit.
+//! A *group* is one entry of the store's name arena ([`Names`]): the
+//! opinions of one entity. The table stores no strings — a slot names a
+//! group and the arena spells it — and a lookup folds ASCII case while
+//! hashing instead of allocating a lowered copy. Two groups may share a
+//! folded name (`Kitten` and `KITTEN` under two entity ids); a lookup
+//! keeps probing to the first empty slot, collects every group whose name
+//! matches, and merges their postings back into ascending row order — the
+//! order a scan over the blocks would visit.
 
-use crate::store::CombinationBlock;
 use rustc_hash::FxHasher;
 use std::borrow::Cow;
 use std::hash::Hasher;
+use std::mem::size_of;
 
-/// Where one stored opinion lives: `blocks[block].opinions[slot]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Posting {
-    pub(crate) block: u32,
-    pub(crate) slot: u32,
+/// The name arena of a store: group `g` is spelled
+/// `text[offsets[g]..offsets[g + 1]]`. One name per entity group, not per
+/// opinion.
+#[derive(Debug, Clone)]
+pub(crate) struct Names {
+    text: String,
+    offsets: Vec<u32>,
+}
+
+impl Names {
+    /// An empty arena with room for `groups` names.
+    pub(crate) fn with_capacity(groups: usize) -> Self {
+        let mut offsets = Vec::with_capacity(groups + 1);
+        offsets.push(0);
+        Self {
+            text: String::new(),
+            offsets,
+        }
+    }
+
+    /// Appends a name and returns its group.
+    pub(crate) fn push(&mut self, name: &str) -> u32 {
+        let group = self.len();
+        self.text.push_str(name);
+        // Offsets are u32: 4 GiB of distinct entity names is past what
+        // the rows that would refer to them can address.
+        assert!(
+            self.text.len() < EMPTY as usize && group < EMPTY as usize,
+            "store exceeds the name arena's u32 positions"
+        );
+        self.offsets.push(self.text.len() as u32);
+        group as u32
+    }
+
+    /// Number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The name of `group`.
+    pub(crate) fn get(&self, group: u32) -> &str {
+        let g = group as usize;
+        &self.text[self.offsets[g] as usize..self.offsets[g + 1] as usize]
+    }
+
+    /// Gives back what the arena reserved and did not use.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.text.shrink_to_fit();
+        self.offsets.shrink_to_fit();
+    }
+
+    /// Bytes held: the capacity of both columns.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.text.capacity() + self.offsets.capacity() * size_of::<u32>()
+    }
 }
 
 /// One table slot: the folded name's hash tag and the group it names.
@@ -41,12 +91,12 @@ struct Slot {
 
 const EMPTY: u32 = u32::MAX;
 
-/// The entity → postings index of one block set.
+/// The entity → rows index of one store.
 #[derive(Debug, Clone)]
 pub(crate) struct EntityIndex {
     table: Vec<Slot>,
     offsets: Vec<u32>,
-    postings: Vec<Posting>,
+    postings: Vec<u32>,
 }
 
 /// Hash of `name` with ASCII letters folded to lower case, so that names
@@ -60,43 +110,37 @@ fn folded_hash(name: &str) -> u64 {
 }
 
 impl EntityIndex {
-    /// Indexes `blocks`. `group_of_pair` names the group of every opinion
-    /// in (block, slot) order, each below `groups`; the caller guarantees
-    /// that the opinions of one group carry one name up to ASCII case
-    /// (groups that share a name are fine, as are empty groups).
-    pub(crate) fn build(blocks: &[CombinationBlock], group_of_pair: &[u32], groups: usize) -> Self {
-        let pairs: usize = blocks.iter().map(|b| b.opinions.len()).sum();
-        assert_eq!(pairs, group_of_pair.len(), "one group per stored opinion");
-        // Positions are stored as u32; a store past that size (≥ 350 GB
-        // of opinions) cannot have been materialized in the first place.
+    /// Indexes a store's rows. `group_of_row` names the group of every
+    /// row in row order, each a group of `names`; groups that share a
+    /// name are fine, as are groups without a row.
+    pub(crate) fn build(names: &Names, group_of_row: impl Iterator<Item = u32> + Clone) -> Self {
+        let groups = names.len();
+        // Counting sort by group: sizes, prefix sums, then a scatter that
+        // visits the rows in order and so leaves every group's postings
+        // ascending.
+        let mut offsets = vec![0u32; groups + 1];
+        let mut rows = 0usize;
+        for group in group_of_row.clone() {
+            offsets[group as usize + 1] += 1;
+            rows += 1;
+        }
+        // Positions are stored as u32; a store past that size (≥ 128 GB
+        // of rows) cannot have been materialized in the first place.
         assert!(
-            blocks.len() < EMPTY as usize && pairs < EMPTY as usize && groups < EMPTY as usize,
+            rows < EMPTY as usize,
             "store exceeds the entity index's u32 positions"
         );
-
-        // Counting sort by group: sizes, prefix sums, then a scatter that
-        // visits the opinions in (block, slot) order and so leaves every
-        // group's postings in that order.
-        let mut offsets = vec![0u32; groups + 1];
-        for &group in group_of_pair {
-            offsets[group as usize + 1] += 1;
-        }
         for g in 0..groups {
             offsets[g + 1] += offsets[g];
         }
         let mut cursor = offsets.clone();
-        let mut postings = vec![Posting { block: 0, slot: 0 }; group_of_pair.len()];
-        let mut pair_groups = group_of_pair.iter();
-        for (block, b) in blocks.iter().enumerate() {
-            for (slot, &group) in (0..b.opinions.len()).zip(&mut pair_groups) {
-                let at = &mut cursor[group as usize];
-                postings[*at as usize] = Posting {
-                    block: block as u32,
-                    slot: slot as u32,
-                };
-                *at += 1;
-            }
+        let mut postings = vec![0u32; rows];
+        for (row, group) in group_of_row.enumerate() {
+            let at = &mut cursor[group as usize];
+            postings[*at as usize] = row as u32;
+            *at += 1;
         }
+        drop(cursor);
 
         // Name table at load factor ≤ 1/2, keyed once per group.
         let occupied = (0..groups).filter(|&g| offsets[g] < offsets[g + 1]).count();
@@ -116,7 +160,7 @@ impl EntityIndex {
             if index.offsets[group] == index.offsets[group + 1] {
                 continue;
             }
-            let hash = folded_hash(index.name_of(blocks, group as u32));
+            let hash = folded_hash(names.get(group as u32));
             let mut at = index.home(hash);
             while index.table[at].group != EMPTY {
                 at = (at + 1) & (index.table.len() - 1);
@@ -129,9 +173,15 @@ impl EntityIndex {
         index
     }
 
-    /// Number of indexed opinions.
+    /// Number of indexed rows.
     pub(crate) fn len(&self) -> usize {
         self.postings.len()
+    }
+
+    /// Bytes held: the capacity of the three arrays.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.table.capacity() * size_of::<Slot>()
+            + (self.offsets.capacity() + self.postings.capacity()) * size_of::<u32>()
     }
 
     /// Table position a hash starts probing at: its top bits, which a
@@ -140,27 +190,16 @@ impl EntityIndex {
         (hash >> (64 - self.table.len().trailing_zeros())) as usize
     }
 
-    fn group_postings(&self, group: u32) -> &[Posting] {
+    fn group_postings(&self, group: u32) -> &[u32] {
         let g = group as usize;
         &self.postings[self.offsets[g] as usize..self.offsets[g + 1] as usize]
     }
 
-    /// The name a non-empty group's opinions carry, as its first one
-    /// spells it.
-    fn name_of<'a>(&self, blocks: &'a [CombinationBlock], group: u32) -> &'a str {
-        let first = self.group_postings(group)[0];
-        &blocks[first.block as usize].opinions[first.slot as usize].entity_name
-    }
-
-    /// Positions of every opinion whose entity name equals `name` up to
-    /// ASCII case, in (block, slot) order. `blocks` must be the block set
-    /// the index was built over.
-    pub(crate) fn postings_of(
-        &self,
-        blocks: &[CombinationBlock],
-        name: &str,
-    ) -> Cow<'_, [Posting]> {
-        let mut hits: Cow<'_, [Posting]> = Cow::Borrowed(&[]);
+    /// Rows of every opinion whose entity name equals `name` up to ASCII
+    /// case, ascending. `names` must be the arena the index was built
+    /// over.
+    pub(crate) fn postings_of(&self, names: &Names, name: &str) -> Cow<'_, [u32]> {
+        let mut hits: Cow<'_, [u32]> = Cow::Borrowed(&[]);
         let hash = folded_hash(name);
         let mut at = self.home(hash);
         loop {
@@ -168,7 +207,7 @@ impl EntityIndex {
             if group == EMPTY {
                 break;
             }
-            if tag == hash as u32 && self.name_of(blocks, group).eq_ignore_ascii_case(name) {
+            if tag == hash as u32 && names.get(group).eq_ignore_ascii_case(name) {
                 if hits.is_empty() {
                     hits = Cow::Borrowed(self.group_postings(group));
                 } else {

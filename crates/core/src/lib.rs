@@ -90,11 +90,11 @@ pub use pipeline::{
     DomainResult, OpinionTriple, Surveyor, SurveyorConfig, SurveyorOutput, SurveyorRun,
 };
 pub use snapshot::{
-    load_snapshot, load_snapshot_with_state, output_from_snapshot, save_snapshot,
+    load_snapshot, load_snapshot_with_state, load_store, output_from_snapshot, save_snapshot,
     save_snapshot_with_state, snapshot_output, snapshot_output_with_state, SnapshotError,
 };
 pub use source::{CorpusSource, UnknownRegion};
-pub use store::{CombinationBlock, StoredOpinion, SubjectiveKb};
+pub use store::{BlockRef, CombinationBlock, OpinionRef, StoredOpinion, SubjectiveKb};
 pub use surveyor_extract::{
     FailurePolicy, FallibleShardSource, Fault, FaultInjector, FaultPlan, QuarantinedShard,
     RetryPolicy, RunError, ShardCoverage, ShardError, ShardSubset,

@@ -14,16 +14,24 @@
 //!
 //! Rows cross it as integers in both directions (DESIGN.md §6f). Saving
 //! resolves each distinct property once and writes its table rank into
-//! every row; loading interns the property table once and inserts rows by
-//! id, straight off a [`SnapshotReader`] — no owned [`Snapshot`] on that
-//! path. [`output_from_snapshot`] feeds an owned snapshot through the
-//! same consumer, so every `Corrupt` rule below exists once.
+//! every row; loading interns the property table once and hands rows on
+//! by id, straight off a [`SnapshotReader`] — no owned [`Snapshot`] on
+//! that path.
+//!
+//! Loading is one checked walk (`Walk`) feeding one of two sinks: the
+//! pipeline output ([`load_snapshot`], [`load_snapshot_with_state`],
+//! [`output_from_snapshot`]) or the queryable store the server serves
+//! ([`load_store`], which builds no knowledge base and no tables). Every
+//! `Corrupt` rule lives in the walk, once, ahead of both sinks and
+//! whichever form the snapshot arrived in, so the loaders cannot disagree
+//! on what they accept.
 
 use crate::pipeline::{DomainResult, SurveyorOutput};
+use crate::store::{StoreSink, SubjectiveKb};
 use std::fmt;
 use std::sync::Arc;
 use surveyor_extract::{EvidenceCounts, EvidenceTable, GroupKey, GroupedEvidence, ProvenanceTable};
-use surveyor_kb::{EntityId, KnowledgeBase, KnowledgeBaseBuilder, Property, PropertyId, TypeId};
+use surveyor_kb::{EntityId, KnowledgeBaseBuilder, Property, PropertyId, TypeId};
 use surveyor_model::{ConvergenceReason, Decision, EmFit, ModelDecision, ModelParams};
 use surveyor_wire::{
     DecisionCode, DecisionGroupRow, DecisionRow, EvidenceRow, GroupFingerprintRow,
@@ -223,8 +231,57 @@ pub fn save_snapshot_with_state(output: &SurveyorOutput, state: &IncrementalStat
     surveyor_wire::encode(&snapshot_output_with_state(output, state))
 }
 
+/// A checked property reference: its row in `PROP` and the id that row
+/// interned to in this process.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PropertyRef {
+    pub(crate) rank: u32,
+    pub(crate) id: PropertyId,
+}
+
+/// What the sections declare before their rows arrive, each count
+/// already bounded by its payload size — what a sink reserves for.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Declared {
+    pub(crate) evidence: usize,
+    pub(crate) provenance: usize,
+    pub(crate) provenance_sample_size: usize,
+    pub(crate) results: usize,
+}
+
+/// What a loader builds. [`Walk`] hands a sink each record only after the
+/// record passed every rule, in section order — types, entities,
+/// [`begin_rows`](Self::begin_rows), evidence, provenance, results — so
+/// a sink holds no rule of its own and cannot fail: the pipeline output
+/// (`OutputSink`) and the served store ([`crate::store::StoreSink`]) accept
+/// and reject exactly the same snapshots.
+pub(crate) trait Sink {
+    /// What [`finish`](Self::finish) returns.
+    type Output;
+    /// One `TYPE` record, its name as stored.
+    fn entity_type(&mut self, name: &str, head_nouns: &[&str], context_cues: &[&str]);
+    /// One `ENTS` record; its row number is its `EntityId`.
+    fn entity(&mut self, name: &str, type_index: u32, aliases: &[&str], attributes: &[(&str, f64)]);
+    /// The string tables are complete; the row sections follow.
+    fn begin_rows(&mut self, declared: Declared);
+    /// One `EVID` row. Rows arrive in strictly ascending
+    /// `(entity, property.rank)` order.
+    fn evidence(&mut self, entity: EntityId, property: PropertyRef, counts: EvidenceCounts);
+    /// One `PROV` row, in the same order as the evidence.
+    fn provenance(
+        &mut self,
+        entity: EntityId,
+        property: PropertyRef,
+        documents: impl Iterator<Item = u64>,
+    );
+    /// One `MODL` row with its `DECN` group; `property` is the group's.
+    fn result(&mut self, property: PropertyRef, result: DomainResult);
+    /// Every section was read to its end.
+    fn finish(self) -> Self::Output;
+}
+
 /// The row sections of a snapshot as streams, each behind its declared
-/// row count (what the tables reserve for before the rows arrive).
+/// row count.
 struct Rows<E, P, M, G> {
     evidence_len: usize,
     evidence: E,
@@ -235,9 +292,16 @@ struct Rows<E, P, M, G> {
     models: M,
     groups_len: usize,
     groups: G,
-    /// Stored group fingerprints the evidence must reproduce; empty = no
-    /// check.
+    /// Stored group fingerprints the evidence must reproduce; empty = the
+    /// snapshot carries none.
     fingerprints: Vec<GroupFingerprintRow>,
+}
+
+/// One `PROV` row: its key and its document ids as a stream.
+struct ProvenanceRows<U> {
+    entity: u32,
+    property: u32,
+    documents: U,
 }
 
 /// One `DECN` group: its key and its decision rows as a stream.
@@ -248,22 +312,59 @@ struct GroupRows<D> {
     decisions: D,
 }
 
-/// The string tables of a snapshot — properties, types, entities — taken
-/// record by record from either an owned [`Snapshot`] or a
-/// [`SnapshotReader`], and turned into what the row sections refer to: the
-/// interned id of each property-table index and the knowledge base whose
-/// dense `TypeId`/`EntityId` values are the type- and entity-table indexes.
-#[derive(Default)]
-struct Tables {
-    properties: Vec<PropertyId>,
-    builder: KnowledgeBaseBuilder,
-    types: u64,
+/// `Corrupt(detail)` unless `key` is above the previous row's; row
+/// sections are sorted on their keys with no key twice.
+fn ascending<K: PartialOrd + Copy>(
+    last: &mut Option<K>,
+    key: K,
+    detail: &'static str,
+) -> Result<(), SnapshotError> {
+    if last.is_some_and(|last| last >= key) {
+        return Err(SnapshotError::Corrupt(detail));
+    }
+    *last = Some(key);
+    Ok(())
 }
 
-impl Tables {
-    fn property(&mut self, adverbs: &[&str], adjective: &str) {
+/// One pass over a snapshot — taken record by record from either an owned
+/// [`Snapshot`] or a [`SnapshotReader`] — that checks every
+/// cross-reference rule of the format and feeds what passed to a
+/// [`Sink`]. Every `Corrupt` rule lives here, once, whichever form the
+/// snapshot arrived in and whatever is built from it.
+struct Walk<S> {
+    sink: S,
+    /// The interned id of each property-table index.
+    properties: Vec<PropertyId>,
+    last_property: Option<Property>,
+    /// Type names, lowercased.
+    type_names: Vec<String>,
+    /// The type-table index of each entity.
+    entity_types: Vec<u32>,
+}
+
+impl<S: Sink> Walk<S> {
+    fn new(sink: S) -> Self {
+        Self {
+            sink,
+            properties: Vec::new(),
+            last_property: None,
+            type_names: Vec::new(),
+            entity_types: Vec::new(),
+        }
+    }
+
+    fn property(&mut self, adverbs: &[&str], adjective: &str) -> Result<(), SnapshotError> {
         let property = Property::with_adverbs(adverbs, adjective);
+        // Rows refer to properties by table index: two indexes that
+        // resolve to one property would split that property's rows.
+        if (self.last_property.as_ref()).is_some_and(|last| *last >= property) {
+            return Err(SnapshotError::Corrupt(
+                "property table not in ascending order",
+            ));
+        }
         self.properties.push(PropertyId::intern(&property));
+        self.last_property = Some(property);
+        Ok(())
     }
 
     fn entity_type(
@@ -272,81 +373,89 @@ impl Tables {
         head_nouns: &[&str],
         context_cues: &[&str],
     ) -> Result<(), SnapshotError> {
-        // The builder panics on a second type of one (lowercased) name.
-        if self.builder.has_type(name) {
+        // Types are looked up by lowercased name (and
+        // `KnowledgeBaseBuilder::add_type` panics on a second one).
+        let lowered = name.to_lowercase();
+        if self.type_names.contains(&lowered) {
             return Err(SnapshotError::Corrupt("duplicate type name"));
         }
-        self.builder.add_type(name, head_nouns, context_cues);
-        self.types += 1;
+        self.type_names.push(lowered);
+        self.sink.entity_type(name, head_nouns, context_cues);
         Ok(())
     }
 
-    fn entity<'s>(
+    fn entity(
         &mut self,
         name: &str,
         type_index: u32,
-        aliases: impl Iterator<Item = Result<&'s str, WireError>>,
-        attributes: impl Iterator<Item = Result<(&'s str, f64), WireError>>,
+        aliases: &[&str],
+        attributes: &[(&str, f64)],
     ) -> Result<(), SnapshotError> {
-        if u64::from(type_index) >= self.types {
+        if type_index as usize >= self.type_names.len() {
             return Err(SnapshotError::Corrupt("entity type index out of range"));
         }
-        let mut entity = self.builder.add_entity(name, TypeId(type_index));
-        for alias in aliases {
-            entity = entity.alias(alias?);
-        }
-        for attribute in attributes {
-            let (key, value) = attribute?;
-            entity = entity.attribute(key, value);
-        }
-        entity.finish();
+        self.entity_types.push(type_index);
+        self.sink.entity(name, type_index, aliases, attributes);
         Ok(())
     }
 
-    /// Builds the output from the string tables taken so far and the row
-    /// sections. Every cross-reference rule of the format lives here or
-    /// in the table methods above, once, whichever form the snapshot
-    /// arrived in.
-    fn into_output<E, P, M, G, D>(
-        self,
-        rows: Rows<E, P, M, G>,
-    ) -> Result<SurveyorOutput, SnapshotError>
+    /// Checks and feeds the row sections, and finishes the sink.
+    fn rows<E, P, U, M, G, D>(mut self, rows: Rows<E, P, M, G>) -> Result<S::Output, SnapshotError>
     where
         E: Iterator<Item = Result<EvidenceRow, WireError>>,
-        P: Iterator<Item = Result<ProvenanceRow, WireError>>,
+        P: Iterator<Item = Result<ProvenanceRows<U>, WireError>>,
+        U: Iterator<Item = u64>,
         M: Iterator<Item = Result<ModelRow, WireError>>,
         G: Iterator<Item = Result<GroupRows<D>, WireError>>,
         D: Iterator<Item = Result<DecisionRow, WireError>>,
     {
-        let properties = self.properties;
-        let kb: Arc<KnowledgeBase> = Arc::new(self.builder.build());
-        let type_count = kb.types().len() as u64;
-        let entity_count = kb.entities().len() as u64;
+        let type_count = self.type_names.len() as u64;
+        let entity_count = self.entity_types.len() as u64;
+        let sample_size = usize::try_from(rows.provenance_sample_size)
+            .map_err(|_| SnapshotError::Corrupt("provenance sample size out of range"))?;
+        if rows.models_len != rows.groups_len {
+            return Err(SnapshotError::Corrupt(
+                "model and decision sections disagree on group count",
+            ));
+        }
+        self.sink.begin_rows(Declared {
+            evidence: rows.evidence_len,
+            provenance: rows.provenance_len,
+            provenance_sample_size: sample_size,
+            results: rows.models_len,
+        });
+        let property_of = |rank: u32, detail: &'static str| match self.properties.get(rank as usize)
+        {
+            Some(&id) => Ok(PropertyRef { rank, id }),
+            None => Err(SnapshotError::Corrupt(detail)),
+        };
 
-        // One pass over the evidence rows fills the table by id and, when
-        // the snapshot carries fingerprints, re-derives them.
-        let mut evidence = EvidenceTable::with_capacity(rows.evidence_len);
+        // One pass over the evidence rows feeds the sink and, when the
+        // snapshot carries fingerprints, re-derives them.
         let mut fingerprinter = (!rows.fingerprints.is_empty()).then(GroupFingerprinter::new);
         let mut statements = 0u64;
+        let mut last = None;
         for row in rows.evidence {
             let row = row?;
             if u64::from(row.entity) >= entity_count {
                 return Err(SnapshotError::Corrupt("evidence entity out of range"));
             }
-            let Some(&property) = properties.get(row.property as usize) else {
-                return Err(SnapshotError::Corrupt("evidence property out of range"));
-            };
-            // Every counter the tables derive is a partial sum of this
-            // one, so none of them can overflow once it does not.
+            let property = property_of(row.property, "evidence property out of range")?;
+            ascending(
+                &mut last,
+                (row.entity, row.property),
+                "evidence rows not in ascending order",
+            )?;
+            // Every counter a sink derives is a partial sum of this one,
+            // so none of them can overflow once it does not.
             statements = (statements.checked_add(row.positive))
                 .and_then(|sum| sum.checked_add(row.negative))
                 .ok_or(SnapshotError::Corrupt("evidence counts overflow"))?;
-            let entity = EntityId(row.entity);
             if let Some(fingerprinter) = &mut fingerprinter {
-                fingerprinter.add(kb.entity(entity).notable_type().0, &row);
+                fingerprinter.add(self.entity_types[row.entity as usize], &row);
             }
-            evidence.add_counts(
-                entity,
+            self.sink.evidence(
+                EntityId(row.entity),
                 property,
                 EvidenceCounts::new(row.positive, row.negative),
             );
@@ -357,28 +466,22 @@ impl Tables {
             ));
         }
 
-        let sample_size = usize::try_from(rows.provenance_sample_size)
-            .map_err(|_| SnapshotError::Corrupt("provenance sample size out of range"))?;
-        let mut provenance = ProvenanceTable::with_capacity(sample_size, rows.provenance_len);
+        let mut last = None;
         for row in rows.provenance {
             let row = row?;
             if u64::from(row.entity) >= entity_count {
                 return Err(SnapshotError::Corrupt("provenance entity out of range"));
             }
-            let Some(&property) = properties.get(row.property as usize) else {
-                return Err(SnapshotError::Corrupt("provenance property out of range"));
-            };
-            provenance.insert(EntityId(row.entity), property, row.documents);
+            let property = property_of(row.property, "provenance property out of range")?;
+            ascending(
+                &mut last,
+                (row.entity, row.property),
+                "provenance rows not in ascending order",
+            )?;
+            self.sink
+                .provenance(EntityId(row.entity), property, row.documents);
         }
 
-        let grouped = GroupedEvidence::from_table(&evidence, &kb);
-
-        if rows.models_len != rows.groups_len {
-            return Err(SnapshotError::Corrupt(
-                "model and decision sections disagree on group count",
-            ));
-        }
-        let mut results = Vec::with_capacity(rows.models_len);
         let mut groups = rows.groups;
         for model in rows.models {
             let model = model?;
@@ -398,9 +501,7 @@ impl Tables {
             if u64::from(model.type_index) >= type_count {
                 return Err(SnapshotError::Corrupt("model type index out of range"));
             }
-            let Some(&property) = properties.get(model.property as usize) else {
-                return Err(SnapshotError::Corrupt("model property out of range"));
-            };
+            let property = property_of(model.property, "model property out of range")?;
             let Some(converged) = ConvergenceReason::from_code(model.converged) else {
                 return Err(SnapshotError::Corrupt("unknown convergence code"));
             };
@@ -414,22 +515,22 @@ impl Tables {
             {
                 return Err(SnapshotError::Corrupt("model parameters out of range"));
             }
+            let iterations = usize::try_from(model.iterations)
+                .map_err(|_| SnapshotError::Corrupt("iteration count out of range"))?;
             let mut decisions: Vec<(EntityId, ModelDecision)> = Vec::with_capacity(group.len);
+            // `SurveyorOutput::opinion_id` binary-searches a group's
+            // decisions on the entity (FORMAT.md §3.7).
+            let mut last = None;
             for row in group.decisions {
                 let row = row?;
                 if u64::from(row.entity) >= entity_count {
                     return Err(SnapshotError::Corrupt("decision entity out of range"));
                 }
-                // `SurveyorOutput::opinion_id` binary-searches a group's
-                // decisions on the entity (FORMAT.md §3.7).
-                if decisions
-                    .last()
-                    .is_some_and(|(last, _)| last.0 >= row.entity)
-                {
-                    return Err(SnapshotError::Corrupt(
-                        "decision entities not in ascending order",
-                    ));
-                }
+                ascending(
+                    &mut last,
+                    row.entity,
+                    "decision entities not in ascending order",
+                )?;
                 decisions.push((
                     EntityId(row.entity),
                     ModelDecision {
@@ -442,64 +543,140 @@ impl Tables {
                     },
                 ));
             }
-            results.push(DomainResult {
-                key: GroupKey {
-                    type_id: TypeId(model.type_index),
-                    property,
+            self.sink.result(
+                property,
+                DomainResult {
+                    key: GroupKey {
+                        type_id: TypeId(model.type_index),
+                        property: property.id,
+                    },
+                    fit: EmFit {
+                        params: ModelParams::new(model.p_agree, model.rate_pos, model.rate_neg),
+                        iterations,
+                        q_trace: model.q_trace,
+                        delta_trace: model.delta_trace,
+                        converged,
+                        log_likelihood: model.log_likelihood,
+                    },
+                    decisions,
                 },
-                fit: EmFit {
-                    params: ModelParams::new(model.p_agree, model.rate_pos, model.rate_neg),
-                    iterations: usize::try_from(model.iterations)
-                        .map_err(|_| SnapshotError::Corrupt("iteration count out of range"))?,
-                    q_trace: model.q_trace,
-                    delta_trace: model.delta_trace,
-                    converged,
-                    log_likelihood: model.log_likelihood,
-                },
-                decisions,
-            });
+            );
         }
         // Drain both sections to their end: trailing bytes behind the
         // declared rows are a wire error wherever they sit.
         if let Some(extra) = groups.next() {
             extra?;
         }
-
-        Ok(SurveyorOutput::from_parts(
-            evidence, provenance, grouped, results, kb,
-        ))
+        Ok(self.sink.finish())
     }
 }
 
-/// Rebuilds a pipeline output from the portable snapshot model,
-/// validating every cross-reference. The rebuilt output's knowledge base
-/// assigns the same dense `TypeId`/`EntityId` values the snapshot's
-/// table order implies; properties are re-interned in this process.
-pub fn output_from_snapshot(snapshot: &Snapshot) -> Result<SurveyorOutput, SnapshotError> {
+/// The sink behind [`load_snapshot`]: the knowledge base whose dense
+/// `TypeId`/`EntityId` values are the type- and entity-table indexes, the
+/// evidence and provenance tables filled by id, and the results.
+struct OutputSink {
+    builder: KnowledgeBaseBuilder,
+    evidence: EvidenceTable,
+    provenance: ProvenanceTable,
+    results: Vec<DomainResult>,
+}
+
+impl OutputSink {
+    fn new() -> Self {
+        Self {
+            builder: KnowledgeBaseBuilder::new(),
+            evidence: EvidenceTable::new(),
+            provenance: ProvenanceTable::new(1),
+            results: Vec::new(),
+        }
+    }
+}
+
+impl Sink for OutputSink {
+    type Output = SurveyorOutput;
+
+    fn entity_type(&mut self, name: &str, head_nouns: &[&str], context_cues: &[&str]) {
+        self.builder.add_type(name, head_nouns, context_cues);
+    }
+
+    fn entity(
+        &mut self,
+        name: &str,
+        type_index: u32,
+        aliases: &[&str],
+        attributes: &[(&str, f64)],
+    ) {
+        let mut entity = self.builder.add_entity(name, TypeId(type_index));
+        for alias in aliases {
+            entity = entity.alias(alias);
+        }
+        for (key, value) in attributes {
+            entity = entity.attribute(key, *value);
+        }
+        entity.finish();
+    }
+
+    fn begin_rows(&mut self, declared: Declared) {
+        self.evidence = EvidenceTable::with_capacity(declared.evidence);
+        self.provenance =
+            ProvenanceTable::with_capacity(declared.provenance_sample_size, declared.provenance);
+        self.results = Vec::with_capacity(declared.results);
+    }
+
+    fn evidence(&mut self, entity: EntityId, property: PropertyRef, counts: EvidenceCounts) {
+        self.evidence.add_counts(entity, property.id, counts);
+    }
+
+    fn provenance(
+        &mut self,
+        entity: EntityId,
+        property: PropertyRef,
+        documents: impl Iterator<Item = u64>,
+    ) {
+        self.provenance
+            .insert(entity, property.id, documents.collect());
+    }
+
+    fn result(&mut self, _: PropertyRef, result: DomainResult) {
+        self.results.push(result);
+    }
+
+    fn finish(self) -> SurveyorOutput {
+        let kb = Arc::new(self.builder.build());
+        let grouped = GroupedEvidence::from_table(&self.evidence, &kb);
+        SurveyorOutput::from_parts(self.evidence, self.provenance, grouped, self.results, kb)
+    }
+}
+
+/// Feeds an owned snapshot through [`Walk`] into `sink`.
+fn walk_snapshot<S: Sink>(snapshot: &Snapshot, sink: S) -> Result<S::Output, SnapshotError> {
     fn strs(strings: &[String]) -> Vec<&str> {
         strings.iter().map(String::as_str).collect()
     }
-    let mut tables = Tables::default();
+    let mut walk = Walk::new(sink);
     for p in &snapshot.properties {
-        tables.property(&strs(&p.adverbs), &p.adjective);
+        walk.property(&strs(&p.adverbs), &p.adjective)?;
     }
     for t in &snapshot.types {
-        tables.entity_type(&t.name, &strs(&t.head_nouns), &strs(&t.context_cues))?;
+        walk.entity_type(&t.name, &strs(&t.head_nouns), &strs(&t.context_cues))?;
     }
     for e in &snapshot.entities {
-        tables.entity(
-            &e.name,
-            e.type_index,
-            e.aliases.iter().map(|alias| Ok(alias.as_str())),
-            e.attributes.iter().map(|(k, v)| Ok((k.as_str(), *v))),
-        )?;
+        let attributes: Vec<(&str, f64)> =
+            (e.attributes.iter().map(|(k, v)| (k.as_str(), *v))).collect();
+        walk.entity(&e.name, e.type_index, &strs(&e.aliases), &attributes)?;
     }
-    tables.into_output(Rows {
+    walk.rows(Rows {
         evidence_len: snapshot.evidence.len(),
         evidence: snapshot.evidence.iter().copied().map(Ok),
         provenance_sample_size: snapshot.provenance_sample_size,
         provenance_len: snapshot.provenance.len(),
-        provenance: snapshot.provenance.iter().cloned().map(Ok),
+        provenance: snapshot.provenance.iter().map(|row| {
+            Ok(ProvenanceRows {
+                entity: row.entity,
+                property: row.property,
+                documents: row.documents.iter().copied(),
+            })
+        }),
         models_len: snapshot.models.len(),
         models: snapshot.models.iter().cloned().map(Ok),
         groups_len: snapshot.decisions.len(),
@@ -511,24 +688,32 @@ pub fn output_from_snapshot(snapshot: &Snapshot) -> Result<SurveyorOutput, Snaps
                 decisions: group.decisions.iter().copied().map(Ok),
             })
         }),
-        fingerprints: Vec::new(),
+        fingerprints: snapshot.fingerprints.clone(),
     })
 }
 
-/// Bytes → output without an owned [`Snapshot`] in between: the tables
-/// and rows are taken straight off the reader's borrowing iterators.
-/// Every section is read to its end — `INCR` and `GRPF` included, whether
-/// or not their content is used — so a malformed record anywhere is an
-/// error, as it is for [`surveyor_wire::decode`].
-fn load(
+/// Rebuilds a pipeline output from the portable snapshot model,
+/// validating every cross-reference. The rebuilt output's knowledge base
+/// assigns the same dense `TypeId`/`EntityId` values the snapshot's
+/// table order implies; properties are re-interned in this process.
+pub fn output_from_snapshot(snapshot: &Snapshot) -> Result<SurveyorOutput, SnapshotError> {
+    walk_snapshot(snapshot, OutputSink::new())
+}
+
+/// Bytes → sink without an owned [`Snapshot`] in between: the tables and
+/// rows are taken straight off the reader's borrowing iterators. Every
+/// section is read to its end — `INCR` and `GRPF` included, and every
+/// string, whether or not the sink keeps it — so a malformed record
+/// anywhere is an error, as it is for [`surveyor_wire::decode`].
+fn walk_bytes<S: Sink>(
     bytes: &[u8],
-    verify_fingerprints: bool,
-) -> Result<(SurveyorOutput, Option<IncrementalState>), SnapshotError> {
+    sink: S,
+) -> Result<(S::Output, Option<IncrementalState>), SnapshotError> {
     let reader = SnapshotReader::new(bytes)?;
     let incremental = reader.incremental()?;
     let fingerprints = reader.fingerprints().collect::<Result<Vec<_>, _>>()?;
 
-    let mut tables = Tables::default();
+    let mut walk = Walk::new(sink);
     let mut strs: Vec<&str> = Vec::new();
     for record in reader.properties() {
         let record = record?;
@@ -536,7 +721,7 @@ fn load(
         for adverb in record.adverbs {
             strs.push(adverb?);
         }
-        tables.property(&strs, record.adjective);
+        walk.property(&strs, record.adjective)?;
     }
     for record in reader.types() {
         let record = record?;
@@ -548,27 +733,31 @@ fn load(
         for cue in record.context_cues {
             strs.push(cue?);
         }
-        tables.entity_type(record.name, &strs[..nouns], &strs[nouns..])?;
+        walk.entity_type(record.name, &strs[..nouns], &strs[nouns..])?;
     }
+    let mut attributes: Vec<(&str, f64)> = Vec::new();
     for record in reader.entities() {
         let record = record?;
-        tables.entity(
-            record.name,
-            record.type_index,
-            record.aliases,
-            record.attributes,
-        )?;
+        strs.clear();
+        for alias in record.aliases {
+            strs.push(alias?);
+        }
+        attributes.clear();
+        for attribute in record.attributes {
+            attributes.push(attribute?);
+        }
+        walk.entity(record.name, record.type_index, &strs, &attributes)?;
     }
-    let output = tables.into_output(Rows {
+    let output = walk.rows(Rows {
         evidence_len: reader.evidence().len(),
         evidence: reader.evidence(),
         provenance_sample_size: reader.provenance_sample_size(),
         provenance_len: reader.provenance().len(),
         provenance: reader.provenance().map(|record| {
-            record.map(|record| ProvenanceRow {
+            record.map(|record| ProvenanceRows {
                 entity: record.entity,
                 property: record.property,
-                documents: record.documents.collect(),
+                documents: record.documents,
             })
         }),
         models_len: reader.models().len(),
@@ -595,31 +784,36 @@ fn load(
                 decisions: record.decisions,
             })
         }),
-        fingerprints: if verify_fingerprints {
-            fingerprints
-        } else {
-            Vec::new()
-        },
+        fingerprints,
     })?;
     Ok((output, incremental))
 }
 
 /// Decodes snapshot bytes back into a fully functional pipeline output.
+///
+/// Like every loader, it re-derives the group fingerprints from the
+/// evidence section when the snapshot carries them (FORMAT.md §3.9) and
+/// rejects a snapshot whose stored ones disagree.
 pub fn load_snapshot(bytes: &[u8]) -> Result<SurveyorOutput, SnapshotError> {
-    load(bytes, false).map(|(output, _)| output)
+    walk_bytes(bytes, OutputSink::new()).map(|(output, _)| output)
 }
 
 /// Decodes snapshot bytes into a pipeline output plus its incremental
 /// mining state, if the producer recorded one.
-///
-/// When the snapshot carries group fingerprints they are re-derived from
-/// the evidence section and compared — a snapshot whose fingerprints no
-/// longer match its evidence was assembled inconsistently and is rejected
-/// rather than silently carried into an update.
 pub fn load_snapshot_with_state(
     bytes: &[u8],
 ) -> Result<(SurveyorOutput, Option<IncrementalState>), SnapshotError> {
-    load(bytes, true)
+    walk_bytes(bytes, OutputSink::new())
+}
+
+/// Decodes snapshot bytes straight into the queryable store — what the
+/// query server serves — without the pipeline output in between: no
+/// knowledge base, no evidence or provenance table. It passes through the
+/// same checks as [`load_snapshot`] and accepts exactly the snapshots
+/// that function accepts; the store is the one
+/// [`SubjectiveKb::from_output`] builds from that function's output.
+pub fn load_store(bytes: &[u8]) -> Result<SubjectiveKb, SnapshotError> {
+    walk_bytes(bytes, StoreSink::default()).map(|(store, _)| store)
 }
 
 #[cfg(test)]
@@ -730,12 +924,14 @@ mod tests {
     }
 
     /// The error a bad snapshot draws — the same one, checked here, from
-    /// the owned form and from its bytes, by each entry point.
+    /// the owned form and from its bytes, by each entry point and into
+    /// either sink.
     fn rejection(bad: &Snapshot) -> SnapshotError {
         let owned = output_from_snapshot(bad).err();
         let bytes = surveyor_wire::encode(bad);
         assert_eq!(load_snapshot(&bytes).err(), owned);
         assert_eq!(load_snapshot_with_state(&bytes).err(), owned);
+        assert_eq!(load_store(&bytes).err(), owned);
         owned.expect("a bad snapshot loaded")
     }
 
@@ -852,31 +1048,77 @@ mod tests {
     }
 
     #[test]
-    fn stale_fingerprints_are_rejected_where_state_is_loaded() {
+    fn rows_out_of_key_order_are_corrupt() {
+        // The property table and the evidence and provenance sections are
+        // sorted on their keys with no key twice (FORMAT.md §3, §3.4,
+        // §3.5): rows refer to properties by table index, and the store
+        // builder finds a pair's counts by merging on the order.
+        let good = snapshot_output(&mined_output());
+        assert!(good.properties.len() >= 2 && good.provenance.len() >= 2);
+        let corrupt = |edit: &dyn Fn(&mut Snapshot)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            rejection(&bad)
+        };
+        assert_eq!(
+            corrupt(&|bad| bad.properties.swap(0, 1)),
+            SnapshotError::Corrupt("property table not in ascending order")
+        );
+        // Two table rows that differ as stored and resolve to one property.
+        assert_eq!(
+            corrupt(&|bad| {
+                let mut twin = bad.properties[0].clone();
+                twin.adjective = twin.adjective.to_uppercase();
+                bad.properties.insert(1, twin);
+            }),
+            SnapshotError::Corrupt("property table not in ascending order")
+        );
+        assert_eq!(
+            corrupt(&|bad| bad.evidence.swap(0, 1)),
+            SnapshotError::Corrupt("evidence rows not in ascending order")
+        );
+        assert_eq!(
+            corrupt(&|bad| bad.evidence[1] = bad.evidence[0]),
+            SnapshotError::Corrupt("evidence rows not in ascending order")
+        );
+        assert_eq!(
+            corrupt(&|bad| bad.provenance.swap(0, 1)),
+            SnapshotError::Corrupt("provenance rows not in ascending order")
+        );
+        assert_eq!(
+            corrupt(&|bad| {
+                let twin = bad.provenance[0].clone();
+                bad.provenance.insert(0, twin);
+            }),
+            SnapshotError::Corrupt("provenance rows not in ascending order")
+        );
+    }
+
+    #[test]
+    fn stale_fingerprints_are_rejected_by_every_loader() {
         let output = mined_output();
         let state = IncrementalState {
             rho: 30,
             ..Default::default()
         };
         let good = snapshot_output_with_state(&output, &state);
-        let (loaded, loaded_state) =
-            load_snapshot_with_state(&surveyor_wire::encode(&good)).unwrap();
+        let bytes = surveyor_wire::encode(&good);
+        let (loaded, loaded_state) = load_snapshot_with_state(&bytes).unwrap();
         assert_eq!(loaded_state, Some(state));
         assert_eq!(loaded.triples(), output.triples());
+        assert_eq!(load_snapshot(&bytes).unwrap().triples(), output.triples());
+        assert_eq!(load_store(&bytes).unwrap().len(), output.decided_pairs());
 
-        // One more statement than the fingerprints were taken over.
+        // One more statement than the fingerprints were taken over. The
+        // check rides the evidence pass every loader makes, so a load that
+        // drops the incremental state makes it too — and so does the
+        // store builder.
         let mut bad = good;
         bad.evidence[0].positive += 1;
-        let bytes = surveyor_wire::encode(&bad);
         assert_eq!(
-            load_snapshot_with_state(&bytes).err(),
-            Some(SnapshotError::Corrupt(
-                "group fingerprints do not match evidence"
-            ))
+            rejection(&bad),
+            SnapshotError::Corrupt("group fingerprints do not match evidence")
         );
-        // Fingerprints are the updater's check; a plain load, which drops
-        // the incremental state, does not make it.
-        assert!(load_snapshot(&bytes).is_ok());
     }
 
     #[test]

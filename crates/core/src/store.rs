@@ -5,19 +5,48 @@
 //! exploit high-confidence entity-property associations" (paper §1–§2).
 //! This module materializes pipeline output into a queryable, persistable
 //! store answering exactly those queries: *safe cities*, *cute animals*.
+//!
+//! # Layout
+//!
+//! A [`SubjectiveKb`] is a handful of flat columns, however many opinions
+//! it holds — what it costs to keep is [`SubjectiveKb::resident_bytes`],
+//! about 50 bytes per opinion:
+//!
+//! ```text
+//!   heads         one per (type, property) block: type, property, the three
+//!                 fitted parameters
+//!   block_starts  u32 × (blocks + 1): block b is rows[starts[b]..starts[b + 1]]
+//!   rows          32 bytes per opinion, blocks back to back, each in rank
+//!                 order: group, verdict, probability, the two counts
+//!   names         the name arena — one name per entity group, not per opinion
+//!   group_entity  the `EntityId` of each group
+//!   doc_offsets   u32 × (rows + 1) into …
+//!   documents     … the supporting-document ids, in row order
+//!   by_combination, entities   the two derived indexes (block by key,
+//!                 rows by entity name — `entity_index.rs`)
+//! ```
+//!
+//! Three producers fill the same columns: [`SubjectiveKb::from_output`]
+//! (a mine), [`crate::load_store`] (snapshot bytes, without the pipeline
+//! output in between) and [`SubjectiveKb::from_json`]. Lookups hand out
+//! [`BlockRef`] / [`OpinionRef`] views assembled from the columns on the
+//! spot; [`CombinationBlock`] / [`StoredOpinion`] are the owned *export*
+//! shape — what [`SubjectiveKb::blocks`] and the JSON form are made of.
 
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::mem::size_of;
 use std::sync::Arc;
 use surveyor_extract::EvidenceCounts;
 use surveyor_kb::{EntityId, KnowledgeBase, Property, TypeId};
 use surveyor_model::Decision;
 
-use crate::entity_index::EntityIndex;
-use crate::pipeline::SurveyorOutput;
+use crate::entity_index::{EntityIndex, Names};
+use crate::pipeline::{DomainResult, SurveyorOutput};
+use crate::snapshot::{Declared, PropertyRef, Sink};
 
-/// One stored association.
+/// One stored association, owned — the export shape of an [`OpinionRef`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredOpinion {
     /// The entity.
@@ -37,7 +66,8 @@ pub struct StoredOpinion {
     pub supporting_documents: Vec<u64>,
 }
 
-/// Per-combination block of the store.
+/// Per-combination block of the store, owned — the export shape of a
+/// [`BlockRef`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CombinationBlock {
     /// The entity type.
@@ -54,6 +84,119 @@ pub struct CombinationBlock {
     pub rate_neg: f64,
     /// All decided entities, positives first, by descending probability.
     pub opinions: Vec<StoredOpinion>,
+}
+
+/// What a block is apart from its opinions.
+#[derive(Debug, Clone)]
+struct BlockHead {
+    type_id: TypeId,
+    type_name: String,
+    property: Property,
+    p_agree: f64,
+    rate_pos: f64,
+    rate_neg: f64,
+}
+
+/// The plain-data part of one opinion. Its entity and name are its
+/// group's; its documents are `doc_offsets[row]..doc_offsets[row + 1]`.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    group: u32,
+    positive: bool,
+    probability: f64,
+    positive_statements: u64,
+    negative_statements: u64,
+}
+
+// The bytes-per-opinion budget (`resident_bytes`) is built on this.
+const _: () = assert!(size_of::<Row>() == 32);
+
+/// A stored block, borrowed from the store's columns: the block's own
+/// values by copy, its strings by reference, its opinions on request.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockRef<'a> {
+    /// The entity type.
+    pub type_id: TypeId,
+    /// Type name.
+    pub type_name: &'a str,
+    /// The subjective property.
+    pub property: &'a Property,
+    /// Fitted model parameters (pA, np+S, np-S).
+    pub p_agree: f64,
+    /// Fitted positive statement rate.
+    pub rate_pos: f64,
+    /// Fitted negative statement rate.
+    pub rate_neg: f64,
+    store: &'a SubjectiveKb,
+    index: u32,
+}
+
+impl<'a> BlockRef<'a> {
+    /// Number of decided entities.
+    pub fn len(&self) -> usize {
+        self.store.rows_of(self.index).len()
+    }
+
+    /// Whether the block decided no entity.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// All decided entities, positives first, by descending probability.
+    pub fn opinions(&self) -> impl DoubleEndedIterator<Item = OpinionRef<'a>> + ExactSizeIterator {
+        let store = self.store;
+        store
+            .rows_of(self.index)
+            .map(move |row| store.opinion_at(row))
+    }
+
+    /// The owned copy of the block.
+    pub fn export(&self) -> CombinationBlock {
+        CombinationBlock {
+            type_id: self.type_id,
+            type_name: self.type_name.to_owned(),
+            property: self.property.clone(),
+            p_agree: self.p_agree,
+            rate_pos: self.rate_pos,
+            rate_neg: self.rate_neg,
+            opinions: self.opinions().map(|o| o.export()).collect(),
+        }
+    }
+}
+
+/// A stored association, borrowed from the store's columns.
+#[derive(Debug, Clone, Copy)]
+pub struct OpinionRef<'a> {
+    /// The entity.
+    pub entity: EntityId,
+    /// Canonical entity name.
+    pub entity_name: &'a str,
+    /// `true` = the dominant opinion applies the property.
+    pub positive: bool,
+    /// Posterior probability that the property applies.
+    pub probability: f64,
+    /// Evidence counts behind the decision.
+    pub positive_statements: u64,
+    /// Negative statement count.
+    pub negative_statements: u64,
+    /// Sample of supporting document ids — the "links to supporting
+    /// content on the Web" the paper's search scenario offers (§2).
+    pub supporting_documents: &'a [u64],
+}
+
+impl OpinionRef<'_> {
+    /// The owned copy of the opinion.
+    pub fn export(&self) -> StoredOpinion {
+        StoredOpinion {
+            entity: self.entity,
+            entity_name: self.entity_name.to_owned(),
+            positive: self.positive,
+            probability: self.probability,
+            positive_statements: self.positive_statements,
+            negative_statements: self.negative_statements,
+            supporting_documents: self.supporting_documents.to_vec(),
+        }
+    }
 }
 
 /// A queryable, serializable knowledge base of subjective properties.
@@ -85,142 +228,250 @@ pub struct CombinationBlock {
 /// block, entity name → opinions) are derived whenever a store is built.
 #[derive(Debug, Clone)]
 pub struct SubjectiveKb {
-    blocks: Vec<CombinationBlock>,
-    index: FxHashMap<(String, Property), usize>,
+    data: Columns,
+    /// Block numbers sorted by (type name, property), and by block number
+    /// among equals: a combination is found by binary search.
+    by_combination: Vec<u32>,
     entities: EntityIndex,
 }
 
 impl PartialEq for SubjectiveKb {
     fn eq(&self, other: &Self) -> bool {
-        self.blocks == other.blocks
+        (self.combinations().map(|b| b.export())).eq(other.combinations().map(|b| b.export()))
     }
 }
 
-/// Most confident first (largest `|p − 0.5|`), then by type name; hits
-/// that tie on both keep the order they arrive in.
-fn by_confidence(
-    (block_a, a): &(&CombinationBlock, &StoredOpinion),
-    (block_b, b): &(&CombinationBlock, &StoredOpinion),
-) -> Ordering {
-    let conf_a = (a.probability - 0.5).abs();
-    let conf_b = (b.probability - 0.5).abs();
-    conf_b
-        .total_cmp(&conf_a)
-        .then_with(|| block_a.type_name.cmp(&block_b.type_name))
+/// The data columns of a store, filled block by block in final order.
+/// [`Columns::finish`] is the one way to a [`SubjectiveKb`]: both indexes
+/// are derived there, so no store exists without them.
+#[derive(Debug, Clone)]
+struct Columns {
+    heads: Vec<BlockHead>,
+    /// Block `b` is `rows[block_starts[b]..block_starts[b + 1]]`: blocks
+    /// lie back to back. One entry per block while the columns fill;
+    /// `finish` adds the end of the last.
+    block_starts: Vec<u32>,
+    rows: Vec<Row>,
+    names: Names,
+    group_entity: Vec<EntityId>,
+    doc_offsets: Vec<u32>,
+    documents: Vec<u64>,
 }
+
+/// What ranks an opinion within its block, before its name and its
+/// documents are attached: a block's order is settled on these 32-byte
+/// values alone.
+#[derive(Clone, Copy)]
+struct Ranked {
+    entity: EntityId,
+    probability: f64,
+    positive: bool,
+    counts: EvidenceCounts,
+}
+
+impl Columns {
+    fn with_capacity(blocks: usize, groups: usize, rows: usize) -> Self {
+        let mut doc_offsets = Vec::with_capacity(rows + 1);
+        doc_offsets.push(0);
+        Self {
+            heads: Vec::with_capacity(blocks),
+            block_starts: Vec::with_capacity(blocks + 1),
+            rows: Vec::with_capacity(rows),
+            names: Names::with_capacity(groups),
+            group_entity: Vec::with_capacity(groups),
+            doc_offsets,
+            documents: Vec::new(),
+        }
+    }
+
+    /// Adds an entity group and returns its number. Opinions are grouped
+    /// by name for the entity index; the opinions of one group carry one
+    /// entity and one name.
+    fn group(&mut self, entity: EntityId, name: &str) -> u32 {
+        self.group_entity.push(entity);
+        self.names.push(name)
+    }
+
+    /// Opens the next block; [`push`](Self::push) appends to it.
+    fn begin_block(
+        &mut self,
+        type_id: TypeId,
+        type_name: &str,
+        property: Property,
+        params: [f64; 3],
+    ) {
+        self.block_starts.push(self.rows.len() as u32);
+        self.heads.push(BlockHead {
+            type_id,
+            type_name: type_name.to_owned(),
+            property,
+            p_agree: params[0],
+            rate_pos: params[1],
+            rate_neg: params[2],
+        });
+    }
+
+    /// Appends an opinion to the open block.
+    fn push(&mut self, row: Row, documents: &[u64]) {
+        self.rows.push(row);
+        self.documents.extend_from_slice(documents);
+        // Positions are u32, here as in the entity index.
+        assert!(
+            self.rows.len() < u32::MAX as usize && self.documents.len() < u32::MAX as usize,
+            "store exceeds its u32 positions"
+        );
+        self.doc_offsets.push(self.documents.len() as u32);
+    }
+
+    /// Appends the block of one modeled combination: its solved decisions,
+    /// positives first by descending probability. Group numbers are
+    /// entity ids here — the caller added one group per entity of the
+    /// knowledge base, in id order.
+    fn push_result<'d>(
+        &mut self,
+        type_name: &str,
+        result: &DomainResult,
+        scratch: &mut Vec<Ranked>,
+        counts: impl Fn(EntityId) -> EvidenceCounts,
+        documents: impl Fn(EntityId) -> &'d [u64],
+    ) {
+        let params = result.fit.params;
+        self.begin_block(
+            result.key.type_id,
+            type_name,
+            result.key.property.resolve(),
+            [params.p_agree, params.rate_pos, params.rate_neg],
+        );
+        scratch.clear();
+        scratch.extend(
+            (result.decisions.iter())
+                .filter(|(_, d)| d.decision.is_solved())
+                .map(|&(entity, d)| Ranked {
+                    entity,
+                    probability: d.probability.unwrap_or(0.5),
+                    positive: d.decision == Decision::Positive,
+                    counts: counts(entity),
+                }),
+        );
+        // Entities are distinct within a block, so no two keys are equal
+        // and an unstable sort is deterministic.
+        scratch.sort_unstable_by(|a, b| {
+            b.probability
+                .total_cmp(&a.probability)
+                .then_with(|| b.counts.positive.cmp(&a.counts.positive))
+                .then_with(|| a.entity.cmp(&b.entity))
+        });
+        self.rows.reserve(scratch.len());
+        self.doc_offsets.reserve(scratch.len());
+        for ranked in scratch.iter() {
+            self.push(
+                Row {
+                    group: ranked.entity.0,
+                    positive: ranked.positive,
+                    probability: ranked.probability,
+                    positive_statements: ranked.counts.positive,
+                    negative_statements: ranked.counts.negative,
+                },
+                documents(ranked.entity),
+            );
+        }
+    }
+
+    fn finish(mut self) -> SubjectiveKb {
+        self.block_starts.push(self.rows.len() as u32);
+        // What was reserved by doubling goes back: `resident_bytes` is a
+        // sum of capacities, and a served generation lives for hours.
+        self.heads.shrink_to_fit();
+        self.block_starts.shrink_to_fit();
+        self.rows.shrink_to_fit();
+        self.names.shrink_to_fit();
+        self.group_entity.shrink_to_fit();
+        self.doc_offsets.shrink_to_fit();
+        self.documents.shrink_to_fit();
+        let mut by_combination: Vec<u32> = (0..self.heads.len() as u32).collect();
+        by_combination.sort_by(|&a, &b| {
+            let (a, b) = (&self.heads[a as usize], &self.heads[b as usize]);
+            (a.type_name.as_str(), &a.property).cmp(&(b.type_name.as_str(), &b.property))
+        });
+        let entities = EntityIndex::build(&self.names, self.rows.iter().map(|row| row.group));
+        SubjectiveKb {
+            data: self,
+            by_combination,
+            entities,
+        }
+    }
+}
+
+/// Where one stored opinion lives: `(block, row)`.
+type Position = (u32, u32);
 
 impl SubjectiveKb {
     /// Materializes pipeline output into a store.
     pub fn from_output(output: &SurveyorOutput, kb: &Arc<KnowledgeBase>) -> Self {
-        /// The plain-data half of an opinion: what decides its rank.
-        #[derive(Clone, Copy)]
-        struct Row {
-            entity: EntityId,
-            probability: f64,
-            positive: bool,
-            counts: EvidenceCounts,
+        let mut columns =
+            Columns::with_capacity(output.results.len(), kb.len(), output.decided_pairs());
+        // A name is a function of the entity id here, so the ids are the
+        // groups.
+        for entity in kb.entities() {
+            columns.group(entity.id(), entity.name());
         }
-        let mut blocks = Vec::with_capacity(output.results.len());
-        // The entity index groups opinions by name. Here a name is a
-        // function of the entity id, so the ids are the groups.
-        let mut group_of_pair: Vec<u32> = Vec::with_capacity(output.decided_pairs());
-        // A block's order is settled on 32-byte rows; names and documents
-        // (two allocations and 56 more bytes to move per opinion) are
-        // attached afterwards, in final order.
-        let mut rows: Vec<Row> = Vec::new();
+        let mut scratch = Vec::new();
         for result in &output.results {
-            let type_name = kb.entity_type(result.key.type_id).name().to_owned();
             let property = result.key.property;
-            rows.clear();
-            rows.extend(
-                result
-                    .decisions
-                    .iter()
-                    .filter(|(_, d)| d.decision.is_solved())
-                    .map(|&(entity, d)| Row {
-                        entity,
-                        probability: d.probability.unwrap_or(0.5),
-                        positive: d.decision == Decision::Positive,
-                        counts: output.evidence.counts_id(entity, property),
-                    }),
+            columns.push_result(
+                kb.entity_type(result.key.type_id).name(),
+                result,
+                &mut scratch,
+                |entity| output.evidence.counts_id(entity, property),
+                |entity| output.provenance.documents_id(entity, property),
             );
-            rows.sort_by(|a, b| {
-                b.probability
-                    .total_cmp(&a.probability)
-                    .then_with(|| b.counts.positive.cmp(&a.counts.positive))
-                    .then_with(|| a.entity.cmp(&b.entity))
-            });
-            group_of_pair.extend(rows.iter().map(|row| row.entity.0));
-            let opinions = rows
-                .iter()
-                .map(|row| StoredOpinion {
-                    entity: row.entity,
-                    entity_name: kb.entity(row.entity).name().to_owned(),
-                    positive: row.positive,
-                    probability: row.probability,
-                    positive_statements: row.counts.positive,
-                    negative_statements: row.counts.negative,
-                    supporting_documents: output
-                        .provenance
-                        .documents_id(row.entity, property)
-                        .to_vec(),
-                })
-                .collect();
-            blocks.push(CombinationBlock {
-                type_id: result.key.type_id,
-                type_name,
-                property: property.resolve(),
-                p_agree: result.fit.params.p_agree,
-                rate_pos: result.fit.params.rate_pos,
-                rate_neg: result.fit.params.rate_neg,
-                opinions,
-            });
         }
-        Self::from_grouped_blocks(blocks, &group_of_pair, kb.len())
+        columns.finish()
     }
 
-    /// Indexes blocks from outside the program ([`Self::from_json`]),
-    /// where nothing ties an `EntityId` to one name: opinions are grouped
-    /// by the name they carry, and their ids play no part.
-    fn from_blocks(blocks: Vec<CombinationBlock>) -> Self {
-        let mut groups: FxHashMap<String, u32> = FxHashMap::default();
-        let group_of_pair: Vec<u32> = blocks
-            .iter()
-            .flat_map(|b| &b.opinions)
-            .map(|o| {
-                let next = groups.len() as u32;
-                *groups
-                    .entry(o.entity_name.to_ascii_lowercase())
-                    .or_insert(next)
-            })
-            .collect();
-        Self::from_grouped_blocks(blocks, &group_of_pair, groups.len())
-    }
-
-    /// The one constructor: both indexes are derived here, so no store
-    /// exists without them. `group_of_pair` and `groups` are as
-    /// [`EntityIndex::build`] takes them.
-    fn from_grouped_blocks(
-        blocks: Vec<CombinationBlock>,
-        group_of_pair: &[u32],
-        groups: usize,
-    ) -> Self {
-        let index = blocks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| ((b.type_name.clone(), b.property.clone()), i))
-            .collect();
-        let entities = EntityIndex::build(&blocks, group_of_pair, groups);
-        Self {
-            blocks,
-            index,
-            entities,
+    /// Fills the columns from blocks from outside the program
+    /// ([`Self::from_json`]), in the order given. Nothing there ties an
+    /// `EntityId` to one name, so a group is a distinct (id, name) pair;
+    /// the entity index merges the groups of one name at lookup.
+    fn from_blocks(blocks: &[CombinationBlock]) -> Self {
+        let pairs = blocks.iter().map(|b| b.opinions.len()).sum();
+        let mut columns = Columns::with_capacity(blocks.len(), 0, pairs);
+        let mut groups: FxHashMap<(EntityId, &str), u32> = FxHashMap::default();
+        for block in blocks {
+            columns.begin_block(
+                block.type_id,
+                &block.type_name,
+                block.property.clone(),
+                [block.p_agree, block.rate_pos, block.rate_neg],
+            );
+            for opinion in &block.opinions {
+                let group = *groups
+                    .entry((opinion.entity, opinion.entity_name.as_str()))
+                    .or_insert_with(|| columns.group(opinion.entity, &opinion.entity_name));
+                columns.push(
+                    Row {
+                        group,
+                        positive: opinion.positive,
+                        probability: opinion.probability,
+                        positive_statements: opinion.positive_statements,
+                        negative_statements: opinion.negative_statements,
+                    },
+                    &opinion.supporting_documents,
+                );
+            }
         }
+        columns.finish()
     }
 
-    /// All stored combinations.
-    pub fn blocks(&self) -> &[CombinationBlock] {
-        &self.blocks
+    /// All stored combinations, as owned copies — the export; use
+    /// [`combinations`](Self::combinations) to read them in place.
+    pub fn blocks(&self) -> Vec<CombinationBlock> {
+        self.combinations().map(|block| block.export()).collect()
+    }
+
+    /// All stored combinations, in block order.
+    pub fn combinations(&self) -> impl ExactSizeIterator<Item = BlockRef<'_>> {
+        (0..self.data.heads.len() as u32).map(move |index| self.block_at(index))
     }
 
     /// Number of stored entity-property associations.
@@ -233,59 +484,185 @@ impl SubjectiveKb {
         self.len() == 0
     }
 
+    /// Bytes the store keeps on the heap: the sum of its columns'
+    /// capacities (block heads with their strings included), counted from
+    /// the columns themselves — no allocator is asked. This is what one
+    /// served generation costs; `tests::bytes_per_opinion_budget` holds it
+    /// to 64 bytes per opinion.
+    pub fn resident_bytes(&self) -> usize {
+        let heads: usize = (self.data.heads.iter())
+            .map(|head| {
+                head.type_name.capacity()
+                    + head.property.head().len()
+                    + (head.property.adverbs().iter())
+                        .map(|adverb| size_of::<String>() + adverb.len())
+                        .sum::<usize>()
+            })
+            .sum();
+        heads
+            + self.data.heads.capacity() * size_of::<BlockHead>()
+            + self.data.block_starts.capacity() * size_of::<u32>()
+            + self.data.rows.capacity() * size_of::<Row>()
+            + self.data.names.resident_bytes()
+            + self.data.group_entity.capacity() * size_of::<EntityId>()
+            + self.data.doc_offsets.capacity() * size_of::<u32>()
+            + self.data.documents.capacity() * size_of::<u64>()
+            + self.by_combination.capacity() * size_of::<u32>()
+            + self.entities.resident_bytes()
+    }
+
+    fn block_at(&self, index: u32) -> BlockRef<'_> {
+        let head = &self.data.heads[index as usize];
+        BlockRef {
+            type_id: head.type_id,
+            type_name: &head.type_name,
+            property: &head.property,
+            p_agree: head.p_agree,
+            rate_pos: head.rate_pos,
+            rate_neg: head.rate_neg,
+            store: self,
+            index,
+        }
+    }
+
+    fn opinion_at(&self, row: u32) -> OpinionRef<'_> {
+        let (data, at) = (&self.data, row as usize);
+        let Row {
+            group,
+            positive,
+            probability,
+            positive_statements,
+            negative_statements,
+        } = data.rows[at];
+        OpinionRef {
+            entity: data.group_entity[group as usize],
+            entity_name: data.names.get(group),
+            positive,
+            probability,
+            positive_statements,
+            negative_statements,
+            supporting_documents: &data.documents
+                [data.doc_offsets[at] as usize..data.doc_offsets[at + 1] as usize],
+        }
+    }
+
+    /// The rows of a block.
+    fn rows_of(&self, block: u32) -> std::ops::Range<u32> {
+        let b = block as usize;
+        self.data.block_starts[b]..self.data.block_starts[b + 1]
+    }
+
+    /// The block a row belongs to — the last one that starts at or before
+    /// the row (blocks without rows share their start with the next) —
+    /// searched for from `from`, a block at or before it. An entity's rows
+    /// are visited in ascending order and a type's blocks lie together, so
+    /// the block is mostly `from` or a neighbour: those are tried first,
+    /// the rest is a binary search.
+    fn block_of(&self, from: u32, row: u32) -> u32 {
+        const NEAR: usize = 4;
+        // The starts of the blocks after `from`, then the end of the rows:
+        // the row's block is as far from `from` as starts here are ≤ row.
+        let later = &self.data.block_starts[from as usize + 1..];
+        let skip = match later.iter().take(NEAR).position(|&start| start > row) {
+            Some(skip) => skip,
+            None => NEAR + later[NEAR..].partition_point(|&start| start <= row),
+        };
+        from + skip as u32
+    }
+
     /// Answers a subjective query: entities of `type_name` for which the
     /// dominant opinion applies `property`, ranked by probability.
     ///
     /// This is the paper's motivating search-engine scenario ("queries
     /// such as `safe cities` would not trigger search results from
     /// structured data" — now they can).
-    pub fn query(&self, type_name: &str, property: &Property) -> Vec<&StoredOpinion> {
+    pub fn query(&self, type_name: &str, property: &Property) -> Vec<OpinionRef<'_>> {
         self.combination(type_name, property)
-            .map(|b| b.opinions.iter().filter(|o| o.positive).collect())
+            .map(|b| b.opinions().filter(|o| o.positive).collect())
             .unwrap_or_default()
     }
 
     /// The negated query: entities the dominant opinion says are *not*
     /// `property`, most confident first.
-    pub fn query_negative(&self, type_name: &str, property: &Property) -> Vec<&StoredOpinion> {
-        let Some(block) = self.combination(type_name, property) else {
-            return Vec::new();
-        };
-        let mut hits: Vec<&StoredOpinion> = block.opinions.iter().filter(|o| !o.positive).collect();
-        hits.reverse(); // ascending probability = descending confidence in ¬P
-        hits
+    pub fn query_negative(&self, type_name: &str, property: &Property) -> Vec<OpinionRef<'_>> {
+        // Ascending probability = descending confidence in ¬P.
+        self.combination(type_name, property)
+            .map(|b| b.opinions().rev().filter(|o| !o.positive).collect())
+            .unwrap_or_default()
     }
 
-    /// The block for one combination, if modeled.
-    pub fn combination(&self, type_name: &str, property: &Property) -> Option<&CombinationBlock> {
-        self.index
-            .get(&(type_name.to_lowercase(), property.clone()))
-            .map(|&i| &self.blocks[i])
+    /// The block for one combination, if modeled. Of several blocks with
+    /// one key (an export edited by hand), the last.
+    pub fn combination(&self, type_name: &str, property: &Property) -> Option<BlockRef<'_>> {
+        let wanted = (type_name.to_lowercase(), property);
+        let key = |&block: &u32| {
+            let head = &self.data.heads[block as usize];
+            (head.type_name.as_str(), &head.property)
+        };
+        let past = self
+            .by_combination
+            .partition_point(|block| key(block) <= (wanted.0.as_str(), wanted.1));
+        let &block = self.by_combination[..past].last()?;
+        (key(&block) == (wanted.0.as_str(), wanted.1)).then(|| self.block_at(block))
     }
 
     /// All properties stored for a type.
     pub fn properties_of(&self, type_name: &str) -> Vec<&Property> {
         let lower = type_name.to_lowercase();
-        self.blocks
+        self.data
+            .heads
             .iter()
-            .filter(|b| b.type_name == lower)
-            .map(|b| &b.property)
+            .filter(|head| head.type_name == lower)
+            .map(|head| &head.property)
             .collect()
+    }
+
+    /// Most confident first (largest `|p − 0.5|`), then by type name; hits
+    /// that tie on both keep the order they arrive in.
+    fn by_confidence(&self, a: &Position, b: &Position) -> Ordering {
+        let confidence =
+            |&(_, row): &Position| (self.data.rows[row as usize].probability - 0.5).abs();
+        let type_name = |&(block, _): &Position| self.data.heads[block as usize].type_name.as_str();
+        confidence(b)
+            .total_cmp(&confidence(a))
+            .then_with(|| type_name(a).cmp(type_name(b)))
     }
 
     /// Every stored opinion about `entity_name` (matched ignoring ASCII
     /// case), in block order — what a scan over the blocks would find,
     /// read off the entity index in time proportional to the answer.
-    fn hits<'a>(
-        &'a self,
-        entity_name: &str,
-    ) -> impl Iterator<Item = (&'a CombinationBlock, &'a StoredOpinion)> {
-        let postings = self.entities.postings_of(&self.blocks, entity_name);
+    fn hits<'a>(&'a self, entity_name: &str) -> impl Iterator<Item = Position> + 'a {
+        let postings = self.entities.postings_of(&self.data.names, entity_name);
+        let mut block = 0;
         (0..postings.len()).map(move |i| {
-            let at = postings[i];
-            let block = &self.blocks[at.block as usize];
-            (block, &block.opinions[at.slot as usize])
+            block = self.block_of(block, postings[i]);
+            (block, postings[i])
         })
+    }
+
+    fn ranked_hits(&self, entity_name: &str) -> Vec<Position> {
+        let property =
+            |&(block, _): &Position| self.data.heads[block as usize].property.to_string();
+        let mut hits: Vec<Position> = self.hits(entity_name).collect();
+        hits.sort_by(|a, b| {
+            self.by_confidence(a, b)
+                .then_with(|| property(a).cmp(&property(b)))
+        });
+        hits
+    }
+
+    fn find_hit(&self, entity_name: &str, property: &Property) -> Option<Position> {
+        self.hits(entity_name)
+            .filter(|&(block, _)| &self.data.heads[block as usize].property == property)
+            .min_by(|a, b| self.by_confidence(a, b)) // of equals, the first
+    }
+
+    fn hit_in(&self, block: u32, entity_name: &str) -> Option<Position> {
+        self.hits(entity_name).find(|&(b, _)| b == block)
+    }
+
+    fn views(&self, (block, row): Position) -> (BlockRef<'_>, OpinionRef<'_>) {
+        (self.block_at(block), self.opinion_at(row))
     }
 
     /// Every stored opinion about `entity_name` across all combinations,
@@ -293,16 +670,10 @@ impl SubjectiveKb {
     /// property. This is the query server's top-k-properties-per-entity
     /// lookup; it costs what the entity's own opinions cost, not the
     /// store's.
-    pub fn opinions_of_entity(
-        &self,
-        entity_name: &str,
-    ) -> Vec<(&CombinationBlock, &StoredOpinion)> {
-        let mut hits: Vec<(&CombinationBlock, &StoredOpinion)> = self.hits(entity_name).collect();
-        hits.sort_by(|a, b| {
-            by_confidence(a, b)
-                .then_with(|| a.0.property.to_string().cmp(&b.0.property.to_string()))
-        });
-        hits
+    pub fn opinions_of_entity(&self, entity_name: &str) -> Vec<(BlockRef<'_>, OpinionRef<'_>)> {
+        (self.ranked_hits(entity_name).into_iter())
+            .map(|at| self.views(at))
+            .collect()
     }
 
     /// The stored opinion for one entity-property pair, searched across
@@ -314,10 +685,9 @@ impl SubjectiveKb {
         &self,
         entity_name: &str,
         property: &Property,
-    ) -> Option<(&CombinationBlock, &StoredOpinion)> {
-        self.hits(entity_name)
-            .filter(|(block, _)| &block.property == property)
-            .min_by(by_confidence) // of equals, the first
+    ) -> Option<(BlockRef<'_>, OpinionRef<'_>)> {
+        self.find_hit(entity_name, property)
+            .map(|at| self.views(at))
     }
 
     /// The opinion on one entity-property pair, if stored.
@@ -326,75 +696,193 @@ impl SubjectiveKb {
         type_name: &str,
         property: &Property,
         entity_name: &str,
-    ) -> Option<&StoredOpinion> {
+    ) -> Option<OpinionRef<'_>> {
         let wanted = self.combination(type_name, property)?;
-        self.hits(entity_name)
-            .find(|&(block, _)| std::ptr::eq(block, wanted))
-            .map(|(_, opinion)| opinion)
+        self.hit_in(wanted.index, entity_name)
+            .map(|(_, row)| self.opinion_at(row))
     }
 
     /// Serializes the store to pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.blocks).expect("store serializes") // lint:allow(no-panic-in-lib): the store value tree holds only serializable primitives
+        serde_json::to_string_pretty(&self.blocks()).expect("store serializes") // lint:allow(no-panic-in-lib): the store value tree holds only serializable primitives
     }
 
     /// Restores a store from JSON produced by [`Self::to_json`].
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let blocks: Vec<CombinationBlock> = serde_json::from_str(json)?;
-        Ok(Self::from_blocks(blocks))
+        Ok(Self::from_blocks(&blocks))
     }
 }
 
-/// The lookups as they were before the entity index: a scan over every
-/// stored opinion. Kept, for tests only, as the oracle the index answers
-/// are compared against.
+/// Per-pair values of one row section (`EVID`, `PROV`) as they arrive:
+/// ascending by (entity, property rank) — the snapshot walk rejects any
+/// other order — so an entity's rows are one run, `starts` finds it and a
+/// binary search on the rank finishes the lookup. Lives for one load.
+struct PairRuns<T> {
+    /// Entity `e` owns `rows[starts[e]..starts[e + 1]]`; entities past
+    /// the last one with a row have no entry and own nothing.
+    starts: Vec<usize>,
+    rows: Vec<(u32, T)>,
+}
+
+impl<T: Copy> PairRuns<T> {
+    fn with_capacity(entities: usize, rows: usize) -> Self {
+        Self {
+            starts: Vec::with_capacity(entities + 1),
+            rows: Vec::with_capacity(rows),
+        }
+    }
+
+    fn push(&mut self, entity: EntityId, rank: u32, value: T) {
+        // Every entity up to this one starts at or before this row.
+        let (at, through) = (self.rows.len(), entity.index() + 1);
+        self.starts.resize(self.starts.len().max(through), at);
+        self.rows.push((rank, value));
+    }
+
+    fn get(&self, entity: EntityId, rank: u32) -> Option<T> {
+        let start_of = |e: usize| self.starts.get(e).copied().unwrap_or(self.rows.len());
+        let run = &self.rows[start_of(entity.index())..start_of(entity.index() + 1)];
+        let at = run.binary_search_by_key(&rank, |&(rank, _)| rank).ok()?;
+        Some(run[at].1)
+    }
+}
+
+/// The sink behind [`crate::load_store`]: fills the store's columns from
+/// a snapshot's sections as the walk checks them. Evidence counts and
+/// provenance samples are parked as two flat runs until the decision
+/// groups that refer to them arrive; nothing else of the snapshot — the
+/// knowledge base's surface forms, attributes, the tables — is built.
+pub(crate) struct StoreSink {
+    columns: Columns,
+    type_names: Vec<String>,
+    evidence: PairRuns<EvidenceCounts>,
+    /// Per pair, its range of `sampled`.
+    provenance: PairRuns<(usize, usize)>,
+    sampled: Vec<u64>,
+    scratch: Vec<Ranked>,
+}
+
+impl Default for StoreSink {
+    fn default() -> Self {
+        Self {
+            columns: Columns::with_capacity(0, 0, 0),
+            type_names: Vec::new(),
+            evidence: PairRuns::with_capacity(0, 0),
+            provenance: PairRuns::with_capacity(0, 0),
+            sampled: Vec::new(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl Sink for StoreSink {
+    type Output = SubjectiveKb;
+
+    fn entity_type(&mut self, name: &str, _: &[&str], _: &[&str]) {
+        self.type_names.push(name.to_lowercase());
+    }
+
+    fn entity(&mut self, name: &str, _: u32, _: &[&str], _: &[(&str, f64)]) {
+        let id = EntityId(self.columns.group_entity.len() as u32);
+        self.columns.group(id, name);
+    }
+
+    fn begin_rows(&mut self, declared: Declared) {
+        let entities = self.columns.group_entity.len();
+        self.columns.heads.reserve_exact(declared.results);
+        self.evidence = PairRuns::with_capacity(entities, declared.evidence);
+        self.provenance = PairRuns::with_capacity(entities, declared.provenance);
+    }
+
+    fn evidence(&mut self, entity: EntityId, property: PropertyRef, counts: EvidenceCounts) {
+        self.evidence.push(entity, property.rank, counts);
+    }
+
+    fn provenance(
+        &mut self,
+        entity: EntityId,
+        property: PropertyRef,
+        documents: impl Iterator<Item = u64>,
+    ) {
+        let start = self.sampled.len();
+        self.sampled.extend(documents);
+        self.provenance
+            .push(entity, property.rank, (start, self.sampled.len()));
+    }
+
+    fn result(&mut self, property: PropertyRef, result: DomainResult) {
+        let (evidence, provenance, sampled) = (&self.evidence, &self.provenance, &self.sampled);
+        self.columns.push_result(
+            &self.type_names[result.key.type_id.index()],
+            &result,
+            &mut self.scratch,
+            |entity| evidence.get(entity, property.rank).unwrap_or_default(),
+            |entity| match provenance.get(entity, property.rank) {
+                Some((start, end)) => &sampled[start..end],
+                None => &[],
+            },
+        );
+    }
+
+    fn finish(self) -> SubjectiveKb {
+        self.columns.finish()
+    }
+}
+
+/// The lookups as they were before either index: a scan over every
+/// stored opinion, and over every block. Kept, for tests only, as the
+/// oracle the indexed answers are compared against.
 #[cfg(test)]
 impl SubjectiveKb {
-    fn scan_opinions_of_entity(
-        &self,
-        entity_name: &str,
-    ) -> Vec<(&CombinationBlock, &StoredOpinion)> {
-        let mut hits: Vec<(&CombinationBlock, &StoredOpinion)> = self
-            .blocks
-            .iter()
-            .flat_map(|b| {
-                b.opinions
-                    .iter()
-                    .filter(|o| o.entity_name.eq_ignore_ascii_case(entity_name))
-                    .map(move |o| (b, o))
-            })
-            .collect();
-        hits.sort_by(|(ba, a), (bb, b)| {
-            let conf_a = (a.probability - 0.5).abs();
-            let conf_b = (b.probability - 0.5).abs();
+    fn scan_hits<'a>(&'a self, entity_name: &'a str) -> impl Iterator<Item = Position> + 'a {
+        (0..self.data.heads.len() as u32).flat_map(move |block| {
+            self.rows_of(block)
+                .filter(move |&row| {
+                    let name = self.data.names.get(self.data.rows[row as usize].group);
+                    name.eq_ignore_ascii_case(entity_name)
+                })
+                .map(move |row| (block, row))
+        })
+    }
+
+    fn scan_ranked_hits(&self, entity_name: &str) -> Vec<Position> {
+        let mut hits: Vec<Position> = self.scan_hits(entity_name).collect();
+        hits.sort_by(|&(block_a, a), &(block_b, b)| {
+            let (block_a, block_b) = (
+                &self.data.heads[block_a as usize],
+                &self.data.heads[block_b as usize],
+            );
+            let conf_a = (self.data.rows[a as usize].probability - 0.5).abs();
+            let conf_b = (self.data.rows[b as usize].probability - 0.5).abs();
             conf_b
                 .total_cmp(&conf_a)
-                .then_with(|| ba.type_name.cmp(&bb.type_name))
-                .then_with(|| ba.property.to_string().cmp(&bb.property.to_string()))
+                .then_with(|| block_a.type_name.cmp(&block_b.type_name))
+                .then_with(|| {
+                    block_a
+                        .property
+                        .to_string()
+                        .cmp(&block_b.property.to_string())
+                })
         });
         hits
     }
 
-    fn scan_find_opinion(
-        &self,
-        entity_name: &str,
-        property: &Property,
-    ) -> Option<(&CombinationBlock, &StoredOpinion)> {
-        self.scan_opinions_of_entity(entity_name)
+    fn scan_find_hit(&self, entity_name: &str, property: &Property) -> Option<Position> {
+        self.scan_ranked_hits(entity_name)
             .into_iter()
-            .find(|(b, _)| &b.property == property)
+            .find(|&(block, _)| &self.data.heads[block as usize].property == property)
     }
 
-    fn scan_opinion(
-        &self,
-        type_name: &str,
-        property: &Property,
-        entity_name: &str,
-    ) -> Option<&StoredOpinion> {
-        self.combination(type_name, property)?
-            .opinions
-            .iter()
-            .find(|o| o.entity_name.eq_ignore_ascii_case(entity_name))
+    fn scan_combination(&self, type_name: &str, property: &Property) -> Option<u32> {
+        let lower = type_name.to_lowercase();
+        (self.data.heads.iter())
+            .rposition(|head| head.type_name == lower && &head.property == property)
+            .map(|block| block as u32)
+    }
+
+    fn scan_hit_in(&self, block: u32, entity_name: &str) -> Option<Position> {
+        self.scan_hits(entity_name).find(|&(b, _)| b == block)
     }
 }
 
@@ -405,7 +893,7 @@ mod tests {
     use surveyor_extract::{EvidenceTable, Polarity, Statement};
     use surveyor_kb::KnowledgeBaseBuilder;
 
-    fn output_fixture() -> (Arc<KnowledgeBase>, SurveyorOutput) {
+    pub(super) fn output_fixture() -> (Arc<KnowledgeBase>, SurveyorOutput) {
         let mut b = KnowledgeBaseBuilder::new();
         let animal = b.add_type("animal", &["animal"], &[]);
         b.add_entity("Kitten", animal).finish();
@@ -438,6 +926,35 @@ mod tests {
         (kb, output)
     }
 
+    /// One name under two `EntityId`s and two types, with the same
+    /// evidence and so the same confidence.
+    pub(super) fn case_variant_fixture() -> (Arc<KnowledgeBase>, SurveyorOutput) {
+        let mut b = KnowledgeBaseBuilder::new();
+        let pet = b.add_type("pet", &["pet"], &[]);
+        let animal = b.add_type("animal", &["animal"], &[]);
+        let upper = b.add_entity("KITTEN", pet).finish();
+        b.add_entity("Goldfish", pet).finish();
+        let lower = b.add_entity("Kitten", animal).finish();
+        b.add_entity("Spider", animal).finish();
+        let kb = Arc::new(b.build());
+        let cute = Property::adjective("cute");
+        let mut table = EvidenceTable::new();
+        for entity in [upper, lower] {
+            for _ in 0..30 {
+                table.add(&Statement::new(entity, &cute, Polarity::Positive));
+            }
+        }
+        let surveyor = Surveyor::new(
+            kb.clone(),
+            SurveyorConfig {
+                rho: 10,
+                ..SurveyorConfig::default()
+            },
+        );
+        let output = surveyor.run_on_evidence(table);
+        (kb, output)
+    }
+
     #[test]
     fn query_returns_ranked_positives() {
         let (kb, output) = output_fixture();
@@ -453,6 +970,10 @@ mod tests {
         assert!(negs.iter().any(|o| o.entity_name == "Spider"));
         // The never-mentioned entity is decided too (negative here).
         assert!(negs.iter().any(|o| o.entity_name == "Rock"));
+        // Most confident first: ascending probability.
+        assert!(negs
+            .windows(2)
+            .all(|w| w[0].probability <= w[1].probability));
     }
 
     #[test]
@@ -462,6 +983,7 @@ mod tests {
         let cute = Property::adjective("cute");
         let block = store.combination("animal", &cute).unwrap();
         assert!(block.p_agree >= 0.5);
+        assert_eq!(block.len(), 4);
         assert_eq!(store.properties_of("animal"), vec![&cute]);
         let kitten = store.opinion("animal", &cute, "kitten").unwrap();
         assert!(kitten.positive);
@@ -494,7 +1016,7 @@ mod tests {
             let flat = |s: &SubjectiveKb| -> Vec<(String, String, bool)> {
                 s.opinions_of_entity(name)
                     .iter()
-                    .map(|(b, o)| (b.type_name.clone(), o.entity_name.clone(), o.positive))
+                    .map(|(b, o)| (b.type_name.to_owned(), o.entity_name.to_owned(), o.positive))
                     .collect()
             };
             assert_eq!(flat(&store), flat(&restored), "opinions_of_entity({name})");
@@ -502,6 +1024,13 @@ mod tests {
             assert_eq!(verdict(&store), verdict(&restored), "find_opinion({name})");
             assert_eq!(verdict(&store).is_some(), name != "ghost");
         }
+        // Rendering what was parsed gives the bytes that were parsed.
+        assert_eq!(
+            restored.to_json(),
+            SubjectiveKb::from_json(&restored.to_json())
+                .unwrap()
+                .to_json()
+        );
     }
 
     /// One name under two `EntityId`s and two types, with the same
@@ -510,56 +1039,31 @@ mod tests {
     /// the scan on a store built by `from_output`.
     #[test]
     fn case_variants_under_two_ids_both_answer() {
-        let mut b = KnowledgeBaseBuilder::new();
-        let pet = b.add_type("pet", &["pet"], &[]);
-        let animal = b.add_type("animal", &["animal"], &[]);
-        let upper = b.add_entity("KITTEN", pet).finish();
-        b.add_entity("Goldfish", pet).finish();
-        let lower = b.add_entity("Kitten", animal).finish();
-        b.add_entity("Spider", animal).finish();
-        let kb = Arc::new(b.build());
+        let (kb, output) = case_variant_fixture();
+        let upper = kb.entities()[0].id();
+        let lower = kb.entities()[2].id();
         let cute = Property::adjective("cute");
-        let mut table = EvidenceTable::new();
-        for entity in [upper, lower] {
-            for _ in 0..30 {
-                table.add(&Statement::new(entity, &cute, Polarity::Positive));
-            }
-        }
-        let surveyor = Surveyor::new(
-            kb.clone(),
-            SurveyorConfig {
-                rho: 10,
-                ..SurveyorConfig::default()
-            },
-        );
-        let store = SubjectiveKb::from_output(&surveyor.run_on_evidence(table), &kb);
+        let store = SubjectiveKb::from_output(&output, &kb);
 
         for name in ["kitten", "KITTEN", "Kitten"] {
             let hits = store.opinions_of_entity(name);
             let found: Vec<(&str, &str)> = hits
                 .iter()
-                .map(|(b, o)| (b.type_name.as_str(), o.entity_name.as_str()))
+                .map(|(b, o)| (b.type_name, o.entity_name))
                 .collect();
             assert_eq!(found, [("animal", "Kitten"), ("pet", "KITTEN")]);
             assert_eq!(hits[0].1.probability, hits[1].1.probability);
             let (block, opinion) = store.find_opinion(name, &cute).unwrap();
-            assert_eq!(
-                (block.type_name.as_str(), opinion.entity),
-                ("animal", lower)
-            );
+            assert_eq!((block.type_name, opinion.entity), ("animal", lower));
             assert_eq!(store.opinion("pet", &cute, name).unwrap().entity, upper);
 
-            let scanned = store.scan_opinions_of_entity(name);
-            assert_eq!(hits.len(), scanned.len());
-            for (hit, want) in hits.iter().zip(&scanned) {
-                assert!(std::ptr::eq(hit.1, want.1));
-            }
-            let scanned = store.scan_find_opinion(name, &cute).unwrap();
-            assert!(std::ptr::eq(opinion, scanned.1));
-            assert!(std::ptr::eq(
-                store.opinion("pet", &cute, name).unwrap(),
-                store.scan_opinion("pet", &cute, name).unwrap()
-            ));
+            assert_eq!(store.ranked_hits(name), store.scan_ranked_hits(name));
+            assert_eq!(
+                store.find_hit(name, &cute),
+                store.scan_find_hit(name, &cute)
+            );
+            let pet = store.combination("pet", &cute).unwrap().index;
+            assert_eq!(store.hit_in(pet, name), store.scan_hit_in(pet, name));
         }
     }
 
@@ -572,22 +1076,68 @@ mod tests {
             .is_empty());
         assert!(store.query("city", &Property::adjective("cute")).is_empty());
     }
+
+    /// The committed budget: what a store keeps per opinion, counted from
+    /// its own columns on the long-tail preset (many sparse combinations,
+    /// most entities never written about — the shape with the most
+    /// opinions per byte of snapshot). A `String` and a `Vec` per opinion,
+    /// as the store once held, is 88 bytes before either allocation.
+    #[test]
+    fn bytes_per_opinion_budget() {
+        use crate::source::CorpusSource;
+        use surveyor_corpus::{presets, CorpusConfig, CorpusGenerator};
+
+        let world = presets::long_tail_world(20, 150, 8, 2015);
+        let kb = world.kb().clone();
+        let generator = CorpusGenerator::new(world, CorpusConfig::default());
+        let config = SurveyorConfig {
+            rho: 25,
+            threads: 2,
+            ..SurveyorConfig::default()
+        };
+        let output = Surveyor::new(kb, config).run(&CorpusSource::new(&generator));
+        let mined = SubjectiveKb::from_output(&output, output.kb());
+        let served = crate::load_store(&crate::save_snapshot(&output)).unwrap();
+        assert!(mined.len() > 10_000, "{} opinions", mined.len());
+        for (label, store) in [("from_output", &mined), ("load_store", &served)] {
+            let per_opinion = store.resident_bytes() as f64 / store.len() as f64;
+            assert!(
+                per_opinion <= 64.0,
+                "{label}: {per_opinion:.1} bytes per opinion ({} bytes, {} opinions)",
+                store.resident_bytes(),
+                store.len(),
+            );
+        }
+    }
 }
 
-/// Differential tests: every lookup answered from the entity index must
-/// return exactly what the linear scan it replaced returns — the same
-/// opinions (by address, not by value) in the same order.
+/// Differential tests, in two layers.
 ///
-/// Block sets are drawn from small pools chosen to collide: case variants
-/// of one name (ASCII ones match each other, non-ASCII ones must not), one
-/// name under several `EntityId`s, one `EntityId` under several names,
-/// an entity in several blocks and under two types with equal confidence,
-/// blocks repeating a (type, property), empty blocks, the empty store, and
-/// ids up to `u32::MAX`.
+/// *Index against scan:* every lookup answered from the two derived
+/// indexes must return exactly what the linear scans they replaced return
+/// — the same positions in the same order. Block sets are drawn from small
+/// pools chosen to collide: case variants of one name (ASCII ones match
+/// each other, non-ASCII ones must not), one name under several
+/// `EntityId`s, one `EntityId` under several names, an entity in several
+/// blocks and under two types with equal confidence, blocks repeating a
+/// (type, property), empty blocks, the empty store, and ids up to
+/// `u32::MAX`.
+///
+/// *Bytes against output:* the store [`crate::load_store`] fills straight
+/// from snapshot bytes must be the store [`SubjectiveKb::from_output`]
+/// builds from [`crate::load_snapshot`] of the same bytes — the same
+/// export, the same JSON, the same answer from every lookup — on every
+/// preset world, the fixtures of this crate's tests, and drawn worlds.
 #[cfg(test)]
 mod differential {
     use super::*;
+    use crate::pipeline::{Surveyor, SurveyorConfig};
+    use crate::source::CorpusSource;
     use proptest::prelude::*;
+    use surveyor_corpus::{presets, CorpusConfig, CorpusGenerator, World};
+    use surveyor_extract::{EvidenceTable, ProvenanceTable};
+    use surveyor_kb::{KnowledgeBaseBuilder, PropertyId};
+    use surveyor_wire::IncrementalState;
 
     const NAMES: [&str; 10] = [
         "kitten",
@@ -655,63 +1205,208 @@ mod differential {
             .collect()
     }
 
-    type Addresses = Vec<(*const CombinationBlock, *const StoredOpinion)>;
-
-    fn addresses<'a>(
-        hits: impl IntoIterator<Item = (&'a CombinationBlock, &'a StoredOpinion)>,
-    ) -> Addresses {
-        hits.into_iter()
-            .map(|(b, o)| (std::ptr::from_ref(b), std::ptr::from_ref(o)))
-            .collect()
-    }
+    const PROBES: [&str; 7] = [
+        "kItTeN",
+        "PUPPY",
+        "ROCK",
+        "sÃo pAULO",
+        "ghost",
+        "kitte",
+        "kittens",
+    ];
 
     /// Every lookup, on every probe the pools can hit or miss, against the scan.
     fn assert_index_matches_scan(store: &SubjectiveKb) -> Result<(), TestCaseError> {
-        let probes = NAMES.iter().copied().chain([
-            "kItTeN",
-            "PUPPY",
-            "ROCK",
-            "sÃo pAULO",
-            "ghost",
-            "kitte",
-            "kittens",
-        ]);
-        for name in probes {
+        for name in NAMES.iter().chain(&PROBES).copied() {
             prop_assert_eq!(
-                addresses(store.opinions_of_entity(name)),
-                addresses(store.scan_opinions_of_entity(name)),
-                "opinions_of_entity({name:?})"
+                store.ranked_hits(name),
+                store.scan_ranked_hits(name),
+                "opinions_of_entity({:?})",
+                name
             );
             for surface in PROPERTIES.iter().copied().chain(["absent"]) {
                 let property = Property::parse(surface).unwrap();
                 prop_assert_eq!(
-                    addresses(store.find_opinion(name, &property)),
-                    addresses(store.scan_find_opinion(name, &property)),
-                    "find_opinion({name:?}, {surface:?})"
+                    store.find_hit(name, &property),
+                    store.scan_find_hit(name, &property),
+                    "find_opinion({:?}, {:?})",
+                    name,
+                    surface
                 );
                 for type_name in TYPES.iter().copied().chain(["ANIMAL", "absent"]) {
+                    let block = store.combination(type_name, &property).map(|b| b.index);
                     prop_assert_eq!(
-                        store
-                            .opinion(type_name, &property, name)
-                            .map(std::ptr::from_ref),
-                        store
-                            .scan_opinion(type_name, &property, name)
-                            .map(std::ptr::from_ref),
-                        "opinion({type_name:?}, {surface:?}, {name:?})"
+                        block,
+                        store.scan_combination(type_name, &property),
+                        "combination({:?}, {:?})",
+                        type_name,
+                        surface
+                    );
+                    prop_assert_eq!(
+                        block.and_then(|block| store.hit_in(block, name)),
+                        block.and_then(|block| store.scan_hit_in(block, name)),
+                        "opinion({:?}, {:?}, {:?})",
+                        type_name,
+                        surface,
+                        name
                     );
                 }
             }
         }
         prop_assert_eq!(
             store.len(),
-            store
-                .blocks()
-                .iter()
-                .map(|b| b.opinions.len())
-                .sum::<usize>()
+            store.combinations().map(|b| b.len()).sum::<usize>()
         );
         Ok(())
     }
+
+    /// The public lookups, flattened to owned values: what two stores
+    /// with equal columns must agree on for `name`.
+    fn answers(store: &SubjectiveKb, name: &str) -> Vec<(String, Option<StoredOpinion>)> {
+        let mut out: Vec<(String, Option<StoredOpinion>)> = store
+            .opinions_of_entity(name)
+            .iter()
+            .map(|(block, opinion)| (block.export().type_name, Some(opinion.export())))
+            .collect();
+        let properties: Vec<Property> = (store.combinations())
+            .map(|block| block.property.clone())
+            .chain([Property::adjective("absent")])
+            .collect();
+        for property in &properties {
+            let found = store.find_opinion(name, property);
+            out.push((
+                format!("find {property}"),
+                found.map(|(_, opinion)| opinion.export()),
+            ));
+        }
+        for block in store.combinations() {
+            let found = store.opinion(&block.type_name.to_uppercase(), block.property, name);
+            out.push((
+                format!("opinion {} {}", block.type_name, block.property),
+                found.map(|opinion| opinion.export()),
+            ));
+        }
+        out
+    }
+
+    /// `load_store(bytes)` against `from_output(load_snapshot(bytes))`,
+    /// with and without the incremental sections.
+    fn assert_bytes_match_output(context: &str, output: &SurveyorOutput) {
+        let state = IncrementalState {
+            rho: 25,
+            ..Default::default()
+        };
+        for bytes in [
+            crate::save_snapshot(output),
+            crate::save_snapshot_with_state(output, &state),
+        ] {
+            let loaded = crate::load_snapshot(&bytes).expect("own snapshot loads");
+            let reference = SubjectiveKb::from_output(&loaded, loaded.kb());
+            let store = crate::load_store(&bytes).expect("own snapshot serves");
+            assert_eq!(store.len(), reference.len(), "{context}: len");
+            assert_eq!(store.blocks(), reference.blocks(), "{context}: blocks");
+            assert_eq!(store.to_json(), reference.to_json(), "{context}: json");
+            assert_eq!(
+                store.to_json(),
+                SubjectiveKb::from_output(output, output.kb()).to_json(),
+                "{context}: json of the mined output"
+            );
+            assert_eq!(
+                store.resident_bytes(),
+                reference.resident_bytes(),
+                "{context}: resident bytes"
+            );
+            // Every stored name — a few hundred at most per world, spread
+            // over the store — as stored, case-folded both ways, and
+            // damaged; plus names nothing carries.
+            let names: Vec<&str> = (0..store.data.names.len() as u32)
+                .map(|group| store.data.names.get(group))
+                .collect();
+            let step = (names.len() / 300).max(1);
+            for name in names.iter().step_by(step).copied().chain(["ghost", ""]) {
+                let variants = [
+                    name.to_owned(),
+                    name.to_ascii_lowercase(),
+                    name.to_ascii_uppercase(),
+                    format!("{name}x"),
+                ];
+                for probe in &variants {
+                    assert_eq!(
+                        store.ranked_hits(probe),
+                        reference.ranked_hits(probe),
+                        "{context}: positions of {probe:?}"
+                    );
+                    assert_eq!(
+                        store.ranked_hits(probe),
+                        store.scan_ranked_hits(probe),
+                        "{context}: scan for {probe:?}"
+                    );
+                    assert_eq!(
+                        answers(&store, probe),
+                        answers(&reference, probe),
+                        "{context}: answers for {probe:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn mine(world: World, rho: u64) -> SurveyorOutput {
+        let kb = world.kb().clone();
+        let generator = CorpusGenerator::new(
+            world,
+            CorpusConfig {
+                num_shards: 2,
+                ..CorpusConfig::default()
+            },
+        );
+        let config = SurveyorConfig {
+            rho,
+            threads: 2,
+            ..SurveyorConfig::default()
+        };
+        Surveyor::new(kb, config).run(&CorpusSource::new(&generator))
+    }
+
+    #[test]
+    fn bytes_match_output_on_every_preset() {
+        let seed = 2015;
+        let worlds: [(&str, World, u64); 6] = [
+            ("cities", presets::big_cities_world(seed), 40),
+            ("table2", presets::table2_world_sized(seed, 12), 100),
+            ("countries", presets::wealthy_countries_world(seed), 40),
+            ("lakes", presets::big_lakes_world(seed), 40),
+            ("mountains", presets::high_mountains_world(seed), 40),
+            ("long tail", presets::long_tail_world(6, 150, 4, seed), 25),
+        ];
+        for (preset, world, rho) in worlds {
+            let output = mine(world, rho);
+            assert!(output.decided_pairs() > 0, "{preset}: empty world");
+            assert_bytes_match_output(preset, &output);
+        }
+    }
+
+    #[test]
+    fn bytes_match_output_on_the_fixtures() {
+        let (_, output) = super::tests::output_fixture();
+        assert_bytes_match_output("one block", &output);
+        let (_, output) = super::tests::case_variant_fixture();
+        assert_bytes_match_output("case variants", &output);
+        // No modeled combination, and no entity at all.
+        let (kb, _) = super::tests::output_fixture();
+        let surveyor = Surveyor::new(kb, SurveyorConfig::default());
+        assert_bytes_match_output(
+            "nothing modeled",
+            &surveyor.run_on_evidence(EvidenceTable::new()),
+        );
+        let empty = Arc::new(KnowledgeBaseBuilder::new().build());
+        let surveyor = Surveyor::new(empty, SurveyorConfig::default());
+        assert_bytes_match_output("empty", &surveyor.run_on_evidence(EvidenceTable::new()));
+    }
+
+    /// One drawn pair of counts: an entity (index into the world's
+    /// entities), a property, positive and negative statements, documents.
+    type EvidenceDraw = (usize, usize, u64, u64, Vec<u64>);
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
@@ -723,7 +1418,7 @@ mod differential {
             let blocks = materialize(&draws, |&(name, id, _)| (EntityId(IDS[id]), NAMES[name]));
             let json = serde_json::to_string(&blocks).unwrap();
             let store = SubjectiveKb::from_json(&json).unwrap();
-            prop_assert_eq!(store.blocks(), blocks.as_slice());
+            prop_assert_eq!(store.blocks(), blocks);
             assert_index_matches_scan(&store)?;
         }
 
@@ -736,14 +1431,77 @@ mod differential {
             unused_ids in 0usize..4,
         ) {
             let blocks = materialize(&draws, |&(name, _, _)| (EntityId(name as u32), NAMES[name]));
-            let group_of_pair: Vec<u32> = blocks
-                .iter()
-                .flat_map(|b| &b.opinions)
-                .map(|o| o.entity.0)
-                .collect();
-            let store =
-                SubjectiveKb::from_grouped_blocks(blocks, &group_of_pair, NAMES.len() + unused_ids);
+            let mut columns = Columns::with_capacity(blocks.len(), NAMES.len() + unused_ids, 0);
+            for (id, name) in NAMES.iter().chain(&PROBES[..unused_ids]).enumerate() {
+                columns.group(EntityId(id as u32), name);
+            }
+            for block in &blocks {
+                columns.begin_block(
+                    block.type_id,
+                    &block.type_name,
+                    block.property.clone(),
+                    [block.p_agree, block.rate_pos, block.rate_neg],
+                );
+                for opinion in &block.opinions {
+                    columns.push(
+                        Row {
+                            group: opinion.entity.0,
+                            positive: opinion.positive,
+                            probability: opinion.probability,
+                            positive_statements: opinion.positive_statements,
+                            negative_statements: opinion.negative_statements,
+                        },
+                        &opinion.supporting_documents,
+                    );
+                }
+            }
+            let store = columns.finish();
+            prop_assert_eq!(store.blocks(), blocks);
             assert_index_matches_scan(&store)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Drawn worlds through the snapshot: entity names from the
+        /// colliding pool (so one folded name sits under several ids and
+        /// types), counts from none to lopsided, provenance on some pairs
+        /// and not others, a threshold some combinations miss.
+        #[test]
+        fn bytes_match_output_on_drawn_worlds(
+            entity_draws in prop::collection::vec((0..NAMES.len(), 0..TYPES.len()), 1..12),
+            evidence in prop::collection::vec(
+                (0usize..12, 0..PROPERTIES.len(), 0u64..40, 0u64..40,
+                 prop::collection::vec(0u64..1_000, 0..4)),
+                0..40,
+            ),
+            rho in 1u64..60,
+        ) {
+            let mut b = KnowledgeBaseBuilder::new();
+            let types: Vec<TypeId> = TYPES.iter().map(|t| b.add_type(t, &[t], &[])).collect();
+            for &(name, type_index) in &entity_draws {
+                b.add_entity(NAMES[name], types[type_index]).finish();
+            }
+            let kb = Arc::new(b.build());
+            let mut table = EvidenceTable::new();
+            let mut provenance = ProvenanceTable::new(3);
+            let draws: &[EvidenceDraw] = &evidence;
+            for (entity, property, positive, negative, documents) in draws {
+                let entity = EntityId((entity % entity_draws.len()) as u32);
+                let property = PropertyId::intern(&Property::parse(PROPERTIES[*property]).unwrap());
+                table.add_counts(entity, property, EvidenceCounts::new(*positive, *negative));
+                let mut documents = documents.clone();
+                documents.sort_unstable();
+                documents.dedup();
+                if !documents.is_empty() {
+                    provenance.insert(entity, property, documents);
+                }
+            }
+            let config = SurveyorConfig { rho, threads: 1, ..SurveyorConfig::default() };
+            let mut output = Surveyor::new(kb, config).run_on_evidence(table);
+            output.provenance = provenance;
+            assert_bytes_match_output("drawn world", &output);
         }
     }
 }

@@ -80,6 +80,14 @@ impl ServerMetrics {
         self.latency.observe(seconds);
     }
 
+    /// Sets the `server.store_resident_bytes` gauge: what the generation
+    /// now serving keeps on the heap (`SubjectiveKb::resident_bytes`).
+    /// Set at boot and on every accepted swap.
+    pub fn store_resident_bytes(&self, bytes: usize) {
+        self.registry
+            .set_gauge("server.store_resident_bytes", bytes as f64);
+    }
+
     /// Records the time one request spent in `route()` alone: the lookup
     /// and the reply's construction, without queue, read or write.
     pub fn observe_route(&self, seconds: f64) {

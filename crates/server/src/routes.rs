@@ -26,7 +26,7 @@ use crate::state::{ServedState, SharedState, StateCache};
 use serde_json::json;
 use std::sync::Arc;
 use surveyor::kb::Property;
-use surveyor::{CombinationBlock, StoredOpinion};
+use surveyor::{BlockRef, OpinionRef};
 
 /// What the worker should do after writing the response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +81,7 @@ fn bad_request(detail: &str) -> Response {
     Response::json(400, &json!({ "error": detail }))
 }
 
-fn opinion_json(block: &CombinationBlock, opinion: &StoredOpinion) -> serde_json::Value {
+fn opinion_json(block: &BlockRef<'_>, opinion: &OpinionRef<'_>) -> serde_json::Value {
     json!({
         "entity": opinion.entity_name,
         "type": block.type_name,
@@ -110,6 +110,7 @@ pub fn route(req: &Request, ctx: &mut RouteContext<'_>) -> RouteOutcome {
                     "source": state.source,
                     "snapshot_bytes": state.snapshot_bytes,
                     "associations": state.store.len(),
+                    "store_bytes": state.store.resident_bytes(),
                 }),
             ))
         }
@@ -120,7 +121,7 @@ pub fn route(req: &Request, ctx: &mut RouteContext<'_>) -> RouteOutcome {
             let state = ctx.cache.get(ctx.shared);
             match state.store.find_opinion(entity, &property) {
                 Some((block, opinion)) => {
-                    RouteOutcome::reply(Response::json(200, &opinion_json(block, opinion)))
+                    RouteOutcome::reply(Response::json(200, &opinion_json(&block, &opinion)))
                 }
                 None => RouteOutcome::reply(not_found("no stored opinion for entity/property")),
             }
@@ -162,7 +163,7 @@ pub fn route(req: &Request, ctx: &mut RouteContext<'_>) -> RouteOutcome {
                         "p_agree": block.p_agree,
                         "rate_pos": block.rate_pos,
                         "rate_neg": block.rate_neg,
-                        "decided_entities": block.opinions.len(),
+                        "decided_entities": block.len(),
                     }),
                 )),
                 None => RouteOutcome::reply(not_found("no model for type/property")),
@@ -239,23 +240,24 @@ fn reload(req: &Request, ctx: &mut RouteContext<'_>) -> Response {
     let current_generation = ctx.cache.get(ctx.shared).generation;
     match ServedState::from_snapshot_bytes(&bytes, current_generation + 1, path) {
         Ok(next) => {
-            // Answer from `next` itself, not through the cache: refreshing
-            // the cache here would drop what may be the last reference to
-            // the replaced snapshot, and freeing its opinions one by one
-            // would sit between the swap and the reply. The request's
-            // cache lets go of it once the response is written.
-            let response = Response::json(
+            let store_bytes = next.store.resident_bytes();
+            ctx.metrics.store_resident_bytes(store_bytes);
+            ctx.shared.swap(Arc::new(next));
+            ctx.metrics.reload_ok.inc();
+            // The request's cache sees its own swap and lets go of the
+            // replaced generation here — a dozen deallocations, however
+            // many opinions it held.
+            let state = ctx.cache.get(ctx.shared);
+            Response::json(
                 200,
                 &json!({
                     "reloaded": true,
-                    "generation": next.generation,
-                    "source": next.source,
-                    "associations": next.store.len(),
+                    "generation": state.generation,
+                    "source": state.source,
+                    "associations": state.store.len(),
+                    "store_bytes": store_bytes,
                 }),
-            );
-            ctx.shared.swap(Arc::new(next));
-            ctx.metrics.reload_ok.inc();
-            response
+            )
         }
         Err(e) => {
             ctx.metrics.reload_rejected.inc();

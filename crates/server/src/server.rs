@@ -154,6 +154,7 @@ pub fn start(
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let metrics = ServerMetrics::new(registry);
+    metrics.store_resident_bytes(initial.store.resident_bytes());
     let shared = Arc::new(SharedState::new(initial));
     let signal = Arc::new(ShutdownSignal {
         flag: AtomicBool::new(false),

@@ -1,7 +1,10 @@
 //! The served decision index and its hot-swap machinery.
 //!
-//! A [`ServedState`] is one fully validated snapshot, materialized into
-//! the queryable [`SubjectiveKb`] store. [`SharedState`] holds the
+//! A [`ServedState`] is one fully validated snapshot as the queryable
+//! [`SubjectiveKb`] store, whose columns are filled straight from the
+//! snapshot's sections ([`surveyor::load_store`]): no knowledge base, no
+//! evidence table, no pipeline output in between, and a generation is a
+//! dozen allocations to build and to drop. [`SharedState`] holds the
 //! current one behind an epoch counter. A worker takes a [`StateCache`]
 //! per request — one brief slot lock and an `Arc` clone — and drops it
 //! with the request, so an idle worker pins no snapshot and a replaced
@@ -10,10 +13,11 @@
 //! the epoch moved (the reload route sees its own swap that way).
 //!
 //! Reload is **validate-then-swap**: the replacement bytes must decode
-//! (wire structure, CRC, version — the PR-7 never-panic decoder) *and*
-//! rebuild into a semantically consistent output before the swap
-//! happens. A corrupt candidate is rejected with the old state still
-//! serving; there is no window where readers can observe a broken index.
+//! (wire structure, CRC, version — the never-panic decoder) *and* pass
+//! every cross-reference rule `surveyor::load_snapshot` applies (the two
+//! loaders share one copy of each) before the swap happens. A corrupt
+//! candidate is rejected with the old state still serving; there is no
+//! window where readers can observe a broken index.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,10 +48,8 @@ impl ServedState {
         generation: u64,
         source: &str,
     ) -> Result<Self, SnapshotError> {
-        let output = surveyor::load_snapshot(bytes)?;
-        let store = SubjectiveKb::from_output(&output, output.kb());
         Ok(Self {
-            store,
+            store: surveyor::load_store(bytes)?,
             generation,
             source: source.to_owned(),
             snapshot_bytes: bytes.len() as u64,

@@ -91,22 +91,21 @@ fn known_query(handle: &ServerHandle) -> (String, bool) {
     let state = handle.shared().load();
     let block = state
         .store
-        .blocks()
-        .iter()
-        .find(|b| !b.opinions.is_empty())
+        .combinations()
+        .find(|b| !b.is_empty())
         .expect("mined world has opinions");
-    let opinion = &block.opinions[0];
+    let opinion = block.opinions().next().expect("block is not empty");
     // Resolve through find_opinion: /decide answers with the most
     // confident block when an entity holds the property under several
     // types, so the expected bit must come from the same resolution.
     let property = block.property.to_string();
     let (_, resolved) = state
         .store
-        .find_opinion(&opinion.entity_name, &block.property)
+        .find_opinion(opinion.entity_name, block.property)
         .expect("enumerated opinion resolves");
     let path = format!(
         "/decide/{}/{}",
-        percent_encode(&opinion.entity_name),
+        percent_encode(opinion.entity_name),
         percent_encode(&property)
     );
     (path, resolved.positive)
@@ -171,6 +170,87 @@ fn entity_paths_match_ignoring_ascii_case() {
     assert_eq!(status, 404);
     let (status, _) = get(addr, &format!("/decide/{mixed}x/{property}"));
     assert_eq!(status, 404);
+    handle.shutdown();
+}
+
+/// The body of a reply: what follows the blank line.
+fn body(reply: &str) -> &str {
+    reply.split_once("\r\n\r\n").expect("a head and a body").1
+}
+
+#[test]
+fn reply_bodies_are_the_recorded_ones() {
+    // Bodies recorded from the commit before the store became columns
+    // (28e8e81), on this file's boot snapshot: what the routes render from
+    // borrowed views is, byte for byte, what they rendered from owned
+    // blocks.
+    let handle = boot(ServerConfig::default());
+    let addr = handle.addr();
+    let kitten = "{\n  \"entity\": \"Kitten\",\n  \"negative_statements\": 6,\n  \"positive\": false,\n  \"positive_statements\": 6,\n  \"probability\": 0.000004526531174919894,\n  \"property\": \"cute\",\n  \"type\": \"animal\"\n}";
+    let model = "{\n  \"decided_entities\": 3,\n  \"p_agree\": 0.86,\n  \"property\": \"cute\",\n  \"rate_neg\": 4.838718377867558,\n  \"rate_pos\": 21.92976022552201,\n  \"type\": \"animal\"\n}";
+    let recorded = [
+        ("/decide/Kitten/cute", 200, kitten),
+        (
+            "/decide/sPiDeR/cute",
+            200,
+            "{\n  \"entity\": \"Spider\",\n  \"negative_statements\": 0,\n  \"positive\": true,\n  \"positive_statements\": 18,\n  \"probability\": 0.9999999985758194,\n  \"property\": \"cute\",\n  \"type\": \"animal\"\n}",
+        ),
+        (
+            "/entity/Puppy?k=5",
+            200,
+            "{\n  \"entity\": \"Puppy\",\n  \"k\": 5,\n  \"properties\": [\n    {\n      \"entity\": \"Puppy\",\n      \"negative_statements\": 3,\n      \"positive\": false,\n      \"positive_statements\": 1,\n      \"probability\": 0.00000011995727688140127,\n      \"property\": \"cute\",\n      \"type\": \"animal\"\n    }\n  ]\n}",
+        ),
+        (
+            "/entity/kitten?k=1",
+            200,
+            "{\n  \"entity\": \"kitten\",\n  \"k\": 1,\n  \"properties\": [\n    {\n      \"entity\": \"Kitten\",\n      \"negative_statements\": 6,\n      \"positive\": false,\n      \"positive_statements\": 6,\n      \"probability\": 0.000004526531174919894,\n      \"property\": \"cute\",\n      \"type\": \"animal\"\n    }\n  ]\n}",
+        ),
+        ("/model/animal/cute", 200, model),
+        ("/model/ANIMAL/cute", 200, model),
+        (
+            "/evidence/Kitten/cute",
+            200,
+            "{\n  \"entity\": \"Kitten\",\n  \"negative_statements\": 6,\n  \"positive_statements\": 6,\n  \"property\": \"cute\",\n  \"supporting_documents\": [\n    0,\n    4294967297,\n    4294967299,\n    12884901889,\n    12884901890\n  ],\n  \"type\": \"animal\"\n}",
+        ),
+        (
+            "/evidence/spider/cute",
+            200,
+            "{\n  \"entity\": \"Spider\",\n  \"negative_statements\": 0,\n  \"positive_statements\": 18,\n  \"property\": \"cute\",\n  \"supporting_documents\": [\n    1,\n    4294967297,\n    4294967298,\n    8589934592,\n    8589934594\n  ],\n  \"type\": \"animal\"\n}",
+        ),
+        (
+            "/decide/Ghost/cute",
+            404,
+            "{\n  \"error\": \"no stored opinion for entity/property\"\n}",
+        ),
+        (
+            "/model/animal/big",
+            404,
+            "{\n  \"error\": \"no model for type/property\"\n}",
+        ),
+    ];
+    for (path, want_status, want_body) in recorded {
+        let (status, reply) = get(addr, path);
+        assert_eq!(status, want_status, "{path}: {reply}");
+        assert_eq!(body(&reply), want_body, "{path}");
+    }
+    // `/readyz` keeps its keys and gains one: what the store costs to keep.
+    let (_, reply) = get(addr, "/readyz");
+    let store_bytes = handle.shared().load().store.resident_bytes();
+    assert_eq!(
+        body(&reply),
+        format!(
+            "{{\n  \"associations\": 3,\n  \"epoch\": 0,\n  \"generation\": 1,\n  \"ready\": true,\n  \
+             \"snapshot_bytes\": 471,\n  \"source\": \"test-boot\",\n  \"store_bytes\": {store_bytes}\n}}"
+        )
+    );
+    assert_eq!(
+        handle
+            .metrics()
+            .registry()
+            .gauge("server.store_resident_bytes"),
+        Some(store_bytes as f64),
+        "the gauge is set at boot"
+    );
     handle.shutdown();
 }
 
@@ -279,11 +359,22 @@ fn corrupt_reload_is_rejected_and_serving_continues() {
     let (status, reply) = post(addr, &format!("/ctl/reload?path={}", valid_path.display()));
     assert_eq!(status, 200, "valid reload rejected: {reply}");
     assert!(reply.contains("\"generation\": 2"), "{reply}");
+    // What the generation now serving costs to keep: in the reload's
+    // reply, on `/readyz`, and as a gauge set by the swap.
+    let serving = handle.shared().load();
+    assert_eq!(serving.generation, 2);
+    let store_bytes = format!("\"store_bytes\": {}", serving.store.resident_bytes());
+    assert!(reply.contains(&store_bytes), "{reply}");
     let (status, reply) = get(addr, "/readyz");
     assert_eq!(status, 200);
     assert!(reply.contains("\"generation\": 2"), "{reply}");
+    assert!(reply.contains(&store_bytes), "{reply}");
 
     let registry = handle.metrics().registry().clone();
+    assert_eq!(
+        registry.gauge("server.store_resident_bytes"),
+        Some(serving.store.resident_bytes() as f64)
+    );
     assert_eq!(registry.counter_value("serve.reload.rejected"), 2);
     assert_eq!(registry.counter_value("serve.reload.ok"), 1);
     assert_eq!(registry.counter_value("serve.panics"), 0);

@@ -342,7 +342,13 @@ impl GroupFingerprinter {
         acc.hash.write_u64(row.positive);
         acc.hash.write_u64(row.negative);
         acc.entities += 1;
-        acc.total += row.positive + row.negative;
+        // A loader has bounded the grand total before it gets here; rows
+        // from anywhere else (a decoded snapshot handed to
+        // `group_fingerprints`) wrap rather than panic.
+        acc.total = acc
+            .total
+            .wrapping_add(row.positive)
+            .wrapping_add(row.negative);
     }
 
     /// The table: one row per group seen, sorted by

@@ -27,7 +27,7 @@ fn main() {
     println!(
         "subjective knowledge base: {} associations across {} combinations\n",
         store.len(),
-        store.blocks().len(),
+        store.combinations().len(),
     );
 
     // 1. The search-engine scenario: subjective queries over structured data.

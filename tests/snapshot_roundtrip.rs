@@ -177,12 +177,12 @@ fn loaded_worlds_answer_queries_like_mined_ones() {
         let mined: Vec<&str> = mined_store
             .query(type_name, &property)
             .iter()
-            .map(|h| h.entity_name.as_str())
+            .map(|h| h.entity_name)
             .collect();
         let loaded: Vec<&str> = loaded_store
             .query(type_name, &property)
             .iter()
-            .map(|h| h.entity_name.as_str())
+            .map(|h| h.entity_name)
             .collect();
         assert_eq!(mined, loaded, "query results differ for {type_name}");
         assert!(!mined.is_empty(), "no hits for {type_name}");
@@ -327,8 +327,9 @@ fn damage_inside_valid_frames_is_an_error_or_a_world_never_a_panic() {
     // What a checksum cannot catch: one byte of a payload changed and the
     // frame's CRC made right again, so the damage reaches the record
     // parsers and the cross-reference checks. Whatever it hits — a count,
-    // an index, a code, a float, a string — loading answers `Ok` or `Err`;
-    // and what it accepts, the store builder and the encoder accept too.
+    // an index, a code, a float, a string — every loader answers `Ok` or
+    // `Err`, all the same; and what they accept, the store builder and
+    // the encoder accept too.
     let (kb, generator) = generator(17);
     let output = surveyor(kb, 2).run(&CorpusSource::new(&generator));
     let bytes = save_snapshot_with_state(&output, &some_state());
@@ -354,15 +355,23 @@ fn damage_inside_valid_frames_is_an_error_or_a_world_never_a_panic() {
         bad[*checksum_at..checksum_at + 4].copy_from_slice(&crc.to_le_bytes());
 
         let plain = load_snapshot(&bad);
+        let served = surveyor::load_store(&bad);
         match load_snapshot_with_state(&bad) {
             Ok((loaded, _)) => {
                 accepted += 1;
-                assert!(plain.is_ok(), "round {round}: the stricter load accepted");
+                assert!(plain.is_ok(), "round {round}: one loader accepted");
                 let store = SubjectiveKb::from_output(&loaded, loaded.kb());
                 assert!(store.len() <= loaded.decided_pairs());
+                // The store filled straight from the bytes is that store.
+                let served = served.unwrap_or_else(|e| panic!("round {round}: {e}"));
+                assert_eq!(served.to_json(), store.to_json(), "round {round}");
                 let _ = save_snapshot(&loaded);
             }
-            Err(_) => rejected += 1,
+            Err(e) => {
+                rejected += 1;
+                assert_eq!(plain.err(), Some(e.clone()), "round {round}");
+                assert_eq!(served.err(), Some(e), "round {round}");
+            }
         }
     }
     // Both outcomes occur, so the mutations did get past the checksum
