@@ -16,6 +16,11 @@
 //!    plus non-intrinsic and part-of distractor noise), and packs
 //!    sentences into documents with region tags.
 //!
+//! [`fuzz`] crosses the same templates with the perturbations real Web text
+//! applies to them (case, scripts, punctuation, separators, contractions);
+//! it feeds the differential tests of the NLP and extraction crates, not
+//! the corpus.
+//!
 //! Because documents are *text*, the entire downstream pipeline — POS
 //! tagging, dependency parsing, entity linking, pattern extraction,
 //! polarity detection — is exercised end-to-end, and every experiment can
@@ -24,6 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fuzz;
 pub mod generator;
 pub mod presets;
 pub mod templates;

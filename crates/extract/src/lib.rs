@@ -26,6 +26,8 @@
 
 pub mod antonyms;
 pub mod config;
+#[cfg(test)]
+mod differential;
 pub mod evidence;
 pub mod fault;
 pub mod patterns;

@@ -69,17 +69,13 @@ impl ExtractContext {
 /// cache, so a property seen before costs no allocation and no locks.
 fn property_at(sentence: &AnnotatedSentence, adj: usize, cx: &mut ExtractContext) -> PropertyId {
     let tokens = &sentence.tokens;
-    let tree = &sentence.tree;
-    let mut adverbs: Vec<usize> = tree
-        .children_with_rel(adj, DepRel::Advmod)
-        .into_iter()
-        .filter(|&i| tokens[i].pos == Pos::Adverb)
-        .collect();
-    adverbs.sort_unstable();
     cx.surface.clear();
-    for &i in &adverbs {
-        cx.surface.push_str(tokens.lower_of(i));
-        cx.surface.push(' ');
+    // Children come in token order, which is surface order.
+    for i in sentence.tree.children_with_rel(adj, DepRel::Advmod) {
+        if tokens[i].pos == Pos::Adverb {
+            cx.surface.push_str(tokens.lower_of(i));
+            cx.surface.push(' ');
+        }
     }
     cx.surface.push_str(tokens.lower_of(adj));
     let id = cx.cache.intern_surface(&cx.surface);
@@ -147,8 +143,8 @@ fn match_acomp(
             continue;
         }
         // Governor admissibility.
-        let cops = tree.children_with_rel(pred, DepRel::Cop);
-        let admissible = if let Some(&cop) = cops.first() {
+        let first_cop = tree.children_with_rel(pred, DepRel::Cop).next();
+        let admissible = if let Some(cop) = first_cop {
             match config.verbs {
                 VerbSet::ToBe => is_to_be(tokens.lower_of(cop)),
                 VerbSet::CopulaClass => true,
@@ -201,8 +197,8 @@ fn match_amod(
     // (b) Direct modification of the mention head.
     for mention in &sentence.mentions {
         let head = mention.head();
-        let amods = tree.children_with_rel(head, DepRel::Amod);
-        if amods.is_empty() {
+        let mut amods = tree.children_with_rel(head, DepRel::Amod).peekable();
+        if amods.peek().is_none() {
             continue;
         }
         if config.intrinsic_checks {
@@ -240,6 +236,10 @@ pub struct PatternCounts {
     pub acomp: u64,
     /// Statements produced by the adjectival-modifier pattern (4a).
     pub amod: u64,
+    /// Sentences no pattern was tried on: every pattern needs an entity
+    /// mention and an adjective, and these had none of one or the other
+    /// (`extract.sentences_skipped`).
+    pub skipped: u64,
 }
 
 impl PatternCounts {
@@ -247,6 +247,7 @@ impl PatternCounts {
     pub fn merge(&mut self, other: PatternCounts) {
         self.acomp += other.acomp;
         self.amod += other.amod;
+        self.skipped += other.skipped;
     }
 }
 
@@ -294,6 +295,13 @@ pub fn extract_sentence_into(
     out: &mut Vec<Statement>,
 ) {
     out.clear();
+    // Every pattern ends at `emit_matches` with an entity from a mention
+    // and a token tagged `Adjective`: a sentence without either cannot
+    // yield a statement.
+    if sentence.mentions.is_empty() || !sentence.tokens.iter().any(|t| t.pos == Pos::Adjective) {
+        counts.skipped += 1;
+        return;
+    }
     if config.acomp {
         match_acomp(sentence, config, cx, out);
         counts.acomp += out.len() as u64;
@@ -323,6 +331,271 @@ pub fn extract_sentence_into(
             key(a).cmp(&key(b))
         });
         out.dedup();
+    }
+}
+
+/// `extract_sentence_into` and everything under it as they were before
+/// the early-out and the iterator tree queries, kept as the oracle of
+/// `crate::differential`: the tree queries build the vectors they used to
+/// return, and no sentence is skipped. Not to be edited.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{is_to_be, ExtractContext, PatternCounts};
+    use crate::config::{ExtractionConfig, VerbSet};
+    use crate::evidence::{Polarity, Statement};
+    use surveyor_kb::{EntityId, KnowledgeBase, PropertyId};
+    use surveyor_nlp::coref::CorefLink;
+    use surveyor_nlp::{AnnotatedSentence, DepRel, DepTree, Mention, Pos, TokenizedSentence};
+
+    fn children_with_rel(tree: &DepTree, i: usize, rel: DepRel) -> Vec<usize> {
+        (0..tree.len())
+            .filter(|&j| tree.head(j) == Some(i) && tree.rel(j) == rel)
+            .collect()
+    }
+
+    fn has_child_with_rel(tree: &DepTree, i: usize, rel: DepRel) -> bool {
+        (0..tree.len()).any(|j| tree.head(j) == Some(i) && tree.rel(j) == rel)
+    }
+
+    fn path_to_root(tree: &DepTree, i: usize) -> Vec<usize> {
+        let mut path = vec![i];
+        let mut cur = i;
+        while let Some(h) = tree.head(cur) {
+            path.push(h);
+            cur = h;
+            if path.len() > tree.len() {
+                break;
+            }
+        }
+        path
+    }
+
+    fn statement_polarity(tree: &DepTree, property_token: usize) -> Polarity {
+        let mut negations = 0usize;
+        for node in path_to_root(tree, property_token) {
+            if has_child_with_rel(tree, node, DepRel::Neg) {
+                negations += 1;
+            }
+        }
+        if negations % 2 == 0 {
+            Polarity::Positive
+        } else {
+            Polarity::Negative
+        }
+    }
+
+    fn predicate_nominal_corefs(
+        tokens: &TokenizedSentence,
+        tree: &DepTree,
+        mentions: &[Mention],
+        kb: &KnowledgeBase,
+    ) -> Vec<CorefLink> {
+        let mut links = Vec::new();
+        for (mi, mention) in mentions.iter().enumerate() {
+            let head = mention.head();
+            if head >= tree.len() || tree.rel(head) != DepRel::Nsubj {
+                continue;
+            }
+            let Some(pred) = tree.head(head) else {
+                continue;
+            };
+            if tokens[pred].pos != Pos::Noun {
+                continue;
+            }
+            if !has_child_with_rel(tree, pred, DepRel::Cop) {
+                continue;
+            }
+            let etype = kb.entity_type(kb.entity(mention.entity).notable_type());
+            if etype.matches_head_noun(tokens.lower_of(pred)) {
+                links.push(CorefLink {
+                    noun: pred,
+                    mention: mi,
+                });
+            }
+        }
+        links
+    }
+
+    fn property_at(
+        sentence: &AnnotatedSentence,
+        adj: usize,
+        cx: &mut ExtractContext,
+    ) -> PropertyId {
+        let tokens = &sentence.tokens;
+        let tree = &sentence.tree;
+        let mut adverbs: Vec<usize> = children_with_rel(tree, adj, DepRel::Advmod)
+            .into_iter()
+            .filter(|&i| tokens[i].pos == Pos::Adverb)
+            .collect();
+        adverbs.sort_unstable();
+        cx.surface.clear();
+        for &i in &adverbs {
+            cx.surface.push_str(tokens.lower_of(i));
+            cx.surface.push(' ');
+        }
+        cx.surface.push_str(tokens.lower_of(adj));
+        let id = cx.cache.intern_surface(&cx.surface);
+        id.expect("adjective surface is non-empty")
+    }
+
+    fn has_constriction(tree: &DepTree, top: usize) -> bool {
+        has_child_with_rel(tree, top, DepRel::Prep)
+    }
+
+    fn emit_matches(
+        sentence: &AnnotatedSentence,
+        entity: EntityId,
+        adj: usize,
+        config: &ExtractionConfig,
+        cx: &mut ExtractContext,
+        out: &mut Vec<Statement>,
+    ) {
+        let tokens = &sentence.tokens;
+        let tree = &sentence.tree;
+        out.push(Statement {
+            entity,
+            property: property_at(sentence, adj, cx),
+            polarity: statement_polarity(tree, adj),
+        });
+        if config.conj {
+            for conj in children_with_rel(tree, adj, DepRel::Conj) {
+                if tokens[conj].pos != Pos::Adjective {
+                    continue;
+                }
+                if config.intrinsic_checks && has_constriction(tree, conj) {
+                    continue;
+                }
+                out.push(Statement {
+                    entity,
+                    property: property_at(sentence, conj, cx),
+                    polarity: statement_polarity(tree, conj),
+                });
+            }
+        }
+    }
+
+    fn match_acomp(
+        sentence: &AnnotatedSentence,
+        config: &ExtractionConfig,
+        cx: &mut ExtractContext,
+        out: &mut Vec<Statement>,
+    ) {
+        let tokens = &sentence.tokens;
+        let tree = &sentence.tree;
+        for mention in &sentence.mentions {
+            let head = mention.head();
+            if tree.rel(head) != DepRel::Nsubj {
+                continue;
+            }
+            let Some(pred) = tree.head(head) else {
+                continue;
+            };
+            if tokens[pred].pos != Pos::Adjective {
+                continue;
+            }
+            let cops = children_with_rel(tree, pred, DepRel::Cop);
+            let admissible = if let Some(&cop) = cops.first() {
+                match config.verbs {
+                    VerbSet::ToBe => is_to_be(tokens.lower_of(cop)),
+                    VerbSet::CopulaClass => true,
+                }
+            } else {
+                config.verbs == VerbSet::CopulaClass && tree.rel(pred) == DepRel::Ccomp
+            };
+            if !admissible {
+                continue;
+            }
+            if config.intrinsic_checks && has_constriction(tree, pred) {
+                continue;
+            }
+            emit_matches(sentence, mention.entity, pred, config, cx, out);
+        }
+    }
+
+    fn match_amod(
+        sentence: &AnnotatedSentence,
+        kb: &KnowledgeBase,
+        config: &ExtractionConfig,
+        cx: &mut ExtractContext,
+        out: &mut Vec<Statement>,
+    ) {
+        let tokens = &sentence.tokens;
+        let tree = &sentence.tree;
+        for link in predicate_nominal_corefs(tokens, tree, &sentence.mentions, kb) {
+            if config.intrinsic_checks && has_constriction(tree, link.noun) {
+                continue;
+            }
+            let entity = sentence.mentions[link.mention].entity;
+            for rel in [DepRel::Amod, DepRel::Rcmod] {
+                for adj in children_with_rel(tree, link.noun, rel) {
+                    if tokens[adj].pos != Pos::Adjective {
+                        continue;
+                    }
+                    emit_matches(sentence, entity, adj, config, cx, out);
+                }
+            }
+        }
+        for mention in &sentence.mentions {
+            let head = mention.head();
+            let amods = children_with_rel(tree, head, DepRel::Amod);
+            if amods.is_empty() {
+                continue;
+            }
+            if config.intrinsic_checks {
+                if tree.rel(head) == DepRel::Nsubj {
+                    continue;
+                }
+                if has_constriction(tree, head) {
+                    continue;
+                }
+            }
+            for adj in amods {
+                if tokens[adj].pos != Pos::Adjective {
+                    continue;
+                }
+                if mention.covers(adj) {
+                    continue;
+                }
+                emit_matches(sentence, mention.entity, adj, config, cx, out);
+            }
+        }
+    }
+
+    pub(crate) fn extract_sentence_into(
+        sentence: &AnnotatedSentence,
+        kb: &KnowledgeBase,
+        config: &ExtractionConfig,
+        counts: &mut PatternCounts,
+        cx: &mut ExtractContext,
+        out: &mut Vec<Statement>,
+    ) {
+        out.clear();
+        if config.acomp {
+            match_acomp(sentence, config, cx, out);
+            counts.acomp += out.len() as u64;
+        }
+        if config.amod {
+            let before = out.len();
+            match_amod(sentence, kb, config, cx, out);
+            counts.amod += (out.len() - before) as u64;
+        }
+        if out.len() > 1 {
+            for s in out.iter() {
+                cx.cache.ensure_resolved(s.property);
+            }
+            let cache = &cx.cache;
+            out.sort_by(|a, b| {
+                let key = |s: &Statement| {
+                    (
+                        s.entity,
+                        cache.peek(s.property),
+                        s.polarity == Polarity::Negative,
+                    )
+                };
+                key(a).cmp(&key(b))
+            });
+            out.dedup();
+        }
     }
 }
 

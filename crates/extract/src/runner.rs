@@ -2,10 +2,14 @@
 //!
 //! The paper ran extraction "on up to 5000 nodes" over a 40 TB snapshot
 //! (§7.1). The reproduction's corpus is sharded the same way; this module
-//! fans shards out over the [`claim_fold`] worker pool, each worker
-//! merging its shards into a local [`EvidenceTable`]; the per-worker
-//! tables are merged reduce-style — merge is associative and commutative,
-//! so completion order is irrelevant and the result is deterministic.
+//! fans shards out over the [`claim_fold`] worker pool. An attempt at a
+//! shard writes `(statement, document)` pairs into one flat buffer the
+//! worker owns; only when the attempt has succeeded are they counted into
+//! the worker's [`EvidenceTable`] and [`ProvenanceTable`], so a failed
+//! attempt leaves no residue and a shard builds no tables of its own. The
+//! per-worker tables are merged reduce-style — counting and merging are
+//! associative and commutative, so neither shard assignment nor completion
+//! order can change the result.
 //!
 //! There is one driver, [`run_sharded_fault_tolerant`]: per-shard work
 //! runs under `catch_unwind` so a poisoned shard cannot take down the
@@ -80,6 +84,14 @@ impl ExtractionOutput {
         self.evidence.merge(other.evidence);
         self.provenance.merge(other.provenance);
     }
+
+    /// Counts one shard's statements in.
+    fn commit(&mut self, statements: &[(Statement, u64)]) {
+        for (statement, document) in statements {
+            self.evidence.add(statement);
+            self.provenance.record(statement, *document);
+        }
+    }
 }
 
 /// Worker-local extraction tallies. Plain integers incremented on the
@@ -93,7 +105,8 @@ struct ExtractStats {
     sentences: u64,
     /// Statements extracted (post-dedup).
     statements: u64,
-    /// Raw per-pattern hits (pre-dedup).
+    /// Raw per-pattern hits (pre-dedup), and the sentences no pattern was
+    /// tried on.
     patterns: PatternCounts,
 }
 
@@ -109,6 +122,7 @@ impl ExtractStats {
     fn flush(&self, obs: &MetricsRegistry) {
         obs.add("extract.documents", self.documents);
         obs.add("extract.sentences", self.sentences);
+        obs.add("extract.sentences_skipped", self.patterns.skipped);
         obs.add("extract.statements", self.statements);
         obs.add("extract.pattern_hits.acomp", self.patterns.acomp);
         obs.add("extract.pattern_hits.amod", self.patterns.amod);
@@ -122,23 +136,29 @@ pub fn extract_documents(
     config: &ExtractionConfig,
 ) -> EvidenceTable {
     let (mut stats, mut cx) = (ExtractStats::default(), ExtractContext::new());
-    extract_documents_ctx(docs, kb, config, &mut stats, &mut cx).evidence
+    let mut found = Vec::new();
+    extract_documents_ctx(docs, kb, config, &mut stats, &mut cx, &mut found);
+    let mut evidence = EvidenceTable::new();
+    for (statement, _) in &found {
+        evidence.add(statement);
+    }
+    evidence
 }
 
 /// The worker loop: extraction over one document batch, threading a
 /// long-lived [`ExtractContext`] through every sentence, so statement
 /// buffers and the interner cache persist across documents (and across
-/// shards, when the caller reuses the context). Also tracks provenance:
-/// which documents support each pair ("offer links to supporting content
-/// on the Web as query result", §2).
+/// shards, when the caller reuses the context). Appends every statement
+/// to `found` with the document that made it — the provenance of §2
+/// ("offer links to supporting content on the Web as query result").
 fn extract_documents_ctx(
     docs: &[AnnotatedDocument],
     kb: &KnowledgeBase,
     config: &ExtractionConfig,
     stats: &mut ExtractStats,
     cx: &mut ExtractContext,
-) -> ExtractionOutput {
-    let mut output = ExtractionOutput::default();
+    found: &mut Vec<(Statement, u64)>,
+) {
     let mut statements: Vec<Statement> = Vec::new();
     for doc in docs {
         stats.documents += 1;
@@ -152,14 +172,10 @@ fn extract_documents_ctx(
                 cx,
                 &mut statements,
             );
-            for statement in &statements {
-                stats.statements += 1;
-                output.evidence.add(statement);
-                output.provenance.record(statement, doc.id);
-            }
+            stats.statements += statements.len() as u64;
+            found.extend(statements.iter().map(|statement| (*statement, doc.id)));
         }
     }
-    output
 }
 
 /// Runs extraction over all shards of `source` on `num_threads` workers and
@@ -187,11 +203,12 @@ pub fn run_sharded_full<S: ShardSource>(
 }
 
 /// One attempt at materializing and extracting a shard, with panics
-/// caught and classified as [`ShardError::Panicked`]. Stats and output
-/// are produced fresh per attempt so a failed attempt leaves no residue.
-/// The context survives across attempts: its cache only holds mappings
-/// the global interner handed out, so an unwound attempt cannot leave it
-/// inconsistent.
+/// caught and classified as [`ShardError::Panicked`]. The attempt's
+/// statements land in `found`, which is emptied first, and its stats are
+/// produced fresh, so a failed attempt leaves no residue: the caller
+/// commits `found` only on `Ok`. The context survives across attempts: its
+/// cache only holds mappings the global interner handed out, so an unwound
+/// attempt cannot leave it inconsistent.
 fn attempt_shard<F: FallibleShardSource>(
     source: &F,
     kb: &KnowledgeBase,
@@ -199,12 +216,14 @@ fn attempt_shard<F: FallibleShardSource>(
     index: usize,
     attempt: u32,
     cx: &mut ExtractContext,
-) -> Result<(ExtractionOutput, ExtractStats), ShardError> {
+    found: &mut Vec<(Statement, u64)>,
+) -> Result<ExtractStats, ShardError> {
+    found.clear();
     let unwind = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         source.try_shard(index, attempt).map(|docs| {
             let mut stats = ExtractStats::default();
-            let output = extract_documents_ctx(&docs, kb, config, &mut stats, cx);
-            (output, stats)
+            extract_documents_ctx(&docs, kb, config, &mut stats, cx, found);
+            stats
         })
     }));
     match unwind {
@@ -267,7 +286,7 @@ pub fn run_sharded_fault_tolerant<F: FallibleShardSource>(
     let fail_fast = matches!(policy, FailurePolicy::FailFast);
     let shard_count = source.shard_count();
 
-    // Each worker merges the shards it claims into a table of its own;
+    // Each worker counts the shards it claims into a table of its own;
     // the pool hands the workers back ordered by lowest claimed shard, so
     // the merge sequence below is a function of shard assignment, never
     // of completion order. (Evidence merge is commutative, so this
@@ -279,9 +298,12 @@ pub fn run_sharded_fault_tolerant<F: FallibleShardSource>(
         |worker, shard| {
             let mut attempt = 0u32;
             let error = loop {
-                match attempt_shard(source, kb, config, shard, attempt, &mut worker.cx) {
-                    Ok((output, stats)) => {
-                        worker.output.merge(output);
+                let WorkerState {
+                    cx, found, output, ..
+                } = worker;
+                match attempt_shard(source, kb, config, shard, attempt, cx, found) {
+                    Ok(stats) => {
+                        output.commit(found);
                         worker.stats.merge(stats);
                         worker.succeeded += 1;
                         return ControlFlow::Continue(());
@@ -380,6 +402,8 @@ pub fn run_sharded_fault_tolerant<F: FallibleShardSource>(
 #[derive(Default)]
 struct WorkerState {
     cx: ExtractContext,
+    /// The statements of the attempt in flight, with their documents.
+    found: Vec<(Statement, u64)>,
     output: ExtractionOutput,
     stats: ExtractStats,
     succeeded: usize,
@@ -497,6 +521,8 @@ mod tests {
         assert_eq!(plain, observed);
         assert_eq!(obs.counter_value("extract.documents"), 40);
         assert!(obs.counter_value("extract.sentences") >= 40);
+        // Every sentence of this fixture names an entity and an adjective.
+        assert_eq!(obs.counter_value("extract.sentences_skipped"), 0);
         assert_eq!(
             obs.counter_value("extract.statements"),
             observed.evidence.total_statements()
@@ -504,6 +530,50 @@ mod tests {
         // Every statement in this fixture comes from the acomp pattern
         // ("Kittens are cute"), none from amod.
         assert!(obs.counter_value("extract.pattern_hits.acomp") > 0);
+    }
+
+    #[test]
+    fn skipped_sentences_are_counted_per_surviving_shard() {
+        // Two of a document's three sentences cannot match: one names no
+        // entity, one has no adjective.
+        let kb = kb();
+        let text = "Kittens are cute. The weather is nice. Tigers sleep.".to_owned();
+        let src = TextShards {
+            shards: vec![vec![text.clone(), text.clone()], vec![text]],
+            kb: kb.clone(),
+            lexicon: Lexicon::new(),
+        };
+        /// `(sentences, sentences skipped, statements)` of an observed
+        /// two-thread run that degrades on failure.
+        fn observed<F: FallibleShardSource>(source: &F, kb: &KnowledgeBase) -> (u64, u64, u64) {
+            let obs = MetricsRegistry::new();
+            let outcome = run_sharded_fault_tolerant(
+                source,
+                kb,
+                &ExtractionConfig::paper_final(),
+                2,
+                &RetryPolicy::immediate(),
+                &FailurePolicy::degrade_unchecked(),
+                Some(&obs),
+            )
+            .unwrap();
+            (
+                obs.counter_value("extract.sentences"),
+                obs.counter_value("extract.sentences_skipped"),
+                outcome.output.evidence.total_statements(),
+            )
+        }
+        assert_eq!(observed(&src, &kb), (9, 6, 3));
+        // A shard that fails once and is retried is counted once; a shard
+        // that is quarantined is not counted at all.
+        let flaky = crate::fault::FaultInjector::new(
+            src,
+            crate::fault::FaultPlan::none()
+                .with(0, crate::fault::Fault::Transient { failures: 1 })
+                .with(1, crate::fault::Fault::Panic),
+        );
+        let survived = observed(&flaky, &kb);
+        assert_eq!(survived, (6, 4, 2));
     }
 
     #[test]
@@ -568,6 +638,49 @@ mod tests {
                 assert!(outcome.coverage.quarantined.is_empty());
                 assert_eq!(outcome.coverage.fraction(), 1.0);
             }
+        }
+
+        #[test]
+        fn a_panic_mid_shard_leaves_no_residue() {
+            // Shard 0 yields a statement, then panics inside extraction (a
+            // mention past the end of its sentence); the same worker goes
+            // on to shard 1. What shard 0 had found by then must not be
+            // counted.
+            let kb = kb();
+            let lex = Lexicon::new();
+            let mut poisoned = annotate(0, "Tigers are cute. Kittens are cute.", &kb, &lex);
+            let kitten = poisoned.sentences[1].mentions[0].entity;
+            poisoned.sentences[1].mentions.push(surveyor_nlp::Mention {
+                entity: kitten,
+                start: 98,
+                end: 99,
+            });
+            let clean = annotate(1, "Kittens are cute.", &kb, &lex);
+            let docs = [poisoned, clean.clone()];
+            struct OnePerShard<'a>(&'a [AnnotatedDocument]);
+            impl ShardSource for OnePerShard<'_> {
+                fn shard_count(&self) -> usize {
+                    self.0.len()
+                }
+                fn shard(&self, index: usize) -> Cow<'_, [AnnotatedDocument]> {
+                    Cow::Borrowed(&self.0[index..=index])
+                }
+            }
+            let config = ExtractionConfig::paper_final();
+            let outcome = run_sharded_fault_tolerant(
+                &OnePerShard(&docs),
+                &kb,
+                &config,
+                1,
+                &RetryPolicy::immediate(),
+                &FailurePolicy::degrade_unchecked(),
+                None,
+            )
+            .unwrap();
+            assert_eq!(outcome.coverage.quarantined_shards(), vec![0]);
+            let only_clean = run_sharded_full(&OnePerShard(&[clean]), &kb, &config, 1);
+            assert_eq!(outcome.output, only_clean);
+            assert_eq!(outcome.output.evidence.total_statements(), 1);
         }
 
         #[test]

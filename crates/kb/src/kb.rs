@@ -109,6 +109,10 @@ pub struct KnowledgeBase {
     /// normalized type name -> type id.
     #[serde(skip)]
     type_index: FxHashMap<String, TypeId>,
+    /// first token of a normalized surface form -> token count of the
+    /// longest form that starts with it (the entity tagger's gate).
+    #[serde(skip)]
+    longest_by_first_token: FxHashMap<String, usize>,
     max_alias_tokens: usize,
 }
 
@@ -117,6 +121,7 @@ impl KnowledgeBase {
         let mut by_type = vec![Vec::new(); types.len()];
         let mut alias_index: FxHashMap<String, Vec<EntityId>> = FxHashMap::default();
         let mut type_index = FxHashMap::default();
+        let mut longest_by_first_token: FxHashMap<String, usize> = FxHashMap::default();
         let mut max_alias_tokens = 0;
         for t in &types {
             type_index.insert(t.name.clone(), t.id);
@@ -125,7 +130,16 @@ impl KnowledgeBase {
             by_type[e.notable_type().index()].push(e.id());
             for form in e.surface_forms() {
                 let norm = normalize_surface(form);
-                max_alias_tokens = max_alias_tokens.max(norm.split(' ').count());
+                let mut parts = norm.split(' ');
+                let first = parts.next().unwrap_or_default();
+                let tokens = 1 + parts.count();
+                max_alias_tokens = max_alias_tokens.max(tokens);
+                match longest_by_first_token.get_mut(first) {
+                    Some(longest) => *longest = (*longest).max(tokens),
+                    None => {
+                        longest_by_first_token.insert(first.to_owned(), tokens);
+                    }
+                }
                 let slot = alias_index.entry(norm).or_default();
                 if !slot.contains(&e.id()) {
                     slot.push(e.id());
@@ -138,6 +152,7 @@ impl KnowledgeBase {
             by_type,
             alias_index,
             type_index,
+            longest_by_first_token,
             max_alias_tokens,
         }
     }
@@ -209,6 +224,18 @@ impl KnowledgeBase {
     /// Longest alias length in tokens; the entity tagger's match window.
     pub fn max_alias_tokens(&self) -> usize {
         self.max_alias_tokens
+    }
+
+    /// Token count of the longest normalized surface form whose first
+    /// token is `first_token`; `0` when no form starts with it. A window
+    /// of more tokens than this cannot be a key of
+    /// [`candidates`](Self::candidates), nor can any window whose first
+    /// token reads `0` — the entity tagger probes neither.
+    pub fn longest_form_from(&self, first_token: &str) -> usize {
+        self.longest_by_first_token
+            .get(first_token)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Whether a normalized surface form maps to more than one entity.
@@ -295,6 +322,47 @@ mod tests {
     fn max_alias_tokens_reflects_longest_form() {
         let kb = kb();
         assert_eq!(kb.max_alias_tokens(), 2); // "San Francisco", "Phoenix Bird"
+    }
+
+    #[test]
+    fn first_token_table_bounds_every_surface_form() {
+        let kb = kb();
+        // "San Francisco" and "SF"; "Phoenix" and "Phoenix Bird".
+        assert_eq!(kb.longest_form_from("san"), 2);
+        assert_eq!(kb.longest_form_from("sf"), 1);
+        assert_eq!(kb.longest_form_from("phoenix"), 2);
+        assert_eq!(kb.longest_form_from("kitten"), 1);
+        // Second tokens and unknown words start nothing.
+        assert_eq!(kb.longest_form_from("francisco"), 0);
+        assert_eq!(kb.longest_form_from("bird"), 0);
+        assert_eq!(kb.longest_form_from(""), 0);
+        // The table is the alias index seen from its first tokens: no form
+        // is longer than its entry, and some form is as long.
+        let mut longest = 0;
+        for entity in kb.entities() {
+            for form in entity.surface_forms() {
+                let norm = normalize_surface(form);
+                let first = norm.split(' ').next().unwrap();
+                let tokens = norm.split(' ').count();
+                assert!(kb.longest_form_from(first) >= tokens, "{form}");
+                longest = longest.max(kb.longest_form_from(first));
+            }
+        }
+        assert_eq!(longest, kb.max_alias_tokens());
+    }
+
+    #[test]
+    fn reindex_rebuilds_the_first_token_table() {
+        let kb = kb();
+        let json = serde_json::to_string(&kb).unwrap();
+        let bare: KnowledgeBase = serde_json::from_str(&json).unwrap();
+        assert_eq!(bare.longest_form_from("san"), 0, "derived, not stored");
+        let back = bare.reindex();
+        assert_eq!(back.longest_form_from("san"), 2);
+        assert_eq!(
+            back.candidates("san francisco"),
+            kb.candidates("san francisco")
+        );
     }
 
     #[test]

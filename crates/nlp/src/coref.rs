@@ -27,43 +27,40 @@ pub struct CorefLink {
     pub mention: usize,
 }
 
-/// Finds predicate-nominal coreference links in one sentence.
+/// Finds predicate-nominal coreference links in one sentence, in mention
+/// order.
 ///
 /// A link is produced when:
 /// - some mention's head token is the `nsubj` of a noun `N`,
 /// - `N` carries a copula child (it is a predicate nominal), and
 /// - `N`'s lowercase form is a head noun of the mention's entity type
 ///   (plural-tolerant).
-pub fn predicate_nominal_corefs(
-    tokens: &TokenizedSentence,
-    tree: &DepTree,
-    mentions: &[Mention],
-    kb: &KnowledgeBase,
-) -> Vec<CorefLink> {
-    let mut links = Vec::new();
-    for (mi, mention) in mentions.iter().enumerate() {
-        let head = mention.head();
-        if head >= tree.len() || tree.rel(head) != DepRel::Nsubj {
-            continue;
-        }
-        let Some(pred) = tree.head(head) else {
-            continue;
-        };
-        if tokens[pred].pos != Pos::Noun {
-            continue;
-        }
-        if !tree.has_child_with_rel(pred, DepRel::Cop) {
-            continue;
-        }
-        let etype = kb.entity_type(kb.entity(mention.entity).notable_type());
-        if etype.matches_head_noun(tokens.lower_of(pred)) {
-            links.push(CorefLink {
-                noun: pred,
-                mention: mi,
-            });
-        }
-    }
-    links
+pub fn predicate_nominal_corefs<'a>(
+    tokens: &'a TokenizedSentence,
+    tree: &'a DepTree,
+    mentions: &'a [Mention],
+    kb: &'a KnowledgeBase,
+) -> impl Iterator<Item = CorefLink> + 'a {
+    mentions
+        .iter()
+        .enumerate()
+        .filter_map(move |(mi, mention)| {
+            let head = mention.head();
+            if head >= tree.len() || tree.rel(head) != DepRel::Nsubj {
+                return None;
+            }
+            let pred = tree.head(head)?;
+            if tokens[pred].pos != Pos::Noun || !tree.has_child_with_rel(pred, DepRel::Cop) {
+                return None;
+            }
+            let etype = kb.entity_type(kb.entity(mention.entity).notable_type());
+            etype
+                .matches_head_noun(tokens.lower_of(pred))
+                .then_some(CorefLink {
+                    noun: pred,
+                    mention: mi,
+                })
+        })
 }
 
 #[cfg(test)]
@@ -94,7 +91,7 @@ mod tests {
     #[test]
     fn predicate_nominal_link_found() {
         let (toks, tree, mentions, kb) = setup("Snakes are dangerous animals");
-        let links = predicate_nominal_corefs(&toks, &tree, &mentions, &kb);
+        let links: Vec<_> = predicate_nominal_corefs(&toks, &tree, &mentions, &kb).collect();
         assert_eq!(links.len(), 1);
         assert_eq!(toks.lower_of(links[0].noun), "animals");
         assert_eq!(mentions[links[0].mention].start, 0);
@@ -103,7 +100,7 @@ mod tests {
     #[test]
     fn greece_southern_country_coref() {
         let (toks, tree, mentions, kb) = setup("Greece is a southern country");
-        let links = predicate_nominal_corefs(&toks, &tree, &mentions, &kb);
+        let links: Vec<_> = predicate_nominal_corefs(&toks, &tree, &mentions, &kb).collect();
         assert_eq!(links.len(), 1);
         assert_eq!(toks.lower_of(links[0].noun), "country");
     }
@@ -113,7 +110,7 @@ mod tests {
         // "southern France is warm": no predicate nominal at all.
         let (toks, tree, mentions, kb) = setup("southern France is warm");
         assert_eq!(mentions.len(), 1);
-        let links = predicate_nominal_corefs(&toks, &tree, &mentions, &kb);
+        let links: Vec<_> = predicate_nominal_corefs(&toks, &tree, &mentions, &kb).collect();
         assert!(links.is_empty());
     }
 
@@ -122,7 +119,7 @@ mod tests {
         // "France is a dangerous animal" — head noun mismatch for country.
         let (toks, tree, mentions, kb) = setup("France is a dangerous animal");
         assert_eq!(mentions.len(), 1);
-        let links = predicate_nominal_corefs(&toks, &tree, &mentions, &kb);
+        let links: Vec<_> = predicate_nominal_corefs(&toks, &tree, &mentions, &kb).collect();
         assert!(links.is_empty());
     }
 
@@ -130,7 +127,7 @@ mod tests {
     fn non_subject_mention_has_no_link() {
         let (toks, tree, mentions, kb) = setup("I love France");
         assert_eq!(mentions.len(), 1);
-        let links = predicate_nominal_corefs(&toks, &tree, &mentions, &kb);
+        let links: Vec<_> = predicate_nominal_corefs(&toks, &tree, &mentions, &kb).collect();
         assert!(links.is_empty());
     }
 }

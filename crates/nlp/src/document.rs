@@ -5,8 +5,8 @@
 //! base entities" (§4).
 
 use crate::lexicon::Lexicon;
-use crate::parser::{parse, DepTree};
-use crate::tagger::{tag_entities, Mention};
+use crate::parser::{parse_with, DepTree, ParseScratch};
+use crate::tagger::{tag_entities_with, Mention};
 use crate::token::{split_sentence_bounds, tokenize_with, TokenizedSentence};
 use serde::{Deserialize, Serialize};
 use surveyor_kb::KnowledgeBase;
@@ -46,14 +46,17 @@ impl AnnotatedDocument {
 /// Reusable intermediate buffers for [`annotate_with`].
 ///
 /// The annotated output owns its tokens and trees, so those cannot be
-/// pooled — but the sentence-boundary list and the tokenizer's
-/// trailing-punctuation queue are pure intermediates. One scratch per
-/// worker, reused across every document it annotates, removes the
-/// per-document and per-word allocations those used to cost.
+/// pooled — but the sentence-boundary list, the tokenizer's
+/// trailing-punctuation queue, the parser's work lists and the entity
+/// tagger's lemma buffer are pure intermediates. One scratch per worker,
+/// reused across every document it annotates, removes the per-document and
+/// per-word allocations those used to cost.
 #[derive(Debug, Default)]
 pub struct AnnotateScratch {
     sentence_bounds: Vec<(usize, usize)>,
     trailing: Vec<(usize, usize)>,
+    parse: ParseScratch,
+    lemma: String,
 }
 
 /// Runs the full annotation pipeline on raw text: sentence split →
@@ -73,19 +76,19 @@ pub fn annotate_with(
     lexicon: &Lexicon,
     scratch: &mut AnnotateScratch,
 ) -> AnnotatedDocument {
-    let mut sentences = Vec::new();
     scratch.sentence_bounds.clear();
     split_sentence_bounds(text, &mut scratch.sentence_bounds);
+    let mut sentences = Vec::with_capacity(scratch.sentence_bounds.len());
     for &(from, to) in &scratch.sentence_bounds {
         let mut tokens = tokenize_with(&mut scratch.trailing, &text[from..to]);
         if tokens.is_empty() {
             continue;
         }
         lexicon.tag(&mut tokens);
-        let Some(tree) = parse(&tokens) else {
+        let Some(tree) = parse_with(&mut scratch.parse, &tokens) else {
             continue;
         };
-        let mentions = tag_entities(&tokens, kb);
+        let mentions = tag_entities_with(&mut scratch.lemma, &tokens, kb);
         sentences.push(AnnotatedSentence {
             tokens,
             tree,

@@ -29,6 +29,8 @@
 #![warn(missing_docs)]
 
 pub mod coref;
+#[cfg(test)]
+mod differential;
 pub mod document;
 pub mod lexicon;
 pub mod parser;

@@ -110,30 +110,21 @@ impl DepTree {
             .collect()
     }
 
-    /// Children of token `i` holding relation `rel`.
-    pub fn children_with_rel(&self, i: usize, rel: DepRel) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&j| self.head(j) == Some(i) && self.rel(j) == rel)
-            .collect()
+    /// Children of token `i` holding relation `rel`, in token order.
+    pub fn children_with_rel(&self, i: usize, rel: DepRel) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).filter(move |&j| self.heads[j] == Some((i, rel)))
     }
 
     /// Whether token `i` has a child with relation `rel`.
     pub fn has_child_with_rel(&self, i: usize, rel: DepRel) -> bool {
-        (0..self.len()).any(|j| self.head(j) == Some(i) && self.rel(j) == rel)
+        self.heads.contains(&Some((i, rel)))
     }
 
     /// Token indexes from `i` (inclusive) up to the root (inclusive).
-    pub fn path_to_root(&self, i: usize) -> Vec<usize> {
-        let mut path = vec![i];
-        let mut cur = i;
-        while let Some(h) = self.head(cur) {
-            path.push(h);
-            cur = h;
-            if path.len() > self.len() {
-                break; // defensive: malformed tree
-            }
-        }
-        path
+    pub fn path_to_root(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        // A well-formed tree has at most `len` nodes on a path; the bound
+        // only ends the walk on a malformed one.
+        std::iter::successors(Some(i), move |&node| self.head(node)).take(self.len() + 1)
     }
 
     /// Renders the tree as an indented outline rooted at the clause root —
@@ -177,8 +168,7 @@ impl DepTree {
                     return Err(format!("head of {i} out of range"));
                 }
             }
-            let path = self.path_to_root(i);
-            if path.last() != Some(&self.root) {
+            if self.path_to_root(i).last() != Some(self.root) {
                 return Err(format!("token {i} does not reach the root"));
             }
         }
@@ -220,17 +210,34 @@ impl Item {
     }
 }
 
-/// Builder that accumulates head assignments.
-struct TreeBuilder {
-    heads: Vec<Option<(usize, DepRel)>>,
+/// Reusable work lists for [`parse_with`]: the chunked items, the
+/// head-assigned flags and the adjective groups of the phrase being
+/// chunked. The tree a parse returns owns its head vector; nothing else a
+/// parse builds outlives it, so one scratch per worker makes that vector
+/// the parser's only allocation.
+#[derive(Debug, Default)]
+pub(crate) struct ParseScratch {
+    items: Vec<Item>,
     assigned: Vec<bool>,
+    /// `(adjective, first adverb)`: a group's adverbs are the tokens
+    /// `first adverb..adjective`, always adjacent to their adjective.
+    groups: Vec<(usize, usize)>,
+    ccs: Vec<usize>,
 }
 
-impl TreeBuilder {
-    fn new(n: usize) -> Self {
+/// Builder that accumulates head assignments.
+struct TreeBuilder<'s> {
+    heads: Vec<Option<(usize, DepRel)>>,
+    assigned: &'s mut Vec<bool>,
+}
+
+impl<'s> TreeBuilder<'s> {
+    fn new(n: usize, assigned: &'s mut Vec<bool>) -> Self {
+        assigned.clear();
+        assigned.resize(n, false);
         Self {
             heads: vec![None; n],
-            assigned: vec![false; n],
+            assigned,
         }
     }
 
@@ -274,26 +281,49 @@ impl TreeBuilder {
 /// root and attaches the rest flat, which simply yields no extractions
 /// downstream (precision-first, like the paper's restrictive patterns).
 pub fn parse(tokens: &TokenizedSentence) -> Option<DepTree> {
+    parse_with(&mut ParseScratch::default(), tokens)
+}
+
+/// [`parse`] with caller-owned work lists, for loops that parse many
+/// sentences.
+pub(crate) fn parse_with(
+    scratch: &mut ParseScratch,
+    tokens: &TokenizedSentence,
+) -> Option<DepTree> {
     if tokens.is_empty() {
         return None;
     }
-    let mut b = TreeBuilder::new(tokens.len());
-    let items = chunk(tokens, 0, tokens.len(), &mut b);
-    let root = assemble(tokens, &items, &mut b, true);
+    let ParseScratch {
+        items,
+        assigned,
+        groups,
+        ccs,
+    } = scratch;
+    let mut b = TreeBuilder::new(tokens.len(), assigned);
+    chunk(tokens, &mut b, items, groups, ccs);
+    let root = assemble(tokens, items, &mut b, true);
     let tree = b.finish(root, tokens);
     debug_assert!(tree.validate().is_ok(), "parser produced invalid tree");
     Some(tree)
 }
 
-/// Chunks `tokens[lo..hi]` into NPs, AdjPs, and singleton items, recording
-/// intra-phrase edges (det / amod / advmod / conj / cc / nn) on the builder.
-fn chunk(tokens: &TokenizedSentence, lo: usize, hi: usize, b: &mut TreeBuilder) -> Vec<Item> {
-    let mut items = Vec::new();
-    let mut i = lo;
+/// Chunks the sentence into NPs, AdjPs, and singleton items (written to
+/// `items`, which is emptied first), recording intra-phrase edges (det /
+/// amod / advmod / conj / cc / nn) on the builder.
+fn chunk(
+    tokens: &TokenizedSentence,
+    b: &mut TreeBuilder,
+    items: &mut Vec<Item>,
+    groups: &mut Vec<(usize, usize)>,
+    ccs: &mut Vec<usize>,
+) {
+    items.clear();
+    let hi = tokens.len();
+    let mut i = 0;
     while i < hi {
         match tokens[i].pos {
             Pos::Determiner | Pos::Adjective | Pos::Adverb | Pos::Noun | Pos::ProperNoun => {
-                let (item, next) = chunk_phrase(tokens, i, hi, b);
+                let (item, next) = chunk_phrase(tokens, i, hi, b, groups, ccs);
                 match item {
                     Some(it) => {
                         items.push(it);
@@ -344,7 +374,6 @@ fn chunk(tokens: &TokenizedSentence, lo: usize, hi: usize, b: &mut TreeBuilder) 
             }
         }
     }
-    items
 }
 
 /// Attempts to chunk a phrase starting at `i`:
@@ -359,7 +388,11 @@ fn chunk_phrase(
     start: usize,
     hi: usize,
     b: &mut TreeBuilder,
+    groups: &mut Vec<(usize, usize)>,
+    ccs: &mut Vec<usize>,
 ) -> (Option<Item>, usize) {
+    groups.clear();
+    ccs.clear();
     let mut i = start;
     let det = if tokens[i].pos == Pos::Determiner {
         i += 1;
@@ -368,18 +401,15 @@ fn chunk_phrase(
         None
     };
 
-    // Adjective groups: each group is (adjective idx, adverb idxs).
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    let mut ccs: Vec<usize> = Vec::new();
+    // Adjective groups: each group is (adjective idx, first adverb idx);
+    // its adverbs run from there up to the adjective.
     loop {
         let mut j = i;
-        let mut advs = Vec::new();
         while j < hi && tokens[j].pos == Pos::Adverb {
-            advs.push(j);
             j += 1;
         }
         if j < hi && tokens[j].pos == Pos::Adjective {
-            groups.push((j, advs));
+            groups.push((j, i));
             i = j + 1;
             // Conjunction chain: "fast and exciting", "fast, cheap and fun".
             while i < hi
@@ -387,9 +417,7 @@ fn chunk_phrase(
                     || (tokens[i].pos == Pos::Punct && tokens.text_of(i) == ","))
             {
                 let mut k = i + 1;
-                let mut advs2 = Vec::new();
                 while k < hi && tokens[k].pos == Pos::Adverb {
-                    advs2.push(k);
                     k += 1;
                 }
                 if k < hi && tokens[k].pos == Pos::Adjective {
@@ -398,7 +426,7 @@ fn chunk_phrase(
                     } else {
                         // Comma in a list: attach as punct later.
                     }
-                    groups.push((k, advs2));
+                    groups.push((k, i + 1));
                     i = k + 1;
                 } else {
                     break;
@@ -430,12 +458,12 @@ fn chunk_phrase(
             for &(adj, _) in &groups[1..] {
                 b.attach(adj, first_adj, DepRel::Conj);
             }
-            for &cc in &ccs {
+            for &cc in ccs.iter() {
                 b.attach(cc, first_adj, DepRel::Cc);
             }
-            for (adj, advs) in &groups {
-                for &a in advs {
-                    b.attach(a, *adj, DepRel::Advmod);
+            for &(adj, first_adverb) in groups.iter() {
+                for a in first_adverb..adj {
+                    b.attach(a, adj, DepRel::Advmod);
                 }
             }
         }
@@ -445,12 +473,12 @@ fn chunk_phrase(
         for &(adj, _) in &groups[1..] {
             b.attach(adj, first_adj, DepRel::Conj);
         }
-        for &cc in &ccs {
+        for &cc in ccs.iter() {
             b.attach(cc, first_adj, DepRel::Cc);
         }
-        for (adj, advs) in &groups {
-            for &a in advs {
-                b.attach(a, *adj, DepRel::Advmod);
+        for &(adj, first_adverb) in groups.iter() {
+            for a in first_adverb..adj {
+                b.attach(a, adj, DepRel::Advmod);
             }
         }
         if let Some(d) = det {
@@ -528,14 +556,15 @@ fn assemble_copular(
     b: &mut TreeBuilder,
     _is_matrix: bool,
 ) -> usize {
-    // Gather negations and the predicate after the copula.
-    let mut negs = Vec::new();
+    // Find the predicate after the copula; the negations passed on the
+    // way are the `Neg` items of `items[pi + 1..j]` wherever the scan
+    // stops.
     let mut pred: Option<usize> = None;
     let mut rest_start = items.len();
     let mut j = pi + 1;
     while j < items.len() {
         match items[j] {
-            Item::Neg(n) => negs.push(n),
+            Item::Neg(_) => {}
             Item::AdjP(h) | Item::Np(h) => {
                 // Question form "Are snakes dangerous": the NP right after
                 // the copula is the subject if we have none yet and an
@@ -574,7 +603,7 @@ fn assemble_copular(
                 if let Some(sb) = subj {
                     b.attach(sb, adj, DepRel::Nsubj);
                 }
-                for n in negs {
+                for n in negations(&items[pi + 1..j]) {
                     b.attach(n, v, DepRel::Neg);
                 }
                 attach_postfield(tokens, items, j + 2, adj, b);
@@ -607,7 +636,7 @@ fn assemble_copular(
             b.attach(s, root, DepRel::Nsubj);
         }
     }
-    for n in negs {
+    for n in negations(&items[pi + 1..j]) {
         b.attach(n, root, DepRel::Neg);
     }
     // Relative clause on a nominal predicate: "X is a city [that is big]".
@@ -617,16 +646,14 @@ fn assemble_copular(
         (items.get(rest_start), items.get(rest_start + 1))
     {
         let mut k = rest_start + 2;
-        let mut rel_negs = Vec::new();
-        while let Some(Item::Neg(n)) = items.get(k) {
-            rel_negs.push(*n);
+        while let Some(Item::Neg(_)) = items.get(k) {
             k += 1;
         }
         if let Some(Item::AdjP(adj)) = items.get(k).copied() {
             b.attach(adj, root, DepRel::Rcmod);
             b.attach(*mark, adj, DepRel::Mark);
             b.attach(*rel_cop, adj, DepRel::Cop);
-            for n in rel_negs {
+            for n in negations(&items[rest_start + 2..k]) {
                 b.attach(n, adj, DepRel::Neg);
             }
             k + 1
@@ -639,6 +666,14 @@ fn assemble_copular(
     attach_postfield(tokens, items, rest_start, root, b);
     attach_leftovers(tokens, items, root, b, &[root]);
     root
+}
+
+/// The token indexes of the `Neg` items among `items`, in order.
+fn negations(items: &[Item]) -> impl Iterator<Item = usize> + '_ {
+    items.iter().filter_map(|item| match item {
+        Item::Neg(n) => Some(*n),
+        _ => None,
+    })
 }
 
 /// Verbal clause: embedding verbs take `ccomp`, small-clause verbs take
@@ -904,7 +939,10 @@ mod tests {
         assert_eq!(tree.rel(idx(&toks, "snakes")), DepRel::Nsubj);
         assert_eq!(tree.head(idx(&toks, "snakes")), Some(dangerous));
         // The polarity path of Figure 5: dangerous -> think (root).
-        assert_eq!(tree.path_to_root(dangerous), vec![dangerous, think]);
+        assert_eq!(
+            tree.path_to_root(dangerous).collect::<Vec<_>>(),
+            vec![dangerous, think]
+        );
     }
 
     #[test]
@@ -1079,7 +1117,7 @@ mod tests {
         assert!(children.contains(&idx(&toks, "not")));
         assert!(tree.has_child_with_rel(big, DepRel::Neg));
         assert_eq!(
-            tree.path_to_root(idx(&toks, "Chicago")),
+            tree.path_to_root(idx(&toks, "Chicago")).collect::<Vec<_>>(),
             vec![idx(&toks, "Chicago"), big]
         );
     }

@@ -2,10 +2,22 @@
 //!
 //! Tokens are **spans**, not strings: each [`Token`] is a `Copy` record of
 //! byte ranges into its sentence's original text and into one shared
-//! lowercase buffer owned by the [`TokenizedSentence`]. Tokenizing a
-//! sentence therefore performs a fixed number of allocations (the two
-//! buffers and the token vector) regardless of token count — the per-token
-//! `String` pair the annotation hot path used to allocate is gone.
+//! lowercase buffer owned by the [`TokenizedSentence`]. Tokenizing an ASCII
+//! sentence performs three allocations — the text copy, the lowercase
+//! buffer and the token vector, each sized up front — and reads every byte
+//! a fixed number of times: a chunk's offset is its sub-slice's address,
+//! and an ASCII span is lowered with a copy and
+//! `make_ascii_lowercase`.
+//!
+//! A span with a non-ASCII character is lowered as one word by
+//! `str::to_lowercase`, the same definition `surveyor_kb::kb::normalize_surface`
+//! gives each word of a surface form — so context-sensitive lowerings (a
+//! word-final `Σ` becomes `ς`) agree on both sides of an alias lookup.
+//!
+//! `crates/nlp/tests/alloc_budget.rs` holds the allocation counts; the
+//! bodies this module had before are kept as `#[cfg(test)]` references in
+//! `reference` below and compared on fuzzed sentences in
+//! `crate::differential`.
 
 use serde::{Deserialize, Serialize};
 
@@ -130,13 +142,17 @@ impl TokenizedSentence {
     }
 
     /// Appends a token covering `start..end` of the sentence text, extending
-    /// the lowercase buffer without intermediate allocations.
+    /// the lowercase buffer. An ASCII span costs one copy; only a span with
+    /// a non-ASCII character goes through the allocating Unicode lowering,
+    /// as one word.
     fn push_span(&mut self, start: usize, end: usize) {
         let lower_start = self.lower.len();
-        for ch in self.text[start..end].chars() {
-            for lc in ch.to_lowercase() {
-                self.lower.push(lc);
-            }
+        let span = &self.text[start..end];
+        if span.is_ascii() {
+            self.lower.push_str(span);
+            self.lower[lower_start..].make_ascii_lowercase();
+        } else {
+            self.lower.push_str(&span.to_lowercase());
         }
         // Span offsets are stored as u32 to keep `Token` at 20 bytes; a
         // single sentence longer than 4 GiB cannot occur (documents are
@@ -186,11 +202,13 @@ pub fn split_sentence_bounds(text: &str, out: &mut Vec<(usize, usize)>) {
             out.push((from + lead, from + trimmed_len));
         }
     };
+    // The terminators are ASCII, and an ASCII byte is never part of a
+    // multi-byte sequence: scan bytes, not characters.
     let mut start = 0;
-    for (i, ch) in text.char_indices() {
-        if matches!(ch, '.' | '!' | '?') {
+    for (i, byte) in text.bytes().enumerate() {
+        if matches!(byte, b'.' | b'!' | b'?') {
             push_trimmed(start, i);
-            start = i + ch.len_utf8();
+            start = i + 1;
         }
     }
     push_trimmed(start, text.len());
@@ -216,17 +234,13 @@ pub fn tokenize_with(trailing: &mut Vec<(usize, usize)>, sentence: &str) -> Toke
     let mut out = TokenizedSentence {
         text: sentence.to_owned(),
         lower: String::with_capacity(sentence.len() + 8),
-        tokens: Vec::new(),
+        // English runs at five to six bytes a token, separator included;
+        // the rare denser sentence grows the vector.
+        tokens: Vec::with_capacity(sentence.len() / 5 + 2),
     };
-    let mut cursor = 0usize;
     for raw in sentence.split_whitespace() {
-        // Locate this whitespace-delimited chunk in the sentence to keep
-        // byte spans exact.
-        let base = sentence[cursor..]
-            .find(raw)
-            .map(|i| cursor + i)
-            .unwrap_or(cursor);
-        cursor = base + raw.len();
+        // `raw` is a sub-slice of `sentence`: its address is its offset.
+        let base = raw.as_ptr() as usize - sentence.as_ptr() as usize;
 
         // Peel leading punctuation.
         let mut word = raw;
@@ -267,8 +281,11 @@ pub fn tokenize_with(trailing: &mut Vec<(usize, usize)>, sentence: &str) -> Toke
 
 /// Pushes a word starting at byte `offset`, splitting negative contractions.
 fn push_word(out: &mut TokenizedSentence, word: &str, offset: usize) {
+    // Bytes, not a `str` slice: three bytes from the end of a non-ASCII
+    // word need not be a character boundary.
+    let bytes = word.as_bytes();
     let is_negative_contraction =
-        word.len() >= 3 && word[word.len() - 3..].eq_ignore_ascii_case("n't");
+        bytes.len() >= 3 && bytes[bytes.len() - 3..].eq_ignore_ascii_case(b"n't");
     if is_negative_contraction {
         // don't -> do + n't; isn't -> is + n't; can't -> ca + n't (as in PTB).
         let stem_len = word.len() - 3;
@@ -281,12 +298,12 @@ fn push_word(out: &mut TokenizedSentence, word: &str, offset: usize) {
     }
 }
 
-/// Lemmatizes a lowercase word for alias matching: strips common plural
-/// endings. Conservative by design — the entity tagger tries the exact form
-/// first.
-pub fn singularize(lower: &str) -> Option<String> {
+/// The singular of a lowercase plural as `(stem, suffix)` — the one
+/// definition of the plural endings the entity tagger strips; `None` when
+/// `lower` carries none of them.
+pub(crate) fn singular_parts(lower: &str) -> Option<(&str, &'static str)> {
     if lower.len() > 3 && lower.ends_with("ies") {
-        return Some(format!("{}y", &lower[..lower.len() - 3]));
+        return Some((&lower[..lower.len() - 3], "y"));
     }
     if lower.len() > 3
         && (lower.ends_with("ses")
@@ -295,12 +312,130 @@ pub fn singularize(lower: &str) -> Option<String> {
             || lower.ends_with("ches")
             || lower.ends_with("shes"))
     {
-        return Some(lower[..lower.len() - 2].to_owned());
+        return Some((&lower[..lower.len() - 2], ""));
     }
     if lower.len() > 2 && lower.ends_with('s') && !lower.ends_with("ss") {
-        return Some(lower[..lower.len() - 1].to_owned());
+        return Some((&lower[..lower.len() - 1], ""));
     }
     None
+}
+
+/// Lemmatizes a lowercase word for alias matching: strips common plural
+/// endings. Conservative by design — the entity tagger tries the exact form
+/// first.
+pub fn singularize(lower: &str) -> Option<String> {
+    singular_parts(lower).map(|(stem, suffix)| [stem, suffix].concat())
+}
+
+/// The bodies this module had before the one-pass tokenizer, kept as the
+/// oracle of `crate::differential`. Not to be edited.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{Pos, Token, TokenizedSentence};
+
+    fn push_span(out: &mut TokenizedSentence, start: usize, end: usize) {
+        let lower_start = out.lower.len();
+        for ch in out.text[start..end].chars() {
+            for lc in ch.to_lowercase() {
+                out.lower.push(lc);
+            }
+        }
+        let offset = |n: usize| u32::try_from(n).expect("sentence fits in u32");
+        out.tokens.push(Token {
+            start: offset(start),
+            end: offset(end),
+            lower_start: offset(lower_start),
+            lower_end: offset(out.lower.len()),
+            pos: Pos::Other,
+        });
+        out.lower.push(' ');
+    }
+
+    pub(crate) fn split_sentence_bounds(text: &str, out: &mut Vec<(usize, usize)>) {
+        let mut push_trimmed = |from: usize, to: usize| {
+            let s = &text[from..to];
+            let lead = s.len() - s.trim_start().len();
+            let trimmed_len = s.trim_end().len();
+            if trimmed_len > lead {
+                out.push((from + lead, from + trimmed_len));
+            }
+        };
+        let mut start = 0;
+        for (i, ch) in text.char_indices() {
+            if matches!(ch, '.' | '!' | '?') {
+                push_trimmed(start, i);
+                start = i + ch.len_utf8();
+            }
+        }
+        push_trimmed(start, text.len());
+    }
+
+    pub(crate) fn tokenize_with(
+        trailing: &mut Vec<(usize, usize)>,
+        sentence: &str,
+    ) -> TokenizedSentence {
+        let mut out = TokenizedSentence {
+            text: sentence.to_owned(),
+            lower: String::with_capacity(sentence.len() + 8),
+            tokens: Vec::new(),
+        };
+        let mut cursor = 0usize;
+        for raw in sentence.split_whitespace() {
+            let base = sentence[cursor..]
+                .find(raw)
+                .map(|i| cursor + i)
+                .unwrap_or(cursor);
+            cursor = base + raw.len();
+
+            let mut word = raw;
+            let mut offset = base;
+            while let Some(first) = word.chars().next() {
+                if first.is_alphanumeric() || first == '\'' {
+                    break;
+                }
+                let width = first.len_utf8();
+                push_span(&mut out, offset, offset + width);
+                word = &word[width..];
+                offset += width;
+            }
+            trailing.clear();
+            while let Some(last) = word.chars().last() {
+                if last.is_alphanumeric() {
+                    break;
+                }
+                if last == '\'' && word.len() >= 2 {
+                    break;
+                }
+                let width = last.len_utf8();
+                let at = offset + word.len() - width;
+                trailing.push((at, at + width));
+                word = &word[..word.len() - width];
+            }
+            if !word.is_empty() {
+                push_word(&mut out, word, offset);
+            }
+            for &(from, to) in trailing.iter().rev() {
+                push_span(&mut out, from, to);
+            }
+        }
+        out
+    }
+
+    fn push_word(out: &mut TokenizedSentence, word: &str, offset: usize) {
+        // Panics when `word.len() - 3` is not a character boundary: the
+        // defect the current tokenizer fixes.
+        let is_negative_contraction =
+            word.len() >= 3 && word[word.len() - 3..].eq_ignore_ascii_case("n't");
+        if is_negative_contraction {
+            let stem_len = word.len() - 3;
+            if stem_len > 0 {
+                push_span(out, offset, offset + stem_len);
+            }
+            push_span(out, offset + stem_len, offset + word.len());
+        } else {
+            push_span(out, offset, offset + word.len());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -421,6 +556,89 @@ mod tests {
         assert_eq!(toks, back);
         assert_eq!(back.sentence(), "Kittens aren't ugly");
         assert_eq!(back.lower_of(1), "are");
+    }
+
+    #[test]
+    fn non_ascii_words_tokenize_without_panicking() {
+        // Two-byte letters put `len - 3` inside a character; the
+        // contraction test used to slice there.
+        for (sentence, expected) in [
+            ("ΟΔΟΣ is big", vec!["ΟΔΟΣ", "is", "big"]),
+            ("Москва", vec!["Москва"]),
+            ("я", vec!["я"]),
+            ("яя", vec!["яя"]),
+            ("東京 is big", vec!["東京", "is", "big"]),
+            ("東", vec!["東"]),
+            ("aΣ Σa aяb 東a京", vec!["aΣ", "Σa", "aяb", "東a京"]),
+            (
+                "(Москва), «ΟΔΟΣ»!",
+                vec!["(", "Москва", ")", ",", "«", "ΟΔΟΣ", "»", "!"],
+            ),
+            // The contraction still splits behind a non-ASCII stem.
+            (
+                "Москваn't Σn't 東N'T",
+                vec!["Москва", "n't", "Σ", "n't", "東", "N'T"],
+            ),
+        ] {
+            let toks = tokenize(sentence);
+            assert_eq!(texts(&toks), expected, "{sentence}");
+            for i in 0..toks.len() {
+                let (from, to) = toks[i].span();
+                assert_eq!(&sentence[from..to], toks.text_of(i));
+            }
+        }
+    }
+
+    #[test]
+    fn non_ascii_tokens_lower_as_words() {
+        // Per word, as `normalize_surface` lowers a surface form: a final
+        // sigma is `ς`, a medial one `σ`.
+        let toks = tokenize("ΟΔΟΣ ΣΑΣ AΣ Σ ÅNGSTRÖM İstanbul San");
+        let lowers: Vec<&str> = (0..toks.len()).map(|i| toks.lower_of(i)).collect();
+        assert_eq!(
+            lowers,
+            vec![
+                "οδος",
+                "σας",
+                "aς",
+                "σ",
+                "ångström",
+                "i\u{307}stanbul",
+                "san"
+            ]
+        );
+        assert_eq!(toks.window_lower(0, 2), "οδος σας");
+        for i in 0..toks.len() {
+            assert_eq!(toks.lower_of(i), toks.text_of(i).to_lowercase());
+        }
+    }
+
+    #[test]
+    fn separators_other_than_a_space_keep_spans_exact() {
+        let sentence = "San\u{a0}Francisco\tis\u{b}\u{2003} big";
+        let toks = tokenize(sentence);
+        assert_eq!(texts(&toks), vec!["San", "Francisco", "is", "big"]);
+        assert_eq!(toks[1].span(), (5, 14));
+        assert_eq!(toks[3].span(), (sentence.len() - 3, sentence.len()));
+    }
+
+    #[test]
+    fn sentence_bounds_scan_bytes_around_multibyte_text() {
+        let text = "Москва is big. 東京!ΟΔΟΣ?\u{a0}я\u{2003}";
+        let sentences = split_sentences(text);
+        assert_eq!(sentences, vec!["Москва is big", "東京", "ΟΔΟΣ", "я"]);
+    }
+
+    #[test]
+    fn singular_parts_and_singularize_are_one_definition() {
+        for word in [
+            "cities", "foxes", "snakes", "glass", "is", "was", "beaches", "s", "ies",
+        ] {
+            let joined = singular_parts(word).map(|(stem, suffix)| format!("{stem}{suffix}"));
+            assert_eq!(joined, singularize(word), "{word}");
+        }
+        assert_eq!(singular_parts("poppies"), Some(("popp", "y")));
+        assert_eq!(singular_parts("walrus"), Some(("walru", "")));
     }
 
     #[test]

@@ -212,3 +212,22 @@ for key in '"schema_version"' '"from_scratch_seconds"' '"delta_sweep"' \
     grep -q "$key" artifacts/incremental_smoke.json \
         || { echo "incremental_smoke.json missing $key" >&2; exit 1; }
 done
+
+# Ledger smoke: the repository's benchmark (BENCHMARK.json) on its quick
+# worlds, both workloads, as a correctness check — no timing is asserted.
+# The ledger exits nonzero unless every HTTP reply carried the verdict it
+# derived itself, every mined and updated snapshot equalled the 1-thread
+# reference byte for byte, every load indexed what was decided and every
+# reload was accepted; the last line it prints is the run as JSON, archived
+# here. Built as the `ledger` bin of `surveyor-bench` (the same main.rs as
+# the stand-alone package), so it shares this target directory.
+for workload in web_mine longtail_update; do
+    cargo run --release -q -p surveyor-bench --bin ledger -- \
+        --workload "$workload" --quick --seconds 4 --trace 0 \
+        | tail -n 1 > "artifacts/ledger_smoke_${workload}.json"
+    for key in '"correct": true' '"failed": 0' '"mine_docs_per_s"' \
+               '"snapshot_bytes_per_pair"'; do
+        grep -q "$key" "artifacts/ledger_smoke_${workload}.json" \
+            || { echo "ledger_smoke_${workload}.json missing $key" >&2; exit 1; }
+    done
+done

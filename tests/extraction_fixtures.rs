@@ -162,6 +162,32 @@ fn fixture_battery_v4() {
 }
 
 #[test]
+fn the_early_out_skips_only_fixtures_that_expect_nothing() {
+    // The expectations above were written against an extractor that tried
+    // every pattern on every sentence: a sentence the early-out now skips
+    // (no mention, or no adjective) must be one of the empty ones, and
+    // some empty ones must still go through the patterns.
+    use surveyor::extract::{extract_sentence_counted, PatternCounts};
+    let kb = kb();
+    let lexicon = Lexicon::new();
+    let config = ExtractionConfig::paper_final();
+    let (mut skipped, mut empty) = (0, 0);
+    for (sentence, expectation) in FIXTURES {
+        let mut counts = PatternCounts::default();
+        for s in &annotate(0, sentence, &kb, &lexicon).sentences {
+            extract_sentence_counted(s, &kb, &config, &mut counts);
+        }
+        assert!(
+            counts.skipped == 0 || expectation.is_empty(),
+            "skipped {sentence:?}, which expects {expectation:?}"
+        );
+        skipped += counts.skipped;
+        empty += u64::from(expectation.is_empty());
+    }
+    assert!(skipped >= 3 && skipped < empty, "{skipped} of {empty}");
+}
+
+#[test]
 fn fixture_sentences_all_parse_to_valid_trees() {
     let kb = kb();
     let lexicon = Lexicon::new();

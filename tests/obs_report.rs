@@ -73,6 +73,7 @@ fn report_covers_all_phases_and_round_trips() {
     for counter in [
         "extract.documents",
         "extract.sentences",
+        "extract.sentences_skipped",
         "extract.statements",
         "corpus.documents",
         "corpus.sentences",
@@ -82,6 +83,7 @@ fn report_covers_all_phases_and_round_trips() {
             "counter {counter} is zero"
         );
     }
+    assert!(report.counters["extract.sentences_skipped"] < report.counters["extract.sentences"]);
     let docs = report.counters["extract.documents"];
     assert_eq!(report.phase("extract").unwrap().items, docs);
 
