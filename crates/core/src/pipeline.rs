@@ -24,8 +24,7 @@ use surveyor_extract::{
 };
 use surveyor_kb::{EntityId, KnowledgeBase, Property, PropertyId};
 use surveyor_model::{
-    decide, posterior_positive, Decision, EmConfig, EmFit, ModelDecision, ModelParams,
-    ObservedCounts, SurveyorModel,
+    fit_table, CountTable, Decision, EmConfig, EmFit, ModelDecision, ModelParams, ObservedCounts,
 };
 use surveyor_obs::{claim_map, EmGroupReport, FaultSummary, MetricsRegistry};
 
@@ -356,19 +355,22 @@ impl Surveyor {
     }
 
     /// Algorithm 1's second loop, the one place it is written: for each
-    /// task, collect the counts of every entity of the type, learn the
-    /// parameters, decide every entity. A mine passes every combination
-    /// above ρ with no seed, an update the ones its delta dirtied.
+    /// task, collect the counts of every entity of the type, sort them
+    /// into the group's [`CountTable`] of distinct pairs, learn the
+    /// parameters from it, and decide every entity from one posterior per
+    /// distinct pair. A mine passes every combination above ρ with no
+    /// seed, an update the ones its delta dirtied.
     ///
     /// Tasks are independent, so they fan out over `config.threads`
     /// workers of the [`claim_map`] pool, each reusing one counts buffer;
     /// results come back in task order for any worker count. The `model`
     /// and `decide` phases (worker CPU time summed over tasks, so with N
-    /// workers they can exceed elapsed time) and the per-group EM
-    /// telemetry are recorded after the join, in task order, so the
-    /// registry's rows do not depend on the worker count either.
+    /// workers they can exceed elapsed time), the `model.entities` and
+    /// `model.distinct_pairs` counters (what EM saw, summed over tasks)
+    /// and the per-group EM telemetry are recorded after the join, in
+    /// task order, so the registry's rows do not depend on the worker
+    /// count either.
     pub(crate) fn fit_groups(&self, tasks: &[FitTask<'_>], warm: WarmStart) -> Vec<DomainResult> {
-        let model = SurveyorModel::with_config(self.config.em.clone());
         let fitted = claim_map(
             tasks.len(),
             self.config.threads,
@@ -382,15 +384,17 @@ impl Surveyor {
                     ObservedCounts::new(c.positive, c.negative)
                 }));
                 let fit_start = Instant::now(); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
-                let fit = match (warm, seed) {
-                    (WarmStart::Seeded, Some(seed)) => model.fit_group_warm(counts, &seed),
-                    _ => model.fit_group(counts),
+                let table = CountTable::new(counts);
+                let seed = match warm {
+                    WarmStart::Seeded => seed.as_ref(),
+                    WarmStart::Exact => None,
                 };
+                let fit = fit_table(&table, &self.config.em, seed);
                 let decide_start = Instant::now(); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
                 let decisions: Vec<(EntityId, ModelDecision)> = entities
                     .iter()
-                    .zip(counts.iter())
-                    .map(|(&e, &c)| (e, decide(posterior_positive(c, &fit.params))))
+                    .copied()
+                    .zip(table.decisions(&fit.params))
                     .collect();
                 let times = (decide_start - fit_start, decide_start.elapsed());
                 let result = DomainResult {
@@ -398,19 +402,23 @@ impl Surveyor {
                     fit,
                     decisions,
                 };
-                (result, times)
+                (result, times, table.distinct_pairs())
             },
         );
         let (mut em_time, mut decide_time) = (Duration::ZERO, Duration::ZERO);
+        let mut distinct_pairs = 0;
         let mut results = Vec::with_capacity(fitted.len());
-        for (result, (em, decide)) in fitted {
+        for (result, (em, decide), pairs) in fitted {
             em_time += em;
             decide_time += decide;
+            distinct_pairs += pairs as u64;
             results.push(result);
         }
         if let Some(obs) = self.obs.as_deref() {
             let decisions: usize = results.iter().map(|r| r.decisions.len()).sum();
             obs.record_phase("model", em_time, results.len() as u64);
+            obs.add("model.entities", decisions as u64);
+            obs.add("model.distinct_pairs", distinct_pairs);
             obs.record_phase("decide", decide_time, decisions as u64);
             for result in &results {
                 self.record_em_telemetry(obs, &result.key, result.decisions.len(), &result.fit);

@@ -1,5 +1,9 @@
-//! The observed evidence tuple `⟨C+_i, C-_i⟩`.
+//! The observed evidence tuple `⟨C+_i, C-_i⟩`, and a group's tuples as a
+//! table of distinct pairs.
 
+use crate::decision::{decide, ModelDecision};
+use crate::inference::Posterior;
+use crate::params::ModelParams;
 use serde::{Deserialize, Serialize};
 
 /// Positive / negative statement counts for one entity under one
@@ -43,6 +47,99 @@ impl From<(u64, u64)> for ObservedCounts {
     }
 }
 
+/// One group's evidence as its distinct `(c+, c−)` pairs plus, per
+/// entity, the slot of its pair.
+///
+/// An entity enters the model only through its pair, and the pairs of a
+/// group repeat almost completely (a Zipf world is mostly `(0,0)`,
+/// `(1,0)`, `(0,1)`), so anything that is a function of the pair — a
+/// posterior, a likelihood term, a decision — is computed once per slot
+/// and then read per entity, in entity order.
+#[derive(Debug)]
+pub struct CountTable {
+    /// Distinct pairs, ascending.
+    pairs: Vec<ObservedCounts>,
+    /// `slots[i]` indexes entity `i`'s pair in `pairs`.
+    slots: Vec<u32>,
+}
+
+impl CountTable {
+    /// Sorts a group's counts (one tuple per entity) into the table.
+    ///
+    /// # Panics
+    /// Panics on more than `u32::MAX` entities.
+    pub fn new(counts: &[ObservedCounts]) -> Self {
+        assert!(
+            u32::try_from(counts.len()).is_ok(),
+            "a group holds at most u32::MAX entities"
+        );
+        let mut order: Vec<(u64, u64, u32)> = counts
+            .iter()
+            .zip(0u32..)
+            .map(|(c, i)| (c.positive, c.negative, i))
+            .collect();
+        order.sort_unstable();
+        let mut pairs: Vec<ObservedCounts> = Vec::new();
+        let mut slots = vec![0u32; counts.len()];
+        for (positive, negative, entity) in order {
+            let pair = ObservedCounts::new(positive, negative);
+            if pairs.last() != Some(&pair) {
+                pairs.push(pair);
+            }
+            // No truncation: pairs.len() <= counts.len() <= u32::MAX.
+            slots[entity as usize] = (pairs.len() - 1) as u32;
+        }
+        Self { pairs, slots }
+    }
+
+    /// Entities in the group.
+    pub fn entities(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Distinct `(c+, c−)` pairs among them.
+    pub fn distinct_pairs(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// The distinct pairs, ascending.
+    pub(crate) fn pairs(&self) -> &[ObservedCounts] {
+        &self.pairs
+    }
+
+    /// Per entity, in entity order, the slot of its pair in
+    /// [`pairs`](Self::pairs).
+    pub(crate) fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+
+    /// Expands one value per distinct pair into one per entity, in entity
+    /// order.
+    pub(crate) fn per_entity<'a, T: Copy + 'a>(
+        &'a self,
+        per_pair: Vec<T>,
+    ) -> impl ExactSizeIterator<Item = T> + 'a {
+        debug_assert_eq!(per_pair.len(), self.pairs.len());
+        self.slots.iter().map(move |&s| per_pair[s as usize])
+    }
+
+    /// Algorithm 1's decision for every entity, in entity order, from one
+    /// posterior per distinct pair — what `decide(posterior_positive(c,
+    /// params))` gives each entity, bit for bit.
+    pub fn decisions(
+        &self,
+        params: &ModelParams,
+    ) -> impl ExactSizeIterator<Item = ModelDecision> + '_ {
+        let posterior = Posterior::new(params);
+        let per_pair = self
+            .pairs
+            .iter()
+            .map(|&c| decide(posterior.positive(c)))
+            .collect();
+        self.per_entity(per_pair)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,5 +151,25 @@ mod tests {
         assert_eq!(ObservedCounts::zero().total(), 0);
         let c: ObservedCounts = (2, 5).into();
         assert_eq!(c, ObservedCounts::new(2, 5));
+    }
+
+    #[test]
+    fn table_holds_each_pair_once_and_every_entity_in_order() {
+        let counts: Vec<ObservedCounts> = [(1, 0), (0, 0), (1, 0), (7, 2), (0, 0), (0, 1)]
+            .into_iter()
+            .map(ObservedCounts::from)
+            .collect();
+        let table = CountTable::new(&counts);
+        assert_eq!(table.entities(), 6);
+        assert_eq!(
+            table.pairs(),
+            &[(0, 0), (0, 1), (1, 0), (7, 2)].map(ObservedCounts::from)
+        );
+        let back: Vec<ObservedCounts> = table.per_entity(table.pairs().to_vec()).collect();
+        assert_eq!(back, counts);
+        assert_eq!(table.slots(), &[2, 0, 2, 3, 0, 1]);
+
+        let empty = CountTable::new(&[]);
+        assert_eq!((empty.entities(), empty.distinct_pairs()), (0, 0));
     }
 }

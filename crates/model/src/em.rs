@@ -13,12 +13,21 @@
 //!   the highest `Q'` wins ("we speed up computations by trying a fixed
 //!   set of values for pA", §6).
 //!
-//! Each iteration is O(m · |grid|) in the number of entities and
-//! independent of the number of extracted mentions — the property §7.1
-//! credits for the 10-minute Web-scale EM run.
+//! An entity enters EM only through its `(c+, c−)` pair, and a group's
+//! pairs repeat almost completely, so a fit first sorts the group into a
+//! [`CountTable`] of distinct pairs — once, shared by every restart. An
+//! iteration then costs one posterior per *distinct pair* (one `exp`; the
+//! four `ln λ` are taken once per iteration), m additions to accumulate
+//! the six statistics per entity, in entity order, and the `|grid|`
+//! M-step candidates. Accumulating per entity keeps the summation order,
+//! and so every bit, of an E-step that evaluates each entity's posterior
+//! itself; summing per pair with multiplicities would drop the m
+//! additions but moves the last ulp. Nothing depends on the number of
+//! extracted mentions — the property §7.1 credits for the 10-minute
+//! Web-scale EM run.
 
-use crate::counts::ObservedCounts;
-use crate::inference::{ln_joint_negative, ln_joint_positive, posterior_positive};
+use crate::counts::{CountTable, ObservedCounts};
+use crate::inference::Posterior;
 use crate::params::ModelParams;
 use serde::{Deserialize, Serialize};
 
@@ -122,7 +131,7 @@ pub struct EmFit {
 }
 
 /// Sufficient statistics of one E-step.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Stats {
     g_pos_pos: f64,
     g_neg_pos: f64,
@@ -132,18 +141,43 @@ struct Stats {
     g_neg: f64,
 }
 
-fn e_step_stats(counts: &[ObservedCounts], params: &ModelParams) -> Stats {
-    let mut s = Stats::default();
-    for c in counts {
-        let r = posterior_positive(*c, params);
-        s.g_pos_pos += c.positive as f64 * r;
-        s.g_neg_pos += c.negative as f64 * r;
-        s.g_pos_neg += c.positive as f64 * (1.0 - r);
-        s.g_neg_neg += c.negative as f64 * (1.0 - r);
-        s.g_pos += r;
-        s.g_neg += 1.0 - r;
+/// One distinct pair's share of the sufficient statistics, in [`Stats`]
+/// field order: `[c+·r, c-·r, c+·(1-r), c-·(1-r), r, 1-r]`.
+type PairTerms = [f64; 6];
+
+/// The E-step: one posterior per distinct pair into `terms`, then the six
+/// sums over entities in entity order — the same products added in the
+/// same order as evaluating every entity's posterior on its own.
+fn e_step_stats(table: &CountTable, params: &ModelParams, terms: &mut Vec<PairTerms>) -> Stats {
+    let posterior = Posterior::new(params);
+    terms.clear();
+    terms.extend(table.pairs().iter().map(|&c| {
+        let r = posterior.positive(c);
+        let (pos, neg) = (c.positive as f64, c.negative as f64);
+        [
+            pos * r,
+            neg * r,
+            pos * (1.0 - r),
+            neg * (1.0 - r),
+            r,
+            1.0 - r,
+        ]
+    }));
+    let mut g = [0.0; 6];
+    for &slot in table.slots() {
+        for (sum, term) in g.iter_mut().zip(&terms[slot as usize]) {
+            *sum += term;
+        }
     }
-    s
+    let [g_pos_pos, g_neg_pos, g_pos_neg, g_neg_neg, g_pos, g_neg] = g;
+    Stats {
+        g_pos_pos,
+        g_neg_pos,
+        g_pos_neg,
+        g_neg_neg,
+        g_pos,
+        g_neg,
+    }
 }
 
 /// `Q'(θ)` evaluated from sufficient statistics:
@@ -188,10 +222,18 @@ fn m_step_rates(stats: &Stats, pa: f64) -> Option<(f64, f64)> {
 /// Moment-matched initial guess assuming a positive share of `share`:
 /// `E[c+] = share·pA·np+S + (1-share)·(1-pA)·np+S` (and symmetrically for
 /// negatives), solved for the rates at a provisional `pA = 0.8`.
-fn initial_guess(counts: &[ObservedCounts], share: f64) -> ModelParams {
-    let m = counts.len().max(1) as f64;
-    let mean_pos: f64 = counts.iter().map(|c| c.positive as f64).sum::<f64>() / m;
-    let mean_neg: f64 = counts.iter().map(|c| c.negative as f64).sum::<f64>() / m;
+fn initial_guess(table: &CountTable, share: f64) -> ModelParams {
+    let m = table.entities().max(1) as f64;
+    let pairs = table.pairs();
+    // Summed per entity, in entity order, like every other statistic.
+    let mean = |count: fn(&ObservedCounts) -> u64| {
+        let per_entity = table
+            .slots()
+            .iter()
+            .map(|&s| count(&pairs[s as usize]) as f64);
+        per_entity.sum::<f64>() / m
+    };
+    let (mean_pos, mean_neg) = (mean(|c| c.positive), mean(|c| c.negative));
     let pa0 = 0.8;
     let pos_factor = share * pa0 + (1.0 - share) * (1.0 - pa0);
     let neg_factor = (1.0 - share) * pa0 + share * (1.0 - pa0);
@@ -207,34 +249,13 @@ fn initial_guess(counts: &[ObservedCounts], share: f64) -> ModelParams {
 /// `counts` must contain one tuple per entity of the type — including the
 /// all-zero tuples of never-mentioned entities, which carry real signal
 /// (§2). Runs one EM per configured restart share and returns the fit with
-/// the best mixture likelihood.
+/// the best mixture likelihood. Shorthand for [`fit_table`] on the
+/// group's [`CountTable`] with no warm start.
 ///
 /// # Panics
 /// Panics if `counts` is empty or the grid is empty/out of range.
 pub fn fit(counts: &[ObservedCounts], config: &EmConfig) -> EmFit {
-    assert!(!counts.is_empty(), "EM needs at least one entity");
-    assert!(!config.pa_grid.is_empty(), "EM needs a non-empty pA grid");
-    for &pa in &config.pa_grid {
-        assert!(
-            (0.5..=1.0).contains(&pa),
-            "pA grid values must lie in [0.5, 1], got {pa}"
-        );
-    }
-    let shares = if config.restart_shares.is_empty() {
-        &[0.5][..]
-    } else {
-        &config.restart_shares[..]
-    };
-    let mut best: Option<(f64, EmFit)> = None;
-    for &share in shares {
-        let mut candidate = fit_from(counts, config, share);
-        let ll = mixture_log_likelihood(counts, &candidate.params);
-        candidate.log_likelihood = ll;
-        if best.as_ref().is_none_or(|(b, _)| ll > *b) {
-            best = Some((ll, candidate));
-        }
-    }
-    best.expect("at least one restart").1 // lint:allow(no-panic-in-lib): shares is never empty (defaulted above), so the loop always sets best
+    fit_table(&CountTable::new(counts), config, None)
 }
 
 /// Fits the model with a single EM run warm-started from an explicit
@@ -252,7 +273,20 @@ pub fn fit(counts: &[ObservedCounts], config: &EmConfig) -> EmFit {
 /// # Panics
 /// Panics if `counts` is empty or the grid is empty/out of range.
 pub fn fit_warm(counts: &[ObservedCounts], config: &EmConfig, initial: &ModelParams) -> EmFit {
-    assert!(!counts.is_empty(), "EM needs at least one entity");
+    fit_table(&CountTable::new(counts), config, Some(initial))
+}
+
+/// The one EM entry point: fits a group given as its [`CountTable`]. Cold
+/// (`warm = None`) it runs one EM per restart share and keeps the best
+/// mixture likelihood ([`fit`]); warm it runs once from the given
+/// parameters ([`fit_warm`]). Every run shares the table and one
+/// per-pair scratch buffer; decide the group from the same table with
+/// [`CountTable::decisions`].
+///
+/// # Panics
+/// Panics if the table has no entity or the grid is empty/out of range.
+pub fn fit_table(table: &CountTable, config: &EmConfig, warm: Option<&ModelParams>) -> EmFit {
+    assert!(table.entities() > 0, "EM needs at least one entity");
     assert!(!config.pa_grid.is_empty(), "EM needs a non-empty pA grid");
     for &pa in &config.pa_grid {
         assert!(
@@ -260,18 +294,41 @@ pub fn fit_warm(counts: &[ObservedCounts], config: &EmConfig, initial: &ModelPar
             "pA grid values must lie in [0.5, 1], got {pa}"
         );
     }
-    let mut fit = run_em(counts, config, *initial);
-    fit.log_likelihood = mixture_log_likelihood(counts, &fit.params);
-    fit
+    let mut terms = Vec::with_capacity(table.distinct_pairs());
+    let mut run = |start: ModelParams| {
+        let mut fit = run_em(table, config, start, &mut terms);
+        fit.log_likelihood = mixture_log_likelihood(table, &fit.params);
+        fit
+    };
+    if let Some(initial) = warm {
+        return run(*initial);
+    }
+    let shares = if config.restart_shares.is_empty() {
+        &[0.5][..]
+    } else {
+        &config.restart_shares[..]
+    };
+    let mut best: Option<EmFit> = None;
+    for &share in shares {
+        let candidate = run(initial_guess(table, share));
+        if best
+            .as_ref()
+            .is_none_or(|b| candidate.log_likelihood > b.log_likelihood)
+        {
+            best = Some(candidate);
+        }
+    }
+    best.expect("at least one restart") // lint:allow(no-panic-in-lib): shares is never empty (defaulted above), so the loop always sets best
 }
 
-/// One EM run from a share-seeded initialization.
-fn fit_from(counts: &[ObservedCounts], config: &EmConfig, share: f64) -> EmFit {
-    run_em(counts, config, initial_guess(counts, share))
-}
-
-/// The EM iteration loop from an explicit starting point.
-fn run_em(counts: &[ObservedCounts], config: &EmConfig, start: ModelParams) -> EmFit {
+/// The EM iteration loop from an explicit starting point; `terms` is the
+/// E-step's per-pair scratch.
+fn run_em(
+    table: &CountTable,
+    config: &EmConfig,
+    start: ModelParams,
+    terms: &mut Vec<PairTerms>,
+) -> EmFit {
     let mut params = start;
     let mut q_trace = Vec::new();
     let mut delta_trace = Vec::new();
@@ -280,7 +337,7 @@ fn run_em(counts: &[ObservedCounts], config: &EmConfig, start: ModelParams) -> E
 
     for _ in 0..config.max_iterations {
         iterations += 1;
-        let stats = e_step_stats(counts, &params);
+        let stats = e_step_stats(table, &params, terms);
 
         let mut best: Option<(f64, ModelParams)> = None;
         for &pa in &config.pa_grid {
@@ -319,20 +376,23 @@ fn run_em(counts: &[ObservedCounts], config: &EmConfig, start: ModelParams) -> E
         q_trace,
         delta_trace,
         converged,
-        // Overwritten by `fit` with the mixture likelihood once the
-        // winning restart is known.
+        // Overwritten by `fit_table` with the mixture likelihood.
         log_likelihood: f64::NEG_INFINITY,
     }
 }
 
-/// Log-likelihood of the observed counts under the two-component mixture
-/// with uniform prior — the quantity EM ascends (used by tests).
-pub fn mixture_log_likelihood(counts: &[ObservedCounts], params: &ModelParams) -> f64 {
-    counts
+/// Log-likelihood of a group's counts under the two-component mixture
+/// with uniform prior — the quantity EM ascends and the restart
+/// selection criterion. One term per distinct pair, summed per entity in
+/// entity order.
+pub fn mixture_log_likelihood(table: &CountTable, params: &ModelParams) -> f64 {
+    let posterior = Posterior::new(params);
+    let per_pair = table
+        .pairs()
         .iter()
         .map(|&c| {
-            let a = ln_joint_positive(c, params) - std::f64::consts::LN_2;
-            let b = ln_joint_negative(c, params) - std::f64::consts::LN_2;
+            let a = posterior.ln_joint_positive(c) - std::f64::consts::LN_2;
+            let b = posterior.ln_joint_negative(c) - std::f64::consts::LN_2;
             // log(exp(a) + exp(b)) stably; subtract the shared log c!
             // constant, which does not affect comparisons between θ.
             let hi = a.max(b);
@@ -342,12 +402,15 @@ pub fn mixture_log_likelihood(counts: &[ObservedCounts], params: &ModelParams) -
                 hi + ((a - hi).exp() + (b - hi).exp()).ln()
             }
         })
-        .sum()
+        .collect();
+    table.per_entity(per_pair).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inference::posterior_positive;
+    use crate::oracle;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use surveyor_prob::Poisson;
@@ -451,10 +514,11 @@ mod tests {
     fn mixture_likelihood_improves_over_initial_guess() {
         let truth = ModelParams::new(0.9, 80.0, 6.0);
         let (counts, _) = sample_counts(&truth, 0.4, 500, 31);
-        let initial = initial_guess(&counts, 0.5);
+        let table = CountTable::new(&counts);
+        let initial = initial_guess(&table, 0.5);
         let fit = fit(&counts, &EmConfig::default());
-        let before = mixture_log_likelihood(&counts, &initial);
-        let after = mixture_log_likelihood(&counts, &fit.params);
+        let before = mixture_log_likelihood(&table, &initial);
+        let after = mixture_log_likelihood(&table, &fit.params);
         assert!(after >= before, "before={before} after={after}");
     }
 
@@ -471,16 +535,17 @@ mod tests {
         assert!(fit.log_likelihood.is_finite());
         assert_eq!(
             fit.log_likelihood,
-            mixture_log_likelihood(&counts, &fit.params)
+            mixture_log_likelihood(&CountTable::new(&counts), &fit.params)
         );
 
         // An exhausted budget reports max_iterations.
         let strict = EmConfig {
             max_iterations: 1,
             tolerance: 0.0,
+            restart_shares: vec![0.5],
             ..EmConfig::default()
         };
-        let fit = fit_from(&counts, &strict, 0.5);
+        let fit = super::fit(&counts, &strict);
         assert_eq!(fit.converged, ConvergenceReason::MaxIterations);
         assert_eq!(fit.converged.as_str(), "max_iterations");
     }
@@ -498,7 +563,7 @@ mod tests {
         assert!((warm.params.rate_pos - cold.params.rate_pos).abs() < 1e-3);
         assert_eq!(
             warm.log_likelihood,
-            mixture_log_likelihood(&counts, &warm.params)
+            mixture_log_likelihood(&CountTable::new(&counts), &warm.params)
         );
     }
 
@@ -529,6 +594,35 @@ mod tests {
     #[should_panic(expected = "at least one entity")]
     fn warm_start_with_empty_counts_panics() {
         let _ = fit_warm(&[], &EmConfig::default(), &ModelParams::new(0.9, 1.0, 1.0));
+    }
+
+    #[test]
+    fn fits_are_bit_equal_to_the_per_entity_oracle() {
+        let config = EmConfig::default();
+        for (truth, share, m, seed) in [
+            (ModelParams::new(0.9, 100.0, 5.0), 0.4, 600, 11),
+            (ModelParams::new(0.85, 60.0, 8.0), 0.5, 400, 23),
+            (ModelParams::new(0.95, 50.0, 0.5), 0.1, 100, 3),
+            (ModelParams::new(0.8, 0.6, 0.2), 0.2, 900, 5),
+        ] {
+            let (counts, _) = sample_counts(&truth, share, m, seed);
+            let cold = fit(&counts, &config);
+            assert_eq!(
+                oracle::fit_bits(&cold),
+                oracle::fit_bits(&oracle::fit_per_entity(&counts, &config))
+            );
+            let warm = fit_warm(&counts, &config, &truth);
+            assert_eq!(
+                oracle::fit_bits(&warm),
+                oracle::fit_bits(&oracle::fit_warm_per_entity(&counts, &config, &truth))
+            );
+            for c in &counts {
+                assert_eq!(
+                    posterior_positive(*c, &cold.params).to_bits(),
+                    oracle::posterior_positive(*c, &cold.params).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

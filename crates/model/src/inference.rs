@@ -6,12 +6,13 @@
 //! `c·ln λ − λ` form the paper's `Q'` uses.
 
 use crate::counts::ObservedCounts;
-use crate::params::ModelParams;
+use crate::params::{Lambdas, ModelParams};
 
-/// `c·ln λ − λ`, with the `0·ln 0 = 0` convention and `−∞` when `λ = 0`
-/// but `c > 0` (an impossible observation under that hypothesis).
+/// `c·ln λ − λ` from a precomputed `ln λ`, with the `0·ln 0 = 0`
+/// convention and `−∞` when `λ = 0` but `c > 0` (an impossible
+/// observation under that hypothesis).
 #[inline]
-pub(crate) fn ln_poisson_kernel(c: u64, lambda: f64) -> f64 {
+fn ln_poisson_kernel(c: u64, lambda: f64, ln_lambda: f64) -> f64 {
     if lambda == 0.0 {
         if c == 0 {
             0.0
@@ -19,21 +20,58 @@ pub(crate) fn ln_poisson_kernel(c: u64, lambda: f64) -> f64 {
             f64::NEG_INFINITY
         }
     } else {
-        c as f64 * lambda.ln() - lambda
+        c as f64 * ln_lambda - lambda
     }
 }
 
-/// Log joint likelihood of the counts under a positive dominant opinion
-/// (up to the `log c!` constant shared by both hypotheses).
-pub(crate) fn ln_joint_positive(counts: ObservedCounts, params: &ModelParams) -> f64 {
-    let l = params.lambdas();
-    ln_poisson_kernel(counts.positive, l.pos_pos) + ln_poisson_kernel(counts.negative, l.neg_pos)
+/// The posterior and the joint likelihoods under one parameter vector,
+/// with the four rates and their logarithms computed once, not once per
+/// evaluation. Every value is the same f64 a fresh `lambdas()` and `ln`
+/// per call would give, so a caller that evaluates many counts under one
+/// `θ` (an E-step, a decide pass) gets the per-entity result bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Posterior {
+    lambdas: Lambdas,
+    ln: Lambdas,
 }
 
-/// Log joint likelihood under a negative dominant opinion.
-pub(crate) fn ln_joint_negative(counts: ObservedCounts, params: &ModelParams) -> f64 {
-    let l = params.lambdas();
-    ln_poisson_kernel(counts.positive, l.pos_neg) + ln_poisson_kernel(counts.negative, l.neg_neg)
+impl Posterior {
+    pub(crate) fn new(params: &ModelParams) -> Self {
+        let lambdas = params.lambdas();
+        let ln = Lambdas {
+            pos_pos: lambdas.pos_pos.ln(),
+            neg_pos: lambdas.neg_pos.ln(),
+            pos_neg: lambdas.pos_neg.ln(),
+            neg_neg: lambdas.neg_neg.ln(),
+        };
+        Self { lambdas, ln }
+    }
+
+    /// Log joint likelihood of the counts under a positive dominant
+    /// opinion (up to the `log c!` constant shared by both hypotheses).
+    #[inline]
+    pub(crate) fn ln_joint_positive(&self, counts: ObservedCounts) -> f64 {
+        let (l, ln) = (&self.lambdas, &self.ln);
+        ln_poisson_kernel(counts.positive, l.pos_pos, ln.pos_pos)
+            + ln_poisson_kernel(counts.negative, l.neg_pos, ln.neg_pos)
+    }
+
+    /// Log joint likelihood under a negative dominant opinion.
+    #[inline]
+    pub(crate) fn ln_joint_negative(&self, counts: ObservedCounts) -> f64 {
+        let (l, ln) = (&self.lambdas, &self.ln);
+        ln_poisson_kernel(counts.positive, l.pos_neg, ln.pos_neg)
+            + ln_poisson_kernel(counts.negative, l.neg_neg, ln.neg_neg)
+    }
+
+    /// [`posterior_positive`] under these parameters.
+    #[inline]
+    pub(crate) fn positive(&self, counts: ObservedCounts) -> f64 {
+        normalize_pair(
+            self.ln_joint_positive(counts),
+            self.ln_joint_negative(counts),
+        )
+    }
 }
 
 /// The posterior probability that the dominant opinion is positive, under
@@ -42,9 +80,7 @@ pub(crate) fn ln_joint_negative(counts: ObservedCounts, params: &ModelParams) ->
 /// Returns exactly `0.5` when both hypotheses are impossible (degenerate
 /// parameters), mirroring the agnostic prior.
 pub fn posterior_positive(counts: ObservedCounts, params: &ModelParams) -> f64 {
-    let a = ln_joint_positive(counts, params);
-    let b = ln_joint_negative(counts, params);
-    normalize_pair(a, b)
+    Posterior::new(params).positive(counts)
 }
 
 /// Stable `exp(a) / (exp(a) + exp(b))`.
@@ -135,8 +171,10 @@ mod tests {
 
     #[test]
     fn kernel_conventions() {
-        assert_eq!(ln_poisson_kernel(0, 0.0), 0.0);
-        assert_eq!(ln_poisson_kernel(3, 0.0), f64::NEG_INFINITY);
-        assert!((ln_poisson_kernel(2, 4.0) - (2.0 * 4.0_f64.ln() - 4.0)).abs() < 1e-12);
+        let ln0 = 0.0_f64.ln();
+        assert_eq!(ln_poisson_kernel(0, 0.0, ln0), 0.0);
+        assert_eq!(ln_poisson_kernel(3, 0.0, ln0), f64::NEG_INFINITY);
+        let k = ln_poisson_kernel(2, 4.0, 4.0_f64.ln());
+        assert!((k - (2.0 * 4.0_f64.ln() - 4.0)).abs() < 1e-12);
     }
 }

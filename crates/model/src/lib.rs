@@ -16,7 +16,9 @@
 //! of mentions (§6).
 //!
 //! Modules:
-//! - [`counts`]: the observed evidence tuple `⟨C+, C-⟩`.
+//! - [`counts`]: the observed evidence tuple `⟨C+, C-⟩`, and a group's
+//!   tuples as a [`CountTable`] of distinct pairs (what EM and the
+//!   decide pass evaluate once per pair).
 //! - [`params`]: model parameters `(pA, np+S, np-S)` and the four Poisson
 //!   rates.
 //! - [`inference`]: the posterior `Pr(D_i | C+_i, C-_i)` (the E-step and
@@ -39,10 +41,14 @@ pub mod inference;
 pub mod model;
 pub mod params;
 
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
+
 pub use baselines::{MajorityVote, ScaledMajorityVote, WebChildBaseline};
-pub use counts::ObservedCounts;
+pub use counts::{CountTable, ObservedCounts};
 pub use decision::{decide, Decision, ModelDecision};
-pub use em::{fit, fit_warm, ConvergenceReason, EmConfig, EmFit};
+pub use em::{fit, fit_table, fit_warm, ConvergenceReason, EmConfig, EmFit};
 pub use inference::posterior_positive;
 pub use model::{OpinionModel, SurveyorModel};
 pub use params::ModelParams;

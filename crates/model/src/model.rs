@@ -1,10 +1,8 @@
 //! The [`OpinionModel`] trait and the Surveyor model implementation.
 
-use crate::counts::ObservedCounts;
-use crate::decision::{decide, ModelDecision};
-use crate::em::{fit, fit_warm, EmConfig, EmFit};
-use crate::inference::posterior_positive;
-use crate::params::ModelParams;
+use crate::counts::{CountTable, ObservedCounts};
+use crate::decision::ModelDecision;
+use crate::em::{fit, fit_table, EmConfig, EmFit};
 
 /// A method for interpreting the statement counters of one
 /// (type, property) combination — Surveyor's probabilistic model or one of
@@ -43,14 +41,6 @@ impl SurveyorModel {
     pub fn fit_group(&self, counts: &[ObservedCounts]) -> EmFit {
         fit(counts, &self.config)
     }
-
-    /// Fits a group with a single EM run warm-started from `initial`
-    /// (typically a previous fit of the same group). Faster than
-    /// [`fit_group`](Self::fit_group) on small evidence deltas but with
-    /// different telemetry — see [`crate::em::fit_warm`].
-    pub fn fit_group_warm(&self, counts: &[ObservedCounts], initial: &ModelParams) -> EmFit {
-        fit_warm(counts, &self.config, initial)
-    }
 }
 
 impl OpinionModel for SurveyorModel {
@@ -62,11 +52,9 @@ impl OpinionModel for SurveyorModel {
         if counts.is_empty() {
             return Vec::new();
         }
-        let fit = self.fit_group(counts);
-        counts
-            .iter()
-            .map(|&c| decide(posterior_positive(c, &fit.params)))
-            .collect()
+        let table = CountTable::new(counts);
+        let fit = fit_table(&table, &self.config, None);
+        table.decisions(&fit.params).collect()
     }
 }
 

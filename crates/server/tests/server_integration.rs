@@ -9,7 +9,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use surveyor::prelude::*;
-use surveyor::{save_snapshot, CorpusSource, Surveyor, SurveyorConfig};
+use surveyor::{load_store, save_snapshot, CorpusSource, SubjectiveKb, Surveyor, SurveyorConfig};
 use surveyor_obs::MetricsRegistry;
 use surveyor_server::{percent_encode, start, ServedState, ServerConfig, ServerHandle};
 
@@ -252,6 +252,118 @@ fn reply_bodies_are_the_recorded_ones() {
         "the gauge is set at boot"
     );
     handle.shutdown();
+}
+
+/// A mined output with one decisive group (`animal`/`cute`) and one
+/// modelled group in which every city carries the same counts, so EM fits
+/// `pA = ½` exactly and every city is unsolved — what the long-tail world
+/// holds at some seeds (`orchid group 8`/`brittle`).
+fn output_with_an_all_unsolved_group() -> SurveyorOutput {
+    use surveyor::extract::{EvidenceTable, Polarity, Statement};
+    let mut b = KnowledgeBaseBuilder::new();
+    let animal = b.add_type("animal", &["animal"], &[]);
+    let city = b.add_type("city", &["city"], &[]);
+    for name in ["Kitten", "Puppy", "Spider", "Rat"] {
+        b.add_entity(name, animal).finish();
+    }
+    for name in ["Arlen", "Bedrock", "Quahog"] {
+        b.add_entity(name, city).finish();
+    }
+    let kb = Arc::new(b.build());
+    let mut table = EvidenceTable::new();
+    let mut add = |name: &str, property: &str, positive: u64, negative: u64| {
+        let entity = kb.entity_by_name(name).unwrap();
+        let property = Property::adjective(property);
+        for (n, polarity) in [
+            (positive, Polarity::Positive),
+            (negative, Polarity::Negative),
+        ] {
+            for _ in 0..n {
+                table.add(&Statement::new(entity, &property, polarity));
+            }
+        }
+    };
+    add("Kitten", "cute", 40, 1);
+    add("Puppy", "cute", 30, 2);
+    add("Spider", "cute", 1, 12);
+    for name in ["Arlen", "Bedrock", "Quahog"] {
+        add(name, "big", 4, 4);
+    }
+    let surveyor = Surveyor::new(
+        kb,
+        SurveyorConfig {
+            rho: 10,
+            ..Default::default()
+        },
+    );
+    surveyor.run_on_evidence(table)
+}
+
+#[test]
+fn an_all_unsolved_modelled_group_has_a_model_and_no_opinion() {
+    let output = output_with_an_all_unsolved_group();
+    let unsolved = output
+        .results
+        .iter()
+        .find(|r| r.key.property.resolve().to_string() == "big")
+        .expect("the city group is modelled");
+    assert_eq!(unsolved.fit.params.p_agree, 0.5);
+    assert!(unsolved
+        .decisions
+        .iter()
+        .all(|(_, d)| d.decision == Decision::Unsolved));
+
+    let from_output = SubjectiveKb::from_output(&output, output.kb());
+    let loaders = [
+        ("load_store", load_store(&save_snapshot(&output)).unwrap()),
+        (
+            "from_json",
+            SubjectiveKb::from_json(&from_output.to_json()).unwrap(),
+        ),
+        ("from_output", from_output),
+    ];
+    for (loader, store) in loaders {
+        let state = ServedState {
+            store,
+            generation: 1,
+            source: loader.to_owned(),
+            snapshot_bytes: 0,
+        };
+        let handle = start(
+            ServerConfig::default(),
+            Arc::new(state),
+            Arc::new(MetricsRegistry::new()),
+        )
+        .unwrap();
+        let addr = handle.addr();
+        // The group was modelled: its parameters are served, with no
+        // decided entity behind them.
+        let (status, reply) = get(addr, "/model/city/big");
+        assert_eq!(status, 200, "{loader}: {reply}");
+        assert!(
+            body(&reply).contains("\"decided_entities\": 0,"),
+            "{loader}: {reply}"
+        );
+        assert!(
+            body(&reply).contains("\"p_agree\": 0.5,"),
+            "{loader}: {reply}"
+        );
+        // An unsolved entity has no stored opinion.
+        for city in ["Arlen", "Bedrock", "Quahog"] {
+            let (status, reply) = get(addr, &format!("/decide/{city}/big"));
+            assert_eq!(status, 404, "{loader} {city}: {reply}");
+        }
+        // The decisive group beside it answers as usual.
+        let (status, reply) = get(addr, "/model/animal/cute");
+        assert_eq!(status, 200, "{loader}: {reply}");
+        assert!(
+            !body(&reply).contains("\"decided_entities\": 0,"),
+            "{loader}: {reply}"
+        );
+        let (status, reply) = get(addr, "/decide/Kitten/cute");
+        assert_eq!(status, 200, "{loader}: {reply}");
+        handle.shutdown();
+    }
 }
 
 #[test]

@@ -126,6 +126,17 @@ fn report_covers_all_phases_and_round_trips() {
     assert_eq!(reason_total as usize, report.em_groups.len());
     assert!(report.histograms.contains_key("em.iterations"));
 
+    // What EM saw: every entity of every modelled group, as the distinct
+    // (c+, c-) pairs its work is per — at most one per entity, at least
+    // one per group.
+    let entities: u64 = report.em_groups.iter().map(|g| g.entities).sum();
+    assert_eq!(report.counters["model.entities"], entities);
+    let pairs = report.counters["model.distinct_pairs"];
+    assert!(
+        (report.em_groups.len() as u64..=entities).contains(&pairs),
+        "{pairs} distinct pairs over {entities} entities"
+    );
+
     // The JSON artifact round-trips through the versioned schema.
     let json = report.to_json();
     let parsed = RunReport::from_json(&json).expect("report JSON parses");
