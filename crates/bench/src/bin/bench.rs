@@ -913,6 +913,17 @@ fn validate_snapshot_schema(value: &serde_json::Value) -> Result<(), String> {
     if value["byte_identical"].as_bool().is_none() {
         return Err("byte_identical is not a boolean".to_owned());
     }
+    // Header and frames account for the file: 16 bytes, then 16 per
+    // section before its payload.
+    let Some(sections) = value["section_bytes"].as_object() else {
+        return Err("section_bytes is not an object".to_owned());
+    };
+    let framed: Option<u64> = (sections.values())
+        .map(|len| len.as_u64().map(|len| 16 + len))
+        .sum();
+    if framed.map(|framed| 16 + framed) != value["snapshot_bytes"].as_u64() {
+        return Err("section_bytes do not add up to snapshot_bytes".to_owned());
+    }
     Ok(())
 }
 

@@ -1192,6 +1192,13 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     let encode_seconds = median(&mut encode_samples);
     let megabytes = bytes.len() as f64 / (1024.0 * 1024.0);
     let encode_mb_s = megabytes / encode_seconds.max(f64::EPSILON);
+    // Where the bytes are: each section's payload, from the frame table.
+    let sections: serde_json::Map = surveyor::wire::SnapshotReader::new(&bytes)
+        .expect("own snapshot validates")
+        .section_sizes()
+        .into_iter()
+        .map(|(tag, len)| (tag.to_string(), json!(len)))
+        .collect();
 
     // Container validation: what a reader pays before the first record.
     // One pass over 0.5 MB is a fraction of a millisecond, so a sample
@@ -1268,6 +1275,7 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         "quick": quick,
         "timing": timing_block(timed_runs),
         "snapshot_bytes": bytes.len(),
+        "section_bytes": Value::Object(sections),
         "format_version": surveyor::wire::FORMAT_VERSION,
         "remine_seconds": remine_seconds,
         "encode_seconds": encode_seconds,

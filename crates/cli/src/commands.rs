@@ -454,11 +454,21 @@ pub fn load(snapshot_path: &str, out: Option<&str>) -> Result<String, CliError> 
     let store = surveyor::load_store(&bytes)
         .map_err(|e| CliError::InvalidInput(format!("invalid snapshot {snapshot_path}: {e}")))?;
     let json = store.to_json();
+    // `load_store` accepted the container, so the reader does too.
+    let sections = surveyor_wire::SnapshotReader::new(&bytes)
+        .map(|reader| reader.section_sizes())
+        .unwrap_or_default();
+    let sections: Vec<String> = (sections.iter())
+        .map(|(tag, len)| format!("{tag} {len}"))
+        .collect();
     let summary = format!(
-        "loaded {} associations over {} combinations from {snapshot_path} (store_bytes {})",
+        "loaded {} associations over {} combinations from {snapshot_path} (store_bytes {})\n\
+         {} bytes by section: {}",
         store.len(),
         store.combinations().len(),
         store.resident_bytes(),
+        bytes.len(),
+        sections.join(", "),
     );
     match out {
         Some(path) => {
@@ -544,14 +554,15 @@ fn render_key_list(out: &mut String, label: &str, keys: &[String]) {
     }
 }
 
-/// `surveyor diff` — compare two snapshots section by section. Returns
-/// the rendered report and whether the snapshots are identical (the CLI
-/// exits 1 on differences, like `bench diff`).
+/// `surveyor diff` — compare two snapshots section by section, with the
+/// decisions each one's models imply (`surveyor::diff_snapshots`).
+/// Returns the rendered report and whether the snapshots are identical
+/// (the CLI exits 1 on differences, like `bench diff`).
 pub fn diff(old: &str, new: &str, format: DiffFormat) -> Result<(String, bool), CliError> {
     let (snapshot_old, version_old) = read_snapshot_for_diff(old)?;
     let (snapshot_new, version_new) = read_snapshot_for_diff(new)?;
-    let diff =
-        surveyor_wire::diff_with_versions(&snapshot_old, &snapshot_new, version_old, version_new);
+    let diff = surveyor::diff_snapshots(&snapshot_old, &snapshot_new, version_old, version_new)
+        .map_err(|e| CliError::InvalidInput(format!("cannot compare {old} and {new}: {e}")))?;
     let identical = diff.is_identical();
     let text = match format {
         DiffFormat::Json => {

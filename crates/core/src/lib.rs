@@ -76,6 +76,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod diff;
 mod entity_index;
 pub mod incremental;
 pub mod objective;
@@ -84,6 +85,7 @@ pub mod snapshot;
 pub mod source;
 pub mod store;
 
+pub use diff::diff_snapshots;
 pub use incremental::{UpdateOutcome, UpdateStats, WarmStart};
 pub use objective::{adjudicate_with_link, link_objective, LinkDirection, ObjectiveLink};
 pub use pipeline::{

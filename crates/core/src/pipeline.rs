@@ -85,6 +85,23 @@ pub struct DomainResult {
 /// [`WarmStart::Seeded`] starts EM from).
 pub(crate) type FitTask<'a> = (GroupKey, &'a Group, Option<ModelParams>);
 
+/// One group's [`CountTable`], from its mentioned entities alone:
+/// `entities` is the type's entity list (`kb.entities_of_type`, ascending),
+/// where a binary search finds each mentioned entity's position; every
+/// other entity holds the `(0, 0)` pair. `mentioned` is scratch.
+pub(crate) fn count_table(
+    entities: &[EntityId],
+    group: &Group,
+    mentioned: &mut Vec<(u32, ObservedCounts)>,
+) -> CountTable {
+    mentioned.clear();
+    mentioned.extend(group.iter().filter_map(|(entity, c)| {
+        let position = entities.binary_search(entity).ok()?;
+        Some((position as u32, ObservedCounts::new(c.positive, c.negative)))
+    }));
+    CountTable::sparse(entities.len(), mentioned)
+}
+
 /// Full pipeline output.
 #[derive(Debug, Clone)]
 pub struct SurveyorOutput {
@@ -100,7 +117,7 @@ pub struct SurveyorOutput {
     /// `(type, property)` → rank in `results`. A pair's decision is that
     /// result's entry for the entity, found by binary search: every
     /// producer emits a result's decisions in ascending entity order
-    /// (`kb.entities_of_type`; the snapshot loader rejects anything else).
+    /// (`kb.entities_of_type`, which the snapshot loader derives them in).
     groups: FxHashMap<GroupKey, usize>,
     /// The knowledge base the run decided over — kept so
     /// [`triples`](Self::triples) can resolve canonical entity names.
@@ -355,14 +372,14 @@ impl Surveyor {
     }
 
     /// Algorithm 1's second loop, the one place it is written: for each
-    /// task, collect the counts of every entity of the type, sort them
-    /// into the group's [`CountTable`] of distinct pairs, learn the
+    /// task, sort the counts of the type's mentioned entities into the
+    /// group's [`CountTable`] of distinct pairs, learn the
     /// parameters from it, and decide every entity from one posterior per
     /// distinct pair. A mine passes every combination above ρ with no
     /// seed, an update the ones its delta dirtied.
     ///
     /// Tasks are independent, so they fan out over `config.threads`
-    /// workers of the [`claim_map`] pool, each reusing one counts buffer;
+    /// workers of the [`claim_map`] pool, each reusing one mentions buffer;
     /// results come back in task order for any worker count. The `model`
     /// and `decide` phases (worker CPU time summed over tasks, so with N
     /// workers they can exceed elapsed time), the `model.entities` and
@@ -375,16 +392,11 @@ impl Surveyor {
             tasks.len(),
             self.config.threads,
             Vec::new,
-            |counts: &mut Vec<ObservedCounts>, rank| {
+            |mentioned: &mut Vec<(u32, ObservedCounts)>, rank| {
                 let (key, group, seed) = tasks[rank];
                 let entities = self.kb.entities_of_type(key.type_id);
-                counts.clear();
-                counts.extend(entities.iter().map(|&e| {
-                    let c = group.counts(e);
-                    ObservedCounts::new(c.positive, c.negative)
-                }));
                 let fit_start = Instant::now(); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
-                let table = CountTable::new(counts);
+                let table = count_table(entities, group, mentioned);
                 let seed = match warm {
                     WarmStart::Seeded => seed.as_ref(),
                     WarmStart::Exact => None,

@@ -1,11 +1,16 @@
 //! Saving and loading mined worlds as `surveyor-wire` snapshots.
 //!
 //! [`save_snapshot`] flattens a [`SurveyorOutput`] — knowledge base,
-//! evidence, provenance, fitted models, decisions — into the portable
-//! binary format specified in `FORMAT.md`; [`load_snapshot`] rebuilds a
-//! fully functional output (decision lookup included) without re-mining.
-//! The round trip is exact: a loaded output produces byte-identical
-//! stores, triples, and re-encoded snapshots.
+//! evidence, provenance, fitted models — into the portable binary format
+//! specified in `FORMAT.md`; [`load_snapshot`] rebuilds a fully functional
+//! output (decision lookup included) without re-mining. Decisions are not
+//! stored: each is `decide(posterior(params, c+, c−))` of its group's
+//! `MODL` row and its entity's `EVID` counts, and every loader derives
+//! them, one posterior per distinct count pair — the same f64 operations
+//! on the same bits as at mine time. The round trip is exact: a loaded
+//! output produces byte-identical stores, triples, and re-encoded
+//! snapshots. The EM traces stay in the mine-time run report; a loaded
+//! fit carries none.
 //!
 //! Process-local ids never cross this boundary. Properties travel as a
 //! snapshot-local sorted table and are re-interned on load; `TypeId` and
@@ -23,20 +28,22 @@
 //! [`output_from_snapshot`]) or the queryable store the server serves
 //! ([`load_store`], which builds no knowledge base and no tables). Every
 //! `Corrupt` rule lives in the walk, once, ahead of both sinks and
-//! whichever form the snapshot arrived in, so the loaders cannot disagree
-//! on what they accept.
+//! whichever form the snapshot arrived in, and so does the derivation:
+//! the walk hands each sink a modelled group's count table and fit, so
+//! the loaders cannot disagree on what they accept or on what they decide.
 
 use crate::pipeline::{DomainResult, SurveyorOutput};
 use crate::store::{StoreSink, SubjectiveKb};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use surveyor_extract::{EvidenceCounts, EvidenceTable, GroupKey, GroupedEvidence, ProvenanceTable};
 use surveyor_kb::{EntityId, KnowledgeBaseBuilder, Property, PropertyId, TypeId};
-use surveyor_model::{ConvergenceReason, Decision, EmFit, ModelDecision, ModelParams};
+use surveyor_model::{ConvergenceReason, CountTable, EmFit, ModelParams, ObservedCounts};
 use surveyor_wire::{
-    DecisionCode, DecisionGroupRow, DecisionRow, EvidenceRow, GroupFingerprintRow,
-    GroupFingerprinter, IncrementalState, ModelRow, ProvenanceRow, Snapshot, SnapshotEntity,
-    SnapshotProperty, SnapshotReader, SnapshotType, WireError,
+    EvidenceRow, GroupFingerprintRow, GroupFingerprinter, IncrementalState, ModelRow,
+    ProvenanceRow, Snapshot, SnapshotEntity, SnapshotProperty, SnapshotReader, SnapshotType,
+    WireError,
 };
 
 /// Why snapshot bytes could not be turned back into a pipeline output.
@@ -69,9 +76,9 @@ impl From<WireError> for SnapshotError {
 /// Flattens a pipeline output into the portable snapshot model.
 ///
 /// Rows stay in id space: each distinct property is resolved once to
-/// build the snapshot-local table, and every evidence, provenance, model
-/// and decision row then carries its property's rank in that table — an
-/// integer looked up by id, sorted as an integer.
+/// build the snapshot-local table, and every evidence, provenance and
+/// model row then carries its property's rank in that table — an integer
+/// looked up by id, sorted as an integer.
 pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
     let kb = output.kb();
 
@@ -157,41 +164,21 @@ pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
         .collect();
     provenance.sort_unstable_by_key(|row| (row.entity, row.property));
 
-    let mut models = Vec::with_capacity(output.results.len());
-    let mut decisions = Vec::with_capacity(output.results.len());
-    for result in &output.results {
-        let type_index = result.key.type_id.0;
-        let property = rank_of[result.key.property.index()];
-        models.push(ModelRow {
-            type_index,
-            property,
+    // Results are in `(type, resolved property)` order (`GroupedEvidence`)
+    // and ranks sort as the resolved properties do: the rows are already
+    // ascending on `(type_index, property)`, the order a loader demands.
+    let models = (output.results.iter())
+        .map(|result| ModelRow {
+            type_index: result.key.type_id.0,
+            property: rank_of[result.key.property.index()],
             p_agree: result.fit.params.p_agree,
             rate_pos: result.fit.params.rate_pos,
             rate_neg: result.fit.params.rate_neg,
             iterations: result.fit.iterations as u64,
             converged: result.fit.converged.code(),
             log_likelihood: result.fit.log_likelihood,
-            q_trace: result.fit.q_trace.clone(),
-            delta_trace: result.fit.delta_trace.clone(),
-        });
-        decisions.push(DecisionGroupRow {
-            type_index,
-            property,
-            decisions: result
-                .decisions
-                .iter()
-                .map(|(entity, d)| DecisionRow {
-                    entity: entity.0,
-                    decision: match d.decision {
-                        Decision::Unsolved => DecisionCode::Unsolved,
-                        Decision::Positive => DecisionCode::Positive,
-                        Decision::Negative => DecisionCode::Negative,
-                    },
-                    probability: d.probability,
-                })
-                .collect(),
-        });
-    }
+        })
+        .collect();
 
     Snapshot {
         properties,
@@ -201,7 +188,6 @@ pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
         provenance_sample_size: output.provenance.sample_size() as u64,
         provenance,
         models,
-        decisions,
         incremental: None,
         fingerprints: Vec::new(),
     }
@@ -211,8 +197,7 @@ pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
 /// the `INCR` section records what was ingested (and what is still
 /// pending replay), and the `GRPF` section fingerprints every
 /// (type, property) group so a later `diff` can name the groups a delta
-/// dirtied. Snapshots without these sections stay byte-identical to
-/// pre-incremental producers.
+/// dirtied.
 pub fn snapshot_output_with_state(output: &SurveyorOutput, state: &IncrementalState) -> Snapshot {
     let mut snapshot = snapshot_output(output);
     snapshot.fingerprints = surveyor_wire::group_fingerprints(&snapshot);
@@ -249,9 +234,20 @@ pub(crate) struct Declared {
     pub(crate) results: usize,
 }
 
+/// One modelled combination as the walk hands it to a sink: its key and
+/// fit (from a `MODL` row, traces empty), its type's entities in id
+/// order, and their counts as a table of distinct pairs — everything its
+/// decisions are a function of.
+pub(crate) struct ModelledGroup<'a> {
+    pub(crate) key: GroupKey,
+    pub(crate) fit: &'a EmFit,
+    pub(crate) entities: &'a [EntityId],
+    pub(crate) table: &'a CountTable,
+}
+
 /// What a loader builds. [`Walk`] hands a sink each record only after the
 /// record passed every rule, in section order — types, entities,
-/// [`begin_rows`](Self::begin_rows), evidence, provenance, results — so
+/// [`begin_rows`](Self::begin_rows), evidence, provenance, groups — so
 /// a sink holds no rule of its own and cannot fail: the pipeline output
 /// (`OutputSink`) and the served store ([`crate::store::StoreSink`]) accept
 /// and reject exactly the same snapshots.
@@ -274,15 +270,17 @@ pub(crate) trait Sink {
         property: PropertyRef,
         documents: impl Iterator<Item = u64>,
     );
-    /// One `MODL` row with its `DECN` group; `property` is the group's.
-    fn result(&mut self, property: PropertyRef, result: DomainResult);
+    /// One `MODL` row with what its decisions derive from; `property` is
+    /// the group's. Groups arrive in strictly ascending
+    /// `(type, property.rank)` order.
+    fn group(&mut self, property: PropertyRef, group: &ModelledGroup<'_>);
     /// Every section was read to its end.
     fn finish(self) -> Self::Output;
 }
 
 /// The row sections of a snapshot as streams, each behind its declared
 /// row count.
-struct Rows<E, P, M, G> {
+struct Rows<E, P, M> {
     evidence_len: usize,
     evidence: E,
     provenance_sample_size: u64,
@@ -290,8 +288,6 @@ struct Rows<E, P, M, G> {
     provenance: P,
     models_len: usize,
     models: M,
-    groups_len: usize,
-    groups: G,
     /// Stored group fingerprints the evidence must reproduce; empty = the
     /// snapshot carries none.
     fingerprints: Vec<GroupFingerprintRow>,
@@ -302,14 +298,6 @@ struct ProvenanceRows<U> {
     entity: u32,
     property: u32,
     documents: U,
-}
-
-/// One `DECN` group: its key and its decision rows as a stream.
-struct GroupRows<D> {
-    type_index: u32,
-    property: u32,
-    len: usize,
-    decisions: D,
 }
 
 /// `Corrupt(detail)` unless `key` is above the previous row's; row
@@ -328,9 +316,10 @@ fn ascending<K: PartialOrd + Copy>(
 
 /// One pass over a snapshot — taken record by record from either an owned
 /// [`Snapshot`] or a [`SnapshotReader`] — that checks every
-/// cross-reference rule of the format and feeds what passed to a
-/// [`Sink`]. Every `Corrupt` rule lives here, once, whichever form the
-/// snapshot arrived in and whatever is built from it.
+/// cross-reference rule of the format, derives each modelled group's
+/// count table, and feeds what passed to a [`Sink`]. Every `Corrupt` rule
+/// lives here, once, whichever form the snapshot arrived in and whatever
+/// is built from it.
 struct Walk<S> {
     sink: S,
     /// The interned id of each property-table index.
@@ -338,8 +327,10 @@ struct Walk<S> {
     last_property: Option<Property>,
     /// Type names, lowercased.
     type_names: Vec<String>,
-    /// The type-table index of each entity.
-    entity_types: Vec<u32>,
+    /// Per type, its entities in id order.
+    members: Vec<Vec<EntityId>>,
+    /// Per entity, its type and its position in that type's `members`.
+    placement: Vec<(u32, u32)>,
 }
 
 impl<S: Sink> Walk<S> {
@@ -349,7 +340,8 @@ impl<S: Sink> Walk<S> {
             properties: Vec::new(),
             last_property: None,
             type_names: Vec::new(),
-            entity_types: Vec::new(),
+            members: Vec::new(),
+            placement: Vec::new(),
         }
     }
 
@@ -380,6 +372,7 @@ impl<S: Sink> Walk<S> {
             return Err(SnapshotError::Corrupt("duplicate type name"));
         }
         self.type_names.push(lowered);
+        self.members.push(Vec::new());
         self.sink.entity_type(name, head_nouns, context_cues);
         Ok(())
     }
@@ -391,33 +384,29 @@ impl<S: Sink> Walk<S> {
         aliases: &[&str],
         attributes: &[(&str, f64)],
     ) -> Result<(), SnapshotError> {
-        if type_index as usize >= self.type_names.len() {
+        let Some(members) = self.members.get_mut(type_index as usize) else {
             return Err(SnapshotError::Corrupt("entity type index out of range"));
-        }
-        self.entity_types.push(type_index);
+        };
+        // Entity ids are u32 on the wire (`EntityId`, `EVID`, `PROV`): a
+        // table past u32::MAX rows would take a file of tens of gigabytes.
+        self.placement.push((type_index, members.len() as u32));
+        members.push(EntityId(self.placement.len() as u32 - 1));
         self.sink.entity(name, type_index, aliases, attributes);
         Ok(())
     }
 
     /// Checks and feeds the row sections, and finishes the sink.
-    fn rows<E, P, U, M, G, D>(mut self, rows: Rows<E, P, M, G>) -> Result<S::Output, SnapshotError>
+    fn rows<E, P, U, M>(mut self, rows: Rows<E, P, M>) -> Result<S::Output, SnapshotError>
     where
         E: Iterator<Item = Result<EvidenceRow, WireError>>,
         P: Iterator<Item = Result<ProvenanceRows<U>, WireError>>,
         U: Iterator<Item = u64>,
         M: Iterator<Item = Result<ModelRow, WireError>>,
-        G: Iterator<Item = Result<GroupRows<D>, WireError>>,
-        D: Iterator<Item = Result<DecisionRow, WireError>>,
     {
         let type_count = self.type_names.len() as u64;
-        let entity_count = self.entity_types.len() as u64;
+        let entity_count = self.placement.len() as u64;
         let sample_size = usize::try_from(rows.provenance_sample_size)
             .map_err(|_| SnapshotError::Corrupt("provenance sample size out of range"))?;
-        if rows.models_len != rows.groups_len {
-            return Err(SnapshotError::Corrupt(
-                "model and decision sections disagree on group count",
-            ));
-        }
         self.sink.begin_rows(Declared {
             evidence: rows.evidence_len,
             provenance: rows.provenance_len,
@@ -430,8 +419,13 @@ impl<S: Sink> Walk<S> {
             None => Err(SnapshotError::Corrupt(detail)),
         };
 
-        // One pass over the evidence rows feeds the sink and, when the
-        // snapshot carries fingerprints, re-derives them.
+        // One pass over the evidence rows feeds the sink, gathers each
+        // (type, property) group's mentioned entities by their position in
+        // the type, and, when the snapshot carries fingerprints,
+        // re-derives them. Per type, the groups are a small ordered map
+        // on the property: a few comparisons a row, whatever the keys.
+        let mut mentions: Vec<BTreeMap<u32, Vec<(u32, ObservedCounts)>>> =
+            vec![BTreeMap::new(); self.members.len()];
         let mut fingerprinter = (!rows.fingerprints.is_empty()).then(GroupFingerprinter::new);
         let mut statements = 0u64;
         let mut last = None;
@@ -451,9 +445,14 @@ impl<S: Sink> Walk<S> {
             statements = (statements.checked_add(row.positive))
                 .and_then(|sum| sum.checked_add(row.negative))
                 .ok_or(SnapshotError::Corrupt("evidence counts overflow"))?;
+            let (type_index, position) = self.placement[row.entity as usize];
             if let Some(fingerprinter) = &mut fingerprinter {
-                fingerprinter.add(self.entity_types[row.entity as usize], &row);
+                fingerprinter.add(type_index, &row);
             }
+            (mentions[type_index as usize]
+                .entry(row.property)
+                .or_default())
+            .push((position, ObservedCounts::new(row.positive, row.negative)));
             self.sink.evidence(
                 EntityId(row.entity),
                 property,
@@ -482,26 +481,20 @@ impl<S: Sink> Walk<S> {
                 .provenance(EntityId(row.entity), property, row.documents);
         }
 
-        let mut groups = rows.groups;
+        let mut last = None;
         for model in rows.models {
             let model = model?;
-            // Equal declared counts; a section that ends early reports
-            // its own wire error, so a missing group here is unreachable
-            // from a reader and impossible from an owned snapshot.
-            let Some(group) = groups.next().transpose()? else {
-                return Err(SnapshotError::Corrupt(
-                    "model and decision sections disagree on group count",
-                ));
-            };
-            if (model.type_index, model.property) != (group.type_index, group.property) {
-                return Err(SnapshotError::Corrupt(
-                    "model and decision groups out of step",
-                ));
-            }
             if u64::from(model.type_index) >= type_count {
                 return Err(SnapshotError::Corrupt("model type index out of range"));
             }
             let property = property_of(model.property, "model property out of range")?;
+            // One row per combination: the pipeline output keeps one
+            // result per key, and the store one block.
+            ascending(
+                &mut last,
+                (model.type_index, model.property),
+                "model rows not in ascending order",
+            )?;
             let Some(converged) = ConvergenceReason::from_code(model.converged) else {
                 return Err(SnapshotError::Corrupt("unknown convergence code"));
             };
@@ -517,55 +510,30 @@ impl<S: Sink> Walk<S> {
             }
             let iterations = usize::try_from(model.iterations)
                 .map_err(|_| SnapshotError::Corrupt("iteration count out of range"))?;
-            let mut decisions: Vec<(EntityId, ModelDecision)> = Vec::with_capacity(group.len);
-            // `SurveyorOutput::opinion_id` binary-searches a group's
-            // decisions on the entity (FORMAT.md §3.7).
-            let mut last = None;
-            for row in group.decisions {
-                let row = row?;
-                if u64::from(row.entity) >= entity_count {
-                    return Err(SnapshotError::Corrupt("decision entity out of range"));
-                }
-                ascending(
-                    &mut last,
-                    row.entity,
-                    "decision entities not in ascending order",
-                )?;
-                decisions.push((
-                    EntityId(row.entity),
-                    ModelDecision {
-                        decision: match row.decision {
-                            DecisionCode::Unsolved => Decision::Unsolved,
-                            DecisionCode::Positive => Decision::Positive,
-                            DecisionCode::Negative => Decision::Negative,
-                        },
-                        probability: row.probability,
-                    },
-                ));
-            }
-            self.sink.result(
+            let entities = &self.members[model.type_index as usize];
+            let mut mentioned =
+                (mentions[model.type_index as usize].remove(&model.property)).unwrap_or_default();
+            let table = CountTable::sparse(entities.len(), &mut mentioned);
+            let fit = EmFit {
+                params: ModelParams::new(model.p_agree, model.rate_pos, model.rate_neg),
+                iterations,
+                q_trace: Vec::new(),
+                delta_trace: Vec::new(),
+                converged,
+                log_likelihood: model.log_likelihood,
+            };
+            self.sink.group(
                 property,
-                DomainResult {
+                &ModelledGroup {
                     key: GroupKey {
                         type_id: TypeId(model.type_index),
                         property: property.id,
                     },
-                    fit: EmFit {
-                        params: ModelParams::new(model.p_agree, model.rate_pos, model.rate_neg),
-                        iterations,
-                        q_trace: model.q_trace,
-                        delta_trace: model.delta_trace,
-                        converged,
-                        log_likelihood: model.log_likelihood,
-                    },
-                    decisions,
+                    fit: &fit,
+                    entities,
+                    table: &table,
                 },
             );
-        }
-        // Drain both sections to their end: trailing bytes behind the
-        // declared rows are a wire error wherever they sit.
-        if let Some(extra) = groups.next() {
-            extra?;
         }
         Ok(self.sink.finish())
     }
@@ -573,7 +541,8 @@ impl<S: Sink> Walk<S> {
 
 /// The sink behind [`load_snapshot`]: the knowledge base whose dense
 /// `TypeId`/`EntityId` values are the type- and entity-table indexes, the
-/// evidence and provenance tables filled by id, and the results.
+/// evidence and provenance tables filled by id, and the results with
+/// their decisions derived.
 struct OutputSink {
     builder: KnowledgeBaseBuilder,
     evidence: EvidenceTable,
@@ -637,8 +606,15 @@ impl Sink for OutputSink {
             .insert(entity, property.id, documents.collect());
     }
 
-    fn result(&mut self, _: PropertyRef, result: DomainResult) {
-        self.results.push(result);
+    fn group(&mut self, _: PropertyRef, group: &ModelledGroup<'_>) {
+        let decisions = (group.entities.iter().copied())
+            .zip(group.table.decisions(&group.fit.params))
+            .collect();
+        self.results.push(DomainResult {
+            key: group.key,
+            fit: group.fit.clone(),
+            decisions,
+        });
     }
 
     fn finish(self) -> SurveyorOutput {
@@ -679,23 +655,15 @@ fn walk_snapshot<S: Sink>(snapshot: &Snapshot, sink: S) -> Result<S::Output, Sna
         }),
         models_len: snapshot.models.len(),
         models: snapshot.models.iter().cloned().map(Ok),
-        groups_len: snapshot.decisions.len(),
-        groups: snapshot.decisions.iter().map(|group| {
-            Ok(GroupRows {
-                type_index: group.type_index,
-                property: group.property,
-                len: group.decisions.len(),
-                decisions: group.decisions.iter().copied().map(Ok),
-            })
-        }),
         fingerprints: snapshot.fingerprints.clone(),
     })
 }
 
 /// Rebuilds a pipeline output from the portable snapshot model,
-/// validating every cross-reference. The rebuilt output's knowledge base
-/// assigns the same dense `TypeId`/`EntityId` values the snapshot's
-/// table order implies; properties are re-interned in this process.
+/// validating every cross-reference and deriving every decision. The
+/// rebuilt output's knowledge base assigns the same dense
+/// `TypeId`/`EntityId` values the snapshot's table order implies;
+/// properties are re-interned in this process.
 pub fn output_from_snapshot(snapshot: &Snapshot) -> Result<SurveyorOutput, SnapshotError> {
     walk_snapshot(snapshot, OutputSink::new())
 }
@@ -771,17 +739,6 @@ fn walk_bytes<S: Sink>(
                 iterations: record.iterations,
                 converged: record.converged,
                 log_likelihood: record.log_likelihood,
-                q_trace: record.q_trace.collect(),
-                delta_trace: record.delta_trace.collect(),
-            })
-        }),
-        groups_len: reader.decisions().len(),
-        groups: reader.decisions().map(|record| {
-            record.map(|record| GroupRows {
-                type_index: record.type_index,
-                property: record.property,
-                len: record.decisions.len(),
-                decisions: record.decisions,
             })
         }),
         fingerprints,
@@ -792,7 +749,7 @@ fn walk_bytes<S: Sink>(
 /// Decodes snapshot bytes back into a fully functional pipeline output.
 ///
 /// Like every loader, it re-derives the group fingerprints from the
-/// evidence section when the snapshot carries them (FORMAT.md §3.9) and
+/// evidence section when the snapshot carries them (FORMAT.md §3.8) and
 /// rejects a snapshot whose stored ones disagree.
 pub fn load_snapshot(bytes: &[u8]) -> Result<SurveyorOutput, SnapshotError> {
     walk_bytes(bytes, OutputSink::new()).map(|(output, _)| output)
@@ -823,6 +780,18 @@ mod tests {
     use crate::store::SubjectiveKb;
     use surveyor_extract::{Polarity, Statement};
     use surveyor_kb::KnowledgeBase;
+
+    /// Every result's decisions as raw bits, for bitwise comparison (the
+    /// verdict is a function of the posterior).
+    fn decision_bits(output: &SurveyorOutput) -> Vec<Vec<(u32, u64)>> {
+        (output.results.iter())
+            .map(|result| {
+                (result.decisions.iter())
+                    .map(|(entity, d)| (entity.0, d.probability.map_or(u64::MAX, f64::to_bits)))
+                    .collect()
+            })
+            .collect()
+    }
 
     fn mined_output() -> SurveyorOutput {
         let mut b = KnowledgeBaseBuilder::new();
@@ -985,34 +954,11 @@ mod tests {
         );
         assert_eq!(
             corrupt(&|bad| bad.models[0].type_index = 9),
-            "model and decision groups out of step"
-        );
-        assert_eq!(
-            corrupt(&|bad| {
-                bad.models[0].type_index = 9;
-                bad.decisions[0].type_index = 9;
-            }),
             "model type index out of range"
         );
         assert_eq!(
-            corrupt(&|bad| {
-                bad.models[0].property = 99;
-                bad.decisions[0].property = 99;
-            }),
+            corrupt(&|bad| bad.models[0].property = 99),
             "model property out of range"
-        );
-        // One section a group short of the other, either way round.
-        assert_eq!(
-            corrupt(&|bad| drop(bad.decisions.pop())),
-            "model and decision sections disagree on group count"
-        );
-        assert_eq!(
-            corrupt(&|bad| drop(bad.models.pop())),
-            "model and decision sections disagree on group count"
-        );
-        assert_eq!(
-            corrupt(&|bad| bad.decisions[0].decisions[0].entity = 1_000),
-            "decision entity out of range"
         );
     }
 
@@ -1032,29 +978,15 @@ mod tests {
     }
 
     #[test]
-    fn decisions_out_of_entity_order_are_corrupt() {
-        // `opinion_id` binary-searches a group's decisions on the entity.
-        let good = snapshot_output(&mined_output());
-        let mut swapped = good.clone();
-        swapped.decisions[0].decisions.swap(0, 1);
-        let mut repeated = good;
-        repeated.decisions[0].decisions[1].entity = repeated.decisions[0].decisions[0].entity;
-        for bad in [swapped, repeated] {
-            assert_eq!(
-                rejection(&bad),
-                SnapshotError::Corrupt("decision entities not in ascending order")
-            );
-        }
-    }
-
-    #[test]
     fn rows_out_of_key_order_are_corrupt() {
-        // The property table and the evidence and provenance sections are
-        // sorted on their keys with no key twice (FORMAT.md §3, §3.4,
-        // §3.5): rows refer to properties by table index, and the store
-        // builder finds a pair's counts by merging on the order.
+        // The property table and the evidence, provenance and model
+        // sections are sorted on their keys with no key twice (FORMAT.md
+        // §3, §3.4–§3.6): rows refer to properties by table index, the
+        // store builder finds a pair's documents by position, and a
+        // combination is one result and one block.
         let good = snapshot_output(&mined_output());
         assert!(good.properties.len() >= 2 && good.provenance.len() >= 2);
+        assert!(good.models.len() >= 2);
         let corrupt = |edit: &dyn Fn(&mut Snapshot)| {
             let mut bad = good.clone();
             edit(&mut bad);
@@ -1092,6 +1024,36 @@ mod tests {
             }),
             SnapshotError::Corrupt("provenance rows not in ascending order")
         );
+        assert_eq!(
+            corrupt(&|bad| bad.models.swap(0, 1)),
+            SnapshotError::Corrupt("model rows not in ascending order")
+        );
+        // Two rows for one combination: the store would hold two blocks
+        // and the output's group map one of them.
+        assert_eq!(
+            corrupt(&|bad| {
+                let twin = bad.models[0].clone();
+                bad.models.insert(1, twin);
+            }),
+            SnapshotError::Corrupt("model rows not in ascending order")
+        );
+    }
+
+    #[test]
+    fn loaded_decisions_are_the_mined_ones_bit_for_bit() {
+        // Nothing stores a decision: the loader's are derived from the
+        // model rows and the evidence, and must be what the mine decided.
+        let output = mined_output();
+        let loaded = load_snapshot(&save_snapshot(&output)).unwrap();
+        assert_eq!(decision_bits(&loaded), decision_bits(&output));
+        // A loaded fit keeps its summary and none of its traces.
+        for (mined, loaded) in output.results.iter().zip(&loaded.results) {
+            assert!(!mined.fit.q_trace.is_empty());
+            assert!(loaded.fit.q_trace.is_empty() && loaded.fit.delta_trace.is_empty());
+            assert_eq!(loaded.fit.params, mined.fit.params);
+            assert_eq!(loaded.fit.iterations, mined.fit.iterations);
+            assert_eq!(loaded.fit.converged, mined.fit.converged);
+        }
     }
 
     #[test]

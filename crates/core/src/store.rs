@@ -38,13 +38,14 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::mem::size_of;
 use std::sync::Arc;
+use surveyor_extract::evidence::Group;
 use surveyor_extract::EvidenceCounts;
 use surveyor_kb::{EntityId, KnowledgeBase, Property, TypeId};
-use surveyor_model::Decision;
+use surveyor_model::{CountTable, Decision, ModelDecision};
 
 use crate::entity_index::{EntityIndex, Names};
-use crate::pipeline::{DomainResult, SurveyorOutput};
-use crate::snapshot::{Declared, PropertyRef, Sink};
+use crate::pipeline::{count_table, SurveyorOutput};
+use crate::snapshot::{Declared, ModelledGroup, PropertyRef, Sink};
 
 /// One stored association, owned — the export shape of an [`OpinionRef`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -258,17 +259,6 @@ struct Columns {
     documents: Vec<u64>,
 }
 
-/// What ranks an opinion within its block, before its name and its
-/// documents are attached: a block's order is settled on these 32-byte
-/// values alone.
-#[derive(Clone, Copy)]
-struct Ranked {
-    entity: EntityId,
-    probability: f64,
-    positive: bool,
-    counts: EvidenceCounts,
-}
-
 impl Columns {
     fn with_capacity(blocks: usize, groups: usize, rows: usize) -> Self {
         let mut doc_offsets = Vec::with_capacity(rows + 1);
@@ -323,56 +313,43 @@ impl Columns {
         self.doc_offsets.push(self.documents.len() as u32);
     }
 
-    /// Appends the block of one modeled combination: its solved decisions,
-    /// positives first by descending probability. Group numbers are
-    /// entity ids here — the caller added one group per entity of the
-    /// knowledge base, in id order.
-    fn push_result<'d>(
+    /// Appends the block of one modeled combination: the entities whose
+    /// pair the model solves, in [`PairRanking`]'s order, each with its
+    /// pair's verdict, probability and counts. Group numbers are entity
+    /// ids here — the caller added one group per entity of the knowledge
+    /// base, in id order.
+    fn push_group<'d>(
         &mut self,
         type_name: &str,
-        result: &DomainResult,
-        scratch: &mut Vec<Ranked>,
-        counts: impl Fn(EntityId) -> EvidenceCounts,
+        group: &ModelledGroup<'_>,
+        ranking: &mut PairRanking,
         documents: impl Fn(EntityId) -> &'d [u64],
     ) {
-        let params = result.fit.params;
+        let (params, table) = (&group.fit.params, group.table);
         self.begin_block(
-            result.key.type_id,
+            group.key.type_id,
             type_name,
-            result.key.property.resolve(),
+            group.key.property.resolve(),
             [params.p_agree, params.rate_pos, params.rate_neg],
         );
-        scratch.clear();
-        scratch.extend(
-            (result.decisions.iter())
-                .filter(|(_, d)| d.decision.is_solved())
-                .map(|&(entity, d)| Ranked {
-                    entity,
-                    probability: d.probability.unwrap_or(0.5),
-                    positive: d.decision == Decision::Positive,
-                    counts: counts(entity),
-                }),
-        );
-        // Entities are distinct within a block, so no two keys are equal
-        // and an unstable sort is deterministic.
-        scratch.sort_unstable_by(|a, b| {
-            b.probability
-                .total_cmp(&a.probability)
-                .then_with(|| b.counts.positive.cmp(&a.counts.positive))
-                .then_with(|| a.entity.cmp(&b.entity))
-        });
-        self.rows.reserve(scratch.len());
-        self.doc_offsets.reserve(scratch.len());
-        for ranked in scratch.iter() {
+        let decisions = table.pair_decisions(params);
+        let order = ranking.rank(table, &decisions);
+        self.rows.reserve(order.len());
+        self.doc_offsets.reserve(order.len());
+        let (pairs, slots) = (table.pairs(), table.slots());
+        for &position in order {
+            let entity = group.entities[position as usize];
+            let slot = slots[position as usize] as usize;
+            let decision = decisions[slot];
             self.push(
                 Row {
-                    group: ranked.entity.0,
-                    positive: ranked.positive,
-                    probability: ranked.probability,
-                    positive_statements: ranked.counts.positive,
-                    negative_statements: ranked.counts.negative,
+                    group: entity.0,
+                    positive: decision.decision == Decision::Positive,
+                    probability: decision.probability.unwrap_or(0.5),
+                    positive_statements: pairs[slot].positive,
+                    negative_statements: pairs[slot].negative,
                 },
-                documents(ranked.entity),
+                documents(entity),
             );
         }
     }
@@ -402,6 +379,80 @@ impl Columns {
     }
 }
 
+/// A block's rank order, settled on its distinct pairs instead of its
+/// entities: positives first by descending probability, then by
+/// descending positive count, then by entity. Every entity of a pair
+/// shares the pair's two keys, so the solved pairs are sorted on them,
+/// pairs equal on both — distinct `c−`, a probability saturated at 0 or
+/// 1 — merged into one class, and the entities placed with one counting
+/// pass over the slots, which keeps entity order within a class. The
+/// buffers are reused block to block.
+#[derive(Debug, Default)]
+struct PairRanking {
+    /// The solved pairs, best first.
+    solved: Vec<u32>,
+    /// Per pair, its rank class, or `UNRANKED`.
+    class_of: Vec<u32>,
+    /// Per class, its size, then the next free place in `order`.
+    places: Vec<u32>,
+    /// Entity positions in rank order.
+    order: Vec<u32>,
+}
+
+impl PairRanking {
+    const UNRANKED: u32 = u32::MAX;
+
+    /// The positions (into the type's entities) of the solved entities,
+    /// in rank order; `decisions` holds one per pair of `table`.
+    fn rank(&mut self, table: &CountTable, decisions: &[ModelDecision]) -> &[u32] {
+        let pairs = table.pairs();
+        let key = |pair: u32| {
+            let probability = decisions[pair as usize].probability.unwrap_or(0.5);
+            (probability, pairs[pair as usize].positive)
+        };
+        self.solved.clear();
+        self.solved.extend(
+            (0..pairs.len() as u32).filter(|&pair| decisions[pair as usize].decision.is_solved()),
+        );
+        self.solved.sort_unstable_by(|&a, &b| {
+            let ((pa, ca), (pb, cb)) = (key(a), key(b));
+            pb.total_cmp(&pa).then_with(|| cb.cmp(&ca))
+        });
+        self.class_of.clear();
+        self.class_of.resize(pairs.len(), Self::UNRANKED);
+        self.places.clear();
+        let mut last = None;
+        for &pair in &self.solved {
+            let (probability, positive) = key(pair);
+            let class = (probability.to_bits(), positive);
+            if last != Some(class) {
+                last = Some(class);
+                self.places.push(0);
+            }
+            self.class_of[pair as usize] = self.places.len() as u32 - 1;
+        }
+        let classes =
+            |slot: &u32| Some(self.class_of[*slot as usize]).filter(|&c| c != Self::UNRANKED);
+        for class in table.slots().iter().filter_map(classes) {
+            self.places[class as usize] += 1;
+        }
+        let mut start = 0;
+        for place in &mut self.places {
+            (*place, start) = (start, start + *place);
+        }
+        self.order.clear();
+        self.order.resize(start as usize, 0);
+        for (position, slot) in table.slots().iter().enumerate() {
+            if let Some(class) = classes(slot) {
+                let place = &mut self.places[class as usize];
+                self.order[*place as usize] = position as u32;
+                *place += 1;
+            }
+        }
+        &self.order
+    }
+}
+
 /// Where one stored opinion lives: `(block, row)`.
 type Position = (u32, u32);
 
@@ -415,15 +466,23 @@ impl SubjectiveKb {
         for entity in kb.entities() {
             columns.group(entity.id(), entity.name());
         }
-        let mut scratch = Vec::new();
+        let (mut mentioned, mut ranking) = (Vec::new(), PairRanking::default());
+        let silent = Group::default();
         for result in &output.results {
-            let property = result.key.property;
-            columns.push_result(
-                kb.entity_type(result.key.type_id).name(),
-                result,
-                &mut scratch,
-                |entity| output.evidence.counts_id(entity, property),
-                |entity| output.provenance.documents_id(entity, property),
+            let key = result.key;
+            let entities = output.kb().entities_of_type(key.type_id);
+            let evidence = output.grouped.group(&key).unwrap_or(&silent);
+            let group = ModelledGroup {
+                key,
+                fit: &result.fit,
+                entities,
+                table: &count_table(entities, evidence, &mut mentioned),
+            };
+            columns.push_group(
+                kb.entity_type(key.type_id).name(),
+                &group,
+                &mut ranking,
+                |entity| output.provenance.documents_id(entity, key.property),
             );
         }
         columns.finish()
@@ -714,7 +773,7 @@ impl SubjectiveKb {
     }
 }
 
-/// Per-pair values of one row section (`EVID`, `PROV`) as they arrive:
+/// Per-pair values of a row section (`PROV`) as they arrive:
 /// ascending by (entity, property rank) — the snapshot walk rejects any
 /// other order — so an entity's rows are one run, `starts` finds it and a
 /// binary search on the rank finishes the lookup. Lives for one load.
@@ -749,18 +808,17 @@ impl<T: Copy> PairRuns<T> {
 }
 
 /// The sink behind [`crate::load_store`]: fills the store's columns from
-/// a snapshot's sections as the walk checks them. Evidence counts and
-/// provenance samples are parked as two flat runs until the decision
-/// groups that refer to them arrive; nothing else of the snapshot — the
+/// a snapshot's sections as the walk checks them. Provenance samples are
+/// parked as one flat run until the modelled groups that refer to them
+/// arrive, each with its count table; nothing else of the snapshot — the
 /// knowledge base's surface forms, attributes, the tables — is built.
 pub(crate) struct StoreSink {
     columns: Columns,
     type_names: Vec<String>,
-    evidence: PairRuns<EvidenceCounts>,
     /// Per pair, its range of `sampled`.
     provenance: PairRuns<(usize, usize)>,
     sampled: Vec<u64>,
-    scratch: Vec<Ranked>,
+    ranking: PairRanking,
 }
 
 impl Default for StoreSink {
@@ -768,10 +826,9 @@ impl Default for StoreSink {
         Self {
             columns: Columns::with_capacity(0, 0, 0),
             type_names: Vec::new(),
-            evidence: PairRuns::with_capacity(0, 0),
             provenance: PairRuns::with_capacity(0, 0),
             sampled: Vec::new(),
-            scratch: Vec::new(),
+            ranking: PairRanking::default(),
         }
     }
 }
@@ -791,13 +848,10 @@ impl Sink for StoreSink {
     fn begin_rows(&mut self, declared: Declared) {
         let entities = self.columns.group_entity.len();
         self.columns.heads.reserve_exact(declared.results);
-        self.evidence = PairRuns::with_capacity(entities, declared.evidence);
         self.provenance = PairRuns::with_capacity(entities, declared.provenance);
     }
 
-    fn evidence(&mut self, entity: EntityId, property: PropertyRef, counts: EvidenceCounts) {
-        self.evidence.push(entity, property.rank, counts);
-    }
+    fn evidence(&mut self, _: EntityId, _: PropertyRef, _: EvidenceCounts) {}
 
     fn provenance(
         &mut self,
@@ -811,13 +865,12 @@ impl Sink for StoreSink {
             .push(entity, property.rank, (start, self.sampled.len()));
     }
 
-    fn result(&mut self, property: PropertyRef, result: DomainResult) {
-        let (evidence, provenance, sampled) = (&self.evidence, &self.provenance, &self.sampled);
-        self.columns.push_result(
-            &self.type_names[result.key.type_id.index()],
-            &result,
-            &mut self.scratch,
-            |entity| evidence.get(entity, property.rank).unwrap_or_default(),
+    fn group(&mut self, property: PropertyRef, group: &ModelledGroup<'_>) {
+        let (provenance, sampled) = (&self.provenance, &self.sampled);
+        self.columns.push_group(
+            &self.type_names[group.key.type_id.index()],
+            group,
+            &mut self.ranking,
             |entity| match provenance.get(entity, property.rank) {
                 Some((start, end)) => &sampled[start..end],
                 None => &[],
@@ -886,12 +939,137 @@ impl SubjectiveKb {
     }
 }
 
+/// The ranking as it was before pairs: every solved entity on its own,
+/// sorted on 32-byte values. Kept, for tests only, as the oracle
+/// [`PairRanking`] is compared against.
+#[cfg(test)]
+mod by_entity {
+    use super::*;
+
+    /// What ranked an opinion within its block.
+    #[derive(Clone, Copy)]
+    struct Ranked {
+        position: u32,
+        probability: f64,
+        counts: surveyor_model::ObservedCounts,
+    }
+
+    /// The solved entities' positions in rank order: probability ↓,
+    /// positive count ↓, entity ↑ — unique keys, so an unstable sort is
+    /// deterministic.
+    pub(super) fn rank(table: &CountTable, decisions: &[ModelDecision]) -> Vec<u32> {
+        let mut ranked: Vec<Ranked> = (table.slots().iter().zip(0u32..))
+            .filter(|&(&slot, _)| decisions[slot as usize].decision.is_solved())
+            .map(|(&slot, position)| Ranked {
+                position,
+                probability: decisions[slot as usize].probability.unwrap_or(0.5),
+                counts: table.pairs()[slot as usize],
+            })
+            .collect();
+        ranked.sort_unstable_by(|a, b| {
+            b.probability
+                .total_cmp(&a.probability)
+                .then_with(|| b.counts.positive.cmp(&a.counts.positive))
+                .then_with(|| a.position.cmp(&b.position))
+        });
+        ranked.iter().map(|r| r.position).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{Surveyor, SurveyorConfig};
+    use proptest::prelude::*;
     use surveyor_extract::{EvidenceTable, Polarity, Statement};
     use surveyor_kb::KnowledgeBaseBuilder;
+    use surveyor_model::{ModelParams, ObservedCounts};
+
+    /// Ranks a group of `counts` under `params` both ways.
+    fn both_rankings(counts: &[(u64, u64)], params: &ModelParams) -> (Vec<u32>, Vec<u32>) {
+        let counts: Vec<ObservedCounts> =
+            counts.iter().copied().map(ObservedCounts::from).collect();
+        let table = CountTable::new(&counts);
+        let decisions = table.pair_decisions(params);
+        let by_pair = PairRanking::default().rank(&table, &decisions).to_vec();
+        (by_pair, by_entity::rank(&table, &decisions))
+    }
+
+    /// The naive pair ranking: each pair's entities as one run, pairs
+    /// sorted on (probability ↓, positive count ↓) and then on the pair.
+    fn naive_pair_rank(counts: &[(u64, u64)], params: &ModelParams) -> Vec<u32> {
+        let counts: Vec<ObservedCounts> =
+            counts.iter().copied().map(ObservedCounts::from).collect();
+        let table = CountTable::new(&counts);
+        let decisions = table.pair_decisions(params);
+        let mut pairs: Vec<usize> = (0..table.distinct_pairs())
+            .filter(|&p| decisions[p].decision.is_solved())
+            .collect();
+        let probability = |p: usize| decisions[p].probability.unwrap_or(0.5);
+        pairs.sort_by(|&a, &b| {
+            (probability(b).total_cmp(&probability(a)))
+                .then_with(|| table.pairs()[b].positive.cmp(&table.pairs()[a].positive))
+                .then_with(|| a.cmp(&b))
+        });
+        let slots = table.slots();
+        (pairs.iter())
+            .flat_map(|&p| {
+                (0..slots.len() as u32).filter(move |&i| slots[i as usize] as usize == p)
+            })
+            .collect()
+    }
+
+    /// Rates large enough that the posteriors of most pairs saturate at
+    /// exactly 0 or 1, as they do on the dense Web world.
+    fn saturating() -> ModelParams {
+        ModelParams::new(0.9, 1_000.0, 1.0)
+    }
+
+    #[test]
+    fn tied_pairs_merge_their_entities_in_entity_order() {
+        let params = saturating();
+        // (5, 0) and (5, 1) both saturate at 0 and share c+ = 5: one
+        // class, whose entities interleave across the two pairs.
+        let counts = [(5, 1), (5, 0), (5, 1), (0, 0), (5, 0), (900, 0), (900, 3)];
+        let probabilities: Vec<f64> = (counts.iter())
+            .map(|&c| surveyor_model::posterior_positive(c.into(), &params))
+            .collect();
+        assert_eq!(probabilities[0].to_bits(), probabilities[1].to_bits());
+        assert_eq!(probabilities[5].to_bits(), probabilities[6].to_bits());
+        let (by_pair, by_entity) = both_rankings(&counts, &params);
+        assert_eq!(by_pair, by_entity);
+        assert_eq!(by_pair, [5, 6, 0, 1, 2, 4, 3]);
+        // Ranking each pair's entities as one run gets this wrong.
+        assert_ne!(naive_pair_rank(&counts, &params), by_entity);
+    }
+
+    #[test]
+    fn unsolved_pairs_are_left_out_and_empty_groups_rank_nothing() {
+        // pA = ½ makes every pair unsolved.
+        let (by_pair, by_entity) =
+            both_rankings(&[(3, 1), (0, 0)], &ModelParams::new(0.5, 2.0, 1.0));
+        assert!(by_pair.is_empty() && by_entity.is_empty());
+        let (by_pair, by_entity) = both_rankings(&[], &saturating());
+        assert!(by_pair.is_empty() && by_entity.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Drawn groups under parameters from saturating to balanced: the
+        /// pair ranking is the per-entity ranking.
+        #[test]
+        fn pair_ranking_is_the_per_entity_ranking(
+            counts in prop::collection::vec((0u64..6, 0u64..4), 0..40),
+            p_agree in 0.5f64..1.0,
+            rate_pos in prop_oneof![0.0f64..3.0, 100.0f64..5_000.0],
+            rate_neg in prop_oneof![0.0f64..3.0, 100.0f64..5_000.0],
+        ) {
+            let params = ModelParams::new(p_agree, rate_pos, rate_neg);
+            let (by_pair, by_entity) = both_rankings(&counts, &params);
+            prop_assert_eq!(by_pair, by_entity);
+        }
+    }
 
     pub(super) fn output_fixture() -> (Arc<KnowledgeBase>, SurveyorOutput) {
         let mut b = KnowledgeBaseBuilder::new();
@@ -1137,7 +1315,25 @@ mod differential {
     use surveyor_corpus::{presets, CorpusConfig, CorpusGenerator, World};
     use surveyor_extract::{EvidenceTable, ProvenanceTable};
     use surveyor_kb::{KnowledgeBaseBuilder, PropertyId};
+    use surveyor_model::ObservedCounts;
     use surveyor_wire::IncrementalState;
+
+    /// Every result's decisions as raw bits: what "bit for bit" compares.
+    fn decision_bits(output: &SurveyorOutput) -> Vec<Vec<(EntityId, Decision, u64)>> {
+        (output.results.iter())
+            .map(|result| {
+                (result.decisions.iter())
+                    .map(|&(entity, d)| {
+                        (
+                            entity,
+                            d.decision,
+                            d.probability.map_or(u64::MAX, f64::to_bits),
+                        )
+                    })
+                    .collect()
+            })
+            .collect()
+    }
 
     const NAMES: [&str; 10] = [
         "kitten",
@@ -1301,6 +1497,13 @@ mod differential {
             crate::save_snapshot_with_state(output, &state),
         ] {
             let loaded = crate::load_snapshot(&bytes).expect("own snapshot loads");
+            // No decision is stored: every one the loader derived is, bit
+            // for bit, the one the mine decided.
+            assert_eq!(
+                decision_bits(&loaded),
+                decision_bits(output),
+                "{context}: derived decisions"
+            );
             let reference = SubjectiveKb::from_output(&loaded, loaded.kb());
             let store = crate::load_store(&bytes).expect("own snapshot serves");
             assert_eq!(store.len(), reference.len(), "{context}: len");
@@ -1316,6 +1519,23 @@ mod differential {
                 reference.resident_bytes(),
                 "{context}: resident bytes"
             );
+            // Each block in the per-entity ranking's order.
+            for (block, result) in store.combinations().zip(&output.results) {
+                let entities = output.kb().entities_of_type(result.key.type_id);
+                let counts: Vec<ObservedCounts> = (entities.iter())
+                    .map(|&e| {
+                        let c = output.evidence.counts_id(e, result.key.property);
+                        ObservedCounts::new(c.positive, c.negative)
+                    })
+                    .collect();
+                let table = CountTable::new(&counts);
+                let oracle: Vec<EntityId> =
+                    (by_entity::rank(&table, &table.pair_decisions(&result.fit.params)).iter())
+                        .map(|&position| entities[position as usize])
+                        .collect();
+                let stored: Vec<EntityId> = block.opinions().map(|o| o.entity).collect();
+                assert_eq!(stored, oracle, "{context}: rank order of a block");
+            }
             // Every stored name — a few hundred at most per world, spread
             // over the store — as stored, case-folded both ways, and
             // damaged; plus names nothing carries.

@@ -92,6 +92,38 @@ impl CountTable {
         Self { pairs, slots }
     }
 
+    /// The table [`new`](Self::new) builds, from a group's mentioned
+    /// entities alone: `mentioned` holds `(position, counts)` for each
+    /// entity with a row, where `position` is its index among the group's
+    /// `entities`, and every other entity takes the `(0, 0)` pair. Only
+    /// the mentioned rows are sorted (in place), so a group of mostly
+    /// silent entities costs its mentions plus one slot per entity.
+    ///
+    /// # Panics
+    /// Panics on more than `u32::MAX` entities or a position at or past
+    /// `entities`. Positions must be distinct.
+    pub fn sparse(entities: usize, mentioned: &mut [(u32, ObservedCounts)]) -> Self {
+        assert!(
+            u32::try_from(entities).is_ok(),
+            "a group holds at most u32::MAX entities"
+        );
+        mentioned.sort_unstable_by_key(|&(i, c)| (c.positive, c.negative, i));
+        // Every silent entity keeps slot 0, the (0, 0) pair, which sorts
+        // first and so absorbs mentioned entities whose counts are zero.
+        let mut pairs: Vec<ObservedCounts> = Vec::new();
+        if mentioned.len() < entities {
+            pairs.push(ObservedCounts::zero());
+        }
+        let mut slots = vec![0u32; entities];
+        for &(entity, pair) in mentioned.iter() {
+            if pairs.last() != Some(&pair) {
+                pairs.push(pair);
+            }
+            slots[entity as usize] = (pairs.len() - 1) as u32;
+        }
+        Self { pairs, slots }
+    }
+
     /// Entities in the group.
     pub fn entities(&self) -> usize {
         self.slots.len()
@@ -103,13 +135,13 @@ impl CountTable {
     }
 
     /// The distinct pairs, ascending.
-    pub(crate) fn pairs(&self) -> &[ObservedCounts] {
+    pub fn pairs(&self) -> &[ObservedCounts] {
         &self.pairs
     }
 
     /// Per entity, in entity order, the slot of its pair in
     /// [`pairs`](Self::pairs).
-    pub(crate) fn slots(&self) -> &[u32] {
+    pub fn slots(&self) -> &[u32] {
         &self.slots
     }
 
@@ -130,13 +162,17 @@ impl CountTable {
         &self,
         params: &ModelParams,
     ) -> impl ExactSizeIterator<Item = ModelDecision> + '_ {
+        self.per_entity(self.pair_decisions(params))
+    }
+
+    /// Algorithm 1's decision for each distinct pair, in
+    /// [`pairs`](Self::pairs) order: what [`decisions`](Self::decisions)
+    /// hands every entity of that pair.
+    pub fn pair_decisions(&self, params: &ModelParams) -> Vec<ModelDecision> {
         let posterior = Posterior::new(params);
-        let per_pair = self
-            .pairs
-            .iter()
+        (self.pairs.iter())
             .map(|&c| decide(posterior.positive(c)))
-            .collect();
-        self.per_entity(per_pair)
+            .collect()
     }
 }
 
@@ -170,6 +206,38 @@ mod tests {
         assert_eq!(table.slots(), &[2, 0, 2, 3, 0, 1]);
 
         let empty = CountTable::new(&[]);
+        assert_eq!((empty.entities(), empty.distinct_pairs()), (0, 0));
+    }
+
+    /// `sparse` over the mentioned entities builds what `new` builds over
+    /// every entity: silent groups, fully mentioned ones, and mentions
+    /// whose counts are `(0, 0)` (which must share the silent slot).
+    #[test]
+    fn sparse_tables_equal_dense_ones() {
+        let mut state = 0x2015_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for case in 0..400 {
+            let entities = next(12) as usize;
+            let mut counts = vec![ObservedCounts::zero(); entities];
+            let mut mentioned = Vec::new();
+            for (i, c) in counts.iter_mut().enumerate() {
+                // Some cases mention everyone; zero counts are mentions too.
+                if case % 5 == 0 || next(3) > 0 {
+                    *c = ObservedCounts::new(next(3), next(3));
+                    mentioned.push((i as u32, *c));
+                }
+            }
+            let dense = CountTable::new(&counts);
+            let sparse = CountTable::sparse(entities, &mut mentioned);
+            assert_eq!(sparse.pairs(), dense.pairs(), "case {case}: {counts:?}");
+            assert_eq!(sparse.slots(), dense.slots(), "case {case}: {counts:?}");
+        }
+        let empty = CountTable::sparse(0, &mut []);
         assert_eq!((empty.entities(), empty.distinct_pairs()), (0, 0));
     }
 }

@@ -11,19 +11,18 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use surveyor::prelude::*;
 use surveyor::wire::{
-    encode, group_fingerprints, DecisionCode, DecisionGroupRow, DecisionRow, EvidenceRow,
-    IncrementalState, ModelRow, ProvenanceRow, Snapshot,
+    encode, group_fingerprints, EvidenceRow, IncrementalState, ModelRow, ProvenanceRow, Snapshot,
 };
 use surveyor::{
     load_snapshot, load_snapshot_with_state, snapshot_output, CorpusSource, SnapshotError,
-    SubjectiveKb, Surveyor, SurveyorConfig,
+    SubjectiveKb, Surveyor, SurveyorConfig, SurveyorOutput,
 };
 use surveyor_server::ServedState;
 
 /// Two types, adverb-graded properties, aliases and attributes, a
 /// combination below the threshold (so evidence and provenance exist for
 /// pairs no group decides) — small, and every section populated.
-fn mined() -> Snapshot {
+fn mined_output() -> SurveyorOutput {
     let mut b = KnowledgeBaseBuilder::new();
     let animal = b.add_type("animal", &["animal", "creature"], &["zoo"]);
     let city = b.add_type("city", &["city"], &[]);
@@ -64,11 +63,41 @@ fn mined() -> Snapshot {
         threads: 2,
         ..Default::default()
     };
-    let output = Surveyor::new(kb, config).run(&CorpusSource::new(&generator));
-    let snapshot = snapshot_output(&output);
+    Surveyor::new(kb, config).run(&CorpusSource::new(&generator))
+}
+
+fn mined() -> Snapshot {
+    let snapshot = snapshot_output(&mined_output());
     assert!(snapshot.models.len() >= 3, "three combinations modeled");
     assert!(snapshot.provenance.len() >= 4 && snapshot.evidence.len() >= 4);
     snapshot
+}
+
+#[test]
+fn every_loader_derives_the_decisions_the_mine_made() {
+    // No decision is on disk: a loaded output's are derived from `MODL`
+    // and `EVID`, and must be the mined ones bit for bit; the served
+    // store, built from the same derivation, must render as they do.
+    let output = mined_output();
+    let bits = |output: &SurveyorOutput| -> Vec<Vec<(u32, u64)>> {
+        (output.results.iter())
+            .map(|r| {
+                (r.decisions.iter())
+                    .map(|(e, d)| (e.0, d.probability.map_or(u64::MAX, f64::to_bits)))
+                    .collect()
+            })
+            .collect()
+    };
+    let bytes = encode(&snapshot_output(&output));
+    let (with_state, _) = load_snapshot_with_state(&bytes).unwrap();
+    assert_eq!(bits(&load_snapshot(&bytes).unwrap()), bits(&output));
+    assert_eq!(bits(&with_state), bits(&output));
+    let served = ServedState::from_snapshot_bytes(&bytes, 1, "derived").unwrap();
+    assert_eq!(
+        served.store.to_json(),
+        SubjectiveKb::from_output(&output, output.kb()).to_json()
+    );
+    assert_eq!(agreed("the mined world", &bytes), None);
 }
 
 /// Each loader's outcome on `bytes`, as its error text; a panic in any of
@@ -236,96 +265,67 @@ fn hostile_names_are_one_verdict_and_served_as_loaded() {
 
 #[test]
 fn hostile_rows_are_one_verdict_and_served_as_loaded() {
-    let group_of = |s: &Snapshot, type_index: u32| {
-        (s.decisions.iter())
-            .position(|g| g.type_index == type_index)
-            .expect("both types are modeled")
-    };
-    assert_eq!(
-        hostile("a decision group over another type's entities", |s| {
-            let (animals, cities) = (group_of(s, 0), group_of(s, 1));
-            let rows = s.decisions[cities].decisions.clone();
-            s.decisions[animals].decisions = rows;
-        }),
-        None
-    );
-    assert_eq!(
-        hostile("an empty decision group", |s| s.decisions[0]
-            .decisions
-            .clear()),
-        None
-    );
-    assert_eq!(
-        hostile("every decision group empty", |s| {
-            for group in &mut s.decisions {
-                group.decisions.clear();
-            }
-        }),
-        None
-    );
-    assert_eq!(
-        hostile("a group that decides nothing", |s| {
-            for row in &mut s.decisions[0].decisions {
-                row.decision = DecisionCode::Unsolved;
-                row.probability = None;
-            }
-        }),
-        None
-    );
     assert_eq!(
         hostile("a combination modeled twice", |s| {
-            let (model, group) = (s.models[0].clone(), s.decisions[0].clone());
+            let model = s.models[0].clone();
             s.models.insert(1, model);
-            s.decisions.insert(1, group);
+        }),
+        Some("model rows not in ascending order")
+    );
+    assert_eq!(
+        hostile("model rows out of order", |s| s.models.swap(0, 1)),
+        Some("model rows not in ascending order")
+    );
+    assert_eq!(
+        hostile("a model whose combination has no evidence", |s| {
+            let (type_index, property) = (s.models[0].type_index, s.models[0].property);
+            let entities = &s.entities;
+            s.evidence.retain(|row| {
+                (entities[row.entity as usize].type_index, row.property) != (type_index, property)
+            });
         }),
         None
     );
     assert_eq!(
-        hostile("decision entities out of order", |s| s.decisions[0]
-            .decisions
-            .swap(0, 1)),
-        Some("decision entities not in ascending order")
-    );
-    assert_eq!(
-        hostile("a decision entity twice", |s| {
-            let first = s.decisions[0].decisions[0];
-            s.decisions[0].decisions.insert(0, first);
+        hostile("a model for a combination below the threshold", |s| {
+            // `calm` has evidence and no model: give it one, in key order.
+            let modelled: Vec<(u32, u32)> = (s.models.iter())
+                .map(|m| (m.type_index, m.property))
+                .collect();
+            let calm = (s.evidence.iter())
+                .map(|row| (s.entities[row.entity as usize].type_index, row.property))
+                .find(|key| !modelled.contains(key))
+                .expect("an unmodeled combination with evidence");
+            let model = ModelRow {
+                type_index: calm.0,
+                property: calm.1,
+                ..s.models[0].clone()
+            };
+            s.models.push(model);
+            s.models.sort_by_key(|m| (m.type_index, m.property));
         }),
-        Some("decision entities not in ascending order")
+        None
     );
-    assert_eq!(
-        hostile("a decision for an entity the table does not hold", |s| {
-            let entities = s.entities.len() as u32;
-            s.decisions[0].decisions.push(DecisionRow {
-                entity: entities,
-                decision: DecisionCode::Positive,
-                probability: Some(0.9),
-            });
-        }),
-        Some("decision entity out of range")
-    );
-    for (context, probability) in [
-        ("a NaN posterior", f64::NAN),
-        ("a posterior above one", 7.5),
-        ("a negative-zero posterior", -0.0),
-        ("an infinite posterior", f64::NEG_INFINITY),
+    for (context, params) in [
+        ("parameters that decide nothing", (0.5, 2.0, 2.0)),
+        (
+            "parameters that saturate every posterior",
+            (0.99, 5_000.0, 0.01),
+        ),
+        (
+            "parameters that make every statement impossible",
+            (1.0, 0.0, 0.0),
+        ),
     ] {
         assert_eq!(
             hostile(context, |s| {
-                s.decisions[0].decisions[0].probability = Some(probability);
+                for m in &mut s.models {
+                    (m.p_agree, m.rate_pos, m.rate_neg) = params;
+                }
             }),
             None
         );
     }
-    assert_eq!(
-        hostile("a verdict against its own posterior", |s| {
-            for row in &mut s.decisions[0].decisions {
-                row.decision = DecisionCode::Positive;
-                row.probability = Some(0.01);
-            }
-        }),
-        None
-    );
 
     assert_eq!(
         hostile("counts that overflow u64 when summed", |s| {
@@ -401,11 +401,13 @@ fn hostile_rows_are_one_verdict_and_served_as_loaded() {
     assert_eq!(
         hostile("a provenance row for an undecided pair", |s| {
             // Below the threshold: `calm` has evidence and no model.
-            let decided: Vec<(u32, u32)> = (s.decisions.iter())
-                .flat_map(|g| g.decisions.iter().map(|d| (d.entity, g.property)))
+            let modelled: Vec<(u32, u32)> = (s.models.iter())
+                .map(|m| (m.type_index, m.property))
                 .collect();
-            let undecided =
-                (s.provenance.iter()).any(|row| !decided.contains(&(row.entity, row.property)));
+            let undecided = (s.provenance.iter()).any(|row| {
+                let type_index = s.entities[row.entity as usize].type_index;
+                !modelled.contains(&(type_index, row.property))
+            });
             assert!(undecided, "the mined world already holds such a row");
             // And one for a pair nothing was ever said about.
             let entity = s.entities.len() as u32 - 1;
@@ -477,14 +479,8 @@ fn hostile_models_are_one_verdict() {
         ("the corners of the domain", |m| {
             (m.p_agree, m.rate_pos, m.rate_neg) = (0.0, 0.0, f64::MAX);
         }),
-        ("NaN likelihood and traces", |m| {
-            m.log_likelihood = f64::NAN;
-            m.q_trace = vec![f64::NAN, f64::INFINITY];
-            m.delta_trace.clear();
-        }),
-        ("more iterations than traces", |m| {
-            m.iterations = u64::MAX >> 1
-        }),
+        ("a NaN likelihood", |m| m.log_likelihood = f64::NAN),
+        ("a huge iteration count", |m| m.iterations = u64::MAX >> 1),
         ("every convergence code", |m| m.converged = 2),
         ("negative zero rate", |m| m.rate_pos = -0.0),
     ];
@@ -497,34 +493,17 @@ fn hostile_models_are_one_verdict() {
     );
     assert_eq!(
         hostile("a model for a type the table does not hold", |s| {
-            let types = s.types.len() as u32;
-            s.models[0].type_index = types;
-            s.decisions[0].type_index = types;
+            let last = s.models.len() - 1;
+            s.models[last].type_index = s.types.len() as u32;
         }),
         Some("model type index out of range")
     );
     assert_eq!(
-        hostile("a model without its decision group", |s| {
-            s.decisions.pop();
+        hostile("a model for a property the table does not hold", |s| {
+            let last = s.models.len() - 1;
+            s.models[last].property = s.properties.len() as u32;
         }),
-        Some("model and decision sections disagree on group count")
-    );
-    assert_eq!(
-        hostile("a decision group without its model", |s| {
-            s.decisions.push(DecisionGroupRow {
-                type_index: 0,
-                property: 0,
-                decisions: Vec::new(),
-            });
-        }),
-        Some("model and decision sections disagree on group count")
-    );
-    assert_eq!(
-        hostile("models and groups keyed apart", |s| {
-            let last = s.decisions.len() - 1;
-            s.decisions.swap(0, last);
-        }),
-        Some("model and decision groups out of step")
+        Some("model property out of range")
     );
     assert_eq!(
         hostile("rows and no tables", |s| {
@@ -580,7 +559,7 @@ fn damage_inside_valid_frames_is_one_verdict() {
     snapshot.fingerprints = group_fingerprints(&snapshot);
     let bytes = encode(&snapshot);
     let frames = frames(&bytes);
-    assert_eq!(frames.len(), 9, "all nine sections");
+    assert_eq!(frames.len(), 8, "all eight sections");
 
     let mut rng = 0x2015_u64;
     let mut next = move || {

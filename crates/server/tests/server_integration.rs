@@ -234,13 +234,15 @@ fn reply_bodies_are_the_recorded_ones() {
         assert_eq!(body(&reply), want_body, "{path}");
     }
     // `/readyz` keeps its keys and gains one: what the store costs to keep.
+    // `snapshot_bytes` is the file's length, 471 before the format stopped
+    // storing decisions and EM traces.
     let (_, reply) = get(addr, "/readyz");
     let store_bytes = handle.shared().load().store.resident_bytes();
     assert_eq!(
         body(&reply),
         format!(
             "{{\n  \"associations\": 3,\n  \"epoch\": 0,\n  \"generation\": 1,\n  \"ready\": true,\n  \
-             \"snapshot_bytes\": 471,\n  \"source\": \"test-boot\",\n  \"store_bytes\": {store_bytes}\n}}"
+             \"snapshot_bytes\": 340,\n  \"source\": \"test-boot\",\n  \"store_bytes\": {store_bytes}\n}}"
         )
     );
     assert_eq!(

@@ -12,14 +12,12 @@ use crate::crc32::crc32;
 use crate::cursor::Cursor;
 use crate::error::WireError;
 use crate::section::{
-    SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_DECISIONS, TAG_ENTITIES,
-    TAG_EVIDENCE, TAG_FINGERPRINTS, TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES, TAG_PROVENANCE,
-    TAG_TYPES,
+    SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_ENTITIES, TAG_EVIDENCE,
+    TAG_FINGERPRINTS, TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES, TAG_PROVENANCE, TAG_TYPES,
 };
 use crate::snapshot::{
-    DecisionCode, DecisionGroupRow, DecisionRow, EvidenceRow, GroupFingerprintRow,
-    IncrementalState, ModelRow, ProvenanceRow, Snapshot, SnapshotEntity, SnapshotProperty,
-    SnapshotType,
+    EvidenceRow, GroupFingerprintRow, IncrementalState, ModelRow, ProvenanceRow, Snapshot,
+    SnapshotEntity, SnapshotProperty, SnapshotType,
 };
 use crate::{FORMAT_VERSION, MAGIC};
 
@@ -30,9 +28,8 @@ const SEC_ENTITIES: usize = 2;
 const SEC_EVIDENCE: usize = 3;
 const SEC_PROVENANCE: usize = 4;
 const SEC_MODELS: usize = 5;
-const SEC_DECISIONS: usize = 6;
-const SEC_INCREMENTAL: usize = 7;
-const SEC_FINGERPRINTS: usize = 8;
+const SEC_INCREMENTAL: usize = 6;
+const SEC_FINGERPRINTS: usize = 7;
 
 /// Decodes a snapshot buffer into its owned form in one call.
 ///
@@ -50,12 +47,15 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, WireError> {
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotReader<'a> {
     version: u16,
+    /// Every section frame, in file order: what
+    /// [`section_sizes`](Self::section_sizes) walks again.
+    frames: &'a [u8],
     /// Per-section record bytes (payload minus its leading counts),
     /// indexed like [`KNOWN_ORDER`]. The `INCR` slot is unused (its
     /// payload is not count-prefixed; see `incr_body`).
-    bodies: [&'a [u8]; 9],
+    bodies: [&'a [u8]; 8],
     /// Per-section record counts, already bounded by the payload size.
-    counts: [usize; 9],
+    counts: [usize; 8],
     provenance_sample_size: u64,
     /// Raw payload of the optional `INCR` section, parsed on demand by
     /// [`SnapshotReader::incremental`].
@@ -80,12 +80,13 @@ impl<'a> SnapshotReader<'a> {
         }
         cursor.u16("header reserved")?; // writers write 0; readers ignore
         let section_count = cursor.u32("header section count")?;
+        let header_end = cursor;
 
-        let mut bodies: [&'a [u8]; 9] = [&[]; 9];
-        let mut counts = [0usize; 9];
+        let mut bodies: [&'a [u8]; 8] = [&[]; 8];
+        let mut counts = [0usize; 8];
         let mut provenance_sample_size = 0u64;
         let mut incr_body: Option<&'a [u8]> = None;
-        let mut seen = [false; 9];
+        let mut seen = [false; 8];
         let mut next_expected = 0usize;
         for _ in 0..section_count {
             let tag_bytes = cursor.take(4, "section tag")?;
@@ -140,6 +141,7 @@ impl<'a> SnapshotReader<'a> {
             seen[position] = true;
             next_expected = position + 1;
         }
+        let frames = cursor.span_since(&header_end);
         if next_expected < CANONICAL_ORDER.len() {
             return Err(WireError::MissingSection {
                 tag: CANONICAL_ORDER[next_expected],
@@ -152,6 +154,7 @@ impl<'a> SnapshotReader<'a> {
         }
         Ok(Self {
             version,
+            frames,
             bodies,
             counts,
             provenance_sample_size,
@@ -162,6 +165,28 @@ impl<'a> SnapshotReader<'a> {
     /// The format version the header carries.
     pub fn version(&self) -> u16 {
         self.version
+    }
+
+    /// Every section's tag and payload length, in file order, unknown
+    /// sections included: where a snapshot's bytes are. The file is a
+    /// 16-byte header plus, per section, a 16-byte frame header and the
+    /// payload, so these lengths add up to the file's with nothing over.
+    pub fn section_sizes(&self) -> Vec<(SectionTag, u64)> {
+        let mut cursor = Cursor::new(self.frames);
+        let mut sizes = Vec::new();
+        // The frames were walked and bounded in `new`: this cannot fail.
+        while let (Ok(tag), Ok(len), Ok(_)) = (
+            cursor.take(4, "section tag"),
+            cursor.u64("section length"),
+            cursor.u32("section checksum"),
+        ) {
+            sizes.push((SectionTag([tag[0], tag[1], tag[2], tag[3]]), len));
+            let skipped = usize::try_from(len).map(|len| cursor.take(len, "section payload"));
+            if !matches!(skipped, Ok(Ok(_))) {
+                break;
+            }
+        }
+        sizes
     }
 
     /// The provenance sample bound stored in section `PROV`.
@@ -219,15 +244,6 @@ impl<'a> SnapshotReader<'a> {
         ModelIter {
             cursor: Cursor::new(self.bodies[SEC_MODELS]),
             remaining: self.counts[SEC_MODELS],
-            finished: false,
-        }
-    }
-
-    /// Iterates the decision groups (section `DECN`).
-    pub fn decisions(&self) -> DecisionGroupIter<'a> {
-        DecisionGroupIter {
-            cursor: Cursor::new(self.bodies[SEC_DECISIONS]),
-            remaining: self.counts[SEC_DECISIONS],
             finished: false,
         }
     }
@@ -388,22 +404,6 @@ impl<'a> SnapshotReader<'a> {
                 iterations: record.iterations,
                 converged: record.converged,
                 log_likelihood: record.log_likelihood,
-                q_trace: record.q_trace.collect(),
-                delta_trace: record.delta_trace.collect(),
-            });
-        }
-
-        let mut decisions = Vec::with_capacity(self.counts[SEC_DECISIONS]);
-        for record in self.decisions() {
-            let record = record?;
-            let mut rows = Vec::with_capacity(record.decisions.len());
-            for row in record.decisions {
-                rows.push(row?);
-            }
-            decisions.push(DecisionGroupRow {
-                type_index: record.type_index,
-                property: record.property,
-                decisions: rows,
             });
         }
 
@@ -422,7 +422,6 @@ impl<'a> SnapshotReader<'a> {
             provenance_sample_size: self.provenance_sample_size,
             provenance,
             models,
-            decisions,
             incremental,
             fingerprints,
         })
@@ -431,14 +430,13 @@ impl<'a> SnapshotReader<'a> {
 
 /// Count-field contexts, indexed like [`KNOWN_ORDER`]. The `INCR` slot
 /// is a placeholder — that payload is not count-prefixed.
-const COUNT_CONTEXTS: [&str; 9] = [
+const COUNT_CONTEXTS: [&str; 8] = [
     "property count",
     "type count",
     "entity count",
     "evidence row count",
     "provenance row count",
     "model row count",
-    "decision group count",
     "incremental state",
     "fingerprint row count",
 ];
@@ -538,57 +536,6 @@ impl<'a> Iterator for U64List<'a> {
     }
 
     /// Exact (the span was skimmed), so `collect` allocates once.
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-/// A lazy list of `f64`s borrowed from the snapshot. The span is exactly
-/// eight bytes per value, so iteration is infallible.
-#[derive(Debug, Clone)]
-pub struct F64List<'a> {
-    cursor: Cursor<'a>,
-    remaining: usize,
-}
-
-impl<'a> F64List<'a> {
-    fn new(span: &'a [u8], count: usize) -> Self {
-        Self {
-            cursor: Cursor::new(span),
-            remaining: count,
-        }
-    }
-
-    /// Values left to yield.
-    pub fn len(&self) -> usize {
-        self.remaining
-    }
-
-    /// Whether the list is exhausted (or was empty).
-    pub fn is_empty(&self) -> bool {
-        self.remaining == 0
-    }
-}
-
-impl<'a> Iterator for F64List<'a> {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        match self.cursor.f64("trace value") {
-            Ok(v) => Some(v),
-            Err(_) => {
-                // Unreachable: the span was sized when the record was cut.
-                self.remaining = 0;
-                None
-            }
-        }
-    }
-
-    /// Exact (the span was sized), so `collect` allocates once.
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining, Some(self.remaining))
     }
@@ -849,9 +796,9 @@ impl<'a> Iterator for ProvenanceIter<'a> {
     }
 }
 
-/// One fitted-model record, borrowed from section `MODL`.
-#[derive(Debug, Clone)]
-pub struct ModelRecord<'a> {
+/// One fitted-model record of section `MODL`.
+#[derive(Debug, Clone, Copy)]
+pub struct ModelRecord {
     /// Index into the type table.
     pub type_index: u32,
     /// Index into the property table.
@@ -868,10 +815,6 @@ pub struct ModelRecord<'a> {
     pub converged: u8,
     /// Mixture log-likelihood of the fitted parameters.
     pub log_likelihood: f64,
-    /// Per-iteration Q trace.
-    pub q_trace: F64List<'a>,
-    /// Per-iteration parameter-movement trace.
-    pub delta_trace: F64List<'a>,
 }
 
 /// Iterator over section `MODL`.
@@ -882,8 +825,8 @@ pub struct ModelIter<'a> {
     finished: bool,
 }
 
-impl<'a> Iterator for ModelIter<'a> {
-    type Item = Result<ModelRecord<'a>, WireError>;
+impl Iterator for ModelIter<'_> {
+    type Item = Result<ModelRecord, WireError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         next_record(
@@ -900,8 +843,6 @@ impl<'a> Iterator for ModelIter<'a> {
                 let iterations = cursor.varint("iteration count")?;
                 let converged = cursor.u8("convergence code")?;
                 let log_likelihood = cursor.f64("log likelihood")?;
-                let q_trace = skim_f64_list(cursor, "q trace count", "q trace")?;
-                let delta_trace = skim_f64_list(cursor, "delta trace count", "delta trace")?;
                 Ok(ModelRecord {
                     type_index,
                     property,
@@ -911,118 +852,6 @@ impl<'a> Iterator for ModelIter<'a> {
                     iterations,
                     converged,
                     log_likelihood,
-                    q_trace,
-                    delta_trace,
-                })
-            },
-        )
-    }
-}
-
-/// A lazy list of decision rows borrowed from section `DECN`.
-#[derive(Debug, Clone)]
-pub struct DecisionList<'a> {
-    cursor: Cursor<'a>,
-    remaining: usize,
-}
-
-impl<'a> DecisionList<'a> {
-    /// Rows left to yield.
-    pub fn len(&self) -> usize {
-        self.remaining
-    }
-
-    /// Whether the list is exhausted (or was empty).
-    pub fn is_empty(&self) -> bool {
-        self.remaining == 0
-    }
-}
-
-/// Parses one decision row at `cursor`.
-fn parse_decision(cursor: &mut Cursor<'_>) -> Result<DecisionRow, WireError> {
-    let flag = cursor.u8("decision flag")?;
-    let code = flag & 0x7f;
-    let Some(decision) = DecisionCode::from_code(code) else {
-        return Err(WireError::BadRecord {
-            section: TAG_DECISIONS,
-            detail: "unknown decision code",
-        });
-    };
-    let probability = if flag & 0x80 != 0 {
-        Some(cursor.f64("decision probability")?)
-    } else {
-        None
-    };
-    let entity = cursor.u32("decision entity")?;
-    Ok(DecisionRow {
-        entity,
-        decision,
-        probability,
-    })
-}
-
-impl<'a> Iterator for DecisionList<'a> {
-    type Item = Result<DecisionRow, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        match parse_decision(&mut self.cursor) {
-            Ok(row) => Some(Ok(row)),
-            Err(e) => {
-                self.remaining = 0;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// One decision-group record, borrowed from section `DECN`.
-#[derive(Debug, Clone)]
-pub struct DecisionGroupRecord<'a> {
-    /// Index into the type table.
-    pub type_index: u32,
-    /// Index into the property table.
-    pub property: u32,
-    /// Decisions for every entity of the type, in entity-table order.
-    pub decisions: DecisionList<'a>,
-}
-
-/// Iterator over section `DECN`.
-#[derive(Debug, Clone)]
-pub struct DecisionGroupIter<'a> {
-    cursor: Cursor<'a>,
-    remaining: usize,
-    finished: bool,
-}
-
-impl<'a> Iterator for DecisionGroupIter<'a> {
-    type Item = Result<DecisionGroupRecord<'a>, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        next_record(
-            &mut self.cursor,
-            &mut self.remaining,
-            &mut self.finished,
-            TAG_DECISIONS,
-            |cursor| {
-                let type_index = cursor.u32("group type index")?;
-                let property = cursor.u32("group property")?;
-                let count = cursor.count("decision count")?;
-                let mark = *cursor;
-                for _ in 0..count {
-                    parse_decision(cursor)?;
-                }
-                let span = cursor.span_since(&mark);
-                Ok(DecisionGroupRecord {
-                    type_index,
-                    property,
-                    decisions: DecisionList {
-                        cursor: Cursor::new(span),
-                        remaining: count,
-                    },
                 })
             },
         )
@@ -1099,7 +928,6 @@ declared_len!(
     EvidenceIter,
     ProvenanceIter,
     ModelIter,
-    DecisionGroupIter,
     FingerprintIter
 );
 
@@ -1152,23 +980,12 @@ fn skim_str_list<'a>(
     Ok(StrList::new(span, count, item_context))
 }
 
-/// Takes a fixed-width `f64` list and returns a lazy iterator over it.
-fn skim_f64_list<'a>(
-    cursor: &mut Cursor<'a>,
-    count_context: &'static str,
-    span_context: &'static str,
-) -> Result<F64List<'a>, WireError> {
-    let count = cursor.count(count_context)?;
-    let span = cursor.take(count.saturating_mul(8), span_context)?;
-    Ok(F64List::new(span, count))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cursor::{put_u16, put_u32, put_u64, put_varint};
     use crate::encode::encode;
-    use crate::snapshot::{DecisionGroupRow, DecisionRow, EvidenceRow, SnapshotProperty};
+    use crate::snapshot::{EvidenceRow, SnapshotProperty};
 
     /// A container holding the given `(tag, payload)` frames.
     fn container(sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
@@ -1186,7 +1003,7 @@ mod tests {
         out
     }
 
-    /// The seven canonical frames of an empty world.
+    /// The six canonical frames of an empty world.
     fn empty_sections() -> Vec<([u8; 4], Vec<u8>)> {
         vec![
             (*b"PROP", vec![0]),
@@ -1195,7 +1012,6 @@ mod tests {
             (*b"EVID", vec![0]),
             (*b"PROV", vec![0, 0]),
             (*b"MODL", vec![0]),
-            (*b"DECN", vec![0]),
         ]
     }
 
@@ -1243,24 +1059,6 @@ mod tests {
                 iterations: 7,
                 converged: 0,
                 log_likelihood: -42.5,
-                q_trace: vec![-50.0, -43.0],
-                delta_trace: vec![0.5, 0.01],
-            }],
-            decisions: vec![DecisionGroupRow {
-                type_index: 0,
-                property: 0,
-                decisions: vec![
-                    DecisionRow {
-                        entity: 0,
-                        decision: DecisionCode::Positive,
-                        probability: Some(0.97),
-                    },
-                    DecisionRow {
-                        entity: 1,
-                        decision: DecisionCode::Unsolved,
-                        probability: None,
-                    },
-                ],
             }],
             incremental: None,
             fingerprints: vec![],
@@ -1328,6 +1126,13 @@ mod tests {
             SnapshotReader::new(&bytes).map(|_| ()),
             Err(WireError::UnsupportedVersion { found: 0x63 })
         );
+        // Version 1 stored decisions this reader no longer parses: it is
+        // refused, never read as a version-2 file.
+        bytes[8] = 1;
+        assert_eq!(
+            SnapshotReader::new(&bytes).map(|_| ()),
+            Err(WireError::UnsupportedVersion { found: 1 })
+        );
     }
 
     #[test]
@@ -1361,10 +1166,10 @@ mod tests {
     #[test]
     fn duplicate_section_is_rejected() {
         let mut sections = empty_sections();
-        sections.push((*b"DECN", vec![0]));
+        sections.push((*b"MODL", vec![0]));
         assert_eq!(
             SnapshotReader::new(&container(&sections)).map(|_| ()),
-            Err(WireError::DuplicateSection { tag: TAG_DECISIONS })
+            Err(WireError::DuplicateSection { tag: TAG_MODELS })
         );
     }
 
@@ -1405,7 +1210,7 @@ mod tests {
     fn trailing_bytes_after_last_section_are_rejected() {
         let mut bytes = container(&empty_sections());
         bytes.extend_from_slice(&[1, 2, 3]);
-        // The header still says 7 sections, so the tail is garbage.
+        // The header still says 6 sections, so the tail is garbage.
         assert_eq!(
             SnapshotReader::new(&bytes).map(|_| ()),
             Err(WireError::TrailingBytes { count: 3 })
@@ -1450,28 +1255,6 @@ mod tests {
             Err(WireError::BadVarint {
                 context: "evidence row count"
             })
-        );
-    }
-
-    #[test]
-    fn unknown_decision_code_is_a_bad_record() {
-        let mut sections = empty_sections();
-        let mut payload = Vec::new();
-        put_varint(&mut payload, 1); // one group
-        put_u32(&mut payload, 0); // type index
-        put_u32(&mut payload, 0); // property
-        put_varint(&mut payload, 1); // one decision
-        payload.push(0x03); // no such code
-        put_u32(&mut payload, 0); // entity
-        sections[6].1 = payload;
-        let bytes = container(&sections);
-        let reader = SnapshotReader::new(&bytes).unwrap();
-        assert_eq!(
-            reader.to_snapshot().expect_err("decoded"),
-            WireError::BadRecord {
-                section: TAG_DECISIONS,
-                detail: "unknown decision code",
-            }
         );
     }
 
@@ -1529,14 +1312,38 @@ mod tests {
         let prov = reader.provenance().next().unwrap().unwrap();
         assert_eq!(prov.documents.collect::<Vec<_>>(), vec![5, 900, 90_001]);
         let model = reader.models().next().unwrap().unwrap();
-        assert_eq!(model.q_trace.len(), 2);
-        assert_eq!(model.q_trace.collect::<Vec<_>>(), vec![-50.0, -43.0]);
-        let group = reader.decisions().next().unwrap().unwrap();
-        assert_eq!(group.decisions.len(), 2);
-        let rows: Vec<_> = group.decisions.collect::<Result<Vec<_>, _>>().unwrap();
-        assert_eq!(rows[0].decision, DecisionCode::Positive);
-        assert_eq!(rows[0].probability, Some(0.97));
-        assert_eq!(rows[1].probability, None);
+        assert_eq!((model.p_agree, model.iterations), (0.9, 7));
+        assert_eq!(model.log_likelihood, -42.5);
+    }
+
+    #[test]
+    fn section_sizes_account_for_every_byte() {
+        // The header and one frame header per section, plus the payloads,
+        // are the file: unknown and optional sections counted alike.
+        let mut sections = empty_sections();
+        sections.insert(3, (*b"XTRA", vec![9, 9, 9]));
+        let handmade = container(&sections);
+        for bytes in [
+            encode(&sample()),
+            encode(&incremental_sample()),
+            encode(&Snapshot::default()),
+            handmade,
+        ] {
+            let sizes = SnapshotReader::new(&bytes).unwrap().section_sizes();
+            let framed: u64 = sizes.iter().map(|&(_, len)| 16 + len).sum();
+            assert_eq!(16 + framed, bytes.len() as u64, "{sizes:?}");
+        }
+        let sizes = SnapshotReader::new(&encode(&incremental_sample()))
+            .unwrap()
+            .section_sizes();
+        let tags: Vec<String> = sizes.iter().map(|(tag, _)| tag.to_string()).collect();
+        assert_eq!(
+            tags,
+            ["PROP", "TYPE", "ENTS", "EVID", "PROV", "MODL", "INCR", "GRPF"]
+        );
+        // A model row is its key, three parameters, a one-byte iteration
+        // count, the code and the likelihood: 42 bytes and a count byte.
+        assert_eq!(sizes[5].1, 1 + 42);
     }
 
     #[test]
@@ -1559,11 +1366,11 @@ mod tests {
     }
 
     #[test]
-    fn plain_snapshot_still_encodes_seven_sections() {
-        // Without incremental state the byte stream is the original
-        // seven-section container — older readers stay compatible.
+    fn plain_snapshot_encodes_six_sections() {
+        // Without incremental state the byte stream is the six required
+        // sections alone.
         let bytes = encode(&sample());
-        assert_eq!(&bytes[12..16], &7u32.to_le_bytes());
+        assert_eq!(&bytes[12..16], &6u32.to_le_bytes());
         let reader = SnapshotReader::new(&bytes).unwrap();
         assert!(!reader.has_incremental());
         assert_eq!(reader.incremental().unwrap(), None);
@@ -1589,7 +1396,7 @@ mod tests {
         assert_eq!(reader.version(), FORMAT_VERSION);
 
         // Rebuild the raw frames so they can be rearranged: required
-        // seven from the empty world plus handcrafted INCR/GRPF.
+        // six from the empty world plus handcrafted INCR/GRPF.
         let incr_payload = || {
             let mut p = vec![0]; // rho = 0
             put_u64(&mut p, 0); // config digest
@@ -1621,7 +1428,7 @@ mod tests {
             })
         );
 
-        // An optional section before the required seven is out of order
+        // An optional section before the required six is out of order
         // (it would skip every required section).
         let mut sections = empty_sections();
         sections.insert(0, (*b"INCR", incr_payload()));

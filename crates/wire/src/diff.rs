@@ -8,7 +8,9 @@
 //! only genuinely added, removed, or changed rows report.
 //!
 //! The crate stays zero-dep: this module emits plain owned structures;
-//! human and JSON rendering belong to the CLI.
+//! human and JSON rendering belong to the CLI. Decisions are not a wire
+//! section: the loader derives them, and `surveyor::diff_snapshots` adds
+//! their comparison to this one.
 
 use crate::snapshot::{Snapshot, SnapshotProperty};
 use std::collections::BTreeMap;
@@ -17,8 +19,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SectionDelta {
     /// Section name (`properties`, `types`, `entities`, `evidence`,
-    /// `provenance`, `models`, `decisions`, `incremental`,
-    /// `fingerprints`).
+    /// `provenance`, `models`, `incremental`, `fingerprints`; the loader
+    /// adds `decisions`).
     pub section: &'static str,
     /// Row count in the first snapshot.
     pub count_a: usize,
@@ -33,6 +35,35 @@ pub struct SectionDelta {
 }
 
 impl SectionDelta {
+    /// Compares one section's rows of two snapshots, each keyed by its
+    /// stable identity: keys in one map only are added or removed, keys
+    /// in both with unequal values changed.
+    pub fn compare<V: PartialEq>(
+        section: &'static str,
+        a: BTreeMap<String, V>,
+        b: BTreeMap<String, V>,
+    ) -> Self {
+        let mut delta = Self {
+            section,
+            count_a: a.len(),
+            count_b: b.len(),
+            ..Self::default()
+        };
+        for (key, value) in &a {
+            match b.get(key) {
+                None => delta.removed.push(key.clone()),
+                Some(other) if other != value => delta.changed.push(key.clone()),
+                Some(_) => {}
+            }
+        }
+        for key in b.keys() {
+            if !a.contains_key(key) {
+                delta.added.push(key.clone());
+            }
+        }
+        delta
+    }
+
     /// Whether the section is identical across the two snapshots.
     pub fn is_identical(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty() && self.changed.is_empty()
@@ -117,32 +148,6 @@ impl Names<'_> {
     }
 }
 
-fn section_delta<V: PartialEq>(
-    section: &'static str,
-    a: BTreeMap<String, V>,
-    b: BTreeMap<String, V>,
-) -> SectionDelta {
-    let mut delta = SectionDelta {
-        section,
-        count_a: a.len(),
-        count_b: b.len(),
-        ..SectionDelta::default()
-    };
-    for (key, value) in &a {
-        match b.get(key) {
-            None => delta.removed.push(key.clone()),
-            Some(other) if other != value => delta.changed.push(key.clone()),
-            Some(_) => {}
-        }
-    }
-    for key in b.keys() {
-        if !a.contains_key(key) {
-            delta.added.push(key.clone());
-        }
-    }
-    delta
-}
-
 /// Compares two decoded snapshots section by section.
 pub fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
     diff_with_versions(a, b, crate::FORMAT_VERSION, crate::FORMAT_VERSION)
@@ -159,7 +164,7 @@ pub fn diff_with_versions(
     let names_a = Names { snapshot: a };
     let names_b = Names { snapshot: b };
 
-    let properties = section_delta(
+    let properties = SectionDelta::compare(
         "properties",
         a.properties
             .iter()
@@ -170,7 +175,7 @@ pub fn diff_with_versions(
             .map(|p| (property_display(p), ()))
             .collect(),
     );
-    let types = section_delta(
+    let types = SectionDelta::compare(
         "types",
         a.types
             .iter()
@@ -191,7 +196,7 @@ pub fn diff_with_versions(
             })
             .collect(),
     );
-    let entities = section_delta(
+    let entities = SectionDelta::compare(
         "entities",
         a.entities
             .iter()
@@ -220,7 +225,7 @@ pub fn diff_with_versions(
             })
             .collect(),
     );
-    let evidence = section_delta(
+    let evidence = SectionDelta::compare(
         "evidence",
         a.evidence
             .iter()
@@ -249,7 +254,7 @@ pub fn diff_with_versions(
             })
             .collect(),
     );
-    let provenance = section_delta(
+    let provenance = SectionDelta::compare(
         "provenance",
         a.provenance
             .iter()
@@ -280,7 +285,7 @@ pub fn diff_with_versions(
     );
     // Model parameters compare bit-exact: snapshots round-trip floats
     // exactly, so any bit difference is a real content change.
-    let models = section_delta(
+    let models = SectionDelta::compare(
         "models",
         a.models
             .iter()
@@ -321,51 +326,6 @@ pub fn diff_with_versions(
             })
             .collect(),
     );
-    let decision_value = |names: &Names<'_>, group: &crate::DecisionGroupRow| {
-        let mut rows: Vec<(String, u8, Option<u64>)> = group
-            .decisions
-            .iter()
-            .map(|d| {
-                (
-                    names.entity(d.entity),
-                    d.decision.code(),
-                    d.probability.map(f64::to_bits),
-                )
-            })
-            .collect();
-        rows.sort();
-        rows
-    };
-    let decisions = section_delta(
-        "decisions",
-        a.decisions
-            .iter()
-            .map(|g| {
-                (
-                    format!(
-                        "{} × {}",
-                        names_a.type_name(g.type_index),
-                        names_a.property(g.property)
-                    ),
-                    decision_value(&names_a, g),
-                )
-            })
-            .collect(),
-        b.decisions
-            .iter()
-            .map(|g| {
-                (
-                    format!(
-                        "{} × {}",
-                        names_b.type_name(g.type_index),
-                        names_b.property(g.property)
-                    ),
-                    decision_value(&names_b, g),
-                )
-            })
-            .collect(),
-    );
-
     // The optional incremental state compares field by field, so the
     // report names what moved (e.g. newly ingested ranges, a drained
     // replay queue) instead of a single opaque "changed".
@@ -395,10 +355,11 @@ pub fn diff_with_versions(
             ("pending shards".to_string(), format!("{:?}", state.pending)),
         ])
     };
-    let incremental = section_delta("incremental", incremental_value(a), incremental_value(b));
+    let incremental =
+        SectionDelta::compare("incremental", incremental_value(a), incremental_value(b));
     // Group fingerprints make "which groups did the delta dirty?" a
     // first-class diff answer: a changed key here is a dirtied group.
-    let fingerprints = section_delta(
+    let fingerprints = SectionDelta::compare(
         "fingerprints",
         a.fingerprints
             .iter()
@@ -439,7 +400,6 @@ pub fn diff_with_versions(
             evidence,
             provenance,
             models,
-            decisions,
             incremental,
             fingerprints,
         ],
@@ -449,10 +409,7 @@ pub fn diff_with_versions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{
-        DecisionCode, DecisionGroupRow, DecisionRow, EvidenceRow, ModelRow, SnapshotEntity,
-        SnapshotType,
-    };
+    use crate::snapshot::{EvidenceRow, ModelRow, SnapshotEntity, SnapshotType};
 
     fn world() -> Snapshot {
         Snapshot {
@@ -502,17 +459,6 @@ mod tests {
                 iterations: 12,
                 converged: 1,
                 log_likelihood: -4.2,
-                q_trace: vec![],
-                delta_trace: vec![],
-            }],
-            decisions: vec![DecisionGroupRow {
-                type_index: 0,
-                property: 0,
-                decisions: vec![DecisionRow {
-                    entity: 0,
-                    decision: DecisionCode::Positive,
-                    probability: Some(0.97),
-                }],
             }],
             incremental: None,
             fingerprints: vec![],
@@ -525,7 +471,7 @@ mod tests {
         let diff = diff_snapshots(&a, &a.clone());
         assert!(diff.is_identical());
         assert_eq!(diff.difference_count(), 0);
-        assert_eq!(diff.sections.len(), 9);
+        assert_eq!(diff.sections.len(), 8);
     }
 
     #[test]
@@ -548,10 +494,10 @@ mod tests {
 
         let diff = diff_snapshots(&a, &b);
         assert!(!diff.is_identical());
-        let fingerprints = &diff.sections[8];
+        let fingerprints = &diff.sections[7];
         assert_eq!(fingerprints.section, "fingerprints");
         assert_eq!(fingerprints.changed, vec!["city × big"]);
-        let incremental = &diff.sections[7];
+        let incremental = &diff.sections[6];
         assert_eq!(incremental.section, "incremental");
         assert_eq!(incremental.changed, vec!["ingested shards"]);
     }
@@ -595,20 +541,11 @@ mod tests {
         let diff = diff_snapshots(&a, &b);
         let models = &diff.sections[5];
         assert_eq!(models.changed, vec!["city × big"]);
-        // log-likelihood and traces are telemetry, not identity: a pure
-        // trace difference does not flag the model row.
+        // The log-likelihood is telemetry, not identity: it alone does
+        // not flag the model row.
         let mut c = world();
         c.models[0].log_likelihood = -9.9;
         assert!(diff_snapshots(&a, &c).is_identical());
-    }
-
-    #[test]
-    fn decision_flip_is_a_change() {
-        let a = world();
-        let mut b = world();
-        b.decisions[0].decisions[0].decision = DecisionCode::Negative;
-        let diff = diff_snapshots(&a, &b);
-        assert_eq!(diff.sections[6].changed, vec!["city × big"]);
     }
 
     #[test]
@@ -619,7 +556,6 @@ mod tests {
         // content is identical, only dense ids moved.
         b.entities.swap(0, 1);
         b.evidence[0].entity = 1;
-        b.decisions[0].decisions[0].entity = 1;
         let diff = diff_snapshots(&a, &b);
         assert!(
             diff.is_identical(),

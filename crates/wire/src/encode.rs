@@ -7,24 +7,23 @@
 use crate::crc32::crc32;
 use crate::cursor::{put_f64, put_str, put_u16, put_u32, put_u64, put_varint};
 use crate::section::{
-    SectionTag, TAG_DECISIONS, TAG_ENTITIES, TAG_EVIDENCE, TAG_FINGERPRINTS, TAG_INCREMENTAL,
-    TAG_MODELS, TAG_PROPERTIES, TAG_PROVENANCE, TAG_TYPES,
+    SectionTag, TAG_ENTITIES, TAG_EVIDENCE, TAG_FINGERPRINTS, TAG_INCREMENTAL, TAG_MODELS,
+    TAG_PROPERTIES, TAG_PROVENANCE, TAG_TYPES,
 };
 use crate::snapshot::Snapshot;
 use crate::{FORMAT_VERSION, MAGIC};
 
-/// Encodes a snapshot into the version-1 wire format.
+/// Encodes a snapshot into the wire format of [`FORMAT_VERSION`].
 ///
-/// The seven required sections are always emitted; the optional `INCR`
+/// The six required sections are always emitted; the optional `INCR`
 /// and `GRPF` sections follow only when [`Snapshot::incremental`] is set
-/// or [`Snapshot::fingerprints`] is non-empty, so a snapshot without
-/// incremental state encodes to the exact original seven-section stream.
+/// or [`Snapshot::fingerprints`] is non-empty.
 ///
 /// Every section is written straight into the output buffer behind a
 /// placeholder frame; its length and CRC are patched in once the payload
 /// is there, so no payload is built in a buffer of its own and copied.
 pub fn encode(snapshot: &Snapshot) -> Vec<u8> {
-    let section_count = 7
+    let section_count = 6
         + u32::from(snapshot.incremental.is_some())
         + u32::from(!snapshot.fingerprints.is_empty());
     let mut out = Vec::with_capacity(size_hint(snapshot));
@@ -38,7 +37,6 @@ pub fn encode(snapshot: &Snapshot) -> Vec<u8> {
     section(&mut out, TAG_EVIDENCE, snapshot, encode_evidence);
     section(&mut out, TAG_PROVENANCE, snapshot, encode_provenance);
     section(&mut out, TAG_MODELS, snapshot, encode_models);
-    section(&mut out, TAG_DECISIONS, snapshot, encode_decisions);
     if snapshot.incremental.is_some() {
         section(&mut out, TAG_INCREMENTAL, snapshot, encode_incremental);
     }
@@ -71,22 +69,13 @@ fn section(
 /// doubling its way up from empty. Only a capacity: a low estimate costs a
 /// reallocation, a high one some slack.
 fn size_hint(snapshot: &Snapshot) -> usize {
-    let decisions: usize = snapshot.decisions.iter().map(|g| g.decisions.len()).sum();
-    let traces: usize = snapshot
-        .models
-        .iter()
-        .map(|m| m.q_trace.len() + m.delta_trace.len())
-        .sum();
-    16 + 9 * 16
+    16 + 8 * 16
         + snapshot.properties.len() * 16
         + snapshot.types.len() * 64
         + snapshot.entities.len() * 48
         + snapshot.evidence.len() * 10
         + snapshot.provenance.len() * 20
-        + snapshot.models.len() * 48
-        + traces * 8
-        + snapshot.decisions.len() * 12
-        + decisions * 13
+        + snapshot.models.len() * 44
         + snapshot.fingerprints.len() * 20
 }
 
@@ -167,14 +156,6 @@ fn encode_models(buf: &mut Vec<u8>, snapshot: &Snapshot) {
         put_varint(buf, row.iterations);
         buf.push(row.converged);
         put_f64(buf, row.log_likelihood);
-        put_varint(buf, row.q_trace.len() as u64);
-        for &q in &row.q_trace {
-            put_f64(buf, q);
-        }
-        put_varint(buf, row.delta_trace.len() as u64);
-        for &d in &row.delta_trace {
-            put_f64(buf, d);
-        }
     }
 }
 
@@ -205,24 +186,5 @@ fn encode_fingerprints(buf: &mut Vec<u8>, snapshot: &Snapshot) {
         put_varint(buf, row.entities);
         put_varint(buf, row.total);
         put_u64(buf, row.fingerprint);
-    }
-}
-
-fn encode_decisions(buf: &mut Vec<u8>, snapshot: &Snapshot) {
-    put_varint(buf, snapshot.decisions.len() as u64);
-    for group in &snapshot.decisions {
-        put_u32(buf, group.type_index);
-        put_u32(buf, group.property);
-        put_varint(buf, group.decisions.len() as u64);
-        for row in &group.decisions {
-            match row.probability {
-                Some(p) => {
-                    buf.push(0x80 | row.decision.code());
-                    put_f64(buf, p);
-                }
-                None => buf.push(row.decision.code()),
-            }
-            put_u32(buf, row.entity);
-        }
     }
 }

@@ -2,10 +2,11 @@
 //! Surveyor worlds.
 //!
 //! A snapshot captures everything the pipeline mined — the knowledge
-//! base, the evidence counters, the provenance samples, the fitted
-//! per-(type, property) models, and the decided pairs — in one
-//! self-describing byte buffer that can be written to disk and loaded
-//! back without re-mining. The format is fully specified in `FORMAT.md`
+//! base, the evidence counters, the provenance samples and the fitted
+//! per-(type, property) models — in one self-describing byte buffer that
+//! can be written to disk and loaded back without re-mining. The decided
+//! pairs are not stored: each is a function of its model row and its
+//! entity's evidence counts, and loaders derive them. The format is fully specified in `FORMAT.md`
 //! at the repository root; this crate is its reference implementation
 //! and has **zero dependencies**.
 //!
@@ -15,8 +16,8 @@
 //! little-endian [`FORMAT_VERSION`], a reserved word, and a section
 //! count) followed by framed sections. Each frame carries a four-byte
 //! tag, a payload length, and a CRC-32 of the payload, so damage is
-//! detected before any record is parsed. Version-1 writers emit seven
-//! required sections in [`CANONICAL_ORDER`], optionally followed by the
+//! detected before any record is parsed. Writers emit six required
+//! sections in [`CANONICAL_ORDER`], optionally followed by the
 //! incremental-mining sections `INCR` and `GRPF`; readers skip unknown
 //! tags, which is the forward-compatibility hook for additive revisions.
 //!
@@ -78,27 +79,26 @@ mod section;
 mod snapshot;
 
 pub use decode::{
-    decode, AttrList, DecisionGroupIter, DecisionGroupRecord, DecisionList, EntityIter,
-    EntityRecord, EvidenceIter, F64List, FingerprintIter, ModelIter, ModelRecord, PropertyIter,
-    PropertyRecord, ProvenanceIter, ProvenanceRecord, SnapshotReader, StrList, TypeIter,
-    TypeRecord, U64List,
+    decode, AttrList, EntityIter, EntityRecord, EvidenceIter, FingerprintIter, ModelIter,
+    ModelRecord, PropertyIter, PropertyRecord, ProvenanceIter, ProvenanceRecord, SnapshotReader,
+    StrList, TypeIter, TypeRecord, U64List,
 };
 pub use diff::{diff_snapshots, diff_with_versions, SectionDelta, SnapshotDiff};
 pub use encode::encode;
 pub use error::WireError;
 pub use section::{
-    SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_DECISIONS, TAG_ENTITIES,
-    TAG_EVIDENCE, TAG_FINGERPRINTS, TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES, TAG_PROVENANCE,
-    TAG_TYPES,
+    SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_ENTITIES, TAG_EVIDENCE,
+    TAG_FINGERPRINTS, TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES, TAG_PROVENANCE, TAG_TYPES,
 };
 pub use snapshot::{
-    group_fingerprints, DecisionCode, DecisionGroupRow, DecisionRow, EvidenceRow, Fnv64,
-    GroupFingerprintRow, GroupFingerprinter, IncrementalState, ModelRow, ProvenanceRow, Snapshot,
-    SnapshotEntity, SnapshotProperty, SnapshotType,
+    group_fingerprints, EvidenceRow, Fnv64, GroupFingerprintRow, GroupFingerprinter,
+    IncrementalState, ModelRow, ProvenanceRow, Snapshot, SnapshotEntity, SnapshotProperty,
+    SnapshotType,
 };
 
 /// The eight magic bytes every snapshot starts with.
 pub const MAGIC: [u8; 8] = *b"SURVWIRE";
 
-/// The format version this crate reads and writes.
-pub const FORMAT_VERSION: u16 = 1;
+/// The format version this crate reads and writes. Version 1 also stored
+/// every entity's decision and each model's EM traces; it is refused.
+pub const FORMAT_VERSION: u16 = 2;

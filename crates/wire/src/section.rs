@@ -29,10 +29,8 @@ pub const TAG_ENTITIES: SectionTag = SectionTag(*b"ENTS");
 pub const TAG_EVIDENCE: SectionTag = SectionTag(*b"EVID");
 /// Supporting-document samples per (entity, property) pair.
 pub const TAG_PROVENANCE: SectionTag = SectionTag(*b"PROV");
-/// Fitted model parameters + EM telemetry per (type, property).
+/// Fitted model parameters per (type, property).
 pub const TAG_MODELS: SectionTag = SectionTag(*b"MODL");
-/// Entity decisions per (type, property) combination.
-pub const TAG_DECISIONS: SectionTag = SectionTag(*b"DECN");
 /// Optional: incremental-mining state (ingested shard ranges, replay
 /// queue, configuration digests).
 pub const TAG_INCREMENTAL: SectionTag = SectionTag(*b"INCR");
@@ -40,32 +38,30 @@ pub const TAG_INCREMENTAL: SectionTag = SectionTag(*b"INCR");
 /// detection between snapshots.
 pub const TAG_FINGERPRINTS: SectionTag = SectionTag(*b"GRPF");
 
-/// Every required section, in the canonical on-disk order. A version-1
-/// writer emits exactly these; a version-1 reader requires all of them,
-/// in this order, and skips unknown tags in between (the forward-compat
-/// hook for additive revisions).
-pub const CANONICAL_ORDER: [SectionTag; 7] = [
+/// Every required section, in the canonical on-disk order. A writer emits
+/// exactly these; a reader requires all of them, in this order, and skips
+/// unknown tags in between (the forward-compat hook for additive
+/// revisions).
+pub const CANONICAL_ORDER: [SectionTag; 6] = [
     TAG_PROPERTIES,
     TAG_TYPES,
     TAG_ENTITIES,
     TAG_EVIDENCE,
     TAG_PROVENANCE,
     TAG_MODELS,
-    TAG_DECISIONS,
 ];
 
 /// Every section this reader understands, required and optional, in the
-/// canonical on-disk order. Optional sections follow the required seven;
+/// canonical on-disk order. Optional sections follow the required six;
 /// a reader accepts any subset of the optional tail as long as relative
 /// order is preserved.
-pub const KNOWN_ORDER: [SectionTag; 9] = [
+pub const KNOWN_ORDER: [SectionTag; 8] = [
     TAG_PROPERTIES,
     TAG_TYPES,
     TAG_ENTITIES,
     TAG_EVIDENCE,
     TAG_PROVENANCE,
     TAG_MODELS,
-    TAG_DECISIONS,
     TAG_INCREMENTAL,
     TAG_FINGERPRINTS,
 ];
@@ -73,7 +69,7 @@ pub const KNOWN_ORDER: [SectionTag; 9] = [
 /// How many leading entries of [`KNOWN_ORDER`] are required. Positions at
 /// or past this index are optional: a decoder skips them without error
 /// when absent.
-pub const REQUIRED_SECTIONS: usize = 7;
+pub const REQUIRED_SECTIONS: usize = 6;
 
 #[cfg(test)]
 mod tests {
@@ -82,7 +78,7 @@ mod tests {
     #[test]
     fn tags_render_as_ascii() {
         assert_eq!(TAG_PROPERTIES.to_string(), "PROP");
-        assert_eq!(TAG_DECISIONS.to_string(), "DECN");
+        assert_eq!(TAG_MODELS.to_string(), "MODL");
         assert_eq!(
             SectionTag([0x41, 0x00, 0x42, 0xff]).to_string(),
             "A\\x00B\\xff"

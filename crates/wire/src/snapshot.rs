@@ -67,7 +67,9 @@ pub struct ProvenanceRow {
 }
 
 /// One fitted-model row of section `MODL`: the parameters and EM
-/// telemetry of a (type, property) combination.
+/// summary of a (type, property) combination. Its decisions are not
+/// stored: a loader derives each from these parameters and the entity's
+/// `EVID` counts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ModelRow {
     /// Index into the type table.
@@ -86,66 +88,6 @@ pub struct ModelRow {
     pub converged: u8,
     /// Mixture log-likelihood of the fitted parameters.
     pub log_likelihood: f64,
-    /// Per-iteration expected complete-data log-likelihood trace.
-    pub q_trace: Vec<f64>,
-    /// Per-iteration parameter-movement trace.
-    pub delta_trace: Vec<f64>,
-}
-
-/// The polarity code of one decided pair, as stored on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecisionCode {
-    /// No decision (probability exactly ½).
-    #[default]
-    Unsolved,
-    /// The dominant opinion applies the property.
-    Positive,
-    /// The dominant opinion denies the property.
-    Negative,
-}
-
-impl DecisionCode {
-    /// The two-bit wire code.
-    pub fn code(self) -> u8 {
-        match self {
-            Self::Unsolved => 0,
-            Self::Positive => 1,
-            Self::Negative => 2,
-        }
-    }
-
-    /// Decodes a two-bit wire code.
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(Self::Unsolved),
-            1 => Some(Self::Positive),
-            2 => Some(Self::Negative),
-            _ => None,
-        }
-    }
-}
-
-/// One entity's decision inside a [`DecisionGroupRow`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct DecisionRow {
-    /// The entity.
-    pub entity: u32,
-    /// The decided polarity.
-    pub decision: DecisionCode,
-    /// The posterior probability behind it, when the model computed one.
-    pub probability: Option<f64>,
-}
-
-/// One combination's decisions in section `DECN`. Groups appear in the
-/// same order as the `MODL` rows they belong to.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DecisionGroupRow {
-    /// Index into the type table.
-    pub type_index: u32,
-    /// Index into the property table.
-    pub property: u32,
-    /// Decisions for every entity of the type, in entity-table order.
-    pub decisions: Vec<DecisionRow>,
 }
 
 /// Incremental-mining state carried by the optional `INCR` section: which
@@ -233,13 +175,10 @@ pub struct GroupFingerprintRow {
 ///   same mined world always produces the same table bytes;
 /// - `evidence` and `provenance` rows are sorted by
 ///   `(entity, property)`;
-/// - `models` and `decisions` are parallel: same length, same
-///   `(type_index, property)` per rank, sorted by that key;
-/// - `fingerprints` is sorted by `(type_index, property)`.
+/// - `models` and `fingerprints` are sorted by `(type_index, property)`.
 ///
 /// The `incremental` and `fingerprints` fields are optional: `None`/empty
-/// values encode to the exact version-1 seven-section byte stream, so
-/// snapshots that never touch the incremental pipeline are unchanged.
+/// values encode to the six required sections alone.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     /// The property table.
@@ -256,8 +195,6 @@ pub struct Snapshot {
     pub provenance: Vec<ProvenanceRow>,
     /// Fitted models.
     pub models: Vec<ModelRow>,
-    /// Decisions per combination.
-    pub decisions: Vec<DecisionGroupRow>,
     /// Incremental-mining state (optional section `INCR`).
     pub incremental: Option<IncrementalState>,
     /// Group fingerprints (optional section `GRPF`); empty = absent.
@@ -390,19 +327,6 @@ pub fn group_fingerprints(snapshot: &Snapshot) -> Vec<GroupFingerprintRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn decision_codes_round_trip() {
-        for d in [
-            DecisionCode::Unsolved,
-            DecisionCode::Positive,
-            DecisionCode::Negative,
-        ] {
-            assert_eq!(DecisionCode::from_code(d.code()), Some(d));
-        }
-        assert_eq!(DecisionCode::from_code(3), None);
-        assert_eq!(DecisionCode::from_code(255), None);
-    }
 
     #[test]
     fn ingest_range_merges_overlaps_and_adjacency() {

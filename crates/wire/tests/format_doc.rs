@@ -5,8 +5,8 @@
 //! the byte tables in FORMAT.md can never silently drift.
 
 use surveyor_wire::{
-    decode, encode, DecisionCode, DecisionGroupRow, DecisionRow, EvidenceRow, ModelRow,
-    ProvenanceRow, Snapshot, SnapshotEntity, SnapshotProperty, SnapshotType,
+    decode, encode, EvidenceRow, ModelRow, ProvenanceRow, Snapshot, SnapshotEntity,
+    SnapshotProperty, SnapshotType,
 };
 
 /// The snapshot FORMAT.md walks through byte by byte. Every float is
@@ -57,24 +57,6 @@ fn worked_example() -> Snapshot {
             iterations: 2,
             converged: 0,
             log_likelihood: -1.5,
-            q_trace: vec![],
-            delta_trace: vec![],
-        }],
-        decisions: vec![DecisionGroupRow {
-            type_index: 0,
-            property: 0,
-            decisions: vec![
-                DecisionRow {
-                    entity: 0,
-                    decision: DecisionCode::Positive,
-                    probability: Some(0.96875),
-                },
-                DecisionRow {
-                    entity: 1,
-                    decision: DecisionCode::Negative,
-                    probability: None,
-                },
-            ],
         }],
         incremental: None,
         fingerprints: vec![],
@@ -162,9 +144,4 @@ fn doc_hexdump_decodes_back_to_the_worked_example() {
     let bytes = parse_hexdump(&doc_hexdump());
     let snapshot = decode(&bytes).expect("the spec's bytes are a valid snapshot");
     assert_eq!(snapshot, worked_example());
-    // And the example exercises both decision encodings the spec
-    // documents: with and without a probability.
-    let group = &snapshot.decisions[0];
-    assert!(group.decisions[0].probability.is_some());
-    assert!(group.decisions[1].probability.is_none());
 }

@@ -4,9 +4,8 @@
 
 use proptest::prelude::*;
 use surveyor_wire::{
-    decode, encode, DecisionCode, DecisionGroupRow, DecisionRow, EvidenceRow, GroupFingerprintRow,
-    IncrementalState, ModelRow, ProvenanceRow, Snapshot, SnapshotEntity, SnapshotProperty,
-    SnapshotType, MAGIC,
+    decode, encode, EvidenceRow, GroupFingerprintRow, IncrementalState, ModelRow, ProvenanceRow,
+    Snapshot, SnapshotEntity, SnapshotProperty, SnapshotType, MAGIC,
 };
 
 fn word() -> impl Strategy<Value = String> {
@@ -90,17 +89,12 @@ fn model_s() -> impl Strategy<Value = ModelRow> {
         (0u32..8, 0u32..16),
         (finite_f64(), finite_f64(), finite_f64(), finite_f64()),
         (0u64..500, 0u8..3),
-        (
-            prop::collection::vec(finite_f64(), 0..4),
-            prop::collection::vec(finite_f64(), 0..4),
-        ),
     )
         .prop_map(
             |(
                 (type_index, property),
                 (p_agree, rate_pos, rate_neg, log_likelihood),
                 (iterations, converged),
-                (q_trace, delta_trace),
             )| ModelRow {
                 type_index,
                 property,
@@ -110,30 +104,8 @@ fn model_s() -> impl Strategy<Value = ModelRow> {
                 iterations,
                 converged,
                 log_likelihood,
-                q_trace,
-                delta_trace,
             },
         )
-}
-
-fn decision_s() -> impl Strategy<Value = DecisionRow> {
-    (0u32..64, 0u8..3, prop::bool::ANY, finite_f64()).prop_map(
-        |(entity, code, with_probability, p)| DecisionRow {
-            entity,
-            decision: DecisionCode::from_code(code).unwrap_or(DecisionCode::Unsolved),
-            probability: if with_probability { Some(p) } else { None },
-        },
-    )
-}
-
-fn group_s() -> impl Strategy<Value = DecisionGroupRow> {
-    (0u32..8, 0u32..16, prop::collection::vec(decision_s(), 0..5)).prop_map(
-        |(type_index, property, decisions)| DecisionGroupRow {
-            type_index,
-            property,
-            decisions,
-        },
-    )
 }
 
 /// Canonical ingested ranges: strictly increasing, disjoint, and
@@ -207,17 +179,14 @@ fn snapshot_s() -> impl Strategy<Value = Snapshot> {
             0u64..64,
             prop::collection::vec(provenance_s(), 0..4),
         ),
-        (
-            prop::collection::vec(model_s(), 0..3),
-            prop::collection::vec(group_s(), 0..3),
-        ),
+        prop::collection::vec(model_s(), 0..3),
         (incremental_s(), fingerprints_s()),
     )
         .prop_map(
             |(
                 (properties, types, entities),
                 (evidence, provenance_sample_size, provenance),
-                (models, decisions),
+                models,
                 (incremental, fingerprints),
             )| Snapshot {
                 properties,
@@ -227,7 +196,6 @@ fn snapshot_s() -> impl Strategy<Value = Snapshot> {
                 provenance_sample_size,
                 provenance,
                 models,
-                decisions,
                 incremental,
                 fingerprints,
             },
@@ -292,7 +260,7 @@ proptest! {
         let snapshot = Snapshot {
             models: vec![ModelRow {
                 p_agree: value,
-                q_trace: vec![value],
+                log_likelihood: value,
                 ..ModelRow::default()
             }],
             ..Snapshot::default()
@@ -301,6 +269,6 @@ proptest! {
             TestCaseError::Fail(format!("decode failed: {e}"))
         })?;
         prop_assert_eq!(decoded.models[0].p_agree.to_bits(), bits);
-        prop_assert_eq!(decoded.models[0].q_trace[0].to_bits(), bits);
+        prop_assert_eq!(decoded.models[0].log_likelihood.to_bits(), bits);
     }
 }

@@ -82,6 +82,20 @@ cargo run --release -q -p surveyor-cli --bin surveyor -- \
 [ "$rc" -eq 3 ] \
     || { echo "truncated snapshot: expected exit 3, got $rc" >&2; exit 1; }
 
+# A version-1 snapshot stored every decision; this reader derives them and
+# must refuse the old layout (exit 3, naming the version) rather than
+# misread it. The gate's own file with its version word patched to 1.
+cp artifacts/world.swire artifacts/version1.swire
+printf '\001\000' | dd of=artifacts/version1.swire bs=1 seek=8 conv=notrunc 2> /dev/null
+rc=0
+cargo run --release -q -p surveyor-cli --bin surveyor -- \
+    load --snapshot artifacts/version1.swire > artifacts/version1_load.txt 2>&1 || rc=$?
+[ "$rc" -eq 3 ] \
+    || { echo "version-1 snapshot: expected exit 3, got $rc" >&2; exit 1; }
+grep -q 'unsupported snapshot version 1 ' artifacts/version1_load.txt \
+    || { echo "version-1 snapshot: refused for the wrong reason" >&2; exit 1; }
+rm -f artifacts/version1.swire artifacts/version1_load.txt
+
 # Snapshot bench smoke: quick encode/validate/load throughput with the
 # load-vs-remine speedup floor, the byte-identity verdict, and a floor
 # on container validation armed (framing + one CRC-32 per section reads
@@ -90,7 +104,7 @@ cargo run --release -q -p surveyor-bench --bin bench -- \
     snapshot --quick --assert-speedup 5 --assert-validate-mb-s 400 \
     --out artifacts/snapshot_smoke.json > /dev/null
 for key in '"schema_version"' '"format_version"' '"snapshot_bytes"' \
-           '"encode_mb_s"' '"decode_mb_s"' \
+           '"section_bytes"' '"encode_mb_s"' '"decode_mb_s"' \
            '"validate_seconds"' '"validate_mb_s"' \
            '"speedup_load_vs_remine"' '"byte_identical"'; do
     grep -q "$key" artifacts/snapshot_smoke.json \

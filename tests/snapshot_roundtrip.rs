@@ -334,7 +334,7 @@ fn damage_inside_valid_frames_is_an_error_or_a_world_never_a_panic() {
     let output = surveyor(kb, 2).run(&CorpusSource::new(&generator));
     let bytes = save_snapshot_with_state(&output, &some_state());
     let frames = frames(&bytes);
-    assert_eq!(frames.len(), 9, "all nine sections");
+    assert_eq!(frames.len(), 8, "all eight sections");
 
     let mut rng = 0x2015_u64;
     let mut next = move || {
