@@ -43,14 +43,6 @@
 //! store and on one with ten times the pairs; `--assert-lookup-flat`
 //! exits nonzero when the larger reads more than 3x the smaller.
 //!
-//! `lint` measures the flow-aware linter over the workspace at `--root`
-//! (default `.`): a 1/2/4/8-worker sweep with byte-identity checks, then
-//! a cold-vs-warm incremental-cache pass, and writes `BENCH_lint.json`
-//! (schema-validated before writing). `--assert-cache` exits nonzero
-//! unless the warm run reused at least 90% of the unchanged files,
-//! outran the cold run, and every configuration produced the same
-//! report.
-//!
 //! `incremental` measures delta ingestion against from-scratch mining:
 //! a delta-size sweep on a fixed corpus (update time must track the
 //! delta, every update byte-identical to the from-scratch mine), a
@@ -78,8 +70,6 @@ const USAGE: &str = "usage: bench pipeline [--seed N] [--threads N] \
                      [--assert-speedup X] [--assert-validate-mb-s X]\n\
                      \u{20}      bench serve [--seed N] [--out PATH] [--quick] \
                      [--assert-chaos] [--assert-lookup-flat]\n\
-                     \u{20}      bench lint [--root PATH] [--out PATH] [--quick] \
-                     [--assert-cache]\n\
                      \u{20}      bench incremental [--seed N] [--out PATH] [--quick] \
                      [--assert-delta-scaling]\n\
                      \u{20}      bench diff <current.json> <baseline.json>";
@@ -95,7 +85,6 @@ fn main() -> ExitCode {
         "scale" => scale(rest),
         "snapshot" => snapshot(rest),
         "serve" => serve(rest),
-        "lint" => lint(rest),
         "incremental" => incremental(rest),
         "diff" => diff(rest),
         _ => {
@@ -503,79 +492,6 @@ fn serve(rest: &[String]) -> ExitCode {
     }
 }
 
-/// `bench lint`: linter wall time, parallel speedup, and warm-cache hit
-/// rate behind `BENCH_lint.json`.
-fn lint(rest: &[String]) -> ExitCode {
-    let mut root = ".".to_owned();
-    let mut out = "BENCH_lint.json".to_owned();
-    let mut quick = false;
-    let mut assert_cache = false;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--assert-cache" => assert_cache = true,
-            "--root" | "--out" => {
-                let Some(value) = it.next() else {
-                    eprintln!("missing value for {arg}\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                match arg.as_str() {
-                    "--root" => root = value.clone(),
-                    _ => out = value.clone(),
-                }
-            }
-            _ => {
-                eprintln!("unknown flag {arg}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let (text, value) = match experiments::lint_bench(std::path::Path::new(&root), quick) {
-        Ok(result) => result,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{text}");
-
-    if let Err(e) = validate_lint_schema(&value) {
-        eprintln!("internal error: lint artifact failed schema validation: {e}");
-        return ExitCode::FAILURE;
-    }
-    match std::fs::File::create(&out).and_then(|mut f| {
-        f.write_all(
-            serde_json::to_string_pretty(&value)
-                .expect("serializable artifact")
-                .as_bytes(),
-        )
-    }) {
-        Ok(()) => {
-            eprintln!("wrote {out}");
-            if assert_cache {
-                let reuse = value["cache"]["reuse_fraction"].as_f64().unwrap_or(0.0);
-                let warm_faster = value["cache"]["warm_speedup"].as_f64().unwrap_or(0.0) > 1.0;
-                let identical = value["identical_across_workers"].as_bool() == Some(true)
-                    && value["cache"]["identical_to_cold"].as_bool() == Some(true);
-                if reuse < 0.9 || !warm_faster || !identical {
-                    eprintln!(
-                        "assert-cache: failed (reuse {reuse:.2} vs floor 0.90, warm faster \
-                         than cold: {warm_faster}, identical output: {identical})"
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("cannot write {out}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 /// `bench incremental`: delta ingestion vs from-scratch mining behind
 /// `BENCH_incremental.json`.
 fn incremental(rest: &[String]) -> ExitCode {
@@ -750,61 +666,6 @@ fn validate_incremental_schema(value: &serde_json::Value) -> Result<(), String> 
     }
     if warm["decisions_identical"].as_bool().is_none() {
         return Err("warm_seeded.decisions_identical is not a boolean".to_owned());
-    }
-    Ok(())
-}
-
-/// Checks the `BENCH_lint.json` shape before anything is written
-/// (verify.sh greps these same keys as a second line of defense).
-fn validate_lint_schema(value: &serde_json::Value) -> Result<(), String> {
-    for key in ["schema_version", "preset", "ruleset_version", "timing"] {
-        if value.get(key).is_none() {
-            return Err(format!("missing top-level key {key:?}"));
-        }
-    }
-    if value["schema_version"].as_u64() != Some(1) {
-        return Err("schema_version is not 1".to_owned());
-    }
-    for key in ["files_scanned", "findings"] {
-        if value[key].as_u64().is_none() {
-            return Err(format!("{key} is not a number"));
-        }
-    }
-    let rows = value["workers"]
-        .as_array()
-        .ok_or_else(|| "workers is not an array".to_owned())?;
-    if rows.len() != 4 {
-        return Err(format!("workers has {} rows, want 4", rows.len()));
-    }
-    for row in rows {
-        for key in ["workers", "seconds"] {
-            if row[key].as_f64().is_none() {
-                return Err(format!("workers row missing numeric {key:?}"));
-            }
-        }
-    }
-    if value["parallel_speedup"].as_f64().is_none() {
-        return Err("parallel_speedup is not a number".to_owned());
-    }
-    if value["identical_across_workers"].as_bool().is_none() {
-        return Err("identical_across_workers is not a boolean".to_owned());
-    }
-    let cache = &value["cache"];
-    for key in [
-        "cold_seconds",
-        "warm_seconds",
-        "warm_speedup",
-        "reuse_fraction",
-    ] {
-        if cache[key].as_f64().is_none() {
-            return Err(format!("cache.{key} is not a number"));
-        }
-    }
-    if cache["files_reused"].as_u64().is_none() {
-        return Err("cache.files_reused is not a number".to_owned());
-    }
-    if cache["identical_to_cold"].as_bool().is_none() {
-        return Err("cache.identical_to_cold is not a boolean".to_owned());
     }
     Ok(())
 }

@@ -1292,149 +1292,6 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     (text, value)
 }
 
-/// `bench lint`: wall time, parallel speedup, and warm-cache hit rate of
-/// the flow-aware linter over the workspace at `root`, behind
-/// `BENCH_lint.json`.
-///
-/// Three measurements: (1) a 1/2/4/8-worker sweep with the cache off,
-/// asserting byte-identical JSON reports at every width; (2) a cold run
-/// against a fresh cache file; (3) a warm run against that same file,
-/// whose `reuse_fraction` is the fraction of unchanged files the cache
-/// let the linter skip re-analyzing.
-pub fn lint_bench(root: &std::path::Path, quick: bool) -> Result<(String, Value), String> {
-    use surveyor_lint::output::render_json;
-    use surveyor_lint::{lint_workspace_with, load_config, LintOptions};
-
-    let timed_runs = if quick { 2 } else { TIMED_RUNS };
-    let config = load_config(&root.join("lint.toml"))
-        .map_err(|e| format!("loading {}: {e}", root.join("lint.toml").display()))?;
-    let lint = |opts: &LintOptions| {
-        lint_workspace_with(root, &config, opts).map_err(|e| format!("linting workspace: {e}"))
-    };
-
-    // Worker sweep, cache off: median wall time per width, and the JSON
-    // report must not move a byte between widths.
-    let mut sweep = Vec::new();
-    let mut reference: Option<String> = None;
-    let mut identical_across_workers = true;
-    for workers in [1usize, 2, 4, 8] {
-        let opts = LintOptions {
-            workers,
-            cache_path: None,
-        };
-        let mut run = lint(&opts)?;
-        let mut samples = Vec::with_capacity(timed_runs);
-        for timed in 0..=timed_runs {
-            let start = Instant::now();
-            run = lint(&opts)?;
-            if timed > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let rendered = render_json(&run.findings, run.files_scanned);
-        match &reference {
-            None => reference = Some(rendered),
-            Some(want) => identical_across_workers &= *want == rendered,
-        }
-        sweep.push((workers, median(&mut samples), run));
-    }
-    let (_, t1, base) = &sweep[0];
-    let best = sweep
-        .iter()
-        .map(|&(_, t, _)| t)
-        .fold(f64::INFINITY, f64::min);
-    let parallel_speedup = t1 / best.max(f64::EPSILON);
-
-    // Cold vs warm cache at the widest width.
-    let cache_path = std::env::temp_dir().join(format!(
-        "surveyor-lint-bench-{}-cache.json",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&cache_path);
-    let opts = LintOptions {
-        workers: 8,
-        cache_path: Some(cache_path.clone()),
-    };
-    let start = Instant::now();
-    let cold = lint(&opts)?;
-    let cold_seconds = start.elapsed().as_secs_f64();
-    let mut warm_samples = Vec::with_capacity(timed_runs);
-    let mut warm = lint(&opts)?;
-    for timed in 0..=timed_runs {
-        let start = Instant::now();
-        warm = lint(&opts)?;
-        if timed > 0 {
-            warm_samples.push(start.elapsed().as_secs_f64());
-        }
-    }
-    let warm_seconds = median(&mut warm_samples);
-    let _ = std::fs::remove_file(&cache_path);
-    let reuse_fraction = warm.files_reused as f64 / warm.files_scanned.max(1) as f64;
-    let warm_identical = render_json(&warm.findings, warm.files_scanned)
-        == render_json(&cold.findings, cold.files_scanned);
-
-    let mut rows: Vec<Vec<String>> = sweep
-        .iter()
-        .map(|(workers, seconds, run)| {
-            vec![
-                format!("{workers} workers"),
-                format!("{seconds:.4}s"),
-                format!(
-                    "{} findings / {} files",
-                    run.findings.len(),
-                    run.files_scanned
-                ),
-            ]
-        })
-        .collect();
-    rows.push(vec![
-        "cold cache".to_owned(),
-        format!("{cold_seconds:.4}s"),
-        format!("{} reused", cold.files_reused),
-    ]);
-    rows.push(vec![
-        "warm cache".to_owned(),
-        format!("{warm_seconds:.4}s"),
-        format!(
-            "{}/{} reused ({:.0}%)",
-            warm.files_reused,
-            warm.files_scanned,
-            reuse_fraction * 100.0
-        ),
-    ]);
-    let text = format!(
-        "Lint throughput — parallel sweep + incremental cache ({} files)\n{}\nparallel speedup \
-         (1 -> best width): {parallel_speedup:.2}x, identical output across widths: \
-         {identical_across_workers}",
-        base.files_scanned,
-        render::table(&["Configuration", "Median time", "Detail"], &rows)
-    );
-    let value = json!({
-        "schema_version": 1,
-        "preset": "workspace",
-        "quick": quick,
-        "timing": timing_block(timed_runs),
-        "ruleset_version": surveyor_lint::rules::RULESET_VERSION,
-        "files_scanned": base.files_scanned,
-        "findings": base.findings.len(),
-        "workers": sweep.iter().map(|(workers, seconds, _)| json!({
-            "workers": workers,
-            "seconds": seconds,
-        })).collect::<Vec<_>>(),
-        "parallel_speedup": parallel_speedup,
-        "identical_across_workers": identical_across_workers,
-        "cache": json!({
-            "cold_seconds": cold_seconds,
-            "warm_seconds": warm_seconds,
-            "warm_speedup": cold_seconds / warm_seconds.max(f64::EPSILON),
-            "files_reused": warm.files_reused,
-            "reuse_fraction": reuse_fraction,
-            "identical_to_cold": warm_identical,
-        }),
-    });
-    Ok((text, value))
-}
-
 /// One HTTP/1.1 exchange against a bench server: connect, send `request`
 /// verbatim, read to EOF (the server closes every connection), and parse
 /// the status line. `None` covers every transport failure — in the chaos

@@ -5,8 +5,8 @@
 //! and reduces every non-test function to a [`FnSummary`]: the calls it
 //! makes, the panic sites and lock acquisitions it contains, and a
 //! per-statement fact table for taint tracking. Summaries are plain
-//! data — they are what the incremental cache stores, so a warm run
-//! can execute the graph phase without re-reading unchanged files.
+//! data, a pure function of one file's bytes, so files can be
+//! summarized on any worker and merged back in walk order.
 //!
 //! [`run_flow_rules`] then groups summaries by crate (`crates/<name>`
 //! prefix), resolves calls by suffix-matching qualified names, and
@@ -255,7 +255,7 @@ pub fn summarize(
         // Only statements that can move taint matter downstream:
         // bindings, cleansers, sinks, and returns. Everything else
         // would just compute a taint bit and discard it, so drop it
-        // here — the summary (and the on-disk cache) stays small.
+        // here and keep the summary small.
         f.stmts
             .retain(|s| !s.targets.is_empty() || s.sink.is_some() || s.is_return || s.cleansed);
         fns.push(f);

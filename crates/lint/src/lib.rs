@@ -24,22 +24,17 @@
 //!   flow-aware rules (panic reachability, lock ordering, unordered
 //!   iteration taint, deadline propagation);
 //! - [`walker`] — deterministic sorted workspace traversal;
-//! - [`cache`] — the incremental cache under `artifacts/`, keyed on
-//!   (content hash, lint.toml hash, rule-set version);
-//! - [`json`] — a panic-free JSON reader for the cache and report
-//!   re-hydration;
 //! - [`output`] — `file:line:col` human listings and the versioned
-//!   (v2) JSON report, with a v1-compatible reader.
+//!   (v2) JSON report.
 //!
 //! Files are scanned in parallel by a claim-cursor worker pool and
 //! merged back in walk order, then the flow rules run over the full
-//! summary set — so the report is byte-identical at any worker count
-//! and with a cold or warm cache.
+//! summary set — so the report is byte-identical at any worker count.
 //!
 //! The binary (`cargo run --release -p surveyor-lint`) exits 0 on a
-//! clean workspace, 1 when there are findings (after `--max-severity`
-//! filtering), and 2 on usage or configuration errors —
-//! `scripts/verify.sh` treats any nonzero exit as a gate failure.
+//! clean workspace, 1 when there are findings, and 2 on usage,
+//! configuration or IO errors — `scripts/verify.sh` treats any nonzero
+//! exit as a gate failure.
 //!
 //! ```
 //! use surveyor_lint::{config::LintConfig, rules};
@@ -59,20 +54,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod callgraph;
 pub mod config;
-pub mod json;
 pub mod lexer;
 pub mod output;
 pub mod rules;
 pub mod syntax;
 pub mod walker;
 
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Result of linting a workspace: sorted findings plus scan stats.
 #[derive(Debug, Clone, Default)]
@@ -81,8 +72,6 @@ pub struct LintRun {
     pub findings: Vec<rules::Finding>,
     /// How many files were scanned.
     pub files_scanned: usize,
-    /// How many of those were reused from the incremental cache.
-    pub files_reused: usize,
 }
 
 /// Errors that stop a lint run before any file is judged.
@@ -104,148 +93,62 @@ impl std::fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Execution options for [`lint_workspace_with`].
-#[derive(Debug, Clone, Default)]
-pub struct LintOptions {
-    /// Worker threads for the file-scan phase; 0 means "available
-    /// parallelism" (capped at 8 — scans are short).
-    pub workers: usize,
-    /// Where to load/store the incremental cache; `None` disables it.
-    pub cache_path: Option<PathBuf>,
-}
-
-/// Lints every `.rs` file under `root` using `config`, serially and
-/// without a cache. Findings come back sorted, so two runs over the
-/// same tree are byte-identical. Equivalent to [`lint_workspace_with`]
-/// with default [`LintOptions`].
-pub fn lint_workspace(root: &Path, config: &config::LintConfig) -> Result<LintRun, LintError> {
-    lint_workspace_with(root, config, &LintOptions::default())
-}
-
-/// Lints every `.rs` file under `root` using `config`, with a
-/// claim-cursor worker pool and the incremental cache.
+/// Lints every `.rs` file under `root` using `config`, scanning files
+/// on `workers` threads (at least one).
 ///
-/// The pipeline: collect files (sorted), scan each in parallel (cache
-/// hits skip the lex/parse entirely), merge per-file scans back in
-/// walk order, run the flow rules over all summaries, then apply
-/// pragmas globally and sort. Worker count and cache state can only
-/// change wall-time, never the findings — which is why neither appears
-/// in the JSON report.
-pub fn lint_workspace_with(
+/// The pipeline: collect files (sorted), lex, parse and summarize each
+/// on a claim-cursor pool, merge the per-file scans back in walk order,
+/// run the flow rules over all summaries, then apply pragmas globally
+/// and sort. The width changes wall-time, never the findings — which is
+/// why it does not appear in the JSON report. When files cannot be
+/// read, the error names the first of them in walk order.
+pub fn lint_workspace(
     root: &Path,
     config: &config::LintConfig,
-    opts: &LintOptions,
+    workers: usize,
 ) -> Result<LintRun, LintError> {
     let files = walker::collect_rust_files(root, config)
         .map_err(|e| LintError::Io(format!("walking {}: {e}", root.display())))?;
-    let config_hash = cache::fnv1a(format!("{config:?}").as_bytes());
-    let cached = match &opts.cache_path {
-        Some(path) => cache::load(path, config_hash),
-        None => cache::Cache::default(),
-    };
-    // Hand each cached scan out by value: every file is claimed at most
-    // once, so workers `take()` entries instead of deep-cloning them —
-    // on a fully warm run that clone was the second-largest cost after
-    // parsing the cache itself.
-    let cache_total = cached.entries.len();
-    let cached_slots: BTreeMap<String, (u64, Mutex<Option<rules::FileScan>>)> = cached
-        .entries
-        .into_iter()
-        .map(|(rel, entry)| (rel, (entry.hash, Mutex::new(Some(entry.scan)))))
-        .collect();
 
-    let workers = match opts.workers {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
-        n => n,
-    }
-    .min(files.len().max(1));
-
-    // Claim-cursor fan-out (the PR-5 worker pattern): each worker
-    // claims the next unscanned index; results carry their index so
-    // the merge is in deterministic walk order regardless of timing.
+    // Claim-cursor fan-out: each worker claims the next unscanned index
+    // and hands back what it scanned, index attached, through the join.
     let cursor = AtomicUsize::new(0);
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let slots: Vec<Mutex<Option<(u64, rules::FileScan, bool)>>> =
-        (0..files.len()).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(file) = files.get(idx) else {
-                    break;
-                };
-                let src = match std::fs::read(&file.abs) {
-                    Ok(src) => src,
-                    Err(e) => {
-                        if let Ok(mut errs) = errors.lock() {
-                            errs.push(format!("reading {}: {e}", file.rel));
-                        }
-                        continue;
-                    }
-                };
-                let hash = cache::fnv1a(&src);
-                let reusable = match cached_slots.get(&file.rel) {
-                    Some((cached_hash, slot)) if *cached_hash == hash => {
-                        slot.lock().ok().and_then(|mut scan| scan.take())
-                    }
-                    _ => None,
-                };
-                let (scan, reused) = match reusable {
-                    Some(scan) => (scan, true),
-                    None => (
-                        rules::analyze_file(&file.rel, &src, file.is_crate_root, config),
-                        false,
-                    ),
-                };
-                if let Ok(mut slot) = slots[idx].lock() {
-                    *slot = Some((hash, scan, reused));
-                }
-            });
+    let scan_claimed = || {
+        let mut done = Vec::new();
+        loop {
+            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(file) = files.get(idx) else {
+                break done;
+            };
+            let scan = std::fs::read(&file.abs)
+                .map(|src| rules::analyze_file(&file.rel, &src, file.is_crate_root, config))
+                .map_err(|e| format!("reading {}: {e}", file.rel));
+            done.push((idx, scan));
         }
-    });
-    if let Ok(errs) = errors.lock() {
-        if let Some(first) = errs.first() {
-            return Err(LintError::Io(first.clone()));
+    };
+    let mut scanned = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.clamp(1, files.len().max(1)))
+            .map(|_| scope.spawn(scan_claimed))
+            .collect();
+        let mut scanned = Vec::with_capacity(files.len());
+        for handle in handles {
+            let done = handle
+                .join()
+                .map_err(|_| LintError::Io("a scan worker panicked".to_owned()))?;
+            scanned.extend(done);
         }
-    }
-    let mut scans: Vec<rules::FileScan> = Vec::with_capacity(files.len());
-    let mut hashes: Vec<u64> = Vec::with_capacity(files.len());
-    let mut files_reused = 0usize;
-    for slot in slots {
-        let Ok(mut guard) = slot.lock() else {
-            return Err(LintError::Io(
-                "scan worker poisoned a result slot".to_owned(),
-            ));
-        };
-        let Some((hash, scan, reused)) = guard.take() else {
-            return Err(LintError::Io("scan worker dropped a file".to_owned()));
-        };
-        files_reused += usize::from(reused);
-        hashes.push(hash);
-        scans.push(scan);
-    }
+        Ok(scanned)
+    })?;
+    scanned.sort_unstable_by_key(|&(idx, _)| idx);
+    let scans = scanned
+        .into_iter()
+        .map(|(_, scan)| scan.map_err(LintError::Io))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let (flow, gated) = callgraph::run_flow_rules(&scans, config);
-    let findings = rules::finalize(&scans, flow, &gated);
-
-    if let Some(path) = &opts.cache_path {
-        // A fully warm run (every file reused, no stale entries) leaves
-        // the cache byte-identical; skip the rewrite so warm runs pay
-        // for one JSON parse, not parse+print. Best-effort either way:
-        // a read-only checkout must not fail the gate.
-        if files_reused != files.len() || cache_total != files.len() {
-            let mut entries: BTreeMap<String, cache::CacheEntry> = BTreeMap::new();
-            for (hash, scan) in hashes.into_iter().zip(scans) {
-                entries.insert(scan.rel.clone(), cache::CacheEntry { hash, scan });
-            }
-            let _ = cache::store(path, config_hash, &entries);
-        }
-    }
-
     Ok(LintRun {
-        findings,
+        findings: rules::finalize(&scans, flow, &gated),
         files_scanned: files.len(),
-        files_reused,
     })
 }
 

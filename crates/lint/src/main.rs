@@ -2,22 +2,18 @@
 //!
 //! ```text
 //! surveyor-lint [--root DIR] [--config FILE] [--format human|json]
-//!               [--json-out FILE] [--workers N] [--max-severity LEVEL]
-//!               [--cache FILE | --no-cache] [--list-rules]
+//!               [--json-out FILE] [--list-rules]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 findings reported, 2 usage/config/IO error.
-//! `--max-severity` filters what counts: with `--max-severity error`
-//! only error-severity findings are printed and only they drive the
-//! exit code (`error` > `warning` > `info`; the default `info` reports
-//! everything). This file is the only place in the crate allowed to
-//! print.
+//! Files are scanned on one thread per available core, at most eight.
+//! This file is the only place in the crate allowed to print.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use surveyor_lint::{lint_workspace_with, load_config, output, rules, LintOptions};
+use surveyor_lint::{lint_workspace, load_config, output, rules};
 
 const USAGE: &str = "\
 surveyor-lint: enforce Surveyor's determinism and panic-freedom invariants
@@ -30,18 +26,11 @@ OPTIONS:
     --config FILE        Config path (default: <root>/lint.toml)
     --format FMT         Output format: human (default) or json
     --json-out FILE      Additionally write the JSON report to FILE
-    --workers N          Scan-phase worker threads (default 0 = auto);
-                         any value produces byte-identical output
-    --max-severity LVL   Only report findings at LVL or more severe:
-                         error, warning, or info (default: info = all)
-    --cache FILE         Incremental-cache path
-                         (default: <root>/artifacts/lint_cache.json)
-    --no-cache           Disable the incremental cache for this run
     --list-rules         Print the rule table (severity, layer) and exit
     -h, --help           Show this help
 
 EXIT CODES:
-    0  no findings at or above --max-severity
+    0  no findings
     1  findings reported
     2  usage, config, or IO error";
 
@@ -51,10 +40,6 @@ struct Options {
     config: Option<PathBuf>,
     format: Format,
     json_out: Option<PathBuf>,
-    workers: usize,
-    max_severity: rules::Severity,
-    cache: Option<PathBuf>,
-    no_cache: bool,
     list_rules: bool,
 }
 
@@ -65,10 +50,6 @@ impl Default for Options {
             config: None,
             format: Format::Human,
             json_out: None,
-            workers: 0,
-            max_severity: rules::Severity::Info,
-            cache: None,
-            no_cache: false,
             list_rules: false,
         }
     }
@@ -112,35 +93,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .ok_or_else(|| "--json-out needs a value".to_owned())?,
                 ));
             }
-            "--workers" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "--workers needs a value".to_owned())?;
-                opts.workers = value
-                    .parse()
-                    .map_err(|_| format!("--workers needs a number, got `{value}`"))?;
-            }
-            "--max-severity" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "--max-severity needs a value".to_owned())?;
-                opts.max_severity = rules::Severity::parse(value).ok_or_else(|| {
-                    format!("unknown severity `{value}` (error, warning, or info)")
-                })?;
-            }
-            "--cache" => {
-                opts.cache = Some(PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| "--cache needs a value".to_owned())?,
-                ));
-            }
-            "--no-cache" => opts.no_cache = true,
             "--list-rules" => opts.list_rules = true,
             other => return Err(format!("unknown argument `{other}`")),
         }
-    }
-    if opts.no_cache && opts.cache.is_some() {
-        return Err("--cache and --no-cache are mutually exclusive".to_owned());
     }
     Ok(opts)
 }
@@ -191,27 +146,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cache_path = if opts.no_cache {
-        None
-    } else {
-        Some(
-            opts.cache
-                .clone()
-                .unwrap_or_else(|| opts.root.join("artifacts").join("lint_cache.json")),
-        )
-    };
-    let lint_opts = LintOptions {
-        workers: opts.workers,
-        cache_path,
-    };
-    let mut run = match lint_workspace_with(&opts.root, &config, &lint_opts) {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+    let run = match lint_workspace(&opts.root, &config, workers) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("surveyor-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    run.findings.retain(|f| f.severity <= opts.max_severity);
 
     if let Some(path) = &opts.json_out {
         let json = output::render_json(&run.findings, run.files_scanned);
@@ -257,12 +199,7 @@ mod tests {
             "json",
             "--json-out",
             "report.json",
-            "--workers",
-            "4",
-            "--max-severity",
-            "warning",
-            "--cache",
-            "c.json",
+            "--list-rules",
         ])
         .expect("flags parse");
         assert_eq!(opts.root, PathBuf::from("ws"));
@@ -275,42 +212,15 @@ mod tests {
             opts.json_out.as_deref(),
             Some(std::path::Path::new("report.json"))
         );
-        assert_eq!(opts.workers, 4);
-        assert_eq!(opts.max_severity, rules::Severity::Warning);
-        assert_eq!(opts.cache.as_deref(), Some(std::path::Path::new("c.json")));
-        assert!(!opts.no_cache);
-    }
-
-    #[test]
-    fn severity_values() {
-        for (flag, want) in [
-            ("error", rules::Severity::Error),
-            ("warning", rules::Severity::Warning),
-            ("info", rules::Severity::Info),
-        ] {
-            let opts = parse(&["--max-severity", flag]).expect("severity parses");
-            assert_eq!(opts.max_severity, want);
-        }
-        assert!(parse(&["--max-severity", "loud"]).is_err());
-        assert!(parse(&["--max-severity"]).is_err());
-    }
-
-    #[test]
-    fn workers_must_be_numeric() {
-        assert_eq!(parse(&["--workers", "8"]).expect("parses").workers, 8);
-        assert!(parse(&["--workers", "many"]).is_err());
-        assert!(parse(&["--workers"]).is_err());
-    }
-
-    #[test]
-    fn cache_flags_conflict() {
-        assert!(parse(&["--no-cache"]).expect("parses").no_cache);
-        assert!(parse(&["--cache", "c.json", "--no-cache"]).is_err());
+        assert!(opts.list_rules);
     }
 
     #[test]
     fn unknown_arguments_are_rejected() {
         assert!(parse(&["--fast"]).is_err());
         assert!(parse(&["extra"]).is_err());
+        for removed in ["--workers", "--max-severity", "--cache", "--no-cache"] {
+            assert!(parse(&[removed]).is_err(), "{removed} still parses");
+        }
     }
 }

@@ -1,13 +1,10 @@
 //! Rendering findings: the human `file:line:col` listing and the
-//! machine-readable JSON report, plus the reader that re-hydrates
-//! reports (v1 or v2) back into [`Finding`]s.
+//! machine-readable JSON report.
 //!
 //! The JSON is hand-emitted (this crate deliberately has no
 //! dependencies, vendored or otherwise) and kept to the schema
-//! documented in DESIGN.md §6e. Schema v2 adds per-finding severity,
-//! rule version, and a machine-readable fix hint, mirroring the
-//! RunReport versioning discipline: the version bumps, the reader
-//! keeps accepting the old shape:
+//! documented in DESIGN.md §6e. Schema v2 carries per-finding severity,
+//! rule version, and a machine-readable fix hint:
 //!
 //! ```json
 //! {
@@ -23,11 +20,10 @@
 //! ```
 //!
 //! Findings are pre-sorted by the caller, so byte-identical inputs
-//! produce byte-identical reports — the cache and the worker count
-//! never appear in the report for exactly that reason.
+//! produce byte-identical reports — the scan's worker count never
+//! appears in the report for exactly that reason.
 
-use crate::json::{self, Json};
-use crate::rules::{rule_or_meta, Finding, Severity, RULESET_VERSION};
+use crate::rules::{Finding, RULESET_VERSION};
 use std::fmt::Write as _;
 
 /// JSON report schema version.
@@ -81,82 +77,24 @@ pub fn render_json(findings: &[Finding], files_scanned: usize) -> String {
     out
 }
 
-/// A re-hydrated report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportData {
-    /// Schema version the report was written with (1 or 2).
-    pub version: u32,
-    /// Files the producing run scanned.
-    pub files_scanned: usize,
-    /// The findings, in report order.
-    pub findings: Vec<Finding>,
-}
-
-/// Parses a JSON report produced by [`render_json`] — this version's
-/// v2 shape or PR 4's v1 shape. v1 findings carry no severity, rule
-/// version, or fix hint; those are backfilled from the current rule
-/// table (unknown rules default to `info`, version 0, empty hint).
-pub fn from_json(text: &str) -> Result<ReportData, String> {
-    let doc = json::parse(text)?;
-    let version = doc
-        .get("version")
-        .and_then(Json::as_u32)
-        .ok_or("report has no version")?;
-    if !(1..=LINT_REPORT_VERSION).contains(&version) {
-        return Err(format!("unsupported report version {version}"));
-    }
-    let files_scanned = doc
-        .get("files_scanned")
-        .and_then(Json::as_usize)
-        .ok_or("report has no files_scanned")?;
-    let mut findings = Vec::new();
-    for item in doc
-        .get("findings")
-        .and_then(Json::as_arr)
-        .ok_or("report has no findings array")?
-    {
-        findings.push(finding_from_json(item).ok_or("malformed finding")?);
-    }
-    Ok(ReportData {
-        version,
-        files_scanned,
-        findings,
-    })
-}
-
-/// Re-hydrates one finding object (v1 or v2 shape). Also used by the
-/// incremental cache, whose entries store findings in the v2 shape.
-pub(crate) fn finding_from_json(item: &Json) -> Option<Finding> {
-    let rule = item.get("rule")?.as_str()?.to_owned();
-    let defaults = rule_or_meta(&rule);
-    let severity = match item.get("severity").and_then(Json::as_str) {
-        Some(name) => Severity::parse(name)?,
-        None => defaults.map_or(Severity::Info, |d| d.severity),
-    };
-    let rule_version = match item.get("rule_version") {
-        Some(v) => v.as_u32()?,
-        None => defaults.map_or(0, |d| d.version),
-    };
-    let fix_hint = match item.get("fix_hint") {
-        Some(v) => v.as_str()?.to_owned(),
-        None => defaults.map_or_else(String::new, |d| d.fix_hint.to_owned()),
-    };
-    Some(Finding {
-        rule,
-        severity,
-        rule_version,
-        file: item.get("file")?.as_str()?.to_owned(),
-        line: item.get("line")?.as_u32()?,
-        col: item.get("col")?.as_u32()?,
-        message: item.get("message")?.as_str()?.to_owned(),
-        fix_hint,
-    })
-}
-
 /// Escapes `s` as a JSON string literal, quotes included.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    json::write_escaped(&mut out, s);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
     out
 }
 
@@ -200,52 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn v2_reports_round_trip() {
-        let findings = vec![finding()];
-        let data = from_json(&render_json(&findings, 7)).expect("round-trips");
-        assert_eq!(data.version, 2);
-        assert_eq!(data.files_scanned, 7);
-        assert_eq!(data.findings, findings);
-    }
-
-    #[test]
-    fn v1_reports_still_parse_with_backfilled_fields() {
-        let v1 = r#"{
-  "version": 1,
-  "files_scanned": 3,
-  "findings": [
-    {"rule": "no-panic-in-lib", "file": "crates/x/src/lib.rs",
-     "line": 10, "col": 7, "message": "old finding"},
-    {"rule": "retired-rule", "file": "a.rs", "line": 1, "col": 1, "message": "m"}
-  ]
-}"#;
-        let data = from_json(v1).expect("v1 parses");
-        assert_eq!(data.version, 1);
-        assert_eq!(data.findings.len(), 2);
-        assert_eq!(data.findings[0].severity, Severity::Error);
-        assert_eq!(data.findings[0].rule_version, 1);
-        assert!(!data.findings[0].fix_hint.is_empty());
-        // A rule the current table no longer knows degrades gracefully.
-        assert_eq!(data.findings[1].severity, Severity::Info);
-        assert_eq!(data.findings[1].rule_version, 0);
-        assert!(data.findings[1].fix_hint.is_empty());
-    }
-
-    #[test]
-    fn corrupt_reports_error() {
-        for bad in [
-            "",
-            "{}",
-            r#"{"version": 9, "files_scanned": 0, "findings": []}"#,
-            r#"{"version": 2, "files_scanned": 0, "findings": [{"rule": "x"}]}"#,
-        ] {
-            assert!(from_json(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
     fn json_string_control_chars() {
         assert_eq!(json_string("a\u{1}b"), "\"a\\u0001b\"");
         assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("q\" b\\ n\n r\r é"), r#""q\" b\\ n\n r\r é""#);
     }
 }

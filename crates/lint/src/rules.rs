@@ -40,13 +40,13 @@ use std::collections::BTreeSet;
 pub const UNUSED_ALLOW: &str = "unused-allow";
 
 /// Version of the rule set as a whole. Bumped whenever a rule is
-/// added, removed, or changes its matching semantics; part of the
-/// incremental-cache key so stale caches self-invalidate.
+/// added, removed, or changes its matching semantics; stamped into
+/// every JSON report.
 pub const RULESET_VERSION: u32 = 2;
 
-/// How severe a finding is. Orders from most to least severe, so the
-/// derived `Ord` makes `--max-severity` a simple `<=` filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// How severe a finding is. Every finding fails the gate; severity is
+/// reported, not filtered on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     /// Breaks a correctness invariant (determinism, panic isolation).
     Error,
@@ -58,22 +58,12 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// The lowercase name used in JSON reports and `--max-severity`.
+    /// The lowercase name used in JSON reports and `--list-rules`.
     pub fn as_str(self) -> &'static str {
         match self {
             Self::Error => "error",
             Self::Warning => "warning",
             Self::Info => "info",
-        }
-    }
-
-    /// Parses a severity name (as accepted by `--max-severity`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "error" => Some(Self::Error),
-            "warning" => Some(Self::Warning),
-            "info" => Some(Self::Info),
-            _ => None,
         }
     }
 }
@@ -250,16 +240,6 @@ pub fn rule_by_name(name: &str) -> Option<&'static RuleDef> {
     RULES.iter().find(|r| r.name == name)
 }
 
-/// Like [`rule_by_name`] but also resolves the `unused-allow`
-/// meta-rule (for severity lookups when re-hydrating v1 reports).
-pub fn rule_or_meta(name: &str) -> Option<&'static RuleDef> {
-    if name == UNUSED_ALLOW {
-        Some(&UNUSED_ALLOW_DEF)
-    } else {
-        rule_by_name(name)
-    }
-}
-
 /// One reported violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -332,8 +312,8 @@ pub struct Pragma {
 
 /// Everything one file contributes to the lint run: its raw (pre-
 /// pragma) token-level findings, its pragmas, and the function
-/// summaries the flow rules consume. This is also the unit the
-/// incremental cache stores, keyed on the file's content hash.
+/// summaries the flow rules consume. A scan worker produces one per
+/// file; the run merges them in walk order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FileScan {
     /// Workspace-relative path.
@@ -1050,18 +1030,9 @@ mod tests {
     }
 
     #[test]
-    fn severity_ordering_supports_max_severity_filter() {
-        assert!(Severity::Error < Severity::Warning);
-        assert!(Severity::Warning < Severity::Info);
-        assert_eq!(Severity::parse("warning"), Some(Severity::Warning));
-        assert_eq!(Severity::parse("loud"), None);
-    }
-
-    #[test]
     fn rule_table_has_ten_rules_across_two_layers() {
         assert_eq!(RULES.len(), 11);
         assert_eq!(RULES.iter().filter(|r| r.layer == Layer::Flow).count(), 4);
-        assert!(rule_or_meta(UNUSED_ALLOW).is_some());
         assert!(rule_by_name(UNUSED_ALLOW).is_none());
     }
 

@@ -15,7 +15,7 @@
 use std::path::{Path, PathBuf};
 use surveyor_lint::output::{render_human, render_json};
 use surveyor_lint::rules::{RULES, UNUSED_ALLOW};
-use surveyor_lint::{lint_workspace, lint_workspace_with, load_config, LintOptions};
+use surveyor_lint::{lint_workspace, load_config};
 
 fn fixture_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws")
@@ -32,7 +32,7 @@ fn expected(name: &str) -> String {
 fn run_fixture() -> surveyor_lint::LintRun {
     let root = fixture_root();
     let config = load_config(&root.join("lint.toml")).expect("fixture lint.toml parses");
-    lint_workspace(&root, &config).expect("fixture workspace lints")
+    lint_workspace(&root, &config, 1).expect("fixture workspace lints")
 }
 
 #[test]
@@ -209,37 +209,13 @@ fn worker_counts_do_not_change_the_output() {
     let config = load_config(&root.join("lint.toml")).expect("fixture lint.toml parses");
     let baseline = run_fixture();
     for workers in [1, 2, 4, 8] {
-        let opts = LintOptions {
-            workers,
-            cache_path: None,
-        };
-        let run = lint_workspace_with(&root, &config, &opts).expect("fixture workspace lints");
+        let run = lint_workspace(&root, &config, workers).expect("fixture workspace lints");
         assert_eq!(
             render_json(&run.findings, run.files_scanned),
             render_json(&baseline.findings, baseline.files_scanned),
             "output differs at {workers} workers"
         );
     }
-}
-
-#[test]
-fn warm_cache_reuses_every_file_and_matches_the_cold_run() {
-    let root = fixture_root();
-    let config = load_config(&root.join("lint.toml")).expect("fixture lint.toml parses");
-    let dir = std::env::temp_dir().join(format!("surveyor-lint-golden-{}", std::process::id()));
-    let cache = dir.join("cache.json");
-    let _ = std::fs::remove_file(&cache);
-    let opts = LintOptions {
-        workers: 2,
-        cache_path: Some(cache.clone()),
-    };
-    let cold = lint_workspace_with(&root, &config, &opts).expect("cold run lints");
-    assert_eq!(cold.files_reused, 0);
-    let warm = lint_workspace_with(&root, &config, &opts).expect("warm run lints");
-    assert_eq!(warm.files_reused, warm.files_scanned);
-    assert_eq!(cold.findings, warm.findings);
-    let _ = std::fs::remove_file(&cache);
-    let _ = std::fs::remove_dir(&dir);
 }
 
 #[test]

@@ -15,27 +15,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # rules (DESIGN.md §6e) — over the whole workspace, itself included
 # (its deliberately-violating fixture workspace is excluded by
 # lint.toml). Exit 1 = findings, 2 = config error; the JSON report is
-# archived next to the repro artifacts either way. The gate runs the
-# parallel path with the incremental cache under artifacts/, then pins
-# the schema-v2 report keys and asserts the report does not move a byte
-# across worker counts (the determinism the cache and the claim-cursor
-# pool both promise).
+# archived next to the repro artifacts either way, and the schema-v2
+# report keys are pinned. That the report does not move a byte across
+# worker counts is a test (crates/lint/tests/workspace.rs), run above.
 mkdir -p artifacts
-cargo run --release -q -p surveyor-lint -- \
-    --workers 4 --cache artifacts/lint_cache.json \
-    --json-out artifacts/lint_report.json
+cargo run --release -q -p surveyor-lint -- --json-out artifacts/lint_report.json
 for key in '"version": 2' '"ruleset_version": 2' '"files_scanned"' \
            '"findings"'; do
     grep -q "$key" artifacts/lint_report.json \
         || { echo "lint_report.json missing $key" >&2; exit 1; }
-done
-for workers in 1 2 8; do
-    cargo run --release -q -p surveyor-lint -- \
-        --workers "$workers" --no-cache \
-        --json-out "artifacts/lint_report_w${workers}.json"
-    cmp -s artifacts/lint_report.json "artifacts/lint_report_w${workers}.json" \
-        || { echo "lint report differs at $workers workers" >&2; exit 1; }
-    rm -f "artifacts/lint_report_w${workers}.json"
 done
 
 # Chaos gate: the fault-injection suite under a seeded fault plan. The
@@ -169,20 +157,6 @@ for key in '"schema_version"' '"throughput"' '"qps"' '"p50_ms"' '"p99_ms"' \
            '"shed_503"' '"accepted_reload"' '"graceful_shutdown"'; do
     grep -q "$key" artifacts/serve_smoke.json \
         || { echo "serve_smoke.json missing $key" >&2; exit 1; }
-done
-
-# Lint bench smoke: the linter's own throughput harness with the cache
-# invariants armed — the warm run must reuse at least 90% of unchanged
-# files, beat the cold run, and produce byte-identical findings at
-# every worker width. The greps pin the keys EXPERIMENTS.md documents.
-cargo run --release -q -p surveyor-bench --bin bench -- \
-    lint --quick --assert-cache --out artifacts/lint_smoke.json > /dev/null
-for key in '"schema_version"' '"ruleset_version"' '"files_scanned"' \
-           '"workers"' '"parallel_speedup"' '"identical_across_workers"' \
-           '"cache"' '"reuse_fraction"' '"warm_speedup"' \
-           '"identical_to_cold"'; do
-    grep -q "$key" artifacts/lint_smoke.json \
-        || { echo "lint_smoke.json missing $key" >&2; exit 1; }
 done
 
 # Incremental gate: delta ingestion must land exactly where from-scratch
