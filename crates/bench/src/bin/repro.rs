@@ -13,7 +13,6 @@
 
 #![forbid(unsafe_code)]
 
-use std::io::Write;
 use std::process::ExitCode;
 use surveyor_bench::experiments::{self, ReproConfig};
 
@@ -35,7 +34,6 @@ const EXPERIMENTS: &[(&str, Driver)] = &[
     ("ablations", experiments::ablations),
     ("regions", experiments::regions),
     ("scale", experiments::scale),
-    ("pipeline", experiments::pipeline),
 ];
 
 fn usage() -> String {
@@ -133,13 +131,7 @@ fn main() -> ExitCode {
         );
         if let Some(dir) = &json_dir {
             let path = format!("{dir}/{name}.json");
-            match std::fs::File::create(&path).and_then(|mut f| {
-                f.write_all(
-                    serde_json::to_string_pretty(&value)
-                        .expect("serializable artifact")
-                        .as_bytes(),
-                )
-            }) {
+            match surveyor_bench::write_artifact(&path, &value) {
                 Ok(()) => eprintln!("wrote {path}"),
                 Err(e) => {
                     eprintln!("cannot write {path}: {e}");

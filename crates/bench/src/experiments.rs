@@ -17,7 +17,7 @@ use surveyor_eval::versions::run_versions;
 use surveyor_eval::{ablation, EvalSuite};
 use surveyor_extract::{run_sharded_full, EvidenceTable};
 use surveyor_kb::seed as kbseed;
-use surveyor_model::{fit, posterior_positive, EmConfig, ModelParams, ObservedCounts};
+use surveyor_model::{fit, posterior_positive, CountTable, EmConfig, ModelParams, ObservedCounts};
 
 /// Configuration shared by all experiment drivers.
 #[derive(Debug, Clone)]
@@ -665,11 +665,17 @@ pub fn regions(cfg: &ReproConfig) -> (String, Value) {
     (text, Value::Array(values))
 }
 
-/// Scale experiment (§7.1): extraction and EM throughput, and the EM's
-/// O(m) claim (runtime vs entities, independent of mention counts).
+/// Scale experiment (§7.1): extraction time against worker threads, and
+/// what one EM fit costs as a group's entities grow and as its mention
+/// volume grows. A fit costs O(distinct `(c+, c−)` pairs × iterations)
+/// plus one accumulation per entity, so every EM row reports the group's
+/// distinct pairs beside its time.
 pub fn scale(cfg: &ReproConfig) -> (String, Value) {
-    // Extraction throughput vs worker threads; a larger sharded corpus so
-    // per-shard work dominates scheduling overhead.
+    use rand::{rngs::StdRng, SeedableRng};
+    use surveyor_prob::Poisson;
+
+    // Extraction vs worker threads; a larger sharded corpus so per-shard
+    // work dominates scheduling overhead.
     let world = presets::table2_world(cfg.seed);
     let generator = CorpusGenerator::new(
         world.clone(),
@@ -682,191 +688,108 @@ pub fn scale(cfg: &ReproConfig) -> (String, Value) {
     let mut rows = Vec::new();
     let mut values = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        let start = Instant::now();
-        let table = run_sharded_full(
-            &source,
-            world.kb(),
-            &surveyor_extract::ExtractionConfig::paper_final(),
-            threads,
-        )
-        .evidence;
-        let elapsed = start.elapsed().as_secs_f64();
-        rows.push(vec![
-            format!("extraction, {threads} threads"),
-            format!("{:.2}s", elapsed),
-            format!("{} statements", table.total_statements()),
-        ]);
-        values.push(
-            json!({"phase": "extraction", "threads": threads, "seconds": elapsed,
-                           "statements": table.total_statements()}),
-        );
-    }
-    // EM runtime vs entity count (fixed per-entity rates — mention counts
-    // grow linearly but EM cost must stay O(m)).
-    use rand::{rngs::StdRng, SeedableRng};
-    use surveyor_prob::Poisson;
-    for m in [1_000usize, 10_000, 100_000] {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let counts: Vec<ObservedCounts> = (0..m)
-            .map(|i| {
-                let (lp, ln) = if i % 5 == 0 { (40.0, 1.0) } else { (2.0, 0.5) };
-                ObservedCounts::new(
-                    Poisson::new(lp).sample(&mut rng),
-                    Poisson::new(ln).sample(&mut rng),
-                )
-            })
-            .collect();
-        let start = Instant::now();
-        let fitted = fit(&counts, &EmConfig::default());
-        let elapsed = start.elapsed().as_secs_f64();
-        rows.push(vec![
-            format!("EM, {m} entities"),
-            format!("{:.3}s", elapsed),
-            format!("{} iterations", fitted.iterations),
-        ]);
-        values.push(json!({"phase": "em", "entities": m, "seconds": elapsed,
-                           "iterations": fitted.iterations}));
-    }
-    let text = format!(
-        "Scale (§7.1) — pipeline throughput\n{}",
-        render::table(&["Stage", "Time", "Detail"], &rows)
-    );
-    (text, Value::Array(values))
-}
-
-/// `bench pipeline`: extraction throughput (docs/sec) and end-to-end wall
-/// time on a fixed corpus preset — the numbers behind `BENCH_pipeline.json`.
-///
-/// Document generation runs up front, outside the timed region, so the
-/// measured phase is exactly annotation (tokenize → tag → parse → entity
-/// tagging) plus pattern extraction — the per-sentence hot path.
-pub fn pipeline(cfg: &ReproConfig) -> (String, Value) {
-    use surveyor::nlp::AnnotatedDocument;
-    use surveyor_corpus::RawDocument;
-    use surveyor_extract::ShardSource;
-
-    /// Pre-generated raw shards; annotation happens inside `shard`, so it
-    /// is part of the measured extraction phase.
-    struct RawShards<'a> {
-        shards: Vec<Vec<RawDocument>>,
-        kb: &'a surveyor_kb::KnowledgeBase,
-        lexicon: &'a Lexicon,
-    }
-
-    impl ShardSource for RawShards<'_> {
-        fn shard_count(&self) -> usize {
-            self.shards.len()
-        }
-
-        fn shard(&self, index: usize) -> std::borrow::Cow<'_, [AnnotatedDocument]> {
-            let mut scratch = AnnotateScratch::default();
-            std::borrow::Cow::Owned(
-                self.shards[index]
-                    .iter()
-                    .map(|d| annotate_with(d.id, &d.text, self.kb, self.lexicon, &mut scratch))
-                    .collect(),
-            )
-        }
-    }
-
-    let world = presets::table2_world(cfg.seed);
-    let generator = CorpusGenerator::new(
-        world.clone(),
-        CorpusConfig {
-            num_shards: 64,
-            ..CorpusConfig::default()
-        },
-    );
-    let lexicon = generator.lexicon();
-    let shards: Vec<Vec<RawDocument>> = (0..generator.shard_count())
-        .map(|s| generator.shard_text(s))
-        .collect();
-    let documents: usize = shards.iter().map(Vec::len).sum();
-    let sentences: usize = shards
-        .iter()
-        .flatten()
-        .map(|d| d.text.matches('.').count())
-        .sum();
-    let source = RawShards {
-        shards,
-        kb: world.kb(),
-        lexicon: &lexicon,
-    };
-
-    let mut rows = Vec::new();
-    let mut extraction = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        // One discarded warmup run pays thread spin-up and cold caches;
-        // the median of five timed runs then resists shared-host noise in
-        // both directions (best-of-N systematically understates cost).
-        let mut table = EvidenceTable::new();
-        let mut samples = Vec::with_capacity(TIMED_RUNS);
-        for run in 0..=TIMED_RUNS {
-            let start = Instant::now();
-            table = run_sharded_full(
+        let (seconds, table) = timed(TIMED_RUNS, || {
+            run_sharded_full(
                 &source,
                 world.kb(),
                 &surveyor_extract::ExtractionConfig::paper_final(),
                 threads,
             )
-            .evidence;
-            if run > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let seconds = median(&mut samples);
-        let docs_per_sec = documents as f64 / seconds;
+            .evidence
+        });
         rows.push(vec![
             format!("extraction, {threads} threads"),
-            format!("{seconds:.2}s"),
-            format!(
-                "{docs_per_sec:.0} docs/s, {} statements",
-                table.total_statements()
-            ),
+            format!("{seconds:.3}s"),
+            format!("{} statements", table.total_statements()),
         ]);
-        extraction.push(json!({
-            "threads": threads, "seconds": seconds, "docs_per_sec": docs_per_sec,
-            "statements": table.total_statements(),
-        }));
+        values.push(
+            json!({"phase": "extraction", "threads": threads, "seconds": seconds,
+                           "statements": table.total_statements()}),
+        );
     }
 
-    // End to end: sharded extraction plus the interpretation phase
-    // (grouping, per-combination EM, decisions).
-    let corpus_source = CorpusSource::new(&generator);
-    let surveyor = Surveyor::new(world.kb().clone(), cfg.surveyor());
-    let start = Instant::now();
-    let output = surveyor.run(&corpus_source);
-    let seconds = start.elapsed().as_secs_f64();
-    rows.push(vec![
-        format!("end to end, {} threads", cfg.threads),
-        format!("{seconds:.2}s"),
-        format!(
-            "{} combinations, {} decided pairs",
-            output.modeled_combinations(),
-            output.decided_pairs()
-        ),
-    ]);
-    let end_to_end = json!({
-        "threads": cfg.threads, "seconds": seconds,
-        "combinations": output.modeled_combinations(),
-        "decided_pairs": output.decided_pairs(),
-    });
-
+    // One group of `m` entities: every `every`-th draws its counts at the
+    // `high` rates, the rest at the `low` ones, each rate times `volume`.
+    let draw = |m: usize, every: usize, high: (f64, f64), low: (f64, f64), volume: f64| {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        (0..m)
+            .map(|i| {
+                let (lp, ln) = if i % every == 0 { high } else { low };
+                ObservedCounts::new(
+                    Poisson::new(lp * volume).sample(&mut rng),
+                    Poisson::new(ln * volume).sample(&mut rng),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    // EM vs entities at fixed per-entity rates, then EM vs mention volume
+    // at 20k entities with every rate scaled ×1/×10/×100.
+    let groups = [1_000usize, 10_000, 100_000]
+        .map(|m| ("em", m, 1.0, draw(m, 5, (40.0, 1.0), (2.0, 0.5), 1.0)))
+        .into_iter()
+        .chain([1.0, 10.0, 100.0].map(|volume| {
+            let counts = draw(20_000, 4, (30.0, 1.0), (2.0, 0.6), volume);
+            ("em_mention_volume", 20_000, volume, counts)
+        }));
+    for (phase, m, volume, counts) in groups {
+        let distinct_pairs = CountTable::new(&counts).distinct_pairs();
+        let (seconds, fitted) = timed(TIMED_RUNS, || fit(&counts, &EmConfig::default()));
+        rows.push(vec![
+            if phase == "em" {
+                format!("EM, {m} entities")
+            } else {
+                format!("EM, {m} entities, mentions ×{volume}")
+            },
+            format!("{:.2}ms", seconds * 1e3),
+            format!(
+                "{distinct_pairs} distinct pairs, {} iterations",
+                fitted.iterations
+            ),
+        ]);
+        values.push(
+            json!({"phase": phase, "entities": m, "mention_volume": volume,
+                           "seconds": seconds, "distinct_pairs": distinct_pairs,
+                           "iterations": fitted.iterations}),
+        );
+    }
     let text = format!(
-        "Pipeline throughput — fixed preset (table2_world, 64 shards)\n{}",
+        "Scale (§7.1) — extraction and EM, median of {TIMED_RUNS} runs\n{}",
         render::table(&["Stage", "Time", "Detail"], &rows)
     );
-    let value = json!({
-        "preset": "table2_world", "seed": cfg.seed, "shards": 64,
-        "documents": documents, "sentences": sentences,
-        "timing": timing_block(TIMED_RUNS),
-        "extraction": extraction, "end_to_end": end_to_end,
-    });
-    (text, value)
+    (text, Value::Array(values))
 }
 
-/// Timed runs per configuration in `bench pipeline` / `bench scale`.
+/// Timed runs per configuration, after one discarded warm-up run.
 const TIMED_RUNS: usize = 5;
+
+/// Runs `run` once to warm up, then `timed_runs` times on the clock;
+/// returns the median seconds and the last run's result.
+fn timed<T>(timed_runs: usize, mut run: impl FnMut() -> T) -> (f64, T) {
+    median_of(timed_runs, || clock(&mut run))
+}
+
+/// Calls `sample` once to warm up, then `runs` times; each call returns
+/// the seconds it measured and a result. Returns the median seconds and
+/// the last result. Each result is dropped before the next call, off the
+/// clock.
+fn median_of<T>(runs: usize, mut sample: impl FnMut() -> (f64, T)) -> (f64, T) {
+    let (_, mut result) = sample();
+    let mut samples = Vec::with_capacity(runs);
+    for _ in 0..runs {
+        drop(result);
+        let seconds;
+        (seconds, result) = sample();
+        samples.push(seconds);
+    }
+    (median(&mut samples), result)
+}
+
+/// Seconds one call of `run` takes, and its result.
+fn clock<T>(run: impl FnOnce() -> T) -> (f64, T) {
+    let start = Instant::now();
+    let result = run();
+    (start.elapsed().as_secs_f64(), result)
+}
 
 /// Median of a sample set (mean of the middle two for even counts).
 fn median(samples: &mut [f64]) -> f64 {
@@ -896,10 +819,11 @@ fn fingerprint_shards(shards: &[Vec<surveyor_corpus::RawDocument>]) -> u64 {
     hash.finish()
 }
 
-/// `bench scale`: thread-scaling sweep over a corpus roughly 10× the
-/// `bench pipeline` preset, timing the generation, extraction, and model
-/// phases separately at 1/2/4/8 workers — the numbers behind
-/// `BENCH_scale.json` (`schema_version` 2).
+/// `bench scale`: thread-scaling sweep over `table2_world` grown to ten
+/// times its entities per type (background 4,800; 60 with `quick`),
+/// timing the generation, extraction, and model phases separately at
+/// 1/2/4/8 workers — the numbers behind `BENCH_scale.json`
+/// (`schema_version` 2).
 ///
 /// Besides the speedup curves the artifact records `host_cpus` (speedup is
 /// bounded by physical parallelism — on a 1-CPU host every curve is flat
@@ -919,7 +843,7 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     use surveyor_extract::ShardSource;
 
     /// Pre-generated raw shards; annotation happens inside `shard`, so it
-    /// is part of the measured extraction phase (as in `bench pipeline`).
+    /// is part of the measured extraction phase.
     struct RawShards<'a> {
         shards: Vec<Vec<RawDocument>>,
         kb: &'a surveyor_kb::KnowledgeBase,
@@ -967,15 +891,8 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     let mut shards: Vec<Vec<RawDocument>> = Vec::new();
     let mut generation_t1 = 0.0f64;
     for threads in thread_counts {
-        let mut samples = Vec::with_capacity(timed_runs);
-        for run in 0..=timed_runs {
-            let start = Instant::now();
-            shards = generator.all_shards_text(threads);
-            if run > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let seconds = median(&mut samples);
+        let seconds;
+        (seconds, shards) = timed(timed_runs, || generator.all_shards_text(threads));
         if threads == 1 {
             generation_t1 = seconds;
         }
@@ -1001,22 +918,16 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     };
     let extraction_config = surveyor_extract::ExtractionConfig::paper_final();
 
-    // Extraction sweep. One warmup then `timed_runs` timed runs per thread
-    // count; the warmup also yields the evidence reused by the model sweep.
+    // Extraction sweep; the last run's evidence feeds the model sweep.
     let mut extraction = Vec::new();
     let mut statement_counts = Vec::new();
     let mut evidence = EvidenceTable::new();
     let mut extraction_t1 = 0.0f64;
     for threads in thread_counts {
-        let mut samples = Vec::with_capacity(timed_runs);
-        for run in 0..=timed_runs {
-            let start = Instant::now();
-            evidence = run_sharded_full(&source, world.kb(), &extraction_config, threads).evidence;
-            if run > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let seconds = median(&mut samples);
+        let seconds;
+        (seconds, evidence) = timed(timed_runs, || {
+            run_sharded_full(&source, world.kb(), &extraction_config, threads).evidence
+        });
         if threads == 1 {
             extraction_t1 = seconds;
         }
@@ -1047,17 +958,8 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
                 ..SurveyorConfig::default()
             },
         );
-        let mut samples = Vec::with_capacity(timed_runs);
-        let mut decided = 0usize;
-        for run in 0..=timed_runs {
-            let start = Instant::now();
-            let output = surveyor.run_on_evidence(evidence.clone());
-            if run > 0 {
-                samples.push(start.elapsed().as_secs_f64());
-            }
-            decided = output.decided_pairs();
-        }
-        let seconds = median(&mut samples);
+        let (seconds, output) = timed(timed_runs, || surveyor.run_on_evidence(evidence.clone()));
+        let decided = output.decided_pairs();
         if threads == 1 {
             model_t1 = seconds;
         }
@@ -1140,7 +1042,7 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 /// `bench snapshot`: binary snapshot throughput — the numbers behind
 /// `BENCH_snapshot.json`.
 ///
-/// Mines the `bench pipeline` preset once, then times four things over
+/// Mines the `table2_world` preset once, then times four things over
 /// the same mined world: re-mining it from the corpus (the cost a
 /// snapshot avoids), encoding it to `surveyor-wire` bytes, validating the
 /// container of those bytes (`SnapshotReader::new`: framing and one CRC
@@ -1168,28 +1070,10 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 
     // Re-mine timings: the full pipeline (generation + extraction +
     // grouping + EM + decisions) a snapshot load replaces.
-    let mut output = surveyor.run(&source);
-    let mut remine_samples = Vec::with_capacity(timed_runs);
-    for run in 0..=timed_runs {
-        let start = Instant::now();
-        output = surveyor.run(&source);
-        if run > 0 {
-            remine_samples.push(start.elapsed().as_secs_f64());
-        }
-    }
-    let remine_seconds = median(&mut remine_samples);
+    let (remine_seconds, output) = timed(timed_runs, || surveyor.run(&source));
 
     // Encode timings.
-    let mut bytes = surveyor::save_snapshot(&output);
-    let mut encode_samples = Vec::with_capacity(timed_runs);
-    for run in 0..=timed_runs {
-        let start = Instant::now();
-        bytes = surveyor::save_snapshot(&output);
-        if run > 0 {
-            encode_samples.push(start.elapsed().as_secs_f64());
-        }
-    }
-    let encode_seconds = median(&mut encode_samples);
+    let (encode_seconds, bytes) = timed(timed_runs, || surveyor::save_snapshot(&output));
     let megabytes = bytes.len() as f64 / (1024.0 * 1024.0);
     let encode_mb_s = megabytes / encode_seconds.max(f64::EPSILON);
     // Where the bytes are: each section's payload, from the frame table.
@@ -1204,31 +1088,19 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     // One pass over 0.5 MB is a fraction of a millisecond, so a sample
     // is the mean of a few back-to-back passes.
     const VALIDATE_PASSES: u32 = 8;
-    let mut validate_samples = Vec::with_capacity(timed_runs);
-    for run in 0..=timed_runs {
-        let start = Instant::now();
+    let (validate_passes_seconds, ()) = timed(timed_runs, || {
         for _ in 0..VALIDATE_PASSES {
             let reader = surveyor::wire::SnapshotReader::new(std::hint::black_box(&bytes));
             std::hint::black_box(reader.expect("own snapshot validates"));
         }
-        if run > 0 {
-            validate_samples.push(start.elapsed().as_secs_f64() / f64::from(VALIDATE_PASSES));
-        }
-    }
-    let validate_seconds = median(&mut validate_samples);
+    });
+    let validate_seconds = validate_passes_seconds / f64::from(VALIDATE_PASSES);
     let validate_mb_s = megabytes / validate_seconds.max(f64::EPSILON);
 
     // Load timings: bytes back to a full mined world.
-    let mut loaded = surveyor::load_snapshot(&bytes).expect("own snapshot decodes");
-    let mut load_samples = Vec::with_capacity(timed_runs);
-    for run in 0..=timed_runs {
-        let start = Instant::now();
-        loaded = surveyor::load_snapshot(&bytes).expect("own snapshot decodes");
-        if run > 0 {
-            load_samples.push(start.elapsed().as_secs_f64());
-        }
-    }
-    let load_seconds = median(&mut load_samples);
+    let (load_seconds, loaded) = timed(timed_runs, || {
+        surveyor::load_snapshot(&bytes).expect("own snapshot decodes")
+    });
     let decode_mb_s = megabytes / load_seconds.max(f64::EPSILON);
     let speedup = remine_seconds / load_seconds.max(f64::EPSILON);
 
@@ -1344,16 +1216,6 @@ fn http_get_patient(addr: std::net::SocketAddr, path: &str) -> Option<(u16, Stri
     last
 }
 
-/// Nearest-rank percentile of a sample set (sorts in place).
-fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * (samples.len() - 1) as f64).round() as usize;
-    samples[rank.min(samples.len() - 1)]
-}
-
 /// Mean `SubjectiveKb::find_opinion` time, in nanoseconds, over a few
 /// stored pairs spread evenly across `store` and looked up many times
 /// over — few and fixed, so that stores of different sizes are probed
@@ -1370,45 +1232,39 @@ fn mean_find_opinion_ns(store: &surveyor::SubjectiveKb) -> f64 {
         .take(PROBES)
         .collect();
     assert!(!probes.is_empty(), "store holds no pair to look up");
-    let mut samples = Vec::with_capacity(TIMED_RUNS);
-    for timed in 0..=TIMED_RUNS {
-        let start = Instant::now();
+    let (seconds, ()) = timed(TIMED_RUNS, || {
         for _ in 0..ROUNDS {
             for &(entity, property) in &probes {
                 let hit = store.find_opinion(std::hint::black_box(entity), property);
                 assert!(std::hint::black_box(hit).is_some(), "stored pair not found");
             }
         }
-        if timed > 0 {
-            samples.push(start.elapsed().as_secs_f64() * 1e9 / (ROUNDS * probes.len()) as f64);
-        }
-    }
-    median(&mut samples)
+    });
+    seconds * 1e9 / (ROUNDS * probes.len()) as f64
 }
 
-/// `bench serve`: query-server throughput and chaos resilience — the
-/// numbers behind `BENCH_serve.json`.
+/// `bench serve`: the lookup row and chaos resilience of the query
+/// server — the numbers behind `BENCH_serve.json`.
 ///
-/// Mines the `table2_world` preset once, snapshots it, and boots a
-/// `surveyor-server` on a loopback port. The throughput phase replays
-/// `/decide` queries from 1/2/4/8 client threads and reports p50/p99
-/// latency plus queries/sec. The chaos phase then boots a second,
-/// deliberately tight server (2 workers, 4-slot queue, debug routes) and
-/// drives a seeded [`FaultPlan`] of hostile clients — malformed request
-/// bytes, slowloris partial writes, mid-request disconnects, worker
-/// panics, and concurrent corrupt-reload attempts — interleaved with
-/// valid queries whose answers are asserted against the mined store. An
-/// overload burst against stalled workers pins the shed counter, one
-/// valid reload pins the accept path, and the server is shut down via
-/// `POST /ctl/shutdown` (the graceful drain path, not the test hook).
+/// Mines the `table2_world` preset once and snapshots it. A **lookup
+/// row** times `find_opinion` on the served store and on a store mined
+/// from the same world with ten times the entities per type: a lookup
+/// answered from the entity index costs what the entity's own opinions
+/// cost, so the two must read alike (`--assert-lookup-flat`: ratio ≤ 3),
+/// where a scan would read 10×.
 ///
-/// Before the servers boot, a **lookup row** times `find_opinion` on the
-/// served store and on a store mined from the same world with ten times
-/// the entities per type: a lookup answered from the entity index costs
-/// what the entity's own opinions cost, so the two must read alike
-/// (`--assert-lookup-flat`: ratio ≤ 3), where a scan would read 10×.
+/// The chaos phase then boots a deliberately tight `surveyor-server` on a
+/// loopback port (2 workers, 4-slot queue, debug routes) and drives a
+/// seeded [`FaultPlan`] of hostile clients — malformed request bytes,
+/// slowloris partial writes, mid-request disconnects, worker panics, and
+/// concurrent corrupt-reload attempts — interleaved with valid queries
+/// whose answers are asserted against the mined store. An overload burst
+/// against stalled workers pins the shed counter, one valid reload pins
+/// the accept path, and the server is shut down via `POST /ctl/shutdown`
+/// (the graceful drain path, not the test hook). Request throughput and
+/// latency are the ledger's `serve_*` metrics, not this artifact's.
 ///
-/// `quick` shrinks the corpus, request counts, and chaos op count so
+/// `quick` shrinks the corpus and the chaos op count so
 /// `scripts/verify.sh` can smoke-test the artifact schema in seconds.
 pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     use std::io::Write as _;
@@ -1419,7 +1275,7 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     use surveyor_extract::{Fault, FaultPlan};
     use surveyor_server::{percent_encode, ServedState, ServerConfig};
 
-    // Mine once, snapshot to bytes: both servers serve the same index.
+    // Mine once, snapshot to bytes: the chaos server serves that index.
     let num_shards = if quick { 4 } else { 16 };
     let world = presets::table2_world(cfg.seed);
     let generator = CorpusGenerator::new(
@@ -1496,81 +1352,6 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         })
         .collect();
     assert!(!targets.is_empty(), "mined snapshot decided no pairs");
-
-    // ---- Throughput phase: a comfortably provisioned server. ----
-    let registry = Arc::new(MetricsRegistry::new());
-    let handle = surveyor_server::start(
-        ServerConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            workers: 4,
-            queue_capacity: 256,
-            request_budget: Duration::from_secs(5),
-            retry_after_seconds: 1,
-            debug_routes: false,
-        },
-        state.clone(),
-        registry.clone(),
-    )
-    .expect("bind loopback");
-    let addr = handle.addr();
-
-    let per_client = if quick { 40 } else { 300 };
-    for (path, _) in targets.iter().take(8) {
-        let _ = http_get(addr, path); // warmup: TCP stack + first-touch caches
-    }
-    let mut rows = Vec::new();
-    let mut throughput = Vec::new();
-    for clients in [1usize, 2, 4, 8] {
-        let errors = AtomicUsize::new(0);
-        let started = Instant::now();
-        let mut latencies_ms: Vec<f64> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    let targets = &targets;
-                    let errors = &errors;
-                    scope.spawn(move || {
-                        let mut lat = Vec::with_capacity(per_client);
-                        for i in 0..per_client {
-                            // Stride by a prime so clients do not walk the
-                            // target list in lockstep.
-                            let (path, _) = &targets[(c * 7919 + i) % targets.len()];
-                            let t0 = Instant::now();
-                            if let Some((200, _)) = http_get(addr, path) {
-                                lat.push(t0.elapsed().as_secs_f64() * 1e3);
-                            } else {
-                                errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        lat
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("client thread"))
-                .collect()
-        });
-        let wall = started.elapsed().as_secs_f64();
-        let ok = latencies_ms.len();
-        let qps = ok as f64 / wall.max(f64::EPSILON);
-        let p50_ms = percentile(&mut latencies_ms, 50.0);
-        let p99_ms = percentile(&mut latencies_ms, 99.0);
-        let errors = errors.into_inner();
-        rows.push(vec![
-            format!("{clients} clients"),
-            format!("{qps:.0} q/s"),
-            format!("{p50_ms:.2} ms"),
-            format!("{p99_ms:.2} ms"),
-            format!("{ok} ok, {errors} errors"),
-        ]);
-        throughput.push(json!({
-            "threads": clients, "requests": clients * per_client,
-            "ok": ok, "errors": errors,
-            "qps": qps, "p50_ms": p50_ms, "p99_ms": p99_ms,
-        }));
-    }
-    let throughput_requests = registry.counter_value("serve.requests");
-    handle.shutdown();
 
     // ---- Chaos phase: a tight server under a seeded fault plan. ----
     let chaos_registry = Arc::new(MetricsRegistry::new());
@@ -1779,7 +1560,7 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     });
 
     let text = format!(
-        "Serve throughput — {associations} associations, {} query targets\n{}\n\
+        "Serve — {associations} associations, {} query targets\n\
          lookup: find_opinion {lookup_small_ns:.0} ns at {associations} pairs, \
          {lookup_large_ns:.0} ns at {lookup_large_pairs} pairs (ratio {lookup_ratio:.2})\n\
          chaos: {ops} ops — {valid_ok}/{valid_sent} valid queries answered correctly, \
@@ -1787,23 +1568,19 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
          {shed_503}/{burst} shed in overload burst, accepted reload: {accepted_reload}, \
          graceful shutdown: {graceful}",
         targets.len(),
-        render::table(&["Clients", "Throughput", "p50", "p99", "Detail"], &rows),
         corrupt_rejected,
         corrupt_reloads,
         panics_injected,
     );
     let all_valid_answered = valid_sent > 0 && valid_sent == valid_ok;
     let value = json!({
-        "schema_version": 1,
+        "schema_version": 2,
         "preset": "table2_world",
         "seed": cfg.seed,
         "shards": num_shards,
         "quick": quick,
         "associations": associations,
         "targets": targets.len(),
-        "requests_per_client": per_client,
-        "throughput": throughput,
-        "throughput_requests_served": throughput_requests,
         "lookup": json!({
             "small": json!({ "pairs": associations, "find_opinion_ns": lookup_small_ns }),
             "large": json!({ "pairs": lookup_large_pairs, "find_opinion_ns": lookup_large_ns }),
@@ -1838,7 +1615,9 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 /// 1. **Delta sweep** — fixed corpus, growing delta: update wall time
 ///    must track the delta size, not the corpus size, and every updated
 ///    output must re-encode byte-identical to the from-scratch mine of
-///    the whole corpus.
+///    the whole corpus. Each timed update is paired with a timed
+///    from-scratch mine, and a row's `speedup_vs_scratch` is the median
+///    of its paired ratios.
 /// 2. **Corpus sweep** — fixed absolute delta, growing corpus: the
 ///    from-scratch time grows with the corpus while the update time
 ///    stays roughly flat.
@@ -1855,7 +1634,9 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     use surveyor::WarmStart;
 
     let num_shards: usize = if quick { 20 } else { 40 };
-    let timed_runs = if quick { 3 } else { TIMED_RUNS };
+    // Every timed run here is milliseconds, so `quick` keeps all five:
+    // the delta-scaling gate reads a median of paired ratios.
+    let timed_runs = TIMED_RUNS;
     // 5%, 10%, 20%, and 50% of the corpus.
     let delta_sizes: Vec<usize> = [20, 10, 5, 2].iter().map(|d| num_shards / d).collect();
     let fixed_delta = num_shards / 10;
@@ -1910,49 +1691,57 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
             .output
     };
 
+    // One update of `base` by shards `[from, to)` of `gen`, timed; the
+    // base is cloned and the delta built off the clock, mirroring the real
+    // flow where the base comes off disk.
+    let time_update = |gen: &CorpusGenerator, base: &SurveyorOutput, from, to, warm| {
+        let input = base.clone();
+        let delta = ShardSubset::range(CorpusSource::new(gen), from, to);
+        clock(|| {
+            surveyor
+                .try_update(input, &delta, &retry, &policy, warm)
+                .expect("clean update")
+        })
+    };
+
     // From-scratch reference: the full corpus, mined cold.
-    let mut scratch = surveyor.run(&source);
-    let mut scratch_samples = Vec::with_capacity(timed_runs);
-    for run in 0..=timed_runs {
-        let start = Instant::now();
-        scratch = surveyor.run(&source);
-        if run > 0 {
-            scratch_samples.push(start.elapsed().as_secs_f64());
-        }
-    }
-    let scratch_seconds = median(&mut scratch_samples);
+    let scratch = surveyor.run(&source);
     let scratch_bytes = surveyor::save_snapshot(&scratch);
 
     // (1) Delta sweep: base = all but the last `d` shards, delta = the
-    // rest. Updates are timed on a pre-mined base clone, mirroring the
-    // real flow where the base comes off disk.
+    // rest. Every timed update runs right after a timed from-scratch mine
+    // of the whole corpus, and a row's speedup is the median of those
+    // paired ratios: a stretch of a slow host slows both sides of a pair.
     let mut delta_rows = Vec::new();
     let mut sweep_table = Vec::new();
+    let mut scratch_samples = Vec::new();
     for &d in &delta_sizes {
         let base_shards = num_shards - d;
         let base = mine_base(&surveyor, &generator, base_shards);
+        let (mut scratch_row, mut update_row, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
         let mut outcome = None;
-        let mut samples = Vec::with_capacity(timed_runs);
         for run in 0..=timed_runs {
-            let input = base.clone();
-            let delta = ShardSubset::range(CorpusSource::new(&generator), base_shards, num_shards);
-            let start = Instant::now();
-            let out = surveyor
-                .try_update(input, &delta, &retry, &policy, WarmStart::Exact)
-                .expect("clean update");
+            let (scratch_seconds, _) = clock(|| surveyor.run(&source));
+            let (update_seconds, out) =
+                time_update(&generator, &base, base_shards, num_shards, WarmStart::Exact);
             if run > 0 {
-                samples.push(start.elapsed().as_secs_f64());
+                scratch_row.push(scratch_seconds);
+                update_row.push(update_seconds);
+                ratios.push(scratch_seconds / update_seconds.max(f64::EPSILON));
             }
             outcome = Some(out);
         }
-        let update_seconds = median(&mut samples);
+        scratch_samples.extend_from_slice(&scratch_row);
+        let scratch_seconds = median(&mut scratch_row);
+        let update_seconds = median(&mut update_row);
+        let speedup = median(&mut ratios);
         let outcome = outcome.expect("at least one update ran");
         let byte_identical = surveyor::save_snapshot(&outcome.output) == scratch_bytes;
-        let speedup = scratch_seconds / update_seconds.max(f64::EPSILON);
         let stats = outcome.stats;
         sweep_table.push(vec![
             format!("{d}/{num_shards}"),
             format!("{:.0}%", d as f64 / num_shards as f64 * 100.0),
+            format!("{scratch_seconds:.3}s"),
             format!("{update_seconds:.3}s"),
             format!("{speedup:.1}x"),
             format!(
@@ -1964,6 +1753,7 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         delta_rows.push(json!({
             "delta_shards": d,
             "delta_fraction": d as f64 / num_shards as f64,
+            "scratch_seconds": scratch_seconds,
             "update_seconds": update_seconds,
             "speedup_vs_scratch": speedup,
             "byte_identical": byte_identical,
@@ -1975,6 +1765,7 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
             "delta_statements": stats.delta_statements,
         }));
     }
+    let scratch_seconds = median(&mut scratch_samples);
 
     // (2) Corpus sweep: the same absolute delta against growing corpora.
     // Each corpus size is its own world realization (shard contents
@@ -1984,30 +1775,13 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     let mut corpus_table = Vec::new();
     for n in [num_shards / 4, num_shards / 2, num_shards] {
         let generator_n = make_generator(n);
-        let source_n = CorpusSource::new(&generator_n);
-        let mut scratch_n_samples = Vec::with_capacity(timed_runs);
-        for run in 0..=timed_runs {
-            let start = Instant::now();
-            let _ = surveyor.run(&source_n);
-            if run > 0 {
-                scratch_n_samples.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let scratch_n = median(&mut scratch_n_samples);
+        let (scratch_n, _) = timed(timed_runs, || {
+            surveyor.run(&CorpusSource::new(&generator_n))
+        });
         let base = mine_base(&surveyor, &generator_n, n - fixed_delta);
-        let mut update_n_samples = Vec::with_capacity(timed_runs);
-        for run in 0..=timed_runs {
-            let input = base.clone();
-            let delta = ShardSubset::range(CorpusSource::new(&generator_n), n - fixed_delta, n);
-            let start = Instant::now();
-            let _ = surveyor
-                .try_update(input, &delta, &retry, &policy, WarmStart::Exact)
-                .expect("clean update");
-            if run > 0 {
-                update_n_samples.push(start.elapsed().as_secs_f64());
-            }
-        }
-        let update_n = median(&mut update_n_samples);
+        let (update_n, _) = median_of(timed_runs, || {
+            time_update(&generator_n, &base, n - fixed_delta, n, WarmStart::Exact)
+        });
         corpus_table.push(vec![
             format!("{n}"),
             format!("{fixed_delta}"),
@@ -2096,22 +1870,15 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     // (5) Opt-in seeded warm start: time it and note whether decisions
     // (not bytes — traces differ by construction) still match.
     let base = mine_base(&surveyor, &generator, base_shards);
-    let mut seeded_outcome = None;
-    let mut seeded_samples = Vec::with_capacity(timed_runs);
-    for run in 0..=timed_runs {
-        let input = base.clone();
-        let delta = ShardSubset::range(CorpusSource::new(&generator), base_shards, num_shards);
-        let start = Instant::now();
-        let out = surveyor
-            .try_update(input, &delta, &retry, &policy, WarmStart::Seeded)
-            .expect("seeded update");
-        if run > 0 {
-            seeded_samples.push(start.elapsed().as_secs_f64());
-        }
-        seeded_outcome = Some(out);
-    }
-    let seeded_seconds = median(&mut seeded_samples);
-    let seeded = seeded_outcome.expect("at least one seeded update ran");
+    let (seeded_seconds, seeded) = median_of(timed_runs, || {
+        time_update(
+            &generator,
+            &base,
+            base_shards,
+            num_shards,
+            WarmStart::Seeded,
+        )
+    });
     let triples = |output: &SurveyorOutput| {
         let mut t: Vec<String> = output
             .triples()
@@ -2141,6 +1908,7 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
             &[
                 "Delta",
                 "Fraction",
+                "Scratch",
                 "Update",
                 "Speedup",
                 "Groups",
@@ -2154,7 +1922,7 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         ),
     );
     let value = json!({
-        "schema_version": 1,
+        "schema_version": 2,
         "preset": "long_tail_world",
         "seed": cfg.seed,
         "shards": num_shards,
@@ -2180,30 +1948,6 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         }),
     });
     (text, value)
-}
-
-/// An observed end-to-end run on the `bench pipeline` preset: attaches a
-/// metrics registry to the generator and pipeline and returns the
-/// versioned run report, so two bench invocations can be compared phase
-/// by phase with `bench diff`.
-pub fn pipeline_report(cfg: &ReproConfig) -> surveyor::obs::RunReport {
-    use std::sync::Arc;
-    use surveyor::obs::MetricsRegistry;
-
-    let world = presets::table2_world(cfg.seed);
-    let registry = Arc::new(MetricsRegistry::new());
-    let generator = CorpusGenerator::new(
-        world.clone(),
-        CorpusConfig {
-            num_shards: 64,
-            ..CorpusConfig::default()
-        },
-    )
-    .with_observer(registry.clone());
-    let surveyor =
-        Surveyor::new(world.kb().clone(), cfg.surveyor()).with_observer(registry.clone());
-    surveyor.run(&CorpusSource::new(&generator));
-    registry.report()
 }
 
 #[cfg(test)]

@@ -88,3 +88,30 @@ fn a_killed_snapshot_write_leaves_the_old_file_or_a_whole_new_one() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The kills above close in on a writer's window only to a sleep's
+/// precision; an in-place writer's truncate-then-write window is
+/// microseconds. What a finished write leaves tells them apart: a file
+/// replaced by rename is a new inode, and no temporary is left beside it.
+#[test]
+fn a_finished_snapshot_write_is_a_new_file_with_no_temporary_left() {
+    use std::os::unix::fs::MetadataExt;
+
+    let dir = std::env::temp_dir().join(format!("surveyor-rename-test-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let target = dir.join("world.swire");
+    assert!(snapshot(5, &target).status().unwrap().success());
+    let before = std::fs::metadata(&target).unwrap().ino();
+
+    assert!(snapshot(7, &target).status().unwrap().success());
+    let after = std::fs::metadata(&target).unwrap().ino();
+    assert_ne!(before, after, "the snapshot was rewritten in place");
+    let mut left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    left.sort();
+    assert_eq!(left, ["world.swire"], "a temporary file was left behind");
+    std::fs::remove_dir_all(&dir).ok();
+}

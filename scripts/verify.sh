@@ -140,18 +140,18 @@ grep -q 'server stopped' artifacts/serve_gate.log \
     || { echo "serve gate: missing drain summary" >&2; exit 1; }
 rm -f artifacts/serve_gate.log  # transient (carries an ephemeral port)
 
-# Serve bench smoke: quick throughput sweep plus the seeded chaos phase
-# with its invariants armed — every valid query answered correctly
-# throughout the fault mix, every corrupt reload rejected, overload
-# sheds with Retry-After, graceful shutdown completes — and the lookup
-# gate: `find_opinion` on a store with ten times the pairs may read at
-# most 3x what it reads on the served one (an entity-index lookup reads
-# alike on both; a scan over the store reads 10x). The greps pin the
-# keys EXPERIMENTS.md documents.
+# Serve bench smoke: the seeded chaos phase with its invariants armed —
+# every valid query answered correctly throughout the fault mix, every
+# corrupt reload rejected, overload sheds with Retry-After, graceful
+# shutdown completes — and the lookup gate: `find_opinion` on a store
+# with ten times the pairs may read at most 3x what it reads on the
+# served one (an entity-index lookup reads alike on both; a scan over
+# the store reads 10x). Request throughput is the ledger's to measure.
+# The greps pin the keys EXPERIMENTS.md documents.
 cargo run --release -q -p surveyor-bench --bin bench -- \
     serve --quick --assert-chaos --assert-lookup-flat \
     --out artifacts/serve_smoke.json > /dev/null
-for key in '"schema_version"' '"throughput"' '"qps"' '"p50_ms"' '"p99_ms"' \
+for key in '"schema_version": 2' \
            '"lookup"' '"small"' '"large"' '"pairs"' '"find_opinion_ns"' '"ratio"' \
            '"chaos"' '"all_valid_answered"' '"corrupt_reloads_rejected"' \
            '"shed_503"' '"accepted_reload"' '"graceful_shutdown"'; do
@@ -185,15 +185,16 @@ rm -f artifacts/incr_base.swire artifacts/incr_updated.swire \
     artifacts/incr_scratch.swire artifacts/incr_idempotent.swire
 
 # Incremental bench smoke: the delta-scaling harness on its quick preset
-# with the scaling assertions armed — <=10% deltas at least 5x faster
-# than from-scratch, every update byte-identical at every thread count,
-# and the chaos replay queue converging to the clean bytes. The greps
-# pin the keys EXPERIMENTS.md documents.
+# with the scaling assertions armed — every <=10% delta's median ratio of
+# a from-scratch mine to the update timed next to it at least 5x, every
+# update byte-identical at every thread count, and the chaos replay
+# queue converging to the clean bytes. The greps pin the keys
+# EXPERIMENTS.md documents.
 cargo run --release -q -p surveyor-bench --bin bench -- \
     incremental --quick --assert-delta-scaling \
     --out artifacts/incremental_smoke.json > /dev/null
-for key in '"schema_version"' '"from_scratch_seconds"' '"delta_sweep"' \
-           '"speedup_vs_scratch"' '"byte_identical"' '"corpus_sweep"' \
+for key in '"schema_version": 2' '"from_scratch_seconds"' '"delta_sweep"' \
+           '"scratch_seconds"' '"speedup_vs_scratch"' '"byte_identical"' '"corpus_sweep"' \
            '"update_fraction_of_scratch"' '"determinism"' \
            '"byte_identical_all_threads"' '"byte_identical_after_replay"' \
            '"warm_seeded"' '"decisions_identical"'; do
