@@ -134,10 +134,10 @@ pub struct UpdateArgs {
 pub enum Command {
     /// Mine a preset world into a subjective knowledge base.
     Mine(MineArgs),
-    /// Query a mined store.
+    /// Query the store a snapshot serves.
     Query {
-        /// Store JSON path.
-        store: String,
+        /// Snapshot input path.
+        snapshot: String,
         /// Entity type name.
         type_name: String,
         /// Property surface form (e.g. `big` or `very big`).
@@ -147,10 +147,11 @@ pub enum Command {
         /// Maximum hits printed.
         limit: usize,
     },
-    /// List the combinations in a store with their fitted parameters.
+    /// List the combinations a snapshot serves with their fitted
+    /// parameters.
     Combos {
-        /// Store JSON path.
-        store: String,
+        /// Snapshot input path.
+        snapshot: String,
     },
     /// Print sample documents from a preset corpus.
     Corpus {
@@ -284,8 +285,8 @@ usage:
                     [--region NAME] [--failure-policy failfast|degrade] [--min-shard-coverage F] [--chaos-seed N]
                     [--ingest-shards N]
   surveyor run      [--preset NAME] [mine flags...]
-  surveyor query    --store FILE --type NAME --property ADJ [--negative] [--limit N]
-  surveyor combos   --store FILE
+  surveyor query    --snapshot FILE.swire --type NAME --property ADJ [--negative] [--limit N]
+  surveyor combos   --snapshot FILE.swire
   surveyor corpus   --preset NAME [--seed N] [--shard N] [--limit N]
   surveyor link     --preset cities --attribute KEY [--seed N] [--rho N]
   surveyor snapshot --preset NAME --out FILE.swire [--store FILE] [mine flags...]
@@ -545,14 +546,14 @@ impl Cli {
             "query" => {
                 let flags = Flags::parse(rest, &["--negative"])?;
                 flags.validate_known(&[
-                    "--store",
+                    "--snapshot",
                     "--type",
                     "--property",
                     "--negative",
                     "--limit",
                 ])?;
                 Command::Query {
-                    store: flags.required("--store")?,
+                    snapshot: flags.required("--snapshot")?,
                     type_name: flags.required("--type")?,
                     property: flags.required("--property")?,
                     negative: flags.has("--negative"),
@@ -561,9 +562,9 @@ impl Cli {
             }
             "combos" => {
                 let flags = Flags::parse(rest, &[])?;
-                flags.validate_known(&["--store"])?;
+                flags.validate_known(&["--snapshot"])?;
                 Command::Combos {
-                    store: flags.required("--store")?,
+                    snapshot: flags.required("--snapshot")?,
                 }
             }
             "corpus" => {
@@ -698,13 +699,17 @@ mod tests {
     #[test]
     fn query_requires_core_flags() {
         assert_eq!(
-            parse(&["query", "--store", "s.json", "--type", "city"]),
+            parse(&["query", "--snapshot", "w.swire", "--type", "city"]),
             Err(ParseError::MissingFlag("--property"))
+        );
+        assert_eq!(
+            parse(&["combos", "--store", "s.json"]),
+            Err(ParseError::UnknownFlag("--store".into()))
         );
         let cli = parse(&[
             "query",
-            "--store",
-            "s.json",
+            "--snapshot",
+            "w.swire",
             "--type",
             "city",
             "--property",

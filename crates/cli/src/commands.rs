@@ -449,10 +449,7 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
 /// Corrupt snapshots are [`CliError::InvalidInput`] (exit 3), never a
 /// panic.
 pub fn load(snapshot_path: &str, out: Option<&str>) -> Result<String, CliError> {
-    let bytes = std::fs::read(snapshot_path)
-        .map_err(|e| CliError::Io(format!("cannot read {snapshot_path}: {e}")))?;
-    let store = surveyor::load_store(&bytes)
-        .map_err(|e| CliError::InvalidInput(format!("invalid snapshot {snapshot_path}: {e}")))?;
+    let (store, bytes) = load_store(snapshot_path)?;
     let json = store.to_json();
     // `load_store` accepted the container, so the reader does too.
     let sections = surveyor_wire::SnapshotReader::new(&bytes)
@@ -634,22 +631,27 @@ pub fn diff(old: &str, new: &str, format: DiffFormat) -> Result<(String, bool), 
     Ok((text, identical))
 }
 
-fn load_store(path: &str) -> Result<SubjectiveKb, CliError> {
-    let json = std::fs::read_to_string(path)
-        .map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-    SubjectiveKb::from_json(&json)
-        .map_err(|e| CliError::InvalidInput(format!("invalid store {path}: {e}")))
+/// The store the query server would serve from the snapshot at `path`
+/// (`surveyor::load_store`), with the file's bytes. A missing file is
+/// [`CliError::Io`] (exit 1), a corrupt one [`CliError::InvalidInput`]
+/// (exit 3).
+fn load_store(path: &str) -> Result<(SubjectiveKb, Vec<u8>), CliError> {
+    let bytes =
+        std::fs::read(path).map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
+    let store = surveyor::load_store(&bytes)
+        .map_err(|e| CliError::InvalidInput(format!("invalid snapshot {path}: {e}")))?;
+    Ok((store, bytes))
 }
 
 /// `surveyor query`
 pub fn query(
-    store_path: &str,
+    snapshot_path: &str,
     type_name: &str,
     property: &str,
     negative: bool,
     limit: usize,
 ) -> Result<String, CliError> {
-    let store = load_store(store_path)?;
+    let (store, _) = load_store(snapshot_path)?;
     let property =
         Property::parse(property).ok_or_else(|| CliError::Usage("empty property".to_owned()))?;
     let hits = if negative {
@@ -695,8 +697,8 @@ pub fn query(
 }
 
 /// `surveyor combos`
-pub fn combos(store_path: &str) -> Result<String, CliError> {
-    let store = load_store(store_path)?;
+pub fn combos(snapshot_path: &str) -> Result<String, CliError> {
+    let (store, _) = load_store(snapshot_path)?;
     let mut out = format!("{} combinations:\n", store.combinations().len());
     for block in store.combinations() {
         let positives = block.opinions().filter(|o| o.positive).count();
@@ -808,19 +810,18 @@ mod tests {
     fn mine_and_query_round_trip() {
         let dir = std::env::temp_dir().join("surveyor-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store.json");
+        let path = dir.join("world.swire");
         let path_str = path.to_str().unwrap();
 
         // Small, fast configuration.
         let args = MineArgs {
-            out: Some(path_str.to_owned()),
             seed: 5,
             rho: 40,
             shards: 2,
             ..MineArgs::new("cities")
         };
-        let summary = mine(&args).unwrap();
-        assert!(summary.contains("mined"), "{summary}");
+        let summary = snapshot(&args, path_str, None).unwrap();
+        assert!(summary.contains("snapshotted"), "{summary}");
 
         let out = query(path_str, "city", "big", false, 5).unwrap();
         assert!(out.contains("Pr ="), "{out}");
@@ -844,7 +845,27 @@ mod tests {
 
     #[test]
     fn query_missing_store_is_an_error() {
-        assert!(query("/nonexistent/store.json", "city", "big", false, 5).is_err());
+        match query("/nonexistent/world.swire", "city", "big", false, 5) {
+            Err(e @ CliError::Io(_)) => assert_eq!(e.exit_code(), 1),
+            other => panic!("unexpected {other:?}"),
+        }
+        let dir = std::env::temp_dir().join("surveyor-cli-query-corrupt-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let bad = dir.join("bad.swire");
+        std::fs::write(&bad, b"not a snapshot").unwrap();
+        for result in [
+            query(bad.to_str().unwrap(), "city", "big", false, 5),
+            combos(bad.to_str().unwrap()),
+        ] {
+            match result {
+                Err(e @ CliError::InvalidInput(_)) => {
+                    assert_eq!(e.exit_code(), 3);
+                    assert!(e.to_string().contains("invalid snapshot"), "{e}");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -930,8 +951,8 @@ mod tests {
         let loaded_json = std::fs::read_to_string(&loaded).unwrap();
         assert_eq!(mined_json, loaded_json);
 
-        // Querying the loaded store works exactly like the mined one.
-        let out = query(loaded.to_str().unwrap(), "city", "big", false, 5).unwrap();
+        // Querying the snapshot reads the store `load` wrote.
+        let out = query(snap.to_str().unwrap(), "city", "big", false, 5).unwrap();
         assert!(out.contains("Pr ="), "{out}");
 
         for path in [snap, mined, loaded] {

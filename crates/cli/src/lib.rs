@@ -4,8 +4,8 @@
 //! surveyor mine   --preset table2 --out store.json [--seed N] [--rho N] [--shards N] [--report FILE|-]
 //!                 [--region NAME] [--failure-policy failfast|degrade] [--min-shard-coverage F] [--chaos-seed N]
 //! surveyor run    [--preset NAME] [mine flags...]
-//! surveyor query  --store store.json --type city --property big [--negative] [--limit N]
-//! surveyor combos --store store.json
+//! surveyor query  --snapshot world.swire --type city --property big [--negative] [--limit N]
+//! surveyor combos --snapshot world.swire
 //! surveyor corpus --preset table2 [--seed N] [--shard N] [--limit N]
 //! surveyor link   --preset cities --attribute population [--seed N] [--rho N]
 //! surveyor snapshot --preset table2 --out world.swire [--store store.json] [mine flags...]
@@ -66,13 +66,13 @@ pub fn run(cli: &Cli) -> Result<Outcome, CliError> {
     match &cli.command {
         Command::Mine(args) => commands::mine(args).map(Outcome::ok),
         Command::Query {
-            store,
+            snapshot,
             type_name,
             property,
             negative,
             limit,
-        } => commands::query(store, type_name, property, *negative, *limit).map(Outcome::ok),
-        Command::Combos { store } => commands::combos(store).map(Outcome::ok),
+        } => commands::query(snapshot, type_name, property, *negative, *limit).map(Outcome::ok),
+        Command::Combos { snapshot } => commands::combos(snapshot).map(Outcome::ok),
         Command::Corpus {
             preset,
             seed,

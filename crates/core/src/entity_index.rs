@@ -12,13 +12,13 @@
 //! ```
 //!
 //! A *group* is one entry of the store's name arena ([`Names`]): the
-//! opinions of one entity. The table stores no strings — a slot names a
-//! group and the arena spells it — and a lookup folds ASCII case while
-//! hashing instead of allocating a lowered copy. Two groups may share a
-//! folded name (`Kitten` and `KITTEN` under two entity ids); a lookup
-//! keeps probing to the first empty slot, collects every group whose name
-//! matches, and merges their postings back into ascending row order — the
-//! order a scan over the blocks would visit.
+//! opinions of one entity, whose `EntityId` is the group number. The
+//! table stores no strings — a slot names a group and the arena spells it
+//! — and a lookup folds ASCII case while hashing instead of allocating a
+//! lowered copy. Two groups may share a folded name (`Kitten` and `KITTEN` under
+//! two entity ids); a lookup keeps probing to the first empty slot,
+//! collects every group whose name matches, and merges their postings back
+//! into ascending row order — the order a scan over the blocks would visit.
 
 use rustc_hash::FxHasher;
 use std::borrow::Cow;
@@ -34,17 +34,16 @@ pub(crate) struct Names {
     offsets: Vec<u32>,
 }
 
-impl Names {
-    /// An empty arena with room for `groups` names.
-    pub(crate) fn with_capacity(groups: usize) -> Self {
-        let mut offsets = Vec::with_capacity(groups + 1);
-        offsets.push(0);
+impl Default for Names {
+    fn default() -> Self {
         Self {
             text: String::new(),
-            offsets,
+            offsets: vec![0],
         }
     }
+}
 
+impl Names {
     /// Appends a name and returns its group.
     pub(crate) fn push(&mut self, name: &str) -> u32 {
         let group = self.len();

@@ -10,37 +10,38 @@
 //!
 //! A [`SubjectiveKb`] is a handful of flat columns, however many opinions
 //! it holds — what it costs to keep is [`SubjectiveKb::resident_bytes`],
-//! about 50 bytes per opinion:
+//! about 26 bytes per opinion on the long-tail world:
 //!
 //! ```text
-//!   heads         one per (type, property) block: type, property, the three
-//!                 fitted parameters
+//!   heads         one per (type, property) block: type, property, the key
+//!                 of its documents, the three fitted parameters
 //!   block_starts  u32 × (blocks + 1): block b is rows[starts[b]..starts[b + 1]]
-//!   rows          32 bytes per opinion, blocks back to back, each in rank
-//!                 order: group, verdict, probability, the two counts
-//!   names         the name arena — one name per entity group, not per opinion
-//!   group_entity  the `EntityId` of each group
-//!   doc_offsets   u32 × (rows + 1) into …
-//!   documents     … the supporting-document ids, in row order
+//!   rows          8 bytes per opinion, blocks back to back, each in rank
+//!                 order: entity, pair slot
+//!   pairs         32 bytes per distinct (c+, c−) pair of each block:
+//!                 verdict, probability, the two counts
+//!   names         the name arena — one name per entity, not per opinion
+//!   documents     the supporting-document ids in `PROV` order, behind a
+//!                 per-entity run index keyed by property
 //!   by_combination, entities   the two derived indexes (block by key,
 //!                 rows by entity name — `entity_index.rs`)
 //! ```
 //!
-//! Three producers fill the same columns: [`SubjectiveKb::from_output`]
-//! (a mine), [`crate::load_store`] (snapshot bytes, without the pipeline
-//! output in between) and [`SubjectiveKb::from_json`]. Lookups hand out
-//! [`BlockRef`] / [`OpinionRef`] views assembled from the columns on the
-//! spot; [`CombinationBlock`] / [`StoredOpinion`] are the owned *export*
-//! shape — what [`SubjectiveKb::blocks`] and the JSON form are made of.
+//! One builder fills the columns, `StoreSink`, fed either by the
+//! snapshot walk ([`crate::load_store`]: bytes, without the pipeline
+//! output in between) or by [`SubjectiveKb::from_output`] (a mine). The
+//! group of a row is its `EntityId`. Lookups hand out [`BlockRef`] /
+//! [`OpinionRef`] views assembled from the columns on the spot;
+//! [`CombinationBlock`] / [`StoredOpinion`] are the owned *export* shape —
+//! what [`SubjectiveKb::blocks`] and the JSON form are made of.
 
-use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::mem::size_of;
 use std::sync::Arc;
 use surveyor_extract::evidence::Group;
 use surveyor_extract::EvidenceCounts;
-use surveyor_kb::{EntityId, KnowledgeBase, Property, TypeId};
+use surveyor_kb::{EntityId, KnowledgeBase, Property, PropertyId, TypeId};
 use surveyor_model::{CountTable, Decision, ModelDecision};
 
 use crate::entity_index::{EntityIndex, Names};
@@ -93,24 +94,32 @@ struct BlockHead {
     type_id: TypeId,
     type_name: String,
     property: Property,
+    /// What [`Documents`] files this block's property under.
+    documents_key: u32,
     p_agree: f64,
     rate_pos: f64,
     rate_neg: f64,
 }
 
-/// The plain-data part of one opinion. Its entity and name are its
-/// group's; its documents are `doc_offsets[row]..doc_offsets[row + 1]`.
+/// What every opinion of one distinct `(c+, c−)` pair of a block shares.
 #[derive(Debug, Clone, Copy)]
-struct Row {
-    group: u32,
+struct Pair {
     positive: bool,
     probability: f64,
     positive_statements: u64,
     negative_statements: u64,
 }
 
-// The bytes-per-opinion budget (`resident_bytes`) is built on this.
-const _: () = assert!(size_of::<Row>() == 32);
+/// One opinion: its group — its `EntityId`, whose name and documents
+/// are its own — and the slot of its pair in `pairs`.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    group: u32,
+    pair: u32,
+}
+
+// The bytes-per-opinion budget (`resident_bytes`) is built on these.
+const _: () = assert!(size_of::<Row>() == 8 && size_of::<Pair>() == 32);
 
 /// A stored block, borrowed from the store's columns: the block's own
 /// values by copy, its strings by reference, its opinions on request.
@@ -145,10 +154,10 @@ impl<'a> BlockRef<'a> {
 
     /// All decided entities, positives first, by descending probability.
     pub fn opinions(&self) -> impl DoubleEndedIterator<Item = OpinionRef<'a>> + ExactSizeIterator {
-        let store = self.store;
+        let (store, block) = (self.store, self.index);
         store
-            .rows_of(self.index)
-            .map(move |row| store.opinion_at(row))
+            .rows_of(block)
+            .map(move |row| store.opinion_at((block, row)))
     }
 
     /// The owned copy of the block.
@@ -245,7 +254,7 @@ impl PartialEq for SubjectiveKb {
 /// The data columns of a store, filled block by block in final order.
 /// [`Columns::finish`] is the one way to a [`SubjectiveKb`]: both indexes
 /// are derived there, so no store exists without them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Columns {
     heads: Vec<BlockHead>,
     /// Block `b` is `rows[block_starts[b]..block_starts[b + 1]]`: blocks
@@ -253,41 +262,21 @@ struct Columns {
     /// `finish` adds the end of the last.
     block_starts: Vec<u32>,
     rows: Vec<Row>,
+    /// Every block's distinct pairs, blocks back to back.
+    pairs: Vec<Pair>,
+    /// Entity `e`'s name is group `e`'s.
     names: Names,
-    group_entity: Vec<EntityId>,
-    doc_offsets: Vec<u32>,
-    documents: Vec<u64>,
+    documents: Documents,
 }
 
 impl Columns {
-    fn with_capacity(blocks: usize, groups: usize, rows: usize) -> Self {
-        let mut doc_offsets = Vec::with_capacity(rows + 1);
-        doc_offsets.push(0);
-        Self {
-            heads: Vec::with_capacity(blocks),
-            block_starts: Vec::with_capacity(blocks + 1),
-            rows: Vec::with_capacity(rows),
-            names: Names::with_capacity(groups),
-            group_entity: Vec::with_capacity(groups),
-            doc_offsets,
-            documents: Vec::new(),
-        }
-    }
-
-    /// Adds an entity group and returns its number. Opinions are grouped
-    /// by name for the entity index; the opinions of one group carry one
-    /// entity and one name.
-    fn group(&mut self, entity: EntityId, name: &str) -> u32 {
-        self.group_entity.push(entity);
-        self.names.push(name)
-    }
-
-    /// Opens the next block; [`push`](Self::push) appends to it.
+    /// Opens the next block; its rows follow.
     fn begin_block(
         &mut self,
         type_id: TypeId,
         type_name: &str,
         property: Property,
+        documents_key: u32,
         params: [f64; 3],
     ) {
         self.block_starts.push(self.rows.len() as u32);
@@ -295,63 +284,54 @@ impl Columns {
             type_id,
             type_name: type_name.to_owned(),
             property,
+            documents_key,
             p_agree: params[0],
             rate_pos: params[1],
             rate_neg: params[2],
         });
     }
 
-    /// Appends an opinion to the open block.
-    fn push(&mut self, row: Row, documents: &[u64]) {
-        self.rows.push(row);
-        self.documents.extend_from_slice(documents);
-        // Positions are u32, here as in the entity index.
-        assert!(
-            self.rows.len() < u32::MAX as usize && self.documents.len() < u32::MAX as usize,
-            "store exceeds its u32 positions"
-        );
-        self.doc_offsets.push(self.documents.len() as u32);
-    }
-
-    /// Appends the block of one modeled combination: the entities whose
-    /// pair the model solves, in [`PairRanking`]'s order, each with its
-    /// pair's verdict, probability and counts. Group numbers are entity
-    /// ids here — the caller added one group per entity of the knowledge
-    /// base, in id order.
-    fn push_group<'d>(
+    /// Appends the block of one modeled combination: one pair entry per
+    /// distinct pair of its count table — verdict, probability, counts —
+    /// then one row per entity whose pair the model solves, in
+    /// [`PairRanking`]'s order, naming the entity and its pair's slot.
+    fn push_group(
         &mut self,
         type_name: &str,
+        documents_key: u32,
         group: &ModelledGroup<'_>,
         ranking: &mut PairRanking,
-        documents: impl Fn(EntityId) -> &'d [u64],
     ) {
         let (params, table) = (&group.fit.params, group.table);
         self.begin_block(
             group.key.type_id,
             type_name,
             group.key.property.resolve(),
+            documents_key,
             [params.p_agree, params.rate_pos, params.rate_neg],
         );
         let decisions = table.pair_decisions(params);
+        let first = self.pairs.len();
+        self.pairs.extend(
+            (table.pairs().iter().zip(&decisions)).map(|(counts, decision)| Pair {
+                positive: decision.decision == Decision::Positive,
+                probability: decision.probability.unwrap_or(0.5),
+                positive_statements: counts.positive,
+                negative_statements: counts.negative,
+            }),
+        );
         let order = ranking.rank(table, &decisions);
-        self.rows.reserve(order.len());
-        self.doc_offsets.reserve(order.len());
-        let (pairs, slots) = (table.pairs(), table.slots());
-        for &position in order {
-            let entity = group.entities[position as usize];
-            let slot = slots[position as usize] as usize;
-            let decision = decisions[slot];
-            self.push(
-                Row {
-                    group: entity.0,
-                    positive: decision.decision == Decision::Positive,
-                    probability: decision.probability.unwrap_or(0.5),
-                    positive_statements: pairs[slot].positive,
-                    negative_statements: pairs[slot].negative,
-                },
-                documents(entity),
-            );
-        }
+        // Positions are u32, here as in the entity index.
+        assert!(
+            self.rows.len() + order.len() < u32::MAX as usize
+                && self.pairs.len() < u32::MAX as usize,
+            "store exceeds its u32 positions"
+        );
+        let slots = table.slots();
+        self.rows.extend(order.iter().map(|&position| Row {
+            group: group.entities[position as usize].0,
+            pair: first as u32 + slots[position as usize],
+        }));
     }
 
     fn finish(mut self) -> SubjectiveKb {
@@ -361,9 +341,8 @@ impl Columns {
         self.heads.shrink_to_fit();
         self.block_starts.shrink_to_fit();
         self.rows.shrink_to_fit();
+        self.pairs.shrink_to_fit();
         self.names.shrink_to_fit();
-        self.group_entity.shrink_to_fit();
-        self.doc_offsets.shrink_to_fit();
         self.documents.shrink_to_fit();
         let mut by_combination: Vec<u32> = (0..self.heads.len() as u32).collect();
         by_combination.sort_by(|&a, &b| {
@@ -376,6 +355,62 @@ impl Columns {
             by_combination,
             entities,
         }
+    }
+}
+
+/// The supporting documents of every (entity, property) pair that has
+/// any, as `PROV` lists them: ascending by entity, then by property key
+/// — the snapshot walk rejects any other order — so an entity's pairs
+/// are one run, `starts` finds it and a binary search on the key
+/// finishes a lookup. An opinion's documents are found, not copied.
+#[derive(Debug, Clone, Default)]
+struct Documents {
+    /// Entity `e` owns `runs[starts[e]..starts[e + 1]]`; entities past
+    /// the last one with documents have no entry and own nothing.
+    starts: Vec<u32>,
+    /// Per pair, its property key and the start of its ids in `ids`;
+    /// they end where the next pair's start.
+    runs: Vec<(u32, u32)>,
+    ids: Vec<u64>,
+}
+
+impl Documents {
+    fn push(&mut self, entity: EntityId, key: u32, documents: impl Iterator<Item = u64>) {
+        // Every entity up to this one starts at or before this pair.
+        let (at, through) = (self.runs.len() as u32, entity.index() + 1);
+        self.starts.resize(self.starts.len().max(through), at);
+        self.runs.push((key, self.ids.len() as u32));
+        self.ids.extend(documents);
+        assert!(
+            self.ids.len() < u32::MAX as usize && self.runs.len() < u32::MAX as usize,
+            "store exceeds its u32 positions"
+        );
+    }
+
+    fn get(&self, entity: u32, key: u32) -> &[u64] {
+        let start_of = |e: usize| self.starts.get(e).map_or(self.runs.len(), |&s| s as usize);
+        let first = start_of(entity as usize);
+        let run = &self.runs[first..start_of(entity as usize + 1)];
+        match run.binary_search_by_key(&key, |&(key, _)| key) {
+            Ok(at) => {
+                let at = first + at;
+                let end = (self.runs.get(at + 1)).map_or(self.ids.len(), |&(_, end)| end as usize);
+                &self.ids[self.runs[at].1 as usize..end]
+            }
+            Err(_) => &[],
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.starts.shrink_to_fit();
+        self.runs.shrink_to_fit();
+        self.ids.shrink_to_fit();
+    }
+
+    fn resident_bytes(&self) -> usize {
+        self.starts.capacity() * size_of::<u32>()
+            + self.runs.capacity() * size_of::<(u32, u32)>()
+            + self.ids.capacity() * size_of::<u64>()
     }
 }
 
@@ -457,20 +492,35 @@ impl PairRanking {
 type Position = (u32, u32);
 
 impl SubjectiveKb {
-    /// Materializes pipeline output into a store.
+    /// Materializes pipeline output into a store: the output fed to the
+    /// builder a snapshot load feeds, in the order the walk would — the
+    /// provenance sorted by (entity, property), the groups as they are.
+    /// Properties are keyed by their interned id here, where a load keys
+    /// them by their rank in the snapshot's property table.
     pub fn from_output(output: &SurveyorOutput, kb: &Arc<KnowledgeBase>) -> Self {
-        let mut columns =
-            Columns::with_capacity(output.results.len(), kb.len(), output.decided_pairs());
-        // A name is a function of the entity id here, so the ids are the
-        // groups.
-        for entity in kb.entities() {
-            columns.group(entity.id(), entity.name());
+        let mut sink = StoreSink::default();
+        for entity_type in kb.types() {
+            sink.entity_type(entity_type.name(), &[], &[]);
         }
-        let (mut mentioned, mut ranking) = (Vec::new(), PairRanking::default());
-        let silent = Group::default();
+        for entity in kb.entities() {
+            sink.entity(entity.name(), entity.notable_type().0, &[], &[]);
+        }
+        sink.begin_rows(Declared {
+            evidence: output.evidence.pair_count(),
+            provenance: output.provenance.pair_count(),
+            provenance_sample_size: output.provenance.sample_size(),
+            results: output.results.len(),
+        });
+        let by_id = |id: PropertyId| PropertyRef { rank: id.0, id };
+        let mut provenance: Vec<_> = output.provenance.iter().collect();
+        provenance.sort_unstable_by_key(|&(&(entity, property), _)| (entity, property.0));
+        for (&(entity, property), documents) in provenance {
+            sink.provenance(entity, by_id(property), documents.iter().copied());
+        }
+        let (mut mentioned, silent) = (Vec::new(), Group::default());
         for result in &output.results {
             let key = result.key;
-            let entities = output.kb().entities_of_type(key.type_id);
+            let entities = kb.entities_of_type(key.type_id);
             let evidence = output.grouped.group(&key).unwrap_or(&silent);
             let group = ModelledGroup {
                 key,
@@ -478,48 +528,9 @@ impl SubjectiveKb {
                 entities,
                 table: &count_table(entities, evidence, &mut mentioned),
             };
-            columns.push_group(
-                kb.entity_type(key.type_id).name(),
-                &group,
-                &mut ranking,
-                |entity| output.provenance.documents_id(entity, key.property),
-            );
+            sink.group(by_id(key.property), &group);
         }
-        columns.finish()
-    }
-
-    /// Fills the columns from blocks from outside the program
-    /// ([`Self::from_json`]), in the order given. Nothing there ties an
-    /// `EntityId` to one name, so a group is a distinct (id, name) pair;
-    /// the entity index merges the groups of one name at lookup.
-    fn from_blocks(blocks: &[CombinationBlock]) -> Self {
-        let pairs = blocks.iter().map(|b| b.opinions.len()).sum();
-        let mut columns = Columns::with_capacity(blocks.len(), 0, pairs);
-        let mut groups: FxHashMap<(EntityId, &str), u32> = FxHashMap::default();
-        for block in blocks {
-            columns.begin_block(
-                block.type_id,
-                &block.type_name,
-                block.property.clone(),
-                [block.p_agree, block.rate_pos, block.rate_neg],
-            );
-            for opinion in &block.opinions {
-                let group = *groups
-                    .entry((opinion.entity, opinion.entity_name.as_str()))
-                    .or_insert_with(|| columns.group(opinion.entity, &opinion.entity_name));
-                columns.push(
-                    Row {
-                        group,
-                        positive: opinion.positive,
-                        probability: opinion.probability,
-                        positive_statements: opinion.positive_statements,
-                        negative_statements: opinion.negative_statements,
-                    },
-                    &opinion.supporting_documents,
-                );
-            }
-        }
-        columns.finish()
+        sink.finish()
     }
 
     /// All stored combinations, as owned copies — the export; use
@@ -547,7 +558,7 @@ impl SubjectiveKb {
     /// capacities (block heads with their strings included), counted from
     /// the columns themselves — no allocator is asked. This is what one
     /// served generation costs; `tests::bytes_per_opinion_budget` holds it
-    /// to 64 bytes per opinion.
+    /// to 32 bytes per opinion.
     pub fn resident_bytes(&self) -> usize {
         let heads: usize = (self.data.heads.iter())
             .map(|head| {
@@ -562,10 +573,9 @@ impl SubjectiveKb {
             + self.data.heads.capacity() * size_of::<BlockHead>()
             + self.data.block_starts.capacity() * size_of::<u32>()
             + self.data.rows.capacity() * size_of::<Row>()
+            + self.data.pairs.capacity() * size_of::<Pair>()
             + self.data.names.resident_bytes()
-            + self.data.group_entity.capacity() * size_of::<EntityId>()
-            + self.data.doc_offsets.capacity() * size_of::<u32>()
-            + self.data.documents.capacity() * size_of::<u64>()
+            + self.data.documents.resident_bytes()
             + self.by_combination.capacity() * size_of::<u32>()
             + self.entities.resident_bytes()
     }
@@ -584,25 +594,30 @@ impl SubjectiveKb {
         }
     }
 
-    fn opinion_at(&self, row: u32) -> OpinionRef<'_> {
-        let (data, at) = (&self.data, row as usize);
-        let Row {
-            group,
+    fn opinion_at(&self, (block, row): Position) -> OpinionRef<'_> {
+        let data = &self.data;
+        let Row { group, pair } = data.rows[row as usize];
+        let Pair {
             positive,
             probability,
             positive_statements,
             negative_statements,
-        } = data.rows[at];
+        } = data.pairs[pair as usize];
         OpinionRef {
-            entity: data.group_entity[group as usize],
+            entity: EntityId(group),
             entity_name: data.names.get(group),
             positive,
             probability,
             positive_statements,
             negative_statements,
-            supporting_documents: &data.documents
-                [data.doc_offsets[at] as usize..data.doc_offsets[at + 1] as usize],
+            supporting_documents: (data.documents)
+                .get(group, data.heads[block as usize].documents_key),
         }
+    }
+
+    /// The probability of a row's pair.
+    fn probability(&self, row: u32) -> f64 {
+        self.data.pairs[self.data.rows[row as usize].pair as usize].probability
     }
 
     /// The rows of a block.
@@ -679,8 +694,7 @@ impl SubjectiveKb {
     /// Most confident first (largest `|p − 0.5|`), then by type name; hits
     /// that tie on both keep the order they arrive in.
     fn by_confidence(&self, a: &Position, b: &Position) -> Ordering {
-        let confidence =
-            |&(_, row): &Position| (self.data.rows[row as usize].probability - 0.5).abs();
+        let confidence = |&(_, row): &Position| (self.probability(row) - 0.5).abs();
         let type_name = |&(block, _): &Position| self.data.heads[block as usize].type_name.as_str();
         confidence(b)
             .total_cmp(&confidence(a))
@@ -720,8 +734,8 @@ impl SubjectiveKb {
         self.hits(entity_name).find(|&(b, _)| b == block)
     }
 
-    fn views(&self, (block, row): Position) -> (BlockRef<'_>, OpinionRef<'_>) {
-        (self.block_at(block), self.opinion_at(row))
+    fn views(&self, at: Position) -> (BlockRef<'_>, OpinionRef<'_>) {
+        (self.block_at(at.0), self.opinion_at(at))
     }
 
     /// Every stored opinion about `entity_name` across all combinations,
@@ -758,79 +772,27 @@ impl SubjectiveKb {
     ) -> Option<OpinionRef<'_>> {
         let wanted = self.combination(type_name, property)?;
         self.hit_in(wanted.index, entity_name)
-            .map(|(_, row)| self.opinion_at(row))
+            .map(|at| self.opinion_at(at))
     }
 
     /// Serializes the store to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(&self.blocks()).expect("store serializes") // lint:allow(no-panic-in-lib): the store value tree holds only serializable primitives
     }
-
-    /// Restores a store from JSON produced by [`Self::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        let blocks: Vec<CombinationBlock> = serde_json::from_str(json)?;
-        Ok(Self::from_blocks(&blocks))
-    }
 }
 
-/// Per-pair values of a row section (`PROV`) as they arrive:
-/// ascending by (entity, property rank) — the snapshot walk rejects any
-/// other order — so an entity's rows are one run, `starts` finds it and a
-/// binary search on the rank finishes the lookup. Lives for one load.
-struct PairRuns<T> {
-    /// Entity `e` owns `rows[starts[e]..starts[e + 1]]`; entities past
-    /// the last one with a row have no entry and own nothing.
-    starts: Vec<usize>,
-    rows: Vec<(u32, T)>,
-}
-
-impl<T: Copy> PairRuns<T> {
-    fn with_capacity(entities: usize, rows: usize) -> Self {
-        Self {
-            starts: Vec::with_capacity(entities + 1),
-            rows: Vec::with_capacity(rows),
-        }
-    }
-
-    fn push(&mut self, entity: EntityId, rank: u32, value: T) {
-        // Every entity up to this one starts at or before this row.
-        let (at, through) = (self.rows.len(), entity.index() + 1);
-        self.starts.resize(self.starts.len().max(through), at);
-        self.rows.push((rank, value));
-    }
-
-    fn get(&self, entity: EntityId, rank: u32) -> Option<T> {
-        let start_of = |e: usize| self.starts.get(e).copied().unwrap_or(self.rows.len());
-        let run = &self.rows[start_of(entity.index())..start_of(entity.index() + 1)];
-        let at = run.binary_search_by_key(&rank, |&(rank, _)| rank).ok()?;
-        Some(run[at].1)
-    }
-}
-
-/// The sink behind [`crate::load_store`]: fills the store's columns from
-/// a snapshot's sections as the walk checks them. Provenance samples are
-/// parked as one flat run until the modelled groups that refer to them
-/// arrive, each with its count table; nothing else of the snapshot — the
-/// knowledge base's surface forms, attributes, the tables — is built.
+/// The builder behind every store: fills the columns from a snapshot's
+/// sections as the walk checks them ([`crate::load_store`]), or from a
+/// mine's output ([`SubjectiveKb::from_output`]). Provenance samples stay
+/// where they arrive, in the store's document arena; the modelled groups
+/// that refer to them follow, each with its count table. Nothing else of
+/// the snapshot — the knowledge base's surface forms, attributes, the
+/// tables — is built.
+#[derive(Default)]
 pub(crate) struct StoreSink {
     columns: Columns,
     type_names: Vec<String>,
-    /// Per pair, its range of `sampled`.
-    provenance: PairRuns<(usize, usize)>,
-    sampled: Vec<u64>,
     ranking: PairRanking,
-}
-
-impl Default for StoreSink {
-    fn default() -> Self {
-        Self {
-            columns: Columns::with_capacity(0, 0, 0),
-            type_names: Vec::new(),
-            provenance: PairRuns::with_capacity(0, 0),
-            sampled: Vec::new(),
-            ranking: PairRanking::default(),
-        }
-    }
 }
 
 impl Sink for StoreSink {
@@ -841,14 +803,14 @@ impl Sink for StoreSink {
     }
 
     fn entity(&mut self, name: &str, _: u32, _: &[&str], _: &[(&str, f64)]) {
-        let id = EntityId(self.columns.group_entity.len() as u32);
-        self.columns.group(id, name);
+        self.columns.names.push(name);
     }
 
     fn begin_rows(&mut self, declared: Declared) {
-        let entities = self.columns.group_entity.len();
+        let documents = &mut self.columns.documents;
+        documents.starts.reserve_exact(self.columns.names.len() + 1);
+        documents.runs.reserve_exact(declared.provenance);
         self.columns.heads.reserve_exact(declared.results);
-        self.provenance = PairRuns::with_capacity(entities, declared.provenance);
     }
 
     fn evidence(&mut self, _: EntityId, _: PropertyRef, _: EvidenceCounts) {}
@@ -859,22 +821,15 @@ impl Sink for StoreSink {
         property: PropertyRef,
         documents: impl Iterator<Item = u64>,
     ) {
-        let start = self.sampled.len();
-        self.sampled.extend(documents);
-        self.provenance
-            .push(entity, property.rank, (start, self.sampled.len()));
+        (self.columns.documents).push(entity, property.rank, documents);
     }
 
     fn group(&mut self, property: PropertyRef, group: &ModelledGroup<'_>) {
-        let (provenance, sampled) = (&self.provenance, &self.sampled);
         self.columns.push_group(
             &self.type_names[group.key.type_id.index()],
+            property.rank,
             group,
             &mut self.ranking,
-            |entity| match provenance.get(entity, property.rank) {
-                Some((start, end)) => &sampled[start..end],
-                None => &[],
-            },
         );
     }
 
@@ -906,8 +861,8 @@ impl SubjectiveKb {
                 &self.data.heads[block_a as usize],
                 &self.data.heads[block_b as usize],
             );
-            let conf_a = (self.data.rows[a as usize].probability - 0.5).abs();
-            let conf_b = (self.data.rows[b as usize].probability - 0.5).abs();
+            let conf_a = (self.probability(a) - 0.5).abs();
+            let conf_b = (self.probability(b) - 0.5).abs();
             conf_b
                 .total_cmp(&conf_a)
                 .then_with(|| block_a.type_name.cmp(&block_b.type_name))
@@ -1170,47 +1125,6 @@ mod tests {
         assert_eq!(store.len(), 4);
     }
 
-    #[test]
-    fn json_round_trip() {
-        let (kb, output) = output_fixture();
-        let store = SubjectiveKb::from_output(&output, &kb);
-        let json = store.to_json();
-        let restored = SubjectiveKb::from_json(&json).unwrap();
-        // JSON round-trips floats up to the last ULP; compare structure.
-        assert_eq!(store.len(), restored.len());
-        assert_eq!(store.blocks().len(), restored.blocks().len());
-        let cute = Property::adjective("cute");
-        let a = store.query("animal", &cute);
-        let b = restored.query("animal", &cute);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.entity_name, y.entity_name);
-            assert_eq!(x.positive, y.positive);
-            assert!((x.probability - y.probability).abs() < 1e-9);
-        }
-        // The entity index is derived again on the way in: the restored
-        // store answers by-entity lookups exactly as the original does.
-        for name in ["Kitten", "kitten", "PUPPY", "Spider", "Rock", "ghost"] {
-            let flat = |s: &SubjectiveKb| -> Vec<(String, String, bool)> {
-                s.opinions_of_entity(name)
-                    .iter()
-                    .map(|(b, o)| (b.type_name.to_owned(), o.entity_name.to_owned(), o.positive))
-                    .collect()
-            };
-            assert_eq!(flat(&store), flat(&restored), "opinions_of_entity({name})");
-            let verdict = |s: &SubjectiveKb| s.find_opinion(name, &cute).map(|(_, o)| o.positive);
-            assert_eq!(verdict(&store), verdict(&restored), "find_opinion({name})");
-            assert_eq!(verdict(&store).is_some(), name != "ghost");
-        }
-        // Rendering what was parsed gives the bytes that were parsed.
-        assert_eq!(
-            restored.to_json(),
-            SubjectiveKb::from_json(&restored.to_json())
-                .unwrap()
-                .to_json()
-        );
-    }
-
     /// One name under two `EntityId`s and two types, with the same
     /// evidence and so the same confidence: both answer to either
     /// spelling, the type name breaks the tie, and the index agrees with
@@ -1280,7 +1194,7 @@ mod tests {
         for (label, store) in [("from_output", &mined), ("load_store", &served)] {
             let per_opinion = store.resident_bytes() as f64 / store.len() as f64;
             assert!(
-                per_opinion <= 64.0,
+                per_opinion <= 32.0,
                 "{label}: {per_opinion:.1} bytes per opinion ({} bytes, {} opinions)",
                 store.resident_bytes(),
                 store.len(),
@@ -1294,18 +1208,18 @@ mod tests {
 /// *Index against scan:* every lookup answered from the two derived
 /// indexes must return exactly what the linear scans they replaced return
 /// — the same positions in the same order. Block sets are drawn from small
-/// pools chosen to collide: case variants of one name (ASCII ones match
-/// each other, non-ASCII ones must not), one name under several
-/// `EntityId`s, one `EntityId` under several names, an entity in several
-/// blocks and under two types with equal confidence, blocks repeating a
-/// (type, property), empty blocks, the empty store, and ids up to
-/// `u32::MAX`.
+/// pools chosen to collide and pushed through the builder: case variants
+/// of one name (ASCII ones match each other, non-ASCII ones must not), one
+/// name under several `EntityId`s, an entity in several blocks and under
+/// two types with equal confidence (saturated posteriors tie at 0 and 1),
+/// blocks repeating a (type, property), empty blocks, the empty store.
 ///
 /// *Bytes against output:* the store [`crate::load_store`] fills straight
 /// from snapshot bytes must be the store [`SubjectiveKb::from_output`]
 /// builds from [`crate::load_snapshot`] of the same bytes — the same
-/// export, the same JSON, the same answer from every lookup — on every
-/// preset world, the fixtures of this crate's tests, and drawn worlds.
+/// export, the same JSON, the same answer from every lookup, the documents
+/// the provenance table holds — on every preset world, the fixtures of
+/// this crate's tests, and drawn worlds.
 #[cfg(test)]
 mod differential {
     use super::*;
@@ -1313,9 +1227,10 @@ mod differential {
     use crate::source::CorpusSource;
     use proptest::prelude::*;
     use surveyor_corpus::{presets, CorpusConfig, CorpusGenerator, World};
+    use surveyor_extract::GroupKey;
     use surveyor_extract::{EvidenceTable, ProvenanceTable};
-    use surveyor_kb::{KnowledgeBaseBuilder, PropertyId};
-    use surveyor_model::ObservedCounts;
+    use surveyor_kb::KnowledgeBaseBuilder;
+    use surveyor_model::{ConvergenceReason, EmFit, ModelParams, ObservedCounts};
     use surveyor_wire::IncrementalState;
 
     /// Every result's decisions as raw bits: what "bit for bit" compares.
@@ -1347,58 +1262,37 @@ mod differential {
         "rock",
         "",
     ];
-    const IDS: [u32; 8] = [0, 1, 2, 3, 1 << 20, 1 << 31, 4_000_000_000, u32::MAX];
     const TYPES: [&str; 3] = ["animal", "pet", "city"];
     const PROPERTIES: [&str; 3] = ["cute", "big", "very big"];
-    /// 0.1/0.9 and 0.25/0.75 tie on confidence; 0.5 has none.
-    const PROBABILITIES: [f64; 6] = [0.1, 0.9, 0.25, 0.75, 0.5, 0.9];
+    /// Saturating (most posteriors exactly 0 or 1, so confidences tie
+    /// across verdicts), balanced, and undecided (pA = ½ solves nothing:
+    /// an empty block).
+    const PARAMS: [(f64, f64, f64); 3] = [(0.9, 1_000.0, 1.0), (0.8, 2.0, 1.0), (0.5, 2.0, 1.0)];
+    const COUNTS: [(u64, u64); 6] = [(0, 0), (1, 0), (0, 1), (5, 0), (5, 1), (40, 2)];
 
-    /// One drawn opinion: indexes into `NAMES`, `IDS`, `PROBABILITIES`.
-    type OpinionDraw = (usize, usize, usize);
-    /// One drawn block: indexes into `TYPES` and `PROPERTIES`, and opinions.
-    type BlockDraw = (usize, usize, Vec<OpinionDraw>);
+    /// One drawn block: indexes into `TYPES`, `PROPERTIES` and `PARAMS`,
+    /// and its entities, each an index into `NAMES` — its id — with an
+    /// index into `COUNTS`.
+    type BlockDraw = (usize, usize, usize, Vec<(usize, usize)>);
 
     fn blocks_strategy() -> impl Strategy<Value = Vec<BlockDraw>> {
-        let opinion = (0..NAMES.len(), 0..IDS.len(), 0..PROBABILITIES.len());
+        let entity = (0..NAMES.len(), 0..COUNTS.len());
         let block = (
             0..TYPES.len(),
             0..PROPERTIES.len(),
-            prop::collection::vec(opinion, 0..8),
+            0..PARAMS.len(),
+            prop::collection::vec(entity, 0..8),
         );
         prop::collection::vec(block, 0..7)
     }
 
-    fn materialize(
-        draws: &[BlockDraw],
-        opinion: impl Fn(&OpinionDraw) -> (EntityId, &'static str),
-    ) -> Vec<CombinationBlock> {
-        draws
-            .iter()
-            .map(|(type_index, property, opinions)| CombinationBlock {
-                type_id: TypeId(*type_index as u32),
-                type_name: TYPES[*type_index].to_owned(),
-                property: Property::parse(PROPERTIES[*property]).unwrap(),
-                p_agree: 0.9,
-                rate_pos: 2.0,
-                rate_neg: 0.5,
-                opinions: opinions
-                    .iter()
-                    .map(|draw| {
-                        let (entity, name) = opinion(draw);
-                        let probability = PROBABILITIES[draw.2];
-                        StoredOpinion {
-                            entity,
-                            entity_name: name.to_owned(),
-                            positive: probability > 0.5,
-                            probability,
-                            positive_statements: 3,
-                            negative_statements: 1,
-                            supporting_documents: vec![7],
-                        }
-                    })
-                    .collect(),
-            })
-            .collect()
+    /// The documents of entity `id` on `PROPERTIES[property]`; a third of
+    /// the pairs have none.
+    fn drawn_documents(id: usize, property: usize) -> Vec<u64> {
+        match (id + property) % 3 {
+            0 => Vec::new(),
+            _ => vec![(10 * id + property) as u64, 100],
+        }
     }
 
     const PROBES: [&str; 7] = [
@@ -1519,8 +1413,34 @@ mod differential {
                 reference.resident_bytes(),
                 "{context}: resident bytes"
             );
-            // Each block in the per-entity ranking's order.
+            // Each block in the per-entity ranking's order, each opinion
+            // with the verdict the mine decided, its counts and its
+            // documents.
             for (block, result) in store.combinations().zip(&output.results) {
+                for opinion in block.opinions() {
+                    let (entity, property) = (opinion.entity, result.key.property);
+                    let at = (result.decisions)
+                        .binary_search_by_key(&entity, |&(entity, _)| entity)
+                        .expect("a stored opinion is a decided entity");
+                    let decided = result.decisions[at].1;
+                    let counts = output.evidence.counts_id(entity, property);
+                    assert_eq!(
+                        (
+                            opinion.positive,
+                            decided.probability.map(f64::to_bits),
+                            (opinion.positive_statements, opinion.negative_statements),
+                            opinion.supporting_documents,
+                        ),
+                        (
+                            decided.decision == Decision::Positive,
+                            Some(opinion.probability.to_bits()),
+                            (counts.positive, counts.negative),
+                            output.provenance.documents_id(entity, property),
+                        ),
+                        "{context}: {}",
+                        opinion.entity_name
+                    );
+                }
                 let entities = output.kb().entities_of_type(result.key.type_id);
                 let counts: Vec<ObservedCounts> = (entities.iter())
                     .map(|&e| {
@@ -1631,51 +1551,89 @@ mod differential {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The `from_json` path: names and ids drawn independently, so one id
-        /// may carry several names and ids may be sparse and huge.
-        #[test]
-        fn index_matches_scan_on_blocks_from_json(draws in blocks_strategy()) {
-            let blocks = materialize(&draws, |&(name, id, _)| (EntityId(IDS[id]), NAMES[name]));
-            let json = serde_json::to_string(&blocks).unwrap();
-            let store = SubjectiveKb::from_json(&json).unwrap();
-            prop_assert_eq!(store.blocks(), blocks);
-            assert_index_matches_scan(&store)?;
-        }
-
-        /// The `from_output` path: the name is a function of a dense id, so
-        /// case variants of one name are distinct groups the lookup must
-        /// merge back into block order, and some ids have no opinion at all.
+        /// The builder's own path: the name is a function of a dense id,
+        /// so case variants of one name are distinct groups the lookup
+        /// must merge back into block order, and some ids have no opinion
+        /// at all. Each block is what the per-entity ranking of its drawn
+        /// counts makes of it, each opinion with its pair's documents.
         #[test]
         fn index_matches_scan_on_blocks_grouped_by_id(
             draws in blocks_strategy(),
             unused_ids in 0usize..4,
         ) {
-            let blocks = materialize(&draws, |&(name, _, _)| (EntityId(name as u32), NAMES[name]));
-            let mut columns = Columns::with_capacity(blocks.len(), NAMES.len() + unused_ids, 0);
-            for (id, name) in NAMES.iter().chain(&PROBES[..unused_ids]).enumerate() {
-                columns.group(EntityId(id as u32), name);
+            let mut sink = StoreSink::default();
+            for type_name in TYPES {
+                sink.entity_type(type_name, &[], &[]);
             }
-            for block in &blocks {
-                columns.begin_block(
-                    block.type_id,
-                    &block.type_name,
-                    block.property.clone(),
-                    [block.p_agree, block.rate_pos, block.rate_neg],
-                );
-                for opinion in &block.opinions {
-                    columns.push(
-                        Row {
-                            group: opinion.entity.0,
-                            positive: opinion.positive,
-                            probability: opinion.probability,
-                            positive_statements: opinion.positive_statements,
-                            negative_statements: opinion.negative_statements,
-                        },
-                        &opinion.supporting_documents,
-                    );
+            for name in NAMES.iter().chain(&PROBES[..unused_ids]) {
+                sink.entity(name, 0, &[], &[]);
+            }
+            sink.begin_rows(Declared {
+                evidence: 0,
+                provenance: 0,
+                provenance_sample_size: 0,
+                results: draws.len(),
+            });
+            let property_ref = |property: usize| PropertyRef {
+                rank: property as u32,
+                id: PropertyId::intern(&Property::parse(PROPERTIES[property]).unwrap()),
+            };
+            for id in 0..NAMES.len() {
+                for property in 0..PROPERTIES.len() {
+                    let documents = drawn_documents(id, property);
+                    if !documents.is_empty() {
+                        sink.provenance(EntityId(id as u32), property_ref(property), documents.into_iter());
+                    }
                 }
             }
-            let store = columns.finish();
+            let mut blocks = Vec::new();
+            for (type_index, property, params, drawn) in &draws {
+                let mut drawn = drawn.clone();
+                drawn.sort_unstable();
+                drawn.dedup_by_key(|&mut (id, _)| id);
+                let entities: Vec<EntityId> = drawn.iter().map(|&(id, _)| EntityId(id as u32)).collect();
+                let counts: Vec<ObservedCounts> = drawn.iter().map(|&(_, c)| COUNTS[c].into()).collect();
+                let table = CountTable::new(&counts);
+                let (p_agree, rate_pos, rate_neg) = PARAMS[*params];
+                let fit = EmFit {
+                    params: ModelParams::new(p_agree, rate_pos, rate_neg),
+                    iterations: 1,
+                    q_trace: Vec::new(),
+                    delta_trace: Vec::new(),
+                    converged: ConvergenceReason::Tolerance,
+                    log_likelihood: 0.0,
+                };
+                let property_ref = property_ref(*property);
+                let key = GroupKey { type_id: TypeId(*type_index as u32), property: property_ref.id };
+                sink.group(property_ref, &ModelledGroup { key, fit: &fit, entities: &entities, table: &table });
+
+                let decisions = table.pair_decisions(&fit.params);
+                let opinions = (by_entity::rank(&table, &decisions).iter())
+                    .map(|&position| {
+                        let id = drawn[position as usize].0;
+                        let slot = table.slots()[position as usize] as usize;
+                        StoredOpinion {
+                            entity: EntityId(id as u32),
+                            entity_name: NAMES[id].to_owned(),
+                            positive: decisions[slot].decision == Decision::Positive,
+                            probability: decisions[slot].probability.unwrap_or(0.5),
+                            positive_statements: table.pairs()[slot].positive,
+                            negative_statements: table.pairs()[slot].negative,
+                            supporting_documents: drawn_documents(id, *property),
+                        }
+                    })
+                    .collect();
+                blocks.push(CombinationBlock {
+                    type_id: key.type_id,
+                    type_name: TYPES[*type_index].to_owned(),
+                    property: Property::parse(PROPERTIES[*property]).unwrap(),
+                    p_agree,
+                    rate_pos,
+                    rate_neg,
+                    opinions,
+                });
+            }
+            let store = sink.finish();
             prop_assert_eq!(store.blocks(), blocks);
             assert_index_matches_scan(&store)?;
         }

@@ -315,14 +315,12 @@ fn an_all_unsolved_modelled_group_has_a_model_and_no_opinion() {
         .iter()
         .all(|(_, d)| d.decision == Decision::Unsolved));
 
-    let from_output = SubjectiveKb::from_output(&output, output.kb());
     let loaders = [
         ("load_store", load_store(&save_snapshot(&output)).unwrap()),
         (
-            "from_json",
-            SubjectiveKb::from_json(&from_output.to_json()).unwrap(),
+            "from_output",
+            SubjectiveKb::from_output(&output, output.kb()),
         ),
-        ("from_output", from_output),
     ];
     for (loader, store) in loaders {
         let state = ServedState {

@@ -8,11 +8,14 @@
 //!
 //! Mines a multi-domain corpus into a [`surveyor::SubjectiveKb`], then
 //! answers queries like `big cities` and `dangerous sports`, persists the
-//! knowledge base to JSON, and discovers the population threshold at which
-//! the average Web author starts calling a city "big".
+//! mined world as a binary snapshot and serves the same store from its
+//! bytes, and discovers the population threshold at which the average Web
+//! author starts calling a city "big".
 
 use surveyor::prelude::*;
-use surveyor::{adjudicate_with_link, link_objective, CorpusSource, SubjectiveKb};
+use surveyor::{
+    adjudicate_with_link, link_objective, load_store, save_snapshot, CorpusSource, SubjectiveKb,
+};
 
 fn main() {
     // A ready-made multi-domain world (Table 2's 25 combinations).
@@ -46,14 +49,15 @@ fn main() {
         println!();
     }
 
-    // 2. Persist and restore — the store is the deliverable a search
-    //    engine would serve from.
-    let json = store.to_json();
-    let restored = SubjectiveKb::from_json(&json).expect("round trip");
+    // 2. Persist and serve — the snapshot is what a search engine would
+    //    serve from; `load_store` builds the same store from its bytes.
+    let bytes = save_snapshot(&output);
+    let served = load_store(&bytes).expect("own snapshot loads");
+    assert_eq!(served.to_json(), store.to_json());
     println!(
-        "persisted {} bytes of JSON; restored store answers {} `big city` hits\n",
-        json.len(),
-        restored.query("city", &Property::adjective("big")).len(),
+        "persisted a {}-byte snapshot; the store served from it answers {} `big city` hits\n",
+        bytes.len(),
+        served.query("city", &Property::adjective("big")).len(),
     );
 
     // 3. §9 future work: connect `big` to the objective population count.

@@ -58,9 +58,28 @@ cargo run --release -q -p surveyor-cli --bin surveyor -- \
     snapshot --preset cities --seed 5 --rho 40 --shards 2 \
     --out artifacts/world.swire --store artifacts/mined_store.json > /dev/null
 cargo run --release -q -p surveyor-cli --bin surveyor -- \
-    load --snapshot artifacts/world.swire --out artifacts/loaded_store.json > /dev/null
+    load --snapshot artifacts/world.swire --out artifacts/loaded_store.json \
+    > artifacts/load_summary.txt
 cmp artifacts/mined_store.json artifacts/loaded_store.json \
     || { echo "snapshot round trip is not byte-identical" >&2; exit 1; }
+
+# What the served store keeps resident is a sum of column capacities, the
+# same on every host: a layout that grows fails here (43585 bytes for this
+# file's 461 opinions).
+STORE_BYTES_PIN=43585
+store_bytes=$(sed -n 's/.*(store_bytes \([0-9][0-9]*\)).*/\1/p' artifacts/load_summary.txt)
+[ -n "$store_bytes" ] && [ "$store_bytes" -le "$STORE_BYTES_PIN" ] \
+    || { echo "store_bytes ${store_bytes:-missing} exceeds the pin $STORE_BYTES_PIN" >&2; exit 1; }
+rm -f artifacts/load_summary.txt
+
+# `query` answers from the store `load_store` builds out of the snapshot:
+# a known answer (cities/seed 5 is deterministic, so the ranking is pinned).
+cargo run --release -q -p surveyor-cli --bin surveyor -- \
+    query --snapshot artifacts/world.swire --type city --property big --limit 3 \
+    > artifacts/query_gate.txt
+grep -q '^  Los Angeles  *Pr = 1.000  evidence +286/-9  docs 2,5,6,27,31$' artifacts/query_gate.txt \
+    || { echo "query gate: known-answer query failed" >&2; exit 1; }
+rm -f artifacts/query_gate.txt
 
 # Corrupt snapshots must surface as invalid input (exit 3), never crash.
 head -c 100 artifacts/world.swire > artifacts/truncated.swire
