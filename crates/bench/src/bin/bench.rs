@@ -38,10 +38,9 @@
 //! `incremental` measures delta ingestion against from-scratch mining:
 //! a delta-size sweep whose every update is paired with a from-scratch
 //! mine, a corpus-size sweep at fixed delta, 1/2/4/8-thread byte-identity,
-//! a seeded chaos quarantine-then-replay check, and the opt-in seeded
-//! warm-start mode. `--assert-delta-scaling` fails unless the median
-//! paired ratio of every ≤10% delta is at least 5x and every byte-identity
-//! held.
+//! and a seeded chaos quarantine-then-replay check. `--assert-delta-scaling`
+//! fails unless the median paired ratio of every ≤10% delta is at least 5x
+//! and every byte-identity held.
 //!
 //! `diff` compares two run reports (`surveyor mine --report FILE`) phase
 //! by phase.
@@ -413,8 +412,8 @@ fn validate_incremental_schema(value: &serde_json::Value) -> Result<(), String> 
             return Err(format!("missing top-level key {key:?}"));
         }
     }
-    if value["schema_version"].as_u64() != Some(2) {
-        return Err("schema_version is not 2".to_owned());
+    if value["schema_version"].as_u64() != Some(3) {
+        return Err("schema_version is not 3".to_owned());
     }
     if value["from_scratch_seconds"].as_f64().is_none() {
         return Err("from_scratch_seconds is not a number".to_owned());
@@ -479,15 +478,6 @@ fn validate_incremental_schema(value: &serde_json::Value) -> Result<(), String> 
     }
     if chaos["byte_identical_after_replay"].as_bool().is_none() {
         return Err("determinism.chaos.byte_identical_after_replay is not a boolean".to_owned());
-    }
-    let warm = &value["warm_seeded"];
-    for key in ["update_seconds", "exact_update_seconds"] {
-        if warm[key].as_f64().is_none() {
-            return Err(format!("warm_seeded.{key} is not a number"));
-        }
-    }
-    if warm["decisions_identical"].as_bool().is_none() {
-        return Err("warm_seeded.decisions_identical is not a boolean".to_owned());
     }
     Ok(())
 }

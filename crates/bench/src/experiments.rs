@@ -1626,10 +1626,6 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 /// 4. **Chaos replay** — a base mined under seeded fault injection
 ///    quarantines shards into the replay queue; updating it (delta plus
 ///    replay) converges bit-for-bit to the clean from-scratch bytes.
-///
-/// A fifth block times the opt-in `WarmStart::Seeded` mode, which trades
-/// byte-identity for a single warm-started EM run per dirty group, and
-/// records whether its *decisions* still match.
 pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     use surveyor::WarmStart;
 
@@ -1694,19 +1690,18 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     // One update of `base` by shards `[from, to)` of `gen`, timed; the
     // base is cloned and the delta built off the clock, mirroring the real
     // flow where the base comes off disk.
-    let time_update = |gen: &CorpusGenerator, base: &SurveyorOutput, from, to, warm| {
+    let time_update = |gen: &CorpusGenerator, base: &SurveyorOutput, from, to| {
         let input = base.clone();
         let delta = ShardSubset::range(CorpusSource::new(gen), from, to);
         clock(|| {
             surveyor
-                .try_update(input, &delta, &retry, &policy, warm)
+                .try_update(input, &delta, &retry, &policy, WarmStart::Exact)
                 .expect("clean update")
         })
     };
 
     // From-scratch reference: the full corpus, mined cold.
-    let scratch = surveyor.run(&source);
-    let scratch_bytes = surveyor::save_snapshot(&scratch);
+    let scratch_bytes = surveyor::save_snapshot(&surveyor.run(&source));
 
     // (1) Delta sweep: base = all but the last `d` shards, delta = the
     // rest. Every timed update runs right after a timed from-scratch mine
@@ -1722,8 +1717,7 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         let mut outcome = None;
         for run in 0..=timed_runs {
             let (scratch_seconds, _) = clock(|| surveyor.run(&source));
-            let (update_seconds, out) =
-                time_update(&generator, &base, base_shards, num_shards, WarmStart::Exact);
+            let (update_seconds, out) = time_update(&generator, &base, base_shards, num_shards);
             if run > 0 {
                 scratch_row.push(scratch_seconds);
                 update_row.push(update_seconds);
@@ -1780,7 +1774,7 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         });
         let base = mine_base(&surveyor, &generator_n, n - fixed_delta);
         let (update_n, _) = median_of(timed_runs, || {
-            time_update(&generator_n, &base, n - fixed_delta, n, WarmStart::Exact)
+            time_update(&generator_n, &base, n - fixed_delta, n)
         });
         corpus_table.push(vec![
             format!("{n}"),
@@ -1867,43 +1861,13 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         .expect("replay update");
     let byte_identical_after_replay = surveyor::save_snapshot(&replayed.output) == scratch_bytes;
 
-    // (5) Opt-in seeded warm start: time it and note whether decisions
-    // (not bytes — traces differ by construction) still match.
-    let base = mine_base(&surveyor, &generator, base_shards);
-    let (seeded_seconds, seeded) = median_of(timed_runs, || {
-        time_update(
-            &generator,
-            &base,
-            base_shards,
-            num_shards,
-            WarmStart::Seeded,
-        )
-    });
-    let triples = |output: &SurveyorOutput| {
-        let mut t: Vec<String> = output
-            .triples()
-            .into_iter()
-            .map(|tr| format!("{}\u{1}{}\u{1}{}", tr.entity, tr.property, tr.polarity))
-            .collect();
-        t.sort_unstable();
-        t
-    };
-    let seeded_decisions_identical = triples(&seeded.output) == triples(&scratch);
-    let exact_10pct_seconds = delta_rows
-        .iter()
-        .find(|r| r["delta_shards"].as_u64() == Some(fixed_delta as u64))
-        .and_then(|r| r["update_seconds"].as_f64())
-        .unwrap_or(f64::NAN);
-
     let text = format!(
         "Incremental mining — update vs from-scratch (long_tail_world, {num_shards} shards, \
          from-scratch {scratch_seconds:.3}s)\n{}\n\
          Fixed {fixed_delta}-shard delta against growing corpora\n{}\n\
          byte-identical at 1/2/4/8 threads: {byte_identical_all_threads}\n\
          chaos replay (seed {chaos_seed}, quarantined {quarantined:?}) -> clean bytes: \
-         {byte_identical_after_replay}\n\
-         seeded warm start: {seeded_seconds:.3}s (exact: {exact_10pct_seconds:.3}s), \
-         decisions identical: {seeded_decisions_identical}",
+         {byte_identical_after_replay}",
         render::table(
             &[
                 "Delta",
@@ -1922,7 +1886,7 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         ),
     );
     let value = json!({
-        "schema_version": 2,
+        "schema_version": 3,
         "preset": "long_tail_world",
         "seed": cfg.seed,
         "shards": num_shards,
@@ -1940,11 +1904,6 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
                 "quarantined_shards": quarantined,
                 "byte_identical_after_replay": byte_identical_after_replay,
             }),
-        }),
-        "warm_seeded": json!({
-            "update_seconds": seeded_seconds,
-            "exact_update_seconds": exact_10pct_seconds,
-            "decisions_identical": seeded_decisions_identical,
         }),
     });
     (text, value)

@@ -44,7 +44,7 @@ pub struct MineArgs {
     pub seed: u64,
     /// Occurrence threshold ρ.
     pub rho: u64,
-    /// Corpus shards.
+    /// Corpus shards (at least 1; the parser rejects 0).
     pub shards: usize,
     /// Run-report destination: a JSON path, or `-` for a human table
     /// on stdout (no report when absent).
@@ -83,28 +83,6 @@ impl MineArgs {
     }
 }
 
-/// Which EM start `surveyor update` uses for dirtied groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmModeArg {
-    /// Cold multi-restart EM — byte-identical to a from-scratch mine.
-    #[default]
-    Exact,
-    /// Single EM run seeded from the previous fit (faster, approximate).
-    Seeded,
-}
-
-impl std::str::FromStr for WarmModeArg {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exact" => Ok(Self::Exact),
-            "seeded" => Ok(Self::Seeded),
-            _ => Err(()),
-        }
-    }
-}
-
 /// Everything `surveyor update` takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UpdateArgs {
@@ -118,8 +96,6 @@ pub struct UpdateArgs {
     pub seed: u64,
     /// Restrict the delta to one author region (must match the base).
     pub region: Option<String>,
-    /// EM start mode for dirtied groups.
-    pub warm: WarmModeArg,
     /// What to do when a delta shard exhausts its attempt budget.
     pub failure_policy: FailurePolicyArg,
     /// Minimum fraction of requested shards that must survive under
@@ -291,7 +267,7 @@ usage:
   surveyor link     --preset cities --attribute KEY [--seed N] [--rho N]
   surveyor snapshot --preset NAME --out FILE.swire [--store FILE] [mine flags...]
   surveyor update   --snapshot IN.swire --delta-preset NAME --out OUT.swire [--seed N] [--region NAME]
-                    [--warm exact|seeded] [--failure-policy failfast|degrade] [--min-shard-coverage F] [--chaos-seed N]
+                    [--failure-policy failfast|degrade] [--min-shard-coverage F] [--chaos-seed N]
   surveyor load     --snapshot FILE.swire [--out FILE]
   surveyor serve    --snapshot FILE.swire [--addr HOST:PORT] [--workers N] [--queue N] [--budget-ms N] [--debug-routes]
   surveyor diff     --old FILE.swire --new FILE.swire [--format human|json]
@@ -341,6 +317,20 @@ impl Flags {
                 .parse()
                 .map_err(|_| ParseError::BadValue(flag.to_owned(), v.to_owned())),
         }
+    }
+
+    /// [`numeric`](Self::numeric) for a count that must be at least 1.
+    fn positive<T: std::str::FromStr + PartialEq + From<u8>>(
+        &self,
+        flag: &str,
+        default: T,
+    ) -> Result<T, ParseError> {
+        let n = self.numeric(flag, default)?;
+        if n == T::from(0) {
+            let v = self.take(flag).unwrap_or("0");
+            return Err(ParseError::BadValue(flag.to_owned(), v.to_owned()));
+        }
+        Ok(n)
     }
 
     fn required(&self, flag: &'static str) -> Result<String, ParseError> {
@@ -405,7 +395,7 @@ fn fault_flags_from(flags: &Flags) -> Result<(FailurePolicyArg, f64, Option<u64>
 /// by the caller (required for `mine`/`snapshot`, defaulted for `run`).
 fn mine_args_from(flags: &Flags, preset: String) -> Result<MineArgs, ParseError> {
     let (failure_policy, min_shard_coverage, chaos_seed) = fault_flags_from(flags)?;
-    let shards = flags.numeric("--shards", 8)?;
+    let shards = flags.positive("--shards", 8)?;
     let ingest_shards = match flags.take("--ingest-shards") {
         None => None,
         Some(v) => {
@@ -477,17 +467,10 @@ impl Cli {
                     "--out",
                     "--seed",
                     "--region",
-                    "--warm",
                     "--failure-policy",
                     "--min-shard-coverage",
                     "--chaos-seed",
                 ])?;
-                let warm = match flags.take("--warm") {
-                    None => WarmModeArg::default(),
-                    Some(v) => v
-                        .parse()
-                        .map_err(|()| ParseError::BadValue("--warm".to_owned(), v.to_owned()))?,
-                };
                 let (failure_policy, min_shard_coverage, chaos_seed) = fault_flags_from(&flags)?;
                 Command::Update(UpdateArgs {
                     snapshot: flags.required("--snapshot")?,
@@ -495,7 +478,6 @@ impl Cli {
                     out: flags.required("--out")?,
                     seed: flags.numeric("--seed", 2015)?,
                     region: flags.take("--region").map(str::to_owned),
-                    warm,
                     failure_policy,
                     min_shard_coverage,
                     chaos_seed,
@@ -522,9 +504,9 @@ impl Cli {
                 Command::Serve {
                     snapshot: flags.required("--snapshot")?,
                     addr: flags.take("--addr").unwrap_or("127.0.0.1:7387").to_owned(),
-                    workers: flags.numeric("--workers", 4)?,
-                    queue: flags.numeric("--queue", 64)?,
-                    budget_ms: flags.numeric("--budget-ms", 2_000)?,
+                    workers: flags.positive("--workers", 4)?,
+                    queue: flags.positive("--queue", 64)?,
+                    budget_ms: flags.positive("--budget-ms", 2_000)?,
                     debug_routes: flags.has("--debug-routes"),
                 }
             }
@@ -557,7 +539,7 @@ impl Cli {
                     type_name: flags.required("--type")?,
                     property: flags.required("--property")?,
                     negative: flags.has("--negative"),
-                    limit: flags.numeric("--limit", 10)?,
+                    limit: flags.positive("--limit", 10)?,
                 }
             }
             "combos" => {
@@ -574,7 +556,7 @@ impl Cli {
                     preset: flags.required("--preset")?,
                     seed: flags.numeric("--seed", 2015)?,
                     shard: flags.numeric("--shard", 0)?,
-                    limit: flags.numeric("--limit", 10)?,
+                    limit: flags.positive("--limit", 10)?,
                 }
             }
             "link" => {
@@ -845,7 +827,6 @@ mod tests {
                 out: "b.swire".to_owned(),
                 seed: 2015,
                 region: None,
-                warm: WarmModeArg::Exact,
                 failure_policy: FailurePolicyArg::FailFast,
                 min_shard_coverage: 0.9,
                 chaos_seed: None,
@@ -865,8 +846,6 @@ mod tests {
             "b.swire",
             "--seed",
             "7",
-            "--warm",
-            "seeded",
             "--failure-policy",
             "degrade",
             "--min-shard-coverage",
@@ -878,7 +857,6 @@ mod tests {
         match cli.command {
             Command::Update(args) => {
                 assert_eq!(args.seed, 7);
-                assert_eq!(args.warm, WarmModeArg::Seeded);
                 assert_eq!(args.failure_policy, FailurePolicyArg::Degrade);
                 assert_eq!(args.min_shard_coverage, 0.5);
                 assert_eq!(args.chaos_seed, Some(99));
@@ -895,9 +873,9 @@ mod tests {
                 "--out",
                 "b",
                 "--warm",
-                "lukewarm",
+                "seeded",
             ]),
-            Err(ParseError::BadValue("--warm".into(), "lukewarm".into()))
+            Err(ParseError::UnknownFlag("--warm".into()))
         );
         assert_eq!(
             parse(&[
@@ -977,6 +955,40 @@ mod tests {
                 assert!(debug_routes);
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_counts_are_rejected() {
+        // Each flag counts something there must be at least one of: 0 is
+        // a usage error, not a quiet 1.
+        for (prefix, flag) in [
+            (&["mine", "--preset", "cities"][..], "--shards"),
+            (&["run"], "--shards"),
+            (
+                &["snapshot", "--preset", "cities", "--out", "w"],
+                "--shards",
+            ),
+            (&["corpus", "--preset", "cities"], "--limit"),
+            (
+                &[
+                    "query",
+                    "--snapshot",
+                    "w",
+                    "--type",
+                    "city",
+                    "--property",
+                    "big",
+                ],
+                "--limit",
+            ),
+            (&["serve", "--snapshot", "w"], "--workers"),
+            (&["serve", "--snapshot", "w"], "--queue"),
+            (&["serve", "--snapshot", "w"], "--budget-ms"),
+        ] {
+            let args = [prefix, &[flag, "0"]].concat();
+            let expected = Err(ParseError::BadValue(flag.into(), "0".into()));
+            assert_eq!(parse(&args), expected, "{args:?}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Command implementations.
 
-use crate::args::{DiffFormat, FailurePolicyArg, MineArgs, UpdateArgs, WarmModeArg};
+use crate::args::{DiffFormat, FailurePolicyArg, MineArgs, UpdateArgs};
 use crate::error::CliError;
 use std::sync::Arc;
 use surveyor::obs::MetricsRegistry;
@@ -99,7 +99,7 @@ fn mine_store(
     let mut generator = CorpusGenerator::new(
         world.clone(),
         CorpusConfig {
-            num_shards: args.shards.max(1),
+            num_shards: args.shards,
             ..CorpusConfig::default()
         },
     );
@@ -220,7 +220,7 @@ pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<Strin
                 corpus_digest: corpus_digest(
                     &args.preset,
                     args.seed,
-                    args.shards.max(1),
+                    args.shards,
                     args.region.as_deref(),
                 ),
                 ingested: Vec::new(),
@@ -246,7 +246,7 @@ pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<Strin
     if let Some(m) = args.ingest_shards {
         summary.push_str(&format!(
             "\nincremental state: ingested shards [0, {m}) of {}, {} pending replay",
-            args.shards.max(1),
+            args.shards,
             run.coverage.quarantined_shards().len(),
         ));
     }
@@ -261,9 +261,8 @@ pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<Strin
 /// `surveyor update` — ingest a delta corpus into an existing snapshot:
 /// extract only the requested shards (the delta range plus any shards
 /// quarantined by earlier runs), merge the evidence, and re-decide only
-/// the groups the delta touched. With the default `--warm exact` mode
-/// the written snapshot is byte-identical to mining the concatenated
-/// corpus from scratch.
+/// the groups the delta touched. The written snapshot is byte-identical
+/// to mining the concatenated corpus from scratch.
 pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
     let bytes = std::fs::read(&args.snapshot)
         .map_err(|e| CliError::Io(format!("cannot read {}: {e}", args.snapshot)))?;
@@ -374,10 +373,6 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
             min_shard_coverage: args.min_shard_coverage,
         },
     };
-    let warm = match args.warm {
-        WarmModeArg::Exact => WarmStart::Exact,
-        WarmModeArg::Seeded => WarmStart::Seeded,
-    };
     let shard_list: Vec<usize> = requested.iter().map(|&s| s as usize).collect();
     let outcome = match chaos_seed_or_env(args.chaos_seed) {
         Some(seed) => {
@@ -387,11 +382,11 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
             let injector =
                 FaultInjector::new(source, FaultPlan::from_seed(seed, generator.shard_count()));
             let subset = ShardSubset::new(injector, shard_list.clone());
-            surveyor.try_update(base, &subset, &retry, &policy, warm)?
+            surveyor.try_update(base, &subset, &retry, &policy, WarmStart::Exact)?
         }
         None => {
             let subset = ShardSubset::new(source, shard_list.clone());
-            surveyor.try_update(base, &subset, &retry, &policy, warm)?
+            surveyor.try_update(base, &subset, &retry, &policy, WarmStart::Exact)?
         }
     };
 
@@ -496,9 +491,9 @@ pub fn serve(
     let registry = Arc::new(MetricsRegistry::new());
     let config = surveyor_server::ServerConfig {
         addr: addr.to_owned(),
-        workers: workers.max(1),
-        queue_capacity: queue.max(1),
-        request_budget: std::time::Duration::from_millis(budget_ms.max(1)),
+        workers,
+        queue_capacity: queue,
+        request_budget: std::time::Duration::from_millis(budget_ms),
         retry_after_seconds: 1,
         debug_routes,
     };
@@ -675,7 +670,7 @@ pub fn query(
         },
         if negative { " NOT" } else { "" },
     );
-    for hit in hits.into_iter().take(limit.max(1)) {
+    for hit in hits.into_iter().take(limit) {
         let docs = if hit.supporting_documents.is_empty() {
             String::new()
         } else {
@@ -733,7 +728,7 @@ pub fn corpus(preset: &str, seed: u64, shard: usize, limit: usize) -> Result<Str
         docs.len(),
         limit.min(docs.len()),
     );
-    for doc in docs.iter().take(limit.max(1)) {
+    for doc in docs.iter().take(limit) {
         out.push_str(&format!("  [{}] {}\n", doc.id, doc.text));
     }
     Ok(out)
@@ -1181,7 +1176,6 @@ mod tests {
             out: updated.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            warm: WarmModeArg::Exact,
             failure_policy: FailurePolicyArg::FailFast,
             min_shard_coverage: 0.9,
             chaos_seed: None,
@@ -1208,7 +1202,6 @@ mod tests {
             out: updated.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            warm: WarmModeArg::Exact,
             failure_policy: FailurePolicyArg::FailFast,
             min_shard_coverage: 0.9,
             chaos_seed: None,
@@ -1244,7 +1237,6 @@ mod tests {
             out: in_place.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            warm: WarmModeArg::Exact,
             failure_policy: FailurePolicyArg::FailFast,
             min_shard_coverage: 0.9,
             chaos_seed: None,
@@ -1341,7 +1333,6 @@ mod tests {
             out: out.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            warm: WarmModeArg::Exact,
             failure_policy: FailurePolicyArg::FailFast,
             min_shard_coverage: 0.9,
             chaos_seed: None,
@@ -1466,7 +1457,6 @@ mod tests {
             out: updated.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            warm: WarmModeArg::Exact,
             failure_policy: FailurePolicyArg::FailFast,
             min_shard_coverage: 0.9,
             chaos_seed: None,

@@ -21,12 +21,6 @@
 //! bench (`bench incremental`) and `scripts/verify.sh` pin is that the
 //! final snapshot is byte-identical to mining the concatenated corpus from
 //! scratch, at every worker count, clean and under injected chaos.
-//!
-//! [`WarmStart::Seeded`] additionally seeds EM on dirty groups from the
-//! previous fit instead of the multi-restart cold grid. That converges in
-//! fewer iterations on small deltas but records different telemetry
-//! (iteration counts, traces), so it is opt-in and never used by the
-//! byte-identity gates.
 
 use crate::pipeline::{DomainResult, FitTask, Surveyor, SurveyorConfig, SurveyorOutput};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -36,20 +30,17 @@ use surveyor_extract::{
 };
 use surveyor_wire::Fnv64;
 
-/// How dirty groups are re-fitted during an update.
+/// How dirty groups are re-fitted during an update. There is one way:
+/// the cold multi-restart EM a from-scratch mine runs, so an update is
+/// byte-identical to re-mining the concatenated corpus.
+/// [`Surveyor::try_update`] and [`Surveyor::apply_delta`] accept this
+/// one-variant enum and ignore it; it stays only because the benchmark
+/// passes it, and goes with that parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WarmStart {
-    /// Re-fit with the standard cold multi-restart EM — exactly what a
-    /// from-scratch run would do, so the updated output is byte-identical
-    /// to re-mining the concatenated corpus. The default, and the only
-    /// mode the identity gates use.
+    /// Re-fit with the cold multi-restart EM, as a from-scratch mine does.
     #[default]
     Exact,
-    /// Seed a single EM run from the group's previous parameters; cold
-    /// multi-restart only for groups with no previous fit. Fewer
-    /// iterations on small deltas, but different telemetry — decisions
-    /// may differ near the EM grid's tie boundaries.
-    Seeded,
 }
 
 /// What an update did, beyond the output itself.
@@ -120,19 +111,19 @@ impl Surveyor {
     /// check, which the CLI performs against the snapshot's `INCR`
     /// section.
     ///
-    /// With [`WarmStart::Exact`], the returned output is byte-identical
-    /// to running the pipeline from scratch over the concatenation of the
-    /// base corpus and the delta's surviving shards.
+    /// The returned output is byte-identical to running the pipeline from
+    /// scratch over the concatenation of the base corpus and the delta's
+    /// surviving shards. `_warm` is ignored (see [`WarmStart`]).
     pub fn try_update<F: FallibleShardSource>(
         &self,
         base: SurveyorOutput,
         source: &F,
         retry: &RetryPolicy,
         policy: &FailurePolicy,
-        warm: WarmStart,
+        _warm: WarmStart,
     ) -> Result<UpdateOutcome, RunError> {
         let outcome = self.extract(source, retry, policy)?;
-        let (output, stats) = self.apply_delta(base, outcome.output, warm);
+        let (output, stats) = self.apply_delta(base, outcome.output, WarmStart::Exact);
         Ok(UpdateOutcome {
             output,
             coverage: outcome.coverage,
@@ -144,12 +135,12 @@ impl Surveyor {
     /// delta evidence into `base` and re-fits only the dirtied groups.
     /// [`try_update`](Self::try_update) calls this after delta
     /// extraction; tests use it directly to exercise the dirty-group
-    /// logic without a corpus.
+    /// logic without a corpus. `_warm` is ignored (see [`WarmStart`]).
     pub fn apply_delta(
         &self,
         base: SurveyorOutput,
         delta: ExtractionOutput,
-        warm: WarmStart,
+        _warm: WarmStart,
     ) -> (SurveyorOutput, UpdateStats) {
         let delta_pairs = delta.evidence.pair_count();
         let delta_statements = delta.evidence.total_statements();
@@ -182,9 +173,9 @@ impl Surveyor {
         for (key, group) in grouped.above_threshold(self.config().rho) {
             match previous.remove(key) {
                 Some(result) if !dirty.contains(key) => carried.push(Some(result)),
-                prior => {
+                _ => {
                     carried.push(None);
-                    tasks.push((*key, group, prior.map(|r| r.fit.params)));
+                    tasks.push((*key, group));
                 }
             }
         }
@@ -203,7 +194,7 @@ impl Surveyor {
 
         // Refits come back in task order, which is rank order with the
         // carried ranks left out: fill the gaps.
-        let mut refit = self.fit_groups(&tasks, warm).into_iter();
+        let mut refit = self.fit_groups(&tasks).into_iter();
         let results: Vec<DomainResult> = carried
             .into_iter()
             .filter_map(|slot| slot.or_else(|| refit.next()))
@@ -412,25 +403,6 @@ mod tests {
         assert_eq!(stats.groups_refit, 0);
         assert_eq!(stats.groups_dirty, 0);
         assert_eq!(stats.groups_carried, stats.groups_total);
-    }
-
-    #[test]
-    fn seeded_update_decides_the_same_world() {
-        let kb = kb();
-        let surveyor = surveyor(&kb);
-        let base = surveyor.run_on_evidence(base_evidence(&kb));
-        let (updated, _) = surveyor.apply_delta(base, delta_output(&kb), WarmStart::Seeded);
-        let scratch = surveyor.run_on_evidence(combined(&kb));
-        // Telemetry differs (single warm run vs multi-restart), but on
-        // this well-separated evidence the decisions agree.
-        let triples = |o: &SurveyorOutput| {
-            let mut t = o.triples();
-            t.sort_by(|a, b| (&a.entity, &a.property).cmp(&(&b.entity, &b.property)));
-            t.into_iter()
-                .map(|t| (t.entity, t.property, t.polarity))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(triples(&updated), triples(&scratch));
     }
 
     #[test]

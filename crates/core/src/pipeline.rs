@@ -11,7 +11,6 @@
 //!             emit ⟨entity, property, −⟩ if prb < ½
 //! ```
 
-use crate::incremental::WarmStart;
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -24,7 +23,7 @@ use surveyor_extract::{
 };
 use surveyor_kb::{EntityId, KnowledgeBase, Property, PropertyId};
 use surveyor_model::{
-    fit_table, CountTable, Decision, EmConfig, EmFit, ModelDecision, ModelParams, ObservedCounts,
+    fit_table, CountTable, Decision, EmConfig, EmFit, ModelDecision, ObservedCounts,
 };
 use surveyor_obs::{claim_map, EmGroupReport, FaultSummary, MetricsRegistry};
 
@@ -80,10 +79,9 @@ pub struct DomainResult {
     pub decisions: Vec<(EntityId, ModelDecision)>,
 }
 
-/// One combination queued for [`Surveyor::fit_groups`]: its key, its
-/// evidence, and the previous fit's parameters when there is one (what
-/// [`WarmStart::Seeded`] starts EM from).
-pub(crate) type FitTask<'a> = (GroupKey, &'a Group, Option<ModelParams>);
+/// One combination queued for [`Surveyor::fit_groups`]: its key and its
+/// evidence.
+pub(crate) type FitTask<'a> = (GroupKey, &'a Group);
 
 /// One group's [`CountTable`], from its mentioned entities alone:
 /// `entities` is the type's entity list (`kb.entities_of_type`, ascending),
@@ -351,9 +349,9 @@ impl Surveyor {
         let grouped = self.group(&evidence);
         let tasks: Vec<FitTask<'_>> = grouped
             .above_threshold(self.config.rho)
-            .map(|(key, group)| (*key, group, None))
+            .map(|(key, group)| (*key, group))
             .collect();
-        let results = self.fit_groups(&tasks, WarmStart::Exact);
+        let results = self.fit_groups(&tasks);
         self.assemble(evidence, ProvenanceTable::default(), grouped, results)
     }
 
@@ -375,8 +373,8 @@ impl Surveyor {
     /// task, sort the counts of the type's mentioned entities into the
     /// group's [`CountTable`] of distinct pairs, learn the
     /// parameters from it, and decide every entity from one posterior per
-    /// distinct pair. A mine passes every combination above ρ with no
-    /// seed, an update the ones its delta dirtied.
+    /// distinct pair. A mine passes every combination above ρ, an update
+    /// the ones its delta dirtied.
     ///
     /// Tasks are independent, so they fan out over `config.threads`
     /// workers of the [`claim_map`] pool, each reusing one mentions buffer;
@@ -387,21 +385,17 @@ impl Surveyor {
     /// and the per-group EM telemetry are recorded after the join, in
     /// task order, so the registry's rows do not depend on the worker
     /// count either.
-    pub(crate) fn fit_groups(&self, tasks: &[FitTask<'_>], warm: WarmStart) -> Vec<DomainResult> {
+    pub(crate) fn fit_groups(&self, tasks: &[FitTask<'_>]) -> Vec<DomainResult> {
         let fitted = claim_map(
             tasks.len(),
             self.config.threads,
             Vec::new,
             |mentioned: &mut Vec<(u32, ObservedCounts)>, rank| {
-                let (key, group, seed) = tasks[rank];
+                let (key, group) = tasks[rank];
                 let entities = self.kb.entities_of_type(key.type_id);
                 let fit_start = Instant::now(); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
                 let table = count_table(entities, group, mentioned);
-                let seed = match warm {
-                    WarmStart::Seeded => seed.as_ref(),
-                    WarmStart::Exact => None,
-                };
-                let fit = fit_table(&table, &self.config.em, seed);
+                let fit = fit_table(&table, &self.config.em);
                 let decide_start = Instant::now(); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
                 let decisions: Vec<(EntityId, ModelDecision)> = entities
                     .iter()

@@ -250,42 +250,23 @@ fn initial_guess(table: &CountTable, share: f64) -> ModelParams {
 /// all-zero tuples of never-mentioned entities, which carry real signal
 /// (§2). Runs one EM per configured restart share and returns the fit with
 /// the best mixture likelihood. Shorthand for [`fit_table`] on the
-/// group's [`CountTable`] with no warm start.
+/// group's [`CountTable`].
 ///
 /// # Panics
 /// Panics if `counts` is empty or the grid is empty/out of range.
 pub fn fit(counts: &[ObservedCounts], config: &EmConfig) -> EmFit {
-    fit_table(&CountTable::new(counts), config, None)
+    fit_table(&CountTable::new(counts), config)
 }
 
-/// Fits the model with a single EM run warm-started from an explicit
-/// parameter vector — typically the previous snapshot's fit for the same
-/// (type, property) group.
-///
-/// Unlike [`fit`], no restarts are run: when the evidence moved only a
-/// little, the previous optimum is already in the right basin and one
-/// run from it converges in a handful of iterations. The telemetry
-/// (iteration count, traces) therefore differs from a cold [`fit`] even
-/// when both land on the same optimum — callers that need byte-identical
-/// output to a cold run must use [`fit`] and reserve `fit_warm` for
-/// speed-over-reproducibility paths.
-///
-/// # Panics
-/// Panics if `counts` is empty or the grid is empty/out of range.
-pub fn fit_warm(counts: &[ObservedCounts], config: &EmConfig, initial: &ModelParams) -> EmFit {
-    fit_table(&CountTable::new(counts), config, Some(initial))
-}
-
-/// The one EM entry point: fits a group given as its [`CountTable`]. Cold
-/// (`warm = None`) it runs one EM per restart share and keeps the best
-/// mixture likelihood ([`fit`]); warm it runs once from the given
-/// parameters ([`fit_warm`]). Every run shares the table and one
-/// per-pair scratch buffer; decide the group from the same table with
+/// The one EM entry point: fits a group given as its [`CountTable`],
+/// running one EM per restart share and keeping the best mixture
+/// likelihood. Every run shares the table and one per-pair scratch
+/// buffer; decide the group from the same table with
 /// [`CountTable::decisions`].
 ///
 /// # Panics
 /// Panics if the table has no entity or the grid is empty/out of range.
-pub fn fit_table(table: &CountTable, config: &EmConfig, warm: Option<&ModelParams>) -> EmFit {
+pub fn fit_table(table: &CountTable, config: &EmConfig) -> EmFit {
     assert!(table.entities() > 0, "EM needs at least one entity");
     assert!(!config.pa_grid.is_empty(), "EM needs a non-empty pA grid");
     for &pa in &config.pa_grid {
@@ -295,14 +276,6 @@ pub fn fit_table(table: &CountTable, config: &EmConfig, warm: Option<&ModelParam
         );
     }
     let mut terms = Vec::with_capacity(table.distinct_pairs());
-    let mut run = |start: ModelParams| {
-        let mut fit = run_em(table, config, start, &mut terms);
-        fit.log_likelihood = mixture_log_likelihood(table, &fit.params);
-        fit
-    };
-    if let Some(initial) = warm {
-        return run(*initial);
-    }
     let shares = if config.restart_shares.is_empty() {
         &[0.5][..]
     } else {
@@ -310,7 +283,8 @@ pub fn fit_table(table: &CountTable, config: &EmConfig, warm: Option<&ModelParam
     };
     let mut best: Option<EmFit> = None;
     for &share in shares {
-        let candidate = run(initial_guess(table, share));
+        let mut candidate = run_em(table, config, initial_guess(table, share), &mut terms);
+        candidate.log_likelihood = mixture_log_likelihood(table, &candidate.params);
         if best
             .as_ref()
             .is_none_or(|b| candidate.log_likelihood > b.log_likelihood)
@@ -551,52 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_from_the_cold_optimum_converges_immediately() {
-        let truth = ModelParams::new(0.9, 80.0, 6.0);
-        let (counts, _) = sample_counts(&truth, 0.4, 500, 31);
-        let cold = fit(&counts, &EmConfig::default());
-        let warm = fit_warm(&counts, &EmConfig::default(), &cold.params);
-        // Restarting EM at a converged optimum must stay there, fast.
-        assert!(warm.iterations <= 2, "iterations = {}", warm.iterations);
-        assert_eq!(warm.converged, ConvergenceReason::Tolerance);
-        assert!((warm.params.p_agree - cold.params.p_agree).abs() < 1e-6);
-        assert!((warm.params.rate_pos - cold.params.rate_pos).abs() < 1e-3);
-        assert_eq!(
-            warm.log_likelihood,
-            mixture_log_likelihood(&CountTable::new(&counts), &warm.params)
-        );
-    }
-
-    #[test]
-    fn warm_start_reaches_the_cold_likelihood_on_perturbed_counts() {
-        let truth = ModelParams::new(0.9, 60.0, 5.0);
-        let (mut counts, _) = sample_counts(&truth, 0.4, 400, 17);
-        let cold_before = fit(&counts, &EmConfig::default());
-        // A small delta: a few entities gain a handful of statements.
-        for c in counts.iter_mut().take(10) {
-            *c = ObservedCounts::new(c.positive + 2, c.negative);
-        }
-        let cold_after = fit(&counts, &EmConfig::default());
-        let warm = fit_warm(&counts, &EmConfig::default(), &cold_before.params);
-        // The warm run lands within noise of the cold optimum...
-        assert!(
-            (warm.log_likelihood - cold_after.log_likelihood).abs()
-                < 1e-6 * cold_after.log_likelihood.abs(),
-            "warm ll = {}, cold ll = {}",
-            warm.log_likelihood,
-            cold_after.log_likelihood
-        );
-        // ...in fewer iterations than the cheapest cold restart spends.
-        assert!(warm.iterations <= cold_after.iterations);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one entity")]
-    fn warm_start_with_empty_counts_panics() {
-        let _ = fit_warm(&[], &EmConfig::default(), &ModelParams::new(0.9, 1.0, 1.0));
-    }
-
-    #[test]
     fn fits_are_bit_equal_to_the_per_entity_oracle() {
         let config = EmConfig::default();
         for (truth, share, m, seed) in [
@@ -610,11 +538,6 @@ mod tests {
             assert_eq!(
                 oracle::fit_bits(&cold),
                 oracle::fit_bits(&oracle::fit_per_entity(&counts, &config))
-            );
-            let warm = fit_warm(&counts, &config, &truth);
-            assert_eq!(
-                oracle::fit_bits(&warm),
-                oracle::fit_bits(&oracle::fit_warm_per_entity(&counts, &config, &truth))
             );
             for c in &counts {
                 assert_eq!(

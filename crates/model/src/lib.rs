@@ -48,7 +48,7 @@ mod oracle;
 pub use baselines::{MajorityVote, ScaledMajorityVote, WebChildBaseline};
 pub use counts::{CountTable, ObservedCounts};
 pub use decision::{decide, Decision, ModelDecision};
-pub use em::{fit, fit_table, fit_warm, ConvergenceReason, EmConfig, EmFit};
+pub use em::{fit, fit_table, ConvergenceReason, EmConfig, EmFit};
 pub use inference::posterior_positive;
 pub use model::{OpinionModel, SurveyorModel};
 pub use params::ModelParams;

@@ -53,7 +53,7 @@ impl OpinionModel for SurveyorModel {
             return Vec::new();
         }
         let table = CountTable::new(counts);
-        let fit = fit_table(&table, &self.config, None);
+        let fit = fit_table(&table, &self.config);
         table.decisions(&fit.params).collect()
     }
 }

@@ -139,18 +139,6 @@ pub fn fit_per_entity(counts: &[ObservedCounts], config: &EmConfig) -> EmFit {
     best.expect("at least one restart").1
 }
 
-/// One EM run from `initial`, no restarts.
-pub fn fit_warm_per_entity(
-    counts: &[ObservedCounts],
-    config: &EmConfig,
-    initial: &ModelParams,
-) -> EmFit {
-    assert!(!counts.is_empty(), "EM needs at least one entity");
-    let mut fit = run_em(counts, config, *initial);
-    fit.log_likelihood = mixture_log_likelihood(counts, &fit.params);
-    fit
-}
-
 fn run_em(counts: &[ObservedCounts], config: &EmConfig, start: ModelParams) -> EmFit {
     let mut params = start;
     let mut q_trace = Vec::new();

@@ -5,8 +5,8 @@
 
 use proptest::prelude::*;
 use surveyor_model::{
-    decide, fit, fit_warm, posterior_positive, ConvergenceReason, Decision, EmConfig, EmFit,
-    MajorityVote, ModelParams, ObservedCounts, OpinionModel, ScaledMajorityVote, SurveyorModel,
+    decide, fit, posterior_positive, ConvergenceReason, Decision, EmConfig, EmFit, MajorityVote,
+    ModelParams, ObservedCounts, OpinionModel, ScaledMajorityVote, SurveyorModel,
 };
 
 mod oracle;
@@ -95,9 +95,6 @@ proptest! {
             let new = fit(counts, &config);
             let old = oracle::fit_per_entity(counts, &config);
             prop_assert_eq!(oracle::fit_bits(&new), oracle::fit_bits(&old));
-            let warm = fit_warm(counts, &config, &old.params);
-            let old_warm = oracle::fit_warm_per_entity(counts, &config, &old.params);
-            prop_assert_eq!(oracle::fit_bits(&warm), oracle::fit_bits(&old_warm));
             let decided: Vec<u64> = SurveyorModel::new()
                 .decide_group(counts)
                 .iter()

@@ -3,8 +3,8 @@
 //! must produce a snapshot byte-identical to mining the whole corpus
 //! from scratch — at every worker thread count, for every split point,
 //! after multiple successive deltas, and after replaying shards a chaos
-//! plan quarantined. `WarmStart::Exact` re-fits dirty groups with the
-//! same cold multi-restart EM a from-scratch run uses and carries clean
+//! plan quarantined. An update re-fits dirty groups with the same cold
+//! multi-restart EM a from-scratch run uses and carries clean
 //! groups forward untouched, so identity holds by construction; these
 //! tests pin that construction against regressions in the merge and
 //! carry paths.
@@ -231,41 +231,10 @@ fn chaos_quarantine_then_replay_reaches_clean_bytes_at_every_thread_count() {
 }
 
 #[test]
-fn seeded_warm_start_reaches_the_same_decisions() {
-    // The opt-in seeded mode trades byte-identity (EM traces differ) for
-    // speed; the decided triples must still match on this well-separated
-    // world.
-    let (kb, generator) = generator(17);
-    let surv = surveyor(kb, 4);
-    let scratch = surv.run(&CorpusSource::new(&generator));
-    let base = mine_prefix(&surv, &generator, SHARDS - 2);
-    let delta = ShardSubset::range(CorpusSource::new(&generator), SHARDS - 2, SHARDS);
-    let seeded = surv
-        .try_update(
-            base,
-            &delta,
-            &RetryPolicy::no_retries(),
-            &FailurePolicy::FailFast,
-            WarmStart::Seeded,
-        )
-        .expect("seeded update");
-    let triples = |output: &SurveyorOutput| {
-        let mut t: Vec<_> = output
-            .triples()
-            .into_iter()
-            .map(|tr| (tr.entity, tr.property, tr.polarity))
-            .collect();
-        t.sort_unstable();
-        t
-    };
-    assert_eq!(triples(&seeded.output), triples(&scratch));
-}
-
-#[test]
 fn update_and_mine_report_the_same_phases_and_em_telemetry() {
     // One loop interprets both, so an observed update records what an
     // observed mine records: the same phases, the same `em.*` counters,
-    // and — under `WarmStart::Exact` — EM rows for the refit groups that
+    // and EM rows for the refit groups that
     // equal the from-scratch rows field for field.
     use std::collections::BTreeSet;
     use surveyor::obs::{MetricsRegistry, RunReport};
