@@ -45,52 +45,75 @@ fn usage() -> String {
     )
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    }
-    let mut selected: Vec<String> = Vec::new();
-    let mut config = ReproConfig::default();
-    let mut json_dir: Option<String> = None;
+/// A parsed command line: the experiments to run, their configuration,
+/// and where to write their JSON artifacts.
+#[derive(Debug)]
+struct Invocation {
+    selected: Vec<String>,
+    config: ReproConfig,
+    json_dir: Option<String>,
+}
 
+/// Parses the arguments after the program name. `Ok(None)` asks for the
+/// usage text; `Err` carries the message to print before exiting nonzero.
+fn parse(args: Vec<String>) -> Result<Option<Invocation>, String> {
+    let mut invocation = Invocation {
+        selected: Vec::new(),
+        config: ReproConfig::default(),
+        json_dir: None,
+    };
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--seed" | "--shards" | "--threads" | "--rho" | "--json" => {
-                let Some(value) = it.next() else {
-                    eprintln!("missing value for {arg}");
-                    return ExitCode::FAILURE;
-                };
+                let value = it.next().ok_or(format!("missing value for {arg}"))?;
                 if arg == "--json" {
-                    json_dir = Some(value);
+                    invocation.json_dir = Some(value);
                     continue;
                 }
-                let Ok(v) = value.parse::<u64>() else {
-                    eprintln!("invalid numeric value for {arg}: {value}");
-                    return ExitCode::FAILURE;
-                };
+                let v = value
+                    .parse::<u64>()
+                    .map_err(|_| format!("invalid numeric value for {arg}: {value}"))?;
+                let config = &mut invocation.config;
                 match arg.as_str() {
                     "--seed" => config.seed = v,
-                    "--shards" => config.shards = (v as usize).max(1),
-                    "--threads" => config.threads = (v as usize).max(1),
                     "--rho" => config.rho = v,
+                    // A run needs a shard and a thread; 0 is refused, not
+                    // quietly read as 1.
+                    "--shards" | "--threads" if v == 0 => {
+                        return Err(format!("{arg} must be at least 1, got 0"))
+                    }
+                    "--shards" => config.shards = v as usize,
+                    "--threads" => config.threads = v as usize,
                     _ => unreachable!(),
                 }
             }
-            "--help" | "-h" => {
-                println!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            name => selected.push(name.to_owned()),
+            "--help" | "-h" => return Ok(None),
+            name => invocation.selected.push(name.to_owned()),
         }
     }
-
-    if selected.is_empty() {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
+    if invocation.selected.is_empty() {
+        return Err(usage());
     }
+    Ok(Some(invocation))
+}
+
+fn main() -> ExitCode {
+    let Invocation {
+        selected,
+        config,
+        json_dir,
+    } = match parse(std::env::args().skip(1).collect()) {
+        Ok(Some(invocation)) => invocation,
+        Ok(None) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
+        Err(message) => {
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
+    };
     let run_all = selected.iter().any(|s| s == "all");
     let to_run: Vec<(&str, Driver)> = if run_all {
         // table3 and fig12 share a driver; run it once.
@@ -141,4 +164,37 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_strs(args: &[&str]) -> Result<Option<Invocation>, String> {
+        parse(args.iter().map(|s| (*s).to_owned()).collect())
+    }
+
+    #[test]
+    fn zero_shards_or_threads_is_refused_by_name() {
+        for flag in ["--shards", "--threads"] {
+            let err = parse_strs(&["table1", flag, "0"]).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
+    }
+
+    #[test]
+    fn counts_and_experiments_parse() {
+        let invocation = parse_strs(&["fig5", "--shards", "3", "--threads", "2", "--seed", "9"])
+            .unwrap()
+            .unwrap();
+        assert_eq!(invocation.selected, ["fig5"]);
+        assert_eq!(
+            (invocation.config.shards, invocation.config.threads),
+            (3, 2)
+        );
+        assert_eq!(invocation.config.seed, 9);
+        assert!(parse_strs(&["--help"]).unwrap().is_none());
+        assert!(parse_strs(&[]).is_err());
+        assert!(parse_strs(&["table1", "--rho"]).is_err());
+    }
 }

@@ -791,14 +791,10 @@ fn clock<T>(run: impl FnOnce() -> T) -> (f64, T) {
     (start.elapsed().as_secs_f64(), result)
 }
 
-/// Median of a sample set (mean of the middle two for even counts).
+/// Median of a sample set (0 for an empty one), sorting it in place.
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(f64::total_cmp);
-    match samples.len() {
-        0 => 0.0,
-        n if n % 2 == 1 => samples[n / 2],
-        n => (samples[n / 2 - 1] + samples[n / 2]) / 2.0,
-    }
+    surveyor_prob::stats::percentile_sorted_or_zero(samples, 50.0)
 }
 
 /// The timing-methodology block embedded in every bench artifact.

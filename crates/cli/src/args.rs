@@ -1,36 +1,13 @@
 //! Hand-rolled argument parsing (no external CLI dependency).
 
 use std::fmt;
+use surveyor::FailurePolicy;
 
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
     /// The subcommand to run.
     pub command: Command,
-}
-
-/// How `mine` treats shards that exhaust their attempt budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FailurePolicyArg {
-    /// Abort on the first failed shard (the default: identical behavior
-    /// to a run without the fault-tolerance flags).
-    #[default]
-    FailFast,
-    /// Quarantine failed shards and keep going while coverage stays at
-    /// or above `--min-shard-coverage`.
-    Degrade,
-}
-
-impl std::str::FromStr for FailurePolicyArg {
-    type Err = ();
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "failfast" | "fail-fast" => Ok(Self::FailFast),
-            "degrade" => Ok(Self::Degrade),
-            _ => Err(()),
-        }
-    }
 }
 
 /// Everything `surveyor mine` / `surveyor run` takes.
@@ -51,10 +28,10 @@ pub struct MineArgs {
     pub report: Option<String>,
     /// Restrict mining to one author region (§2 region-specific mode).
     pub region: Option<String>,
-    /// What to do when a shard exhausts its attempt budget.
-    pub failure_policy: FailurePolicyArg,
-    /// Minimum fraction of shards that must survive under `degrade`.
-    pub min_shard_coverage: f64,
+    /// What to do when a shard exhausts its attempt budget
+    /// (`--failure-policy`, with `--min-shard-coverage` as the floor of
+    /// `degrade`).
+    pub failure_policy: FailurePolicy,
     /// Seed for the fault-injection harness (`--chaos-seed`, or the
     /// `SURVEYOR_CHAOS_SEED` environment variable as a fallback).
     pub chaos_seed: Option<u64>,
@@ -75,8 +52,7 @@ impl MineArgs {
             shards: 8,
             report: None,
             region: None,
-            failure_policy: FailurePolicyArg::default(),
-            min_shard_coverage: 0.9,
+            failure_policy: FailurePolicy::FailFast,
             chaos_seed: None,
             ingest_shards: None,
         }
@@ -96,11 +72,9 @@ pub struct UpdateArgs {
     pub seed: u64,
     /// Restrict the delta to one author region (must match the base).
     pub region: Option<String>,
-    /// What to do when a delta shard exhausts its attempt budget.
-    pub failure_policy: FailurePolicyArg,
-    /// Minimum fraction of requested shards that must survive under
-    /// `degrade`.
-    pub min_shard_coverage: f64,
+    /// What to do when a delta shard exhausts its attempt budget; the
+    /// `degrade` floor is a fraction of the requested shards.
+    pub failure_policy: FailurePolicy,
     /// Seed for the fault-injection harness.
     pub chaos_seed: Option<u64>,
 }
@@ -365,14 +339,19 @@ const MINE_FLAGS: &[&str] = &[
     "--ingest-shards",
 ];
 
-/// Parses the fault-tolerance trio shared by `mine` and `update`:
-/// `(--failure-policy, --min-shard-coverage, --chaos-seed)`.
-fn fault_flags_from(flags: &Flags) -> Result<(FailurePolicyArg, f64, Option<u64>), ParseError> {
-    let failure_policy = match flags.take("--failure-policy") {
-        None => FailurePolicyArg::default(),
-        Some(v) => v
-            .parse()
-            .map_err(|()| ParseError::BadValue("--failure-policy".to_owned(), v.to_owned()))?,
+/// Parses the fault-tolerance flags shared by `mine` and `update`:
+/// `(--failure-policy with --min-shard-coverage, --chaos-seed)`. The
+/// coverage floor is range-checked even when the policy is `failfast`.
+fn fault_flags_from(flags: &Flags) -> Result<(FailurePolicy, Option<u64>), ParseError> {
+    let degrade = match flags.take("--failure-policy") {
+        None | Some("failfast" | "fail-fast") => false,
+        Some("degrade") => true,
+        Some(v) => {
+            return Err(ParseError::BadValue(
+                "--failure-policy".to_owned(),
+                v.to_owned(),
+            ))
+        }
     };
     let min_shard_coverage: f64 = flags.numeric("--min-shard-coverage", 0.9)?;
     if !(0.0..=1.0).contains(&min_shard_coverage) {
@@ -381,6 +360,11 @@ fn fault_flags_from(flags: &Flags) -> Result<(FailurePolicyArg, f64, Option<u64>
             min_shard_coverage.to_string(),
         ));
     }
+    let failure_policy = if degrade {
+        FailurePolicy::Degrade { min_shard_coverage }
+    } else {
+        FailurePolicy::FailFast
+    };
     let chaos_seed = match flags.take("--chaos-seed") {
         None => None,
         Some(v) => Some(
@@ -388,13 +372,13 @@ fn fault_flags_from(flags: &Flags) -> Result<(FailurePolicyArg, f64, Option<u64>
                 .map_err(|_| ParseError::BadValue("--chaos-seed".to_owned(), v.to_owned()))?,
         ),
     };
-    Ok((failure_policy, min_shard_coverage, chaos_seed))
+    Ok((failure_policy, chaos_seed))
 }
 
 /// Builds [`MineArgs`] from already-validated flags. `preset` is resolved
 /// by the caller (required for `mine`/`snapshot`, defaulted for `run`).
 fn mine_args_from(flags: &Flags, preset: String) -> Result<MineArgs, ParseError> {
-    let (failure_policy, min_shard_coverage, chaos_seed) = fault_flags_from(flags)?;
+    let (failure_policy, chaos_seed) = fault_flags_from(flags)?;
     let shards = flags.positive("--shards", 8)?;
     let ingest_shards = match flags.take("--ingest-shards") {
         None => None,
@@ -423,7 +407,6 @@ fn mine_args_from(flags: &Flags, preset: String) -> Result<MineArgs, ParseError>
         report: flags.take("--report").map(str::to_owned),
         region: flags.take("--region").map(str::to_owned),
         failure_policy,
-        min_shard_coverage,
         chaos_seed,
         ingest_shards,
     })
@@ -471,7 +454,7 @@ impl Cli {
                     "--min-shard-coverage",
                     "--chaos-seed",
                 ])?;
-                let (failure_policy, min_shard_coverage, chaos_seed) = fault_flags_from(&flags)?;
+                let (failure_policy, chaos_seed) = fault_flags_from(&flags)?;
                 Command::Update(UpdateArgs {
                     snapshot: flags.required("--snapshot")?,
                     delta_preset: flags.required("--delta-preset")?,
@@ -479,7 +462,6 @@ impl Cli {
                     seed: flags.numeric("--seed", 2015)?,
                     region: flags.take("--region").map(str::to_owned),
                     failure_policy,
-                    min_shard_coverage,
                     chaos_seed,
                 })
             }
@@ -646,8 +628,12 @@ mod tests {
         match cli.command {
             Command::Mine(args) => {
                 assert_eq!(args.region.as_deref(), Some("west"));
-                assert_eq!(args.failure_policy, FailurePolicyArg::Degrade);
-                assert_eq!(args.min_shard_coverage, 0.75);
+                assert_eq!(
+                    args.failure_policy,
+                    FailurePolicy::Degrade {
+                        min_shard_coverage: 0.75
+                    }
+                );
                 assert_eq!(args.chaos_seed, Some(99));
             }
             other => panic!("unexpected {other:?}"),
@@ -657,7 +643,7 @@ mod tests {
             let cli = parse(&["mine", "--preset", "table2", "--failure-policy", spelling]);
             match cli.unwrap().command {
                 Command::Mine(args) => {
-                    assert_eq!(args.failure_policy, FailurePolicyArg::FailFast)
+                    assert_eq!(args.failure_policy, FailurePolicy::FailFast)
                 }
                 other => panic!("unexpected {other:?}"),
             }
@@ -827,8 +813,7 @@ mod tests {
                 out: "b.swire".to_owned(),
                 seed: 2015,
                 region: None,
-                failure_policy: FailurePolicyArg::FailFast,
-                min_shard_coverage: 0.9,
+                failure_policy: FailurePolicy::FailFast,
                 chaos_seed: None,
             })
         );
@@ -857,8 +842,12 @@ mod tests {
         match cli.command {
             Command::Update(args) => {
                 assert_eq!(args.seed, 7);
-                assert_eq!(args.failure_policy, FailurePolicyArg::Degrade);
-                assert_eq!(args.min_shard_coverage, 0.5);
+                assert_eq!(
+                    args.failure_policy,
+                    FailurePolicy::Degrade {
+                        min_shard_coverage: 0.5
+                    }
+                );
                 assert_eq!(args.chaos_seed, Some(99));
             }
             other => panic!("unexpected {other:?}"),

@@ -1,6 +1,6 @@
 //! Command implementations.
 
-use crate::args::{DiffFormat, FailurePolicyArg, MineArgs, UpdateArgs};
+use crate::args::{DiffFormat, MineArgs, UpdateArgs};
 use crate::error::CliError;
 use std::sync::Arc;
 use surveyor::obs::MetricsRegistry;
@@ -21,20 +21,22 @@ fn preset_world(preset: &str, seed: u64) -> Result<World, CliError> {
     }
 }
 
-/// The chaos seed in effect: the `--chaos-seed` flag, or the
-/// `SURVEYOR_CHAOS_SEED` environment variable as a fallback (how the
-/// verify script's chaos gate switches injection on without touching
-/// every invocation).
-fn chaos_seed_or_env(flag: Option<u64>) -> Option<u64> {
-    flag.or_else(|| {
+/// The fault plan in effect over a world of `shard_count` shards: seeded
+/// by the `--chaos-seed` flag, or by the `SURVEYOR_CHAOS_SEED`
+/// environment variable as a fallback (how the verify script's chaos
+/// gate switches injection on without touching every invocation), and
+/// empty when neither is set. The plan always spans the FULL world, so
+/// world shard `s` fails identically whether it is reached by a base
+/// mine, a delta update, or a replay.
+fn chaos_plan(flag: Option<u64>, shard_count: usize) -> FaultPlan {
+    let seed = flag.or_else(|| {
         std::env::var("SURVEYOR_CHAOS_SEED")
             .ok()
             .and_then(|v| v.parse().ok())
+    });
+    seed.map_or_else(FaultPlan::none, |seed| {
+        FaultPlan::from_seed(seed, shard_count)
     })
-}
-
-fn chaos_seed(args: &MineArgs) -> Option<u64> {
-    chaos_seed_or_env(args.chaos_seed)
 }
 
 /// Digest identifying the corpus a snapshot was mined from: the preset
@@ -119,37 +121,17 @@ fn mine_store(
             .map_err(|e| CliError::Usage(e.to_string()))?,
         None => CorpusSource::new(&generator),
     };
-    let retry = RetryPolicy::default();
-    let policy = match args.failure_policy {
-        FailurePolicyArg::FailFast => FailurePolicy::FailFast,
-        FailurePolicyArg::Degrade => FailurePolicy::Degrade {
-            min_shard_coverage: args.min_shard_coverage,
-        },
-    };
     // With `--ingest-shards M` only the prefix `[0, M)` of the world is
-    // mined; the chaos plan is still seeded over the FULL shard count so
-    // the same world shard sees the same faults in a base mine, a delta
-    // update, and a from-scratch run.
-    let base_shards = args
-        .ingest_shards
-        .unwrap_or_else(|| generator.shard_count());
-    let run = match chaos_seed(args) {
-        Some(seed) => {
-            let injector =
-                FaultInjector::new(source, FaultPlan::from_seed(seed, generator.shard_count()));
-            if args.ingest_shards.is_some() {
-                let subset = ShardSubset::range(injector, 0, base_shards);
-                surveyor.try_run(&subset, &retry, &policy)?
-            } else {
-                surveyor.try_run(&injector, &retry, &policy)?
-            }
-        }
-        None if args.ingest_shards.is_some() => {
-            let subset = ShardSubset::range(source, 0, base_shards);
-            surveyor.try_run(&subset, &retry, &policy)?
-        }
-        None => surveyor.try_run(&source, &retry, &policy)?,
-    };
+    // mined; without it the subset is the whole world, numbered as the
+    // world numbers it. With no chaos seed the injector injects nothing.
+    let shard_count = generator.shard_count();
+    let plan = chaos_plan(args.chaos_seed, shard_count);
+    let subset = ShardSubset::range(
+        FaultInjector::new(source, plan),
+        0,
+        args.ingest_shards.unwrap_or(shard_count),
+    );
+    let run = surveyor.try_run(&subset, &RetryPolicy::default(), &args.failure_policy)?;
     let store = SubjectiveKb::from_output(&run.output, &kb);
     Ok((store, run, kb, world))
 }
@@ -366,29 +348,16 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
             .map_err(|e| CliError::Usage(e.to_string()))?,
         None => CorpusSource::new(&generator),
     };
-    let retry = RetryPolicy::default();
-    let policy = match args.failure_policy {
-        FailurePolicyArg::FailFast => FailurePolicy::FailFast,
-        FailurePolicyArg::Degrade => FailurePolicy::Degrade {
-            min_shard_coverage: args.min_shard_coverage,
-        },
-    };
     let shard_list: Vec<usize> = requested.iter().map(|&s| s as usize).collect();
-    let outcome = match chaos_seed_or_env(args.chaos_seed) {
-        Some(seed) => {
-            // Same plan shape as `mine`: seeded over the FULL shard
-            // count, so world shard `s` fails identically whether it is
-            // reached by a base mine, a delta, or a replay.
-            let injector =
-                FaultInjector::new(source, FaultPlan::from_seed(seed, generator.shard_count()));
-            let subset = ShardSubset::new(injector, shard_list.clone());
-            surveyor.try_update(base, &subset, &retry, &policy, WarmStart::Exact)?
-        }
-        None => {
-            let subset = ShardSubset::new(source, shard_list.clone());
-            surveyor.try_update(base, &subset, &retry, &policy, WarmStart::Exact)?
-        }
-    };
+    let plan = chaos_plan(args.chaos_seed, generator.shard_count());
+    let subset = ShardSubset::new(FaultInjector::new(source, plan), shard_list.clone());
+    let outcome = surveyor.try_update(
+        base,
+        &subset,
+        &RetryPolicy::default(),
+        &args.failure_policy,
+        WarmStart::Exact,
+    )?;
 
     // Fold the run back into the state: quarantined shards (reported in
     // subset-local indexes) stay pending; everything else is ingested.
@@ -783,6 +752,13 @@ pub fn link(preset: &str, attribute: &str, seed: u64, rho: u64) -> Result<String
 mod tests {
     use super::*;
 
+    /// A scratch directory for one test, named for this process so two
+    /// test runs on one host (debug and release, two checkouts) never
+    /// write into each other's.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("surveyor-cli-{name}-test-{}", std::process::id()))
+    }
+
     #[test]
     fn unknown_preset_is_an_error() {
         assert!(preset_world("mars", 1).is_err());
@@ -803,7 +779,7 @@ mod tests {
 
     #[test]
     fn mine_and_query_round_trip() {
-        let dir = std::env::temp_dir().join("surveyor-cli-test");
+        let dir = scratch_dir("round-trip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("world.swire");
         let path_str = path.to_str().unwrap();
@@ -844,7 +820,7 @@ mod tests {
             Err(e @ CliError::Io(_)) => assert_eq!(e.exit_code(), 1),
             other => panic!("unexpected {other:?}"),
         }
-        let dir = std::env::temp_dir().join("surveyor-cli-query-corrupt-test");
+        let dir = scratch_dir("query-corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         let bad = dir.join("bad.swire");
         std::fs::write(&bad, b"not a snapshot").unwrap();
@@ -865,7 +841,7 @@ mod tests {
 
     #[test]
     fn mine_writes_a_parseable_run_report() {
-        let dir = std::env::temp_dir().join("surveyor-cli-report-test");
+        let dir = scratch_dir("report");
         std::fs::create_dir_all(&dir).unwrap();
         let report_path = dir.join("report.json");
         let report_str = report_path.to_str().unwrap();
@@ -921,7 +897,7 @@ mod tests {
 
     #[test]
     fn snapshot_then_load_reproduces_the_mined_store() {
-        let dir = std::env::temp_dir().join("surveyor-cli-snapshot-test");
+        let dir = scratch_dir("snapshot");
         std::fs::create_dir_all(&dir).unwrap();
         let snap = dir.join("world.swire");
         let mined = dir.join("mined.json");
@@ -957,7 +933,7 @@ mod tests {
 
     #[test]
     fn corrupt_snapshots_are_invalid_input_with_exit_3() {
-        let dir = std::env::temp_dir().join("surveyor-cli-corrupt-test");
+        let dir = scratch_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         let snap = dir.join("world.swire");
         let args = MineArgs {
@@ -1024,7 +1000,7 @@ mod tests {
 
     #[test]
     fn diff_reports_identical_and_differing_snapshots() {
-        let dir = std::env::temp_dir().join("surveyor-cli-diff-test");
+        let dir = scratch_dir("diff");
         std::fs::create_dir_all(&dir).unwrap();
         let a = dir.join("a.swire");
         let b = dir.join("b.swire");
@@ -1092,7 +1068,7 @@ mod tests {
             Err(e @ CliError::Io(_)) => assert_eq!(e.exit_code(), 1),
             other => panic!("unexpected {other:?}"),
         }
-        let dir = std::env::temp_dir().join("surveyor-cli-serve-test");
+        let dir = scratch_dir("serve");
         std::fs::create_dir_all(&dir).unwrap();
         let bad = dir.join("bad.swire");
         std::fs::write(&bad, b"definitely not a snapshot").unwrap();
@@ -1107,7 +1083,7 @@ mod tests {
     fn serve_boots_answers_and_shuts_down() {
         use std::io::{Read, Write};
 
-        let dir = std::env::temp_dir().join("surveyor-cli-serve-e2e-test");
+        let dir = scratch_dir("serve-e2e");
         std::fs::create_dir_all(&dir).unwrap();
         let snap = dir.join("world.swire");
         let args = MineArgs {
@@ -1151,7 +1127,7 @@ mod tests {
 
     #[test]
     fn update_matches_from_scratch_byte_identically() {
-        let dir = std::env::temp_dir().join("surveyor-cli-update-test");
+        let dir = scratch_dir("update");
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join("base.swire");
         let updated = dir.join("updated.swire");
@@ -1176,8 +1152,7 @@ mod tests {
             out: updated.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            failure_policy: FailurePolicyArg::FailFast,
-            min_shard_coverage: 0.9,
+            failure_policy: FailurePolicy::FailFast,
             chaos_seed: None,
         })
         .unwrap();
@@ -1202,8 +1177,7 @@ mod tests {
             out: updated.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            failure_policy: FailurePolicyArg::FailFast,
-            min_shard_coverage: 0.9,
+            failure_policy: FailurePolicy::FailFast,
             chaos_seed: None,
         })
         .unwrap();
@@ -1217,7 +1191,7 @@ mod tests {
 
     #[test]
     fn update_onto_its_own_input_round_trips() {
-        let dir = std::env::temp_dir().join("surveyor-cli-update-in-place-test");
+        let dir = scratch_dir("update-in-place");
         std::fs::create_dir_all(&dir).unwrap();
         let in_place = dir.join("world.swire");
         let scratch = dir.join("scratch.swire");
@@ -1237,8 +1211,7 @@ mod tests {
             out: in_place.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            failure_policy: FailurePolicyArg::FailFast,
-            min_shard_coverage: 0.9,
+            failure_policy: FailurePolicy::FailFast,
             chaos_seed: None,
         };
         // The base is read whole before anything is written, and replaced
@@ -1265,7 +1238,7 @@ mod tests {
     #[test]
     fn a_failed_write_leaves_the_previous_file_and_no_temporary() {
         use std::io::Write as _;
-        let dir = std::env::temp_dir().join("surveyor-cli-atomic-write-test");
+        let dir = scratch_dir("atomic-write");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("world.swire");
@@ -1314,7 +1287,7 @@ mod tests {
 
     #[test]
     fn update_rejects_missing_state_bad_preset_and_wrong_corpus() {
-        let dir = std::env::temp_dir().join("surveyor-cli-update-reject-test");
+        let dir = scratch_dir("update-reject");
         std::fs::create_dir_all(&dir).unwrap();
         let plain = dir.join("plain.swire");
         let out = dir.join("out.swire");
@@ -1333,8 +1306,7 @@ mod tests {
             out: out.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            failure_policy: FailurePolicyArg::FailFast,
-            min_shard_coverage: 0.9,
+            failure_policy: FailurePolicy::FailFast,
             chaos_seed: None,
         };
         // A snapshot without incremental state is updatable data that
@@ -1413,7 +1385,7 @@ mod tests {
 
     #[test]
     fn chaos_quarantine_replays_to_the_clean_run_bytes() {
-        let dir = std::env::temp_dir().join("surveyor-cli-replay-test");
+        let dir = scratch_dir("replay");
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join("base.swire");
         let updated = dir.join("updated.swire");
@@ -1438,8 +1410,7 @@ mod tests {
             shards: preset.num_shards,
             ingest_shards: Some(preset.base_shards),
             chaos_seed: Some(chaos),
-            failure_policy: FailurePolicyArg::Degrade,
-            min_shard_coverage: 0.0,
+            failure_policy: FailurePolicy::degrade_unchecked(),
             ..MineArgs::new(preset.world)
         };
         let summary = snapshot(&mine, base.to_str().unwrap(), None).unwrap();
@@ -1457,8 +1428,7 @@ mod tests {
             out: updated.to_str().unwrap().to_owned(),
             seed: 5,
             region: None,
-            failure_policy: FailurePolicyArg::FailFast,
-            min_shard_coverage: 0.9,
+            failure_policy: FailurePolicy::FailFast,
             chaos_seed: None,
         })
         .unwrap();
@@ -1467,7 +1437,7 @@ mod tests {
         // The replayed result is bit-for-bit the clean full run.
         let clean_args = MineArgs {
             chaos_seed: None,
-            failure_policy: FailurePolicyArg::FailFast,
+            failure_policy: FailurePolicy::FailFast,
             ingest_shards: Some(preset.num_shards),
             ..mine
         };
@@ -1490,8 +1460,7 @@ mod tests {
             rho: 40,
             shards: 4,
             chaos_seed: Some(7),
-            failure_policy: FailurePolicyArg::Degrade,
-            min_shard_coverage: 0.0,
+            failure_policy: FailurePolicy::degrade_unchecked(),
             ..MineArgs::new("cities")
         };
         let summary = mine(&args).unwrap();

@@ -1,21 +1,7 @@
 //! Command-line interface for the Surveyor subjective-property miner.
 //!
-//! ```text
-//! surveyor mine   --preset table2 --out store.json [--seed N] [--rho N] [--shards N] [--report FILE|-]
-//!                 [--region NAME] [--failure-policy failfast|degrade] [--min-shard-coverage F] [--chaos-seed N]
-//! surveyor run    [--preset NAME] [mine flags...]
-//! surveyor query  --snapshot world.swire --type city --property big [--negative] [--limit N]
-//! surveyor combos --snapshot world.swire
-//! surveyor corpus --preset table2 [--seed N] [--shard N] [--limit N]
-//! surveyor link   --preset cities --attribute population [--seed N] [--rho N]
-//! surveyor snapshot --preset table2 --out world.swire [--store store.json] [mine flags...]
-//! surveyor update --snapshot base.swire --delta-preset table2-tail --out updated.swire [--seed N]
-//!                 [--region NAME] [--failure-policy failfast|degrade]
-//!                 [--min-shard-coverage F] [--chaos-seed N]
-//! surveyor load   --snapshot world.swire [--out store.json]
-//! surveyor serve  --snapshot world.swire [--addr HOST:PORT] [--workers N] [--queue N] [--budget-ms N] [--debug-routes]
-//! surveyor diff   --old a.swire --new b.swire [--format human|json]
-//! ```
+//! The subcommands and their flags are listed once, in [`args::USAGE`]
+//! (what `surveyor --help` prints).
 //!
 //! Argument parsing and command execution live here so they are unit
 //! testable; `main.rs` is a thin shim. Failures map to exit codes via
@@ -32,7 +18,7 @@ pub mod args;
 pub mod commands;
 pub mod error;
 
-pub use args::{Cli, Command, DiffFormat, FailurePolicyArg, MineArgs, ParseError, UpdateArgs};
+pub use args::{Cli, Command, DiffFormat, MineArgs, ParseError, UpdateArgs};
 pub use error::CliError;
 
 /// The result of a successful command: the text to print plus the

@@ -9,15 +9,15 @@
 //!
 //! # Contention model
 //!
-//! The global table is *sharded*: properties are distributed over
-//! 16 independent `RwLock`ed shards keyed by the head
-//! adjective, so concurrent workers interning different vocabulary never
-//! serialize on one lock. On top of that, each worker carries a private
-//! [`InternCache`] — an `FxHashMap` of every surface (and every resolved
-//! id) it has seen. After the first few documents the corpus vocabulary is
-//! fully cached and the steady-state hot path (`InternCache::intern_surface`
-//! on a repeat surface) takes **zero locks**: a single local hash probe,
-//! no atomics, no shared memory writes. The cache counts its hits and its
+//! The global table is one `RwLock` over both lookup maps and the id →
+//! property list: readers share it, and an insert holds the write lock
+//! alone, never nesting another. Workers rarely reach it, because each
+//! carries a private [`InternCache`] — an `FxHashMap` of every surface
+//! (and every resolved id) it has seen. After the first few documents the
+//! corpus vocabulary is fully cached and the steady-state hot path
+//! (`InternCache::intern_surface` on a repeat surface) takes **zero
+//! locks**: a single local hash probe, no atomics, no shared memory
+//! writes. The cache counts its hits and its
 //! global-table fallbacks ([`CacheStats`]) so a run report can prove the
 //! steady state was actually lock-free.
 //!
@@ -33,10 +33,9 @@
 //! vocabulary of a corpus is small, so this is by design.
 
 use crate::property::Property;
-use parking_lot::RwLock;
 use rustc_hash::FxHashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 /// Identifier of an interned [`Property`].
 ///
@@ -45,72 +44,42 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PropertyId(pub u32);
 
-/// Number of independent lock shards in the global table. Distinct head
-/// adjectives spread over shards, so workers interning different
-/// vocabulary take different locks; a power of two keeps the modulo a
-/// mask.
-const SHARD_COUNT: usize = 16;
-
-/// One shard's maps. A property and its canonical surface always live in
-/// the same shard (both hash the head adjective), so an insert updates
-/// both maps under a single shard lock.
+/// The global table: both lookup maps and the dense id → property list,
+/// all behind one lock. An insert updates all three under a single write
+/// acquisition, and no other lock is ever taken while it is held.
 #[derive(Default)]
-struct Shard {
+struct Table {
     by_property: FxHashMap<Property, u32>,
     /// Canonical surface form ("very big") → id: the zero-allocation entry
     /// point for surfaces assembled in a scratch buffer.
     by_surface: FxHashMap<String, u32>,
+    /// Id → property; ids are indexes into it.
+    properties: Vec<Property>,
 }
 
-/// The sharded global table. Ids are dense across shards: allocation
-/// appends to `properties` under its own lock, always acquired *after*
-/// the owning shard's write lock (and never the other way around), so the
-/// two-level locking cannot deadlock.
-struct Sharded {
-    shards: [RwLock<Shard>; SHARD_COUNT],
-    properties: RwLock<Vec<Property>>,
+fn table() -> &'static RwLock<Table> {
+    static TABLE: OnceLock<RwLock<Table>> = OnceLock::new();
+    TABLE.get_or_init(RwLock::default)
 }
 
-fn table() -> &'static Sharded {
-    static TABLE: OnceLock<Sharded> = OnceLock::new();
-    TABLE.get_or_init(|| Sharded {
-        shards: std::array::from_fn(|_| RwLock::new(Shard::default())),
-        properties: RwLock::new(Vec::new()),
-    })
+fn read() -> RwLockReadGuard<'static, Table> {
+    table().read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// FNV-1a over the adjective bytes → shard index. Both entry points hash
-/// the same key — `Property::head()` and the last word of a canonical
-/// surface are the same string — so lookups by either form land in the
-/// shard that holds the entry.
-fn shard_of(adjective: &str) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in adjective.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash as usize) & (SHARD_COUNT - 1)
-}
-
-/// Inserts `property` into its shard, allocating a fresh dense id unless a
-/// racing thread got there first. The caller has already missed on a read
-/// probe.
+/// Inserts `property`, allocating a fresh dense id unless a racing thread
+/// got there first. The caller has already missed on a read probe.
 fn insert(property: &Property) -> u32 {
-    let mut shard = table().shards[shard_of(property.head())].write();
+    let mut table = table().write().unwrap_or_else(PoisonError::into_inner);
     // Re-check under the write lock: a racing thread may have inserted
     // between our read probe and here. Without this, the same property
     // could be assigned two ids.
-    if let Some(&id) = shard.by_property.get(property) {
+    if let Some(&id) = table.by_property.get(property) {
         return id;
     }
-    let id = {
-        let mut properties = table().properties.write();
-        let id = u32::try_from(properties.len()).expect("property interner overflow"); // lint:allow(no-panic-in-lib): a corpus cannot reach 2^32 distinct properties
-        properties.push(property.clone());
-        id
-    };
-    shard.by_property.insert(property.clone(), id);
-    shard.by_surface.insert(property.to_string(), id);
+    let id = u32::try_from(table.properties.len()).expect("property interner overflow"); // lint:allow(no-panic-in-lib): a corpus cannot reach 2^32 distinct properties
+    table.properties.push(property.clone());
+    table.by_property.insert(property.clone(), id);
+    table.by_surface.insert(property.to_string(), id);
     id
 }
 
@@ -123,9 +92,8 @@ impl PropertyId {
 
     /// Interns a property, returning its stable id (idempotent).
     pub fn intern(property: &Property) -> Self {
-        let shard = &table().shards[shard_of(property.head())];
-        if let Some(&id) = shard.read().by_property.get(property) {
-            return PropertyId(id);
+        if let Some(id) = Self::lookup(property) {
+            return id;
         }
         PropertyId(insert(property))
     }
@@ -135,20 +103,14 @@ impl PropertyId {
     /// Read-only queries (evidence counts, provenance, opinions) use this so
     /// probing for never-extracted properties cannot grow the table.
     pub fn lookup(property: &Property) -> Option<Self> {
-        table().shards[shard_of(property.head())]
-            .read()
-            .by_property
-            .get(property)
-            .map(|&id| PropertyId(id))
+        read().by_property.get(property).map(|&id| PropertyId(id))
     }
 
     /// Interns a canonical surface form (lowercase words separated by single
     /// spaces, e.g. `"very big"`); allocation-free when the surface was seen
     /// before. Returns `None` for a blank surface.
     pub fn intern_surface(surface: &str) -> Option<Self> {
-        let adjective = surface.split_whitespace().next_back()?;
-        let shard = &table().shards[shard_of(adjective)];
-        if let Some(&id) = shard.read().by_surface.get(surface) {
+        if let Some(&id) = read().by_surface.get(surface) {
             return Some(PropertyId(id));
         }
         let property = Property::parse(surface)?;
@@ -160,7 +122,7 @@ impl PropertyId {
     /// # Panics
     /// Panics on an id that did not come from this process's interner.
     pub fn resolve(self) -> Property {
-        table().properties.read()[self.index()].clone()
+        read().properties[self.index()].clone()
     }
 }
 
@@ -177,7 +139,7 @@ impl fmt::Display for PropertyId {
 pub struct CacheStats {
     /// Probes answered from the worker-local cache — zero locks taken.
     pub hits: u64,
-    /// Probes that fell through to the sharded global table.
+    /// Probes that fell through to the global table.
     pub global_lookups: u64,
 }
 
@@ -334,8 +296,8 @@ mod tests {
 
     #[test]
     fn ids_stay_dense_across_shards() {
-        // Adjectives chosen to hash into different shards; every id must
-        // still resolve, i.e. the dense properties vec has no holes.
+        // Many distinct adjectives; every id must still resolve, i.e. the
+        // dense properties vec has no holes.
         for i in 0..40 {
             let p = Property::adjective(&format!("intern-dense-{i}"));
             let id = PropertyId::intern(&p);

@@ -10,7 +10,7 @@
 //! - [`property`]: subjective properties (adjective + optional adverbs).
 //! - [`intern`]: the process-global `Property` ↔ `PropertyId` interner
 //!   that lets hot structures key on `(EntityId, PropertyId)` `u32` pairs —
-//!   a sharded global table plus the worker-local [`InternCache`] that
+//!   one locked global table plus the worker-local [`InternCache`] that
 //!   makes the steady-state extraction path lock-free.
 //! - [`entity`]: the entity record.
 //! - [`kb`]: the [`KnowledgeBase`] store with alias and type indexes.

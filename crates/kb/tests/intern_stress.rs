@@ -1,4 +1,4 @@
-//! Concurrency stress for the sharded interner: many threads interning an
+//! Concurrency stress for the global interner: many threads interning an
 //! overlapping property set must agree on every id, never deadlock, and
 //! leave the dense id space hole-free.
 
@@ -6,8 +6,7 @@ use std::collections::BTreeMap;
 use surveyor_kb::{InternCache, Property, PropertyId};
 
 /// The overlapping vocabulary every thread interns: a shared core (maximal
-/// contention on the same shards) plus adverb variants that spread over
-/// shards.
+/// contention on the same entries) plus adverb variants of each.
 fn vocabulary() -> Vec<Property> {
     let mut out = Vec::new();
     for adjective in [

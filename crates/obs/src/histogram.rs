@@ -1,7 +1,7 @@
 //! Value histograms on fixed log-scale buckets.
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A bucket is 1/64 of its power of two wide, so its midpoint lies within
 /// 1/128 (0.8 %) of every value in it.
@@ -82,9 +82,15 @@ impl Histogram {
         }
     }
 
+    /// The state, locked. Every update leaves it whole, so a lock
+    /// poisoned by a panicking holder is taken as it is.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records one observation.
     pub fn observe(&self, value: f64) {
-        let mut state = self.state.lock();
+        let mut state = self.state();
         state.count += 1;
         state.sum += value;
         state.min = state.min.min(value);
@@ -94,20 +100,20 @@ impl Histogram {
 
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
-        self.state.lock().count
+        self.state().count
     }
 
     /// The `q`-quantile (`0 < q <= 1`): the bucket of the `ceil(q·n)`-th
     /// smallest observation, read as its midpoint clamped to the
     /// extrema. `None` when empty.
     pub fn percentile(&self, q: f64) -> Option<f64> {
-        let state = self.state.lock();
+        let state = self.state();
         (state.count > 0).then(|| state.percentile(q))
     }
 
     /// A serializable summary (count, extrema, mean, p50/p90/p99).
     pub fn summary(&self) -> HistogramSummary {
-        let state = self.state.lock();
+        let state = self.state();
         if state.count == 0 {
             return HistogramSummary::default();
         }

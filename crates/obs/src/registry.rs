@@ -2,11 +2,10 @@
 
 use crate::histogram::Histogram;
 use crate::report::{EmGroupReport, PhaseReport, RunReport, REPORT_VERSION};
-use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A handle to a named counter: a shared atomic, so incrementing never
@@ -58,18 +57,24 @@ pub struct FaultSummary {
 /// records, and EM group telemetry — one per observed pipeline run.
 ///
 /// All methods take `&self`; the registry is shared across worker
-/// threads behind an `Arc`. Lookup by name locks a map briefly; hot
-/// paths should resolve a [`Counter`] handle once (or accumulate
-/// locally) and flush aggregates on join.
+/// threads behind an `Arc`. Every store sits behind one lock, held
+/// briefly per call; hot paths should resolve a [`Counter`] handle once
+/// (or accumulate locally) and flush aggregates on join.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Mutex<FxHashMap<String, Counter>>,
-    gauges: Mutex<FxHashMap<String, f64>>,
-    histograms: Mutex<FxHashMap<String, Arc<Histogram>>>,
+    stores: Mutex<Stores>,
+}
+
+/// Everything a [`MetricsRegistry`] records.
+#[derive(Debug, Default)]
+struct Stores {
+    counters: FxHashMap<String, Counter>,
+    gauges: FxHashMap<String, f64>,
+    histograms: FxHashMap<String, Arc<Histogram>>,
     /// Phase records in first-recorded order (reports preserve it).
-    phases: Mutex<Vec<PhaseAccum>>,
-    em_groups: Mutex<Vec<EmGroupReport>>,
-    fault: Mutex<Option<FaultSummary>>,
+    phases: Vec<PhaseAccum>,
+    em_groups: Vec<EmGroupReport>,
+    fault: Option<FaultSummary>,
 }
 
 impl MetricsRegistry {
@@ -78,14 +83,20 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The stores, locked. Each call leaves them whole, so a lock
+    /// poisoned by a panicking holder is taken as it is.
+    fn stores(&self) -> MutexGuard<'_, Stores> {
+        self.stores.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The counter registered under `name`, created on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut counters = self.counters.lock();
-        if let Some(c) = counters.get(name) {
+        let mut stores = self.stores();
+        if let Some(c) = stores.counters.get(name) {
             return c.clone();
         }
         let c = Counter::default();
-        counters.insert(name.to_owned(), c.clone());
+        stores.counters.insert(name.to_owned(), c.clone());
         c
     }
 
@@ -96,8 +107,8 @@ impl MetricsRegistry {
 
     /// Current value of counter `name` (0 when never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .lock()
+        self.stores()
+            .counters
             .get(name)
             .map(Counter::value)
             .unwrap_or(0)
@@ -105,22 +116,22 @@ impl MetricsRegistry {
 
     /// Sets the gauge `name` to `value` (last write wins).
     pub fn set_gauge(&self, name: &str, value: f64) {
-        self.gauges.lock().insert(name.to_owned(), value);
+        self.stores().gauges.insert(name.to_owned(), value);
     }
 
     /// Current value of gauge `name`.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.lock().get(name).copied()
+        self.stores().gauges.get(name).copied()
     }
 
     /// The histogram registered under `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut histograms = self.histograms.lock();
-        if let Some(h) = histograms.get(name) {
+        let mut stores = self.stores();
+        if let Some(h) = stores.histograms.get(name) {
             return h.clone();
         }
         let h = Arc::new(Histogram::new());
-        histograms.insert(name.to_owned(), h.clone());
+        stores.histograms.insert(name.to_owned(), h.clone());
         h
     }
 
@@ -144,7 +155,7 @@ impl MetricsRegistry {
     /// Records a measured phase slice directly (the span guard calls
     /// this on drop). Slices recorded under one name accumulate.
     pub fn record_phase(&self, name: &str, duration: Duration, items: u64) {
-        let mut phases = self.phases.lock();
+        let phases = &mut self.stores().phases;
         if let Some(p) = phases.iter_mut().find(|p| p.name == name) {
             p.seconds += duration.as_secs_f64();
             p.items += items;
@@ -159,17 +170,17 @@ impl MetricsRegistry {
 
     /// Appends one (type, property) group's EM telemetry.
     pub fn record_em_group(&self, group: EmGroupReport) {
-        self.em_groups.lock().push(group);
+        self.stores().em_groups.push(group);
     }
 
     /// Stamps the run's fault-tolerance accounting (last write wins).
     pub fn record_fault_summary(&self, summary: FaultSummary) {
-        *self.fault.lock() = Some(summary);
+        self.stores().fault = Some(summary);
     }
 
     /// The stamped fault-tolerance accounting, if any.
     pub fn fault_summary(&self) -> Option<FaultSummary> {
-        self.fault.lock().clone()
+        self.stores().fault.clone()
     }
 
     /// Snapshots everything into a versioned [`RunReport`]. Phases keep
@@ -177,9 +188,9 @@ impl MetricsRegistry {
     /// by (type, property) so worker completion order never leaks into
     /// the artifact.
     pub fn report(&self) -> RunReport {
-        let phases = self
+        let stores = self.stores();
+        let phases = stores
             .phases
-            .lock()
             .iter()
             .map(|p| PhaseReport {
                 name: p.name.clone(),
@@ -192,30 +203,24 @@ impl MetricsRegistry {
                 },
             })
             .collect();
-        let counters: BTreeMap<String, u64> = self
+        let counters: BTreeMap<String, u64> = stores
             .counters
-            .lock()
             .iter()
             .map(|(k, v)| (k.clone(), v.value()))
             .collect();
-        let gauges: BTreeMap<String, f64> = self
-            .gauges
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        let histograms: BTreeMap<String, crate::HistogramSummary> = self
+        let gauges: BTreeMap<String, f64> =
+            stores.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        let histograms: BTreeMap<String, crate::HistogramSummary> = stores
             .histograms
-            .lock()
             .iter()
             .map(|(k, h)| (k.clone(), h.summary()))
             .collect();
-        let mut em_groups: Vec<EmGroupReport> = self.em_groups.lock().clone();
+        let mut em_groups: Vec<EmGroupReport> = stores.em_groups.clone();
         em_groups.sort_by(|a, b| {
             (a.type_name.as_str(), a.property.as_str())
                 .cmp(&(b.type_name.as_str(), b.property.as_str()))
         });
-        let fault = self.fault.lock().clone().unwrap_or_default();
+        let fault = stores.fault.clone().unwrap_or_default();
         RunReport {
             version: REPORT_VERSION,
             phases,
@@ -223,7 +228,7 @@ impl MetricsRegistry {
             gauges,
             histograms,
             em_groups,
-            coverage: self.fault.lock().as_ref().map(|f| f.coverage),
+            coverage: stores.fault.as_ref().map(|f| f.coverage),
             retries: fault.retries,
             quarantined_shards: fault.quarantined_shards,
         }

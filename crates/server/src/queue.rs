@@ -9,11 +9,11 @@
 //! "come back later" fast stays available; one that queues without bound
 //! dies of memory pressure serving nobody.
 //!
-//! Built on `std::sync::{Mutex, Condvar}` — the vendored `parking_lot`
-//! shim carries no `Condvar`. Lock poisoning is survived, not unwrapped:
-//! a panicking worker already has `catch_unwind` isolation above it, and
-//! the queue's state (a `VecDeque` plus a flag) is valid after any
-//! partial operation, so every acquisition goes through
+//! Built on `std::sync::{Mutex, Condvar}`, like every lock in the
+//! workspace. Lock poisoning is survived, not unwrapped: a panicking
+//! worker already has `catch_unwind` isolation above it, and the queue's
+//! state (a `VecDeque` plus a flag) is valid after any partial operation,
+//! so every acquisition goes through
 //! `unwrap_or_else(PoisonError::into_inner)`.
 
 use std::collections::VecDeque;

@@ -19,9 +19,8 @@
 //! candidate is rejected with the old state still serving; there is no
 //! window where readers can observe a broken index.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use surveyor::{SnapshotError, SubjectiveKb};
 
 /// One immutable, fully validated, queryable snapshot generation.
@@ -80,14 +79,17 @@ impl SharedState {
 
     /// Clones the current state out of the slot (locks briefly).
     pub fn load(&self) -> Arc<ServedState> {
-        self.slot.lock().clone()
+        self.slot
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Installs `next` and bumps the epoch. In-flight requests keep the
     /// `Arc` they already cloned; the old state drops when the last one
     /// finishes.
     pub fn swap(&self, next: Arc<ServedState>) {
-        let mut slot = self.slot.lock();
+        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         *slot = next;
         // Publish under the lock so a reader that sees the new epoch is
         // guaranteed to find the new state in the slot.
