@@ -32,8 +32,7 @@ pub struct MineArgs {
     /// (`--failure-policy`, with `--min-shard-coverage` as the floor of
     /// `degrade`).
     pub failure_policy: FailurePolicy,
-    /// Seed for the fault-injection harness (`--chaos-seed`, or the
-    /// `SURVEYOR_CHAOS_SEED` environment variable as a fallback).
+    /// Seed for the fault-injection harness (`--chaos-seed`).
     pub chaos_seed: Option<u64>,
     /// Mine only shards `[0, N)` of the `--shards`-shard world and record
     /// incremental state (ingested ranges, replay queue) so the snapshot
@@ -378,8 +377,9 @@ fn fault_flags_from(flags: &Flags) -> Result<(FailurePolicy, Option<u64>), Parse
 /// Builds [`MineArgs`] from already-validated flags. `preset` is resolved
 /// by the caller (required for `mine`/`snapshot`, defaulted for `run`).
 fn mine_args_from(flags: &Flags, preset: String) -> Result<MineArgs, ParseError> {
+    let defaults = MineArgs::new(&preset);
     let (failure_policy, chaos_seed) = fault_flags_from(flags)?;
-    let shards = flags.positive("--shards", 8)?;
+    let shards = flags.positive("--shards", defaults.shards)?;
     let ingest_shards = match flags.take("--ingest-shards") {
         None => None,
         Some(v) => {
@@ -401,8 +401,8 @@ fn mine_args_from(flags: &Flags, preset: String) -> Result<MineArgs, ParseError>
     Ok(MineArgs {
         preset,
         out: flags.take("--out").map(str::to_owned),
-        seed: flags.numeric("--seed", 2015)?,
-        rho: flags.numeric("--rho", 100)?,
+        seed: flags.numeric("--seed", defaults.seed)?,
+        rho: flags.numeric("--rho", defaults.rho)?,
         shards,
         report: flags.take("--report").map(str::to_owned),
         region: flags.take("--region").map(str::to_owned),
@@ -1007,6 +1007,11 @@ mod tests {
         assert_eq!(
             parse(&["diff", "--old", "a", "--new", "b", "--format", "yaml"]),
             Err(ParseError::BadValue("--format".into(), "yaml".into()))
+        );
+        // The operands are flags: a bare path is refused, not guessed.
+        assert_eq!(
+            parse(&["diff", "old.swire", "new.swire"]),
+            Err(ParseError::UnknownFlag("old.swire".into()))
         );
     }
 

@@ -22,18 +22,10 @@ fn preset_world(preset: &str, seed: u64) -> Result<World, CliError> {
 }
 
 /// The fault plan in effect over a world of `shard_count` shards: seeded
-/// by the `--chaos-seed` flag, or by the `SURVEYOR_CHAOS_SEED`
-/// environment variable as a fallback (how the verify script's chaos
-/// gate switches injection on without touching every invocation), and
-/// empty when neither is set. The plan always spans the FULL world, so
-/// world shard `s` fails identically whether it is reached by a base
-/// mine, a delta update, or a replay.
-fn chaos_plan(flag: Option<u64>, shard_count: usize) -> FaultPlan {
-    let seed = flag.or_else(|| {
-        std::env::var("SURVEYOR_CHAOS_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    });
+/// by the `--chaos-seed` flag, and empty without it. The plan always
+/// spans the FULL world, so world shard `s` fails identically whether it
+/// is reached by a base mine, a delta update, or a replay.
+fn chaos_plan(seed: Option<u64>, shard_count: usize) -> FaultPlan {
     seed.map_or_else(FaultPlan::none, |seed| {
         FaultPlan::from_seed(seed, shard_count)
     })
@@ -485,16 +477,11 @@ pub fn serve(
     ))
 }
 
-fn read_snapshot_for_diff(path: &str) -> Result<(surveyor_wire::Snapshot, u16), CliError> {
+fn read_snapshot_for_diff(path: &str) -> Result<surveyor_wire::Snapshot, CliError> {
     let bytes =
         std::fs::read(path).map_err(|e| CliError::Io(format!("cannot read {path}: {e}")))?;
-    let reader = surveyor_wire::SnapshotReader::new(&bytes)
-        .map_err(|e| CliError::InvalidInput(format!("invalid snapshot {path}: {e}")))?;
-    let version = reader.version();
-    let snapshot = reader
-        .to_snapshot()
-        .map_err(|e| CliError::InvalidInput(format!("invalid snapshot {path}: {e}")))?;
-    Ok((snapshot, version))
+    surveyor_wire::decode(&bytes)
+        .map_err(|e| CliError::InvalidInput(format!("invalid snapshot {path}: {e}")))
 }
 
 /// How many keys a human-format section lists before eliding.
@@ -520,9 +507,9 @@ fn render_key_list(out: &mut String, label: &str, keys: &[String]) {
 /// Returns the rendered report and whether the snapshots are identical
 /// (the CLI exits 1 on differences, like `bench diff`).
 pub fn diff(old: &str, new: &str, format: DiffFormat) -> Result<(String, bool), CliError> {
-    let (snapshot_old, version_old) = read_snapshot_for_diff(old)?;
-    let (snapshot_new, version_new) = read_snapshot_for_diff(new)?;
-    let diff = surveyor::diff_snapshots(&snapshot_old, &snapshot_new, version_old, version_new)
+    let snapshot_old = read_snapshot_for_diff(old)?;
+    let snapshot_new = read_snapshot_for_diff(new)?;
+    let diff = surveyor::diff_snapshots(&snapshot_old, &snapshot_new)
         .map_err(|e| CliError::InvalidInput(format!("cannot compare {old} and {new}: {e}")))?;
     let identical = diff.is_identical();
     let text = match format {
@@ -545,8 +532,6 @@ pub fn diff(old: &str, new: &str, format: DiffFormat) -> Result<(String, bool), 
                 "old": old,
                 "new": new,
                 "identical": identical,
-                "version_old": diff.version_a,
-                "version_new": diff.version_b,
                 "sample_size_changed": diff.sample_size_changed,
                 "differences": diff.difference_count(),
                 "sections": sections,
@@ -556,12 +541,6 @@ pub fn diff(old: &str, new: &str, format: DiffFormat) -> Result<(String, bool), 
         }
         DiffFormat::Human => {
             let mut out = format!("comparing {old} -> {new}\n");
-            if diff.version_a != diff.version_b {
-                out.push_str(&format!(
-                    "  wire version: {} -> {} (MISMATCH)\n",
-                    diff.version_a, diff.version_b
-                ));
-            }
             if diff.sample_size_changed {
                 out.push_str("  provenance sample size changed\n");
             }

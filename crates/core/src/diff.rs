@@ -1,5 +1,5 @@
 //! `surveyor diff`'s comparison of two snapshots: the sections on disk
-//! (`surveyor_wire::diff_with_versions`) plus the one the format does not
+//! (`surveyor_wire::diff_snapshots`) plus the one the format does not
 //! store — each combination's decisions, derived by the loader from both
 //! files. A combination reports as changed when any of its entities'
 //! verdict or posterior moved: a flip, or a probability that differs in a
@@ -12,21 +12,15 @@ use surveyor_model::Decision;
 use surveyor_wire::{SectionDelta, Snapshot, SnapshotDiff};
 
 /// Compares two decoded snapshots section by section, with the decisions
-/// each one's models imply as a `decisions` section after `models`;
-/// `version_a` and `version_b` are what the two containers declared.
+/// each one's models imply as a `decisions` section after `models`.
 /// Fails when either snapshot does not load.
-pub fn diff_snapshots(
-    a: &Snapshot,
-    b: &Snapshot,
-    version_a: u16,
-    version_b: u16,
-) -> Result<SnapshotDiff, SnapshotError> {
+pub fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> Result<SnapshotDiff, SnapshotError> {
     let decisions = SectionDelta::compare(
         "decisions",
         decisions_by_group(&output_from_snapshot(a)?),
         decisions_by_group(&output_from_snapshot(b)?),
     );
-    let mut diff = surveyor_wire::diff_with_versions(a, b, version_a, version_b);
+    let mut diff = surveyor_wire::diff_snapshots(a, b);
     let after_models = (diff.sections.iter())
         .position(|section| section.section == "models")
         .map_or(diff.sections.len(), |at| at + 1);
@@ -105,7 +99,7 @@ mod tests {
     #[test]
     fn identical_snapshots_diff_empty_in_every_section() {
         let a = world();
-        let diff = diff_snapshots(&a, &a.clone(), 2, 2).unwrap();
+        let diff = diff_snapshots(&a, &a.clone()).unwrap();
         assert!(diff.is_identical(), "{diff:?}");
         let sections: Vec<&str> = diff.sections.iter().map(|s| s.section).collect();
         assert_eq!(sections[5..8], ["models", "decisions", "incremental"]);
@@ -121,7 +115,7 @@ mod tests {
         let mut b = world();
         let model = &mut b.models[0];
         (model.rate_pos, model.rate_neg) = (model.rate_neg, model.rate_pos);
-        let diff = diff_snapshots(&a, &b, 2, 2).unwrap();
+        let diff = diff_snapshots(&a, &b).unwrap();
         assert_eq!(diff.sections[5].changed, vec!["animal × cute"]);
         assert_eq!(diff.sections[6].section, "decisions");
         assert_eq!(diff.sections[6].changed, vec!["animal × cute"]);
@@ -129,7 +123,7 @@ mod tests {
         let mut bad = world();
         bad.models[0].p_agree = 2.0;
         assert_eq!(
-            diff_snapshots(&a, &bad, 2, 2).unwrap_err(),
+            diff_snapshots(&a, &bad).unwrap_err(),
             SnapshotError::Corrupt("model parameters out of range")
         );
     }

@@ -729,18 +729,7 @@ fn walk_bytes<S: Sink>(
             })
         }),
         models_len: reader.models().len(),
-        models: reader.models().map(|record| {
-            record.map(|record| ModelRow {
-                type_index: record.type_index,
-                property: record.property,
-                p_agree: record.p_agree,
-                rate_pos: record.rate_pos,
-                rate_neg: record.rate_neg,
-                iterations: record.iterations,
-                converged: record.converged,
-                log_likelihood: record.log_likelihood,
-            })
-        }),
+        models: reader.models(),
         fingerprints,
     })?;
     Ok((output, incremental))

@@ -215,7 +215,8 @@ impl FaultPlan {
     /// A seeded pseudo-random plan over `shard_count` shards: roughly 15%
     /// transient shards (1–2 failures), 5% permanent, 5% panicking, and 5%
     /// slow, the rest clean. Deterministic in `(seed, shard_count)` — the
-    /// plan behind `SURVEYOR_CHAOS_SEED` and `--chaos-seed`.
+    /// plan behind the CLI's `--chaos-seed` and the chaos integration
+    /// test's `SURVEYOR_CHAOS_SEED`.
     pub fn from_seed(seed: u64, shard_count: usize) -> Self {
         let mut plan = Self::none();
         for shard in 0..shard_count {

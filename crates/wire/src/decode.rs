@@ -3,10 +3,11 @@
 //! [`SnapshotReader::new`] verifies the container in one pass — magic,
 //! version, section framing, checksums, canonical order — and stores one
 //! borrowed byte span per section. Record access after that is lazy:
-//! the per-section iterators ([`SnapshotReader::evidence`] and friends)
-//! parse records straight out of the snapshot bytes and hand out borrowed
-//! `&str` spans and sub-iterators instead of allocating per record. Every
-//! read is bounds-checked; no input can make the decoder panic.
+//! each section's [`Records`] iterator ([`SnapshotReader::evidence`] and
+//! friends) parses records straight out of the snapshot bytes and hands
+//! out borrowed `&str` spans and sub-iterators instead of allocating per
+//! record. Every read is bounds-checked; no input can make the decoder
+//! panic.
 
 use crate::crc32::crc32;
 use crate::cursor::Cursor;
@@ -20,6 +21,8 @@ use crate::snapshot::{
     SnapshotEntity, SnapshotProperty, SnapshotType,
 };
 use crate::{FORMAT_VERSION, MAGIC};
+use std::fmt::Debug;
+use std::marker::PhantomData;
 
 /// Positions of the known sections inside [`KNOWN_ORDER`].
 const SEC_PROPERTIES: usize = 0;
@@ -194,58 +197,51 @@ impl<'a> SnapshotReader<'a> {
         self.provenance_sample_size
     }
 
-    /// Iterates the property table (section `PROP`).
-    pub fn properties(&self) -> PropertyIter<'a> {
-        PropertyIter {
-            cursor: Cursor::new(self.bodies[SEC_PROPERTIES]),
-            remaining: self.counts[SEC_PROPERTIES],
+    /// The records of the section in slot `section` of [`KNOWN_ORDER`].
+    fn records<R: SectionRecord<'a>>(&self, section: usize) -> Records<'a, R> {
+        Records {
+            cursor: Cursor::new(self.bodies[section]),
+            remaining: self.counts[section],
             finished: false,
+            state: R::State::default(),
+            record: PhantomData,
         }
+    }
+
+    /// Iterates the property table (section `PROP`).
+    pub fn properties(&self) -> Records<'a, PropertyRecord<'a>> {
+        self.records(SEC_PROPERTIES)
     }
 
     /// Iterates the entity types (section `TYPE`).
-    pub fn types(&self) -> TypeIter<'a> {
-        TypeIter {
-            cursor: Cursor::new(self.bodies[SEC_TYPES]),
-            remaining: self.counts[SEC_TYPES],
-            finished: false,
-        }
+    pub fn types(&self) -> Records<'a, TypeRecord<'a>> {
+        self.records(SEC_TYPES)
     }
 
     /// Iterates the entities (section `ENTS`).
-    pub fn entities(&self) -> EntityIter<'a> {
-        EntityIter {
-            cursor: Cursor::new(self.bodies[SEC_ENTITIES]),
-            remaining: self.counts[SEC_ENTITIES],
-            finished: false,
-        }
+    pub fn entities(&self) -> Records<'a, EntityRecord<'a>> {
+        self.records(SEC_ENTITIES)
     }
 
     /// Iterates the evidence counters (section `EVID`).
-    pub fn evidence(&self) -> EvidenceIter<'a> {
-        EvidenceIter {
-            cursor: Cursor::new(self.bodies[SEC_EVIDENCE]),
-            remaining: self.counts[SEC_EVIDENCE],
-            finished: false,
-        }
+    pub fn evidence(&self) -> Records<'a, EvidenceRow> {
+        self.records(SEC_EVIDENCE)
     }
 
     /// Iterates the provenance samples (section `PROV`).
-    pub fn provenance(&self) -> ProvenanceIter<'a> {
-        ProvenanceIter {
-            cursor: Cursor::new(self.bodies[SEC_PROVENANCE]),
-            remaining: self.counts[SEC_PROVENANCE],
-            finished: false,
-        }
+    pub fn provenance(&self) -> Records<'a, ProvenanceRecord<'a>> {
+        self.records(SEC_PROVENANCE)
     }
 
     /// Iterates the fitted models (section `MODL`).
-    pub fn models(&self) -> ModelIter<'a> {
-        ModelIter {
-            cursor: Cursor::new(self.bodies[SEC_MODELS]),
-            remaining: self.counts[SEC_MODELS],
-            finished: false,
-        }
+    pub fn models(&self) -> Records<'a, ModelRow> {
+        self.records(SEC_MODELS)
+    }
+
+    /// Iterates the group fingerprints (optional section `GRPF`); empty
+    /// when the snapshot does not carry one.
+    pub fn fingerprints(&self) -> Records<'a, GroupFingerprintRow> {
+        self.records(SEC_FINGERPRINTS)
     }
 
     /// Whether the snapshot carries the optional `INCR` section.
@@ -312,120 +308,65 @@ impl<'a> SnapshotReader<'a> {
         }))
     }
 
-    /// Iterates the group fingerprints (optional section `GRPF`); empty
-    /// when the snapshot does not carry one.
-    pub fn fingerprints(&self) -> FingerprintIter<'a> {
-        FingerprintIter {
-            cursor: Cursor::new(self.bodies[SEC_FINGERPRINTS]),
-            remaining: self.counts[SEC_FINGERPRINTS],
-            finished: false,
-            last_key: None,
-        }
-    }
-
     /// Materializes the whole snapshot into its owned form, validating
     /// every record (including string payloads the lazy iterators defer).
     pub fn to_snapshot(&self) -> Result<Snapshot, WireError> {
-        let mut properties = Vec::with_capacity(self.counts[SEC_PROPERTIES]);
-        for record in self.properties() {
-            let record = record?;
-            let mut adverbs = Vec::with_capacity(record.adverbs.len());
-            for adverb in record.adverbs {
-                adverbs.push(adverb?.to_string());
-            }
-            properties.push(SnapshotProperty {
-                adverbs,
-                adjective: record.adjective.to_string(),
-            });
+        fn strings(list: StrList<'_>) -> Result<Vec<String>, WireError> {
+            list.map(|s| s.map(str::to_owned)).collect()
         }
-
-        let mut types = Vec::with_capacity(self.counts[SEC_TYPES]);
-        for record in self.types() {
-            let record = record?;
-            let mut head_nouns = Vec::with_capacity(record.head_nouns.len());
-            for noun in record.head_nouns {
-                head_nouns.push(noun?.to_string());
-            }
-            let mut context_cues = Vec::with_capacity(record.context_cues.len());
-            for cue in record.context_cues {
-                context_cues.push(cue?.to_string());
-            }
-            types.push(SnapshotType {
-                name: record.name.to_string(),
-                head_nouns,
-                context_cues,
-            });
-        }
-
-        let mut entities = Vec::with_capacity(self.counts[SEC_ENTITIES]);
-        for record in self.entities() {
-            let record = record?;
-            let mut aliases = Vec::with_capacity(record.aliases.len());
-            for alias in record.aliases {
-                aliases.push(alias?.to_string());
-            }
-            let mut attributes = Vec::with_capacity(record.attributes.len());
-            for attribute in record.attributes {
-                let (key, value) = attribute?;
-                attributes.push((key.to_string(), value));
-            }
-            entities.push(SnapshotEntity {
-                name: record.name.to_string(),
-                aliases,
-                type_index: record.type_index,
-                attributes,
-            });
-        }
-
-        let mut evidence = Vec::with_capacity(self.counts[SEC_EVIDENCE]);
-        for row in self.evidence() {
-            evidence.push(row?);
-        }
-
-        let mut provenance = Vec::with_capacity(self.counts[SEC_PROVENANCE]);
-        for record in self.provenance() {
-            let record = record?;
-            provenance.push(ProvenanceRow {
-                entity: record.entity,
-                property: record.property,
-                documents: record.documents.collect(),
-            });
-        }
-
-        let mut models = Vec::with_capacity(self.counts[SEC_MODELS]);
-        for record in self.models() {
-            let record = record?;
-            models.push(ModelRow {
-                type_index: record.type_index,
-                property: record.property,
-                p_agree: record.p_agree,
-                rate_pos: record.rate_pos,
-                rate_neg: record.rate_neg,
-                iterations: record.iterations,
-                converged: record.converged,
-                log_likelihood: record.log_likelihood,
-            });
-        }
-
-        let incremental = self.incremental()?;
-
-        let mut fingerprints = Vec::with_capacity(self.counts[SEC_FINGERPRINTS]);
-        for row in self.fingerprints() {
-            fingerprints.push(row?);
-        }
-
+        // Fields are read in section order, so the first bad record in
+        // the file is the error returned.
         Ok(Snapshot {
-            properties,
-            types,
-            entities,
-            evidence,
+            properties: collect(self.properties(), |record| {
+                Ok(SnapshotProperty {
+                    adverbs: strings(record.adverbs)?,
+                    adjective: record.adjective.to_owned(),
+                })
+            })?,
+            types: collect(self.types(), |record| {
+                Ok(SnapshotType {
+                    name: record.name.to_owned(),
+                    head_nouns: strings(record.head_nouns)?,
+                    context_cues: strings(record.context_cues)?,
+                })
+            })?,
+            entities: collect(self.entities(), |record| {
+                Ok(SnapshotEntity {
+                    name: record.name.to_owned(),
+                    aliases: strings(record.aliases)?,
+                    type_index: record.type_index,
+                    attributes: (record.attributes)
+                        .map(|pair| pair.map(|(key, value)| (key.to_owned(), value)))
+                        .collect::<Result<_, _>>()?,
+                })
+            })?,
+            evidence: collect(self.evidence(), Ok)?,
             provenance_sample_size: self.provenance_sample_size,
-            provenance,
-            models,
-            incremental,
-            fingerprints,
+            provenance: collect(self.provenance(), |record| {
+                Ok(ProvenanceRow {
+                    entity: record.entity,
+                    property: record.property,
+                    documents: record.documents.collect(),
+                })
+            })?,
+            models: collect(self.models(), Ok)?,
+            incremental: self.incremental()?,
+            fingerprints: collect(self.fingerprints(), Ok)?,
         })
     }
+}
+
+/// Every record of `records`, each mapped by `owned`, in a vector sized
+/// to the declared count.
+fn collect<'a, R: SectionRecord<'a>, T>(
+    records: Records<'a, R>,
+    mut owned: impl FnMut(R) -> Result<T, WireError>,
+) -> Result<Vec<T>, WireError> {
+    let mut rows = Vec::with_capacity(records.len());
+    for record in records {
+        rows.push(owned(record?)?);
+    }
+    Ok(rows)
 }
 
 /// Count-field contexts, indexed like [`KNOWN_ORDER`]. The `INCR` slot
@@ -441,24 +382,134 @@ const COUNT_CONTEXTS: [&str; 8] = [
     "fingerprint row count",
 ];
 
-/// A lazy list of length-prefixed strings borrowed from the snapshot.
+/// A record of one section: how [`Records`] parses it.
+pub trait SectionRecord<'a>: Sized {
+    /// The section, named by its trailing-bytes error.
+    const TAG: SectionTag;
+    /// What parsing carries from one record to the next: nothing, but
+    /// for `GRPF`, whose rows must ascend.
+    type State: Debug + Clone + Default;
+    /// Parses the record at `cursor`.
+    fn parse(cursor: &mut Cursor<'a>, state: &mut Self::State) -> Result<Self, WireError>;
+}
+
+/// The records of one section, parsed lazily out of the snapshot bytes.
+/// Once the declared count is read, bytes left in the section are one
+/// trailing-bytes error; any error ends the iteration.
 #[derive(Debug, Clone)]
-pub struct StrList<'a> {
+pub struct Records<'a, R: SectionRecord<'a>> {
+    cursor: Cursor<'a>,
+    remaining: usize,
+    finished: bool,
+    state: R::State,
+    record: PhantomData<R>,
+}
+
+impl<'a, R: SectionRecord<'a>> Records<'a, R> {
+    /// Records left to yield: the declared count, already bounded by the
+    /// payload size when the container was validated — what a consumer
+    /// reserves for before it streams the records.
+    pub fn len(&self) -> usize {
+        self.remaining
+    }
+
+    /// Whether no records are left (or the section was empty).
+    pub fn is_empty(&self) -> bool {
+        self.remaining == 0
+    }
+}
+
+impl<'a, R: SectionRecord<'a>> Iterator for Records<'a, R> {
+    type Item = Result<R, WireError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.finished {
+            return None;
+        }
+        if self.remaining == 0 {
+            self.finished = true;
+            return (!self.cursor.is_empty()).then_some(Err(WireError::BadRecord {
+                section: R::TAG,
+                detail: "trailing bytes in section",
+            }));
+        }
+        self.remaining -= 1;
+        let record = R::parse(&mut self.cursor, &mut self.state);
+        self.finished = record.is_err();
+        Some(record)
+    }
+}
+
+/// An item of a [`List`]: how it is skipped while its record is
+/// delimited, and read when the list is iterated.
+pub trait ListItem<'a>: Sized {
+    /// Skips one item, checking its framing; `context` names it.
+    fn skip(cursor: &mut Cursor<'a>, context: &'static str) -> Result<(), WireError>;
+    /// Reads one item whose framing was checked.
+    fn read(cursor: &mut Cursor<'a>, context: &'static str) -> Result<Self, WireError>;
+}
+
+impl<'a> ListItem<'a> for &'a str {
+    fn skip(cursor: &mut Cursor<'a>, context: &'static str) -> Result<(), WireError> {
+        cursor.skip_str(context)
+    }
+
+    /// UTF-8 is checked here, not when the record was delimited.
+    fn read(cursor: &mut Cursor<'a>, context: &'static str) -> Result<Self, WireError> {
+        cursor.str(context)
+    }
+}
+
+/// An attribute: its key, named by the list's context, and its value.
+impl<'a> ListItem<'a> for (&'a str, f64) {
+    fn skip(cursor: &mut Cursor<'a>, context: &'static str) -> Result<(), WireError> {
+        cursor.skip_str(context)?;
+        cursor.take(8, "attribute value").map(drop)
+    }
+
+    fn read(cursor: &mut Cursor<'a>, context: &'static str) -> Result<Self, WireError> {
+        Ok((cursor.str(context)?, cursor.f64("attribute value")?))
+    }
+}
+
+/// A lazy list inside one record, borrowed from the snapshot. A bad item
+/// ends the list.
+#[derive(Debug, Clone)]
+pub struct List<'a, T> {
     cursor: Cursor<'a>,
     remaining: usize,
     context: &'static str,
+    item: PhantomData<T>,
 }
 
-impl<'a> StrList<'a> {
-    fn new(span: &'a [u8], count: usize, context: &'static str) -> Self {
-        Self {
-            cursor: Cursor::new(span),
-            remaining: count,
-            context,
+/// A lazy list of length-prefixed strings.
+pub type StrList<'a> = List<'a, &'a str>;
+
+/// A lazy list of `(key, value)` attribute pairs.
+pub type AttrList<'a> = List<'a, (&'a str, f64)>;
+
+impl<'a, T: ListItem<'a>> List<'a, T> {
+    /// Skims a counted list at `cursor` (framing checked, strings'
+    /// UTF-8 deferred) and returns a lazy iterator over its span.
+    fn skim(
+        cursor: &mut Cursor<'a>,
+        count_context: &'static str,
+        context: &'static str,
+    ) -> Result<Self, WireError> {
+        let remaining = cursor.count(count_context)?;
+        let mark = *cursor;
+        for _ in 0..remaining {
+            T::skip(cursor, context)?;
         }
+        Ok(Self {
+            cursor: Cursor::new(cursor.span_since(&mark)),
+            remaining,
+            context,
+            item: PhantomData,
+        })
     }
 
-    /// Strings left to yield.
+    /// Items left to yield.
     pub fn len(&self) -> usize {
         self.remaining
     }
@@ -469,21 +520,19 @@ impl<'a> StrList<'a> {
     }
 }
 
-impl<'a> Iterator for StrList<'a> {
-    type Item = Result<&'a str, WireError>;
+impl<'a, T: ListItem<'a>> Iterator for List<'a, T> {
+    type Item = Result<T, WireError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.remaining == 0 {
             return None;
         }
         self.remaining -= 1;
-        match self.cursor.str(self.context) {
-            Ok(s) => Some(Ok(s)),
-            Err(e) => {
-                self.remaining = 0;
-                Some(Err(e))
-            }
+        let item = T::read(&mut self.cursor, self.context);
+        if item.is_err() {
+            self.remaining = 0;
         }
+        Some(item)
     }
 }
 
@@ -541,55 +590,6 @@ impl<'a> Iterator for U64List<'a> {
     }
 }
 
-/// A lazy list of `(key, value)` attribute pairs borrowed from the
-/// snapshot.
-#[derive(Debug, Clone)]
-pub struct AttrList<'a> {
-    cursor: Cursor<'a>,
-    remaining: usize,
-}
-
-impl<'a> AttrList<'a> {
-    fn new(span: &'a [u8], count: usize) -> Self {
-        Self {
-            cursor: Cursor::new(span),
-            remaining: count,
-        }
-    }
-
-    /// Pairs left to yield.
-    pub fn len(&self) -> usize {
-        self.remaining
-    }
-
-    /// Whether the list is exhausted (or was empty).
-    pub fn is_empty(&self) -> bool {
-        self.remaining == 0
-    }
-}
-
-impl<'a> Iterator for AttrList<'a> {
-    type Item = Result<(&'a str, f64), WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let result = self
-            .cursor
-            .str("attribute key")
-            .and_then(|key| self.cursor.f64("attribute value").map(|value| (key, value)));
-        match result {
-            Ok(pair) => Some(Ok(pair)),
-            Err(e) => {
-                self.remaining = 0;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
 /// One property-table record, borrowed from section `PROP`.
 #[derive(Debug, Clone)]
 pub struct PropertyRecord<'a> {
@@ -599,29 +599,15 @@ pub struct PropertyRecord<'a> {
     pub adjective: &'a str,
 }
 
-/// Iterator over section `PROP`.
-#[derive(Debug, Clone)]
-pub struct PropertyIter<'a> {
-    cursor: Cursor<'a>,
-    remaining: usize,
-    finished: bool,
-}
+impl<'a> SectionRecord<'a> for PropertyRecord<'a> {
+    const TAG: SectionTag = TAG_PROPERTIES;
+    type State = ();
 
-impl<'a> Iterator for PropertyIter<'a> {
-    type Item = Result<PropertyRecord<'a>, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        next_record(
-            &mut self.cursor,
-            &mut self.remaining,
-            &mut self.finished,
-            TAG_PROPERTIES,
-            |cursor| {
-                let adverbs = skim_str_list(cursor, "adverb count", "adverb")?;
-                let adjective = cursor.str("adjective")?;
-                Ok(PropertyRecord { adverbs, adjective })
-            },
-        )
+    fn parse(cursor: &mut Cursor<'a>, _: &mut ()) -> Result<Self, WireError> {
+        Ok(Self {
+            adverbs: List::skim(cursor, "adverb count", "adverb")?,
+            adjective: cursor.str("adjective")?,
+        })
     }
 }
 
@@ -636,34 +622,16 @@ pub struct TypeRecord<'a> {
     pub context_cues: StrList<'a>,
 }
 
-/// Iterator over section `TYPE`.
-#[derive(Debug, Clone)]
-pub struct TypeIter<'a> {
-    cursor: Cursor<'a>,
-    remaining: usize,
-    finished: bool,
-}
+impl<'a> SectionRecord<'a> for TypeRecord<'a> {
+    const TAG: SectionTag = TAG_TYPES;
+    type State = ();
 
-impl<'a> Iterator for TypeIter<'a> {
-    type Item = Result<TypeRecord<'a>, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        next_record(
-            &mut self.cursor,
-            &mut self.remaining,
-            &mut self.finished,
-            TAG_TYPES,
-            |cursor| {
-                let name = cursor.str("type name")?;
-                let head_nouns = skim_str_list(cursor, "head noun count", "head noun")?;
-                let context_cues = skim_str_list(cursor, "context cue count", "context cue")?;
-                Ok(TypeRecord {
-                    name,
-                    head_nouns,
-                    context_cues,
-                })
-            },
-        )
+    fn parse(cursor: &mut Cursor<'a>, _: &mut ()) -> Result<Self, WireError> {
+        Ok(Self {
+            name: cursor.str("type name")?,
+            head_nouns: List::skim(cursor, "head noun count", "head noun")?,
+            context_cues: List::skim(cursor, "context cue count", "context cue")?,
+        })
     }
 }
 
@@ -680,72 +648,32 @@ pub struct EntityRecord<'a> {
     pub attributes: AttrList<'a>,
 }
 
-/// Iterator over section `ENTS`.
-#[derive(Debug, Clone)]
-pub struct EntityIter<'a> {
-    cursor: Cursor<'a>,
-    remaining: usize,
-    finished: bool,
-}
+impl<'a> SectionRecord<'a> for EntityRecord<'a> {
+    const TAG: SectionTag = TAG_ENTITIES;
+    type State = ();
 
-impl<'a> Iterator for EntityIter<'a> {
-    type Item = Result<EntityRecord<'a>, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        next_record(
-            &mut self.cursor,
-            &mut self.remaining,
-            &mut self.finished,
-            TAG_ENTITIES,
-            |cursor| {
-                let name = cursor.str("entity name")?;
-                let aliases = skim_str_list(cursor, "alias count", "alias")?;
-                let type_index = cursor.u32("entity type index")?;
-                let attribute_count = cursor.count("attribute count")?;
-                let mark = *cursor;
-                for _ in 0..attribute_count {
-                    cursor.skip_str("attribute key")?;
-                    cursor.take(8, "attribute value")?;
-                }
-                let span = cursor.span_since(&mark);
-                Ok(EntityRecord {
-                    name,
-                    aliases,
-                    type_index,
-                    attributes: AttrList::new(span, attribute_count),
-                })
-            },
-        )
+    fn parse(cursor: &mut Cursor<'a>, _: &mut ()) -> Result<Self, WireError> {
+        Ok(Self {
+            name: cursor.str("entity name")?,
+            aliases: List::skim(cursor, "alias count", "alias")?,
+            type_index: cursor.u32("entity type index")?,
+            attributes: List::skim(cursor, "attribute count", "attribute key")?,
+        })
     }
 }
 
-/// Iterator over section `EVID`. Rows are plain `Copy` values — nothing
-/// to borrow.
-#[derive(Debug, Clone)]
-pub struct EvidenceIter<'a> {
-    cursor: Cursor<'a>,
-    remaining: usize,
-    finished: bool,
-}
+/// Evidence rows are plain `Copy` values — nothing to borrow.
+impl<'a> SectionRecord<'a> for EvidenceRow {
+    const TAG: SectionTag = TAG_EVIDENCE;
+    type State = ();
 
-impl<'a> Iterator for EvidenceIter<'a> {
-    type Item = Result<EvidenceRow, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        next_record(
-            &mut self.cursor,
-            &mut self.remaining,
-            &mut self.finished,
-            TAG_EVIDENCE,
-            |cursor| {
-                Ok(EvidenceRow {
-                    entity: cursor.u32("evidence entity")?,
-                    property: cursor.u32("evidence property")?,
-                    positive: cursor.varint("positive count")?,
-                    negative: cursor.varint("negative count")?,
-                })
-            },
-        )
+    fn parse(cursor: &mut Cursor<'a>, _: &mut ()) -> Result<Self, WireError> {
+        Ok(Self {
+            entity: cursor.u32("evidence entity")?,
+            property: cursor.u32("evidence property")?,
+            positive: cursor.varint("positive count")?,
+            negative: cursor.varint("negative count")?,
+        })
     }
 }
 
@@ -760,224 +688,69 @@ pub struct ProvenanceRecord<'a> {
     pub documents: U64List<'a>,
 }
 
-/// Iterator over section `PROV`.
-#[derive(Debug, Clone)]
-pub struct ProvenanceIter<'a> {
-    cursor: Cursor<'a>,
-    remaining: usize,
-    finished: bool,
-}
+impl<'a> SectionRecord<'a> for ProvenanceRecord<'a> {
+    const TAG: SectionTag = TAG_PROVENANCE;
+    type State = ();
 
-impl<'a> Iterator for ProvenanceIter<'a> {
-    type Item = Result<ProvenanceRecord<'a>, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        next_record(
-            &mut self.cursor,
-            &mut self.remaining,
-            &mut self.finished,
-            TAG_PROVENANCE,
-            |cursor| {
-                let entity = cursor.u32("provenance entity")?;
-                let property = cursor.u32("provenance property")?;
-                let count = cursor.count("document count")?;
-                let mark = *cursor;
-                for _ in 0..count {
-                    cursor.varint("document id")?;
-                }
-                let span = cursor.span_since(&mark);
-                Ok(ProvenanceRecord {
-                    entity,
-                    property,
-                    documents: U64List::new(span, count, "document id"),
-                })
-            },
-        )
-    }
-}
-
-/// One fitted-model record of section `MODL`.
-#[derive(Debug, Clone, Copy)]
-pub struct ModelRecord {
-    /// Index into the type table.
-    pub type_index: u32,
-    /// Index into the property table.
-    pub property: u32,
-    /// Fitted author-agreement probability.
-    pub p_agree: f64,
-    /// Fitted positive statement rate.
-    pub rate_pos: f64,
-    /// Fitted negative statement rate.
-    pub rate_neg: f64,
-    /// EM iterations actually run.
-    pub iterations: u64,
-    /// Convergence-reason code.
-    pub converged: u8,
-    /// Mixture log-likelihood of the fitted parameters.
-    pub log_likelihood: f64,
-}
-
-/// Iterator over section `MODL`.
-#[derive(Debug, Clone)]
-pub struct ModelIter<'a> {
-    cursor: Cursor<'a>,
-    remaining: usize,
-    finished: bool,
-}
-
-impl Iterator for ModelIter<'_> {
-    type Item = Result<ModelRecord, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        next_record(
-            &mut self.cursor,
-            &mut self.remaining,
-            &mut self.finished,
-            TAG_MODELS,
-            |cursor| {
-                let type_index = cursor.u32("model type index")?;
-                let property = cursor.u32("model property")?;
-                let p_agree = cursor.f64("p_agree")?;
-                let rate_pos = cursor.f64("rate_pos")?;
-                let rate_neg = cursor.f64("rate_neg")?;
-                let iterations = cursor.varint("iteration count")?;
-                let converged = cursor.u8("convergence code")?;
-                let log_likelihood = cursor.f64("log likelihood")?;
-                Ok(ModelRecord {
-                    type_index,
-                    property,
-                    p_agree,
-                    rate_pos,
-                    rate_neg,
-                    iterations,
-                    converged,
-                    log_likelihood,
-                })
-            },
-        )
-    }
-}
-
-/// Iterator over the optional section `GRPF`. Rows are plain `Copy`
-/// values; the iterator additionally enforces the sort invariant
-/// (ascending `(type_index, property)`, no duplicates).
-#[derive(Debug, Clone)]
-pub struct FingerprintIter<'a> {
-    cursor: Cursor<'a>,
-    remaining: usize,
-    finished: bool,
-    last_key: Option<(u32, u32)>,
-}
-
-impl<'a> Iterator for FingerprintIter<'a> {
-    type Item = Result<GroupFingerprintRow, WireError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let last_key = &mut self.last_key;
-        next_record(
-            &mut self.cursor,
-            &mut self.remaining,
-            &mut self.finished,
-            TAG_FINGERPRINTS,
-            |cursor| {
-                let type_index = cursor.u32("fingerprint type index")?;
-                let property = cursor.u32("fingerprint property")?;
-                let key = (type_index, property);
-                if last_key.is_some_and(|prev| key <= prev) {
-                    return Err(WireError::BadRecord {
-                        section: TAG_FINGERPRINTS,
-                        detail: "fingerprint rows out of order",
-                    });
-                }
-                *last_key = Some(key);
-                Ok(GroupFingerprintRow {
-                    type_index,
-                    property,
-                    entities: cursor.varint("fingerprint entity count")?,
-                    total: cursor.varint("fingerprint statement total")?,
-                    fingerprint: cursor.u64("fingerprint digest")?,
-                })
-            },
-        )
-    }
-}
-
-/// The declared record count of a section iterator, already bounded by
-/// the payload size when the container was validated: what a consumer
-/// reserves for before it streams the records.
-macro_rules! declared_len {
-    ($($iter:ident),+) => {$(
-        impl $iter<'_> {
-            /// Records left to yield.
-            pub fn len(&self) -> usize {
-                self.remaining
-            }
-
-            /// Whether no records are left (or the section was empty).
-            pub fn is_empty(&self) -> bool {
-                self.remaining == 0
-            }
+    fn parse(cursor: &mut Cursor<'a>, _: &mut ()) -> Result<Self, WireError> {
+        let entity = cursor.u32("provenance entity")?;
+        let property = cursor.u32("provenance property")?;
+        let count = cursor.count("document count")?;
+        let mark = *cursor;
+        for _ in 0..count {
+            cursor.varint("document id")?;
         }
-    )+};
-}
-
-declared_len!(
-    PropertyIter,
-    TypeIter,
-    EntityIter,
-    EvidenceIter,
-    ProvenanceIter,
-    ModelIter,
-    FingerprintIter
-);
-
-/// Shared record-iterator step: yields the next record, a trailing-bytes
-/// error once the declared count is exhausted but bytes remain, or `None`.
-/// Any parse error poisons the iterator so it cannot yield further items.
-fn next_record<'a, T>(
-    cursor: &mut Cursor<'a>,
-    remaining: &mut usize,
-    finished: &mut bool,
-    section: SectionTag,
-    parse: impl FnOnce(&mut Cursor<'a>) -> Result<T, WireError>,
-) -> Option<Result<T, WireError>> {
-    if *finished {
-        return None;
-    }
-    if *remaining == 0 {
-        *finished = true;
-        if !cursor.is_empty() {
-            return Some(Err(WireError::BadRecord {
-                section,
-                detail: "trailing bytes in section",
-            }));
-        }
-        return None;
-    }
-    *remaining -= 1;
-    match parse(cursor) {
-        Ok(record) => Some(Ok(record)),
-        Err(e) => {
-            *finished = true;
-            Some(Err(e))
-        }
+        Ok(Self {
+            entity,
+            property,
+            documents: U64List::new(cursor.span_since(&mark), count, "document id"),
+        })
     }
 }
 
-/// Skims a string list (validating framing, deferring UTF-8) and returns
-/// a lazy iterator over its span.
-fn skim_str_list<'a>(
-    cursor: &mut Cursor<'a>,
-    count_context: &'static str,
-    item_context: &'static str,
-) -> Result<StrList<'a>, WireError> {
-    let count = cursor.count(count_context)?;
-    let mark = *cursor;
-    for _ in 0..count {
-        cursor.skip_str(item_context)?;
+impl<'a> SectionRecord<'a> for ModelRow {
+    const TAG: SectionTag = TAG_MODELS;
+    type State = ();
+
+    fn parse(cursor: &mut Cursor<'a>, _: &mut ()) -> Result<Self, WireError> {
+        Ok(Self {
+            type_index: cursor.u32("model type index")?,
+            property: cursor.u32("model property")?,
+            p_agree: cursor.f64("p_agree")?,
+            rate_pos: cursor.f64("rate_pos")?,
+            rate_neg: cursor.f64("rate_neg")?,
+            iterations: cursor.varint("iteration count")?,
+            converged: cursor.u8("convergence code")?,
+            log_likelihood: cursor.f64("log likelihood")?,
+        })
     }
-    let span = cursor.span_since(&mark);
-    Ok(StrList::new(span, count, item_context))
+}
+
+/// Fingerprint rows must ascend on `(type_index, property)` with no key
+/// twice: the state is the previous row's key.
+impl<'a> SectionRecord<'a> for GroupFingerprintRow {
+    const TAG: SectionTag = TAG_FINGERPRINTS;
+    type State = Option<(u32, u32)>;
+
+    fn parse(cursor: &mut Cursor<'a>, last_key: &mut Self::State) -> Result<Self, WireError> {
+        let type_index = cursor.u32("fingerprint type index")?;
+        let property = cursor.u32("fingerprint property")?;
+        let key = (type_index, property);
+        if last_key.is_some_and(|prev| key <= prev) {
+            return Err(WireError::BadRecord {
+                section: TAG_FINGERPRINTS,
+                detail: "fingerprint rows out of order",
+            });
+        }
+        *last_key = Some(key);
+        Ok(Self {
+            type_index,
+            property,
+            entities: cursor.varint("fingerprint entity count")?,
+            total: cursor.varint("fingerprint statement total")?,
+            fingerprint: cursor.u64("fingerprint digest")?,
+        })
+    }
 }
 
 #[cfg(test)]

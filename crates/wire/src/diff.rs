@@ -78,10 +78,6 @@ impl SectionDelta {
 /// The full comparison of two snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotDiff {
-    /// Wire format version of the first snapshot.
-    pub version_a: u16,
-    /// Wire format version of the second snapshot.
-    pub version_b: u16,
     /// Whether the provenance sample bounds differ.
     pub sample_size_changed: bool,
     /// One delta per section, in canonical section order.
@@ -91,9 +87,7 @@ pub struct SnapshotDiff {
 impl SnapshotDiff {
     /// Whether the two snapshots are semantically identical.
     pub fn is_identical(&self) -> bool {
-        self.version_a == self.version_b
-            && !self.sample_size_changed
-            && self.sections.iter().all(SectionDelta::is_identical)
+        !self.sample_size_changed && self.sections.iter().all(SectionDelta::is_identical)
     }
 
     /// Total differing keys across all sections.
@@ -118,291 +112,149 @@ fn property_display(p: &SnapshotProperty) -> String {
 /// Index→name helpers resolved against one snapshot's own tables, so a
 /// dangling index (possible in hand-built snapshots) renders as a
 /// placeholder instead of failing the diff.
-struct Names<'a> {
-    snapshot: &'a Snapshot,
-}
+struct Names<'a>(&'a Snapshot);
 
 impl Names<'_> {
     fn entity(&self, index: u32) -> String {
-        self.snapshot
-            .entities
-            .get(index as usize)
+        (self.0.entities.get(index as usize))
             .map(|e| e.name.clone())
             .unwrap_or_else(|| format!("#entity{index}"))
     }
 
     fn type_name(&self, index: u32) -> String {
-        self.snapshot
-            .types
-            .get(index as usize)
+        (self.0.types.get(index as usize))
             .map(|t| t.name.clone())
             .unwrap_or_else(|| format!("#type{index}"))
     }
 
     fn property(&self, index: u32) -> String {
-        self.snapshot
-            .properties
-            .get(index as usize)
+        (self.0.properties.get(index as usize))
             .map(property_display)
             .unwrap_or_else(|| format!("#property{index}"))
     }
+
+    /// The key of an `(entity, property)` row: `EVID`, `PROV`.
+    fn pair(&self, entity: u32, property: u32) -> String {
+        format!("{} × {}", self.entity(entity), self.property(property))
+    }
+
+    /// The key of a `(type, property)` row: `MODL`, `GRPF`.
+    fn group(&self, type_index: u32, property: u32) -> String {
+        format!(
+            "{} × {}",
+            self.type_name(type_index),
+            self.property(property)
+        )
+    }
+}
+
+/// Compares one section of `a` and `b`: `rows` keys one snapshot's rows
+/// by stable identity and is called for each side.
+fn section<V: PartialEq>(
+    name: &'static str,
+    a: &Snapshot,
+    b: &Snapshot,
+    rows: impl Fn(&Snapshot, Names<'_>) -> BTreeMap<String, V>,
+) -> SectionDelta {
+    SectionDelta::compare(name, rows(a, Names(a)), rows(b, Names(b)))
 }
 
 /// Compares two decoded snapshots section by section.
 pub fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
-    diff_with_versions(a, b, crate::FORMAT_VERSION, crate::FORMAT_VERSION)
-}
-
-/// Compares two snapshots, recording the wire versions their containers
-/// declared (the CLI reads these off [`crate::SnapshotReader`]).
-pub fn diff_with_versions(
-    a: &Snapshot,
-    b: &Snapshot,
-    version_a: u16,
-    version_b: u16,
-) -> SnapshotDiff {
-    let names_a = Names { snapshot: a };
-    let names_b = Names { snapshot: b };
-
-    let properties = SectionDelta::compare(
-        "properties",
-        a.properties
-            .iter()
-            .map(|p| (property_display(p), ()))
-            .collect(),
-        b.properties
-            .iter()
-            .map(|p| (property_display(p), ()))
-            .collect(),
-    );
-    let types = SectionDelta::compare(
-        "types",
-        a.types
-            .iter()
-            .map(|t| {
-                (
-                    t.name.clone(),
-                    (t.head_nouns.clone(), t.context_cues.clone()),
-                )
-            })
-            .collect(),
-        b.types
-            .iter()
-            .map(|t| {
-                (
-                    t.name.clone(),
-                    (t.head_nouns.clone(), t.context_cues.clone()),
-                )
-            })
-            .collect(),
-    );
-    let entities = SectionDelta::compare(
-        "entities",
-        a.entities
-            .iter()
-            .map(|e| {
-                (
-                    e.name.clone(),
-                    (
-                        e.aliases.clone(),
-                        names_a.type_name(e.type_index),
-                        e.attributes.clone(),
-                    ),
-                )
-            })
-            .collect(),
-        b.entities
-            .iter()
-            .map(|e| {
-                (
-                    e.name.clone(),
-                    (
-                        e.aliases.clone(),
-                        names_b.type_name(e.type_index),
-                        e.attributes.clone(),
-                    ),
-                )
-            })
-            .collect(),
-    );
-    let evidence = SectionDelta::compare(
-        "evidence",
-        a.evidence
-            .iter()
-            .map(|row| {
-                (
-                    format!(
-                        "{} × {}",
-                        names_a.entity(row.entity),
-                        names_a.property(row.property)
-                    ),
-                    (row.positive, row.negative),
-                )
-            })
-            .collect(),
-        b.evidence
-            .iter()
-            .map(|row| {
-                (
-                    format!(
-                        "{} × {}",
-                        names_b.entity(row.entity),
-                        names_b.property(row.property)
-                    ),
-                    (row.positive, row.negative),
-                )
-            })
-            .collect(),
-    );
-    let provenance = SectionDelta::compare(
-        "provenance",
-        a.provenance
-            .iter()
-            .map(|row| {
-                (
-                    format!(
-                        "{} × {}",
-                        names_a.entity(row.entity),
-                        names_a.property(row.property)
-                    ),
-                    row.documents.clone(),
-                )
-            })
-            .collect(),
-        b.provenance
-            .iter()
-            .map(|row| {
-                (
-                    format!(
-                        "{} × {}",
-                        names_b.entity(row.entity),
-                        names_b.property(row.property)
-                    ),
-                    row.documents.clone(),
-                )
-            })
-            .collect(),
-    );
-    // Model parameters compare bit-exact: snapshots round-trip floats
-    // exactly, so any bit difference is a real content change.
-    let models = SectionDelta::compare(
-        "models",
-        a.models
-            .iter()
-            .map(|m| {
-                (
-                    format!(
-                        "{} × {}",
-                        names_a.type_name(m.type_index),
-                        names_a.property(m.property)
-                    ),
-                    (
+    let sections = vec![
+        section("properties", a, b, |s, _| {
+            (s.properties.iter())
+                .map(|p| (property_display(p), ()))
+                .collect()
+        }),
+        section("types", a, b, |s, _| {
+            (s.types.iter())
+                .map(|t| {
+                    let value = (t.head_nouns.clone(), t.context_cues.clone());
+                    (t.name.clone(), value)
+                })
+                .collect()
+        }),
+        section("entities", a, b, |s, names| {
+            (s.entities.iter())
+                .map(|e| {
+                    let type_name = names.type_name(e.type_index);
+                    let value = (e.aliases.clone(), type_name, e.attributes.clone());
+                    (e.name.clone(), value)
+                })
+                .collect()
+        }),
+        section("evidence", a, b, |s, names| {
+            (s.evidence.iter())
+                .map(|row| {
+                    let value = (row.positive, row.negative);
+                    (names.pair(row.entity, row.property), value)
+                })
+                .collect()
+        }),
+        section("provenance", a, b, |s, names| {
+            (s.provenance.iter())
+                .map(|row| {
+                    let value = row.documents.clone();
+                    (names.pair(row.entity, row.property), value)
+                })
+                .collect()
+        }),
+        // Model parameters compare bit-exact: snapshots round-trip floats
+        // exactly, so any bit difference is a real content change. The
+        // log-likelihood is telemetry, not identity.
+        section("models", a, b, |s, names| {
+            (s.models.iter())
+                .map(|m| {
+                    let value = (
                         m.p_agree.to_bits(),
                         m.rate_pos.to_bits(),
                         m.rate_neg.to_bits(),
                         m.iterations,
                         m.converged,
-                    ),
-                )
-            })
-            .collect(),
-        b.models
-            .iter()
-            .map(|m| {
+                    );
+                    (names.group(m.type_index, m.property), value)
+                })
+                .collect()
+        }),
+        // The optional incremental state compares field by field, so the
+        // report names what moved (e.g. newly ingested ranges, a drained
+        // replay queue) instead of a single opaque "changed".
+        section("incremental", a, b, |s, _| {
+            let Some(state) = &s.incremental else {
+                return BTreeMap::new();
+            };
+            let ingested: Vec<String> = (state.ingested.iter())
+                .map(|(start, end)| format!("[{start}, {end})"))
+                .collect();
+            BTreeMap::from([
+                ("rho".to_owned(), state.rho.to_string()),
                 (
-                    format!(
-                        "{} × {}",
-                        names_b.type_name(m.type_index),
-                        names_b.property(m.property)
-                    ),
-                    (
-                        m.p_agree.to_bits(),
-                        m.rate_pos.to_bits(),
-                        m.rate_neg.to_bits(),
-                        m.iterations,
-                        m.converged,
-                    ),
-                )
-            })
-            .collect(),
-    );
-    // The optional incremental state compares field by field, so the
-    // report names what moved (e.g. newly ingested ranges, a drained
-    // replay queue) instead of a single opaque "changed".
-    let incremental_value = |snapshot: &Snapshot| -> BTreeMap<String, String> {
-        let Some(state) = &snapshot.incremental else {
-            return BTreeMap::new();
-        };
-        BTreeMap::from([
-            ("rho".to_string(), state.rho.to_string()),
-            (
-                "config digest".to_string(),
-                format!("{:016x}", state.config_digest),
-            ),
-            (
-                "corpus digest".to_string(),
-                format!("{:016x}", state.corpus_digest),
-            ),
-            (
-                "ingested shards".to_string(),
-                state
-                    .ingested
-                    .iter()
-                    .map(|(s, e)| format!("[{s}, {e})"))
-                    .collect::<Vec<_>>()
-                    .join(" "),
-            ),
-            ("pending shards".to_string(), format!("{:?}", state.pending)),
-        ])
-    };
-    let incremental =
-        SectionDelta::compare("incremental", incremental_value(a), incremental_value(b));
-    // Group fingerprints make "which groups did the delta dirty?" a
-    // first-class diff answer: a changed key here is a dirtied group.
-    let fingerprints = SectionDelta::compare(
-        "fingerprints",
-        a.fingerprints
-            .iter()
-            .map(|row| {
+                    "config digest".to_owned(),
+                    format!("{:016x}", state.config_digest),
+                ),
                 (
-                    format!(
-                        "{} × {}",
-                        names_a.type_name(row.type_index),
-                        names_a.property(row.property)
-                    ),
-                    (row.entities, row.total, row.fingerprint),
-                )
-            })
-            .collect(),
-        b.fingerprints
-            .iter()
-            .map(|row| {
-                (
-                    format!(
-                        "{} × {}",
-                        names_b.type_name(row.type_index),
-                        names_b.property(row.property)
-                    ),
-                    (row.entities, row.total, row.fingerprint),
-                )
-            })
-            .collect(),
-    );
-
+                    "corpus digest".to_owned(),
+                    format!("{:016x}", state.corpus_digest),
+                ),
+                ("ingested shards".to_owned(), ingested.join(" ")),
+                ("pending shards".to_owned(), format!("{:?}", state.pending)),
+            ])
+        }),
+        // Group fingerprints make "which groups did the delta dirty?" a
+        // first-class diff answer: a changed key here is a dirtied group.
+        section("fingerprints", a, b, |s, names| {
+            (s.fingerprints.iter())
+                .map(|row| {
+                    let value = (row.entities, row.total, row.fingerprint);
+                    (names.group(row.type_index, row.property), value)
+                })
+                .collect()
+        }),
+    ];
     SnapshotDiff {
-        version_a,
-        version_b,
         sample_size_changed: a.provenance_sample_size != b.provenance_sample_size,
-        sections: vec![
-            properties,
-            types,
-            entities,
-            evidence,
-            provenance,
-            models,
-            incremental,
-            fingerprints,
-        ],
+        sections,
     }
 }
 
@@ -564,10 +416,8 @@ mod tests {
     }
 
     #[test]
-    fn version_and_sample_size_mismatches_flag() {
+    fn sample_size_mismatch_flags() {
         let a = world();
-        let diff = diff_with_versions(&a, &a.clone(), 1, 2);
-        assert!(!diff.is_identical());
         let mut b = world();
         b.provenance_sample_size = 9;
         let diff = diff_snapshots(&a, &b);

@@ -79,11 +79,10 @@ mod section;
 mod snapshot;
 
 pub use decode::{
-    decode, AttrList, EntityIter, EntityRecord, EvidenceIter, FingerprintIter, ModelIter,
-    ModelRecord, PropertyIter, PropertyRecord, ProvenanceIter, ProvenanceRecord, SnapshotReader,
-    StrList, TypeIter, TypeRecord, U64List,
+    decode, AttrList, EntityRecord, List, ListItem, PropertyRecord, ProvenanceRecord, Records,
+    SectionRecord, SnapshotReader, StrList, TypeRecord, U64List,
 };
-pub use diff::{diff_snapshots, diff_with_versions, SectionDelta, SnapshotDiff};
+pub use diff::{diff_snapshots, SectionDelta, SnapshotDiff};
 pub use encode::encode;
 pub use error::WireError;
 pub use section::{

@@ -183,7 +183,9 @@ done
 # ingest the remaining shard with `update`, and demand the result is
 # byte-identical (`cmp`) to mining all 4 shards from scratch with the
 # same state bookkeeping. A second `update` must find nothing to ingest
-# and leave the snapshot untouched.
+# and leave the snapshot untouched. `surveyor diff` must call the update
+# and the from-scratch mine identical (exit 0) and the base and its
+# update different (exit 1, `"identical": false`).
 cargo run --release -q -p surveyor-cli --bin surveyor -- \
     snapshot --preset cities --seed 5 --rho 40 --shards 4 --ingest-shards 3 \
     --out artifacts/incr_base.swire > /dev/null
@@ -200,7 +202,16 @@ cargo run --release -q -p surveyor-cli --bin surveyor -- \
     --seed 5 --out artifacts/incr_idempotent.swire > /dev/null
 cmp artifacts/incr_updated.swire artifacts/incr_idempotent.swire \
     || { echo "empty-delta update is not idempotent" >&2; exit 1; }
-rm -f artifacts/incr_base.swire artifacts/incr_updated.swire \
+cargo run --release -q -p surveyor-cli --bin surveyor -- \
+    diff --old artifacts/incr_updated.swire --new artifacts/incr_scratch.swire > /dev/null \
+    || { echo "diff of the update and the from-scratch mine is not identical" >&2; exit 1; }
+diff_status=0
+cargo run --release -q -p surveyor-cli --bin surveyor -- \
+    diff --old artifacts/incr_base.swire --new artifacts/incr_updated.swire --format json \
+    > artifacts/incr_diff.json || diff_status=$?
+[ "$diff_status" -eq 1 ] && grep -q '"identical": false' artifacts/incr_diff.json \
+    || { echo "diff of the base and its update: exit $diff_status, not 1 and differing" >&2; exit 1; }
+rm -f artifacts/incr_diff.json artifacts/incr_base.swire artifacts/incr_updated.swire \
     artifacts/incr_scratch.swire artifacts/incr_idempotent.swire
 
 # Incremental bench smoke: the delta-scaling harness on its quick preset
