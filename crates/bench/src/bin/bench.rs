@@ -430,6 +430,8 @@ fn validate_incremental_schema(value: &serde_json::Value) -> Result<(), String> 
             "delta_fraction",
             "scratch_seconds",
             "update_seconds",
+            "load_ms",
+            "save_ms",
             "speedup_vs_scratch",
             "groups_total",
             "groups_dirty",

@@ -1613,7 +1613,10 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 ///    output must re-encode byte-identical to the from-scratch mine of
 ///    the whole corpus. Each timed update is paired with a timed
 ///    from-scratch mine, and a row's `speedup_vs_scratch` is the median
-///    of its paired ratios.
+///    of its paired ratios. Beside it, `load_ms` and `save_ms` time the
+///    rest of what `surveyor update` does — loading the base's snapshot
+///    bytes and saving the updated output's — each on its own clock and
+///    reported, not gated.
 /// 2. **Corpus sweep** — fixed absolute delta, growing corpus: the
 ///    from-scratch time grows with the corpus while the update time
 ///    stays roughly flat.
@@ -1623,6 +1626,7 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 ///    quarantines shards into the replay queue; updating it (delta plus
 ///    replay) converges bit-for-bit to the clean from-scratch bytes.
 pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
+    use surveyor::wire::IncrementalState;
     use surveyor::WarmStart;
 
     let num_shards: usize = if quick { 20 } else { 40 };
@@ -1727,12 +1731,28 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         let speedup = median(&mut ratios);
         let outcome = outcome.expect("at least one update ran");
         let byte_identical = surveyor::save_snapshot(&outcome.output) == scratch_bytes;
+        let state = |shards: usize| IncrementalState {
+            rho,
+            config_digest: surveyor.config().digest(),
+            corpus_digest: 0,
+            ingested: vec![(0, shards as u64)],
+            pending: Vec::new(),
+        };
+        let base_bytes = surveyor::save_snapshot_with_state(&base, &state(base_shards));
+        let (load_seconds, _) = timed(timed_runs, || {
+            surveyor::load_snapshot_with_state(&base_bytes).expect("base snapshot loads")
+        });
+        let (save_seconds, _) = timed(timed_runs, || {
+            surveyor::save_snapshot_with_state(&outcome.output, &state(num_shards))
+        });
         let stats = outcome.stats;
         sweep_table.push(vec![
             format!("{d}/{num_shards}"),
             format!("{:.0}%", d as f64 / num_shards as f64 * 100.0),
             format!("{scratch_seconds:.3}s"),
             format!("{update_seconds:.3}s"),
+            format!("{:.1}ms", load_seconds * 1e3),
+            format!("{:.1}ms", save_seconds * 1e3),
             format!("{speedup:.1}x"),
             format!(
                 "{}/{} refit, {} carried",
@@ -1745,6 +1765,8 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
             "delta_fraction": d as f64 / num_shards as f64,
             "scratch_seconds": scratch_seconds,
             "update_seconds": update_seconds,
+            "load_ms": load_seconds * 1e3,
+            "save_ms": save_seconds * 1e3,
             "speedup_vs_scratch": speedup,
             "byte_identical": byte_identical,
             "groups_total": stats.groups_total,
@@ -1870,6 +1892,8 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
                 "Fraction",
                 "Scratch",
                 "Update",
+                "Load",
+                "Save",
                 "Speedup",
                 "Groups",
                 "Identical"

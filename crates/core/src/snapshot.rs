@@ -17,11 +17,12 @@
 //! `EntityId` are dense table indexes the rebuilt knowledge base assigns
 //! identically.
 //!
-//! Rows cross it as integers in both directions (DESIGN.md §6f). Saving
-//! resolves each distinct property once and writes its table rank into
-//! every row; loading interns the property table once and hands rows on
-//! by id, straight off a [`SnapshotReader`] — no owned [`Snapshot`] on
-//! that path.
+//! Rows cross it as integers in both directions (DESIGN.md §6f), and no
+//! owned [`Snapshot`] exists on either path. Saving resolves each
+//! distinct property once, writes its table rank into every row, and
+//! feeds the snapshot writer records borrowed from the output; loading
+//! interns the property table once and hands rows on by id, straight off
+//! a [`SnapshotReader`].
 //!
 //! Loading is one checked walk (`Walk`) feeding one of two sinks: the
 //! pipeline output ([`load_snapshot`], [`load_snapshot_with_state`],
@@ -41,9 +42,8 @@ use surveyor_extract::{EvidenceCounts, EvidenceTable, GroupKey, GroupedEvidence,
 use surveyor_kb::{EntityId, KnowledgeBaseBuilder, Property, PropertyId, TypeId};
 use surveyor_model::{ConvergenceReason, CountTable, EmFit, ModelParams, ObservedCounts};
 use surveyor_wire::{
-    EvidenceRow, GroupFingerprintRow, GroupFingerprinter, IncrementalState, ModelRow,
-    ProvenanceRow, Snapshot, SnapshotEntity, SnapshotProperty, SnapshotReader, SnapshotType,
-    WireError,
+    EvidenceRow, Fingerprints, GroupFingerprintRow, GroupFingerprinter, IncrementalState, ModelRow,
+    Snapshot, SnapshotReader, SnapshotSource, WireError,
 };
 
 /// Why snapshot bytes could not be turned back into a pipeline output.
@@ -73,104 +73,129 @@ impl From<WireError> for SnapshotError {
     }
 }
 
-/// Flattens a pipeline output into the portable snapshot model.
+/// A pipeline output laid out for the snapshot writer: the one
+/// preparation behind both the bytes ([`save_snapshot`]) and the owned
+/// export ([`snapshot_output`]), so the two cannot drift apart.
 ///
 /// Rows stay in id space: each distinct property is resolved once to
 /// build the snapshot-local table, and every evidence, provenance and
 /// model row then carries its property's rank in that table — an integer
-/// looked up by id, sorted as an integer.
-pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
-    let kb = output.kb();
+/// looked up by id, sorted as an integer. Only those rows and the table
+/// are built here; types, entities and document lists are borrowed.
+struct Flattened<'a> {
+    output: &'a SurveyorOutput,
+    state: Option<&'a IncrementalState>,
+    /// The property table: every property referenced anywhere, resolved,
+    /// deduplicated and sorted. Indexes into it are the only property
+    /// references on the wire — process-local interner ids depend on
+    /// thread interleaving.
+    table: Vec<(Property, PropertyId)>,
+    /// `rank_of[id]` is the table index of an interned property.
+    rank_of: Vec<u32>,
+    evidence: Vec<EvidenceRow>,
+    provenance: Vec<(u32, u32, &'a [u64])>,
+}
 
-    // The snapshot-local property table: every property referenced
-    // anywhere, deduplicated and sorted by the resolved form. Indexes
-    // into this table are the only property references on the wire —
-    // process-local interner ids depend on thread interleaving.
-    // `rank_of[id]` is the table index of an interned property.
-    const UNSEEN: u32 = u32::MAX;
-    let mut rank_of: Vec<u32> = Vec::new();
-    let mut table: Vec<(Property, PropertyId)> = Vec::new();
-    let referenced = (output.evidence.iter().map(|(&(_, property), _)| property))
-        .chain(output.provenance.iter().map(|(&(_, property), _)| property))
-        .chain(output.results.iter().map(|result| result.key.property));
-    for property in referenced {
-        if rank_of.len() <= property.index() {
-            rank_of.resize(property.index() + 1, UNSEEN);
+impl<'a> Flattened<'a> {
+    fn new(output: &'a SurveyorOutput, state: Option<&'a IncrementalState>) -> Self {
+        const UNSEEN: u32 = u32::MAX;
+        let mut rank_of: Vec<u32> = Vec::new();
+        let mut table: Vec<(Property, PropertyId)> = Vec::new();
+        let referenced = (output.evidence.iter().map(|(&(_, property), _)| property))
+            .chain(output.provenance.iter().map(|(&(_, property), _)| property))
+            .chain(output.results.iter().map(|result| result.key.property));
+        for property in referenced {
+            if rank_of.len() <= property.index() {
+                rank_of.resize(property.index() + 1, UNSEEN);
+            }
+            if rank_of[property.index()] == UNSEEN {
+                rank_of[property.index()] = 0; // seen; ranked once the table is sorted
+                table.push((property.resolve(), property));
+            }
         }
-        if rank_of[property.index()] == UNSEEN {
-            rank_of[property.index()] = 0; // seen; ranked once the table is sorted
-            table.push((property.resolve(), property));
+        table.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        for (rank, (_, property)) in table.iter().enumerate() {
+            rank_of[property.index()] = rank as u32;
+        }
+
+        // A table holds each pair once and ranks are distinct per property,
+        // so the sort keys are unique and an unstable sort is deterministic.
+        let mut evidence: Vec<EvidenceRow> = (output.evidence.iter())
+            .map(|(&(entity, property), counts)| EvidenceRow {
+                entity: entity.0,
+                property: rank_of[property.index()],
+                positive: counts.positive,
+                negative: counts.negative,
+            })
+            .collect();
+        evidence.sort_unstable_by_key(|row| (row.entity, row.property));
+        let mut provenance: Vec<(u32, u32, &[u64])> = (output.provenance.iter())
+            .map(|(&(entity, property), documents)| {
+                (entity.0, rank_of[property.index()], documents)
+            })
+            .collect();
+        provenance.sort_unstable_by_key(|&(entity, property, _)| (entity, property));
+
+        Self {
+            output,
+            state,
+            table,
+            rank_of,
+            evidence,
+            provenance,
         }
     }
-    table.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-    for (rank, (_, property)) in table.iter().enumerate() {
-        rank_of[property.index()] = rank as u32;
+}
+
+impl SnapshotSource for Flattened<'_> {
+    fn properties(&self) -> impl ExactSizeIterator<Item = (&[String], &str)> {
+        (self.table.iter()).map(|(property, _)| (property.adverbs(), property.head()))
     }
-    let properties = table
-        .iter()
-        .map(|(property, _)| SnapshotProperty {
-            adverbs: property.adverbs().to_vec(),
-            adjective: property.head().to_string(),
-        })
-        .collect();
 
-    let types = kb
-        .types()
-        .iter()
-        .map(|t| SnapshotType {
-            name: t.name().to_string(),
-            head_nouns: t.head_nouns().to_vec(),
-            context_cues: t.context_cues().to_vec(),
-        })
-        .collect();
+    fn types(&self) -> impl ExactSizeIterator<Item = (&str, &[String], &[String])> {
+        (self.output.kb().types().iter()).map(|t| (t.name(), t.head_nouns(), t.context_cues()))
+    }
 
-    let entities = kb
-        .entities()
-        .iter()
-        .map(|e| SnapshotEntity {
-            name: e.name().to_string(),
-            aliases: e.aliases().to_vec(),
-            type_index: e.notable_type().0,
-            attributes: e
-                .attributes()
-                .iter()
-                .map(|(k, v)| (k.clone(), *v))
-                .collect(),
+    fn entities(
+        &self,
+    ) -> impl ExactSizeIterator<
+        Item = (
+            &str,
+            &[String],
+            u32,
+            impl ExactSizeIterator<Item = (&str, f64)>,
+        ),
+    > {
+        self.output.kb().entities().iter().map(|e| {
+            (
+                e.name(),
+                e.aliases(),
+                e.notable_type().0,
+                (e.attributes().iter()).map(|(key, value)| (key.as_str(), *value)),
+            )
         })
-        .collect();
+    }
 
-    // A table holds each pair once and ranks are distinct per property,
-    // so the sort keys are unique and an unstable sort is deterministic.
-    let mut evidence: Vec<EvidenceRow> = output
-        .evidence
-        .iter()
-        .map(|(&(entity, property), counts)| EvidenceRow {
-            entity: entity.0,
-            property: rank_of[property.index()],
-            positive: counts.positive,
-            negative: counts.negative,
-        })
-        .collect();
-    evidence.sort_unstable_by_key(|row| (row.entity, row.property));
+    fn evidence(&self) -> impl ExactSizeIterator<Item = EvidenceRow> {
+        self.evidence.iter().copied()
+    }
 
-    let mut provenance: Vec<ProvenanceRow> = output
-        .provenance
-        .iter()
-        .map(|(&(entity, property), documents)| ProvenanceRow {
-            entity: entity.0,
-            property: rank_of[property.index()],
-            documents: documents.to_vec(),
-        })
-        .collect();
-    provenance.sort_unstable_by_key(|row| (row.entity, row.property));
+    fn provenance_sample_size(&self) -> u64 {
+        self.output.provenance.sample_size() as u64
+    }
 
-    // Results are in `(type, resolved property)` order (`GroupedEvidence`)
-    // and ranks sort as the resolved properties do: the rows are already
-    // ascending on `(type_index, property)`, the order a loader demands.
-    let models = (output.results.iter())
-        .map(|result| ModelRow {
+    fn provenance(&self) -> impl ExactSizeIterator<Item = (u32, u32, &[u64])> {
+        self.provenance.iter().copied()
+    }
+
+    /// Results are in `(type, resolved property)` order
+    /// (`GroupedEvidence`) and ranks sort as the resolved properties do:
+    /// the rows are already ascending on `(type_index, property)`, the
+    /// order a loader demands.
+    fn models(&self) -> impl ExactSizeIterator<Item = ModelRow> {
+        self.output.results.iter().map(|result| ModelRow {
             type_index: result.key.type_id.0,
-            property: rank_of[result.key.property.index()],
+            property: self.rank_of[result.key.property.index()],
             p_agree: result.fit.params.p_agree,
             rate_pos: result.fit.params.rate_pos,
             rate_neg: result.fit.params.rate_neg,
@@ -178,19 +203,26 @@ pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
             converged: result.fit.converged.code(),
             log_likelihood: result.fit.log_likelihood,
         })
-        .collect();
-
-    Snapshot {
-        properties,
-        types,
-        entities,
-        evidence,
-        provenance_sample_size: output.provenance.sample_size() as u64,
-        provenance,
-        models,
-        incremental: None,
-        fingerprints: Vec::new(),
     }
+
+    fn incremental(&self) -> Option<&IncrementalState> {
+        self.state
+    }
+
+    /// A snapshot with state fingerprints its groups; the writer folds
+    /// them from the evidence rows as it writes them.
+    fn fingerprints(&self) -> Fingerprints<'_> {
+        match self.state {
+            Some(_) => Fingerprints::Folded,
+            None => Fingerprints::Stored(&[]),
+        }
+    }
+}
+
+/// Flattens a pipeline output into the portable snapshot model: the
+/// records [`save_snapshot`] writes, owned.
+pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
+    Snapshot::from_source(&Flattened::new(output, None))
 }
 
 /// Like [`snapshot_output`], but carrying the incremental mining state:
@@ -199,21 +231,20 @@ pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
 /// (type, property) group so a later `diff` can name the groups a delta
 /// dirtied.
 pub fn snapshot_output_with_state(output: &SurveyorOutput, state: &IncrementalState) -> Snapshot {
-    let mut snapshot = snapshot_output(output);
-    snapshot.fingerprints = surveyor_wire::group_fingerprints(&snapshot);
-    snapshot.incremental = Some(state.clone());
-    snapshot
+    Snapshot::from_source(&Flattened::new(output, Some(state)))
 }
 
-/// Encodes a pipeline output as snapshot bytes.
+/// Encodes a pipeline output as snapshot bytes, written straight from the
+/// output: no owned [`Snapshot`] is built.
 pub fn save_snapshot(output: &SurveyorOutput) -> Vec<u8> {
-    surveyor_wire::encode(&snapshot_output(output))
+    surveyor_wire::write_snapshot(&Flattened::new(output, None))
 }
 
 /// Encodes a pipeline output plus its incremental state as snapshot
-/// bytes (see [`snapshot_output_with_state`]).
+/// bytes (see [`snapshot_output_with_state`]); the group fingerprints are
+/// folded while the evidence is written.
 pub fn save_snapshot_with_state(output: &SurveyorOutput, state: &IncrementalState) -> Vec<u8> {
-    surveyor_wire::encode(&snapshot_output_with_state(output, state))
+    surveyor_wire::write_snapshot(&Flattened::new(output, Some(state)))
 }
 
 /// A checked property reference: its row in `PROP` and the id that row

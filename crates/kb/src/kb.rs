@@ -4,6 +4,7 @@ use crate::entity::Entity;
 use crate::ids::{EntityId, TypeId};
 use rustc_hash::FxHashMap;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// An entity type (paper: "most notable type" of a Freebase entity).
 ///
@@ -96,38 +97,42 @@ pub fn normalize_surface(s: &str) -> String {
 /// The knowledge base: typed entities with alias and type indexes.
 ///
 /// Construction goes through [`crate::KnowledgeBaseBuilder`]; the built
-/// store is immutable, cheap to share (`Arc<KnowledgeBase>` in the parallel
-/// extraction runner), and all lookups are O(1) hash probes.
+/// store is immutable and cheap to share (`Arc<KnowledgeBase>` in the
+/// parallel extraction runner). Types, entities and the per-type entity
+/// lists are built with it; the name indexes (surface form → entities,
+/// first token → longest form, type name → type) are built by the first
+/// name lookup, after which every lookup is an O(1) hash probe. A
+/// knowledge base that never links a mention — one loaded from a
+/// snapshot — never builds them, and a deserialized one builds its own.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct KnowledgeBase {
     types: Vec<EntityType>,
     entities: Vec<Entity>,
     by_type: Vec<Vec<EntityId>>,
-    /// normalized surface form -> candidate entities (ambiguity possible).
     #[serde(skip)]
-    alias_index: FxHashMap<String, Vec<EntityId>>,
-    /// normalized type name -> type id.
-    #[serde(skip)]
-    type_index: FxHashMap<String, TypeId>,
-    /// first token of a normalized surface form -> token count of the
-    /// longest form that starts with it (the entity tagger's gate).
-    #[serde(skip)]
-    longest_by_first_token: FxHashMap<String, usize>,
-    max_alias_tokens: usize,
+    names: OnceLock<NameIndex>,
 }
 
-impl KnowledgeBase {
-    pub(crate) fn from_parts(types: Vec<EntityType>, entities: Vec<Entity>) -> Self {
-        let mut by_type = vec![Vec::new(); types.len()];
-        let mut alias_index: FxHashMap<String, Vec<EntityId>> = FxHashMap::default();
-        let mut type_index = FxHashMap::default();
+/// The name lookups of a [`KnowledgeBase`], derived from its types and
+/// entities.
+#[derive(Debug, Clone)]
+struct NameIndex {
+    /// normalized surface form -> candidate entities (ambiguity possible).
+    aliases: FxHashMap<String, Vec<EntityId>>,
+    /// first token of a normalized surface form -> token count of the
+    /// longest form that starts with it (the entity tagger's gate).
+    longest_by_first_token: FxHashMap<String, usize>,
+    max_alias_tokens: usize,
+    /// normalized type name -> type id.
+    types: FxHashMap<String, TypeId>,
+}
+
+impl NameIndex {
+    fn new(types: &[EntityType], entities: &[Entity]) -> Self {
+        let mut aliases: FxHashMap<String, Vec<EntityId>> = FxHashMap::default();
         let mut longest_by_first_token: FxHashMap<String, usize> = FxHashMap::default();
         let mut max_alias_tokens = 0;
-        for t in &types {
-            type_index.insert(t.name.clone(), t.id);
-        }
-        for e in &entities {
-            by_type[e.notable_type().index()].push(e.id());
+        for e in entities {
             for form in e.surface_forms() {
                 let norm = normalize_surface(form);
                 let mut parts = norm.split(' ');
@@ -140,21 +145,40 @@ impl KnowledgeBase {
                         longest_by_first_token.insert(first.to_owned(), tokens);
                     }
                 }
-                let slot = alias_index.entry(norm).or_default();
+                let slot = aliases.entry(norm).or_default();
                 if !slot.contains(&e.id()) {
                     slot.push(e.id());
                 }
             }
         }
         Self {
+            aliases,
+            longest_by_first_token,
+            max_alias_tokens,
+            types: types.iter().map(|t| (t.name.clone(), t.id)).collect(),
+        }
+    }
+}
+
+impl KnowledgeBase {
+    pub(crate) fn from_parts(types: Vec<EntityType>, entities: Vec<Entity>) -> Self {
+        let mut by_type = vec![Vec::new(); types.len()];
+        for e in &entities {
+            by_type[e.notable_type().index()].push(e.id());
+        }
+        Self {
             types,
             entities,
             by_type,
-            alias_index,
-            type_index,
-            longest_by_first_token,
-            max_alias_tokens,
+            names: OnceLock::new(),
         }
+    }
+
+    /// The name indexes, built by the first caller; racing first callers
+    /// wait for the one that builds them.
+    fn names(&self) -> &NameIndex {
+        self.names
+            .get_or_init(|| NameIndex::new(&self.types, &self.entities))
     }
 
     /// Number of entities.
@@ -182,7 +206,7 @@ impl KnowledgeBase {
 
     /// Looks up a type by (lowercase) name.
     pub fn type_by_name(&self, name: &str) -> Option<TypeId> {
-        self.type_index.get(&name.to_lowercase()).copied()
+        self.names().types.get(&name.to_lowercase()).copied()
     }
 
     /// An entity by id.
@@ -215,15 +239,14 @@ impl KnowledgeBase {
     /// Candidate entities for a normalized surface form (may be empty or,
     /// for ambiguous aliases, hold several entities).
     pub fn candidates(&self, normalized: &str) -> &[EntityId] {
-        self.alias_index
-            .get(normalized)
+        (self.names().aliases.get(normalized))
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
 
     /// Longest alias length in tokens; the entity tagger's match window.
     pub fn max_alias_tokens(&self) -> usize {
-        self.max_alias_tokens
+        self.names().max_alias_tokens
     }
 
     /// Token count of the longest normalized surface form whose first
@@ -232,8 +255,7 @@ impl KnowledgeBase {
     /// [`candidates`](Self::candidates), nor can any window whose first
     /// token reads `0` — the entity tagger probes neither.
     pub fn longest_form_from(&self, first_token: &str) -> usize {
-        self.longest_by_first_token
-            .get(first_token)
+        (self.names().longest_by_first_token.get(first_token))
             .copied()
             .unwrap_or(0)
     }
@@ -241,14 +263,6 @@ impl KnowledgeBase {
     /// Whether a normalized surface form maps to more than one entity.
     pub fn is_ambiguous(&self, normalized: &str) -> bool {
         self.candidates(normalized).len() > 1
-    }
-
-    /// Rebuilds the skipped indexes after deserialization.
-    ///
-    /// `serde` skips the hash indexes (they are derived data); call this on
-    /// a deserialized value before use.
-    pub fn reindex(self) -> Self {
-        Self::from_parts(self.types, self.entities)
     }
 }
 
@@ -351,18 +365,50 @@ mod tests {
         assert_eq!(longest, kb.max_alias_tokens());
     }
 
+    /// Every name lookup of `kb`, on forms that resolve, are ambiguous,
+    /// start a longer form, or name nothing.
+    fn lookups(kb: &KnowledgeBase) -> impl PartialEq + std::fmt::Debug {
+        let forms = ["san francisco", "sf", "phoenix", "kitten", "atlantis"];
+        let tokens = ["san", "sf", "phoenix", "francisco", "bird", ""];
+        (
+            forms.map(|f| kb.candidates(f).to_vec()),
+            forms.map(|f| kb.entity_by_name(f)),
+            forms.map(|f| kb.is_ambiguous(f)),
+            tokens.map(|t| kb.longest_form_from(t)),
+            kb.max_alias_tokens(),
+            ["city", "Animal", "mountain"].map(|t| kb.type_by_name(t)),
+        )
+    }
+
     #[test]
-    fn reindex_rebuilds_the_first_token_table() {
+    fn a_deserialized_kb_answers_every_lookup_as_the_original() {
+        // serde stores no name index; the copy builds its own on first use.
         let kb = kb();
         let json = serde_json::to_string(&kb).unwrap();
-        let bare: KnowledgeBase = serde_json::from_str(&json).unwrap();
-        assert_eq!(bare.longest_form_from("san"), 0, "derived, not stored");
-        let back = bare.reindex();
+        let back: KnowledgeBase = serde_json::from_str(&json).unwrap();
+        assert_eq!(lookups(&back), lookups(&kb));
         assert_eq!(back.longest_form_from("san"), 2);
-        assert_eq!(
-            back.candidates("san francisco"),
-            kb.candidates("san francisco")
-        );
+    }
+
+    #[test]
+    fn racing_first_lookups_build_one_index_and_agree() {
+        let fresh = kb();
+        let expected = lookups(&kb());
+        let barrier = std::sync::Barrier::new(8);
+        let answers: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        lookups(&fresh)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for answer in answers {
+            assert_eq!(answer, expected);
+        }
     }
 
     #[test]

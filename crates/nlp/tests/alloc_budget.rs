@@ -80,7 +80,11 @@ fn kb() -> KnowledgeBase {
         .finish();
     b.add_entity("Snake", animal).finish();
     b.add_entity("Poppy", animal).finish();
-    b.build()
+    let kb = b.build();
+    // The name index is built on the first lookup, once per knowledge
+    // base: build it here, so that no budget below pays for it.
+    assert_eq!(kb.max_alias_tokens(), 2);
+    kb
 }
 
 /// Ten sentences of the shapes the corpus is made of: copular, attributive,

@@ -52,7 +52,10 @@
 //!
 //! Encoding is deterministic: equal snapshots produce identical bytes,
 //! which is what makes `mine → save → load` verifiable by byte
-//! comparison downstream.
+//! comparison downstream. [`encode`] is [`write_snapshot`] fed from an owned
+//! [`Snapshot`]; a producer that holds its world in other shapes
+//! implements [`SnapshotSource`] and writes the same bytes without
+//! building one.
 //!
 //! # Hostile input
 //!
@@ -83,7 +86,7 @@ pub use decode::{
     SectionRecord, SnapshotReader, StrList, TypeRecord, U64List,
 };
 pub use diff::{diff_snapshots, SectionDelta, SnapshotDiff};
-pub use encode::encode;
+pub use encode::{encode, write_snapshot, Fingerprints, SnapshotSource};
 pub use error::WireError;
 pub use section::{
     SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_ENTITIES, TAG_EVIDENCE,

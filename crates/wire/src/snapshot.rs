@@ -165,8 +165,8 @@ pub struct GroupFingerprintRow {
     pub fingerprint: u64,
 }
 
-/// A complete owned snapshot: the encoder's input and the materialized
-/// form of a decode.
+/// A complete owned snapshot: one of the writer's sources and the
+/// materialized form of a decode.
 ///
 /// Invariants the encoder relies on for byte-stable output (and
 /// [`crate::SnapshotReader`] verifies or preserves):
@@ -239,8 +239,9 @@ impl Default for Fnv64 {
 }
 
 /// Accumulates the group fingerprint table from evidence rows, one row
-/// at a time: the one computation behind [`group_fingerprints`] (the save
-/// side) and the load-time check, which feeds it straight from a
+/// at a time: the one computation behind the writer's `GRPF` fold
+/// ([`crate::Fingerprints::Folded`]), [`group_fingerprints`] (the owned
+/// export) and the load-time check, which feeds it straight from a
 /// [`crate::SnapshotReader`] without an owned [`Snapshot`].
 ///
 /// Rows must arrive in evidence order — sorted by `(entity, property)` —

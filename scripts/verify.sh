@@ -224,7 +224,8 @@ cargo run --release -q -p surveyor-bench --bin bench -- \
     incremental --quick --assert-delta-scaling \
     --out artifacts/incremental_smoke.json > /dev/null
 for key in '"schema_version": 3' '"from_scratch_seconds"' '"delta_sweep"' \
-           '"scratch_seconds"' '"speedup_vs_scratch"' '"byte_identical"' '"corpus_sweep"' \
+           '"scratch_seconds"' '"load_ms"' '"save_ms"' '"speedup_vs_scratch"' \
+           '"byte_identical"' '"corpus_sweep"' \
            '"update_fraction_of_scratch"' '"determinism"' \
            '"byte_identical_all_threads"' '"byte_identical_after_replay"'; do
     grep -q "$key" artifacts/incremental_smoke.json \

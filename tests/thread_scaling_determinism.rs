@@ -14,9 +14,9 @@ use surveyor_corpus::CorpusGenerator;
 const SHARDS: usize = 8;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Two domains over two types, with adverb-graded properties, so the
-/// interner sees a property mix wider than a single adjective.
-fn world(seed: u64) -> (Arc<KnowledgeBase>, surveyor_corpus::World) {
+/// Two types of ten entities each, fresh from the builder: its name index
+/// is built by whichever lookup comes first.
+fn knowledge_base() -> KnowledgeBase {
     let mut b = KnowledgeBaseBuilder::new();
     let animal = b.add_type("animal", &["animal"], &[]);
     let city = b.add_type("city", &["city"], &[]);
@@ -39,7 +39,13 @@ fn world(seed: u64) -> (Arc<KnowledgeBase>, surveyor_corpus::World) {
     ] {
         b.add_entity(name, city).finish();
     }
-    let kb = Arc::new(b.build());
+    b.build()
+}
+
+/// Two domains over two types, with adverb-graded properties, so the
+/// interner sees a property mix wider than a single adjective.
+fn world(seed: u64) -> (Arc<KnowledgeBase>, surveyor_corpus::World) {
+    let kb = Arc::new(knowledge_base());
     let params = DomainParams {
         p_agree: 0.9,
         rate_pos: 18.0,
@@ -103,6 +109,25 @@ fn clean_runs_are_byte_identical_across_thread_counts() {
                 assert_eq!(reference.2, fp.2, "decisions differ at {threads} threads");
             }
         }
+    }
+}
+
+#[test]
+fn a_name_index_built_by_racing_workers_mines_the_same_bytes() {
+    // The generator's knowledge base has answered lookups; each miner's
+    // has not, so its mine builds the name index, on whichever worker
+    // looks a name up first.
+    let (warm, generator) = generator(17);
+    assert!(warm.entity_by_name("kitten").is_some());
+    let reference = surveyor::save_snapshot(&surveyor(warm, 2).run(&CorpusSource::new(&generator)));
+    for threads in [1, 2, 8] {
+        let fresh = Arc::new(knowledge_base());
+        let run = surveyor(fresh, threads).run(&CorpusSource::new(&generator));
+        assert!(run.decided_pairs() > 0);
+        assert!(
+            surveyor::save_snapshot(&run) == reference,
+            "snapshot differs at {threads} threads"
+        );
     }
 }
 
