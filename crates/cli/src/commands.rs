@@ -436,6 +436,10 @@ pub fn load(snapshot_path: &str, out: Option<&str>) -> Result<String, CliError> 
 /// `surveyor serve` — serve a snapshot over HTTP with the fault-hardened
 /// query server. Blocks until a client POSTs `/ctl/shutdown`, then
 /// drains in-flight requests and returns a traffic summary.
+#[expect(
+    clippy::print_stdout,
+    reason = "the address and endpoints are announced before the call blocks"
+)]
 pub fn serve(
     snapshot_path: &str,
     addr: &str,

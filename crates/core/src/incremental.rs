@@ -91,10 +91,14 @@ impl SurveyorConfig {
     /// snapshot's `INCR` section so an updater can refuse a delta mined
     /// under different settings.
     pub fn digest(&self) -> u64 {
+        #[expect(
+            clippy::expect_used,
+            reason = "plain structs of numbers and strings cannot fail to serialize"
+        )]
         let json = serde_json::to_string(&(self.rho, self.em.clone(), self.extraction))
-            .expect("pipeline configuration serializes"); // lint:allow(no-panic-in-lib): plain structs of numbers and strings cannot fail to serialize
+            .expect("pipeline configuration serializes");
         let mut digest = Fnv64::new();
-        digest.write(json.as_bytes()); // lint:allow(no-shared-lock-in-worker-loop): Fnv64 hashing, not a lock; once per config
+        digest.write(json.as_bytes());
         digest.finish()
     }
 }

@@ -393,10 +393,18 @@ impl Surveyor {
             |mentioned: &mut Vec<(u32, ObservedCounts)>, rank| {
                 let (key, group) = tasks[rank];
                 let entities = self.kb.entities_of_type(key.type_id);
-                let fit_start = Instant::now(); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "feeds the obs phase report only, never the output"
+                )]
+                let fit_start = Instant::now();
                 let table = count_table(entities, group, mentioned);
                 let fit = fit_table(&table, &self.config.em);
-                let decide_start = Instant::now(); // lint:allow(no-wall-clock): feeds the obs phase report only, never the output
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "feeds the obs phase report only, never the output"
+                )]
+                let decide_start = Instant::now();
                 let decisions: Vec<(EntityId, ModelDecision)> = entities
                     .iter()
                     .copied()

@@ -776,8 +776,12 @@ impl SubjectiveKb {
     }
 
     /// Serializes the store to pretty JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "the store value tree holds only serializable primitives"
+    )]
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.blocks()).expect("store serializes") // lint:allow(no-panic-in-lib): the store value tree holds only serializable primitives
+        serde_json::to_string_pretty(&self.blocks()).expect("store serializes")
     }
 }
 

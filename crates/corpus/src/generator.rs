@@ -256,7 +256,11 @@ impl CorpusGenerator {
     /// Panics if `shard >= shard_count()`.
     pub fn shard_text_with(&self, shard: usize, scratch: &mut GenScratch) -> Vec<RawDocument> {
         assert!(shard < self.config.num_shards, "shard out of range");
-        let gen_start = self.observer.as_ref().map(|_| Instant::now()); // lint:allow(no-wall-clock): feeds the obs phase report only, never the generated text
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds the obs phase report only, never the generated text"
+        )]
+        let gen_start = self.observer.as_ref().map(|_| Instant::now());
         let stream = SeedStream::new(self.world.seed())
             .child("shard")
             .index(shard as u64);

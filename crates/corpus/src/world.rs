@@ -287,10 +287,14 @@ impl WorldBuilder {
     /// Panics if the type name is unknown or parameters are invalid.
     pub fn domain(mut self, type_name: &str, property: Property, params: DomainParams) -> Self {
         params.validate();
+        #[expect(
+            clippy::panic,
+            reason = "type names come from the same WorldConfig that registered them"
+        )]
         let type_id = self
             .kb
             .type_by_name(type_name)
-            .unwrap_or_else(|| panic!("unknown type: {type_name}")); // lint:allow(no-panic-in-lib): type names come from the same WorldConfig that registered them
+            .unwrap_or_else(|| panic!("unknown type: {type_name}"));
         let entities = self.kb.entities_of_type(type_id);
         let stream = SeedStream::new(self.seed)
             .child("domain")

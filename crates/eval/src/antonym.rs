@@ -120,7 +120,11 @@ pub fn run_antonym_ablation(seed: u64, entities: usize) -> AntonymReport {
     let folded_output = surveyor.run_on_evidence(folded_evidence);
 
     let big = Property::adjective("big");
-    let city = kb.type_by_name("city").expect("city type"); // lint:allow(no-panic-in-lib): the eval harness runs on the seed KB, which defines city
+    #[expect(
+        clippy::expect_used,
+        reason = "the eval harness runs on the seed KB, which defines city"
+    )]
+    let city = kb.type_by_name("city").expect("city type");
     let entities_of_type = kb.entities_of_type(city);
     let score = |output: &surveyor::SurveyorOutput| {
         let decisions: Vec<Decision> = entities_of_type

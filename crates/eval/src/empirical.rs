@@ -116,9 +116,13 @@ pub fn run_empirical(
     let mut points = Vec::with_capacity(entities.len());
     for (i, &entity) in entities.iter().enumerate() {
         let e = world.kb().entity(entity);
+        #[expect(
+            clippy::panic,
+            reason = "planted worlds attach the domain attribute to every entity"
+        )]
         let attribute = e
             .attribute(attribute_key)
-            .unwrap_or_else(|| panic!("{} lacks attribute {attribute_key}", e.name())); // lint:allow(no-panic-in-lib): planted worlds attach the domain attribute to every entity
+            .unwrap_or_else(|| panic!("{} lacks attribute {attribute_key}", e.name()));
         let model_decision = output
             .opinion(entity, &domain.property)
             .map(|d| (d.decision, d.probability.unwrap_or(0.5)))

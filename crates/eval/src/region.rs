@@ -66,10 +66,18 @@ pub fn run_region_experiment(
             ..SurveyorConfig::default()
         },
     );
+    #[expect(
+        clippy::expect_used,
+        reason = "the generator above registers regions a and b"
+    )]
     let out_a =
-        surveyor.run(&CorpusSource::try_for_region(&generator, "a").expect("region exists")); // lint:allow(no-panic-in-lib): the generator above registers regions a and b
+        surveyor.run(&CorpusSource::try_for_region(&generator, "a").expect("region exists"));
+    #[expect(
+        clippy::expect_used,
+        reason = "the generator above registers regions a and b"
+    )]
     let out_b =
-        surveyor.run(&CorpusSource::try_for_region(&generator, "b").expect("region exists")); // lint:allow(no-panic-in-lib): the generator above registers regions a and b
+        surveyor.run(&CorpusSource::try_for_region(&generator, "b").expect("region exists"));
 
     let mut compared = 0usize;
     let mut diverged = 0usize;

@@ -128,6 +128,10 @@ impl EvidenceTable {
 
     /// Merges another table into this one.
     pub fn merge(&mut self, other: EvidenceTable) {
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "each pair's counters merge into its own slot, so the order cannot show"
+        )]
         for (key, counts) in other.map {
             self.map.entry(key).or_default().merge(counts);
         }
@@ -179,6 +183,10 @@ impl EvidenceTable {
     /// mention-count signal the WebChild baseline's KB membership uses.
     pub fn mention_totals(&self) -> rustc_hash::FxHashMap<EntityId, u64> {
         let mut totals: rustc_hash::FxHashMap<EntityId, u64> = rustc_hash::FxHashMap::default();
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "a sum per entity, so the order cannot show"
+        )]
         for ((entity, _), counts) in self.map.iter() {
             *totals.entry(*entity).or_default() += counts.total();
         }
@@ -223,8 +231,12 @@ impl EvidenceTable {
     }
 
     /// Serializes the table to JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "evidence entries hold only serializable primitives"
+    )]
     pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.to_entries()).expect("entries serialize") // lint:allow(no-panic-in-lib): evidence entries hold only serializable primitives
+        serde_json::to_string(&self.to_entries()).expect("entries serialize")
     }
 
     /// Restores a table from [`Self::to_json`] output.
@@ -387,32 +399,26 @@ impl GroupedEvidence {
         let mut merged: Vec<(GroupKey, Group)> = Vec::with_capacity(left.len() + right.len());
         let mut left = left.into_iter().peekable();
         let mut right = right.into_iter().peekable();
-        loop {
-            let take_left = match (left.peek(), right.peek()) {
-                (Some((a, ..)), Some((b, ..))) => {
-                    if a == b {
-                        // Same combination on both sides: fold the delta's
-                        // per-entity counters into the base group.
-                        let (_, key, mut group) = left.next().expect("peeked"); // lint:allow(no-panic-in-lib): peek returned Some
-                        let (_, _, addition) = right.next().expect("peeked"); // lint:allow(no-panic-in-lib): peek returned Some
-                        for (entity, counts) in addition.counts {
-                            group.counts.entry(entity).or_default().merge(counts);
-                        }
-                        group.total += addition.total;
-                        merged.push((key, group));
-                        continue;
-                    }
-                    a < b
+        // Take the smaller head; on a tie the left one, and the right one
+        // with the same combination folds into it below.
+        while let Some((sort_key, key, mut group)) = match right.peek() {
+            Some((b, ..)) => left.next_if(|(a, ..)| a <= b),
+            None => left.next(),
+        }
+        .or_else(|| right.next())
+        {
+            // Same combination on both sides: fold the delta's per-entity
+            // counters into the base group.
+            if let Some((_, _, addition)) = right.next_if(|(b, ..)| *b == sort_key) {
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "each entity's counters merge into its own slot, so the order cannot show"
+                )]
+                for (entity, counts) in addition.counts {
+                    group.counts.entry(entity).or_default().merge(counts);
                 }
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (_, key, group) = if take_left {
-                left.next().expect("peeked") // lint:allow(no-panic-in-lib): peek returned Some
-            } else {
-                right.next().expect("peeked") // lint:allow(no-panic-in-lib): peek returned Some
-            };
+                group.total += addition.total;
+            }
             merged.push((key, group));
         }
         self.index = merged

@@ -324,13 +324,17 @@ impl<S: FallibleShardSource> FallibleShardSource for FaultInjector<S> {
         self.inner.shard_count()
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "deliberate: the injector panics so catch_unwind isolation is exercised"
+    )]
     fn try_shard(
         &self,
         index: usize,
         attempt: u32,
     ) -> Result<Cow<'_, [AnnotatedDocument]>, ShardError> {
         match self.plan.fault(index) {
-            Some(Fault::Panic) => panic!("injected panic in shard {index}"), // lint:allow(no-panic-in-lib): deliberate: the injector panics so catch_unwind isolation is exercised
+            Some(Fault::Panic) => panic!("injected panic in shard {index}"),
             Some(Fault::Transient { failures }) if attempt < failures => Err(
                 ShardError::Transient(format!("injected transient fault in shard {index}")),
             ),
@@ -560,6 +564,10 @@ impl RunError {
     /// is a shard that panicked — isolation is what
     /// [`run_sharded_fault_tolerant`](crate::run_sharded_fault_tolerant)
     /// callers opt into.
+    #[expect(
+        clippy::panic,
+        reason = "documented: the infallible entry points propagate shard panics"
+    )]
     pub fn into_panic(self) -> ! {
         let message = match self {
             Self::ShardFailed { shard, error, .. } => format!(
@@ -570,7 +578,7 @@ impl RunError {
             // checks no coverage floor.
             other => format!("extraction failed: {other}"),
         };
-        panic!("{message}") // lint:allow(no-panic-in-lib): documented: the infallible entry points propagate shard panics
+        panic!("{message}")
     }
 }
 

@@ -67,6 +67,10 @@ impl ExtractContext {
 /// (surface order) plus the adjective itself. The surface form is assembled
 /// in the context's scratch buffer and interned through the worker-local
 /// cache, so a property seen before costs no allocation and no locks.
+#[expect(
+    clippy::expect_used,
+    reason = "the tokenizer never yields an empty adjective token"
+)]
 fn property_at(sentence: &AnnotatedSentence, adj: usize, cx: &mut ExtractContext) -> PropertyId {
     let tokens = &sentence.tokens;
     cx.surface.clear();
@@ -79,7 +83,7 @@ fn property_at(sentence: &AnnotatedSentence, adj: usize, cx: &mut ExtractContext
     }
     cx.surface.push_str(tokens.lower_of(adj));
     let id = cx.cache.intern_surface(&cx.surface);
-    id.expect("adjective surface is non-empty") // lint:allow(no-panic-in-lib): the tokenizer never yields an empty adjective token
+    id.expect("adjective surface is non-empty")
 }
 
 /// Whether the pattern's top node carries a prepositional constriction

@@ -65,6 +65,10 @@ impl ProvenanceTable {
 
     /// Merges another table (order-independent).
     pub fn merge(&mut self, other: ProvenanceTable) {
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "each pair's bounded sample keeps the smallest ids whatever the insertion order"
+        )]
         for (key, ids) in other.map {
             let slot = self.map.entry(key).or_default();
             for id in ids {

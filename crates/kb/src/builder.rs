@@ -47,7 +47,8 @@ impl KnowledgeBaseBuilder {
     pub fn add_type(&mut self, name: &str, head_nouns: &[&str], context_cues: &[&str]) -> TypeId {
         assert!(!self.has_type(name), "duplicate type name: {name}");
         let name = name.to_lowercase();
-        let id = TypeId(u32::try_from(self.types.len()).expect("type count fits in u32")); // lint:allow(no-panic-in-lib): a KB cannot reach 2^32 types
+        #[expect(clippy::expect_used, reason = "a KB cannot reach 2^32 types")]
+        let id = TypeId(u32::try_from(self.types.len()).expect("type count fits in u32"));
         self.types.push(EntityType::new(
             id,
             name,
@@ -112,8 +113,9 @@ impl EntityBuilder<'_> {
 
     /// Commits the entity and returns its id.
     pub fn finish(self) -> EntityId {
+        #[expect(clippy::expect_used, reason = "a KB cannot reach 2^32 entities")]
         let id =
-            EntityId(u32::try_from(self.builder.entities.len()).expect("entity count fits in u32")); // lint:allow(no-panic-in-lib): a KB cannot reach 2^32 entities
+            EntityId(u32::try_from(self.builder.entities.len()).expect("entity count fits in u32"));
         self.builder.entities.push(Entity::new(
             id,
             self.name,

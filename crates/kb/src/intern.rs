@@ -62,6 +62,10 @@ fn table() -> &'static RwLock<Table> {
     TABLE.get_or_init(RwLock::default)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the interner table is the kb's one lock; a read probe takes it alone"
+)]
 fn read() -> RwLockReadGuard<'static, Table> {
     table().read().unwrap_or_else(PoisonError::into_inner)
 }
@@ -69,6 +73,10 @@ fn read() -> RwLockReadGuard<'static, Table> {
 /// Inserts `property`, allocating a fresh dense id unless a racing thread
 /// got there first. The caller has already missed on a read probe.
 fn insert(property: &Property) -> u32 {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the kb's second acquisition is the same lock's write side, taken after the read probe's guard is dropped, so no order can invert"
+    )]
     let mut table = table().write().unwrap_or_else(PoisonError::into_inner);
     // Re-check under the write lock: a racing thread may have inserted
     // between our read probe and here. Without this, the same property
@@ -76,7 +84,11 @@ fn insert(property: &Property) -> u32 {
     if let Some(&id) = table.by_property.get(property) {
         return id;
     }
-    let id = u32::try_from(table.properties.len()).expect("property interner overflow"); // lint:allow(no-panic-in-lib): a corpus cannot reach 2^32 distinct properties
+    #[expect(
+        clippy::expect_used,
+        reason = "a corpus cannot reach 2^32 distinct properties"
+    )]
+    let id = u32::try_from(table.properties.len()).expect("property interner overflow");
     table.properties.push(property.clone());
     table.by_property.insert(property.clone(), id);
     table.by_surface.insert(property.to_string(), id);
@@ -216,11 +228,15 @@ impl InternCache {
 
     /// Resolves `id` through the cache: a global-table read the first
     /// time, local thereafter.
+    #[expect(
+        clippy::unreachable,
+        reason = "ensure_resolved fills the slot one line up"
+    )]
     pub fn resolve(&mut self, id: PropertyId) -> &Property {
         self.ensure_resolved(id);
         match &self.resolved[id.index()] {
             Some(property) => property,
-            None => unreachable!("ensure_resolved fills the slot"), // lint:allow(panic-reachability): filled one line up
+            None => unreachable!("ensure_resolved fills the slot"),
         }
     }
 

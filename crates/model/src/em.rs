@@ -266,6 +266,10 @@ pub fn fit(counts: &[ObservedCounts], config: &EmConfig) -> EmFit {
 ///
 /// # Panics
 /// Panics if the table has no entity or the grid is empty/out of range.
+#[expect(
+    clippy::expect_used,
+    reason = "shares is never empty (defaulted above), so the loop always sets best"
+)]
 pub fn fit_table(table: &CountTable, config: &EmConfig) -> EmFit {
     assert!(table.entities() > 0, "EM needs at least one entity");
     assert!(!config.pa_grid.is_empty(), "EM needs a non-empty pA grid");
@@ -292,7 +296,7 @@ pub fn fit_table(table: &CountTable, config: &EmConfig) -> EmFit {
             best = Some(candidate);
         }
     }
-    best.expect("at least one restart") // lint:allow(no-panic-in-lib): shares is never empty (defaulted above), so the loop always sets best
+    best.expect("at least one restart")
 }
 
 /// The EM iteration loop from an explicit starting point; `terms` is the

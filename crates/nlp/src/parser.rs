@@ -494,6 +494,10 @@ fn chunk_phrase(
 ///
 /// `is_matrix` distinguishes the top-level call (which must pick some root
 /// even for fragments) from embedded-clause recursion.
+#[expect(
+    clippy::unreachable,
+    reason = "find_predicate only returns Cop/Verb positions"
+)]
 fn assemble(
     tokens: &TokenizedSentence,
     items: &[Item],
@@ -541,7 +545,7 @@ fn assemble(
     match items[pi] {
         Item::Cop(cop) => assemble_copular(tokens, items, pi, cop, subj, b, is_matrix),
         Item::Verb(v) => assemble_verbal(tokens, items, pi, v, subj, b, is_matrix),
-        _ => unreachable!("pred_pos points at a copula or verb"), // lint:allow(panic-reachability): find_predicate only returns Cop/Verb positions
+        _ => unreachable!("pred_pos points at a copula or verb"),
     }
 }
 
@@ -594,8 +598,9 @@ fn assemble_copular(
                 // complement with the subject as its own nsubj — the same
                 // shape as "I find X dangerous", so only the extended verb
                 // class extracts it.
+                #[expect(clippy::unreachable, reason = "the match guard checked AdjP at j+1")]
                 let Some(Item::AdjP(adj)) = items.get(j + 1).copied() else {
-                    unreachable!("guarded by matches!"); // lint:allow(panic-reachability): match guard checked AdjP at j+1
+                    unreachable!("guarded by matches!");
                 };
                 b.mark_root(v);
                 b.attach(cop, v, DepRel::Aux);

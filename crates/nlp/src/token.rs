@@ -157,7 +157,8 @@ impl TokenizedSentence {
         // Span offsets are stored as u32 to keep `Token` at 20 bytes; a
         // single sentence longer than 4 GiB cannot occur (documents are
         // split into sentences far below that).
-        let offset = |n: usize| u32::try_from(n).expect("sentence fits in u32"); // lint:allow(no-panic-in-lib): a sentence cannot exceed 4 GiB
+        #[expect(clippy::expect_used, reason = "a sentence cannot exceed 4 GiB")]
+        let offset = |n: usize| u32::try_from(n).expect("sentence fits in u32");
         self.tokens.push(Token {
             start: offset(start),
             end: offset(end),

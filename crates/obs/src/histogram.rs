@@ -84,6 +84,10 @@ impl Histogram {
 
     /// The state, locked. Every update leaves it whole, so a lock
     /// poisoned by a panicking holder is taken as it is.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the histogram's one lock, held for one bounded update and never nested"
+    )]
     fn state(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }

@@ -64,6 +64,10 @@ where
     let cursor = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let worker = || {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the pool's work/wait split feeds the obs report only, never a worker's output"
+        )]
         let started = Instant::now();
         let mut claimed = Claimed {
             state: init(),
@@ -78,6 +82,10 @@ where
                 break;
             }
             claimed.first.get_or_insert(index);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the pool's work/wait split feeds the obs report only, never a worker's output"
+            )]
             let step_started = Instant::now();
             let flow = step(&mut claimed.state, index);
             claimed.work += step_started.elapsed();

@@ -83,8 +83,12 @@ pub struct RunReport {
 
 impl RunReport {
     /// Pretty-printed JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "the report value tree holds only serializable primitives"
+    )]
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report is serializable") // lint:allow(no-panic-in-lib): the report value tree holds only serializable primitives
+        serde_json::to_string_pretty(self).expect("report is serializable")
     }
 
     /// Parses a report written by [`to_json`](Self::to_json). Errors on

@@ -38,7 +38,12 @@ impl Zipf {
             *v /= total;
         }
         // Pin the last entry so binary search can never run off the end.
-        *cdf.last_mut().expect("non-empty support") = 1.0; // lint:allow(no-panic-in-lib): support size is asserted nonzero in the constructor
+        #[expect(
+            clippy::expect_used,
+            reason = "support size is asserted nonzero in the constructor"
+        )]
+        let last = cdf.last_mut().expect("non-empty support");
+        *last = 1.0;
         Self { cdf, exponent: s }
     }
 

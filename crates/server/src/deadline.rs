@@ -5,7 +5,7 @@
 //! response writing as socket timeouts. The anchor is `Instant` — the
 //! monotonic clock — never `SystemTime`: a wall-clock step (NTP, DST)
 //! must not extend or shrink a request's budget. The single
-//! `Instant::now()` read carries a lint pragma because the reading
+//! `Instant::now()` read carries an `#[expect]` because the reading
 //! bounds *service* time and never influences mined output.
 
 use std::time::{Duration, Instant};
@@ -23,9 +23,13 @@ pub struct Deadline {
 
 impl Deadline {
     /// Opens a deadline with `budget` starting now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "monotonic request-budget anchor; bounds service time only and never influences mined output"
+    )]
     pub fn starting_now(budget: Duration) -> Self {
         Self {
-            start: Instant::now(), // lint:allow(no-wall-clock): monotonic request-budget anchor; bounds service time only and never influences mined output
+            start: Instant::now(),
             budget,
         }
     }

@@ -13,11 +13,11 @@
 //! workspace. Lock poisoning is survived, not unwrapped: a panicking
 //! worker already has `catch_unwind` isolation above it, and the queue's
 //! state (a `VecDeque` plus a flag) is valid after any partial operation,
-//! so every acquisition goes through
+//! so the one acquisition, `lock`, goes through
 //! `unwrap_or_else(PoisonError::into_inner)`.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -64,6 +64,15 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    /// The state, locked; poisoning is survived (module docs).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the request queue's one mutex, between the accept loop and the request workers, off the mining path"
+    )]
+    fn lock(&self) -> MutexGuard<'_, Inner<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The fixed capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -71,11 +80,7 @@ impl<T> BoundedQueue<T> {
 
     /// Items currently queued.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .items
-            .len()
+        self.lock().items.len()
     }
 
     /// Whether the queue is currently empty.
@@ -86,7 +91,7 @@ impl<T> BoundedQueue<T> {
     /// Non-blocking push. `Err(Full)` at capacity (the shed signal),
     /// `Err(Closed)` once [`Self::close`] has been called.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         if inner.closed {
             return Err(PushError::Closed(item));
         }
@@ -103,7 +108,7 @@ impl<T> BoundedQueue<T> {
     /// queue is closed **and** drained — workers use that as their
     /// exit signal, so shutdown completes in-flight work first.
     pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         loop {
             if let Some(item) = inner.items.pop_front() {
                 return Some(item);
@@ -121,7 +126,7 @@ impl<T> BoundedQueue<T> {
     /// Closes the queue: future pushes fail, queued items still drain,
     /// and every blocked consumer wakes.
     pub fn close(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.lock();
         inner.closed = true;
         drop(inner);
         self.not_empty.notify_all();

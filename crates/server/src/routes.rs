@@ -203,9 +203,7 @@ pub fn route(req: &Request, ctx: &mut RouteContext<'_>) -> RouteOutcome {
             response: Response::json(200, &json!({ "shutting_down": true })),
             action: ControlAction::Shutdown,
         },
-        (Method::Post, ["ctl", "panic"]) if ctx.debug_routes => {
-            panic!("deliberate fault-injection panic via /ctl/panic") // lint:allow(no-panic-in-lib): config-gated fault-injection endpoint exercising catch_unwind isolation
-        }
+        (Method::Post, ["ctl", "panic"]) if ctx.debug_routes => deliberate_panic(),
         (_, ["ctl", "stall"]) if ctx.debug_routes => {
             let ms = req
                 .query_param("ms")
@@ -221,6 +219,16 @@ pub fn route(req: &Request, ctx: &mut RouteContext<'_>) -> RouteOutcome {
         )),
         (Method::Get, _) => RouteOutcome::reply(not_found("unknown route")),
     }
+}
+
+/// The `/ctl/panic` debug route: panics on purpose, so a test can watch
+/// the worker's `catch_unwind` turn it into one isolated 500.
+#[expect(
+    clippy::panic,
+    reason = "config-gated fault-injection endpoint exercising catch_unwind isolation"
+)]
+fn deliberate_panic() -> ! {
+    panic!("deliberate fault-injection panic via /ctl/panic")
 }
 
 /// The hot-reload route: read → validate end-to-end → swap, with the

@@ -211,6 +211,10 @@ fn accept_loop(
                     // The nudge connection (or a client racing shutdown).
                     break;
                 }
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the accept loop opens each request's deadline; every handler threads it"
+                )]
                 let deadline = Deadline::starting_now(budget);
                 if let Err(refused) = queue.try_push(Job { stream, deadline }) {
                     // Shed inline: the 503 costs the accept thread one
@@ -357,7 +361,11 @@ fn serve_one(
         metrics,
         debug_routes,
     };
-    let routing = Instant::now(); // lint:allow(no-wall-clock): feeds the route-time histogram only, never the response
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "feeds the route-time histogram only, never the response"
+    )]
+    let routing = Instant::now();
     let outcome = route(&request, &mut ctx);
     metrics.observe_route(routing.elapsed().as_secs_f64());
     if outcome.response.write_to(stream, deadline).is_ok() {

@@ -78,6 +78,10 @@ impl SharedState {
     }
 
     /// Clones the current state out of the slot (locks briefly).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the served-state slot: one brief lock to clone the current Arc"
+    )]
     pub fn load(&self) -> Arc<ServedState> {
         self.slot
             .lock()
@@ -89,6 +93,10 @@ impl SharedState {
     /// `Arc` they already cloned; the old state drops when the last one
     /// finishes.
     pub fn swap(&self, next: Arc<ServedState>) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the served-state slot: one brief lock to swap the Arc and publish the epoch"
+        )]
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         *slot = next;
         // Publish under the lock so a reader that sees the new epoch is

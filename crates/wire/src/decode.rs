@@ -49,7 +49,6 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, WireError> {
 /// payloads are only parsed when the corresponding iterator is consumed.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotReader<'a> {
-    version: u16,
     /// Every section frame, in file order: what
     /// [`section_sizes`](Self::section_sizes) walks again.
     frames: &'a [u8],
@@ -156,18 +155,12 @@ impl<'a> SnapshotReader<'a> {
             });
         }
         Ok(Self {
-            version,
             frames,
             bodies,
             counts,
             provenance_sample_size,
             incr_body,
         })
-    }
-
-    /// The format version the header carries.
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Every section's tag and payload length, in file order, unknown
@@ -1070,7 +1063,6 @@ mod tests {
         let snapshot = sample();
         let bytes = encode(&snapshot);
         let reader = SnapshotReader::new(&bytes).unwrap();
-        assert_eq!(reader.version(), FORMAT_VERSION);
         assert_eq!(reader.provenance_sample_size(), 16);
         assert_eq!(reader.properties().count(), 2);
         let first = reader.properties().next().unwrap().unwrap();
@@ -1164,9 +1156,8 @@ mod tests {
 
     #[test]
     fn duplicate_and_misordered_optional_sections_are_rejected() {
-        let bytes = encode(&incremental_sample());
-        let reader = SnapshotReader::new(&bytes).unwrap();
-        assert_eq!(reader.version(), FORMAT_VERSION);
+        // The canonical layout reads.
+        SnapshotReader::new(&encode(&incremental_sample())).unwrap();
 
         // Rebuild the raw frames so they can be rearranged: required
         // six from the empty world plus handcrafted INCR/GRPF.
