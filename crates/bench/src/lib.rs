@@ -7,6 +7,8 @@
 
 pub mod experiments;
 pub mod render;
+#[cfg(test)]
+mod rules;
 pub mod scaling;
 
 pub use experiments::ReproConfig;
