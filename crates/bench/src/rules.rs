@@ -1,7 +1,7 @@
 //! The rules of the lib-only clippy gate (DESIGN.md §6e), checked on the
 //! planted violations of `scripts/lint-fixture/`. The gate is the
-//! `LIB_LINTS` deny array in `scripts/verify.sh` plus the two path lists
-//! in `clippy.toml`; these tests run exactly that array over the fixture.
+//! `LIB_LINTS` deny array in `scripts/verify.sh` plus the path lists in
+//! `clippy.toml`; these tests run exactly that array over the fixture.
 //! `verify.sh` pins the whole sorted denial list against `expected.txt`;
 //! each test here names what one rule must catch and what it must leave
 //! alone.
@@ -109,18 +109,18 @@ mod tests {
 
     #[test]
     fn flags_unwrap_and_panic_macros() {
-        assert_denied("lib.rs", 14, ".unwrap()", "used `unwrap()`");
-        assert_denied("lib.rs", 18, ".expect(", "used `expect()`");
-        assert_denied("lib.rs", 22, "panic!", "`panic` should not be present");
-        assert_denied("lib.rs", 31, "todo!", "`todo` should not be present");
+        assert_denied("lib.rs", 15, ".unwrap()", "used `unwrap()`");
+        assert_denied("lib.rs", 19, ".expect(", "used `expect()`");
+        assert_denied("lib.rs", 23, "panic!", "`panic` should not be present");
+        assert_denied("lib.rs", 32, "todo!", "`todo` should not be present");
         assert_denied(
             "lib.rs",
-            35,
+            36,
             "unimplemented!",
             "`unimplemented` should not be present",
         );
         assert_denied("flow.rs", 26, "unreachable!", "the `unreachable!` macro");
-        assert_denied("lib.rs", 40, "unsafe", "usage of an `unsafe` block");
+        assert_denied("lib.rs", 41, "unsafe", "usage of an `unsafe` block");
     }
 
     #[test]
@@ -154,8 +154,8 @@ mod tests {
             "SystemTime::now()",
             "disallowed method `std::time::SystemTime::now`",
         );
-        assert_denied("lib.rs", 26, "println!", "use of `println!`");
-        assert_denied("lib.rs", 27, "eprintln!", "use of `eprintln!`");
+        assert_denied("lib.rs", 27, "println!", "use of `println!`");
+        assert_denied("lib.rs", 28, "eprintln!", "use of `eprintln!`");
         // No rule is needed for unseeded randomness: the vendored `rand`
         // has no entropy-seeded constructor, so such a call does not compile.
         let rand = std::fs::read_to_string(workspace_root().join("vendor/rand/src/lib.rs"))
@@ -180,10 +180,20 @@ mod tests {
     }
 
     #[test]
+    fn deserialize_derive_needs_a_reason() {
+        assert_denied(
+            "json.rs",
+            6,
+            "Deserialize)]",
+            "disallowed macro `serde_derive::Deserialize`",
+        );
+    }
+
+    #[test]
     fn pragmas_suppress_and_unused_pragmas_report() {
         // Each `#[expect]` twin silences its own site.
-        assert_silent("lib.rs", 45, "v.unwrap()");
-        assert_silent("lib.rs", 50, "println!");
+        assert_silent("lib.rs", 46, "v.unwrap()");
+        assert_silent("lib.rs", 51, "println!");
         assert_silent("clock.rs", 15, "Instant::now()");
         assert_silent("flow.rs", 15, "Deadline::starting_now");
         assert_silent("flow.rs", 37, "unreachable!");
@@ -191,6 +201,7 @@ mod tests {
         assert_silent("locks.rs", 28, "index.write()");
         assert_silent("locks.rs", 38, "shared.lock()");
         assert_silent("maps.rs", 28, "&HashMap<String, u32>");
+        assert_silent("json.rs", 12, "Deserialize)]");
         // ... and no other: the second lock under a declared first is denied.
         assert_denied(
             "locks.rs",

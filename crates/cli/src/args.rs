@@ -34,9 +34,9 @@ pub struct MineArgs {
     pub failure_policy: FailurePolicy,
     /// Seed for the fault-injection harness (`--chaos-seed`).
     pub chaos_seed: Option<u64>,
-    /// Mine only shards `[0, N)` of the `--shards`-shard world and record
-    /// incremental state (ingested ranges, replay queue) so the snapshot
-    /// can later be extended with `surveyor update`.
+    /// Mine only shards `[0, N)` of the `--shards`-shard world. `snapshot`
+    /// also records incremental state (ingested ranges, replay queue) so
+    /// the snapshot can later be extended with `surveyor update`.
     pub ingest_shards: Option<usize>,
 }
 
@@ -772,8 +772,8 @@ mod tests {
                 "--ingest-shards {bad}"
             );
         }
-        // Ingesting every shard is allowed for `mine` (a full run that
-        // still records state), just not zero.
+        // Ingesting every shard is allowed for `mine` (it mines the whole
+        // prefix, which is the whole world), just not zero.
         let cli = parse(&["mine", "--preset", "table2", "--ingest-shards", "8"]).unwrap();
         match cli.command {
             Command::Mine(args) => assert_eq!(args.ingest_shards, Some(8)),
@@ -820,7 +820,7 @@ mod tests {
     }
 
     #[test]
-    fn update_overrides_and_warm_mode() {
+    fn update_takes_overrides_and_refuses_warm_and_rho() {
         let cli = parse(&[
             "update",
             "--snapshot",

@@ -78,8 +78,9 @@ fn replace_file(
     Ok(())
 }
 
-/// Writes snapshot bytes to `path` atomically ([`replace_file`]).
-fn write_snapshot(path: &str, bytes: &[u8]) -> Result<(), CliError> {
+/// Writes an output file — a snapshot, the store JSON, a run report —
+/// to `path` atomically ([`replace_file`]).
+fn write_file(path: &str, bytes: &[u8]) -> Result<(), CliError> {
     use std::io::Write as _;
     replace_file(path, |file| file.write_all(bytes))
 }
@@ -159,15 +160,13 @@ pub fn mine(args: &MineArgs) -> Result<String, CliError> {
         if dest == "-" {
             summary = format!("{}\n{summary}", run_report.render());
         } else {
-            std::fs::write(dest, run_report.to_json())
-                .map_err(|e| CliError::Io(format!("cannot write {dest}: {e}")))?;
+            write_file(dest, run_report.to_json().as_bytes())?;
             summary.push_str(&format!("\nwrote run report to {dest}"));
         }
     }
     match args.out.as_deref() {
         Some(path) => {
-            std::fs::write(path, &json)
-                .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
+            write_file(path, json.as_bytes())?;
             Ok(format!("{summary}\nwrote {path}"))
         }
         None => Ok(format!("{summary}\n{json}")),
@@ -210,7 +209,7 @@ pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<Strin
         }
         None => surveyor::save_snapshot(&run.output),
     };
-    write_snapshot(out, &bytes)?;
+    write_file(out, &bytes)?;
     let mut summary = format!(
         "snapshotted {} statements over {} combinations into {} bytes at {out}",
         run.output.evidence.total_statements(),
@@ -225,8 +224,7 @@ pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<Strin
         ));
     }
     if let Some(path) = store {
-        std::fs::write(path, store_kb.to_json())
-            .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
+        write_file(path, store_kb.to_json().as_bytes())?;
         summary.push_str(&format!("\nwrote store JSON to {path}"));
     }
     Ok(summary)
@@ -318,7 +316,7 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
         // Nothing new and nothing pending: re-save unchanged (the write
         // is byte-identical to the input, so `update` is idempotent).
         let bytes = surveyor::save_snapshot_with_state(&base, &state);
-        write_snapshot(&args.out, &bytes)?;
+        write_file(&args.out, &bytes)?;
         return Ok(format!(
             "nothing to ingest: delta preset {} is fully covered by {} (wrote {} unchanged)",
             preset.name, args.snapshot, args.out,
@@ -368,7 +366,7 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
     state.pending.sort_unstable();
 
     let bytes = surveyor::save_snapshot_with_state(&outcome.output, &state);
-    write_snapshot(&args.out, &bytes)?;
+    write_file(&args.out, &bytes)?;
 
     let stats = outcome.stats;
     let mut summary = format!(
@@ -425,8 +423,7 @@ pub fn load(snapshot_path: &str, out: Option<&str>) -> Result<String, CliError> 
     );
     match out {
         Some(path) => {
-            std::fs::write(path, &json)
-                .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
+            write_file(path, json.as_bytes())?;
             Ok(format!("{summary}\nwrote {path}"))
         }
         None => Ok(format!("{summary}\n{json}")),
@@ -1234,7 +1231,7 @@ mod tests {
             names
         };
 
-        write_snapshot(path_str, b"generation one").unwrap();
+        write_file(path_str, b"generation one").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"generation one");
         assert_eq!(names(), ["world.swire"]);
 
@@ -1253,16 +1250,16 @@ mod tests {
         // The rename fails: the target is a directory that is not empty.
         let occupied = dir.join("occupied");
         std::fs::create_dir_all(occupied.join("inner")).unwrap();
-        assert!(write_snapshot(occupied.to_str().unwrap(), b"bytes").is_err());
+        assert!(write_file(occupied.to_str().unwrap(), b"bytes").is_err());
         assert!(occupied.join("inner").is_dir());
         assert_eq!(names(), ["occupied", "world.swire"]);
 
         // Nowhere to put the temporary file: nothing is created.
         let orphan = dir.join("missing").join("world.swire");
-        assert!(write_snapshot(orphan.to_str().unwrap(), b"bytes").is_err());
+        assert!(write_file(orphan.to_str().unwrap(), b"bytes").is_err());
         assert_eq!(names(), ["occupied", "world.swire"]);
 
-        write_snapshot(path_str, b"generation two").unwrap();
+        write_file(path_str, b"generation two").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"generation two");
         assert_eq!(names(), ["occupied", "world.swire"]);
         std::fs::remove_dir_all(&dir).ok();

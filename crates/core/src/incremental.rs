@@ -426,4 +426,18 @@ mod tests {
         };
         assert_ne!(a.digest(), c.digest());
     }
+
+    #[test]
+    fn config_digest_is_pinned() {
+        // Every updatable snapshot stores this value in `INCR`, and
+        // `surveyor update` refuses a base whose digest differs: a change
+        // to the serialized form of (ρ, EmConfig, ExtractionConfig) must
+        // show up here, not as a refused update.
+        assert_eq!(SurveyorConfig::default().digest(), 0x4cbd_8051_3f54_ac02);
+        let rho_40 = SurveyorConfig {
+            rho: 40,
+            ..Default::default()
+        };
+        assert_eq!(rho_40.digest(), 0xde80_006c_7623_320f);
+    }
 }

@@ -13,7 +13,6 @@
 //! attribute, and can use the discovered link to adjudicate entities the
 //! model left uncertain.
 
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use surveyor_kb::{KnowledgeBase, Property, TypeId};
 use surveyor_model::Decision;
@@ -21,7 +20,7 @@ use surveyor_model::Decision;
 use crate::pipeline::SurveyorOutput;
 
 /// Which side of the threshold carries the property.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkDirection {
     /// The property applies to entities **above** the threshold
     /// (`big` ↔ population).
@@ -32,7 +31,7 @@ pub enum LinkDirection {
 }
 
 /// A discovered subjective↔objective relationship.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObjectiveLink {
     /// The attribute key (e.g. `"population"`).
     pub attribute: String,

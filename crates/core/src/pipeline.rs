@@ -12,7 +12,6 @@
 //! ```
 
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use surveyor_extract::evidence::Group;
@@ -28,7 +27,7 @@ use surveyor_model::{
 use surveyor_obs::{claim_map, EmGroupReport, FaultSummary, MetricsRegistry};
 
 /// Pipeline configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurveyorConfig {
     /// Occurrence threshold ρ: minimum extracted statements for a
     /// (type, property) combination to be modeled (the paper used 100).
@@ -55,7 +54,7 @@ impl Default for SurveyorConfig {
 }
 
 /// A decided entity-property association — one output row of Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpinionTriple {
     /// The entity's canonical name.
     pub entity: String,

@@ -879,7 +879,7 @@ mod tests {
         );
         assert_eq!(loaded.triples(), output.triples());
         assert_eq!(loaded.decided_pairs(), output.decided_pairs());
-        assert_eq!(loaded.evidence.to_json(), output.evidence.to_json());
+        assert_eq!(loaded.evidence.to_entries(), output.evidence.to_entries());
         // ...and so is a re-encoded snapshot, byte for byte.
         assert_eq!(save_snapshot(&loaded), bytes);
     }

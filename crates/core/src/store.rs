@@ -35,7 +35,7 @@
 //! [`CombinationBlock`] / [`StoredOpinion`] are the owned *export* shape —
 //! what [`SubjectiveKb::blocks`] and the JSON form are made of.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Ordering;
 use std::mem::size_of;
 use std::sync::Arc;
@@ -49,7 +49,7 @@ use crate::pipeline::{count_table, SurveyorOutput};
 use crate::snapshot::{Declared, ModelledGroup, PropertyRef, Sink};
 
 /// One stored association, owned — the export shape of an [`OpinionRef`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StoredOpinion {
     /// The entity.
     pub entity: EntityId,
@@ -70,7 +70,7 @@ pub struct StoredOpinion {
 
 /// Per-combination block of the store, owned — the export shape of a
 /// [`BlockRef`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CombinationBlock {
     /// The entity type.
     pub type_id: TypeId,

@@ -12,7 +12,6 @@ use crate::world::World;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Instant;
@@ -27,7 +26,7 @@ use surveyor_prob::{Poisson, SeedStream};
 /// region gets a share of the author pool, and may hold different dominant
 /// opinions (each entity's opinion flips with `opinion_flip` probability,
 /// deterministically per region).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionSpec {
     /// Region name (e.g. `"us"`, `"cn"`).
     pub name: String,
@@ -50,7 +49,7 @@ impl RegionSpec {
 }
 
 /// Corpus shape configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusConfig {
     /// Number of independently generable shards.
     pub num_shards: usize,
@@ -71,7 +70,7 @@ impl Default for CorpusConfig {
 }
 
 /// A raw (un-annotated) generated document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RawDocument {
     /// Stable document id (`shard * 2^32 + sequence`).
     pub id: u64,

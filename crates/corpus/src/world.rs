@@ -3,13 +3,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use surveyor_kb::{EntityId, KnowledgeBase, Property, TypeId};
 use surveyor_prob::SeedStream;
 
 /// How dominant opinions are assigned to the entities of a domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpinionRule {
     /// Independent Bernoulli with the given positive share.
     RandomShare(f64),
@@ -39,7 +38,7 @@ pub enum OpinionRule {
 
 /// How per-entity popularity multipliers are assigned (scales all statement
 /// rates; models that some entities are simply written about more).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PopularityRule {
     /// Every entity has multiplier 1 — the world matches the paper's model
     /// exactly.
@@ -78,7 +77,7 @@ pub enum PopularityRule {
 
 /// Behavioral parameters of one (type, property) domain — the ground-truth
 /// counterparts of the model parameters `⟨pA, np+S, np-S⟩`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainParams {
     /// True author-agreement probability `pA*`.
     pub p_agree: f64,
@@ -174,7 +173,7 @@ impl DomainParams {
 
 /// A fully instantiated domain: entities with planted opinions and
 /// popularity multipliers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DomainSpec {
     /// The entity type.
     pub type_id: TypeId,

@@ -2,14 +2,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use surveyor_kb::{EntityId, Property, TypeId};
 use surveyor_prob::SeedStream;
 
 /// One evaluation test case: an entity-property combination with its
 /// planted dominant opinion and the simulated worker pool's agreement
 /// probability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TestCase {
     /// The entity type.
     pub type_id: TypeId,
@@ -26,7 +25,7 @@ pub struct TestCase {
 }
 
 /// The votes of one worker panel on one test case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrowdVerdict {
     /// Workers answering "the property applies".
     pub votes_positive: usize,
@@ -118,11 +117,6 @@ impl Panel {
             votes_positive,
             votes_negative: self.workers_per_case - votes_positive,
         }
-    }
-
-    /// Judges a batch of cases.
-    pub fn judge_all(&self, cases: &[TestCase]) -> Vec<CrowdVerdict> {
-        cases.iter().map(|c| self.judge(c)).collect()
     }
 }
 

@@ -9,7 +9,7 @@
 use crate::metrics::Metrics;
 use crate::testcases::EvalSuite;
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use surveyor::prelude::*;
 use surveyor::{CorpusSource, SurveyorOutput};
 use surveyor_corpus::{CorpusGenerator, World};
@@ -17,7 +17,7 @@ use surveyor_kb::{EntityId, KnowledgeBase, Property};
 use surveyor_model::{fit, posterior_positive, ModelParams, ObservedCounts};
 
 /// The ablation artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AblationReport {
     /// The unablated Surveyor scores (reference).
     pub standard: Metrics,

@@ -13,7 +13,7 @@
 use crate::metrics::Metrics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 use surveyor::prelude::*;
 use surveyor::CorpusSource;
@@ -22,7 +22,7 @@ use surveyor_kb::KnowledgeBaseBuilder;
 use surveyor_model::Decision;
 
 /// The ablation artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AntonymReport {
     /// Surveyor on the raw `big` evidence (the paper's choice).
     pub without_folding: Metrics,

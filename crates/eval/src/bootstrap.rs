@@ -10,11 +10,10 @@
 use crate::metrics::Metrics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use surveyor_model::Decision;
 
 /// A percentile confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interval {
     /// Point estimate on the full sample.
     pub estimate: f64,
@@ -37,7 +36,7 @@ impl Interval {
 }
 
 /// Bootstrap intervals for one method.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricIntervals {
     /// Coverage interval.
     pub coverage: Interval,

@@ -3,7 +3,7 @@
 
 use crate::metrics::Metrics;
 use crate::testcases::{EvalCase, EvalSuite};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use surveyor::prelude::*;
 use surveyor::{CorpusSource, SurveyorOutput};
 use surveyor_corpus::CorpusGenerator;
@@ -12,7 +12,7 @@ use surveyor_model::{
 };
 
 /// One row of Table 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MethodRow {
     /// Method name.
     pub method: String,
@@ -21,7 +21,7 @@ pub struct MethodRow {
 }
 
 /// One Figure 12 point: scores of every method at an agreement threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AgreementPoint {
     /// Minimum worker agreement.
     pub threshold: usize,
@@ -32,7 +32,7 @@ pub struct AgreementPoint {
 }
 
 /// The full §7.4 comparison artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ComparisonReport {
     /// Table 3 rows (all test cases).
     pub table3: Vec<MethodRow>,
@@ -49,7 +49,7 @@ pub struct ComparisonReport {
 }
 
 /// WebChild baseline configuration used by the comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WebChildConfig {
     /// Minimum total mentions for KB membership.
     pub membership_threshold: u64,

@@ -10,7 +10,7 @@
 //! for the model, and defined for *all* entities because the model
 //! decides even unmentioned ones.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use surveyor::prelude::*;
 use surveyor::CorpusSource;
 use surveyor_corpus::{CorpusGenerator, World};
@@ -18,7 +18,7 @@ use surveyor_model::{MajorityVote, ObservedCounts, OpinionModel};
 use surveyor_prob::spearman;
 
 /// One entity's row in the study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EmpiricalPoint {
     /// Entity display name.
     pub entity: String,
@@ -39,7 +39,7 @@ pub struct EmpiricalPoint {
 }
 
 /// The study artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EmpiricalStudy {
     /// Attribute key (e.g. `"population"`).
     pub attribute_key: String,

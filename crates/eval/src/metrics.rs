@@ -4,11 +4,11 @@
 //! the ratio of correctly solved test cases to solved test cases. F1 score
 //! is the harmonic mean of precision and coverage."
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use surveyor_model::Decision;
 
 /// Aggregate scores over a set of test cases.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Metrics {
     /// Solved / total.
     pub coverage: f64,

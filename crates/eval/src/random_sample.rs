@@ -14,7 +14,7 @@ use crate::metrics::Metrics;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use surveyor::prelude::*;
 use surveyor::CorpusSource;
 use surveyor_corpus::{CorpusGenerator, World};
@@ -32,7 +32,7 @@ struct SampledCase {
 }
 
 /// One Table 5 row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RandomSampleRow {
     /// Method name.
     pub method: String,
@@ -46,7 +46,7 @@ pub struct RandomSampleRow {
 }
 
 /// The Table 5 artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RandomSampleReport {
     /// Per-method rows.
     pub rows: Vec<RandomSampleRow>,

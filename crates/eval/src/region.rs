@@ -8,7 +8,7 @@
 //! we measure (a) how often the per-region outputs diverge and (b) each
 //! region's accuracy against *its own* planted opinions.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use surveyor::prelude::*;
 use surveyor::CorpusSource;
 use surveyor_corpus::generator::RegionSpec;
@@ -16,7 +16,7 @@ use surveyor_corpus::{CorpusGenerator, World};
 use surveyor_model::Decision;
 
 /// The region experiment artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RegionReport {
     /// Configured opinion-flip probability of the second region.
     pub flip_probability: f64,

@@ -6,7 +6,7 @@
 //! (b) statements per property-type combination (skewed again),
 //! (c) per type, the number of properties above the ρ = 100 threshold.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use surveyor_extract::{EvidenceTable, GroupedEvidence};
 use surveyor_kb::KnowledgeBase;
 use surveyor_prob::percentile_sorted_or_zero;
@@ -15,7 +15,7 @@ use surveyor_prob::percentile_sorted_or_zero;
 pub const PERCENTILES: [u8; 11] = [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 95];
 
 /// The Figure 9 artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SnapshotStats {
     /// Total extracted statements.
     pub statements_total: u64,

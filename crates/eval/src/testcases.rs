@@ -8,14 +8,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use surveyor_corpus::World;
 use surveyor_crowd::{CrowdVerdict, Panel, TestCase};
 use surveyor_kb::{EntityId, Property, TypeId};
 use surveyor_prob::SeedStream;
 
 /// One judged test case.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalCase {
     /// Entity type.
     pub type_id: TypeId,
@@ -37,7 +36,7 @@ pub struct EvalCase {
 }
 
 /// A judged evaluation suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalSuite {
     /// Judged, tie-free cases.
     pub cases: Vec<EvalCase>,

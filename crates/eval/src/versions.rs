@@ -10,13 +10,13 @@
 //! mis-reads count against it), quantifying the quality argument the
 //! paper makes narratively.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use surveyor_corpus::{CorpusConfig, CorpusGenerator, World};
 use surveyor_extract::{extract_documents, EvidenceTable, PatternVersion};
 use surveyor_nlp::AnnotatedDocument;
 
 /// One Table 4 row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VersionRow {
     /// Which version.
     pub version: PatternVersion,

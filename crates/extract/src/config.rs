@@ -1,9 +1,9 @@
 //! Extraction configuration and the pattern versions of Table 4.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Verb class admitted by the adjectival-complement pattern's top node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum VerbSet {
     /// Only forms of "to be" (the restrictive choice of versions V3/V4).
     ToBe,
@@ -13,7 +13,7 @@ pub enum VerbSet {
 }
 
 /// Which of the Figure 4 patterns are enabled and how strictly they filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ExtractionConfig {
     /// Adjectival-modifier pattern (Figure 4a).
     pub amod: bool,
@@ -42,7 +42,7 @@ impl Default for ExtractionConfig {
 }
 
 /// The four extraction-pattern versions compared in paper Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PatternVersion {
     /// amod only, copula class, no intrinsicness checks.
     V1,

@@ -6,11 +6,10 @@
 //! (type, property) so each combination can learn its own model.
 
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use surveyor_kb::{EntityId, KnowledgeBase, Property, PropertyId, TypeId};
 
 /// Polarity of an evidence statement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Polarity {
     /// The statement claims the property applies.
     Positive,
@@ -23,7 +22,7 @@ pub enum Polarity {
 /// The property is carried as an interned [`PropertyId`]: statements are
 /// emitted once per matched pattern on the per-sentence hot path, and the
 /// id keeps them `Copy`-cheap all the way into the counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Statement {
     /// The entity the statement is about.
     pub entity: EntityId,
@@ -48,7 +47,7 @@ impl Statement {
 
 /// Positive/negative statement counters for one entity-property pair — the
 /// evidence tuple `⟨C+_i, C-_i⟩` of §5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvidenceCounts {
     /// Count of positive statements (`C+`).
     pub positive: u64,
@@ -193,10 +192,10 @@ impl EvidenceTable {
         totals
     }
 
-    /// Dumps the table to a stable, sorted entry list for the JSON codec
-    /// (extraction is the expensive pipeline phase; the paper's
-    /// architecture stores counter tables between the extraction and
-    /// interpretation passes). The binary snapshot bridge does not come
+    /// Dumps the table to a stable, sorted entry list — what the antonym
+    /// rewrite edits before [`from_entries`](Self::from_entries) rebuilds
+    /// the table. Counter tables persist between the extraction and
+    /// interpretation passes in the binary snapshot, which does not come
     /// through here: it works on [`iter`](Self::iter) and
     /// [`add_counts`](Self::add_counts), by id.
     pub fn to_entries(&self) -> Vec<EvidenceEntry> {
@@ -217,7 +216,8 @@ impl EvidenceTable {
         entries
     }
 
-    /// Rebuilds a table from persisted entries.
+    /// Rebuilds a table from an entry list, re-interning the properties;
+    /// duplicate pairs add up.
     pub fn from_entries(entries: Vec<EvidenceEntry>) -> Self {
         let mut table = Self::with_capacity(entries.len());
         for entry in entries {
@@ -229,24 +229,10 @@ impl EvidenceTable {
         }
         table
     }
-
-    /// Serializes the table to JSON.
-    #[expect(
-        clippy::expect_used,
-        reason = "evidence entries hold only serializable primitives"
-    )]
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(&self.to_entries()).expect("entries serialize")
-    }
-
-    /// Restores a table from [`Self::to_json`] output.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        Ok(Self::from_entries(serde_json::from_str(json)?))
-    }
 }
 
-/// One persisted entity-property counter row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One entity-property counter row, with the property resolved.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvidenceEntry {
     /// The entity.
     pub entity: EntityId,
@@ -264,7 +250,7 @@ pub struct EvidenceEntry {
 /// property ids reflect discovery order, so deterministic group ordering is
 /// produced by sorting on the *resolved* property instead (see
 /// [`GroupedEvidence::from_table`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GroupKey {
     /// The entity type.
     pub type_id: TypeId,
@@ -568,17 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn persistence_round_trip() {
-        let mut t = EvidenceTable::new();
-        t.add(&stmt(0, "cute", Polarity::Positive));
-        t.add(&stmt(0, "cute", Polarity::Negative));
-        t.add(&stmt(2, "very big", Polarity::Positive));
-        let restored = EvidenceTable::from_json(&t.to_json()).unwrap();
-        assert_eq!(t, restored);
-        assert_eq!(restored.total_statements(), 3);
-    }
-
-    #[test]
     fn entries_are_sorted_and_stable() {
         let mut t = EvidenceTable::new();
         t.add(&stmt(2, "big", Polarity::Positive));
@@ -589,8 +564,6 @@ mod tests {
         assert!(entries
             .windows(2)
             .all(|w| { (w[0].entity, &w[0].property) <= (w[1].entity, &w[1].property) }));
-        // Same table serialized twice yields identical bytes.
-        assert_eq!(t.to_json(), t.to_json());
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use patterns::{
     extract_sentence, extract_sentence_counted, extract_sentence_into, ExtractContext,
     PatternCounts,
 };
-pub use provenance::{ProvenanceEntry, ProvenanceTable};
+pub use provenance::ProvenanceTable;
 pub use runner::{
     extract_documents, run_sharded_fault_tolerant, run_sharded_full, ExtractionOutput, ShardSource,
 };

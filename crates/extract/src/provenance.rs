@@ -9,17 +9,15 @@
 
 use crate::evidence::Statement;
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use surveyor_kb::{EntityId, Property, PropertyId};
 
 /// Default number of supporting documents retained per pair.
 pub const DEFAULT_SAMPLE: usize = 5;
 
 /// Bounded supporting-document samples per entity-property pair.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProvenanceTable {
     sample_size: usize,
-    #[serde(with = "entries_codec")]
     map: FxHashMap<(EntityId, PropertyId), Vec<u64>>,
 }
 
@@ -107,48 +105,6 @@ impl ProvenanceTable {
     pub fn sample_size(&self) -> usize {
         self.sample_size
     }
-
-    /// The table as a portable entry list, sorted by `(entity, property)`
-    /// with properties resolved to their surface form — the same shape the
-    /// serde codec uses (the binary snapshot bridge works on
-    /// [`iter`](Self::iter) and [`insert`](Self::insert), by id).
-    pub fn to_entries(&self) -> Vec<ProvenanceEntry> {
-        // Resolve ids before sorting: id values are process-local, the
-        // exported order must not be.
-        let mut entries: Vec<ProvenanceEntry> = self
-            .map
-            .iter()
-            .map(|((entity, property), documents)| ProvenanceEntry {
-                entity: *entity,
-                property: property.resolve(),
-                documents: documents.clone(),
-            })
-            .collect();
-        entries.sort_by(|a, b| (a.entity, &a.property).cmp(&(b.entity, &b.property)));
-        entries
-    }
-
-    /// Rebuilds a table from an entry list, re-interning the properties in
-    /// this process. Inverse of [`to_entries`](Self::to_entries).
-    pub fn from_entries(sample_size: usize, entries: Vec<ProvenanceEntry>) -> Self {
-        let mut table = Self::with_capacity(sample_size, entries.len());
-        for e in entries {
-            table.insert(e.entity, PropertyId::intern(&e.property), e.documents);
-        }
-        table
-    }
-}
-
-/// One portable provenance entry: the pair plus its document sample, with
-/// the property resolved so nothing process-local leaks out.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProvenanceEntry {
-    /// The entity.
-    pub entity: EntityId,
-    /// The property, resolved to its surface form.
-    pub property: Property,
-    /// Supporting document ids, ascending.
-    pub documents: Vec<u64>,
 }
 
 /// Inserts `id` into a sorted, deduplicated, bounded id list.
@@ -161,35 +117,6 @@ fn insert_bounded(ids: &mut Vec<u64>, id: u64, bound: usize) {
                 ids.truncate(bound);
             }
         }
-    }
-}
-
-/// Serde codec: the tuple-keyed map serializes as the sorted entry list
-/// of [`ProvenanceTable::to_entries`].
-mod entries_codec {
-    use super::*;
-
-    type ProvenanceMap = FxHashMap<(EntityId, PropertyId), Vec<u64>>;
-
-    pub fn to_value(map: &ProvenanceMap) -> serde::Value {
-        let mut entries: Vec<ProvenanceEntry> = map
-            .iter()
-            .map(|((entity, property), documents)| ProvenanceEntry {
-                entity: *entity,
-                property: property.resolve(),
-                documents: documents.clone(),
-            })
-            .collect();
-        entries.sort_by(|a, b| (a.entity, &a.property).cmp(&(b.entity, &b.property)));
-        serde::Serialize::to_value(&entries)
-    }
-
-    pub fn from_value(value: &serde::Value) -> Result<ProvenanceMap, serde::Error> {
-        let entries: Vec<ProvenanceEntry> = serde::Deserialize::from_value(value)?;
-        Ok(entries
-            .into_iter()
-            .map(|e| ((e.entity, PropertyId::intern(&e.property)), e.documents))
-            .collect())
     }
 }
 
@@ -249,33 +176,5 @@ mod tests {
             ab.documents(EntityId(0), &Property::adjective("cute")),
             [1, 4, 7]
         );
-    }
-
-    #[test]
-    fn entries_round_trip_and_are_sorted() {
-        let mut t = ProvenanceTable::new(2);
-        t.record(&stmt(1, "big"), 9);
-        t.record(&stmt(0, "cute"), 3);
-        t.record(&stmt(0, "big"), 7);
-        let entries = t.to_entries();
-        let keys: Vec<_> = entries
-            .iter()
-            .map(|e| (e.entity, e.property.clone()))
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-        let back = ProvenanceTable::from_entries(t.sample_size(), entries);
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut t = ProvenanceTable::new(2);
-        t.record(&stmt(0, "cute"), 3);
-        t.record(&stmt(1, "big"), 9);
-        let json = serde_json::to_string(&t).unwrap();
-        let back: ProvenanceTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
     }
 }

@@ -1,7 +1,6 @@
 //! Entity records.
 
 use crate::ids::{EntityId, TypeId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An entity stored in the knowledge base.
@@ -11,7 +10,7 @@ use std::collections::BTreeMap;
 /// notable type* ("the knowledge base may actually associate multiple types
 /// with an entity but we use only the most notable type", §3), and objective
 /// numeric attributes such as population used by the empirical studies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Entity {
     id: EntityId,
     name: String,

@@ -5,15 +5,15 @@
 //! the other's id — a real hazard in the extraction counters where both
 //! appear side by side.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of an entity within a [`crate::KnowledgeBase`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct EntityId(pub u32);
 
 /// Identifier of an entity type within a [`crate::KnowledgeBase`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct TypeId(pub u32);
 
 impl EntityId {

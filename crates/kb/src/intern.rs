@@ -24,8 +24,8 @@
 //! Id values are process-local and depend on discovery order — which, under
 //! parallel extraction, depends on thread interleaving. They are therefore
 //! never serialized and never used as a sort key where cross-run
-//! determinism matters: serialization codecs resolve ids back to properties
-//! and order entries by the resolved form, and deserialization re-interns.
+//! determinism matters: outputs resolve ids back to properties and order
+//! entries by the resolved form, and the snapshot loader re-interns.
 //! Within one process the mapping is stable, so id-keyed maps compare
 //! consistently.
 //!
@@ -246,22 +246,6 @@ impl InternCache {
     }
 }
 
-// Serialized as the resolved property (ids are process-local and must never
-// reach disk); deserialization re-interns. Derived codecs on id-carrying
-// structs therefore keep the same JSON shapes as before interning.
-impl serde::Serialize for PropertyId {
-    fn to_value(&self) -> serde::Value {
-        serde::Serialize::to_value(&self.resolve())
-    }
-}
-
-impl serde::Deserialize for PropertyId {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let property: Property = serde::Deserialize::from_value(v)?;
-        Ok(PropertyId::intern(&property))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,17 +355,6 @@ mod tests {
                 global_lookups: 5,
             }
         );
-    }
-
-    #[test]
-    fn serde_goes_through_the_property() {
-        use serde::{Deserialize, Serialize};
-        let p = Property::with_adverbs(&["very"], "intern-serde");
-        let id = PropertyId::intern(&p);
-        // The value tree is the property's, not a raw number.
-        assert_eq!(Serialize::to_value(&id), Serialize::to_value(&p));
-        let back = PropertyId::from_value(&Serialize::to_value(&id)).unwrap();
-        assert_eq!(back, id);
     }
 
     #[test]

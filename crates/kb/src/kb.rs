@@ -3,7 +3,6 @@
 use crate::entity::Entity;
 use crate::ids::{EntityId, TypeId};
 use rustc_hash::FxHashMap;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// An entity type (paper: "most notable type" of a Freebase entity).
@@ -16,7 +15,7 @@ use std::sync::OnceLock;
 ///   tagger uses them as disambiguation context.
 /// - `context_cues`: further words whose presence in a sentence makes a
 ///   reading of an ambiguous alias as this type more plausible.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntityType {
     id: TypeId,
     name: String,
@@ -103,13 +102,12 @@ pub fn normalize_surface(s: &str) -> String {
 /// first token → longest form, type name → type) are built by the first
 /// name lookup, after which every lookup is an O(1) hash probe. A
 /// knowledge base that never links a mention — one loaded from a
-/// snapshot — never builds them, and a deserialized one builds its own.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// snapshot — never builds them.
+#[derive(Debug, Clone)]
 pub struct KnowledgeBase {
     types: Vec<EntityType>,
     entities: Vec<Entity>,
     by_type: Vec<Vec<EntityId>>,
-    #[serde(skip)]
     names: OnceLock<NameIndex>,
 }
 
@@ -378,16 +376,6 @@ mod tests {
             kb.max_alias_tokens(),
             ["city", "Animal", "mountain"].map(|t| kb.type_by_name(t)),
         )
-    }
-
-    #[test]
-    fn a_deserialized_kb_answers_every_lookup_as_the_original() {
-        // serde stores no name index; the copy builds its own on first use.
-        let kb = kb();
-        let json = serde_json::to_string(&kb).unwrap();
-        let back: KnowledgeBase = serde_json::from_str(&json).unwrap();
-        assert_eq!(lookups(&back), lookups(&kb));
-        assert_eq!(back.longest_form_from("san"), 2);
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! populated`, `very small`. Properties are compared case-insensitively on
 //! their normalized form.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A subjective property: an adjective with zero or more preceding adverbs.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Property {
     adverbs: Vec<String>,
     adjective: String,

@@ -4,7 +4,6 @@
 use crate::decision::{decide, ModelDecision};
 use crate::inference::Posterior;
 use crate::params::ModelParams;
-use serde::{Deserialize, Serialize};
 
 /// Positive / negative statement counts for one entity under one
 /// (type, property) combination — the only observables of the model
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// This mirrors the extraction crate's counter type but lives here so the
 /// model layer has no dependency on the NLP pipeline; the evaluation crate
 /// converts between the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ObservedCounts {
     /// `C+`: number of positive statements.
     pub positive: u64,

@@ -4,10 +4,10 @@
 //! greater than 0.5, and a negative dominant opinion if it is less than
 //! 0.5" (§3); at exactly 0.5 the test case counts as unsolved (§7.4).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A decided polarity, or no decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Decision {
     /// Dominant opinion applies the property (`+`).
     Positive,
@@ -27,7 +27,7 @@ impl Decision {
 
 /// A model's output for one entity: the decision plus the probability that
 /// produced it (absent for purely count-based baselines).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelDecision {
     /// The decided polarity.
     pub decision: Decision,

@@ -29,10 +29,10 @@
 use crate::counts::{CountTable, ObservedCounts};
 use crate::inference::Posterior;
 use crate::params::ModelParams;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// EM configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EmConfig {
     /// Maximum number of iterations (`X` in Algorithm 2).
     pub max_iterations: usize,
@@ -64,7 +64,7 @@ impl Default for EmConfig {
 
 /// Why an EM run stopped — the convergence telemetry surfaced per
 /// (type, property) group in run reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConvergenceReason {
     /// No parameter component moved more than the configured tolerance
     /// (the early exit Algorithm 2 aims for).
@@ -109,7 +109,7 @@ impl ConvergenceReason {
 }
 
 /// Result of an EM fit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmFit {
     /// The fitted parameter vector `θ_X`.
     pub params: ModelParams,

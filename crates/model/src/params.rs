@@ -1,7 +1,5 @@
 //! Model parameters and the four Poisson rates (paper §5.2).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the user-behavior model for one (type, property)
 /// combination: `θ = ⟨pA, np+S, np-S⟩`.
 ///
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// pre-multiplied by the unknown, enormous author count `n`) "to minimize
 /// rounding errors" (§6); we follow suit — the rates are expected statement
 /// counts, not probabilities.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// `pA`: probability that an author agrees with the dominant opinion.
     pub p_agree: f64,
@@ -23,7 +21,7 @@ pub struct ModelParams {
 
 /// The four Poisson rates `λ^{σ2}_{σ1}`; subscript = dominant opinion,
 /// superscript = statement polarity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Lambdas {
     /// `λ++`: positive statements about positive-dominant entities.
     pub pos_pos: f64,

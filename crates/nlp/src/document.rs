@@ -8,11 +8,10 @@ use crate::lexicon::Lexicon;
 use crate::parser::{parse_with, DepTree, ParseScratch};
 use crate::tagger::{tag_entities_with, Mention};
 use crate::token::{split_sentence_bounds, tokenize_with, TokenizedSentence};
-use serde::{Deserialize, Serialize};
 use surveyor_kb::KnowledgeBase;
 
 /// One sentence with tokens, dependency tree, and linked entity mentions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnotatedSentence {
     /// Tagged span tokens plus the sentence text they index into.
     pub tokens: TokenizedSentence,
@@ -23,7 +22,7 @@ pub struct AnnotatedSentence {
 }
 
 /// A fully annotated document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnotatedDocument {
     /// Document identifier (stable across runs for a fixed corpus seed).
     pub id: u64,
@@ -154,15 +153,5 @@ mod tests {
         let doc = annotate(1, "", &kb, &lex);
         assert!(doc.sentences.is_empty());
         assert_eq!(doc.token_count(), 0);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let kb = kb();
-        let lex = Lexicon::new();
-        let doc = annotate(3, "Kittens are cute.", &kb, &lex);
-        let json = serde_json::to_string(&doc).unwrap();
-        let back: AnnotatedDocument = serde_json::from_str(&json).unwrap();
-        assert_eq!(doc, back);
     }
 }

@@ -20,10 +20,9 @@
 //! same tree, which keeps the extraction pipeline reproducible.
 
 use crate::token::{Pos, TokenizedSentence};
-use serde::{Deserialize, Serialize};
 
 /// Stanford-style dependency relations (the subset the patterns need).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DepRel {
     /// Clause root.
     Root,
@@ -71,7 +70,7 @@ pub enum DepRel {
 /// `heads[i]` is `None` exactly for the root; every other token has a head
 /// index and relation. Construction through [`parse`] guarantees a single
 /// root and acyclicity (checked by [`DepTree::validate`] in tests).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DepTree {
     heads: Vec<Option<(usize, DepRel)>>,
     root: usize,

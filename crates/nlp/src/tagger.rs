@@ -24,12 +24,11 @@
 //! `reference::tag_entities`.
 
 use crate::token::{singular_parts, TokenizedSentence};
-use serde::{Deserialize, Serialize};
 use surveyor_kb::{EntityId, KnowledgeBase};
 
 /// A linked entity mention: token span `[start, end)` with the span's final
 /// token acting as syntactic head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mention {
     /// Linked entity.
     pub entity: EntityId,

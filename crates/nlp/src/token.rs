@@ -19,11 +19,9 @@
 //! `reference` below and compared on fuzzed sentences in
 //! `crate::differential`.
 
-use serde::{Deserialize, Serialize};
-
 /// Part-of-speech tags; a compact inventory sufficient for the dependency
 /// patterns of paper Figure 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pos {
     /// Common noun (`city`, `animals`).
     Noun,
@@ -67,7 +65,7 @@ impl Pos {
 /// A span token: byte ranges into the sentence's text and shared lowercase
 /// buffer (for provenance and highlighting), plus the POS tag. Surface and
 /// lowercase forms are read through the owning [`TokenizedSentence`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     /// Byte offset of the first character within the sentence.
     pub start: u32,
@@ -94,7 +92,7 @@ impl Token {
 /// `sentence.len()`, iteration) works as on a plain token slice; textual
 /// access goes through [`text_of`](Self::text_of) /
 /// [`lower_of`](Self::lower_of).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TokenizedSentence {
     text: String,
     /// Lowercased token forms joined by single spaces, so any token range
@@ -547,16 +545,6 @@ mod tests {
         assert_eq!(toks.window_lower(0, 2), "san francisco");
         assert_eq!(toks.window_lower(3, 6), "a big city");
         assert_eq!(toks.window_lower(4, 4), "");
-    }
-
-    #[test]
-    fn sentence_round_trips_serde() {
-        let toks = tokenize("Kittens aren't ugly");
-        let json = serde_json::to_string(&toks).unwrap();
-        let back: TokenizedSentence = serde_json::from_str(&json).unwrap();
-        assert_eq!(toks, back);
-        assert_eq!(back.sentence(), "Kittens aren't ugly");
-        assert_eq!(back.lower_of(1), "are");
     }
 
     #[test]

@@ -160,6 +160,10 @@ impl State {
 }
 
 /// Point-in-time digest of a [`Histogram`], as embedded in run reports.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "bench diff reads run reports back"
+)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSummary {
     /// Number of observations.

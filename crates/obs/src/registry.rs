@@ -186,11 +186,6 @@ impl MetricsRegistry {
         self.stores().fault = Some(summary);
     }
 
-    /// The stamped fault-tolerance accounting, if any.
-    pub fn fault_summary(&self) -> Option<FaultSummary> {
-        self.stores().fault.clone()
-    }
-
     /// Snapshots everything into a versioned [`RunReport`]. Phases keep
     /// first-recorded order; maps are name-sorted; EM groups are sorted
     /// by (type, property) so worker completion order never leaks into
@@ -259,11 +254,6 @@ impl SpanGuard<'_> {
     /// throughput in reports). Last call wins.
     pub fn set_items(&mut self, items: u64) {
         self.items = items;
-    }
-
-    /// Adds to the item count.
-    pub fn add_items(&mut self, items: u64) {
-        self.items += items;
     }
 
     /// Wall time elapsed since the span opened.

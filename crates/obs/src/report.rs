@@ -15,6 +15,10 @@ pub const REPORT_VERSION: u32 = 2;
 
 /// One pipeline phase: accumulated wall (or summed per-worker CPU) time
 /// plus the item count it processed and the derived throughput.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "bench diff reads run reports back"
+)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseReport {
     /// Phase name (`extract`, `group`, `model`, `decide`, `index`, …).
@@ -28,6 +32,10 @@ pub struct PhaseReport {
 }
 
 /// Per-(type, property) EM telemetry captured during interpretation.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "bench diff reads run reports back"
+)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EmGroupReport {
     /// Entity type name of the combination.
@@ -55,6 +63,10 @@ pub struct EmGroupReport {
 /// Serialized with `--report out.json`; the schema is stable per
 /// [`REPORT_VERSION`] so tooling (`bench diff`) can compare runs
 /// recorded by different builds.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "bench diff reads run reports back"
+)]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Schema version ([`REPORT_VERSION`] at write time).

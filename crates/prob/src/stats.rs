@@ -60,11 +60,6 @@ impl Summary {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (`inf` if empty).
     pub fn min(&self) -> f64 {
         self.min

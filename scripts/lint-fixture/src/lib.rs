@@ -6,6 +6,7 @@
 pub mod clock;
 pub mod expects;
 pub mod flow;
+pub mod json;
 pub mod locks;
 pub mod maps;
 pub mod testcode;

@@ -81,12 +81,14 @@ fn surveyor(kb: Arc<KnowledgeBase>, threads: usize) -> Surveyor {
     )
 }
 
-/// The serialized views that must survive the binary round trip.
-fn fingerprint(output: &SurveyorOutput, kb: &Arc<KnowledgeBase>) -> (String, String, String) {
+/// The views that must survive the binary round trip: the store JSON, the
+/// sorted evidence rows and the decisions.
+fn fingerprint(
+    output: &SurveyorOutput,
+    kb: &Arc<KnowledgeBase>,
+) -> impl PartialEq + std::fmt::Debug {
     let store = SubjectiveKb::from_output(output, kb).to_json();
-    let evidence = output.evidence.to_json();
-    let decisions = serde_json::to_string(&output.triples()).expect("triples serialize");
-    (store, evidence, decisions)
+    (store, output.evidence.to_entries(), output.triples())
 }
 
 /// Asserts the full save → load → re-save contract on one mined output.

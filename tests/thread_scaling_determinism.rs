@@ -7,8 +7,9 @@
 //! their serial counterparts.
 
 use std::sync::Arc;
+use surveyor::extract::{EvidenceEntry, ProvenanceTable};
 use surveyor::prelude::*;
-use surveyor::Fault;
+use surveyor::{Fault, OpinionTriple};
 use surveyor_corpus::CorpusGenerator;
 
 const SHARDS: usize = 8;
@@ -84,18 +85,22 @@ fn surveyor(kb: Arc<KnowledgeBase>, threads: usize) -> Surveyor {
     )
 }
 
-/// The three serialized views whose bytes must not depend on threading.
-fn fingerprint(output: &SurveyorOutput) -> (String, String, String) {
-    let evidence = output.evidence.to_json();
-    let provenance = serde_json::to_string(&output.provenance).expect("provenance serializes");
-    let decisions = serde_json::to_string(&output.triples()).expect("triples serialize");
-    (evidence, provenance, decisions)
+/// The sorted evidence rows, the provenance samples and the decisions.
+type Fingerprint = (Vec<EvidenceEntry>, ProvenanceTable, Vec<OpinionTriple>);
+
+/// The three views that must not depend on threading.
+fn fingerprint(output: &SurveyorOutput) -> Fingerprint {
+    (
+        output.evidence.to_entries(),
+        output.provenance.clone(),
+        output.triples(),
+    )
 }
 
 #[test]
 fn clean_runs_are_byte_identical_across_thread_counts() {
     let (kb, generator) = generator(17);
-    let mut reference: Option<(String, String, String)> = None;
+    let mut reference: Option<Fingerprint> = None;
     for threads in THREAD_COUNTS {
         let run = surveyor(kb.clone(), threads).run(&CorpusSource::new(&generator));
         assert!(run.evidence.total_statements() > 0);
@@ -140,7 +145,7 @@ fn chaos_runs_are_byte_identical_across_thread_counts() {
         .with(2, Fault::Transient { failures: 1 })
         .with(5, Fault::Permanent);
     let (kb, generator) = generator(17);
-    let mut reference: Option<(String, String, String)> = None;
+    let mut reference: Option<Fingerprint> = None;
     for threads in THREAD_COUNTS {
         let injector = FaultInjector::new(CorpusSource::new(&generator), plan.clone());
         let run = surveyor(kb.clone(), threads)
@@ -176,12 +181,10 @@ fn parallel_generation_is_byte_identical_to_serial() {
     let serial_text: Vec<_> = (0..generator.shard_count())
         .map(|s| generator.shard_text(s))
         .collect();
-    let serial_text_json = serde_json::to_string(&serial_text).expect("documents serialize");
     for threads in THREAD_COUNTS {
-        let text = generator.all_shards_text(threads);
         assert_eq!(
-            serial_text_json,
-            serde_json::to_string(&text).expect("documents serialize"),
+            serial_text,
+            generator.all_shards_text(threads),
             "raw documents differ at {threads} workers"
         );
     }
