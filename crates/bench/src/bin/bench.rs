@@ -8,45 +8,24 @@
 //! bench diff <current.json> <baseline.json>
 //! ```
 //!
-//! Each measuring subcommand writes one schema-validated artifact
-//! (`BENCH_<name>.json` unless `--out` says otherwise); `--quick` shrinks
-//! its workload for CI smoke tests. A gate that fails exits nonzero after
-//! the artifact is written, so the evidence survives.
-//!
-//! `scale` sweeps 1/2/4/8 worker threads, timing the generation,
-//! extraction, and model phases separately. `--assert-scaling` checks
-//! every phase's speedup curve against its per-phase target curve (see
-//! `surveyor_bench::scaling`) and embeds the verdict in the artifact under
-//! `assert_scaling`; `--scaling-tolerance T` overrides the default slack.
-//!
-//! `snapshot` times re-mining against `surveyor-wire` encode, container
-//! validation and load, and records a `byte_identical` round-trip verdict.
-//! `--assert-speedup X` fails when load is less than `X` times faster
-//! than re-mining or the round trip is not byte-identical;
-//! `--assert-validate-mb-s X` when container validation (framing + CRC)
-//! reads fewer than `X` MB/s.
-//!
-//! `serve` times `find_opinion` on the served store and on one with ten
-//! times the pairs, then drives a seeded chaos phase — malformed bytes,
-//! slowloris writes, disconnects, worker panics, concurrent
-//! corrupt-reload attempts — against a deliberately tight server.
-//! `--assert-chaos` fails unless every valid query answered correctly,
-//! every corrupt reload was rejected, the shed counter moved under
-//! overload and the shutdown was graceful; `--assert-lookup-flat` when
-//! the larger store's lookup reads more than 3x the smaller's.
-//!
-//! `incremental` measures delta ingestion against from-scratch mining:
-//! a delta-size sweep whose every update is paired with a from-scratch
-//! mine, a corpus-size sweep at fixed delta, 1/2/4/8-thread byte-identity,
-//! and a seeded chaos quarantine-then-replay check. `--assert-delta-scaling`
-//! fails unless the median paired ratio of every ≤10% delta is at least 5x
-//! and every byte-identity held.
+//! Each measuring subcommand writes one artifact (`BENCH_<name>.json`
+//! unless `--out` says otherwise): a typed record from
+//! `surveyor_bench::experiments`, whose function documents what it
+//! measures and whose methods are its gates — `scale_sweep`
+//! (`--assert-scaling`, the curves of `surveyor_bench::scaling`, with
+//! `--scaling-tolerance T` as the slack), `snapshot_bench`
+//! (`--assert-speedup`, `--assert-validate-mb-s`), `serve_bench`
+//! (`--assert-chaos`, `--assert-lookup-flat`) and `incremental_bench`
+//! (`--assert-delta-scaling`). `--quick` shrinks the workload for CI
+//! smoke tests. A gate that fails exits nonzero after the artifact is
+//! written, so the evidence survives.
 //!
 //! `diff` compares two run reports (`surveyor mine --report FILE`) phase
 //! by phase.
 
 #![forbid(unsafe_code)]
 
+use serde::Serialize as _;
 use serde_json::Value;
 use std::process::ExitCode;
 use surveyor::obs::RunReport;
@@ -83,8 +62,8 @@ impl Kind {
     }
 }
 
-/// A measuring subcommand: its default artifact, its own flags, the
-/// measurement and the artifact's schema check.
+/// A measuring subcommand: its default artifact, its own flags and the
+/// measurement.
 struct Command {
     name: &'static str,
     out: &'static str,
@@ -92,7 +71,6 @@ struct Command {
     /// Runs the measurement; returns the artifact and one message per
     /// gate that failed.
     run: fn(&Args) -> (Value, Vec<String>),
-    validate: fn(&Value) -> Result<(), String>,
 }
 
 const COMMANDS: &[Command] = &[
@@ -104,7 +82,6 @@ const COMMANDS: &[Command] = &[
             ("--scaling-tolerance", Kind::Fraction),
         ],
         run: scale,
-        validate: validate_scale_schema,
     },
     Command {
         name: "snapshot",
@@ -114,7 +91,6 @@ const COMMANDS: &[Command] = &[
             ("--assert-validate-mb-s", Kind::Positive),
         ],
         run: snapshot,
-        validate: validate_snapshot_schema,
     },
     Command {
         name: "serve",
@@ -124,14 +100,12 @@ const COMMANDS: &[Command] = &[
             ("--assert-lookup-flat", Kind::Switch),
         ],
         run: serve,
-        validate: validate_serve_schema,
     },
     Command {
         name: "incremental",
         out: "BENCH_incremental.json",
         flags: &[("--assert-delta-scaling", Kind::Switch)],
         run: incremental,
-        validate: validate_incremental_schema,
     },
 ];
 
@@ -237,13 +211,6 @@ fn main() -> ExitCode {
         }
     };
     let (value, failed) = (command.run)(&args);
-    if let Err(e) = (command.validate)(&value) {
-        eprintln!(
-            "internal error: {} artifact failed schema validation: {e}",
-            command.name
-        );
-        return ExitCode::FAILURE;
-    }
     if let Err(e) = surveyor_bench::write_artifact(&args.out, &value) {
         eprintln!("cannot write {}: {e}", args.out);
         return ExitCode::FAILURE;
@@ -284,364 +251,56 @@ fn diff(rest: &[String]) -> ExitCode {
 
 /// `bench scale`: the thread-scaling sweep behind `BENCH_scale.json`.
 fn scale(args: &Args) -> (Value, Vec<String>) {
-    let (text, mut value) = experiments::scale_sweep(&args.config, args.quick);
-    println!("{text}");
+    let mut artifact = experiments::scale_sweep(&args.config, args.quick);
+    println!("{artifact}");
     let mut failed = Vec::new();
     if args.switch("--assert-scaling") {
         let tolerance = (args.number("--scaling-tolerance")).unwrap_or(scaling::DEFAULT_TOLERANCE);
-        let verdict = scaling::evaluate(&value, tolerance);
-        println!("{}", scaling::render(&verdict));
-        if !scaling::passed(&verdict) {
+        let verdict = artifact.assert_scaling(tolerance);
+        println!("{}", verdict.render());
+        if !verdict.passed() {
             failed.push("assert-scaling: regression detected (see verdict above)".to_owned());
         }
-        if let Value::Object(obj) = &mut value {
-            obj.insert("assert_scaling".to_owned(), verdict);
-        }
     }
-    (value, failed)
+    (artifact.to_value(), failed)
 }
 
 /// `bench snapshot`: binary snapshot throughput behind `BENCH_snapshot.json`.
 fn snapshot(args: &Args) -> (Value, Vec<String>) {
-    let (text, value) = experiments::snapshot_bench(&args.config, args.quick);
-    println!("{text}");
-    let mut failed = Vec::new();
-    if let Some(floor) = args.number("--assert-speedup") {
-        let speedup = value["speedup_load_vs_remine"].as_f64().unwrap_or(0.0);
-        let identical = value["byte_identical"].as_bool() == Some(true);
-        if speedup < floor || !identical {
-            failed.push(format!(
-                "assert-speedup: failed (speedup {speedup:.1}x vs floor {floor:.1}x, \
-                 byte identical: {identical})"
-            ));
-        }
-    }
-    if let Some(floor) = args.number("--assert-validate-mb-s") {
-        let mb_s = value["validate_mb_s"].as_f64().unwrap_or(0.0);
-        if mb_s < floor {
-            failed.push(format!(
-                "assert-validate-mb-s: failed (container validation {mb_s:.0} MB/s \
-                 vs floor {floor:.0} MB/s)"
-            ));
-        }
-    }
-    (value, failed)
+    let artifact = experiments::snapshot_bench(&args.config, args.quick);
+    println!("{artifact}");
+    let failed = [
+        (args.number("--assert-speedup")).and_then(|floor| artifact.speedup_failure(floor)),
+        (args.number("--assert-validate-mb-s")).and_then(|floor| artifact.validate_failure(floor)),
+    ];
+    (artifact.to_value(), failed.into_iter().flatten().collect())
 }
 
 /// `bench serve`: the lookup row and the chaos phase behind
 /// `BENCH_serve.json`.
 fn serve(args: &Args) -> (Value, Vec<String>) {
-    let (text, value) = experiments::serve_bench(&args.config, args.quick);
-    println!("{text}");
-    let mut failed = Vec::new();
-    if args.switch("--assert-chaos") {
-        let chaos = &value["chaos"];
-        let all_valid = chaos["all_valid_answered"].as_bool() == Some(true);
-        let reloads_held = chaos["corrupt_reloads"].as_u64().unwrap_or(0) > 0
-            && chaos["corrupt_reloads"] == chaos["corrupt_reloads_rejected"];
-        let shed = chaos["overload"]["shed_503"].as_u64().unwrap_or(0) > 0;
-        let graceful = chaos["graceful_shutdown"].as_bool() == Some(true);
-        if !(all_valid && reloads_held && shed && graceful) {
-            failed.push(format!(
-                "assert-chaos: failed (valid answered: {all_valid}, corrupt reloads \
-                 rejected: {reloads_held}, shed under overload: {shed}, graceful \
-                 shutdown: {graceful})"
-            ));
-        }
-    }
-    if args.switch("--assert-lookup-flat") {
-        // A lookup costs what the entity's own opinions cost: on ten times
-        // the pairs it may read up to 3x (caches), where a scan over the
-        // store reads 10x.
-        let lookup = &value["lookup"];
-        let small = lookup["small"]["pairs"].as_u64().unwrap_or(0);
-        let large = lookup["large"]["pairs"].as_u64().unwrap_or(0);
-        let ratio = lookup["ratio"].as_f64().unwrap_or(f64::INFINITY);
-        if large < 10 * small || ratio > 3.0 {
-            failed.push(format!(
-                "assert-lookup-flat: failed (find_opinion at {large} pairs takes \
-                 {ratio:.2}x what it takes at {small} pairs; want <= 3x at >= 10x \
-                 the pairs)"
-            ));
-        }
-    }
-    (value, failed)
+    let artifact = experiments::serve_bench(&args.config, args.quick);
+    println!("{artifact}");
+    let failed = [
+        (args.switch("--assert-chaos"))
+            .then(|| artifact.chaos_failure())
+            .flatten(),
+        (args.switch("--assert-lookup-flat"))
+            .then(|| artifact.lookup_failure())
+            .flatten(),
+    ];
+    (artifact.to_value(), failed.into_iter().flatten().collect())
 }
 
 /// `bench incremental`: delta ingestion vs from-scratch mining behind
 /// `BENCH_incremental.json`.
 fn incremental(args: &Args) -> (Value, Vec<String>) {
-    let (text, value) = experiments::incremental_bench(&args.config, args.quick);
-    println!("{text}");
-    let mut failed = Vec::new();
-    if args.switch("--assert-delta-scaling") {
-        let rows = value["delta_sweep"].as_array().cloned().unwrap_or_default();
-        let all_identical = rows
-            .iter()
-            .all(|r| r["byte_identical"].as_bool() == Some(true));
-        let small_fast = rows
-            .iter()
-            .filter(|r| r["delta_fraction"].as_f64().unwrap_or(1.0) <= 0.101)
-            .all(|r| r["speedup_vs_scratch"].as_f64().unwrap_or(0.0) >= 5.0);
-        let threads_ok = value["determinism"]["byte_identical_all_threads"].as_bool() == Some(true);
-        let chaos_ok =
-            value["determinism"]["chaos"]["byte_identical_after_replay"].as_bool() == Some(true);
-        if !(all_identical && small_fast && threads_ok && chaos_ok) {
-            failed.push(format!(
-                "assert-delta-scaling: failed (byte identical: {all_identical}, \
-                 <=10% deltas >=5x: {small_fast}, identical across threads: \
-                 {threads_ok}, chaos replay converged: {chaos_ok})"
-            ));
-        }
-    }
-    (value, failed)
-}
-
-/// Checks the `BENCH_incremental.json` shape before anything is written
-/// (verify.sh greps these same keys as a second line of defense).
-fn validate_incremental_schema(value: &serde_json::Value) -> Result<(), String> {
-    for key in [
-        "schema_version",
-        "preset",
-        "seed",
-        "shards",
-        "rho",
-        "timing",
-    ] {
-        if value.get(key).is_none() {
-            return Err(format!("missing top-level key {key:?}"));
-        }
-    }
-    if value["schema_version"].as_u64() != Some(3) {
-        return Err("schema_version is not 3".to_owned());
-    }
-    if value["from_scratch_seconds"].as_f64().is_none() {
-        return Err("from_scratch_seconds is not a number".to_owned());
-    }
-    let deltas = value["delta_sweep"]
-        .as_array()
-        .ok_or_else(|| "delta_sweep is not an array".to_owned())?;
-    if deltas.is_empty() {
-        return Err("delta_sweep is empty".to_owned());
-    }
-    for row in deltas {
-        for key in [
-            "delta_shards",
-            "delta_fraction",
-            "scratch_seconds",
-            "update_seconds",
-            "load_ms",
-            "save_ms",
-            "speedup_vs_scratch",
-            "groups_total",
-            "groups_dirty",
-            "groups_carried",
-            "groups_refit",
-            "delta_pairs",
-            "delta_statements",
-        ] {
-            if row[key].as_f64().is_none() {
-                return Err(format!("delta_sweep row missing numeric {key:?}"));
-            }
-        }
-        if row["byte_identical"].as_bool().is_none() {
-            return Err("delta_sweep row missing boolean byte_identical".to_owned());
-        }
-    }
-    let corpora = value["corpus_sweep"]
-        .as_array()
-        .ok_or_else(|| "corpus_sweep is not an array".to_owned())?;
-    if corpora.is_empty() {
-        return Err("corpus_sweep is empty".to_owned());
-    }
-    for row in corpora {
-        for key in [
-            "shards",
-            "delta_shards",
-            "scratch_seconds",
-            "update_seconds",
-            "update_fraction_of_scratch",
-        ] {
-            if row[key].as_f64().is_none() {
-                return Err(format!("corpus_sweep row missing numeric {key:?}"));
-            }
-        }
-    }
-    let determinism = &value["determinism"];
-    if determinism["byte_identical_all_threads"]
-        .as_bool()
-        .is_none()
-    {
-        return Err("determinism.byte_identical_all_threads is not a boolean".to_owned());
-    }
-    let chaos = &determinism["chaos"];
-    if chaos["seed"].as_u64().is_none() {
-        return Err("determinism.chaos.seed is not a number".to_owned());
-    }
-    if chaos["byte_identical_after_replay"].as_bool().is_none() {
-        return Err("determinism.chaos.byte_identical_after_replay is not a boolean".to_owned());
-    }
-    Ok(())
-}
-
-/// Checks the `BENCH_serve.json` shape before anything is written
-/// (verify.sh greps these same keys as a second line of defense).
-fn validate_serve_schema(value: &serde_json::Value) -> Result<(), String> {
-    for key in ["schema_version", "preset", "seed", "shards", "associations"] {
-        if value.get(key).is_none() {
-            return Err(format!("missing top-level key {key:?}"));
-        }
-    }
-    if value["schema_version"].as_u64() != Some(2) {
-        return Err("schema_version is not 2".to_owned());
-    }
-    for size in ["small", "large"] {
-        for key in ["pairs", "find_opinion_ns"] {
-            if value["lookup"][size][key].as_f64().is_none() {
-                return Err(format!("lookup.{size}.{key} is not a number"));
-            }
-        }
-    }
-    if value["lookup"]["ratio"].as_f64().is_none() {
-        return Err("lookup.ratio is not a number".to_owned());
-    }
-    let chaos = &value["chaos"];
-    for key in [
-        "ops",
-        "valid_queries",
-        "valid_ok",
-        "malformed",
-        "slowloris",
-        "disconnects",
-        "corrupt_reloads",
-        "corrupt_reloads_rejected",
-        "panics_injected",
-    ] {
-        if chaos[key].as_u64().is_none() {
-            return Err(format!("chaos.{key} is not a number"));
-        }
-    }
-    for key in ["all_valid_answered", "accepted_reload", "graceful_shutdown"] {
-        if chaos[key].as_bool().is_none() {
-            return Err(format!("chaos.{key} is not a boolean"));
-        }
-    }
-    if chaos["overload"]["shed_503"].as_u64().is_none() {
-        return Err("chaos.overload.shed_503 is not a number".to_owned());
-    }
-    for key in ["shed", "reload_ok", "reload_rejected", "requests", "panics"] {
-        if chaos["metrics"][key].as_u64().is_none() {
-            return Err(format!("chaos.metrics.{key} is not a number"));
-        }
-    }
-    Ok(())
-}
-
-/// Checks the `BENCH_snapshot.json` shape before anything is written
-/// (verify.sh greps these same keys as a second line of defense).
-fn validate_snapshot_schema(value: &serde_json::Value) -> Result<(), String> {
-    for key in [
-        "schema_version",
-        "preset",
-        "seed",
-        "shards",
-        "timing",
-        "format_version",
-    ] {
-        if value.get(key).is_none() {
-            return Err(format!("missing top-level key {key:?}"));
-        }
-    }
-    if value["schema_version"].as_u64() != Some(1) {
-        return Err("schema_version is not 1".to_owned());
-    }
-    for key in [
-        "snapshot_bytes",
-        "remine_seconds",
-        "encode_seconds",
-        "encode_mb_s",
-        "validate_seconds",
-        "validate_mb_s",
-        "load_seconds",
-        "decode_mb_s",
-        "speedup_load_vs_remine",
-    ] {
-        if value[key].as_f64().is_none() {
-            return Err(format!("{key} is not a number"));
-        }
-    }
-    if value["byte_identical"].as_bool().is_none() {
-        return Err("byte_identical is not a boolean".to_owned());
-    }
-    // Header and frames account for the file: 16 bytes, then 16 per
-    // section before its payload.
-    let Some(sections) = value["section_bytes"].as_object() else {
-        return Err("section_bytes is not an object".to_owned());
-    };
-    let framed: Option<u64> = (sections.values())
-        .map(|len| len.as_u64().map(|len| 16 + len))
-        .sum();
-    if framed.map(|framed| 16 + framed) != value["snapshot_bytes"].as_u64() {
-        return Err("section_bytes do not add up to snapshot_bytes".to_owned());
-    }
-    Ok(())
-}
-
-/// Checks the `BENCH_scale.json` shape before anything is written, so a
-/// malformed artifact can never land on disk (verify.sh greps these same
-/// keys as a second line of defense).
-fn validate_scale_schema(value: &serde_json::Value) -> Result<(), String> {
-    for key in [
-        "schema_version",
-        "preset",
-        "seed",
-        "shards",
-        "documents",
-        "host_cpus",
-        "timing",
-    ] {
-        if value.get(key).is_none() {
-            return Err(format!("missing top-level key {key:?}"));
-        }
-    }
-    if value["schema_version"].as_u64() != Some(2) {
-        return Err("schema_version is not 2".to_owned());
-    }
-    for phase in ["generation", "extraction", "model"] {
-        let rows = value["phases"][phase]
-            .as_array()
-            .ok_or_else(|| format!("phases.{phase} is not an array"))?;
-        if rows.is_empty() {
-            return Err(format!("phases.{phase} is empty"));
-        }
-        for row in rows {
-            for key in ["threads", "seconds", "speedup"] {
-                if row[key].as_f64().is_none() {
-                    return Err(format!("phases.{phase} row missing numeric {key:?}"));
-                }
-            }
-        }
-    }
-    for key in [
-        "documents_identical",
-        "statements_identical",
-        "decided_pairs_identical",
-    ] {
-        if value["determinism"][key].as_bool().is_none() {
-            return Err(format!("determinism.{key} is not a boolean"));
-        }
-    }
-    if let Some(verdict) = value.get("assert_scaling") {
-        if verdict["verdict"].as_str().is_none() {
-            return Err("assert_scaling.verdict is not a string".to_owned());
-        }
-    }
-    for key in ["hits", "global_lookups", "hit_rate"] {
-        if value["intern_cache"][key].as_f64().is_none() {
-            return Err(format!("intern_cache.{key} is not a number"));
-        }
-    }
-    Ok(())
+    let artifact = experiments::incremental_bench(&args.config, args.quick);
+    println!("{artifact}");
+    let failed = (args.switch("--assert-delta-scaling"))
+        .then(|| artifact.delta_scaling_failure())
+        .flatten();
+    (artifact.to_value(), failed.into_iter().collect())
 }
 
 #[cfg(test)]

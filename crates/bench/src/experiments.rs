@@ -1,8 +1,14 @@
 //! One driver per paper artifact; each returns rendered text plus a JSON
-//! value for machine-readable archiving.
+//! value for machine-readable archiving. The `bench` measurements return a
+//! typed artifact instead: it renders its text (`Display`), serializes to
+//! the JSON it is archived as, and carries its gates as methods.
 
 use crate::render;
+use crate::scaling::{self, PhaseRow};
+use serde::Serialize;
 use serde_json::{json, Value};
+use std::collections::BTreeMap;
+use std::fmt;
 use std::time::Instant;
 use surveyor::nlp::{annotate, annotate_with, AnnotateScratch, Lexicon};
 use surveyor::prelude::*;
@@ -798,8 +804,20 @@ fn median(samples: &mut [f64]) -> f64 {
 }
 
 /// The timing-methodology block embedded in every bench artifact.
-fn timing_block(timed_runs: usize) -> Value {
-    json!({"warmup_runs": 1, "timed_runs": timed_runs, "statistic": "median"})
+#[derive(Debug, Default, Serialize)]
+struct Timing {
+    warmup_runs: usize,
+    timed_runs: usize,
+    statistic: &'static str,
+}
+
+/// One discarded warm-up run, then the median of `timed_runs`.
+fn timing(timed_runs: usize) -> Timing {
+    Timing {
+        warmup_runs: 1,
+        timed_runs,
+        statistic: "median",
+    }
 }
 
 /// FNV-1a fingerprint of a materialized corpus: folds every document's id,
@@ -815,11 +833,101 @@ fn fingerprint_shards(shards: &[Vec<surveyor_corpus::RawDocument>]) -> u64 {
     hash.finish()
 }
 
+/// `bench scale`'s artifact, `BENCH_scale.json` (`schema_version` 2): the
+/// sweep, plus the `assert_scaling` verdict once
+/// [`ScaleArtifact::assert_scaling`] has run — absent until then.
+pub struct ScaleArtifact {
+    sweep: ScaleSweep,
+    verdict: Option<scaling::Verdict>,
+}
+
+#[derive(Debug, Default, Serialize)]
+struct ScaleSweep {
+    schema_version: u32,
+    preset: &'static str,
+    background_per_type: usize,
+    seed: u64,
+    shards: usize,
+    documents: usize,
+    host_cpus: usize,
+    quick: bool,
+    timing: Timing,
+    phases: scaling::Phases,
+    determinism: ScaleDeterminism,
+    intern_cache: InternCache,
+}
+
+#[derive(Debug, Default, Serialize)]
+struct ScaleDeterminism {
+    documents_identical: bool,
+    statements_identical: bool,
+    decided_pairs_identical: bool,
+    document_fingerprints: Vec<u64>,
+    statements: Vec<u64>,
+    decided_pairs: Vec<u64>,
+}
+
+#[derive(Debug, Default, Serialize)]
+struct InternCache {
+    hits: u64,
+    global_lookups: u64,
+    hit_rate: f64,
+}
+
+impl ScaleArtifact {
+    /// Checks every phase curve against its target curve at `tolerance`
+    /// (see [`scaling`]) and keeps the verdict in the artifact.
+    pub fn assert_scaling(&mut self, tolerance: f64) -> &scaling::Verdict {
+        let sweep = &self.sweep;
+        (self.verdict).insert(scaling::evaluate(&sweep.phases, sweep.host_cpus, tolerance))
+    }
+}
+
+impl Serialize for ScaleArtifact {
+    fn to_value(&self) -> Value {
+        let mut value = self.sweep.to_value();
+        if let (Value::Object(artifact), Some(verdict)) = (&mut value, &self.verdict) {
+            artifact.insert("assert_scaling".to_owned(), verdict.to_value());
+        }
+        value
+    }
+}
+
+impl fmt::Display for ScaleArtifact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sweep = &self.sweep;
+        let rows: Vec<Vec<String>> = (sweep.phases.curves())
+            .flat_map(|(phase, _, rows)| rows.iter().map(move |row| (phase, row)))
+            .map(|(phase, row)| {
+                let (key, count) = row.produced;
+                vec![
+                    format!("{phase}, {} threads", row.threads),
+                    format!("{:.3}s", row.seconds),
+                    format!("{:.2}x", row.speedup),
+                    format!("{count} {}", key.replace('_', " ")),
+                ]
+            })
+            .collect();
+        let cache = &sweep.intern_cache;
+        write!(
+            f,
+            "Thread scaling — {} documents, {} shards, {} host CPUs\n{}\n\
+             intern cache: {} hits, {} global lookups ({:.1}% local)",
+            sweep.documents,
+            sweep.shards,
+            sweep.host_cpus,
+            render::table(&["Stage", "Median time", "Speedup", "Detail"], &rows),
+            cache.hits,
+            cache.global_lookups,
+            cache.hit_rate * 100.0,
+        )
+    }
+}
+
 /// `bench scale`: thread-scaling sweep over `table2_world` grown to ten
 /// times its entities per type (background 4,800; 60 with `quick`),
 /// timing the generation, extraction, and model phases separately at
-/// 1/2/4/8 workers — the numbers behind `BENCH_scale.json`
-/// (`schema_version` 2).
+/// 1/2/4/8 workers — the numbers behind `BENCH_scale.json`.
 ///
 /// Besides the speedup curves the artifact records `host_cpus` (speedup is
 /// bounded by physical parallelism — on a 1-CPU host every curve is flat
@@ -830,8 +938,8 @@ fn fingerprint_shards(shards: &[Vec<surveyor_corpus::RawDocument>]) -> u64 {
 /// global table.
 ///
 /// `quick` shrinks the corpus and run count so `scripts/verify.sh` can
-/// smoke-test the artifact schema in seconds.
-pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
+/// smoke-test the artifact in seconds.
+pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> ScaleArtifact {
     use std::sync::Arc;
     use surveyor::nlp::AnnotatedDocument;
     use surveyor::obs::MetricsRegistry;
@@ -877,34 +985,26 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         },
     );
     let lexicon = generator.lexicon();
+    // One curve row; the speedup is over the curve's first (1-thread) row.
+    let row = |curve: &[PhaseRow], threads, seconds: f64, produced| PhaseRow {
+        threads,
+        seconds,
+        speedup: curve.first().map_or(seconds, |first| first.seconds) / seconds,
+        produced,
+    };
 
     // Generation sweep: parallel corpus materialization at each worker
     // count. The last sweep's output (byte-identical across worker counts
     // by construction, cross-checked below) feeds the extraction source.
-    let mut rows = Vec::new();
     let mut generation = Vec::new();
     let mut document_fingerprints = Vec::new();
     let mut shards: Vec<Vec<RawDocument>> = Vec::new();
-    let mut generation_t1 = 0.0f64;
     for threads in thread_counts {
         let seconds;
         (seconds, shards) = timed(timed_runs, || generator.all_shards_text(threads));
-        if threads == 1 {
-            generation_t1 = seconds;
-        }
-        let speedup = generation_t1 / seconds;
         let docs: usize = shards.iter().map(Vec::len).sum();
         document_fingerprints.push(fingerprint_shards(&shards));
-        rows.push(vec![
-            format!("generation, {threads} threads"),
-            format!("{seconds:.2}s"),
-            format!("{speedup:.2}x"),
-            format!("{docs} documents"),
-        ]);
-        generation.push(json!({
-            "threads": threads, "seconds": seconds, "speedup": speedup,
-            "documents": docs,
-        }));
+        generation.push(row(&generation, threads, seconds, ("documents", docs)));
     }
     let documents: usize = shards.iter().map(Vec::len).sum();
     let source = RawShards {
@@ -918,33 +1018,19 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     let mut extraction = Vec::new();
     let mut statement_counts = Vec::new();
     let mut evidence = EvidenceTable::new();
-    let mut extraction_t1 = 0.0f64;
     for threads in thread_counts {
         let seconds;
         (seconds, evidence) = timed(timed_runs, || {
             run_sharded_full(&source, world.kb(), &extraction_config, threads).evidence
         });
-        if threads == 1 {
-            extraction_t1 = seconds;
-        }
-        let speedup = extraction_t1 / seconds;
         statement_counts.push(evidence.total_statements());
-        rows.push(vec![
-            format!("extraction, {threads} threads"),
-            format!("{seconds:.2}s"),
-            format!("{speedup:.2}x"),
-            format!("{} statements", evidence.total_statements()),
-        ]);
-        extraction.push(json!({
-            "threads": threads, "seconds": seconds, "speedup": speedup,
-            "statements": evidence.total_statements(),
-        }));
+        let statements = ("statements", evidence.total_statements() as usize);
+        extraction.push(row(&extraction, threads, seconds, statements));
     }
 
     // Model (interpretation) sweep over the same evidence.
     let mut model = Vec::new();
     let mut decided_counts = Vec::new();
-    let mut model_t1 = 0.0f64;
     for threads in thread_counts {
         let surveyor = Surveyor::new(
             world.kb().clone(),
@@ -956,26 +1042,9 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         );
         let (seconds, output) = timed(timed_runs, || surveyor.run_on_evidence(evidence.clone()));
         let decided = output.decided_pairs();
-        if threads == 1 {
-            model_t1 = seconds;
-        }
-        let speedup = model_t1 / seconds;
-        decided_counts.push(decided);
-        rows.push(vec![
-            format!("model, {threads} threads"),
-            format!("{seconds:.3}s"),
-            format!("{speedup:.2}x"),
-            format!("{decided} decided pairs"),
-        ]);
-        model.push(json!({
-            "threads": threads, "seconds": seconds, "speedup": speedup,
-            "decided_pairs": decided,
-        }));
+        decided_counts.push(decided as u64);
+        model.push(row(&model, threads, seconds, ("decided_pairs", decided)));
     }
-
-    let documents_identical = document_fingerprints.windows(2).all(|w| w[0] == w[1]);
-    let statements_identical = statement_counts.windows(2).all(|w| w[0] == w[1]);
-    let decided_identical = decided_counts.windows(2).all(|w| w[0] == w[1]);
 
     // One observed run surfaces the interner cache counters: steady-state
     // extraction is lock-free exactly when global lookups stay a small
@@ -991,48 +1060,137 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         &surveyor_extract::FailurePolicy::FailFast,
         Some(&registry),
     );
-    let cache_hits = registry.counter_value("extract.intern.cache_hits");
+    let hits = registry.counter_value("extract.intern.cache_hits");
     let global_lookups = registry.counter_value("extract.intern.global_lookups");
-    let hit_rate = if cache_hits + global_lookups > 0 {
-        cache_hits as f64 / (cache_hits + global_lookups) as f64
+    let hit_rate = if hits + global_lookups > 0 {
+        hits as f64 / (hits + global_lookups) as f64
     } else {
         0.0
     };
 
-    let text = format!(
-        "Thread scaling — {documents} documents, {num_shards} shards, {host_cpus} host CPUs\n{}\nintern cache: {cache_hits} hits, {global_lookups} global lookups ({:.1}% local)",
-        render::table(&["Stage", "Median time", "Speedup", "Detail"], &rows),
-        hit_rate * 100.0,
-    );
-    let value = json!({
-        "schema_version": 2,
-        "preset": "table2_world_sized",
-        "background_per_type": background_per_type,
-        "seed": cfg.seed, "shards": num_shards,
-        "documents": documents,
-        "host_cpus": host_cpus,
-        "quick": quick,
-        "timing": timing_block(timed_runs),
-        "phases": json!({
-            "generation": generation,
-            "extraction": extraction,
-            "model": model,
-        }),
-        "determinism": json!({
-            "documents_identical": documents_identical,
-            "statements_identical": statements_identical,
-            "decided_pairs_identical": decided_identical,
-            "document_fingerprints": document_fingerprints,
-            "statements": statement_counts,
-            "decided_pairs": decided_counts,
-        }),
-        "intern_cache": json!({
-            "hits": cache_hits,
-            "global_lookups": global_lookups,
-            "hit_rate": hit_rate,
-        }),
-    });
-    (text, value)
+    let identical = |counts: &[u64]| counts.windows(2).all(|w| w[0] == w[1]);
+    let sweep = ScaleSweep {
+        schema_version: 2,
+        preset: "table2_world_sized",
+        background_per_type,
+        seed: cfg.seed,
+        shards: num_shards,
+        documents,
+        host_cpus,
+        quick,
+        timing: timing(timed_runs),
+        phases: scaling::Phases([generation, extraction, model]),
+        determinism: ScaleDeterminism {
+            documents_identical: identical(&document_fingerprints),
+            statements_identical: identical(&statement_counts),
+            decided_pairs_identical: identical(&decided_counts),
+            document_fingerprints,
+            statements: statement_counts,
+            decided_pairs: decided_counts,
+        },
+        intern_cache: InternCache {
+            hits,
+            global_lookups,
+            hit_rate,
+        },
+    };
+    ScaleArtifact {
+        sweep,
+        verdict: None,
+    }
+}
+
+/// `bench snapshot`'s artifact, `BENCH_snapshot.json` (`schema_version` 1).
+#[derive(Debug, Default, Serialize)]
+pub struct SnapshotArtifact {
+    schema_version: u32,
+    preset: &'static str,
+    seed: u64,
+    shards: usize,
+    quick: bool,
+    timing: Timing,
+    snapshot_bytes: usize,
+    section_bytes: BTreeMap<String, u64>,
+    format_version: u16,
+    remine_seconds: f64,
+    encode_seconds: f64,
+    encode_mb_s: f64,
+    validate_seconds: f64,
+    validate_mb_s: f64,
+    load_seconds: f64,
+    decode_mb_s: f64,
+    speedup_load_vs_remine: f64,
+    byte_identical: bool,
+    statements: u64,
+    decided_pairs: usize,
+}
+
+impl SnapshotArtifact {
+    /// `--assert-speedup`: why the gate failed, unless loading was at
+    /// least `floor` times faster than re-mining and the round trip was
+    /// byte-identical.
+    pub fn speedup_failure(&self, floor: f64) -> Option<String> {
+        let (speedup, identical) = (self.speedup_load_vs_remine, self.byte_identical);
+        (speedup < floor || !identical).then(|| {
+            format!(
+                "assert-speedup: failed (speedup {speedup:.1}x vs floor {floor:.1}x, \
+                 byte identical: {identical})"
+            )
+        })
+    }
+
+    /// `--assert-validate-mb-s`: why the gate failed, unless container
+    /// validation read at least `floor` MB/s.
+    pub fn validate_failure(&self, floor: f64) -> Option<String> {
+        let mb_s = self.validate_mb_s;
+        (mb_s < floor).then(|| {
+            format!(
+                "assert-validate-mb-s: failed (container validation {mb_s:.0} MB/s \
+                 vs floor {floor:.0} MB/s)"
+            )
+        })
+    }
+}
+
+impl fmt::Display for SnapshotArtifact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rows = vec![
+            vec![
+                "re-mine".to_owned(),
+                format!("{:.3}s", self.remine_seconds),
+                format!("{} statements", self.statements),
+            ],
+            vec![
+                "encode".to_owned(),
+                format!("{:.4}s", self.encode_seconds),
+                format!(
+                    "{:.1} MB/s, {} bytes",
+                    self.encode_mb_s, self.snapshot_bytes
+                ),
+            ],
+            vec![
+                "validate".to_owned(),
+                format!("{:.5}s", self.validate_seconds),
+                format!("{:.1} MB/s (framing + CRC)", self.validate_mb_s),
+            ],
+            vec![
+                "load".to_owned(),
+                format!("{:.4}s", self.load_seconds),
+                format!("{:.1} MB/s (bytes -> output)", self.decode_mb_s),
+            ],
+            vec![
+                "speedup".to_owned(),
+                format!("{:.0}x", self.speedup_load_vs_remine),
+                format!("byte identical: {}", self.byte_identical),
+            ],
+        ];
+        write!(
+            f,
+            "Snapshot throughput — load vs re-mine (table2_world, {} shards)\n{}",
+            self.shards,
+            render::table(&["Stage", "Median time", "Detail"], &rows)
+        )
+    }
 }
 
 /// `bench snapshot`: binary snapshot throughput — the numbers behind
@@ -1048,8 +1206,8 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 /// is byte-identical (load → re-encode reproduces the input exactly).
 ///
 /// `quick` shrinks the corpus and run count so `scripts/verify.sh` can
-/// smoke-test the artifact schema in seconds.
-pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
+/// smoke-test the artifact in seconds.
+pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> SnapshotArtifact {
     let num_shards = if quick { 16 } else { 64 };
     let timed_runs = if quick { 3 } else { TIMED_RUNS };
 
@@ -1071,13 +1229,12 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     // Encode timings.
     let (encode_seconds, bytes) = timed(timed_runs, || surveyor::save_snapshot(&output));
     let megabytes = bytes.len() as f64 / (1024.0 * 1024.0);
-    let encode_mb_s = megabytes / encode_seconds.max(f64::EPSILON);
     // Where the bytes are: each section's payload, from the frame table.
-    let sections: serde_json::Map = surveyor::wire::SnapshotReader::new(&bytes)
+    let section_bytes = surveyor::wire::SnapshotReader::new(&bytes)
         .expect("own snapshot validates")
         .section_sizes()
         .into_iter()
-        .map(|(tag, len)| (tag.to_string(), json!(len)))
+        .map(|(tag, len)| (tag.to_string(), len))
         .collect();
 
     // Container validation: what a reader pays before the first record.
@@ -1091,14 +1248,11 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         }
     });
     let validate_seconds = validate_passes_seconds / f64::from(VALIDATE_PASSES);
-    let validate_mb_s = megabytes / validate_seconds.max(f64::EPSILON);
 
     // Load timings: bytes back to a full mined world.
     let (load_seconds, loaded) = timed(timed_runs, || {
         surveyor::load_snapshot(&bytes).expect("own snapshot decodes")
     });
-    let decode_mb_s = megabytes / load_seconds.max(f64::EPSILON);
-    let speedup = remine_seconds / load_seconds.max(f64::EPSILON);
 
     // Round-trip fidelity: the loaded world re-encodes to the exact same
     // bytes, and its queryable store is the same JSON.
@@ -1106,58 +1260,28 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         && surveyor::SubjectiveKb::from_output(&loaded, loaded.kb()).to_json()
             == surveyor::SubjectiveKb::from_output(&output, output.kb()).to_json();
 
-    let rows = vec![
-        vec![
-            "re-mine".to_owned(),
-            format!("{remine_seconds:.3}s"),
-            format!("{} statements", output.evidence.total_statements()),
-        ],
-        vec![
-            "encode".to_owned(),
-            format!("{encode_seconds:.4}s"),
-            format!("{:.1} MB/s, {} bytes", encode_mb_s, bytes.len()),
-        ],
-        vec![
-            "validate".to_owned(),
-            format!("{validate_seconds:.5}s"),
-            format!("{validate_mb_s:.1} MB/s (framing + CRC)"),
-        ],
-        vec![
-            "load".to_owned(),
-            format!("{load_seconds:.4}s"),
-            format!("{decode_mb_s:.1} MB/s (bytes -> output)"),
-        ],
-        vec![
-            "speedup".to_owned(),
-            format!("{speedup:.0}x"),
-            format!("byte identical: {byte_identical}"),
-        ],
-    ];
-    let text = format!(
-        "Snapshot throughput — load vs re-mine (table2_world, {num_shards} shards)\n{}",
-        render::table(&["Stage", "Median time", "Detail"], &rows)
-    );
-    let value = json!({
-        "schema_version": 1,
-        "preset": "table2_world", "seed": cfg.seed, "shards": num_shards,
-        "quick": quick,
-        "timing": timing_block(timed_runs),
-        "snapshot_bytes": bytes.len(),
-        "section_bytes": Value::Object(sections),
-        "format_version": surveyor::wire::FORMAT_VERSION,
-        "remine_seconds": remine_seconds,
-        "encode_seconds": encode_seconds,
-        "encode_mb_s": encode_mb_s,
-        "validate_seconds": validate_seconds,
-        "validate_mb_s": validate_mb_s,
-        "load_seconds": load_seconds,
-        "decode_mb_s": decode_mb_s,
-        "speedup_load_vs_remine": speedup,
-        "byte_identical": byte_identical,
-        "statements": output.evidence.total_statements(),
-        "decided_pairs": output.decided_pairs(),
-    });
-    (text, value)
+    SnapshotArtifact {
+        schema_version: 1,
+        preset: "table2_world",
+        seed: cfg.seed,
+        shards: num_shards,
+        quick,
+        timing: timing(timed_runs),
+        snapshot_bytes: bytes.len(),
+        section_bytes,
+        format_version: surveyor::wire::FORMAT_VERSION,
+        remine_seconds,
+        encode_seconds,
+        encode_mb_s: megabytes / encode_seconds.max(f64::EPSILON),
+        validate_seconds,
+        validate_mb_s: megabytes / validate_seconds.max(f64::EPSILON),
+        load_seconds,
+        decode_mb_s: megabytes / load_seconds.max(f64::EPSILON),
+        speedup_load_vs_remine: remine_seconds / load_seconds.max(f64::EPSILON),
+        byte_identical,
+        statements: output.evidence.total_statements(),
+        decided_pairs: output.decided_pairs(),
+    }
 }
 
 /// One HTTP/1.1 exchange against a bench server: connect, send `request`
@@ -1177,20 +1301,10 @@ fn http_exchange(addr: std::net::SocketAddr, request: &[u8]) -> Option<(u16, Str
     Some((status, reply))
 }
 
-/// `GET path` against a bench server.
-fn http_get(addr: std::net::SocketAddr, path: &str) -> Option<(u16, String)> {
-    http_exchange(
-        addr,
-        format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n").as_bytes(),
-    )
-}
-
-/// `POST path` against a bench server.
-fn http_post(addr: std::net::SocketAddr, path: &str) -> Option<(u16, String)> {
-    http_exchange(
-        addr,
-        format!("POST {path} HTTP/1.1\r\nHost: bench\r\n\r\n").as_bytes(),
-    )
+/// `method path` against a bench server.
+fn http(addr: std::net::SocketAddr, method: &str, path: &str) -> Option<(u16, String)> {
+    let request = format!("{method} {path} HTTP/1.1\r\nHost: bench\r\n\r\n");
+    http_exchange(addr, request.as_bytes())
 }
 
 /// `GET path` as a well-behaved client under chaos: honors the server's
@@ -1201,7 +1315,7 @@ fn http_post(addr: std::net::SocketAddr, path: &str) -> Option<(u16, String)> {
 fn http_get_patient(addr: std::net::SocketAddr, path: &str) -> Option<(u16, String)> {
     let mut last = None;
     for _ in 0..5 {
-        last = http_get(addr, path);
+        last = http(addr, "GET", path);
         match last {
             Some((503, _)) | Some((408, _)) | None => {
                 std::thread::sleep(std::time::Duration::from_millis(25));
@@ -1212,13 +1326,14 @@ fn http_get_patient(addr: std::net::SocketAddr, path: &str) -> Option<(u16, Stri
     last
 }
 
-/// Mean `SubjectiveKb::find_opinion` time, in nanoseconds, over a few
-/// stored pairs spread evenly across `store` and looked up many times
-/// over — few and fixed, so that stores of different sizes are probed
-/// with the same working set, one that fits the caches and the TLB, and
-/// what is compared is the lookup, not the memory behind it. Median of
-/// `TIMED_RUNS` timed runs after one warm-up run.
-fn mean_find_opinion_ns(store: &surveyor::SubjectiveKb) -> f64 {
+/// The pairs `store` holds and its mean `SubjectiveKb::find_opinion`
+/// time, in nanoseconds, over a few stored pairs spread evenly across it
+/// and looked up many times over — few and fixed, so that stores of
+/// different sizes are probed with the same working set, one that fits
+/// the caches and the TLB, and what is compared is the lookup, not the
+/// memory behind it. Median of `TIMED_RUNS` timed runs after one warm-up
+/// run.
+fn lookup_row(store: &surveyor::SubjectiveKb) -> LookupRow {
     const PROBES: usize = 256;
     const ROUNDS: usize = 64;
     let probes: Vec<(&str, &Property)> = store
@@ -1236,7 +1351,148 @@ fn mean_find_opinion_ns(store: &surveyor::SubjectiveKb) -> f64 {
             }
         }
     });
-    seconds * 1e9 / (ROUNDS * probes.len()) as f64
+    LookupRow {
+        pairs: store.len(),
+        find_opinion_ns: seconds * 1e9 / (ROUNDS * probes.len()) as f64,
+    }
+}
+
+/// `bench serve`'s artifact, `BENCH_serve.json` (`schema_version` 2).
+#[derive(Debug, Default, Serialize)]
+pub struct ServeArtifact {
+    schema_version: u32,
+    preset: &'static str,
+    seed: u64,
+    shards: usize,
+    quick: bool,
+    associations: usize,
+    targets: usize,
+    lookup: Lookup,
+    chaos: Chaos,
+}
+
+#[derive(Debug, Default, Serialize)]
+struct Lookup {
+    small: LookupRow,
+    large: LookupRow,
+    ratio: f64,
+}
+
+#[derive(Debug, Default, Serialize)]
+struct LookupRow {
+    pairs: usize,
+    find_opinion_ns: f64,
+}
+
+#[derive(Debug, Default, Serialize)]
+struct Chaos {
+    ops: usize,
+    valid_queries: usize,
+    valid_ok: usize,
+    all_valid_answered: bool,
+    malformed: usize,
+    slowloris: usize,
+    disconnects: usize,
+    corrupt_reloads: usize,
+    corrupt_reloads_rejected: usize,
+    panics_injected: usize,
+    overload: Overload,
+    accepted_reload: bool,
+    graceful_shutdown: bool,
+    metrics: ChaosMetrics,
+}
+
+#[derive(Debug, Default, Serialize)]
+struct Overload {
+    burst: usize,
+    shed_503: usize,
+}
+
+/// The chaos server's own counters, for cross-checking.
+#[derive(Debug, Default, Serialize)]
+struct ChaosMetrics {
+    requests: u64,
+    shed: u64,
+    panics: u64,
+    deadline_expired: u64,
+    malformed: u64,
+    disconnects: u64,
+    reload_ok: u64,
+    reload_rejected: u64,
+}
+
+impl ServeArtifact {
+    /// `--assert-chaos`: why the gate failed, unless every valid query was
+    /// answered correctly, every corrupt reload was rejected, the overload
+    /// burst was shed and the shutdown was graceful.
+    pub fn chaos_failure(&self) -> Option<String> {
+        let chaos = &self.chaos;
+        let all_valid = chaos.all_valid_answered;
+        let reloads_held =
+            chaos.corrupt_reloads > 0 && chaos.corrupt_reloads == chaos.corrupt_reloads_rejected;
+        let shed = chaos.overload.shed_503 > 0;
+        let graceful = chaos.graceful_shutdown;
+        (!(all_valid && reloads_held && shed && graceful)).then(|| {
+            format!(
+                "assert-chaos: failed (valid answered: {all_valid}, corrupt reloads \
+                 rejected: {reloads_held}, shed under overload: {shed}, graceful \
+                 shutdown: {graceful})"
+            )
+        })
+    }
+
+    /// `--assert-lookup-flat`: why the gate failed, unless the larger store
+    /// held at least ten times the pairs and its lookup read at most 3x
+    /// the smaller's. A lookup costs what the entity's own opinions cost:
+    /// on ten times the pairs it may read up to 3x (caches), where a scan
+    /// over the store reads 10x.
+    pub fn lookup_failure(&self) -> Option<String> {
+        let (small, large) = (self.lookup.small.pairs, self.lookup.large.pairs);
+        let ratio = self.lookup.ratio;
+        (large < 10 * small || ratio > 3.0).then(|| {
+            format!(
+                "assert-lookup-flat: failed (find_opinion at {large} pairs takes \
+                 {ratio:.2}x what it takes at {small} pairs; want <= 3x at >= 10x \
+                 the pairs)"
+            )
+        })
+    }
+}
+
+impl fmt::Display for ServeArtifact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (small, large) = (&self.lookup.small, &self.lookup.large);
+        let Chaos {
+            ops,
+            valid_queries,
+            valid_ok,
+            corrupt_reloads,
+            corrupt_reloads_rejected,
+            panics_injected,
+            overload,
+            accepted_reload,
+            graceful_shutdown,
+            ..
+        } = &self.chaos;
+        write!(
+            f,
+            "Serve — {} associations, {} query targets\n\
+             lookup: find_opinion {:.0} ns at {} pairs, {:.0} ns at {} pairs (ratio {:.2})\n\
+             chaos: {ops} ops — {valid_ok}/{valid_queries} valid queries answered correctly, \
+             {corrupt_reloads_rejected}/{corrupt_reloads} corrupt reloads rejected, \
+             {panics_injected} panics injected, {}/{} shed in overload burst, \
+             accepted reload: {accepted_reload}, graceful shutdown: {graceful_shutdown}",
+            self.associations,
+            self.targets,
+            small.find_opinion_ns,
+            small.pairs,
+            large.find_opinion_ns,
+            large.pairs,
+            self.lookup.ratio,
+            overload.shed_503,
+            overload.burst,
+        )
+    }
 }
 
 /// `bench serve`: the lookup row and chaos resilience of the query
@@ -1261,10 +1517,9 @@ fn mean_find_opinion_ns(store: &surveyor::SubjectiveKb) -> f64 {
 /// latency are the ledger's `serve_*` metrics, not this artifact's.
 ///
 /// `quick` shrinks the corpus and the chaos op count so
-/// `scripts/verify.sh` can smoke-test the artifact schema in seconds.
-pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
+/// `scripts/verify.sh` can smoke-test the artifact in seconds.
+pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> ServeArtifact {
     use std::io::Write as _;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
     use surveyor::obs::MetricsRegistry;
@@ -1297,7 +1552,7 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     let associations = state.store.len();
 
     // ---- Lookup row: the same world at 1x and 10x entities per type. ----
-    let lookup_small_ns = mean_find_opinion_ns(&state.store);
+    let small = lookup_row(&state.store);
     // `table2_world` has 20 curated + 480 background entities per type.
     let large_world = presets::table2_world_sized(cfg.seed, 10 * 500 - 20);
     let large_kb = large_world.kb().clone();
@@ -1313,10 +1568,9 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
             .run(&CorpusSource::new(&large_generator)),
         &large_kb,
     );
-    let lookup_large_pairs = large_store.len();
-    let lookup_large_ns = mean_find_opinion_ns(&large_store);
+    let large = lookup_row(&large_store);
     drop(large_store);
-    let lookup_ratio = lookup_large_ns / lookup_small_ns.max(f64::EPSILON);
+    let ratio = large.find_opinion_ns / small.find_opinion_ns.max(f64::EPSILON);
 
     // Query targets: every stored opinion, as a percent-encoded `/decide`
     // path plus the verdict the store will answer with. The expected bit
@@ -1385,28 +1639,26 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 
     let ops = if quick { 48 } else { 192 };
     let plan = FaultPlan::from_seed(cfg.seed, ops);
-    let valid_sent = AtomicUsize::new(0);
-    let valid_ok = AtomicUsize::new(0);
-    let malformed_sent = AtomicUsize::new(0);
-    let slowloris_sent = AtomicUsize::new(0);
-    let disconnects_sent = AtomicUsize::new(0);
-    let corrupt_reloads = AtomicUsize::new(0);
-    let corrupt_rejected = AtomicUsize::new(0);
-    let panics_injected = AtomicUsize::new(0);
+    // What the clients sent and saw, tallied straight into the artifact.
+    let tally = std::sync::Mutex::new(Chaos::default());
+    let count = |field: fn(&mut Chaos) -> &mut usize| {
+        *field(&mut tally.lock().expect("no chaos client panics")) += 1;
+    };
     std::thread::scope(|scope| {
         for worker in 0..4usize {
-            let plan = &plan;
-            let targets = &targets;
+            let (plan, targets, count) = (&plan, &targets, &count);
             let corrupt_route = corrupt_route.as_str();
-            let valid_sent = &valid_sent;
-            let valid_ok = &valid_ok;
-            let malformed_sent = &malformed_sent;
-            let slowloris_sent = &slowloris_sent;
-            let disconnects_sent = &disconnects_sent;
-            let corrupt_reloads = &corrupt_reloads;
-            let corrupt_rejected = &corrupt_rejected;
-            let panics_injected = &panics_injected;
             scope.spawn(move || {
+                // A valid query, whose verdict must match the store's.
+                let ask = |i: usize| {
+                    let (path, positive) = &targets[i % targets.len()];
+                    count(|c| &mut c.valid_queries);
+                    if let Some((200, body)) = http_get_patient(chaos_addr, path) {
+                        if body.contains(&format!("\"positive\": {positive}")) {
+                            count(|c| &mut c.valid_ok);
+                        }
+                    }
+                };
                 for i in (worker..ops).step_by(4) {
                     // The seeded plan decides most ops, but three classes
                     // are pinned to fixed op slots so every run exercises
@@ -1421,11 +1673,11 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
                     };
                     match fault {
                         Some(Fault::Panic) => {
-                            panics_injected.fetch_add(1, Ordering::Relaxed);
-                            let _ = http_post(chaos_addr, "/ctl/panic");
+                            count(|c| &mut c.panics_injected);
+                            let _ = http(chaos_addr, "POST", "/ctl/panic");
                         }
                         Some(Fault::Transient { failures }) => {
-                            malformed_sent.fetch_add(1, Ordering::Relaxed);
+                            count(|c| &mut c.malformed);
                             let junk = format!("GET /\u{1}bad op{i} x{failures}\r\n\r\n");
                             let _ = http_exchange(chaos_addr, junk.as_bytes());
                         }
@@ -1433,11 +1685,11 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
                             // Concurrent corrupt-reload attempt: must be
                             // rejected, and the very next valid query must
                             // still answer from the old index.
-                            corrupt_reloads.fetch_add(1, Ordering::Relaxed);
+                            count(|c| &mut c.corrupt_reloads);
                             for _ in 0..5 {
-                                match http_post(chaos_addr, corrupt_route) {
+                                match http(chaos_addr, "POST", corrupt_route) {
                                     Some((422, _)) => {
-                                        corrupt_rejected.fetch_add(1, Ordering::Relaxed);
+                                        count(|c| &mut c.corrupt_reloads_rejected);
                                         break;
                                     }
                                     // Shed or queue-expired: back off and
@@ -1448,18 +1700,12 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
                                     Some(_) => break,
                                 }
                             }
-                            let (path, positive) = &targets[i % targets.len()];
-                            valid_sent.fetch_add(1, Ordering::Relaxed);
-                            if let Some((200, body)) = http_get_patient(chaos_addr, path) {
-                                if body.contains(&format!("\"positive\": {positive}")) {
-                                    valid_ok.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
+                            ask(i);
                         }
                         Some(Fault::Slow { millis: 0 }) => {
                             // Slowloris: dribble a partial head, then hang
                             // up without ever finishing it.
-                            slowloris_sent.fetch_add(1, Ordering::Relaxed);
+                            count(|c| &mut c.slowloris);
                             if let Ok(mut s) = std::net::TcpStream::connect(chaos_addr) {
                                 let _ = s.write_all(b"GET /healthz HT");
                                 std::thread::sleep(Duration::from_millis(50));
@@ -1468,38 +1714,24 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
                         }
                         Some(Fault::Slow { .. }) => {
                             // Mid-request disconnect.
-                            disconnects_sent.fetch_add(1, Ordering::Relaxed);
+                            count(|c| &mut c.disconnects);
                             if let Ok(mut s) = std::net::TcpStream::connect(chaos_addr) {
                                 let _ = s.write_all(b"GET /decide/nobody");
                             }
                         }
-                        None => {
-                            let (path, positive) = &targets[i % targets.len()];
-                            valid_sent.fetch_add(1, Ordering::Relaxed);
-                            if let Some((200, body)) = http_get_patient(chaos_addr, path) {
-                                if body.contains(&format!("\"positive\": {positive}")) {
-                                    valid_ok.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
+                        None => ask(i),
                     }
                 }
             });
         }
     });
-    let valid_sent = valid_sent.into_inner();
-    let valid_ok = valid_ok.into_inner();
-    let malformed_sent = malformed_sent.into_inner();
-    let slowloris_sent = slowloris_sent.into_inner();
-    let disconnects_sent = disconnects_sent.into_inner();
-    let corrupt_reloads = corrupt_reloads.into_inner();
-    let corrupt_rejected = corrupt_rejected.into_inner();
-    let panics_injected = panics_injected.into_inner();
+    let tally = tally.into_inner().expect("no chaos client panics");
 
     // One valid reload must still be accepted after all that abuse.
     let accepted_reload = matches!(
-        http_post(
+        http(
             chaos_addr,
+            "POST",
             &format!(
                 "/ctl/reload?path={}",
                 percent_encode(valid_path.to_str().expect("utf8 temp path"))
@@ -1513,93 +1745,219 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     let burst = 24usize;
     let shed_503 = std::thread::scope(|scope| {
         let stallers: Vec<_> = (0..2)
-            .map(|_| scope.spawn(move || http_post(chaos_addr, "/ctl/stall?ms=600")))
+            .map(|_| scope.spawn(move || http(chaos_addr, "POST", "/ctl/stall?ms=600")))
             .collect();
         std::thread::sleep(Duration::from_millis(100));
-        let shed = AtomicUsize::new(0);
-        std::thread::scope(|inner| {
-            for _ in 0..burst {
-                let shed = &shed;
-                inner.spawn(move || {
-                    if let Some((503, reply)) = http_get(chaos_addr, "/healthz") {
-                        assert!(
-                            reply.contains("Retry-After:"),
-                            "shed reply lacks Retry-After"
-                        );
-                        shed.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
+        let clients: Vec<_> = (0..burst)
+            .map(|_| scope.spawn(move || http(chaos_addr, "GET", "/healthz")))
+            .collect();
+        let replies: Vec<_> = (clients.into_iter())
+            .filter_map(|client| client.join().expect("burst client"))
+            .collect();
         for s in stallers {
             let _ = s.join();
         }
-        shed.into_inner()
+        let shed: Vec<_> = replies
+            .iter()
+            .filter(|(status, _)| *status == 503)
+            .collect();
+        let told_when = shed.iter().all(|(_, reply)| reply.contains("Retry-After:"));
+        assert!(told_when, "shed reply lacks Retry-After");
+        shed.len()
     });
 
     // Graceful drain via the control route, then join every thread.
-    let graceful = matches!(http_post(chaos_addr, "/ctl/shutdown"), Some((200, _)));
+    let graceful = matches!(http(chaos_addr, "POST", "/ctl/shutdown"), Some((200, _)));
     chaos.join();
     let _ = std::fs::remove_file(&corrupt_path);
     let _ = std::fs::remove_file(&valid_path);
 
     let counter = |name: &str| chaos_registry.counter_value(name);
-    let chaos_metrics = json!({
-        "requests": counter("serve.requests"),
-        "shed": counter("serve.shed"),
-        "panics": counter("serve.panics"),
-        "deadline_expired": counter("serve.deadline_expired"),
-        "malformed": counter("serve.malformed"),
-        "disconnects": counter("serve.disconnects"),
-        "reload_ok": counter("serve.reload.ok"),
-        "reload_rejected": counter("serve.reload.rejected"),
-    });
+    let metrics = ChaosMetrics {
+        requests: counter("serve.requests"),
+        shed: counter("serve.shed"),
+        panics: counter("serve.panics"),
+        deadline_expired: counter("serve.deadline_expired"),
+        malformed: counter("serve.malformed"),
+        disconnects: counter("serve.disconnects"),
+        reload_ok: counter("serve.reload.ok"),
+        reload_rejected: counter("serve.reload.rejected"),
+    };
+    ServeArtifact {
+        schema_version: 2,
+        preset: "table2_world",
+        seed: cfg.seed,
+        shards: num_shards,
+        quick,
+        associations,
+        targets: targets.len(),
+        lookup: Lookup {
+            small,
+            large,
+            ratio,
+        },
+        chaos: Chaos {
+            ops,
+            all_valid_answered: tally.valid_queries > 0 && tally.valid_queries == tally.valid_ok,
+            overload: Overload { burst, shed_503 },
+            accepted_reload,
+            graceful_shutdown: graceful,
+            metrics,
+            ..tally
+        },
+    }
+}
 
-    let text = format!(
-        "Serve — {associations} associations, {} query targets\n\
-         lookup: find_opinion {lookup_small_ns:.0} ns at {associations} pairs, \
-         {lookup_large_ns:.0} ns at {lookup_large_pairs} pairs (ratio {lookup_ratio:.2})\n\
-         chaos: {ops} ops — {valid_ok}/{valid_sent} valid queries answered correctly, \
-         {}/{} corrupt reloads rejected, {} panics injected, \
-         {shed_503}/{burst} shed in overload burst, accepted reload: {accepted_reload}, \
-         graceful shutdown: {graceful}",
-        targets.len(),
-        corrupt_rejected,
-        corrupt_reloads,
-        panics_injected,
-    );
-    let all_valid_answered = valid_sent > 0 && valid_sent == valid_ok;
-    let value = json!({
-        "schema_version": 2,
-        "preset": "table2_world",
-        "seed": cfg.seed,
-        "shards": num_shards,
-        "quick": quick,
-        "associations": associations,
-        "targets": targets.len(),
-        "lookup": json!({
-            "small": json!({ "pairs": associations, "find_opinion_ns": lookup_small_ns }),
-            "large": json!({ "pairs": lookup_large_pairs, "find_opinion_ns": lookup_large_ns }),
-            "ratio": lookup_ratio,
-        }),
-        "chaos": json!({
-            "ops": ops,
-            "valid_queries": valid_sent,
-            "valid_ok": valid_ok,
-            "all_valid_answered": all_valid_answered,
-            "malformed": malformed_sent,
-            "slowloris": slowloris_sent,
-            "disconnects": disconnects_sent,
-            "corrupt_reloads": corrupt_reloads,
-            "corrupt_reloads_rejected": corrupt_rejected,
-            "panics_injected": panics_injected,
-            "overload": json!({ "burst": burst, "shed_503": shed_503 }),
-            "accepted_reload": accepted_reload,
-            "graceful_shutdown": graceful,
-            "metrics": chaos_metrics,
-        }),
-    });
-    (text, value)
+/// `bench incremental`'s artifact, `BENCH_incremental.json`
+/// (`schema_version` 3).
+#[derive(Debug, Default, Serialize)]
+pub struct IncrementalArtifact {
+    schema_version: u32,
+    preset: &'static str,
+    seed: u64,
+    shards: usize,
+    rho: u64,
+    quick: bool,
+    timing: Timing,
+    from_scratch_seconds: f64,
+    delta_sweep: Vec<DeltaRow>,
+    corpus_sweep: Vec<CorpusRow>,
+    determinism: IncrementalDeterminism,
+}
+
+/// One delta size: the last `delta_shards` shards ingested into a base
+/// mined from the rest.
+#[derive(Debug, Default, Serialize)]
+struct DeltaRow {
+    delta_shards: usize,
+    delta_fraction: f64,
+    scratch_seconds: f64,
+    update_seconds: f64,
+    load_ms: f64,
+    save_ms: f64,
+    speedup_vs_scratch: f64,
+    byte_identical: bool,
+    groups_total: usize,
+    groups_dirty: usize,
+    groups_carried: usize,
+    groups_refit: usize,
+    delta_pairs: usize,
+    delta_statements: u64,
+}
+
+/// One corpus size under the fixed delta.
+#[derive(Debug, Default, Serialize)]
+struct CorpusRow {
+    shards: usize,
+    delta_shards: usize,
+    scratch_seconds: f64,
+    update_seconds: f64,
+    update_fraction_of_scratch: f64,
+}
+
+#[derive(Debug, Default, Serialize)]
+struct IncrementalDeterminism {
+    threads: Vec<usize>,
+    byte_identical_all_threads: bool,
+    chaos: ChaosReplay,
+}
+
+#[derive(Debug, Default, Serialize)]
+struct ChaosReplay {
+    seed: u64,
+    quarantined_shards: Vec<usize>,
+    byte_identical_after_replay: bool,
+}
+
+impl IncrementalArtifact {
+    /// `--assert-delta-scaling`: why the gate failed, unless every sweep
+    /// row was byte-identical, every delta of at most 10 % of the corpus
+    /// read a median paired ratio of at least 5x, and the thread and
+    /// chaos-replay identities held.
+    pub fn delta_scaling_failure(&self) -> Option<String> {
+        let rows = &self.delta_sweep;
+        let all_identical = rows.iter().all(|row| row.byte_identical);
+        let small_fast = (rows.iter())
+            .filter(|row| row.delta_shards * 10 <= self.shards)
+            .all(|row| row.speedup_vs_scratch >= 5.0);
+        let threads_ok = self.determinism.byte_identical_all_threads;
+        let chaos_ok = self.determinism.chaos.byte_identical_after_replay;
+        (!(all_identical && small_fast && threads_ok && chaos_ok)).then(|| {
+            format!(
+                "assert-delta-scaling: failed (byte identical: {all_identical}, \
+                 <=10% deltas >=5x: {small_fast}, identical across threads: \
+                 {threads_ok}, chaos replay converged: {chaos_ok})"
+            )
+        })
+    }
+}
+
+impl fmt::Display for IncrementalArtifact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let sweep: Vec<Vec<String>> = (self.delta_sweep.iter())
+            .map(|row| {
+                vec![
+                    format!("{}/{}", row.delta_shards, self.shards),
+                    format!("{:.0}%", row.delta_fraction * 100.0),
+                    format!("{:.3}s", row.scratch_seconds),
+                    format!("{:.3}s", row.update_seconds),
+                    format!("{:.1}ms", row.load_ms),
+                    format!("{:.1}ms", row.save_ms),
+                    format!("{:.1}x", row.speedup_vs_scratch),
+                    format!(
+                        "{}/{} refit, {} carried",
+                        row.groups_refit, row.groups_total, row.groups_carried
+                    ),
+                    row.byte_identical.to_string(),
+                ]
+            })
+            .collect();
+        let corpus: Vec<Vec<String>> = (self.corpus_sweep.iter())
+            .map(|row| {
+                vec![
+                    row.shards.to_string(),
+                    row.delta_shards.to_string(),
+                    format!("{:.3}s", row.scratch_seconds),
+                    format!("{:.3}s", row.update_seconds),
+                    format!("{:.2}", row.update_fraction_of_scratch),
+                ]
+            })
+            .collect();
+        let fixed_delta = self.corpus_sweep.first().map_or(0, |row| row.delta_shards);
+        let (determinism, chaos) = (&self.determinism, &self.determinism.chaos);
+        write!(
+            f,
+            "Incremental mining — update vs from-scratch (long_tail_world, {} shards, \
+             from-scratch {:.3}s)\n{}\n\
+             Fixed {fixed_delta}-shard delta against growing corpora\n{}\n\
+             byte-identical at 1/2/4/8 threads: {}\n\
+             chaos replay (seed {}, quarantined {:?}) -> clean bytes: {}",
+            self.shards,
+            self.from_scratch_seconds,
+            render::table(
+                &[
+                    "Delta",
+                    "Fraction",
+                    "Scratch",
+                    "Update",
+                    "Load",
+                    "Save",
+                    "Speedup",
+                    "Groups",
+                    "Identical"
+                ],
+                &sweep
+            ),
+            render::table(
+                &["Shards", "Delta", "Scratch", "Update", "Update/scratch"],
+                &corpus
+            ),
+            determinism.byte_identical_all_threads,
+            chaos.seed,
+            chaos.quarantined_shards,
+            chaos.byte_identical_after_replay,
+        )
+    }
 }
 
 /// `bench incremental`: delta-ingestion cost vs from-scratch mining,
@@ -1625,7 +1983,7 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
 /// 4. **Chaos replay** — a base mined under seeded fault injection
 ///    quarantines shards into the replay queue; updating it (delta plus
 ///    replay) converges bit-for-bit to the clean from-scratch bytes.
-pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
+pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> IncrementalArtifact {
     use surveyor::wire::IncrementalState;
     use surveyor::WarmStart;
 
@@ -1707,8 +2065,7 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
     // rest. Every timed update runs right after a timed from-scratch mine
     // of the whole corpus, and a row's speedup is the median of those
     // paired ratios: a stretch of a slow host slows both sides of a pair.
-    let mut delta_rows = Vec::new();
-    let mut sweep_table = Vec::new();
+    let mut delta_sweep = Vec::new();
     let mut scratch_samples = Vec::new();
     for &d in &delta_sizes {
         let base_shards = num_shards - d;
@@ -1746,45 +2103,29 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
             surveyor::save_snapshot_with_state(&outcome.output, &state(num_shards))
         });
         let stats = outcome.stats;
-        sweep_table.push(vec![
-            format!("{d}/{num_shards}"),
-            format!("{:.0}%", d as f64 / num_shards as f64 * 100.0),
-            format!("{scratch_seconds:.3}s"),
-            format!("{update_seconds:.3}s"),
-            format!("{:.1}ms", load_seconds * 1e3),
-            format!("{:.1}ms", save_seconds * 1e3),
-            format!("{speedup:.1}x"),
-            format!(
-                "{}/{} refit, {} carried",
-                stats.groups_refit, stats.groups_total, stats.groups_carried
-            ),
-            byte_identical.to_string(),
-        ]);
-        delta_rows.push(json!({
-            "delta_shards": d,
-            "delta_fraction": d as f64 / num_shards as f64,
-            "scratch_seconds": scratch_seconds,
-            "update_seconds": update_seconds,
-            "load_ms": load_seconds * 1e3,
-            "save_ms": save_seconds * 1e3,
-            "speedup_vs_scratch": speedup,
-            "byte_identical": byte_identical,
-            "groups_total": stats.groups_total,
-            "groups_dirty": stats.groups_dirty,
-            "groups_carried": stats.groups_carried,
-            "groups_refit": stats.groups_refit,
-            "delta_pairs": stats.delta_pairs,
-            "delta_statements": stats.delta_statements,
-        }));
+        delta_sweep.push(DeltaRow {
+            delta_shards: d,
+            delta_fraction: d as f64 / num_shards as f64,
+            scratch_seconds,
+            update_seconds,
+            load_ms: load_seconds * 1e3,
+            save_ms: save_seconds * 1e3,
+            speedup_vs_scratch: speedup,
+            byte_identical,
+            groups_total: stats.groups_total,
+            groups_dirty: stats.groups_dirty,
+            groups_carried: stats.groups_carried,
+            groups_refit: stats.groups_refit,
+            delta_pairs: stats.delta_pairs,
+            delta_statements: stats.delta_statements,
+        });
     }
-    let scratch_seconds = median(&mut scratch_samples);
 
     // (2) Corpus sweep: the same absolute delta against growing corpora.
     // Each corpus size is its own world realization (shard contents
     // depend on the shard count), so times are comparable only within a
     // row — which is the point: scratch grows, update does not.
-    let mut corpus_rows = Vec::new();
-    let mut corpus_table = Vec::new();
+    let mut corpus_sweep = Vec::new();
     for n in [num_shards / 4, num_shards / 2, num_shards] {
         let generator_n = make_generator(n);
         let (scratch_n, _) = timed(timed_runs, || {
@@ -1794,20 +2135,13 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         let (update_n, _) = median_of(timed_runs, || {
             time_update(&generator_n, &base, n - fixed_delta, n)
         });
-        corpus_table.push(vec![
-            format!("{n}"),
-            format!("{fixed_delta}"),
-            format!("{scratch_n:.3}s"),
-            format!("{update_n:.3}s"),
-            format!("{:.2}", update_n / scratch_n.max(f64::EPSILON)),
-        ]);
-        corpus_rows.push(json!({
-            "shards": n,
-            "delta_shards": fixed_delta,
-            "scratch_seconds": scratch_n,
-            "update_seconds": update_n,
-            "update_fraction_of_scratch": update_n / scratch_n.max(f64::EPSILON),
-        }));
+        corpus_sweep.push(CorpusRow {
+            shards: n,
+            delta_shards: fixed_delta,
+            scratch_seconds: scratch_n,
+            update_seconds: update_n,
+            update_fraction_of_scratch: update_n / scratch_n.max(f64::EPSILON),
+        });
     }
 
     // (3) Thread determinism: scratch and update must hit the reference
@@ -1879,54 +2213,27 @@ pub fn incremental_bench(cfg: &ReproConfig, quick: bool) -> (String, Value) {
         .expect("replay update");
     let byte_identical_after_replay = surveyor::save_snapshot(&replayed.output) == scratch_bytes;
 
-    let text = format!(
-        "Incremental mining — update vs from-scratch (long_tail_world, {num_shards} shards, \
-         from-scratch {scratch_seconds:.3}s)\n{}\n\
-         Fixed {fixed_delta}-shard delta against growing corpora\n{}\n\
-         byte-identical at 1/2/4/8 threads: {byte_identical_all_threads}\n\
-         chaos replay (seed {chaos_seed}, quarantined {quarantined:?}) -> clean bytes: \
-         {byte_identical_after_replay}",
-        render::table(
-            &[
-                "Delta",
-                "Fraction",
-                "Scratch",
-                "Update",
-                "Load",
-                "Save",
-                "Speedup",
-                "Groups",
-                "Identical"
-            ],
-            &sweep_table
-        ),
-        render::table(
-            &["Shards", "Delta", "Scratch", "Update", "Update/scratch"],
-            &corpus_table
-        ),
-    );
-    let value = json!({
-        "schema_version": 3,
-        "preset": "long_tail_world",
-        "seed": cfg.seed,
-        "shards": num_shards,
-        "rho": rho,
-        "quick": quick,
-        "timing": timing_block(timed_runs),
-        "from_scratch_seconds": scratch_seconds,
-        "delta_sweep": delta_rows,
-        "corpus_sweep": corpus_rows,
-        "determinism": json!({
-            "threads": threads.to_vec(),
-            "byte_identical_all_threads": byte_identical_all_threads,
-            "chaos": json!({
-                "seed": chaos_seed,
-                "quarantined_shards": quarantined,
-                "byte_identical_after_replay": byte_identical_after_replay,
-            }),
-        }),
-    });
-    (text, value)
+    IncrementalArtifact {
+        schema_version: 3,
+        preset: "long_tail_world",
+        seed: cfg.seed,
+        shards: num_shards,
+        rho,
+        quick,
+        timing: timing(timed_runs),
+        from_scratch_seconds: median(&mut scratch_samples),
+        delta_sweep,
+        corpus_sweep,
+        determinism: IncrementalDeterminism {
+            threads: threads.to_vec(),
+            byte_identical_all_threads,
+            chaos: ChaosReplay {
+                seed: chaos_seed,
+                quarantined_shards: quarantined,
+                byte_identical_after_replay,
+            },
+        },
+    }
 }
 
 #[cfg(test)]
@@ -1970,5 +2277,263 @@ mod tests {
         let (text, value) = table2(&tiny());
         assert!(text.contains("animal"));
         assert_eq!(value.as_array().unwrap().len(), 5);
+    }
+
+    /// Every key path of a JSON value, arrays flattened to `[]`.
+    fn key_paths(value: &Value) -> std::collections::BTreeSet<String> {
+        fn walk(value: &Value, path: &str, out: &mut std::collections::BTreeSet<String>) {
+            let children: Vec<(String, &Value)> = match value {
+                Value::Object(obj) => (obj.iter())
+                    .map(|(key, child)| (format!("{path}.{key}"), child))
+                    .collect(),
+                Value::Array(items) => (items.iter())
+                    .map(|child| (format!("{path}[]"), child))
+                    .collect(),
+                _ => Vec::new(),
+            };
+            for (path, child) in children {
+                walk(child, &path, out);
+                out.insert(path);
+            }
+        }
+        let mut out = std::collections::BTreeSet::new();
+        walk(value, "", &mut out);
+        out
+    }
+
+    /// The committed `BENCH_<name>.json` at the repository root.
+    fn committed(name: &str) -> Value {
+        let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+        let json = std::fs::read_to_string(&path).unwrap();
+        serde_json::from_str(&json).unwrap()
+    }
+
+    fn snapshot_at(speedup: f64, validate_mb_s: f64, byte_identical: bool) -> SnapshotArtifact {
+        SnapshotArtifact {
+            speedup_load_vs_remine: speedup,
+            validate_mb_s,
+            byte_identical,
+            ..SnapshotArtifact::default()
+        }
+    }
+
+    #[test]
+    fn assert_speedup_passes_at_its_floor_and_needs_byte_identity() {
+        assert_eq!(snapshot_at(5.0, 0.0, true).speedup_failure(5.0), None);
+        assert_eq!(
+            snapshot_at(4.99, 0.0, true).speedup_failure(5.0).unwrap(),
+            "assert-speedup: failed (speedup 5.0x vs floor 5.0x, byte identical: true)"
+        );
+        let failure = snapshot_at(5.0, 0.0, false).speedup_failure(5.0).unwrap();
+        assert!(failure.ends_with("byte identical: false)"), "{failure}");
+    }
+
+    #[test]
+    fn assert_validate_mb_s_passes_at_its_floor() {
+        assert_eq!(snapshot_at(0.0, 400.0, true).validate_failure(400.0), None);
+        assert_eq!(
+            snapshot_at(0.0, 399.0, true)
+                .validate_failure(400.0)
+                .unwrap(),
+            "assert-validate-mb-s: failed (container validation 399 MB/s vs floor 400 MB/s)"
+        );
+    }
+
+    fn lookup(small: usize, large: usize, ratio: f64) -> ServeArtifact {
+        let row = |pairs| LookupRow {
+            pairs,
+            find_opinion_ns: 100.0,
+        };
+        ServeArtifact {
+            lookup: Lookup {
+                small: row(small),
+                large: row(large),
+                ratio,
+            },
+            ..ServeArtifact::default()
+        }
+    }
+
+    #[test]
+    fn assert_lookup_flat_allows_3x_on_10x_the_pairs() {
+        assert_eq!(lookup(100, 1000, 3.0).lookup_failure(), None);
+        assert!(lookup(100, 1000, 3.01).lookup_failure().is_some());
+        // Flat over too small a store shows nothing.
+        assert!(lookup(100, 999, 1.0).lookup_failure().is_some());
+    }
+
+    /// A serve artifact whose chaos phase passes its gate.
+    fn clean_chaos() -> ServeArtifact {
+        ServeArtifact {
+            chaos: Chaos {
+                all_valid_answered: true,
+                corrupt_reloads: 3,
+                corrupt_reloads_rejected: 3,
+                overload: Overload {
+                    burst: 24,
+                    shed_503: 1,
+                },
+                graceful_shutdown: true,
+                ..Chaos::default()
+            },
+            ..ServeArtifact::default()
+        }
+    }
+
+    #[test]
+    fn assert_chaos_fails_on_each_of_its_four_bits() {
+        assert_eq!(clean_chaos().chaos_failure(), None);
+        let fails_on = |break_it: fn(&mut Chaos), bit: &str| {
+            let mut artifact = clean_chaos();
+            break_it(&mut artifact.chaos);
+            let failure = artifact.chaos_failure().unwrap();
+            assert!(failure.contains(bit), "{failure} lacks {bit}");
+        };
+        fails_on(|c| c.all_valid_answered = false, "valid answered: false");
+        fails_on(|c| c.corrupt_reloads_rejected = 2, "rejected: false");
+        // No corrupt reload tried is no reload held.
+        fails_on(
+            |c| (c.corrupt_reloads, c.corrupt_reloads_rejected) = (0, 0),
+            "rejected: false",
+        );
+        fails_on(|c| c.overload.shed_503 = 0, "shed under overload: false");
+        fails_on(|c| c.graceful_shutdown = false, "graceful shutdown: false");
+    }
+
+    /// An incremental artifact over `shards` shards whose identities all
+    /// held, one sweep row per `(delta_shards, speedup)`.
+    fn delta_sweep(shards: usize, rows: &[(usize, f64)]) -> IncrementalArtifact {
+        IncrementalArtifact {
+            shards,
+            delta_sweep: (rows.iter())
+                .map(|&(delta_shards, speedup_vs_scratch)| DeltaRow {
+                    delta_shards,
+                    speedup_vs_scratch,
+                    byte_identical: true,
+                    ..DeltaRow::default()
+                })
+                .collect(),
+            determinism: IncrementalDeterminism {
+                byte_identical_all_threads: true,
+                chaos: ChaosReplay {
+                    byte_identical_after_replay: true,
+                    ..ChaosReplay::default()
+                },
+                ..IncrementalDeterminism::default()
+            },
+            ..IncrementalArtifact::default()
+        }
+    }
+
+    #[test]
+    fn assert_delta_scaling_gates_the_deltas_of_at_most_ten_percent() {
+        // 5, 10, 20 and 50 % of 40 shards, and of 20: the two larger rows
+        // are reported, not gated.
+        let passing = delta_sweep(40, &[(2, 5.0), (4, 5.0), (8, 1.0), (20, 1.0)]);
+        assert_eq!(passing.delta_scaling_failure(), None);
+        let slow = delta_sweep(40, &[(2, 5.0), (4, 4.99), (8, 1.0), (20, 1.0)]);
+        let failure = slow.delta_scaling_failure().unwrap();
+        assert!(failure.contains("<=10% deltas >=5x: false"), "{failure}");
+        assert_eq!(
+            delta_sweep(20, &[(1, 5.0), (2, 5.0), (4, 1.0)]).delta_scaling_failure(),
+            None
+        );
+        assert!(delta_sweep(20, &[(1, 5.0), (2, 4.99)])
+            .delta_scaling_failure()
+            .is_some());
+    }
+
+    #[test]
+    fn assert_delta_scaling_fails_on_each_identity_bit() {
+        let fails_on = |break_it: fn(&mut IncrementalArtifact), bit: &str| {
+            let mut artifact = delta_sweep(40, &[(2, 9.0), (4, 6.0)]);
+            break_it(&mut artifact);
+            let failure = artifact.delta_scaling_failure().unwrap();
+            assert!(failure.contains(bit), "{failure} lacks {bit}");
+        };
+        fails_on(
+            |a| a.delta_sweep[1].byte_identical = false,
+            "(byte identical: false",
+        );
+        fails_on(
+            |a| a.determinism.byte_identical_all_threads = false,
+            "identical across threads: false",
+        );
+        fails_on(
+            |a| a.determinism.chaos.byte_identical_after_replay = false,
+            "chaos replay converged: false",
+        );
+    }
+
+    #[test]
+    fn scale_artifact_has_the_committed_key_paths() {
+        let row = |produced| PhaseRow {
+            threads: 1,
+            seconds: 1.0,
+            speedup: 1.0,
+            produced: (produced, 1),
+        };
+        let mut artifact = ScaleArtifact {
+            sweep: ScaleSweep {
+                phases: scaling::Phases(
+                    ["documents", "statements", "decided_pairs"]
+                        .map(|produced| vec![row(produced)]),
+                ),
+                determinism: ScaleDeterminism {
+                    document_fingerprints: vec![0],
+                    statements: vec![0],
+                    decided_pairs: vec![0],
+                    ..ScaleDeterminism::default()
+                },
+                ..ScaleSweep::default()
+            },
+            verdict: None,
+        };
+        let mut committed = committed("scale");
+        let with_verdict = key_paths(&committed);
+        // The verdict is there only when the gate ran.
+        if let Value::Object(obj) = &mut committed {
+            obj.remove("assert_scaling").unwrap();
+        }
+        assert_eq!(key_paths(&artifact.to_value()), key_paths(&committed));
+        // Every phase's `worst` is an object, not `null`: the committed
+        // full-size run keeps every row above the noise floor, as the 1 s
+        // rows here are.
+        artifact.assert_scaling(scaling::DEFAULT_TOLERANCE);
+        assert_eq!(key_paths(&artifact.to_value()), with_verdict);
+    }
+
+    #[test]
+    fn snapshot_artifact_has_the_committed_key_paths() {
+        let artifact = SnapshotArtifact {
+            section_bytes: (surveyor::wire::CANONICAL_ORDER.iter())
+                .map(|tag| (tag.to_string(), 0))
+                .collect(),
+            ..SnapshotArtifact::default()
+        };
+        assert_eq!(
+            key_paths(&artifact.to_value()),
+            key_paths(&committed("snapshot"))
+        );
+    }
+
+    #[test]
+    fn serve_artifact_has_the_committed_key_paths() {
+        assert_eq!(
+            key_paths(&ServeArtifact::default().to_value()),
+            key_paths(&committed("serve"))
+        );
+    }
+
+    #[test]
+    fn incremental_artifact_has_the_committed_key_paths() {
+        let mut artifact = delta_sweep(40, &[(2, 5.0)]);
+        artifact.corpus_sweep = vec![CorpusRow::default()];
+        artifact.determinism.threads = vec![1];
+        artifact.determinism.chaos.quarantined_shards = vec![0];
+        assert_eq!(
+            key_paths(&artifact.to_value()),
+            key_paths(&committed("incremental"))
+        );
     }
 }

@@ -14,7 +14,7 @@ pub mod scaling;
 pub use experiments::ReproConfig;
 
 /// Writes an artifact to `path` as pretty-printed JSON.
-pub fn write_artifact(path: &str, value: &serde_json::Value) -> std::io::Result<()> {
-    let json = serde_json::to_string_pretty(value).expect("serializable artifact");
+pub fn write_artifact(path: &str, artifact: &impl serde::Serialize) -> std::io::Result<()> {
+    let json = serde_json::to_string_pretty(artifact).expect("serializable artifact");
     std::fs::write(path, json)
 }

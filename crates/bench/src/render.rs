@@ -120,11 +120,6 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Formats a percentage-like metric pair used in the comparison tables.
-pub fn pct(v: f64) -> String {
-    format!("{:.1}%", v * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,6 +159,5 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(f3(0.12345), "0.123");
-        assert_eq!(pct(0.966), "96.6%");
     }
 }

@@ -85,10 +85,12 @@ fn write_file(path: &str, bytes: &[u8]) -> Result<(), CliError> {
     replace_file(path, |file| file.write_all(bytes))
 }
 
-fn mine_store(
+/// Mines the world `args` names; the served store is built by the
+/// commands that write it, not here.
+fn mine_run(
     args: &MineArgs,
     observer: Option<Arc<MetricsRegistry>>,
-) -> Result<(SubjectiveKb, SurveyorRun, Arc<KnowledgeBase>, World), CliError> {
+) -> Result<(SurveyorRun, Arc<KnowledgeBase>, World), CliError> {
     let world = preset_world(&args.preset, args.seed)?;
     let kb = world.kb().clone();
     let mut generator = CorpusGenerator::new(
@@ -125,8 +127,7 @@ fn mine_store(
         args.ingest_shards.unwrap_or(shard_count),
     );
     let run = surveyor.try_run(&subset, &RetryPolicy::default(), &args.failure_policy)?;
-    let store = SubjectiveKb::from_output(&run.output, &kb);
-    Ok((store, run, kb, world))
+    Ok((run, kb, world))
 }
 
 /// `surveyor mine` / `surveyor run`
@@ -135,7 +136,8 @@ pub fn mine(args: &MineArgs) -> Result<String, CliError> {
         .report
         .as_ref()
         .map(|_| Arc::new(MetricsRegistry::new()));
-    let (store, run, _, _) = mine_store(args, registry.clone())?;
+    let (run, kb, _) = mine_run(args, registry.clone())?;
+    let store = SubjectiveKb::from_output(&run.output, &kb);
     let json = store.to_json();
     let mut summary = format!(
         "mined {} statements into {} associations over {} combinations (rho = {})",
@@ -176,7 +178,7 @@ pub fn mine(args: &MineArgs) -> Result<String, CliError> {
 /// `surveyor snapshot` — mine a preset and save the whole mined world
 /// as a binary `surveyor-wire` snapshot (see FORMAT.md).
 pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<String, CliError> {
-    let (store_kb, run, _, _) = mine_store(args, None)?;
+    let (run, kb, _) = mine_run(args, None)?;
     let bytes = match args.ingest_shards {
         Some(m) => {
             // Record incremental state so `surveyor update` can extend
@@ -224,7 +226,8 @@ pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<Strin
         ));
     }
     if let Some(path) = store {
-        write_file(path, store_kb.to_json().as_bytes())?;
+        let store = SubjectiveKb::from_output(&run.output, &kb);
+        write_file(path, store.to_json().as_bytes())?;
         summary.push_str(&format!("\nwrote store JSON to {path}"));
     }
     Ok(summary)
@@ -695,7 +698,7 @@ pub fn link(preset: &str, attribute: &str, seed: u64, rho: u64) -> Result<String
         rho,
         ..MineArgs::new(preset)
     };
-    let (_, run, kb, world) = mine_store(&args, None)?;
+    let (run, kb, world) = mine_run(&args, None)?;
     let domain = &world.domains()[0];
     let link = link_objective(
         &run.output,

@@ -62,9 +62,9 @@ SURVEYOR_CHAOS_SEED="${SURVEYOR_CHAOS_SEED:-2015}" cargo test -q --test fault_in
 # Bench smoke: the thread-scaling harness on its quick preset, with the
 # scaling-regression gate armed (nonzero exit on a phase that regresses
 # past its target curve; the permissive tolerance absorbs the noise of a
-# small shared CI host). The bench binary validates the artifact schema
-# before writing; the greps below are a second line of defense pinning
-# the keys EXPERIMENTS.md documents.
+# small shared CI host). The artifact is a typed record whose key paths
+# a unit test pins to the committed BENCH_scale.json; the greps below
+# check the keys EXPERIMENTS.md documents in the file just written.
 cargo run --release -q -p surveyor-bench --bin bench -- \
     scale --quick --assert-scaling --scaling-tolerance 0.5 \
     --out artifacts/scale_smoke.json > /dev/null
