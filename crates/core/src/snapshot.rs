@@ -5,7 +5,7 @@
 //! specified in `FORMAT.md`; [`load_snapshot`] rebuilds a fully functional
 //! output (decision lookup included) without re-mining. Decisions are not
 //! stored: each is `decide(posterior(params, c+, c−))` of its group's
-//! `MODL` row and its entity's `EVID` counts, and every loader derives
+//! `MODL` row and its entity's `ROWS` counts, and every loader derives
 //! them, one posterior per distinct count pair — the same f64 operations
 //! on the same bits as at mine time. The round trip is exact: a loaded
 //! output produces byte-identical stores, triples, and re-encoded
@@ -78,22 +78,25 @@ impl From<WireError> for SnapshotError {
 /// export ([`snapshot_output`]), so the two cannot drift apart.
 ///
 /// Rows stay in id space: each distinct property is resolved once to
-/// build the snapshot-local table, and every evidence, provenance and
-/// model row then carries its property's rank in that table — an integer
-/// looked up by id, sorted as an integer. Only those rows and the table
-/// are built here; types, entities and document lists are borrowed.
+/// build the snapshot-local table, and every row and model row then
+/// carries its property's rank in that table — an integer looked up by
+/// id, sorted as an integer. Only those rows and the table are built
+/// here; types, entities and document lists are borrowed.
+///
+/// A row is an evidence pair with its document sample joined on: a
+/// sample whose pair has no evidence is not written (no writer makes
+/// one — every recorded document comes with a counted statement).
 struct Flattened<'a> {
     output: &'a SurveyorOutput,
     state: Option<&'a IncrementalState>,
-    /// The property table: every property referenced anywhere, resolved,
-    /// deduplicated and sorted. Indexes into it are the only property
-    /// references on the wire — process-local interner ids depend on
-    /// thread interleaving.
+    /// The property table: every property a row or a result refers to,
+    /// resolved, deduplicated and sorted. Indexes into it are the only
+    /// property references on the wire — process-local interner ids
+    /// depend on thread interleaving.
     table: Vec<(Property, PropertyId)>,
     /// `rank_of[id]` is the table index of an interned property.
     rank_of: Vec<u32>,
-    evidence: Vec<EvidenceRow>,
-    provenance: Vec<(u32, u32, &'a [u64])>,
+    rows: Vec<(EvidenceRow, &'a [u64])>,
 }
 
 impl<'a> Flattened<'a> {
@@ -102,7 +105,6 @@ impl<'a> Flattened<'a> {
         let mut rank_of: Vec<u32> = Vec::new();
         let mut table: Vec<(Property, PropertyId)> = Vec::new();
         let referenced = (output.evidence.iter().map(|(&(_, property), _)| property))
-            .chain(output.provenance.iter().map(|(&(_, property), _)| property))
             .chain(output.results.iter().map(|result| result.key.property));
         for property in referenced {
             if rank_of.len() <= property.index() {
@@ -120,29 +122,25 @@ impl<'a> Flattened<'a> {
 
         // A table holds each pair once and ranks are distinct per property,
         // so the sort keys are unique and an unstable sort is deterministic.
-        let mut evidence: Vec<EvidenceRow> = (output.evidence.iter())
-            .map(|(&(entity, property), counts)| EvidenceRow {
-                entity: entity.0,
-                property: rank_of[property.index()],
-                positive: counts.positive,
-                negative: counts.negative,
+        let mut rows: Vec<(EvidenceRow, &[u64])> = (output.evidence.iter())
+            .map(|(&(entity, property), counts)| {
+                let row = EvidenceRow {
+                    entity: entity.0,
+                    property: rank_of[property.index()],
+                    positive: counts.positive,
+                    negative: counts.negative,
+                };
+                (row, output.provenance.documents_id(entity, property))
             })
             .collect();
-        evidence.sort_unstable_by_key(|row| (row.entity, row.property));
-        let mut provenance: Vec<(u32, u32, &[u64])> = (output.provenance.iter())
-            .map(|(&(entity, property), documents)| {
-                (entity.0, rank_of[property.index()], documents)
-            })
-            .collect();
-        provenance.sort_unstable_by_key(|&(entity, property, _)| (entity, property));
+        rows.sort_unstable_by_key(|(row, _)| (row.entity, row.property));
 
         Self {
             output,
             state,
             table,
             rank_of,
-            evidence,
-            provenance,
+            rows,
         }
     }
 }
@@ -176,16 +174,12 @@ impl SnapshotSource for Flattened<'_> {
         })
     }
 
-    fn evidence(&self) -> impl ExactSizeIterator<Item = EvidenceRow> {
-        self.evidence.iter().copied()
-    }
-
-    fn provenance_sample_size(&self) -> u64 {
+    fn sample_size(&self) -> u64 {
         self.output.provenance.sample_size() as u64
     }
 
-    fn provenance(&self) -> impl ExactSizeIterator<Item = (u32, u32, &[u64])> {
-        self.provenance.iter().copied()
+    fn rows(&self) -> impl ExactSizeIterator<Item = (EvidenceRow, &[u64])> {
+        self.rows.iter().copied()
     }
 
     /// Results are in `(type, resolved property)` order
@@ -210,7 +204,7 @@ impl SnapshotSource for Flattened<'_> {
     }
 
     /// A snapshot with state fingerprints its groups; the writer folds
-    /// them from the evidence rows as it writes them.
+    /// them from the rows as it writes them.
     fn fingerprints(&self) -> Fingerprints<'_> {
         match self.state {
             Some(_) => Fingerprints::Folded,
@@ -242,7 +236,7 @@ pub fn save_snapshot(output: &SurveyorOutput) -> Vec<u8> {
 
 /// Encodes a pipeline output plus its incremental state as snapshot
 /// bytes (see [`snapshot_output_with_state`]); the group fingerprints are
-/// folded while the evidence is written.
+/// folded while the rows are written.
 pub fn save_snapshot_with_state(output: &SurveyorOutput, state: &IncrementalState) -> Vec<u8> {
     surveyor_wire::write_snapshot(&Flattened::new(output, Some(state)))
 }
@@ -259,9 +253,8 @@ pub(crate) struct PropertyRef {
 /// already bounded by its payload size — what a sink reserves for.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Declared {
-    pub(crate) evidence: usize,
-    pub(crate) provenance: usize,
-    pub(crate) provenance_sample_size: usize,
+    pub(crate) rows: usize,
+    pub(crate) sample_size: usize,
     pub(crate) results: usize,
 }
 
@@ -278,7 +271,7 @@ pub(crate) struct ModelledGroup<'a> {
 
 /// What a loader builds. [`Walk`] hands a sink each record only after the
 /// record passed every rule, in section order — types, entities,
-/// [`begin_rows`](Self::begin_rows), evidence, provenance, groups — so
+/// [`begin_rows`](Self::begin_rows), rows, groups — so
 /// a sink holds no rule of its own and cannot fail: the pipeline output
 /// (`OutputSink`) and the served store ([`crate::store::StoreSink`]) accept
 /// and reject exactly the same snapshots.
@@ -291,15 +284,16 @@ pub(crate) trait Sink {
     fn entity(&mut self, name: &str, type_index: u32, aliases: &[&str], attributes: &[(&str, f64)]);
     /// The string tables are complete; the row sections follow.
     fn begin_rows(&mut self, declared: Declared);
-    /// One `EVID` row. Rows arrive in strictly ascending
+    /// One `ROWS` row: a pair's counts and its document sample, strictly
+    /// ascending and no longer than the declared sample size; empty when
+    /// the pair has none. Rows arrive in strictly ascending
     /// `(entity, property.rank)` order.
-    fn evidence(&mut self, entity: EntityId, property: PropertyRef, counts: EvidenceCounts);
-    /// One `PROV` row, in the same order as the evidence.
-    fn provenance(
+    fn row(
         &mut self,
         entity: EntityId,
         property: PropertyRef,
-        documents: impl Iterator<Item = u64>,
+        counts: EvidenceCounts,
+        documents: &[u64],
     );
     /// One `MODL` row with what its decisions derive from; `property` is
     /// the group's. Groups arrive in strictly ascending
@@ -311,24 +305,16 @@ pub(crate) trait Sink {
 
 /// The row sections of a snapshot as streams, each behind its declared
 /// row count.
-struct Rows<E, P, M> {
-    evidence_len: usize,
-    evidence: E,
-    provenance_sample_size: u64,
-    provenance_len: usize,
-    provenance: P,
+struct Rows<R, M> {
+    sample_size: u64,
+    rows_len: usize,
+    /// Each row's key and counts, and its documents.
+    rows: R,
     models_len: usize,
     models: M,
-    /// Stored group fingerprints the evidence must reproduce; empty = the
+    /// Stored group fingerprints the rows must reproduce; empty = the
     /// snapshot carries none.
     fingerprints: Vec<GroupFingerprintRow>,
-}
-
-/// One `PROV` row: its key and its document ids as a stream.
-struct ProvenanceRows<U> {
-    entity: u32,
-    property: u32,
-    documents: U,
 }
 
 /// `Corrupt(detail)` unless `key` is above the previous row's; row
@@ -418,7 +404,7 @@ impl<S: Sink> Walk<S> {
         let Some(members) = self.members.get_mut(type_index as usize) else {
             return Err(SnapshotError::Corrupt("entity type index out of range"));
         };
-        // Entity ids are u32 on the wire (`EntityId`, `EVID`, `PROV`): a
+        // Entity ids are u32 on the wire (`EntityId`, `ROWS`): a
         // table past u32::MAX rows would take a file of tens of gigabytes.
         self.placement.push((type_index, members.len() as u32));
         members.push(EntityId(self.placement.len() as u32 - 1));
@@ -427,21 +413,19 @@ impl<S: Sink> Walk<S> {
     }
 
     /// Checks and feeds the row sections, and finishes the sink.
-    fn rows<E, P, U, M>(mut self, rows: Rows<E, P, M>) -> Result<S::Output, SnapshotError>
+    fn rows<R, D, M>(mut self, rows: Rows<R, M>) -> Result<S::Output, SnapshotError>
     where
-        E: Iterator<Item = Result<EvidenceRow, WireError>>,
-        P: Iterator<Item = Result<ProvenanceRows<U>, WireError>>,
-        U: Iterator<Item = u64>,
+        R: Iterator<Item = Result<(EvidenceRow, D), WireError>>,
+        D: ExactSizeIterator<Item = Result<u64, WireError>>,
         M: Iterator<Item = Result<ModelRow, WireError>>,
     {
         let type_count = self.type_names.len() as u64;
         let entity_count = self.placement.len() as u64;
-        let sample_size = usize::try_from(rows.provenance_sample_size)
-            .map_err(|_| SnapshotError::Corrupt("provenance sample size out of range"))?;
+        let sample_size = usize::try_from(rows.sample_size)
+            .map_err(|_| SnapshotError::Corrupt("sample size out of range"))?;
         self.sink.begin_rows(Declared {
-            evidence: rows.evidence_len,
-            provenance: rows.provenance_len,
-            provenance_sample_size: sample_size,
+            rows: rows.rows_len,
+            sample_size,
             results: rows.models_len,
         });
         let property_of = |rank: u32, detail: &'static str| match self.properties.get(rank as usize)
@@ -450,7 +434,7 @@ impl<S: Sink> Walk<S> {
             None => Err(SnapshotError::Corrupt(detail)),
         };
 
-        // One pass over the evidence rows feeds the sink, gathers each
+        // One pass over the rows feeds the sink, gathers each
         // (type, property) group's mentioned entities by their position in
         // the type, and, when the snapshot carries fingerprints,
         // re-derives them. Per type, the groups are a small ordered map
@@ -460,22 +444,40 @@ impl<S: Sink> Walk<S> {
         let mut fingerprinter = (!rows.fingerprints.is_empty()).then(GroupFingerprinter::new);
         let mut statements = 0u64;
         let mut last = None;
-        for row in rows.evidence {
-            let row = row?;
+        let mut documents = Vec::new();
+        for row in rows.rows {
+            let (row, sample) = row?;
             if u64::from(row.entity) >= entity_count {
-                return Err(SnapshotError::Corrupt("evidence entity out of range"));
+                return Err(SnapshotError::Corrupt("row entity out of range"));
             }
-            let property = property_of(row.property, "evidence property out of range")?;
+            let property = property_of(row.property, "row property out of range")?;
             ascending(
                 &mut last,
                 (row.entity, row.property),
-                "evidence rows not in ascending order",
+                "rows not in ascending order",
             )?;
             // Every counter a sink derives is a partial sum of this one,
             // so none of them can overflow once it does not.
             statements = (statements.checked_add(row.positive))
                 .and_then(|sum| sum.checked_add(row.negative))
                 .ok_or(SnapshotError::Corrupt("evidence counts overflow"))?;
+            // An update merges new documents into a sample by binary
+            // search and truncates it to the sample size: a sample longer
+            // than that, or with an id twice, would not update as it mines.
+            if sample.len() > sample_size {
+                return Err(SnapshotError::Corrupt(
+                    "document sample larger than the sample size",
+                ));
+            }
+            documents.clear();
+            for document in sample {
+                documents.push(document?);
+            }
+            if documents.windows(2).any(|pair| pair[0] >= pair[1]) {
+                return Err(SnapshotError::Corrupt(
+                    "document ids not strictly ascending",
+                ));
+            }
             let (type_index, position) = self.placement[row.entity as usize];
             if let Some(fingerprinter) = &mut fingerprinter {
                 fingerprinter.add(type_index, &row);
@@ -484,32 +486,17 @@ impl<S: Sink> Walk<S> {
                 .entry(row.property)
                 .or_default())
             .push((position, ObservedCounts::new(row.positive, row.negative)));
-            self.sink.evidence(
+            self.sink.row(
                 EntityId(row.entity),
                 property,
                 EvidenceCounts::new(row.positive, row.negative),
+                &documents,
             );
         }
         if fingerprinter.is_some_and(|f| f.finish() != rows.fingerprints) {
             return Err(SnapshotError::Corrupt(
                 "group fingerprints do not match evidence",
             ));
-        }
-
-        let mut last = None;
-        for row in rows.provenance {
-            let row = row?;
-            if u64::from(row.entity) >= entity_count {
-                return Err(SnapshotError::Corrupt("provenance entity out of range"));
-            }
-            let property = property_of(row.property, "provenance property out of range")?;
-            ascending(
-                &mut last,
-                (row.entity, row.property),
-                "provenance rows not in ascending order",
-            )?;
-            self.sink
-                .provenance(EntityId(row.entity), property, row.documents);
         }
 
         let mut last = None;
@@ -572,8 +559,9 @@ impl<S: Sink> Walk<S> {
 
 /// The sink behind [`load_snapshot`]: the knowledge base whose dense
 /// `TypeId`/`EntityId` values are the type- and entity-table indexes, the
-/// evidence and provenance tables filled by id, and the results with
-/// their decisions derived.
+/// evidence and provenance tables filled by id from the rows (a row
+/// without documents has no sample), and the results with their
+/// decisions derived.
 struct OutputSink {
     builder: KnowledgeBaseBuilder,
     evidence: EvidenceTable,
@@ -617,24 +605,22 @@ impl Sink for OutputSink {
     }
 
     fn begin_rows(&mut self, declared: Declared) {
-        self.evidence = EvidenceTable::with_capacity(declared.evidence);
-        self.provenance =
-            ProvenanceTable::with_capacity(declared.provenance_sample_size, declared.provenance);
+        self.evidence = EvidenceTable::with_capacity(declared.rows);
+        self.provenance = ProvenanceTable::with_capacity(declared.sample_size, declared.rows);
         self.results = Vec::with_capacity(declared.results);
     }
 
-    fn evidence(&mut self, entity: EntityId, property: PropertyRef, counts: EvidenceCounts) {
-        self.evidence.add_counts(entity, property.id, counts);
-    }
-
-    fn provenance(
+    fn row(
         &mut self,
         entity: EntityId,
         property: PropertyRef,
-        documents: impl Iterator<Item = u64>,
+        counts: EvidenceCounts,
+        documents: &[u64],
     ) {
-        self.provenance
-            .insert(entity, property.id, documents.collect());
+        self.evidence.add_counts(entity, property.id, counts);
+        if !documents.is_empty() {
+            (self.provenance).insert(entity, property.id, documents.to_vec());
+        }
     }
 
     fn group(&mut self, _: PropertyRef, group: &ModelledGroup<'_>) {
@@ -673,17 +659,10 @@ fn walk_snapshot<S: Sink>(snapshot: &Snapshot, sink: S) -> Result<S::Output, Sna
         walk.entity(&e.name, e.type_index, &strs(&e.aliases), &attributes)?;
     }
     walk.rows(Rows {
-        evidence_len: snapshot.evidence.len(),
-        evidence: snapshot.evidence.iter().copied().map(Ok),
-        provenance_sample_size: snapshot.provenance_sample_size,
-        provenance_len: snapshot.provenance.len(),
-        provenance: snapshot.provenance.iter().map(|row| {
-            Ok(ProvenanceRows {
-                entity: row.entity,
-                property: row.property,
-                documents: row.documents.iter().copied(),
-            })
-        }),
+        sample_size: snapshot.sample_size,
+        rows_len: snapshot.rows.len(),
+        rows: (snapshot.rows.iter())
+            .map(|row| Ok((row.evidence(), row.documents.iter().copied().map(Ok)))),
         models_len: snapshot.models.len(),
         models: snapshot.models.iter().cloned().map(Ok),
         fingerprints: snapshot.fingerprints.clone(),
@@ -748,17 +727,10 @@ fn walk_bytes<S: Sink>(
         walk.entity(record.name, record.type_index, &strs, &attributes)?;
     }
     let output = walk.rows(Rows {
-        evidence_len: reader.evidence().len(),
-        evidence: reader.evidence(),
-        provenance_sample_size: reader.provenance_sample_size(),
-        provenance_len: reader.provenance().len(),
-        provenance: reader.provenance().map(|record| {
-            record.map(|record| ProvenanceRows {
-                entity: record.entity,
-                property: record.property,
-                documents: record.documents,
-            })
-        }),
+        sample_size: reader.sample_size(),
+        rows_len: reader.rows().len(),
+        rows: (reader.rows())
+            .map(|record| record.map(|record| (record.evidence(), record.documents))),
         models_len: reader.models().len(),
         models: reader.models(),
         fingerprints,
@@ -769,7 +741,7 @@ fn walk_bytes<S: Sink>(
 /// Decodes snapshot bytes back into a fully functional pipeline output.
 ///
 /// Like every loader, it re-derives the group fingerprints from the
-/// evidence section when the snapshot carries them (FORMAT.md §3.8) and
+/// rows' counts when the snapshot carries them (FORMAT.md §3.7) and
 /// rejects a snapshot whose stored ones disagree.
 pub fn load_snapshot(bytes: &[u8]) -> Result<SurveyorOutput, SnapshotError> {
     walk_bytes(bytes, OutputSink::new()).map(|(output, _)| output)
@@ -941,28 +913,21 @@ mod tests {
             corrupt(&|bad| bad.entities[0].type_index = 99),
             "entity type index out of range"
         );
+        let last = good.rows.len() - 1;
         assert_eq!(
-            corrupt(&|bad| bad.evidence[0].entity = 1_000),
-            "evidence entity out of range"
+            corrupt(&|bad| bad.rows[last].entity = 1_000),
+            "row entity out of range"
         );
         assert_eq!(
-            corrupt(&|bad| bad.evidence[0].property = 99),
-            "evidence property out of range"
+            corrupt(&|bad| bad.rows[0].property = 99),
+            "row property out of range"
         );
         assert_eq!(
             corrupt(&|bad| {
-                bad.evidence[0].positive = u64::MAX;
-                bad.evidence[1].negative = 1;
+                bad.rows[0].positive = u64::MAX;
+                bad.rows[1].negative = 1;
             }),
             "evidence counts overflow"
-        );
-        assert_eq!(
-            corrupt(&|bad| bad.provenance[0].entity = 1_000),
-            "provenance entity out of range"
-        );
-        assert_eq!(
-            corrupt(&|bad| bad.provenance[0].property = 99),
-            "provenance property out of range"
         );
         assert_eq!(
             corrupt(&|bad| bad.models[0].converged = 77),
@@ -999,14 +964,16 @@ mod tests {
 
     #[test]
     fn rows_out_of_key_order_are_corrupt() {
-        // The property table and the evidence, provenance and model
-        // sections are sorted on their keys with no key twice (FORMAT.md
-        // §3, §3.4–§3.6): rows refer to properties by table index, the
-        // store builder finds a pair's documents by position, and a
-        // combination is one result and one block.
+        // The property table and the row and model sections are sorted on
+        // their keys with no key twice (FORMAT.md §3, §3.4, §3.5): rows
+        // refer to properties by table index, the store builder finds a
+        // pair's documents by position, and a combination is one result
+        // and one block.
         let good = snapshot_output(&mined_output());
-        assert!(good.properties.len() >= 2 && good.provenance.len() >= 2);
-        assert!(good.models.len() >= 2);
+        assert!(good.properties.len() >= 2 && good.models.len() >= 2);
+        // Kitten's two rows: one entity, so a swap decodes and is the
+        // walk's to refuse (across entities the gap does not decode).
+        assert_eq!(good.rows[0].entity, good.rows[1].entity);
         let corrupt = |edit: &dyn Fn(&mut Snapshot)| {
             let mut bad = good.clone();
             edit(&mut bad);
@@ -1026,23 +993,12 @@ mod tests {
             SnapshotError::Corrupt("property table not in ascending order")
         );
         assert_eq!(
-            corrupt(&|bad| bad.evidence.swap(0, 1)),
-            SnapshotError::Corrupt("evidence rows not in ascending order")
+            corrupt(&|bad| bad.rows.swap(0, 1)),
+            SnapshotError::Corrupt("rows not in ascending order")
         );
         assert_eq!(
-            corrupt(&|bad| bad.evidence[1] = bad.evidence[0]),
-            SnapshotError::Corrupt("evidence rows not in ascending order")
-        );
-        assert_eq!(
-            corrupt(&|bad| bad.provenance.swap(0, 1)),
-            SnapshotError::Corrupt("provenance rows not in ascending order")
-        );
-        assert_eq!(
-            corrupt(&|bad| {
-                let twin = bad.provenance[0].clone();
-                bad.provenance.insert(0, twin);
-            }),
-            SnapshotError::Corrupt("provenance rows not in ascending order")
+            corrupt(&|bad| bad.rows[1] = bad.rows[0].clone()),
+            SnapshotError::Corrupt("rows not in ascending order")
         );
         assert_eq!(
             corrupt(&|bad| bad.models.swap(0, 1)),
@@ -1096,10 +1052,74 @@ mod tests {
         // drops the incremental state makes it too — and so does the
         // store builder.
         let mut bad = good;
-        bad.evidence[0].positive += 1;
+        bad.rows[0].positive += 1;
         assert_eq!(
             rejection(&bad),
             SnapshotError::Corrupt("group fingerprints do not match evidence")
+        );
+    }
+
+    #[test]
+    fn samples_an_update_would_corrupt_are_refused() {
+        // `ProvenanceTable::merge` inserts a delta's documents by binary
+        // search and truncates to the sample size: on a sample longer than
+        // that, or with an id twice, an update would not equal a mine.
+        let good = snapshot_output(&mined_output());
+        assert_eq!(good.sample_size, 3);
+        let corrupt = |edit: &dyn Fn(&mut Snapshot)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            rejection(&bad)
+        };
+        assert_eq!(
+            corrupt(&|bad| bad.rows[0].documents = vec![1, 2, 3, 4]),
+            SnapshotError::Corrupt("document sample larger than the sample size")
+        );
+        assert_eq!(
+            corrupt(&|bad| bad.sample_size = 2),
+            SnapshotError::Corrupt("document sample larger than the sample size")
+        );
+        // A zero gap within one shard, and across one.
+        for twice in [vec![4, 4], vec![1, 7 << 32 | 2, 7 << 32 | 2]] {
+            assert_eq!(
+                corrupt(&|bad| bad.rows[0].documents = twice.clone()),
+                SnapshotError::Corrupt("document ids not strictly ascending")
+            );
+        }
+        // At the bound, and ids at the ends of their shards, load.
+        let mut edge = good.clone();
+        edge.rows[0].documents = vec![u64::from(u32::MAX), 1 << 32, u64::MAX];
+        let bytes = surveyor_wire::encode(&edge);
+        let loaded = load_snapshot(&bytes).unwrap();
+        assert_eq!(save_snapshot(&loaded), bytes);
+        assert_eq!(snapshot_output(&output_from_snapshot(&edge).unwrap()), edge);
+    }
+
+    #[test]
+    fn a_sample_without_evidence_is_not_written() {
+        // Every row is an evidence pair with its sample joined on: a
+        // sample for a pair nothing was counted for — which no mine
+        // makes — has no row to go in, so it is dropped, and so is a
+        // property only it refers to.
+        let output = mined_output();
+        let mut stray = output.clone();
+        let rock = stray.kb().entity_by_name("Rock").unwrap();
+        let stray_property = PropertyId::intern(&Property::adjective("heavy"));
+        stray.provenance.insert(rock, stray_property, vec![5]);
+        assert_eq!(save_snapshot(&stray), save_snapshot(&output));
+        let snapshot = snapshot_output(&stray);
+        assert_eq!(snapshot, snapshot_output(&output));
+        assert!(!(snapshot.properties.iter()).any(|p| p.adjective == "heavy"));
+        let loaded = load_snapshot(&save_snapshot(&stray)).unwrap();
+        assert!((loaded.provenance.documents_id(rock, stray_property)).is_empty());
+        assert_eq!(
+            loaded.provenance.pair_count(),
+            output.provenance.pair_count()
+        );
+        // The store built from the output drops it the same way.
+        assert_eq!(
+            SubjectiveKb::from_output(&stray, stray.kb()).to_json(),
+            load_store(&save_snapshot(&stray)).unwrap().to_json()
         );
     }
 

@@ -21,7 +21,7 @@
 //!   pairs         32 bytes per distinct (c+, c−) pair of each block:
 //!                 verdict, probability, the two counts
 //!   names         the name arena — one name per entity, not per opinion
-//!   documents     the supporting-document ids in `PROV` order, behind a
+//!   documents     the supporting-document ids in `ROWS` order, behind a
 //!                 per-entity run index keyed by property
 //!   by_combination, entities   the two derived indexes (block by key,
 //!                 rows by entity name — `entity_index.rs`)
@@ -359,7 +359,7 @@ impl Columns {
 }
 
 /// The supporting documents of every (entity, property) pair that has
-/// any, as `PROV` lists them: ascending by entity, then by property key
+/// any, as `ROWS` lists them: ascending by entity, then by property key
 /// — the snapshot walk rejects any other order — so an entity's pairs
 /// are one run, `starts` finds it and a binary search on the key
 /// finishes a lookup. An opinion's documents are found, not copied.
@@ -494,9 +494,10 @@ type Position = (u32, u32);
 impl SubjectiveKb {
     /// Materializes pipeline output into a store: the output fed to the
     /// builder a snapshot load feeds, in the order the walk would — the
-    /// provenance sorted by (entity, property), the groups as they are.
-    /// Properties are keyed by their interned id here, where a load keys
-    /// them by their rank in the snapshot's property table.
+    /// evidence pairs sorted by (entity, property), each with its document
+    /// sample, then the groups as they are. Properties are keyed by their
+    /// interned id here, where a load keys them by their rank in the
+    /// snapshot's property table.
     pub fn from_output(output: &SurveyorOutput, kb: &Arc<KnowledgeBase>) -> Self {
         let mut sink = StoreSink::default();
         for entity_type in kb.types() {
@@ -506,16 +507,16 @@ impl SubjectiveKb {
             sink.entity(entity.name(), entity.notable_type().0, &[], &[]);
         }
         sink.begin_rows(Declared {
-            evidence: output.evidence.pair_count(),
-            provenance: output.provenance.pair_count(),
-            provenance_sample_size: output.provenance.sample_size(),
+            rows: output.evidence.pair_count(),
+            sample_size: output.provenance.sample_size(),
             results: output.results.len(),
         });
         let by_id = |id: PropertyId| PropertyRef { rank: id.0, id };
-        let mut provenance: Vec<_> = output.provenance.iter().collect();
-        provenance.sort_unstable_by_key(|&(&(entity, property), _)| (entity, property.0));
-        for (&(entity, property), documents) in provenance {
-            sink.provenance(entity, by_id(property), documents.iter().copied());
+        let mut pairs: Vec<_> = output.evidence.iter().collect();
+        pairs.sort_unstable_by_key(|&(&(entity, property), _)| (entity, property.0));
+        for (&(entity, property), &counts) in pairs {
+            let documents = output.provenance.documents_id(entity, property);
+            sink.row(entity, by_id(property), counts, documents);
         }
         let (mut mentioned, silent) = (Vec::new(), Group::default());
         for result in &output.results {
@@ -813,19 +814,22 @@ impl Sink for StoreSink {
     fn begin_rows(&mut self, declared: Declared) {
         let documents = &mut self.columns.documents;
         documents.starts.reserve_exact(self.columns.names.len() + 1);
-        documents.runs.reserve_exact(declared.provenance);
+        documents.runs.reserve_exact(declared.rows);
         self.columns.heads.reserve_exact(declared.results);
     }
 
-    fn evidence(&mut self, _: EntityId, _: PropertyRef, _: EvidenceCounts) {}
-
-    fn provenance(
+    /// Only the documents are kept: the counts reach the store through
+    /// the groups' count tables.
+    fn row(
         &mut self,
         entity: EntityId,
         property: PropertyRef,
-        documents: impl Iterator<Item = u64>,
+        _: EvidenceCounts,
+        documents: &[u64],
     ) {
-        (self.columns.documents).push(entity, property.rank, documents);
+        if !documents.is_empty() {
+            (self.columns.documents).push(entity, property.rank, documents.iter().copied());
+        }
     }
 
     fn group(&mut self, property: PropertyRef, group: &ModelledGroup<'_>) {
@@ -1573,9 +1577,8 @@ mod differential {
                 sink.entity(name, 0, &[], &[]);
             }
             sink.begin_rows(Declared {
-                evidence: 0,
-                provenance: 0,
-                provenance_sample_size: 0,
+                rows: 0,
+                sample_size: 0,
                 results: draws.len(),
             });
             let property_ref = |property: usize| PropertyRef {
@@ -1585,9 +1588,7 @@ mod differential {
             for id in 0..NAMES.len() {
                 for property in 0..PROPERTIES.len() {
                     let documents = drawn_documents(id, property);
-                    if !documents.is_empty() {
-                        sink.provenance(EntityId(id as u32), property_ref(property), documents.into_iter());
-                    }
+                    sink.row(EntityId(id as u32), property_ref(property), EvidenceCounts::default(), &documents);
                 }
             }
             let mut blocks = Vec::new();

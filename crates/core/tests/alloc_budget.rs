@@ -113,7 +113,7 @@ fn a_save_allocates_per_property_not_per_entity_or_document() {
     // Four times the entities, several times the rows, the same
     // properties.
     assert_eq!(big.kb().len(), 4 * small.kb().len());
-    assert!(big_export.provenance.len() >= 2 * small_export.provenance.len());
+    assert!(big_export.rows.len() >= 2 * small_export.rows.len());
     let properties = big_export.properties.len() as u64;
     assert_eq!(properties, small_export.properties.len() as u64);
 

@@ -63,7 +63,7 @@ fn assert_saves_encode_the_export(name: &str, output: &SurveyorOutput, rho: u64)
     // them over.
     assert_eq!(
         export.fingerprints.is_empty(),
-        export.evidence.is_empty(),
+        export.rows.is_empty(),
         "{name}"
     );
 }

@@ -10,9 +10,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use surveyor::prelude::*;
-use surveyor::wire::{
-    encode, group_fingerprints, EvidenceRow, IncrementalState, ModelRow, ProvenanceRow, Snapshot,
-};
+use surveyor::wire::{encode, group_fingerprints, IncrementalState, ModelRow, PairRow, Snapshot};
 use surveyor::{
     load_snapshot, load_snapshot_with_state, snapshot_output, CorpusSource, SnapshotError,
     SubjectiveKb, Surveyor, SurveyorConfig, SurveyorOutput,
@@ -20,8 +18,8 @@ use surveyor::{
 use surveyor_server::ServedState;
 
 /// Two types, adverb-graded properties, aliases and attributes, a
-/// combination below the threshold (so evidence and provenance exist for
-/// pairs no group decides) — small, and every section populated.
+/// combination below the threshold (so rows with counts and documents
+/// exist for pairs no group decides) — small, and every section populated.
 fn mined_output() -> SurveyorOutput {
     let mut b = KnowledgeBaseBuilder::new();
     let animal = b.add_type("animal", &["animal", "creature"], &["zoo"]);
@@ -69,14 +67,15 @@ fn mined_output() -> SurveyorOutput {
 fn mined() -> Snapshot {
     let snapshot = snapshot_output(&mined_output());
     assert!(snapshot.models.len() >= 3, "three combinations modeled");
-    assert!(snapshot.provenance.len() >= 4 && snapshot.evidence.len() >= 4);
+    assert!(snapshot.rows.len() >= 4);
+    assert!(snapshot.rows.iter().all(|row| !row.documents.is_empty()));
     snapshot
 }
 
 #[test]
 fn every_loader_derives_the_decisions_the_mine_made() {
     // No decision is on disk: a loaded output's are derived from `MODL`
-    // and `EVID`, and must be the mined ones bit for bit; the served
+    // and the `ROWS` counts, and must be the mined ones bit for bit; the served
     // store, built from the same derivation, must render as they do.
     let output = mined_output();
     let bits = |output: &SurveyorOutput| -> Vec<Vec<(u32, u64)>> {
@@ -178,7 +177,7 @@ fn a_stale_fingerprint_gets_one_verdict_from_every_loader() {
         "group fingerprints do not match evidence",
     ));
     let mut more_evidence = snapshot.clone();
-    more_evidence.evidence[0].positive += 1;
+    more_evidence.rows[0].positive += 1;
     assert_eq!(agreed("one more statement", &encode(&more_evidence)), stale);
     let mut other_digest = snapshot.clone();
     other_digest.fingerprints[0].fingerprint ^= 1;
@@ -280,7 +279,7 @@ fn hostile_rows_are_one_verdict_and_served_as_loaded() {
         hostile("a model whose combination has no evidence", |s| {
             let (type_index, property) = (s.models[0].type_index, s.models[0].property);
             let entities = &s.entities;
-            s.evidence.retain(|row| {
+            s.rows.retain(|row| {
                 (entities[row.entity as usize].type_index, row.property) != (type_index, property)
             });
         }),
@@ -292,7 +291,7 @@ fn hostile_rows_are_one_verdict_and_served_as_loaded() {
             let modelled: Vec<(u32, u32)> = (s.models.iter())
                 .map(|m| (m.type_index, m.property))
                 .collect();
-            let calm = (s.evidence.iter())
+            let calm = (s.rows.iter())
                 .map(|row| (s.entities[row.entity as usize].type_index, row.property))
                 .find(|key| !modelled.contains(key))
                 .expect("an unmodeled combination with evidence");
@@ -329,31 +328,31 @@ fn hostile_rows_are_one_verdict_and_served_as_loaded() {
 
     assert_eq!(
         hostile("counts that overflow u64 when summed", |s| {
-            s.evidence[0].positive = u64::MAX - 1;
-            s.evidence[1].negative = 2;
+            s.rows[0].positive = u64::MAX - 1;
+            s.rows[1].negative = 2;
         }),
         Some("evidence counts overflow")
     );
     assert_eq!(
         hostile("one count overflowing on its own row", |s| {
-            s.evidence[0].positive = u64::MAX;
-            s.evidence[0].negative = 1;
+            s.rows[0].positive = u64::MAX;
+            s.rows[0].negative = 1;
         }),
         Some("evidence counts overflow")
     );
     assert_eq!(
         hostile("counts at the edge of u64", |s| {
-            for row in &mut s.evidence {
+            for row in &mut s.rows {
                 (row.positive, row.negative) = (0, 0);
             }
-            s.evidence[0].positive = u64::MAX;
+            s.rows[0].positive = u64::MAX;
         }),
         None
     );
     assert_eq!(
         hostile("counts at u32::MAX", |s| {
-            s.evidence[0].positive = u64::from(u32::MAX);
-            s.evidence[1].negative = u64::from(u32::MAX);
+            s.rows[0].positive = u64::from(u32::MAX);
+            s.rows[1].negative = u64::from(u32::MAX);
         }),
         None
     );
@@ -362,92 +361,97 @@ fn hostile_rows_are_one_verdict_and_served_as_loaded() {
             // The last entity is a city; property 0 belongs to animals.
             let entity = s.entities.len() as u32 - 1;
             let property = s.properties.len() as u32 - 1;
-            s.evidence
+            s.rows
                 .retain(|row| (row.entity, row.property) != (entity, property));
-            s.evidence.push(EvidenceRow {
+            s.rows.push(PairRow {
                 entity,
                 property,
                 positive: 3,
                 negative: 4,
+                documents: vec![],
             });
         }),
         None
     );
     assert_eq!(
-        hostile("evidence rows out of order", |s| s.evidence.swap(0, 1)),
-        Some("evidence rows not in ascending order")
-    );
-    assert_eq!(
-        hostile("an evidence row twice", |s| {
-            let first = s.evidence[0];
-            s.evidence.insert(0, first);
+        hostile("rows out of order", |s| {
+            // Two rows of one entity: across entities the gap would not
+            // decode, which is the wire layer's refusal.
+            assert_eq!(s.rows[0].entity, s.rows[1].entity);
+            s.rows.swap(0, 1);
         }),
-        Some("evidence rows not in ascending order")
+        Some("rows not in ascending order")
     );
     assert_eq!(
-        hostile("evidence for an entity the table does not hold", |s| {
+        hostile("a row twice", |s| {
+            let first = s.rows[0].clone();
+            s.rows.insert(0, first);
+        }),
+        Some("rows not in ascending order")
+    );
+    assert_eq!(
+        hostile("a row for an entity the table does not hold", |s| {
             let entities = s.entities.len() as u32;
-            s.evidence.push(EvidenceRow {
+            s.rows.push(PairRow {
                 entity: entities,
                 property: 0,
                 positive: 1,
                 negative: 0,
+                documents: vec![7],
             });
         }),
-        Some("evidence entity out of range")
+        Some("row entity out of range")
     );
-    assert_eq!(hostile("no evidence at all", |s| s.evidence.clear()), None);
+    assert_eq!(hostile("no rows at all", |s| s.rows.clear()), None);
 
     assert_eq!(
-        hostile("a provenance row for an undecided pair", |s| {
-            // Below the threshold: `calm` has evidence and no model.
+        hostile("documents for an undecided pair", |s| {
+            // Below the threshold: `calm` has rows and no model.
             let modelled: Vec<(u32, u32)> = (s.models.iter())
                 .map(|m| (m.type_index, m.property))
                 .collect();
-            let undecided = (s.provenance.iter()).any(|row| {
+            let undecided = (s.rows.iter()).any(|row| {
                 let type_index = s.entities[row.entity as usize].type_index;
-                !modelled.contains(&(type_index, row.property))
+                !modelled.contains(&(type_index, row.property)) && !row.documents.is_empty()
             });
             assert!(undecided, "the mined world already holds such a row");
-            // And one for a pair nothing was ever said about.
+            // And a sample for a pair nothing was ever counted for, at
+            // the ends of the id space.
             let entity = s.entities.len() as u32 - 1;
             let property = s.properties.len() as u32 - 1;
-            s.provenance
+            s.rows
                 .retain(|row| (row.entity, row.property) != (entity, property));
-            s.provenance.push(ProvenanceRow {
+            s.rows.push(PairRow {
                 entity,
                 property,
-                documents: vec![1, 2, u64::MAX],
+                positive: 0,
+                negative: 0,
+                documents: vec![0, 1, u64::MAX],
             });
         }),
         None
     );
-    assert_eq!(
-        hostile("provenance without evidence", |s| s.evidence.clear()),
-        None
-    );
+    // An update merges into a sample by binary search and truncates it
+    // to the sample size, so a longer sample or a repeated id would make
+    // update ≢ from-scratch: both are refused at load.
     assert_eq!(
         hostile("a sample larger than its declared size", |s| {
-            s.provenance_sample_size = 0;
-            s.provenance[0].documents = (0..64).collect();
+            s.sample_size = 0;
+            s.rows[0].documents = (0..64).collect();
         }),
-        None
+        Some("document sample larger than the sample size")
     );
     assert_eq!(
-        hostile("documents out of order", |s| {
-            s.provenance[0].documents = vec![9, 3, 3, 0];
+        hostile("a document id twice", |s| {
+            s.rows[0].documents = vec![0, 3 << 32 | 9, 3 << 32 | 9];
         }),
-        None
+        Some("document ids not strictly ascending")
     );
     assert_eq!(
-        hostile("provenance rows out of order", |s| s.provenance.swap(0, 1)),
-        Some("provenance rows not in ascending order")
-    );
-    assert_eq!(
-        hostile("provenance for a property the table does not hold", |s| {
-            s.provenance[0].property = s.properties.len() as u32;
+        hostile("rows for a property the table does not hold", |s| {
+            s.rows[0].property = s.properties.len() as u32;
         }),
-        Some("provenance property out of range")
+        Some("row property out of range")
     );
 }
 
@@ -510,7 +514,7 @@ fn hostile_models_are_one_verdict() {
             s.types.clear();
             s.entities.clear();
         }),
-        Some("evidence entity out of range")
+        Some("row entity out of range")
     );
 }
 
@@ -559,7 +563,7 @@ fn damage_inside_valid_frames_is_one_verdict() {
     snapshot.fingerprints = group_fingerprints(&snapshot);
     let bytes = encode(&snapshot);
     let frames = frames(&bytes);
-    assert_eq!(frames.len(), 8, "all eight sections");
+    assert_eq!(frames.len(), 7, "all seven sections");
 
     let mut rng = 0x2015_u64;
     let mut next = move || {

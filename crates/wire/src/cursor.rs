@@ -133,6 +133,27 @@ impl<'a> Cursor<'a> {
         Ok(())
     }
 
+    /// Skips `n` varints by their last bytes alone (a byte under `0x80`
+    /// ends a varint), decoding none: how a run of varints is delimited
+    /// for a pass that decodes, and so checks, them later.
+    pub fn skip_varints(&mut self, n: usize, context: &'static str) -> Result<(), WireError> {
+        if n == 0 {
+            return Ok(());
+        }
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let mut left = n;
+        for (at, &byte) in rest.iter().enumerate() {
+            if byte < 0x80 {
+                left -= 1;
+                if left == 0 {
+                    self.pos += at + 1;
+                    return Ok(());
+                }
+            }
+        }
+        Err(WireError::BadVarint { context })
+    }
+
     /// The span between `mark` (an earlier clone of this cursor) and the
     /// current position.
     pub fn span_since(&self, mark: &Cursor<'a>) -> &'a [u8] {
@@ -285,6 +306,30 @@ mod tests {
         );
         // skip_str does not care about UTF-8, only framing.
         assert!(Cursor::new(&bad).skip_str("s").is_ok());
+    }
+
+    #[test]
+    fn skip_varints_finds_the_last_bytes() {
+        let mut buf = Vec::new();
+        for value in [0, 127, 128, u64::MAX, 5] {
+            put_varint(&mut buf, value);
+        }
+        let mut cursor = Cursor::new(&buf);
+        cursor.skip_varints(0, "none").unwrap();
+        cursor.skip_varints(4, "four").unwrap();
+        assert_eq!(cursor.remaining(), 1);
+        assert_eq!(cursor.varint("last"), Ok(5));
+        // Past the end, and a varint with no last byte, are typed errors.
+        let mut cursor = Cursor::new(&buf);
+        assert_eq!(
+            cursor.skip_varints(6, "six"),
+            Err(WireError::BadVarint { context: "six" })
+        );
+        let mut cursor = Cursor::new(&[0x80, 0x80]);
+        assert_eq!(
+            cursor.skip_varints(1, "open"),
+            Err(WireError::BadVarint { context: "open" })
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`SnapshotReader::new`] verifies the container in one pass — magic,
 //! version, section framing, checksums, canonical order — and stores one
 //! borrowed byte span per section. Record access after that is lazy:
-//! each section's [`Records`] iterator ([`SnapshotReader::evidence`] and
+//! each section's [`Records`] iterator ([`SnapshotReader::rows`] and
 //! friends) parses records straight out of the snapshot bytes and hands
 //! out borrowed `&str` spans and sub-iterators instead of allocating per
 //! record. Every read is bounds-checked; no input can make the decoder
@@ -13,11 +13,11 @@ use crate::crc32::crc32;
 use crate::cursor::Cursor;
 use crate::error::WireError;
 use crate::section::{
-    SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_ENTITIES, TAG_EVIDENCE,
-    TAG_FINGERPRINTS, TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES, TAG_PROVENANCE, TAG_TYPES,
+    SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_ENTITIES, TAG_FINGERPRINTS,
+    TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES, TAG_ROWS, TAG_TYPES,
 };
 use crate::snapshot::{
-    EvidenceRow, GroupFingerprintRow, IncrementalState, ModelRow, ProvenanceRow, Snapshot,
+    EvidenceRow, GroupFingerprintRow, IncrementalState, ModelRow, PairRow, Snapshot,
     SnapshotEntity, SnapshotProperty, SnapshotType,
 };
 use crate::{FORMAT_VERSION, MAGIC};
@@ -28,11 +28,10 @@ use std::marker::PhantomData;
 const SEC_PROPERTIES: usize = 0;
 const SEC_TYPES: usize = 1;
 const SEC_ENTITIES: usize = 2;
-const SEC_EVIDENCE: usize = 3;
-const SEC_PROVENANCE: usize = 4;
-const SEC_MODELS: usize = 5;
-const SEC_INCREMENTAL: usize = 6;
-const SEC_FINGERPRINTS: usize = 7;
+const SEC_ROWS: usize = 3;
+const SEC_MODELS: usize = 4;
+const SEC_INCREMENTAL: usize = 5;
+const SEC_FINGERPRINTS: usize = 6;
 
 /// Decodes a snapshot buffer into its owned form in one call.
 ///
@@ -55,10 +54,10 @@ pub struct SnapshotReader<'a> {
     /// Per-section record bytes (payload minus its leading counts),
     /// indexed like [`KNOWN_ORDER`]. The `INCR` slot is unused (its
     /// payload is not count-prefixed; see `incr_body`).
-    bodies: [&'a [u8]; 8],
+    bodies: [&'a [u8]; 7],
     /// Per-section record counts, already bounded by the payload size.
-    counts: [usize; 8],
-    provenance_sample_size: u64,
+    counts: [usize; 7],
+    sample_size: u64,
     /// Raw payload of the optional `INCR` section, parsed on demand by
     /// [`SnapshotReader::incremental`].
     incr_body: Option<&'a [u8]>,
@@ -84,11 +83,11 @@ impl<'a> SnapshotReader<'a> {
         let section_count = cursor.u32("header section count")?;
         let header_end = cursor;
 
-        let mut bodies: [&'a [u8]; 8] = [&[]; 8];
-        let mut counts = [0usize; 8];
-        let mut provenance_sample_size = 0u64;
+        let mut bodies: [&'a [u8]; 7] = [&[]; 7];
+        let mut counts = [0usize; 7];
+        let mut sample_size = 0u64;
         let mut incr_body: Option<&'a [u8]> = None;
-        let mut seen = [false; 8];
+        let mut seen = [false; 7];
         let mut next_expected = 0usize;
         for _ in 0..section_count {
             let tag_bytes = cursor.take(4, "section tag")?;
@@ -133,8 +132,8 @@ impl<'a> SnapshotReader<'a> {
                 incr_body = Some(payload);
             } else {
                 let mut payload_cursor = Cursor::new(payload);
-                if position == SEC_PROVENANCE {
-                    provenance_sample_size = payload_cursor.varint("provenance sample size")?;
+                if position == SEC_ROWS {
+                    sample_size = payload_cursor.varint("sample size")?;
                 }
                 counts[position] = payload_cursor.count(COUNT_CONTEXTS[position])?;
                 bodies[position] =
@@ -158,7 +157,7 @@ impl<'a> SnapshotReader<'a> {
             frames,
             bodies,
             counts,
-            provenance_sample_size,
+            sample_size,
             incr_body,
         })
     }
@@ -185,9 +184,9 @@ impl<'a> SnapshotReader<'a> {
         sizes
     }
 
-    /// The provenance sample bound stored in section `PROV`.
-    pub fn provenance_sample_size(&self) -> u64 {
-        self.provenance_sample_size
+    /// The document sample bound stored in section `ROWS`.
+    pub fn sample_size(&self) -> u64 {
+        self.sample_size
     }
 
     /// The records of the section in slot `section` of [`KNOWN_ORDER`].
@@ -216,14 +215,10 @@ impl<'a> SnapshotReader<'a> {
         self.records(SEC_ENTITIES)
     }
 
-    /// Iterates the evidence counters (section `EVID`).
-    pub fn evidence(&self) -> Records<'a, EvidenceRow> {
-        self.records(SEC_EVIDENCE)
-    }
-
-    /// Iterates the provenance samples (section `PROV`).
-    pub fn provenance(&self) -> Records<'a, ProvenanceRecord<'a>> {
-        self.records(SEC_PROVENANCE)
+    /// Iterates the pairs' counters and document samples (section
+    /// `ROWS`), their gaps added back.
+    pub fn rows(&self) -> Records<'a, PairRecord<'a>> {
+        self.records(SEC_ROWS)
     }
 
     /// Iterates the fitted models (section `MODL`).
@@ -333,13 +328,14 @@ impl<'a> SnapshotReader<'a> {
                         .collect::<Result<_, _>>()?,
                 })
             })?,
-            evidence: collect(self.evidence(), Ok)?,
-            provenance_sample_size: self.provenance_sample_size,
-            provenance: collect(self.provenance(), |record| {
-                Ok(ProvenanceRow {
+            sample_size: self.sample_size,
+            rows: collect(self.rows(), |record| {
+                Ok(PairRow {
                     entity: record.entity,
                     property: record.property,
-                    documents: record.documents.collect(),
+                    positive: record.positive,
+                    negative: record.negative,
+                    documents: record.documents.collect::<Result<_, _>>()?,
                 })
             })?,
             models: collect(self.models(), Ok)?,
@@ -364,12 +360,11 @@ fn collect<'a, R: SectionRecord<'a>, T>(
 
 /// Count-field contexts, indexed like [`KNOWN_ORDER`]. The `INCR` slot
 /// is a placeholder — that payload is not count-prefixed.
-const COUNT_CONTEXTS: [&str; 8] = [
+const COUNT_CONTEXTS: [&str; 7] = [
     "property count",
     "type count",
     "entity count",
-    "evidence row count",
-    "provenance row count",
+    "row count",
     "model row count",
     "incremental state",
     "fingerprint row count",
@@ -380,7 +375,8 @@ pub trait SectionRecord<'a>: Sized {
     /// The section, named by its trailing-bytes error.
     const TAG: SectionTag;
     /// What parsing carries from one record to the next: nothing, but
-    /// for `GRPF`, whose rows must ascend.
+    /// for `ROWS`, whose entities are gaps from the row before, and for
+    /// `GRPF`, whose rows must ascend.
     type State: Debug + Clone + Default;
     /// Parses the record at `cursor`.
     fn parse(cursor: &mut Cursor<'a>, state: &mut Self::State) -> Result<Self, WireError>;
@@ -529,26 +525,53 @@ impl<'a, T: ListItem<'a>> Iterator for List<'a, T> {
     }
 }
 
-/// A lazy list of varint `u64`s borrowed from the snapshot. Framing was
-/// validated when the owning record was delimited, so iteration is
-/// infallible.
+/// A row's document ids, decoded lazily out of the snapshot: each a
+/// shard gap and a local id, the local a gap too when the shard is the
+/// previous document's. The row was delimited by the varints' last bytes
+/// alone, so the one decode is here: a bad varint, or a gap whose sum
+/// overflows its `u32`, is the item's typed error, and ends the list.
 #[derive(Debug, Clone)]
-pub struct U64List<'a> {
+pub struct Documents<'a> {
     cursor: Cursor<'a>,
     remaining: usize,
-    context: &'static str,
+    /// The previous document's `(shard, local)`; `(0, 0)` before the
+    /// first, whose ids are then absolute.
+    last: (u32, u32),
 }
 
-impl<'a> U64List<'a> {
-    fn new(span: &'a [u8], count: usize, context: &'static str) -> Self {
-        Self {
-            cursor: Cursor::new(span),
+impl<'a> Documents<'a> {
+    /// Delimits `count` documents at `cursor` (two varints each) and
+    /// returns a lazy iterator over their span.
+    fn skim(cursor: &mut Cursor<'a>, count: usize) -> Result<Self, WireError> {
+        let mark = *cursor;
+        cursor.skip_varints(2 * count, "document id")?;
+        Ok(Self {
+            cursor: Cursor::new(cursor.span_since(&mark)),
             remaining: count,
-            context,
-        }
+            last: (0, 0),
+        })
     }
 
-    /// Values left to yield.
+    /// Reads the document after `last`.
+    fn step(&mut self) -> Result<u64, WireError> {
+        let shard_gap = self.cursor.varint("document shard gap")?;
+        let local = self.cursor.varint("document local id")?;
+        let shard = (u32::try_from(shard_gap).ok()).and_then(|gap| self.last.0.checked_add(gap));
+        let local = (u32::try_from(local).ok()).and_then(|local| match shard_gap {
+            0 => self.last.1.checked_add(local),
+            _ => Some(local),
+        });
+        let Some(last) = shard.zip(local) else {
+            return Err(WireError::BadRecord {
+                section: TAG_ROWS,
+                detail: "document id out of range",
+            });
+        };
+        self.last = last;
+        Ok(u64::from(last.0) << 32 | u64::from(last.1))
+    }
+
+    /// Documents left to yield.
     pub fn len(&self) -> usize {
         self.remaining
     }
@@ -559,29 +582,28 @@ impl<'a> U64List<'a> {
     }
 }
 
-impl<'a> Iterator for U64List<'a> {
-    type Item = u64;
+impl Iterator for Documents<'_> {
+    type Item = Result<u64, WireError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.remaining == 0 {
             return None;
         }
-        self.remaining -= 1;
-        match self.cursor.varint(self.context) {
-            Ok(v) => Some(v),
-            Err(_) => {
-                // Unreachable: the span was skimmed before being handed out.
-                self.remaining = 0;
-                None
-            }
-        }
+        let document = self.step();
+        self.remaining = match document {
+            Ok(_) => self.remaining - 1,
+            Err(_) => 0,
+        };
+        Some(document)
     }
 
-    /// Exact (the span was skimmed), so `collect` allocates once.
+    /// Exact unless an item fails, which ends the list.
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining, Some(self.remaining))
     }
 }
+
+impl ExactSizeIterator for Documents<'_> {}
 
 /// One property-table record, borrowed from section `PROP`.
 #[derive(Debug, Clone)]
@@ -655,48 +677,61 @@ impl<'a> SectionRecord<'a> for EntityRecord<'a> {
     }
 }
 
-/// Evidence rows are plain `Copy` values — nothing to borrow.
-impl<'a> SectionRecord<'a> for EvidenceRow {
-    const TAG: SectionTag = TAG_EVIDENCE;
-    type State = ();
-
-    fn parse(cursor: &mut Cursor<'a>, _: &mut ()) -> Result<Self, WireError> {
-        Ok(Self {
-            entity: cursor.u32("evidence entity")?,
-            property: cursor.u32("evidence property")?,
-            positive: cursor.varint("positive count")?,
-            negative: cursor.varint("negative count")?,
-        })
-    }
-}
-
-/// One provenance record, borrowed from section `PROV`.
+/// One row of section `ROWS`, its gaps added back and its documents
+/// borrowed.
 #[derive(Debug, Clone)]
-pub struct ProvenanceRecord<'a> {
-    /// The entity.
+pub struct PairRecord<'a> {
+    /// The entity (row index into `ENTS`).
     pub entity: u32,
     /// Index into the property table.
     pub property: u32,
+    /// Positive statement count.
+    pub positive: u64,
+    /// Negative statement count.
+    pub negative: u64,
     /// Supporting document ids, ascending.
-    pub documents: U64List<'a>,
+    pub documents: Documents<'a>,
 }
 
-impl<'a> SectionRecord<'a> for ProvenanceRecord<'a> {
-    const TAG: SectionTag = TAG_PROVENANCE;
-    type State = ();
-
-    fn parse(cursor: &mut Cursor<'a>, _: &mut ()) -> Result<Self, WireError> {
-        let entity = cursor.u32("provenance entity")?;
-        let property = cursor.u32("provenance property")?;
-        let count = cursor.count("document count")?;
-        let mark = *cursor;
-        for _ in 0..count {
-            cursor.varint("document id")?;
+impl PairRecord<'_> {
+    /// The row's key and counts.
+    pub fn evidence(&self) -> EvidenceRow {
+        EvidenceRow {
+            entity: self.entity,
+            property: self.property,
+            positive: self.positive,
+            negative: self.negative,
         }
+    }
+}
+
+/// The state is the previous row's entity, which the next one's gap is
+/// added to.
+impl<'a> SectionRecord<'a> for PairRecord<'a> {
+    const TAG: SectionTag = TAG_ROWS;
+    type State = u32;
+
+    fn parse(cursor: &mut Cursor<'a>, last_entity: &mut u32) -> Result<Self, WireError> {
+        let out_of_range = |detail| WireError::BadRecord {
+            section: TAG_ROWS,
+            detail,
+        };
+        let gap = cursor.varint("entity gap")?;
+        let entity = (u32::try_from(gap).ok())
+            .and_then(|gap| last_entity.checked_add(gap))
+            .ok_or(out_of_range("entity out of range"))?;
+        *last_entity = entity;
+        let property = u32::try_from(cursor.varint("row property")?)
+            .map_err(|_| out_of_range("property out of range"))?;
+        let positive = cursor.varint("positive count")?;
+        let negative = cursor.varint("negative count")?;
+        let count = cursor.count("document count")?;
         Ok(Self {
             entity,
             property,
-            documents: U64List::new(cursor.span_since(&mark), count, "document id"),
+            positive,
+            negative,
+            documents: Documents::skim(cursor, count)?,
         })
     }
 }
@@ -751,7 +786,7 @@ mod tests {
     use super::*;
     use crate::cursor::{put_u16, put_u32, put_u64, put_varint};
     use crate::encode::encode;
-    use crate::snapshot::{EvidenceRow, SnapshotProperty};
+    use crate::snapshot::SnapshotProperty;
 
     /// A container holding the given `(tag, payload)` frames.
     fn container(sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
@@ -769,14 +804,13 @@ mod tests {
         out
     }
 
-    /// The six canonical frames of an empty world.
+    /// The five canonical frames of an empty world.
     fn empty_sections() -> Vec<([u8; 4], Vec<u8>)> {
         vec![
             (*b"PROP", vec![0]),
             (*b"TYPE", vec![0]),
             (*b"ENTS", vec![0]),
-            (*b"EVID", vec![0]),
-            (*b"PROV", vec![0, 0]),
+            (*b"ROWS", vec![0, 0]),
             (*b"MODL", vec![0]),
         ]
     }
@@ -804,17 +838,13 @@ mod tests {
                 type_index: 0,
                 attributes: vec![("population".into(), 2.1e6)],
             }],
-            evidence: vec![EvidenceRow {
+            sample_size: 16,
+            rows: vec![PairRow {
                 entity: 0,
                 property: 0,
                 positive: 12,
                 negative: 3,
-            }],
-            provenance_sample_size: 16,
-            provenance: vec![ProvenanceRow {
-                entity: 0,
-                property: 0,
-                documents: vec![5, 900, 90_001],
+                documents: vec![5, 900, 3 << 32 | 7],
             }],
             models: vec![ModelRow {
                 type_index: 0,
@@ -892,13 +922,18 @@ mod tests {
             SnapshotReader::new(&bytes).map(|_| ()),
             Err(WireError::UnsupportedVersion { found: 0x63 })
         );
-        // Version 1 stored decisions this reader no longer parses: it is
-        // refused, never read as a version-2 file.
-        bytes[8] = 1;
-        assert_eq!(
-            SnapshotReader::new(&bytes).map(|_| ()),
-            Err(WireError::UnsupportedVersion { found: 1 })
-        );
+        // Version 1 stored decisions, and versions 1 and 2 the separate
+        // `EVID` and `PROV` sections, that this reader no longer parses:
+        // each is refused, never read as a version-3 file.
+        for old in [1, 2] {
+            bytes[8] = old;
+            assert_eq!(
+                SnapshotReader::new(&bytes).map(|_| ()),
+                Err(WireError::UnsupportedVersion {
+                    found: u16::from(old)
+                })
+            );
+        }
     }
 
     #[test]
@@ -942,17 +977,15 @@ mod tests {
     #[test]
     fn missing_section_names_the_first_absent_tag() {
         let mut sections = empty_sections();
-        sections.remove(4); // drop PROV
+        sections.remove(3); // drop ROWS
         assert_eq!(
             SnapshotReader::new(&container(&sections)).map(|_| ()),
             Err(WireError::OutOfOrderSection { tag: TAG_MODELS })
         );
-        sections.truncate(4); // PROP..EVID only
+        sections.truncate(3); // PROP..ENTS only
         assert_eq!(
             SnapshotReader::new(&container(&sections)).map(|_| ()),
-            Err(WireError::MissingSection {
-                tag: TAG_PROVENANCE
-            })
+            Err(WireError::MissingSection { tag: TAG_ROWS })
         );
         assert_eq!(
             SnapshotReader::new(&container(&[])).map(|_| ()),
@@ -976,7 +1009,7 @@ mod tests {
     fn trailing_bytes_after_last_section_are_rejected() {
         let mut bytes = container(&empty_sections());
         bytes.extend_from_slice(&[1, 2, 3]);
-        // The header still says 6 sections, so the tail is garbage.
+        // The header still says 5 sections, so the tail is garbage.
         assert_eq!(
             SnapshotReader::new(&bytes).map(|_| ()),
             Err(WireError::TrailingBytes { count: 3 })
@@ -996,30 +1029,97 @@ mod tests {
     #[test]
     fn section_trailing_bytes_are_a_bad_record() {
         let mut sections = empty_sections();
-        sections[3].1.push(0xaa); // EVID declares 0 rows but has a byte
+        sections[3].1.push(0xaa); // ROWS declares 0 rows but has a byte
         let bytes = container(&sections);
         let reader = SnapshotReader::new(&bytes).unwrap();
         let err = reader.to_snapshot().expect_err("decoded");
         assert_eq!(
             err,
             WireError::BadRecord {
-                section: TAG_EVIDENCE,
+                section: TAG_ROWS,
                 detail: "trailing bytes in section",
             }
         );
     }
 
     #[test]
+    fn gaps_that_overflow_are_a_bad_record() {
+        // One ROWS payload: sample size 4, then the given rows, each an
+        // entity gap, property, counts and its documents' varints.
+        let rows = |rows: &[(u64, u64, &[u64])]| {
+            let mut payload = vec![4];
+            put_varint(&mut payload, rows.len() as u64);
+            for &(gap, property, documents) in rows {
+                put_varint(&mut payload, gap);
+                put_varint(&mut payload, property);
+                payload.extend_from_slice(&[1, 0]);
+                put_varint(&mut payload, documents.len() as u64 / 2);
+                for &value in documents {
+                    put_varint(&mut payload, value);
+                }
+            }
+            let mut sections = empty_sections();
+            sections[3].1 = payload;
+            container(&sections)
+        };
+        let verdict = |bytes: Vec<u8>| {
+            let reader = SnapshotReader::new(&bytes).unwrap();
+            match reader.to_snapshot() {
+                Ok(snapshot) => Ok(snapshot.rows),
+                Err(WireError::BadRecord { section, detail }) => {
+                    assert_eq!(section, TAG_ROWS);
+                    Err(detail)
+                }
+                Err(other) => panic!("unexpected {other:?}"),
+            }
+        };
+        let max = u64::from(u32::MAX);
+        // The extremes decode: an entity gap of u32::MAX, the last shard
+        // and local id, a shard gap that lands on u32::MAX.
+        let edge = verdict(rows(&[(max, max, &[0, max, max, 0, 0, max])])).unwrap();
+        assert_eq!((edge[0].entity, edge[0].property), (u32::MAX, u32::MAX));
+        assert_eq!(edge[0].documents, vec![max, max << 32, u64::MAX]);
+        assert_eq!(
+            verdict(rows(&[(max, 0, &[]), (1, 0, &[])])),
+            Err("entity out of range")
+        );
+        assert_eq!(
+            verdict(rows(&[(max + 1, 0, &[])])),
+            Err("entity out of range")
+        );
+        assert_eq!(
+            verdict(rows(&[(0, max + 1, &[])])),
+            Err("property out of range")
+        );
+        for documents in [
+            &[max + 1, 0][..],   // a shard past u32::MAX
+            &[0, max + 1],       // a local id past it
+            &[max, 0, 1, 0],     // a shard gap past the last shard
+            &[0, max, 0, 1],     // a local gap past the last local id
+            &[5, 9, 0, max - 8], // … by one
+        ] {
+            assert_eq!(
+                verdict(rows(&[(0, 0, documents)])),
+                Err("document id out of range"),
+                "{documents:?}"
+            );
+        }
+        // A zero gap decodes: repeated ids are the loader's to refuse.
+        let repeated = verdict(rows(&[(0, 0, &[2, 3, 0, 0])])).unwrap();
+        assert_eq!(repeated[0].documents, vec![2 << 32 | 3, 2 << 32 | 3]);
+    }
+
+    #[test]
     fn impossible_record_count_is_rejected_without_allocating() {
         let mut sections = empty_sections();
-        // EVID claims u64::MAX rows in a 10-byte payload.
-        let mut payload = Vec::new();
+        // ROWS claims u64::MAX rows in an 11-byte payload.
+        let mut payload = vec![0];
         put_varint(&mut payload, u64::MAX);
         sections[3].1 = payload;
         assert_eq!(
             SnapshotReader::new(&container(&sections)).map(|_| ()),
             Err(WireError::BadVarint {
-                context: "evidence row count"
+                context: "row count"
             })
         );
     }
@@ -1063,7 +1163,7 @@ mod tests {
         let snapshot = sample();
         let bytes = encode(&snapshot);
         let reader = SnapshotReader::new(&bytes).unwrap();
-        assert_eq!(reader.provenance_sample_size(), 16);
+        assert_eq!(reader.sample_size(), 16);
         assert_eq!(reader.properties().count(), 2);
         let first = reader.properties().next().unwrap().unwrap();
         assert_eq!(first.adjective, "big");
@@ -1074,8 +1174,13 @@ mod tests {
             entity.aliases.collect::<Result<Vec<_>, _>>().unwrap(),
             vec!["Lutetia"]
         );
-        let prov = reader.provenance().next().unwrap().unwrap();
-        assert_eq!(prov.documents.collect::<Vec<_>>(), vec![5, 900, 90_001]);
+        let row = reader.rows().next().unwrap().unwrap();
+        assert_eq!((row.entity, row.positive, row.negative), (0, 12, 3));
+        assert_eq!(row.documents.len(), 3);
+        assert_eq!(
+            row.documents.collect::<Result<Vec<_>, _>>(),
+            Ok(vec![5, 900, 3 << 32 | 7])
+        );
         let model = reader.models().next().unwrap().unwrap();
         assert_eq!((model.p_agree, model.iterations), (0.9, 7));
         assert_eq!(model.log_likelihood, -42.5);
@@ -1104,11 +1209,16 @@ mod tests {
         let tags: Vec<String> = sizes.iter().map(|(tag, _)| tag.to_string()).collect();
         assert_eq!(
             tags,
-            ["PROP", "TYPE", "ENTS", "EVID", "PROV", "MODL", "INCR", "GRPF"]
+            ["PROP", "TYPE", "ENTS", "ROWS", "MODL", "INCR", "GRPF"]
         );
         // A model row is its key, three parameters, a one-byte iteration
         // count, the code and the likelihood: 42 bytes and a count byte.
-        assert_eq!(sizes[5].1, 1 + 42);
+        assert_eq!(sizes[4].1, 1 + 42);
+        // The row: entity gap, property, two counts and a document count
+        // (one byte each), then the documents as (shard gap, local) pairs:
+        // (0, 5), (0, 895 in two bytes), (3, 7). After the sample size
+        // and the row count, 14 bytes.
+        assert_eq!(sizes[3].1, 2 + 5 + 2 + 3 + 2);
     }
 
     #[test]
@@ -1131,11 +1241,11 @@ mod tests {
     }
 
     #[test]
-    fn plain_snapshot_encodes_six_sections() {
-        // Without incremental state the byte stream is the six required
+    fn plain_snapshot_encodes_five_sections() {
+        // Without incremental state the byte stream is the five required
         // sections alone.
         let bytes = encode(&sample());
-        assert_eq!(&bytes[12..16], &6u32.to_le_bytes());
+        assert_eq!(&bytes[12..16], &5u32.to_le_bytes());
         let reader = SnapshotReader::new(&bytes).unwrap();
         assert!(!reader.has_incremental());
         assert_eq!(reader.incremental().unwrap(), None);
@@ -1160,7 +1270,7 @@ mod tests {
         SnapshotReader::new(&encode(&incremental_sample())).unwrap();
 
         // Rebuild the raw frames so they can be rearranged: required
-        // six from the empty world plus handcrafted INCR/GRPF.
+        // five from the empty world plus handcrafted INCR/GRPF.
         let incr_payload = || {
             let mut p = vec![0]; // rho = 0
             put_u64(&mut p, 0); // config digest
@@ -1192,7 +1302,7 @@ mod tests {
             })
         );
 
-        // An optional section before the required six is out of order
+        // An optional section before the required five is out of order
         // (it would skip every required section).
         let mut sections = empty_sections();
         sections.insert(0, (*b"INCR", incr_payload()));

@@ -78,7 +78,7 @@ impl SectionDelta {
 /// The full comparison of two snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapshotDiff {
-    /// Whether the provenance sample bounds differ.
+    /// Whether the document sample bounds differ.
     pub sample_size_changed: bool,
     /// One delta per section, in canonical section order.
     pub sections: Vec<SectionDelta>,
@@ -133,7 +133,7 @@ impl Names<'_> {
             .unwrap_or_else(|| format!("#property{index}"))
     }
 
-    /// The key of an `(entity, property)` row: `EVID`, `PROV`.
+    /// The key of an `(entity, property)` row: `ROWS`.
     fn pair(&self, entity: u32, property: u32) -> String {
         format!("{} × {}", self.entity(entity), self.property(property))
     }
@@ -184,8 +184,10 @@ pub fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
                 })
                 .collect()
         }),
+        // `ROWS` reports as two views of its rows: the counters of every
+        // pair, and the document samples of the pairs that have one.
         section("evidence", a, b, |s, names| {
-            (s.evidence.iter())
+            (s.rows.iter())
                 .map(|row| {
                     let value = (row.positive, row.negative);
                     (names.pair(row.entity, row.property), value)
@@ -193,7 +195,8 @@ pub fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
                 .collect()
         }),
         section("provenance", a, b, |s, names| {
-            (s.provenance.iter())
+            (s.rows.iter())
+                .filter(|row| !row.documents.is_empty())
                 .map(|row| {
                     let value = row.documents.clone();
                     (names.pair(row.entity, row.property), value)
@@ -253,7 +256,7 @@ pub fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
         }),
     ];
     SnapshotDiff {
-        sample_size_changed: a.provenance_sample_size != b.provenance_sample_size,
+        sample_size_changed: a.sample_size != b.sample_size,
         sections,
     }
 }
@@ -261,7 +264,7 @@ pub fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{EvidenceRow, ModelRow, SnapshotEntity, SnapshotType};
+    use crate::snapshot::{ModelRow, PairRow, SnapshotEntity, SnapshotType};
 
     fn world() -> Snapshot {
         Snapshot {
@@ -294,14 +297,14 @@ mod tests {
                     attributes: vec![],
                 },
             ],
-            evidence: vec![EvidenceRow {
+            sample_size: 3,
+            rows: vec![PairRow {
                 entity: 0,
                 property: 0,
                 positive: 10,
                 negative: 2,
+                documents: vec![],
             }],
-            provenance_sample_size: 3,
-            provenance: vec![],
             models: vec![ModelRow {
                 type_index: 0,
                 property: 0,
@@ -340,7 +343,7 @@ mod tests {
         // The updated snapshot ingested one more shard and grew the
         // evidence of the only group.
         let mut b = a.clone();
-        b.evidence[0].positive += 5;
+        b.rows[0].positive += 5;
         b.fingerprints = crate::snapshot::group_fingerprints(&b);
         b.incremental.as_mut().unwrap().ingest_range(3, 4);
 
@@ -378,11 +381,29 @@ mod tests {
     fn changed_evidence_counts_report_as_changed() {
         let a = world();
         let mut b = world();
-        b.evidence[0].positive = 99;
+        b.rows[0].positive = 99;
         let diff = diff_snapshots(&a, &b);
         let evidence = &diff.sections[3];
         assert_eq!(evidence.changed, vec!["Springfield × big"]);
         assert!(evidence.added.is_empty() && evidence.removed.is_empty());
+    }
+
+    #[test]
+    fn rows_report_as_evidence_and_provenance_views() {
+        // A sample is a provenance key; the counts beside it an evidence
+        // key. Changing the documents moves only the first.
+        let mut a = world();
+        a.rows[0].documents = vec![1, 5];
+        let mut b = a.clone();
+        b.rows[0].documents = vec![1, 6];
+        let diff = diff_snapshots(&a, &b);
+        assert!(diff.sections[3].is_identical());
+        let provenance = &diff.sections[4];
+        assert_eq!(provenance.section, "provenance");
+        assert_eq!(provenance.changed, vec!["Springfield × big"]);
+        // A row without documents has no provenance key.
+        assert_eq!(diff_snapshots(&a, &world()).sections[4].removed.len(), 1);
+        assert_eq!(diff_snapshots(&world(), &world()).sections[4].count_a, 0);
     }
 
     #[test]
@@ -407,7 +428,7 @@ mod tests {
         // Swap the entity table and fix up every index reference; the
         // content is identical, only dense ids moved.
         b.entities.swap(0, 1);
-        b.evidence[0].entity = 1;
+        b.rows[0].entity = 1;
         let diff = diff_snapshots(&a, &b);
         assert!(
             diff.is_identical(),
@@ -419,7 +440,7 @@ mod tests {
     fn sample_size_mismatch_flags() {
         let a = world();
         let mut b = world();
-        b.provenance_sample_size = 9;
+        b.sample_size = 9;
         let diff = diff_snapshots(&a, &b);
         assert!(diff.sample_size_changed);
         assert!(!diff.is_identical());

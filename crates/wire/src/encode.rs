@@ -15,12 +15,12 @@
 use crate::crc32::crc32;
 use crate::cursor::{put_f64, put_str, put_u16, put_u32, put_u64, put_varint};
 use crate::section::{
-    SectionTag, TAG_ENTITIES, TAG_EVIDENCE, TAG_FINGERPRINTS, TAG_INCREMENTAL, TAG_MODELS,
-    TAG_PROPERTIES, TAG_PROVENANCE, TAG_TYPES,
+    SectionTag, TAG_ENTITIES, TAG_FINGERPRINTS, TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES,
+    TAG_ROWS, TAG_TYPES,
 };
 use crate::snapshot::{
     group_fingerprints, EvidenceRow, GroupFingerprintRow, GroupFingerprinter, IncrementalState,
-    ModelRow, ProvenanceRow, Snapshot, SnapshotEntity, SnapshotProperty, SnapshotType,
+    ModelRow, PairRow, Snapshot, SnapshotEntity, SnapshotProperty, SnapshotType,
 };
 use crate::{FORMAT_VERSION, MAGIC};
 
@@ -46,13 +46,13 @@ pub trait SnapshotSource {
             impl ExactSizeIterator<Item = (&str, f64)>,
         ),
     >;
-    /// `EVID` rows, sorted by `(entity, property)`.
-    fn evidence(&self) -> impl ExactSizeIterator<Item = EvidenceRow>;
-    /// `PROV`'s sample bound (documents kept per pair).
-    fn provenance_sample_size(&self) -> u64;
-    /// `PROV` rows as `(entity, property, documents)`, sorted by
-    /// `(entity, property)`, documents ascending.
-    fn provenance(&self) -> impl ExactSizeIterator<Item = (u32, u32, &[u64])>;
+    /// The document sample bound (documents kept per pair).
+    fn sample_size(&self) -> u64;
+    /// `ROWS`: each pair's counters and documents, sorted by
+    /// `(entity, property)` with no pair twice, documents strictly
+    /// ascending. Rows and documents are written as gaps from the one
+    /// before, so the bytes of a source out of this order do not decode.
+    fn rows(&self) -> impl ExactSizeIterator<Item = (EvidenceRow, &[u64])>;
     /// `MODL` rows, sorted by `(type_index, property)`.
     fn models(&self) -> impl ExactSizeIterator<Item = ModelRow>;
     /// The `INCR` section's state; `None` writes no `INCR`.
@@ -67,9 +67,9 @@ pub trait SnapshotSource {
 pub enum Fingerprints<'a> {
     /// These rows, as stored (an owned [`Snapshot`]'s, verified or not).
     Stored(&'a [GroupFingerprintRow]),
-    /// Folded with [`GroupFingerprinter`] from the `EVID` rows as they are
+    /// Folded with [`GroupFingerprinter`] from the `ROWS` rows as they are
     /// written, each with its entity's type from the `ENTS` rows written
-    /// before them — no second pass over the evidence. A row whose entity
+    /// before them — no second pass over the rows. A row whose entity
     /// is out of range is skipped, as [`crate::group_fingerprints`] skips
     /// it.
     Folded,
@@ -110,16 +110,12 @@ impl SnapshotSource for Snapshot {
         })
     }
 
-    fn evidence(&self) -> impl ExactSizeIterator<Item = EvidenceRow> {
-        self.evidence.iter().copied()
+    fn sample_size(&self) -> u64 {
+        self.sample_size
     }
 
-    fn provenance_sample_size(&self) -> u64 {
-        self.provenance_sample_size
-    }
-
-    fn provenance(&self) -> impl ExactSizeIterator<Item = (u32, u32, &[u64])> {
-        (self.provenance.iter()).map(|row| (row.entity, row.property, row.documents.as_slice()))
+    fn rows(&self) -> impl ExactSizeIterator<Item = (EvidenceRow, &[u64])> {
+        (self.rows.iter()).map(|row| (row.evidence(), row.documents.as_slice()))
     }
 
     fn models(&self) -> impl ExactSizeIterator<Item = ModelRow> {
@@ -161,12 +157,13 @@ impl Snapshot {
                     attributes: (attributes.map(|(key, value)| (key.to_owned(), value))).collect(),
                 })
                 .collect(),
-            evidence: source.evidence().collect(),
-            provenance_sample_size: source.provenance_sample_size(),
-            provenance: (source.provenance())
-                .map(|(entity, property, documents)| ProvenanceRow {
-                    entity,
-                    property,
+            sample_size: source.sample_size(),
+            rows: (source.rows())
+                .map(|(row, documents)| PairRow {
+                    entity: row.entity,
+                    property: row.property,
+                    positive: row.positive,
+                    negative: row.negative,
                     documents: documents.to_vec(),
                 })
                 .collect(),
@@ -190,7 +187,7 @@ pub fn encode(snapshot: &Snapshot) -> Vec<u8> {
 
 /// Writes a snapshot in the wire format of [`FORMAT_VERSION`].
 ///
-/// The six required sections are always written; the optional `INCR` and
+/// The five required sections are always written; the optional `INCR` and
 /// `GRPF` follow only when [`SnapshotSource::incremental`] is set or the
 /// fingerprint rows are non-empty, and the header counts what was written.
 ///
@@ -226,7 +223,7 @@ pub fn write_snapshot(source: &impl SnapshotSource) -> Vec<u8> {
             put_strs(buf, context_cues);
         }
     });
-    // The fold needs each evidence row's entity type: kept from here.
+    // The fold needs each row's entity type: kept from here.
     let mut entity_types = Vec::new();
     w.section(TAG_ENTITIES, |buf| {
         let entities = source.entities();
@@ -249,31 +246,36 @@ pub fn write_snapshot(source: &impl SnapshotSource) -> Vec<u8> {
         }
     });
     let mut fingerprinter = fold.then(GroupFingerprinter::new);
-    w.section(TAG_EVIDENCE, |buf| {
-        let evidence = source.evidence();
-        put_varint(buf, evidence.len() as u64);
-        for row in evidence {
-            put_u32(buf, row.entity);
-            put_u32(buf, row.property);
+    w.section(TAG_ROWS, |buf| {
+        put_varint(buf, source.sample_size());
+        let rows = source.rows();
+        put_varint(buf, rows.len() as u64);
+        let mut entity = 0u32;
+        for (row, documents) in rows {
+            // Wrapping gaps: a source out of order writes a gap no decoder
+            // can add back without overflow, never a panic here.
+            put_varint(buf, u64::from(row.entity.wrapping_sub(entity)));
+            entity = row.entity;
+            put_varint(buf, u64::from(row.property));
             put_varint(buf, row.positive);
             put_varint(buf, row.negative);
+            put_varint(buf, documents.len() as u64);
+            let (mut shard, mut local) = (0u32, 0u32);
+            for &document in documents {
+                let (next_shard, next_local) = ((document >> 32) as u32, document as u32);
+                let shard_gap = next_shard.wrapping_sub(shard);
+                let local_gap = match shard_gap {
+                    0 => next_local.wrapping_sub(local),
+                    _ => next_local,
+                };
+                put_varint(buf, u64::from(shard_gap));
+                put_varint(buf, u64::from(local_gap));
+                (shard, local) = (next_shard, next_local);
+            }
             if let Some(fingerprinter) = &mut fingerprinter {
                 if let Some(&type_index) = entity_types.get(row.entity as usize) {
                     fingerprinter.add(type_index, &row);
                 }
-            }
-        }
-    });
-    w.section(TAG_PROVENANCE, |buf| {
-        put_varint(buf, source.provenance_sample_size());
-        let provenance = source.provenance();
-        put_varint(buf, provenance.len() as u64);
-        for (entity, property, documents) in provenance {
-            put_u32(buf, entity);
-            put_u32(buf, property);
-            put_varint(buf, documents.len() as u64);
-            for &doc in documents {
-                put_varint(buf, doc);
             }
         }
     });
@@ -370,12 +372,11 @@ fn size_hint(source: &impl SnapshotSource) -> usize {
         Fingerprints::Stored(rows) => rows.len(),
         Fingerprints::Folded => source.models().len(),
     };
-    16 + 8 * 16
+    16 + 7 * 16
         + source.properties().len() * 16
         + source.types().len() * 64
         + source.entities().len() * 48
-        + source.evidence().len() * 10
-        + source.provenance().len() * 20
+        + source.rows().len() * 14
         + source.models().len() * 44
         + fingerprints * 20
 }

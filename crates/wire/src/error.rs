@@ -134,7 +134,7 @@ impl std::error::Error for WireError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::section::TAG_EVIDENCE;
+    use crate::section::TAG_ROWS;
 
     #[test]
     fn display_names_the_failure() {
@@ -154,22 +154,22 @@ mod tests {
             ),
             (
                 WireError::CrcMismatch {
-                    tag: TAG_EVIDENCE,
+                    tag: TAG_ROWS,
                     stored: 1,
                     computed: 2,
                 },
-                "CRC mismatch in section EVID",
+                "CRC mismatch in section ROWS",
             ),
             (
-                WireError::DuplicateSection { tag: TAG_EVIDENCE },
-                "duplicate section EVID",
+                WireError::DuplicateSection { tag: TAG_ROWS },
+                "duplicate section ROWS",
             ),
             (
-                WireError::MissingSection { tag: TAG_EVIDENCE },
-                "missing required section EVID",
+                WireError::MissingSection { tag: TAG_ROWS },
+                "missing required section ROWS",
             ),
             (
-                WireError::OutOfOrderSection { tag: TAG_EVIDENCE },
+                WireError::OutOfOrderSection { tag: TAG_ROWS },
                 "out of canonical order",
             ),
             (WireError::TrailingBytes { count: 5 }, "5 trailing bytes"),
@@ -180,10 +180,10 @@ mod tests {
             (WireError::BadUtf8 { context: "name" }, "invalid UTF-8"),
             (
                 WireError::BadRecord {
-                    section: TAG_EVIDENCE,
+                    section: TAG_ROWS,
                     detail: "count exceeds payload",
                 },
-                "malformed record in section EVID",
+                "malformed record in section ROWS",
             ),
         ];
         for (error, needle) in cases {

@@ -2,8 +2,9 @@
 //! Surveyor worlds.
 //!
 //! A snapshot captures everything the pipeline mined — the knowledge
-//! base, the evidence counters, the provenance samples and the fitted
-//! per-(type, property) models — in one self-describing byte buffer that
+//! base, each (entity, property) pair's evidence counters and sample of
+//! supporting documents, and the fitted per-(type, property) models — in
+//! one self-describing byte buffer that
 //! can be written to disk and loaded back without re-mining. The decided
 //! pairs are not stored: each is a function of its model row and its
 //! entity's evidence counts, and loaders derive them. The format is fully specified in `FORMAT.md`
@@ -16,14 +17,15 @@
 //! little-endian [`FORMAT_VERSION`], a reserved word, and a section
 //! count) followed by framed sections. Each frame carries a four-byte
 //! tag, a payload length, and a CRC-32 of the payload, so damage is
-//! detected before any record is parsed. Writers emit six required
+//! detected before any record is parsed. Writers emit five required
 //! sections in [`CANONICAL_ORDER`], optionally followed by the
 //! incremental-mining sections `INCR` and `GRPF`; readers skip unknown
 //! tags, which is the forward-compatibility hook for additive revisions.
 //!
 //! Inside a payload, integers are little-endian, open-ended counts are
 //! LEB128 varints, floats are IEEE 754 bit patterns (bit-exact round
-//! trips), and strings are length-prefixed UTF-8. Property references
+//! trips), and strings are length-prefixed UTF-8. Sorted keys and
+//! document ids are stored as gaps from the one before. Property references
 //! are indexes into the snapshot's own sorted property table — never
 //! process-local interner ids, which depend on thread interleaving.
 //!
@@ -82,25 +84,26 @@ mod section;
 mod snapshot;
 
 pub use decode::{
-    decode, AttrList, EntityRecord, List, ListItem, PropertyRecord, ProvenanceRecord, Records,
-    SectionRecord, SnapshotReader, StrList, TypeRecord, U64List,
+    decode, AttrList, Documents, EntityRecord, List, ListItem, PairRecord, PropertyRecord, Records,
+    SectionRecord, SnapshotReader, StrList, TypeRecord,
 };
 pub use diff::{diff_snapshots, SectionDelta, SnapshotDiff};
 pub use encode::{encode, write_snapshot, Fingerprints, SnapshotSource};
 pub use error::WireError;
 pub use section::{
-    SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_ENTITIES, TAG_EVIDENCE,
-    TAG_FINGERPRINTS, TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES, TAG_PROVENANCE, TAG_TYPES,
+    SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_ENTITIES, TAG_FINGERPRINTS,
+    TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES, TAG_ROWS, TAG_TYPES,
 };
 pub use snapshot::{
     group_fingerprints, EvidenceRow, Fnv64, GroupFingerprintRow, GroupFingerprinter,
-    IncrementalState, ModelRow, ProvenanceRow, Snapshot, SnapshotEntity, SnapshotProperty,
-    SnapshotType,
+    IncrementalState, ModelRow, PairRow, Snapshot, SnapshotEntity, SnapshotProperty, SnapshotType,
 };
 
 /// The eight magic bytes every snapshot starts with.
 pub const MAGIC: [u8; 8] = *b"SURVWIRE";
 
 /// The format version this crate reads and writes. Version 1 also stored
-/// every entity's decision and each model's EM traces; it is refused.
-pub const FORMAT_VERSION: u16 = 2;
+/// every entity's decision and each model's EM traces, and versions 1
+/// and 2 kept a pair's counters and documents in two sections with fixed
+/// keys; both are refused.
+pub const FORMAT_VERSION: u16 = 3;

@@ -25,10 +25,9 @@ pub const TAG_PROPERTIES: SectionTag = SectionTag(*b"PROP");
 pub const TAG_TYPES: SectionTag = SectionTag(*b"TYPE");
 /// Entities of the knowledge base.
 pub const TAG_ENTITIES: SectionTag = SectionTag(*b"ENTS");
-/// Evidence counters per (entity, property) pair.
-pub const TAG_EVIDENCE: SectionTag = SectionTag(*b"EVID");
-/// Supporting-document samples per (entity, property) pair.
-pub const TAG_PROVENANCE: SectionTag = SectionTag(*b"PROV");
+/// One row per (entity, property) pair: its evidence counters and its
+/// supporting-document sample.
+pub const TAG_ROWS: SectionTag = SectionTag(*b"ROWS");
 /// Fitted model parameters per (type, property).
 pub const TAG_MODELS: SectionTag = SectionTag(*b"MODL");
 /// Optional: incremental-mining state (ingested shard ranges, replay
@@ -42,25 +41,23 @@ pub const TAG_FINGERPRINTS: SectionTag = SectionTag(*b"GRPF");
 /// exactly these; a reader requires all of them, in this order, and skips
 /// unknown tags in between (the forward-compat hook for additive
 /// revisions).
-pub const CANONICAL_ORDER: [SectionTag; 6] = [
+pub const CANONICAL_ORDER: [SectionTag; 5] = [
     TAG_PROPERTIES,
     TAG_TYPES,
     TAG_ENTITIES,
-    TAG_EVIDENCE,
-    TAG_PROVENANCE,
+    TAG_ROWS,
     TAG_MODELS,
 ];
 
 /// Every section this reader understands, required and optional, in the
-/// canonical on-disk order. Optional sections follow the required six;
+/// canonical on-disk order. Optional sections follow the required five;
 /// a reader accepts any subset of the optional tail as long as relative
 /// order is preserved.
-pub const KNOWN_ORDER: [SectionTag; 8] = [
+pub const KNOWN_ORDER: [SectionTag; 7] = [
     TAG_PROPERTIES,
     TAG_TYPES,
     TAG_ENTITIES,
-    TAG_EVIDENCE,
-    TAG_PROVENANCE,
+    TAG_ROWS,
     TAG_MODELS,
     TAG_INCREMENTAL,
     TAG_FINGERPRINTS,
@@ -69,7 +66,7 @@ pub const KNOWN_ORDER: [SectionTag; 8] = [
 /// How many leading entries of [`KNOWN_ORDER`] are required. Positions at
 /// or past this index are optional: a decoder skips them without error
 /// when absent.
-pub const REQUIRED_SECTIONS: usize = 6;
+pub const REQUIRED_SECTIONS: usize = 5;
 
 #[cfg(test)]
 mod tests {

@@ -42,7 +42,9 @@ pub struct SnapshotEntity {
     pub attributes: Vec<(String, f64)>,
 }
 
-/// One evidence counter row of section `EVID`.
+/// The evidence counters of one (entity, property) pair: the key and
+/// counts of a `ROWS` row, without its documents. What the group
+/// fingerprints digest and what the loader reads the counts from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvidenceRow {
     /// The entity (row index into `ENTS`).
@@ -55,21 +57,39 @@ pub struct EvidenceRow {
     pub negative: u64,
 }
 
-/// One provenance row of section `PROV`.
+/// One row of section `ROWS`: an (entity, property) pair's evidence
+/// counters and its sample of supporting documents.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ProvenanceRow {
-    /// The entity.
+pub struct PairRow {
+    /// The entity (row index into `ENTS`).
     pub entity: u32,
     /// Index into the property table.
     pub property: u32,
-    /// Supporting document ids, ascending.
+    /// Positive statement count.
+    pub positive: u64,
+    /// Negative statement count.
+    pub negative: u64,
+    /// Supporting document ids, strictly ascending; each is
+    /// `shard << 32 | local`.
     pub documents: Vec<u64>,
+}
+
+impl PairRow {
+    /// The row's key and counts.
+    pub fn evidence(&self) -> EvidenceRow {
+        EvidenceRow {
+            entity: self.entity,
+            property: self.property,
+            positive: self.positive,
+            negative: self.negative,
+        }
+    }
 }
 
 /// One fitted-model row of section `MODL`: the parameters and EM
 /// summary of a (type, property) combination. Its decisions are not
 /// stored: a loader derives each from these parameters and the entity's
-/// `EVID` counts.
+/// `ROWS` counts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ModelRow {
     /// Index into the type table.
@@ -173,12 +193,13 @@ pub struct GroupFingerprintRow {
 ///
 /// - `properties` is deduplicated and sorted (its derived `Ord`), so the
 ///   same mined world always produces the same table bytes;
-/// - `evidence` and `provenance` rows are sorted by
-///   `(entity, property)`;
+/// - `rows` are sorted by `(entity, property)` with no pair twice, and
+///   each row's documents ascend strictly (the format stores gaps, so
+///   other orders do not survive a write);
 /// - `models` and `fingerprints` are sorted by `(type_index, property)`.
 ///
 /// The `incremental` and `fingerprints` fields are optional: `None`/empty
-/// values encode to the six required sections alone.
+/// values encode to the five required sections alone.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     /// The property table.
@@ -187,12 +208,10 @@ pub struct Snapshot {
     pub types: Vec<SnapshotType>,
     /// The entities.
     pub entities: Vec<SnapshotEntity>,
-    /// Evidence counters.
-    pub evidence: Vec<EvidenceRow>,
-    /// Provenance sample bound (documents kept per pair).
-    pub provenance_sample_size: u64,
-    /// Provenance samples.
-    pub provenance: Vec<ProvenanceRow>,
+    /// Document sample bound (documents kept per pair).
+    pub sample_size: u64,
+    /// Evidence counters and document samples, one row per pair.
+    pub rows: Vec<PairRow>,
     /// Fitted models.
     pub models: Vec<ModelRow>,
     /// Incremental-mining state (optional section `INCR`).
@@ -244,7 +263,7 @@ impl Default for Fnv64 {
 /// export) and the load-time check, which feeds it straight from a
 /// [`crate::SnapshotReader`] without an owned [`Snapshot`].
 ///
-/// Rows must arrive in evidence order — sorted by `(entity, property)` —
+/// Rows must arrive in `ROWS` order — sorted by `(entity, property)` —
 /// so that within any (type, property) group entities are visited in
 /// ascending order, exactly the digest order the format specifies.
 #[derive(Debug, Default)]
@@ -310,16 +329,16 @@ impl GroupFingerprinter {
 /// `(type_index, property)`, digesting the entity-sorted evidence rows
 /// `(entity, positive, negative)` with [`Fnv64`].
 ///
-/// A pure function of the evidence and entity sections — two snapshots
+/// A pure function of the rows' counts and the entity section — two snapshots
 /// with the same evidence always fingerprint identically, regardless of
 /// how they were produced (from scratch or by incremental update).
-/// Evidence rows naming an out-of-range entity are skipped (snapshot
-/// validation elsewhere rejects such rows).
+/// Rows naming an out-of-range entity are skipped (snapshot validation
+/// elsewhere rejects such rows).
 pub fn group_fingerprints(snapshot: &Snapshot) -> Vec<GroupFingerprintRow> {
     let mut fingerprinter = GroupFingerprinter::new();
-    for row in &snapshot.evidence {
+    for row in &snapshot.rows {
         if let Some(entity) = snapshot.entities.get(row.entity as usize) {
-            fingerprinter.add(entity.type_index, row);
+            fingerprinter.add(entity.type_index, &row.evidence());
         }
     }
     fingerprinter.finish()
@@ -360,18 +379,20 @@ mod tests {
                     ..Default::default()
                 },
             ],
-            evidence: vec![
-                EvidenceRow {
+            rows: vec![
+                PairRow {
                     entity: 0,
                     property: 0,
                     positive: 3,
                     negative: 1,
+                    documents: vec![4],
                 },
-                EvidenceRow {
+                PairRow {
                     entity: 1,
                     property: 0,
                     positive: 2,
                     negative: 0,
+                    documents: vec![],
                 },
             ],
             ..Default::default()
@@ -386,7 +407,7 @@ mod tests {
 
         // The digest is sensitive to the counts: bump one statement and
         // only that group's fingerprint moves.
-        snapshot.evidence[1].positive += 1;
+        snapshot.rows[1].positive += 1;
         let changed = group_fingerprints(&snapshot);
         assert_eq!(changed[0].fingerprint, rows[0].fingerprint);
         assert_ne!(changed[1].fingerprint, rows[1].fingerprint);

@@ -5,8 +5,7 @@
 //! the byte tables in FORMAT.md can never silently drift.
 
 use surveyor_wire::{
-    decode, encode, EvidenceRow, ModelRow, ProvenanceRow, Snapshot, SnapshotEntity,
-    SnapshotProperty, SnapshotType,
+    decode, encode, ModelRow, PairRow, Snapshot, SnapshotEntity, SnapshotProperty, SnapshotType,
 };
 
 /// The snapshot FORMAT.md walks through byte by byte. Every float is
@@ -36,17 +35,13 @@ fn worked_example() -> Snapshot {
                 attributes: vec![],
             },
         ],
-        evidence: vec![EvidenceRow {
+        sample_size: 2,
+        rows: vec![PairRow {
             entity: 0,
             property: 0,
             positive: 3,
             negative: 1,
-        }],
-        provenance_sample_size: 2,
-        provenance: vec![ProvenanceRow {
-            entity: 0,
-            property: 0,
-            documents: vec![7],
+            documents: vec![7, 1 << 32 | 2],
         }],
         models: vec![ModelRow {
             type_index: 0,

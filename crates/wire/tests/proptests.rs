@@ -3,9 +3,10 @@
 //! can make the decoder panic.
 
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use surveyor_wire::{
-    decode, encode, EvidenceRow, GroupFingerprintRow, IncrementalState, ModelRow, ProvenanceRow,
-    Snapshot, SnapshotEntity, SnapshotProperty, SnapshotType, MAGIC,
+    decode, encode, GroupFingerprintRow, IncrementalState, ModelRow, PairRow, Snapshot,
+    SnapshotEntity, SnapshotProperty, SnapshotType, MAGIC,
 };
 
 fn word() -> impl Strategy<Value = String> {
@@ -60,28 +61,58 @@ fn entity_s() -> impl Strategy<Value = SnapshotEntity> {
         })
 }
 
-fn evidence_s() -> impl Strategy<Value = EvidenceRow> {
-    (0u32..64, 0u32..16, 0u64..10_000, 0u64..10_000).prop_map(
-        |(entity, property, positive, negative)| EvidenceRow {
-            entity,
-            property,
-            positive,
-            negative,
-        },
-    )
+/// A 32-bit half of a document id, or an entity: small, or at either end.
+fn half() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        0u32..64,
+        Just(0),
+        Just(u32::MAX),
+        Just(u32::MAX - 1),
+        0u32..=u32::MAX,
+    ]
 }
 
-fn provenance_s() -> impl Strategy<Value = ProvenanceRow> {
-    (
-        0u32..64,
-        0u32..16,
-        prop::collection::vec(0u64..u64::MAX, 0..5),
+/// A document id `shard << 32 | local`, either half at its extremes.
+fn document_s() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (half(), half()).prop_map(|(shard, local)| u64::from(shard) << 32 | u64::from(local)),
+        Just(u64::MAX),
+        Just(0),
+        0u64..=u64::MAX,
+    ]
+}
+
+/// `ROWS` rows in key order with strictly ascending documents, as a
+/// writer must hand them over: keyed and deduplicated by construction,
+/// entities from 0 to `u32::MAX` (so an entity gap of `u32::MAX` occurs)
+/// and documents across shard boundaries.
+fn rows_s() -> impl Strategy<Value = Vec<PairRow>> {
+    prop::collection::vec(
+        (
+            (half(), 0u32..16),
+            (
+                0u64..10_000,
+                prop_oneof![0u64..10_000, Just(u64::MAX)],
+                prop::collection::vec(document_s(), 0..6),
+            ),
+        ),
+        0..6,
     )
-        .prop_map(|(entity, property, documents)| ProvenanceRow {
-            entity,
-            property,
-            documents,
-        })
+    .prop_map(|rows| {
+        let sorted: BTreeMap<(u32, u32), (u64, u64, Vec<u64>)> = rows.into_iter().collect();
+        (sorted.into_iter())
+            .map(|((entity, property), (positive, negative, documents))| {
+                let documents: BTreeSet<u64> = documents.into_iter().collect();
+                PairRow {
+                    entity,
+                    property,
+                    positive,
+                    negative,
+                    documents: documents.into_iter().collect(),
+                }
+            })
+            .collect()
+    })
 }
 
 fn model_s() -> impl Strategy<Value = ModelRow> {
@@ -150,8 +181,7 @@ fn fingerprints_s() -> impl Strategy<Value = Vec<GroupFingerprintRow>> {
         0..4,
     )
     .prop_map(|rows| {
-        let sorted: std::collections::BTreeMap<(u32, u32), (u64, u64, u64)> =
-            rows.into_iter().collect();
+        let sorted: BTreeMap<(u32, u32), (u64, u64, u64)> = rows.into_iter().collect();
         sorted
             .into_iter()
             .map(
@@ -167,6 +197,33 @@ fn fingerprints_s() -> impl Strategy<Value = Vec<GroupFingerprintRow>> {
     })
 }
 
+/// `(checksum offset, payload range)` of the `ROWS` frame: the fourth.
+fn rows_frame(bytes: &[u8]) -> (usize, std::ops::Range<usize>) {
+    let mut at = 16;
+    for _ in 0..3 {
+        at += 16 + u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+    }
+    assert_eq!(&bytes[at..at + 4], b"ROWS");
+    let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+    (at + 12, at + 16..at + 16 + len)
+}
+
+/// CRC-32/ISO-HDLC, bit by bit, to frame a damaged payload again.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xffff_ffffu32;
+    for &byte in bytes {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xedb8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    crc ^ 0xffff_ffff
+}
+
 fn snapshot_s() -> impl Strategy<Value = Snapshot> {
     (
         (
@@ -174,27 +231,22 @@ fn snapshot_s() -> impl Strategy<Value = Snapshot> {
             prop::collection::vec(type_s(), 0..3),
             prop::collection::vec(entity_s(), 0..4),
         ),
-        (
-            prop::collection::vec(evidence_s(), 0..6),
-            0u64..64,
-            prop::collection::vec(provenance_s(), 0..4),
-        ),
+        (prop_oneof![0u64..64, Just(u64::MAX)], rows_s()),
         prop::collection::vec(model_s(), 0..3),
         (incremental_s(), fingerprints_s()),
     )
         .prop_map(
             |(
                 (properties, types, entities),
-                (evidence, provenance_sample_size, provenance),
+                (sample_size, rows),
                 models,
                 (incremental, fingerprints),
             )| Snapshot {
                 properties,
                 types,
                 entities,
-                evidence,
-                provenance_sample_size,
-                provenance,
+                sample_size,
+                rows,
                 models,
                 incremental,
                 fingerprints,
@@ -240,6 +292,36 @@ proptest! {
         let index = (position % bytes.len() as u64) as usize;
         bytes[index] ^= mask;
         let _ = decode(&bytes);
+    }
+
+    /// Damage inside a `ROWS` payload whose checksum is made right again
+    /// reaches the gap decoding: `Ok` or a typed error, never a panic —
+    /// and what decodes, re-encodes to a snapshot that decodes.
+    #[test]
+    fn reframed_row_damage_never_panics(
+        snapshot in snapshot_s(),
+        position in 0u64..u64::MAX,
+        mask in 1u8..=255,
+        cut in 0u64..u64::MAX,
+    ) {
+        let bytes = encode(&snapshot);
+        let (crc_at, payload) = rows_frame(&bytes);
+        let mut damaged = bytes.clone();
+        let index = payload.start + (position % payload.len() as u64) as usize;
+        damaged[index] ^= mask;
+        let crc = crc32(&damaged[payload.clone()]);
+        damaged[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        if let Ok(decoded) = decode(&damaged) {
+            prop_assert!(decode(&encode(&decoded)).is_ok());
+        }
+        // A ROWS payload cut short and framed again.
+        let len = (cut % payload.len() as u64) as usize;
+        let mut short = bytes[..payload.start + len].to_vec();
+        short[crc_at - 8..crc_at].copy_from_slice(&(len as u64).to_le_bytes());
+        let crc = crc32(&short[payload.start..]);
+        short[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+        short.extend_from_slice(&bytes[payload.end..]);
+        prop_assert!(decode(&short).is_err(), "ROWS cut to {len} bytes decoded");
     }
 
     /// Every strict prefix of a valid snapshot is rejected with an error.

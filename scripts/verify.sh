@@ -117,19 +117,24 @@ cargo run --release -q -p surveyor-cli --bin surveyor -- \
 [ "$rc" -eq 3 ] \
     || { echo "truncated snapshot: expected exit 3, got $rc" >&2; exit 1; }
 
-# A version-1 snapshot stored every decision; this reader derives them and
-# must refuse the old layout (exit 3, naming the version) rather than
-# misread it. The gate's own file with its version word patched to 1.
-cp artifacts/world.swire artifacts/version1.swire
-printf '\001\000' | dd of=artifacts/version1.swire bs=1 seek=8 conv=notrunc 2> /dev/null
-rc=0
-cargo run --release -q -p surveyor-cli --bin surveyor -- \
-    load --snapshot artifacts/version1.swire > artifacts/version1_load.txt 2>&1 || rc=$?
-[ "$rc" -eq 3 ] \
-    || { echo "version-1 snapshot: expected exit 3, got $rc" >&2; exit 1; }
-grep -q 'unsupported snapshot version 1 ' artifacts/version1_load.txt \
-    || { echo "version-1 snapshot: refused for the wrong reason" >&2; exit 1; }
-rm -f artifacts/version1.swire artifacts/version1_load.txt
+# A version-1 snapshot stored every decision, and a version-2 one a pair's
+# counters and documents in two sections under fixed keys; this reader
+# must refuse either layout (exit 3, naming the version) rather than
+# misread it. The gate's own file with its version word patched to 1, then 2.
+for old in 1 2; do
+    cp artifacts/world.swire "artifacts/version${old}.swire"
+    printf "\\00${old}\\000" \
+        | dd of="artifacts/version${old}.swire" bs=1 seek=8 conv=notrunc 2> /dev/null
+    rc=0
+    cargo run --release -q -p surveyor-cli --bin surveyor -- \
+        load --snapshot "artifacts/version${old}.swire" \
+        > "artifacts/version${old}_load.txt" 2>&1 || rc=$?
+    [ "$rc" -eq 3 ] \
+        || { echo "version-${old} snapshot: expected exit 3, got $rc" >&2; exit 1; }
+    grep -q "unsupported snapshot version ${old} " "artifacts/version${old}_load.txt" \
+        || { echo "version-${old} snapshot: refused for the wrong reason" >&2; exit 1; }
+    rm -f "artifacts/version${old}.swire" "artifacts/version${old}_load.txt"
+done
 
 # Snapshot bench smoke: quick encode/validate/load throughput with the
 # load-vs-remine speedup floor, the byte-identity verdict, and a floor
