@@ -1100,7 +1100,7 @@ pub fn scale_sweep(cfg: &ReproConfig, quick: bool) -> ScaleArtifact {
     }
 }
 
-/// `bench snapshot`'s artifact, `BENCH_snapshot.json` (`schema_version` 1).
+/// `bench snapshot`'s artifact, `BENCH_snapshot.json` (`schema_version` 2).
 #[derive(Debug, Default, Serialize)]
 pub struct SnapshotArtifact {
     schema_version: u32,
@@ -1114,11 +1114,11 @@ pub struct SnapshotArtifact {
     format_version: u16,
     remine_seconds: f64,
     encode_seconds: f64,
-    encode_mb_s: f64,
+    encode_pairs_per_s: f64,
     validate_seconds: f64,
     validate_mb_s: f64,
     load_seconds: f64,
-    decode_mb_s: f64,
+    decode_pairs_per_s: f64,
     speedup_load_vs_remine: f64,
     byte_identical: bool,
     statements: u64,
@@ -1164,8 +1164,8 @@ impl fmt::Display for SnapshotArtifact {
                 "encode".to_owned(),
                 format!("{:.4}s", self.encode_seconds),
                 format!(
-                    "{:.1} MB/s, {} bytes",
-                    self.encode_mb_s, self.snapshot_bytes
+                    "{:.0} pairs/s, {} bytes",
+                    self.encode_pairs_per_s, self.snapshot_bytes
                 ),
             ],
             vec![
@@ -1176,7 +1176,7 @@ impl fmt::Display for SnapshotArtifact {
             vec![
                 "load".to_owned(),
                 format!("{:.4}s", self.load_seconds),
-                format!("{:.1} MB/s (bytes -> output)", self.decode_mb_s),
+                format!("{:.0} pairs/s (bytes -> output)", self.decode_pairs_per_s),
             ],
             vec![
                 "speedup".to_owned(),
@@ -1260,8 +1260,11 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> SnapshotArtifact {
         && surveyor::SubjectiveKb::from_output(&loaded, loaded.kb()).to_json()
             == surveyor::SubjectiveKb::from_output(&output, output.kb()).to_json();
 
+    // Throughput per decided pair, not per byte: a format that spends
+    // fewer bytes on the same world must not read as a slower one.
+    let pairs = output.decided_pairs() as f64;
     SnapshotArtifact {
-        schema_version: 1,
+        schema_version: 2,
         preset: "table2_world",
         seed: cfg.seed,
         shards: num_shards,
@@ -1272,11 +1275,11 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> SnapshotArtifact {
         format_version: surveyor::wire::FORMAT_VERSION,
         remine_seconds,
         encode_seconds,
-        encode_mb_s: megabytes / encode_seconds.max(f64::EPSILON),
+        encode_pairs_per_s: pairs / encode_seconds.max(f64::EPSILON),
         validate_seconds,
         validate_mb_s: megabytes / validate_seconds.max(f64::EPSILON),
         load_seconds,
-        decode_mb_s: megabytes / load_seconds.max(f64::EPSILON),
+        decode_pairs_per_s: pairs / load_seconds.max(f64::EPSILON),
         speedup_load_vs_remine: remine_seconds / load_seconds.max(f64::EPSILON),
         byte_identical,
         statements: output.evidence.total_statements(),

@@ -148,6 +148,23 @@ impl Surveyor {
     ) -> (SurveyorOutput, UpdateStats) {
         let delta_pairs = delta.evidence.pair_count();
         let delta_statements = delta.evidence.total_statements();
+        if delta_pairs == 0 && delta.provenance.pair_count() == 0 {
+            // An empty delta dirties nothing, so the base is the update:
+            // every result carries, whatever it was fitted from (a loaded
+            // snapshot may model groups below ρ), and the update writes
+            // what a re-save of the base writes.
+            let groups = base.results.len();
+            if let Some(obs) = self.observer() {
+                obs.add("update.groups_carried", groups as u64);
+                obs.add("update.groups_refit", 0);
+            }
+            let stats = UpdateStats {
+                groups_total: groups,
+                groups_carried: groups,
+                ..UpdateStats::default()
+            };
+            return (base, stats);
+        }
 
         // Group the delta alone first: its keys are exactly the dirty set.
         let delta_grouped = self.group(&delta.evidence);

@@ -35,15 +35,14 @@
 
 use crate::pipeline::{DomainResult, SurveyorOutput};
 use crate::store::{StoreSink, SubjectiveKb};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use surveyor_extract::{EvidenceCounts, EvidenceTable, GroupKey, GroupedEvidence, ProvenanceTable};
 use surveyor_kb::{EntityId, KnowledgeBaseBuilder, Property, PropertyId, TypeId};
 use surveyor_model::{ConvergenceReason, CountTable, EmFit, ModelParams, ObservedCounts};
 use surveyor_wire::{
-    EvidenceRow, Fingerprints, GroupFingerprintRow, GroupFingerprinter, IncrementalState, ModelRow,
-    Snapshot, SnapshotReader, SnapshotSource, WireError,
+    EvidenceRow, Fingerprints, GroupFingerprintRow, GroupFingerprinter, GroupIndex,
+    IncrementalState, ModelRow, Snapshot, SnapshotReader, SnapshotSource, WireError,
 };
 
 /// Why snapshot bytes could not be turned back into a pipeline output.
@@ -437,10 +436,10 @@ impl<S: Sink> Walk<S> {
         // One pass over the rows feeds the sink, gathers each
         // (type, property) group's mentioned entities by their position in
         // the type, and, when the snapshot carries fingerprints,
-        // re-derives them. Per type, the groups are a small ordered map
-        // on the property: a few comparisons a row, whatever the keys.
-        let mut mentions: Vec<BTreeMap<u32, Vec<(u32, ObservedCounts)>>> =
-            vec![BTreeMap::new(); self.members.len()];
+        // re-derives them. A group is a slot of one hashed index: one
+        // lookup a row, whatever the keys.
+        let mut groups = GroupIndex::new();
+        let mut mentions: Vec<Vec<(u32, ObservedCounts)>> = Vec::new();
         let mut fingerprinter = (!rows.fingerprints.is_empty()).then(GroupFingerprinter::new);
         let mut statements = 0u64;
         let mut last = None;
@@ -482,10 +481,11 @@ impl<S: Sink> Walk<S> {
             if let Some(fingerprinter) = &mut fingerprinter {
                 fingerprinter.add(type_index, &row);
             }
-            (mentions[type_index as usize]
-                .entry(row.property)
-                .or_default())
-            .push((position, ObservedCounts::new(row.positive, row.negative)));
+            let slot = groups.slot((type_index, row.property));
+            if slot == mentions.len() {
+                mentions.push(Vec::new());
+            }
+            mentions[slot].push((position, ObservedCounts::new(row.positive, row.negative)));
             self.sink.row(
                 EntityId(row.entity),
                 property,
@@ -529,8 +529,9 @@ impl<S: Sink> Walk<S> {
             let iterations = usize::try_from(model.iterations)
                 .map_err(|_| SnapshotError::Corrupt("iteration count out of range"))?;
             let entities = &self.members[model.type_index as usize];
-            let mut mentioned =
-                (mentions[model.type_index as usize].remove(&model.property)).unwrap_or_default();
+            let mut mentioned = (groups.get((model.type_index, model.property)))
+                .map(|slot| std::mem::take(&mut mentions[slot]))
+                .unwrap_or_default();
             let table = CountTable::sparse(entities.len(), &mut mentioned);
             let fit = EmFit {
                 params: ModelParams::new(model.p_agree, model.rate_pos, model.rate_neg),

@@ -28,10 +28,12 @@ impl Default for ProvenanceTable {
 }
 
 impl ProvenanceTable {
-    /// An empty table keeping up to `sample_size` documents per pair.
+    /// An empty table keeping up to `sample_size` documents per pair. A
+    /// bound of 0 keeps none, and is kept as 0: a loaded snapshot that
+    /// declares it re-saves as it was read.
     pub fn new(sample_size: usize) -> Self {
         Self {
-            sample_size: sample_size.max(1),
+            sample_size,
             map: FxHashMap::default(),
         }
     }
@@ -39,7 +41,7 @@ impl ProvenanceTable {
     /// An empty table with room for `pairs` entity-property pairs.
     pub fn with_capacity(sample_size: usize, pairs: usize) -> Self {
         Self {
-            sample_size: sample_size.max(1),
+            sample_size,
             map: FxHashMap::with_capacity_and_hasher(pairs, Default::default()),
         }
     }

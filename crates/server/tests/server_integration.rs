@@ -235,15 +235,16 @@ fn reply_bodies_are_the_recorded_ones() {
     }
     // `/readyz` keeps its keys and gains one: what the store costs to keep.
     // `snapshot_bytes` is the file's length, 471 before the format stopped
-    // storing decisions and EM traces, and 340 in format v2, before the
-    // counters and documents became one row stream of gaps.
+    // storing decisions and EM traces, 340 in format v2, before the
+    // counters and documents became one row stream of gaps, and 247 in
+    // format v3, before `ENTS` became columns.
     let (_, reply) = get(addr, "/readyz");
     let store_bytes = handle.shared().load().store.resident_bytes();
     assert_eq!(
         body(&reply),
         format!(
             "{{\n  \"associations\": 3,\n  \"epoch\": 0,\n  \"generation\": 1,\n  \"ready\": true,\n  \
-             \"snapshot_bytes\": 247,\n  \"source\": \"test-boot\",\n  \"store_bytes\": {store_bytes}\n}}"
+             \"snapshot_bytes\": 234,\n  \"source\": \"test-boot\",\n  \"store_bytes\": {store_bytes}\n}}"
         )
     );
     assert_eq!(

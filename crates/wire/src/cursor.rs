@@ -14,8 +14,8 @@ const MAX_VARINT_BYTES: usize = 10;
 
 /// A read position inside a borrowed byte span. Every read is
 /// bounds-checked and returns a typed [`WireError`] on overrun — the
-/// cursor cannot panic on any input.
-#[derive(Debug, Clone, Copy)]
+/// cursor cannot panic on any input. The default cursor is over no bytes.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,

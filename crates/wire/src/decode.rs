@@ -1,8 +1,9 @@
 //! The zero-copy snapshot decoder.
 //!
 //! [`SnapshotReader::new`] verifies the container in one pass — magic,
-//! version, section framing, checksums, canonical order — and stores one
-//! borrowed byte span per section. Record access after that is lazy:
+//! version, section framing, checksums, canonical order, and the framing
+//! of the small `ENTS` columns that come before the entity names — and
+//! stores one borrowed byte span per section. Record access after that is lazy:
 //! each section's [`Records`] iterator ([`SnapshotReader::rows`] and
 //! friends) parses records straight out of the snapshot bytes and hands
 //! out borrowed `&str` spans and sub-iterators instead of allocating per
@@ -57,6 +58,8 @@ pub struct SnapshotReader<'a> {
     bodies: [&'a [u8]; 7],
     /// Per-section record counts, already bounded by the payload size.
     counts: [usize; 7],
+    /// The `ENTS` columns read in step with its names (the `ENTS` body).
+    entity_columns: EntityColumns<'a>,
     sample_size: u64,
     /// Raw payload of the optional `INCR` section, parsed on demand by
     /// [`SnapshotReader::incremental`].
@@ -85,6 +88,7 @@ impl<'a> SnapshotReader<'a> {
 
         let mut bodies: [&'a [u8]; 7] = [&[]; 7];
         let mut counts = [0usize; 7];
+        let mut entity_columns = EntityColumns::default();
         let mut sample_size = 0u64;
         let mut incr_body: Option<&'a [u8]> = None;
         let mut seen = [false; 7];
@@ -130,6 +134,9 @@ impl<'a> SnapshotReader<'a> {
             }
             if position == SEC_INCREMENTAL {
                 incr_body = Some(payload);
+            } else if position == SEC_ENTITIES {
+                let (count, columns, names) = EntityColumns::split(payload)?;
+                (counts[position], entity_columns, bodies[position]) = (count, columns, names);
             } else {
                 let mut payload_cursor = Cursor::new(payload);
                 if position == SEC_ROWS {
@@ -157,6 +164,7 @@ impl<'a> SnapshotReader<'a> {
             frames,
             bodies,
             counts,
+            entity_columns,
             sample_size,
             incr_body,
         })
@@ -189,47 +197,50 @@ impl<'a> SnapshotReader<'a> {
         self.sample_size
     }
 
-    /// The records of the section in slot `section` of [`KNOWN_ORDER`].
-    fn records<R: SectionRecord<'a>>(&self, section: usize) -> Records<'a, R> {
+    /// The records of the section in slot `section` of [`KNOWN_ORDER`],
+    /// parsing from `state`.
+    fn records<R: SectionRecord<'a>>(&self, section: usize, state: R::State) -> Records<'a, R> {
         Records {
             cursor: Cursor::new(self.bodies[section]),
             remaining: self.counts[section],
             finished: false,
-            state: R::State::default(),
+            state,
             record: PhantomData,
         }
     }
 
     /// Iterates the property table (section `PROP`).
     pub fn properties(&self) -> Records<'a, PropertyRecord<'a>> {
-        self.records(SEC_PROPERTIES)
+        self.records(SEC_PROPERTIES, ())
     }
 
     /// Iterates the entity types (section `TYPE`).
     pub fn types(&self) -> Records<'a, TypeRecord<'a>> {
-        self.records(SEC_TYPES)
+        self.records(SEC_TYPES, ())
     }
 
-    /// Iterates the entities (section `ENTS`).
+    /// Iterates the entities (section `ENTS`): each record is read from
+    /// the four columns in step — a name, the type of the run it falls
+    /// in, and its aliases and attributes when a sparse entry names it.
     pub fn entities(&self) -> Records<'a, EntityRecord<'a>> {
-        self.records(SEC_ENTITIES)
+        self.records(SEC_ENTITIES, self.entity_columns)
     }
 
     /// Iterates the pairs' counters and document samples (section
     /// `ROWS`), their gaps added back.
     pub fn rows(&self) -> Records<'a, PairRecord<'a>> {
-        self.records(SEC_ROWS)
+        self.records(SEC_ROWS, 0)
     }
 
     /// Iterates the fitted models (section `MODL`).
     pub fn models(&self) -> Records<'a, ModelRow> {
-        self.records(SEC_MODELS)
+        self.records(SEC_MODELS, ())
     }
 
     /// Iterates the group fingerprints (optional section `GRPF`); empty
     /// when the snapshot does not carry one.
     pub fn fingerprints(&self) -> Records<'a, GroupFingerprintRow> {
-        self.records(SEC_FINGERPRINTS)
+        self.records(SEC_FINGERPRINTS, None)
     }
 
     /// Whether the snapshot carries the optional `INCR` section.
@@ -375,9 +386,10 @@ pub trait SectionRecord<'a>: Sized {
     /// The section, named by its trailing-bytes error.
     const TAG: SectionTag;
     /// What parsing carries from one record to the next: nothing, but
-    /// for `ROWS`, whose entities are gaps from the row before, and for
+    /// for `ENTS`, whose records are read from columns in step, for
+    /// `ROWS`, whose entities are gaps from the row before, and for
     /// `GRPF`, whose rows must ascend.
-    type State: Debug + Clone + Default;
+    type State: Debug + Clone;
     /// Parses the record at `cursor`.
     fn parse(cursor: &mut Cursor<'a>, state: &mut Self::State) -> Result<Self, WireError>;
 }
@@ -506,6 +518,16 @@ impl<'a, T: ListItem<'a>> List<'a, T> {
     /// Whether the list is exhausted (or was empty).
     pub fn is_empty(&self) -> bool {
         self.remaining == 0
+    }
+
+    /// A list of no items.
+    fn empty(context: &'static str) -> Self {
+        Self {
+            cursor: Cursor::default(),
+            remaining: 0,
+            context,
+            item: PhantomData,
+        }
     }
 }
 
@@ -663,16 +685,216 @@ pub struct EntityRecord<'a> {
     pub attributes: AttrList<'a>,
 }
 
+/// A `BadRecord` error in section `ENTS`.
+fn bad_entity_column(detail: &'static str) -> WireError {
+    WireError::BadRecord {
+        section: TAG_ENTITIES,
+        detail,
+    }
+}
+
+/// The `ENTS` columns that sit before the names, each with a cursor that
+/// [`EntityRecord::parse`] moves on one entity at a time: the type runs,
+/// and the sparse alias and attribute lists (FORMAT.md §3.3).
+/// [`EntityColumns::split`] has checked their framing and every rule
+/// between them and the entity count, so reading them again cannot fail
+/// on bytes a reader was built from.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EntityColumns<'a> {
+    /// The entity the next record is.
+    entity: u64,
+    /// The `(type, run length)` pairs not yet started.
+    runs: Cursor<'a>,
+    /// The current run's type and how many of its entities are left.
+    run: (u32, u64),
+    aliases: Sparse<'a>,
+    attributes: Sparse<'a>,
+}
+
+impl<'a> EntityColumns<'a> {
+    /// Walks the leading columns of an `ENTS` payload, checking their
+    /// framing and rules — runs that cover the entities exactly and are
+    /// never empty, sparse entries for ascending entities in range, each
+    /// with at least one item — and returns the entity count, the
+    /// columns, and the names column, which is the rest of the payload.
+    fn split(payload: &'a [u8]) -> Result<(usize, Self, &'a [u8]), WireError> {
+        let mut cursor = Cursor::new(payload);
+        let count = cursor.count("entity count")?;
+        let runs = cursor.count("type run count")?;
+        let start = cursor;
+        let mut covered = 0u64;
+        for _ in 0..runs {
+            u32::try_from(cursor.varint("run type index")?)
+                .map_err(|_| bad_entity_column("type index out of range"))?;
+            let length = cursor.varint("type run length")?;
+            if length == 0 {
+                return Err(bad_entity_column("zero-length type run"));
+            }
+            covered = (covered.checked_add(length))
+                .filter(|&covered| covered <= count as u64)
+                .ok_or(bad_entity_column("type runs past the entity count"))?;
+        }
+        if covered < count as u64 {
+            return Err(bad_entity_column("type runs short of the entity count"));
+        }
+        let runs = Cursor::new(cursor.span_since(&start));
+        let aliases = Sparse::skim::<&str>(&mut cursor, count, ALIAS_CONTEXTS)?;
+        let attributes = Sparse::skim::<(&str, f64)>(&mut cursor, count, ATTRIBUTE_CONTEXTS)?;
+        let columns = Self {
+            entity: 0,
+            runs,
+            run: (0, 0),
+            aliases,
+            attributes,
+        };
+        Ok((
+            count,
+            columns,
+            cursor.take(cursor.remaining(), "entity names")?,
+        ))
+    }
+
+    /// The type of the next entity, starting the next run when this one
+    /// is spent.
+    fn next_type(&mut self) -> Result<u32, WireError> {
+        if self.run.1 == 0 {
+            let type_index = u32::try_from(self.runs.varint("run type index")?)
+                .map_err(|_| bad_entity_column("type index out of range"))?;
+            self.run = (type_index, self.runs.varint("type run length")?);
+        }
+        self.run.1 = self.run.1.saturating_sub(1);
+        Ok(self.run.0)
+    }
+}
+
+/// What a sparse column's errors name: its entries' entity gaps and item
+/// counts, its items, and its two rules.
+struct SparseContexts {
+    entries: &'static str,
+    gap: &'static str,
+    count: &'static str,
+    item: &'static str,
+    not_ascending: &'static str,
+    past_count: &'static str,
+    empty: &'static str,
+}
+
+const ALIAS_CONTEXTS: SparseContexts = SparseContexts {
+    entries: "alias entry count",
+    gap: "alias entity gap",
+    count: "alias count",
+    item: "alias",
+    not_ascending: "alias entities not ascending",
+    past_count: "alias entity past the entity count",
+    empty: "alias entry with no aliases",
+};
+
+const ATTRIBUTE_CONTEXTS: SparseContexts = SparseContexts {
+    entries: "attribute entry count",
+    gap: "attribute entity gap",
+    count: "attribute count",
+    item: "attribute key",
+    not_ascending: "attribute entities not ascending",
+    past_count: "attribute entity past the entity count",
+    empty: "attribute entry with no attributes",
+};
+
+/// A sparse column of `ENTS`: `(entity gap, item list)` entries for the
+/// entities that have items, read as the records reach them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Sparse<'a> {
+    /// The entries after [`next`](Self::next)'s gap.
+    cursor: Cursor<'a>,
+    /// Entries whose gap is not yet read.
+    remaining: usize,
+    /// The entity of the entry the cursor is at; `None` once every entry
+    /// is read, or before the first gap.
+    next: Option<u64>,
+    gap: &'static str,
+    count: &'static str,
+    item: &'static str,
+}
+
+impl<'a> Sparse<'a> {
+    /// Walks a sparse column at `cursor` for a section of `entities`
+    /// entities, checking its rules, and returns it positioned at its
+    /// first entry.
+    fn skim<T: ListItem<'a>>(
+        cursor: &mut Cursor<'a>,
+        entities: usize,
+        contexts: SparseContexts,
+    ) -> Result<Self, WireError> {
+        let entries = cursor.count(contexts.entries)?;
+        let start = *cursor;
+        let mut last: Option<u64> = None;
+        for _ in 0..entries {
+            let gap = cursor.varint(contexts.gap)?;
+            let entity = match last {
+                None => Some(gap),
+                Some(_) if gap == 0 => return Err(bad_entity_column(contexts.not_ascending)),
+                Some(last) => last.checked_add(gap),
+            };
+            let entity = (entity.filter(|&entity| entity < entities as u64))
+                .ok_or(bad_entity_column(contexts.past_count))?;
+            let items = cursor.count(contexts.count)?;
+            if items == 0 {
+                return Err(bad_entity_column(contexts.empty));
+            }
+            for _ in 0..items {
+                T::skip(cursor, contexts.item)?;
+            }
+            last = Some(entity);
+        }
+        let mut sparse = Self {
+            cursor: Cursor::new(cursor.span_since(&start)),
+            remaining: entries,
+            next: None,
+            gap: contexts.gap,
+            count: contexts.count,
+            item: contexts.item,
+        };
+        sparse.advance()?;
+        Ok(sparse)
+    }
+
+    /// Reads the next entry's gap, if any is left.
+    fn advance(&mut self) -> Result<(), WireError> {
+        self.next = match self.remaining {
+            0 => None,
+            _ => {
+                self.remaining -= 1;
+                let gap = self.cursor.varint(self.gap)?;
+                Some(self.next.map_or(gap, |last| last.saturating_add(gap)))
+            }
+        };
+        Ok(())
+    }
+
+    /// The items of `entity`: its entry's list when the cursor is at it,
+    /// else none.
+    fn items<T: ListItem<'a>>(&mut self, entity: u64) -> Result<List<'a, T>, WireError> {
+        if self.next != Some(entity) {
+            return Ok(List::empty(self.item));
+        }
+        let list = List::skim(&mut self.cursor, self.count, self.item)?;
+        self.advance()?;
+        Ok(list)
+    }
+}
+
+/// The state is the columns beside the names.
 impl<'a> SectionRecord<'a> for EntityRecord<'a> {
     const TAG: SectionTag = TAG_ENTITIES;
-    type State = ();
+    type State = EntityColumns<'a>;
 
-    fn parse(cursor: &mut Cursor<'a>, _: &mut ()) -> Result<Self, WireError> {
+    fn parse(cursor: &mut Cursor<'a>, columns: &mut EntityColumns<'a>) -> Result<Self, WireError> {
+        let entity = columns.entity;
+        columns.entity += 1;
         Ok(Self {
             name: cursor.str("entity name")?,
-            aliases: List::skim(cursor, "alias count", "alias")?,
-            type_index: cursor.u32("entity type index")?,
-            attributes: List::skim(cursor, "attribute count", "attribute key")?,
+            type_index: columns.next_type()?,
+            aliases: columns.aliases.items(entity)?,
+            attributes: columns.attributes.items(entity)?,
         })
     }
 }
@@ -786,7 +1008,7 @@ mod tests {
     use super::*;
     use crate::cursor::{put_u16, put_u32, put_u64, put_varint};
     use crate::encode::encode;
-    use crate::snapshot::SnapshotProperty;
+    use crate::snapshot::{SnapshotEntity, SnapshotProperty};
 
     /// A container holding the given `(tag, payload)` frames.
     fn container(sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
@@ -809,7 +1031,7 @@ mod tests {
         vec![
             (*b"PROP", vec![0]),
             (*b"TYPE", vec![0]),
-            (*b"ENTS", vec![0]),
+            (*b"ENTS", vec![0, 0, 0, 0]),
             (*b"ROWS", vec![0, 0]),
             (*b"MODL", vec![0]),
         ]
@@ -922,10 +1144,11 @@ mod tests {
             SnapshotReader::new(&bytes).map(|_| ()),
             Err(WireError::UnsupportedVersion { found: 0x63 })
         );
-        // Version 1 stored decisions, and versions 1 and 2 the separate
-        // `EVID` and `PROV` sections, that this reader no longer parses:
-        // each is refused, never read as a version-3 file.
-        for old in [1, 2] {
+        // Version 1 stored decisions, versions 1 and 2 the separate
+        // `EVID` and `PROV` sections, and versions 1 to 3 an `ENTS` record
+        // per entity, that this reader no longer parses: each is refused,
+        // never read as a version-4 file.
+        for old in [1, 2, 3] {
             bytes[8] = old;
             assert_eq!(
                 SnapshotReader::new(&bytes).map(|_| ()),
@@ -1107,6 +1330,191 @@ mod tests {
         // A zero gap decodes: repeated ids are the loader's to refuse.
         let repeated = verdict(rows(&[(0, 0, &[2, 3, 0, 0])])).unwrap();
         assert_eq!(repeated[0].documents, vec![2 << 32 | 3, 2 << 32 | 3]);
+    }
+
+    /// The reader's verdict on a world whose `ENTS` payload is `payload`
+    /// and whose one type is `city`.
+    fn entity_columns(payload: Vec<u8>) -> Result<Vec<SnapshotEntity>, WireError> {
+        let mut sections = empty_sections();
+        sections[1].1 = vec![1, 4, b'c', b'i', b't', b'y', 0, 0];
+        sections[2].1 = payload;
+        let bytes = container(&sections);
+        SnapshotReader::new(&bytes)?
+            .to_snapshot()
+            .map(|snapshot| snapshot.entities)
+    }
+
+    /// An `ENTS` payload: the entity count, the runs, the alias and
+    /// attribute columns as raw varints, then one-letter names.
+    fn columns(count: u64, runs: &[(u64, u64)], aliases: &[u64], attributes: &[u64]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_varint(&mut payload, count);
+        put_varint(&mut payload, runs.len() as u64);
+        for &(type_index, length) in runs {
+            put_varint(&mut payload, type_index);
+            put_varint(&mut payload, length);
+        }
+        for &value in aliases.iter().chain(attributes) {
+            put_varint(&mut payload, value);
+        }
+        for _ in 0..count.min(64) {
+            payload.extend_from_slice(&[1, b'e']);
+        }
+        payload
+    }
+
+    #[test]
+    fn entity_columns_are_read_in_step() {
+        // Entities 0 and 2 have aliases, 1 and 2 attributes; two runs.
+        let mut payload = columns(3, &[(0, 2), (0, 1)], &[], &[]);
+        payload.truncate(6);
+        payload.extend_from_slice(&[2, 0, 1, 1, b'a', 2, 2, 1, b'b', 1, b'c']);
+        payload.extend_from_slice(&[2, 1, 1, 1, b'k']);
+        payload.extend_from_slice(&4.0f64.to_bits().to_le_bytes());
+        payload.extend_from_slice(&[1, 1, 1, b'j']);
+        payload.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        payload.extend_from_slice(&[1, b'x', 1, b'y', 1, b'z']);
+        let entities = entity_columns(payload).unwrap();
+        let owned = |name: &str, aliases: &[&str], attributes: &[(&str, f64)]| SnapshotEntity {
+            name: name.into(),
+            aliases: aliases.iter().map(|&a| a.into()).collect(),
+            type_index: 0,
+            attributes: attributes.iter().map(|&(k, v)| (k.into(), v)).collect(),
+        };
+        assert_eq!(
+            entities,
+            vec![
+                owned("x", &["a"], &[]),
+                owned("y", &[], &[("k", 4.0)]),
+                owned("z", &["b", "c"], &[("j", 0.5)]),
+            ]
+        );
+    }
+
+    #[test]
+    fn entity_columns_that_break_a_rule_are_a_bad_record() {
+        let bad = |payload| match entity_columns(payload) {
+            Err(WireError::BadRecord { section, detail }) => {
+                assert_eq!(section, TAG_ENTITIES);
+                detail
+            }
+            other => panic!("expected BadRecord, got {other:?}"),
+        };
+        // Type runs must cover the entities exactly, one or more each.
+        assert_eq!(
+            bad(columns(2, &[(0, 3)], &[0], &[0])),
+            "type runs past the entity count"
+        );
+        assert_eq!(
+            bad(columns(2, &[(0, 1), (0, u64::MAX)], &[0], &[0])),
+            "type runs past the entity count"
+        );
+        assert_eq!(
+            bad(columns(2, &[(0, 1)], &[0], &[0])),
+            "type runs short of the entity count"
+        );
+        assert_eq!(
+            bad(columns(2, &[(0, 0), (0, 2)], &[0], &[0])),
+            "zero-length type run"
+        );
+        assert_eq!(
+            bad(columns(1, &[(1 << 32, 1)], &[0], &[0])),
+            "type index out of range"
+        );
+        // Sparse entries name ascending entities below the count, each
+        // with at least one item.
+        let alias = |gap| [gap, 1, 1, u64::from(b'a')];
+        let two = |first: [u64; 4], second: [u64; 4]| {
+            let mut entries = vec![2];
+            entries.extend(first.iter().chain(&second));
+            entries
+        };
+        assert_eq!(
+            bad(columns(2, &[(0, 2)], &two(alias(1), alias(1)), &[0])),
+            "alias entity past the entity count"
+        );
+        assert_eq!(
+            bad(columns(2, &[(0, 2)], &[1, u64::MAX, 1, 1, 97], &[0])),
+            "alias entity past the entity count"
+        );
+        assert_eq!(
+            bad(columns(2, &[(0, 2)], &two(alias(1), alias(0)), &[0])),
+            "alias entities not ascending"
+        );
+        assert_eq!(
+            bad(columns(2, &[(0, 2)], &[1, 0, 0], &[0])),
+            "alias entry with no aliases"
+        );
+        assert_eq!(
+            bad(columns(2, &[(0, 2)], &[0], &[1, 2, 1, 1, 107])),
+            "attribute entity past the entity count"
+        );
+        // An attribute is its key and eight bytes of value.
+        let attribute = [1, 1, 1, 107, 0, 0, 0, 0, 0, 0, 0, 0];
+        let mut repeated = vec![2];
+        repeated.extend(attribute.iter().chain(&[0]).chain(&attribute[1..]));
+        assert_eq!(
+            bad(columns(2, &[(0, 2)], &[0], &repeated)),
+            "attribute entities not ascending"
+        );
+        assert_eq!(
+            bad(columns(2, &[(0, 2)], &[0], &[1, 0, 0])),
+            "attribute entry with no attributes"
+        );
+        // A name left over once every entity has one.
+        let mut payload = columns(1, &[(0, 1)], &[0], &[0]);
+        payload.extend_from_slice(&[1, b'e']);
+        assert_eq!(bad(payload), "trailing bytes in section");
+        // The valid neighbours of these files read.
+        assert_eq!(
+            entity_columns(columns(2, &[(0, 1), (0, 1)], &[0], &[0]))
+                .unwrap()
+                .len(),
+            2
+        );
+        assert_eq!(
+            entity_columns(columns(2, &[(0, 2)], &two(alias(0), alias(1)), &[0])).unwrap()[1]
+                .aliases,
+            vec!["a".to_owned()]
+        );
+    }
+
+    #[test]
+    fn entity_counts_past_the_section_are_refused_without_allocating() {
+        let refused = |payload| match entity_columns(payload) {
+            Err(WireError::BadVarint { context }) => context,
+            other => panic!("expected BadVarint, got {other:?}"),
+        };
+        let huge = u64::MAX >> 1;
+        let mut payload = Vec::new();
+        put_varint(&mut payload, huge);
+        assert_eq!(refused(payload), "entity count");
+        assert_eq!(
+            refused(
+                columns(1, &[], &[], &[])
+                    .into_iter()
+                    .take(1)
+                    .chain([100])
+                    .collect()
+            ),
+            "type run count"
+        );
+        assert_eq!(
+            refused(columns(1, &[(0, 1)], &[huge], &[0])),
+            "alias entry count"
+        );
+        assert_eq!(
+            refused(columns(1, &[(0, 1)], &[1, 0, huge], &[0])),
+            "alias count"
+        );
+        assert_eq!(
+            refused(columns(1, &[(0, 1)], &[0], &[huge])),
+            "attribute entry count"
+        );
+        assert_eq!(
+            refused(columns(1, &[(0, 1)], &[0], &[1, 0, huge])),
+            "attribute count"
+        );
     }
 
     #[test]

@@ -226,24 +226,44 @@ pub fn write_snapshot(source: &impl SnapshotSource) -> Vec<u8> {
     // The fold needs each row's entity type: kept from here.
     let mut entity_types = Vec::new();
     w.section(TAG_ENTITIES, |buf| {
+        // One pass fills the four columns; the names, the bulk, go last.
         let entities = source.entities();
         put_varint(buf, entities.len() as u64);
         if fold {
             entity_types.reserve_exact(entities.len());
         }
-        for (name, aliases, type_index, attributes) in entities {
-            put_str(buf, name);
-            put_strs(buf, aliases);
-            put_u32(buf, type_index);
-            put_varint(buf, attributes.len() as u64);
-            for (key, value) in attributes {
-                put_str(buf, key);
-                put_f64(buf, value);
+        let mut names = Vec::with_capacity(entities.len() * 16);
+        let mut runs: Vec<(u32, u64)> = Vec::new();
+        let (mut aliases, mut attribute_lists) = (Sparse::default(), Sparse::default());
+        for (entity, (name, entity_aliases, type_index, attributes)) in entities.enumerate() {
+            put_str(&mut names, name);
+            match runs.last_mut() {
+                Some((run_type, length)) if *run_type == type_index => *length += 1,
+                _ => runs.push((type_index, 1)),
+            }
+            if !entity_aliases.is_empty() {
+                put_strs(aliases.entry(entity as u64), entity_aliases);
+            }
+            if attributes.len() > 0 {
+                let list = attribute_lists.entry(entity as u64);
+                put_varint(list, attributes.len() as u64);
+                for (key, value) in attributes {
+                    put_str(list, key);
+                    put_f64(list, value);
+                }
             }
             if fold {
                 entity_types.push(type_index);
             }
         }
+        put_varint(buf, runs.len() as u64);
+        for (type_index, length) in runs {
+            put_varint(buf, u64::from(type_index));
+            put_varint(buf, length);
+        }
+        aliases.write(buf);
+        attribute_lists.write(buf);
+        buf.extend_from_slice(&names);
     });
     let mut fingerprinter = fold.then(GroupFingerprinter::new);
     w.section(TAG_ROWS, |buf| {
@@ -355,6 +375,31 @@ impl Writer {
     }
 }
 
+/// A sparse column of `ENTS` being written: its entries' bytes, how many
+/// there are, and the entity of the last one, which the next one's gap is
+/// taken from.
+#[derive(Default)]
+struct Sparse {
+    entries: u64,
+    last: u64,
+    bytes: Vec<u8>,
+}
+
+impl Sparse {
+    /// Starts `entity`'s entry and returns the buffer its list goes in.
+    fn entry(&mut self, entity: u64) -> &mut Vec<u8> {
+        put_varint(&mut self.bytes, entity - self.last);
+        (self.entries, self.last) = (self.entries + 1, entity);
+        &mut self.bytes
+    }
+
+    /// Appends the column: its entry count, then the entries.
+    fn write(&self, buf: &mut Vec<u8>) {
+        put_varint(buf, self.entries);
+        buf.extend_from_slice(&self.bytes);
+    }
+}
+
 /// A counted list of strings.
 fn put_strs(buf: &mut Vec<u8>, strings: &[String]) {
     put_varint(buf, strings.len() as u64);
@@ -375,7 +420,7 @@ fn size_hint(source: &impl SnapshotSource) -> usize {
     16 + 7 * 16
         + source.properties().len() * 16
         + source.types().len() * 64
-        + source.entities().len() * 48
+        + source.entities().len() * 24
         + source.rows().len() * 14
         + source.models().len() * 44
         + fingerprints * 20

@@ -95,7 +95,7 @@ pub use section::{
     TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES, TAG_ROWS, TAG_TYPES,
 };
 pub use snapshot::{
-    group_fingerprints, EvidenceRow, Fnv64, GroupFingerprintRow, GroupFingerprinter,
+    group_fingerprints, EvidenceRow, Fnv64, GroupFingerprintRow, GroupFingerprinter, GroupIndex,
     IncrementalState, ModelRow, PairRow, Snapshot, SnapshotEntity, SnapshotProperty, SnapshotType,
 };
 
@@ -103,7 +103,8 @@ pub use snapshot::{
 pub const MAGIC: [u8; 8] = *b"SURVWIRE";
 
 /// The format version this crate reads and writes. Version 1 also stored
-/// every entity's decision and each model's EM traces, and versions 1
-/// and 2 kept a pair's counters and documents in two sections with fixed
-/// keys; both are refused.
-pub const FORMAT_VERSION: u16 = 3;
+/// every entity's decision and each model's EM traces, versions 1 and 2
+/// kept a pair's counters and documents in two sections with fixed keys,
+/// and versions 1 to 3 wrote `ENTS` a record per entity, with a fixed
+/// type index and two counts each; all three are refused.
+pub const FORMAT_VERSION: u16 = 4;

@@ -8,6 +8,8 @@
 //! table** (section `PROP`), never the process-local interner ids, which
 //! depend on thread interleaving and must not reach disk.
 
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// A subjective property as stored in the snapshot's property table:
 /// adverbs in surface order, then the head adjective.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -268,7 +270,9 @@ impl Default for Fnv64 {
 /// ascending order, exactly the digest order the format specifies.
 #[derive(Debug, Default)]
 pub struct GroupFingerprinter {
-    groups: std::collections::BTreeMap<(u32, u32), GroupDigest>,
+    index: GroupIndex,
+    /// One digest per slot of `index`.
+    digests: Vec<GroupDigest>,
 }
 
 #[derive(Debug)]
@@ -287,14 +291,15 @@ impl GroupFingerprinter {
     /// Folds one evidence row into the group of its entity's type
     /// (`type_index`, from the entity table) and its property.
     pub fn add(&mut self, type_index: u32, row: &EvidenceRow) {
-        let acc = self
-            .groups
-            .entry((type_index, row.property))
-            .or_insert_with(|| GroupDigest {
+        let slot = self.index.slot((type_index, row.property));
+        if slot == self.digests.len() {
+            self.digests.push(GroupDigest {
                 hash: Fnv64::new(),
                 entities: 0,
                 total: 0,
             });
+        }
+        let acc = &mut self.digests[slot];
         acc.hash.write(&row.entity.to_le_bytes());
         acc.hash.write_u64(row.positive);
         acc.hash.write_u64(row.negative);
@@ -311,8 +316,11 @@ impl GroupFingerprinter {
     /// The table: one row per group seen, sorted by
     /// `(type_index, property)`.
     pub fn finish(self) -> Vec<GroupFingerprintRow> {
-        self.groups
-            .into_iter()
+        let mut groups: Vec<((u32, u32), GroupDigest)> =
+            (self.index.keys.into_iter()).zip(self.digests).collect();
+        // Each key has one slot, so the sort is deterministic.
+        groups.sort_unstable_by_key(|&(key, _)| key);
+        (groups.into_iter())
             .map(|((type_index, property), acc)| GroupFingerprintRow {
                 type_index,
                 property,
@@ -321,6 +329,73 @@ impl GroupFingerprinter {
                 fingerprint: acc.hash.finish(),
             })
             .collect()
+    }
+}
+
+/// Dense slots for the (type, property) groups rows fall in, numbered in
+/// the order the groups are first seen: one hash lookup a row, where an
+/// ordered map would walk a tree. Whoever needs the groups in key order
+/// sorts them once, at the end, as [`GroupFingerprinter::finish`] does.
+#[derive(Debug, Default)]
+pub struct GroupIndex {
+    slots: SlotMap,
+    /// Each slot's key.
+    keys: Vec<(u32, u32)>,
+}
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "never iterated: the keys are kept in slot order beside it and sorted before use"
+)]
+type SlotMap = std::collections::HashMap<(u32, u32), usize, BuildHasherDefault<KeyHasher>>;
+
+impl GroupIndex {
+    /// An empty index.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The slot of `key`: a new group takes the next one.
+    pub fn slot(&mut self, key: (u32, u32)) -> usize {
+        let next = self.keys.len();
+        let slot = *self.slots.entry(key).or_insert(next);
+        if slot == next {
+            self.keys.push(key);
+        }
+        slot
+    }
+
+    /// The slot of `key`, if a row of its group was seen.
+    pub fn get(&self, key: (u32, u32)) -> Option<usize> {
+        self.slots.get(&key).copied()
+    }
+}
+
+/// FxHash's multiply-rotate step over the two `u32` halves of a group
+/// key: a few cycles a key. Keys come from the file, so a crafted file
+/// can make them collide; that costs load time, never a wrong answer.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, value: u64) {
+        self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, value: u32) {
+        self.add(u64::from(value));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -46,12 +46,23 @@ fn type_s() -> impl Strategy<Value = SnapshotType> {
         })
 }
 
+/// An entity of the `ENTS` columns: most are bare, so aliases and
+/// attributes are scattered among them, and most are of type 0, so the
+/// type runs interleave with runs of one.
 fn entity_s() -> impl Strategy<Value = SnapshotEntity> {
     (
         word(),
-        prop::collection::vec(word(), 0..3),
-        0u32..8,
-        prop::collection::vec((word(), finite_f64()), 0..3),
+        prop_oneof![
+            Just(Vec::new()),
+            Just(Vec::new()),
+            prop::collection::vec(word(), 1..3),
+        ],
+        prop_oneof![Just(0), Just(0), 0u32..8],
+        prop_oneof![
+            Just(Vec::new()),
+            Just(Vec::new()),
+            prop::collection::vec((word(), finite_f64()), 1..3),
+        ],
     )
         .prop_map(|(name, aliases, type_index, attributes)| SnapshotEntity {
             name,
@@ -197,15 +208,49 @@ fn fingerprints_s() -> impl Strategy<Value = Vec<GroupFingerprintRow>> {
     })
 }
 
-/// `(checksum offset, payload range)` of the `ROWS` frame: the fourth.
-fn rows_frame(bytes: &[u8]) -> (usize, std::ops::Range<usize>) {
+/// `(checksum offset, payload range)` of the frame in slot `index`:
+/// `ENTS` is the third, `ROWS` the fourth.
+fn frame(bytes: &[u8], index: usize) -> (usize, std::ops::Range<usize>) {
     let mut at = 16;
-    for _ in 0..3 {
+    for _ in 0..index {
         at += 16 + u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
     }
-    assert_eq!(&bytes[at..at + 4], b"ROWS");
     let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
     (at + 12, at + 16..at + 16 + len)
+}
+
+/// Damage inside the payload of frame `index`, its checksum made right
+/// again, reaches the record decoding: `Ok` or a typed error, never a
+/// panic — and what decodes, re-encodes to a snapshot that decodes. The
+/// payload cut short and framed again never decodes.
+fn reframed_damage(
+    snapshot: &Snapshot,
+    index: usize,
+    position: u64,
+    mask: u8,
+    cut: u64,
+) -> Result<(), TestCaseError> {
+    let bytes = encode(snapshot);
+    let (crc_at, payload) = frame(&bytes, index);
+    let mut damaged = bytes.clone();
+    let at = payload.start + (position % payload.len() as u64) as usize;
+    damaged[at] ^= mask;
+    let crc = crc32(&damaged[payload.clone()]);
+    damaged[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    if let Ok(decoded) = decode(&damaged) {
+        prop_assert!(decode(&encode(&decoded)).is_ok());
+    }
+    let len = (cut % payload.len() as u64) as usize;
+    let mut short = bytes[..payload.start + len].to_vec();
+    short[crc_at - 8..crc_at].copy_from_slice(&(len as u64).to_le_bytes());
+    let crc = crc32(&short[payload.start..]);
+    short[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    short.extend_from_slice(&bytes[payload.end..]);
+    prop_assert!(
+        decode(&short).is_err(),
+        "frame {index} cut to {len} bytes decoded"
+    );
+    Ok(())
 }
 
 /// CRC-32/ISO-HDLC, bit by bit, to frame a damaged payload again.
@@ -229,7 +274,7 @@ fn snapshot_s() -> impl Strategy<Value = Snapshot> {
         (
             prop::collection::vec(property_s(), 0..4),
             prop::collection::vec(type_s(), 0..3),
-            prop::collection::vec(entity_s(), 0..4),
+            prop::collection::vec(entity_s(), 0..8),
         ),
         (prop_oneof![0u64..64, Just(u64::MAX)], rows_s()),
         prop::collection::vec(model_s(), 0..3),
@@ -294,9 +339,7 @@ proptest! {
         let _ = decode(&bytes);
     }
 
-    /// Damage inside a `ROWS` payload whose checksum is made right again
-    /// reaches the gap decoding: `Ok` or a typed error, never a panic —
-    /// and what decodes, re-encodes to a snapshot that decodes.
+    /// Damage inside a `ROWS` payload reaches the gap decoding.
     #[test]
     fn reframed_row_damage_never_panics(
         snapshot in snapshot_s(),
@@ -304,24 +347,19 @@ proptest! {
         mask in 1u8..=255,
         cut in 0u64..u64::MAX,
     ) {
-        let bytes = encode(&snapshot);
-        let (crc_at, payload) = rows_frame(&bytes);
-        let mut damaged = bytes.clone();
-        let index = payload.start + (position % payload.len() as u64) as usize;
-        damaged[index] ^= mask;
-        let crc = crc32(&damaged[payload.clone()]);
-        damaged[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
-        if let Ok(decoded) = decode(&damaged) {
-            prop_assert!(decode(&encode(&decoded)).is_ok());
-        }
-        // A ROWS payload cut short and framed again.
-        let len = (cut % payload.len() as u64) as usize;
-        let mut short = bytes[..payload.start + len].to_vec();
-        short[crc_at - 8..crc_at].copy_from_slice(&(len as u64).to_le_bytes());
-        let crc = crc32(&short[payload.start..]);
-        short[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
-        short.extend_from_slice(&bytes[payload.end..]);
-        prop_assert!(decode(&short).is_err(), "ROWS cut to {len} bytes decoded");
+        reframed_damage(&snapshot, 3, position, mask, cut)?;
+    }
+
+    /// Damage inside an `ENTS` payload reaches the columns: the type
+    /// runs, the sparse entries' gaps and counts, and the names.
+    #[test]
+    fn reframed_entity_damage_never_panics(
+        snapshot in snapshot_s(),
+        position in 0u64..u64::MAX,
+        mask in 1u8..=255,
+        cut in 0u64..u64::MAX,
+    ) {
+        reframed_damage(&snapshot, 2, position, mask, cut)?;
     }
 
     /// Every strict prefix of a valid snapshot is rejected with an error.

@@ -117,11 +117,12 @@ cargo run --release -q -p surveyor-cli --bin surveyor -- \
 [ "$rc" -eq 3 ] \
     || { echo "truncated snapshot: expected exit 3, got $rc" >&2; exit 1; }
 
-# A version-1 snapshot stored every decision, and a version-2 one a pair's
-# counters and documents in two sections under fixed keys; this reader
-# must refuse either layout (exit 3, naming the version) rather than
-# misread it. The gate's own file with its version word patched to 1, then 2.
-for old in 1 2; do
+# A version-1 snapshot stored every decision, a version-2 one a pair's
+# counters and documents in two sections under fixed keys, and a
+# version-3 one an `ENTS` record per entity; this reader must refuse each
+# layout (exit 3, naming the version) rather than misread it. The gate's
+# own file with its version word patched to 1, 2, then 3.
+for old in 1 2 3; do
     cp artifacts/world.swire "artifacts/version${old}.swire"
     printf "\\00${old}\\000" \
         | dd of="artifacts/version${old}.swire" bs=1 seek=8 conv=notrunc 2> /dev/null
@@ -144,7 +145,7 @@ cargo run --release -q -p surveyor-bench --bin bench -- \
     snapshot --quick --assert-speedup 5 --assert-validate-mb-s 400 \
     --out artifacts/snapshot_smoke.json > /dev/null
 for key in '"schema_version"' '"format_version"' '"snapshot_bytes"' \
-           '"section_bytes"' '"encode_mb_s"' '"decode_mb_s"' \
+           '"section_bytes"' '"encode_pairs_per_s"' '"decode_pairs_per_s"' \
            '"validate_seconds"' '"validate_mb_s"' \
            '"speedup_load_vs_remine"' '"byte_identical"'; do
     grep -q "$key" artifacts/snapshot_smoke.json \
