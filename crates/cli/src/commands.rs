@@ -1019,9 +1019,9 @@ mod tests {
         let value: serde_json::Value = serde_json::from_str(&json).unwrap();
         assert_eq!(value["identical"], serde_json::Value::Bool(false));
         assert!(value["differences"].as_u64().unwrap() > 0);
-        // Seven required sections plus the optional incremental and
-        // fingerprint sections (reported even when absent on both sides).
-        assert_eq!(value["sections"].as_array().unwrap().len(), 9);
+        // Seven required sections plus the optional incremental section
+        // (reported even when absent on both sides).
+        assert_eq!(value["sections"].as_array().unwrap().len(), 8);
 
         // A corrupt operand is InvalidInput (exit 3), not a diff result.
         let bad = dir.join("bad.swire");

@@ -102,8 +102,8 @@ mod tests {
         let diff = diff_snapshots(&a, &a.clone()).unwrap();
         assert!(diff.is_identical(), "{diff:?}");
         let sections: Vec<&str> = diff.sections.iter().map(|s| s.section).collect();
-        assert_eq!(sections[5..8], ["models", "decisions", "incremental"]);
-        assert_eq!(sections.len(), 9);
+        assert_eq!(sections[5..], ["models", "decisions", "incremental"]);
+        assert_eq!(sections.len(), 8);
         assert_eq!(diff.sections[6].count_a, 1);
     }
 

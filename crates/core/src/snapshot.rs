@@ -36,13 +36,13 @@
 use crate::pipeline::{DomainResult, SurveyorOutput};
 use crate::store::{StoreSink, SubjectiveKb};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use surveyor_extract::{EvidenceCounts, EvidenceTable, GroupKey, GroupedEvidence, ProvenanceTable};
 use surveyor_kb::{EntityId, KnowledgeBaseBuilder, Property, PropertyId, TypeId};
 use surveyor_model::{ConvergenceReason, CountTable, EmFit, ModelParams, ObservedCounts};
 use surveyor_wire::{
-    EvidenceRow, Fingerprints, GroupFingerprintRow, GroupFingerprinter, GroupIndex,
-    IncrementalState, ModelRow, Snapshot, SnapshotReader, SnapshotSource, WireError,
+    EvidenceRow, IncrementalState, ModelRow, Snapshot, SnapshotReader, SnapshotSource, WireError,
 };
 
 /// Why snapshot bytes could not be turned back into a pipeline output.
@@ -201,15 +201,6 @@ impl SnapshotSource for Flattened<'_> {
     fn incremental(&self) -> Option<&IncrementalState> {
         self.state
     }
-
-    /// A snapshot with state fingerprints its groups; the writer folds
-    /// them from the rows as it writes them.
-    fn fingerprints(&self) -> Fingerprints<'_> {
-        match self.state {
-            Some(_) => Fingerprints::Folded,
-            None => Fingerprints::Stored(&[]),
-        }
-    }
 }
 
 /// Flattens a pipeline output into the portable snapshot model: the
@@ -220,9 +211,7 @@ pub fn snapshot_output(output: &SurveyorOutput) -> Snapshot {
 
 /// Like [`snapshot_output`], but carrying the incremental mining state:
 /// the `INCR` section records what was ingested (and what is still
-/// pending replay), and the `GRPF` section fingerprints every
-/// (type, property) group so a later `diff` can name the groups a delta
-/// dirtied.
+/// pending replay) and the digests an update checks.
 pub fn snapshot_output_with_state(output: &SurveyorOutput, state: &IncrementalState) -> Snapshot {
     Snapshot::from_source(&Flattened::new(output, Some(state)))
 }
@@ -234,8 +223,7 @@ pub fn save_snapshot(output: &SurveyorOutput) -> Vec<u8> {
 }
 
 /// Encodes a pipeline output plus its incremental state as snapshot
-/// bytes (see [`snapshot_output_with_state`]); the group fingerprints are
-/// folded while the rows are written.
+/// bytes (see [`snapshot_output_with_state`]).
 pub fn save_snapshot_with_state(output: &SurveyorOutput, state: &IncrementalState) -> Vec<u8> {
     surveyor_wire::write_snapshot(&Flattened::new(output, Some(state)))
 }
@@ -311,9 +299,6 @@ struct Rows<R, M> {
     rows: R,
     models_len: usize,
     models: M,
-    /// Stored group fingerprints the rows must reproduce; empty = the
-    /// snapshot carries none.
-    fingerprints: Vec<GroupFingerprintRow>,
 }
 
 /// `Corrupt(detail)` unless `key` is above the previous row's; row
@@ -370,6 +355,9 @@ impl<S: Sink> Walk<S> {
                 "property table not in ascending order",
             ));
         }
+        if !all_lowercase(adverbs.iter().chain([&adjective])) {
+            return Err(SnapshotError::Corrupt("property words not lowercase"));
+        }
         self.properties.push(PropertyId::intern(&property));
         self.last_property = Some(property);
         Ok(())
@@ -387,6 +375,11 @@ impl<S: Sink> Walk<S> {
         if self.type_names.contains(&lowered) {
             return Err(SnapshotError::Corrupt("duplicate type name"));
         }
+        // The knowledge base lowercases a type's vocabulary, so anything
+        // else would be written back changed.
+        if !all_lowercase([&name].into_iter().chain(head_nouns).chain(context_cues)) {
+            return Err(SnapshotError::Corrupt("type vocabulary not lowercase"));
+        }
         self.type_names.push(lowered);
         self.members.push(Vec::new());
         self.sink.entity_type(name, head_nouns, context_cues);
@@ -403,6 +396,10 @@ impl<S: Sink> Walk<S> {
         let Some(members) = self.members.get_mut(type_index as usize) else {
             return Err(SnapshotError::Corrupt("entity type index out of range"));
         };
+        // The knowledge base keeps attributes in a map by key.
+        if attributes.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+            return Err(SnapshotError::Corrupt("attribute keys not ascending"));
+        }
         // Entity ids are u32 on the wire (`EntityId`, `ROWS`): a
         // table past u32::MAX rows would take a file of tens of gigabytes.
         self.placement.push((type_index, members.len() as u32));
@@ -427,20 +424,23 @@ impl<S: Sink> Walk<S> {
             sample_size,
             results: rows.models_len,
         });
-        let property_of = |rank: u32, detail: &'static str| match self.properties.get(rank as usize)
-        {
-            Some(&id) => Ok(PropertyRef { rank, id }),
-            None => Err(SnapshotError::Corrupt(detail)),
-        };
+        // A writer writes only the properties a row or a model refers to.
+        let mut referenced = vec![false; self.properties.len()];
+        let mut property_of =
+            |rank: u32, detail: &'static str| match self.properties.get(rank as usize) {
+                Some(&id) => {
+                    referenced[rank as usize] = true;
+                    Ok(PropertyRef { rank, id })
+                }
+                None => Err(SnapshotError::Corrupt(detail)),
+            };
 
-        // One pass over the rows feeds the sink, gathers each
+        // One pass over the rows feeds the sink and gathers each
         // (type, property) group's mentioned entities by their position in
-        // the type, and, when the snapshot carries fingerprints,
-        // re-derives them. A group is a slot of one hashed index: one
-        // lookup a row, whatever the keys.
-        let mut groups = GroupIndex::new();
+        // the type. A group is a slot of one hashed index: one lookup a
+        // row, whatever the keys.
+        let mut groups = GroupIndex::default();
         let mut mentions: Vec<Vec<(u32, ObservedCounts)>> = Vec::new();
-        let mut fingerprinter = (!rows.fingerprints.is_empty()).then(GroupFingerprinter::new);
         let mut statements = 0u64;
         let mut last = None;
         let mut documents = Vec::new();
@@ -478,9 +478,6 @@ impl<S: Sink> Walk<S> {
                 ));
             }
             let (type_index, position) = self.placement[row.entity as usize];
-            if let Some(fingerprinter) = &mut fingerprinter {
-                fingerprinter.add(type_index, &row);
-            }
             let slot = groups.slot((type_index, row.property));
             if slot == mentions.len() {
                 mentions.push(Vec::new());
@@ -492,11 +489,6 @@ impl<S: Sink> Walk<S> {
                 EvidenceCounts::new(row.positive, row.negative),
                 &documents,
             );
-        }
-        if fingerprinter.is_some_and(|f| f.finish() != rows.fingerprints) {
-            return Err(SnapshotError::Corrupt(
-                "group fingerprints do not match evidence",
-            ));
         }
 
         let mut last = None;
@@ -554,7 +546,69 @@ impl<S: Sink> Walk<S> {
                 },
             );
         }
+        if referenced.contains(&false) {
+            return Err(SnapshotError::Corrupt("property referenced by no row"));
+        }
         Ok(self.sink.finish())
+    }
+}
+
+/// Whether every string is its own `to_lowercase()`, as the knowledge
+/// base and the property table store their vocabulary.
+fn all_lowercase<'s>(strings: impl IntoIterator<Item = &'s &'s str>) -> bool {
+    (strings.into_iter()).all(|s| s.to_lowercase() == *s)
+}
+
+/// Dense slots for the (type, property) groups rows fall in, numbered in
+/// the order the groups are first seen: one hash lookup a row, where an
+/// ordered map would walk a tree.
+#[derive(Debug, Default)]
+struct GroupIndex(SlotMap);
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "never iterated: a slot is looked up by its key"
+)]
+type SlotMap = std::collections::HashMap<(u32, u32), usize, BuildHasherDefault<KeyHasher>>;
+
+impl GroupIndex {
+    /// The slot of `key`: a new group takes the next one.
+    fn slot(&mut self, key: (u32, u32)) -> usize {
+        let next = self.0.len();
+        *self.0.entry(key).or_insert(next)
+    }
+
+    /// The slot of `key`, if a row of its group was seen.
+    fn get(&self, key: (u32, u32)) -> Option<usize> {
+        self.0.get(&key).copied()
+    }
+}
+
+/// FxHash's multiply-rotate step over the two `u32` halves of a group
+/// key: a few cycles a key. Keys come from the file, so a crafted file
+/// can make them collide; that costs load time, never a wrong answer.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, value: u64) {
+        self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, value: u32) {
+        self.add(u64::from(value));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -666,7 +720,6 @@ fn walk_snapshot<S: Sink>(snapshot: &Snapshot, sink: S) -> Result<S::Output, Sna
             .map(|row| Ok((row.evidence(), row.documents.iter().copied().map(Ok)))),
         models_len: snapshot.models.len(),
         models: snapshot.models.iter().cloned().map(Ok),
-        fingerprints: snapshot.fingerprints.clone(),
     })
 }
 
@@ -681,16 +734,15 @@ pub fn output_from_snapshot(snapshot: &Snapshot) -> Result<SurveyorOutput, Snaps
 
 /// Bytes → sink without an owned [`Snapshot`] in between: the tables and
 /// rows are taken straight off the reader's borrowing iterators. Every
-/// section is read to its end — `INCR` and `GRPF` included, and every
-/// string, whether or not the sink keeps it — so a malformed record
-/// anywhere is an error, as it is for [`surveyor_wire::decode`].
+/// section is read to its end — `INCR` included, and every string,
+/// whether or not the sink keeps it — so a malformed record anywhere is
+/// an error, as it is for [`surveyor_wire::decode`].
 fn walk_bytes<S: Sink>(
     bytes: &[u8],
     sink: S,
 ) -> Result<(S::Output, Option<IncrementalState>), SnapshotError> {
     let reader = SnapshotReader::new(bytes)?;
     let incremental = reader.incremental()?;
-    let fingerprints = reader.fingerprints().collect::<Result<Vec<_>, _>>()?;
 
     let mut walk = Walk::new(sink);
     let mut strs: Vec<&str> = Vec::new();
@@ -734,16 +786,11 @@ fn walk_bytes<S: Sink>(
             .map(|record| record.map(|record| (record.evidence(), record.documents))),
         models_len: reader.models().len(),
         models: reader.models(),
-        fingerprints,
     })?;
     Ok((output, incremental))
 }
 
 /// Decodes snapshot bytes back into a fully functional pipeline output.
-///
-/// Like every loader, it re-derives the group fingerprints from the
-/// rows' counts when the snapshot carries them (FORMAT.md §3.7) and
-/// rejects a snapshot whose stored ones disagree.
 pub fn load_snapshot(bytes: &[u8]) -> Result<SurveyorOutput, SnapshotError> {
     walk_bytes(bytes, OutputSink::new()).map(|(output, _)| output)
 }
@@ -1034,30 +1081,66 @@ mod tests {
     }
 
     #[test]
-    fn stale_fingerprints_are_rejected_by_every_loader() {
-        let output = mined_output();
-        let state = IncrementalState {
-            rho: 30,
-            ..Default::default()
+    fn what_a_save_would_write_back_changed_is_corrupt() {
+        // The knowledge base lowercases a type's vocabulary and a
+        // property's words and keeps attributes in a map by key, and a
+        // save writes only the properties something refers to: a file
+        // that breaks one of these would load and re-save as another
+        // file, so every loader refuses it (FORMAT.md §4).
+        let good = snapshot_output(&mined_output());
+        let corrupt = |edit: &dyn Fn(&mut Snapshot)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            rejection(&bad)
         };
-        let good = snapshot_output_with_state(&output, &state);
-        let bytes = surveyor_wire::encode(&good);
-        let (loaded, loaded_state) = load_snapshot_with_state(&bytes).unwrap();
-        assert_eq!(loaded_state, Some(state));
-        assert_eq!(loaded.triples(), output.triples());
-        assert_eq!(load_snapshot(&bytes).unwrap().triples(), output.triples());
-        assert_eq!(load_store(&bytes).unwrap().len(), output.decided_pairs());
-
-        // One more statement than the fingerprints were taken over. The
-        // check rides the evidence pass every loader makes, so a load that
-        // drops the incremental state makes it too — and so does the
-        // store builder.
-        let mut bad = good;
-        bad.rows[0].positive += 1;
+        let vocabulary = SnapshotError::Corrupt("type vocabulary not lowercase");
         assert_eq!(
-            rejection(&bad),
-            SnapshotError::Corrupt("group fingerprints do not match evidence")
+            corrupt(&|bad| bad.types[0].name = "Animal".into()),
+            vocabulary
         );
+        assert_eq!(
+            corrupt(&|bad| bad.types[0].head_nouns[1] = "Creature".into()),
+            vocabulary
+        );
+        assert_eq!(
+            corrupt(&|bad| bad.types[0].context_cues[0] = "ZOO".into()),
+            vocabulary
+        );
+        let words = SnapshotError::Corrupt("property words not lowercase");
+        assert_eq!(
+            corrupt(&|bad| bad.properties[0].adjective = "Cute".into()),
+            words
+        );
+        assert_eq!(
+            corrupt(&|bad| bad.properties[1].adverbs[0] = "VERY".into()),
+            words
+        );
+        let attributes = SnapshotError::Corrupt("attribute keys not ascending");
+        for keys in [["legs", "legs"], ["tail", "legs"]] {
+            assert_eq!(
+                corrupt(&|bad| {
+                    bad.entities[2].attributes = keys.map(|key| (key.into(), 1.0)).into();
+                }),
+                attributes
+            );
+        }
+        assert_eq!(
+            corrupt(&|bad| {
+                let mut unused = bad.properties[1].clone();
+                unused.adjective = "zany".into();
+                bad.properties.push(unused);
+            }),
+            SnapshotError::Corrupt("property referenced by no row")
+        );
+        // Their valid neighbours load: lowercase non-ASCII words, keys in
+        // order, a property only a model refers to.
+        let mut fine = good.clone();
+        fine.types[0].head_nouns[1] = "ぴかぴか straße".into();
+        fine.entities[2].attributes = vec![("legs".into(), 4.0), ("tail".into(), 1.0)];
+        fine.rows.retain(|row| row.property != 1);
+        assert!(fine.models.iter().any(|model| model.property == 1));
+        let bytes = surveyor_wire::encode(&fine);
+        assert_eq!(save_snapshot(&load_snapshot(&bytes).unwrap()), bytes);
     }
 
     #[test]

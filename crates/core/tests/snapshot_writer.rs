@@ -1,7 +1,7 @@
 //! The snapshot a save writes is the owned export, encoded: for every
 //! preset world, with and without incremental state, and for the edge
-//! cases of the optional sections — an output with no evidence (so no
-//! `GRPF`) and one with no provenance — `save_snapshot*` returns exactly
+//! cases — an output with no evidence and one with no provenance —
+//! `save_snapshot*` returns exactly
 //! `wire::encode(&snapshot_output*(…))`, and those bytes decode back to
 //! that export.
 
@@ -47,7 +47,7 @@ fn assert_saves_encode_the_export(name: &str, output: &SurveyorOutput, rho: u64)
     let bytes = save_snapshot(output);
     assert_eq!(bytes, wire::encode(&export), "{name}: save_snapshot");
     assert_eq!(wire::decode(&bytes).unwrap(), export, "{name}: decode");
-    assert!(export.incremental.is_none() && export.fingerprints.is_empty());
+    assert!(export.incremental.is_none());
 
     let state = state(rho);
     let export = snapshot_output_with_state(output, &state);
@@ -59,13 +59,6 @@ fn assert_saves_encode_the_export(name: &str, output: &SurveyorOutput, rho: u64)
     );
     assert_eq!(wire::decode(&bytes).unwrap(), export, "{name}: decode");
     assert_eq!(export.incremental.as_ref(), Some(&state));
-    // Fingerprints are written exactly when there is evidence to take
-    // them over.
-    assert_eq!(
-        export.fingerprints.is_empty(),
-        export.rows.is_empty(),
-        "{name}"
-    );
 }
 
 #[test]

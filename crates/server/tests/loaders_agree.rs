@@ -1,19 +1,21 @@
 //! The three loaders — `surveyor::load_snapshot`,
 //! `surveyor::load_snapshot_with_state` and
 //! `ServedState::from_snapshot_bytes` — give one verdict on every
-//! snapshot, and never panic: a stale fingerprint table, CRC-valid
-//! snapshots that are *semantically* hostile (written through
+//! snapshot, and never panic: a frame of the retired `GRPF` section,
+//! CRC-valid snapshots that are *semantically* hostile (written through
 //! `wire::encode`, so no checksum or framing rule stands in the way), and
 //! one-byte damage inside re-framed sections. What all three accept, the
 //! served store renders exactly as the store built from the loaded output.
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use surveyor::prelude::*;
-use surveyor::wire::{encode, group_fingerprints, IncrementalState, ModelRow, PairRow, Snapshot};
+use surveyor::wire::{decode, encode, Fnv64, IncrementalState, ModelRow, PairRow, Snapshot};
 use surveyor::{
-    load_snapshot, load_snapshot_with_state, snapshot_output, CorpusSource, SnapshotError,
-    SubjectiveKb, Surveyor, SurveyorConfig, SurveyorOutput,
+    diff_snapshots, load_snapshot, load_snapshot_with_state, load_store, save_snapshot,
+    save_snapshot_with_state, snapshot_output, CorpusSource, SnapshotError, SubjectiveKb, Surveyor,
+    SurveyorConfig, SurveyorOutput,
 };
 use surveyor_server::ServedState;
 
@@ -138,22 +140,11 @@ fn agreed(context: &str, bytes: &[u8]) -> Option<SnapshotError> {
     plain
 }
 
-/// Applies `edit` to a mined snapshot and takes the agreed verdict twice:
-/// without a fingerprint table, and with one recomputed after the edit
-/// (so the edit is judged by its own rule, not by a stale fingerprint).
+/// Applies `edit` to a mined snapshot and takes the agreed verdict.
 fn hostile(context: &str, edit: impl Fn(&mut Snapshot)) -> Option<&'static str> {
     let mut bad = mined();
     edit(&mut bad);
-    let plain = agreed(context, &encode(&bad));
-    bad.incremental = Some(IncrementalState {
-        rho: 20,
-        ..Default::default()
-    });
-    bad.fingerprints = group_fingerprints(&bad);
-    let context = format!("{context}, fingerprinted");
-    let fingerprinted = agreed(&context, &encode(&bad));
-    assert_eq!(plain, fingerprinted, "{context}");
-    match plain {
+    match agreed(context, &encode(&bad)) {
         None => None,
         Some(SnapshotError::Corrupt(detail)) => Some(detail),
         Some(SnapshotError::Wire(e)) => {
@@ -162,29 +153,88 @@ fn hostile(context: &str, edit: impl Fn(&mut Snapshot)) -> Option<&'static str> 
     }
 }
 
+/// A LEB128 varint, as the format writes counts.
+fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// The payload of the `GRPF` section, now retired, as this format's
+/// writer put it after `INCR`: one row per (type, property) group with
+/// evidence, in key order — the type and property as `u32`s, the group's
+/// entity count and statement total as varints, and the FNV-1a digest of
+/// its rows' `(entity, positive, negative)` in entity order.
+fn retired_fingerprints(snapshot: &Snapshot) -> Vec<u8> {
+    let mut groups: BTreeMap<(u32, u32), (u64, u64, Fnv64)> = BTreeMap::new();
+    for row in &snapshot.rows {
+        let key = (
+            snapshot.entities[row.entity as usize].type_index,
+            row.property,
+        );
+        let (entities, total, digest) = groups.entry(key).or_insert((0, 0, Fnv64::new()));
+        digest.write(&row.entity.to_le_bytes());
+        digest.write_u64(row.positive);
+        digest.write_u64(row.negative);
+        (*entities, *total) = (*entities + 1, *total + row.positive + row.negative);
+    }
+    let mut payload = Vec::new();
+    put_varint(&mut payload, groups.len() as u64);
+    for ((type_index, property), (entities, total, digest)) in groups {
+        payload.extend_from_slice(&type_index.to_le_bytes());
+        payload.extend_from_slice(&property.to_le_bytes());
+        put_varint(&mut payload, entities);
+        put_varint(&mut payload, total);
+        payload.extend_from_slice(&digest.finish().to_le_bytes());
+    }
+    payload
+}
+
 #[test]
-fn a_stale_fingerprint_gets_one_verdict_from_every_loader() {
-    let mut snapshot = mined();
-    snapshot.incremental = Some(IncrementalState {
+fn a_retired_grpf_frame_is_skipped_and_dropped_on_save() {
+    // A file written before `GRPF` retired: the current bytes with the
+    // fingerprint frame after `INCR` and one more section counted.
+    let output = mined_output();
+    let state = IncrementalState {
         rho: 20,
         ..Default::default()
-    });
-    snapshot.fingerprints = group_fingerprints(&snapshot);
-    assert!(!snapshot.fingerprints.is_empty());
-    assert_eq!(agreed("fresh fingerprints", &encode(&snapshot)), None);
+    };
+    let current = save_snapshot_with_state(&output, &state);
+    let payload = retired_fingerprints(&decode(&current).unwrap());
+    let mut old = current.clone();
+    old.extend_from_slice(b"GRPF");
+    old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    old.extend_from_slice(&crc32_bitwise(&payload).to_le_bytes());
+    old.extend_from_slice(&payload);
+    old[12..16].copy_from_slice(&7u32.to_le_bytes());
+    assert_eq!(frames(&old).len(), 7);
 
-    let stale = Some(SnapshotError::Corrupt(
-        "group fingerprints do not match evidence",
-    ));
-    let mut more_evidence = snapshot.clone();
-    more_evidence.rows[0].positive += 1;
-    assert_eq!(agreed("one more statement", &encode(&more_evidence)), stale);
-    let mut other_digest = snapshot.clone();
-    other_digest.fingerprints[0].fingerprint ^= 1;
-    assert_eq!(agreed("another digest", &encode(&other_digest)), stale);
-    let mut missing_row = snapshot;
-    missing_row.fingerprints.pop();
-    assert_eq!(agreed("a group short", &encode(&missing_row)), stale);
+    // Every loader returns what it returns without the frame.
+    assert_eq!(agreed("a retired GRPF frame", &old), None);
+    let (loaded, loaded_state) = load_snapshot_with_state(&old).unwrap();
+    let (reference, _) = load_snapshot_with_state(&current).unwrap();
+    assert_eq!(loaded_state, Some(state.clone()));
+    assert_eq!(save_snapshot(&loaded), save_snapshot(&reference));
+    let plain = load_snapshot(&old).unwrap();
+    assert_eq!(save_snapshot(&plain), save_snapshot(&reference));
+    assert_eq!(
+        load_store(&old).unwrap().to_json(),
+        load_store(&current).unwrap().to_json()
+    );
+
+    // A save drops the frame, one more save is a fixed point, and
+    // `surveyor diff` calls the old file and the saved one identical.
+    let saved = save_snapshot_with_state(&loaded, &state);
+    assert_eq!(saved, current);
+    let (again, again_state) = load_snapshot_with_state(&saved).unwrap();
+    assert_eq!(
+        save_snapshot_with_state(&again, &again_state.unwrap()),
+        saved
+    );
+    let diff = diff_snapshots(&decode(&old).unwrap(), &decode(&saved).unwrap()).unwrap();
+    assert!(diff.is_identical(), "{diff:?}");
 }
 
 #[test]
@@ -402,7 +452,29 @@ fn hostile_rows_are_one_verdict_and_served_as_loaded() {
         }),
         Some("row entity out of range")
     );
-    assert_eq!(hostile("no rows at all", |s| s.rows.clear()), None);
+    // Without rows, `calm` — below the threshold, so no model — is
+    // referenced by nothing and would not be written back; without it
+    // too, the snapshot loads.
+    assert_eq!(
+        hostile("no rows, and a property nothing refers to", |s| s
+            .rows
+            .clear()),
+        Some("property referenced by no row")
+    );
+    assert_eq!(
+        hostile("no rows at all", |s| {
+            let calm = (s.properties.iter())
+                .position(|p| p.adjective == "calm")
+                .unwrap() as u32;
+            assert!(s.models.iter().all(|m| m.property != calm));
+            s.rows.clear();
+            s.properties.remove(calm as usize);
+            for model in &mut s.models {
+                model.property -= u32::from(model.property > calm);
+            }
+        }),
+        None
+    );
 
     assert_eq!(
         hostile("documents for an undecided pair", |s| {
@@ -560,10 +632,9 @@ fn damage_inside_valid_frames_is_one_verdict() {
         rho: 20,
         ..Default::default()
     });
-    snapshot.fingerprints = group_fingerprints(&snapshot);
     let bytes = encode(&snapshot);
     let frames = frames(&bytes);
-    assert_eq!(frames.len(), 7, "all seven sections");
+    assert_eq!(frames.len(), 6, "all six sections");
 
     let mut rng = 0x2015_u64;
     let mut next = move || {

@@ -14,12 +14,12 @@ use crate::crc32::crc32;
 use crate::cursor::Cursor;
 use crate::error::WireError;
 use crate::section::{
-    SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_ENTITIES, TAG_FINGERPRINTS,
-    TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES, TAG_ROWS, TAG_TYPES,
+    SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_ENTITIES, TAG_INCREMENTAL,
+    TAG_MODELS, TAG_PROPERTIES, TAG_ROWS, TAG_TYPES,
 };
 use crate::snapshot::{
-    EvidenceRow, GroupFingerprintRow, IncrementalState, ModelRow, PairRow, Snapshot,
-    SnapshotEntity, SnapshotProperty, SnapshotType,
+    EvidenceRow, IncrementalState, ModelRow, PairRow, Snapshot, SnapshotEntity, SnapshotProperty,
+    SnapshotType,
 };
 use crate::{FORMAT_VERSION, MAGIC};
 use std::fmt::Debug;
@@ -32,7 +32,6 @@ const SEC_ENTITIES: usize = 2;
 const SEC_ROWS: usize = 3;
 const SEC_MODELS: usize = 4;
 const SEC_INCREMENTAL: usize = 5;
-const SEC_FINGERPRINTS: usize = 6;
 
 /// Decodes a snapshot buffer into its owned form in one call.
 ///
@@ -55,9 +54,9 @@ pub struct SnapshotReader<'a> {
     /// Per-section record bytes (payload minus its leading counts),
     /// indexed like [`KNOWN_ORDER`]. The `INCR` slot is unused (its
     /// payload is not count-prefixed; see `incr_body`).
-    bodies: [&'a [u8]; 7],
+    bodies: [&'a [u8]; 6],
     /// Per-section record counts, already bounded by the payload size.
-    counts: [usize; 7],
+    counts: [usize; 6],
     /// The `ENTS` columns read in step with its names (the `ENTS` body).
     entity_columns: EntityColumns<'a>,
     sample_size: u64,
@@ -86,12 +85,12 @@ impl<'a> SnapshotReader<'a> {
         let section_count = cursor.u32("header section count")?;
         let header_end = cursor;
 
-        let mut bodies: [&'a [u8]; 7] = [&[]; 7];
-        let mut counts = [0usize; 7];
+        let mut bodies: [&'a [u8]; 6] = [&[]; 6];
+        let mut counts = [0usize; 6];
         let mut entity_columns = EntityColumns::default();
         let mut sample_size = 0u64;
         let mut incr_body: Option<&'a [u8]> = None;
-        let mut seen = [false; 7];
+        let mut seen = [false; 6];
         let mut next_expected = 0usize;
         for _ in 0..section_count {
             let tag_bytes = cursor.take(4, "section tag")?;
@@ -237,17 +236,6 @@ impl<'a> SnapshotReader<'a> {
         self.records(SEC_MODELS, ())
     }
 
-    /// Iterates the group fingerprints (optional section `GRPF`); empty
-    /// when the snapshot does not carry one.
-    pub fn fingerprints(&self) -> Records<'a, GroupFingerprintRow> {
-        self.records(SEC_FINGERPRINTS, None)
-    }
-
-    /// Whether the snapshot carries the optional `INCR` section.
-    pub fn has_incremental(&self) -> bool {
-        self.incr_body.is_some()
-    }
-
     /// Parses and validates the optional incremental-state section
     /// (`INCR`). `Ok(None)` when the snapshot does not carry one.
     pub fn incremental(&self) -> Result<Option<IncrementalState>, WireError> {
@@ -351,7 +339,6 @@ impl<'a> SnapshotReader<'a> {
             })?,
             models: collect(self.models(), Ok)?,
             incremental: self.incremental()?,
-            fingerprints: collect(self.fingerprints(), Ok)?,
         })
     }
 }
@@ -371,14 +358,13 @@ fn collect<'a, R: SectionRecord<'a>, T>(
 
 /// Count-field contexts, indexed like [`KNOWN_ORDER`]. The `INCR` slot
 /// is a placeholder — that payload is not count-prefixed.
-const COUNT_CONTEXTS: [&str; 7] = [
+const COUNT_CONTEXTS: [&str; 6] = [
     "property count",
     "type count",
     "entity count",
     "row count",
     "model row count",
     "incremental state",
-    "fingerprint row count",
 ];
 
 /// A record of one section: how [`Records`] parses it.
@@ -386,9 +372,8 @@ pub trait SectionRecord<'a>: Sized {
     /// The section, named by its trailing-bytes error.
     const TAG: SectionTag;
     /// What parsing carries from one record to the next: nothing, but
-    /// for `ENTS`, whose records are read from columns in step, for
-    /// `ROWS`, whose entities are gaps from the row before, and for
-    /// `GRPF`, whose rows must ascend.
+    /// for `ENTS`, whose records are read from columns in step, and for
+    /// `ROWS`, whose entities are gaps from the row before.
     type State: Debug + Clone;
     /// Parses the record at `cursor`.
     fn parse(cursor: &mut Cursor<'a>, state: &mut Self::State) -> Result<Self, WireError>;
@@ -976,33 +961,6 @@ impl<'a> SectionRecord<'a> for ModelRow {
     }
 }
 
-/// Fingerprint rows must ascend on `(type_index, property)` with no key
-/// twice: the state is the previous row's key.
-impl<'a> SectionRecord<'a> for GroupFingerprintRow {
-    const TAG: SectionTag = TAG_FINGERPRINTS;
-    type State = Option<(u32, u32)>;
-
-    fn parse(cursor: &mut Cursor<'a>, last_key: &mut Self::State) -> Result<Self, WireError> {
-        let type_index = cursor.u32("fingerprint type index")?;
-        let property = cursor.u32("fingerprint property")?;
-        let key = (type_index, property);
-        if last_key.is_some_and(|prev| key <= prev) {
-            return Err(WireError::BadRecord {
-                section: TAG_FINGERPRINTS,
-                detail: "fingerprint rows out of order",
-            });
-        }
-        *last_key = Some(key);
-        Ok(Self {
-            type_index,
-            property,
-            entities: cursor.varint("fingerprint entity count")?,
-            total: cursor.varint("fingerprint statement total")?,
-            fingerprint: cursor.u64("fingerprint digest")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1079,11 +1037,10 @@ mod tests {
                 log_likelihood: -42.5,
             }],
             incremental: None,
-            fingerprints: vec![],
         }
     }
 
-    /// The sample world with incremental state and fingerprints attached.
+    /// The sample world with incremental state attached.
     fn incremental_sample() -> Snapshot {
         let mut snapshot = sample();
         snapshot.incremental = Some(IncrementalState {
@@ -1093,8 +1050,25 @@ mod tests {
             ingested: vec![(0, 3), (5, 8)],
             pending: vec![3, 4],
         });
-        snapshot.fingerprints = crate::snapshot::group_fingerprints(&snapshot);
         snapshot
+    }
+
+    /// `bytes` with one more frame, `tag` around `payload`, after the
+    /// frame in slot `after`, and the header's section count one higher.
+    fn with_frame(bytes: &[u8], after: usize, tag: [u8; 4], payload: &[u8]) -> Vec<u8> {
+        let mut at = 16;
+        for _ in 0..=after {
+            at += 16 + u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        }
+        let mut out = bytes[..at].to_vec();
+        out.extend_from_slice(&tag);
+        put_u64(&mut out, payload.len() as u64);
+        put_u32(&mut out, crc32(payload));
+        out.extend_from_slice(payload);
+        out.extend_from_slice(&bytes[at..]);
+        let sections = u32::from_le_bytes(out[12..16].try_into().unwrap()) + 1;
+        out[12..16].copy_from_slice(&sections.to_le_bytes());
+        out
     }
 
     #[test]
@@ -1615,10 +1589,7 @@ mod tests {
             .unwrap()
             .section_sizes();
         let tags: Vec<String> = sizes.iter().map(|(tag, _)| tag.to_string()).collect();
-        assert_eq!(
-            tags,
-            ["PROP", "TYPE", "ENTS", "ROWS", "MODL", "INCR", "GRPF"]
-        );
+        assert_eq!(tags, ["PROP", "TYPE", "ENTS", "ROWS", "MODL", "INCR"]);
         // A model row is its key, three parameters, a one-byte iteration
         // count, the code and the likelihood: 42 bytes and a count byte.
         assert_eq!(sizes[4].1, 1 + 42);
@@ -1638,14 +1609,8 @@ mod tests {
         assert_eq!(encode(&decoded), bytes);
 
         let reader = SnapshotReader::new(&bytes).unwrap();
-        assert!(reader.has_incremental());
         let state = reader.incremental().unwrap().unwrap();
         assert_eq!(state, snapshot.incremental.clone().unwrap());
-        let rows: Vec<_> = reader
-            .fingerprints()
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
-        assert_eq!(rows, snapshot.fingerprints);
     }
 
     #[test]
@@ -1655,21 +1620,19 @@ mod tests {
         let bytes = encode(&sample());
         assert_eq!(&bytes[12..16], &5u32.to_le_bytes());
         let reader = SnapshotReader::new(&bytes).unwrap();
-        assert!(!reader.has_incremental());
         assert_eq!(reader.incremental().unwrap(), None);
-        assert_eq!(reader.fingerprints().count(), 0);
     }
 
     #[test]
     fn optional_sections_may_appear_independently() {
-        // INCR without GRPF.
-        let mut snapshot = incremental_sample();
-        snapshot.fingerprints.clear();
-        assert_eq!(decode(&encode(&snapshot)).unwrap(), snapshot);
-        // GRPF without INCR.
-        let mut snapshot = incremental_sample();
-        snapshot.incremental = None;
-        assert_eq!(decode(&encode(&snapshot)).unwrap(), snapshot);
+        // `INCR` present or absent, and a retired `GRPF` frame after the
+        // last section or not: four files, two snapshots.
+        for snapshot in [sample(), incremental_sample()] {
+            let bytes = encode(&snapshot);
+            let last = snapshot.incremental.map_or(4, |_| 5);
+            let old = with_frame(&bytes, last, *b"GRPF", &[0]);
+            assert_eq!(decode(&old).unwrap(), decode(&bytes).unwrap());
+        }
     }
 
     #[test]
@@ -1678,7 +1641,7 @@ mod tests {
         SnapshotReader::new(&encode(&incremental_sample())).unwrap();
 
         // Rebuild the raw frames so they can be rearranged: required
-        // five from the empty world plus handcrafted INCR/GRPF.
+        // five from the empty world plus a handcrafted INCR.
         let incr_payload = || {
             let mut p = vec![0]; // rho = 0
             put_u64(&mut p, 0); // config digest
@@ -1687,7 +1650,6 @@ mod tests {
             p.push(0); // no pending shards
             p
         };
-        let grpf_payload = || vec![0]; // zero rows
 
         let mut sections = empty_sections();
         sections.push((*b"INCR", incr_payload()));
@@ -1695,17 +1657,6 @@ mod tests {
         assert_eq!(
             SnapshotReader::new(&container(&sections)).map(|_| ()),
             Err(WireError::DuplicateSection {
-                tag: TAG_INCREMENTAL
-            })
-        );
-
-        // GRPF before INCR violates the canonical order.
-        let mut sections = empty_sections();
-        sections.push((*b"GRPF", grpf_payload()));
-        sections.push((*b"INCR", incr_payload()));
-        assert_eq!(
-            SnapshotReader::new(&container(&sections)).map(|_| ()),
-            Err(WireError::OutOfOrderSection {
                 tag: TAG_INCREMENTAL
             })
         );
@@ -1780,26 +1731,35 @@ mod tests {
     }
 
     #[test]
-    fn misordered_fingerprint_rows_are_a_bad_record() {
-        let mut payload = Vec::new();
-        put_varint(&mut payload, 2);
+    fn a_retired_grpf_frame_is_skipped_unparsed() {
+        // Rows that the record parser this format used to have refused
+        // (a key twice), and a payload that is no rows at all: each is
+        // skipped after its checksum, wherever the frame stands — also
+        // before `INCR`, where that parser's reader refused it as out of
+        // order.
+        let mut rows = Vec::new();
+        put_varint(&mut rows, 2);
         for _ in 0..2 {
-            put_u32(&mut payload, 0); // type index
-            put_u32(&mut payload, 7); // property (repeated key)
-            put_varint(&mut payload, 1);
-            put_varint(&mut payload, 1);
-            put_u64(&mut payload, 99);
+            put_u32(&mut rows, 0); // type index
+            put_u32(&mut rows, 7); // property (repeated key)
+            put_varint(&mut rows, 1);
+            put_varint(&mut rows, 1);
+            put_u64(&mut rows, 99);
         }
-        let mut sections = empty_sections();
-        sections.push((*b"GRPF", payload));
-        let bytes = container(&sections);
-        let reader = SnapshotReader::new(&bytes).unwrap();
-        assert_eq!(
-            reader.to_snapshot().expect_err("decoded"),
-            WireError::BadRecord {
-                section: TAG_FINGERPRINTS,
-                detail: "fingerprint rows out of order",
+        let bytes = encode(&incremental_sample());
+        for payload in [rows, vec![0xff; 3], vec![]] {
+            for after in [0, 4, 5] {
+                let old = with_frame(&bytes, after, *b"GRPF", &payload);
+                assert_eq!(decode(&old).unwrap(), incremental_sample(), "{after}");
             }
-        );
+        }
+        // Its checksum is still checked.
+        let mut damaged = with_frame(&bytes, 5, *b"GRPF", &[1, 2, 3]);
+        let last = damaged.len() - 1;
+        damaged[last] ^= 1;
+        assert!(matches!(
+            SnapshotReader::new(&damaged),
+            Err(WireError::CrcMismatch { tag, .. }) if tag.0 == *b"GRPF"
+        ));
     }
 }

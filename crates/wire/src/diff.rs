@@ -19,8 +19,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SectionDelta {
     /// Section name (`properties`, `types`, `entities`, `evidence`,
-    /// `provenance`, `models`, `incremental`, `fingerprints`; the loader
-    /// adds `decisions`).
+    /// `provenance`, `models`, `incremental`; the loader adds
+    /// `decisions`).
     pub section: &'static str,
     /// Row count in the first snapshot.
     pub count_a: usize,
@@ -138,7 +138,7 @@ impl Names<'_> {
         format!("{} × {}", self.entity(entity), self.property(property))
     }
 
-    /// The key of a `(type, property)` row: `MODL`, `GRPF`.
+    /// The key of a `(type, property)` row: `MODL`.
     fn group(&self, type_index: u32, property: u32) -> String {
         format!(
             "{} × {}",
@@ -175,12 +175,16 @@ pub fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
                 })
                 .collect()
         }),
+        // Attribute values compare bit-exact, as model parameters do: a NaN
+        // equals itself, and -0.0 differs from 0.0.
         section("entities", a, b, |s, names| {
             (s.entities.iter())
                 .map(|e| {
                     let type_name = names.type_name(e.type_index);
-                    let value = (e.aliases.clone(), type_name, e.attributes.clone());
-                    (e.name.clone(), value)
+                    let attributes: Vec<(String, u64)> = (e.attributes.iter())
+                        .map(|(key, value)| (key.clone(), value.to_bits()))
+                        .collect();
+                    (e.name.clone(), (e.aliases.clone(), type_name, attributes))
                 })
                 .collect()
         }),
@@ -244,16 +248,6 @@ pub fn diff_snapshots(a: &Snapshot, b: &Snapshot) -> SnapshotDiff {
                 ("pending shards".to_owned(), format!("{:?}", state.pending)),
             ])
         }),
-        // Group fingerprints make "which groups did the delta dirty?" a
-        // first-class diff answer: a changed key here is a dirtied group.
-        section("fingerprints", a, b, |s, names| {
-            (s.fingerprints.iter())
-                .map(|row| {
-                    let value = (row.entities, row.total, row.fingerprint);
-                    (names.group(row.type_index, row.property), value)
-                })
-                .collect()
-        }),
     ];
     SnapshotDiff {
         sample_size_changed: a.sample_size != b.sample_size,
@@ -316,7 +310,6 @@ mod tests {
                 log_likelihood: -4.2,
             }],
             incremental: None,
-            fingerprints: vec![],
         }
     }
 
@@ -326,13 +319,12 @@ mod tests {
         let diff = diff_snapshots(&a, &a.clone());
         assert!(diff.is_identical());
         assert_eq!(diff.difference_count(), 0);
-        assert_eq!(diff.sections.len(), 8);
+        assert_eq!(diff.sections.len(), 7);
     }
 
     #[test]
-    fn dirtied_group_reports_in_fingerprints_section() {
+    fn an_update_reports_its_shards_and_its_evidence() {
         let mut a = world();
-        a.fingerprints = crate::snapshot::group_fingerprints(&a);
         a.incremental = Some(crate::IncrementalState {
             rho: 40,
             config_digest: 1,
@@ -344,17 +336,30 @@ mod tests {
         // evidence of the only group.
         let mut b = a.clone();
         b.rows[0].positive += 5;
-        b.fingerprints = crate::snapshot::group_fingerprints(&b);
         b.incremental.as_mut().unwrap().ingest_range(3, 4);
 
         let diff = diff_snapshots(&a, &b);
         assert!(!diff.is_identical());
-        let fingerprints = &diff.sections[7];
-        assert_eq!(fingerprints.section, "fingerprints");
-        assert_eq!(fingerprints.changed, vec!["city × big"]);
+        let evidence = &diff.sections[3];
+        assert_eq!(evidence.changed, vec!["Springfield × big"]);
         let incremental = &diff.sections[6];
         assert_eq!(incremental.section, "incremental");
         assert_eq!(incremental.changed, vec!["ingested shards"]);
+    }
+
+    #[test]
+    fn attribute_values_compare_bit_exact() {
+        let mut a = world();
+        a.entities[0].attributes[0].1 = f64::NAN;
+        assert!(diff_snapshots(&a, &a.clone()).is_identical());
+        let mut b = world();
+        b.entities[0].attributes[0].1 = -0.0;
+        let mut c = world();
+        c.entities[0].attributes[0].1 = 0.0;
+        assert_eq!(
+            diff_snapshots(&b, &c).sections[2].changed,
+            vec!["Springfield"]
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The snapshot writer.
 //!
 //! One writer owns everything about the bytes: the header and its section
-//! count, each section's frame and CRC, every record's layout, the buffer
-//! reservation, and the `GRPF` fold. It reads its records from a
+//! count, each section's frame and CRC, every record's layout, and the
+//! buffer reservation. It reads its records from a
 //! [`SnapshotSource`] — borrowed, section by section, in on-disk order —
 //! so a producer that holds its world in other shapes (the pipeline's
 //! knowledge base and tables) writes bytes without building an owned
@@ -15,12 +15,11 @@
 use crate::crc32::crc32;
 use crate::cursor::{put_f64, put_str, put_u16, put_u32, put_u64, put_varint};
 use crate::section::{
-    SectionTag, TAG_ENTITIES, TAG_FINGERPRINTS, TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES,
-    TAG_ROWS, TAG_TYPES,
+    SectionTag, TAG_ENTITIES, TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES, TAG_ROWS, TAG_TYPES,
 };
 use crate::snapshot::{
-    group_fingerprints, EvidenceRow, GroupFingerprintRow, GroupFingerprinter, IncrementalState,
-    ModelRow, PairRow, Snapshot, SnapshotEntity, SnapshotProperty, SnapshotType,
+    EvidenceRow, IncrementalState, ModelRow, PairRow, Snapshot, SnapshotEntity, SnapshotProperty,
+    SnapshotType,
 };
 use crate::{FORMAT_VERSION, MAGIC};
 
@@ -57,22 +56,6 @@ pub trait SnapshotSource {
     fn models(&self) -> impl ExactSizeIterator<Item = ModelRow>;
     /// The `INCR` section's state; `None` writes no `INCR`.
     fn incremental(&self) -> Option<&IncrementalState>;
-    /// Where the `GRPF` rows come from.
-    fn fingerprints(&self) -> Fingerprints<'_>;
-}
-
-/// The origin of a snapshot's `GRPF` rows. Either way the section is
-/// written only when it has rows.
-#[derive(Debug, Clone, Copy)]
-pub enum Fingerprints<'a> {
-    /// These rows, as stored (an owned [`Snapshot`]'s, verified or not).
-    Stored(&'a [GroupFingerprintRow]),
-    /// Folded with [`GroupFingerprinter`] from the `ROWS` rows as they are
-    /// written, each with its entity's type from the `ENTS` rows written
-    /// before them — no second pass over the rows. A row whose entity
-    /// is out of range is skipped, as [`crate::group_fingerprints`] skips
-    /// it.
-    Folded,
 }
 
 impl SnapshotSource for Snapshot {
@@ -125,17 +108,13 @@ impl SnapshotSource for Snapshot {
     fn incremental(&self) -> Option<&IncrementalState> {
         self.incremental.as_ref()
     }
-
-    fn fingerprints(&self) -> Fingerprints<'_> {
-        Fingerprints::Stored(&self.fingerprints)
-    }
 }
 
 impl Snapshot {
     /// The owned form of what [`write_snapshot`] writes from `source`:
     /// `decode(&write_snapshot(source))` equals it.
     pub fn from_source(source: &impl SnapshotSource) -> Self {
-        let mut snapshot = Snapshot {
+        Snapshot {
             properties: (source.properties())
                 .map(|(adverbs, adjective)| SnapshotProperty {
                     adverbs: adverbs.to_vec(),
@@ -169,34 +148,25 @@ impl Snapshot {
                 .collect(),
             models: source.models().collect(),
             incremental: source.incremental().cloned(),
-            fingerprints: Vec::new(),
-        };
-        snapshot.fingerprints = match source.fingerprints() {
-            Fingerprints::Stored(rows) => rows.to_vec(),
-            Fingerprints::Folded => group_fingerprints(&snapshot),
-        };
-        snapshot
+        }
     }
 }
 
-/// Encodes an owned snapshot: [`write_snapshot`] fed from it, `GRPF` from its
-/// stored [`Snapshot::fingerprints`].
+/// Encodes an owned snapshot: [`write_snapshot`] fed from it.
 pub fn encode(snapshot: &Snapshot) -> Vec<u8> {
     write_snapshot(snapshot)
 }
 
 /// Writes a snapshot in the wire format of [`FORMAT_VERSION`].
 ///
-/// The five required sections are always written; the optional `INCR` and
-/// `GRPF` follow only when [`SnapshotSource::incremental`] is set or the
-/// fingerprint rows are non-empty, and the header counts what was written.
+/// The five required sections are always written; the optional `INCR`
+/// follows only when [`SnapshotSource::incremental`] is set, and the
+/// header counts what was written.
 ///
 /// Every section is written straight into the output buffer behind a
 /// placeholder frame; its length and CRC are patched in once the payload
 /// is there, so no payload is built in a buffer of its own and copied.
 pub fn write_snapshot(source: &impl SnapshotSource) -> Vec<u8> {
-    let fingerprints = source.fingerprints();
-    let fold = matches!(fingerprints, Fingerprints::Folded);
     let mut w = Writer {
         out: Vec::with_capacity(size_hint(source)),
         sections: 0,
@@ -223,15 +193,10 @@ pub fn write_snapshot(source: &impl SnapshotSource) -> Vec<u8> {
             put_strs(buf, context_cues);
         }
     });
-    // The fold needs each row's entity type: kept from here.
-    let mut entity_types = Vec::new();
     w.section(TAG_ENTITIES, |buf| {
         // One pass fills the four columns; the names, the bulk, go last.
         let entities = source.entities();
         put_varint(buf, entities.len() as u64);
-        if fold {
-            entity_types.reserve_exact(entities.len());
-        }
         let mut names = Vec::with_capacity(entities.len() * 16);
         let mut runs: Vec<(u32, u64)> = Vec::new();
         let (mut aliases, mut attribute_lists) = (Sparse::default(), Sparse::default());
@@ -252,9 +217,6 @@ pub fn write_snapshot(source: &impl SnapshotSource) -> Vec<u8> {
                     put_f64(list, value);
                 }
             }
-            if fold {
-                entity_types.push(type_index);
-            }
         }
         put_varint(buf, runs.len() as u64);
         for (type_index, length) in runs {
@@ -265,7 +227,6 @@ pub fn write_snapshot(source: &impl SnapshotSource) -> Vec<u8> {
         attribute_lists.write(buf);
         buf.extend_from_slice(&names);
     });
-    let mut fingerprinter = fold.then(GroupFingerprinter::new);
     w.section(TAG_ROWS, |buf| {
         put_varint(buf, source.sample_size());
         let rows = source.rows();
@@ -291,11 +252,6 @@ pub fn write_snapshot(source: &impl SnapshotSource) -> Vec<u8> {
                 put_varint(buf, u64::from(shard_gap));
                 put_varint(buf, u64::from(local_gap));
                 (shard, local) = (next_shard, next_local);
-            }
-            if let Some(fingerprinter) = &mut fingerprinter {
-                if let Some(&type_index) = entity_types.get(row.entity as usize) {
-                    fingerprinter.add(type_index, &row);
-                }
             }
         }
     });
@@ -326,23 +282,6 @@ pub fn write_snapshot(source: &impl SnapshotSource) -> Vec<u8> {
             put_varint(buf, state.pending.len() as u64);
             for &shard in &state.pending {
                 put_varint(buf, shard);
-            }
-        });
-    }
-    let folded = fingerprinter.map(GroupFingerprinter::finish);
-    let rows = match fingerprints {
-        Fingerprints::Stored(rows) => rows,
-        Fingerprints::Folded => folded.as_deref().unwrap_or_default(),
-    };
-    if !rows.is_empty() {
-        w.section(TAG_FINGERPRINTS, |buf| {
-            put_varint(buf, rows.len() as u64);
-            for row in rows {
-                put_u32(buf, row.type_index);
-                put_u32(buf, row.property);
-                put_varint(buf, row.entities);
-                put_varint(buf, row.total);
-                put_u64(buf, row.fingerprint);
             }
         });
     }
@@ -413,15 +352,10 @@ fn put_strs(buf: &mut Vec<u8>, strings: &[String]) {
 /// doubling its way up from empty. Only a capacity: a low estimate costs a
 /// reallocation, a high one some slack.
 fn size_hint(source: &impl SnapshotSource) -> usize {
-    let fingerprints = match source.fingerprints() {
-        Fingerprints::Stored(rows) => rows.len(),
-        Fingerprints::Folded => source.models().len(),
-    };
-    16 + 7 * 16
+    16 + 6 * 16
         + source.properties().len() * 16
         + source.types().len() * 64
         + source.entities().len() * 24
         + source.rows().len() * 14
         + source.models().len() * 44
-        + fingerprints * 20
 }

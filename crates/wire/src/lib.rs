@@ -19,8 +19,8 @@
 //! tag, a payload length, and a CRC-32 of the payload, so damage is
 //! detected before any record is parsed. Writers emit five required
 //! sections in [`CANONICAL_ORDER`], optionally followed by the
-//! incremental-mining sections `INCR` and `GRPF`; readers skip unknown
-//! tags, which is the forward-compatibility hook for additive revisions.
+//! incremental-mining section `INCR`; readers skip unknown tags, which is
+//! the forward-compatibility hook for additive revisions.
 //!
 //! Inside a payload, integers are little-endian, open-ended counts are
 //! LEB128 varints, floats are IEEE 754 bit patterns (bit-exact round
@@ -88,15 +88,15 @@ pub use decode::{
     SectionRecord, SnapshotReader, StrList, TypeRecord,
 };
 pub use diff::{diff_snapshots, SectionDelta, SnapshotDiff};
-pub use encode::{encode, write_snapshot, Fingerprints, SnapshotSource};
+pub use encode::{encode, write_snapshot, SnapshotSource};
 pub use error::WireError;
 pub use section::{
-    SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_ENTITIES, TAG_FINGERPRINTS,
-    TAG_INCREMENTAL, TAG_MODELS, TAG_PROPERTIES, TAG_ROWS, TAG_TYPES,
+    SectionTag, CANONICAL_ORDER, KNOWN_ORDER, REQUIRED_SECTIONS, TAG_ENTITIES, TAG_INCREMENTAL,
+    TAG_MODELS, TAG_PROPERTIES, TAG_ROWS, TAG_TYPES,
 };
 pub use snapshot::{
-    group_fingerprints, EvidenceRow, Fnv64, GroupFingerprintRow, GroupFingerprinter, GroupIndex,
-    IncrementalState, ModelRow, PairRow, Snapshot, SnapshotEntity, SnapshotProperty, SnapshotType,
+    EvidenceRow, Fnv64, IncrementalState, ModelRow, PairRow, Snapshot, SnapshotEntity,
+    SnapshotProperty, SnapshotType,
 };
 
 /// The eight magic bytes every snapshot starts with.

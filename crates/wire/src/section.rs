@@ -33,9 +33,9 @@ pub const TAG_MODELS: SectionTag = SectionTag(*b"MODL");
 /// Optional: incremental-mining state (ingested shard ranges, replay
 /// queue, configuration digests).
 pub const TAG_INCREMENTAL: SectionTag = SectionTag(*b"INCR");
-/// Optional: per-(type, property) group fingerprints for dirty-group
-/// detection between snapshots.
-pub const TAG_FINGERPRINTS: SectionTag = SectionTag(*b"GRPF");
+
+// `GRPF` is retired (FORMAT.md §3.7): older files may carry it after
+// `INCR`, readers skip it as an unknown tag, and no section reuses it.
 
 /// Every required section, in the canonical on-disk order. A writer emits
 /// exactly these; a reader requires all of them, in this order, and skips
@@ -50,17 +50,15 @@ pub const CANONICAL_ORDER: [SectionTag; 5] = [
 ];
 
 /// Every section this reader understands, required and optional, in the
-/// canonical on-disk order. Optional sections follow the required five;
-/// a reader accepts any subset of the optional tail as long as relative
-/// order is preserved.
-pub const KNOWN_ORDER: [SectionTag; 7] = [
+/// canonical on-disk order. The one optional section follows the
+/// required five; a reader accepts it present or absent.
+pub const KNOWN_ORDER: [SectionTag; 6] = [
     TAG_PROPERTIES,
     TAG_TYPES,
     TAG_ENTITIES,
     TAG_ROWS,
     TAG_MODELS,
     TAG_INCREMENTAL,
-    TAG_FINGERPRINTS,
 ];
 
 /// How many leading entries of [`KNOWN_ORDER`] are required. Positions at
@@ -99,7 +97,6 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-        assert_eq!(KNOWN_ORDER[REQUIRED_SECTIONS], TAG_INCREMENTAL);
-        assert_eq!(KNOWN_ORDER[REQUIRED_SECTIONS + 1], TAG_FINGERPRINTS);
+        assert_eq!(&KNOWN_ORDER[REQUIRED_SECTIONS..], &[TAG_INCREMENTAL]);
     }
 }

@@ -54,7 +54,6 @@ fn worked_example() -> Snapshot {
             log_likelihood: -1.5,
         }],
         incremental: None,
-        fingerprints: vec![],
     }
 }
 

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use surveyor_wire::{
-    decode, encode, GroupFingerprintRow, IncrementalState, ModelRow, PairRow, Snapshot,
-    SnapshotEntity, SnapshotProperty, SnapshotType, MAGIC,
+    decode, encode, IncrementalState, ModelRow, PairRow, Snapshot, SnapshotEntity,
+    SnapshotProperty, SnapshotType, MAGIC,
 };
 
 fn word() -> impl Strategy<Value = String> {
@@ -182,32 +182,6 @@ fn incremental_s() -> impl Strategy<Value = Option<IncrementalState>> {
     (prop::bool::ANY, state).prop_map(|(present, state)| present.then_some(state))
 }
 
-/// Fingerprint rows sorted by `(type_index, property)` by construction.
-fn fingerprints_s() -> impl Strategy<Value = Vec<GroupFingerprintRow>> {
-    prop::collection::vec(
-        (
-            (0u32..8, 0u32..16),
-            (0u64..64, 0u64..10_000, 0u64..u64::MAX),
-        ),
-        0..4,
-    )
-    .prop_map(|rows| {
-        let sorted: BTreeMap<(u32, u32), (u64, u64, u64)> = rows.into_iter().collect();
-        sorted
-            .into_iter()
-            .map(
-                |((type_index, property), (entities, total, fingerprint))| GroupFingerprintRow {
-                    type_index,
-                    property,
-                    entities,
-                    total,
-                    fingerprint,
-                },
-            )
-            .collect()
-    })
-}
-
 /// `(checksum offset, payload range)` of the frame in slot `index`:
 /// `ENTS` is the third, `ROWS` the fourth.
 fn frame(bytes: &[u8], index: usize) -> (usize, std::ops::Range<usize>) {
@@ -278,15 +252,10 @@ fn snapshot_s() -> impl Strategy<Value = Snapshot> {
         ),
         (prop_oneof![0u64..64, Just(u64::MAX)], rows_s()),
         prop::collection::vec(model_s(), 0..3),
-        (incremental_s(), fingerprints_s()),
+        incremental_s(),
     )
         .prop_map(
-            |(
-                (properties, types, entities),
-                (sample_size, rows),
-                models,
-                (incremental, fingerprints),
-            )| Snapshot {
+            |((properties, types, entities), (sample_size, rows), models, incremental)| Snapshot {
                 properties,
                 types,
                 entities,
@@ -294,7 +263,6 @@ fn snapshot_s() -> impl Strategy<Value = Snapshot> {
                 rows,
                 models,
                 incremental,
-                fingerprints,
             },
         )
 }
@@ -360,6 +328,29 @@ proptest! {
         cut in 0u64..u64::MAX,
     ) {
         reframed_damage(&snapshot, 2, position, mask, cut)?;
+    }
+
+    /// A `GRPF` frame — the retired per-group fingerprint section — is
+    /// skipped after its checksum and never parsed: whatever its payload
+    /// and wherever it stands, the file decodes to what it does without
+    /// the frame.
+    #[test]
+    fn a_retired_grpf_frame_is_skipped_unparsed(
+        snapshot in snapshot_s(),
+        payload in prop::collection::vec(0u8..=255, 0..48),
+        after in 0usize..6,
+    ) {
+        let bytes = encode(&snapshot);
+        let sections = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+        let (_, previous) = frame(&bytes, after % sections as usize);
+        let mut old = bytes[..previous.end].to_vec();
+        old.extend_from_slice(b"GRPF");
+        old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        old.extend_from_slice(&crc32(&payload).to_le_bytes());
+        old.extend_from_slice(&payload);
+        old.extend_from_slice(&bytes[previous.end..]);
+        old[12..16].copy_from_slice(&(sections + 1).to_le_bytes());
+        prop_assert_eq!(decode(&old).unwrap(), snapshot);
     }
 
     /// Every strict prefix of a valid snapshot is rejected with an error.

@@ -229,6 +229,19 @@ cargo run --release -q -p surveyor-cli --bin surveyor -- \
 cargo run --release -q -p surveyor-cli --bin surveyor -- \
     snapshot --preset cities --seed 5 --rho 40 --shards 4 --ingest-shards 4 \
     --out artifacts/incr_scratch.swire > /dev/null
+# Both files carry their state in `INCR` and nothing after it: the
+# per-group fingerprint section `GRPF` is retired (FORMAT.md §3.7).
+for incr_file in artifacts/incr_base.swire artifacts/incr_updated.swire; do
+    incr_sections=$(cargo run --release -q -p surveyor-cli --bin surveyor -- \
+        load --snapshot "$incr_file" | sed -n 's/^.* bytes by section: //p')
+    case "$incr_sections" in
+        *INCR*) ;;
+        *) echo "$incr_file: no INCR section ($incr_sections)" >&2; exit 1 ;;
+    esac
+    case "$incr_sections" in
+        *GRPF*) echo "$incr_file: carries the retired GRPF ($incr_sections)" >&2; exit 1 ;;
+    esac
+done
 cmp artifacts/incr_updated.swire artifacts/incr_scratch.swire \
     || { echo "incremental update is not byte-identical to from-scratch" >&2; exit 1; }
 cargo run --release -q -p surveyor-cli --bin surveyor -- \

@@ -252,7 +252,7 @@ fn some_state() -> IncrementalState {
 fn loading_bytes_equals_loading_the_decoded_snapshot() {
     // `load_snapshot*` read the sections off the bytes; `decode` +
     // `output_from_snapshot` go through the owned model. One world, two
-    // routes, the same output — with and without `INCR`/`GRPF`.
+    // routes, the same output — with and without `INCR`.
     for seed in [3, 11] {
         for (preset, output) in preset_outputs(seed) {
             assert!(output.decided_pairs() > 0, "{preset}/{seed}: empty world");
@@ -372,7 +372,7 @@ fn damage_inside_valid_frames_is_an_error_or_a_world_never_a_panic() {
     let output = surveyor(kb, 2).run(&CorpusSource::new(&generator));
     let bytes = save_snapshot_with_state(&output, &some_state());
     let frames = frames(&bytes);
-    assert_eq!(frames.len(), 7, "all seven sections");
+    assert_eq!(frames.len(), 6, "all six sections");
 
     let mut rng = 0x2015_u64;
     let mut next = move || {
