@@ -1080,6 +1080,80 @@ mod tests {
         }
     }
 
+    /// CRC-32/ISO-HDLC one bit at a time, to frame a section by hand.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &byte in bytes {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xedb8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn stale_fingerprints_are_rejected_by_every_loader() {
+        // The retired `GRPF` section is skipped unparsed, so the digests
+        // in it are never compared with the evidence: a frame of stale
+        // ones loads as if it were absent. What every loader still
+        // rejects is a frame whose checksum is stale for its payload —
+        // the retired tag passes the CRC check like any other section.
+        let output = mined_output();
+        let state = IncrementalState {
+            rho: 30,
+            ..Default::default()
+        };
+        let bytes = save_snapshot_with_state(&output, &state);
+        // One group, (type 0, property 0), of one entity and 7 statements,
+        // with a digest of no rows the file holds.
+        let mut payload = vec![1];
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        payload.extend_from_slice(&[1, 7]);
+        payload.extend_from_slice(&0x5eed_u64.to_le_bytes());
+        let framed = |payload: &[u8], crc: u32| {
+            let mut old = bytes.clone();
+            old.extend_from_slice(b"GRPF");
+            old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            old.extend_from_slice(&crc.to_le_bytes());
+            old.extend_from_slice(payload);
+            let count = u32::from_le_bytes(old[12..16].try_into().unwrap());
+            old[12..16].copy_from_slice(&(count + 1).to_le_bytes());
+            old
+        };
+
+        let stale = framed(&payload, crc32_bitwise(&payload));
+        let (loaded, loaded_state) = load_snapshot_with_state(&stale).unwrap();
+        assert_eq!(loaded_state, Some(state.clone()));
+        assert_eq!(save_snapshot_with_state(&loaded, &state), bytes);
+        assert_eq!(load_snapshot(&stale).unwrap().triples(), output.triples());
+        assert_eq!(
+            load_store(&stale).unwrap().to_json(),
+            load_store(&bytes).unwrap().to_json()
+        );
+
+        // The digest changed after its checksum was taken.
+        let checksum = crc32_bitwise(&payload);
+        let last = payload.len() - 1;
+        payload[last] ^= 1;
+        let damaged = framed(&payload, checksum);
+        let rejected = load_snapshot(&damaged).err();
+        assert!(
+            matches!(
+                rejected,
+                Some(SnapshotError::Wire(WireError::CrcMismatch { stored, .. })) if stored == checksum
+            ),
+            "{rejected:?}"
+        );
+        assert_eq!(load_snapshot_with_state(&damaged).err(), rejected);
+        assert_eq!(load_store(&damaged).err(), rejected);
+    }
+
     #[test]
     fn what_a_save_would_write_back_changed_is_corrupt() {
         // The knowledge base lowercases a type's vocabulary and a

@@ -192,6 +192,19 @@ fn retired_fingerprints(snapshot: &Snapshot) -> Vec<u8> {
     payload
 }
 
+/// `bytes` with a `GRPF` frame of `payload` and checksum `crc` after its
+/// last section, counted in the header — as this format's writer framed it.
+fn with_retired_frame(bytes: &[u8], payload: &[u8], crc: u32) -> Vec<u8> {
+    let mut old = bytes.to_vec();
+    old.extend_from_slice(b"GRPF");
+    old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    old.extend_from_slice(&crc.to_le_bytes());
+    old.extend_from_slice(payload);
+    let count = u32::from_le_bytes(old[12..16].try_into().unwrap());
+    old[12..16].copy_from_slice(&(count + 1).to_le_bytes());
+    old
+}
+
 #[test]
 fn a_retired_grpf_frame_is_skipped_and_dropped_on_save() {
     // A file written before `GRPF` retired: the current bytes with the
@@ -203,12 +216,7 @@ fn a_retired_grpf_frame_is_skipped_and_dropped_on_save() {
     };
     let current = save_snapshot_with_state(&output, &state);
     let payload = retired_fingerprints(&decode(&current).unwrap());
-    let mut old = current.clone();
-    old.extend_from_slice(b"GRPF");
-    old.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    old.extend_from_slice(&crc32_bitwise(&payload).to_le_bytes());
-    old.extend_from_slice(&payload);
-    old[12..16].copy_from_slice(&7u32.to_le_bytes());
+    let old = with_retired_frame(&current, &payload, crc32_bitwise(&payload));
     assert_eq!(frames(&old).len(), 7);
 
     // Every loader returns what it returns without the frame.
@@ -235,6 +243,57 @@ fn a_retired_grpf_frame_is_skipped_and_dropped_on_save() {
     );
     let diff = diff_snapshots(&decode(&old).unwrap(), &decode(&saved).unwrap()).unwrap();
     assert!(diff.is_identical(), "{diff:?}");
+}
+
+#[test]
+fn a_stale_fingerprint_gets_one_verdict_from_every_loader() {
+    // The retired `GRPF` frame is skipped unparsed, so digests that no
+    // longer match the evidence draw the verdict the file draws without
+    // them; a frame whose checksum is stale draws one rejection.
+    let mut snapshot = mined();
+    snapshot.incremental = Some(IncrementalState {
+        rho: 20,
+        ..Default::default()
+    });
+    let fresh = retired_fingerprints(&snapshot);
+    assert!(!fresh.is_empty());
+    let bytes = encode(&snapshot);
+    let framed =
+        |bytes: &[u8], payload: &[u8]| with_retired_frame(bytes, payload, crc32_bitwise(payload));
+    assert_eq!(agreed("fresh fingerprints", &framed(&bytes, &fresh)), None);
+
+    let mut more_evidence = snapshot.clone();
+    more_evidence.rows[0].positive += 1;
+    let more = encode(&more_evidence);
+    assert_eq!(agreed("one more statement, unframed", &more), None);
+    assert_eq!(agreed("one more statement", &framed(&more, &fresh)), None);
+    let mut other_digest = fresh.clone();
+    *other_digest.last_mut().unwrap() ^= 1;
+    assert_eq!(
+        agreed("another digest", &framed(&bytes, &other_digest)),
+        None
+    );
+    let mut fewer_groups = snapshot.clone();
+    let group =
+        |s: &Snapshot, row: &PairRow| (s.entities[row.entity as usize].type_index, row.property);
+    let last = group(&snapshot, snapshot.rows.last().unwrap());
+    fewer_groups
+        .rows
+        .retain(|row| group(&snapshot, row) != last);
+    let a_group_short = retired_fingerprints(&fewer_groups);
+    assert_eq!(a_group_short[0] + 1, fresh[0]);
+    assert_eq!(
+        agreed("a group short", &framed(&bytes, &a_group_short)),
+        None
+    );
+
+    let stale_crc = with_retired_frame(&bytes, &other_digest, crc32_bitwise(&fresh));
+    assert!(matches!(
+        agreed("a stale checksum", &stale_crc),
+        Some(SnapshotError::Wire(
+            surveyor::wire::WireError::CrcMismatch { .. }
+        ))
+    ));
 }
 
 #[test]
