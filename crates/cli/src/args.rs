@@ -1,21 +1,24 @@
-//! Hand-rolled argument parsing (no external CLI dependency).
+//! The command line, said once: [`COMMANDS`] lists each subcommand with
+//! the flags it reads and the function that runs it. [`parse`] checks an
+//! invocation against that table, [`usage`] prints it, and `main` calls
+//! the entry's `run` (no external CLI dependency).
 
-use std::fmt;
+use crate::commands;
+use crate::error::CliError;
+use crate::Outcome;
+use std::str::FromStr;
+use std::time::Duration;
 use surveyor::FailurePolicy;
-
-/// A parsed invocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cli {
-    /// The subcommand to run.
-    pub command: Command,
-}
+use surveyor_server::ServerConfig;
+use Kind::{Defaulted, Optional, Required, Switch};
 
 /// Everything `surveyor mine` / `surveyor run` takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MineArgs {
     /// Preset name: `table2`, `cities`, or `longtail`.
     pub preset: String,
-    /// Output JSON path (stdout when absent).
+    /// `--out`: the store JSON for `mine` (stdout when absent), the
+    /// snapshot for `snapshot`, which is handed it separately.
     pub out: Option<String>,
     /// Master seed.
     pub seed: u64,
@@ -56,6 +59,32 @@ impl MineArgs {
             ingest_shards: None,
         }
     }
+
+    /// The mining configuration `mine`, `run` or `snapshot` was given.
+    pub fn from_flags(flags: &Flags) -> Result<Self, CliError> {
+        let (failure_policy, chaos_seed) = fault_flags(flags)?;
+        let shards = flags.count("--shards")?;
+        let ingest_shards = flags.get("--ingest-shards")?;
+        // The base must be a non-empty strict prefix of the world:
+        // ingesting 0 shards mines nothing, and ingesting all of them
+        // leaves no delta for `update` to add.
+        if ingest_shards.is_some_and(|n| n == 0 || n > shards) {
+            let given = flags.text("--ingest-shards").unwrap_or_default();
+            return Err(bad_value("--ingest-shards", given));
+        }
+        Ok(Self {
+            preset: flags.value("--preset")?,
+            out: flags.get("--out")?,
+            seed: flags.value("--seed")?,
+            rho: flags.value("--rho")?,
+            shards,
+            report: flags.get("--report")?,
+            region: flags.get("--region")?,
+            failure_policy,
+            chaos_seed,
+            ingest_shards,
+        })
+    }
 }
 
 /// Everything `surveyor update` takes.
@@ -78,114 +107,32 @@ pub struct UpdateArgs {
     pub chaos_seed: Option<u64>,
 }
 
-/// Subcommands.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Command {
-    /// Mine a preset world into a subjective knowledge base.
-    Mine(MineArgs),
-    /// Query the store a snapshot serves.
-    Query {
-        /// Snapshot input path.
-        snapshot: String,
-        /// Entity type name.
-        type_name: String,
-        /// Property surface form (e.g. `big` or `very big`).
-        property: String,
-        /// Return entities the property does *not* apply to.
-        negative: bool,
-        /// Maximum hits printed.
-        limit: usize,
-    },
-    /// List the combinations a snapshot serves with their fitted
-    /// parameters.
-    Combos {
-        /// Snapshot input path.
-        snapshot: String,
-    },
-    /// Print sample documents from a preset corpus.
-    Corpus {
-        /// Preset name.
-        preset: String,
-        /// Master seed.
-        seed: u64,
-        /// Shard index.
-        shard: usize,
-        /// Documents printed.
-        limit: usize,
-    },
-    /// Mine a preset and link a subjective property to an objective
-    /// attribute (§9 future work).
-    Link {
-        /// Preset name (currently `cities`).
-        preset: String,
-        /// Attribute key (e.g. `population`).
-        attribute: String,
-        /// Master seed.
-        seed: u64,
-        /// Occurrence threshold ρ.
-        rho: u64,
-    },
-    /// Mine a preset and save the whole mined world as a binary
-    /// `surveyor-wire` snapshot (see FORMAT.md).
-    Snapshot {
-        /// Mining configuration (same flags as `mine`; its `out` field
-        /// is unused — the snapshot path is `out` below).
-        args: MineArgs,
-        /// Snapshot output path (required).
-        out: String,
-        /// Also write the store JSON here (optional).
-        store: Option<String>,
-    },
-    /// Ingest a delta corpus into an existing snapshot: re-extract only
-    /// the new shards, merge evidence, re-decide only dirtied groups.
-    Update(UpdateArgs),
-    /// Load a binary snapshot and emit the store JSON without re-mining.
-    Load {
-        /// Snapshot input path.
-        snapshot: String,
-        /// Store JSON output path (stdout when absent).
-        out: Option<String>,
-    },
-    /// Serve a binary snapshot over HTTP with the fault-hardened query
-    /// server (deadlines, load shedding, hot reload).
-    Serve {
-        /// Snapshot input path.
-        snapshot: String,
-        /// Bind address (`host:port`; port 0 lets the OS pick).
-        addr: String,
-        /// Request worker threads.
-        workers: usize,
-        /// Bounded work-queue capacity (the load-shedding threshold).
-        queue: usize,
-        /// Per-request budget in milliseconds.
-        budget_ms: u64,
-        /// Enable the `/ctl/panic` and `/ctl/stall` fault-injection
-        /// routes (tests and chaos benches only).
-        debug_routes: bool,
-    },
-    /// Compare two binary snapshots section by section; exits 0 when
-    /// identical, 1 when they differ.
-    Diff {
-        /// The older snapshot ("removed" means present only here).
-        old: String,
-        /// The newer snapshot ("added" means present only here).
-        new: String,
-        /// Output format.
-        format: DiffFormat,
-    },
+impl UpdateArgs {
+    /// The update `update` was given.
+    pub fn from_flags(flags: &Flags) -> Result<Self, CliError> {
+        let (failure_policy, chaos_seed) = fault_flags(flags)?;
+        Ok(Self {
+            snapshot: flags.value("--snapshot")?,
+            delta_preset: flags.value("--delta-preset")?,
+            out: flags.value("--out")?,
+            seed: flags.value("--seed")?,
+            region: flags.get("--region")?,
+            failure_policy,
+            chaos_seed,
+        })
+    }
 }
 
 /// Output format for `surveyor diff`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiffFormat {
     /// Indented, truncated, human-readable report.
-    #[default]
     Human,
     /// Machine-readable JSON with full key lists.
     Json,
 }
 
-impl std::str::FromStr for DiffFormat {
+impl FromStr for DiffFormat {
     type Err = ();
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
@@ -197,166 +144,317 @@ impl std::str::FromStr for DiffFormat {
     }
 }
 
-/// Why parsing failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ParseError {
-    /// No subcommand given.
-    MissingCommand,
-    /// Unknown subcommand.
-    UnknownCommand(String),
-    /// Unknown flag for the subcommand.
-    UnknownFlag(String),
-    /// Flag given without a value.
-    MissingValue(String),
-    /// Value failed to parse.
-    BadValue(String, String),
-    /// A required flag is absent.
-    MissingFlag(&'static str),
+/// What a flag takes; the `&str` in each variant with a value is the
+/// usage text's name for it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Kind {
+    /// No value: the flag is given or not.
+    Switch,
+    /// A value every invocation must give.
+    Required(&'static str),
+    /// A value that is absent when the flag is not given.
+    Optional(&'static str),
+    /// A value, then the one the flag takes when not given.
+    Defaulted(&'static str, &'static str),
 }
 
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::MissingCommand => write!(f, "missing subcommand\n{USAGE}"),
-            Self::UnknownCommand(c) => write!(f, "unknown subcommand: {c}\n{USAGE}"),
-            Self::UnknownFlag(flag) => write!(f, "unknown flag: {flag}"),
-            Self::MissingValue(flag) => write!(f, "missing value for {flag}"),
-            Self::BadValue(flag, v) => write!(f, "invalid value for {flag}: {v}"),
-            Self::MissingFlag(flag) => write!(f, "required flag missing: {flag}"),
+/// A flag as typed (`--name`), and what it takes.
+pub(crate) type Flag = (&'static str, Kind);
+
+/// A subcommand: its name, the flags it reads, and what it runs.
+#[derive(Debug)]
+pub struct Command {
+    /// The subcommand as typed.
+    pub(crate) name: &'static str,
+    /// Every flag it accepts; any other is refused.
+    pub(crate) flags: &'static [Flag],
+    /// Reads every typed value first, so a bad one is a usage error
+    /// before any file is read or written, then does the work.
+    pub run: fn(&Flags) -> Result<Outcome, CliError>,
+}
+
+const PRESETS: &str = "table2|cities|longtail";
+const SNAPSHOT: Flag = ("--snapshot", Required("FILE.swire"));
+const SEED: Flag = ("--seed", Defaulted("N", "2015"));
+const RHO: Flag = ("--rho", Defaulted("N", "100"));
+const SHARDS: Flag = ("--shards", Defaulted("N", "8"));
+const REGION: Flag = ("--region", Optional("NAME"));
+const FAILURE_POLICY: Flag = (
+    "--failure-policy",
+    Defaulted("failfast|degrade", "failfast"),
+);
+const MIN_SHARD_COVERAGE: Flag = ("--min-shard-coverage", Defaulted("F", "0.9"));
+const CHAOS_SEED: Flag = ("--chaos-seed", Optional("N"));
+const INGEST_SHARDS: Flag = ("--ingest-shards", Optional("N"));
+
+/// Every subcommand.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "mine",
+        flags: &[
+            ("--preset", Required(PRESETS)),
+            ("--out", Optional("FILE")),
+            SEED,
+            RHO,
+            SHARDS,
+            ("--report", Optional("FILE|-")),
+            REGION,
+            FAILURE_POLICY,
+            MIN_SHARD_COVERAGE,
+            CHAOS_SEED,
+            INGEST_SHARDS,
+        ],
+        run: mine,
+    },
+    // `mine` with a defaulted preset — the spelling the paper
+    // reproduction docs use for an observed end-to-end run.
+    Command {
+        name: "run",
+        flags: &[
+            ("--preset", Defaulted(PRESETS, "table2")),
+            ("--out", Optional("FILE")),
+            SEED,
+            RHO,
+            SHARDS,
+            ("--report", Optional("FILE|-")),
+            REGION,
+            FAILURE_POLICY,
+            MIN_SHARD_COVERAGE,
+            CHAOS_SEED,
+            INGEST_SHARDS,
+        ],
+        run: mine,
+    },
+    Command {
+        name: "query",
+        flags: &[
+            SNAPSHOT,
+            ("--type", Required("NAME")),
+            ("--property", Required("ADJ")),
+            ("--negative", Switch),
+            ("--limit", Defaulted("N", "10")),
+        ],
+        run: query,
+    },
+    Command {
+        name: "combos",
+        flags: &[SNAPSHOT],
+        run: combos,
+    },
+    Command {
+        name: "corpus",
+        flags: &[
+            ("--preset", Required(PRESETS)),
+            SEED,
+            ("--shard", Defaulted("N", "0")),
+            ("--limit", Defaulted("N", "10")),
+        ],
+        run: corpus,
+    },
+    Command {
+        name: "link",
+        flags: &[
+            ("--preset", Required("cities")),
+            ("--attribute", Required("KEY")),
+            SEED,
+            ("--rho", Defaulted("N", "50")),
+        ],
+        run: link,
+    },
+    Command {
+        name: "snapshot",
+        flags: &[
+            ("--preset", Required(PRESETS)),
+            ("--out", Required("FILE.swire")),
+            ("--store", Optional("FILE")),
+            SEED,
+            RHO,
+            SHARDS,
+            REGION,
+            FAILURE_POLICY,
+            MIN_SHARD_COVERAGE,
+            CHAOS_SEED,
+            INGEST_SHARDS,
+        ],
+        run: snapshot,
+    },
+    Command {
+        name: "update",
+        flags: &[
+            ("--snapshot", Required("IN.swire")),
+            ("--delta-preset", Required("NAME")),
+            ("--out", Required("OUT.swire")),
+            SEED,
+            REGION,
+            FAILURE_POLICY,
+            MIN_SHARD_COVERAGE,
+            CHAOS_SEED,
+        ],
+        run: update,
+    },
+    Command {
+        name: "load",
+        flags: &[SNAPSHOT, ("--out", Optional("FILE"))],
+        run: load,
+    },
+    Command {
+        name: "serve",
+        flags: &[
+            SNAPSHOT,
+            ("--addr", Defaulted("HOST:PORT", "127.0.0.1:7387")),
+            ("--workers", Defaulted("N", "4")),
+            ("--queue", Defaulted("N", "64")),
+            ("--budget-ms", Defaulted("N", "2000")),
+            ("--debug-routes", Switch),
+        ],
+        run: serve,
+    },
+    Command {
+        name: "diff",
+        flags: &[
+            ("--old", Required("FILE.swire")),
+            ("--new", Required("FILE.swire")),
+            ("--format", Defaulted("human|json", "human")),
+        ],
+        run: diff,
+    },
+];
+
+/// The usage text's widest line.
+const USAGE_WIDTH: usize = 100;
+
+/// The usage text (what `surveyor --help` prints): one line per
+/// subcommand, wrapped at `USAGE_WIDTH` columns, each optional flag
+/// bracketed.
+pub fn usage() -> String {
+    let mut text = String::from("usage:");
+    for command in COMMANDS {
+        let head = format!("  surveyor {:<8}", command.name);
+        let mut line = head.clone();
+        for &(name, kind) in command.flags {
+            let word = match kind {
+                Switch => format!("[{name}]"),
+                Required(value) => format!("{name} {value}"),
+                Optional(value) | Defaulted(value, _) => format!("[{name} {value}]"),
+            };
+            if line.len() + 1 + word.len() > USAGE_WIDTH {
+                text.push('\n');
+                text.push_str(&line);
+                line = " ".repeat(head.len());
+            }
+            line.push(' ');
+            line.push_str(&word);
         }
+        text.push('\n');
+        text.push_str(&line);
     }
+    text.push_str("\nglobal flags: --help | -h, --version | -V");
+    text
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-usage:
-  surveyor mine     --preset <table2|cities|longtail> [--out FILE] [--seed N] [--rho N] [--shards N] [--report FILE|-]
-                    [--region NAME] [--failure-policy failfast|degrade] [--min-shard-coverage F] [--chaos-seed N]
-                    [--ingest-shards N]
-  surveyor run      [--preset NAME] [mine flags...]
-  surveyor query    --snapshot FILE.swire --type NAME --property ADJ [--negative] [--limit N]
-  surveyor combos   --snapshot FILE.swire
-  surveyor corpus   --preset NAME [--seed N] [--shard N] [--limit N]
-  surveyor link     --preset cities --attribute KEY [--seed N] [--rho N]
-  surveyor snapshot --preset NAME --out FILE.swire [--store FILE] [mine flags...]
-  surveyor update   --snapshot IN.swire --delta-preset NAME --out OUT.swire [--seed N] [--region NAME]
-                    [--failure-policy failfast|degrade] [--min-shard-coverage F] [--chaos-seed N]
-  surveyor load     --snapshot FILE.swire [--out FILE]
-  surveyor serve    --snapshot FILE.swire [--addr HOST:PORT] [--workers N] [--queue N] [--budget-ms N] [--debug-routes]
-  surveyor diff     --old FILE.swire --new FILE.swire [--format human|json]
-global flags: --help | -h, --version | -V";
+fn bad_value(flag: &str, value: &str) -> CliError {
+    CliError::Usage(format!("invalid value for {flag}: {value}"))
+}
 
-/// Simple flag scanner: collects `--flag value` pairs and boolean flags.
-struct Flags {
-    pairs: Vec<(String, Option<String>)>,
+/// The table entry an invocation (without the program name) names, and
+/// its flags checked against that entry.
+pub fn parse(args: &[String]) -> Result<(&'static Command, Flags), CliError> {
+    let (name, rest) = args
+        .split_first()
+        .ok_or_else(|| CliError::Usage(format!("missing subcommand\n{}", usage())))?;
+    let command = (COMMANDS.iter())
+        .find(|command| command.name == name)
+        .ok_or_else(|| CliError::Usage(format!("unknown subcommand: {name}\n{}", usage())))?;
+    Ok((command, Flags::parse(command.flags, rest)?))
+}
+
+/// An invocation's flags, each one its subcommand reads, each value
+/// present, every required flag given.
+#[derive(Debug)]
+pub struct Flags {
+    table: &'static [Flag],
+    given: Vec<(&'static str, Option<String>)>,
 }
 
 impl Flags {
-    fn parse(args: &[String], booleans: &[&str]) -> Result<Self, ParseError> {
-        let mut pairs = Vec::new();
-        let mut it = args.iter().peekable();
-        while let Some(arg) = it.next() {
-            if !arg.starts_with("--") {
-                return Err(ParseError::UnknownFlag(arg.clone()));
-            }
-            if booleans.contains(&arg.as_str()) {
-                pairs.push((arg.clone(), None));
-            } else {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseError::MissingValue(arg.clone()))?;
-                pairs.push((arg.clone(), Some(value.clone())));
-            }
+    fn parse(table: &'static [Flag], args: &[String]) -> Result<Self, CliError> {
+        let mut given = Vec::new();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let &(name, kind) = (table.iter())
+                .find(|&&(name, _)| name == arg)
+                .ok_or_else(|| CliError::Usage(format!("unknown flag: {arg}")))?;
+            let value = match kind {
+                Switch => None,
+                _ => Some(
+                    (args.next().cloned())
+                        .ok_or_else(|| CliError::Usage(format!("missing value for {arg}")))?,
+                ),
+            };
+            given.push((name, value));
         }
-        Ok(Self { pairs })
-    }
-
-    fn take(&self, flag: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(f, _)| f == flag)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.pairs.iter().any(|(f, _)| f == flag)
-    }
-
-    fn numeric<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, ParseError> {
-        match self.take(flag) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ParseError::BadValue(flag.to_owned(), v.to_owned())),
+        let flags = Self { table, given };
+        let mut required = table.iter().filter(|(_, kind)| matches!(kind, Required(_)));
+        match required.find(|&&(name, _)| !flags.has(name)) {
+            Some((name, _)) => Err(CliError::Usage(format!("required flag missing: {name}"))),
+            None => Ok(flags),
         }
     }
 
-    /// [`numeric`](Self::numeric) for a count that must be at least 1.
-    fn positive<T: std::str::FromStr + PartialEq + From<u8>>(
-        &self,
-        flag: &str,
-        default: T,
-    ) -> Result<T, ParseError> {
-        let n = self.numeric(flag, default)?;
+    /// Whether `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|&(given, _)| given == name)
+    }
+
+    /// The last value given for `name`, else its default.
+    fn text(&self, name: &str) -> Option<&str> {
+        let given = (self.given.iter().rev()).find(|&&(given, _)| given == name);
+        match given {
+            Some((_, value)) => value.as_deref(),
+            None => self.table.iter().find_map(|&(flag, kind)| match kind {
+                Defaulted(_, default) if flag == name => Some(default),
+                _ => None,
+            }),
+        }
+    }
+
+    /// `name`'s value parsed, or `None` when it has none.
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        (self.text(name))
+            .map(|value| value.parse().map_err(|_| bad_value(name, value)))
+            .transpose()
+    }
+
+    /// The parsed value of a required or defaulted flag.
+    fn value<T: FromStr>(&self, name: &str) -> Result<T, CliError> {
+        self.get(name)?
+            .ok_or_else(|| CliError::Usage(format!("required flag missing: {name}")))
+    }
+
+    /// [`value`](Self::value) for a count that must be at least 1.
+    fn count<T: FromStr + PartialEq + From<u8>>(&self, name: &str) -> Result<T, CliError> {
+        let n = self.value(name)?;
         if n == T::from(0) {
-            let v = self.take(flag).unwrap_or("0");
-            return Err(ParseError::BadValue(flag.to_owned(), v.to_owned()));
+            return Err(bad_value(name, self.text(name).unwrap_or("0")));
         }
         Ok(n)
     }
-
-    fn required(&self, flag: &'static str) -> Result<String, ParseError> {
-        self.take(flag)
-            .map(str::to_owned)
-            .ok_or(ParseError::MissingFlag(flag))
-    }
-
-    fn validate_known(&self, known: &[&str]) -> Result<(), ParseError> {
-        for (flag, _) in &self.pairs {
-            if !known.contains(&flag.as_str()) {
-                return Err(ParseError::UnknownFlag(flag.clone()));
-            }
-        }
-        Ok(())
-    }
 }
 
-/// Every flag the `mine` family accepts (shared by `mine`, `run`, and
-/// `snapshot`).
-const MINE_FLAGS: &[&str] = &[
-    "--preset",
-    "--out",
-    "--seed",
-    "--rho",
-    "--shards",
-    "--report",
-    "--region",
-    "--failure-policy",
-    "--min-shard-coverage",
-    "--chaos-seed",
-    "--ingest-shards",
-];
-
-/// Parses the fault-tolerance flags shared by `mine` and `update`:
-/// `(--failure-policy with --min-shard-coverage, --chaos-seed)`. The
-/// coverage floor is range-checked even when the policy is `failfast`.
-fn fault_flags_from(flags: &Flags) -> Result<(FailurePolicy, Option<u64>), ParseError> {
-    let degrade = match flags.take("--failure-policy") {
-        None | Some("failfast" | "fail-fast") => false,
-        Some("degrade") => true,
-        Some(v) => {
-            return Err(ParseError::BadValue(
-                "--failure-policy".to_owned(),
-                v.to_owned(),
-            ))
-        }
+/// The fault-tolerance flags `mine` and `update` share: the failure
+/// policy, with `--min-shard-coverage` as the floor of `degrade`, and the
+/// chaos seed. The floor is range-checked even under `failfast`.
+fn fault_flags(flags: &Flags) -> Result<(FailurePolicy, Option<u64>), CliError> {
+    let degrade = match flags.value::<String>("--failure-policy")?.as_str() {
+        "failfast" | "fail-fast" => false,
+        "degrade" => true,
+        other => return Err(bad_value("--failure-policy", other)),
     };
-    let min_shard_coverage: f64 = flags.numeric("--min-shard-coverage", 0.9)?;
+    let min_shard_coverage: f64 = flags.value("--min-shard-coverage")?;
     if !(0.0..=1.0).contains(&min_shard_coverage) {
-        return Err(ParseError::BadValue(
-            "--min-shard-coverage".to_owned(),
-            min_shard_coverage.to_string(),
+        return Err(bad_value(
+            "--min-shard-coverage",
+            &min_shard_coverage.to_string(),
         ));
     }
     let failure_policy = if degrade {
@@ -364,254 +462,197 @@ fn fault_flags_from(flags: &Flags) -> Result<(FailurePolicy, Option<u64>), Parse
     } else {
         FailurePolicy::FailFast
     };
-    let chaos_seed = match flags.take("--chaos-seed") {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| ParseError::BadValue("--chaos-seed".to_owned(), v.to_owned()))?,
-        ),
-    };
-    Ok((failure_policy, chaos_seed))
+    Ok((failure_policy, flags.get("--chaos-seed")?))
 }
 
-/// Builds [`MineArgs`] from already-validated flags. `preset` is resolved
-/// by the caller (required for `mine`/`snapshot`, defaulted for `run`).
-fn mine_args_from(flags: &Flags, preset: String) -> Result<MineArgs, ParseError> {
-    let defaults = MineArgs::new(&preset);
-    let (failure_policy, chaos_seed) = fault_flags_from(flags)?;
-    let shards = flags.positive("--shards", defaults.shards)?;
-    let ingest_shards = match flags.take("--ingest-shards") {
-        None => None,
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| ParseError::BadValue("--ingest-shards".to_owned(), v.to_owned()))?;
-            // The base must be a non-empty strict prefix of the world:
-            // ingesting 0 shards mines nothing, and ingesting all of them
-            // leaves no delta for `update` to add.
-            if n == 0 || n > shards {
-                return Err(ParseError::BadValue(
-                    "--ingest-shards".to_owned(),
-                    v.to_owned(),
-                ));
-            }
-            Some(n)
-        }
-    };
-    Ok(MineArgs {
-        preset,
-        out: flags.take("--out").map(str::to_owned),
-        seed: flags.numeric("--seed", defaults.seed)?,
-        rho: flags.numeric("--rho", defaults.rho)?,
-        shards,
-        report: flags.take("--report").map(str::to_owned),
-        region: flags.take("--region").map(str::to_owned),
-        failure_policy,
-        chaos_seed,
-        ingest_shards,
+/// The server `serve`'s flags configure.
+fn server_config(flags: &Flags) -> Result<ServerConfig, CliError> {
+    Ok(ServerConfig {
+        addr: flags.value("--addr")?,
+        workers: flags.count("--workers")?,
+        queue_capacity: flags.count("--queue")?,
+        request_budget: Duration::from_millis(flags.count("--budget-ms")?),
+        retry_after_seconds: 1,
+        debug_routes: flags.has("--debug-routes"),
     })
 }
 
-impl Cli {
-    /// Parses a full argument list (without the program name).
-    pub fn parse(args: &[String]) -> Result<Self, ParseError> {
-        let (command, rest) = args.split_first().ok_or(ParseError::MissingCommand)?;
-        let command = match command.as_str() {
-            // `run` is `mine` with a defaulted preset — the spelling the
-            // paper reproduction docs use for an observed end-to-end run.
-            name @ ("mine" | "run") => {
-                let flags = Flags::parse(rest, &[])?;
-                flags.validate_known(MINE_FLAGS)?;
-                let preset = if name == "run" {
-                    flags.take("--preset").unwrap_or("table2").to_owned()
-                } else {
-                    flags.required("--preset")?
-                };
-                Command::Mine(mine_args_from(&flags, preset)?)
-            }
-            "snapshot" => {
-                let flags = Flags::parse(rest, &[])?;
-                let mut known = MINE_FLAGS.to_vec();
-                known.push("--store");
-                flags.validate_known(&known)?;
-                let preset = flags.required("--preset")?;
-                let out = flags.required("--out")?;
-                let store = flags.take("--store").map(str::to_owned);
-                let mut args = mine_args_from(&flags, preset)?;
-                // `--out` names the snapshot, not a store JSON.
-                args.out = None;
-                Command::Snapshot { args, out, store }
-            }
-            "update" => {
-                let flags = Flags::parse(rest, &[])?;
-                flags.validate_known(&[
-                    "--snapshot",
-                    "--delta-preset",
-                    "--out",
-                    "--seed",
-                    "--region",
-                    "--failure-policy",
-                    "--min-shard-coverage",
-                    "--chaos-seed",
-                ])?;
-                let (failure_policy, chaos_seed) = fault_flags_from(&flags)?;
-                Command::Update(UpdateArgs {
-                    snapshot: flags.required("--snapshot")?,
-                    delta_preset: flags.required("--delta-preset")?,
-                    out: flags.required("--out")?,
-                    seed: flags.numeric("--seed", 2015)?,
-                    region: flags.take("--region").map(str::to_owned),
-                    failure_policy,
-                    chaos_seed,
-                })
-            }
-            "load" => {
-                let flags = Flags::parse(rest, &[])?;
-                flags.validate_known(&["--snapshot", "--out"])?;
-                Command::Load {
-                    snapshot: flags.required("--snapshot")?,
-                    out: flags.take("--out").map(str::to_owned),
-                }
-            }
-            "serve" => {
-                let flags = Flags::parse(rest, &["--debug-routes"])?;
-                flags.validate_known(&[
-                    "--snapshot",
-                    "--addr",
-                    "--workers",
-                    "--queue",
-                    "--budget-ms",
-                    "--debug-routes",
-                ])?;
-                Command::Serve {
-                    snapshot: flags.required("--snapshot")?,
-                    addr: flags.take("--addr").unwrap_or("127.0.0.1:7387").to_owned(),
-                    workers: flags.positive("--workers", 4)?,
-                    queue: flags.positive("--queue", 64)?,
-                    budget_ms: flags.positive("--budget-ms", 2_000)?,
-                    debug_routes: flags.has("--debug-routes"),
-                }
-            }
-            "diff" => {
-                let flags = Flags::parse(rest, &[])?;
-                flags.validate_known(&["--old", "--new", "--format"])?;
-                let format = match flags.take("--format") {
-                    None => DiffFormat::default(),
-                    Some(v) => v
-                        .parse()
-                        .map_err(|()| ParseError::BadValue("--format".to_owned(), v.to_owned()))?,
-                };
-                Command::Diff {
-                    old: flags.required("--old")?,
-                    new: flags.required("--new")?,
-                    format,
-                }
-            }
-            "query" => {
-                let flags = Flags::parse(rest, &["--negative"])?;
-                flags.validate_known(&[
-                    "--snapshot",
-                    "--type",
-                    "--property",
-                    "--negative",
-                    "--limit",
-                ])?;
-                Command::Query {
-                    snapshot: flags.required("--snapshot")?,
-                    type_name: flags.required("--type")?,
-                    property: flags.required("--property")?,
-                    negative: flags.has("--negative"),
-                    limit: flags.positive("--limit", 10)?,
-                }
-            }
-            "combos" => {
-                let flags = Flags::parse(rest, &[])?;
-                flags.validate_known(&["--snapshot"])?;
-                Command::Combos {
-                    snapshot: flags.required("--snapshot")?,
-                }
-            }
-            "corpus" => {
-                let flags = Flags::parse(rest, &[])?;
-                flags.validate_known(&["--preset", "--seed", "--shard", "--limit"])?;
-                Command::Corpus {
-                    preset: flags.required("--preset")?,
-                    seed: flags.numeric("--seed", 2015)?,
-                    shard: flags.numeric("--shard", 0)?,
-                    limit: flags.positive("--limit", 10)?,
-                }
-            }
-            "link" => {
-                let flags = Flags::parse(rest, &[])?;
-                flags.validate_known(&["--preset", "--attribute", "--seed", "--rho"])?;
-                Command::Link {
-                    preset: flags.required("--preset")?,
-                    attribute: flags.required("--attribute")?,
-                    seed: flags.numeric("--seed", 2015)?,
-                    rho: flags.numeric("--rho", 50)?,
-                }
-            }
-            other => return Err(ParseError::UnknownCommand(other.to_owned())),
-        };
-        Ok(Self { command })
-    }
+fn mine(flags: &Flags) -> Result<Outcome, CliError> {
+    commands::mine(&MineArgs::from_flags(flags)?).map(Outcome::ok)
+}
+
+fn query(flags: &Flags) -> Result<Outcome, CliError> {
+    commands::query(
+        &flags.value::<String>("--snapshot")?,
+        &flags.value::<String>("--type")?,
+        &flags.value::<String>("--property")?,
+        flags.has("--negative"),
+        flags.count("--limit")?,
+    )
+    .map(Outcome::ok)
+}
+
+fn combos(flags: &Flags) -> Result<Outcome, CliError> {
+    commands::combos(&flags.value::<String>("--snapshot")?).map(Outcome::ok)
+}
+
+fn corpus(flags: &Flags) -> Result<Outcome, CliError> {
+    commands::corpus(
+        &flags.value::<String>("--preset")?,
+        flags.value("--seed")?,
+        flags.value("--shard")?,
+        flags.count("--limit")?,
+    )
+    .map(Outcome::ok)
+}
+
+fn link(flags: &Flags) -> Result<Outcome, CliError> {
+    commands::link(
+        &flags.value::<String>("--preset")?,
+        &flags.value::<String>("--attribute")?,
+        flags.value("--seed")?,
+        flags.value("--rho")?,
+    )
+    .map(Outcome::ok)
+}
+
+fn snapshot(flags: &Flags) -> Result<Outcome, CliError> {
+    // `--out` names the snapshot; the store JSON goes to `--store`.
+    commands::snapshot(
+        &MineArgs::from_flags(flags)?,
+        &flags.value::<String>("--out")?,
+        flags.get::<String>("--store")?.as_deref(),
+    )
+    .map(Outcome::ok)
+}
+
+fn update(flags: &Flags) -> Result<Outcome, CliError> {
+    commands::update(&UpdateArgs::from_flags(flags)?).map(Outcome::ok)
+}
+
+fn load(flags: &Flags) -> Result<Outcome, CliError> {
+    commands::load(
+        &flags.value::<String>("--snapshot")?,
+        flags.get::<String>("--out")?.as_deref(),
+    )
+    .map(Outcome::ok)
+}
+
+fn serve(flags: &Flags) -> Result<Outcome, CliError> {
+    let config = server_config(flags)?;
+    commands::serve(&flags.value::<String>("--snapshot")?, config).map(Outcome::ok)
+}
+
+fn diff(flags: &Flags) -> Result<Outcome, CliError> {
+    let (text, identical) = commands::diff(
+        &flags.value::<String>("--old")?,
+        &flags.value::<String>("--new")?,
+        flags.value("--format")?,
+    )?;
+    Ok(Outcome {
+        text,
+        code: u8::from(!identical),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Cli, ParseError> {
-        let owned: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-        Cli::parse(&owned)
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    /// The flags of an invocation the parser accepts.
+    fn flags(args: &[&str]) -> Result<Flags, CliError> {
+        parse(&strings(args)).map(|(_, flags)| flags)
+    }
+
+    fn mine_args(args: &[&str]) -> Result<MineArgs, CliError> {
+        MineArgs::from_flags(&flags(args)?)
+    }
+
+    fn update_args(args: &[&str]) -> Result<UpdateArgs, CliError> {
+        UpdateArgs::from_flags(&flags(args)?)
+    }
+
+    /// Parses and runs an invocation, as `main` does. The refused ones
+    /// below stop before any work.
+    fn invoke(args: &[&str]) -> Result<Outcome, CliError> {
+        parse(&strings(args)).and_then(|(command, flags)| (command.run)(&flags))
+    }
+
+    fn refusal(message: &str) -> Result<Outcome, CliError> {
+        Err(CliError::Usage(message.to_owned()))
+    }
+
+    #[test]
+    fn usage_lists_every_subcommand_with_its_own_flags() {
+        assert_eq!(
+            usage(),
+            "usage:
+  surveyor mine     --preset table2|cities|longtail [--out FILE] [--seed N] [--rho N] [--shards N]
+                    [--report FILE|-] [--region NAME] [--failure-policy failfast|degrade]
+                    [--min-shard-coverage F] [--chaos-seed N] [--ingest-shards N]
+  surveyor run      [--preset table2|cities|longtail] [--out FILE] [--seed N] [--rho N] [--shards N]
+                    [--report FILE|-] [--region NAME] [--failure-policy failfast|degrade]
+                    [--min-shard-coverage F] [--chaos-seed N] [--ingest-shards N]
+  surveyor query    --snapshot FILE.swire --type NAME --property ADJ [--negative] [--limit N]
+  surveyor combos   --snapshot FILE.swire
+  surveyor corpus   --preset table2|cities|longtail [--seed N] [--shard N] [--limit N]
+  surveyor link     --preset cities --attribute KEY [--seed N] [--rho N]
+  surveyor snapshot --preset table2|cities|longtail --out FILE.swire [--store FILE] [--seed N]
+                    [--rho N] [--shards N] [--region NAME] [--failure-policy failfast|degrade]
+                    [--min-shard-coverage F] [--chaos-seed N] [--ingest-shards N]
+  surveyor update   --snapshot IN.swire --delta-preset NAME --out OUT.swire [--seed N]
+                    [--region NAME] [--failure-policy failfast|degrade] [--min-shard-coverage F]
+                    [--chaos-seed N]
+  surveyor load     --snapshot FILE.swire [--out FILE]
+  surveyor serve    --snapshot FILE.swire [--addr HOST:PORT] [--workers N] [--queue N]
+                    [--budget-ms N] [--debug-routes]
+  surveyor diff     --old FILE.swire --new FILE.swire [--format human|json]
+global flags: --help | -h, --version | -V"
+        );
     }
 
     #[test]
     fn mine_with_defaults() {
-        let cli = parse(&["mine", "--preset", "table2"]).unwrap();
-        assert_eq!(cli.command, Command::Mine(MineArgs::new("table2")));
+        assert_eq!(
+            mine_args(&["mine", "--preset", "table2"]),
+            Ok(MineArgs::new("table2"))
+        );
     }
 
     #[test]
     fn run_defaults_preset_and_takes_report() {
-        let cli = parse(&["run", "--report", "out.json"]).unwrap();
-        match cli.command {
-            Command::Mine(args) => {
-                assert_eq!(args.preset, "table2");
-                assert_eq!(args.report.as_deref(), Some("out.json"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let args = mine_args(&["run", "--report", "out.json"]).unwrap();
+        assert_eq!(args.preset, "table2");
+        assert_eq!(args.report.as_deref(), Some("out.json"));
         // `run` still honors an explicit preset; `mine` still requires one.
-        let cli = parse(&["run", "--preset", "cities"]).unwrap();
-        match cli.command {
-            Command::Mine(args) => assert_eq!(args.preset, "cities"),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(parse(&["mine"]), Err(ParseError::MissingFlag("--preset")));
+        let args = mine_args(&["run", "--preset", "cities"]).unwrap();
+        assert_eq!(args.preset, "cities");
+        assert_eq!(
+            invoke(&["mine"]),
+            refusal("required flag missing: --preset")
+        );
     }
 
     #[test]
     fn mine_with_overrides() {
-        let cli = parse(&[
+        let args = mine_args(&[
             "mine", "--preset", "cities", "--out", "s.json", "--seed", "7", "--rho", "40",
             "--shards", "2",
         ])
         .unwrap();
-        match cli.command {
-            Command::Mine(args) => {
-                assert_eq!(args.preset, "cities");
-                assert_eq!(args.out.as_deref(), Some("s.json"));
-                assert_eq!((args.seed, args.rho, args.shards), (7, 40, 2));
-                assert_eq!(args.report, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(args.preset, "cities");
+        assert_eq!(args.out.as_deref(), Some("s.json"));
+        assert_eq!((args.seed, args.rho, args.shards), (7, 40, 2));
+        assert_eq!(args.report, None);
     }
 
     #[test]
     fn mine_fault_tolerance_flags() {
-        let cli = parse(&[
+        let args = mine_args(&[
             "mine",
             "--preset",
             "table2",
@@ -625,56 +666,41 @@ mod tests {
             "99",
         ])
         .unwrap();
-        match cli.command {
-            Command::Mine(args) => {
-                assert_eq!(args.region.as_deref(), Some("west"));
-                assert_eq!(
-                    args.failure_policy,
-                    FailurePolicy::Degrade {
-                        min_shard_coverage: 0.75
-                    }
-                );
-                assert_eq!(args.chaos_seed, Some(99));
+        assert_eq!(args.region.as_deref(), Some("west"));
+        assert_eq!(
+            args.failure_policy,
+            FailurePolicy::Degrade {
+                min_shard_coverage: 0.75
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
+        assert_eq!(args.chaos_seed, Some(99));
         // Both spellings of fail-fast parse; junk does not.
         for spelling in ["failfast", "fail-fast"] {
-            let cli = parse(&["mine", "--preset", "table2", "--failure-policy", spelling]);
-            match cli.unwrap().command {
-                Command::Mine(args) => {
-                    assert_eq!(args.failure_policy, FailurePolicy::FailFast)
-                }
-                other => panic!("unexpected {other:?}"),
-            }
+            let args = mine_args(&["mine", "--preset", "table2", "--failure-policy", spelling]);
+            assert_eq!(args.unwrap().failure_policy, FailurePolicy::FailFast);
         }
         assert_eq!(
-            parse(&["mine", "--preset", "table2", "--failure-policy", "shrug"]),
-            Err(ParseError::BadValue(
-                "--failure-policy".into(),
-                "shrug".into()
-            ))
+            invoke(&["mine", "--preset", "table2", "--failure-policy", "shrug"]),
+            refusal("invalid value for --failure-policy: shrug")
         );
+        // The floor is range-checked under the default fail-fast policy.
         assert_eq!(
-            parse(&["mine", "--preset", "table2", "--min-shard-coverage", "1.5"]),
-            Err(ParseError::BadValue(
-                "--min-shard-coverage".into(),
-                "1.5".into()
-            ))
+            invoke(&["mine", "--preset", "table2", "--min-shard-coverage", "1.5"]),
+            refusal("invalid value for --min-shard-coverage: 1.5")
         );
     }
 
     #[test]
     fn query_requires_core_flags() {
         assert_eq!(
-            parse(&["query", "--snapshot", "w.swire", "--type", "city"]),
-            Err(ParseError::MissingFlag("--property"))
+            invoke(&["query", "--snapshot", "w.swire", "--type", "city"]),
+            refusal("required flag missing: --property")
         );
         assert_eq!(
-            parse(&["combos", "--store", "s.json"]),
-            Err(ParseError::UnknownFlag("--store".into()))
+            invoke(&["combos", "--store", "s.json"]),
+            refusal("unknown flag: --store")
         );
-        let cli = parse(&[
+        let flags = flags(&[
             "query",
             "--snapshot",
             "w.swire",
@@ -685,69 +711,70 @@ mod tests {
             "--negative",
         ])
         .unwrap();
-        match cli.command {
-            Command::Query {
-                negative, limit, ..
-            } => {
-                assert!(negative);
-                assert_eq!(limit, 10);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(flags.has("--negative"));
+        assert_eq!(flags.count::<usize>("--limit"), Ok(10));
     }
 
     #[test]
     fn errors_are_informative() {
-        assert_eq!(parse(&[]), Err(ParseError::MissingCommand));
         assert_eq!(
-            parse(&["explode"]),
-            Err(ParseError::UnknownCommand("explode".into()))
+            invoke(&[]),
+            Err(CliError::Usage(format!("missing subcommand\n{}", usage())))
         );
         assert_eq!(
-            parse(&["mine", "--preset", "table2", "--bogus", "1"]),
-            Err(ParseError::UnknownFlag("--bogus".into()))
+            invoke(&["explode"]),
+            Err(CliError::Usage(format!(
+                "unknown subcommand: explode\n{}",
+                usage()
+            )))
         );
         assert_eq!(
-            parse(&["mine", "--preset", "table2", "--seed"]),
-            Err(ParseError::MissingValue("--seed".into()))
+            invoke(&["mine", "--preset", "table2", "--bogus", "1"]),
+            refusal("unknown flag: --bogus")
         );
         assert_eq!(
-            parse(&["mine", "--preset", "table2", "--seed", "abc"]),
-            Err(ParseError::BadValue("--seed".into(), "abc".into()))
+            invoke(&["mine", "--preset", "table2", "--seed"]),
+            refusal("missing value for --seed")
+        );
+        assert_eq!(
+            invoke(&["mine", "--preset", "table2", "--seed", "abc"]),
+            refusal("invalid value for --seed: abc")
         );
     }
 
     #[test]
     fn snapshot_requires_preset_and_out() {
         assert_eq!(
-            parse(&["snapshot", "--out", "w.swire"]),
-            Err(ParseError::MissingFlag("--preset"))
+            invoke(&["snapshot", "--out", "w.swire"]),
+            refusal("required flag missing: --preset")
         );
         assert_eq!(
-            parse(&["snapshot", "--preset", "table2"]),
-            Err(ParseError::MissingFlag("--out"))
+            invoke(&["snapshot", "--preset", "table2"]),
+            refusal("required flag missing: --out")
         );
-        let cli = parse(&[
+        // `snapshot` writes no run report, so it takes no `--report`.
+        assert_eq!(
+            invoke(&["snapshot", "--preset", "cities", "--out", "w.swire", "--report", "r.json",]),
+            refusal("unknown flag: --report")
+        );
+        let flags = flags(&[
             "snapshot", "--preset", "cities", "--out", "w.swire", "--store", "s.json", "--seed",
             "7", "--rho", "40",
         ])
         .unwrap();
-        match cli.command {
-            Command::Snapshot { args, out, store } => {
-                assert_eq!(out, "w.swire");
-                assert_eq!(store.as_deref(), Some("s.json"));
-                assert_eq!(args.preset, "cities");
-                assert_eq!((args.seed, args.rho), (7, 40));
-                // `--out` belongs to the snapshot, not the store JSON.
-                assert_eq!(args.out, None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(flags.value::<String>("--out"), Ok("w.swire".to_owned()));
+        assert_eq!(
+            flags.get::<String>("--store"),
+            Ok(Some("s.json".to_owned()))
+        );
+        let args = MineArgs::from_flags(&flags).unwrap();
+        assert_eq!(args.preset, "cities");
+        assert_eq!((args.seed, args.rho), (7, 40));
     }
 
     #[test]
     fn mine_ingest_shards_must_be_a_nonempty_prefix() {
-        let cli = parse(&[
+        let args = mine_args(&[
             "mine",
             "--preset",
             "table2",
@@ -757,57 +784,47 @@ mod tests {
             "6",
         ])
         .unwrap();
-        match cli.command {
-            Command::Mine(args) => {
-                assert_eq!(args.shards, 8);
-                assert_eq!(args.ingest_shards, Some(6));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(args.shards, 8);
+        assert_eq!(args.ingest_shards, Some(6));
         // Zero shards and more-than-the-world are both rejected up front.
         for bad in ["0", "9"] {
             assert_eq!(
-                parse(&["mine", "--preset", "table2", "--ingest-shards", bad]),
-                Err(ParseError::BadValue("--ingest-shards".into(), bad.into())),
+                invoke(&["mine", "--preset", "table2", "--ingest-shards", bad]),
+                refusal(&format!("invalid value for --ingest-shards: {bad}")),
                 "--ingest-shards {bad}"
             );
         }
         // Ingesting every shard is allowed for `mine` (it mines the whole
         // prefix, which is the whole world), just not zero.
-        let cli = parse(&["mine", "--preset", "table2", "--ingest-shards", "8"]).unwrap();
-        match cli.command {
-            Command::Mine(args) => assert_eq!(args.ingest_shards, Some(8)),
-            other => panic!("unexpected {other:?}"),
-        }
+        let args = mine_args(&["mine", "--preset", "table2", "--ingest-shards", "8"]);
+        assert_eq!(args.unwrap().ingest_shards, Some(8));
     }
 
     #[test]
     fn update_requires_snapshot_delta_preset_and_out() {
         assert_eq!(
-            parse(&["update", "--delta-preset", "table2-tail", "--out", "b"]),
-            Err(ParseError::MissingFlag("--snapshot"))
+            invoke(&["update", "--delta-preset", "table2-tail", "--out", "b"]),
+            refusal("required flag missing: --snapshot")
         );
         assert_eq!(
-            parse(&["update", "--snapshot", "a.swire", "--out", "b.swire"]),
-            Err(ParseError::MissingFlag("--delta-preset"))
+            invoke(&["update", "--snapshot", "a.swire", "--out", "b.swire"]),
+            refusal("required flag missing: --delta-preset")
         );
         assert_eq!(
-            parse(&["update", "--snapshot", "a.swire", "--delta-preset", "x"]),
-            Err(ParseError::MissingFlag("--out"))
+            invoke(&["update", "--snapshot", "a.swire", "--delta-preset", "x"]),
+            refusal("required flag missing: --out")
         );
-        let cli = parse(&[
-            "update",
-            "--snapshot",
-            "a.swire",
-            "--delta-preset",
-            "table2-tail",
-            "--out",
-            "b.swire",
-        ])
-        .unwrap();
         assert_eq!(
-            cli.command,
-            Command::Update(UpdateArgs {
+            update_args(&[
+                "update",
+                "--snapshot",
+                "a.swire",
+                "--delta-preset",
+                "table2-tail",
+                "--out",
+                "b.swire",
+            ]),
+            Ok(UpdateArgs {
                 snapshot: "a.swire".to_owned(),
                 delta_preset: "table2-tail".to_owned(),
                 out: "b.swire".to_owned(),
@@ -821,7 +838,7 @@ mod tests {
 
     #[test]
     fn update_takes_overrides_and_refuses_warm_and_rho() {
-        let cli = parse(&[
+        let args = update_args(&[
             "update",
             "--snapshot",
             "a.swire",
@@ -839,112 +856,85 @@ mod tests {
             "99",
         ])
         .unwrap();
-        match cli.command {
-            Command::Update(args) => {
-                assert_eq!(args.seed, 7);
-                assert_eq!(
-                    args.failure_policy,
-                    FailurePolicy::Degrade {
-                        min_shard_coverage: 0.5
-                    }
-                );
-                assert_eq!(args.chaos_seed, Some(99));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(args.seed, 7);
         assert_eq!(
-            parse(&[
-                "update",
-                "--snapshot",
-                "a",
-                "--delta-preset",
-                "x",
-                "--out",
-                "b",
-                "--warm",
-                "seeded",
-            ]),
-            Err(ParseError::UnknownFlag("--warm".into()))
+            args.failure_policy,
+            FailurePolicy::Degrade {
+                min_shard_coverage: 0.5
+            }
+        );
+        assert_eq!(args.chaos_seed, Some(99));
+        let base = [
+            "update",
+            "--snapshot",
+            "a",
+            "--delta-preset",
+            "x",
+            "--out",
+            "b",
+        ];
+        assert_eq!(
+            invoke(&[&base[..], &["--warm", "seeded"]].concat()),
+            refusal("unknown flag: --warm")
         );
         assert_eq!(
-            parse(&[
-                "update",
-                "--snapshot",
-                "a",
-                "--delta-preset",
-                "x",
-                "--out",
-                "b",
-                "--rho",
-                "5",
-            ]),
-            Err(ParseError::UnknownFlag("--rho".into()))
+            invoke(&[&base[..], &["--rho", "5"]].concat()),
+            refusal("unknown flag: --rho")
         );
     }
 
     #[test]
     fn load_takes_snapshot_and_optional_out() {
-        assert_eq!(parse(&["load"]), Err(ParseError::MissingFlag("--snapshot")));
-        let cli = parse(&["load", "--snapshot", "w.swire", "--out", "s.json"]).unwrap();
         assert_eq!(
-            cli.command,
-            Command::Load {
-                snapshot: "w.swire".to_owned(),
-                out: Some("s.json".to_owned()),
-            }
+            invoke(&["load"]),
+            refusal("required flag missing: --snapshot")
         );
+        let flags = flags(&["load", "--snapshot", "w.swire", "--out", "s.json"]).unwrap();
         assert_eq!(
-            parse(&["load", "--snapshot", "w.swire", "--bogus", "1"]),
-            Err(ParseError::UnknownFlag("--bogus".into()))
+            flags.value::<String>("--snapshot"),
+            Ok("w.swire".to_owned())
+        );
+        assert_eq!(flags.get::<String>("--out"), Ok(Some("s.json".to_owned())));
+        assert_eq!(
+            invoke(&["load", "--snapshot", "w.swire", "--bogus", "1"]),
+            refusal("unknown flag: --bogus")
         );
     }
 
     #[test]
     fn serve_defaults_and_overrides() {
         assert_eq!(
-            parse(&["serve"]),
-            Err(ParseError::MissingFlag("--snapshot"))
+            invoke(&["serve"]),
+            refusal("required flag missing: --snapshot")
         );
-        let cli = parse(&["serve", "--snapshot", "w.swire"]).unwrap();
-        assert_eq!(
-            cli.command,
-            Command::Serve {
-                snapshot: "w.swire".to_owned(),
-                addr: "127.0.0.1:7387".to_owned(),
-                workers: 4,
-                queue: 64,
-                budget_ms: 2_000,
-                debug_routes: false,
-            }
-        );
-        let cli = parse(&[
-            "serve",
-            "--snapshot",
-            "w.swire",
-            "--addr",
-            "127.0.0.1:0",
-            "--workers",
-            "2",
-            "--queue",
-            "8",
-            "--budget-ms",
-            "500",
-            "--debug-routes",
-        ])
+        let config = server_config(&flags(&["serve", "--snapshot", "w.swire"]).unwrap()).unwrap();
+        assert_eq!(config.addr, "127.0.0.1:7387");
+        assert_eq!((config.workers, config.queue_capacity), (4, 64));
+        assert_eq!(config.request_budget, Duration::from_millis(2_000));
+        assert_eq!(config.retry_after_seconds, 1);
+        assert!(!config.debug_routes);
+        let config = server_config(
+            &flags(&[
+                "serve",
+                "--snapshot",
+                "w.swire",
+                "--addr",
+                "127.0.0.1:0",
+                "--workers",
+                "2",
+                "--queue",
+                "8",
+                "--budget-ms",
+                "500",
+                "--debug-routes",
+            ])
+            .unwrap(),
+        )
         .unwrap();
-        match cli.command {
-            Command::Serve {
-                workers,
-                queue,
-                budget_ms,
-                debug_routes,
-                ..
-            } => {
-                assert_eq!((workers, queue, budget_ms), (2, 8, 500));
-                assert!(debug_routes);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(config.addr, "127.0.0.1:0");
+        assert_eq!((config.workers, config.queue_capacity), (2, 8));
+        assert_eq!(config.request_budget, Duration::from_millis(500));
+        assert!(config.debug_routes);
     }
 
     #[test]
@@ -976,51 +966,37 @@ mod tests {
             (&["serve", "--snapshot", "w"], "--budget-ms"),
         ] {
             let args = [prefix, &[flag, "0"]].concat();
-            let expected = Err(ParseError::BadValue(flag.into(), "0".into()));
-            assert_eq!(parse(&args), expected, "{args:?}");
+            let expected = refusal(&format!("invalid value for {flag}: 0"));
+            assert_eq!(invoke(&args), expected, "{args:?}");
         }
     }
 
     #[test]
     fn diff_requires_both_snapshots_and_validates_format() {
         assert_eq!(
-            parse(&["diff", "--old", "a.swire"]),
-            Err(ParseError::MissingFlag("--new"))
+            invoke(&["diff", "--old", "a.swire"]),
+            refusal("required flag missing: --new")
         );
-        let cli = parse(&["diff", "--old", "a.swire", "--new", "b.swire"]).unwrap();
+        let flags_of =
+            |args: &[&str]| flags(&[&["diff", "--old", "a", "--new", "b"], args].concat());
+        let format = flags_of(&[]).unwrap().value::<DiffFormat>("--format");
+        assert_eq!(format, Ok(DiffFormat::Human));
+        let format = flags_of(&["--format", "json"]).unwrap().value("--format");
+        assert_eq!(format, Ok(DiffFormat::Json));
         assert_eq!(
-            cli.command,
-            Command::Diff {
-                old: "a.swire".to_owned(),
-                new: "b.swire".to_owned(),
-                format: DiffFormat::Human,
-            }
-        );
-        let cli = parse(&[
-            "diff", "--old", "a.swire", "--new", "b.swire", "--format", "json",
-        ])
-        .unwrap();
-        match cli.command {
-            Command::Diff { format, .. } => assert_eq!(format, DiffFormat::Json),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(
-            parse(&["diff", "--old", "a", "--new", "b", "--format", "yaml"]),
-            Err(ParseError::BadValue("--format".into(), "yaml".into()))
+            invoke(&["diff", "--old", "a", "--new", "b", "--format", "yaml"]),
+            refusal("invalid value for --format: yaml")
         );
         // The operands are flags: a bare path is refused, not guessed.
         assert_eq!(
-            parse(&["diff", "old.swire", "new.swire"]),
-            Err(ParseError::UnknownFlag("old.swire".into()))
+            invoke(&["diff", "old.swire", "new.swire"]),
+            refusal("unknown flag: old.swire")
         );
     }
 
     #[test]
     fn last_flag_occurrence_wins() {
-        let cli = parse(&["mine", "--preset", "a", "--preset", "b"]).unwrap();
-        match cli.command {
-            Command::Mine(args) => assert_eq!(args.preset, "b"),
-            other => panic!("unexpected {other:?}"),
-        }
+        let args = mine_args(&["mine", "--preset", "a", "--preset", "b"]).unwrap();
+        assert_eq!(args.preset, "b");
     }
 }

@@ -7,28 +7,63 @@ use surveyor::obs::MetricsRegistry;
 use surveyor::prelude::*;
 use surveyor::wire::{Fnv64, IncrementalState};
 use surveyor::{link_objective, LinkDirection, SubjectiveKb, WarmStart};
-use surveyor_corpus::{presets, World};
+use surveyor_corpus::presets;
+use surveyor_server::ServerConfig;
 
-/// Builds a preset world by name.
-fn preset_world(preset: &str, seed: u64) -> Result<World, CliError> {
-    match preset {
-        "table2" => Ok(presets::table2_world(seed)),
-        "cities" => Ok(presets::big_cities_world(seed)),
-        "longtail" => Ok(presets::long_tail_world(40, 120, 8, seed)),
-        other => Err(CliError::Usage(format!(
-            "unknown preset: {other} (expected table2, cities, or longtail)"
-        ))),
-    }
+/// The corpus of the preset world named `preset` at `seed`, cut into
+/// `shards` shards.
+fn preset_corpus(preset: &str, seed: u64, shards: usize) -> Result<CorpusGenerator, CliError> {
+    let world = match preset {
+        "table2" => presets::table2_world(seed),
+        "cities" => presets::big_cities_world(seed),
+        "longtail" => presets::long_tail_world(40, 120, 8, seed),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown preset: {other} (expected table2, cities, or longtail)"
+            )))
+        }
+    };
+    let config = CorpusConfig {
+        num_shards: shards,
+        ..CorpusConfig::default()
+    };
+    Ok(CorpusGenerator::new(world, config))
 }
 
-/// The fault plan in effect over a world of `shard_count` shards: seeded
-/// by the `--chaos-seed` flag, and empty without it. The plan always
+/// `generator`'s shards — every region's, or `region`'s alone — behind
+/// the fault plan `--chaos-seed` draws (none without it). The plan always
 /// spans the FULL world, so world shard `s` fails identically whether it
 /// is reached by a base mine, a delta update, or a replay.
-fn chaos_plan(seed: Option<u64>, shard_count: usize) -> FaultPlan {
-    seed.map_or_else(FaultPlan::none, |seed| {
-        FaultPlan::from_seed(seed, shard_count)
-    })
+fn shard_source<'g>(
+    generator: &'g CorpusGenerator,
+    region: Option<&str>,
+    chaos_seed: Option<u64>,
+) -> Result<FaultInjector<CorpusSource<'g>>, CliError> {
+    let source = match region {
+        Some(region) => CorpusSource::try_for_region(generator, region)
+            .map_err(|e| CliError::Usage(e.to_string()))?,
+        None => CorpusSource::new(generator),
+    };
+    let plan = chaos_seed.map_or_else(FaultPlan::none, |seed| {
+        FaultPlan::from_seed(seed, generator.shard_count())
+    });
+    Ok(FaultInjector::new(source, plan))
+}
+
+/// Folds a run over the world shards `shards` into `state`: the shards it
+/// quarantined (which `coverage` numbers by their place in `shards`) await
+/// replay, in order, and the rest are ingested.
+fn fold_run(state: &mut IncrementalState, shards: &[u64], coverage: &ShardCoverage) {
+    let quarantined: Vec<u64> = (coverage.quarantined_shards().iter())
+        .map(|&i| shards[i])
+        .collect();
+    for &shard in shards {
+        if !quarantined.contains(&shard) {
+            state.ingest_range(shard, shard + 1);
+        }
+    }
+    state.pending = quarantined;
+    state.pending.sort_unstable();
 }
 
 /// Digest identifying the corpus a snapshot was mined from: the preset
@@ -86,22 +121,15 @@ fn write_file(path: &str, bytes: &[u8]) -> Result<(), CliError> {
 }
 
 /// Mines the world `args` names; the served store is built by the
-/// commands that write it, not here.
+/// commands that write it, not here. Returns the run and the corpus it
+/// read.
 fn mine_run(
     args: &MineArgs,
     observer: Option<Arc<MetricsRegistry>>,
-) -> Result<(SurveyorRun, Arc<KnowledgeBase>, World), CliError> {
-    let world = preset_world(&args.preset, args.seed)?;
-    let kb = world.kb().clone();
-    let mut generator = CorpusGenerator::new(
-        world.clone(),
-        CorpusConfig {
-            num_shards: args.shards,
-            ..CorpusConfig::default()
-        },
-    );
+) -> Result<(SurveyorRun, CorpusGenerator), CliError> {
+    let mut generator = preset_corpus(&args.preset, args.seed, args.shards)?;
     let mut surveyor = Surveyor::new(
-        kb.clone(),
+        generator.world().kb().clone(),
         SurveyorConfig {
             rho: args.rho,
             ..SurveyorConfig::default()
@@ -111,23 +139,16 @@ fn mine_run(
         generator = generator.with_observer(obs.clone());
         surveyor = surveyor.with_observer(obs);
     }
-    let source = match &args.region {
-        Some(region) => CorpusSource::try_for_region(&generator, region)
-            .map_err(|e| CliError::Usage(e.to_string()))?,
-        None => CorpusSource::new(&generator),
-    };
     // With `--ingest-shards M` only the prefix `[0, M)` of the world is
     // mined; without it the subset is the whole world, numbered as the
-    // world numbers it. With no chaos seed the injector injects nothing.
-    let shard_count = generator.shard_count();
-    let plan = chaos_plan(args.chaos_seed, shard_count);
+    // world numbers it.
     let subset = ShardSubset::range(
-        FaultInjector::new(source, plan),
+        shard_source(&generator, args.region.as_deref(), args.chaos_seed)?,
         0,
-        args.ingest_shards.unwrap_or(shard_count),
+        args.ingest_shards.unwrap_or(generator.shard_count()),
     );
     let run = surveyor.try_run(&subset, &RetryPolicy::default(), &args.failure_policy)?;
-    Ok((run, kb, world))
+    Ok((run, generator))
 }
 
 /// `surveyor mine` / `surveyor run`
@@ -136,8 +157,8 @@ pub fn mine(args: &MineArgs) -> Result<String, CliError> {
         .report
         .as_ref()
         .map(|_| Arc::new(MetricsRegistry::new()));
-    let (run, kb, _) = mine_run(args, registry.clone())?;
-    let store = SubjectiveKb::from_output(&run.output, &kb);
+    let (run, corpus) = mine_run(args, registry.clone())?;
+    let store = SubjectiveKb::from_output(&run.output, corpus.world().kb());
     let json = store.to_json();
     let mut summary = format!(
         "mined {} statements into {} associations over {} combinations (rho = {})",
@@ -178,13 +199,12 @@ pub fn mine(args: &MineArgs) -> Result<String, CliError> {
 /// `surveyor snapshot` — mine a preset and save the whole mined world
 /// as a binary `surveyor-wire` snapshot (see FORMAT.md).
 pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<String, CliError> {
-    let (run, kb, _) = mine_run(args, None)?;
+    let (run, corpus) = mine_run(args, None)?;
     let bytes = match args.ingest_shards {
         Some(m) => {
             // Record incremental state so `surveyor update` can extend
             // this snapshot: which shards made it in, and which were
             // quarantined and await replay.
-            let quarantined = run.coverage.quarantined_shards();
             let mut state = IncrementalState {
                 rho: args.rho,
                 config_digest: SurveyorConfig {
@@ -199,14 +219,10 @@ pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<Strin
                     args.region.as_deref(),
                 ),
                 ingested: Vec::new(),
-                pending: quarantined.iter().map(|&s| s as u64).collect(),
+                pending: Vec::new(),
             };
-            state.pending.sort_unstable();
-            for shard in 0..m {
-                if !quarantined.contains(&shard) {
-                    state.ingest_range(shard as u64, shard as u64 + 1);
-                }
-            }
+            let shards: Vec<u64> = (0..m as u64).collect();
+            fold_run(&mut state, &shards, &run.coverage);
             surveyor::save_snapshot_with_state(&run.output, &state)
         }
         None => surveyor::save_snapshot(&run.output),
@@ -226,7 +242,7 @@ pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<Strin
         ));
     }
     if let Some(path) = store {
-        let store = SubjectiveKb::from_output(&run.output, &kb);
+        let store = SubjectiveKb::from_output(&run.output, corpus.world().kb());
         write_file(path, store.to_json().as_bytes())?;
         summary.push_str(&format!("\nwrote store JSON to {path}"));
     }
@@ -326,24 +342,12 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
         ));
     }
 
-    let world = preset_world(preset.world, args.seed)?;
-    let kb = world.kb().clone();
-    let generator = CorpusGenerator::new(
-        world,
-        CorpusConfig {
-            num_shards: preset.num_shards,
-            ..CorpusConfig::default()
-        },
+    let generator = preset_corpus(preset.world, args.seed, preset.num_shards)?;
+    let surveyor = Surveyor::new(generator.world().kb().clone(), config);
+    let subset = ShardSubset::new(
+        shard_source(&generator, args.region.as_deref(), args.chaos_seed)?,
+        requested.iter().map(|&s| s as usize).collect(),
     );
-    let surveyor = Surveyor::new(kb, config);
-    let source = match &args.region {
-        Some(region) => CorpusSource::try_for_region(&generator, region)
-            .map_err(|e| CliError::Usage(e.to_string()))?,
-        None => CorpusSource::new(&generator),
-    };
-    let shard_list: Vec<usize> = requested.iter().map(|&s| s as usize).collect();
-    let plan = chaos_plan(args.chaos_seed, generator.shard_count());
-    let subset = ShardSubset::new(FaultInjector::new(source, plan), shard_list.clone());
     let outcome = surveyor.try_update(
         base,
         &subset,
@@ -352,22 +356,7 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
         WarmStart::Exact,
     )?;
 
-    // Fold the run back into the state: quarantined shards (reported in
-    // subset-local indexes) stay pending; everything else is ingested.
-    let quarantined_world: Vec<u64> = outcome
-        .coverage
-        .quarantined_shards()
-        .iter()
-        .map(|&i| shard_list[i] as u64)
-        .collect();
-    for &shard in &requested {
-        if !quarantined_world.contains(&shard) {
-            state.ingest_range(shard, shard + 1);
-        }
-    }
-    state.pending = quarantined_world;
-    state.pending.sort_unstable();
-
+    fold_run(&mut state, &requested, &outcome.coverage);
     let bytes = surveyor::save_snapshot_with_state(&outcome.output, &state);
     write_file(&args.out, &bytes)?;
 
@@ -440,28 +429,14 @@ pub fn load(snapshot_path: &str, out: Option<&str>) -> Result<String, CliError> 
     clippy::print_stdout,
     reason = "the address and endpoints are announced before the call blocks"
 )]
-pub fn serve(
-    snapshot_path: &str,
-    addr: &str,
-    workers: usize,
-    queue: usize,
-    budget_ms: u64,
-    debug_routes: bool,
-) -> Result<String, CliError> {
+pub fn serve(snapshot_path: &str, config: ServerConfig) -> Result<String, CliError> {
     let bytes = std::fs::read(snapshot_path)
         .map_err(|e| CliError::Io(format!("cannot read {snapshot_path}: {e}")))?;
     let state = surveyor_server::ServedState::from_snapshot_bytes(&bytes, 1, snapshot_path)
         .map_err(|e| CliError::InvalidInput(format!("invalid snapshot {snapshot_path}: {e}")))?;
     let associations = state.store.len();
     let registry = Arc::new(MetricsRegistry::new());
-    let config = surveyor_server::ServerConfig {
-        addr: addr.to_owned(),
-        workers,
-        queue_capacity: queue,
-        request_budget: std::time::Duration::from_millis(budget_ms),
-        retry_after_seconds: 1,
-        debug_routes,
-    };
+    let addr = config.addr.clone();
     let handle = surveyor_server::start(config, Arc::new(state), registry.clone())
         .map_err(|e| CliError::Io(format!("cannot bind {addr}: {e}")))?;
     println!(
@@ -665,8 +640,7 @@ pub fn combos(snapshot_path: &str) -> Result<String, CliError> {
 
 /// `surveyor corpus`
 pub fn corpus(preset: &str, seed: u64, shard: usize, limit: usize) -> Result<String, CliError> {
-    let world = preset_world(preset, seed)?;
-    let generator = CorpusGenerator::new(world, CorpusConfig::default());
+    let generator = preset_corpus(preset, seed, CorpusConfig::default().num_shards)?;
     if shard >= generator.shard_count() {
         return Err(CliError::Usage(format!(
             "shard {shard} out of range (corpus has {} shards)",
@@ -698,11 +672,12 @@ pub fn link(preset: &str, attribute: &str, seed: u64, rho: u64) -> Result<String
         rho,
         ..MineArgs::new(preset)
     };
-    let (run, kb, world) = mine_run(&args, None)?;
-    let domain = &world.domains()[0];
+    let (run, corpus) = mine_run(&args, None)?;
+    let kb = corpus.world().kb();
+    let domain = &corpus.world().domains()[0];
     let link = link_objective(
         &run.output,
-        &kb,
+        kb,
         domain.type_id,
         &domain.property,
         attribute,
@@ -744,7 +719,7 @@ mod tests {
 
     #[test]
     fn unknown_preset_is_an_error() {
-        assert!(preset_world("mars", 1).is_err());
+        assert!(preset_corpus("mars", 1, 8).is_err());
         assert!(corpus("mars", 1, 0, 3).is_err());
     }
 
@@ -1047,7 +1022,7 @@ mod tests {
 
     #[test]
     fn serve_rejects_missing_and_corrupt_snapshots() {
-        match serve("/nonexistent.swire", "127.0.0.1:0", 1, 1, 100, false) {
+        match serve("/nonexistent.swire", ServerConfig::default()) {
             Err(e @ CliError::Io(_)) => assert_eq!(e.exit_code(), 1),
             other => panic!("unexpected {other:?}"),
         }
@@ -1055,7 +1030,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let bad = dir.join("bad.swire");
         std::fs::write(&bad, b"definitely not a snapshot").unwrap();
-        match serve(bad.to_str().unwrap(), "127.0.0.1:0", 1, 1, 100, false) {
+        match serve(bad.to_str().unwrap(), ServerConfig::default()) {
             Err(e @ CliError::InvalidInput(_)) => assert_eq!(e.exit_code(), 3),
             other => panic!("unexpected {other:?}"),
         }
@@ -1087,12 +1062,8 @@ mod tests {
         let bytes = std::fs::read(&snap).unwrap();
         let state = surveyor_server::ServedState::from_snapshot_bytes(&bytes, 1, "world").unwrap();
         let registry = Arc::new(MetricsRegistry::new());
-        let handle = surveyor_server::start(
-            surveyor_server::ServerConfig::default(),
-            Arc::new(state),
-            registry,
-        )
-        .unwrap();
+        let handle =
+            surveyor_server::start(ServerConfig::default(), Arc::new(state), registry).unwrap();
         let addr = handle.addr();
 
         let mut stream = std::net::TcpStream::connect(addr).unwrap();

@@ -1,7 +1,8 @@
 //! Command-line interface for the Surveyor subjective-property miner.
 //!
-//! The subcommands and their flags are listed once, in [`args::USAGE`]
-//! (what `surveyor --help` prints).
+//! The subcommands, the flags each one reads and the function that runs
+//! it are listed once, in [`args::COMMANDS`]; the parser, the usage text
+//! `surveyor --help` prints and `main`'s dispatch are all read from it.
 //!
 //! Argument parsing and command execution live here so they are unit
 //! testable; `main.rs` is a thin shim. Failures map to exit codes via
@@ -18,7 +19,7 @@ pub mod args;
 pub mod commands;
 pub mod error;
 
-pub use args::{Cli, Command, DiffFormat, MineArgs, ParseError, UpdateArgs};
+pub use args::{DiffFormat, MineArgs, UpdateArgs};
 pub use error::CliError;
 
 /// The result of a successful command: the text to print plus the
@@ -43,54 +44,4 @@ impl Outcome {
 /// The version banner `--version` prints.
 pub fn version_string() -> String {
     format!("surveyor {}", env!("CARGO_PKG_VERSION"))
-}
-
-/// Runs a parsed command, returning the text to print and exit code.
-pub fn run(cli: &Cli) -> Result<Outcome, CliError> {
-    match &cli.command {
-        Command::Mine(args) => commands::mine(args).map(Outcome::ok),
-        Command::Query {
-            snapshot,
-            type_name,
-            property,
-            negative,
-            limit,
-        } => commands::query(snapshot, type_name, property, *negative, *limit).map(Outcome::ok),
-        Command::Combos { snapshot } => commands::combos(snapshot).map(Outcome::ok),
-        Command::Corpus {
-            preset,
-            seed,
-            shard,
-            limit,
-        } => commands::corpus(preset, *seed, *shard, *limit).map(Outcome::ok),
-        Command::Link {
-            preset,
-            attribute,
-            seed,
-            rho,
-        } => commands::link(preset, attribute, *seed, *rho).map(Outcome::ok),
-        Command::Snapshot { args, out, store } => {
-            commands::snapshot(args, out, store.as_deref()).map(Outcome::ok)
-        }
-        Command::Update(args) => commands::update(args).map(Outcome::ok),
-        Command::Load { snapshot, out } => {
-            commands::load(snapshot, out.as_deref()).map(Outcome::ok)
-        }
-        Command::Serve {
-            snapshot,
-            addr,
-            workers,
-            queue,
-            budget_ms,
-            debug_routes,
-        } => commands::serve(snapshot, addr, *workers, *queue, *budget_ms, *debug_routes)
-            .map(Outcome::ok),
-        Command::Diff { old, new, format } => {
-            let (text, identical) = commands::diff(old, new, *format)?;
-            Ok(Outcome {
-                text,
-                code: u8::from(!identical),
-            })
-        }
-    }
 }
