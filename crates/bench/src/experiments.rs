@@ -1288,7 +1288,7 @@ pub fn snapshot_bench(cfg: &ReproConfig, quick: bool) -> SnapshotArtifact {
 }
 
 /// One HTTP/1.1 exchange against a bench server: connect, send `request`
-/// verbatim, read to EOF (the server closes every connection), and parse
+/// verbatim, read to EOF (the request says `Connection: close`), and parse
 /// the status line. `None` covers every transport failure — in the chaos
 /// phase a vanished response is an expected outcome, not a panic.
 fn http_exchange(addr: std::net::SocketAddr, request: &[u8]) -> Option<(u16, String)> {
@@ -1306,7 +1306,7 @@ fn http_exchange(addr: std::net::SocketAddr, request: &[u8]) -> Option<(u16, Str
 
 /// `method path` against a bench server.
 fn http(addr: std::net::SocketAddr, method: &str, path: &str) -> Option<(u16, String)> {
-    let request = format!("{method} {path} HTTP/1.1\r\nHost: bench\r\n\r\n");
+    let request = format!("{method} {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n");
     http_exchange(addr, request.as_bytes())
 }
 

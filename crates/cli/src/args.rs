@@ -44,20 +44,18 @@ pub struct MineArgs {
 }
 
 impl MineArgs {
-    /// Args for `preset` with every flag at its CLI default.
+    /// Args for `preset` with every flag at its `mine` default, read from
+    /// [`COMMANDS`].
+    #[expect(
+        clippy::expect_used,
+        reason = "the table's own defaults parse; `args::tests::mine_with_defaults` pins them"
+    )]
     pub fn new(preset: &str) -> Self {
-        Self {
-            preset: preset.to_owned(),
-            out: None,
-            seed: 2015,
-            rho: 100,
-            shards: 8,
-            report: None,
-            region: None,
-            failure_policy: FailurePolicy::FailFast,
-            chaos_seed: None,
-            ingest_shards: None,
-        }
+        let flags = Flags {
+            table: MINE_FLAGS,
+            given: vec![("--preset", Some(preset.to_owned()))],
+        };
+        Self::from_flags(&flags).expect("`mine`'s defaults parse")
     }
 
     /// The mining configuration `mine`, `run` or `snapshot` was given.
@@ -187,23 +185,26 @@ const MIN_SHARD_COVERAGE: Flag = ("--min-shard-coverage", Defaulted("F", "0.9"))
 const CHAOS_SEED: Flag = ("--chaos-seed", Optional("N"));
 const INGEST_SHARDS: Flag = ("--ingest-shards", Optional("N"));
 
+/// `mine`'s flags; [`MineArgs::new`] reads its defaults from them.
+const MINE_FLAGS: &[Flag] = &[
+    ("--preset", Required(PRESETS)),
+    ("--out", Optional("FILE")),
+    SEED,
+    RHO,
+    SHARDS,
+    ("--report", Optional("FILE|-")),
+    REGION,
+    FAILURE_POLICY,
+    MIN_SHARD_COVERAGE,
+    CHAOS_SEED,
+    INGEST_SHARDS,
+];
+
 /// Every subcommand.
 pub const COMMANDS: &[Command] = &[
     Command {
         name: "mine",
-        flags: &[
-            ("--preset", Required(PRESETS)),
-            ("--out", Optional("FILE")),
-            SEED,
-            RHO,
-            SHARDS,
-            ("--report", Optional("FILE|-")),
-            REGION,
-            FAILURE_POLICY,
-            MIN_SHARD_COVERAGE,
-            CHAOS_SEED,
-            INGEST_SHARDS,
-        ],
+        flags: MINE_FLAGS,
         run: mine,
     },
     // `mine` with a defaulted preset — the spelling the paper
@@ -617,10 +618,23 @@ global flags: --help | -h, --version | -V"
 
     #[test]
     fn mine_with_defaults() {
+        let defaults = MineArgs {
+            preset: "table2".to_owned(),
+            out: None,
+            seed: 2015,
+            rho: 100,
+            shards: 8,
+            report: None,
+            region: None,
+            failure_policy: FailurePolicy::FailFast,
+            chaos_seed: None,
+            ingest_shards: None,
+        };
         assert_eq!(
             mine_args(&["mine", "--preset", "table2"]),
-            Ok(MineArgs::new("table2"))
+            Ok(defaults.clone())
         );
+        assert_eq!(MineArgs::new("table2"), defaults);
     }
 
     #[test]

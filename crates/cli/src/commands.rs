@@ -255,6 +255,16 @@ pub fn snapshot(args: &MineArgs, out: &str, store: Option<&str>) -> Result<Strin
 /// the groups the delta touched. The written snapshot is byte-identical
 /// to mining the concatenated corpus from scratch.
 pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
+    // A usage error is refused before the snapshot is read.
+    let preset = presets::delta_preset(&args.delta_preset).ok_or_else(|| {
+        let known: Vec<&str> = presets::DELTA_PRESETS.iter().map(|p| p.name).collect();
+        CliError::Usage(format!(
+            "unknown delta preset: {} (expected one of: {})",
+            args.delta_preset,
+            known.join(", ")
+        ))
+    })?;
+
     let bytes = std::fs::read(&args.snapshot)
         .map_err(|e| CliError::Io(format!("cannot read {}: {e}", args.snapshot)))?;
     let (base, state) = surveyor::load_snapshot_with_state(&bytes)
@@ -264,15 +274,6 @@ pub fn update(args: &UpdateArgs) -> Result<String, CliError> {
             "snapshot {} carries no incremental state; re-mine it with `surveyor snapshot \
              --ingest-shards` to make it updatable",
             args.snapshot
-        ))
-    })?;
-
-    let preset = presets::delta_preset(&args.delta_preset).ok_or_else(|| {
-        let known: Vec<&str> = presets::DELTA_PRESETS.iter().map(|p| p.name).collect();
-        CliError::Usage(format!(
-            "unknown delta preset: {} (expected one of: {})",
-            args.delta_preset,
-            known.join(", ")
         ))
     })?;
 
@@ -573,9 +574,9 @@ pub fn query(
     negative: bool,
     limit: usize,
 ) -> Result<String, CliError> {
-    let (store, _) = load_store(snapshot_path)?;
     let property =
         Property::parse(property).ok_or_else(|| CliError::Usage("empty property".to_owned()))?;
+    let (store, _) = load_store(snapshot_path)?;
     let hits = if negative {
         store.query_negative(type_name, &property)
     } else {
@@ -1068,7 +1069,9 @@ mod tests {
 
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
         stream
-            .write_all(b"GET /decide/Los%20Angeles/big HTTP/1.1\r\nHost: t\r\n\r\n")
+            .write_all(
+                b"GET /decide/Los%20Angeles/big HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+            )
             .unwrap();
         let mut body = String::new();
         stream.read_to_string(&mut body).unwrap();

@@ -90,10 +90,15 @@ fn listen_address(line: &str) -> Option<SocketAddr> {
     addr.parse().ok()
 }
 
-/// One HTTP/1.1 exchange on a fresh connection; the whole reply.
+/// One HTTP/1.1 exchange on a fresh connection that the server closes
+/// after its reply; the whole reply.
 fn http(addr: SocketAddr, method: &str, path: &str) -> String {
     let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "{method} {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
     let mut reply = String::new();
     stream.read_to_string(&mut reply).unwrap();
     reply
@@ -107,6 +112,40 @@ impl Drop for Reaped {
         self.0.kill().ok();
         self.0.wait().ok();
     }
+}
+
+#[test]
+fn a_value_the_command_itself_checks_is_refused_before_the_snapshot_is_read() {
+    // The snapshot does not exist: reading it first would exit 1.
+    let out = surveyor(&[
+        "update",
+        "--snapshot",
+        "missing.swire",
+        "--delta-preset",
+        "atlantis",
+        "--out",
+        "o.swire",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.starts_with("error: unknown delta preset: atlantis (expected one of: "),
+        "{stderr}"
+    );
+    assert!(!Path::new("o.swire").exists());
+
+    let out = surveyor(&[
+        "query",
+        "--snapshot",
+        "missing.swire",
+        "--type",
+        "city",
+        "--property",
+        "",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(stderr, "error: empty property\n");
 }
 
 #[test]

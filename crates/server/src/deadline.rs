@@ -1,6 +1,7 @@
 //! Per-request deadlines on the monotonic clock.
 //!
-//! Every accepted connection gets a [`Deadline`] stamped at accept time;
+//! A connection's first request gets a [`Deadline`] stamped at accept
+//! time, and each later request on it one stamped at its first byte;
 //! the remaining budget is threaded through head reading, routing, and
 //! response writing as socket timeouts. The anchor is `Instant` — the
 //! monotonic clock — never `SystemTime`: a wall-clock step (NTP, DST)

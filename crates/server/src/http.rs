@@ -9,10 +9,13 @@
 //!
 //! Scope is deliberately narrow — the server speaks exactly what its
 //! clients need: `GET`/`POST`, a percent-encoded path with an optional
-//! query string, headers that are scanned for syntactic sanity but not
-//! interpreted, one request per connection, `Connection: close` on every
-//! response. Bodies are never read; control operations carry their
-//! arguments in the query string.
+//! query string, and persistent connections. Headers are scanned for
+//! syntactic sanity; [`persistent`] reads the three that decide whether
+//! a connection may carry another request (`Connection`,
+//! `Content-Length`, `Transfer-Encoding`). Bodies are never read, so a
+//! request with one closes its connection; control operations carry
+//! their arguments in the query string. [`read_head`] keeps the bytes
+//! read past a head — a pipelined next request — for the next call.
 
 use crate::deadline::Deadline;
 use std::io::{Read, Write};
@@ -247,14 +250,66 @@ pub fn parse_head(head: &[u8]) -> Result<Request, HttpError> {
     })
 }
 
+/// Whether a parsed head lets its connection carry another request: it
+/// is HTTP/1.1, says no `Connection: close`, and has no body (no
+/// `Content-Length` above 0, no `Transfer-Encoding`) — bodies are never
+/// read, so one would be parsed as the next head. Reads only what
+/// [`parse_head`] accepted; anything else answers `false`.
+pub fn persistent(head: &[u8]) -> bool {
+    let Ok(text) = std::str::from_utf8(head) else {
+        return false;
+    };
+    let mut lines = text.split("\r\n");
+    if !lines.next().is_some_and(|line| line.ends_with(" HTTP/1.1")) {
+        return false;
+    }
+    lines
+        .filter_map(|line| line.split_once(':'))
+        .all(|(name, value)| {
+            let value = value.trim();
+            if name.eq_ignore_ascii_case("connection") {
+                !value
+                    .split(',')
+                    .any(|token| token.trim().eq_ignore_ascii_case("close"))
+            } else if name.eq_ignore_ascii_case("content-length") {
+                value == "0"
+            } else {
+                !name.eq_ignore_ascii_case("transfer-encoding")
+            }
+        })
+}
+
 /// Reads a request head from `stream` under `deadline`, enforcing
-/// [`MAX_HEAD_BYTES`]. The remaining budget becomes the socket read
-/// timeout, re-derived after every partial read, so a slowloris-style
-/// client that trickles bytes cannot hold a worker past the deadline.
-pub fn read_head(stream: &mut TcpStream, deadline: &Deadline) -> Result<Vec<u8>, HttpError> {
-    let mut head = Vec::with_capacity(512);
+/// [`MAX_HEAD_BYTES`]. `buffered` holds the bytes already read past the
+/// previous head; what follows this head's blank line is left there for
+/// the next call, so a pipelined request is not lost. The remaining
+/// budget becomes the socket read timeout, re-derived after every
+/// partial read, so a slowloris-style client that trickles bytes cannot
+/// hold a worker past the deadline.
+pub fn read_head(
+    stream: &mut TcpStream,
+    buffered: &mut Vec<u8>,
+    deadline: &Deadline,
+) -> Result<Vec<u8>, HttpError> {
     let mut buf = [0u8; 1024];
+    let mut scanned = 0;
     loop {
+        if let Some(at) = buffered[scanned..]
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+        {
+            let end = scanned + at + 4;
+            if end > MAX_HEAD_BYTES {
+                return Err(HttpError::TooLarge);
+            }
+            let rest = buffered.split_off(end);
+            return Ok(std::mem::replace(buffered, rest));
+        }
+        if buffered.len() > MAX_HEAD_BYTES {
+            return Err(HttpError::TooLarge);
+        }
+        // A terminator may straddle two reads.
+        scanned = buffered.len().saturating_sub(3);
         let Some(remaining) = deadline.remaining() else {
             return Err(HttpError::Expired);
         };
@@ -265,20 +320,7 @@ pub fn read_head(stream: &mut TcpStream, deadline: &Deadline) -> Result<Vec<u8>,
         }
         match stream.read(&mut buf) {
             Ok(0) => return Err(HttpError::Disconnected),
-            Ok(n) => {
-                head.extend_from_slice(&buf[..n]);
-                if head.len() > MAX_HEAD_BYTES {
-                    return Err(HttpError::TooLarge);
-                }
-                if head.windows(4).any(|w| w == b"\r\n\r\n") {
-                    // Trim anything past the head terminator (the start
-                    // of an ignored body).
-                    if let Some(end) = head.windows(4).position(|w| w == b"\r\n\r\n") {
-                        head.truncate(end + 4);
-                    }
-                    return Ok(head);
-                }
-            }
+            Ok(n) => buffered.extend_from_slice(&buf[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -298,8 +340,9 @@ pub fn read_head(stream: &mut TcpStream, deadline: &Deadline) -> Result<Vec<u8>,
     }
 }
 
-/// A response about to be written. One per connection; every response
-/// closes the connection.
+/// A response about to be written. Its wire form says either
+/// `Connection: close` or nothing, in which case the connection stays
+/// open for the next request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// HTTP status code.
@@ -351,8 +394,16 @@ impl Response {
         r
     }
 
-    /// Renders the full wire form (status line, headers, body).
+    /// Renders the full wire form (status line, headers, body) of a reply
+    /// that closes its connection.
     pub fn render(&self) -> Vec<u8> {
+        self.render_as(false)
+    }
+
+    /// Renders the full wire form; `keep_alive` leaves out `Connection:
+    /// close`, so an HTTP/1.1 client keeps the connection for its next
+    /// request.
+    pub fn render_as(&self, keep_alive: bool) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.body.len() + 128);
         out.extend_from_slice(
             format!("HTTP/1.1 {} {}\r\n", self.status, reason(self.status)).as_bytes(),
@@ -362,18 +413,27 @@ impl Response {
         if let Some(secs) = self.retry_after {
             out.extend_from_slice(format!("Retry-After: {secs}\r\n").as_bytes());
         }
-        out.extend_from_slice(b"Connection: close\r\n\r\n");
+        if !keep_alive {
+            out.extend_from_slice(b"Connection: close\r\n");
+        }
+        out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
         out
     }
 
-    /// Writes the response under the request's deadline. The write
-    /// window never drops below `floor` so even an expired request gets
-    /// a brief chance to carry its error status to the peer.
-    pub fn write_to(&self, stream: &mut TcpStream, deadline: &Deadline) -> std::io::Result<()> {
+    /// Writes the response under the request's deadline, rendered as
+    /// [`render_as`](Self::render_as) says. The write window never drops
+    /// below 100 ms, so even an expired request gets a brief chance to
+    /// carry its error status to the peer.
+    pub fn write_to(
+        &self,
+        stream: &mut TcpStream,
+        deadline: &Deadline,
+        keep_alive: bool,
+    ) -> std::io::Result<()> {
         let window = deadline.write_window(Duration::from_millis(100));
         stream.set_write_timeout(Some(window))?;
-        stream.write_all(&self.render())?;
+        stream.write_all(&self.render_as(keep_alive))?;
         stream.flush()
     }
 }
@@ -476,6 +536,86 @@ mod tests {
         assert!(rendered.contains("Content-Length: 2\r\n"));
         assert!(rendered.contains("Connection: close\r\n"));
         assert!(rendered.ends_with("\r\n\r\nok"));
+    }
+
+    #[test]
+    fn a_kept_reply_leaves_out_connection_close() {
+        let r = Response::text(200, "ok");
+        let kept = String::from_utf8(r.render_as(true)).unwrap();
+        assert!(!kept.contains("Connection"), "{kept}");
+        assert!(kept.contains("Content-Length: 2\r\n\r\nok"), "{kept}");
+        assert_eq!(r.render(), r.render_as(false));
+    }
+
+    #[test]
+    fn only_a_bodiless_http11_head_without_close_is_persistent() {
+        for (case, bytes, want) in [
+            ("plain 1.1", "GET /x HTTP/1.1\r\nHost: h\r\n\r\n", true),
+            (
+                "keep-alive",
+                "GET /x HTTP/1.1\r\nConnection: keep-alive\r\n\r\n",
+                true,
+            ),
+            (
+                "zero length",
+                "POST /x HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+                true,
+            ),
+            (
+                "close",
+                "GET /x HTTP/1.1\r\nConnection: close\r\n\r\n",
+                false,
+            ),
+            (
+                "close, any case",
+                "GET /x HTTP/1.1\r\nconnection:  Upgrade, CLOSE\r\n\r\n",
+                false,
+            ),
+            ("HTTP/1.0", "GET /x HTTP/1.0\r\n\r\n", false),
+            (
+                "1.0 keep-alive",
+                "GET /x HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+                false,
+            ),
+            (
+                "a body",
+                "POST /x HTTP/1.1\r\nContent-Length: 3\r\n\r\n",
+                false,
+            ),
+            (
+                "chunked",
+                "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+                false,
+            ),
+        ] {
+            assert_eq!(persistent(bytes.as_bytes()), want, "{case}");
+        }
+        assert!(!persistent(b"GET /x HTTP/1.1\r\nX: \xff\r\n\r\n"));
+    }
+
+    #[test]
+    fn read_head_keeps_a_pipelined_request_for_the_next_call() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        let first = "GET /a HTTP/1.1\r\n\r\n";
+        let second = "GET /b HTTP/1.1\r\nHost: h\r\n\r\n";
+        client
+            .write_all(format!("{first}{second}GET /c").as_bytes())
+            .unwrap();
+        drop(client);
+        let deadline = Deadline::starting_now(Duration::from_secs(5));
+        let mut buffered = Vec::new();
+        let head = read_head(&mut server, &mut buffered, &deadline).unwrap();
+        assert_eq!(head, first.as_bytes());
+        let head = read_head(&mut server, &mut buffered, &deadline).unwrap();
+        assert_eq!(head, second.as_bytes());
+        assert_eq!(
+            read_head(&mut server, &mut buffered, &deadline),
+            Err(HttpError::Disconnected)
+        );
+        assert_eq!(buffered, b"GET /c");
     }
 
     #[test]

@@ -6,13 +6,17 @@
 //! the engineering is the robustness envelope:
 //!
 //! - **Deadlines** ([`Deadline`]): every request carries a monotonic
-//!   budget stamped at accept, threaded through head reading, routing,
+//!   budget — stamped at accept for a connection's first request, at its
+//!   first byte for a later one — threaded through head reading, routing,
 //!   and response writing as socket timeouts.
+//! - **Keep-alive**: a worker serves its connection request after request
+//!   while no other connection waits in the queue, so a reader never
+//!   holds a worker another client needs.
 //! - **Load shedding** ([`BoundedQueue`]): a fixed-capacity accept→worker
 //!   queue; overload is answered with an immediate `503` + `Retry-After`,
 //!   never with unbounded buffering.
-//! - **Panic isolation**: each connection runs under `catch_unwind`; a
-//!   poisoned request costs one `500`, not the process.
+//! - **Panic isolation**: each request runs under `catch_unwind`; a
+//!   poisoned request costs one `500` and its connection, not the process.
 //! - **Hot reload** ([`SharedState`]): replacement snapshots are fully
 //!   validated *before* an atomic `Arc` swap; a corrupt candidate is
 //!   rejected with the old index still serving.

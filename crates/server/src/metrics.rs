@@ -13,8 +13,12 @@ use surveyor_obs::{Counter, Histogram, MetricsRegistry};
 #[derive(Debug, Clone)]
 pub struct ServerMetrics {
     registry: Arc<MetricsRegistry>,
-    /// Requests admitted to the work queue.
+    /// Requests served: one per request a worker reads (or fails to read)
+    /// on a connection, however many share it.
     pub requests: Counter,
+    /// Connections a worker took from the queue and served; requests per
+    /// connection is `serve.requests` over this.
+    pub connections: Counter,
     /// Connections shed with `503` because the queue was full.
     pub shed: Counter,
     /// Worker panics contained by `catch_unwind`.
@@ -44,6 +48,7 @@ impl ServerMetrics {
     pub fn new(registry: Arc<MetricsRegistry>) -> Self {
         Self {
             requests: registry.counter("serve.requests"),
+            connections: registry.counter("serve.connections"),
             shed: registry.counter("serve.shed"),
             panics: registry.counter("serve.panics"),
             deadline_expired: registry.counter("serve.deadline_expired"),
@@ -104,6 +109,7 @@ mod tests {
         let registry = Arc::new(MetricsRegistry::new());
         let m = ServerMetrics::new(registry.clone());
         m.requests.inc();
+        m.connections.inc();
         m.shed.add(2);
         m.count_response(200);
         m.count_response(404);
@@ -111,6 +117,7 @@ mod tests {
         m.observe_latency(0.001);
         m.observe_route(0.000_002);
         assert_eq!(registry.counter_value("serve.requests"), 1);
+        assert_eq!(registry.counter_value("serve.connections"), 1);
         assert_eq!(registry.counter_value("serve.shed"), 2);
         assert_eq!(registry.counter_value("serve.responses.2xx"), 1);
         assert_eq!(registry.counter_value("serve.responses.4xx"), 1);

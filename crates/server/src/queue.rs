@@ -41,6 +41,8 @@ impl<T> PushError<T> {
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Consumers blocked in [`BoundedQueue::pop`]; each claims one item.
+    waiting: usize,
 }
 
 /// A fixed-capacity multi-producer multi-consumer queue.
@@ -58,6 +60,7 @@ impl<T> BoundedQueue<T> {
             inner: Mutex::new(Inner {
                 items: VecDeque::with_capacity(capacity.max(1)),
                 closed: false,
+                waiting: 0,
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
@@ -88,6 +91,13 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
+    /// Items that no blocked consumer is about to take: above 0, an item
+    /// waits for a consumer that is busy elsewhere.
+    pub fn unclaimed(&self) -> usize {
+        let inner = self.lock();
+        inner.items.len().saturating_sub(inner.waiting)
+    }
+
     /// Non-blocking push. `Err(Full)` at capacity (the shed signal),
     /// `Err(Closed)` once [`Self::close`] has been called.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
@@ -116,10 +126,12 @@ impl<T> BoundedQueue<T> {
             if inner.closed {
                 return None;
             }
+            inner.waiting += 1;
             inner = self
                 .not_empty
                 .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
+            inner.waiting -= 1;
         }
     }
 
@@ -188,6 +200,28 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), None);
         }
+    }
+
+    #[test]
+    fn an_item_is_unclaimed_until_a_blocked_consumer_counts_for_it() {
+        let q = Arc::new(BoundedQueue::new(4));
+        q.try_push(1).unwrap();
+        assert_eq!(q.unclaimed(), 1);
+        assert_eq!(q.pop(), Some(1));
+        let consumer = {
+            let q = q.clone();
+            std::thread::spawn(move || q.pop())
+        };
+        while q.lock().waiting == 0 {
+            std::thread::yield_now();
+        }
+        // The blocked consumer claims the next item before it wakes.
+        q.try_push(2).unwrap();
+        assert_eq!(q.unclaimed(), 0);
+        assert_eq!(consumer.join().unwrap(), Some(2));
+        q.try_push(3).unwrap();
+        q.try_push(4).unwrap();
+        assert_eq!(q.unclaimed(), 2);
     }
 
     #[test]

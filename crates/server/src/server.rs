@@ -4,30 +4,56 @@
 //!
 //! ```text
 //!   accept thread ──try_push──▶ BoundedQueue ──pop──▶ worker × N
-//!        │ (full → 503+Retry-After, written inline)        │
-//!        │                                                  ├─ catch_unwind per connection
-//!        └── shutdown nudge ◀──── /ctl/shutdown ────────────┘
+//!        │ (full → 503+Retry-After, written inline)     │  serves its connection
+//!        │                                               │  request after request
+//!        │ queued and no worker free:                    │  while no connection waits
+//!        ├─ wake one ──▶ IdleConnections ◀── enter/leave ┤  (idle: blocked in peek)
+//!        │                                               ├─ catch_unwind per request
+//!        └── shutdown nudge ◀──── /ctl/shutdown ─────────┘
 //! ```
 //!
+//! Connections are persistent (HTTP/1.1 keep-alive): a worker keeps the
+//! connection it popped and reads its next request, and goes back to the
+//! queue only when the connection closes. A reply keeps the connection
+//! only when the request was a bodiless HTTP/1.1 one without
+//! `Connection: close` ([`crate::http::persistent`]), the reply is a
+//! routed one (not a 400/408/431/500 of the HTTP layer), the server is
+//! not shutting down, and **no queued connection waits for a worker as
+//! the reply is rendered**. Between requests the worker blocks in `peek`
+//! for the next byte, with its connection published in
+//! `IdleConnections`. When the accept thread queues a connection that
+//! no free worker will take, it shuts one published connection down for
+//! reading, so that worker's `peek` returns at once and the worker closes
+//! the connection; shutdown wakes every published one the same way. An
+//! idle connection also closes after one request budget. So a kept-alive
+//! reader holds a worker only while nobody else waits: with every worker
+//! held, a new connection (a `/readyz`, a `/ctl/reload`) waits at most
+//! one request's service time. Every close the worker makes is
+//! `close_connection`'s: the peer reads EOF after the last reply, never
+//! a reset.
+//!
 //! Every accepted connection is stamped with a [`Deadline`] *at accept
-//! time*, so time spent waiting in the queue counts against the budget —
-//! under overload a request times out honestly instead of being served
-//! stale. Workers wrap each connection in `catch_unwind`; a panicking
-//! request costs one `500`, never the process. Graceful shutdown closes
-//! the queue (draining queued work), unblocks the accept thread with a
-//! loopback "nudge" connection, and joins every thread.
+//! time*, so time spent waiting in the queue counts against its first
+//! request's budget — under overload a request times out honestly instead
+//! of being served stale. A later request's budget starts when its first
+//! byte arrives. Workers wrap each request in `catch_unwind`; a panicking
+//! request costs one `500` and its connection, never the process.
+//! Graceful shutdown closes the queue (draining queued work), unblocks
+//! the accept thread with a loopback "nudge" connection, and joins every
+//! thread.
 
 use crate::deadline::Deadline;
-use crate::http::{parse_head, read_head, HttpError, Response};
+use crate::http::{parse_head, persistent, read_head, HttpError, Response};
 use crate::metrics::ServerMetrics;
 use crate::queue::BoundedQueue;
 use crate::routes::{route, ControlAction, RouteContext};
 use crate::state::{ServedState, SharedState, StateCache};
 use serde_json::json;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use surveyor_obs::MetricsRegistry;
@@ -42,7 +68,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bounded queue capacity — the load-shedding threshold.
     pub queue_capacity: usize,
-    /// Per-request budget, stamped at accept.
+    /// Per-request budget, stamped at accept for a connection's first
+    /// request; also how long a kept connection may sit idle.
     pub request_budget: Duration,
     /// `Retry-After` seconds on shed responses.
     pub retry_after_seconds: u32,
@@ -70,18 +97,76 @@ struct Job {
     deadline: Deadline,
 }
 
-/// The shutdown latch. `trigger` is idempotent; the first call also
-/// opens a throwaway loopback connection so a blocking `accept()`
-/// returns and observes the flag.
+/// The kept connections whose workers wait for a next request, each a
+/// clone of the socket its worker blocks on in `peek`, with the worker's
+/// index. Shutting a socket down for reading ends that `peek` at once
+/// (it reads EOF): that is how a queued connection or a shutdown takes a
+/// worker back without the worker polling.
+#[derive(Debug, Default)]
+struct IdleConnections {
+    waiting: Mutex<Vec<(usize, Arc<TcpStream>)>>,
+}
+
+impl IdleConnections {
+    /// The list, locked; poisoning is survived, as in the queue: the list
+    /// is valid after any partial operation.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the idle-connection list, between the accept loop and the request workers, off the mining path"
+    )]
+    fn lock(&self) -> MutexGuard<'_, Vec<(usize, Arc<TcpStream>)>> {
+        self.waiting.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Publishes `worker`'s idle connection.
+    fn enter(&self, worker: usize, stream: &Arc<TcpStream>) {
+        self.lock().push((worker, Arc::clone(stream)));
+    }
+
+    /// Withdraws `worker`'s connection; `false` when another thread woke
+    /// it first.
+    fn leave(&self, worker: usize) -> bool {
+        let mut waiting = self.lock();
+        let Some(at) = waiting.iter().position(|(w, _)| *w == worker) else {
+            return false;
+        };
+        waiting.remove(at);
+        true
+    }
+
+    /// Wakes the worker idle the longest, if any.
+    fn wake_one(&self) {
+        let woken = {
+            let mut waiting = self.lock();
+            (!waiting.is_empty()).then(|| waiting.remove(0))
+        };
+        if let Some((_, stream)) = woken {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+
+    /// Wakes every idle worker.
+    fn wake_all(&self) {
+        for (_, stream) in std::mem::take(&mut *self.lock()) {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+/// The shutdown latch. `trigger` is idempotent; the first call wakes
+/// every worker idle on a kept connection and opens a throwaway loopback
+/// connection so a blocking `accept()` returns and observes the flag.
 #[derive(Debug)]
 struct ShutdownSignal {
     flag: AtomicBool,
     addr: SocketAddr,
+    idle: IdleConnections,
 }
 
 impl ShutdownSignal {
     fn trigger(&self) {
         if !self.flag.swap(true, Ordering::SeqCst) {
+            self.idle.wake_all();
             let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(250));
         }
     }
@@ -159,19 +244,24 @@ pub fn start(
     let signal = Arc::new(ShutdownSignal {
         flag: AtomicBool::new(false),
         addr,
+        idle: IdleConnections::default(),
     });
     let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(config.queue_capacity));
 
     let mut workers = Vec::with_capacity(config.workers.max(1));
     for i in 0..config.workers.max(1) {
-        let queue = queue.clone();
-        let shared = shared.clone();
-        let metrics = metrics.clone();
-        let signal = signal.clone();
-        let debug_routes = config.debug_routes;
+        let worker = Worker {
+            id: i,
+            queue: queue.clone(),
+            shared: shared.clone(),
+            metrics: metrics.clone(),
+            signal: signal.clone(),
+            budget: config.request_budget,
+            debug_routes: config.debug_routes,
+        };
         let thread = std::thread::Builder::new()
             .name(format!("serve-worker-{i}"))
-            .spawn(move || worker_loop(&queue, &shared, &metrics, &signal, debug_routes))?;
+            .spawn(move || worker.run())?;
         workers.push(thread);
     }
 
@@ -211,12 +301,14 @@ fn accept_loop(
                     // The nudge connection (or a client racing shutdown).
                     break;
                 }
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "the accept loop opens each request's deadline; every handler threads it"
-                )]
-                let deadline = Deadline::starting_now(budget);
-                if let Err(refused) = queue.try_push(Job { stream, deadline }) {
+                let deadline = open_deadline(budget);
+                let pushed = queue.try_push(Job { stream, deadline });
+                if pushed.is_ok() && queue.unclaimed() > 0 {
+                    // Every worker is busy: take one back from an idle
+                    // kept connection, if one is idle.
+                    signal.idle.wake_one();
+                }
+                if let Err(refused) = pushed {
                     // Shed inline: the 503 costs the accept thread one
                     // tiny buffered write, and the client learns to back
                     // off immediately instead of waiting for a timeout.
@@ -235,7 +327,7 @@ fn accept_loop(
                     let mut scratch = [0u8; 4096];
                     let _ = std::io::Read::read(&mut stream, &mut scratch);
                     let response = Response::shed(retry_after);
-                    if response.write_to(&mut stream, &deadline).is_ok() {
+                    if response.write_to(&mut stream, &deadline, false).is_ok() {
                         metrics.count_response(response.status);
                     }
                 }
@@ -254,124 +346,271 @@ fn accept_loop(
     queue.close();
 }
 
-fn worker_loop(
-    queue: &BoundedQueue<Job>,
-    shared: &SharedState,
-    metrics: &ServerMetrics,
-    signal: &ShutdownSignal,
-    debug_routes: bool,
-) {
-    while let Some(job) = queue.pop() {
-        let Job {
-            mut stream,
-            deadline,
-        } = job;
-        // Scoped to the job, not the worker: an idle worker holds no
-        // state, so a replaced snapshot is freed by the last request on
-        // it rather than by each worker's next one. One uncontended lock
-        // and an `Arc` clone per request.
-        let mut cache = StateCache::new(shared);
-        metrics.requests.inc();
-        let served = catch_unwind(AssertUnwindSafe(|| {
-            serve_one(
-                &mut stream,
-                &deadline,
-                shared,
-                &mut cache,
-                metrics,
-                debug_routes,
-            )
-        }));
-        metrics.observe_latency(deadline.elapsed().as_secs_f64());
-        match served {
-            Ok(ControlAction::Shutdown) => signal.trigger(),
-            Ok(ControlAction::None) => {}
-            Err(_) => {
-                // The request panicked; the process did not. Best-effort
-                // 500 so the client is not left hanging.
-                metrics.panics.inc();
-                let response =
-                    Response::json(500, &json!({ "error": "internal panic; request isolated" }));
-                if response.write_to(&mut stream, &deadline).is_ok() {
-                    metrics.count_response(response.status);
-                }
-            }
+/// A budget opened now: a request's, at accept for a connection's first
+/// request and at its first byte for each later one, or a closing
+/// connection's [`LINGER`].
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the accept loop and the workers open each request's deadline; every handler threads it"
+)]
+fn open_deadline(budget: Duration) -> Deadline {
+    Deadline::starting_now(budget)
+}
+
+/// How long [`close_connection`] waits for the peer to close its side.
+const LINGER: Duration = Duration::from_millis(5);
+
+/// Closes a connection so that its peer reads the last reply and then
+/// EOF, never a reset. A socket closed with unread bytes in it answers
+/// them with a reset, which can destroy a reply the peer has not read
+/// yet: a request body, a pipelined request, or a request sent just as an
+/// idle connection was taken back. So the write side goes first (the FIN
+/// follows the last reply), and whatever the peer has sent, or sends
+/// within [`LINGER`], is read and dropped until it closes its side too.
+/// A connection woken for reading ([`IdleConnections`]) reads EOF as
+/// soon as it is drained, so it does not linger.
+fn close_connection(mut stream: TcpStream) {
+    // A second shutdown of the write side, when the caller shut it first,
+    // does nothing.
+    let _ = stream.shutdown(Shutdown::Write);
+    let linger = open_deadline(LINGER);
+    let mut scratch = [0u8; 4096];
+    while let Some(left) = linger.remaining().filter(|left| !left.is_zero()) {
+        if stream.set_read_timeout(Some(left)).is_err() {
+            return;
         }
-        // Close before `cache` goes: when this request held the last
-        // reference to a replaced snapshot, freeing it must not keep the
-        // client's connection open.
-        drop(stream);
+        match stream.read(&mut scratch) {
+            Ok(0) => return,
+            Ok(_) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return,
+        }
     }
 }
 
-/// Serves one connection end to end: read head under deadline, parse,
-/// route, write. Returns the route's control action.
-fn serve_one(
-    stream: &mut TcpStream,
-    deadline: &Deadline,
-    shared: &SharedState,
-    cache: &mut StateCache,
-    metrics: &ServerMetrics,
+/// What a worker does with a connection once a reply is written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Next {
+    /// Wait for the connection's next request.
+    KeepAlive,
+    /// Close it and pop the next connection.
+    Close,
+    /// Close it and shut the server down (`/ctl/shutdown`).
+    Shutdown,
+}
+
+/// One request thread and what it shares with the others.
+struct Worker {
+    /// Its index, which marks its entry in [`IdleConnections`].
+    id: usize,
+    queue: Arc<BoundedQueue<Job>>,
+    shared: Arc<SharedState>,
+    metrics: ServerMetrics,
+    signal: Arc<ShutdownSignal>,
+    budget: Duration,
     debug_routes: bool,
-) -> ControlAction {
-    let request = match read_head(stream, deadline).and_then(|head| parse_head(&head)) {
-        Ok(request) => request,
-        Err(e) => {
-            let response = match &e {
-                HttpError::TooLarge => {
-                    metrics.malformed.inc();
-                    Some(Response::json(431, &json!({ "error": e.to_string() })))
+}
+
+impl Worker {
+    fn run(&self) {
+        while let Some(Job { stream, deadline }) = self.queue.pop() {
+            self.metrics.connections.inc();
+            self.serve_connection(stream, deadline);
+        }
+    }
+
+    /// Serves `stream` request after request until it closes.
+    fn serve_connection(&self, mut stream: TcpStream, mut deadline: Deadline) {
+        // Each reply is one write, so Nagle's algorithm saves nothing; with
+        // it, a reply written while the one before is still unacknowledged
+        // (a pipelined request) would wait out the peer's delayed ACK.
+        let _ = stream.set_nodelay(true);
+        let mut buffered = Vec::new();
+        // A clone of the socket for `IdleConnections`, made at the first
+        // idle wait.
+        let mut waker = None;
+        loop {
+            // Scoped to the request, not the connection: an idle kept
+            // connection holds no state, so a replaced snapshot is freed
+            // by the last request on it rather than by the next one. One
+            // uncontended lock and an `Arc` clone per request.
+            let mut cache = StateCache::new(&self.shared);
+            self.metrics.requests.inc();
+            let served = catch_unwind(AssertUnwindSafe(|| {
+                self.serve_one(&mut stream, &mut buffered, &deadline, &mut cache)
+            }));
+            self.metrics
+                .observe_latency(deadline.elapsed().as_secs_f64());
+            let next = served.unwrap_or_else(|_| {
+                // The request panicked; the process did not. Best-effort
+                // 500 so the client is not left hanging.
+                self.metrics.panics.inc();
+                let response =
+                    Response::json(500, &json!({ "error": "internal panic; request isolated" }));
+                if response.write_to(&mut stream, &deadline, false).is_ok() {
+                    self.metrics.count_response(response.status);
                 }
-                HttpError::Malformed(_) => {
-                    metrics.malformed.inc();
-                    Some(Response::json(400, &json!({ "error": e.to_string() })))
-                }
-                HttpError::Expired => {
-                    metrics.deadline_expired.inc();
-                    Some(Response::json(408, &json!({ "error": e.to_string() })))
-                }
-                HttpError::Disconnected | HttpError::Io(_) => {
-                    metrics.disconnects.inc();
-                    None // nobody is listening; close cleanly
-                }
-            };
-            if let Some(response) = response {
-                if response.write_to(stream, deadline).is_ok() {
-                    metrics.count_response(response.status);
+                Next::Close
+            });
+            if next == Next::Shutdown {
+                self.signal.trigger();
+            }
+            if next != Next::KeepAlive {
+                // The FIN goes out before `cache` goes: when this request
+                // held the last reference to a replaced snapshot, freeing
+                // it must not hold back the client's EOF, and the linger
+                // must not hold the snapshot.
+                let _ = stream.shutdown(Shutdown::Write);
+                drop(cache);
+                drop(waker);
+                close_connection(stream);
+                return;
+            }
+            drop(cache);
+            match self.await_request(&stream, &mut waker, &buffered) {
+                Some(next_deadline) => deadline = next_deadline,
+                None => {
+                    drop(waker);
+                    close_connection(stream);
+                    return;
                 }
             }
-            return ControlAction::None;
         }
-    };
-
-    // The budget covers routing too: a request that spent its budget in
-    // the queue gets an honest 408 instead of a stale answer.
-    if deadline.expired() {
-        metrics.deadline_expired.inc();
-        let response = Response::json(408, &json!({ "error": "deadline expired in queue" }));
-        if response.write_to(stream, deadline).is_ok() {
-            metrics.count_response(response.status);
-        }
-        return ControlAction::None;
     }
 
-    let mut ctx = RouteContext {
-        shared,
-        cache,
-        metrics,
-        debug_routes,
-    };
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "feeds the route-time histogram only, never the response"
-    )]
-    let routing = Instant::now();
-    let outcome = route(&request, &mut ctx);
-    metrics.observe_route(routing.elapsed().as_secs_f64());
-    if outcome.response.write_to(stream, deadline).is_ok() {
-        metrics.count_response(outcome.response.status);
-    } else {
-        metrics.disconnects.inc();
+    /// Waits on an idle kept connection for its next request, and opens
+    /// that request's deadline when its first byte is there. `None` closes
+    /// the connection: the peer closed it or failed, another connection
+    /// waits for a worker, the server is shutting down, or it sat idle
+    /// for a budget.
+    fn await_request(
+        &self,
+        stream: &TcpStream,
+        waker: &mut Option<Arc<TcpStream>>,
+        buffered: &[u8],
+    ) -> Option<Deadline> {
+        if !buffered.is_empty() {
+            // A pipelined request: its first byte is already here.
+            return Some(open_deadline(self.budget));
+        }
+        let waker = match waker {
+            Some(waker) => waker,
+            None => waker.insert(Arc::new(stream.try_clone().ok()?)),
+        };
+        let idle = &self.signal.idle;
+        idle.enter(self.id, waker);
+        // Published before this look, so a connection queued or a
+        // shutdown begun after it wakes the `peek` below.
+        if self.signal.is_triggered() || self.queue.unclaimed() > 0 {
+            idle.leave(self.id);
+            return None;
+        }
+        let mut byte = [0u8; 1];
+        let peeked = stream
+            .set_read_timeout(Some(self.budget))
+            .and_then(|()| loop {
+                match stream.peek(&mut byte) {
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    peeked => break peeked,
+                }
+            });
+        // A timeout (idle for a budget), EOF, an error or a wake-up all
+        // close; a byte is served only if nobody woke the worker first.
+        let woken = !idle.leave(self.id);
+        match peeked {
+            Ok(n) if n > 0 && !woken => Some(open_deadline(self.budget)),
+            _ => None,
+        }
     }
-    outcome.action
+
+    /// Serves one request end to end: read head under deadline, parse,
+    /// route, write. Returns what to do with the connection next.
+    fn serve_one(
+        &self,
+        stream: &mut TcpStream,
+        buffered: &mut Vec<u8>,
+        deadline: &Deadline,
+        cache: &mut StateCache,
+    ) -> Next {
+        let metrics = &self.metrics;
+        let parsed = read_head(stream, buffered, deadline)
+            .and_then(|head| Ok((parse_head(&head)?, persistent(&head))));
+        let (request, persistent) = match parsed {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                let response = match &e {
+                    HttpError::TooLarge => {
+                        metrics.malformed.inc();
+                        Some(Response::json(431, &json!({ "error": e.to_string() })))
+                    }
+                    HttpError::Malformed(_) => {
+                        metrics.malformed.inc();
+                        Some(Response::json(400, &json!({ "error": e.to_string() })))
+                    }
+                    HttpError::Expired => {
+                        metrics.deadline_expired.inc();
+                        Some(Response::json(408, &json!({ "error": e.to_string() })))
+                    }
+                    HttpError::Disconnected | HttpError::Io(_) => {
+                        metrics.disconnects.inc();
+                        None // nobody is listening; close cleanly
+                    }
+                };
+                if let Some(response) = response {
+                    if response.write_to(stream, deadline, false).is_ok() {
+                        metrics.count_response(response.status);
+                    }
+                }
+                return Next::Close;
+            }
+        };
+
+        // The budget covers routing too: a request that spent its budget in
+        // the queue gets an honest 408 instead of a stale answer.
+        if deadline.expired() {
+            metrics.deadline_expired.inc();
+            let response = Response::json(408, &json!({ "error": "deadline expired in queue" }));
+            if response.write_to(stream, deadline, false).is_ok() {
+                metrics.count_response(response.status);
+            }
+            return Next::Close;
+        }
+
+        let mut ctx = RouteContext {
+            shared: &self.shared,
+            cache,
+            metrics,
+            debug_routes: self.debug_routes,
+        };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "feeds the route-time histogram only, never the response"
+        )]
+        let routing = Instant::now();
+        let outcome = route(&request, &mut ctx);
+        metrics.observe_route(routing.elapsed().as_secs_f64());
+        let next = match outcome.action {
+            ControlAction::Shutdown => Next::Shutdown,
+            ControlAction::None
+                if persistent && !self.signal.is_triggered() && self.queue.unclaimed() == 0 =>
+            {
+                Next::KeepAlive
+            }
+            ControlAction::None => Next::Close,
+        };
+        let keep_alive = next == Next::KeepAlive;
+        if outcome
+            .response
+            .write_to(stream, deadline, keep_alive)
+            .is_ok()
+        {
+            metrics.count_response(outcome.response.status);
+        } else {
+            metrics.disconnects.inc();
+            if keep_alive {
+                return Next::Close;
+            }
+        }
+        next
+    }
 }

@@ -160,7 +160,7 @@ done
 # shutdown that must exit 0 with the drain summary printed.
 serve_http() { # method path -> full reply on stdout
     exec 3<>"/dev/tcp/127.0.0.1/${SERVE_PORT}"
-    printf '%s %s HTTP/1.1\r\nHost: verify\r\n\r\n' "$1" "$2" >&3
+    printf '%s %s HTTP/1.1\r\nHost: verify\r\nConnection: close\r\n\r\n' "$1" "$2" >&3
     cat <&3
     exec 3<&- 3>&-
 }
