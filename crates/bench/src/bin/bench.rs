@@ -5,10 +5,9 @@
 //! bench snapshot [--seed N] [--out PATH] [--quick] [--assert-speedup X] [--assert-validate-mb-s X]
 //! bench serve [--seed N] [--out PATH] [--quick] [--assert-chaos] [--assert-lookup-flat]
 //! bench incremental [--seed N] [--out PATH] [--quick] [--assert-delta-scaling]
-//! bench diff <current.json> <baseline.json>
 //! ```
 //!
-//! Each measuring subcommand writes one artifact (`BENCH_<name>.json`
+//! Each subcommand writes one artifact (`BENCH_<name>.json`
 //! unless `--out` says otherwise): a typed record from
 //! `surveyor_bench::experiments`, whose function documents what it
 //! measures and whose methods are its gates — `scale_sweep`
@@ -19,16 +18,12 @@
 //! (`--assert-delta-scaling`). `--quick` shrinks the workload for CI
 //! smoke tests. A gate that fails exits nonzero after the artifact is
 //! written, so the evidence survives.
-//!
-//! `diff` compares two run reports (`surveyor mine --report FILE`) phase
-//! by phase.
 
 #![forbid(unsafe_code)]
 
 use serde::Serialize as _;
 use serde_json::Value;
 use std::process::ExitCode;
-use surveyor::obs::RunReport;
 use surveyor_bench::experiments::{self, ReproConfig};
 use surveyor_bench::scaling;
 
@@ -62,7 +57,7 @@ impl Kind {
     }
 }
 
-/// A measuring subcommand: its default artifact, its own flags and the
+/// A subcommand: its default artifact, its own flags and the
 /// measurement.
 struct Command {
     name: &'static str,
@@ -109,7 +104,7 @@ const COMMANDS: &[Command] = &[
     },
 ];
 
-/// The flags every measuring subcommand shares, and those of its own that
+/// The flags every subcommand shares, and those of its own that
 /// were given: a switch with no number, the others with theirs.
 #[derive(Debug)]
 struct Args {
@@ -131,7 +126,7 @@ impl Args {
 }
 
 fn usage() -> String {
-    let mut lines: Vec<String> = COMMANDS
+    let lines: Vec<String> = COMMANDS
         .iter()
         .map(|command| {
             let mut line = format!("bench {} [--seed N] [--out PATH] [--quick]", command.name);
@@ -144,11 +139,10 @@ fn usage() -> String {
             line
         })
         .collect();
-    lines.push("bench diff <current.json> <baseline.json>".to_owned());
     format!("usage: {}", lines.join("\n       "))
 }
 
-/// Parses a measuring subcommand's arguments.
+/// Parses a subcommand's arguments.
 fn parse(command: &Command, rest: &[String]) -> Result<Args, String> {
     let mut args = Args {
         config: ReproConfig::default(),
@@ -196,9 +190,6 @@ fn main() -> ExitCode {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
-    if name == "diff" {
-        return diff(rest);
-    }
     let Some(command) = COMMANDS.iter().find(|command| command.name == name) else {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
@@ -223,29 +214,6 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-/// `bench diff`: render the phase/counter comparison of two run reports.
-fn diff(rest: &[String]) -> ExitCode {
-    let [current, baseline] = rest else {
-        eprintln!("{}", usage());
-        return ExitCode::FAILURE;
-    };
-    let load = |path: &str| -> Result<RunReport, String> {
-        let json = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        RunReport::from_json(&json).map_err(|e| format!("invalid run report {path}: {e}"))
-    };
-    let reports = load(current).and_then(|c| load(baseline).map(|b| (c, b)));
-    match reports {
-        Ok((current, baseline)) => {
-            println!("{}", current.diff(&baseline));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::FAILURE
-        }
     }
 }
 
@@ -413,8 +381,7 @@ mod tests {
              [--assert-validate-mb-s X]\n       \
              bench serve [--seed N] [--out PATH] [--quick] [--assert-chaos] \
              [--assert-lookup-flat]\n       \
-             bench incremental [--seed N] [--out PATH] [--quick] [--assert-delta-scaling]\n       \
-             bench diff <current.json> <baseline.json>"
+             bench incremental [--seed N] [--out PATH] [--quick] [--assert-delta-scaling]"
         );
     }
 }

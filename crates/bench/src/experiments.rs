@@ -1614,7 +1614,6 @@ pub fn serve_bench(cfg: &ReproConfig, quick: bool) -> ServeArtifact {
             workers: 2,
             queue_capacity: 4,
             request_budget: Duration::from_secs(2),
-            retry_after_seconds: 1,
             debug_routes: true,
         },
         state.clone(),

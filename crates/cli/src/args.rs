@@ -473,7 +473,6 @@ fn server_config(flags: &Flags) -> Result<ServerConfig, CliError> {
         workers: flags.count("--workers")?,
         queue_capacity: flags.count("--queue")?,
         request_budget: Duration::from_millis(flags.count("--budget-ms")?),
-        retry_after_seconds: 1,
         debug_routes: flags.has("--debug-routes"),
     })
 }
@@ -925,7 +924,6 @@ global flags: --help | -h, --version | -V"
         assert_eq!(config.addr, "127.0.0.1:7387");
         assert_eq!((config.workers, config.queue_capacity), (4, 64));
         assert_eq!(config.request_budget, Duration::from_millis(2_000));
-        assert_eq!(config.retry_after_seconds, 1);
         assert!(!config.debug_routes);
         let config = server_config(
             &flags(&[

@@ -815,13 +815,95 @@ mod tests {
         let summary = mine(&args).unwrap();
         assert!(summary.contains("wrote run report"), "{summary}");
         let json = std::fs::read_to_string(&report_path).unwrap();
-        let report = surveyor::obs::RunReport::from_json(&json).unwrap();
-        assert_eq!(report.version, surveyor::obs::REPORT_VERSION);
+        let report: serde_json::Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            report["version"].as_u64(),
+            Some(u64::from(surveyor::obs::REPORT_VERSION))
+        );
+        let phases: Vec<&str> = (report["phases"].as_array().unwrap().iter())
+            .map(|phase| phase["name"].as_str().unwrap())
+            .collect();
         for phase in ["extract", "group", "model", "decide", "index"] {
-            assert!(report.phase(phase).is_some(), "report misses {phase}");
+            assert!(phases.contains(&phase), "report misses {phase}");
         }
-        assert!(!report.em_groups.is_empty());
+        assert!(!report["em_groups"].as_array().unwrap().is_empty());
+        // The fault fields are written even by a run without faults.
+        assert_eq!(report["coverage"].as_f64(), Some(1.0));
+        assert_eq!(report["retries"].as_u64(), Some(0));
+        assert_eq!(report["quarantined_shards"], serde_json::json!([]));
+        let expected = [
+            ".version",
+            ".phases",
+            ".phases[]",
+            ".phases[].name",
+            ".phases[].seconds",
+            ".phases[].items",
+            ".phases[].per_second",
+            ".counters",
+            ".counters.*",
+            ".gauges",
+            ".histograms",
+            ".histograms.*",
+            ".histograms.*.count",
+            ".histograms.*.min",
+            ".histograms.*.max",
+            ".histograms.*.mean",
+            ".histograms.*.p50",
+            ".histograms.*.p90",
+            ".histograms.*.p99",
+            ".em_groups",
+            ".em_groups[]",
+            ".em_groups[].type_name",
+            ".em_groups[].property",
+            ".em_groups[].entities",
+            ".em_groups[].iterations",
+            ".em_groups[].converged",
+            ".em_groups[].log_likelihood",
+            ".em_groups[].final_delta",
+            ".em_groups[].q_trace",
+            ".em_groups[].q_trace[]",
+            ".em_groups[].delta_trace",
+            ".em_groups[].delta_trace[]",
+            ".coverage",
+            ".retries",
+            ".quarantined_shards",
+        ];
+        assert_eq!(
+            report_key_paths(&report),
+            expected.into_iter().map(str::to_owned).collect()
+        );
         std::fs::remove_file(report_path).ok();
+    }
+
+    /// Every key path of a run report's JSON, arrays flattened to `[]` and
+    /// the names in its counter, gauge and histogram maps to `*`.
+    fn report_key_paths(value: &serde_json::Value) -> std::collections::BTreeSet<String> {
+        fn walk(
+            value: &serde_json::Value,
+            path: &str,
+            out: &mut std::collections::BTreeSet<String>,
+        ) {
+            let named = matches!(path, ".counters" | ".gauges" | ".histograms");
+            let children: Vec<(String, &serde_json::Value)> = match value {
+                serde_json::Value::Object(obj) => (obj.iter())
+                    .map(|(key, child)| {
+                        let key = if named { "*" } else { key.as_str() };
+                        (format!("{path}.{key}"), child)
+                    })
+                    .collect(),
+                serde_json::Value::Array(items) => (items.iter())
+                    .map(|child| (format!("{path}[]"), child))
+                    .collect(),
+                _ => Vec::new(),
+            };
+            for (path, child) in children {
+                walk(child, &path, out);
+                out.insert(path);
+            }
+        }
+        let mut out = std::collections::BTreeSet::new();
+        walk(value, "", &mut out);
+        out
     }
 
     #[test]

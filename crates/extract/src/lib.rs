@@ -44,10 +44,7 @@ pub use fault::{
     FailurePolicy, FallibleShardSource, Fault, FaultInjector, FaultPlan, QuarantinedShard,
     RetryPolicy, RunError, RunOutcome, ShardCoverage, ShardError, ShardSubset,
 };
-pub use patterns::{
-    extract_sentence, extract_sentence_counted, extract_sentence_into, ExtractContext,
-    PatternCounts,
-};
+pub use patterns::{extract_sentence, extract_sentence_into, ExtractContext, PatternCounts};
 pub use provenance::ProvenanceTable;
 pub use runner::{
     extract_documents, run_sharded_fault_tolerant, run_sharded_full, ExtractionOutput, ShardSource,

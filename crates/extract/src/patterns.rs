@@ -263,32 +263,22 @@ pub fn extract_sentence(
     kb: &KnowledgeBase,
     config: &ExtractionConfig,
 ) -> Vec<Statement> {
-    extract_sentence_counted(sentence, kb, config, &mut PatternCounts::default())
-}
-
-/// Like [`extract_sentence`], also tallying which pattern produced each
-/// raw match into `counts`.
-pub fn extract_sentence_counted(
-    sentence: &AnnotatedSentence,
-    kb: &KnowledgeBase,
-    config: &ExtractionConfig,
-    counts: &mut PatternCounts,
-) -> Vec<Statement> {
     let mut out = Vec::new();
     extract_sentence_into(
         sentence,
         kb,
         config,
-        counts,
+        &mut PatternCounts::default(),
         &mut ExtractContext::new(),
         &mut out,
     );
     out
 }
 
-/// The worker entry point: like [`extract_sentence_counted`] but writing
-/// into a caller-owned buffer through a long-lived [`ExtractContext`], so
-/// a worker pays no per-sentence allocation and — once the context's cache
+/// The worker entry point: like [`extract_sentence`] but tallying which
+/// pattern produced each raw match into `counts` and writing into a
+/// caller-owned buffer through a long-lived [`ExtractContext`], so a
+/// worker pays no per-sentence allocation and — once the context's cache
 /// is warm — no locks.
 pub fn extract_sentence_into(
     sentence: &AnnotatedSentence,

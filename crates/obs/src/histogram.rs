@@ -1,6 +1,6 @@
 //! Value histograms on fixed log-scale buckets.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A bucket is 1/64 of its power of two wide, so its midpoint lies within
@@ -160,11 +160,7 @@ impl State {
 }
 
 /// Point-in-time digest of a [`Histogram`], as embedded in run reports.
-#[expect(
-    clippy::disallowed_macros,
-    reason = "bench diff reads run reports back"
-)]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct HistogramSummary {
     /// Number of observations.
     pub count: u64,

@@ -15,8 +15,8 @@
 //!   per-worker CPU slices sum into a single phase row.
 //! - [`RunReport`] — a versioned, serializable snapshot of everything
 //!   the registry collected, plus the per-group EM telemetry pushed by
-//!   the interpretation phase. Reports render as a human-readable table,
-//!   round-trip through JSON, and diff against a baseline report.
+//!   the interpretation phase. Reports render as a human-readable table
+//!   or as JSON.
 //! - [`claim_fold`] / [`claim_map`] — the one claim-cursor worker pool
 //!   every parallel phase (generation, extraction, interpretation) runs
 //!   on; it times its workers, which is why it lives here.

@@ -1,25 +1,21 @@
-//! The versioned run report: schema, rendering, and diffing.
+//! The versioned run report: schema and rendering.
 
 use crate::histogram::HistogramSummary;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Current report schema version. Bump on any breaking field change so
-/// `bench diff` can refuse to compare incompatible artifacts.
+/// Current report schema version, written as the report's `version`
+/// field. Bump on any breaking field change, so a reader of the JSON can
+/// tell the schemas apart.
 ///
-/// v2 adds the fault-tolerance accounting (`coverage`, `retries`,
-/// `quarantined_shards`); v1 reports parse with those fields defaulted,
-/// so a v1 baseline still diffs against a v2 report.
+/// v2 added the fault-tolerance accounting (`coverage`, `retries`,
+/// `quarantined_shards`).
 pub const REPORT_VERSION: u32 = 2;
 
 /// One pipeline phase: accumulated wall (or summed per-worker CPU) time
 /// plus the item count it processed and the derived throughput.
-#[expect(
-    clippy::disallowed_macros,
-    reason = "bench diff reads run reports back"
-)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PhaseReport {
     /// Phase name (`extract`, `group`, `model`, `decide`, `index`, …).
     pub name: String,
@@ -32,11 +28,7 @@ pub struct PhaseReport {
 }
 
 /// Per-(type, property) EM telemetry captured during interpretation.
-#[expect(
-    clippy::disallowed_macros,
-    reason = "bench diff reads run reports back"
-)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EmGroupReport {
     /// Entity type name of the combination.
     pub type_name: String,
@@ -61,13 +53,8 @@ pub struct EmGroupReport {
 /// A versioned snapshot of one observed pipeline run.
 ///
 /// Serialized with `--report out.json`; the schema is stable per
-/// [`REPORT_VERSION`] so tooling (`bench diff`) can compare runs
-/// recorded by different builds.
-#[expect(
-    clippy::disallowed_macros,
-    reason = "bench diff reads run reports back"
-)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// [`REPORT_VERSION`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunReport {
     /// Schema version ([`REPORT_VERSION`] at write time).
     pub version: u32,
@@ -81,15 +68,12 @@ pub struct RunReport {
     pub histograms: BTreeMap<String, HistogramSummary>,
     /// EM telemetry, sorted by (type, property).
     pub em_groups: Vec<EmGroupReport>,
-    /// Shard coverage of the extraction phase in `[0, 1]` (v2; `None`
-    /// for v1 reports and runs without a fault-tolerance layer).
-    #[serde(default)]
+    /// Shard coverage of the extraction phase in `[0, 1]` (`None` for
+    /// runs without a fault-tolerance layer).
     pub coverage: Option<f64>,
-    /// Total shard retry attempts (v2; 0 for v1 reports).
-    #[serde(default)]
+    /// Total shard retry attempts.
     pub retries: u64,
-    /// Quarantined shard indices, sorted (v2; empty for v1 reports).
-    #[serde(default)]
+    /// Quarantined shard indices, sorted.
     pub quarantined_shards: Vec<usize>,
 }
 
@@ -101,12 +85,6 @@ impl RunReport {
     )]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("report is serializable")
-    }
-
-    /// Parses a report written by [`to_json`](Self::to_json). Errors on
-    /// malformed JSON or a schema the struct cannot hold.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| format!("invalid run report: {e}"))
     }
 
     /// The phase named `name`, if recorded.
@@ -179,94 +157,6 @@ impl RunReport {
         }
         out
     }
-
-    /// Compares this run against a `baseline` report: per-phase time
-    /// ratios, counter deltas, and (when present) fault-tolerance
-    /// accounting. Known schema versions (1..=[`REPORT_VERSION`])
-    /// compare against each other — a v1 baseline diffs against a v2
-    /// report with the fault fields treated as absent; unknown (newer)
-    /// versions are flagged rather than compared field-by-field.
-    pub fn diff(&self, baseline: &RunReport) -> String {
-        let known = 1..=REPORT_VERSION;
-        if !known.contains(&self.version) || !known.contains(&baseline.version) {
-            return format!(
-                "schema mismatch: this report is v{}, baseline is v{} — not comparable",
-                self.version, baseline.version
-            );
-        }
-        let mut out = String::new();
-        if self.version != baseline.version {
-            let _ = writeln!(
-                out,
-                "note: comparing schema v{} against v{} (v1 reports carry no fault-tolerance fields)",
-                self.version, baseline.version
-            );
-        }
-        out.push_str("phase comparison (current vs baseline):\n");
-        let _ = writeln!(
-            out,
-            "  {:<10} {:>12} {:>12} {:>9}",
-            "phase", "current s", "baseline s", "speedup"
-        );
-        for p in &self.phases {
-            match baseline.phase(&p.name) {
-                Some(b) if p.seconds > 0.0 && b.seconds > 0.0 => {
-                    let _ = writeln!(
-                        out,
-                        "  {:<10} {:>12.4} {:>12.4} {:>8.2}x",
-                        p.name,
-                        p.seconds,
-                        b.seconds,
-                        b.seconds / p.seconds
-                    );
-                }
-                Some(b) => {
-                    let _ = writeln!(
-                        out,
-                        "  {:<10} {:>12.4} {:>12.4}        -",
-                        p.name, p.seconds, b.seconds
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "  {:<10} {:>12.4}    (new phase)", p.name, p.seconds);
-                }
-            }
-        }
-        let changed: Vec<String> = self
-            .counters
-            .iter()
-            .filter_map(|(name, &value)| {
-                let base = baseline.counters.get(name).copied().unwrap_or(0);
-                (value != base).then(|| {
-                    format!(
-                        "  {name}: {base} -> {value} ({:+})",
-                        value as i64 - base as i64
-                    )
-                })
-            })
-            .collect();
-        if !changed.is_empty() {
-            out.push_str("counter changes:\n");
-            for line in changed {
-                out.push_str(&line);
-                out.push('\n');
-            }
-        }
-        if self.coverage.is_some() || baseline.coverage.is_some() {
-            let show = |c: Option<f64>| c.map_or("-".to_owned(), |c| format!("{c:.3}"));
-            let _ = writeln!(
-                out,
-                "fault tolerance: coverage {} -> {}, retries {} -> {}, quarantined {:?} -> {:?}",
-                show(baseline.coverage),
-                show(self.coverage),
-                baseline.retries,
-                self.retries,
-                baseline.quarantined_shards,
-                self.quarantined_shards,
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -299,15 +189,15 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_everything() {
         let report = sample();
-        let back = RunReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.version, REPORT_VERSION);
-    }
-
-    #[test]
-    fn malformed_json_is_an_error() {
-        assert!(RunReport::from_json("{").is_err());
-        assert!(RunReport::from_json("[1, 2]").is_err());
+        let json: serde_json::Value = serde_json::from_str(&report.to_json()).unwrap();
+        assert_eq!(json, serde_json::to_value(&report).unwrap());
+        assert_eq!(json["version"].as_u64(), Some(u64::from(REPORT_VERSION)));
+        assert_eq!(
+            json["histograms"]["em.iterations"]["count"].as_u64(),
+            Some(1)
+        );
+        assert_eq!(json["em_groups"][0]["final_delta"].as_f64(), Some(1e-10));
+        assert_eq!(json["em_groups"][0]["q_trace"][2].as_f64(), Some(-1234.5));
     }
 
     #[test]
@@ -326,64 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_reports_speedup_and_counter_changes() {
-        let baseline = sample();
-        let mut current = sample();
-        current.phases[0].seconds = 0.05; // 2x faster extraction
-        *current.counters.get_mut("extract.documents").unwrap() = 1100;
-        let text = current.diff(&baseline);
-        assert!(text.contains("2.00x"), "{text}");
-        assert!(text.contains("1000 -> 1100 (+100)"), "{text}");
-    }
-
-    #[test]
-    fn diff_refuses_unknown_versions() {
-        let baseline = sample();
-        let mut current = sample();
-        current.version = REPORT_VERSION + 1;
-        assert!(current.diff(&baseline).contains("schema mismatch"));
-        current.version = 0;
-        assert!(current.diff(&baseline).contains("schema mismatch"));
-    }
-
-    /// A v1 report as written by the previous schema: no fault fields.
-    fn v1_json() -> String {
-        let mut value = serde_json::to_value(sample()).unwrap();
-        let serde_json::Value::Object(ref mut fields) = value else {
-            panic!("report serializes as an object");
-        };
-        fields.insert("version".to_owned(), serde_json::to_value(1u32).unwrap());
-        for v2_field in ["coverage", "retries", "quarantined_shards"] {
-            fields.remove(v2_field);
-        }
-        serde_json::to_string_pretty(&value).unwrap()
-    }
-
-    #[test]
-    fn v1_report_parses_with_defaulted_fault_fields() {
-        let json = v1_json();
-        assert!(!json.contains("coverage"), "fixture still has v2 fields");
-        let report = RunReport::from_json(&json).unwrap();
-        assert_eq!(report.version, 1);
-        assert_eq!(report.coverage, None);
-        assert_eq!(report.retries, 0);
-        assert!(report.quarantined_shards.is_empty());
-    }
-
-    #[test]
-    fn v2_report_diffs_against_v1_baseline() {
-        let baseline = RunReport::from_json(&v1_json()).unwrap();
-        let mut current = sample();
-        current.coverage = Some(0.875);
-        current.retries = 3;
-        current.quarantined_shards = vec![2, 5];
-        let text = current.diff(&baseline);
-        assert!(text.contains("comparing schema v2 against v1"), "{text}");
-        assert!(text.contains("phase comparison"), "{text}");
-        assert!(text.contains("coverage - -> 0.875"), "{text}");
-    }
-
-    #[test]
     fn fault_summary_round_trips_and_renders() {
         let reg = MetricsRegistry::new();
         reg.record_phase("extract", Duration::from_millis(10), 100);
@@ -397,8 +229,10 @@ mod tests {
         assert_eq!(report.coverage, Some(0.75));
         assert_eq!(report.retries, 4);
         assert_eq!(report.quarantined_shards, vec![1, 3]);
-        let back = RunReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back, report);
+        let json: serde_json::Value = serde_json::from_str(&report.to_json()).unwrap();
+        assert_eq!(json["coverage"].as_f64(), Some(0.75));
+        assert_eq!(json["retries"].as_u64(), Some(4));
+        assert_eq!(json["quarantined_shards"], serde_json::json!([1, 3]));
         let text = report.render();
         assert!(text.contains("fault tolerance:"), "{text}");
         assert!(text.contains("quarantined shards = [1, 3]"), "{text}");

@@ -8,7 +8,7 @@
 //! sorting EM groups, the JSON diverges between insertion orders and these
 //! tests fail.
 
-use surveyor_obs::{EmGroupReport, MetricsRegistry, RunReport};
+use surveyor_obs::{EmGroupReport, MetricsRegistry};
 
 fn em_group(type_name: &str, property: &str, entities: u64) -> EmGroupReport {
     EmGroupReport {
@@ -63,37 +63,15 @@ fn report_json_is_independent_of_registration_order() {
 }
 
 #[test]
-fn report_diff_is_stable_across_insertion_orders() {
-    let names = ["alpha", "beta", "gamma"];
-    let groups = [("city", "safe", 5)];
-    let current = populate(&names, &groups);
-    // Perturb one counter so the diff has content to render.
-    current.add("counter.beta", 3);
-    let current = current.report();
-
-    let mut rev = names;
-    rev.reverse();
-    let baseline = populate(&rev, &groups).report();
-
-    let diff = current.diff(&baseline);
-    assert!(
-        diff.contains("counter.beta"),
-        "diff should report the perturbed counter:\n{diff}"
-    );
-    // Diffing in both registration orders yields byte-identical text.
-    let baseline_fwd = populate(&names, &groups).report();
-    assert_eq!(diff, current.diff(&baseline_fwd));
-}
-
-#[test]
 fn report_round_trips_through_json_in_sorted_order() {
     let reg = populate(&["zulu", "alpha", "mike"], &[("animal", "cute", 3)]);
-    let report = reg.report();
-    let restored = RunReport::from_json(&report.to_json()).expect("round trip");
-    assert_eq!(report, restored);
-    // Counter keys come back sorted — BTreeMap order, not insertion order.
-    let keys: Vec<&String> = report.counters.keys().collect();
-    let mut sorted = keys.clone();
-    sorted.sort();
-    assert_eq!(keys, sorted);
+    let json = reg.report().to_json();
+    // Counter keys are written sorted — BTreeMap order, not insertion order.
+    let at = |key: &str| {
+        json.find(key)
+            .unwrap_or_else(|| panic!("{key} missing:\n{json}"))
+    };
+    let keys = ["counter.alpha", "counter.mike", "counter.zulu"];
+    let positions: Vec<usize> = keys.iter().map(|key| at(key)).collect();
+    assert!(positions.is_sorted(), "{keys:?} out of order:\n{json}");
 }

@@ -58,6 +58,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use surveyor_obs::MetricsRegistry;
 
+/// `Retry-After` seconds on shed responses.
+const RETRY_AFTER_SECONDS: u32 = 1;
+
 /// Tunable knobs. The defaults suit tests and the smoke gate; the CLI
 /// exposes the ones operators care about.
 #[derive(Debug, Clone)]
@@ -71,8 +74,6 @@ pub struct ServerConfig {
     /// Per-request budget, stamped at accept for a connection's first
     /// request; also how long a kept connection may sit idle.
     pub request_budget: Duration,
-    /// `Retry-After` seconds on shed responses.
-    pub retry_after_seconds: u32,
     /// Enables `/ctl/panic` and `/ctl/stall` (tests and chaos benches).
     pub debug_routes: bool,
 }
@@ -84,7 +85,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_capacity: 64,
             request_budget: Duration::from_secs(2),
-            retry_after_seconds: 1,
             debug_routes: false,
         }
     }
@@ -270,10 +270,9 @@ pub fn start(
         let metrics = metrics.clone();
         let signal = signal.clone();
         let budget = config.request_budget;
-        let retry_after = config.retry_after_seconds;
         std::thread::Builder::new()
             .name("serve-accept".to_owned())
-            .spawn(move || accept_loop(&listener, &queue, &metrics, &signal, budget, retry_after))?
+            .spawn(move || accept_loop(&listener, &queue, &metrics, &signal, budget))?
     };
 
     Ok(ServerHandle {
@@ -292,7 +291,6 @@ fn accept_loop(
     metrics: &ServerMetrics,
     signal: &ShutdownSignal,
     budget: Duration,
-    retry_after: u32,
 ) {
     loop {
         match listener.accept() {
@@ -326,7 +324,7 @@ fn accept_loop(
                     let _ = stream.set_read_timeout(Some(Duration::from_millis(2)));
                     let mut scratch = [0u8; 4096];
                     let _ = std::io::Read::read(&mut stream, &mut scratch);
-                    let response = Response::shed(retry_after);
+                    let response = Response::shed(RETRY_AFTER_SECONDS);
                     if response.write_to(&mut stream, &deadline, false).is_ok() {
                         metrics.count_response(response.status);
                     }

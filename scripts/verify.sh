@@ -5,6 +5,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The committed Cargo.lock is current: a change to a path crate's
+# dependencies lands with its lock file, or every unlocked build quietly
+# rewrites it. The ledger's and the lint fixture's lock files are not
+# committed (.gitignore): each fresh checkout resolves its own.
+cargo metadata --locked --offline --format-version 1 > /dev/null \
+    || { echo "Cargo.lock is out of date" >&2; exit 1; }
+
 cargo build --release
 cargo test -q
 # Tests, examples and the bench read the clock and name HashMap freely;

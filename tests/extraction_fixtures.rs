@@ -167,15 +167,16 @@ fn the_early_out_skips_only_fixtures_that_expect_nothing() {
     // every pattern on every sentence: a sentence the early-out now skips
     // (no mention, or no adjective) must be one of the empty ones, and
     // some empty ones must still go through the patterns.
-    use surveyor::extract::{extract_sentence_counted, PatternCounts};
+    use surveyor::extract::{extract_sentence_into, ExtractContext, PatternCounts};
     let kb = kb();
     let lexicon = Lexicon::new();
     let config = ExtractionConfig::paper_final();
+    let (mut cx, mut statements) = (ExtractContext::new(), Vec::new());
     let (mut skipped, mut empty) = (0, 0);
     for (sentence, expectation) in FIXTURES {
         let mut counts = PatternCounts::default();
         for s in &annotate(0, sentence, &kb, &lexicon).sentences {
-            extract_sentence_counted(s, &kb, &config, &mut counts);
+            extract_sentence_into(s, &kb, &config, &mut counts, &mut cx, &mut statements);
         }
         assert!(
             counts.skipped == 0 || expectation.is_empty(),

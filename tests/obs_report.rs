@@ -3,7 +3,7 @@
 //! and EM telemetry — without changing the pipeline's output.
 
 use std::sync::Arc;
-use surveyor::obs::{MetricsRegistry, RunReport, REPORT_VERSION};
+use surveyor::obs::{MetricsRegistry, REPORT_VERSION};
 use surveyor::prelude::*;
 use surveyor::CorpusSource;
 
@@ -137,13 +137,21 @@ fn report_covers_all_phases_and_round_trips() {
         "{pairs} distinct pairs over {entities} entities"
     );
 
-    // The JSON artifact round-trips through the versioned schema.
-    let json = report.to_json();
-    let parsed = RunReport::from_json(&json).expect("report JSON parses");
-    assert_eq!(parsed.version, report.version);
-    assert_eq!(parsed.phases.len(), report.phases.len());
-    assert_eq!(parsed.counters, report.counters);
-    assert_eq!(parsed.em_groups.len(), report.em_groups.len());
+    // The JSON artifact carries the versioned schema's contents.
+    let json: serde_json::Value = serde_json::from_str(&report.to_json()).expect("report JSON");
+    assert_eq!(json["version"].as_u64(), Some(u64::from(report.version)));
+    assert_eq!(
+        json["phases"].as_array().unwrap().len(),
+        report.phases.len()
+    );
+    assert_eq!(
+        json["counters"],
+        serde_json::to_value(&report.counters).unwrap()
+    );
+    assert_eq!(
+        json["em_groups"].as_array().unwrap().len(),
+        report.em_groups.len()
+    );
 
     // And renders a human table naming every phase.
     let table = report.render();
