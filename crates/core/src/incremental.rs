@@ -7,10 +7,10 @@
 //!
 //! 1. Extraction runs only over the delta shards, through the existing
 //!    parallel fault-tolerant runner.
-//! 2. Evidence, provenance, and grouped tables merge by sorted
-//!    `(entity, property)` / `(type, property)` key. Every merge is
-//!    commutative, so the merged state equals a from-scratch mine of the
-//!    concatenated corpus.
+//! 2. The evidence and provenance tables merge by `(entity, property)`
+//!    key. Every merge is commutative, so the merged tables equal a
+//!    from-scratch mine's of the concatenated corpus, and grouping them by
+//!    `(type, property)`, once, as a mine does, gives a mine's groups.
 //! 3. Only combinations the delta touched ("dirty" groups) are re-fitted
 //!    and re-decided. An untouched group's counts did not change, and EM
 //!    is a pure function of the counts — so its previous [`DomainResult`]
@@ -166,22 +166,27 @@ impl Surveyor {
             return (base, stats);
         }
 
-        // Group the delta alone first: its keys are exactly the dirty set.
-        let delta_grouped = self.group(&delta.evidence);
-        let dirty: FxHashSet<GroupKey> = delta_grouped.iter().map(|(key, _)| *key).collect();
+        // The dirty set: the combination of every pair the delta counts.
+        let kb = self.kb();
+        let dirty: FxHashSet<GroupKey> = (delta.evidence.iter())
+            .map(|(&(entity, property), _)| GroupKey {
+                type_id: kb.entity(entity).notable_type(),
+                property,
+            })
+            .collect();
 
-        // Merge the three tables; every merge is commutative, so the
-        // result equals from-scratch extraction over base ∪ delta.
+        // Merge the two tables; both merges are commutative, so the result
+        // equals from-scratch extraction over base ∪ delta, and so does
+        // its grouping.
         let SurveyorOutput {
             mut evidence,
             mut provenance,
-            mut grouped,
             results,
             ..
         } = base;
         evidence.merge(delta.evidence);
         provenance.merge(delta.provenance);
-        grouped.merge(delta_grouped);
+        let grouped = self.group(&evidence);
 
         let mut previous: FxHashMap<GroupKey, DomainResult> =
             results.into_iter().map(|r| (r.key, r)).collect();
@@ -222,7 +227,7 @@ impl Surveyor {
             .collect();
         debug_assert_eq!(results.len(), stats.groups_total);
 
-        let output = self.assemble(evidence, provenance, grouped, results);
+        let output = self.assemble(evidence, provenance, results);
         (output, stats)
     }
 }

@@ -86,7 +86,7 @@ pub(crate) type FitTask<'a> = (GroupKey, &'a Group);
 /// `entities` is the type's entity list (`kb.entities_of_type`, ascending),
 /// where a binary search finds each mentioned entity's position; every
 /// other entity holds the `(0, 0)` pair. `mentioned` is scratch.
-pub(crate) fn count_table(
+fn count_table(
     entities: &[EntityId],
     group: &Group,
     mentioned: &mut Vec<(u32, ObservedCounts)>,
@@ -107,8 +107,6 @@ pub struct SurveyorOutput {
     /// Supporting-document samples per pair (empty when the output was
     /// built from pre-extracted evidence).
     pub provenance: ProvenanceTable,
-    /// Evidence grouped by (type, property).
-    pub grouped: GroupedEvidence,
     /// One result per combination above the threshold.
     pub results: Vec<DomainResult>,
     /// `(type, property)` → rank in `results`. A pair's decision is that
@@ -131,7 +129,6 @@ impl SurveyorOutput {
     pub(crate) fn from_parts(
         evidence: EvidenceTable,
         provenance: ProvenanceTable,
-        grouped: GroupedEvidence,
         results: Vec<DomainResult>,
         kb: Arc<KnowledgeBase>,
     ) -> Self {
@@ -148,7 +145,6 @@ impl SurveyorOutput {
         Self {
             evidence,
             provenance,
-            grouped,
             results,
             groups,
             kb,
@@ -343,7 +339,8 @@ impl Surveyor {
 
     /// Runs the interpretation phase on pre-extracted evidence (Algorithm 1
     /// lines 5–12). Useful when the same evidence is interpreted under
-    /// several model configurations.
+    /// several model configurations. The grouping picks and feeds the
+    /// combinations to fit, and is dropped once they are fitted.
     pub fn run_on_evidence(&self, evidence: EvidenceTable) -> SurveyorOutput {
         let grouped = self.group(&evidence);
         let tasks: Vec<FitTask<'_>> = grouped
@@ -351,7 +348,7 @@ impl Surveyor {
             .map(|(key, group)| (*key, group))
             .collect();
         let results = self.fit_groups(&tasks);
-        self.assemble(evidence, ProvenanceTable::default(), grouped, results)
+        self.assemble(evidence, ProvenanceTable::default(), results)
     }
 
     /// Groups an evidence table by (type, property) under the `group`
@@ -446,14 +443,13 @@ impl Surveyor {
         &self,
         evidence: EvidenceTable,
         provenance: ProvenanceTable,
-        grouped: GroupedEvidence,
         results: Vec<DomainResult>,
     ) -> SurveyorOutput {
         let mut span = self.obs.as_deref().map(|obs| obs.span("index"));
         if let Some(span) = span.as_mut() {
             span.set_items(results.iter().map(|r| r.decisions.len() as u64).sum());
         }
-        SurveyorOutput::from_parts(evidence, provenance, grouped, results, self.kb.clone())
+        SurveyorOutput::from_parts(evidence, provenance, results, self.kb.clone())
     }
 
     /// Feeds one combination's EM fit into the registry: the iteration

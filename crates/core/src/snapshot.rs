@@ -27,9 +27,11 @@
 //! Loading is one checked walk (`Walk`) feeding one of two sinks: the
 //! pipeline output ([`load_snapshot`], [`load_snapshot_with_state`],
 //! [`output_from_snapshot`]) or the queryable store the server serves
-//! ([`load_store`], which builds no knowledge base and no tables). Every
-//! `Corrupt` rule lives in the walk, once, ahead of both sinks and
-//! whichever form the snapshot arrived in, and so does the derivation:
+//! ([`load_store`], which builds no knowledge base and no tables, and
+//! [`SubjectiveKb::from_output`], which walks a mined output as a save
+//! would lay it out). Every `Corrupt` rule lives in the walk, once, ahead
+//! of both sinks and whichever form the snapshot arrived in — bytes, an
+//! owned [`Snapshot`] or an output — and so does the derivation:
 //! the walk hands each sink a modelled group's count table and fit, so
 //! the loaders cannot disagree on what they accept or on what they decide.
 
@@ -38,7 +40,7 @@ use crate::store::{StoreSink, SubjectiveKb};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
-use surveyor_extract::{EvidenceCounts, EvidenceTable, GroupKey, GroupedEvidence, ProvenanceTable};
+use surveyor_extract::{EvidenceCounts, EvidenceTable, GroupKey, ProvenanceTable};
 use surveyor_kb::{EntityId, KnowledgeBaseBuilder, Property, PropertyId, TypeId};
 use surveyor_model::{ConvergenceReason, CountTable, EmFit, ModelParams, ObservedCounts};
 use surveyor_wire::{
@@ -73,8 +75,9 @@ impl From<WireError> for SnapshotError {
 }
 
 /// A pipeline output laid out for the snapshot writer: the one
-/// preparation behind both the bytes ([`save_snapshot`]) and the owned
-/// export ([`snapshot_output`]), so the two cannot drift apart.
+/// preparation behind the bytes ([`save_snapshot`]), the owned export
+/// ([`snapshot_output`]) and the store of a mine
+/// ([`SubjectiveKb::from_output`]), so the three cannot drift apart.
 ///
 /// Rows stay in id space: each distinct property is resolved once to
 /// build the snapshot-local table, and every row and model row then
@@ -85,7 +88,7 @@ impl From<WireError> for SnapshotError {
 /// A row is an evidence pair with its document sample joined on: a
 /// sample whose pair has no evidence is not written (no writer makes
 /// one — every recorded document comes with a counted statement).
-struct Flattened<'a> {
+pub(crate) struct Flattened<'a> {
     output: &'a SurveyorOutput,
     state: Option<&'a IncrementalState>,
     /// The property table: every property a row or a result refers to,
@@ -99,7 +102,7 @@ struct Flattened<'a> {
 }
 
 impl<'a> Flattened<'a> {
-    fn new(output: &'a SurveyorOutput, state: Option<&'a IncrementalState>) -> Self {
+    pub(crate) fn new(output: &'a SurveyorOutput, state: Option<&'a IncrementalState>) -> Self {
         const UNSEEN: u32 = u32::MAX;
         let mut rank_of: Vec<u32> = Vec::new();
         let mut table: Vec<(Property, PropertyId)> = Vec::new();
@@ -315,8 +318,8 @@ fn ascending<K: PartialOrd + Copy>(
     Ok(())
 }
 
-/// One pass over a snapshot — taken record by record from either an owned
-/// [`Snapshot`] or a [`SnapshotReader`] — that checks every
+/// One pass over a snapshot — taken record by record from a
+/// [`SnapshotSource`] in memory or a [`SnapshotReader`] — that checks every
 /// cross-reference rule of the format, derives each modelled group's
 /// count table, and feeds what passed to a [`Sink`]. Every `Corrupt` rule
 /// lives here, once, whichever form the snapshot arrived in and whatever
@@ -691,35 +694,37 @@ impl Sink for OutputSink {
 
     fn finish(self) -> SurveyorOutput {
         let kb = Arc::new(self.builder.build());
-        let grouped = GroupedEvidence::from_table(&self.evidence, &kb);
-        SurveyorOutput::from_parts(self.evidence, self.provenance, grouped, self.results, kb)
+        SurveyorOutput::from_parts(self.evidence, self.provenance, self.results, kb)
     }
 }
 
-/// Feeds an owned snapshot through [`Walk`] into `sink`.
-fn walk_snapshot<S: Sink>(snapshot: &Snapshot, sink: S) -> Result<S::Output, SnapshotError> {
+/// Feeds a snapshot held in memory — an owned [`Snapshot`], or a
+/// pipeline output laid out for the writer — through [`Walk`] into
+/// `sink`, record by record in section order.
+pub(crate) fn walk_snapshot<S: Sink>(
+    source: &impl SnapshotSource,
+    sink: S,
+) -> Result<S::Output, SnapshotError> {
     fn strs(strings: &[String]) -> Vec<&str> {
         strings.iter().map(String::as_str).collect()
     }
     let mut walk = Walk::new(sink);
-    for p in &snapshot.properties {
-        walk.property(&strs(&p.adverbs), &p.adjective)?;
+    for (adverbs, adjective) in source.properties() {
+        walk.property(&strs(adverbs), adjective)?;
     }
-    for t in &snapshot.types {
-        walk.entity_type(&t.name, &strs(&t.head_nouns), &strs(&t.context_cues))?;
+    for (name, head_nouns, context_cues) in source.types() {
+        walk.entity_type(name, &strs(head_nouns), &strs(context_cues))?;
     }
-    for e in &snapshot.entities {
-        let attributes: Vec<(&str, f64)> =
-            (e.attributes.iter().map(|(k, v)| (k.as_str(), *v))).collect();
-        walk.entity(&e.name, e.type_index, &strs(&e.aliases), &attributes)?;
+    for (name, aliases, type_index, attributes) in source.entities() {
+        let attributes: Vec<(&str, f64)> = attributes.collect();
+        walk.entity(name, type_index, &strs(aliases), &attributes)?;
     }
     walk.rows(Rows {
-        sample_size: snapshot.sample_size,
-        rows_len: snapshot.rows.len(),
-        rows: (snapshot.rows.iter())
-            .map(|row| Ok((row.evidence(), row.documents.iter().copied().map(Ok)))),
-        models_len: snapshot.models.len(),
-        models: snapshot.models.iter().cloned().map(Ok),
+        sample_size: source.sample_size(),
+        rows_len: source.rows().len(),
+        rows: (source.rows()).map(|(row, documents)| Ok((row, documents.iter().copied().map(Ok)))),
+        models_len: source.models().len(),
+        models: source.models().map(Ok),
     })
 }
 

@@ -27,26 +27,26 @@
 //!                 rows by entity name — `entity_index.rs`)
 //! ```
 //!
-//! One builder fills the columns, `StoreSink`, fed either by the
-//! snapshot walk ([`crate::load_store`]: bytes, without the pipeline
-//! output in between) or by [`SubjectiveKb::from_output`] (a mine). The
-//! group of a row is its `EntityId`. Lookups hand out [`BlockRef`] /
-//! [`OpinionRef`] views assembled from the columns on the spot;
-//! [`CombinationBlock`] / [`StoredOpinion`] are the owned *export* shape —
-//! what [`SubjectiveKb::blocks`] and the JSON form are made of.
+//! One builder fills the columns, `StoreSink`, fed by the one snapshot
+//! walk: over bytes ([`crate::load_store`], without the pipeline output in
+//! between) or over a mine's output laid out for the writer
+//! ([`SubjectiveKb::from_output`]). The group of a row is its `EntityId`.
+//! Lookups hand out [`BlockRef`] / [`OpinionRef`] views assembled from
+//! the columns on the spot; [`CombinationBlock`] / [`StoredOpinion`] are
+//! the owned *export* shape — what [`SubjectiveKb::blocks`] and the JSON
+//! form are made of.
 
 use serde::Serialize;
 use std::cmp::Ordering;
 use std::mem::size_of;
 use std::sync::Arc;
-use surveyor_extract::evidence::Group;
 use surveyor_extract::EvidenceCounts;
-use surveyor_kb::{EntityId, KnowledgeBase, Property, PropertyId, TypeId};
+use surveyor_kb::{EntityId, KnowledgeBase, Property, TypeId};
 use surveyor_model::{CountTable, Decision, ModelDecision};
 
 use crate::entity_index::{EntityIndex, Names};
-use crate::pipeline::{count_table, SurveyorOutput};
-use crate::snapshot::{Declared, ModelledGroup, PropertyRef, Sink};
+use crate::pipeline::SurveyorOutput;
+use crate::snapshot::{walk_snapshot, Declared, Flattened, ModelledGroup, PropertyRef, Sink};
 
 /// One stored association, owned — the export shape of an [`OpinionRef`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -492,46 +492,22 @@ impl PairRanking {
 type Position = (u32, u32);
 
 impl SubjectiveKb {
-    /// Materializes pipeline output into a store: the output fed to the
-    /// builder a snapshot load feeds, in the order the walk would — the
-    /// evidence pairs sorted by (entity, property), each with its document
-    /// sample, then the groups as they are. Properties are keyed by their
-    /// interned id here, where a load keys them by their rank in the
-    /// snapshot's property table.
-    pub fn from_output(output: &SurveyorOutput, kb: &Arc<KnowledgeBase>) -> Self {
-        let mut sink = StoreSink::default();
-        for entity_type in kb.types() {
-            sink.entity_type(entity_type.name(), &[], &[]);
-        }
-        for entity in kb.entities() {
-            sink.entity(entity.name(), entity.notable_type().0, &[], &[]);
-        }
-        sink.begin_rows(Declared {
-            rows: output.evidence.pair_count(),
-            sample_size: output.provenance.sample_size(),
-            results: output.results.len(),
-        });
-        let by_id = |id: PropertyId| PropertyRef { rank: id.0, id };
-        let mut pairs: Vec<_> = output.evidence.iter().collect();
-        pairs.sort_unstable_by_key(|&(&(entity, property), _)| (entity, property.0));
-        for (&(entity, property), &counts) in pairs {
-            let documents = output.provenance.documents_id(entity, property);
-            sink.row(entity, by_id(property), counts, documents);
-        }
-        let (mut mentioned, silent) = (Vec::new(), Group::default());
-        for result in &output.results {
-            let key = result.key;
-            let entities = kb.entities_of_type(key.type_id);
-            let evidence = output.grouped.group(&key).unwrap_or(&silent);
-            let group = ModelledGroup {
-                key,
-                fit: &result.fit,
-                entities,
-                table: &count_table(entities, evidence, &mut mentioned),
-            };
-            sink.group(by_id(key.property), &group);
-        }
-        sink.finish()
+    /// Materializes pipeline output into a store: the output laid out as
+    /// [`crate::save_snapshot`] writes it, walked into the builder
+    /// [`crate::load_store`] fills — the same checked walk, so the store is
+    /// the one a save and a load of `output` serve. The knowledge base is
+    /// the output's own ([`SurveyorOutput::kb`]); `_kb`, the one it was
+    /// decided over, is the same one.
+    pub fn from_output(output: &SurveyorOutput, _kb: &Arc<KnowledgeBase>) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "a saved output loads: save → load is pinned by \
+                      `snapshot::tests::save_load_round_trips_the_whole_world`, \
+                      `store::differential::bytes_match_output_*` and \
+                      `tests/snapshot_roundtrip.rs::snapshots_round_trip_*`"
+        )]
+        walk_snapshot(&Flattened::new(output, None), StoreSink::default())
+            .expect("a pipeline output passes the snapshot walk")
     }
 
     /// All stored combinations, as owned copies — the export; use
@@ -787,12 +763,13 @@ impl SubjectiveKb {
 }
 
 /// The builder behind every store: fills the columns from a snapshot's
-/// sections as the walk checks them ([`crate::load_store`]), or from a
-/// mine's output ([`SubjectiveKb::from_output`]). Provenance samples stay
-/// where they arrive, in the store's document arena; the modelled groups
-/// that refer to them follow, each with its count table. Nothing else of
-/// the snapshot — the knowledge base's surface forms, attributes, the
-/// tables — is built.
+/// sections as the walk checks them, whether the walk reads bytes
+/// ([`crate::load_store`]) or a mine's output
+/// ([`SubjectiveKb::from_output`]). Provenance samples stay where they
+/// arrive, in the store's document arena; the modelled groups that refer
+/// to them follow, each with its count table. Nothing else of the
+/// snapshot — the knowledge base's surface forms, attributes, the tables
+/// — is built.
 #[derive(Default)]
 pub(crate) struct StoreSink {
     columns: Columns,
@@ -1237,7 +1214,7 @@ mod differential {
     use surveyor_corpus::{presets, CorpusConfig, CorpusGenerator, World};
     use surveyor_extract::GroupKey;
     use surveyor_extract::{EvidenceTable, ProvenanceTable};
-    use surveyor_kb::KnowledgeBaseBuilder;
+    use surveyor_kb::{KnowledgeBaseBuilder, PropertyId};
     use surveyor_model::{ConvergenceReason, EmFit, ModelParams, ObservedCounts};
     use surveyor_wire::IncrementalState;
 

@@ -55,16 +55,16 @@ pub struct CorpusConfig {
     pub num_shards: usize,
     /// Author regions (defaults to one global region).
     pub regions: Vec<RegionSpec>,
-    /// Mean sentences per document (geometric distribution, min 1).
-    pub mean_sentences_per_document: f64,
 }
+
+/// Mean sentences per document (geometric distribution, min 1).
+const MEAN_SENTENCES_PER_DOCUMENT: f64 = 2.0;
 
 impl Default for CorpusConfig {
     fn default() -> Self {
         Self {
             num_shards: 8,
             regions: vec![RegionSpec::global()],
-            mean_sentences_per_document: 2.0,
         }
     }
 }
@@ -352,8 +352,7 @@ impl CorpusGenerator {
         // identical to the old owned-`String` shuffle.
         let mut documents = Vec::new();
         let mut seq: u64 = 0;
-        let mean_len = self.config.mean_sentences_per_document.max(1.0);
-        let continue_prob = 1.0 - 1.0 / mean_len;
+        let continue_prob = 1.0 - 1.0 / MEAN_SENTENCES_PER_DOCUMENT;
         for (ri, buf) in scratch
             .regions
             .iter_mut()

@@ -13,6 +13,7 @@ use serde::Serialize;
 use surveyor::prelude::*;
 use surveyor::{CorpusSource, SurveyorOutput};
 use surveyor_corpus::{CorpusGenerator, World};
+use surveyor_extract::GroupedEvidence;
 use surveyor_kb::{EntityId, KnowledgeBase, Property};
 use surveyor_model::{fit, posterior_positive, ModelParams, ObservedCounts};
 
@@ -55,8 +56,7 @@ fn combination_counts(
     kb: &KnowledgeBase,
     rho: u64,
 ) -> Vec<(surveyor_kb::TypeId, Property, Vec<ObservedCounts>)> {
-    output
-        .grouped
+    GroupedEvidence::from_table(&output.evidence, kb)
         .above_threshold(rho)
         .map(|(key, group)| {
             let counts: Vec<ObservedCounts> = kb

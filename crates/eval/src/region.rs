@@ -54,7 +54,6 @@ pub fn run_region_experiment(
                 opinion_flip: flip_probability,
             },
         ],
-        ..CorpusConfig::default()
     };
     let generator = CorpusGenerator::new(world.clone(), config);
     let kb = world.kb().clone();

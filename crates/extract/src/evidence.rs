@@ -277,11 +277,6 @@ impl Group {
         self.total
     }
 
-    /// Number of entities with at least one statement.
-    pub fn mentioned_entities(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Iterates over mentioned entities.
     pub fn iter(&self) -> impl Iterator<Item = (&EntityId, &EvidenceCounts)> {
         self.counts.iter()
@@ -289,13 +284,12 @@ impl Group {
 }
 
 /// Evidence grouped by (type, property), deterministic iteration order.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupedEvidence {
     /// Sorted by `(type_id, resolved property)` — the same order the old
     /// `BTreeMap<GroupKey, Group>` produced, independent of property-id
     /// discovery order.
     groups: Vec<(GroupKey, Group)>,
-    index: FxHashMap<GroupKey, usize>,
 }
 
 impl GroupedEvidence {
@@ -319,12 +313,7 @@ impl GroupedEvidence {
         // Ids reflect discovery order; resolve once per combination and sort
         // on the property itself for cross-run determinism.
         groups.sort_by_cached_key(|(key, _)| (key.type_id, key.property.resolve()));
-        let index = groups
-            .iter()
-            .enumerate()
-            .map(|(i, (key, _))| (*key, i))
-            .collect();
-        Self { groups, index }
+        Self { groups }
     }
 
     /// Number of distinct (type, property) combinations.
@@ -337,11 +326,6 @@ impl GroupedEvidence {
         self.groups.is_empty()
     }
 
-    /// The group for a combination, if any evidence exists.
-    pub fn group(&self, key: &GroupKey) -> Option<&Group> {
-        self.index.get(key).map(|&i| &self.groups[i].1)
-    }
-
     /// Iterates over all combinations in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (&GroupKey, &Group)> {
         self.groups.iter().map(|(key, group)| (key, group))
@@ -351,68 +335,6 @@ impl GroupedEvidence {
     /// occurrence threshold `rho` (Algorithm 1 line 5).
     pub fn above_threshold(&self, rho: u64) -> impl Iterator<Item = (&GroupKey, &Group)> {
         self.iter().filter(move |(_, g)| g.total >= rho)
-    }
-
-    /// Merges a delta's groups into this table — the grouped-table half of
-    /// incremental ingestion.
-    ///
-    /// Both sides hold their groups sorted by `(type_id, resolved
-    /// property)` (the [`from_table`](Self::from_table) order), so this is a
-    /// linear two-pointer merge: each side's sort key is resolved once per
-    /// group, groups present on both sides merge their per-entity
-    /// counters, and the result needs no re-sort. Equivalent to grouping
-    /// the concatenated evidence from scratch:
-    /// `a.merge(b) == from_table(a_table ∪ b_table)` (the vendored
-    /// proptest suite pins exactly that).
-    pub fn merge(&mut self, delta: GroupedEvidence) {
-        if delta.groups.is_empty() {
-            return;
-        }
-        if self.groups.is_empty() {
-            *self = delta;
-            return;
-        }
-        // Resolve each key once; ids are process-local, the resolved
-        // property is the deterministic sort key both sides share.
-        let resolve = |groups: Vec<(GroupKey, Group)>| {
-            groups
-                .into_iter()
-                .map(|(key, group)| ((key.type_id, key.property.resolve()), key, group))
-                .collect::<Vec<_>>()
-        };
-        let left = resolve(std::mem::take(&mut self.groups));
-        let right = resolve(delta.groups);
-        let mut merged: Vec<(GroupKey, Group)> = Vec::with_capacity(left.len() + right.len());
-        let mut left = left.into_iter().peekable();
-        let mut right = right.into_iter().peekable();
-        // Take the smaller head; on a tie the left one, and the right one
-        // with the same combination folds into it below.
-        while let Some((sort_key, key, mut group)) = match right.peek() {
-            Some((b, ..)) => left.next_if(|(a, ..)| a <= b),
-            None => left.next(),
-        }
-        .or_else(|| right.next())
-        {
-            // Same combination on both sides: fold the delta's per-entity
-            // counters into the base group.
-            if let Some((_, _, addition)) = right.next_if(|(b, ..)| *b == sort_key) {
-                #[expect(
-                    clippy::iter_over_hash_type,
-                    reason = "each entity's counters merge into its own slot, so the order cannot show"
-                )]
-                for (entity, counts) in addition.counts {
-                    group.counts.entry(entity).or_default().merge(counts);
-                }
-                group.total += addition.total;
-            }
-            merged.push((key, group));
-        }
-        self.index = merged
-            .iter()
-            .enumerate()
-            .map(|(i, (key, _))| (*key, i))
-            .collect();
-        self.groups = merged;
     }
 }
 
@@ -489,54 +411,11 @@ mod tests {
             type_id: animal,
             property: surveyor_kb::PropertyId::intern(&Property::adjective("cute")),
         };
-        let g = grouped.group(&key).unwrap();
+        let (_, g) = grouped.iter().find(|(k, _)| **k == key).unwrap();
         assert_eq!(g.total_statements(), 2);
-        assert_eq!(g.mentioned_entities(), 2);
+        assert_eq!(g.iter().count(), 2);
         assert_eq!(g.counts(EntityId(0)), EvidenceCounts::new(1, 0));
         assert_eq!(g.counts(EntityId(2)), EvidenceCounts::default());
-    }
-
-    #[test]
-    fn grouped_merge_matches_from_scratch_grouping() {
-        let kb = kb();
-        let mut base_table = EvidenceTable::new();
-        base_table.add(&stmt(0, "cute", Polarity::Positive));
-        base_table.add(&stmt(1, "cute", Polarity::Negative));
-        base_table.add(&stmt(2, "big", Polarity::Positive));
-        let mut delta_table = EvidenceTable::new();
-        delta_table.add(&stmt(0, "cute", Polarity::Positive)); // dirties animal × cute
-        delta_table.add(&stmt(1, "fierce", Polarity::Positive)); // new group
-        delta_table.add(&stmt(2, "big", Polarity::Negative)); // dirties city × big
-
-        let mut merged = GroupedEvidence::from_table(&base_table, &kb);
-        merged.merge(GroupedEvidence::from_table(&delta_table, &kb));
-
-        let mut combined = base_table.clone();
-        combined.merge(delta_table);
-        assert_eq!(merged, GroupedEvidence::from_table(&combined, &kb));
-        // The lookup index is rebuilt consistently.
-        let animal = kb.type_by_name("animal").unwrap();
-        let key = GroupKey {
-            type_id: animal,
-            property: surveyor_kb::PropertyId::intern(&Property::adjective("fierce")),
-        };
-        assert_eq!(merged.group(&key).unwrap().total_statements(), 1);
-    }
-
-    #[test]
-    fn grouped_merge_with_empty_sides_is_identity() {
-        let kb = kb();
-        let mut t = EvidenceTable::new();
-        t.add(&stmt(0, "cute", Polarity::Positive));
-        let grouped = GroupedEvidence::from_table(&t, &kb);
-
-        let mut left = grouped.clone();
-        left.merge(GroupedEvidence::default());
-        assert_eq!(left, grouped);
-
-        let mut empty = GroupedEvidence::default();
-        empty.merge(grouped.clone());
-        assert_eq!(empty, grouped);
     }
 
     #[test]

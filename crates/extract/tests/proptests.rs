@@ -1,11 +1,9 @@
 //! Property-based tests for the extraction pipeline: polarity parity under
-//! stacked negations, counter-merge algebra, grouped-table merge (the
-//! incremental-ingestion path), and version monotonicity.
+//! stacked negations, counter-merge algebra, and version monotonicity.
 
 use proptest::prelude::*;
 use surveyor_extract::{
-    extract_sentence, EvidenceTable, ExtractionConfig, GroupedEvidence, PatternVersion, Polarity,
-    Statement,
+    extract_sentence, EvidenceTable, ExtractionConfig, PatternVersion, Polarity, Statement,
 };
 use surveyor_kb::{EntityId, KnowledgeBaseBuilder, Property};
 use surveyor_nlp::{annotate, Lexicon};
@@ -121,128 +119,5 @@ proptest! {
         for s in &v4 {
             prop_assert!(v2.contains(s), "v2 missing {s:?} for: {sentence}");
         }
-    }
-}
-
-/// A knowledge base with entities across two types, so grouping by
-/// `(notable type, resolved property)` is actually exercised.
-fn grouping_kb() -> surveyor_kb::KnowledgeBase {
-    let mut b = KnowledgeBaseBuilder::new();
-    let animal = b.add_type("animal", &["animal"], &[]);
-    let city = b.add_type("city", &["city"], &[]);
-    for name in ["Snake", "Kitten", "Tiger"] {
-        b.add_entity(name, animal).finish();
-    }
-    for name in ["Arlen", "Bedrock", "Quahog"] {
-        b.add_entity(name, city).finish();
-    }
-    b.build()
-}
-
-/// Statements over the six `grouping_kb` entities and four properties —
-/// enough collisions that merged groups fold per-entity counters, not
-/// just concatenate groups.
-fn grouping_statement_strategy() -> impl Strategy<Value = Statement> {
-    (
-        0u32..6,
-        prop_oneof![
-            Just("big".to_owned()),
-            Just("cute".to_owned()),
-            Just("very big".to_owned()),
-            Just("dangerous".to_owned())
-        ],
-        prop::bool::ANY,
-    )
-        .prop_map(|(e, p, pos)| {
-            Statement::new(
-                EntityId(e),
-                &Property::parse(&p).unwrap(),
-                if pos {
-                    Polarity::Positive
-                } else {
-                    Polarity::Negative
-                },
-            )
-        })
-}
-
-fn table_of(stmts: &[Statement]) -> EvidenceTable {
-    let mut t = EvidenceTable::new();
-    for s in stmts {
-        t.add(s);
-    }
-    t
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn grouped_merge_matches_from_scratch(
-        xs in prop::collection::vec(grouping_statement_strategy(), 0..60),
-        ys in prop::collection::vec(grouping_statement_strategy(), 0..60),
-    ) {
-        // The incremental-ingestion contract: merging a delta's grouped
-        // table into the base's equals grouping the concatenated
-        // evidence from scratch — `merge(g(a), g(b)) == g(a ++ b)`.
-        let kb = grouping_kb();
-        let (a, b) = (table_of(&xs), table_of(&ys));
-        let mut concatenated = a.clone();
-        concatenated.merge(b.clone());
-        let scratch = GroupedEvidence::from_table(&concatenated, &kb);
-
-        let mut merged = GroupedEvidence::from_table(&a, &kb);
-        merged.merge(GroupedEvidence::from_table(&b, &kb));
-        prop_assert_eq!(&merged, &scratch);
-
-        // Merge order must not matter either (delta-then-base).
-        let mut reversed = GroupedEvidence::from_table(&b, &kb);
-        reversed.merge(GroupedEvidence::from_table(&a, &kb));
-        prop_assert_eq!(&reversed, &scratch);
-    }
-
-    #[test]
-    fn grouped_merge_with_empty_delta_is_identity(
-        xs in prop::collection::vec(grouping_statement_strategy(), 0..60),
-    ) {
-        // An empty delta leaves the base untouched — the grouped-table
-        // face of "updating with nothing to ingest is a no-op" — and an
-        // empty base adopts the delta wholesale.
-        let kb = grouping_kb();
-        let base = GroupedEvidence::from_table(&table_of(&xs), &kb);
-        let empty = GroupedEvidence::from_table(&EvidenceTable::new(), &kb);
-
-        let mut merged = base.clone();
-        merged.merge(empty.clone());
-        prop_assert_eq!(&merged, &base);
-
-        let mut adopted = empty;
-        adopted.merge(base.clone());
-        prop_assert_eq!(&adopted, &base);
-    }
-
-    #[test]
-    fn grouped_merge_preserves_totals_and_threshold_sets(
-        xs in prop::collection::vec(grouping_statement_strategy(), 0..60),
-        ys in prop::collection::vec(grouping_statement_strategy(), 0..60),
-        rho in 1u64..30,
-    ) {
-        // Group totals are statement-count sums, so the merged table's
-        // above-ρ set is exactly the from-scratch set — the property the
-        // dirty-group re-decide logic leans on.
-        let kb = grouping_kb();
-        let (a, b) = (table_of(&xs), table_of(&ys));
-        let mut concatenated = a.clone();
-        concatenated.merge(b.clone());
-        let scratch = GroupedEvidence::from_table(&concatenated, &kb);
-        let mut merged = GroupedEvidence::from_table(&a, &kb);
-        merged.merge(GroupedEvidence::from_table(&b, &kb));
-
-        let keys = |g: &GroupedEvidence| {
-            g.above_threshold(rho).map(|(key, _)| *key).collect::<Vec<_>>()
-        };
-        prop_assert_eq!(keys(&merged), keys(&scratch));
-        let total = |g: &GroupedEvidence| g.iter().map(|(_, grp)| grp.total_statements()).sum::<u64>();
-        prop_assert_eq!(total(&merged), (xs.len() + ys.len()) as u64);
     }
 }

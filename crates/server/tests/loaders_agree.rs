@@ -5,24 +5,28 @@
 //! CRC-valid snapshots that are *semantically* hostile (written through
 //! `wire::encode`, so no checksum or framing rule stands in the way), and
 //! one-byte damage inside re-framed sections. What all three accept, the
-//! served store renders exactly as the store built from the loaded output.
+//! served store renders exactly as the store built from the loaded output;
+//! and an update's output, before any save, builds the store its saved
+//! bytes serve and a from-scratch mine builds.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use surveyor::extract::run_sharded_fault_tolerant;
 use surveyor::prelude::*;
 use surveyor::wire::{decode, encode, Fnv64, IncrementalState, ModelRow, PairRow, Snapshot};
 use surveyor::{
     diff_snapshots, load_snapshot, load_snapshot_with_state, load_store, save_snapshot,
     save_snapshot_with_state, snapshot_output, CorpusSource, SnapshotError, SubjectiveKb, Surveyor,
-    SurveyorConfig, SurveyorOutput,
+    SurveyorConfig, SurveyorOutput, WarmStart,
 };
 use surveyor_server::ServedState;
 
 /// Two types, adverb-graded properties, aliases and attributes, a
 /// combination below the threshold (so rows with counts and documents
-/// exist for pairs no group decides) — small, and every section populated.
-fn mined_output() -> SurveyorOutput {
+/// exist for pairs no group decides) — small, and every section populated:
+/// the pipeline and the generator of its eight shards.
+fn mining() -> (Surveyor, CorpusGenerator) {
     let mut b = KnowledgeBaseBuilder::new();
     let animal = b.add_type("animal", &["animal", "creature"], &["zoo"]);
     let city = b.add_type("city", &["city"], &[]);
@@ -63,7 +67,13 @@ fn mined_output() -> SurveyorOutput {
         threads: 2,
         ..Default::default()
     };
-    Surveyor::new(kb, config).run(&CorpusSource::new(&generator))
+    (Surveyor::new(kb, config), generator)
+}
+
+/// A mine of every shard of [`mining`]'s world.
+fn mined_output() -> SurveyorOutput {
+    let (surveyor, generator) = mining();
+    surveyor.run(&CorpusSource::new(&generator))
 }
 
 fn mined() -> Snapshot {
@@ -94,11 +104,35 @@ fn every_loader_derives_the_decisions_the_mine_made() {
     assert_eq!(bits(&load_snapshot(&bytes).unwrap()), bits(&output));
     assert_eq!(bits(&with_state), bits(&output));
     let served = ServedState::from_snapshot_bytes(&bytes, 1, "derived").unwrap();
-    assert_eq!(
-        served.store.to_json(),
-        SubjectiveKb::from_output(&output, output.kb()).to_json()
-    );
+    let mined_store = SubjectiveKb::from_output(&output, output.kb());
+    assert_eq!(served.store.to_json(), mined_store.to_json());
     assert_eq!(agreed("the mined world", &bytes), None);
+
+    // An update's output, straight out of `apply_delta` with no save or
+    // load in between: its store is the one its saved bytes serve, and
+    // the one the mine of base ∪ delta builds.
+    let (surveyor, generator) = mining();
+    let (retry, policy) = (RetryPolicy::no_retries(), FailurePolicy::FailFast);
+    let shards = |start, end| ShardSubset::range(CorpusSource::new(&generator), start, end);
+    let base = (surveyor.try_run(&shards(0, 6), &retry, &policy).unwrap()).output;
+    let delta = run_sharded_fault_tolerant(
+        &shards(6, 8),
+        surveyor.kb(),
+        &surveyor.config().extraction,
+        2,
+        &retry,
+        &policy,
+        None,
+    )
+    .unwrap()
+    .output;
+    let (updated, stats) = surveyor.apply_delta(base, delta, WarmStart::Exact);
+    assert!(stats.groups_refit > 0 && stats.delta_pairs > 0, "{stats:?}");
+    let updated_store = SubjectiveKb::from_output(&updated, updated.kb());
+    let saved_store = load_store(&save_snapshot(&updated)).unwrap();
+    assert_eq!(updated_store.len(), mined_store.len());
+    assert_eq!(updated_store.to_json(), saved_store.to_json());
+    assert_eq!(updated_store.to_json(), mined_store.to_json());
 }
 
 /// Each loader's outcome on `bytes`, as its error text; a panic in any of

@@ -220,53 +220,59 @@ for key in '"schema_version": 2' \
 done
 
 # Incremental gate: delta ingestion must land exactly where from-scratch
-# mining lands. Mine a 3-of-4-shard base with incremental state recorded,
-# ingest the remaining shard with `update`, and demand the result is
-# byte-identical (`cmp`) to mining all 4 shards from scratch with the
-# same state bookkeeping. A second `update` must find nothing to ingest
-# and leave the snapshot untouched. `surveyor diff` must call the update
-# and the from-scratch mine identical (exit 0) and the base and its
-# update different (exit 1, `"identical": false`).
-cargo run --release -q -p surveyor-cli --bin surveyor -- \
-    snapshot --preset cities --seed 5 --rho 40 --shards 4 --ingest-shards 3 \
-    --out artifacts/incr_base.swire > /dev/null
-cargo run --release -q -p surveyor-cli --bin surveyor -- \
-    update --snapshot artifacts/incr_base.swire --delta-preset cities-tail \
-    --seed 5 --out artifacts/incr_updated.swire > /dev/null
-cargo run --release -q -p surveyor-cli --bin surveyor -- \
-    snapshot --preset cities --seed 5 --rho 40 --shards 4 --ingest-shards 4 \
-    --out artifacts/incr_scratch.swire > /dev/null
-# Both files carry their state in `INCR` and nothing after it: the
-# per-group fingerprint section `GRPF` is retired (FORMAT.md §3.7).
-for incr_file in artifacts/incr_base.swire artifacts/incr_updated.swire; do
-    incr_sections=$(cargo run --release -q -p surveyor-cli --bin surveyor -- \
-        load --snapshot "$incr_file" | sed -n 's/^.* bytes by section: //p')
-    case "$incr_sections" in
-        *INCR*) ;;
-        *) echo "$incr_file: no INCR section ($incr_sections)" >&2; exit 1 ;;
-    esac
-    case "$incr_sections" in
-        *GRPF*) echo "$incr_file: carries the retired GRPF ($incr_sections)" >&2; exit 1 ;;
-    esac
-done
-cmp artifacts/incr_updated.swire artifacts/incr_scratch.swire \
-    || { echo "incremental update is not byte-identical to from-scratch" >&2; exit 1; }
-cargo run --release -q -p surveyor-cli --bin surveyor -- \
-    update --snapshot artifacts/incr_updated.swire --delta-preset cities-tail \
-    --seed 5 --out artifacts/incr_idempotent.swire > /dev/null
-cmp artifacts/incr_updated.swire artifacts/incr_idempotent.swire \
-    || { echo "empty-delta update is not idempotent" >&2; exit 1; }
-cargo run --release -q -p surveyor-cli --bin surveyor -- \
-    diff --old artifacts/incr_updated.swire --new artifacts/incr_scratch.swire > /dev/null \
-    || { echo "diff of the update and the from-scratch mine is not identical" >&2; exit 1; }
-diff_status=0
-cargo run --release -q -p surveyor-cli --bin surveyor -- \
-    diff --old artifacts/incr_base.swire --new artifacts/incr_updated.swire --format json \
-    > artifacts/incr_diff.json || diff_status=$?
-[ "$diff_status" -eq 1 ] && grep -q '"identical": false' artifacts/incr_diff.json \
-    || { echo "diff of the base and its update: exit $diff_status, not 1 and differing" >&2; exit 1; }
-rm -f artifacts/incr_diff.json artifacts/incr_base.swire artifacts/incr_updated.swire \
-    artifacts/incr_scratch.swire artifacts/incr_idempotent.swire
+# mining lands. Mine a base of all shards but the last with incremental
+# state recorded, ingest the last shard with `update`, and demand the
+# result is byte-identical (`cmp`) to mining every shard from scratch with
+# the same state bookkeeping. A second `update` must find nothing to
+# ingest and leave the snapshot untouched. `surveyor diff` must call the
+# update and the from-scratch mine identical (exit 0) and the base and its
+# update different (exit 1, `"identical": false`). Two rounds, each
+# pinned to its update's group accounting: `cities` (seed 5, ρ 40,
+# 4 shards), whose one modelled group is refit; and the long-tail world
+# (seed 5, ρ 25, 8 shards; at the default ρ 100 it models nothing), whose
+# update carries 5 of its 231 modelled groups and refits 226.
+incremental_round() {
+    local preset=$1 delta=$2 rho=$3 shards=$4 groups=$5
+    local surveyor="cargo run --release -q -p surveyor-cli --bin surveyor --"
+    $surveyor snapshot --preset "$preset" --seed 5 --rho "$rho" --shards "$shards" \
+        --ingest-shards $((shards - 1)) --out artifacts/incr_base.swire > /dev/null
+    local summary
+    summary=$($surveyor update --snapshot artifacts/incr_base.swire --delta-preset "$delta" \
+        --seed 5 --out artifacts/incr_updated.swire)
+    echo "$summary" | grep -Fq "modeled groups: $groups " \
+        || { echo "$delta: the update's groups are not \"$groups\": $summary" >&2; exit 1; }
+    $surveyor snapshot --preset "$preset" --seed 5 --rho "$rho" --shards "$shards" \
+        --ingest-shards "$shards" --out artifacts/incr_scratch.swire > /dev/null
+    # Both files carry their state in `INCR` and nothing after it: the
+    # per-group fingerprint section `GRPF` is retired (FORMAT.md §3.7).
+    for incr_file in artifacts/incr_base.swire artifacts/incr_updated.swire; do
+        incr_sections=$($surveyor load --snapshot "$incr_file" | sed -n 's/^.* bytes by section: //p')
+        case "$incr_sections" in
+            *INCR*) ;;
+            *) echo "$incr_file: no INCR section ($incr_sections)" >&2; exit 1 ;;
+        esac
+        case "$incr_sections" in
+            *GRPF*) echo "$incr_file: carries the retired GRPF ($incr_sections)" >&2; exit 1 ;;
+        esac
+    done
+    cmp artifacts/incr_updated.swire artifacts/incr_scratch.swire \
+        || { echo "$delta: incremental update is not byte-identical to from-scratch" >&2; exit 1; }
+    $surveyor update --snapshot artifacts/incr_updated.swire --delta-preset "$delta" \
+        --seed 5 --out artifacts/incr_idempotent.swire > /dev/null
+    cmp artifacts/incr_updated.swire artifacts/incr_idempotent.swire \
+        || { echo "$delta: empty-delta update is not idempotent" >&2; exit 1; }
+    $surveyor diff --old artifacts/incr_updated.swire --new artifacts/incr_scratch.swire > /dev/null \
+        || { echo "$delta: diff of the update and the from-scratch mine is not identical" >&2; exit 1; }
+    local diff_status=0
+    $surveyor diff --old artifacts/incr_base.swire --new artifacts/incr_updated.swire --format json \
+        > artifacts/incr_diff.json || diff_status=$?
+    [ "$diff_status" -eq 1 ] && grep -q '"identical": false' artifacts/incr_diff.json \
+        || { echo "$delta: diff of the base and its update: exit $diff_status, not 1 and differing" >&2; exit 1; }
+    rm -f artifacts/incr_diff.json artifacts/incr_base.swire artifacts/incr_updated.swire \
+        artifacts/incr_scratch.swire artifacts/incr_idempotent.swire
+}
+incremental_round cities cities-tail 40 4 "1 total = 0 carried forward + 1 refit"
+incremental_round longtail longtail-tail 25 8 "231 total = 5 carried forward + 226 refit"
 
 # Incremental bench smoke: the delta-scaling harness on its quick preset
 # with the scaling assertions armed — every <=10% delta's median ratio of

@@ -82,8 +82,9 @@ fn figure12_surveyor_precision_rises_with_agreement() {
             .metrics
             .precision
     };
-    // Precision at near-unanimous agreement beats precision over all
-    // cases (the paper's 77% → 87% effect, in direction).
+    // Precision at near-unanimous agreement is at most one point below
+    // precision over all cases (the paper's 77% → 87% rise does not
+    // reproduce at the documented configuration, EXPERIMENTS.md).
     assert!(
         sv_at(19) >= sv_at(11) - 0.01,
         "high-agreement {} vs all {}",

@@ -106,8 +106,10 @@ fn figure12_shape() {
             .metrics
             .precision
     };
-    // Surveyor's precision improves on high-agreement cases (77% → 87% in
-    // the paper); majority vote "cannot benefit from growing worker
+    // The paper has Surveyor's precision rising on high-agreement cases
+    // (77% → 87%). Here it does not rise (0.780 at ≥ 11, 0.774 at ≥ 19,
+    // EXPERIMENTS.md): the bound asserts only that it falls by less than
+    // one point. Majority vote "cannot benefit from growing worker
     // agreement" — its line stays flat or drops.
     let sv_gain = precision_at("Surveyor", 19) - precision_at("Surveyor", 11);
     assert!(sv_gain > -0.01, "surveyor gain {sv_gain}");

@@ -127,7 +127,6 @@ fn regional_restriction_changes_opinions() {
                 opinion_flip: 0.5,
             },
         ],
-        ..CorpusConfig::default()
     };
     let generator = CorpusGenerator::new(world.clone(), config);
     let surveyor = Surveyor::new(
