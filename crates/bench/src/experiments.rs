@@ -401,11 +401,11 @@ pub fn table3_fig12(cfg: &ReproConfig) -> (String, Value) {
     let surveyor = Surveyor::new(world.kb().clone(), cfg.surveyor());
     let output = surveyor.run(&CorpusSource::new(&generator));
     let suite = surveyor_eval::EvalSuite::from_world_limited(&world, cfg.panel_seed, Some(20));
-    let report =
-        surveyor_eval::comparison::report_from_parts(&suite, &output, WebChildConfig::default());
-    // Bootstrap 95% CIs on precision per method.
+    let cases = suite.cases.iter().map(|c| (c.entity, &c.property));
     let decisions =
-        surveyor_eval::comparison::method_decisions(&suite, &output, WebChildConfig::default());
+        surveyor_eval::comparison::method_decisions(&output, cases, WebChildConfig::default());
+    let report = surveyor_eval::comparison::report_from_parts(&suite, &decisions);
+    // Bootstrap 95% CIs on precision per method.
     let truths: Vec<bool> = suite.cases.iter().map(|c| c.crowd_majority).collect();
     let mut text = format!(
         "Table 3 — comparison on {} judged test cases ({} ties removed)\n",

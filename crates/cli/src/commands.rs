@@ -485,7 +485,7 @@ fn render_key_list(out: &mut String, label: &str, keys: &[String]) {
 /// `surveyor diff` — compare two snapshots section by section, with the
 /// decisions each one's models imply (`surveyor::diff_snapshots`).
 /// Returns the rendered report and whether the snapshots are identical
-/// (the CLI exits 1 on differences, like `bench diff`).
+/// (the CLI exits 1 on differences, as `cmp` and `diff(1)` do).
 pub fn diff(old: &str, new: &str, format: DiffFormat) -> Result<(String, bool), CliError> {
     let snapshot_old = read_snapshot_for_diff(old)?;
     let snapshot_new = read_snapshot_for_diff(new)?;

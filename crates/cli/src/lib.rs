@@ -24,8 +24,8 @@ pub use error::CliError;
 
 /// The result of a successful command: the text to print plus the
 /// process exit code. Almost every command exits 0 on success; `diff`
-/// exits 1 when the snapshots differ (mirroring `bench diff`), which is
-/// a *finding*, not a failure — hence not a [`CliError`].
+/// exits 1 when the snapshots differ (as `cmp` and `diff(1)` do), which
+/// is a *finding*, not a failure — hence not a [`CliError`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Outcome {
     /// Text for stdout.

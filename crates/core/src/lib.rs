@@ -52,7 +52,6 @@
 //! | `surveyor-extract` | Figure 4 patterns, polarity, counters, shard runner |
 //! | `surveyor-model` | Bayesian user model, EM, baselines |
 //! | `surveyor-obs` | metrics registry, phase spans, run reports |
-//! | `surveyor-crowd` | AMT worker-panel simulator |
 //! | `surveyor-wire` | versioned binary snapshot format (FORMAT.md) |
 //! | `surveyor` (this) | Algorithm 1 orchestration and the public API |
 //!
@@ -121,7 +120,6 @@ pub mod prelude {
 
 // Re-export the subsystem crates under stable names.
 pub use surveyor_corpus as corpus;
-pub use surveyor_crowd as crowd;
 pub use surveyor_extract as extract;
 pub use surveyor_kb as kb;
 pub use surveyor_model as model;

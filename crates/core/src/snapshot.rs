@@ -37,8 +37,8 @@
 
 use crate::pipeline::{DomainResult, SurveyorOutput};
 use crate::store::{StoreSink, SubjectiveKb};
+use rustc_hash::FxHashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use surveyor_extract::{EvidenceCounts, EvidenceTable, GroupKey, ProvenanceTable};
 use surveyor_kb::{EntityId, KnowledgeBaseBuilder, Property, PropertyId, TypeId};
@@ -440,9 +440,11 @@ impl<S: Sink> Walk<S> {
 
         // One pass over the rows feeds the sink and gathers each
         // (type, property) group's mentioned entities by their position in
-        // the type. A group is a slot of one hashed index: one lookup a
-        // row, whatever the keys.
-        let mut groups = GroupIndex::default();
+        // the type. A group is a dense slot numbered in the order groups
+        // are first seen: one hash lookup a row, where an ordered map would
+        // walk a tree. Keys come from the file, so a crafted file can make
+        // them collide; that costs load time, never a wrong answer.
+        let mut groups: FxHashMap<(u32, u32), usize> = FxHashMap::default();
         let mut mentions: Vec<Vec<(u32, ObservedCounts)>> = Vec::new();
         let mut statements = 0u64;
         let mut last = None;
@@ -481,7 +483,8 @@ impl<S: Sink> Walk<S> {
                 ));
             }
             let (type_index, position) = self.placement[row.entity as usize];
-            let slot = groups.slot((type_index, row.property));
+            let next = groups.len();
+            let slot = *groups.entry((type_index, row.property)).or_insert(next);
             if slot == mentions.len() {
                 mentions.push(Vec::new());
             }
@@ -524,8 +527,8 @@ impl<S: Sink> Walk<S> {
             let iterations = usize::try_from(model.iterations)
                 .map_err(|_| SnapshotError::Corrupt("iteration count out of range"))?;
             let entities = &self.members[model.type_index as usize];
-            let mut mentioned = (groups.get((model.type_index, model.property)))
-                .map(|slot| std::mem::take(&mut mentions[slot]))
+            let mut mentioned = (groups.get(&(model.type_index, model.property)))
+                .map(|&slot| std::mem::take(&mut mentions[slot]))
                 .unwrap_or_default();
             let table = CountTable::sparse(entities.len(), &mut mentioned);
             let fit = EmFit {
@@ -560,59 +563,6 @@ impl<S: Sink> Walk<S> {
 /// base and the property table store their vocabulary.
 fn all_lowercase<'s>(strings: impl IntoIterator<Item = &'s &'s str>) -> bool {
     (strings.into_iter()).all(|s| s.to_lowercase() == *s)
-}
-
-/// Dense slots for the (type, property) groups rows fall in, numbered in
-/// the order the groups are first seen: one hash lookup a row, where an
-/// ordered map would walk a tree.
-#[derive(Debug, Default)]
-struct GroupIndex(SlotMap);
-
-#[expect(
-    clippy::disallowed_types,
-    reason = "never iterated: a slot is looked up by its key"
-)]
-type SlotMap = std::collections::HashMap<(u32, u32), usize, BuildHasherDefault<KeyHasher>>;
-
-impl GroupIndex {
-    /// The slot of `key`: a new group takes the next one.
-    fn slot(&mut self, key: (u32, u32)) -> usize {
-        let next = self.0.len();
-        *self.0.entry(key).or_insert(next)
-    }
-
-    /// The slot of `key`, if a row of its group was seen.
-    fn get(&self, key: (u32, u32)) -> Option<usize> {
-        self.0.get(&key).copied()
-    }
-}
-
-/// FxHash's multiply-rotate step over the two `u32` halves of a group
-/// key: a few cycles a key. Keys come from the file, so a crafted file
-/// can make them collide; that costs load time, never a wrong answer.
-#[derive(Debug, Default)]
-struct KeyHasher(u64);
-
-impl KeyHasher {
-    fn add(&mut self, value: u64) {
-        self.0 = (self.0.rotate_left(5) ^ value).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.add(u64::from(byte));
-        }
-    }
-
-    fn write_u32(&mut self, value: u32) {
-        self.add(u64::from(value));
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// The sink behind [`load_snapshot`]: the knowledge base whose dense

@@ -657,17 +657,6 @@ impl SubjectiveKb {
         (key(&block) == (wanted.0.as_str(), wanted.1)).then(|| self.block_at(block))
     }
 
-    /// All properties stored for a type.
-    pub fn properties_of(&self, type_name: &str) -> Vec<&Property> {
-        let lower = type_name.to_lowercase();
-        self.data
-            .heads
-            .iter()
-            .filter(|head| head.type_name == lower)
-            .map(|head| &head.property)
-            .collect()
-    }
-
     /// Most confident first (largest `|p − 0.5|`), then by type name; hits
     /// that tie on both keep the order they arrive in.
     fn by_confidence(&self, a: &Position, b: &Position) -> Ordering {
@@ -1102,7 +1091,6 @@ mod tests {
         let block = store.combination("animal", &cute).unwrap();
         assert!(block.p_agree >= 0.5);
         assert_eq!(block.len(), 4);
-        assert_eq!(store.properties_of("animal"), vec![&cute]);
         let kitten = store.opinion("animal", &cute, "kitten").unwrap();
         assert!(kitten.positive);
         assert_eq!(kitten.positive_statements, 40);

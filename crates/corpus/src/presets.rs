@@ -375,11 +375,6 @@ impl DeltaPreset {
     pub fn delta_range(&self) -> std::ops::Range<usize> {
         self.base_shards..self.num_shards
     }
-
-    /// Number of shards in the delta.
-    pub fn delta_len(&self) -> usize {
-        self.num_shards - self.base_shards
-    }
 }
 
 /// Every delta preset the CLI and bench harness know about. Sorted by
@@ -485,7 +480,6 @@ mod tests {
         for p in DELTA_PRESETS {
             assert!(p.base_shards > 0, "{}: empty base", p.name);
             assert!(p.base_shards < p.num_shards, "{}: empty delta", p.name);
-            assert_eq!(p.delta_len(), p.delta_range().len());
             assert_eq!(delta_preset(p.name), Some(p));
         }
         // Sorted and unique by name, so the CLI's error message can list

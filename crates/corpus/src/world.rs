@@ -4,7 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use surveyor_kb::{EntityId, KnowledgeBase, Property, TypeId};
+use surveyor_kb::{KnowledgeBase, Property, TypeId};
 use surveyor_prob::SeedStream;
 
 /// How dominant opinions are assigned to the entities of a domain.
@@ -247,16 +247,6 @@ impl World {
         self.domains
             .iter()
             .find(|d| d.type_id == type_id && &d.property == property)
-    }
-
-    /// The planted dominant opinion for one entity under one domain, if
-    /// the entity belongs to the domain's type.
-    pub fn ground_truth(&self, domain: &DomainSpec, entity: EntityId) -> Option<bool> {
-        let entities = self.kb.entities_of_type(domain.type_id);
-        entities
-            .iter()
-            .position(|&e| e == entity)
-            .map(|i| domain.opinions[i])
     }
 }
 
@@ -583,9 +573,13 @@ mod tests {
                 DomainParams::default(),
             )
             .build();
+        // A domain's planted opinions run parallel to its type's entities:
+        // an entity's ground truth is the opinion at its position there.
         let d = &world.domains()[0];
+        let entities = kb.entities_of_type(d.type_id);
+        assert_eq!(d.opinions.len(), entities.len());
         let kitten = kb.entity_by_name("Kitten").unwrap();
-        assert_eq!(world.ground_truth(d, kitten), Some(d.opinions[0]));
+        assert_eq!(entities.iter().position(|&e| e == kitten), Some(0));
     }
 
     #[test]

@@ -17,4 +17,4 @@ pub mod panel;
 pub mod stats;
 
 pub use panel::{CrowdVerdict, Panel, TestCase};
-pub use stats::{agreement_histogram, cases_at_or_above, mean_agreement};
+pub use stats::{cases_at_or_above, mean_agreement};

@@ -20,18 +20,6 @@ pub fn cases_at_or_above(verdicts: &[CrowdVerdict], threshold: usize) -> usize {
         .count()
 }
 
-/// The full Figure 11 series: for each threshold from `min_threshold` to
-/// the panel size, how many cases meet it.
-pub fn agreement_histogram(
-    verdicts: &[CrowdVerdict],
-    min_threshold: usize,
-    panel_size: usize,
-) -> Vec<(usize, usize)> {
-    (min_threshold..=panel_size)
-        .map(|t| (t, cases_at_or_above(verdicts, t)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,13 +48,15 @@ mod tests {
 
     #[test]
     fn histogram_is_monotone_decreasing() {
+        // The Figure 11 series: cases at or above each threshold 11..=20.
         let verdicts: Vec<CrowdVerdict> = (0..21).map(|k| v(k, 20 - k)).collect();
-        let hist = agreement_histogram(&verdicts, 11, 20);
-        assert_eq!(hist.len(), 10);
+        let hist: Vec<usize> = (11..=20).map(|t| cases_at_or_above(&verdicts, t)).collect();
         for w in hist.windows(2) {
-            assert!(w[1].1 <= w[0].1);
+            assert!(w[1] <= w[0]);
         }
-        assert_eq!(hist[0].0, 11);
-        assert_eq!(hist.last().unwrap().0, 20);
+        // Agreement k of 20 is max(k, 20 − k): two cases reach each
+        // threshold below 20 per step, and the two unanimous ones reach 20.
+        assert_eq!(hist[0], 20);
+        assert_eq!(hist[9], 2);
     }
 }

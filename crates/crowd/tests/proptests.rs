@@ -1,9 +1,7 @@
 //! Property-based tests for the crowd simulator.
 
 use proptest::prelude::*;
-use surveyor_crowd::{
-    agreement_histogram, cases_at_or_above, mean_agreement, CrowdVerdict, Panel, TestCase,
-};
+use surveyor_crowd::{cases_at_or_above, mean_agreement, CrowdVerdict, Panel, TestCase};
 use surveyor_kb::{EntityId, Property, TypeId};
 
 fn case(entity: u32, truth: bool, agreement: f64) -> TestCase {
@@ -61,12 +59,16 @@ proptest! {
             .iter()
             .map(|&p| CrowdVerdict { votes_positive: p, votes_negative: 20 - p })
             .collect();
-        let hist = agreement_histogram(&verdicts, 11, 20);
+        // The Figure 11 series, one count per agreement threshold.
+        let hist: Vec<usize> = (11..=20)
+            .map(|t| cases_at_or_above(&verdicts, t))
+            .collect();
         for w in hist.windows(2) {
-            prop_assert!(w[1].1 <= w[0].1);
+            prop_assert!(w[1] <= w[0]);
         }
-        for &(t, n) in &hist {
-            prop_assert_eq!(n, cases_at_or_above(&verdicts, t));
+        for (t, &n) in (11..=20).zip(&hist) {
+            let direct = verdicts.iter().filter(|v| v.agreement() >= t).count();
+            prop_assert_eq!(n, direct);
         }
         let mean = mean_agreement(&verdicts);
         prop_assert!((10.0..=20.0).contains(&mean));

@@ -2,7 +2,7 @@
 //! judged test suite.
 
 use crate::metrics::Metrics;
-use crate::testcases::{EvalCase, EvalSuite};
+use crate::testcases::EvalSuite;
 use serde::Serialize;
 use surveyor::prelude::*;
 use surveyor::{CorpusSource, SurveyorOutput};
@@ -66,95 +66,78 @@ impl Default for WebChildConfig {
     }
 }
 
-/// Per-method decisions on a judged suite, given a completed Surveyor run.
+/// Every method's decision on each case, in Table 3's row order.
 pub struct MethodDecisions {
-    /// Method name → decision per suite case (parallel to `suite.cases`).
+    /// Method name → decision per case (parallel to the cases decided).
     pub per_method: Vec<(String, Vec<Decision>)>,
 }
 
-/// Computes every method's decision for every case of the suite.
-pub fn method_decisions(
-    suite: &EvalSuite,
+/// Decides every `(entity, property)` case with every method, given a
+/// completed Surveyor run: the three baselines from the case's counts
+/// (scaled majority vote with the global polarity ratio, WebChild's KB
+/// membership from corpus-wide mention totals), Surveyor from the
+/// pipeline output (unsolved when the combination fell below ρ or the
+/// posterior sits exactly at ½). Table 3 and Table 5 both decide here.
+pub fn method_decisions<'p>(
     output: &SurveyorOutput,
+    cases: impl IntoIterator<Item = (EntityId, &'p Property)>,
     webchild: WebChildConfig,
 ) -> MethodDecisions {
-    let case_counts: Vec<ObservedCounts> = suite
-        .cases
+    let cases: Vec<(EntityId, &Property)> = cases.into_iter().collect();
+    let counts: Vec<ObservedCounts> = cases
         .iter()
-        .map(|c| {
-            let counts = output.evidence.counts(c.entity, &c.property);
+        .map(|&(entity, property)| {
+            let counts = output.evidence.counts(entity, property);
             ObservedCounts::new(counts.positive, counts.negative)
         })
         .collect();
-
-    // Majority vote.
-    let mv: Vec<Decision> = MajorityVote
-        .decide_group(&case_counts)
-        .into_iter()
-        .map(|d| d.decision)
-        .collect();
-
-    // Scaled majority vote with the global polarity ratio.
     let (tp, tn) = output.evidence.polarity_totals();
-    let smv_model = ScaledMajorityVote::from_totals(tp, tn);
-    let smv: Vec<Decision> = smv_model
-        .decide_group(&case_counts)
-        .into_iter()
-        .map(|d| d.decision)
-        .collect();
-
-    // WebChild: KB membership from corpus-wide mention totals.
     let mention_totals = output.evidence.mention_totals();
-    let mentions: Vec<u64> = suite
-        .cases
+    let mentions: Vec<u64> = cases
         .iter()
-        .map(|c| mention_totals.get(&c.entity).copied().unwrap_or(0))
+        .map(|(entity, _)| mention_totals.get(entity).copied().unwrap_or(0))
         .collect();
-    let wc_model = WebChildBaseline::new(
+    let webchild = WebChildBaseline::new(
         webchild.membership_threshold,
         webchild.association_threshold,
         mentions,
     );
-    let wc: Vec<Decision> = wc_model
-        .decide_group(&case_counts)
-        .into_iter()
-        .map(|d| d.decision)
-        .collect();
-
-    // Surveyor: from the pipeline output (unsolved when the combination
-    // fell below ρ or the posterior sits exactly at ½).
-    let sv: Vec<Decision> = suite
-        .cases
+    let baseline = |model: &dyn OpinionModel| {
+        let decisions = model.decide_group(&counts);
+        let decisions = decisions.into_iter().map(|d| d.decision).collect();
+        (model.name().to_owned(), decisions)
+    };
+    let surveyor = cases
         .iter()
-        .map(|c| {
-            output
-                .opinion(c.entity, &c.property)
+        .map(|&(entity, property)| {
+            (output.opinion(entity, property))
                 .map(|d| d.decision)
                 .unwrap_or(Decision::Unsolved)
         })
         .collect();
-
     MethodDecisions {
         per_method: vec![
-            ("Majority Vote".to_owned(), mv),
-            ("Scaled Majority Vote".to_owned(), smv),
-            ("WebChild".to_owned(), wc),
-            ("Surveyor".to_owned(), sv),
+            baseline(&MajorityVote),
+            baseline(&ScaledMajorityVote::from_totals(tp, tn)),
+            baseline(&webchild),
+            ("Surveyor".to_owned(), surveyor),
         ],
     }
 }
 
-fn score_subset(
+/// Scores every method on the `selected` cases against `truths` (one
+/// reference label per case).
+pub(crate) fn score_subset(
     decisions: &MethodDecisions,
-    cases: &[EvalCase],
+    truths: &[bool],
     selected: &[usize],
 ) -> Vec<MethodRow> {
+    let t: Vec<bool> = selected.iter().map(|&i| truths[i]).collect();
     decisions
         .per_method
         .iter()
         .map(|(name, all)| {
             let d: Vec<Decision> = selected.iter().map(|&i| all[i]).collect();
-            let t: Vec<bool> = selected.iter().map(|&i| cases[i].crowd_majority).collect();
             MethodRow {
                 method: name.clone(),
                 metrics: Metrics::score(&d, &t),
@@ -177,19 +160,17 @@ pub fn run_comparison(
     let surveyor = Surveyor::new(world.kb().clone(), surveyor_config);
     let output = surveyor.run(&CorpusSource::new(&generator));
     let suite = EvalSuite::from_world_limited(world, panel_seed, per_type_limit);
-    report_from_parts(&suite, &output, webchild)
+    let cases = suite.cases.iter().map(|c| (c.entity, &c.property));
+    let decisions = method_decisions(&output, cases, webchild);
+    report_from_parts(&suite, &decisions)
 }
 
-/// Builds the report from already-computed parts (used by ablations that
-/// reuse one extraction run).
-pub fn report_from_parts(
-    suite: &EvalSuite,
-    output: &SurveyorOutput,
-    webchild: WebChildConfig,
-) -> ComparisonReport {
-    let decisions = method_decisions(suite, output, webchild);
+/// Builds the report from the suite's decisions (`repro table3` reuses
+/// them for its confidence intervals).
+pub fn report_from_parts(suite: &EvalSuite, decisions: &MethodDecisions) -> ComparisonReport {
+    let truths: Vec<bool> = suite.cases.iter().map(|c| c.crowd_majority).collect();
     let all: Vec<usize> = (0..suite.cases.len()).collect();
-    let table3 = score_subset(&decisions, &suite.cases, &all);
+    let table3 = score_subset(decisions, &truths, &all);
 
     let figure12 = (11..=suite.panel_size)
         .map(|threshold| {
@@ -203,7 +184,7 @@ pub fn report_from_parts(
             AgreementPoint {
                 threshold,
                 cases: selected.len(),
-                rows: score_subset(&decisions, &suite.cases, &selected),
+                rows: score_subset(decisions, &truths, &selected),
             }
         })
         .collect();

@@ -10,6 +10,7 @@
 //! for the model, and defined for *all* entities because the model
 //! decides even unmentioned ones.
 
+use crate::metrics::Metrics;
 use serde::Serialize;
 use surveyor::prelude::*;
 use surveyor::CorpusSource;
@@ -68,18 +69,6 @@ fn polarity_score(d: Decision) -> f64 {
         Decision::Negative => -1.0,
         Decision::Unsolved => 0.0,
     }
-}
-
-fn accuracy(points: &[(Decision, bool)]) -> f64 {
-    let solved: Vec<&(Decision, bool)> = points.iter().filter(|(d, _)| d.is_solved()).collect();
-    if solved.is_empty() {
-        return 0.0;
-    }
-    let correct = solved
-        .iter()
-        .filter(|(d, truth)| (*d == Decision::Positive) == *truth)
-        .count();
-    correct as f64 / solved.len() as f64
 }
 
 /// Runs the study on a single-domain world.
@@ -144,29 +133,23 @@ pub fn run_empirical(
     let mv_scores: Vec<f64> = points.iter().map(|p| polarity_score(p.majority)).collect();
     let model_scores: Vec<f64> = points.iter().map(|p| polarity_score(p.model)).collect();
 
-    let mv_pairs: Vec<(Decision, bool)> = points.iter().map(|p| (p.majority, p.planted)).collect();
-    let model_pairs: Vec<(Decision, bool)> = points.iter().map(|p| (p.model, p.planted)).collect();
+    let planted: Vec<bool> = points.iter().map(|p| p.planted).collect();
+    let score = |decide: fn(&EmpiricalPoint) -> Decision| {
+        let decisions: Vec<Decision> = points.iter().map(decide).collect();
+        Metrics::score(&decisions, &planted)
+    };
+    let (majority, model) = (score(|p| p.majority), score(|p| p.model));
 
     EmpiricalStudy {
         attribute_key: attribute_key.to_owned(),
+        property: domain.property.to_string(),
         majority_spearman: spearman(&attrs, &mv_scores),
         model_spearman: spearman(&attrs, &model_scores),
-        majority_coverage: points.iter().filter(|p| p.majority.is_solved()).count() as f64
-            / points.len() as f64,
-        model_coverage: points.iter().filter(|p| p.model.is_solved()).count() as f64
-            / points.len() as f64,
-        majority_accuracy: accuracy(&mv_pairs),
-        model_accuracy: accuracy(&model_pairs),
+        majority_coverage: majority.coverage,
+        model_coverage: model.coverage,
+        majority_accuracy: majority.precision,
+        model_accuracy: model.precision,
         points,
-        property: String::new(), // replaced below
-    }
-    .with_property(domain.property.to_string())
-}
-
-impl EmpiricalStudy {
-    fn with_property(mut self, property: String) -> Self {
-        self.property = property;
-        self
     }
 }
 

@@ -62,19 +62,25 @@ impl Metrics {
         } else {
             correct as f64 / solved as f64
         };
-        let f1 = if coverage + precision == 0.0 {
-            0.0
-        } else {
-            2.0 * coverage * precision / (coverage + precision)
-        };
         Self {
             coverage,
             precision,
-            f1,
+            f1: harmonic_mean(coverage, precision),
             total,
             solved,
             correct,
         }
+    }
+}
+
+/// The harmonic mean of `coverage` and `precision` (0 when both are 0):
+/// [`Metrics::f1`], and Table 5's F1 of a coverage and a precision taken
+/// over different case sets.
+pub(crate) fn harmonic_mean(coverage: f64, precision: f64) -> f64 {
+    if coverage + precision == 0.0 {
+        0.0
+    } else {
+        2.0 * coverage * precision / (coverage + precision)
     }
 }
 

@@ -9,8 +9,8 @@
 //! truth in place of the paper's manual expert labels (the paper
 //! explicitly could not use AMT for these entities).
 
-use crate::comparison::WebChildConfig;
-use crate::metrics::Metrics;
+use crate::comparison::{method_decisions, score_subset, WebChildConfig};
+use crate::metrics::harmonic_mean;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -19,9 +19,6 @@ use surveyor::prelude::*;
 use surveyor::CorpusSource;
 use surveyor_corpus::{CorpusGenerator, World};
 use surveyor_kb::EntityId;
-use surveyor_model::{
-    MajorityVote, ObservedCounts, OpinionModel, ScaledMajorityVote, WebChildBaseline,
-};
 
 /// One sampled test case.
 #[derive(Debug, Clone)]
@@ -54,14 +51,6 @@ pub struct RandomSampleReport {
     pub sampled_cases: usize,
     /// Judged subset size for the precision measurement.
     pub judged_cases: usize,
-}
-
-fn f1(coverage: f64, precision: f64) -> f64 {
-    if coverage + precision == 0.0 {
-        0.0
-    } else {
-        2.0 * coverage * precision / (coverage + precision)
-    }
 }
 
 /// Runs the Appendix D protocol on a long-tail world.
@@ -115,94 +104,33 @@ pub fn run_random_sample(
             });
         }
     }
-    let mut judged_indexes: Vec<usize> = (0..cases.len()).collect();
-    judged_indexes.shuffle(&mut rng);
-    judged_indexes.truncate(judged.min(cases.len()));
-    let judged_set: std::collections::HashSet<usize> = judged_indexes.into_iter().collect();
+    let mut judged_cases: Vec<usize> = (0..cases.len()).collect();
+    judged_cases.shuffle(&mut rng);
+    judged_cases.truncate(judged.min(cases.len()));
 
-    // Per-case counts and mention totals.
-    let counts: Vec<ObservedCounts> = cases
-        .iter()
-        .map(|c| {
-            let property = &world.domains()[c.domain_index].property;
-            let ec = output.evidence.counts(c.entity, property);
-            ObservedCounts::new(ec.positive, ec.negative)
-        })
-        .collect();
-    let mention_totals = output.evidence.mention_totals();
-    let mentions: Vec<u64> = cases
-        .iter()
-        .map(|c| mention_totals.get(&c.entity).copied().unwrap_or(0))
-        .collect();
-
-    let (tp, tn) = output.evidence.polarity_totals();
-    let methods: Vec<(String, Vec<Decision>)> = vec![
-        (
-            "Majority Vote".to_owned(),
-            MajorityVote
-                .decide_group(&counts)
-                .into_iter()
-                .map(|d| d.decision)
-                .collect(),
-        ),
-        (
-            "Scaled Majority Vote".to_owned(),
-            ScaledMajorityVote::from_totals(tp, tn)
-                .decide_group(&counts)
-                .into_iter()
-                .map(|d| d.decision)
-                .collect(),
-        ),
-        (
-            "WebChild".to_owned(),
-            WebChildBaseline::new(
-                webchild.membership_threshold,
-                webchild.association_threshold,
-                mentions,
-            )
-            .decide_group(&counts)
-            .into_iter()
-            .map(|d| d.decision)
-            .collect(),
-        ),
-        (
-            "Surveyor".to_owned(),
-            cases
-                .iter()
-                .map(|c| {
-                    let property = &world.domains()[c.domain_index].property;
-                    output
-                        .opinion(c.entity, property)
-                        .map(|d| d.decision)
-                        .unwrap_or(Decision::Unsolved)
-                })
-                .collect(),
-        ),
-    ];
-
-    let rows = methods
+    let decisions = method_decisions(
+        &output,
+        (cases.iter()).map(|c| (c.entity, &world.domains()[c.domain_index].property)),
+        webchild,
+    );
+    // Coverage over every sampled case, precision over the judged subset.
+    let truths: Vec<bool> = cases.iter().map(|c| c.truth).collect();
+    let all_cases: Vec<usize> = (0..cases.len()).collect();
+    let rows = score_subset(&decisions, &truths, &all_cases)
         .into_iter()
-        .map(|(method, decisions)| {
-            // Coverage: all sampled cases.
-            let truths: Vec<bool> = cases.iter().map(|c| c.truth).collect();
-            let all = Metrics::score(&decisions, &truths);
-            // Precision: judged subset only.
-            let jd: Vec<Decision> = judged_set.iter().map(|&i| decisions[i]).collect();
-            let jt: Vec<bool> = judged_set.iter().map(|&i| cases[i].truth).collect();
-            let judged_metrics = Metrics::score(&jd, &jt);
-            RandomSampleRow {
-                method,
-                coverage: all.coverage,
-                precision: judged_metrics.precision,
-                f1: f1(all.coverage, judged_metrics.precision),
-            }
+        .zip(score_subset(&decisions, &truths, &judged_cases))
+        .map(|(all, judged)| RandomSampleRow {
+            method: all.method,
+            coverage: all.metrics.coverage,
+            precision: judged.metrics.precision,
+            f1: harmonic_mean(all.metrics.coverage, judged.metrics.precision),
         })
         .collect();
 
     RandomSampleReport {
         rows,
         sampled_cases: cases.len(),
-        judged_cases: judged_set.len(),
+        judged_cases: judged_cases.len(),
     }
 }
 

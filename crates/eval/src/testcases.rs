@@ -47,21 +47,16 @@ pub struct EvalSuite {
 }
 
 impl EvalSuite {
-    /// Builds and judges the full suite for a world: every entity of every
-    /// domain becomes a test case.
+    /// Builds and judges the suite for a world: every entity of every
+    /// domain becomes a test case, or only the first `per_type_limit`
+    /// entities of each type — the curated evaluation entities (the paper
+    /// judged 20 well-known entities per type while the knowledge base
+    /// held many more).
     ///
     /// Per-case worker agreement varies around the domain's true
     /// agreement `pA*` (`wa = 1 − 2(1−pA)·u`, `u ~ U(0,1)`, clamped to
     /// `[0.5, 0.995]`): its mean is `pA*`, reproducing both the §7.3
     /// inter-domain differences and the intra-domain spread of Figure 11.
-    pub fn from_world(world: &World, panel_seed: u64) -> Self {
-        Self::from_world_limited(world, panel_seed, None)
-    }
-
-    /// Like [`Self::from_world`], but judging only the first
-    /// `per_type_limit` entities of each type — the curated evaluation
-    /// entities (the paper judged 20 well-known entities per type while
-    /// the knowledge base held many more).
     pub fn from_world_limited(
         world: &World,
         panel_seed: u64,
@@ -234,7 +229,7 @@ mod tests {
     #[test]
     fn unlimited_suite_judges_every_entity() {
         let world = table2_world(7);
-        let s = EvalSuite::from_world(&world, 99);
+        let s = EvalSuite::from_world_limited(&world, 99, None);
         assert_eq!(s.cases.len() + s.ties_removed, 25 * 500);
     }
 }

@@ -8,12 +8,12 @@
 //! consider a city as not big do not necessarily consider it small."
 //!
 //! This module implements the rejected alternative so its cost can be
-//! *measured*: an antonym lexicon, statement canonicalization (a statement
-//! about the negative pole becomes a flipped-polarity statement about the
-//! canonical pole), and table-level folding. The evaluation crate's
-//! ablation shows exactly the failure mode the paper predicted.
+//! *measured*: an antonym lexicon and table-level folding (counts about
+//! the negative pole become flipped-polarity counts about the canonical
+//! pole). The evaluation crate's ablation shows exactly the failure mode
+//! the paper predicted.
 
-use crate::evidence::{EvidenceEntry, EvidenceTable, Polarity, Statement};
+use crate::evidence::{EvidenceEntry, EvidenceTable};
 use rustc_hash::FxHashMap;
 use surveyor_kb::Property;
 
@@ -79,45 +79,13 @@ impl AntonymLexicon {
         self.to_canonical.is_empty()
     }
 
-    /// Canonicalizes one statement: a **bare-adjective** statement about a
-    /// registered negative pole becomes a flipped-polarity statement about
-    /// the canonical pole. Adverb-qualified properties are left alone —
-    /// the paper's second objection ("adverb-adjective combinations for
-    /// which it is often impossible to find any antonyms at all").
-    pub fn canonicalize(&self, statement: Statement) -> Statement {
-        // Cold path (ablation only): resolving the interned property here is
-        // fine, the production pipeline never folds antonyms.
-        let property = statement.property.resolve();
-        if !property.is_bare() {
-            return statement;
-        }
-        match self.canonical_of(property.head()) {
-            None => statement,
-            Some(canonical) => Statement::new(
-                statement.entity,
-                &Property::adjective(canonical),
-                match statement.polarity {
-                    Polarity::Positive => Polarity::Negative,
-                    Polarity::Negative => Polarity::Positive,
-                },
-            ),
-        }
-    }
-
-    /// Folds a whole evidence table: every counter row whose property is a
-    /// registered negative pole is merged, polarity-flipped, into its
-    /// canonical pole's row.
+    /// Folds a whole evidence table: every counter row about a registered
+    /// negative pole is merged, polarity-flipped, into its canonical
+    /// pole's row ("Palo Alto is small" counts against "Palo Alto is
+    /// big"). Only **bare-adjective** properties fold — the paper's second
+    /// objection ("adverb-adjective combinations for which it is often
+    /// impossible to find any antonyms at all").
     pub fn fold_table(&self, table: &EvidenceTable) -> EvidenceTable {
-        self.fold_table_counting(table).0
-    }
-
-    /// Like [`fold_table`](Self::fold_table), also reporting how many
-    /// statements were rewritten onto a canonical pole (the
-    /// `extract.antonym_rewrites` counter of [`fold_table_observed`]).
-    ///
-    /// [`fold_table_observed`]: Self::fold_table_observed
-    pub fn fold_table_counting(&self, table: &EvidenceTable) -> (EvidenceTable, u64) {
-        let mut rewrites = 0u64;
         let entries = table
             .to_entries()
             .into_iter()
@@ -127,101 +95,85 @@ impl AntonymLexicon {
                 }
                 match self.canonical_of(entry.property.head()) {
                     None => entry,
-                    Some(canonical) => {
-                        rewrites += entry.positive + entry.negative;
-                        EvidenceEntry {
-                            entity: entry.entity,
-                            property: Property::adjective(canonical),
-                            // Polarity flip swaps the counters.
-                            positive: entry.negative,
-                            negative: entry.positive,
-                        }
-                    }
+                    Some(canonical) => EvidenceEntry {
+                        entity: entry.entity,
+                        property: Property::adjective(canonical),
+                        // Polarity flip swaps the counters.
+                        positive: entry.negative,
+                        negative: entry.positive,
+                    },
                 }
             })
             .collect();
-        (EvidenceTable::from_entries(entries), rewrites)
-    }
-
-    /// Like [`fold_table`](Self::fold_table), adding the number of
-    /// rewritten statements to the `extract.antonym_rewrites` counter of
-    /// `obs`.
-    pub fn fold_table_observed(
-        &self,
-        table: &EvidenceTable,
-        obs: &surveyor_obs::MetricsRegistry,
-    ) -> EvidenceTable {
-        let (folded, rewrites) = self.fold_table_counting(table);
-        obs.add("extract.antonym_rewrites", rewrites);
-        folded
+        EvidenceTable::from_entries(entries)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evidence::{Polarity, Statement};
     use surveyor_kb::EntityId;
 
     fn stmt(prop: &str, polarity: Polarity) -> Statement {
         Statement::new(EntityId(1), &Property::parse(prop).unwrap(), polarity)
     }
 
+    fn table(statements: &[Statement]) -> EvidenceTable {
+        let mut table = EvidenceTable::new();
+        for statement in statements {
+            table.add(statement);
+        }
+        table
+    }
+
     #[test]
     fn canonicalizes_negative_pole_with_flip() {
         let lex = AntonymLexicon::core();
+        let big = Property::adjective("big");
         // "Palo Alto is small" -> negation of "Palo Alto is big" (§4).
-        let folded = lex.canonicalize(stmt("small", Polarity::Positive));
-        assert_eq!(folded.property.resolve(), Property::adjective("big"));
-        assert_eq!(folded.polarity, Polarity::Negative);
+        let folded = lex.fold_table(&table(&[stmt("small", Polarity::Positive)]));
+        assert_eq!(folded.counts(EntityId(1), &big).negative, 1);
         // "X is not small" -> "X is big" — the dangerous implication.
-        let folded = lex.canonicalize(stmt("small", Polarity::Negative));
-        assert_eq!(folded.property.resolve(), Property::adjective("big"));
-        assert_eq!(folded.polarity, Polarity::Positive);
+        let folded = lex.fold_table(&table(&[stmt("small", Polarity::Negative)]));
+        assert_eq!(folded.counts(EntityId(1), &big).positive, 1);
+        assert_eq!(folded.pair_count(), 1);
     }
 
     #[test]
     fn canonical_pole_and_unknown_words_pass_through() {
         let lex = AntonymLexicon::core();
-        let s = stmt("big", Polarity::Positive);
-        assert_eq!(lex.canonicalize(s), s);
-        let s = stmt("plaid", Polarity::Negative);
-        assert_eq!(lex.canonicalize(s), s);
+        for statements in [
+            [stmt("big", Polarity::Positive)],
+            [stmt("plaid", Polarity::Negative)],
+        ] {
+            let table = table(&statements);
+            assert_eq!(lex.fold_table(&table), table);
+        }
     }
 
     #[test]
     fn adverb_qualified_properties_are_never_folded() {
         let lex = AntonymLexicon::core();
-        let s = stmt("very small", Polarity::Positive);
-        assert_eq!(lex.canonicalize(s), s);
+        let table = table(&[stmt("very small", Polarity::Positive)]);
+        assert_eq!(lex.fold_table(&table), table);
     }
 
     #[test]
     fn fold_table_merges_counters() {
         let lex = AntonymLexicon::core();
-        let mut table = EvidenceTable::new();
-        table.add(&stmt("big", Polarity::Positive));
-        table.add(&stmt("big", Polarity::Positive));
-        table.add(&stmt("small", Polarity::Positive)); // -> (big, -)
-        table.add(&stmt("small", Polarity::Negative)); // -> (big, +)
+        let table = table(&[
+            stmt("big", Polarity::Positive),
+            stmt("big", Polarity::Positive),
+            stmt("small", Polarity::Positive), // -> (big, -)
+            stmt("small", Polarity::Negative), // -> (big, +)
+        ]);
         let folded = lex.fold_table(&table);
         let counts = folded.counts(EntityId(1), &Property::adjective("big"));
         assert_eq!(counts.positive, 3);
         assert_eq!(counts.negative, 1);
         assert_eq!(folded.pair_count(), 1);
         assert_eq!(folded.total_statements(), 4);
-    }
-
-    #[test]
-    fn fold_table_observed_counts_rewrites() {
-        let lex = AntonymLexicon::core();
-        let mut table = EvidenceTable::new();
-        table.add(&stmt("big", Polarity::Positive)); // untouched
-        table.add(&stmt("small", Polarity::Positive)); // rewritten
-        table.add(&stmt("small", Polarity::Negative)); // rewritten
-        let obs = surveyor_obs::MetricsRegistry::new();
-        let folded = lex.fold_table_observed(&table, &obs);
-        assert_eq!(obs.counter_value("extract.antonym_rewrites"), 2);
-        assert_eq!(folded, lex.fold_table(&table));
     }
 
     #[test]

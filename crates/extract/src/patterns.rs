@@ -27,14 +27,8 @@ use crate::evidence::Statement;
 use crate::polarity::statement_polarity;
 use surveyor_kb::{CacheStats, EntityId, InternCache, KnowledgeBase, PropertyId};
 use surveyor_nlp::coref::predicate_nominal_corefs;
+use surveyor_nlp::lexicon::is_to_be_word;
 use surveyor_nlp::{AnnotatedSentence, DepRel, DepTree, Pos};
-
-/// Forms of "to be" admitted by the restrictive verb set.
-const TO_BE_FORMS: &[&str] = &["is", "are", "was", "were", "be", "been", "being", "am"];
-
-fn is_to_be(word: &str) -> bool {
-    TO_BE_FORMS.contains(&word)
-}
 
 /// Reusable per-worker extraction state: the property-surface scratch
 /// buffer plus the worker-local [`InternCache`].
@@ -150,7 +144,7 @@ fn match_acomp(
         let first_cop = tree.children_with_rel(pred, DepRel::Cop).next();
         let admissible = if let Some(cop) = first_cop {
             match config.verbs {
-                VerbSet::ToBe => is_to_be(tokens.lower_of(cop)),
+                VerbSet::ToBe => is_to_be_word(tokens.lower_of(cop)),
                 VerbSet::CopulaClass => true,
             }
         } else {
@@ -334,11 +328,12 @@ pub fn extract_sentence_into(
 /// return, and no sentence is skipped. Not to be edited.
 #[cfg(test)]
 pub(crate) mod reference {
-    use super::{is_to_be, ExtractContext, PatternCounts};
+    use super::{ExtractContext, PatternCounts};
     use crate::config::{ExtractionConfig, VerbSet};
     use crate::evidence::{Polarity, Statement};
     use surveyor_kb::{EntityId, KnowledgeBase, PropertyId};
     use surveyor_nlp::coref::CorefLink;
+    use surveyor_nlp::lexicon::is_to_be_word as is_to_be;
     use surveyor_nlp::{AnnotatedSentence, DepRel, DepTree, Mention, Pos, TokenizedSentence};
 
     fn children_with_rel(tree: &DepTree, i: usize, rel: DepRel) -> Vec<usize> {

@@ -170,6 +170,32 @@ mod tests {
     }
 
     #[test]
+    fn normalize_pair_symmetry_and_bounds() {
+        assert!((normalize_pair(0.0, 0.0) - 0.5).abs() < 1e-12);
+        let p = normalize_pair(-3.0, -5.0);
+        let q = normalize_pair(-5.0, -3.0);
+        assert!((p + q - 1.0).abs() < 1e-12);
+        assert!((0.0..=1.0).contains(&p));
+    }
+
+    #[test]
+    fn normalize_pair_extreme_inputs() {
+        assert!(normalize_pair(0.0, -1e9) > 0.999_999);
+        assert!(normalize_pair(-1e9, 0.0) < 1e-6);
+        assert_eq!(normalize_pair(f64::NEG_INFINITY, f64::NEG_INFINITY), 0.5);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn normalize_pair_is_a_probability(a in -1e6f64..100.0, b in -1e6f64..100.0) {
+            let p = normalize_pair(a, b);
+            proptest::prop_assert!((0.0..=1.0).contains(&p));
+            let q = normalize_pair(b, a);
+            proptest::prop_assert!((p + q - 1.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
     fn kernel_conventions() {
         let ln0 = 0.0_f64.ln();
         assert_eq!(ln_poisson_kernel(0, 0.0, ln0), 0.0);

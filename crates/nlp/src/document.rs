@@ -31,11 +31,6 @@ pub struct AnnotatedDocument {
 }
 
 impl AnnotatedDocument {
-    /// Total number of tokens across sentences.
-    pub fn token_count(&self) -> usize {
-        self.sentences.iter().map(|s| s.tokens.len()).sum()
-    }
-
     /// Total number of entity mentions.
     pub fn mention_count(&self) -> usize {
         self.sentences.iter().map(|s| s.mentions.len()).sum()
@@ -127,7 +122,7 @@ mod tests {
         assert_eq!(doc.sentences[1].mentions.len(), 1);
         assert_eq!(doc.sentences[2].mentions.len(), 0);
         assert_eq!(doc.mention_count(), 2);
-        assert!(doc.token_count() > 10);
+        assert!(doc.sentences.iter().map(|s| s.tokens.len()).sum::<usize>() > 10);
     }
 
     #[test]
@@ -152,6 +147,5 @@ mod tests {
         let lex = Lexicon::new();
         let doc = annotate(1, "", &kb, &lex);
         assert!(doc.sentences.is_empty());
-        assert_eq!(doc.token_count(), 0);
     }
 }

@@ -251,6 +251,13 @@ pub(crate) fn is_small_clause_verb_word(word: &str) -> bool {
     SMALL_CLAUSE_VERBS.contains(&word)
 }
 
+/// Whether `word` (lowercase) is one of the restrictive "to be" copulas,
+/// the verb set a V3/V4 pattern admits.
+#[inline]
+pub fn is_to_be_word(word: &str) -> bool {
+    TO_BE.contains(&word)
+}
+
 /// A part-of-speech lexicon.
 ///
 /// Lookup priority: closed-class words, then registered open-class
@@ -261,12 +268,6 @@ pub(crate) fn is_small_clause_verb_word(word: &str) -> bool {
 #[derive(Debug, Clone)]
 pub struct Lexicon {
     map: FxHashMap<String, Pos>,
-    /// Words that embed clauses (subset of verbs).
-    embedding: FxHashMap<String, ()>,
-    /// Small-clause verbs (subset of verbs).
-    small_clause: FxHashMap<String, ()>,
-    /// The restrictive "to be" copulas (subset of copulas).
-    to_be: FxHashMap<String, ()>,
 }
 
 impl Lexicon {
@@ -299,22 +300,7 @@ impl Lexicon {
         // "that" defaults to complementizer; the parser reinterprets it as a
         // determiner when followed by a noun.
         map.insert("that".to_owned(), Pos::Complementizer);
-
-        let embedding = EMBEDDING_VERBS
-            .iter()
-            .map(|w| ((*w).to_owned(), ()))
-            .collect();
-        let small_clause = SMALL_CLAUSE_VERBS
-            .iter()
-            .map(|w| ((*w).to_owned(), ()))
-            .collect();
-        let to_be = TO_BE.iter().map(|w| ((*w).to_owned(), ())).collect();
-        Self {
-            map,
-            embedding,
-            small_clause,
-            to_be,
-        }
+        Self { map }
     }
 
     /// Registers an adjective (e.g. a subjective property head).
@@ -357,21 +343,6 @@ impl Lexicon {
     /// Looks up the lexical tag of a lowercase word, if registered.
     pub fn lookup(&self, lower: &str) -> Option<Pos> {
         self.map.get(lower).copied()
-    }
-
-    /// Whether the word is a clause-embedding verb.
-    pub fn is_embedding_verb(&self, lower: &str) -> bool {
-        self.embedding.contains_key(lower)
-    }
-
-    /// Whether the word is a small-clause verb (`find`, `consider`).
-    pub fn is_small_clause_verb(&self, lower: &str) -> bool {
-        self.small_clause.contains_key(lower)
-    }
-
-    /// Whether the word is one of the restrictive "to be" copulas.
-    pub fn is_to_be(&self, lower: &str) -> bool {
-        self.to_be.contains_key(lower)
     }
 
     /// Tags a token sequence in place.
@@ -533,17 +504,23 @@ mod tests {
     #[test]
     fn to_be_and_extended_copulas() {
         let lex = Lexicon::new();
-        assert!(lex.is_to_be("is"));
-        assert!(!lex.is_to_be("seems"));
+        assert!(is_to_be_word("is") && is_to_be_word("being"));
+        assert!(!is_to_be_word("seems"));
+        // Both sets tag as copulas; only a pattern tells them apart.
+        assert_eq!(lex.lookup("is"), Some(Pos::Copula));
         assert_eq!(lex.lookup("seems"), Some(Pos::Copula));
     }
 
     #[test]
     fn embedding_and_small_clause_verbs() {
         let lex = Lexicon::new();
-        assert!(lex.is_embedding_verb("think"));
-        assert!(lex.is_small_clause_verb("find"));
-        assert!(!lex.is_embedding_verb("love"));
+        assert!(is_embedding_verb_word("think"));
+        assert!(is_small_clause_verb_word("find"));
+        assert!(!is_embedding_verb_word("love"));
+        assert!(!is_small_clause_verb_word("think"));
+        // Both are verbs to the tagger.
+        assert_eq!(lex.lookup("think"), Some(Pos::Verb));
+        assert_eq!(lex.lookup("find"), Some(Pos::Verb));
     }
 
     #[test]

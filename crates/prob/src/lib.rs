@@ -7,9 +7,9 @@
 //! the rest of the workspace can rely on a small, well-tested numeric core.
 //!
 //! Modules:
-//! - [`logspace`]: numerically stable log-domain arithmetic (`log_sum_exp`,
-//!   `ln_factorial`, `ln_gamma`).
-//! - [`poisson`]: Poisson pmf / log-pmf / CDF and sampling (Knuth for small
+//! - [`logspace`]: numerically stable log-domain arithmetic
+//!   (`ln_factorial`, `ln_gamma`).
+//! - [`poisson`]: Poisson pmf / log-pmf and sampling (Knuth for small
 //!   rates, PTRS transformed rejection for large rates).
 //! - [`zipf`]: bounded Zipf (zeta) sampler used for entity popularity.
 //! - [`stats`]: descriptive statistics — percentiles, correlation, Welford
@@ -26,7 +26,7 @@ pub mod rng;
 pub mod stats;
 pub mod zipf;
 
-pub use logspace::{ln_factorial, ln_gamma, log_sum_exp};
+pub use logspace::{ln_factorial, ln_gamma};
 pub use poisson::Poisson;
 pub use rng::SeedStream;
 pub use stats::{

@@ -77,49 +77,6 @@ pub fn ln_factorial(n: u64) -> f64 {
     }
 }
 
-/// Numerically stable `ln(exp(a) + exp(b))`.
-pub fn log_add_exp(a: f64, b: f64) -> f64 {
-    if a == f64::NEG_INFINITY {
-        return b;
-    }
-    if b == f64::NEG_INFINITY {
-        return a;
-    }
-    let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
-    hi + (lo - hi).exp().ln_1p()
-}
-
-/// Numerically stable `ln(sum_i exp(xs[i]))` over a slice.
-///
-/// Returns `f64::NEG_INFINITY` for an empty slice (the log of zero mass).
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if max == f64::NEG_INFINITY {
-        return f64::NEG_INFINITY;
-    }
-    let sum: f64 = xs.iter().map(|&x| (x - max).exp()).sum();
-    max + sum.ln()
-}
-
-/// Converts a pair of unnormalized log-weights into the probability of the
-/// first one: `exp(a) / (exp(a) + exp(b))`, computed stably.
-///
-/// This is the work-horse of the Surveyor E-step, where `a` and `b` are the
-/// log joint likelihoods of the positive and negative dominant opinion.
-pub fn normalize_pair(a: f64, b: f64) -> f64 {
-    if a == f64::NEG_INFINITY && b == f64::NEG_INFINITY {
-        return 0.5;
-    }
-    // 1 / (1 + exp(b - a)) without overflow in either direction.
-    let d = b - a;
-    if d > 0.0 {
-        let e = (-d).exp();
-        e / (1.0 + e)
-    } else {
-        1.0 / (1.0 + d.exp())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,48 +130,5 @@ mod tests {
             assert!(v > prev);
             prev = v;
         }
-    }
-
-    #[test]
-    fn log_add_exp_basic() {
-        let v = log_add_exp(0.0, 0.0); // ln(2)
-        assert!(close(v, std::f64::consts::LN_2, 1e-12));
-        assert_eq!(log_add_exp(f64::NEG_INFINITY, 3.0), 3.0);
-        assert_eq!(log_add_exp(3.0, f64::NEG_INFINITY), 3.0);
-    }
-
-    #[test]
-    fn log_add_exp_extreme_gap() {
-        // exp(-800) underflows, but the stable form returns the max.
-        let v = log_add_exp(0.0, -800.0);
-        assert!(close(v, 0.0, 1e-12));
-    }
-
-    #[test]
-    fn log_sum_exp_matches_direct_when_safe() {
-        let xs: [f64; 4] = [0.1, -0.5, 1.2, 0.0];
-        let direct: f64 = xs.iter().map(|x| x.exp()).sum::<f64>().ln();
-        assert!(close(log_sum_exp(&xs), direct, 1e-12));
-    }
-
-    #[test]
-    fn log_sum_exp_empty_is_neg_inf() {
-        assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn normalize_pair_symmetry_and_bounds() {
-        assert!(close(normalize_pair(0.0, 0.0), 0.5, 1e-12));
-        let p = normalize_pair(-3.0, -5.0);
-        let q = normalize_pair(-5.0, -3.0);
-        assert!(close(p + q, 1.0, 1e-12));
-        assert!((0.0..=1.0).contains(&p));
-    }
-
-    #[test]
-    fn normalize_pair_extreme_inputs() {
-        assert!(normalize_pair(0.0, -1e9) > 0.999_999);
-        assert!(normalize_pair(-1e9, 0.0) < 1e-6);
-        assert_eq!(normalize_pair(f64::NEG_INFINITY, f64::NEG_INFINITY), 0.5);
     }
 }

@@ -279,8 +279,41 @@ pub fn persistent(head: &[u8]) -> bool {
         })
 }
 
-/// Reads a request head from `stream` under `deadline`, enforcing
-/// [`MAX_HEAD_BYTES`]. `buffered` holds the bytes already read past the
+/// The framing step of [`read_head`], without I/O: splits the first
+/// complete head, blank line included, off the front of `buffered` and
+/// leaves the bytes past it there for the next head. `Ok(None)` means no
+/// head is complete yet: call again once more bytes are appended.
+/// `scanned` (0 to begin with) is where the search for the blank line
+/// resumes, so each byte is searched about once; a call moves it to the
+/// first byte a terminator could still start at, and back to 0 when it
+/// takes a head. A head longer than [`MAX_HEAD_BYTES`], complete or not,
+/// is `TooLarge`.
+pub fn take_head(
+    buffered: &mut Vec<u8>,
+    scanned: &mut usize,
+) -> Result<Option<Vec<u8>>, HttpError> {
+    if let Some(at) = buffered[*scanned..]
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+    {
+        let end = *scanned + at + 4;
+        if end > MAX_HEAD_BYTES {
+            return Err(HttpError::TooLarge);
+        }
+        *scanned = 0;
+        let rest = buffered.split_off(end);
+        return Ok(Some(std::mem::replace(buffered, rest)));
+    }
+    if buffered.len() > MAX_HEAD_BYTES {
+        return Err(HttpError::TooLarge);
+    }
+    // A terminator may straddle these bytes and the next ones.
+    *scanned = buffered.len().saturating_sub(3);
+    Ok(None)
+}
+
+/// Reads a request head from `stream` under `deadline`, framed by
+/// [`take_head`]. `buffered` holds the bytes already read past the
 /// previous head; what follows this head's blank line is left there for
 /// the next call, so a pipelined request is not lost. The remaining
 /// budget becomes the socket read timeout, re-derived after every
@@ -294,22 +327,9 @@ pub fn read_head(
     let mut buf = [0u8; 1024];
     let mut scanned = 0;
     loop {
-        if let Some(at) = buffered[scanned..]
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-        {
-            let end = scanned + at + 4;
-            if end > MAX_HEAD_BYTES {
-                return Err(HttpError::TooLarge);
-            }
-            let rest = buffered.split_off(end);
-            return Ok(std::mem::replace(buffered, rest));
+        if let Some(head) = take_head(buffered, &mut scanned)? {
+            return Ok(head);
         }
-        if buffered.len() > MAX_HEAD_BYTES {
-            return Err(HttpError::TooLarge);
-        }
-        // A terminator may straddle two reads.
-        scanned = buffered.len().saturating_sub(3);
         let Some(remaining) = deadline.remaining() else {
             return Err(HttpError::Expired);
         };

@@ -1,6 +1,8 @@
 //! Property-based suites for the HTTP request parser: the parser is
-//! total (any byte buffer maps to `Ok` or a typed error, never a panic)
-//! and valid requests round-trip through percent-encoding exactly.
+//! total (any byte buffer maps to `Ok` or a typed error, never a panic),
+//! valid requests round-trip through percent-encoding exactly, and a
+//! kept-alive connection's bytes frame into the heads sent, however the
+//! reads cut them.
 //!
 //! Totality is what keeps the server's per-connection `catch_unwind` a
 //! last-resort backstop instead of a load-bearing control path: the
@@ -8,7 +10,8 @@
 //! answers `400`, it does not unwind.
 
 use proptest::prelude::*;
-use surveyor_server::{parse_head, percent_encode, Method, Request};
+use surveyor_server::http::take_head;
+use surveyor_server::{parse_head, percent_encode, HttpError, Method, Request, MAX_HEAD_BYTES};
 
 /// Path/query components, biased toward the troublemakers: empty-ish
 /// ASCII, multibyte UTF-8, and characters that must percent-escape.
@@ -62,8 +65,73 @@ fn render_head(
     head
 }
 
+/// Any valid head: its method, path segments, query pairs and headers.
+fn head() -> impl Strategy<Value = String> {
+    (
+        method(),
+        prop::collection::vec(component(), 0..4),
+        prop::collection::vec((component(), component()), 0..3),
+        prop::collection::vec("[ -~]{0,20}", 0..4),
+    )
+        .prop_map(|(method, segments, query, headers)| {
+            render_head(method, &segments, &query, &headers)
+        })
+}
+
+/// Frames `bytes` as a connection's reads arrive, one read ending at
+/// each of `cuts` (taken modulo the length) and one at the end, taking
+/// every complete head after each read. Returns the heads in order and
+/// the bytes left over.
+fn frame_reads(bytes: &[u8], cuts: &[usize]) -> Result<(Vec<Vec<u8>>, Vec<u8>), HttpError> {
+    let mut ends: Vec<usize> = cuts.iter().map(|&cut| cut % (bytes.len() + 1)).collect();
+    ends.push(bytes.len());
+    ends.sort_unstable();
+    let (mut heads, mut buffered, mut start, mut scanned) = (Vec::new(), Vec::new(), 0, 0);
+    for end in ends {
+        buffered.extend_from_slice(&bytes[start..end]);
+        start = end;
+        while let Some(head) = take_head(&mut buffered, &mut scanned)? {
+            heads.push(head);
+        }
+    }
+    Ok((heads, buffered))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Pipelined heads come back whole and in order, with nothing left
+    /// over, wherever the reads cut them.
+    #[test]
+    fn pipelined_heads_frame_at_any_cut(
+        heads in prop::collection::vec(head(), 1..=8),
+        cuts in prop::collection::vec(0usize..4096, 0..16),
+    ) {
+        let (framed, rest) = frame_reads(heads.concat().as_bytes(), &cuts)
+            .map_err(|e| TestCaseError::Fail(format!("valid heads rejected: {e}")))?;
+        let framed: Vec<String> =
+            framed.into_iter().map(|h| String::from_utf8_lossy(&h).into_owned()).collect();
+        prop_assert_eq!(framed, heads);
+        prop_assert!(rest.is_empty(), "left over: {:?}", rest);
+    }
+
+    /// A head past `MAX_HEAD_BYTES` is `TooLarge` wherever the reads cut
+    /// it, whether its blank line arrives or not, after any valid heads.
+    #[test]
+    fn an_oversize_head_is_too_large_at_any_cut(
+        before in prop::collection::vec(head(), 0..3),
+        pad in 0usize..2 * MAX_HEAD_BYTES,
+        terminated in prop::bool::ANY,
+        cuts in prop::collection::vec(0usize..4 * MAX_HEAD_BYTES, 0..16),
+    ) {
+        let mut bytes = before.concat();
+        bytes.push_str("GET /x HTTP/1.1\r\nx-pad: ");
+        bytes.push_str(&"a".repeat(MAX_HEAD_BYTES - 20 + pad));
+        if terminated {
+            bytes.push_str("\r\n\r\n");
+        }
+        prop_assert_eq!(frame_reads(bytes.as_bytes(), &cuts), Err(HttpError::TooLarge));
+    }
 
     /// Arbitrary bytes parse to `Ok` or a typed error — never a panic.
     #[test]

@@ -1727,7 +1727,6 @@ mod tests {
         let state = reader.incremental().unwrap().unwrap();
         assert_eq!(state.ingested, vec![(0, 2), (4, 6)]);
         assert_eq!(state.pending, vec![2, 3]);
-        assert_eq!(state.ingested_count(), 4);
     }
 
     #[test]

@@ -161,11 +161,6 @@ impl IncrementalState {
     pub fn contains(&self, shard: u64) -> bool {
         self.ingested.iter().any(|&(s, e)| s <= shard && shard < e)
     }
-
-    /// Total number of ingested shards.
-    pub fn ingested_count(&self) -> u64 {
-        self.ingested.iter().map(|&(s, e)| e - s).sum()
-    }
 }
 
 /// A complete owned snapshot: one of the writer's sources and the
@@ -254,7 +249,6 @@ mod tests {
         assert_eq!(state.ingested, vec![(0, 9)]);
         state.ingest_range(20, 20); // empty: ignored
         assert_eq!(state.ingested, vec![(0, 9)]);
-        assert_eq!(state.ingested_count(), 9);
         assert!(state.contains(0) && state.contains(8));
         assert!(!state.contains(9));
     }

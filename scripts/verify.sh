@@ -66,6 +66,25 @@ grep '^src/' target/lint-fixture/clippy.txt | LC_ALL=C sort \
 # asserts the run's coverage accounting matches the plan's predictions.
 SURVEYOR_CHAOS_SEED="${SURVEYOR_CHAOS_SEED:-2015}" cargo test -q --test fault_injection
 
+# Reproduction drift gate: the 13 deterministic experiments at the
+# documented configuration must write exactly the committed artifacts,
+# whose numbers EXPERIMENTS.md quotes. A change that moves a reproduced
+# number regenerates those files (`repro <experiment> --json artifacts`)
+# and the doc with it. `scale.json` is timing and the smoke files are
+# gate outputs, so neither is compared.
+experiments=(table1 table2 fig5 fig6 fig3 fig9 fig10 table3 table4 table5 fig13 ablations regions)
+repro_dir=$(mktemp -d)
+cargo run --release -q -p surveyor-bench --bin repro -- \
+    "${experiments[@]}" --json "$repro_dir" > /dev/null
+drifted=""
+for experiment in "${experiments[@]}"; do
+    cmp "$repro_dir/$experiment.json" "artifacts/$experiment.json" \
+        || drifted="$drifted $experiment"
+done
+rm -rf "$repro_dir"
+[ -z "$drifted" ] \
+    || { echo "repro drift: output differs from artifacts/ for$drifted" >&2; exit 1; }
+
 # Bench smoke: the thread-scaling harness on its quick preset, with the
 # scaling-regression gate armed (nonzero exit on a phase that regresses
 # past its target curve; the permissive tolerance absorbs the noise of a
