@@ -677,8 +677,7 @@ pub fn regions(cfg: &ReproConfig) -> (String, Value) {
 /// plus one accumulation per entity, so every EM row reports the group's
 /// distinct pairs beside its time.
 pub fn scale(cfg: &ReproConfig) -> (String, Value) {
-    use rand::{rngs::StdRng, SeedableRng};
-    use surveyor_prob::Poisson;
+    use surveyor_prob::{Poisson, Rng};
 
     // Extraction vs worker threads; a larger sharded corpus so per-shard
     // work dominates scheduling overhead.
@@ -717,7 +716,7 @@ pub fn scale(cfg: &ReproConfig) -> (String, Value) {
     // One group of `m` entities: every `every`-th draws its counts at the
     // `high` rates, the rest at the `low` ones, each rate times `volume`.
     let draw = |m: usize, every: usize, high: (f64, f64), low: (f64, f64), volume: f64| {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut rng = Rng::new(cfg.seed);
         (0..m)
             .map(|i| {
                 let (lp, ln) = if i % every == 0 { high } else { low };

@@ -156,12 +156,13 @@ mod tests {
         );
         assert_denied("lib.rs", 27, "println!", "use of `println!`");
         assert_denied("lib.rs", 28, "eprintln!", "use of `eprintln!`");
-        // No rule is needed for unseeded randomness: the vendored `rand`
-        // has no entropy-seeded constructor, so such a call does not compile.
-        let rand = std::fs::read_to_string(workspace_root().join("vendor/rand/src/lib.rs"))
-            .expect("read vendor/rand");
+        // No rule is needed for unseeded randomness: the workspace's one
+        // generator has no entropy-seeded constructor, so such a call does
+        // not compile.
+        let rng = std::fs::read_to_string(workspace_root().join("crates/prob/src/rng.rs"))
+            .expect("read crates/prob/src/rng.rs");
         for entropy in ["fn thread_rng", "fn from_entropy"] {
-            assert!(!rand.contains(entropy), "vendor/rand defines `{entropy}`");
+            assert!(!rng.contains(entropy), "prob's rng.rs defines `{entropy}`");
         }
     }
 

@@ -19,11 +19,9 @@
 //! `surveyor-extract` drive old and new implementations with it; the
 //! metamorphic laws of `surveyor-extract` use its word lists.
 
-use crate::templates::{pluralize, Realizer};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use crate::templates::{pluralize, Realizer, SentenceBuf};
 use surveyor_kb::{KnowledgeBase, KnowledgeBaseBuilder};
+use surveyor_prob::Rng;
 
 /// Adjectives the fuzzer uses as properties. A core lexicon lacks three
 /// (`zorby`, `élégant`, `ωραίος`): a test that tags the fuzzer's text adds
@@ -183,7 +181,7 @@ pub fn fuzz_kb() -> KnowledgeBase {
 /// A seeded stream of perturbed documents over [`fuzz_kb`].
 #[derive(Debug, Clone)]
 pub struct SentenceFuzzer {
-    rng: StdRng,
+    rng: Rng,
     realizers: Vec<Realizer>,
 }
 
@@ -191,7 +189,7 @@ impl SentenceFuzzer {
     /// A fuzzer whose whole output is a function of `seed`.
     pub fn new(seed: u64) -> Self {
         Self {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::new(seed),
             realizers: TYPES
                 .iter()
                 .map(|(_, heads, _, plural_ok)| Realizer::new(heads[0], *plural_ok))
@@ -200,18 +198,18 @@ impl SentenceFuzzer {
     }
 
     fn pick<'a>(&mut self, words: &[&'a str]) -> &'a str {
-        words.choose(&mut self.rng).copied().unwrap_or_default()
+        self.rng.choose(words).copied().unwrap_or_default()
     }
 
     /// A surface form of a random entity — canonical name or alias,
     /// sometimes pluralized — and the index of the entity's type.
     pub fn entity_surface(&mut self) -> (String, usize) {
-        let (name, type_index, aliases) = ENTITIES[self.rng.gen_range(0..ENTITIES.len())];
-        let form = match self.rng.gen_range(0..=aliases.len()) {
+        let (name, type_index, aliases) = ENTITIES[self.rng.below(ENTITIES.len())];
+        let form = match self.rng.below(aliases.len() + 1) {
             0 => name,
             n => aliases[n - 1],
         };
-        let form = if self.rng.gen_bool(0.15) {
+        let form = if self.rng.chance(0.15) {
             pluralize(form)
         } else {
             form.to_owned()
@@ -223,7 +221,7 @@ impl SentenceFuzzer {
     /// adverb.
     pub fn property(&mut self) -> String {
         let adjective = self.pick(ADJECTIVES);
-        if self.rng.gen_bool(0.25) {
+        if self.rng.chance(0.25) {
             format!("{} {adjective}", self.pick(FILLER_ADVERBS))
         } else {
             adjective.to_owned()
@@ -237,38 +235,40 @@ impl SentenceFuzzer {
         let realizer = &self.realizers[type_index];
         let noun = TYPES[type_index].1[0];
         let rng = &mut self.rng;
-        match rng.gen_range(0..16) {
+        let mut buf = SentenceBuf::new();
+        match rng.below(16) {
             0..=6 => {
-                let positive = rng.gen_bool(0.6);
-                realizer.statement(rng, &entity, &property, positive, 0.15, 0.15)
+                let positive = rng.chance(0.6);
+                realizer.statement_into(rng, &entity, &property, positive, 0.15, 0.15, &mut buf);
             }
-            7 => realizer.aspect_noise(rng, &entity),
-            8 => realizer.part_of_noise(rng, &entity),
-            9 => realizer.filler(rng, &entity),
+            7 => realizer.aspect_noise_into(rng, &entity, &mut buf),
+            8 => realizer.part_of_noise_into(rng, &entity, &mut buf),
+            9 => realizer.filler_into(rng, &entity, &mut buf),
             10 => {
-                let second = ADJECTIVES[rng.gen_range(0..ADJECTIVES.len())];
-                format!("{entity} is {property} and {second}.")
+                let second = ADJECTIVES[rng.below(ADJECTIVES.len())];
+                return format!("{entity} is {property} and {second}.");
             }
             11 => {
-                let second = ADJECTIVES[rng.gen_range(0..ADJECTIVES.len())];
-                let third = ADJECTIVES[rng.gen_range(0..ADJECTIVES.len())];
-                format!("{entity} is a {property}, {second} and {third} {noun}.")
+                let second = ADJECTIVES[rng.below(ADJECTIVES.len())];
+                let third = ADJECTIVES[rng.below(ADJECTIVES.len())];
+                return format!("{entity} is a {property}, {second} and {third} {noun}.");
             }
-            12 => format!("Are {} {property}?", pluralize(&entity)),
+            12 => return format!("Are {} {property}?", pluralize(&entity)),
             13 => {
                 let cues = TYPES[type_index].2;
-                let cue = cues[rng.gen_range(0..cues.len())];
-                format!("Everyone says {entity} is {property} near the {cue}.")
+                let cue = cues[rng.below(cues.len())];
+                return format!("Everyone says {entity} is {property} near the {cue}.");
             }
-            14 => format!("I saw {entity} at the zoo and it was not {property}!"),
-            _ => format!("{entity} is not a {property} {noun} for tourists."),
+            14 => return format!("I saw {entity} at the zoo and it was not {property}!"),
+            _ => return format!("{entity} is not a {property} {noun} for tourists."),
         }
+        buf.sentence(0).to_owned()
     }
 
     /// A document of one to four perturbed sentences.
     pub fn document(&mut self) -> String {
         let mut text = String::new();
-        for _ in 0..self.rng.gen_range(1..=4) {
+        for _ in 0..1 + self.rng.below(4) {
             let sentence = self.base_sentence();
             let sentence = self.perturb(&sentence);
             if !text.is_empty() {
@@ -283,34 +283,34 @@ impl SentenceFuzzer {
     /// take one or two, some none.
     fn perturb(&mut self, sentence: &str) -> String {
         let mut words: Vec<String> = sentence.split(' ').map(str::to_owned).collect();
-        if self.rng.gen_bool(0.25) {
+        if self.rng.chance(0.25) {
             contract(&mut words);
         }
-        if self.rng.gen_bool(0.15) {
+        if self.rng.chance(0.15) {
             let negation = self.pick(&["not", "never", "hardly", "n't"]);
             self.insert_after_copula(&mut words, negation);
         }
-        if self.rng.gen_bool(0.2) {
+        if self.rng.chance(0.2) {
             let adverb = self.pick(FILLER_ADVERBS);
             self.insert_after_copula(&mut words, adverb);
         }
-        if self.rng.gen_bool(0.2) {
-            let at = self.rng.gen_range(0..=words.len());
+        if self.rng.chance(0.2) {
+            let at = self.rng.below(words.len() + 1);
             words.insert(at, self.pick(FOREIGN_WORDS).to_owned());
         }
-        if self.rng.gen_bool(0.2) {
-            let at = self.rng.gen_range(0..words.len());
+        if self.rng.chance(0.2) {
+            let at = self.rng.below(words.len());
             words[at].push_str(self.pick(TRAILING_PUNCTUATION));
         }
-        if self.rng.gen_bool(0.1) {
-            let at = self.rng.gen_range(0..words.len());
+        if self.rng.chance(0.1) {
+            let at = self.rng.below(words.len());
             words[at].insert_str(0, self.pick(LEADING_PUNCTUATION));
         }
-        match self.rng.gen_range(0..12) {
+        match self.rng.below(12) {
             0 => words.iter_mut().for_each(|w| *w = w.to_uppercase()),
             1 => words.iter_mut().for_each(|w| *w = w.to_lowercase()),
             2 => {
-                let at = self.rng.gen_range(0..words.len());
+                let at = self.rng.below(words.len());
                 words[at] = words[at].to_uppercase();
             }
             3 => words.iter_mut().for_each(|w| *w = title_case(w)),
@@ -319,7 +319,7 @@ impl SentenceFuzzer {
         let mut text = String::new();
         for (i, word) in words.iter().enumerate() {
             if i > 0 {
-                if self.rng.gen_bool(0.08) {
+                if self.rng.chance(0.08) {
                     text.push_str(self.pick(SEPARATORS));
                 } else {
                     text.push(' ');
@@ -336,7 +336,7 @@ impl SentenceFuzzer {
         let at = words
             .iter()
             .position(|w| matches!(w.as_str(), "is" | "are" | "seems" | "was"))
-            .map_or_else(|| self.rng.gen_range(0..=words.len()), |at| at + 1);
+            .map_or_else(|| self.rng.below(words.len() + 1), |at| at + 1);
         words.insert(at, word.to_owned());
     }
 }

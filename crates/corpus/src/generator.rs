@@ -9,15 +9,12 @@
 
 use crate::templates::{Realizer, SentenceBuf};
 use crate::world::World;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use std::fmt::Write;
 use std::sync::Arc;
 use std::time::Instant;
 use surveyor_nlp::{annotate_with, AnnotateScratch, AnnotatedDocument, Lexicon};
 use surveyor_obs::{claim_map, MetricsRegistry};
-use surveyor_prob::{Poisson, SeedStream};
+use surveyor_prob::{Poisson, Rng, SeedStream};
 
 /// A Web region with its own author population.
 ///
@@ -138,12 +135,12 @@ impl CorpusGenerator {
                 .child(&region.name);
             let mut per_domain = Vec::with_capacity(world.domains().len());
             for (di, domain) in world.domains().iter().enumerate() {
-                let mut rng = StdRng::seed_from_u64(stream.index(di as u64).seed());
+                let mut rng = Rng::new(stream.index(di as u64).seed());
                 let opinions = domain
                     .opinions
                     .iter()
                     .map(|&o| {
-                        if region.opinion_flip > 0.0 && rng.gen_bool(region.opinion_flip) {
+                        if region.opinion_flip > 0.0 && rng.chance(region.opinion_flip) {
                             !o
                         } else {
                             o
@@ -263,7 +260,7 @@ impl CorpusGenerator {
         let stream = SeedStream::new(self.world.seed())
             .child("shard")
             .index(shard as u64);
-        let mut rng = StdRng::seed_from_u64(stream.seed());
+        let mut rng = Rng::new(stream.seed());
         let shards = self.config.num_shards as f64;
 
         // Sentence arenas per region: one flat text buffer plus spans,
@@ -359,7 +356,7 @@ impl CorpusGenerator {
             .enumerate()
             .take(self.config.regions.len())
         {
-            buf.spans_mut().shuffle(&mut rng);
+            rng.shuffle(buf.spans_mut());
             let count = buf.len();
             let mut i = 0;
             while i < count {
@@ -370,7 +367,7 @@ impl CorpusGenerator {
                     }
                     text.push_str(buf.sentence(i));
                     i += 1;
-                    if !rng.gen_bool(continue_prob) {
+                    if !rng.chance(continue_prob) {
                         break;
                     }
                 }

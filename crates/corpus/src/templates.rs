@@ -9,14 +9,13 @@
 //! intrinsicness filters (aspect and part-of distractors) — that contrast
 //! is what reproduces Table 4.
 //!
-//! Realization is allocation-free on the hot path: every `*_into` method
-//! appends one sentence to a reusable [`SentenceBuf`] arena (one per
-//! worker per region), so generating a shard costs zero per-sentence
-//! `String` temporaries. The `String`-returning methods are thin wrappers
-//! kept for tests and one-off callers.
+//! Realization is allocation-free: every `*_into` method appends one
+//! sentence to a reusable [`SentenceBuf`] arena (one per worker per
+//! region), so generating a shard costs zero per-sentence `String`
+//! temporaries.
 
-use rand::Rng;
 use std::fmt::Write;
+use surveyor_prob::Rng;
 
 /// Realization context for one domain.
 #[derive(Debug, Clone)]
@@ -44,7 +43,7 @@ const DIRECTIONS: &[&str] = &["southern", "northern", "eastern", "western"];
 /// byte spans, one span per realized sentence.
 ///
 /// The generator realizes a whole region's sentences into one arena,
-/// shuffles the *spans* (the `rand` shuffle consumes randomness purely as
+/// shuffles the *spans* (the shuffle consumes randomness purely as
 /// a function of slice length, so shuffling spans draws exactly what
 /// shuffling owned `String`s used to draw), and packs documents straight
 /// from the span list — no per-sentence allocation anywhere. Spans are
@@ -151,41 +150,16 @@ impl Realizer {
         }
     }
 
-    /// Realizes one evidence statement.
+    /// Appends one evidence statement to `buf`.
     ///
     /// `positive` is the *intended extracted polarity*; the realization may
     /// use a double negation (probability `double_negation_share`) or a
     /// construction only the extended verb class recognizes (probability
     /// `extended_verb_share`).
-    pub fn statement<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        entity: &str,
-        property: &str,
-        positive: bool,
-        extended_verb_share: f64,
-        double_negation_share: f64,
-    ) -> String {
-        let mut buf = SentenceBuf::new();
-        self.statement_into(
-            rng,
-            entity,
-            property,
-            positive,
-            extended_verb_share,
-            double_negation_share,
-            &mut buf,
-        );
-        buf.sentence(0).to_owned()
-    }
-
-    /// [`statement`](Self::statement) appending into a reusable buffer:
-    /// identical bytes, identical randomness consumption, zero temporary
-    /// allocations.
     #[allow(clippy::too_many_arguments)]
-    pub fn statement_into<R: Rng + ?Sized>(
+    pub fn statement_into(
         &self,
-        rng: &mut R,
+        rng: &mut Rng,
         entity: &str,
         property: &str,
         positive: bool,
@@ -194,9 +168,9 @@ impl Realizer {
         buf: &mut SentenceBuf,
     ) {
         let start = buf.begin();
-        if rng.gen_bool(extended_verb_share.clamp(0.0, 1.0)) {
+        if rng.chance(extended_verb_share.clamp(0.0, 1.0)) {
             self.extended_verb_statement(rng, entity, property, positive, &mut buf.text);
-        } else if rng.gen_bool(double_negation_share.clamp(0.0, 1.0)) {
+        } else if rng.chance(double_negation_share.clamp(0.0, 1.0)) {
             self.double_negation_statement(rng, entity, property, positive, &mut buf.text);
         } else if positive {
             self.plain_positive(rng, entity, property, &mut buf.text);
@@ -209,17 +183,11 @@ impl Realizer {
     /// Positive realizations lean attributive/predicate-nominal (the
     /// `amod` pattern) the way Web text does — Table 4's V1 (amod-only)
     /// extracts more than V3 (complement-only) on the real snapshot.
-    fn plain_positive<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        entity: &str,
-        property: &str,
-        out: &mut String,
-    ) {
+    fn plain_positive(&self, rng: &mut Rng, entity: &str, property: &str, out: &mut String) {
         let noun = &self.head_noun;
         // Weighted choice: (weight, template id). Plural variants are only
         // natural for some types.
-        let weights: &[(u32, u8)] = if self.plural_ok {
+        let weights: &[(usize, u8)] = if self.plural_ok {
             &[
                 (14, 0),
                 (22, 1),
@@ -234,8 +202,8 @@ impl Realizer {
         } else {
             &[(16, 0), (26, 1), (10, 2), (8, 3), (18, 4), (14, 7), (8, 8)]
         };
-        let total: u32 = weights.iter().map(|(w, _)| w).sum();
-        let mut roll = rng.gen_range(0..total);
+        let total: usize = weights.iter().map(|(w, _)| w).sum();
+        let mut roll = rng.below(total);
         let mut id = 0u8;
         for &(w, t) in weights {
             if roll < w {
@@ -281,18 +249,12 @@ impl Realizer {
         }
     }
 
-    fn plain_negative<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        entity: &str,
-        property: &str,
-        out: &mut String,
-    ) {
+    fn plain_negative(&self, rng: &mut Rng, entity: &str, property: &str, out: &mut String) {
         let noun = &self.head_noun;
         let choice = if self.plural_ok {
-            rng.gen_range(0..6)
+            rng.below(6)
         } else {
-            rng.gen_range(0..5)
+            rng.below(5)
         };
         match choice {
             0 => {
@@ -319,15 +281,15 @@ impl Realizer {
 
     /// A realization only the extended verb class (Table 4 V1/V2)
     /// extracts.
-    fn extended_verb_statement<R: Rng + ?Sized>(
+    fn extended_verb_statement(
         &self,
-        rng: &mut R,
+        rng: &mut Rng,
         entity: &str,
         property: &str,
         positive: bool,
         out: &mut String,
     ) {
-        let _ = match (positive, rng.gen_range(0..3)) {
+        let _ = match (positive, rng.below(3)) {
             (true, 0) => write!(out, "I find {entity} {property}."),
             (true, 1) => write!(out, "{entity} is considered {property}."),
             (true, _) => write!(out, "{entity} seems {property}."),
@@ -339,16 +301,16 @@ impl Realizer {
 
     /// A double-negation realization (Figure 5): the surface carries two
     /// negations but the extracted polarity matches `positive`.
-    fn double_negation_statement<R: Rng + ?Sized>(
+    fn double_negation_statement(
         &self,
-        rng: &mut R,
+        rng: &mut Rng,
         entity: &str,
         property: &str,
         positive: bool,
         out: &mut String,
     ) {
         if positive {
-            let _ = if rng.gen_bool(0.5) {
+            let _ = if rng.chance(0.5) {
                 write!(out, "I don't think that {entity} is never {property}.")
             } else {
                 write!(out, "I do not believe {entity} is never {property}.")
@@ -362,22 +324,10 @@ impl Realizer {
 
     /// A non-intrinsic aspect distractor: "X is good/bad for parking".
     /// Filtered by the intrinsicness check; counted by V1/V2.
-    pub fn aspect_noise<R: Rng + ?Sized>(&self, rng: &mut R, entity: &str) -> String {
-        let mut buf = SentenceBuf::new();
-        self.aspect_noise_into(rng, entity, &mut buf);
-        buf.sentence(0).to_owned()
-    }
-
-    /// [`aspect_noise`](Self::aspect_noise) into a reusable buffer.
-    pub fn aspect_noise_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        entity: &str,
-        buf: &mut SentenceBuf,
-    ) {
+    pub fn aspect_noise_into(&self, rng: &mut Rng, entity: &str, buf: &mut SentenceBuf) {
         let start = buf.begin();
-        let aspect = ASPECTS[rng.gen_range(0..ASPECTS.len())];
-        let adjective = if rng.gen_bool(0.5) { "good" } else { "bad" };
+        let aspect = ASPECTS[rng.below(ASPECTS.len())];
+        let adjective = if rng.chance(0.5) { "good" } else { "bad" };
         let _ = write!(buf.text, "{entity} is {adjective} for {aspect}.");
         buf.commit(start);
     }
@@ -385,27 +335,11 @@ impl Realizer {
     /// A part-of distractor: "southern X is warm". The amod lands on the
     /// subject mention, which V1/V2 extract and V4's coreference
     /// requirement rejects.
-    pub fn part_of_noise<R: Rng + ?Sized>(&self, rng: &mut R, entity: &str) -> String {
-        let mut buf = SentenceBuf::new();
-        self.part_of_noise_into(rng, entity, &mut buf);
-        buf.sentence(0).to_owned()
-    }
-
-    /// [`part_of_noise`](Self::part_of_noise) into a reusable buffer.
-    pub fn part_of_noise_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        entity: &str,
-        buf: &mut SentenceBuf,
-    ) {
+    pub fn part_of_noise_into(&self, rng: &mut Rng, entity: &str, buf: &mut SentenceBuf) {
         let start = buf.begin();
-        let direction = DIRECTIONS[rng.gen_range(0..DIRECTIONS.len())];
-        let predicate = if rng.gen_bool(0.5) { "warm" } else { "cold" };
-        let season = if rng.gen_bool(0.5) {
-            "summer"
-        } else {
-            "winter"
-        };
+        let direction = DIRECTIONS[rng.below(DIRECTIONS.len())];
+        let predicate = if rng.chance(0.5) { "warm" } else { "cold" };
+        let season = if rng.chance(0.5) { "summer" } else { "winter" };
         // The prepositional tail makes the predicate non-intrinsic, so the
         // checked versions also reject the acomp reading; only the
         // spurious amod on the subject survives for V1/V2.
@@ -417,16 +351,9 @@ impl Realizer {
     }
 
     /// Neutral filler mentioning the entity without claiming a property.
-    pub fn filler<R: Rng + ?Sized>(&self, rng: &mut R, entity: &str) -> String {
-        let mut buf = SentenceBuf::new();
-        self.filler_into(rng, entity, &mut buf);
-        buf.sentence(0).to_owned()
-    }
-
-    /// [`filler`](Self::filler) into a reusable buffer.
-    pub fn filler_into<R: Rng + ?Sized>(&self, rng: &mut R, entity: &str, buf: &mut SentenceBuf) {
+    pub fn filler_into(&self, rng: &mut Rng, entity: &str, buf: &mut SentenceBuf) {
         let start = buf.begin();
-        let _ = match rng.gen_range(0..4) {
+        let _ = match rng.below(4) {
             0 => write!(buf.text, "I visited {entity} during the summer."),
             1 => write!(buf.text, "People love {entity}."),
             2 => write!(buf.text, "We saw {entity} at the weekend."),
@@ -439,8 +366,6 @@ impl Realizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn pluralize_rules() {
@@ -459,21 +384,25 @@ mod tests {
         assert_eq!(out, "The Foxes");
     }
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(77)
+    fn rng() -> Rng {
+        Rng::new(77)
     }
 
     #[test]
     fn statements_mention_entity_and_property() {
         let r = Realizer::new("animal", true);
         let mut rng = rng();
+        let mut buf = SentenceBuf::new();
         for positive in [true, false] {
             for _ in 0..50 {
-                let s = r.statement(&mut rng, "Kitten", "cute", positive, 0.2, 0.05);
-                assert!(s.to_lowercase().contains("kitten"), "{s}");
-                assert!(s.contains("cute"), "{s}");
-                assert!(s.ends_with('.'), "{s}");
+                r.statement_into(&mut rng, "Kitten", "cute", positive, 0.2, 0.05, &mut buf);
             }
+        }
+        for i in 0..buf.len() {
+            let s = buf.sentence(i);
+            assert!(s.to_lowercase().contains("kitten"), "{s}");
+            assert!(s.contains("cute"), "{s}");
+            assert!(s.ends_with('.'), "{s}");
         }
     }
 
@@ -499,8 +428,12 @@ mod tests {
     fn plain_negative_contains_negation() {
         let r = Realizer::new("city", false);
         let mut rng = rng();
+        let mut buf = SentenceBuf::new();
         for _ in 0..50 {
-            let s = r.statement(&mut rng, "Chicago", "big", false, 0.0, 0.0);
+            r.statement_into(&mut rng, "Chicago", "big", false, 0.0, 0.0, &mut buf);
+        }
+        for i in 0..buf.len() {
+            let s = buf.sentence(i);
             let lower = s.to_lowercase();
             assert!(
                 lower.contains("not") || lower.contains("n't") || lower.contains("never"),
@@ -513,8 +446,12 @@ mod tests {
     fn double_negation_has_two_negations() {
         let r = Realizer::new("animal", true);
         let mut rng = rng();
+        let mut buf = SentenceBuf::new();
         for _ in 0..20 {
-            let s = r.statement(&mut rng, "Snake", "dangerous", true, 0.0, 1.0);
+            r.statement_into(&mut rng, "Snake", "dangerous", true, 0.0, 1.0, &mut buf);
+        }
+        for i in 0..buf.len() {
+            let s = buf.sentence(i);
             let negs =
                 s.matches("n't").count() + s.matches(" not ").count() + s.matches("never").count();
             assert!(negs >= 2, "{s}");
@@ -524,16 +461,18 @@ mod tests {
     #[test]
     fn aspect_noise_has_prepositional_constriction() {
         let r = Realizer::new("city", false);
-        let mut rng = rng();
-        let s = r.aspect_noise(&mut rng, "Chicago");
+        let mut buf = SentenceBuf::new();
+        r.aspect_noise_into(&mut rng(), "Chicago", &mut buf);
+        let s = buf.sentence(0);
         assert!(s.contains(" for "), "{s}");
     }
 
     #[test]
     fn part_of_noise_prefixes_direction() {
         let r = Realizer::new("country", false);
-        let mut rng = rng();
-        let s = r.part_of_noise(&mut rng, "France");
+        let mut buf = SentenceBuf::new();
+        r.part_of_noise_into(&mut rng(), "France", &mut buf);
+        let s = buf.sentence(0);
         assert!(DIRECTIONS.iter().any(|d| s.starts_with(d)), "{s}");
     }
 
@@ -541,8 +480,12 @@ mod tests {
     fn no_plural_templates_without_plural_ok() {
         let r = Realizer::new("city", false);
         let mut rng = rng();
+        let mut buf = SentenceBuf::new();
         for _ in 0..100 {
-            let s = r.statement(&mut rng, "Chicago", "big", true, 0.0, 0.0);
+            r.statement_into(&mut rng, "Chicago", "big", true, 0.0, 0.0, &mut buf);
+        }
+        for i in 0..buf.len() {
+            let s = buf.sentence(i);
             assert!(!s.contains("Chicagos"), "{s}");
         }
     }

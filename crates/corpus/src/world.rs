@@ -1,11 +1,9 @@
 //! Ground-truth worlds: who actually holds which opinion, and how authors
 //! behave (the generative side of paper Figure 7).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use surveyor_kb::{KnowledgeBase, Property, TypeId};
-use surveyor_prob::SeedStream;
+use surveyor_prob::{Rng, SeedStream};
 
 /// How dominant opinions are assigned to the entities of a domain.
 #[derive(Debug, Clone, PartialEq)]
@@ -289,12 +287,12 @@ impl WorldBuilder {
             .child("domain")
             .child(type_name)
             .child(&property.to_string());
-        let mut rng = StdRng::seed_from_u64(stream.seed());
+        let mut rng = Rng::new(stream.seed());
 
         let opinions: Vec<bool> = entities
             .iter()
             .map(|&e| match &params.opinions {
-                OpinionRule::RandomShare(share) => rng.gen_bool((*share).clamp(0.0, 1.0)),
+                OpinionRule::RandomShare(share) => rng.chance((*share).clamp(0.0, 1.0)),
                 OpinionRule::AttributeThreshold {
                     attr,
                     threshold,
@@ -306,7 +304,7 @@ impl WorldBuilder {
                     let z =
                         (value.max(f64::MIN_POSITIVE).ln() - threshold.ln()) / softness.max(1e-6);
                     let p = 1.0 / (1.0 + (-z).exp());
-                    rng.gen_bool(p.clamp(0.0, 1.0))
+                    rng.chance(p.clamp(0.0, 1.0))
                 }
                 OpinionRule::DesignatedNames {
                     positive,
@@ -316,7 +314,7 @@ impl WorldBuilder {
                     if positive.iter().any(|p| p == name) {
                         true
                     } else {
-                        rng.gen_bool(background_share.clamp(0.0, 1.0))
+                        rng.chance(background_share.clamp(0.0, 1.0))
                     }
                 }
             })
@@ -346,10 +344,9 @@ impl WorldBuilder {
             PopularityRule::LogNormal { sigma } => {
                 (0..entities.len())
                     .map(|_| {
-                        // Box-Muller from two uniforms; rand's StdRng has no
-                        // gaussian without rand_distr, which we avoid.
-                        let u1: f64 = rng.gen_range(1e-12..1.0);
-                        let u2: f64 = rng.gen::<f64>();
+                        // Box-Muller from two uniforms.
+                        let u1 = rng.uniform(1e-12, 1.0);
+                        let u2 = rng.unit();
                         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
                         // Clamp the head: a single mega-popular entity
                         // would otherwise dominate a small type's counts.
@@ -358,10 +355,9 @@ impl WorldBuilder {
                     .collect()
             }
             PopularityRule::ZipfShuffled { exponent } => {
-                use rand::seq::SliceRandom;
                 let zipf = surveyor_prob::Zipf::new(entities.len(), *exponent);
                 let mut ranks: Vec<usize> = (1..=entities.len()).collect();
-                ranks.shuffle(&mut rng);
+                rng.shuffle(&mut ranks);
                 let weights: Vec<f64> = ranks.iter().map(|&r| zipf.weight(r)).collect();
                 let mean = weights.iter().sum::<f64>() / weights.len().max(1) as f64;
                 weights.iter().map(|w| w / mean).collect()
@@ -373,7 +369,7 @@ impl WorldBuilder {
                 if params.author_jitter > 0.0 {
                     // Skewed draw (j·u²): most entities stay near the
                     // domain agreement; a minority is heavily contrarian.
-                    let u: f64 = rng.gen();
+                    let u = rng.unit();
                     (params.p_agree - params.author_jitter * u * u).clamp(0.5, 1.0)
                 } else {
                     params.p_agree

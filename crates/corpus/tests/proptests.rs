@@ -3,11 +3,12 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use surveyor_corpus::templates::{pluralize, Realizer};
+use surveyor_corpus::templates::{pluralize, Realizer, SentenceBuf};
 use surveyor_corpus::{
     CorpusConfig, CorpusGenerator, DomainParams, OpinionRule, World, WorldBuilder,
 };
 use surveyor_kb::{KnowledgeBaseBuilder, Property};
+use surveyor_prob::Rng;
 
 fn small_world(seed: u64, rate_pos: f64, rate_neg: f64) -> World {
     let mut b = KnowledgeBaseBuilder::new();
@@ -87,10 +88,10 @@ proptest! {
         dn in 0.0f64..0.2,
         seed in 0u64..300,
     ) {
-        use rand::{rngs::StdRng, SeedableRng};
         let r = Realizer::new("animal", true);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let s = r.statement(&mut rng, "Kitten", "cute", positive, ev, dn);
+        let mut buf = SentenceBuf::new();
+        r.statement_into(&mut Rng::new(seed), "Kitten", "cute", positive, ev, dn, &mut buf);
+        let s = buf.sentence(0);
         prop_assert!(s.ends_with('.'));
         prop_assert!(s.to_lowercase().contains("kitten"), "{s}");
         prop_assert!(s.contains("cute"), "{s}");

@@ -9,9 +9,8 @@
 //! divergence in draw order or rendering shows up as a mismatch.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use surveyor_corpus::templates::{pluralize, Realizer, SentenceBuf};
+use surveyor_prob::Rng;
 
 const ASPECTS: &[&str] = &[
     "parking",
@@ -49,8 +48,8 @@ fn ref_pluralize(name: &str) -> String {
 /// The old `Realizer::statement`: per-template `format!`, early-return
 /// dispatch on the share draws.
 #[allow(clippy::too_many_arguments)]
-fn ref_statement<R: Rng + ?Sized>(
-    rng: &mut R,
+fn ref_statement(
+    rng: &mut Rng,
     head_noun: &str,
     plural_ok: bool,
     entity: &str,
@@ -59,10 +58,10 @@ fn ref_statement<R: Rng + ?Sized>(
     extended_verb_share: f64,
     double_negation_share: f64,
 ) -> String {
-    if rng.gen_bool(extended_verb_share.clamp(0.0, 1.0)) {
+    if rng.chance(extended_verb_share.clamp(0.0, 1.0)) {
         return ref_extended_verb(rng, entity, property, positive);
     }
-    if rng.gen_bool(double_negation_share.clamp(0.0, 1.0)) {
+    if rng.chance(double_negation_share.clamp(0.0, 1.0)) {
         return ref_double_negation(rng, entity, property, positive);
     }
     if positive {
@@ -72,8 +71,8 @@ fn ref_statement<R: Rng + ?Sized>(
     }
 }
 
-fn ref_plain_positive<R: Rng + ?Sized>(
-    rng: &mut R,
+fn ref_plain_positive(
+    rng: &mut Rng,
     noun: &str,
     plural_ok: bool,
     entity: &str,
@@ -95,7 +94,7 @@ fn ref_plain_positive<R: Rng + ?Sized>(
         &[(16, 0), (26, 1), (10, 2), (8, 3), (18, 4), (14, 7), (8, 8)]
     };
     let total: u32 = weights.iter().map(|(w, _)| w).sum();
-    let mut roll = rng.gen_range(0..total);
+    let mut roll = rng.below(total as usize) as u32;
     let mut id = 0u8;
     for &(w, t) in weights {
         if roll < w {
@@ -121,17 +120,17 @@ fn ref_plain_positive<R: Rng + ?Sized>(
     }
 }
 
-fn ref_plain_negative<R: Rng + ?Sized>(
-    rng: &mut R,
+fn ref_plain_negative(
+    rng: &mut Rng,
     noun: &str,
     plural_ok: bool,
     entity: &str,
     property: &str,
 ) -> String {
     let choice = if plural_ok {
-        rng.gen_range(0..6)
+        rng.below(6)
     } else {
-        rng.gen_range(0..5)
+        rng.below(5)
     };
     match choice {
         0 => format!("{entity} is not {property}."),
@@ -143,13 +142,8 @@ fn ref_plain_negative<R: Rng + ?Sized>(
     }
 }
 
-fn ref_extended_verb<R: Rng + ?Sized>(
-    rng: &mut R,
-    entity: &str,
-    property: &str,
-    positive: bool,
-) -> String {
-    match (positive, rng.gen_range(0..3)) {
+fn ref_extended_verb(rng: &mut Rng, entity: &str, property: &str, positive: bool) -> String {
+    match (positive, rng.below(3)) {
         (true, 0) => format!("I find {entity} {property}."),
         (true, 1) => format!("{entity} is considered {property}."),
         (true, _) => format!("{entity} seems {property}."),
@@ -159,14 +153,9 @@ fn ref_extended_verb<R: Rng + ?Sized>(
     }
 }
 
-fn ref_double_negation<R: Rng + ?Sized>(
-    rng: &mut R,
-    entity: &str,
-    property: &str,
-    positive: bool,
-) -> String {
+fn ref_double_negation(rng: &mut Rng, entity: &str, property: &str, positive: bool) -> String {
     if positive {
-        if rng.gen_bool(0.5) {
+        if rng.chance(0.5) {
             format!("I don't think that {entity} is never {property}.")
         } else {
             format!("I do not believe {entity} is never {property}.")
@@ -176,25 +165,21 @@ fn ref_double_negation<R: Rng + ?Sized>(
     }
 }
 
-fn ref_aspect_noise<R: Rng + ?Sized>(rng: &mut R, entity: &str) -> String {
-    let aspect = ASPECTS[rng.gen_range(0..ASPECTS.len())];
-    let adjective = if rng.gen_bool(0.5) { "good" } else { "bad" };
+fn ref_aspect_noise(rng: &mut Rng, entity: &str) -> String {
+    let aspect = ASPECTS[rng.below(ASPECTS.len())];
+    let adjective = if rng.chance(0.5) { "good" } else { "bad" };
     format!("{entity} is {adjective} for {aspect}.")
 }
 
-fn ref_part_of_noise<R: Rng + ?Sized>(rng: &mut R, entity: &str) -> String {
-    let direction = DIRECTIONS[rng.gen_range(0..DIRECTIONS.len())];
-    let predicate = if rng.gen_bool(0.5) { "warm" } else { "cold" };
-    let season = if rng.gen_bool(0.5) {
-        "summer"
-    } else {
-        "winter"
-    };
+fn ref_part_of_noise(rng: &mut Rng, entity: &str) -> String {
+    let direction = DIRECTIONS[rng.below(DIRECTIONS.len())];
+    let predicate = if rng.chance(0.5) { "warm" } else { "cold" };
+    let season = if rng.chance(0.5) { "summer" } else { "winter" };
     format!("{direction} {entity} is {predicate} in the {season}.")
 }
 
-fn ref_filler<R: Rng + ?Sized>(rng: &mut R, entity: &str) -> String {
-    match rng.gen_range(0..4) {
+fn ref_filler(rng: &mut Rng, entity: &str) -> String {
+    match rng.below(4) {
         0 => format!("I visited {entity} during the summer."),
         1 => format!("People love {entity}."),
         2 => format!("We saw {entity} at the weekend."),
@@ -229,14 +214,17 @@ proptest! {
         dns in 0.0f64..1.0,
     ) {
         let realizer = Realizer::new(&head_noun, plural_ok);
-        let mut new_rng = StdRng::seed_from_u64(seed);
+        let mut new_rng = Rng::new(seed);
         let mut ref_rng = new_rng.clone();
         for _ in 0..8 {
-            let got = realizer.statement(&mut new_rng, &entity, &property, positive, evs, dns);
+            let mut buf = SentenceBuf::new();
+            realizer.statement_into(
+                &mut new_rng, &entity, &property, positive, evs, dns, &mut buf,
+            );
             let want = ref_statement(
                 &mut ref_rng, &head_noun, plural_ok, &entity, &property, positive, evs, dns,
             );
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(buf.sentence(0), want.as_str());
         }
     }
 
@@ -251,7 +239,7 @@ proptest! {
         // must equal the corresponding reference string, proving commit
         // bookkeeping never bleeds bytes across sentences.
         let realizer = Realizer::new("animal", true);
-        let mut new_rng = StdRng::seed_from_u64(seed);
+        let mut new_rng = Rng::new(seed);
         let mut ref_rng = new_rng.clone();
         let mut buf = SentenceBuf::new();
         let mut want = Vec::with_capacity(count);
@@ -273,19 +261,14 @@ proptest! {
     #[test]
     fn noise_and_filler_match_reference(seed in 0u64..u64::MAX, entity in name_strategy()) {
         let realizer = Realizer::new("city", false);
-        let mut new_rng = StdRng::seed_from_u64(seed);
+        let mut new_rng = Rng::new(seed);
         let mut ref_rng = new_rng.clone();
-        prop_assert_eq!(
-            realizer.aspect_noise(&mut new_rng, &entity),
-            ref_aspect_noise(&mut ref_rng, &entity)
-        );
-        prop_assert_eq!(
-            realizer.part_of_noise(&mut new_rng, &entity),
-            ref_part_of_noise(&mut ref_rng, &entity)
-        );
-        prop_assert_eq!(
-            realizer.filler(&mut new_rng, &entity),
-            ref_filler(&mut ref_rng, &entity)
-        );
+        let mut buf = SentenceBuf::new();
+        realizer.aspect_noise_into(&mut new_rng, &entity, &mut buf);
+        realizer.part_of_noise_into(&mut new_rng, &entity, &mut buf);
+        realizer.filler_into(&mut new_rng, &entity, &mut buf);
+        prop_assert_eq!(buf.sentence(0), ref_aspect_noise(&mut ref_rng, &entity).as_str());
+        prop_assert_eq!(buf.sentence(1), ref_part_of_noise(&mut ref_rng, &entity).as_str());
+        prop_assert_eq!(buf.sentence(2), ref_filler(&mut ref_rng, &entity).as_str());
     }
 }

@@ -1,9 +1,7 @@
 //! Worker panels and verdicts.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use surveyor_kb::{EntityId, Property, TypeId};
-use surveyor_prob::SeedStream;
+use surveyor_prob::{Rng, SeedStream};
 
 /// One evaluation test case: an entity-property combination with its
 /// planted dominant opinion and the simulated worker pool's agreement
@@ -99,11 +97,11 @@ impl Panel {
             .child(&case.property.to_string())
             .index(case.type_id.index() as u64)
             .index(case.entity.index() as u64);
-        let mut rng = StdRng::seed_from_u64(stream.seed());
+        let mut rng = Rng::new(stream.seed());
         let p = case.worker_agreement.clamp(0.0, 1.0);
         let mut votes_positive = 0;
         for _ in 0..self.workers_per_case {
-            let follows_majority = rng.gen_bool(p);
+            let follows_majority = rng.chance(p);
             let vote = if follows_majority {
                 case.truth
             } else {

@@ -11,8 +11,6 @@
 //! fabricated "X is big" evidence.
 
 use crate::metrics::Metrics;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use std::sync::Arc;
 use surveyor::prelude::*;
@@ -20,6 +18,7 @@ use surveyor::CorpusSource;
 use surveyor_corpus::World;
 use surveyor_kb::KnowledgeBaseBuilder;
 use surveyor_model::Decision;
+use surveyor_prob::Rng;
 
 /// The ablation artifact.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -42,11 +41,11 @@ pub struct AntonymReport {
 fn antonym_world(seed: u64, entities: usize) -> (World, Vec<bool>, Vec<bool>) {
     let mut b = KnowledgeBaseBuilder::new();
     let city = b.add_type("city", &["city"], &[]);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xA27);
+    let mut rng = Rng::new(seed ^ 0xA27);
     let mut sizes = Vec::with_capacity(entities);
     for i in 0..entities {
         b.add_entity(&format!("Sizetown{i}"), city).finish();
-        sizes.push(rng.gen::<f64>());
+        sizes.push(rng.unit());
     }
     let big: Vec<bool> = sizes.iter().map(|&s| s > 0.75).collect();
     let small: Vec<bool> = sizes.iter().map(|&s| s < 0.30).collect();

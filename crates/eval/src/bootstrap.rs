@@ -8,9 +8,8 @@
 //! paper-vs-measured gap is within noise.
 
 use crate::metrics::Metrics;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use surveyor_model::Decision;
+use surveyor_prob::Rng;
 
 /// A percentile confidence interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,7 +70,7 @@ pub fn bootstrap_metrics(
 
     let point = Metrics::score(decisions, truths);
     let n = decisions.len();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut coverages = Vec::with_capacity(resamples);
     let mut precisions = Vec::with_capacity(resamples);
     let mut f1s = Vec::with_capacity(resamples);
@@ -81,7 +80,7 @@ pub fn bootstrap_metrics(
         sample_d.clear();
         sample_t.clear();
         for _ in 0..n {
-            let i = rng.gen_range(0..n);
+            let i = rng.below(n);
             sample_d.push(decisions[i]);
             sample_t.push(truths[i]);
         }

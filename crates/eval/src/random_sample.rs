@@ -11,14 +11,12 @@
 
 use crate::comparison::{method_decisions, score_subset, WebChildConfig};
 use crate::metrics::harmonic_mean;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::Serialize;
 use surveyor::prelude::*;
 use surveyor::CorpusSource;
 use surveyor_corpus::{CorpusGenerator, World};
 use surveyor_kb::EntityId;
+use surveyor_prob::Rng;
 
 /// One sampled test case.
 #[derive(Debug, Clone)]
@@ -80,14 +78,14 @@ pub fn run_random_sample(
         .iter()
         .map(|r| (r.key.type_id.0, r.key.property.resolve().to_string()))
         .collect();
-    let mut rng = StdRng::seed_from_u64(sample_seed);
+    let mut rng = Rng::new(sample_seed);
     let mut domain_indexes: Vec<usize> = (0..world.domains().len())
         .filter(|&di| {
             let d = &world.domains()[di];
             modeled.contains(&(d.type_id.0, d.property.to_string()))
         })
         .collect();
-    domain_indexes.shuffle(&mut rng);
+    rng.shuffle(&mut domain_indexes);
     domain_indexes.truncate(combos.min(domain_indexes.len()));
 
     let mut cases = Vec::new();
@@ -95,7 +93,7 @@ pub fn run_random_sample(
         let domain = &world.domains()[di];
         let entities = world.kb().entities_of_type(domain.type_id);
         let mut order: Vec<usize> = (0..entities.len()).collect();
-        order.shuffle(&mut rng);
+        rng.shuffle(&mut order);
         for &ei in order.iter().take(entities_per_combo) {
             cases.push(SampledCase {
                 domain_index: di,
@@ -105,7 +103,7 @@ pub fn run_random_sample(
         }
     }
     let mut judged_cases: Vec<usize> = (0..cases.len()).collect();
-    judged_cases.shuffle(&mut rng);
+    rng.shuffle(&mut judged_cases);
     judged_cases.truncate(judged.min(cases.len()));
 
     let decisions = method_decisions(

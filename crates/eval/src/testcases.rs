@@ -6,12 +6,10 @@
 //! panel majority becomes the reference label — exactly as the paper uses
 //! AMT as its approximation of the dominant opinion.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use surveyor_corpus::World;
 use surveyor_crowd::{CrowdVerdict, Panel, TestCase};
 use surveyor_kb::{EntityId, Property, TypeId};
-use surveyor_prob::SeedStream;
+use surveyor_prob::{Rng, SeedStream};
 
 /// One judged test case.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +70,7 @@ impl EvalSuite {
                 .child("agreement")
                 .child(&type_name)
                 .child(&domain.property.to_string());
-            let mut rng = StdRng::seed_from_u64(stream.seed());
+            let mut rng = Rng::new(stream.seed());
             let judged = per_type_limit.unwrap_or(entities.len()).min(entities.len());
             for (i, &entity) in entities.iter().take(judged).enumerate() {
                 // Mixture: ~30% of combinations are "obvious" to workers
@@ -80,12 +78,12 @@ impl EvalSuite {
                 // uniformly below the domain agreement. This reproduces
                 // the bimodal Figure 11 spectrum (~180/500 unanimous while
                 // ~100/500 sit below 75% agreement).
-                let u: f64 = rng.gen();
+                let u = rng.unit();
                 let base = domain
                     .params
                     .crowd_agreement
                     .unwrap_or(domain.params.p_agree);
-                let wa = if rng.gen_bool(0.3) {
+                let wa = if rng.chance(0.3) {
                     0.99
                 } else {
                     (1.0 - 2.0 * (1.0 - base) * u).clamp(0.5, 0.995)

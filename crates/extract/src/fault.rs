@@ -33,6 +33,7 @@ use std::borrow::Cow;
 use std::fmt;
 use std::time::Duration;
 use surveyor_nlp::AnnotatedDocument;
+use surveyor_prob::rng::splitmix64;
 
 /// Why materializing or extracting a shard failed.
 ///
@@ -220,14 +221,12 @@ impl FaultPlan {
     pub fn from_seed(seed: u64, shard_count: usize) -> Self {
         let mut plan = Self::none();
         for shard in 0..shard_count {
-            // SplitMix64 over (seed, shard): no RNG dependency, stable
-            // across platforms.
-            let mut x = seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            x = splitmix64(&mut x);
+            // SplitMix64 over (seed, shard): stable across platforms.
+            let x = splitmix64(seed ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let roll = x % 100;
             let fault = match roll {
                 0..=14 => Fault::Transient {
-                    failures: 1 + (splitmix64(&mut x) % 2) as u32,
+                    failures: 1 + (splitmix64(x) % 2) as u32,
                 },
                 15..=19 => Fault::Permanent,
                 20..=24 => Fault::Panic,
@@ -282,15 +281,6 @@ impl FaultPlan {
             })
             .sum()
     }
-}
-
-/// One SplitMix64 step (the standard finalizer; public-domain algorithm).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Wraps any fallible source and injects the faults of a [`FaultPlan`] —

@@ -19,8 +19,7 @@
 use crate::builder::KnowledgeBaseBuilder;
 use crate::ids::TypeId;
 use crate::kb::KnowledgeBase;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use surveyor_prob::Rng;
 
 /// Attribute key: city population.
 pub const ATTR_POPULATION: &str = "population";
@@ -103,16 +102,16 @@ const NAME_SUFFIXES: &[&str] = &[
 ];
 
 /// Deterministically generates a unique synthetic place/entity name.
-fn synth_name(rng: &mut StdRng, used: &mut std::collections::HashSet<String>) -> String {
+fn synth_name(rng: &mut Rng, used: &mut std::collections::HashSet<String>) -> String {
     loop {
-        let prefix = NAME_PREFIXES[rng.gen_range(0..NAME_PREFIXES.len())];
-        let suffix = NAME_SUFFIXES[rng.gen_range(0..NAME_SUFFIXES.len())];
-        let name = if rng.gen_bool(0.15) {
+        let prefix = NAME_PREFIXES[rng.below(NAME_PREFIXES.len())];
+        let suffix = NAME_SUFFIXES[rng.below(NAME_SUFFIXES.len())];
+        let name = if rng.chance(0.15) {
             // Two-word form, e.g. "Oak Ridge Springs" style variance.
-            let second = NAME_SUFFIXES[rng.gen_range(0..NAME_SUFFIXES.len())];
+            let second = NAME_SUFFIXES[rng.below(NAME_SUFFIXES.len())];
             format!(
                 "{prefix}{suffix} {}{second}",
-                NAME_PREFIXES[rng.gen_range(0..NAME_PREFIXES.len())]
+                NAME_PREFIXES[rng.below(NAME_PREFIXES.len())]
             )
         } else {
             format!("{prefix}{suffix}")
@@ -144,12 +143,12 @@ pub fn california_cities(seed: u64) -> (KnowledgeBase, TypeId) {
             .attribute(ATTR_POPULATION, *pop)
             .finish();
     }
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     while b.entity_count() < 461 {
         let name = synth_name(&mut rng, &mut used);
         // Log-uniform population between 250 and 150k: most CA cities are
         // small, matching Fig. 3's x-axis span.
-        let log_pop = rng.gen_range(250.0_f64.ln()..150_000.0_f64.ln());
+        let log_pop = rng.uniform(250.0_f64.ln(), 150_000.0_f64.ln());
         b.add_entity(&name, city)
             .attribute(ATTR_POPULATION, log_pop.exp().round())
             .finish();
@@ -344,7 +343,7 @@ pub fn table2_kb_extended(background_per_type: usize, seed: u64) -> KnowledgeBas
         b.add_entity(name, sport).finish();
     }
     if background_per_type > 0 {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x7ab2_e11e);
+        let mut rng = Rng::new(seed ^ 0x7ab2_e11e);
         let mut used: std::collections::HashSet<String> =
             b_entity_names(&[FIG10_ANIMALS, CELEBRITIES, PROFESSIONS, SPORTS])
                 .chain(WORLD_CITIES.iter().map(|(n, _)| (*n).to_owned()))
@@ -462,7 +461,7 @@ pub fn swiss_lakes() -> (KnowledgeBase, TypeId) {
             .attribute(ATTR_AREA_KM2, *area)
             .finish();
     }
-    let mut rng = StdRng::seed_from_u64(0x1a4e);
+    let mut rng = Rng::new(0x1a4e);
     let mut used: std::collections::HashSet<String> =
         SWISS_LAKES.iter().map(|(n, _)| (*n).to_owned()).collect();
     while b.entity_count() < 80 {
@@ -471,7 +470,7 @@ pub fn swiss_lakes() -> (KnowledgeBase, TypeId) {
         if !used.insert(name.clone()) {
             continue;
         }
-        let area = (rng.gen_range(0.01_f64.ln()..8.0_f64.ln())).exp();
+        let area = rng.uniform(0.01_f64.ln(), 8.0_f64.ln()).exp();
         b.add_entity(&name, lake)
             .attribute(ATTR_AREA_KM2, (area * 100.0).round() / 100.0)
             .finish();
@@ -523,14 +522,14 @@ pub fn british_mountains() -> (KnowledgeBase, TypeId) {
             .attribute(ATTR_RELATIVE_HEIGHT_M, *height)
             .finish();
     }
-    let mut rng = StdRng::seed_from_u64(0xbeac);
+    let mut rng = Rng::new(0xbeac);
     let mut used: std::collections::HashSet<String> = BRITISH_MOUNTAINS
         .iter()
         .map(|(n, _)| (*n).to_owned())
         .collect();
     while b.entity_count() < 80 {
         let base = synth_name(&mut rng, &mut used);
-        let name = if rng.gen_bool(0.5) {
+        let name = if rng.chance(0.5) {
             format!("{base} Hill")
         } else {
             format!("{base} Fell")
@@ -538,7 +537,7 @@ pub fn british_mountains() -> (KnowledgeBase, TypeId) {
         if !used.insert(name.clone()) {
             continue;
         }
-        let height = rng.gen_range(90.0..650.0_f64).round();
+        let height = rng.uniform(90.0, 650.0).round();
         b.add_entity(&name, mountain)
             .attribute(ATTR_RELATIVE_HEIGHT_M, height)
             .finish();
@@ -609,7 +608,7 @@ pub const ADJECTIVE_POOL: &[&str] = &[
 /// the Figure 9 snapshot statistics).
 pub fn long_tail_kb(num_types: usize, entities_per_type: usize, seed: u64) -> KnowledgeBase {
     let mut b = KnowledgeBaseBuilder::new();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut used = std::collections::HashSet::new();
     for i in 0..num_types {
         let (base, head2) = LONG_TAIL_DOMAINS[i % LONG_TAIL_DOMAINS.len()];

@@ -389,9 +389,7 @@ mod tests {
     use super::*;
     use crate::inference::posterior_positive;
     use crate::oracle;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use surveyor_prob::Poisson;
+    use surveyor_prob::{Poisson, Rng};
 
     /// Samples counts for `m` entities from the generative model.
     fn sample_counts(
@@ -400,7 +398,7 @@ mod tests {
         m: usize,
         seed: u64,
     ) -> (Vec<ObservedCounts>, Vec<bool>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let l = truth.lambdas();
         let mut counts = Vec::with_capacity(m);
         let mut labels = Vec::with_capacity(m);

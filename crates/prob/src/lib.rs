@@ -14,8 +14,9 @@
 //! - [`zipf`]: bounded Zipf (zeta) sampler used for entity popularity.
 //! - [`stats`]: descriptive statistics — percentiles, correlation, Welford
 //!   summaries.
-//! - [`rng`]: deterministic seed derivation so every experiment in the
-//!   workspace is reproducible from a single master seed.
+//! - [`rng`]: deterministic seed derivation and the workspace's one
+//!   generator, [`Rng`] (xoshiro256**), so every experiment is
+//!   reproducible from a single master seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +29,7 @@ pub mod zipf;
 
 pub use logspace::{ln_factorial, ln_gamma};
 pub use poisson::Poisson;
-pub use rng::SeedStream;
+pub use rng::{Rng, SeedStream};
 pub use stats::{
     pearson, percentile, percentile_sorted, percentile_sorted_or_zero, spearman, Summary,
 };

@@ -6,7 +6,7 @@
 //! (evaluating log-likelihoods) go through this type.
 
 use crate::logspace::ln_factorial;
-use rand::Rng;
+use crate::rng::Rng;
 
 /// A Poisson distribution with rate `lambda >= 0`.
 ///
@@ -56,7 +56,7 @@ impl Poisson {
     /// Uses Knuth's product-of-uniforms method for `lambda < 30` and the
     /// PTRS transformed-rejection method (Hörmann 1993) for larger rates,
     /// which keeps sampling O(1) regardless of the rate.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    pub fn sample(&self, rng: &mut Rng) -> u64 {
         if self.lambda == 0.0 {
             0
         } else if self.lambda < 30.0 {
@@ -66,13 +66,13 @@ impl Poisson {
         }
     }
 
-    fn sample_knuth<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    fn sample_knuth(&self, rng: &mut Rng) -> u64 {
         let limit = (-self.lambda).exp();
-        let mut product: f64 = rng.gen();
+        let mut product = rng.unit();
         let mut count = 0u64;
         while product > limit {
             count += 1;
-            product *= rng.gen::<f64>();
+            product *= rng.unit();
         }
         count
     }
@@ -80,7 +80,7 @@ impl Poisson {
     /// PTRS: W. Hörmann, "The transformed rejection method for generating
     /// Poisson random variables", Insurance: Mathematics and Economics 12
     /// (1993). Valid for `lambda >= 10`; we switch at 30.
-    fn sample_ptrs<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+    fn sample_ptrs(&self, rng: &mut Rng) -> u64 {
         let lam = self.lambda;
         let log_lam = lam.ln();
         let b = 0.931 + 2.53 * lam.sqrt();
@@ -88,8 +88,8 @@ impl Poisson {
         let inv_alpha = 1.123_9 + 1.132_8 / (b - 3.4);
         let v_r = 0.9277 - 3.6224 / (b - 2.0);
         loop {
-            let u: f64 = rng.gen::<f64>() - 0.5;
-            let v: f64 = rng.gen();
+            let u = rng.unit() - 0.5;
+            let v = rng.unit();
             let us = 0.5 - u.abs();
             let k = ((2.0 * a / us + b) * u + lam + 0.43).floor();
             if us >= 0.07 && v <= v_r {
@@ -110,8 +110,6 @@ impl Poisson {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn pmf_sums_to_one() {
@@ -140,7 +138,7 @@ mod tests {
         assert_eq!(p.pmf(0), 1.0);
         assert_eq!(p.pmf(1), 0.0);
         assert_eq!(p.ln_pmf(3), f64::NEG_INFINITY);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::new(7);
         for _ in 0..32 {
             assert_eq!(p.sample(&mut rng), 0);
         }
@@ -167,7 +165,7 @@ mod tests {
 
     fn sample_moments(lambda: f64, n: usize, seed: u64) -> (f64, f64) {
         let p = Poisson::new(lambda);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let samples: Vec<f64> = (0..n).map(|_| p.sample(&mut rng) as f64).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n as f64 - 1.0);
@@ -193,7 +191,7 @@ mod tests {
         // Chi-square-style check on a band of the support.
         let lambda = 50.0;
         let p = Poisson::new(lambda);
-        let mut rng = StdRng::seed_from_u64(17);
+        let mut rng = Rng::new(17);
         let n = 60_000usize;
         let mut counts = vec![0u64; 120];
         for _ in 0..n {

@@ -5,7 +5,7 @@
 //! popular entities and property-type combinations accounts for most
 //! extracted statements, while the long tail is almost never mentioned.
 
-use rand::Rng;
+use crate::rng::Rng;
 
 /// Zipf distribution: `Pr(rank = k) ∝ 1 / k^s` for `k in 1..=n`.
 ///
@@ -68,8 +68,8 @@ impl Zipf {
     }
 
     /// Draws a rank in `1..=n`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        let u = rng.unit();
         // partition_point returns the count of entries < u, i.e. the index
         // of the first cdf entry >= u; +1 converts to a 1-based rank.
         self.cdf.partition_point(|&c| c < u) + 1
@@ -87,8 +87,6 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn pmf_sums_to_one() {
@@ -116,7 +114,7 @@ mod tests {
     fn single_rank_support() {
         let z = Zipf::new(1, 2.0);
         assert_eq!(z.pmf(1), 1.0);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::new(3);
         for _ in 0..16 {
             assert_eq!(z.sample(&mut rng), 1);
         }
@@ -125,7 +123,7 @@ mod tests {
     #[test]
     fn samples_stay_in_support_and_match_pmf() {
         let z = Zipf::new(20, 1.0);
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::new(42);
         let n = 50_000;
         let mut counts = [0u64; 21];
         for _ in 0..n {

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use surveyor_prob::stats::percentile_sorted;
-use surveyor_prob::{ln_factorial, percentile, Poisson, Summary, Zipf};
+use surveyor_prob::{ln_factorial, percentile, Poisson, Rng, Summary, Zipf};
 
 proptest! {
     #[test]
@@ -37,9 +37,8 @@ proptest! {
 
     #[test]
     fn poisson_samples_within_support(lambda in 0.0f64..200.0, seed in 0u64..1000) {
-        use rand::{rngs::StdRng, SeedableRng};
         let p = Poisson::new(lambda);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let x = p.sample(&mut rng);
         // Extremely loose tail bound: 10 sigma above the mean.
         prop_assert!((x as f64) < lambda + 10.0 * lambda.sqrt() + 30.0);
@@ -54,9 +53,8 @@ proptest! {
 
     #[test]
     fn zipf_samples_in_support(n in 1usize..200, s in 0.2f64..2.5, seed in 0u64..500) {
-        use rand::{rngs::StdRng, SeedableRng};
         let z = Zipf::new(n, s);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let k = z.sample(&mut rng);
         prop_assert!((1..=n).contains(&k));
     }

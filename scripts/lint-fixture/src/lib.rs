@@ -1,7 +1,7 @@
 //! Every module plants violations of the lib-only clippy gate
 //! (scripts/verify.sh, clippy.toml) and an `#[expect]` twin of each that
-//! stays silent. There is no line for unseeded randomness: `vendor/rand`
-//! has no `thread_rng` or `from_entropy`, so such a call does not compile.
+//! stays silent. There is no line for unseeded randomness:
+//! `surveyor_prob::Rng` has no entropy constructor, so none can compile.
 
 pub mod clock;
 pub mod expects;

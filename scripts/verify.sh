@@ -104,6 +104,21 @@ for key in '"schema_version"' '"host_cpus"' '"timing"' \
         || { echo "scale_smoke.json missing $key" >&2; exit 1; }
 done
 
+# What the quick scale world computes is exact and the same on every host:
+# the generator's document fingerprint, the extractor's statements and the
+# model's decided pairs must read their pins at every thread width.
+scale_json=$(tr -d ' \n' < artifacts/scale_smoke.json)
+pin_scale_count() {
+    local key=$1 pin=$2 values
+    values=$(echo "$scale_json" | sed -n "s/.*\"$key\":\[\([0-9,]*\)\].*/\1/p" \
+        | tr ',' '\n' | sort -u | tr '\n' ' ')
+    [ "$values" = "$pin " ] \
+        || { echo "scale_smoke.json $key reads ${values:-nothing}not the pin $pin" >&2; exit 1; }
+}
+pin_scale_count document_fingerprints 14302247931206881235
+pin_scale_count statements 4324
+pin_scale_count decided_pairs 1760
+
 # Snapshot gate: the binary wire format round-trips the mined world.
 # `snapshot` mines a preset and writes both the binary snapshot and the
 # store JSON; `load` reconstructs the store from the snapshot alone; the
