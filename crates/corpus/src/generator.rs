@@ -107,16 +107,19 @@ pub struct CorpusGenerator {
     /// `region_opinions[r]` is, per domain, the per-entity opinion vector
     /// for region `r` (flips applied deterministically).
     region_opinions: Vec<Vec<Vec<bool>>>,
-    /// Normalized region weights.
-    region_weights: Vec<f64>,
+    /// `cell_laws[d][e · regions + r]` holds the five per-shard count laws
+    /// of entity `e` of domain `d` in region `r`, in draw order: positive,
+    /// negative, aspect, part-of, filler. They do not depend on the shard,
+    /// so every shard reads them instead of recomputing them.
+    cell_laws: Vec<Vec<[Poisson; 5]>>,
 }
 
 impl CorpusGenerator {
     /// Creates a generator.
     ///
     /// # Panics
-    /// Panics on an empty region list, zero shards, or non-positive
-    /// weights.
+    /// Panics on an empty region list, zero shards, non-positive
+    /// weights, or a negative or non-finite statement rate.
     pub fn new(world: World, config: CorpusConfig) -> Self {
         assert!(config.num_shards > 0, "need at least one shard");
         assert!(!config.regions.is_empty(), "need at least one region");
@@ -136,7 +139,7 @@ impl CorpusGenerator {
             let mut per_domain = Vec::with_capacity(world.domains().len());
             for (di, domain) in world.domains().iter().enumerate() {
                 let mut rng = Rng::new(stream.index(di as u64).seed());
-                let opinions = domain
+                let opinions: Vec<bool> = domain
                     .opinions
                     .iter()
                     .map(|&o| {
@@ -152,12 +155,41 @@ impl CorpusGenerator {
             region_opinions.push(per_domain);
         }
 
+        let shards = config.num_shards as f64;
+        let cell_laws = world
+            .domains()
+            .iter()
+            .enumerate()
+            .map(|(di, domain)| {
+                let params = &domain.params;
+                let mut laws = Vec::with_capacity(domain.popularity.len() * region_weights.len());
+                for (ei, &pop) in domain.popularity.iter().enumerate() {
+                    for (ri, region_weight) in region_weights.iter().enumerate() {
+                        let (rate_pos, rate_neg) =
+                            domain.rates_for(ei, region_opinions[ri][di][ei]);
+                        let scale = region_weight / shards;
+                        laws.push(
+                            [
+                                rate_pos * scale,
+                                rate_neg * scale,
+                                params.aspect_noise * pop * scale,
+                                params.part_of_noise * pop * scale,
+                                params.filler_noise * pop * scale,
+                            ]
+                            .map(Poisson::new),
+                        );
+                    }
+                }
+                laws
+            })
+            .collect();
+
         Self {
             world,
             config,
             observer: None,
             region_opinions,
-            region_weights,
+            cell_laws,
         }
     }
 
@@ -261,7 +293,6 @@ impl CorpusGenerator {
             .child("shard")
             .index(shard as u64);
         let mut rng = Rng::new(stream.seed());
-        let shards = self.config.num_shards as f64;
 
         // Sentence arenas per region: one flat text buffer plus spans,
         // reused across shards. No per-sentence `String` exists anywhere.
@@ -285,51 +316,51 @@ impl CorpusGenerator {
             scratch.property.clear();
             let _ = write!(scratch.property, "{}", domain.property);
             let entities = self.world.kb().entities_of_type(domain.type_id);
-            for (ei, &entity) in entities.iter().enumerate() {
-                let name = self.world.kb().entity(entity).name();
-                let pop = domain.popularity[ei];
-                for (ri, region_weight) in self.region_weights.iter().enumerate() {
-                    let opinion = self.region_opinions[ri][di][ei];
-                    let (rate_pos, rate_neg) = domain.rates_for(ei, opinion);
-                    let scale = region_weight / shards;
-                    let n_pos = Poisson::new(rate_pos * scale).sample(&mut rng);
-                    let n_neg = Poisson::new(rate_neg * scale).sample(&mut rng);
+            let regions = self.config.regions.len();
+            // Entities outermost, then regions: the draw order every
+            // generated corpus is pinned to (`tests/draw_order.rs`).
+            for (&entity, cells) in entities
+                .iter()
+                .zip(self.cell_laws[di].chunks_exact(regions))
+            {
+                // Most cells are silent: name the entity only on a sentence.
+                let name = || self.world.kb().entity(entity).name();
+                for (buf, [pos, neg, aspect, part_of, filler]) in
+                    scratch.regions.iter_mut().zip(cells)
+                {
+                    // Both statement counts are drawn before either is
+                    // realized; each noise count just before its sentences.
+                    let (n_pos, n_neg) = (pos.sample(&mut rng), neg.sample(&mut rng));
                     for _ in 0..n_pos {
                         realizer.statement_into(
                             &mut rng,
-                            name,
+                            name(),
                             &scratch.property,
                             true,
                             domain.params.extended_verb_share,
                             domain.params.double_negation_share,
-                            &mut scratch.regions[ri],
+                            buf,
                         );
                     }
                     for _ in 0..n_neg {
                         realizer.statement_into(
                             &mut rng,
-                            name,
+                            name(),
                             &scratch.property,
                             false,
                             domain.params.extended_verb_share,
                             domain.params.double_negation_share,
-                            &mut scratch.regions[ri],
+                            buf,
                         );
                     }
-                    let n_aspect =
-                        Poisson::new(domain.params.aspect_noise * pop * scale).sample(&mut rng);
-                    for _ in 0..n_aspect {
-                        realizer.aspect_noise_into(&mut rng, name, &mut scratch.regions[ri]);
+                    for _ in 0..aspect.sample(&mut rng) {
+                        realizer.aspect_noise_into(&mut rng, name(), buf);
                     }
-                    let n_part =
-                        Poisson::new(domain.params.part_of_noise * pop * scale).sample(&mut rng);
-                    for _ in 0..n_part {
-                        realizer.part_of_noise_into(&mut rng, name, &mut scratch.regions[ri]);
+                    for _ in 0..part_of.sample(&mut rng) {
+                        realizer.part_of_noise_into(&mut rng, name(), buf);
                     }
-                    let n_fill =
-                        Poisson::new(domain.params.filler_noise * pop * scale).sample(&mut rng);
-                    for _ in 0..n_fill {
-                        realizer.filler_into(&mut rng, name, &mut scratch.regions[ri]);
+                    for _ in 0..filler.sample(&mut rng) {
+                        realizer.filler_into(&mut rng, name(), buf);
                     }
                 }
             }
@@ -480,10 +511,13 @@ mod tests {
 
     #[test]
     fn parallel_materialization_matches_serial() {
-        let g = CorpusGenerator::new(world(3), CorpusConfig::default());
-        let serial: Vec<Vec<RawDocument>> = (0..g.shard_count()).map(|s| g.shard_text(s)).collect();
-        for workers in [1, 2, 4, 8] {
-            assert_eq!(serial, g.all_shards_text(workers), "{workers} workers");
+        let one_region = CorpusGenerator::new(world(3), CorpusConfig::default());
+        for g in [one_region, crate::presets::regional_generator(2015)] {
+            let serial: Vec<Vec<RawDocument>> =
+                (0..g.shard_count()).map(|s| g.shard_text(s)).collect();
+            for workers in [1, 2, 4, 8] {
+                assert_eq!(serial, g.all_shards_text(workers), "{workers} workers");
+            }
         }
     }
 

@@ -166,6 +166,14 @@ impl DomainParams {
             (0.0..=1.0).contains(&self.double_negation_share),
             "double_negation_share out of range"
         );
+        if let PopularityRule::ZipfByIndex { exponent }
+        | PopularityRule::ZipfShuffled { exponent } = self.popularity
+        {
+            assert!(
+                exponent.is_finite() && exponent > 0.0,
+                "Zipf exponent must be positive"
+            );
+        }
     }
 }
 
@@ -329,17 +337,17 @@ impl WorldBuilder {
                     .collect();
                 let mut sorted = values.clone();
                 sorted.sort_by(|a, b| a.total_cmp(b));
-                let median = sorted[sorted.len() / 2];
-                values
-                    .iter()
-                    .map(|v| (v / median).powf(*exponent).clamp(0.05, 20.0))
-                    .collect()
+                // An empty type has no median and no popularity.
+                match sorted.get(sorted.len() / 2) {
+                    None => Vec::new(),
+                    Some(median) => values
+                        .iter()
+                        .map(|v| (v / median).powf(*exponent).clamp(0.05, 20.0))
+                        .collect(),
+                }
             }
             PopularityRule::ZipfByIndex { exponent } => {
-                let zipf = surveyor_prob::Zipf::new(entities.len(), *exponent);
-                let weights: Vec<f64> = (1..=entities.len()).map(|r| zipf.weight(r)).collect();
-                let mean = weights.iter().sum::<f64>() / weights.len().max(1) as f64;
-                weights.iter().map(|w| w / mean).collect()
+                zipf_mean_one(1..=entities.len(), *exponent)
             }
             PopularityRule::LogNormal { sigma } => {
                 (0..entities.len())
@@ -355,12 +363,9 @@ impl WorldBuilder {
                     .collect()
             }
             PopularityRule::ZipfShuffled { exponent } => {
-                let zipf = surveyor_prob::Zipf::new(entities.len(), *exponent);
                 let mut ranks: Vec<usize> = (1..=entities.len()).collect();
                 rng.shuffle(&mut ranks);
-                let weights: Vec<f64> = ranks.iter().map(|&r| zipf.weight(r)).collect();
-                let mean = weights.iter().sum::<f64>() / weights.len().max(1) as f64;
-                weights.iter().map(|w| w / mean).collect()
+                zipf_mean_one(ranks.into_iter(), *exponent)
             }
         };
 
@@ -395,6 +400,14 @@ impl WorldBuilder {
             seed: self.seed,
         }
     }
+}
+
+/// Zipf weights `r^−s` of `ranks`, normalized to mean 1 (empty for an
+/// empty type).
+fn zipf_mean_one(ranks: impl Iterator<Item = usize>, exponent: f64) -> Vec<f64> {
+    let weights: Vec<f64> = ranks.map(|r| (r as f64).powf(-exponent)).collect();
+    let mean = weights.iter().sum::<f64>() / weights.len().max(1) as f64;
+    weights.iter().map(|w| w / mean).collect()
 }
 
 #[cfg(test)]
@@ -576,6 +589,36 @@ mod tests {
         assert_eq!(d.opinions.len(), entities.len());
         let kitten = kb.entity_by_name("Kitten").unwrap();
         assert_eq!(entities.iter().position(|&e| e == kitten), Some(0));
+    }
+
+    #[test]
+    fn an_empty_type_builds_and_generates_nothing_under_every_popularity_rule() {
+        let mut b = KnowledgeBaseBuilder::new();
+        b.add_type("ghost", &["ghost"], &[]);
+        let kb = Arc::new(b.build());
+        for popularity in [
+            PopularityRule::Uniform,
+            PopularityRule::ByAttribute {
+                attr: ATTR_POPULATION.to_owned(),
+                exponent: 0.5,
+            },
+            PopularityRule::ZipfByIndex { exponent: 1.1 },
+            PopularityRule::ZipfShuffled { exponent: 1.1 },
+            PopularityRule::LogNormal { sigma: 0.8 },
+        ] {
+            let params = DomainParams {
+                popularity: popularity.clone(),
+                ..DomainParams::default()
+            };
+            let world = WorldBuilder::new(kb.clone(), 3)
+                .domain("ghost", Property::adjective("scary"), params)
+                .build();
+            assert!(world.domains()[0].popularity.is_empty(), "{popularity:?}");
+            let generator = crate::CorpusGenerator::new(world, crate::CorpusConfig::default());
+            for shard in 0..generator.shard_count() {
+                assert!(generator.shard_text(shard).is_empty(), "{popularity:?}");
+            }
+        }
     }
 
     #[test]

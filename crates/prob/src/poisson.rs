@@ -23,6 +23,7 @@ impl Poisson {
     ///
     /// # Panics
     /// Panics if `lambda` is negative or non-finite.
+    #[inline]
     pub fn new(lambda: f64) -> Self {
         assert!(
             lambda.is_finite() && lambda >= 0.0,
@@ -56,19 +57,35 @@ impl Poisson {
     /// Uses Knuth's product-of-uniforms method for `lambda < 30` and the
     /// PTRS transformed-rejection method (Hörmann 1993) for larger rates,
     /// which keeps sampling O(1) regardless of the rate.
+    ///
+    /// Knuth's method returns 0 when its first uniform `u` is at most
+    /// `e^{−λ}`. Since `1 − λ ≤ e^{−λ}`, a `u` at most `(1 − λ) − 1e-12`
+    /// certifies a 0 without computing the exponential; the margin is
+    /// about 9,000 ulps at 1 and covers the rounding of `1 − λ` and of
+    /// `exp`. Above the bound the loop continues from `u`, so the draws
+    /// and the samples are exactly the loop's, and a silent draw at a
+    /// sparse rate costs one uniform and one comparison.
+    #[inline]
     pub fn sample(&self, rng: &mut Rng) -> u64 {
         if self.lambda == 0.0 {
             0
         } else if self.lambda < 30.0 {
-            self.sample_knuth(rng)
+            let u = rng.unit();
+            if u <= zero_draw_bound(self.lambda) {
+                0
+            } else {
+                self.knuth_from(u, rng)
+            }
         } else {
             self.sample_ptrs(rng)
         }
     }
 
-    fn sample_knuth(&self, rng: &mut Rng) -> u64 {
+    /// Knuth's loop with its first uniform `u` already drawn.
+    #[inline(never)]
+    fn knuth_from(&self, u: f64, rng: &mut Rng) -> u64 {
         let limit = (-self.lambda).exp();
-        let mut product = rng.unit();
+        let mut product = u;
         let mut count = 0u64;
         while product > limit {
             count += 1;
@@ -80,6 +97,7 @@ impl Poisson {
     /// PTRS: W. Hörmann, "The transformed rejection method for generating
     /// Poisson random variables", Insurance: Mathematics and Economics 12
     /// (1993). Valid for `lambda >= 10`; we switch at 30.
+    #[inline(never)]
     fn sample_ptrs(&self, rng: &mut Rng) -> u64 {
         let lam = self.lambda;
         let log_lam = lam.ln();
@@ -105,6 +123,13 @@ impl Poisson {
             }
         }
     }
+}
+
+/// The largest first uniform that certifies a zero draw: `(1 − λ) − 1e-12`,
+/// strictly below `e^{−λ}` for every `λ > 0`.
+#[inline]
+fn zero_draw_bound(lambda: f64) -> f64 {
+    (1.0 - lambda) - 1e-12
 }
 
 #[cfg(test)]
@@ -161,6 +186,31 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_rate_panics() {
         let _ = Poisson::new(-1.0);
+    }
+
+    #[test]
+    fn zero_draw_bound_lies_below_the_knuth_limit() {
+        let below_limit = |lambda: f64| zero_draw_bound(lambda) < (-lambda).exp();
+        let steps = 1u32 << 20;
+        for k in 1..steps {
+            let lambda = f64::from(k) / f64::from(steps);
+            assert!(below_limit(lambda), "lambda={lambda}");
+        }
+        // Every power of two down to the smallest subnormal, and the float
+        // just below each of them.
+        let mut lambda = 0.5f64;
+        while lambda > 0.0 {
+            let under = f64::from_bits(lambda.to_bits() - 1);
+            assert!(below_limit(lambda), "lambda={lambda:e}");
+            assert!(under == 0.0 || below_limit(under), "lambda={under:e}");
+            lambda /= 2.0;
+        }
+        // The last floats below 1, where `1 − λ` is smallest.
+        let mut lambda = 1.0f64;
+        for _ in 0..4096 {
+            lambda = f64::from_bits(lambda.to_bits() - 1);
+            assert!(below_limit(lambda), "lambda={lambda}");
+        }
     }
 
     fn sample_moments(lambda: f64, n: usize, seed: u64) -> (f64, f64) {

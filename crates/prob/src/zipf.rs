@@ -74,14 +74,6 @@ impl Zipf {
         // of the first cdf entry >= u; +1 converts to a 1-based rank.
         self.cdf.partition_point(|&c| c < u) + 1
     }
-
-    /// The relative weight of rank `k` (unnormalized `1/k^s`), exposed so
-    /// callers can scale per-entity mention rates without re-deriving the
-    /// normalizer.
-    pub fn weight(&self, k: usize) -> f64 {
-        assert!(k >= 1 && k <= self.cdf.len(), "rank out of range");
-        (k as f64).powf(-self.exponent)
-    }
 }
 
 #[cfg(test)]
