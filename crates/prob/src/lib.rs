@@ -11,7 +11,6 @@
 //!   (`ln_factorial`, `ln_gamma`).
 //! - [`poisson`]: Poisson pmf / log-pmf and sampling (Knuth for small
 //!   rates, PTRS transformed rejection for large rates).
-//! - [`zipf`]: bounded Zipf (zeta) sampler used for entity popularity.
 //! - [`stats`]: descriptive statistics — percentiles, correlation, Welford
 //!   summaries.
 //! - [`rng`]: deterministic seed derivation and the workspace's one
@@ -25,7 +24,6 @@ pub mod logspace;
 pub mod poisson;
 pub mod rng;
 pub mod stats;
-pub mod zipf;
 
 pub use logspace::{ln_factorial, ln_gamma};
 pub use poisson::Poisson;
@@ -33,4 +31,3 @@ pub use rng::{Rng, SeedStream};
 pub use stats::{
     pearson, percentile, percentile_sorted, percentile_sorted_or_zero, spearman, Summary,
 };
-pub use zipf::Zipf;

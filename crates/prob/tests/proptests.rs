@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use surveyor_prob::stats::percentile_sorted;
-use surveyor_prob::{ln_factorial, percentile, Poisson, Rng, Summary, Zipf};
+use surveyor_prob::{ln_factorial, percentile, Poisson, Rng, Summary};
 
 proptest! {
     #[test]
@@ -42,21 +42,6 @@ proptest! {
         let x = p.sample(&mut rng);
         // Extremely loose tail bound: 10 sigma above the mean.
         prop_assert!((x as f64) < lambda + 10.0 * lambda.sqrt() + 30.0);
-    }
-
-    #[test]
-    fn zipf_pmf_is_normalized(n in 1usize..500, s in 0.2f64..3.0) {
-        let z = Zipf::new(n, s);
-        let total: f64 = (1..=n).map(|k| z.pmf(k)).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zipf_samples_in_support(n in 1usize..200, s in 0.2f64..2.5, seed in 0u64..500) {
-        let z = Zipf::new(n, s);
-        let mut rng = Rng::new(seed);
-        let k = z.sample(&mut rng);
-        prop_assert!((1..=n).contains(&k));
     }
 
     #[test]

@@ -14,10 +14,13 @@
 //! a connection may carry another request (`Connection`,
 //! `Content-Length`, `Transfer-Encoding`). Bodies are never read, so a
 //! request with one closes its connection; control operations carry
-//! their arguments in the query string. [`read_head`] keeps the bytes
-//! read past a head — a pipelined next request — for the next call.
+//! their arguments in the query string. [`Connection`] keeps the bytes
+//! read past a head — a pipelined next request — for the next head, and
+//! the socket timeouts it last set.
 
 use crate::deadline::Deadline;
+use crate::json::JsonWriter;
+use std::fmt::Display;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -279,10 +282,11 @@ pub fn persistent(head: &[u8]) -> bool {
         })
 }
 
-/// The framing step of [`read_head`], without I/O: splits the first
-/// complete head, blank line included, off the front of `buffered` and
-/// leaves the bytes past it there for the next head. `Ok(None)` means no
-/// head is complete yet: call again once more bytes are appended.
+/// The framing step of [`Connection::read_head`], without I/O: splits
+/// the first complete head, blank line included, off the front of
+/// `buffered` and leaves the bytes past it there for the next head.
+/// `Ok(None)` means no head is complete yet: call again once more bytes
+/// are appended.
 /// `scanned` (0 to begin with) is where the search for the blank line
 /// resumes, so each byte is searched about once; a call moves it to the
 /// first byte a terminator could still start at, and back to 0 when it
@@ -312,53 +316,127 @@ pub fn take_head(
     Ok(None)
 }
 
-/// Reads a request head from `stream` under `deadline`, framed by
-/// [`take_head`]. `buffered` holds the bytes already read past the
-/// previous head; what follows this head's blank line is left there for
-/// the next call, so a pipelined request is not lost. The remaining
-/// budget becomes the socket read timeout, re-derived after every
-/// partial read, so a slowloris-style client that trickles bytes cannot
-/// hold a worker past the deadline.
-pub fn read_head(
-    stream: &mut TcpStream,
-    buffered: &mut Vec<u8>,
-    deadline: &Deadline,
-) -> Result<Vec<u8>, HttpError> {
-    let mut buf = [0u8; 1024];
-    let mut scanned = 0;
-    loop {
-        if let Some(head) = take_head(buffered, &mut scanned)? {
-            return Ok(head);
-        }
-        let Some(remaining) = deadline.remaining() else {
-            return Err(HttpError::Expired);
-        };
-        // A zero timeout is rejected by std; clamp to 1ms.
-        let timeout = remaining.max(Duration::from_millis(1));
-        if stream.set_read_timeout(Some(timeout)).is_err() {
-            return Err(HttpError::Io(std::io::ErrorKind::InvalidInput));
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => return Err(HttpError::Disconnected),
-            Ok(n) => buffered.extend_from_slice(&buf[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(HttpError::Expired);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == std::io::ErrorKind::ConnectionReset
-                    || e.kind() == std::io::ErrorKind::ConnectionAborted
-                    || e.kind() == std::io::ErrorKind::BrokenPipe =>
-            {
-                return Err(HttpError::Disconnected);
-            }
-            Err(e) => return Err(HttpError::Io(e.kind())),
+/// The floor under a reply's write window: even an expired request gets
+/// this long to carry its error status to the peer.
+const WRITE_FLOOR: Duration = Duration::from_millis(100);
+
+/// How far the send timeout already set on a connection may sit from a
+/// reply's write window before it is set again. A reply write is so
+/// bounded by its window give or take this much, and a kept connection
+/// whose requests all get about a budget to answer sets it once.
+pub const WRITE_TIMEOUT_SLACK: Duration = WRITE_FLOOR;
+
+/// The bytes read from the socket at a time.
+const READ_CHUNK: usize = 1024;
+
+/// A connection's socket with the bytes read from it that no head has
+/// taken yet, and the read and send timeouts last set on it. Each timeout
+/// is set again only when it changes, so a kept request whose head comes
+/// in one piece costs one read and one write and no `setsockopt`.
+#[derive(Debug)]
+pub struct Connection {
+    stream: TcpStream,
+    /// Bytes read past the last head taken: the start of the next request.
+    buffered: Vec<u8>,
+    read_timeout: Option<Duration>,
+    write_timeout: Option<Duration>,
+}
+
+impl Connection {
+    /// A connection over `stream` with nothing read and no timeout set.
+    pub fn new(stream: TcpStream) -> Self {
+        Self {
+            stream,
+            buffered: Vec::new(),
+            read_timeout: None,
+            write_timeout: None,
         }
     }
+
+    /// The socket.
+    pub fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+
+    /// The socket, dropping whatever was read and not served.
+    pub fn into_stream(self) -> TcpStream {
+        self.stream
+    }
+
+    /// Whether bytes of a next request are already read.
+    pub fn has_buffered(&self) -> bool {
+        !self.buffered.is_empty()
+    }
+
+    /// One read into the buffered bytes, waiting at most `timeout` (not
+    /// zero); `Ok(0)` is the end of the stream.
+    pub fn fill(&mut self, timeout: Duration) -> std::io::Result<usize> {
+        if self.read_timeout != Some(timeout) {
+            self.stream.set_read_timeout(Some(timeout))?;
+            self.read_timeout = Some(timeout);
+        }
+        let mut chunk = [0u8; READ_CHUNK];
+        let n = self.stream.read(&mut chunk)?;
+        self.buffered.extend_from_slice(&chunk[..n]);
+        Ok(n)
+    }
+
+    /// Reads a request head under `deadline`, framed by [`take_head`].
+    /// What follows the head's blank line stays buffered for the next
+    /// call, so a pipelined request is not lost. A head already buffered
+    /// costs no read. Otherwise the remaining budget becomes the read
+    /// timeout, re-derived after every partial read, so a slowloris-style
+    /// client that trickles bytes cannot hold a worker past the deadline.
+    pub fn read_head(&mut self, deadline: &Deadline) -> Result<Vec<u8>, HttpError> {
+        let mut scanned = 0;
+        loop {
+            if let Some(head) = take_head(&mut self.buffered, &mut scanned)? {
+                return Ok(head);
+            }
+            let Some(remaining) = deadline.remaining() else {
+                return Err(HttpError::Expired);
+            };
+            // A zero timeout is rejected by std; clamp to 1ms.
+            match self.fill(remaining.max(Duration::from_millis(1))) {
+                Ok(0) => return Err(HttpError::Disconnected),
+                Ok(_) => {}
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return Err(HttpError::Expired);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::ConnectionReset
+                        || e.kind() == std::io::ErrorKind::ConnectionAborted
+                        || e.kind() == std::io::ErrorKind::BrokenPipe =>
+                {
+                    return Err(HttpError::Disconnected);
+                }
+                Err(e) => return Err(HttpError::Io(e.kind())),
+            }
+        }
+    }
+
+    /// Writes `bytes` in one `write_all` under `deadline`'s write window
+    /// (never below 100 ms). The send timeout is set again only when the
+    /// one already set is more than [`WRITE_TIMEOUT_SLACK`] from the
+    /// window.
+    pub fn send(&mut self, bytes: &[u8], deadline: &Deadline) -> std::io::Result<()> {
+        let window = deadline.write_window(WRITE_FLOOR);
+        if (self.write_timeout).is_none_or(|set| set.abs_diff(window) > WRITE_TIMEOUT_SLACK) {
+            self.stream.set_write_timeout(Some(window))?;
+            self.write_timeout = Some(window);
+        }
+        self.stream.write_all(bytes)
+    }
 }
+
+/// The capacity a JSON body starts with: room for every body but
+/// `/entity`'s, which sizes its own, and `/evidence`'s with a long
+/// document sample.
+const BODY_CAPACITY: usize = 512;
 
 /// A response about to be written. Its wire form says either
 /// `Connection: close` or nothing, in which case the connection stays
@@ -376,18 +454,32 @@ pub struct Response {
 }
 
 impl Response {
-    /// A JSON response from a serializable value.
-    pub fn json(status: u16, value: &serde_json::Value) -> Self {
+    /// A JSON reply: one object whose members `members` writes, keys in
+    /// ascending order ([`crate::json`]).
+    pub fn object(status: u16, members: impl FnOnce(&mut JsonWriter<'_>)) -> Self {
+        Self::object_with_capacity(status, BODY_CAPACITY, members)
+    }
+
+    /// [`object`](Self::object) with room for `capacity` bytes of body to
+    /// begin with.
+    pub fn object_with_capacity(
+        status: u16,
+        capacity: usize,
+        members: impl FnOnce(&mut JsonWriter<'_>),
+    ) -> Self {
+        let mut body = Vec::with_capacity(capacity);
+        JsonWriter::new(&mut body).object(members);
         Self {
             status,
             content_type: "application/json",
             retry_after: None,
-            // Serializing a `Value` tree cannot fail; fall back to an
-            // empty object rather than unwrapping.
-            body: serde_json::to_string_pretty(value)
-                .unwrap_or_else(|_| "{}".to_owned())
-                .into_bytes(),
+            body,
         }
+    }
+
+    /// The JSON error reply `{"error": detail}`.
+    pub fn error(status: u16, detail: impl Display) -> Self {
+        Self::object(status, |o| o.key("error").display(detail))
     }
 
     /// A plain-text response.
@@ -403,13 +495,11 @@ impl Response {
     /// The shed response: `503` with a `Retry-After` hint, written
     /// straight from the accept path when the work queue is full.
     pub fn shed(retry_after_seconds: u32) -> Self {
-        let mut r = Self::json(
-            503,
-            &serde_json::json!({
-                "error": "server overloaded; request shed",
-                "retry_after_seconds": retry_after_seconds,
-            }),
-        );
+        let mut r = Self::object(503, |o| {
+            o.key("error").str("server overloaded; request shed");
+            o.key("retry_after_seconds")
+                .u64(u64::from(retry_after_seconds));
+        });
         r.retry_after = Some(retry_after_seconds);
         r
     }
@@ -417,44 +507,47 @@ impl Response {
     /// Renders the full wire form (status line, headers, body) of a reply
     /// that closes its connection.
     pub fn render(&self) -> Vec<u8> {
-        self.render_as(false)
+        let mut out = Vec::new();
+        self.render_into(&mut out, false);
+        out
     }
 
-    /// Renders the full wire form; `keep_alive` leaves out `Connection:
-    /// close`, so an HTTP/1.1 client keeps the connection for its next
-    /// request.
-    pub fn render_as(&self, keep_alive: bool) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.body.len() + 128);
-        out.extend_from_slice(
-            format!("HTTP/1.1 {} {}\r\n", self.status, reason(self.status)).as_bytes(),
+    /// Renders the full wire form into `out`, replacing what it held;
+    /// `keep_alive` leaves out `Connection: close`, so an HTTP/1.1 client
+    /// keeps the connection for its next request.
+    pub fn render_into(&self, out: &mut Vec<u8>, keep_alive: bool) {
+        out.clear();
+        out.reserve(self.body.len() + 128);
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            out,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
+            self.status,
+            reason(self.status),
+            self.content_type,
+            self.body.len()
         );
-        out.extend_from_slice(format!("Content-Type: {}\r\n", self.content_type).as_bytes());
-        out.extend_from_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
         if let Some(secs) = self.retry_after {
-            out.extend_from_slice(format!("Retry-After: {secs}\r\n").as_bytes());
+            let _ = write!(out, "Retry-After: {secs}\r\n");
         }
         if !keep_alive {
             out.extend_from_slice(b"Connection: close\r\n");
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
-        out
     }
 
-    /// Writes the response under the request's deadline, rendered as
-    /// [`render_as`](Self::render_as) says. The write window never drops
-    /// below 100 ms, so even an expired request gets a brief chance to
-    /// carry its error status to the peer.
+    /// Renders the reply into `scratch` as [`render_into`](Self::render_into)
+    /// says and sends it on `conn` under `deadline`.
     pub fn write_to(
         &self,
-        stream: &mut TcpStream,
+        conn: &mut Connection,
         deadline: &Deadline,
         keep_alive: bool,
+        scratch: &mut Vec<u8>,
     ) -> std::io::Result<()> {
-        let window = deadline.write_window(Duration::from_millis(100));
-        stream.set_write_timeout(Some(window))?;
-        stream.write_all(&self.render_as(keep_alive))?;
-        stream.flush()
+        self.render_into(scratch, keep_alive);
+        conn.send(scratch, deadline)
     }
 }
 
@@ -561,10 +654,14 @@ mod tests {
     #[test]
     fn a_kept_reply_leaves_out_connection_close() {
         let r = Response::text(200, "ok");
-        let kept = String::from_utf8(r.render_as(true)).unwrap();
+        let mut kept = b"what the buffer held".to_vec();
+        r.render_into(&mut kept, true);
+        let kept = String::from_utf8(kept).unwrap();
         assert!(!kept.contains("Connection"), "{kept}");
         assert!(kept.contains("Content-Length: 2\r\n\r\nok"), "{kept}");
-        assert_eq!(r.render(), r.render_as(false));
+        let mut closing = Vec::new();
+        r.render_into(&mut closing, false);
+        assert_eq!(r.render(), closing);
     }
 
     #[test]
@@ -618,7 +715,7 @@ mod tests {
         use std::net::TcpListener;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
+        let mut server = Connection::new(listener.accept().unwrap().0);
         let first = "GET /a HTTP/1.1\r\n\r\n";
         let second = "GET /b HTTP/1.1\r\nHost: h\r\n\r\n";
         client
@@ -626,16 +723,12 @@ mod tests {
             .unwrap();
         drop(client);
         let deadline = Deadline::starting_now(Duration::from_secs(5));
-        let mut buffered = Vec::new();
-        let head = read_head(&mut server, &mut buffered, &deadline).unwrap();
+        let head = server.read_head(&deadline).unwrap();
         assert_eq!(head, first.as_bytes());
-        let head = read_head(&mut server, &mut buffered, &deadline).unwrap();
+        let head = server.read_head(&deadline).unwrap();
         assert_eq!(head, second.as_bytes());
-        assert_eq!(
-            read_head(&mut server, &mut buffered, &deadline),
-            Err(HttpError::Disconnected)
-        );
-        assert_eq!(buffered, b"GET /c");
+        assert_eq!(server.read_head(&deadline), Err(HttpError::Disconnected));
+        assert_eq!(server.buffered, b"GET /c");
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 pub mod deadline;
 pub mod http;
+pub mod json;
 pub mod metrics;
 pub mod queue;
 pub mod routes;

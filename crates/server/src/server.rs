@@ -7,7 +7,7 @@
 //!        │ (full → 503+Retry-After, written inline)     │  serves its connection
 //!        │                                               │  request after request
 //!        │ queued and no worker free:                    │  while no connection waits
-//!        ├─ wake one ──▶ IdleConnections ◀── enter/leave ┤  (idle: blocked in peek)
+//!        ├─ wake one ──▶ IdleConnections ◀── enter/leave ┤  (idle: blocked in read)
 //!        │                                               ├─ catch_unwind per request
 //!        └── shutdown nudge ◀──── /ctl/shutdown ─────────┘
 //! ```
@@ -19,18 +19,28 @@
 //! `Connection: close` ([`crate::http::persistent`]), the reply is a
 //! routed one (not a 400/408/431/500 of the HTTP layer), the server is
 //! not shutting down, and **no queued connection waits for a worker as
-//! the reply is rendered**. Between requests the worker blocks in `peek`
-//! for the next byte, with its connection published in
-//! `IdleConnections`. When the accept thread queues a connection that
-//! no free worker will take, it shuts one published connection down for
-//! reading, so that worker's `peek` returns at once and the worker closes
-//! the connection; shutdown wakes every published one the same way. An
-//! idle connection also closes after one request budget. So a kept-alive
-//! reader holds a worker only while nobody else waits: with every worker
-//! held, a new connection (a `/readyz`, a `/ctl/reload`) waits at most
-//! one request's service time. Every close the worker makes is
-//! `close_connection`'s: the peer reads EOF after the last reply, never
-//! a reset.
+//! the reply is rendered**. Between requests the worker blocks in a
+//! `read` into the connection's buffer, with its connection published in
+//! `IdleConnections`; the head framer then finds the next head already
+//! read. When the accept thread queues a connection that no free worker
+//! will take, it shuts one published connection down for reading, so
+//! that worker's read returns at once and the worker drops what it read
+//! and closes the connection; shutdown wakes every published one the
+//! same way. An idle connection also closes after one request budget. So
+//! a kept-alive reader holds a worker only while nobody else waits: with
+//! every worker held, a new connection (a `/readyz`, a `/ctl/reload`)
+//! waits at most one request's service time. Every close the worker
+//! makes is `close_connection`'s: the peer reads EOF after the last
+//! reply, never a reset.
+//!
+//! A kept request whose head arrives whole costs one `read` and one
+//! `write`. The connection ([`Connection`]) sets a socket timeout again
+//! only when it changes: the idle read's is one budget, and the reply's
+//! send timeout is set again only when it is more than
+//! [`crate::http::WRITE_TIMEOUT_SLACK`] from the request's write window.
+//! A route writes its JSON body straight into bytes ([`crate::json`]);
+//! the worker renders head and body into one buffer it keeps for every
+//! reply and sends it in one `write_all`.
 //!
 //! Every accepted connection is stamped with a [`Deadline`] *at accept
 //! time*, so time spent waiting in the queue counts against its first
@@ -43,12 +53,11 @@
 //! thread.
 
 use crate::deadline::Deadline;
-use crate::http::{parse_head, persistent, read_head, HttpError, Response};
+use crate::http::{parse_head, persistent, Connection, HttpError, Response};
 use crate::metrics::ServerMetrics;
 use crate::queue::BoundedQueue;
 use crate::routes::{route, ControlAction, RouteContext};
 use crate::state::{ServedState, SharedState, StateCache};
-use serde_json::json;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -98,8 +107,8 @@ struct Job {
 }
 
 /// The kept connections whose workers wait for a next request, each a
-/// clone of the socket its worker blocks on in `peek`, with the worker's
-/// index. Shutting a socket down for reading ends that `peek` at once
+/// clone of the socket its worker blocks on in `read`, with the worker's
+/// index. Shutting a socket down for reading ends that `read` at once
 /// (it reads EOF): that is how a queued connection or a shutdown takes a
 /// worker back without the worker polling.
 #[derive(Debug, Default)]
@@ -324,8 +333,9 @@ fn accept_loop(
                     let _ = stream.set_read_timeout(Some(Duration::from_millis(2)));
                     let mut scratch = [0u8; 4096];
                     let _ = std::io::Read::read(&mut stream, &mut scratch);
+                    let mut conn = Connection::new(stream);
                     let response = Response::shed(RETRY_AFTER_SECONDS);
-                    if response.write_to(&mut stream, &deadline, false).is_ok() {
+                    if (response.write_to(&mut conn, &deadline, false, &mut Vec::new())).is_ok() {
                         metrics.count_response(response.status);
                     }
                 }
@@ -411,19 +421,22 @@ struct Worker {
 
 impl Worker {
     fn run(&self) {
+        // Every reply this worker sends is rendered here, head and body,
+        // and sent in one write.
+        let mut reply = Vec::new();
         while let Some(Job { stream, deadline }) = self.queue.pop() {
             self.metrics.connections.inc();
-            self.serve_connection(stream, deadline);
+            self.serve_connection(stream, deadline, &mut reply);
         }
     }
 
     /// Serves `stream` request after request until it closes.
-    fn serve_connection(&self, mut stream: TcpStream, mut deadline: Deadline) {
+    fn serve_connection(&self, stream: TcpStream, mut deadline: Deadline, reply: &mut Vec<u8>) {
         // Each reply is one write, so Nagle's algorithm saves nothing; with
         // it, a reply written while the one before is still unacknowledged
         // (a pipelined request) would wait out the peer's delayed ACK.
         let _ = stream.set_nodelay(true);
-        let mut buffered = Vec::new();
+        let mut conn = Connection::new(stream);
         // A clone of the socket for `IdleConnections`, made at the first
         // idle wait.
         let mut waker = None;
@@ -435,7 +448,7 @@ impl Worker {
             let mut cache = StateCache::new(&self.shared);
             self.metrics.requests.inc();
             let served = catch_unwind(AssertUnwindSafe(|| {
-                self.serve_one(&mut stream, &mut buffered, &deadline, &mut cache)
+                self.serve_one(&mut conn, &deadline, &mut cache, reply)
             }));
             self.metrics
                 .observe_latency(deadline.elapsed().as_secs_f64());
@@ -443,9 +456,8 @@ impl Worker {
                 // The request panicked; the process did not. Best-effort
                 // 500 so the client is not left hanging.
                 self.metrics.panics.inc();
-                let response =
-                    Response::json(500, &json!({ "error": "internal panic; request isolated" }));
-                if response.write_to(&mut stream, &deadline, false).is_ok() {
+                let response = Response::error(500, "internal panic; request isolated");
+                if (response.write_to(&mut conn, &deadline, false, reply)).is_ok() {
                     self.metrics.count_response(response.status);
                 }
                 Next::Close
@@ -458,64 +470,62 @@ impl Worker {
                 // held the last reference to a replaced snapshot, freeing
                 // it must not hold back the client's EOF, and the linger
                 // must not hold the snapshot.
-                let _ = stream.shutdown(Shutdown::Write);
+                let _ = conn.stream().shutdown(Shutdown::Write);
                 drop(cache);
                 drop(waker);
-                close_connection(stream);
+                close_connection(conn.into_stream());
                 return;
             }
             drop(cache);
-            match self.await_request(&stream, &mut waker, &buffered) {
+            match self.await_request(&mut conn, &mut waker) {
                 Some(next_deadline) => deadline = next_deadline,
                 None => {
                     drop(waker);
-                    close_connection(stream);
+                    close_connection(conn.into_stream());
                     return;
                 }
             }
         }
     }
 
-    /// Waits on an idle kept connection for its next request, and opens
-    /// that request's deadline when its first byte is there. `None` closes
-    /// the connection: the peer closed it or failed, another connection
-    /// waits for a worker, the server is shutting down, or it sat idle
-    /// for a budget.
+    /// Waits on an idle kept connection for its next request, reading
+    /// what arrives first into the connection's buffer, and opens that
+    /// request's deadline when it is there. `None` closes the connection:
+    /// the peer closed it or failed, another connection waits for a
+    /// worker, the server is shutting down, or it sat idle for a budget.
     fn await_request(
         &self,
-        stream: &TcpStream,
+        conn: &mut Connection,
         waker: &mut Option<Arc<TcpStream>>,
-        buffered: &[u8],
     ) -> Option<Deadline> {
-        if !buffered.is_empty() {
+        if conn.has_buffered() {
             // A pipelined request: its first byte is already here.
             return Some(open_deadline(self.budget));
         }
         let waker = match waker {
             Some(waker) => waker,
-            None => waker.insert(Arc::new(stream.try_clone().ok()?)),
+            None => waker.insert(Arc::new(conn.stream().try_clone().ok()?)),
         };
         let idle = &self.signal.idle;
         idle.enter(self.id, waker);
         // Published before this look, so a connection queued or a
-        // shutdown begun after it wakes the `peek` below.
+        // shutdown begun after it wakes the read below.
         if self.signal.is_triggered() || self.queue.unclaimed() > 0 {
             idle.leave(self.id);
             return None;
         }
-        let mut byte = [0u8; 1];
-        let peeked = stream
-            .set_read_timeout(Some(self.budget))
-            .and_then(|()| loop {
-                match stream.peek(&mut byte) {
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    peeked => break peeked,
-                }
-            });
+        let read = loop {
+            match conn.fill(self.budget) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                read => break read,
+            }
+        };
         // A timeout (idle for a budget), EOF, an error or a wake-up all
-        // close; a byte is served only if nobody woke the worker first.
+        // close; what was read is served only if nobody woke the worker
+        // first. A woken worker drops it: it was read, so closing leaves
+        // nothing unread to answer with a reset.
         let woken = !idle.leave(self.id);
-        match peeked {
+        match read {
             Ok(n) if n > 0 && !woken => Some(open_deadline(self.budget)),
             _ => None,
         }
@@ -525,29 +535,29 @@ impl Worker {
     /// route, write. Returns what to do with the connection next.
     fn serve_one(
         &self,
-        stream: &mut TcpStream,
-        buffered: &mut Vec<u8>,
+        conn: &mut Connection,
         deadline: &Deadline,
         cache: &mut StateCache,
+        reply: &mut Vec<u8>,
     ) -> Next {
         let metrics = &self.metrics;
-        let parsed = read_head(stream, buffered, deadline)
-            .and_then(|head| Ok((parse_head(&head)?, persistent(&head))));
+        let parsed =
+            (conn.read_head(deadline)).and_then(|head| Ok((parse_head(&head)?, persistent(&head))));
         let (request, persistent) = match parsed {
             Ok(parsed) => parsed,
             Err(e) => {
                 let response = match &e {
                     HttpError::TooLarge => {
                         metrics.malformed.inc();
-                        Some(Response::json(431, &json!({ "error": e.to_string() })))
+                        Some(Response::error(431, &e))
                     }
                     HttpError::Malformed(_) => {
                         metrics.malformed.inc();
-                        Some(Response::json(400, &json!({ "error": e.to_string() })))
+                        Some(Response::error(400, &e))
                     }
                     HttpError::Expired => {
                         metrics.deadline_expired.inc();
-                        Some(Response::json(408, &json!({ "error": e.to_string() })))
+                        Some(Response::error(408, &e))
                     }
                     HttpError::Disconnected | HttpError::Io(_) => {
                         metrics.disconnects.inc();
@@ -555,7 +565,7 @@ impl Worker {
                     }
                 };
                 if let Some(response) = response {
-                    if response.write_to(stream, deadline, false).is_ok() {
+                    if (response.write_to(conn, deadline, false, reply)).is_ok() {
                         metrics.count_response(response.status);
                     }
                 }
@@ -567,8 +577,8 @@ impl Worker {
         // the queue gets an honest 408 instead of a stale answer.
         if deadline.expired() {
             metrics.deadline_expired.inc();
-            let response = Response::json(408, &json!({ "error": "deadline expired in queue" }));
-            if response.write_to(stream, deadline, false).is_ok() {
+            let response = Response::error(408, "deadline expired in queue");
+            if (response.write_to(conn, deadline, false, reply)).is_ok() {
                 metrics.count_response(response.status);
             }
             return Next::Close;
@@ -597,9 +607,8 @@ impl Worker {
             ControlAction::None => Next::Close,
         };
         let keep_alive = next == Next::KeepAlive;
-        if outcome
-            .response
-            .write_to(stream, deadline, keep_alive)
+        if (outcome.response)
+            .write_to(conn, deadline, keep_alive, reply)
             .is_ok()
         {
             metrics.count_response(outcome.response.status);

@@ -587,6 +587,46 @@ fn slowloris_request_gets_408_not_a_wedged_worker() {
 }
 
 #[test]
+fn a_slowloris_second_request_on_a_kept_connection_gets_408_when_its_budget_ends() {
+    let budget = Duration::from_millis(600);
+    let handle = boot(ServerConfig {
+        request_budget: budget,
+        ..ServerConfig::default()
+    });
+    let mut conn = Kept::open(handle.addr());
+    assert_kept(conn.get("/healthz"));
+    // Idle for half a budget, then trickle the second head in two pieces
+    // and stop short of its end. Its budget opens at its first byte, not
+    // at the last reply, and the read timeout after the second piece is
+    // what is left of it, not a whole budget again: the 408 comes when
+    // the budget ends (a budget from the last reply would end half a
+    // budget early, a fresh one after the second piece half a budget
+    // late).
+    std::thread::sleep(budget / 2);
+    let trickled = Instant::now();
+    conn.send("GET /hea");
+    std::thread::sleep(budget / 2);
+    conn.send("lthz HT");
+    let reply = conn.reply().expect("a 408 on the kept connection");
+    let took = trickled.elapsed();
+    assert!(reply.starts_with("HTTP/1.1 408 "), "{reply}");
+    assert!(reply.contains("Connection: close\r\n"), "{reply}");
+    assert!(
+        took >= budget - Duration::from_millis(30) && took < budget + budget / 4,
+        "the 408 came {took:?} after the first byte, on a {budget:?} budget"
+    );
+    assert!(conn.closed(), "the connection outlived its 408");
+    assert_eq!(
+        handle
+            .metrics()
+            .registry()
+            .counter_value("serve.deadline_expired"),
+        1
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn graceful_shutdown_via_control_route() {
     let handle = boot(ServerConfig::default());
     let addr = handle.addr();

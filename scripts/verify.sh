@@ -196,7 +196,8 @@ done
 # Serve gate: boot the fault-hardened query server on the snapshot the
 # gate above just mined and drive it over bash's /dev/tcp (no curl in
 # the image): a known-answer query (cities/seed 5 is deterministic, so
-# the verdict is pinned), a corrupt hot reload that must be rejected
+# the verdict is pinned), the same query twice on one kept connection,
+# a corrupt hot reload that must be rejected
 # while queries keep answering on the old generation, and a graceful
 # shutdown that must exit 0 with the drain summary printed.
 serve_http() { # method path -> full reply on stdout
@@ -220,6 +221,22 @@ done
 [ -n "$SERVE_PORT" ] || { echo "serve gate: server did not boot" >&2; exit 1; }
 serve_http GET '/decide/Los%20Angeles/big' | grep -q '"positive": true' \
     || { echo "serve gate: known-answer query failed" >&2; exit 1; }
+# The same query twice on one kept connection: the first request leaves
+# the connection open, and the second, sent once the first is answered,
+# finds the worker idle in its read and asks to close. Both replies must
+# arrive whole, and only the second may say `Connection: close`.
+exec 3<>"/dev/tcp/127.0.0.1/${SERVE_PORT}"
+printf 'GET %s HTTP/1.1\r\nHost: verify\r\n\r\n' '/decide/Los%20Angeles/big' >&3
+sleep 0.2
+printf 'GET %s HTTP/1.1\r\nHost: verify\r\nConnection: close\r\n\r\n' \
+    '/decide/Los%20Angeles/big' >&3
+KEPT_REPLIES=$(cat <&3)
+exec 3<&- 3>&-
+kept_count() { grep -o "$1" <<<"$KEPT_REPLIES" | wc -l; }
+[ "$(kept_count 'HTTP/1.1 200 OK')" -eq 2 ] \
+    && [ "$(kept_count '"positive": true')" -eq 2 ] \
+    && [ "$(kept_count 'Connection: close')" -eq 1 ] \
+    || { echo "serve gate: kept-connection queries failed: $KEPT_REPLIES" >&2; exit 1; }
 serve_http POST "/ctl/reload?path=artifacts/truncated.swire" | grep -q '^HTTP/1.1 422' \
     || { echo "serve gate: corrupt reload was not rejected" >&2; exit 1; }
 serve_http GET '/decide/Los%20Angeles/big' | grep -q '"positive": true' \
