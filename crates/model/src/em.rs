@@ -602,4 +602,42 @@ mod tests {
         };
         let _ = fit(&[ObservedCounts::zero()], &config);
     }
+
+    /// A zero rate makes two of the four λ zero. Their `ln λ` terms are
+    /// −∞ when the expected count under them is positive, so `Q'` is −∞,
+    /// and they vanish when that count is 0, leaving the other two terms.
+    #[test]
+    fn q_prime_of_a_zero_lambda_is_minus_infinity_only_under_positive_counts() {
+        let params = ModelParams::new(0.8, 0.0, 4.0);
+        let stats = |g_pos_pos| Stats {
+            g_pos_pos,
+            g_neg_pos: 3.0,
+            g_pos_neg: 0.0,
+            g_neg_neg: 5.0,
+            g_pos: 2.0,
+            g_neg: 6.0,
+        };
+        assert_eq!(q_prime(&stats(1.0), &params), f64::NEG_INFINITY);
+        let l = params.lambdas();
+        let term = |count: f64, mass: f64, lambda: f64| count * lambda.ln() - mass * lambda;
+        let rest = term(3.0, 2.0, l.neg_pos) + term(5.0, 6.0, l.neg_neg);
+        assert_eq!(q_prime(&stats(0.0), &params), rest);
+    }
+
+    /// A positive but subnormal denominator overflows a rate to ∞, and
+    /// that grid point is skipped. A zero denominator is refused by
+    /// `is_finite` as well (it gives ∞ or NaN), so `denom <= 0.0` →
+    /// `< 0.0` is an equivalent mutant; this test is for the guard.
+    #[test]
+    fn m_step_rates_refuse_a_rate_that_overflows() {
+        let stats = Stats {
+            g_pos_pos: 1.0,
+            g_neg_pos: 0.0,
+            g_pos_neg: 0.0,
+            g_neg_neg: 0.0,
+            g_pos: 1e-310,
+            g_neg: 1e-310,
+        };
+        assert_eq!(m_step_rates(&stats, 0.5), None);
+    }
 }

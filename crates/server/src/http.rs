@@ -19,7 +19,7 @@
 //! the socket timeouts it last set.
 
 use crate::deadline::Deadline;
-use crate::json::JsonWriter;
+use serde_json::JsonWriter;
 use std::fmt::Display;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -455,7 +455,7 @@ pub struct Response {
 
 impl Response {
     /// A JSON reply: one object whose members `members` writes, keys in
-    /// ascending order ([`crate::json`]).
+    /// ascending order, as `serde_json` prints a tree ([`JsonWriter`]).
     pub fn object(status: u16, members: impl FnOnce(&mut JsonWriter<'_>)) -> Self {
         Self::object_with_capacity(status, BODY_CAPACITY, members)
     }
@@ -467,13 +467,13 @@ impl Response {
         capacity: usize,
         members: impl FnOnce(&mut JsonWriter<'_>),
     ) -> Self {
-        let mut body = Vec::with_capacity(capacity);
+        let mut body = String::with_capacity(capacity);
         JsonWriter::new(&mut body).object(members);
         Self {
             status,
             content_type: "application/json",
             retry_after: None,
-            body,
+            body: body.into_bytes(),
         }
     }
 

@@ -23,16 +23,16 @@
 //! - **Graceful shutdown**: `/ctl/shutdown` drains queued requests and
 //!   joins every thread before the process exits.
 //!
-//! Like `wire`, `obs`, and `lint`, the crate is dependency-light by
-//! design: the HTTP layer is hand-rolled over `std::net` so the whole
-//! serving stack stays auditable and offline-buildable.
+//! The HTTP layer is hand-rolled over `std::net` so the whole serving
+//! stack stays auditable and offline-buildable. Beyond `surveyor` and
+//! `surveyor-obs`, the crate depends on the vendored `serde_json` alone,
+//! for `JsonWriter`, which writes every reply body.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod deadline;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod queue;
 pub mod routes;

@@ -21,9 +21,9 @@
 //! the shared slot moves, so rejection leaves the old index serving.
 
 use crate::http::{Method, Request, Response};
-use crate::json::JsonWriter;
 use crate::metrics::ServerMetrics;
 use crate::state::{ServedState, SharedState, StateCache};
+use serde_json::JsonWriter;
 use std::fmt::Display;
 use std::sync::Arc;
 use surveyor::kb::Property;
@@ -375,6 +375,9 @@ mod tests {
     //! Every body shape the routes write, against the text
     //! `serde_json::to_string_pretty` makes of the same values as a
     //! `json!` tree: the bodies the server sent when it built such trees.
+    //! Both print through one `JsonWriter`, so these tests check each
+    //! body's members, their values and their key order; the escapes and
+    //! float forms themselves are pinned by `serde_json`'s own tests.
 
     use super::*;
     use serde_json::{json, Value};

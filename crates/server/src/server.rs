@@ -38,9 +38,9 @@
 //! only when it changes: the idle read's is one budget, and the reply's
 //! send timeout is set again only when it is more than
 //! [`crate::http::WRITE_TIMEOUT_SLACK`] from the request's write window.
-//! A route writes its JSON body straight into bytes ([`crate::json`]);
-//! the worker renders head and body into one buffer it keeps for every
-//! reply and sends it in one `write_all`.
+//! A route writes its JSON body straight into text
+//! ([`serde_json::JsonWriter`]); the worker renders head and body into
+//! one buffer it keeps for every reply and sends it in one `write_all`.
 //!
 //! Every accepted connection is stamped with a [`Deadline`] *at accept
 //! time*, so time spent waiting in the queue counts against its first

@@ -27,7 +27,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # and HashMap paths clippy.toml lists. An exception is an
 # `#[expect(lint, reason = "…")]` at the site, and one that stops firing
 # fails the gate (`unfulfilled_lint_expectations` under `-D warnings`).
-# `--no-deps` keeps the flags off the vendored crates.
+# `--no-deps` keeps the flags off the vendored crates but one:
+# `serde_json` holds the JSON writer every reply body, store and report
+# prints through, so it is held to the product crates' rules.
 LIB_LINTS=(
     -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic
     -D clippy::unreachable -D clippy::todo -D clippy::unimplemented
@@ -40,7 +42,7 @@ cargo clippy --no-deps --lib \
     -p surveyor-prob -p surveyor-obs -p surveyor-kb -p surveyor-nlp \
     -p surveyor-corpus -p surveyor-extract -p surveyor-model \
     -p surveyor-crowd -p surveyor-eval -p surveyor-wire -p surveyor \
-    -p surveyor-server -p surveyor-cli \
+    -p surveyor-server -p surveyor-cli -p serde_json \
     -- "${LIB_LINTS[@]}"
 
 # The same gate over scripts/lint-fixture, which breaks each rule once and
@@ -84,6 +86,27 @@ done
 rm -rf "$repro_dir"
 [ -z "$drifted" ] \
     || { echo "repro drift: output differs from artifacts/ for$drifted" >&2; exit 1; }
+
+# Ledger smoke: the repository's benchmark (BENCHMARK.json) on its quick
+# worlds, both workloads, as a correctness check — no timing is asserted.
+# The ledger exits nonzero unless every HTTP reply carried the verdict it
+# derived itself, every mined and updated snapshot equalled the 1-thread
+# reference byte for byte, every load indexed what was decided and every
+# reload was accepted; the last line it prints is the run as JSON, archived
+# here. Built and run with BENCHMARK.json's own command — the stand-alone
+# package, its own lock file, into .bench_build — so a change that breaks
+# only that build fails here.
+for workload in web_mine longtail_update; do
+    CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet \
+        --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
+        --workload "$workload" --quick --seconds 4 --trace 0 \
+        | tail -n 1 > "artifacts/ledger_smoke_${workload}.json"
+    for key in '"correct": true' '"failed": 0' '"mine_docs_per_s"' \
+               '"snapshot_bytes_per_pair"'; do
+        grep -q "$key" "artifacts/ledger_smoke_${workload}.json" \
+            || { echo "ledger_smoke_${workload}.json missing $key" >&2; exit 1; }
+    done
+done
 
 # Bench smoke: the thread-scaling harness on its quick preset, with the
 # scaling-regression gate armed (nonzero exit on a phase that regresses
@@ -341,25 +364,4 @@ for key in '"schema_version": 3' '"from_scratch_seconds"' '"delta_sweep"' \
            '"byte_identical_all_threads"' '"byte_identical_after_replay"'; do
     grep -q "$key" artifacts/incremental_smoke.json \
         || { echo "incremental_smoke.json missing $key" >&2; exit 1; }
-done
-
-# Ledger smoke: the repository's benchmark (BENCHMARK.json) on its quick
-# worlds, both workloads, as a correctness check — no timing is asserted.
-# The ledger exits nonzero unless every HTTP reply carried the verdict it
-# derived itself, every mined and updated snapshot equalled the 1-thread
-# reference byte for byte, every load indexed what was decided and every
-# reload was accepted; the last line it prints is the run as JSON, archived
-# here. Built and run with BENCHMARK.json's own command — the stand-alone
-# package, its own lock file, into .bench_build — so a change that breaks
-# only that build fails here.
-for workload in web_mine longtail_update; do
-    CARGO_TARGET_DIR=.bench_build cargo run --release --offline --quiet \
-        --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- \
-        --workload "$workload" --quick --seconds 4 --trace 0 \
-        | tail -n 1 > "artifacts/ledger_smoke_${workload}.json"
-    for key in '"correct": true' '"failed": 0' '"mine_docs_per_s"' \
-               '"snapshot_bytes_per_pair"'; do
-        grep -q "$key" "artifacts/ledger_smoke_${workload}.json" \
-            || { echo "ledger_smoke_${workload}.json missing $key" >&2; exit 1; }
-    done
 done
